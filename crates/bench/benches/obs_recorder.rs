@@ -9,7 +9,8 @@
 //!   it must stay at "one thread-local load and a branch".
 //! * `attached_*` — the cost of actually recording an event into the
 //!   per-thread ring. This bounds the per-event overhead of traced runs;
-//!   the end-to-end number is the "traced" row of `ablation_opts`.
+//!   the end-to-end number is the benchmark's `obs.trace_overhead_frac`
+//!   row (see `BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

@@ -9,12 +9,6 @@
 //!   changes);
 //! * chunk streaming — `CuspConfig::chunk_edges` bounds resident edge
 //!   state to O(chunk) at the cost of per-chunk re-reads and flushes;
-//! * streaming optimizations — "prefetch off" and "arena off" rerun the
-//!   4Ki-chunk row with background prefetch / chunk-buffer recycling
-//!   disabled (on single-core machines the pipeline already elides the
-//!   prefetch worker, so expect that delta to be noise there);
-//! * send-buffer auto-tuning — `CuspConfig::auto_buffer` sizes flush
-//!   thresholds from the reading split instead of the fixed default;
 //! * phase checkpoints — the "checkpointed" row reruns the baseline with
 //!   `CuspConfig::checkpoint_dir` set, so the delta against "baseline" is
 //!   the crash-free cost of snapshotting recovery state at phase
@@ -54,7 +48,7 @@ fn main() {
     );
     let ckpt_dir = std::env::temp_dir().join("cusp-ablation-ckpt");
     for input in drilldown_inputs(scale) {
-        let variants: [(&str, CuspConfig, bool); 12] = [
+        let variants: [(&str, CuspConfig, bool); 9] = [
             ("baseline", CuspConfig::default(), false),
             ("traced", CuspConfig::default(), true),
             (
@@ -110,32 +104,6 @@ fn main() {
                 "chunked (4Ki edges)",
                 CuspConfig {
                     chunk_edges: Some(4 * 1024),
-                    ..CuspConfig::default()
-                },
-                false,
-            ),
-            (
-                "chunked, prefetch off",
-                CuspConfig {
-                    chunk_edges: Some(4 * 1024),
-                    prefetch: false,
-                    ..CuspConfig::default()
-                },
-                false,
-            ),
-            (
-                "chunked, arena off",
-                CuspConfig {
-                    chunk_edges: Some(4 * 1024),
-                    arena_reuse: false,
-                    ..CuspConfig::default()
-                },
-                false,
-            ),
-            (
-                "auto-tuned buffers",
-                CuspConfig {
-                    auto_buffer: true,
                     ..CuspConfig::default()
                 },
                 false,

@@ -38,6 +38,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
+use cusp_graph::wal::crc32;
 use cusp_graph::Node;
 use cusp_net::{NetCheckpoint, WireReader, WireWriter};
 
@@ -264,19 +265,6 @@ pub struct Checkpoint {
     /// Edge-assignment outputs; present iff `stage` is
     /// [`Stage::EdgeAssign`].
     pub edge_assign: Option<EdgeAssignSnapshot>,
-}
-
-/// CRC-32 (IEEE, reflected) over `bytes` — same polynomial as gzip/zip.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Per-host checkpoint file management: `host-{h}.ckpt` under a shared
@@ -507,11 +495,5 @@ mod tests {
         let other_size = CheckpointStore { path: s.path.clone(), tmp: s.tmp.clone(), hosts: 4, host: 1 };
         assert!(other_size.load().is_none(), "wrong cluster size accepted");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crc_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

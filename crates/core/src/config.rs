@@ -84,25 +84,6 @@ pub struct CuspConfig {
     /// contract, so crash runs should also set `deterministic_sync` and
     /// `threads_per_host: 1`.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Overlap chunk re-reads with computation: when streaming
-    /// (`chunk_edges: Some`), a background worker materializes the next
-    /// chunk while the phases process the current one (double-buffered,
-    /// bounded to one chunk ahead — peak residency stays O(chunk)). Chunk
-    /// content is a pure function of the chunk index, so prefetching
-    /// changes timing only: partitions stay fingerprint-identical to the
-    /// unprefetched and monolithic runs, including under crash injection.
-    /// On by default; `false` is the ablation.
-    pub prefetch: bool,
-    /// Recycle retired chunk buffers across loads instead of reallocating
-    /// (cleared and refilled, so contents are unchanged). On by default;
-    /// `false` is the ablation. The arena's high-water footprint is
-    /// reported in [`PhaseTimes::arena_hw_bytes`].
-    pub arena_reuse: bool,
-    /// Seed construction send-buffer thresholds from the Fig. 7 sweep
-    /// model (hosts × edges → threshold) instead of using the fixed
-    /// `buffer_threshold`. Off by default so explicit threshold sweeps
-    /// (fig7) and the paper-default configuration stay untouched.
-    pub auto_buffer: bool,
     /// Testing switch: make partitioning bitwise reproducible. Replaces the
     /// master phase's asynchronous "drain whatever arrived" rounds
     /// (§IV-D5) with lockstep rounds (every host sends one SYNC to every
@@ -134,44 +115,10 @@ impl Default for CuspConfig {
             scalar_codec: false,
             chunk_edges: None,
             checkpoint_dir: None,
-            prefetch: true,
-            arena_reuse: true,
-            auto_buffer: false,
             deterministic_sync: false,
             announce_phases: false,
         }
     }
-}
-
-impl CuspConfig {
-    /// The construction-phase send-buffer threshold actually used for a
-    /// run over `local_edges` edges across `hosts` hosts: the configured
-    /// [`CuspConfig::buffer_threshold`] normally, or the Fig. 7-derived
-    /// model when [`CuspConfig::auto_buffer`] is set.
-    pub fn effective_buffer_threshold(&self, hosts: usize, local_edges: u64) -> usize {
-        if self.auto_buffer && hosts > 1 {
-            tuned_buffer_threshold(hosts, local_edges)
-        } else {
-            self.buffer_threshold
-        }
-    }
-}
-
-/// Send-buffer threshold model fitted to the fig7 sweep: throughput
-/// collapses near threshold 0 (a message per record) and is flat past a
-/// modest buffer size, so aim for a few dozen flushes per destination and
-/// clamp to the sweep's flat region.
-///
-/// Each host sends roughly `local_edges / hosts` edges to each remote
-/// destination at ~5 wire bytes per edge (u32 destination plus amortized
-/// record header); a 1/32 fraction of that keeps per-destination messages
-/// in the tens while staying far from the pathological small-buffer end.
-pub fn tuned_buffer_threshold(hosts: usize, local_edges: u64) -> usize {
-    let k = hosts.max(2) as u64;
-    let bytes_per_dest = local_edges.saturating_mul(5) / k;
-    let raw = (bytes_per_dest / 32).clamp(4 << 10, 1 << 20) as usize;
-    // Power-of-two sizing matches the fig7 sweep points and the allocator.
-    raw.next_power_of_two().min(1 << 20)
 }
 
 /// Wall-clock time spent in each partitioning phase (paper Fig. 4).
@@ -187,12 +134,6 @@ pub struct PhaseTimes {
     pub alloc: Duration,
     /// Graph construction (phase 5).
     pub construct: Duration,
-    /// High-water heap footprint (capacity bytes) of one chunk-arena
-    /// buffer during the run — 0 for monolithic (unchunked) runs, where
-    /// there is no arena. Recorded by the driver from the slice stream;
-    /// not a phase time, but it travels with the per-run perf record the
-    /// same way the durations do.
-    pub arena_hw_bytes: u64,
 }
 
 impl PhaseTimes {
@@ -254,7 +195,6 @@ impl PhaseTimes {
             edge_assign: self.edge_assign.max(other.edge_assign),
             alloc: self.alloc.max(other.alloc),
             construct: self.construct.max(other.construct),
-            arena_hw_bytes: self.arena_hw_bytes.max(other.arena_hw_bytes),
         }
     }
 }
@@ -280,7 +220,6 @@ mod tests {
             edge_assign: Duration::from_millis(2),
             alloc: Duration::from_millis(3),
             construct: Duration::from_millis(4),
-            arena_hw_bytes: 0,
         };
         assert_eq!(a.total(), Duration::from_millis(15));
         let b = PhaseTimes {
@@ -291,25 +230,5 @@ mod tests {
         let m = a.max(&b);
         assert_eq!(m.read, Duration::from_millis(5));
         assert_eq!(m.master, Duration::from_millis(9));
-    }
-
-    #[test]
-    fn tuned_threshold_tracks_scale_and_clamps() {
-        // Tiny inputs pin to the lower clamp; huge ones to the upper.
-        assert_eq!(tuned_buffer_threshold(4, 1_000), 4 << 10);
-        assert_eq!(tuned_buffer_threshold(2, u64::MAX / 8), 1 << 20);
-        // Mid-scale grows with edges and shrinks with host count, in
-        // power-of-two steps within the clamp window.
-        let a = tuned_buffer_threshold(4, 50_000_000);
-        let b = tuned_buffer_threshold(16, 50_000_000);
-        assert!(a >= b, "{a} < {b}");
-        assert!(a.is_power_of_two() && b.is_power_of_two());
-        assert!((4 << 10..=1 << 20).contains(&a));
-        // auto_buffer off (or single host) keeps the configured value.
-        let cfg = CuspConfig::default();
-        assert_eq!(cfg.effective_buffer_threshold(8, 1 << 30), cfg.buffer_threshold);
-        let auto = CuspConfig { auto_buffer: true, ..CuspConfig::default() };
-        assert_eq!(auto.effective_buffer_threshold(1, 1 << 30), auto.buffer_threshold);
-        assert_ne!(auto.effective_buffer_threshold(8, 1 << 30), auto.buffer_threshold);
     }
 }

@@ -86,16 +86,14 @@ pub fn construct<ER: EdgeRule>(
 
     // Per-thread send buffers and per-destination bucket scratch,
     // allocated once for the whole phase (buckets are cleared per node,
-    // buffers retain their capacity across flushes). The flush threshold
-    // comes from the Fig. 7 model when `auto_buffer` is on.
-    let threshold = cfg.effective_buffer_threshold(k, data.num_edges());
+    // buffers retain their capacity across flushes).
     struct ThreadState {
         buffers: SendBuffers,
         buckets: Vec<Vec<Node>>,
         wbuckets: Vec<Vec<u32>>,
     }
     let mut threads: PerThread<ThreadState> = PerThread::new(pool, |_| ThreadState {
-        buffers: SendBuffers::new(k, threshold, TAG_EDGES),
+        buffers: SendBuffers::new(k, cfg.buffer_threshold, TAG_EDGES),
         buckets: vec![Vec::new(); k],
         wbuckets: vec![Vec::new(); k],
     });

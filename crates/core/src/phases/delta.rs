@@ -541,14 +541,13 @@ impl<'a, ER: EdgeRule> Phase for DeltaConstructPhase<'a, ER> {
         }
 
         // --- 2. Re-decide and route dirty edges only. ----------------------
-        let threshold = ctx.cfg.effective_buffer_threshold(k, data.num_edges());
         struct ThreadState {
             buffers: SendBuffers,
             buckets: Vec<Vec<Node>>,
             wbuckets: Vec<Vec<u32>>,
         }
         let mut threads: PerThread<ThreadState> = PerThread::new(&ctx.pool, |_| ThreadState {
-            buffers: SendBuffers::new(k, threshold, TAG_EDGES),
+            buffers: SendBuffers::new(k, ctx.cfg.buffer_threshold, TAG_EDGES),
             buckets: vec![Vec::new(); k],
             wbuckets: vec![Vec::new(); k],
         });
@@ -788,8 +787,6 @@ where
         },
         (&mut data, &mut alloc),
     );
-
-    ctx.times.arena_hw_bytes = data.arena_hw_bytes();
 
     PartitionOutput {
         dist_graph: DistGraph {

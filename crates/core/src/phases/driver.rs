@@ -197,10 +197,6 @@ where
         (&mut data, &mut alloc),
     );
 
-    // The chunk arena's high-water footprint travels with the phase-time
-    // record (0 for monolithic runs — no arena).
-    ctx.times.arena_hw_bytes = data.arena_hw_bytes();
-
     PartitionOutput {
         dist_graph: DistGraph {
             part_id: me as PartId,

@@ -50,7 +50,7 @@ pub enum SliceData {
     Whole(GraphSlice),
     /// Only the offset array is resident; edge payloads are materialized
     /// one bounded chunk at a time. Boxed: the stream's bookkeeping
-    /// (arena, prefetch state, resident offsets) dwarfs the `Whole`
+    /// (backing, recycled buffer, resident offsets) dwarfs the `Whole`
     /// variant, and the enum travels by value between phases.
     Chunked(Box<ChunkedSlice>),
 }
@@ -128,9 +128,6 @@ impl SliceData {
                 for i in first..=last {
                     let (lo, hi) = c.chunk_bounds(i);
                     let sub = nodes.start.max(lo)..nodes.end.min(hi);
-                    // With prefetch on, the load is mostly a wait on the
-                    // background re-read — the span then measures how well
-                    // the overlap hides the I/O, not the I/O itself.
                     cusp_obs::span_begin_arg("chunk", i as u64);
                     f(c.load_chunk(i), sub);
                     cusp_obs::span_end("chunk");
@@ -151,15 +148,6 @@ impl SliceData {
         match self {
             SliceData::Whole(s) => s.num_edges(),
             SliceData::Chunked(c) => c.peak_resident_edges(),
-        }
-    }
-
-    /// High-water heap footprint of one chunk-arena buffer — 0 for
-    /// monolithic data, which has no arena.
-    pub fn arena_hw_bytes(&self) -> u64 {
-        match self {
-            SliceData::Whole(_) => 0,
-            SliceData::Chunked(c) => c.arena_hw_bytes(),
         }
     }
 }

@@ -45,28 +45,6 @@ fn splits_to_boundaries(splits: &[ReadSplit]) -> Vec<u64> {
     b
 }
 
-/// Whether spawning a background prefetch worker can possibly pay off:
-/// overlap needs a spare hardware thread, otherwise the worker only adds
-/// context switches to every chunk load. `CUSP_FORCE_PREFETCH=1` overrides
-/// the probe (used by tests that must exercise the worker path on
-/// single-core machines). Chunk content is unaffected either way — the
-/// gate changes where materialization runs, never what it produces.
-fn prefetch_worthwhile() -> bool {
-    static WORTH: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *WORTH.get_or_init(|| {
-        std::env::var("CUSP_FORCE_PREFETCH").is_ok_and(|v| v == "1")
-            || std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
-    })
-}
-
-/// Applies the config's streaming optimizations (background prefetch,
-/// chunk-arena reuse) to a freshly built chunk stream.
-fn configure_chunks(mut c: ChunkedSlice, cfg: &CuspConfig) -> ChunkedSlice {
-    c.set_prefetch(cfg.prefetch && prefetch_worthwhile());
-    c.set_arena_reuse(cfg.arena_reuse);
-    c
-}
-
 /// Rebases the global end-offsets of range `[lo, hi)` into a local offset
 /// array (`hi - lo + 1` entries, first entry 0) plus the range's first
 /// global edge index.
@@ -82,7 +60,7 @@ fn rebase_offsets(ends: &[EdgeIdx], lo: u64, hi: u64) -> (Vec<EdgeIdx>, EdgeIdx)
 pub fn read_phase(comm: &Comm, source: &GraphSource, cfg: &CuspConfig) -> std::io::Result<ReadOutcome> {
     let k = comm.num_hosts();
     let me = comm.host();
-    match source {
+    let (graph, weights) = match source {
         GraphSource::File(path) => {
             let mut reader = cusp_graph::RangeReader::open(path)?;
             let num_nodes = reader.num_nodes();
@@ -95,20 +73,17 @@ pub fn read_phase(comm: &Comm, source: &GraphSource, cfg: &CuspConfig) -> std::i
                 None => SliceData::Whole(reader.read_range(my.lo, my.hi)?),
                 Some(c) => {
                     let (offsets, base) = rebase_offsets(&ends, my.lo, my.hi);
-                    SliceData::Chunked(Box::new(configure_chunks(
-                        ChunkedSlice::new(
-                            ChunkBacking::File(reader),
-                            my.lo as Node,
-                            my.hi as Node,
-                            offsets,
-                            base,
-                            c,
-                        ),
-                        cfg,
+                    SliceData::Chunked(Box::new(ChunkedSlice::new(
+                        ChunkBacking::File(reader),
+                        my.lo as Node,
+                        my.hi as Node,
+                        offsets,
+                        base,
+                        c,
                     )))
                 }
             };
-            Ok(ReadOutcome {
+            return Ok(ReadOutcome {
                 data,
                 setup: Setup {
                     num_nodes,
@@ -117,66 +92,37 @@ pub fn read_phase(comm: &Comm, source: &GraphSource, cfg: &CuspConfig) -> std::i
                     eb_boundaries: Arc::new(splits_to_boundaries(&eb)),
                     read_splits: Arc::new(read_splits),
                 },
-            })
+            });
         }
-        GraphSource::Memory(graph) => {
-            let ends: Vec<u64> = graph.offsets()[1..].to_vec();
-            let read_splits = reading_split(&ends, k, cfg.node_read_weight, cfg.edge_read_weight);
-            let eb = reading_split(&ends, k, 0, 1);
-            let my = read_splits[me];
-            let data = match cfg.chunk_edges {
-                None => SliceData::Whole(GraphSlice::from_csr(graph, my.lo as u32, my.hi as u32)),
-                Some(c) => SliceData::Chunked(Box::new(configure_chunks(
-                    ChunkedSlice::from_csr(Arc::clone(graph), None, my.lo as u32, my.hi as u32, c),
-                    cfg,
-                ))),
-            };
-            Ok(ReadOutcome {
-                data,
-                setup: Setup {
-                    num_nodes: graph.num_nodes() as u64,
-                    num_edges: graph.num_edges(),
-                    parts: k as u32,
-                    eb_boundaries: Arc::new(splits_to_boundaries(&eb)),
-                    read_splits: Arc::new(read_splits),
-                },
-            })
-        }
-        GraphSource::MemoryWeighted(graph, weights) => {
-            let ends: Vec<u64> = graph.offsets()[1..].to_vec();
-            let read_splits = reading_split(&ends, k, cfg.node_read_weight, cfg.edge_read_weight);
-            let eb = reading_split(&ends, k, 0, 1);
-            let my = read_splits[me];
-            let data = match cfg.chunk_edges {
-                None => SliceData::Whole(GraphSlice::from_csr_weighted(
-                    graph,
-                    weights,
-                    my.lo as u32,
-                    my.hi as u32,
-                )),
-                Some(c) => SliceData::Chunked(Box::new(configure_chunks(
-                    ChunkedSlice::from_csr(
-                        Arc::clone(graph),
-                        Some(Arc::clone(weights)),
-                        my.lo as u32,
-                        my.hi as u32,
-                        c,
-                    ),
-                    cfg,
-                ))),
-            };
-            Ok(ReadOutcome {
-                data,
-                setup: Setup {
-                    num_nodes: graph.num_nodes() as u64,
-                    num_edges: graph.num_edges(),
-                    parts: k as u32,
-                    eb_boundaries: Arc::new(splits_to_boundaries(&eb)),
-                    read_splits: Arc::new(read_splits),
-                },
-            })
-        }
-    }
+        GraphSource::Memory(g) => (g, None),
+        GraphSource::MemoryWeighted(g, w) => (g, Some(w)),
+    };
+    let ends: Vec<u64> = graph.offsets()[1..].to_vec();
+    let read_splits = reading_split(&ends, k, cfg.node_read_weight, cfg.edge_read_weight);
+    let eb = reading_split(&ends, k, 0, 1);
+    let my = read_splits[me];
+    let (lo, hi) = (my.lo as Node, my.hi as Node);
+    let data = match (cfg.chunk_edges, weights) {
+        (None, None) => SliceData::Whole(GraphSlice::from_csr(graph, lo, hi)),
+        (None, Some(w)) => SliceData::Whole(GraphSlice::from_csr_weighted(graph, w, lo, hi)),
+        (Some(c), w) => SliceData::Chunked(Box::new(ChunkedSlice::from_csr(
+            Arc::clone(graph),
+            w.cloned(),
+            lo,
+            hi,
+            c,
+        ))),
+    };
+    Ok(ReadOutcome {
+        data,
+        setup: Setup {
+            num_nodes: graph.num_nodes() as u64,
+            num_edges: graph.num_edges(),
+            parts: k as u32,
+            eb_boundaries: Arc::new(splits_to_boundaries(&eb)),
+            read_splits: Arc::new(read_splits),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -258,7 +204,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(test)]
     fn max_degree(s: &GraphSlice) -> u64 {
         (s.node_lo..s.node_hi).map(|v| s.out_degree(v)).max().unwrap_or(0)
     }

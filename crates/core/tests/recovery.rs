@@ -1,8 +1,9 @@
 //! End-to-end host-crash recovery oracle.
 //!
 //! Every cell of the crash matrix — victim host × crash phase × cluster
-//! size × seed × chunking, with and without durable checkpoints — must
-//! produce a partition **bit-identical** to the crash-free deterministic
+//! size × seed × input (monolithic, chunked, chunked from a file), with
+//! and without durable checkpoints — must produce a partition
+//! **bit-identical** to the crash-free deterministic
 //! run (same `partition_fingerprint`), pass the full invariant oracle
 //! ([`cusp::check_partition`]), and keep communication accounting
 //! conserved ([`cusp::check_comm_stats`]) — replayed traffic is tracked in
@@ -107,21 +108,29 @@ fn cell_dir(tag: &str) -> PathBuf {
 }
 
 /// The full matrix for one cluster size: victims {first, last} × the five
-/// phases × two crash seeds × {monolithic, chunked}, all checkpointed.
-/// Whether a given cell's plan actually fires depends on the seeded op
-/// threshold versus how many ops the victim executes in that phase, so
-/// firing is asserted in aggregate (like the fault-injection oracle); every
-/// cell's *result* must be bit-identical to the crash-free baseline either
-/// way.
+/// phases × two crash seeds × {monolithic, chunked from memory, chunked
+/// from the `.bgr` file}, all checkpointed. The file-backed input puts a
+/// real reader (open file, seek position, recycled chunk buffer) in the
+/// dying incarnation; the restarted one must rebuild its stream from
+/// scratch. Whether a given cell's plan actually fires depends on the
+/// seeded op threshold versus how many ops the victim executes in that
+/// phase, so firing is asserted in aggregate (like the fault-injection
+/// oracle); every cell's *result* must be bit-identical to the crash-free
+/// baseline either way.
 fn crash_matrix(hosts: usize) {
     let graph = Arc::new(erdos_renyi(NODES, EDGES, 29));
-    let src = GraphSource::Memory(graph.clone());
+    let path = cell_dir(&format!("{hosts}-input.bgr"));
+    cusp_graph::write_bgr(&path, &graph).unwrap();
     let victims = if hosts > 1 { vec![0, hosts - 1] } else { vec![0] };
     let seeds = [env_seed(), 0xFACADE];
-    let chunks = [None, Some(64)];
+    let inputs = [
+        ("mem", GraphSource::Memory(graph.clone()), None),
+        ("mem", GraphSource::Memory(graph.clone()), Some(64)),
+        ("file", GraphSource::File(path.clone()), Some(13)),
+    ];
 
     let mut fired = 0u64;
-    for &chunk in &chunks {
+    for (backing, src, chunk) in inputs {
         let cfg = det_cfg(chunk, None);
         let (baseline, base_stats, _, _) =
             run(hosts, PolicyKind::Cvc, src.clone(), None, cfg, None).expect("clean run");
@@ -133,9 +142,9 @@ fn crash_matrix(hosts: usize) {
             for &(phase, max_ops) in &PHASES {
                 for &seed in &seeds {
                     let label = format!(
-                        "hosts {hosts} victim {victim} phase {phase} seed {seed:#x} chunk {chunk:?}"
+                        "hosts {hosts} victim {victim} phase {phase} seed {seed:#x} {backing} chunk {chunk:?}"
                     );
-                    let dir = cell_dir(&format!("{hosts}-{victim}-{phase}-{seed}-{}", chunk.is_some()));
+                    let dir = cell_dir(&format!("{hosts}-{victim}-{phase}-{seed}-{backing}-{chunk:?}"));
                     let cfg = det_cfg(chunk, Some(dir.clone()));
                     let plan = CrashPlan::once(seed, victim, phase, max_ops);
                     let (parts, stats, rec, _) =
@@ -160,8 +169,9 @@ fn crash_matrix(hosts: usize) {
             }
         }
     }
+    std::fs::remove_file(&path).ok();
     assert!(
-        fired >= 8,
+        fired >= 12,
         "crash plans fired only {fired} times across the hosts={hosts} matrix"
     );
 }

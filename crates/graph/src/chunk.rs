@@ -10,26 +10,11 @@
 //! materialized chunk edges is tracked in [`ChunkedSlice::peak_resident_edges`]
 //! so callers can *prove* the O(chunk) residency claim rather than assume it.
 //!
-//! Two orthogonal optimizations ride on the stream without changing what
-//! any chunk contains:
-//!
-//! * **Prefetch** ([`ChunkedSlice::set_prefetch`]): a background worker
-//!   thread owns the backing and materializes the next chunk while the
-//!   caller processes the current one — double-buffered, bounded to one
-//!   chunk ahead, so residency stays O(chunk). Chunk *content* is a pure
-//!   function of the chunk index, so overlapping the re-read with compute
-//!   cannot perturb the determinism contract; only timing changes.
-//! * **Arena reuse** ([`ChunkedSlice::set_arena_reuse`]): retired chunk
-//!   buffers are cleared and refilled instead of reallocated
-//!   ([`RangeReader::read_range_into`] / [`GraphSlice::fill_from_csr`]),
-//!   so a steady-state stream stops allocating after the first two chunks.
-//!   The arena's high-water footprint is tracked in
-//!   [`ChunkedSlice::arena_hw_bytes`].
+//! Retired chunk buffers are cleared and refilled instead of reallocated
+//! ([`RangeReader::read_edge_span_into`] / [`GraphSlice::fill_from_csr`]),
+//! so a steady-state stream stops allocating after the first chunk.
 
-use std::io;
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread;
 
 use crate::csr::Csr;
 use crate::file::{GraphSlice, RangeReader};
@@ -73,170 +58,24 @@ pub enum ChunkBacking {
     },
 }
 
-/// The backing plus the range metadata chunk materialization needs: the
-/// rebased offsets already resident in the owning [`ChunkedSlice`], shared
-/// here so File-backed chunks never re-read (or re-decode, or re-validate)
-/// the offsets section — only the edge payload bytes leave the file.
-struct ChunkStore {
-    backing: ChunkBacking,
-    /// The range's rebased offsets, shared with the owning `ChunkedSlice`.
-    offsets: Arc<Vec<EdgeIdx>>,
-    node_lo: Node,
-    first_edge_global: EdgeIdx,
-}
-
-impl ChunkStore {
-    /// Materializes chunk `[lo, hi)`, recycling a retired slice's buffers
-    /// when one is supplied. Content is identical either way, and identical
-    /// to what a full `read_range_into` of the same window would produce.
-    fn materialize(&mut self, lo: Node, hi: Node, recycle: Option<GraphSlice>) -> io::Result<GraphSlice> {
-        let mut slice = recycle.unwrap_or_else(GraphSlice::empty);
-        match &mut self.backing {
-            ChunkBacking::File(r) => {
-                let li = (lo - self.node_lo) as usize;
-                let hi_i = (hi - self.node_lo) as usize;
-                let base = self.offsets[li];
-                slice.offsets.clear();
-                slice.offsets.reserve(hi_i - li + 1);
-                slice
-                    .offsets
-                    .extend(self.offsets[li..=hi_i].iter().map(|&o| o - base));
-                let edge_lo = self.first_edge_global + base;
-                r.read_edge_span_into(edge_lo, self.offsets[hi_i] - base, &mut slice)?;
-                slice.node_lo = lo;
-                slice.node_hi = hi;
-                slice.first_edge_global = edge_lo;
-            }
-            ChunkBacking::Mem { csr, weights } => match weights {
-                Some(w) => slice.fill_from_csr_weighted(csr, w, lo, hi),
-                None => slice.fill_from_csr(csr, lo, hi),
-            },
-        }
-        Ok(slice)
-    }
-}
-
-/// Background chunk materializer: owns the [`ChunkBacking`] and serves
-/// `load_chunk` requests from a worker thread, keeping at most one
-/// prefetched chunk in flight (double-buffering, bounded residency).
-///
-/// Requests carry an optional recycled [`GraphSlice`] whose buffers the
-/// worker refills. Channels are unbounded so neither side ever blocks on
-/// send; if the owning host panics (crash injection), dropping the
-/// prefetcher closes the request channel and the worker exits cleanly.
-struct Prefetcher {
-    req_tx: Option<mpsc::Sender<(usize, Option<GraphSlice>)>>,
-    res_rx: mpsc::Receiver<(usize, io::Result<GraphSlice>)>,
-    /// Chunk index of the one in-flight request, if any.
-    pending: Option<usize>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl Prefetcher {
-    fn spawn(mut store: ChunkStore, boundaries: Vec<Node>) -> Self {
-        let (req_tx, req_rx) = mpsc::channel::<(usize, Option<GraphSlice>)>();
-        let (res_tx, res_rx) = mpsc::channel();
-        let worker = thread::Builder::new()
-            .name("cusp-prefetch".into())
-            .spawn(move || {
-                while let Ok((i, recycle)) = req_rx.recv() {
-                    let res = store.materialize(boundaries[i], boundaries[i + 1], recycle);
-                    if res_tx.send((i, res)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("failed to spawn chunk prefetch thread");
-        Prefetcher { req_tx: Some(req_tx), res_rx, pending: None, worker: Some(worker) }
-    }
-
-    /// Issues a request for chunk `i`; at most one may be outstanding.
-    fn request(&mut self, i: usize, recycle: Option<GraphSlice>) {
-        debug_assert!(self.pending.is_none(), "only one prefetch may be in flight");
-        self.req_tx
-            .as_ref()
-            .expect("prefetcher shut down")
-            .send((i, recycle))
-            .expect("chunk prefetch worker died");
-        self.pending = Some(i);
-    }
-
-    /// Returns chunk `i`, waiting on the in-flight request if it matches
-    /// or discarding it into `spares` and re-requesting otherwise (this
-    /// happens when a sub-range walk restarts at an earlier chunk, e.g.
-    /// across master-phase rounds).
-    fn fetch(&mut self, i: usize, spares: &mut Vec<GraphSlice>, arena: bool) -> GraphSlice {
-        loop {
-            match self.pending.take() {
-                None => {
-                    let recycle = if arena { spares.pop() } else { None };
-                    self.request(i, recycle);
-                }
-                Some(j) => {
-                    let (idx, res) = self.res_rx.recv().expect("chunk prefetch worker died");
-                    debug_assert_eq!(idx, j);
-                    let slice = res.expect("chunk re-read from input file failed");
-                    if j == i {
-                        return slice;
-                    }
-                    if arena && spares.len() < 2 {
-                        spares.push(slice);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        // Closing the request channel stops the worker; drain any in-flight
-        // result so its send cannot error, then join.
-        drop(self.req_tx.take());
-        while self.res_rx.recv().is_ok() {}
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Where chunk materialization happens.
-enum Source {
-    /// Synchronously, on the calling thread.
-    Direct(ChunkStore),
-    /// On the background prefetch worker (promoted from `Direct` at the
-    /// first `load_chunk` when prefetch is enabled).
-    Prefetch(Prefetcher),
-    /// Transient state during the `Direct` → `Prefetch` promotion only.
-    Swapping,
-}
-
 /// A host's read range exposed as a stream of bounded edge chunks.
 pub struct ChunkedSlice {
-    source: Source,
+    backing: ChunkBacking,
     node_lo: Node,
     node_hi: Node,
-    /// Rebased offsets over the whole range (`num_nodes + 1` entries),
-    /// shared with the [`ChunkStore`] (and through it, the prefetch worker).
-    offsets: Arc<Vec<EdgeIdx>>,
+    /// Rebased offsets over the whole range (`num_nodes + 1` entries).
+    /// File-backed chunks slice their offsets out of this array, so only
+    /// the edge payload bytes are ever re-read from the file.
+    offsets: Vec<EdgeIdx>,
     first_edge_global: EdgeIdx,
     /// Chunk boundaries as global node ids (`num_chunks + 1` entries).
     boundaries: Vec<Node>,
     chunk_edges: u64,
     weighted: bool,
     peak_resident: u64,
-    /// Overlap the next chunk's materialization with the caller's work.
-    prefetch: bool,
-    /// Recycle retired chunk buffers instead of reallocating.
-    arena_reuse: bool,
-    /// The chunk most recently returned by `load_chunk` (its buffers are
-    /// recycled when the next chunk is loaded).
-    current: Option<GraphSlice>,
-    /// Retired chunk buffers awaiting reuse (at most two: the double
-    /// buffer's steady-state rotation).
-    spares: Vec<GraphSlice>,
-    /// High-water heap footprint of a single chunk buffer.
-    arena_hw: u64,
+    /// The chunk most recently returned by `load_chunk` (empty before the
+    /// first); the next load clears and refills its buffers.
+    current: GraphSlice,
 }
 
 impl ChunkedSlice {
@@ -256,14 +95,8 @@ impl ChunkedSlice {
             ChunkBacking::File(r) => r.has_weights(),
             ChunkBacking::Mem { weights, .. } => weights.is_some(),
         };
-        let offsets = Arc::new(offsets);
         ChunkedSlice {
-            source: Source::Direct(ChunkStore {
-                backing,
-                offsets: Arc::clone(&offsets),
-                node_lo,
-                first_edge_global,
-            }),
+            backing,
             node_lo,
             node_hi,
             offsets,
@@ -272,11 +105,7 @@ impl ChunkedSlice {
             chunk_edges,
             weighted,
             peak_resident: 0,
-            prefetch: false,
-            arena_reuse: true,
-            current: None,
-            spares: Vec::new(),
-            arena_hw: 0,
+            current: GraphSlice::empty(),
         }
     }
 
@@ -337,25 +166,6 @@ impl ChunkedSlice {
         self.weighted
     }
 
-    /// Enables or disables background prefetch (one chunk ahead). Must be
-    /// set before the first [`ChunkedSlice::load_chunk`]; the worker is
-    /// spawned lazily at the first load, and only when the range has more
-    /// than one chunk (prefetching the only chunk buys nothing).
-    pub fn set_prefetch(&mut self, on: bool) {
-        assert!(
-            matches!(self.source, Source::Direct(_)),
-            "set_prefetch must be called before streaming starts"
-        );
-        self.prefetch = on;
-    }
-
-    /// Enables or disables chunk-buffer recycling (on by default). Off,
-    /// every chunk materializes into fresh allocations — the pre-arena
-    /// behaviour kept as an ablation.
-    pub fn set_arena_reuse(&mut self, on: bool) {
-        self.arena_reuse = on;
-    }
-
     /// The configured per-chunk edge budget.
     pub fn chunk_edges(&self) -> u64 {
         self.chunk_edges
@@ -377,71 +187,44 @@ impl ChunkedSlice {
         self.boundaries.partition_point(|&b| b <= v) - 1
     }
 
-    /// Promotes the source to the background prefetcher on first use.
-    fn ensure_source(&mut self) {
-        if !self.prefetch
-            || self.num_chunks() <= 1
-            || matches!(self.source, Source::Prefetch(_))
-        {
-            return;
-        }
-        let Source::Direct(store) = std::mem::replace(&mut self.source, Source::Swapping)
-        else {
-            unreachable!("source left in transient state");
-        };
-        self.source = Source::Prefetch(Prefetcher::spawn(store, self.boundaries.clone()));
-    }
-
     /// Materializes chunk `i` as a [`GraphSlice`] (global destination ids,
     /// correct `first_edge_global`), updating the peak-residency high-water
     /// mark. The returned slice stays valid until the next `load_chunk`,
-    /// which retires its buffers into the recycling pool.
+    /// which refills its buffers. Content is identical to what a full
+    /// `read_range_into` of the same window would produce.
     pub fn load_chunk(&mut self, i: usize) -> &GraphSlice {
-        if let Some(prev) = self.current.take() {
-            if self.arena_reuse && self.spares.len() < 2 {
-                self.spares.push(prev);
-            }
-        }
-        self.ensure_source();
         let (lo, hi) = self.chunk_bounds(i);
-        let slice = match &mut self.source {
-            Source::Direct(store) => {
-                let recycle = if self.arena_reuse { self.spares.pop() } else { None };
-                store
-                    .materialize(lo, hi, recycle)
-                    .expect("chunk re-read from input file failed")
-            }
-            Source::Prefetch(pf) => {
-                let slice = pf.fetch(i, &mut self.spares, self.arena_reuse);
-                // Double buffer: start the next chunk's re-read while the
-                // caller processes this one.
-                if i + 1 < self.boundaries.len() - 1 {
-                    let recycle = if self.arena_reuse { self.spares.pop() } else { None };
-                    pf.request(i + 1, recycle);
-                }
+        let li = (lo - self.node_lo) as usize;
+        let hi_i = (hi - self.node_lo) as usize;
+        let base = self.offsets[li];
+        let slice = &mut self.current;
+        match &mut self.backing {
+            ChunkBacking::File(r) => {
+                slice.offsets.clear();
                 slice
+                    .offsets
+                    .extend(self.offsets[li..=hi_i].iter().map(|&o| o - base));
+                let edge_lo = self.first_edge_global + base;
+                r.read_edge_span_into(edge_lo, self.offsets[hi_i] - base, slice)
+                    .expect("chunk re-read from input file failed");
+                slice.node_lo = lo;
+                slice.node_hi = hi;
+                slice.first_edge_global = edge_lo;
             }
-            Source::Swapping => unreachable!("source left in transient state"),
-        };
-        debug_assert_eq!(slice.first_edge_global, self.first_edge_global + self.offsets[(lo - self.node_lo) as usize]);
+            ChunkBacking::Mem { csr, weights } => match weights {
+                Some(w) => slice.fill_from_csr_weighted(csr, w, lo, hi),
+                None => slice.fill_from_csr(csr, lo, hi),
+            },
+        }
+        debug_assert_eq!(slice.first_edge_global, self.first_edge_global + base);
         self.peak_resident = self.peak_resident.max(slice.num_edges());
-        self.arena_hw = self.arena_hw.max(slice.heap_bytes());
-        self.current = Some(slice);
-        self.current.as_ref().unwrap()
+        slice
     }
 
     /// Largest number of edges any single materialized chunk held — the
     /// measured peak resident edge state of the stream.
     pub fn peak_resident_edges(&self) -> u64 {
         self.peak_resident
-    }
-
-    /// High-water heap footprint (capacity bytes) of a single chunk
-    /// buffer — what one slot of the recycling arena grew to. The stream
-    /// holds at most three such buffers at once (current, prefetched,
-    /// spare).
-    pub fn arena_hw_bytes(&self) -> u64 {
-        self.arena_hw
     }
 }
 
@@ -532,51 +315,31 @@ mod tests {
     }
 
     #[test]
-    fn prefetched_chunks_match_direct_chunks() {
-        let g = Arc::new(erdos_renyi(140, 1000, 17));
-        let mut path = std::env::temp_dir();
-        path.push(format!("cusp-prefetch-test-{}.bgr", std::process::id()));
-        write_bgr(&path, &g).unwrap();
-        for arena in [true, false] {
-            let mut direct = ChunkedSlice::from_csr(Arc::clone(&g), None, 0, 140, 40);
-            direct.set_arena_reuse(arena);
-            let reader = RangeReader::open(&path).unwrap();
-            let offsets = g.offsets().to_vec();
-            let mut pf = ChunkedSlice::new(ChunkBacking::File(reader), 0, 140, offsets, 0, 40);
-            pf.set_prefetch(true);
-            pf.set_arena_reuse(arena);
-            assert_eq!(direct.num_chunks(), pf.num_chunks());
-            assert!(pf.num_chunks() > 2);
-            for i in 0..direct.num_chunks() {
-                let d = direct.load_chunk(i).clone();
-                let p = pf.load_chunk(i);
-                assert_eq!(d.offsets, p.offsets, "chunk {i} arena={arena}");
-                assert_eq!(d.dests, p.dests, "chunk {i} arena={arena}");
-                assert_eq!(d.first_edge_global, p.first_edge_global);
-            }
-            assert_eq!(direct.peak_resident_edges(), pf.peak_resident_edges());
-            assert!(pf.arena_hw_bytes() > 0);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn prefetch_survives_out_of_order_reloads() {
-        // Master-phase rounds restart sub-range walks, so a prefetched
-        // chunk may not be the one requested next; the stale result must
-        // be discarded (recycled) and the right chunk served.
+    fn recycled_buffer_never_leaks_the_previous_chunk() {
+        // Master-phase rounds restart sub-range walks, so chunks are
+        // reloaded out of order into the one recycled buffer: a longer
+        // chunk followed by a shorter one must leave nothing behind.
         let g = Arc::new(erdos_renyi(100, 800, 29));
-        let mut pf = ChunkedSlice::from_csr(Arc::clone(&g), None, 0, 100, 30);
-        pf.set_prefetch(true);
-        let n = pf.num_chunks();
-        assert!(n >= 3);
-        let mut plain = ChunkedSlice::from_csr(Arc::clone(&g), None, 0, 100, 30);
-        for &i in &[0usize, 1, 2, 0, 1, 2, n - 1, 0] {
-            let i = i.min(n - 1);
-            let want = plain.load_chunk(i).clone();
-            let got = pf.load_chunk(i);
-            assert_eq!(want.offsets, got.offsets, "chunk {i}");
-            assert_eq!(want.dests, got.dests, "chunk {i}");
+        let w: Arc<Vec<u32>> = Arc::new((0..g.num_edges() as u32).map(|e| e ^ 0x5a5a).collect());
+        for weights in [None, Some(Arc::clone(&w))] {
+            let mut c = ChunkedSlice::from_csr(Arc::clone(&g), weights.clone(), 0, 100, 30);
+            let n = c.num_chunks();
+            assert!(n >= 3);
+            let lens: Vec<u64> = (0..n).map(|i| c.load_chunk(i).num_edges()).collect();
+            assert!(lens.windows(2).any(|p| p[0] > p[1]), "no longer-then-shorter pair in {lens:?}");
+            for &i in &[0usize, 1, 2, 0, 1, 2, n - 1, 0] {
+                let (lo, hi) = c.chunk_bounds(i);
+                let want = match &weights {
+                    Some(w) => GraphSlice::from_csr_weighted(&g, w, lo, hi),
+                    None => GraphSlice::from_csr(&g, lo, hi),
+                };
+                let got = c.load_chunk(i);
+                assert_eq!(want.offsets, got.offsets, "chunk {i}");
+                assert_eq!(want.dests, got.dests, "chunk {i}");
+                assert_eq!(want.weights, got.weights, "chunk {i}");
+                assert_eq!((want.node_lo, want.node_hi), (got.node_lo, got.node_hi));
+                assert_eq!(want.first_edge_global, got.first_edge_global, "chunk {i}");
+            }
         }
     }
 

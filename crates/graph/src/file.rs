@@ -146,8 +146,7 @@ impl GraphSlice {
         (self.node_hi - self.node_lo) as usize
     }
 
-    /// Heap bytes backing the slice's buffers (capacities, not lengths) —
-    /// what the chunk arena's high-water metric measures.
+    /// Heap bytes backing the slice's buffers (capacities, not lengths).
     pub fn heap_bytes(&self) -> u64 {
         (self.offsets.capacity() * 8
             + self.dests.capacity() * 4
@@ -374,8 +373,8 @@ impl RangeReader {
 
     /// Reads the slice for nodes `[lo, hi)` into `out`, recycling `out`'s
     /// buffers. Content is identical to [`RangeReader::read_range`]; this
-    /// is the allocation-free fill a chunk stream's arena uses when
-    /// re-reading the same file over and over.
+    /// is the allocation-free fill for re-reading the same file over and
+    /// over.
     pub fn read_range_into(&mut self, lo: u64, hi: u64, out: &mut GraphSlice) -> io::Result<()> {
         if lo > hi || hi > self.nodes {
             return Err(bad_data(format!(
@@ -536,7 +535,7 @@ mod tests {
             assert_eq!(out.first_edge_global, fresh.first_edge_global);
         }
         // After the full-range read, smaller refills must not shrink the
-        // retained capacity (that's the arena).
+        // retained capacity (that's what recycling buys).
         let full_bytes = out.heap_bytes();
         reader.read_range_into(10, 20, &mut out).unwrap();
         assert_eq!(out.heap_bytes(), full_bytes);

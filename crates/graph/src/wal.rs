@@ -169,8 +169,9 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// CRC-32 (IEEE, reflected) — the same polynomial as the checkpoint
-/// store and the serve frame codec.
+/// CRC-32 (IEEE, reflected — the gzip/zip polynomial). The one checksum
+/// routine of the workspace: WAL records, checkpoint files and serve
+/// frames all call it.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -996,6 +997,7 @@ mod tests {
 
     #[test]
     fn crc_matches_known_vector() {
+        // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 

@@ -1,7 +1,7 @@
 //! A deliberately small HTTP/1.1 front end so the server is curl-able
 //! without the framed client. Hand-rolled (no HTTP dependency): one
 //! request per connection, `Connection: close`, JSON bodies rendered by
-//! hand in the same style as `bench_runner --json`.
+//! hand.
 //!
 //! Routes (all graph bodies are server-generated — bulk CSR upload
 //! belongs on the framed protocol, not in a query string):

@@ -48,18 +48,9 @@ pub const MAX_HOSTS: u32 = 64;
 /// allocation and the per-request mutation work a tenant can demand.
 pub const MAX_BATCH_EVENTS: usize = 1 << 20;
 
-/// CRC-32 (IEEE, reflected — same polynomial as the checkpoint store).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// The frame checksum: the workspace's one CRC-32 (IEEE, reflected),
+/// shared with the WAL and the checkpoint store.
+pub use cusp_graph::wal::crc32;
 
 /// How a served partition was obtained — travels in the `Partitioned`
 /// response so clients (and the CI smoke job) can see cache behaviour.
@@ -1036,11 +1027,5 @@ mod tests {
             Request::decode(&w.finish()),
             Err(ProtocolError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn crc_is_the_checkpoint_polynomial() {
-        // Same known-answer vector the checkpoint store pins.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }
