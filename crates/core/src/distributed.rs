@@ -21,19 +21,6 @@ use crate::phases::driver::PartitionOutput;
 use crate::policies::catalog::{partition_with_policy, PolicyKind};
 use crate::PartitionError;
 
-/// Which transport a partition run should execute over.
-///
-/// The in-process simulator is the default everywhere; TCP is chosen
-/// explicitly by the multi-process tooling (`cusp-part worker`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportChoice {
-    /// All hosts are threads of this process sharing one fabric.
-    #[default]
-    Sim,
-    /// This process is one host of a TCP mesh of worker processes.
-    Tcp,
-}
-
 /// Runs the five-phase pipeline as **one host of a multi-process
 /// cluster**: the peers are other worker processes executing this same
 /// function over their own ends of the TCP mesh.

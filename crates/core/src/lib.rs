@@ -65,7 +65,7 @@ pub mod verify;
 
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use config::{CuspConfig, GraphSource, OutputFormat, PhaseTimes};
-pub use distributed::{deterministic_for_comparison, partition_with_policy_tcp, TransportChoice};
+pub use distributed::{deterministic_for_comparison, partition_with_policy_tcp};
 pub use dist_graph::{DistGraph, PartitionClass};
 pub use phases::alloc::MasterSpec;
 pub use phases::delta::{partition_delta, DirtySet};

@@ -4,13 +4,13 @@
 //! cites the structural metrics — replication factor and node/edge balance
 //! (§V-C) — which are computed here. The validator is the test-suite
 //! workhorse: it checks that a set of [`DistGraph`]s is a *correct*
-//! partitioning of the original graph.
+//! partitioning of the original graph, as a first-violation `Result` view
+//! of the [`crate::verify`] oracle.
 
-use std::collections::HashMap;
-
-use cusp_graph::{Csr, Node};
+use cusp_graph::Csr;
 
 use crate::dist_graph::DistGraph;
+use crate::verify::{check_partition, ViolationKind};
 
 /// Structural quality summary of a partitioning.
 #[derive(Clone, Debug)]
@@ -59,86 +59,14 @@ pub fn quality(parts: &[DistGraph]) -> QualityReport {
 /// 3. every edge's endpoints exist as proxies in its partition;
 /// 4. local id maps are internally consistent.
 ///
-/// Returns a description of the first violation found.
+/// An adapter over [`check_partition`], the one implementation of these
+/// invariants: returns its first violation as text. Per-edge data is not
+/// examined (see [`validate_partitioning_weighted`]).
 pub fn validate_partitioning(original: &Csr, parts: &[DistGraph]) -> Result<(), String> {
-    let n = original.num_nodes();
-
-    // (1) master uniqueness and coverage.
-    let mut master_home: Vec<i64> = vec![-1; n];
-    for part in parts {
-        for &g in part.master_globals() {
-            if master_home[g as usize] != -1 {
-                return Err(format!(
-                    "node {g} has masters on partitions {} and {}",
-                    master_home[g as usize], part.part_id
-                ));
-            }
-            master_home[g as usize] = part.part_id as i64;
-        }
-    }
-    for (v, &home) in master_home.iter().enumerate() {
-        if home == -1 {
-            return Err(format!("node {v} has no master proxy anywhere"));
-        }
-    }
-
-    // (4) consistency of master_of and local maps.
-    for part in parts {
-        if part.local2global.len() != part.master_of.len() {
-            return Err(format!(
-                "partition {}: local2global and master_of lengths differ",
-                part.part_id
-            ));
-        }
-        for l in 0..part.num_local() as u32 {
-            let g = part.global_of(l);
-            let expect = master_home[g as usize] as u32;
-            if part.master_of[l as usize] != expect {
-                return Err(format!(
-                    "partition {}: proxy of node {g} claims master on {}, actual {}",
-                    part.part_id, part.master_of[l as usize], expect
-                ));
-            }
-            if part.is_master(l) && part.master_of[l as usize] != part.part_id {
-                return Err(format!(
-                    "partition {}: master proxy of {g} points elsewhere",
-                    part.part_id
-                ));
-            }
-            if part.local_of(g) != Some(l) {
-                return Err(format!(
-                    "partition {}: local_of(global_of({l})) != {l}",
-                    part.part_id
-                ));
-            }
-        }
-    }
-
-    // (2) edge multiset equality + (3) endpoint presence.
-    let mut expected: HashMap<(Node, Node), i64> = HashMap::new();
-    for (u, v) in original.iter_edges() {
-        *expected.entry((u, v)).or_insert(0) += 1;
-    }
-    for part in parts {
-        for (lu, lv) in part.graph.iter_edges() {
-            let gu = part.global_of(lu);
-            let gv = part.global_of(lv);
-            match expected.get_mut(&(gu, gv)) {
-                Some(c) if *c > 0 => *c -= 1,
-                _ => {
-                    return Err(format!(
-                        "partition {}: edge ({gu}, {gv}) duplicated or not in original",
-                        part.part_id
-                    ))
-                }
-            }
-        }
-    }
-    if let Some(((u, v), c)) = expected.iter().find(|(_, &c)| c != 0) {
-        return Err(format!("edge ({u}, {v}) missing from all partitions ({c} copies)"));
-    }
-
-    Ok(())
+    check_partition(original, None, parts)
+        .iter()
+        .find(|v| v.kind != ViolationKind::WeightPreservation)
+        .map_or(Ok(()), |v| Err(v.to_string()))
 }
 
 /// Like [`validate_partitioning`] but also checks that per-edge data
@@ -149,38 +77,10 @@ pub fn validate_partitioning_weighted(
     original_data: &[u32],
     parts: &[DistGraph],
 ) -> Result<(), String> {
-    validate_partitioning(original, parts)?;
     if original_data.len() as u64 != original.num_edges() {
         return Err("original edge data length mismatch".into());
     }
-    let mut expected: HashMap<(Node, Node, u32), i64> = HashMap::new();
-    for (e, (u, v)) in original.iter_edges().enumerate() {
-        *expected.entry((u, v, original_data[e])).or_insert(0) += 1;
-    }
-    for part in parts {
-        let Some(data) = &part.edge_data else {
-            return Err(format!("partition {} lost its edge data", part.part_id));
-        };
-        if data.len() as u64 != part.graph.num_edges() {
-            return Err(format!("partition {}: edge data length mismatch", part.part_id));
-        }
-        for (e, (lu, lv)) in part.graph.iter_edges().enumerate() {
-            let key = (part.global_of(lu), part.global_of(lv), data[e]);
-            match expected.get_mut(&key) {
-                Some(c) if *c > 0 => *c -= 1,
-                _ => {
-                    return Err(format!(
-                        "partition {}: weighted edge {key:?} duplicated or altered",
-                        part.part_id
-                    ))
-                }
-            }
-        }
-    }
-    if let Some((key, _)) = expected.iter().find(|(_, &c)| c != 0) {
-        return Err(format!("weighted edge {key:?} missing from all partitions"));
-    }
-    Ok(())
+    check_partition(original, Some(original_data), parts).first().map_or(Ok(()), |v| Err(v.to_string()))
 }
 
 #[cfg(test)]

@@ -9,6 +9,10 @@
 //! per-node slots, arriving records are inserted with a lock-free
 //! fetch-add cursor; no two records ever contend for the same slots.
 //!
+//! `construct` takes the same `EdgeFilter` as edge assignment's tally:
+//! the full pipeline replays every edge, `partition_delta` — having copied
+//! its kept edges into the allocation first — only the dirty ones.
+//!
 //! The byte path is bulk end to end: destination/weight runs are encoded
 //! with the wire codec's memcpy slice ops, incoming messages are sized by
 //! skip-scanning record headers in O(records), and destination runs are
@@ -25,6 +29,7 @@ use cusp_net::{Comm, SendBuffers, WireReader};
 
 use crate::config::{CuspConfig, OutputFormat};
 use crate::phases::alloc::AllocOutcome;
+use crate::phases::edge_assign::EdgeFilter;
 use crate::phases::master::ResolvedMasters;
 use crate::phases::pipeline::SliceData;
 use crate::policy::{EdgeRule, Setup};
@@ -55,9 +60,18 @@ impl DataPtr {
     }
 }
 
-/// Runs the construction phase and returns the local CSR (or CSC).
+/// Raw windows over the preallocated CSR buffers of `alloc`, for
+/// [`insert_record`] / [`insert_message`] to fill concurrently.
+pub(crate) fn slot_ptrs(alloc: &mut AllocOutcome) -> (DestPtr, DataPtr) {
+    let data = alloc.edge_data.as_mut().map_or(std::ptr::null_mut(), |d| d.as_mut_ptr());
+    (DestPtr(alloc.dests.as_mut_ptr()), DataPtr(data))
+}
+
+/// Runs the construction phase over the edges `filter` selects (every edge
+/// for the full pipeline; the dirty ones for the delta path, which has
+/// already copied the rest into `alloc`) and returns the local CSR (or CSC).
 #[allow(clippy::too_many_arguments)]
-pub fn construct<ER: EdgeRule>(
+pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     comm: &Comm,
     pool: &ThreadPool,
     setup: &Setup,
@@ -68,6 +82,7 @@ pub fn construct<ER: EdgeRule>(
     alloc: &mut AllocOutcome,
     to_receive: u64,
     cfg: &CuspConfig,
+    filter: &F,
 ) -> (Csr, Option<Vec<u32>>) {
     let me = comm.host();
     let k = comm.num_hosts();
@@ -75,13 +90,7 @@ pub fn construct<ER: EdgeRule>(
     let scalar = cfg.scalar_codec;
     debug_assert_eq!(weighted, alloc.edge_data.is_some());
 
-    let dest_ptr = DestPtr(alloc.dests.as_mut_ptr());
-    let data_ptr = DataPtr(
-        alloc
-            .edge_data
-            .as_mut()
-            .map_or(std::ptr::null_mut(), |d| d.as_mut_ptr()),
-    );
+    let (dest_ptr, data_ptr) = slot_ptrs(alloc);
     let alloc_ref: &AllocOutcome = alloc;
 
     // Per-thread send buffers and per-destination bucket scratch,
@@ -100,6 +109,20 @@ pub fn construct<ER: EdgeRule>(
 
     let mut received = 0u64;
     let mut batch: Vec<bytes::Bytes> = Vec::new();
+    // Takes every record message that already arrived, without blocking,
+    // and deserializes and inserts the batch in parallel (§IV-C3;
+    // `do_all_items` runs one- or two-message batches inline).
+    let drain_arrived = |received: &mut u64, batch: &mut Vec<bytes::Bytes>| {
+        while *received < to_receive {
+            let Some((_src, p)) = comm.try_recv_any(TAG_EDGES) else { break };
+            *received += count_edges_in(&p, weighted, scalar);
+            batch.push(p);
+        }
+        do_all_items(pool, batch, 1, |payload| {
+            insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
+        });
+        batch.clear();
+    };
 
     // The source edges stream through one bounded chunk at a time (a whole
     // slice is a single chunk): replay, flush, and opportunistically drain
@@ -112,6 +135,7 @@ pub fn construct<ER: EdgeRule>(
             if edges.is_empty() {
                 return;
             }
+            let whole = filter.whole_source(s);
             let sm = masters.of(s);
             let edge_data = chunk.edge_data(s);
             threads.with(tid, |ts| {
@@ -122,6 +146,9 @@ pub fn construct<ER: EdgeRule>(
                     b.clear();
                 }
                 for (i, &d) in edges.iter().enumerate() {
+                    if !filter.edge(whole, d) {
+                        continue;
+                    }
                     let dm = masters.of(d);
                     let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
                     ts.buckets[h as usize].push(d);
@@ -181,46 +208,17 @@ pub fn construct<ER: EdgeRule>(
 
         // Opportunistically drain records that already arrived, so the
         // receive queue cannot grow to hold a whole remote slice.
-        while received < to_receive {
-            match comm.try_recv_any(TAG_EDGES) {
-                Some((_s, p)) => {
-                    received += count_edges_in(&p, weighted, scalar);
-                    batch.push(p);
-                }
-                None => break,
-            }
-        }
-        if !batch.is_empty() {
-            do_all_items(pool, &batch, 1, |payload| {
-                insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
-            });
-            batch.clear();
-        }
+        drain_arrived(&mut received, &mut batch);
     });
     drop(threads);
 
-    // Block for the remaining edge records; batches of messages are
-    // deserialized and inserted in parallel (§IV-C3).
+    // Block for the remaining edge records, one message at a time plus
+    // whatever else arrived with it.
     while received < to_receive {
         let (_src, payload) = comm.recv_any(TAG_EDGES);
         received += count_edges_in(&payload, weighted, scalar);
         batch.push(payload);
-        // Opportunistically grab whatever else already arrived.
-        while received < to_receive {
-            match comm.try_recv_any(TAG_EDGES) {
-                Some((_s, p)) => {
-                    received += count_edges_in(&p, weighted, scalar);
-                    batch.push(p);
-                }
-                None => break,
-            }
-        }
-        // do_all_items runs one- or two-message batches inline on this
-        // thread; larger backlogs are deserialized in parallel.
-        do_all_items(pool, &batch, 1, |payload| {
-            insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
-        });
-        batch.clear();
+        drain_arrived(&mut received, &mut batch);
     }
     assert_eq!(received, to_receive, "received more edges than expected");
 

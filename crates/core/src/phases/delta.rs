@@ -11,6 +11,16 @@
 //! its mirrors, and its CSR slots — clean edges are copied out of the
 //! previous partition instead of being re-decided and re-shipped.
 //!
+//! # Structure
+//!
+//! This module holds only what is delta-specific: the dirty set, the
+//! kept-edge tally and kept-edge copy out of the previous partition, the
+//! sparse `(src, count)` metadata exchange, and the driver. The per-edge
+//! walk is the full pipeline's: phase 3 calls `edge_assign::tally_edges`
+//! and phase 5 calls `construct::construct` with the [`DirtySet`] as their
+//! edge filter, so `getEdgeOwner` is evaluated, routed and replayed by the
+//! same code a full run uses.
+//!
 //! # Dirty-set rules
 //!
 //! A vertex is dirty when any of its partitioning inputs changed:
@@ -47,24 +57,21 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use cusp_galois::{do_all_items, do_all_with_tid, PerThread, DEFAULT_GRAIN};
+use cusp_galois::{do_all_with_tid, PerThread, DEFAULT_GRAIN};
 use cusp_graph::{Csr, GraphEvent, Node};
-use cusp_net::{Comm, SendBuffers, WireReader, WireWriter};
+use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::config::OutputFormat;
 use crate::dist_graph::{DistGraph, PartitionClass};
-use crate::phases::alloc::MasterSpec;
-use crate::phases::construct::{
-    count_edges_in, insert_message, insert_record, sort_adjacency, DataPtr, DestPtr,
-};
+use crate::phases::alloc::{AllocOutcome, MasterSpec};
+use crate::phases::construct::{construct, insert_record, slot_ptrs};
 use crate::phases::driver::{partition, PartitionOutput};
-use crate::phases::edge_assign::EdgeAssignOutcome;
+use crate::phases::edge_assign::{tally_edges, EdgeAssignOutcome, EdgeFilter};
 use crate::phases::master::{pure_masters, ResolvedMasters};
 use crate::phases::pipeline::{AllocPhase, Phase, PhaseCtx, ReadPhase, SliceData};
 use crate::policy::{EdgeRule, MasterRule, Setup};
-use crate::props::LocalProps;
 use crate::state::PartitionState;
-use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META, TAG_EDGES};
+use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
 use crate::{CuspConfig, GraphSource, PartId};
 
 /// Dense bitset over global vertex ids marking the dirty set.
@@ -110,6 +117,18 @@ impl DirtySet {
     }
 }
 
+/// The delta walk: an edge is decided iff either endpoint is dirty.
+impl EdgeFilter for DirtySet {
+    #[inline]
+    fn whole_source(&self, s: Node) -> bool {
+        self.contains(s)
+    }
+    #[inline]
+    fn edge(&self, whole_source: bool, d: Node) -> bool {
+        whole_source || self.contains(d)
+    }
+}
+
 /// Computes the dirty set for `batch` against the old/new pure master
 /// rules (see the module docs for the three dirty-set rules). Every host
 /// computes an identical set — the inputs are all replicated.
@@ -152,10 +171,9 @@ struct DeltaAssignOutcome {
     reused_edges: u64,
 }
 
-/// Delta edge assignment: tallies kept (clean) edges from the previous
-/// partition locally and exchanges only the dirty-edge metadata — sparse
-/// `(src, count)` pairs instead of the full positional count vectors.
-struct DeltaAssignPhase<'a, ER: EdgeRule> {
+/// What both delta phases work from: the new run's rules and masters, the
+/// previous partition, and the dirty set.
+struct DeltaCx<'a, ER: EdgeRule> {
     setup: &'a Setup,
     masters: &'a ResolvedMasters,
     rule: &'a ER,
@@ -165,19 +183,24 @@ struct DeltaAssignPhase<'a, ER: EdgeRule> {
     dirty: &'a DirtySet,
 }
 
+/// Delta edge assignment: tallies kept (clean) edges from the previous
+/// partition locally, runs the full phase's tally under the dirty filter,
+/// and exchanges only that dirty-edge metadata — sparse `(src, count)`
+/// pairs instead of the full positional count vectors.
+struct DeltaAssignPhase<'a, ER: EdgeRule>(&'a DeltaCx<'a, ER>);
+
 impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
     const NAME: &'static str = "edge_assign";
     type Input = &'a mut SliceData;
     type Output = DeltaAssignOutcome;
 
     fn run(self, ctx: &mut PhaseCtx<'_>, data: &'a mut SliceData) -> DeltaAssignOutcome {
+        let DeltaCx { setup, masters, rule, estate, prev, prev_csc: csc, dirty } = *self.0;
         let comm = ctx.comm;
         let me = comm.host();
         let k = comm.num_hosts();
         let lo = data.node_lo();
         let local_n = data.num_nodes();
-        let masters = self.masters;
-        let dirty = self.dirty;
 
         // --- Kept (clean) edges from the previous partition. -------------
         // Both endpoints clean ⇒ the edge's owner is unchanged ⇒ it stays
@@ -185,15 +208,13 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
         // node count keep the walk a lock-free parallel pass: `incoming[v]`
         // counts kept edges sourced at `v`, `mirror_bits` marks proxies
         // mastered elsewhere (deduplication by construction — no sort).
-        let n_glob = self.setup.num_nodes as usize;
+        let n_glob = setup.num_nodes as usize;
         let incoming: Vec<AtomicU32> = (0..n_glob).map(|_| AtomicU32::new(0)).collect();
         let mirror_bits: Vec<AtomicU64> =
             (0..n_glob.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         let mark_mirror = |v: Node| {
             mirror_bits[v as usize / 64].fetch_or(1 << (v % 64), Ordering::Relaxed);
         };
-        let prev = self.prev;
-        let csc = self.prev_csc;
         let reused_total = AtomicU64::new(0);
         do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |_tid, row| {
             let edges = prev.graph.edges(row as Node);
@@ -241,52 +262,9 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
         });
         let reused_edges = reused_total.load(Ordering::Relaxed);
 
-        // --- Dirty edges from the mutated slice (local tally). ------------
-        // Same positional tally as the full phase, but only edges with a
-        // dirty endpoint are decided; clean edges are skipped unseen.
-        let counts: Vec<AtomicU32> = (0..k * local_n).map(|_| AtomicU32::new(0)).collect();
-        let mirror_lists: PerThread<Vec<(PartId, Node)>> =
-            PerThread::new(&ctx.pool, |_| Vec::new());
-        data.for_each_chunk(|chunk| {
-            let prop = LocalProps::new(
-                self.setup.num_nodes,
-                self.setup.num_edges,
-                self.setup.parts,
-                chunk,
-            );
-            let base = (chunk.node_lo - lo) as usize;
-            do_all_with_tid(&ctx.pool, chunk.num_nodes(), DEFAULT_GRAIN, |tid, j| {
-                let s = chunk.node_lo + j as Node;
-                let edges = chunk.edges(s);
-                if edges.is_empty() {
-                    return;
-                }
-                let s_dirty = dirty.contains(s);
-                let sm = masters.of(s);
-                mirror_lists.with(tid, |out| {
-                    for &d in edges {
-                        if !s_dirty && !dirty.contains(d) {
-                            continue;
-                        }
-                        let dm = masters.of(d);
-                        let h = self.rule.get_edge_owner(&prop, s, d, sm, dm, self.estate);
-                        debug_assert!(h < self.setup.parts);
-                        counts[h as usize * local_n + base + j].fetch_add(1, Ordering::Relaxed);
-                        if h != dm {
-                            out.push((h, d));
-                        }
-                    }
-                });
-            });
-        });
-        let mut flat: Vec<(PartId, Node)> =
-            mirror_lists.into_inner().into_iter().flatten().collect();
-        flat.sort_unstable();
-        flat.dedup();
-        let mut mirrors_for: Vec<Vec<Node>> = vec![Vec::new(); k];
-        for (h, d) in flat {
-            mirrors_for[h as usize].push(d);
-        }
+        // --- Dirty edges from the mutated slice. ---------------------------
+        // The full phase's tally, deciding only edges with a dirty endpoint.
+        let (counts, mirrors_for) = tally_edges(&ctx.pool, setup, data, masters, rule, estate, dirty);
 
         // --- Exchange dirty-edge metadata (sparse pairs + mirror ids). ----
         // Masters are pure, so receivers recompute them; only ids travel.
@@ -294,13 +272,10 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
             if peer == me {
                 continue;
             }
-            let count_slice = &counts[peer * local_n..(peer + 1) * local_n];
             let mut pairs: Vec<u32> = Vec::new();
-            for (i, c) in count_slice.iter().enumerate() {
-                let c = c.load(Ordering::Relaxed);
+            for (i, &c) in counts[peer * local_n..(peer + 1) * local_n].iter().enumerate() {
                 if c > 0 {
-                    pairs.push(lo + i as Node);
-                    pairs.push(c);
+                    pairs.extend([lo + i as Node, c]);
                 }
             }
             if pairs.is_empty() && mirrors_for[peer].is_empty() {
@@ -319,9 +294,7 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
         }
 
         // --- Local dirty contributions (h == me). -------------------------
-        let my_counts = &counts[me * local_n..(me + 1) * local_n];
-        for (i, c) in my_counts.iter().enumerate() {
-            let c = c.load(Ordering::Relaxed);
+        for (i, &c) in counts[me * local_n..(me + 1) * local_n].iter().enumerate() {
             if c > 0 {
                 incoming[(lo + i as Node) as usize].fetch_add(c, Ordering::Relaxed);
             }
@@ -390,8 +363,8 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
 /// Invokes `f(src, dst, edge_index)` (global ids, previous-partition edge
 /// index) for every edge of `prev` whose endpoints are both clean.
 ///
-/// `csc` says the previous partition stores in-edges (the
-/// `OutputFormat::Csc` transpose), in which case each row is the edge's
+/// `csc` says the previous partition stores in-edges
+/// (`OutputFormat::Csc`), in which case each row is the edge's
 /// *destination* and each stored id its source.
 fn for_each_kept_edge(
     prev: &DistGraph,
@@ -421,51 +394,31 @@ fn for_each_kept_edge(
 }
 
 /// Delta construction: copies kept edges out of the previous partition
-/// (no decision, no communication) and streams only dirty edges through
-/// the wire protocol — byte-identical record format to the full phase.
+/// (no decision, no communication), then runs the full construction phase
+/// under the dirty filter, so only dirty edges are re-decided and shipped.
 struct DeltaConstructPhase<'a, ER: EdgeRule> {
-    setup: &'a Setup,
-    masters: &'a ResolvedMasters,
-    rule: &'a ER,
-    estate: &'a ER::State,
-    prev: &'a DistGraph,
-    prev_csc: bool,
-    dirty: &'a DirtySet,
+    cx: &'a DeltaCx<'a, ER>,
     to_receive: u64,
 }
 
 impl<'a, ER: EdgeRule> Phase for DeltaConstructPhase<'a, ER> {
     const NAME: &'static str = "construct";
-    type Input = (&'a mut SliceData, &'a mut crate::phases::alloc::AllocOutcome);
+    type Input = (&'a mut SliceData, &'a mut AllocOutcome);
     type Output = (Csr, Option<Vec<u32>>);
 
     fn run(self, ctx: &mut PhaseCtx<'_>, (data, alloc): Self::Input) -> Self::Output {
-        let comm = ctx.comm;
-        let me = comm.host();
-        let k = comm.num_hosts();
+        let DeltaCx { setup, masters, rule, estate, prev, prev_csc, dirty } = *self.cx;
         let weighted = data.weighted();
-        let scalar = ctx.cfg.scalar_codec;
-        let dirty = self.dirty;
-        let masters = self.masters;
-        debug_assert_eq!(weighted, alloc.edge_data.is_some());
-        debug_assert_eq!(weighted, self.prev.edge_data.is_some());
-
-        let dest_ptr = DestPtr(alloc.dests.as_mut_ptr());
-        let data_ptr = DataPtr(
-            alloc
-                .edge_data
-                .as_mut()
-                .map_or(std::ptr::null_mut(), |d| d.as_mut_ptr()),
-        );
-        let alloc_ref: &crate::phases::alloc::AllocOutcome = alloc;
+        debug_assert_eq!(weighted, prev.edge_data.is_some());
+        let (dest_ptr, data_ptr) = slot_ptrs(alloc);
+        let alloc_ref: &AllocOutcome = alloc;
 
         // --- 1. Copy kept edges from the previous partition. --------------
         // Pure memory movement: globalize the destination, carry the weight,
         // insert into the freshly reserved slots. No rule, no wire.
-        if !self.prev_csc {
+        if !prev_csc {
             // Rows are sources: each clean row's kept run is one record,
             // and the atomic cursors make the inserts safe to parallelize.
-            let prev = self.prev;
             let scratch: PerThread<(Vec<Node>, Vec<u32>)> =
                 PerThread::new(&ctx.pool, |_| (Vec::new(), Vec::new()));
             do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |tid, row| {
@@ -506,7 +459,7 @@ impl<'a, ER: EdgeRule> Phase for DeltaConstructPhase<'a, ER> {
         } else {
             // CSC rows are destinations, so sources vary within a row —
             // keep the grouped sequential walk (runs are consecutive
-            // same-source spans of the transposed adjacency).
+            // same-source spans of the in-edge adjacency).
             let mut dsts: Vec<Node> = Vec::new();
             let mut ws: Vec<u32> = Vec::new();
             let mut run_src: Option<Node> = None;
@@ -527,161 +480,33 @@ impl<'a, ER: EdgeRule> Phase for DeltaConstructPhase<'a, ER> {
                     dsts.clear();
                     ws.clear();
                 };
-            for_each_kept_edge(self.prev, self.prev_csc, dirty, |src, dst, e| {
+            for_each_kept_edge(prev, prev_csc, dirty, |src, dst, e| {
                 if run_src != Some(src) {
                     flush(run_src, &mut dsts, &mut ws);
                     run_src = Some(src);
                 }
                 dsts.push(dst);
-                if let Some(d) = &self.prev.edge_data {
+                if let Some(d) = &prev.edge_data {
                     ws.push(d[e]);
                 }
             });
             flush(run_src, &mut dsts, &mut ws);
         }
 
-        // --- 2. Re-decide and route dirty edges only. ----------------------
-        struct ThreadState {
-            buffers: SendBuffers,
-            buckets: Vec<Vec<Node>>,
-            wbuckets: Vec<Vec<u32>>,
-        }
-        let mut threads: PerThread<ThreadState> = PerThread::new(&ctx.pool, |_| ThreadState {
-            buffers: SendBuffers::new(k, ctx.cfg.buffer_threshold, TAG_EDGES),
-            buckets: vec![Vec::new(); k],
-            wbuckets: vec![Vec::new(); k],
-        });
-        let mut received = 0u64;
-        let mut batch: Vec<bytes::Bytes> = Vec::new();
-        data.for_each_chunk(|chunk| {
-            let prop = LocalProps::new(
-                self.setup.num_nodes,
-                self.setup.num_edges,
-                self.setup.parts,
-                chunk,
-            );
-            do_all_with_tid(&ctx.pool, chunk.num_nodes(), DEFAULT_GRAIN, |tid, j| {
-                let s = chunk.node_lo + j as Node;
-                let edges = chunk.edges(s);
-                if edges.is_empty() {
-                    return;
-                }
-                let s_dirty = dirty.contains(s);
-                let sm = masters.of(s);
-                let edge_data = chunk.edge_data(s);
-                threads.with(tid, |ts| {
-                    for b in ts.buckets.iter_mut() {
-                        b.clear();
-                    }
-                    for b in ts.wbuckets.iter_mut() {
-                        b.clear();
-                    }
-                    for (i, &d) in edges.iter().enumerate() {
-                        if !s_dirty && !dirty.contains(d) {
-                            continue;
-                        }
-                        let dm = masters.of(d);
-                        let h = self.rule.get_edge_owner(&prop, s, d, sm, dm, self.estate);
-                        ts.buckets[h as usize].push(d);
-                        if let Some(data) = edge_data {
-                            ts.wbuckets[h as usize].push(data[i]);
-                        }
-                    }
-                    for (h, bucket) in ts.buckets.iter().enumerate() {
-                        if bucket.is_empty() {
-                            continue;
-                        }
-                        let wbucket = weighted.then(|| ts.wbuckets[h].as_slice());
-                        if h == me {
-                            insert_record(alloc_ref, &dest_ptr, &data_ptr, s, bucket, wbucket);
-                        } else {
-                            ts.buffers.record(comm, h, |w| {
-                                w.put_u32(s);
-                                w.put_u32(bucket.len() as u32);
-                                if scalar {
-                                    for &d in bucket {
-                                        w.put_u32(d);
-                                    }
-                                    if let Some(ws) = wbucket {
-                                        for &x in ws {
-                                            w.put_u32(x);
-                                        }
-                                    }
-                                } else {
-                                    w.put_u32_raw_slice(bucket);
-                                    if let Some(ws) = wbucket {
-                                        w.put_u32_raw_slice(ws);
-                                    }
-                                }
-                            });
-                        }
-                    }
-                });
-            });
-            for ts in threads.iter_mut() {
-                ts.buffers.flush_all(comm);
-            }
-            while received < self.to_receive {
-                match comm.try_recv_any(TAG_EDGES) {
-                    Some((_s, p)) => {
-                        received += count_edges_in(&p, weighted, scalar);
-                        batch.push(p);
-                    }
-                    None => break,
-                }
-            }
-            if !batch.is_empty() {
-                do_all_items(&ctx.pool, &batch, 1, |payload| {
-                    insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
-                });
-                batch.clear();
-            }
-        });
-        drop(threads);
-
-        // --- 3. Drain the remaining dirty-edge records. --------------------
-        while received < self.to_receive {
-            let (_src, payload) = comm.recv_any(TAG_EDGES);
-            received += count_edges_in(&payload, weighted, scalar);
-            batch.push(payload);
-            while received < self.to_receive {
-                match comm.try_recv_any(TAG_EDGES) {
-                    Some((_s, p)) => {
-                        received += count_edges_in(&p, weighted, scalar);
-                        batch.push(p);
-                    }
-                    None => break,
-                }
-            }
-            do_all_items(&ctx.pool, &batch, 1, |payload| {
-                insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
-            });
-            batch.clear();
-        }
-        assert_eq!(received, self.to_receive, "received more edges than expected");
-
-        for (l, cursor) in alloc.cursors.iter().enumerate() {
-            assert_eq!(
-                cursor.load(Ordering::Relaxed),
-                alloc.offsets[l + 1],
-                "node with local id {l} is missing edges after delta construction"
-            );
-        }
-
-        let mut dests = std::mem::take(&mut alloc.dests);
-        let mut edge_data = alloc.edge_data.take();
-        if ctx.cfg.deterministic_sync {
-            sort_adjacency(&alloc.offsets, &mut dests, edge_data.as_deref_mut());
-        }
-        let csr = Csr::from_parts(alloc.offsets.clone(), dests);
-        match (ctx.cfg.output, edge_data) {
-            (OutputFormat::Csr, edge_data) => (csr, edge_data),
-            (OutputFormat::Csc, None) => (csr.transpose(), None),
-            (OutputFormat::Csc, Some(d)) => {
-                let (t, td) = csr.transpose_with_data(&d);
-                (t, Some(td))
-            }
-        }
+        // --- 2. Dirty edges: the full phase, re-deciding only those. --------
+        construct(
+            ctx.comm,
+            &ctx.pool,
+            setup,
+            data,
+            masters,
+            rule,
+            estate,
+            alloc,
+            self.to_receive,
+            ctx.cfg,
+            dirty,
+        )
     }
 }
 
@@ -725,7 +550,6 @@ where
         return partition(comm, source, cfg, class, build);
     }
 
-    let me = comm.host();
     let mut ctx = PhaseCtx::new(comm, cfg);
 
     // Phase 1: re-read the mutated graph (the slice is process memory, not
@@ -749,63 +573,35 @@ where
         setup.parts,
         batch,
     );
-    let dirty_vertices = dirty.len();
-    let prev_csc = cfg.output == OutputFormat::Csc;
-
     let estate = <ER as EdgeRule>::State::new(setup.parts);
 
     // Phase 3: delta edge assignment (dirty edges decided, clean tallied).
-    let d = ctx.run_phase(
-        DeltaAssignPhase {
-            setup: &setup,
-            masters: &masters,
-            rule: &edge_rule,
-            estate: &estate,
-            prev: &prev.dist_graph,
-            prev_csc,
-            dirty: &dirty,
-        },
-        &mut data,
-    );
+    let cx = DeltaCx {
+        setup: &setup,
+        masters: &masters,
+        rule: &edge_rule,
+        estate: &estate,
+        prev: &prev.dist_graph,
+        prev_csc: cfg.output == OutputFormat::Csc,
+        dirty: &dirty,
+    };
+    let d = ctx.run_phase(DeltaAssignPhase(&cx), &mut data);
 
     // Phase 4: allocation — unchanged; the synthesized outcome feeds the
     // exact same deterministic local-id layout a full run would compute.
-    let spec = MasterSpec::PureRange(master_rule.pure_owned_range(me as PartId));
+    let spec = MasterSpec::PureRange(master_rule.pure_owned_range(comm.host() as PartId));
     let mut alloc = ctx.run_phase(AllocPhase { spec, weighted: data.weighted() }, &d.ea);
 
     // Phase 5: delta construction (kept edges copied, dirty edges shipped).
-    let (graph, edge_data) = ctx.run_phase(
-        DeltaConstructPhase {
-            setup: &setup,
-            masters: &masters,
-            rule: &edge_rule,
-            estate: &estate,
-            prev: &prev.dist_graph,
-            prev_csc,
-            dirty: &dirty,
-            to_receive: d.ea.to_receive,
-        },
+    let built = ctx.run_phase(
+        DeltaConstructPhase { cx: &cx, to_receive: d.ea.to_receive },
         (&mut data, &mut alloc),
     );
 
     PartitionOutput {
-        dist_graph: DistGraph {
-            part_id: me as PartId,
-            num_parts: setup.parts,
-            global_nodes: setup.num_nodes,
-            global_edges: setup.num_edges,
-            num_masters: alloc.num_masters,
-            local2global: alloc.local2global,
-            master_of: alloc.master_of,
-            graph,
-            edge_data,
-            class,
-        },
-        times: ctx.times,
-        peak_resident_edges: data.peak_resident_edges(),
-        setup,
-        dirty_vertices,
+        dirty_vertices: dirty.len(),
         reused_edges: d.reused_edges,
+        ..PartitionOutput::assemble(ctx, class, setup, &data, alloc, built)
     }
 }
 
@@ -865,6 +661,32 @@ mod tests {
         for v in 0..64 {
             assert!(!d.contains(v));
         }
+    }
+
+    #[test]
+    fn all_dirty_set_tallies_like_all_edges_on_chunked_data() {
+        use crate::phases::edge_assign::AllEdges;
+        use crate::policies::edges::CartesianEdge;
+        use cusp_graph::gen::uniform::erdos_renyi;
+        use cusp_graph::ChunkedSlice;
+
+        let g = Arc::new(erdos_renyi(150, 1100, 13));
+        let setup = setup(150, 4);
+        let masters = pure_masters(&Contiguous::new(&setup));
+        let rule = CartesianEdge::new(&setup);
+        let pool = cusp_galois::ThreadPool::new(2);
+        let chunked =
+            || SliceData::Chunked(Box::new(ChunkedSlice::from_csr(g.clone(), None, 10, 140, 40)));
+        let all = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &AllEdges);
+        let mut dirty = DirtySet::new(150);
+        let none = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &dirty);
+        assert!(none.0.iter().all(|&c| c == 0) && none.1.iter().all(Vec::is_empty));
+        dirty.insert_range(0..150);
+        let every = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &dirty);
+        assert_eq!(all, every);
+        let in_range = g.offsets()[140] - g.offsets()[10];
+        assert_eq!(all.0.iter().map(|&c| c as u64).sum::<u64>(), in_range);
+        assert!(all.1.iter().any(|m| !m.is_empty()), "no mirrors: the comparison is vacuous");
     }
 
     #[test]

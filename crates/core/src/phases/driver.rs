@@ -30,6 +30,7 @@
 //! the determinism contract makes equivalent (bit-identical partitions),
 //! just slower.
 
+use cusp_graph::Csr;
 use cusp_net::Comm;
 
 use crate::checkpoint::{
@@ -37,10 +38,11 @@ use crate::checkpoint::{
 };
 use crate::config::{CuspConfig, GraphSource, PhaseTimes};
 use crate::dist_graph::{DistGraph, PartitionClass};
-use crate::phases::alloc::MasterSpec;
+use crate::phases::alloc::{AllocOutcome, MasterSpec};
 use crate::phases::master::pure_masters;
 use crate::phases::pipeline::{
     AllocPhase, ConstructPhase, EdgeAssignPhase, MasterPhase, PhaseCtx, ReadPhase, ReplayReady,
+    SliceData,
 };
 use crate::policy::{EdgeRule, MasterRule, Setup};
 use crate::state::PartitionState;
@@ -67,6 +69,40 @@ pub struct PartitionOutput {
     /// Number of edges this host carried over from the previous partition
     /// without re-deciding or re-shipping them (0 for a full run).
     pub reused_edges: u64,
+}
+
+impl PartitionOutput {
+    /// Assembles a host's result from what allocation and construction
+    /// produced, accounted as a full run (everything recomputed, nothing
+    /// reused) — `partition_delta` overrides those two counters.
+    pub(crate) fn assemble(
+        ctx: PhaseCtx<'_>,
+        class: PartitionClass,
+        setup: Setup,
+        data: &SliceData,
+        alloc: AllocOutcome,
+        (graph, edge_data): (Csr, Option<Vec<u32>>),
+    ) -> Self {
+        PartitionOutput {
+            dist_graph: DistGraph {
+                part_id: ctx.comm.host() as PartId,
+                num_parts: setup.parts,
+                global_nodes: setup.num_nodes,
+                global_edges: setup.num_edges,
+                num_masters: alloc.num_masters,
+                local2global: alloc.local2global,
+                master_of: alloc.master_of,
+                graph,
+                edge_data,
+                class,
+            },
+            times: ctx.times,
+            peak_resident_edges: data.peak_resident_edges(),
+            dirty_vertices: setup.num_nodes,
+            reused_edges: 0,
+            setup,
+        }
+    }
 }
 
 /// Partitions the input graph with a user-supplied policy.
@@ -186,7 +222,7 @@ where
 
     // Phase 5: graph construction. Arming the replay token resets the
     // edge-rule state so construction replays the assignment decisions.
-    let (graph, edge_data) = ctx.run_phase(
+    let built = ctx.run_phase(
         ConstructPhase {
             setup: &setup,
             masters: &masters,
@@ -197,23 +233,5 @@ where
         (&mut data, &mut alloc),
     );
 
-    PartitionOutput {
-        dist_graph: DistGraph {
-            part_id: me as PartId,
-            num_parts: setup.parts,
-            global_nodes: setup.num_nodes,
-            global_edges: setup.num_edges,
-            num_masters: alloc.num_masters,
-            local2global: alloc.local2global,
-            master_of: alloc.master_of,
-            graph,
-            edge_data,
-            class,
-        },
-        times: ctx.times,
-        peak_resident_edges: data.peak_resident_edges(),
-        dirty_vertices: setup.num_nodes,
-        reused_edges: 0,
-        setup,
-    }
+    PartitionOutput::assemble(ctx, class, setup, &data, alloc, built)
 }

@@ -8,6 +8,10 @@
 //! range) so no node-id metadata is sent for sources (§IV-D2); hosts with
 //! nothing to send transmit a one-byte "empty" message instead.
 //!
+//! The walk itself is `tally_edges`, generic over an `EdgeFilter`: this
+//! phase runs it over `AllEdges`, `partition_delta` over its dirty set —
+//! one `getEdgeOwner` call site for both.
+//!
 //! On top of Algorithm 3 the exchange also carries the master locations a
 //! receiver cannot compute itself when the master rule is not pure: the
 //! masters of incoming sources (compacted against the count vector), of
@@ -44,26 +48,49 @@ pub struct EdgeAssignOutcome {
     pub to_receive: u64,
 }
 
-/// Runs the edge assignment phase.
-#[allow(clippy::too_many_arguments)]
-pub fn assign_edges<ER: EdgeRule>(
-    comm: &Comm,
+/// Which of a host's read edges a walk decides. Both edge-walking phases
+/// take it as a generic parameter, so the full pipeline ([`AllEdges`])
+/// monomorphises to an unfiltered loop and the delta path (a `DirtySet`)
+/// skips clean edges in the same loop, with the source half of the test
+/// hoisted out of the per-edge body.
+pub(crate) trait EdgeFilter: Sync {
+    /// Hoisted once per source: does `s` alone select all of its edges?
+    fn whole_source(&self, s: Node) -> bool;
+    /// Is the edge to `d` walked, given its source's `whole_source`?
+    fn edge(&self, whole_source: bool, d: Node) -> bool;
+}
+
+/// The full pipeline's filter: every edge, decided at compile time.
+pub(crate) struct AllEdges;
+
+impl EdgeFilter for AllEdges {
+    #[inline(always)]
+    fn whole_source(&self, _s: Node) -> bool {
+        true
+    }
+    #[inline(always)]
+    fn edge(&self, _whole_source: bool, _d: Node) -> bool {
+        true
+    }
+}
+
+/// The local tally (Algorithm 3, lines 1–6) over the edges `filter`
+/// selects: `counts[h * local_n + i]` edges of node `lo + i` owned by host
+/// `h`, and per owner the sorted, deduplicated destinations it must create
+/// as mirrors. The positional tally covers the whole range (O(nodes)
+/// resident); edge payloads stream through one bounded chunk at a time.
+pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
     pool: &ThreadPool,
     setup: &Setup,
     data: &mut SliceData,
     masters: &ResolvedMasters,
     rule: &ER,
     estate: &ER::State,
-) -> EdgeAssignOutcome {
-    let me = comm.host();
-    let k = comm.num_hosts();
+    filter: &F,
+) -> (Vec<u32>, Vec<Vec<Node>>) {
+    let k = setup.parts as usize;
     let lo = data.node_lo();
     let local_n = data.num_nodes();
-
-    // --- Local tally (Algorithm 3, lines 1–6). --------------------------
-    // counts[h * local_n + i]: edges of node (lo + i) owned by host h.
-    // The positional tally covers the whole range (O(nodes) resident);
-    // edge payloads stream through one bounded chunk at a time.
     let counts: Vec<AtomicU32> = (0..k * local_n).map(|_| AtomicU32::new(0)).collect();
     let mirror_lists: PerThread<Vec<(PartId, Node)>> = PerThread::new(pool, |_| Vec::new());
 
@@ -72,9 +99,13 @@ pub fn assign_edges<ER: EdgeRule>(
         let base = (chunk.node_lo - lo) as usize;
         let process = |tid: usize, j: usize| {
             let s = chunk.node_lo + j as Node;
+            let whole = filter.whole_source(s);
             let sm = masters.of(s);
             mirror_lists.with(tid, |mirrors| {
                 for &d in chunk.edges(s) {
+                    if !filter.edge(whole, d) {
+                        continue;
+                    }
                     let dm = masters.of(d);
                     let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
                     debug_assert!(h < setup.parts);
@@ -103,11 +134,28 @@ pub fn assign_edges<ER: EdgeRule>(
     let mut flat: Vec<(PartId, Node)> = mirror_lists.into_inner().into_iter().flatten().collect();
     flat.sort_unstable();
     flat.dedup();
-    let mut mirrors_for: Vec<Vec<(Node, PartId)>> = vec![Vec::new(); k];
+    let mut mirrors_for: Vec<Vec<Node>> = vec![Vec::new(); k];
     for (h, d) in flat {
-        let dm = masters.of(d);
-        mirrors_for[h as usize].push((d, dm));
+        mirrors_for[h as usize].push(d);
     }
+    (counts.into_iter().map(AtomicU32::into_inner).collect(), mirrors_for)
+}
+
+/// Runs the edge assignment phase.
+pub fn assign_edges<ER: EdgeRule>(
+    comm: &Comm,
+    pool: &ThreadPool,
+    setup: &Setup,
+    data: &mut SliceData,
+    masters: &ResolvedMasters,
+    rule: &ER,
+    estate: &ER::State,
+) -> EdgeAssignOutcome {
+    let me = comm.host();
+    let k = comm.num_hosts();
+    let lo = data.node_lo();
+    let local_n = data.num_nodes();
+    let (counts, mut mirrors_for) = tally_edges(pool, setup, data, masters, rule, estate, &AllEdges);
 
     // Masters of my read range, bucketed by owning partition (stored only).
     let pure = masters.is_pure();
@@ -125,7 +173,7 @@ pub fn assign_edges<ER: EdgeRule>(
             continue;
         }
         let count_slice = &counts[peer * local_n..(peer + 1) * local_n];
-        let any_counts = count_slice.iter().any(|c| c.load(Ordering::Relaxed) > 0);
+        let any_counts = count_slice.iter().any(|&c| c > 0);
         let empty = !any_counts && mirrors_for[peer].is_empty() && master_buckets[peer].is_empty();
         if empty {
             let mut w = WireWriter::with_capacity(1);
@@ -138,24 +186,21 @@ pub fn assign_edges<ER: EdgeRule>(
         w.put_u64(local_n as u64);
         // Bulk-encode the positional count vector (same bytes as the old
         // per-element writes; raw runs carry no length prefix).
-        let count_vec: Vec<u32> = count_slice.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        w.put_u32_raw_slice(&count_vec);
+        w.put_u32_raw_slice(count_slice);
         if !pure {
             // Compacted masters of nonzero-count sources, in position order.
             let compacted: Vec<u32> = (0..local_n)
-                .filter(|&i| count_vec[i] > 0)
+                .filter(|&i| count_slice[i] > 0)
                 .map(|i| masters.of(lo + i as Node))
                 .collect();
             w.put_u32_slice(&compacted);
         }
         w.put_u64(mirrors_for[peer].len() as u64);
-        let mirror_run: Vec<u32> = if pure {
-            mirrors_for[peer].iter().map(|&(d, _)| d).collect()
+        if pure {
+            w.put_u32_raw_slice(&mirrors_for[peer]);
         } else {
-            mirrors_for[peer].iter().flat_map(|&(d, dm)| [d, dm]).collect()
-        };
-        w.put_u32_raw_slice(&mirror_run);
-        if !pure {
+            let run: Vec<u32> = mirrors_for[peer].iter().flat_map(|&d| [d, masters.of(d)]).collect();
+            w.put_u32_raw_slice(&run);
             w.put_u32_slice(&master_buckets[peer]);
         }
         comm.send_bytes(peer, TAG_EDGE_META, w.finish());
@@ -164,14 +209,14 @@ pub fn assign_edges<ER: EdgeRule>(
     // --- Local contributions (h == me). ---------------------------------
     let mut incoming_srcs: Vec<(Node, u32, PartId)> = Vec::new();
     let my_counts = &counts[me * local_n..(me + 1) * local_n];
-    for (i, c) in my_counts.iter().enumerate() {
-        let c = c.load(Ordering::Relaxed);
+    for (i, &c) in my_counts.iter().enumerate() {
         if c > 0 {
             let s = lo + i as Node;
             incoming_srcs.push((s, c, masters.of(s)));
         }
     }
-    let mut mirrors: Vec<(Node, PartId)> = std::mem::take(&mut mirrors_for[me]);
+    let mut mirrors: Vec<(Node, PartId)> =
+        std::mem::take(&mut mirrors_for[me]).into_iter().map(|d| (d, masters.of(d))).collect();
     let mut my_master_nodes = (!pure).then(|| std::mem::take(&mut master_buckets[me]));
 
     // --- Receive peer metadata. ------------------------------------------

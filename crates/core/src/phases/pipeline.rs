@@ -36,7 +36,7 @@ use cusp_net::Comm;
 use crate::config::{CuspConfig, PhaseTimes};
 use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
 use crate::phases::construct::construct;
-use crate::phases::edge_assign::{assign_edges, EdgeAssignOutcome};
+use crate::phases::edge_assign::{assign_edges, AllEdges, EdgeAssignOutcome};
 use crate::phases::master::{assign_masters, pure_masters, ResolvedMasters};
 use crate::phases::read::{read_phase, ReadOutcome};
 use crate::policy::{EdgeRule, MasterRule, Setup};
@@ -368,6 +368,7 @@ impl<'a, ER: EdgeRule> Phase for ConstructPhase<'a, ER> {
             alloc,
             self.to_receive,
             ctx.cfg,
+            &AllEdges,
         )
     }
 }

@@ -26,6 +26,7 @@ use crate::phases::driver::{partition, PartitionOutput};
 use crate::policies::edges::{CartesianEdge, CheckerboardEdge, HybridEdge, JaggedEdge, SourceEdge};
 use crate::policies::extensions::{HdrfEdge, Ldg};
 use crate::policies::masters::{Contiguous, ContiguousEB, Fennel, FennelEB};
+use crate::policy::{EdgeRule, MasterRule, Setup};
 
 /// A named partitioning policy from the paper's evaluation (plus
 /// extensions).
@@ -68,6 +69,22 @@ pub const ALL_POLICIES: [PolicyKind; 6] = [
 ];
 
 impl PolicyKind {
+    /// Every named policy, in declaration order.
+    pub const ALL: [PolicyKind; 12] = [
+        PolicyKind::Eec,
+        PolicyKind::Hvc,
+        PolicyKind::Cvc,
+        PolicyKind::Fec,
+        PolicyKind::Gvc,
+        PolicyKind::Svc,
+        PolicyKind::Cec,
+        PolicyKind::Fnc,
+        PolicyKind::Hdrf,
+        PolicyKind::Ldg,
+        PolicyKind::Bvc,
+        PolicyKind::Jvc,
+    ];
+
     /// The paper's abbreviation for the policy.
     pub fn name(self) -> &'static str {
         match self {
@@ -117,27 +134,58 @@ impl PolicyKind {
 
     /// Parses the paper abbreviation (case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_uppercase().as_str() {
-            "EEC" => Some(PolicyKind::Eec),
-            "HVC" => Some(PolicyKind::Hvc),
-            "CVC" => Some(PolicyKind::Cvc),
-            "FEC" => Some(PolicyKind::Fec),
-            "GVC" => Some(PolicyKind::Gvc),
-            "SVC" => Some(PolicyKind::Svc),
-            "CEC" => Some(PolicyKind::Cec),
-            "FNC" => Some(PolicyKind::Fnc),
-            "HDRF" => Some(PolicyKind::Hdrf),
-            "LDG" => Some(PolicyKind::Ldg),
-            "BVC" => Some(PolicyKind::Bvc),
-            "JVC" => Some(PolicyKind::Jvc),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|kind| kind.name().eq_ignore_ascii_case(s))
     }
 }
 
 impl std::fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// One partitioning request before the policy's rule types are known: a
+/// full run, or (`delta`) an incremental one against the previous output
+/// and the batch applied since.
+struct Request<'a> {
+    comm: &'a Comm,
+    source: GraphSource,
+    kind: PolicyKind,
+    cfg: &'a CuspConfig,
+    delta: Option<(&'a PartitionOutput, &'a [GraphEvent])>,
+}
+
+impl Request<'_> {
+    /// The rule table: each policy's `(getMaster, getEdgeOwner)` pair,
+    /// stated once for every entry point.
+    fn run(self) -> PartitionOutput {
+        match self.kind {
+            PolicyKind::Eec => self.with(|s| (ContiguousEB::new(s), SourceEdge)),
+            PolicyKind::Hvc => self.with(|s| (ContiguousEB::new(s), HybridEdge::paper_default())),
+            PolicyKind::Cvc => self.with(|s| (ContiguousEB::new(s), CartesianEdge::new(s))),
+            PolicyKind::Fec => self.with(|s| (FennelEB::new(s), SourceEdge)),
+            PolicyKind::Gvc => self.with(|s| (FennelEB::new(s), HybridEdge::paper_default())),
+            PolicyKind::Svc => self.with(|s| (FennelEB::new(s), CartesianEdge::new(s))),
+            PolicyKind::Cec => self.with(|s| (Contiguous::new(s), SourceEdge)),
+            PolicyKind::Fnc => self.with(|s| (Fennel::new(s), SourceEdge)),
+            PolicyKind::Hdrf => self.with(|s| (ContiguousEB::new(s), HdrfEdge::new(s))),
+            PolicyKind::Ldg => self.with(|s| (Ldg::new(s), SourceEdge)),
+            PolicyKind::Bvc => self.with(|s| (ContiguousEB::new(s), CheckerboardEdge::new(s))),
+            PolicyKind::Jvc => self.with(|s| (ContiguousEB::new(s), JaggedEdge::new(s))),
+        }
+    }
+
+    fn with<MR, ER>(self, build: impl Fn(&Setup) -> (MR, ER)) -> PartitionOutput
+    where
+        MR: MasterRule + Clone + 'static,
+        ER: EdgeRule,
+    {
+        let Request { comm, source, kind, cfg, delta } = self;
+        let class = kind.class();
+        match delta {
+            None => partition(comm, source, cfg, class, build),
+            Some((prev, batch)) => partition_delta(comm, source, cfg, class, build, prev, batch),
+        }
     }
 }
 
@@ -149,43 +197,7 @@ pub fn partition_with_policy(
     kind: PolicyKind,
     cfg: &CuspConfig,
 ) -> PartitionOutput {
-    let class = kind.class();
-    match kind {
-        PolicyKind::Eec => partition(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), SourceEdge)
-        }),
-        PolicyKind::Hvc => partition(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), HybridEdge::paper_default())
-        }),
-        PolicyKind::Cvc => partition(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), CartesianEdge::new(s))
-        }),
-        PolicyKind::Fec => partition(comm, source, cfg, class, |s| {
-            (FennelEB::new(s), SourceEdge)
-        }),
-        PolicyKind::Gvc => partition(comm, source, cfg, class, |s| {
-            (FennelEB::new(s), HybridEdge::paper_default())
-        }),
-        PolicyKind::Svc => partition(comm, source, cfg, class, |s| {
-            (FennelEB::new(s), CartesianEdge::new(s))
-        }),
-        PolicyKind::Cec => partition(comm, source, cfg, class, |s| {
-            (Contiguous::new(s), SourceEdge)
-        }),
-        PolicyKind::Fnc => partition(comm, source, cfg, class, |s| {
-            (Fennel::new(s), SourceEdge)
-        }),
-        PolicyKind::Hdrf => partition(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), HdrfEdge::new(s))
-        }),
-        PolicyKind::Ldg => partition(comm, source, cfg, class, |s| (Ldg::new(s), SourceEdge)),
-        PolicyKind::Bvc => partition(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), CheckerboardEdge::new(s))
-        }),
-        PolicyKind::Jvc => partition(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), JaggedEdge::new(s))
-        }),
-    }
+    Request { comm, source, kind, cfg, delta: None }.run()
 }
 
 /// Incrementally repartitions with one of the named policies — the
@@ -205,45 +217,7 @@ pub fn partition_delta_with_policy(
     prev: &PartitionOutput,
     batch: &[GraphEvent],
 ) -> PartitionOutput {
-    let class = kind.class();
-    match kind {
-        PolicyKind::Eec => partition_delta(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), SourceEdge)
-        }, prev, batch),
-        PolicyKind::Hvc => partition_delta(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), HybridEdge::paper_default())
-        }, prev, batch),
-        PolicyKind::Cvc => partition_delta(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), CartesianEdge::new(s))
-        }, prev, batch),
-        PolicyKind::Fec => partition_delta(comm, source, cfg, class, |s| {
-            (FennelEB::new(s), SourceEdge)
-        }, prev, batch),
-        PolicyKind::Gvc => partition_delta(comm, source, cfg, class, |s| {
-            (FennelEB::new(s), HybridEdge::paper_default())
-        }, prev, batch),
-        PolicyKind::Svc => partition_delta(comm, source, cfg, class, |s| {
-            (FennelEB::new(s), CartesianEdge::new(s))
-        }, prev, batch),
-        PolicyKind::Cec => partition_delta(comm, source, cfg, class, |s| {
-            (Contiguous::new(s), SourceEdge)
-        }, prev, batch),
-        PolicyKind::Fnc => partition_delta(comm, source, cfg, class, |s| {
-            (Fennel::new(s), SourceEdge)
-        }, prev, batch),
-        PolicyKind::Hdrf => partition_delta(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), HdrfEdge::new(s))
-        }, prev, batch),
-        PolicyKind::Ldg => {
-            partition_delta(comm, source, cfg, class, |s| (Ldg::new(s), SourceEdge), prev, batch)
-        }
-        PolicyKind::Bvc => partition_delta(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), CheckerboardEdge::new(s))
-        }, prev, batch),
-        PolicyKind::Jvc => partition_delta(comm, source, cfg, class, |s| {
-            (ContiguousEB::new(s), JaggedEdge::new(s))
-        }, prev, batch),
-    }
+    Request { comm, source, kind, cfg, delta: Some((prev, batch)) }.run()
 }
 
 #[cfg(test)]
@@ -252,20 +226,7 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for kind in [
-            PolicyKind::Eec,
-            PolicyKind::Hvc,
-            PolicyKind::Cvc,
-            PolicyKind::Fec,
-            PolicyKind::Gvc,
-            PolicyKind::Svc,
-            PolicyKind::Cec,
-            PolicyKind::Fnc,
-            PolicyKind::Hdrf,
-            PolicyKind::Ldg,
-            PolicyKind::Bvc,
-            PolicyKind::Jvc,
-        ] {
+        for kind in PolicyKind::ALL {
             assert_eq!(PolicyKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(PolicyKind::parse("nope"), None);

@@ -2,9 +2,9 @@
 //!
 //! [`check_partition`] asserts the full cross-host invariant set CuSP's
 //! correctness argument rests on (paper §III-B, Table I) and returns
-//! **every** violation it finds — unlike `metrics::validate_partitioning`,
-//! which stops at the first — so a corrupted partition can be attributed to
-//! an invariant class:
+//! **every** violation it finds (`metrics::validate_partitioning` is this
+//! check reduced to its first violation), so a corrupted partition can be
+//! attributed to an invariant class:
 //!
 //! * **edge coverage** — every input edge is assigned to exactly one host
 //!   (as a multiset: no loss, no duplication, no fabrication);
@@ -256,7 +256,7 @@ pub fn check_partition(
                 Some(prev) => r.push(
                     ViolationKind::MasterAssignment,
                     Some(p.part_id),
-                    format!("vertex {g} has masters on both part {prev} and part {}", p.part_id),
+                    format!("vertex {g} has masters on partitions {prev} and {}", p.part_id),
                 ),
             }
         }
@@ -299,14 +299,14 @@ pub fn check_partition(
                     r.push(
                         ViolationKind::MirrorSymmetry,
                         Some(p.part_id),
-                        format!("mirror of {g} points at its own partition"),
+                        format!("mirror of {g} claims master on its own partition"),
                     );
                 } else if master_home[g as usize] != Some(claimed) {
                     r.push(
                         ViolationKind::MirrorSymmetry,
                         Some(p.part_id),
                         format!(
-                            "mirror of {g} points at part {claimed}, but the master lives on {:?}",
+                            "mirror of {g} claims master on part {claimed}, but the master lives on {:?}",
                             master_home[g as usize]
                         ),
                     );
@@ -368,7 +368,7 @@ pub fn check_partition(
                 r.push(
                     ViolationKind::WeightPreservation,
                     None,
-                    format!("edge {u}->{v} weight {w} imbalance {bal}"),
+                    format!("weighted edge {u}->{v} ({w}) duplicated or altered (balance {bal})"),
                 );
             }
         }

@@ -2,11 +2,16 @@
 //! Running the full pipeline with `scalar_codec` on and off must produce
 //! bit-identical partitions AND bit-identical per-phase communication stats
 //! (every host-pair's byte and message counts) — the Table V invariant.
+//! The same must hold for `partition_delta`, which routes its dirty edges
+//! through the same construction code.
 
 use std::sync::Arc;
 
-use cusp::{partition_with_policy, CuspConfig, GraphSource, PolicyKind};
+use cusp::{
+    partition_delta_with_policy, partition_with_policy, CuspConfig, GraphSource, PolicyKind,
+};
 use cusp_graph::gen::{powerlaw, PowerLawConfig};
+use cusp_graph::wal::seeded_batch;
 use cusp_graph::Csr;
 use cusp_net::{Cluster, CommStats};
 
@@ -14,26 +19,40 @@ fn hash_weights(g: &Csr) -> Vec<u32> {
     g.iter_edges().map(|(u, v)| (u.wrapping_mul(31).wrapping_add(v) % 1000) + 1).collect()
 }
 
-fn run(weighted: bool, scalar: bool) -> (CommStats, Vec<cusp::DistGraph>) {
+/// A full run, or (`delta`) the delta run that follows it after a seeded
+/// mutation batch — both under the same codec setting.
+fn run(weighted: bool, scalar: bool, delta: bool) -> (CommStats, Vec<cusp::DistGraph>) {
     let graph = Arc::new(powerlaw(PowerLawConfig::webcrawl(800, 6.0, 42)));
     let weights = Arc::new(hash_weights(&graph));
-    let out = Cluster::run(4, move |comm| {
-        let source = if weighted {
-            GraphSource::MemoryWeighted(graph.clone(), weights.clone())
+    let source_of = |g: Arc<Csr>, w: Arc<Vec<u32>>| {
+        if weighted {
+            GraphSource::MemoryWeighted(g, w)
         } else {
-            GraphSource::Memory(graph.clone())
-        };
-        // One thread per host: send-buffer flush boundaries are then a
-        // deterministic function of the record stream, so message counts
-        // are comparable across runs, not just byte counts.
-        let cfg = CuspConfig {
-            threads_per_host: 1,
-            scalar_codec: scalar,
-            ..CuspConfig::default()
-        };
-        partition_with_policy(comm, source, PolicyKind::Hvc, &cfg).dist_graph
+            GraphSource::Memory(g)
+        }
+    };
+    // One thread per host: send-buffer flush boundaries are then a
+    // deterministic function of the record stream, so message counts
+    // are comparable across runs, not just byte counts.
+    let cfg = CuspConfig {
+        threads_per_host: 1,
+        scalar_codec: scalar,
+        ..CuspConfig::default()
+    };
+    let source = source_of(graph.clone(), weights.clone());
+    let full = Cluster::run(4, |comm| partition_with_policy(comm, source.clone(), PolicyKind::Hvc, &cfg));
+    if !delta {
+        return (full.stats, full.results.into_iter().map(|r| r.dist_graph).collect());
+    }
+    let batch = seeded_batch(&graph, weighted, 0xC0DEC, 24);
+    let applied = graph.apply_batch(weighted.then(|| weights.as_slice()), &batch).unwrap();
+    let mutated = source_of(Arc::new(applied.graph), Arc::new(applied.weights.unwrap_or_default()));
+    let out = Cluster::run(4, |comm| {
+        let prev = &full.results[comm.host()];
+        partition_delta_with_policy(comm, mutated.clone(), PolicyKind::Hvc, &cfg, prev, &batch)
     });
-    (out.stats, out.results)
+    assert!(out.results.iter().any(|r| r.reused_edges > 0), "delta fell back to a full run");
+    (out.stats, out.results.into_iter().map(|r| r.dist_graph).collect())
 }
 
 fn assert_stats_identical(a: &CommStats, b: &CommStats) {
@@ -58,9 +77,9 @@ fn assert_stats_identical(a: &CommStats, b: &CommStats) {
     }
 }
 
-fn check(weighted: bool) {
-    let (bulk_stats, bulk_parts) = run(weighted, false);
-    let (scalar_stats, scalar_parts) = run(weighted, true);
+fn check(weighted: bool, delta: bool) {
+    let (bulk_stats, bulk_parts) = run(weighted, false, delta);
+    let (scalar_stats, scalar_parts) = run(weighted, true, delta);
     assert_stats_identical(&bulk_stats, &scalar_stats);
     // The constructed partitions must match bit for bit as well.
     for (x, y) in bulk_parts.iter().zip(&scalar_parts) {
@@ -68,18 +87,28 @@ fn check(weighted: bool) {
         assert_eq!(x.local2global, y.local2global);
         assert_eq!(x.edge_data, y.edge_data);
     }
-    // Sanity: the comparison is not vacuous — Hvc moves edges, so the
-    // construct phase must actually have traffic.
+    // Sanity: the comparison is not vacuous — Hvc moves edges (dirty ones
+    // included), so the construct phase must actually have traffic.
     let construct = bulk_stats.phase("construct").unwrap();
     assert!(construct.total_bytes() > 0, "no construct traffic to compare");
 }
 
 #[test]
 fn scalar_and_bulk_codec_are_byte_identical_unweighted() {
-    check(false);
+    check(false, false);
 }
 
 #[test]
 fn scalar_and_bulk_codec_are_byte_identical_weighted() {
-    check(true);
+    check(true, false);
+}
+
+#[test]
+fn delta_scalar_and_bulk_codec_are_byte_identical_unweighted() {
+    check(false, true);
+}
+
+#[test]
+fn delta_scalar_and_bulk_codec_are_byte_identical_weighted() {
+    check(true, true);
 }

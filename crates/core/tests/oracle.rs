@@ -249,7 +249,7 @@ fn delta_matrix(kind: PolicyKind, seed: u64) {
             let faulty = fault.is_some();
             let out = Cluster::run_with(
                 hosts,
-                ClusterOptions { fault: fault.clone(), ..ClusterOptions::default() },
+                ClusterOptions { fault, ..ClusterOptions::default() },
                 |comm| {
                     partition_delta_with_policy(
                         comm,

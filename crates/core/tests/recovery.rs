@@ -74,6 +74,10 @@ fn det_cfg(chunk: Option<u64>, ckpt: Option<PathBuf>) -> CuspConfig {
     }
 }
 
+/// What a (possibly crash-injected) run yields: the partitions, the comm
+/// statistics, and the recovery report and trace when requested.
+type RunResult = (Vec<DistGraph>, CommStats, Option<RecoveryReport>, Option<cusp_obs::Trace>);
+
 fn run(
     hosts: usize,
     kind: PolicyKind,
@@ -81,8 +85,7 @@ fn run(
     crash: Option<CrashPlan>,
     cfg: CuspConfig,
     trace: Option<TraceConfig>,
-) -> Result<(Vec<DistGraph>, CommStats, Option<RecoveryReport>, Option<cusp_obs::Trace>), ClusterError>
-{
+) -> Result<RunResult, ClusterError> {
     let opts = ClusterOptions {
         crash,
         recovery: fast_recovery(),

@@ -17,92 +17,28 @@
 //! ```
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use cusp_graph::gen::{kronecker, powerlaw, uniform};
 use cusp_graph::Csr;
 
 use crate::protocol::Request;
 use crate::protocol::Response;
+use crate::server::{spawn_listener, ServerHandle};
 use crate::state::ServerState;
 
-/// A running HTTP listener; same lifecycle contract as the TCP
-/// [`ServerHandle`](crate::server::ServerHandle).
-pub struct HttpHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
+/// A running HTTP listener: the same handle type as the framed transport.
+pub type HttpHandle = ServerHandle;
 
-impl HttpHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and joins the accept loop.
-    pub fn shutdown(&mut self) {
-        if let Some(h) = self.accept_thread.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.addr);
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for HttpHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Binds the HTTP front end on `addr`. Connections are bounded by the
-/// same `max_connections` budget as the framed transport.
+/// Binds the HTTP front end on `addr`, on the accept loop of
+/// [`crate::server`] (which documents how connections are bounded).
 pub fn serve_http(state: Arc<ServerState>, addr: &str) -> std::io::Result<HttpHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let live = Arc::new(AtomicUsize::new(0));
-    let accept_stop = Arc::clone(&stop);
-    let accept_thread =
-        std::thread::Builder::new().name("cusp-serve-http".into()).spawn(move || {
-            for conn in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(mut stream) = conn else { continue };
-                if live.load(Ordering::SeqCst) >= state.config.max_connections {
-                    let _ = write_http(
-                        &mut stream,
-                        429,
-                        &json_error(
-                            4,
-                            &format!(
-                                "connection limit {} reached",
-                                state.config.max_connections
-                            ),
-                        ),
-                    );
-                    continue;
-                }
-                live.fetch_add(1, Ordering::SeqCst);
-                let state = Arc::clone(&state);
-                let conn_live = Arc::clone(&live);
-                let spawned = std::thread::Builder::new()
-                    .name("cusp-serve-http-conn".into())
-                    .spawn(move || {
-                        handle_connection(&state, stream);
-                        conn_live.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    live.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-        })?;
-    Ok(HttpHandle { addr, stop, accept_thread: Some(accept_thread) })
+    spawn_listener(state, addr, "cusp-serve-http", handle_connection, refuse_over_limit)
+}
+
+fn refuse_over_limit(mut stream: TcpStream, limit: usize) {
+    let _ = write_http(&mut stream, 429, &json_error(4, &format!("connection limit {limit} reached")));
 }
 
 /// Longest accepted request line; anything bigger is hostile or broken.

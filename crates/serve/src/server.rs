@@ -19,8 +19,8 @@ use crate::error::ServeError;
 use crate::protocol::{read_frame, write_frame, RecvError, Request, Response};
 use crate::state::ServerState;
 
-/// A running TCP server; dropping it (or calling [`shutdown`]) stops the
-/// accept loop and waits for it to exit.
+/// A running listener (framed or HTTP); dropping it (or calling
+/// [`shutdown`]) stops the accept loop and waits for it to exit.
 ///
 /// [`shutdown`]: ServerHandle::shutdown
 pub struct ServerHandle {
@@ -55,39 +55,52 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `addr` and spawns the accept loop.
+/// Binds `addr` and spawns the framed-protocol accept loop.
 pub fn serve(state: Arc<ServerState>, addr: &str) -> std::io::Result<ServerHandle> {
+    spawn_listener(state, addr, "cusp-serve", connection_loop, refuse_over_limit)
+}
+
+/// The accept loop both front ends run: one thread per connection running
+/// `handle`, and `refuse` answering a connection arriving while
+/// `max_connections` are live. Each listener counts its own connections,
+/// so a daemon serving both protocols admits up to the limit on each.
+pub(crate) fn spawn_listener(
+    state: Arc<ServerState>,
+    addr: &str,
+    thread_name: &'static str,
+    handle: fn(&ServerState, TcpStream),
+    refuse: fn(TcpStream, usize),
+) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let live = Arc::new(AtomicUsize::new(0));
     let accept_stop = Arc::clone(&stop);
-    let accept_thread = std::thread::Builder::new().name("cusp-serve-accept".into()).spawn(
-        move || {
+    let accept_thread =
+        std::thread::Builder::new().name(format!("{thread_name}-accept")).spawn(move || {
             for conn in listener.incoming() {
                 if accept_stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
                 if live.load(Ordering::SeqCst) >= state.config.max_connections {
-                    refuse_over_limit(stream, state.config.max_connections);
+                    refuse(stream, state.config.max_connections);
                     continue;
                 }
                 live.fetch_add(1, Ordering::SeqCst);
                 let state = Arc::clone(&state);
                 let conn_live = Arc::clone(&live);
                 let spawned = std::thread::Builder::new()
-                    .name("cusp-serve-conn".into())
+                    .name(format!("{thread_name}-conn"))
                     .spawn(move || {
-                        connection_loop(&state, stream);
+                        handle(&state, stream);
                         conn_live.fetch_sub(1, Ordering::SeqCst);
                     });
                 if spawned.is_err() {
                     live.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-        },
-    )?;
+        })?;
     Ok(ServerHandle { addr, stop, accept_thread: Some(accept_thread) })
 }
 

@@ -5,9 +5,9 @@
 //! cusp-part convert   --edgelist IN.txt --out G.bgr
 //! cusp-part convert   --metis IN.graph --out G.bgr
 //! cusp-part props     G.bgr
-//! cusp-part partition --graph G.bgr --policy EEC|HVC|CVC|FEC|GVC|SVC|CEC|FNC|HDRF|XTRAPULP
-//!                     --hosts K [--out-dir DIR] [--sync-rounds N] [--buffer BYTES]
-//!                     [--threads T] [--csc] [--chunk-edges E] [--trace OUT.json]
+//! cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]
+//!                     [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]
+//!                     [--chunk-edges E] [--trace OUT.json]
 //!                     [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]
 //! cusp-part launch    --hosts K --graph G.bgr --policy NAME [--out-dir DIR]
 //!                     [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]
@@ -22,6 +22,10 @@
 //!                     [--policy NAME --hosts K]
 //! cusp-part client    upload|partition|quality|apply|stats|list|server-stats ...
 //! ```
+//!
+//! `--policy NAME` takes any [`PolicyKind::ALL`] abbreviation (`usage()`
+//! prints them, so the list cannot drift from the parser); `partition`
+//! also accepts `XTRAPULP`.
 //!
 //! `partition` runs the full five-phase pipeline on a simulated K-host
 //! cluster, prints per-phase timings, communication volume, and quality
@@ -92,7 +96,8 @@ use cusp_xtrapulp::{xtrapulp_partition, XpConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  cusp-part gen --kind kron|webcrawl|uniform --nodes N [--degree D] [--seed S] --out G.bgr\n  cusp-part convert --edgelist IN.txt --out G.bgr\n  cusp-part convert --metis IN.graph --out G.bgr\n  cusp-part props G.bgr\n  cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]\n                      [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]\n                      [--chunk-edges E] [--trace OUT.json]\n                      [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]\n  cusp-part launch --hosts K --graph G.bgr --policy NAME [--out-dir DIR]\n                   [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]\n                   [--kill-seed S [--kill-repeat]] [--max-restarts N]\n                   [--restart-backoff-ms MS] [--checkpoint-dir DIR]\n  cusp-part worker --host-id H --hosts K --graph G.bgr --policy NAME --nonce N --out-dir DIR [--det]\n                   [--listen ADDR] [--incarnation I] [--rejoin] [--announce-phases]\n  cusp-part inspect PART.part [PART.part ...]\n  cusp-part validate --graph G.bgr --parts DIR\n  cusp-part trace-check OUT.json\n  cusp-part apply --graph G.bgr (--batch B.txt | --events N [--seed S]) [--out G2.bgr] [--wal W.wal]\n  cusp-part wal-replay --graph G.bgr --wal W.wal [--out G2.bgr] [--policy NAME --hosts K]\n  cusp-part client upload --graph G.bgr --tenant T --name N [--addr HOST:PORT]\n  cusp-part client partition --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client quality --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client apply --tenant T --name N --batch B.txt [--addr A]\n  cusp-part client stats --tenant T --name N [--addr A]\n  cusp-part client list --tenant T [--addr A]\n  cusp-part client server-stats [--addr A]"
+        "usage:\n  cusp-part gen --kind kron|webcrawl|uniform --nodes N [--degree D] [--seed S] --out G.bgr\n  cusp-part convert --edgelist IN.txt --out G.bgr\n  cusp-part convert --metis IN.graph --out G.bgr\n  cusp-part props G.bgr\n  cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]\n                      [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]\n                      [--chunk-edges E] [--trace OUT.json]\n                      [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]\n  cusp-part launch --hosts K --graph G.bgr --policy NAME [--out-dir DIR]\n                   [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]\n                   [--kill-seed S [--kill-repeat]] [--max-restarts N]\n                   [--restart-backoff-ms MS] [--checkpoint-dir DIR]\n  cusp-part worker --host-id H --hosts K --graph G.bgr --policy NAME --nonce N --out-dir DIR [--det]\n                   [--listen ADDR] [--incarnation I] [--rejoin] [--announce-phases]\n  cusp-part inspect PART.part [PART.part ...]\n  cusp-part validate --graph G.bgr --parts DIR\n  cusp-part trace-check OUT.json\n  cusp-part apply --graph G.bgr (--batch B.txt | --events N [--seed S]) [--out G2.bgr] [--wal W.wal]\n  cusp-part wal-replay --graph G.bgr --wal W.wal [--out G2.bgr] [--policy NAME --hosts K]\n  cusp-part client upload --graph G.bgr --tenant T --name N [--addr HOST:PORT]\n  cusp-part client partition --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client quality --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client apply --tenant T --name N --batch B.txt [--addr A]\n  cusp-part client stats --tenant T --name N [--addr A]\n  cusp-part client list --tenant T [--addr A]\n  cusp-part client server-stats [--addr A]\npolicies (--policy NAME): {} (partition only: XTRAPULP)",
+        PolicyKind::ALL.map(PolicyKind::name).join(" ")
     );
     exit(2)
 }
@@ -337,19 +342,17 @@ where
 /// (`partition`, `worker`, and `launch` all accept the same set, so a
 /// launched worker and the comparison simulator run identical configs).
 fn cusp_cfg_from_flags(flags: &HashMap<String, String>) -> CuspConfig {
+    let defaults = CuspConfig::default();
     let mut cfg = CuspConfig {
         sync_rounds: flags
             .get("sync-rounds")
-            .map(|s| parse_num(s, "sync rounds"))
-            .unwrap_or(10),
+            .map_or(defaults.sync_rounds, |s| parse_num(s, "sync rounds")),
         buffer_threshold: flags
             .get("buffer")
-            .map(|s| parse_num(s, "buffer bytes"))
-            .unwrap_or(256 << 10),
+            .map_or(defaults.buffer_threshold, |s| parse_num(s, "buffer bytes")),
         threads_per_host: flags
             .get("threads")
-            .map(|s| parse_num(s, "threads"))
-            .unwrap_or(2),
+            .map_or(defaults.threads_per_host, |s| parse_num(s, "threads")),
         output: if flags.contains_key("csc") {
             OutputFormat::Csc
         } else {
@@ -360,7 +363,7 @@ fn cusp_cfg_from_flags(flags: &HashMap<String, String>) -> CuspConfig {
             .map(|s| parse_num(s, "chunk edges")),
         checkpoint_dir: flags.get("checkpoint-dir").map(PathBuf::from),
         announce_phases: flags.contains_key("announce-phases"),
-        ..CuspConfig::default()
+        ..defaults
     };
     if flags.contains_key("det") {
         cfg = cusp::deterministic_for_comparison(cfg);
