@@ -86,7 +86,7 @@ impl Stage {
 ///
 /// A pure rule's assignment is a replicated function, so only the fact
 /// that it *was* pure is recorded — the restarted host rebuilds the
-/// closure from the (deterministically re-built) rule. Stored assignments
+/// range starts from the (deterministically re-built) rule. Stored assignments
 /// persist the dense local range and the remote pairs verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MastersSnapshot {
@@ -108,7 +108,7 @@ impl MastersSnapshot {
     /// Captures the resolved masters for persistence.
     pub fn of(masters: &ResolvedMasters) -> MastersSnapshot {
         match masters {
-            ResolvedMasters::Pure(_) => MastersSnapshot::Pure,
+            ResolvedMasters::Pure { .. } => MastersSnapshot::Pure,
             ResolvedMasters::Stored { lo, local, remote } => MastersSnapshot::Stored {
                 lo: *lo,
                 local: local.clone(),
@@ -118,7 +118,7 @@ impl MastersSnapshot {
     }
 
     /// Rebuilds the stored form. `None` for [`MastersSnapshot::Pure`] —
-    /// the caller must rebuild the pure closure from its rule instead.
+    /// the caller must rebuild the pure resolver from its rule instead.
     pub fn to_stored(&self) -> Option<ResolvedMasters> {
         match self {
             MastersSnapshot::Pure => None,

@@ -64,6 +64,7 @@ use cusp_net::{Comm, WireReader, WireWriter};
 use crate::config::OutputFormat;
 use crate::dist_graph::{DistGraph, PartitionClass};
 use crate::phases::alloc::{AllocOutcome, MasterSpec};
+use crate::phases::bitset::NodeBitRows;
 use crate::phases::construct::{construct, insert_record, slot_ptrs};
 use crate::phases::driver::{partition, PartitionOutput};
 use crate::phases::edge_assign::{tally_edges, EdgeAssignOutcome, EdgeFilter};
@@ -210,11 +211,8 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
         // mastered elsewhere (deduplication by construction — no sort).
         let n_glob = setup.num_nodes as usize;
         let incoming: Vec<AtomicU32> = (0..n_glob).map(|_| AtomicU32::new(0)).collect();
-        let mirror_bits: Vec<AtomicU64> =
-            (0..n_glob.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-        let mark_mirror = |v: Node| {
-            mirror_bits[v as usize / 64].fetch_or(1 << (v % 64), Ordering::Relaxed);
-        };
+        let mirror_bits = NodeBitRows::new(1, n_glob);
+        let mark_mirror = |v: Node| mirror_bits.mark(0, v);
         let reused_total = AtomicU64::new(0);
         do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |_tid, row| {
             let edges = prev.graph.edges(row as Node);
@@ -338,15 +336,8 @@ impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
                 incoming_srcs.push((v as Node, c, masters.of(v as Node)));
             }
         }
-        let mut mirrors: Vec<(Node, PartId)> = Vec::new();
-        for (w, bits) in mirror_bits.iter().enumerate() {
-            let mut b = bits.load(Ordering::Relaxed);
-            while b != 0 {
-                let v = (w * 64 + b.trailing_zeros() as usize) as Node;
-                b &= b - 1;
-                mirrors.push((v, masters.of(v)));
-            }
-        }
+        let mirrors: Vec<(Node, PartId)> =
+            mirror_bits.ones(0).map(|v| (v, masters.of(v))).collect();
 
         DeltaAssignOutcome {
             ea: EdgeAssignOutcome {
@@ -538,7 +529,7 @@ pub fn partition_delta<MR, ER>(
     batch: &[GraphEvent],
 ) -> PartitionOutput
 where
-    MR: MasterRule + Clone + 'static,
+    MR: MasterRule,
     ER: EdgeRule,
 {
     // Delta needs pure masters (re-resolution is replicated computation)
@@ -563,7 +554,7 @@ where
     // assignment is replicated computation — no protocol, no barrier.
     let (master_rule, edge_rule) = build(&setup);
     debug_assert!(master_rule.is_pure(), "policy purity changed between runs");
-    let masters = pure_masters(&master_rule);
+    let masters = pure_masters(&master_rule, setup.parts);
 
     let dirty = dirty_set(
         &old_rule,
@@ -672,7 +663,7 @@ mod tests {
 
         let g = Arc::new(erdos_renyi(150, 1100, 13));
         let setup = setup(150, 4);
-        let masters = pure_masters(&Contiguous::new(&setup));
+        let masters = pure_masters(&Contiguous::new(&setup), setup.parts);
         let rule = CartesianEdge::new(&setup);
         let pool = cusp_galois::ThreadPool::new(2);
         let chunked =

@@ -122,7 +122,7 @@ pub fn partition<MR, ER>(
     build: impl FnOnce(&Setup) -> (MR, ER),
 ) -> PartitionOutput
 where
-    MR: MasterRule + Clone + 'static,
+    MR: MasterRule,
     ER: EdgeRule,
 {
     let me = comm.host();
@@ -163,11 +163,11 @@ where
 
     // Phase 2: master assignment — skipped on resume (every checkpoint
     // stage has it); the snapshot rebuilds the resolved locations, with
-    // pure rules re-deriving their replicated closure from the rule.
+    // pure rules re-deriving their replicated range starts from the rule.
     let masters = match resume.as_ref().map(|ck| &ck.masters) {
         Some(snap) => snap
             .to_stored()
-            .unwrap_or_else(|| pure_masters(&master_rule)),
+            .unwrap_or_else(|| pure_masters(&master_rule, setup.parts)),
         None => {
             let mstate = <MR as MasterRule>::State::new(setup.parts);
             let masters = ctx.run_phase(

@@ -6,7 +6,11 @@
 //!
 //! * **pure** rules (no state, no neighbor queries): assignment is a pure
 //!   function — nothing is stored or communicated; later phases replicate
-//!   the computation on demand ([`ResolvedMasters::Pure`]);
+//!   the computation on demand ([`ResolvedMasters::Pure`]). Every pure rule
+//!   owns contiguous node ranges ([`MasterRule::pure_owned_range`]), so the
+//!   replicated computation is a count over the `k − 1` interior range
+//!   starts that inlines into the per-edge loops — the elision only pays
+//!   while it stays a few instructions;
 //! * **stateful, neighbor-blind** rules: the loop runs without rounds and
 //!   partitioning state is reconciled once, after the phase;
 //! * **neighbor-aware** rules (Fennel-family): the local range is processed
@@ -19,6 +23,8 @@
 //! The masters map is demand-driven (§IV-D5): a host only ever receives
 //! assignments for nodes it asked for — the destinations of its locally
 //! read edges — keeping the map proportional to its slice, not the graph.
+//! The request set is marked per edge in a dense bitset
+//! ([`NodeBitRows`]) and read back sorted and duplicate-free.
 
 // The explicit `for i in 0..n` indexing in the SPMD/scan loops below is
 // deliberate (it mirrors per-host/per-block protocol structure).
@@ -27,11 +33,12 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use cusp_galois::{do_all, PerThread, ThreadPool, DEFAULT_GRAIN};
+use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::Node;
 use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::config::CuspConfig;
+use crate::phases::bitset::NodeBitRows;
 use crate::phases::pipeline::SliceData;
 use crate::policy::{MasterRule, MasterView, Setup, UNASSIGNED};
 use crate::props::LocalProps;
@@ -120,8 +127,13 @@ impl RemoteMasters {
 
 /// Master assignments as visible to the later phases on one host.
 pub enum ResolvedMasters {
-    /// Assignment is a replicated pure function.
-    Pure(Box<dyn Fn(Node) -> PartId + Send + Sync>),
+    /// Assignment is a replicated pure function: partition `p` owns the
+    /// contiguous node range from `starts[p - 1]` (0 for `p = 0`) up to
+    /// `starts[p]` (the node count for the last partition).
+    Pure {
+        /// First node of partitions `1..k`, ascending (`k − 1` entries).
+        starts: Vec<Node>,
+    },
     /// Assignments are stored: dense for the local read range, dense-window
     /// (or sorted-array) for the requested remote nodes.
     Stored {
@@ -140,7 +152,10 @@ impl ResolvedMasters {
     #[inline]
     pub fn of(&self, v: Node) -> PartId {
         match self {
-            ResolvedMasters::Pure(f) => f(v),
+            // The owner is the number of range starts at or below `v`. A
+            // branch-free count over the few starts beats a binary search
+            // with its unpredictable branches, and vectorizes.
+            ResolvedMasters::Pure { starts } => starts.iter().map(|&b| (b <= v) as PartId).sum(),
             ResolvedMasters::Stored { lo, local, remote } => {
                 if v >= *lo && ((v - lo) as usize) < local.len() {
                     let m = local[(v - lo) as usize];
@@ -157,7 +172,7 @@ impl ResolvedMasters {
 
     /// Is pure.
     pub fn is_pure(&self) -> bool {
-        matches!(self, ResolvedMasters::Pure(_))
+        matches!(self, ResolvedMasters::Pure { .. })
     }
 }
 
@@ -182,7 +197,7 @@ pub fn assign_masters<MR: MasterRule>(
     let local_n = data.num_nodes();
 
     // --- Step 1: request the masters of my edges' destinations. --------
-    let needed = remote_dests(pool, data, setup, me);
+    let needed = remote_dests(pool, data, setup);
     let mut per_peer_requests: Vec<Vec<Node>> = vec![Vec::new(); k];
     for &d in &needed {
         per_peer_requests[setup.reader_of(d)].push(d);
@@ -367,33 +382,30 @@ pub fn assign_masters<MR: MasterRule>(
     }
 }
 
-/// Builds the pure resolver for a pure rule (no communication at all).
-pub fn pure_masters<MR: MasterRule + Clone + 'static>(rule: &MR) -> ResolvedMasters {
+/// Builds the pure resolver for a pure rule over `parts` partitions (no
+/// communication at all).
+pub fn pure_masters<MR: MasterRule>(rule: &MR, parts: PartId) -> ResolvedMasters {
     debug_assert!(rule.is_pure());
-    let rule = rule.clone();
-    ResolvedMasters::Pure(Box::new(move |v| rule.pure_master(v)))
+    let starts: Vec<Node> = (1..parts).map(|p| rule.pure_owned_range(p).start).collect();
+    debug_assert!(starts.windows(2).all(|w| w[0] <= w[1]), "pure owned ranges out of order");
+    ResolvedMasters::Pure { starts }
 }
 
 /// Sorted, deduplicated destinations of the local slice that fall outside
 /// the local read range (the nodes whose masters this host must request).
-fn remote_dests(pool: &ThreadPool, data: &mut SliceData, setup: &Setup, me: usize) -> Vec<Node> {
-    let locals: PerThread<Vec<Node>> = PerThread::new(pool, |_| Vec::new());
+fn remote_dests(pool: &ThreadPool, data: &mut SliceData, setup: &Setup) -> Vec<Node> {
+    let local = data.node_lo()..data.node_hi();
+    let remote = NodeBitRows::new(1, setup.num_nodes as usize);
     data.for_each_chunk(|chunk| {
-        cusp_galois::do_all_with_tid(pool, chunk.num_nodes(), DEFAULT_GRAIN, |tid, i| {
-            let v = chunk.node_lo + i as Node;
-            locals.with(tid, |out| {
-                for &d in chunk.edges(v) {
-                    if setup.reader_of(d) != me {
-                        out.push(d);
-                    }
+        do_all(pool, chunk.num_nodes(), DEFAULT_GRAIN, |i| {
+            for &d in chunk.edges(chunk.node_lo + i as Node) {
+                if !local.contains(&d) {
+                    remote.mark(0, d);
                 }
-            });
+            }
         });
     });
-    let mut all: Vec<Node> = locals.into_inner().into_iter().flatten().collect();
-    all.sort_unstable();
-    all.dedup();
-    all
+    remote.ones(0).collect()
 }
 
 fn encode_sync(kind: u8, delta: &[u64], pairs: &[(Node, PartId)]) -> bytes::Bytes {
@@ -434,7 +446,7 @@ mod tests {
     use super::*;
     use crate::config::GraphSource;
     use crate::phases::read::read_phase;
-    use crate::policies::masters::{ContiguousEB, FennelEB};
+    use crate::policies::masters::{Contiguous, ContiguousEB, FennelEB};
     use crate::state::LoadState;
     use cusp_graph::gen::uniform::erdos_renyi;
     use cusp_net::Cluster;
@@ -456,7 +468,7 @@ mod tests {
         }
     }
 
-    fn run_assignment<MR: MasterRule + Clone + 'static>(
+    fn run_assignment<MR: MasterRule>(
         k: usize,
         rule_of: impl Fn(&Setup) -> MR + Sync,
         rounds: u32,
@@ -575,6 +587,45 @@ mod tests {
     }
 
     #[test]
+    fn pure_resolver_agrees_with_the_rule_on_every_node() {
+        fn setup(n: u64, parts: PartId, eb_boundaries: Vec<u64>) -> Setup {
+            Setup {
+                num_nodes: n,
+                num_edges: 0,
+                parts,
+                eb_boundaries: Arc::new(eb_boundaries),
+                read_splits: Arc::new(vec![cusp_graph::ReadSplit { lo: 0, hi: n }]),
+            }
+        }
+        fn check<MR: MasterRule>(rule: &MR, n: u64, parts: PartId) {
+            let resolved = pure_masters(rule, parts);
+            assert!(resolved.is_pure());
+            for v in 0..n as Node {
+                assert_eq!(resolved.of(v), rule.pure_master(v), "n={n} k={parts} v={v}");
+            }
+        }
+        // n < k, n == k, k = 1, k = 64, and blocks that do not divide n.
+        for (n, k) in [(10u64, 3u32), (7, 7), (5, 8), (3, 64), (100, 16), (50, 1), (640, 64), (1000, 64)] {
+            let even: Vec<u64> = (0..=k as u64).map(|p| p * n / k as u64).collect();
+            check(&Contiguous::new(&setup(n, k, even.clone())), n, k);
+            check(&ContiguousEB::new(&setup(n, k, even)), n, k);
+        }
+        // Edge-balanced boundaries with empty owned ranges: leading,
+        // interior, trailing, and one partition owning everything.
+        for b in [
+            vec![0u64, 0, 3, 10],
+            vec![0, 4, 4, 4, 9],
+            vec![0, 2, 9, 9],
+            vec![0, 0, 0, 6],
+            vec![0, 6, 6, 6],
+            vec![0, 1, 2, 3, 3, 3, 3, 3, 3],
+        ] {
+            let (n, k) = (*b.last().unwrap(), b.len() as PartId - 1);
+            check(&ContiguousEB::new(&setup(n, k, b)), n, k);
+        }
+    }
+
+    #[test]
     fn pure_resolver_never_communicates() {
         let g = Arc::new(erdos_renyi(200, 1000, 3));
         let out = Cluster::run(3, |comm| {
@@ -582,7 +633,7 @@ mod tests {
             let cfg = CuspConfig::default();
             let r = read_phase(comm, &GraphSource::Memory(g.clone()), &cfg).unwrap();
             let rule = ContiguousEB::new(&r.setup);
-            let resolved = pure_masters(&rule);
+            let resolved = pure_masters(&rule, r.setup.parts);
             // Every host can resolve every node.
             (0..200u32).map(|v| resolved.of(v)).collect::<Vec<_>>()
         });

@@ -3,6 +3,7 @@
 //! construction, orchestrated by [`driver`].
 
 pub mod alloc;
+pub(crate) mod bitset;
 pub mod construct;
 pub mod delta;
 pub mod driver;

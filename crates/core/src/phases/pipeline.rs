@@ -278,14 +278,14 @@ pub struct MasterPhase<'a, MR: MasterRule> {
     pub state: &'a MR::State,
 }
 
-impl<'a, MR: MasterRule + Clone + 'static> Phase for MasterPhase<'a, MR> {
+impl<'a, MR: MasterRule> Phase for MasterPhase<'a, MR> {
     const NAME: &'static str = "master";
     type Input = &'a mut SliceData;
     type Output = ResolvedMasters;
 
     fn run(self, ctx: &mut PhaseCtx<'_>, data: &'a mut SliceData) -> ResolvedMasters {
         if self.rule.is_pure() && !ctx.cfg.force_stored_masters {
-            pure_masters(self.rule)
+            pure_masters(self.rule, self.setup.parts)
         } else {
             assign_masters(ctx.comm, &ctx.pool, self.setup, data, self.rule, self.state, ctx.cfg)
         }

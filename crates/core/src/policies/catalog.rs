@@ -177,7 +177,7 @@ impl Request<'_> {
 
     fn with<MR, ER>(self, build: impl Fn(&Setup) -> (MR, ER)) -> PartitionOutput
     where
-        MR: MasterRule + Clone + 'static,
+        MR: MasterRule,
         ER: EdgeRule,
     {
         let Request { comm, source, kind, cfg, delta } = self;

@@ -127,8 +127,6 @@ pub trait EdgeRule: Send + Sync {
 /// Read access to previously assigned masters — the `masters` argument of
 /// `getMaster` and the lookup used during edge assignment.
 pub enum MasterView<'a> {
-    /// Masters are a replicated pure function (no storage, no messages).
-    Pure(&'a (dyn Fn(Node) -> PartId + Sync)),
     /// Masters are stored: a dense array for the locally read range plus a
     /// sparse map of remote assignments received so far.
     Stored {
@@ -146,7 +144,6 @@ impl MasterView<'_> {
     #[inline]
     pub fn get(&self, v: Node) -> Option<PartId> {
         match self {
-            MasterView::Pure(f) => Some(f(v)),
             MasterView::Stored { lo, local, remote } => {
                 if v >= *lo && ((v - lo) as usize) < local.len() {
                     let m = local[(v - lo) as usize].load(Ordering::Relaxed);
@@ -196,14 +193,6 @@ mod tests {
         assert_eq!(s.reader_of(54), 1);
         assert_eq!(s.reader_of(55), 3); // host 2's range is empty
         assert_eq!(s.reader_of(99), 3);
-    }
-
-    #[test]
-    fn pure_view_answers_everything() {
-        let f = |v: Node| v % 3;
-        let view = MasterView::Pure(&f);
-        assert_eq!(view.get(7), Some(1));
-        assert_eq!(view.get_required(9), 0);
     }
 
     #[test]

@@ -72,7 +72,9 @@
 //! target. `worker` is the per-host half of that protocol and is also
 //! usable standalone for multi-machine experiments: it prints
 //! `CUSP-WORKER-LISTEN <addr>`, waits for `PEERS a,b,...` on stdin, and
-//! reports `CUSP-WORKER-SENT/RECV/DONE` lines when finished.
+//! reports `CUSP-WORKER-SENT/RECV/DONE` lines once its partition is
+//! written — before it FINs, so a FIN means the worker is finished with
+//! the mesh for good.
 //!
 //! `client` speaks the framed `cusp-serve` protocol (default server
 //! `127.0.0.1:7421`): upload a `.bgr` graph into a tenant namespace,
@@ -608,37 +610,49 @@ fn cmd_worker(flags: &HashMap<String, String>) {
         }
     });
 
+    // Everything this worker owes the launcher — the partition file, the
+    // accounting rows, DONE — is produced *inside* the run, before the
+    // transport FINs. A peer that has seen our FIN may leave its drain
+    // window and drop its listener, so a FIN must certify that this
+    // incarnation never needs the mesh again: a worker taken down after
+    // its FIN is already DONE and is not respawned; one taken down before
+    // it still finds every survivor draining, and rejoins.
     let source = GraphSource::File(graph_path);
-    let out = match cusp::partition_with_policy_tcp(transport, source, kind, &cfg) {
-        Ok(o) => o,
+    let run = Cluster::try_run_tcp(transport, cusp_net::ClusterOptions::default(), |comm| {
+        let out = cusp::partition_with_policy(comm, source, kind, &cfg);
+
+        std::fs::create_dir_all(&out_dir).expect("cannot create out dir");
+        let dg = out.dist_graph;
+        let path = out_dir.join(format!("part-{:04}.part", dg.part_id));
+        write_partition(&path, &dg).expect("failed to write partition");
+
+        // Per-pair totals summed over phases. The launcher joins this
+        // host's SENT row with each receiver's RECV row: over TCP the two
+        // sides are counted by different processes, so equality is a real
+        // end-to-end conservation check, not bookkeeping tautology. (All
+        // data traffic is over once the last phase's barrier has passed.)
+        let stats = comm.stats().snapshot();
+        for peer in (0..hosts).filter(|&p| p != host) {
+            let (mut sb, mut sm, mut rb, mut rm) = (0u64, 0u64, 0u64, 0u64);
+            for (_name, ph) in stats.iter() {
+                sb += ph.bytes_between(host, peer);
+                sm += ph.messages_between(host, peer);
+                rb += ph.recv_bytes_between(peer, host);
+                rm += ph.recv_messages_between(peer, host);
+            }
+            println!("CUSP-WORKER-SENT {peer} {sb} {sm}");
+            println!("CUSP-WORKER-RECV {peer} {rb} {rm}");
+        }
+        println!("CUSP-WORKER-DONE {host}");
+    });
+    match run {
+        // Counted after the drain, so peers re-admitted during it show.
+        Ok(run) => println!("CUSP-WORKER-REJOINS {}", run.rejoins),
         Err(e) => {
-            eprintln!("worker {host}: {e}");
+            eprintln!("worker {host}: {}", cusp::PartitionError::from(e));
             exit(1);
         }
-    };
-
-    std::fs::create_dir_all(&out_dir).expect("cannot create out dir");
-    let dg = out.result.dist_graph;
-    let path = out_dir.join(format!("part-{:04}.part", dg.part_id));
-    write_partition(&path, &dg).expect("failed to write partition");
-
-    // Per-pair totals summed over phases. The launcher joins this host's
-    // SENT row with each receiver's RECV row: over TCP the two sides are
-    // counted by different processes, so equality is a real end-to-end
-    // conservation check, not bookkeeping tautology.
-    for peer in (0..hosts).filter(|&p| p != host) {
-        let (mut sb, mut sm, mut rb, mut rm) = (0u64, 0u64, 0u64, 0u64);
-        for (_name, ph) in out.stats.iter() {
-            sb += ph.bytes_between(host, peer);
-            sm += ph.messages_between(host, peer);
-            rb += ph.recv_bytes_between(peer, host);
-            rm += ph.recv_messages_between(peer, host);
-        }
-        println!("CUSP-WORKER-SENT {peer} {sb} {sm}");
-        println!("CUSP-WORKER-RECV {peer} {rb} {rm}");
     }
-    println!("CUSP-WORKER-REJOINS {}", out.rejoins);
-    println!("CUSP-WORKER-DONE {host}");
 }
 
 /// Binds a specific listen address, retrying briefly: a respawned worker
@@ -1061,7 +1075,9 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
             w.child = child;
         }
 
-        if fleet.workers.iter().all(|w| w.done)
+        // `eof`: the REJOINS row follows DONE (it is counted after the
+        // drain), so a finished worker's stdout is read to its end.
+        if fleet.workers.iter().all(|w| w.done && w.eof)
             && fleet
                 .workers
                 .iter_mut()

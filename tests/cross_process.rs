@@ -15,15 +15,18 @@
 //! runs the `#[test]`s on parallel threads, but at most one launcher plus
 //! its workers exists at a time, so 4–5 processes with 50 ms heartbeats
 //! never compete with fourteen other fleets for the box (ROADMAP item 1b).
-//! That removes the oversubscription suspect only. The late-phase listener
-//! hole (item 1a) is still open: a worker killed in the last phase can be
-//! respawned after the survivors have finished, left their drain window
-//! and dropped their listeners
-//! (`eec_4_hosts_recovers_from_wedge_at_construct` then exhausts its
-//! restarts on `unreachable before dial timeout`), and
-//! `eec_2_hosts_recovers_from_torn_connection_at_edge_assign` can still
-//! stall into the launcher's watchdog. Both fail a few percent of runs
-//! with or without the budget; neither is a load effect.
+//! That removes the oversubscription suspect. The late-phase listener hole
+//! (item 1a) is closed on the worker's side: a worker writes its partition
+//! and prints its rows and DONE *before* its transport FINs, so a victim
+//! stopped after its FIN is already DONE (no respawn into a mesh whose
+//! survivors have left), and one stopped before it finds every survivor
+//! still draining. Until PR 14 the FIN came first, and a wedge at `alloc`
+//! or `construct` that landed between FIN and DONE exhausted its restarts
+//! on `unreachable before dial timeout` — in a few percent of runs, more
+//! once the construction replay got faster. Still open:
+//! `eec_2_hosts_recovers_from_torn_connection_at_edge_assign` can stall
+//! into the launcher's watchdog in a few percent of runs, with or without
+//! the budget; it is not a load effect.
 
 use std::path::PathBuf;
 use std::process::Command;
