@@ -4,17 +4,18 @@
 //! pipeline from the top. Graph reading always re-executes — the input
 //! slice is not durable state — but the expensive communicating phases
 //! (master assignment, edge assignment) can be skipped if their *outputs*
-//! survived the crash. This module persists exactly those outputs, one
-//! file per host, written at the phase barrier right after each phase
-//! completes:
+//! survived the crash. This module persists exactly those outputs — the
+//! phases' own result types, not copies of them — one file per host,
+//! written at the phase barrier right after each phase completes:
 //!
-//! * after **master assignment** ([`Stage::Master`]): the resolved master
-//!   locations ([`MastersSnapshot`]) plus the transport state
-//!   ([`cusp_net::NetCheckpoint`]) that re-aligns the restarted host's
-//!   sequence numbers and barrier count with its peers;
-//! * after **edge assignment** ([`Stage::EdgeAssign`]): additionally the
-//!   [`EdgeAssignSnapshot`] (incoming sources, mirrors, master list, edge
-//!   counts) that allocation and construction consume.
+//! * after **master assignment**: the [`ResolvedMasters`] (a pure resolver
+//!   stores its `k − 1` range starts, so a load needs no rule to rebuild
+//!   it) plus the transport state ([`cusp_net::NetCheckpoint`]) that
+//!   re-aligns the restarted host's sequence numbers and barrier count
+//!   with its peers;
+//! * after **edge assignment**: additionally the [`EdgeAssignOutcome`]
+//!   (incoming sources, mirrors, master list, edge counts) that allocation
+//!   and construction consume.
 //!
 //! Edge-rule partitioning state is deliberately **not** checkpointed: the
 //! §IV-B4 replay token ([`crate::ReplayReady`]) resets it to its initial
@@ -23,7 +24,7 @@
 //! would have used.
 //!
 //! The on-disk format follows `storage.rs`: a fixed header (magic,
-//! version, stage, host topology), a payload, and a trailing CRC-32.
+//! version, host topology), a payload, and a trailing CRC-32.
 //! Corruption is handled by *rejection*, never by partial trust — any
 //! truncation, bad magic, wrong topology, or checksum mismatch makes
 //! [`CheckpointStore::load`] return `None`, and the restarted host simply
@@ -32,7 +33,6 @@
 //! an atomic rename so a crash mid-write leaves the previous checkpoint
 //! intact rather than a torn one.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -48,161 +48,48 @@ use crate::PartId;
 
 /// File magic: `CUSPCK\0\0`, little-endian.
 const MAGIC: u64 = 0x0000_4B43_5053_5543;
-/// Format version; bump on any layout change. v2 added the per-phase
-/// traffic rows to the embedded `NetCheckpoint` (process-level recovery
-/// restores Table V accounting from them); v1 files decode as absent and
-/// force a safe full re-run.
-const VERSION: u32 = 2;
+/// Format version; bump on any layout change. v3 stores the phase outputs
+/// themselves (pure masters as their range starts, no stage field); files
+/// of an older version decode as absent and force a safe full re-run.
+const VERSION: u32 = 3;
 
-/// Which phase boundary a checkpoint captures. The discriminants match the
-/// pipeline's barrier numbers (read = 1, master = 2, edge assignment = 3),
-/// which is also the [`NetCheckpoint::barrier_calls`] value stored inside.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Master assignment finished; edge assignment had not.
-    Master,
-    /// Edge assignment finished; construction had not.
-    EdgeAssign,
-}
-
-impl Stage {
-    fn code(self) -> u32 {
-        match self {
-            Stage::Master => 2,
-            Stage::EdgeAssign => 3,
-        }
-    }
-
-    fn from_code(code: u32) -> Option<Stage> {
-        match code {
-            2 => Some(Stage::Master),
-            3 => Some(Stage::EdgeAssign),
-            _ => None,
-        }
-    }
-}
-
-/// Serializable form of [`ResolvedMasters`].
-///
-/// A pure rule's assignment is a replicated function, so only the fact
-/// that it *was* pure is recorded — the restarted host rebuilds the
-/// range starts from the (deterministically re-built) rule. Stored assignments
-/// persist the dense local range and the remote pairs verbatim.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MastersSnapshot {
-    /// The master rule was pure; rebuild via
-    /// [`crate::phases::master::pure_masters`].
-    Pure,
-    /// Stored assignments, mirroring [`ResolvedMasters::Stored`].
-    Stored {
-        /// First node of the locally read range.
-        lo: Node,
-        /// Master of each node in the local range.
-        local: Vec<PartId>,
-        /// `(node, master)` pairs for the requested remote nodes.
-        remote: Vec<(Node, PartId)>,
-    },
-}
-
-impl MastersSnapshot {
-    /// Captures the resolved masters for persistence.
-    pub fn of(masters: &ResolvedMasters) -> MastersSnapshot {
-        match masters {
-            ResolvedMasters::Pure { .. } => MastersSnapshot::Pure,
-            ResolvedMasters::Stored { lo, local, remote } => MastersSnapshot::Stored {
-                lo: *lo,
-                local: local.clone(),
-                remote: remote.iter().collect(),
-            },
-        }
-    }
-
-    /// Rebuilds the stored form. `None` for [`MastersSnapshot::Pure`] —
-    /// the caller must rebuild the pure resolver from its rule instead.
-    pub fn to_stored(&self) -> Option<ResolvedMasters> {
-        match self {
-            MastersSnapshot::Pure => None,
-            MastersSnapshot::Stored { lo, local, remote } => {
-                let map: HashMap<Node, PartId> = remote.iter().copied().collect();
-                Some(ResolvedMasters::Stored {
-                    lo: *lo,
-                    local: local.clone(),
-                    remote: RemoteMasters::from_map(&map),
-                })
-            }
-        }
-    }
-
+impl ResolvedMasters {
     fn encode(&self, w: &mut WireWriter) {
         match self {
-            MastersSnapshot::Pure => w.put_u8(0),
-            MastersSnapshot::Stored { lo, local, remote } => {
+            ResolvedMasters::Pure { starts } => {
+                w.put_u8(0);
+                w.put_u32_slice(starts);
+            }
+            ResolvedMasters::Stored { lo, local, remote } => {
                 w.put_u8(1);
                 w.put_u32(*lo);
                 w.put_u32_slice(local);
-                let keys: Vec<Node> = remote.iter().map(|&(v, _)| v).collect();
-                let vals: Vec<PartId> = remote.iter().map(|&(_, p)| p).collect();
+                let (keys, vals): (Vec<Node>, Vec<PartId>) = remote.iter().unzip();
                 w.put_u32_slice(&keys);
                 w.put_u32_slice(&vals);
             }
         }
     }
 
-    fn decode(r: &mut WireReader) -> Option<MastersSnapshot> {
+    fn decode(r: &mut WireReader) -> Option<ResolvedMasters> {
         match r.get_u8().ok()? {
-            0 => Some(MastersSnapshot::Pure),
+            0 => Some(ResolvedMasters::Pure { starts: r.get_u32_vec().ok()? }),
             1 => {
                 let lo = r.get_u32().ok()?;
                 let local = r.get_u32_vec().ok()?;
                 let keys = r.get_u32_vec().ok()?;
                 let vals = r.get_u32_vec().ok()?;
-                if keys.len() != vals.len() {
+                if keys.len() != vals.len() || !keys.windows(2).all(|w| w[0] < w[1]) {
                     return None;
                 }
-                let remote = keys.into_iter().zip(vals).collect();
-                Some(MastersSnapshot::Stored { lo, local, remote })
+                Some(ResolvedMasters::Stored { lo, local, remote: RemoteMasters::from_sorted(keys, vals) })
             }
             _ => None,
         }
     }
 }
 
-/// Serializable form of [`EdgeAssignOutcome`] — everything allocation and
-/// construction need from the edge-assignment exchange.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgeAssignSnapshot {
-    /// `(node, edge count, master partition)` of sources landing here.
-    pub incoming_srcs: Vec<(Node, u32, PartId)>,
-    /// `(node, master partition)` of destination proxies to create.
-    pub mirrors: Vec<(Node, PartId)>,
-    /// Master-proxy nodes of this partition (stored rules only).
-    pub my_master_nodes: Option<Vec<Node>>,
-    /// Edges this host will receive during construction.
-    pub to_receive: u64,
-}
-
-impl EdgeAssignSnapshot {
-    /// Captures an edge-assignment outcome for persistence.
-    pub fn of(ea: &EdgeAssignOutcome) -> EdgeAssignSnapshot {
-        EdgeAssignSnapshot {
-            incoming_srcs: ea.incoming_srcs.clone(),
-            mirrors: ea.mirrors.clone(),
-            my_master_nodes: ea.my_master_nodes.clone(),
-            to_receive: ea.to_receive,
-        }
-    }
-
-    /// Rebuilds the outcome a live edge-assignment phase would have
-    /// produced.
-    pub fn to_outcome(&self) -> EdgeAssignOutcome {
-        EdgeAssignOutcome {
-            incoming_srcs: self.incoming_srcs.clone(),
-            mirrors: self.mirrors.clone(),
-            my_master_nodes: self.my_master_nodes.clone(),
-            to_receive: self.to_receive,
-        }
-    }
-
+impl EdgeAssignOutcome {
     fn encode(&self, w: &mut WireWriter) {
         let nodes: Vec<Node> = self.incoming_srcs.iter().map(|&(v, _, _)| v).collect();
         let counts: Vec<u32> = self.incoming_srcs.iter().map(|&(_, c, _)| c).collect();
@@ -210,8 +97,7 @@ impl EdgeAssignSnapshot {
         w.put_u32_slice(&nodes);
         w.put_u32_slice(&counts);
         w.put_u32_slice(&owners);
-        let mnodes: Vec<Node> = self.mirrors.iter().map(|&(v, _)| v).collect();
-        let mparts: Vec<PartId> = self.mirrors.iter().map(|&(_, p)| p).collect();
+        let (mnodes, mparts): (Vec<Node>, Vec<PartId>) = self.mirrors.iter().copied().unzip();
         w.put_u32_slice(&mnodes);
         w.put_u32_slice(&mparts);
         match &self.my_master_nodes {
@@ -224,7 +110,7 @@ impl EdgeAssignSnapshot {
         w.put_u64(self.to_receive);
     }
 
-    fn decode(r: &mut WireReader) -> Option<EdgeAssignSnapshot> {
+    fn decode(r: &mut WireReader) -> Option<EdgeAssignOutcome> {
         let nodes = r.get_u32_vec().ok()?;
         let counts = r.get_u32_vec().ok()?;
         let owners = r.get_u32_vec().ok()?;
@@ -249,22 +135,21 @@ impl EdgeAssignSnapshot {
             _ => return None,
         };
         let to_receive = r.get_u64().ok()?;
-        Some(EdgeAssignSnapshot { incoming_srcs, mirrors, my_master_nodes, to_receive })
+        Some(EdgeAssignOutcome { incoming_srcs, mirrors, my_master_nodes, to_receive })
     }
 }
 
-/// One host's durable phase-boundary state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One host's durable phase-boundary state, as [`CheckpointStore::load`]
+/// returns it: the outputs of the phases the restarted host may skip.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Which phase boundary this captures.
-    pub stage: Stage,
     /// Transport state (send sequences, receive floors, barrier count).
     pub net: NetCheckpoint,
-    /// Resolved master locations.
-    pub masters: MastersSnapshot,
-    /// Edge-assignment outputs; present iff `stage` is
-    /// [`Stage::EdgeAssign`].
-    pub edge_assign: Option<EdgeAssignSnapshot>,
+    /// Resolved master locations (phase 2's output).
+    pub masters: ResolvedMasters,
+    /// Phase 3's output; `None` when the checkpoint was taken at the master
+    /// boundary, before edge assignment finished.
+    pub edge_assign: Option<EdgeAssignOutcome>,
 }
 
 /// Per-host checkpoint file management: `host-{h}.ckpt` under a shared
@@ -294,18 +179,23 @@ impl CheckpointStore {
         &self.path
     }
 
-    /// Serializes `ck` and atomically replaces any previous checkpoint
+    /// Serializes the boundary just crossed — by reference, the driver keeps
+    /// using the outputs — and atomically replaces any previous checkpoint
     /// (temp file + rename, so a torn write cannot shadow a good one).
-    pub fn save(&self, ck: &Checkpoint) -> io::Result<()> {
+    pub fn save(
+        &self,
+        net: &NetCheckpoint,
+        masters: &ResolvedMasters,
+        edge_assign: Option<&EdgeAssignOutcome>,
+    ) -> io::Result<()> {
         let mut w = WireWriter::new();
         w.put_u64(MAGIC);
         w.put_u32(VERSION);
-        w.put_u32(ck.stage.code());
         w.put_u64(self.hosts as u64);
         w.put_u64(self.host as u64);
-        ck.net.encode(&mut w);
-        ck.masters.encode(&mut w);
-        match &ck.edge_assign {
+        net.encode(&mut w);
+        masters.encode(&mut w);
+        match edge_assign {
             None => w.put_u8(0),
             Some(ea) => {
                 w.put_u8(1);
@@ -322,7 +212,7 @@ impl CheckpointStore {
     }
 
     /// Loads the checkpoint, or `None` when the file is missing, for a
-    /// different topology, or corrupt in any way (bad magic/version/stage,
+    /// different topology, or corrupt in any way (bad magic/version,
     /// truncation, checksum mismatch, trailing garbage, inconsistent
     /// payload). A corrupt checkpoint is indistinguishable from an absent
     /// one by design: the restart falls back to full re-execution.
@@ -340,21 +230,20 @@ impl CheckpointStore {
         if r.get_u64().ok()? != MAGIC || r.get_u32().ok()? != VERSION {
             return None;
         }
-        let stage = Stage::from_code(r.get_u32().ok()?)?;
         if r.get_u64().ok()? != self.hosts as u64 || r.get_u64().ok()? != self.host as u64 {
             return None;
         }
         let net = NetCheckpoint::decode(&mut r, self.hosts)?;
-        let masters = MastersSnapshot::decode(&mut r)?;
+        let masters = ResolvedMasters::decode(&mut r)?;
         let edge_assign = match r.get_u8().ok()? {
             0 => None,
-            1 => Some(EdgeAssignSnapshot::decode(&mut r)?),
+            1 => Some(EdgeAssignOutcome::decode(&mut r)?),
             _ => return None,
         };
-        if edge_assign.is_some() != (stage == Stage::EdgeAssign) || !r.is_exhausted() {
+        if !r.is_exhausted() {
             return None;
         }
-        Some(Checkpoint { stage, net, masters, edge_assign })
+        Some(Checkpoint { net, masters, edge_assign })
     }
 
     /// Removes any stale checkpoint (called at the start of a fresh run so
@@ -369,14 +258,21 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{CuspConfig, GraphSource};
+    use crate::phases::edge_assign::assign_edges;
+    use crate::phases::master::{assign_masters, pure_masters};
+    use crate::phases::read::read_phase;
+    use crate::policies::edges::CartesianEdge;
+    use crate::policies::masters::ContiguousEB;
     use cusp_net::MAX_TAGS;
+    use std::collections::HashMap;
 
-    fn sample(stage: Stage) -> Checkpoint {
+    fn sample(edge_assign: bool) -> Checkpoint {
         let hosts = 3;
         let mut net = NetCheckpoint {
             send_seqs: vec![0; hosts * MAX_TAGS],
             recv_floors: vec![0; hosts * MAX_TAGS],
-            barrier_calls: stage.code() as u64,
+            barrier_calls: if edge_assign { 3 } else { 2 },
             stats: vec![cusp_net::PhaseTraffic {
                 name: "read".to_string(),
                 sent_bytes: vec![0; hosts],
@@ -387,41 +283,116 @@ mod tests {
         };
         net.send_seqs[5] = 17;
         net.recv_floors[2 * MAX_TAGS + 1] = 4;
-        let masters = MastersSnapshot::Stored {
+        let masters = ResolvedMasters::Stored {
             lo: 10,
             local: vec![0, 1, 2, 0, 1],
-            remote: vec![(3, 2), (99, 0)],
+            remote: RemoteMasters::from_map(&HashMap::from([(3, 2), (99, 0)])),
         };
-        let edge_assign = (stage == Stage::EdgeAssign).then(|| EdgeAssignSnapshot {
+        let edge_assign = edge_assign.then(|| EdgeAssignOutcome {
             incoming_srcs: vec![(10, 3, 0), (11, 1, 2)],
             mirrors: vec![(99, 0)],
             my_master_nodes: Some(vec![10, 12]),
             to_receive: 42,
         });
-        Checkpoint { stage, net, masters, edge_assign }
+        Checkpoint { net, masters, edge_assign }
     }
 
     fn store(dir: &Path) -> CheckpointStore {
         CheckpointStore::new(dir, 3, 1).expect("store opens")
     }
 
+    fn save(s: &CheckpointStore, ck: &Checkpoint) {
+        s.save(&ck.net, &ck.masters, ck.edge_assign.as_ref()).expect("saves");
+    }
+
     #[test]
     fn round_trips_both_stages() {
         let dir = std::env::temp_dir().join(format!("cusp-ckpt-rt-{}", std::process::id()));
         let s = store(&dir);
-        for stage in [Stage::Master, Stage::EdgeAssign] {
-            let ck = sample(stage);
-            s.save(&ck).expect("saves");
-            assert_eq!(s.load().expect("loads"), ck, "{stage:?}");
+        for edge_assign in [false, true] {
+            let ck = sample(edge_assign);
+            save(&s, &ck);
+            assert_eq!(s.load().expect("loads"), ck, "edge_assign: {edge_assign}");
         }
         // Pure masters and absent master lists round-trip too.
-        let mut ck = sample(Stage::EdgeAssign);
-        ck.masters = MastersSnapshot::Pure;
+        let mut ck = sample(true);
+        ck.masters = ResolvedMasters::Pure { starts: vec![4, 9] };
         ck.edge_assign.as_mut().unwrap().my_master_nodes = None;
-        s.save(&ck).expect("saves");
+        save(&s, &ck);
         assert_eq!(s.load().expect("loads"), ck);
         s.clear();
         assert!(s.load().is_none(), "cleared checkpoint must read as absent");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Host 1's real phase outputs from a 4-host run at the edge-assignment
+    /// boundary: what the driver hands to [`CheckpointStore::save`].
+    fn real_run(stored: bool) -> Checkpoint {
+        let g = std::sync::Arc::new(cusp_graph::gen::uniform::erdos_renyi(240, 2400, 29));
+        let mut out = cusp_net::Cluster::run(4, move |comm| {
+            let cfg = CuspConfig::default();
+            let pool = cusp_galois::ThreadPool::new(2);
+            let mut r = read_phase(comm, &GraphSource::Memory(g.clone()), &cfg).unwrap();
+            let rule = ContiguousEB::new(&r.setup);
+            let masters = if stored {
+                assign_masters(comm, &pool, &r.setup, &mut r.data, &rule, &(), &cfg)
+            } else {
+                pure_masters(&rule, r.setup.parts)
+            };
+            let edge_rule = CartesianEdge::new(&r.setup);
+            let ea = assign_edges(comm, &pool, &r.setup, &mut r.data, &masters, &edge_rule, &());
+            comm.barrier();
+            Checkpoint { net: comm.net_checkpoint(), masters, edge_assign: Some(ea) }
+        });
+        out.results.swap_remove(1)
+    }
+
+    #[test]
+    fn real_phase_outputs_round_trip() {
+        let dir = std::env::temp_dir().join(format!("cusp-ckpt-real-{}", std::process::id()));
+        let s = CheckpointStore::new(&dir, 4, 1).expect("store opens");
+        for stored in [false, true] {
+            let ck = real_run(stored);
+            assert_eq!(ck.masters.is_pure(), !stored);
+            let ea = ck.edge_assign.as_ref().unwrap();
+            assert_eq!(ea.my_master_nodes.is_some(), stored);
+            assert!(!ea.incoming_srcs.is_empty() && !ea.mirrors.is_empty(), "vacuous outcome");
+            save(&s, &ck);
+            let back = s.load().expect("loads");
+            // The loaded resolver answers lookups, not just compares equal.
+            let known: Vec<Node> = match &ck.masters {
+                ResolvedMasters::Pure { .. } => (0..240).collect(),
+                ResolvedMasters::Stored { lo, local, remote } => {
+                    (*lo..lo + local.len() as Node).chain(remote.iter().map(|(v, _)| v)).collect()
+                }
+            };
+            for v in known {
+                assert_eq!(back.masters.of(v), ck.masters.of(v), "stored={stored} master of {v}");
+            }
+            assert_eq!(back, ck, "stored={stored}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn older_version_file_is_absent() {
+        // A v2 file, as the previous format wrote it: header with a stage
+        // field, one pure-masters byte, no edge assignment, valid CRC.
+        let dir = std::env::temp_dir().join(format!("cusp-ckpt-v2-{}", std::process::id()));
+        let s = store(&dir);
+        let mut w = WireWriter::new();
+        w.put_u64(MAGIC);
+        w.put_u32(2);
+        w.put_u32(2); // Stage::Master
+        w.put_u64(3);
+        w.put_u64(1);
+        sample(false).net.encode(&mut w);
+        w.put_u8(0); // v2's pure-masters marker
+        w.put_u8(0); // no edge assignment
+        let mut file = w.finish().to_vec();
+        file.extend_from_slice(&crc32(&file).to_le_bytes());
+        fs::write(s.path(), &file).expect("writable");
+        assert!(s.load().is_none(), "v2 checkpoint accepted");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -438,9 +409,9 @@ mod tests {
         // read as absent (mirrors storage.rs's corruption tests).
         let dir = std::env::temp_dir().join(format!("cusp-ckpt-hdr-{}", std::process::id()));
         let s = store(&dir);
-        s.save(&sample(Stage::Master)).expect("saves");
+        save(&s, &sample(false));
         let good = fs::read(s.path()).expect("readable");
-        for (offset, what) in [(0, "magic"), (8, "version"), (12, "stage"), (16, "hosts"), (24, "host")] {
+        for (offset, what) in [(0, "magic"), (8, "version"), (12, "hosts"), (20, "host")] {
             let mut bad = good.clone();
             bad[offset] ^= 0xFF;
             fs::write(s.path(), &bad).expect("writable");
@@ -453,7 +424,7 @@ mod tests {
     fn rejects_payload_flip_truncation_and_garbage() {
         let dir = std::env::temp_dir().join(format!("cusp-ckpt-pay-{}", std::process::id()));
         let s = store(&dir);
-        s.save(&sample(Stage::EdgeAssign)).expect("saves");
+        save(&s, &sample(true));
         let good = fs::read(s.path()).expect("readable");
 
         // Any single payload bit flip fails the CRC.
@@ -488,7 +459,7 @@ mod tests {
     fn rejects_other_topology() {
         let dir = std::env::temp_dir().join(format!("cusp-ckpt-topo-{}", std::process::id()));
         let s = store(&dir);
-        s.save(&sample(Stage::Master)).expect("saves");
+        save(&s, &sample(false));
         // Same file, read back as a different host or cluster size.
         let other_host = CheckpointStore { path: s.path.clone(), tmp: s.tmp.clone(), hosts: 3, host: 2 };
         assert!(other_host.load().is_none(), "wrong host accepted");

@@ -1,4 +1,5 @@
-//! Partitioner configuration, input sources, and phase timing.
+//! Partitioner configuration, input sources, the phase table, and phase
+//! timing.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -121,6 +122,38 @@ impl Default for CuspConfig {
     }
 }
 
+/// The five pipeline phases, in execution order — the one phase table:
+/// a phase's name (comm accounting tag, trace span, `CUSP-WORKER-PHASE`
+/// marker, kill-plan site and [`PhaseTimes`] key) and whether a barrier
+/// ends it both hang off this enum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PhaseId {
+    /// Graph reading (phase 1).
+    Read,
+    /// Master assignment (phase 2).
+    Master,
+    /// Edge assignment (phase 3).
+    EdgeAssign,
+    /// Graph allocation (phase 4).
+    Alloc,
+    /// Graph construction (phase 5).
+    Construct,
+}
+
+impl PhaseId {
+    /// The phase's entry in [`PhaseTimes::NAMES`].
+    pub const fn name(self) -> &'static str {
+        PhaseTimes::NAMES[self as usize]
+    }
+
+    /// Whether a barrier separates this phase from the next: true for the
+    /// communicating phases; allocation is host-local and runs straight
+    /// into construction.
+    pub const fn barrier(self) -> bool {
+        !matches!(self, PhaseId::Alloc)
+    }
+}
+
 /// Wall-clock time spent in each partitioning phase (paper Fig. 4).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
@@ -137,36 +170,31 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// Canonical phase names, in pipeline order. These are also the comm
-    /// accounting tags ([`crate::phases::pipeline::Phase::NAME`]), so the
-    /// timing table and the byte-count tables line up by construction.
+    /// Canonical phase names, in pipeline order ([`PhaseId`] indexes it).
+    /// These are also the comm accounting tags, so the timing table and the
+    /// byte-count tables line up by construction.
     pub const NAMES: [&'static str; 5] = ["read", "master", "edge_assign", "alloc", "construct"];
 
-    /// Records `elapsed` against the named phase. Called by the pipeline's
-    /// [`crate::phases::pipeline::PhaseCtx`] timers; unknown names panic
-    /// (a `Phase` impl outside the five-phase pipeline must keep its own
-    /// clock).
-    pub fn record(&mut self, phase: &str, elapsed: Duration) {
-        match phase {
-            "read" => self.read += elapsed,
-            "master" => self.master += elapsed,
-            "edge_assign" => self.edge_assign += elapsed,
-            "alloc" => self.alloc += elapsed,
-            "construct" => self.construct += elapsed,
-            other => panic!("unknown phase {other:?} (expected one of {:?})", Self::NAMES),
-        }
+    /// The five fields in [`Self::NAMES`] order — the only place that pairs
+    /// a field with its position in the phase table.
+    fn slots(&mut self) -> [&mut Duration; 5] {
+        [&mut self.read, &mut self.master, &mut self.edge_assign, &mut self.alloc, &mut self.construct]
     }
 
-    /// The time recorded for the named phase.
+    /// Records `elapsed` against `phase`. Called by the
+    /// [`crate::phases::pipeline::PhaseCtx::run_phase`] timer.
+    pub fn record(&mut self, phase: PhaseId, elapsed: Duration) {
+        *self.slots()[phase as usize] += elapsed;
+    }
+
+    /// The time recorded for the named phase (one of [`Self::NAMES`]).
     pub fn get(&self, phase: &str) -> Duration {
-        match phase {
-            "read" => self.read,
-            "master" => self.master,
-            "edge_assign" => self.edge_assign,
-            "alloc" => self.alloc,
-            "construct" => self.construct,
-            other => panic!("unknown phase {other:?} (expected one of {:?})", Self::NAMES),
-        }
+        let i = Self::NAMES
+            .iter()
+            .position(|&n| n == phase)
+            .unwrap_or_else(|| panic!("unknown phase {phase:?} (expected one of {:?})", Self::NAMES));
+        let mut copy = *self;
+        *copy.slots()[i]
     }
 
     /// Per-phase `(name, time, share-of-total)` rows in pipeline order —

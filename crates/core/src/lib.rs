@@ -64,13 +64,13 @@ pub mod tracing;
 pub mod verify;
 
 pub use checkpoint::{Checkpoint, CheckpointStore};
-pub use config::{CuspConfig, GraphSource, OutputFormat, PhaseTimes};
+pub use config::{CuspConfig, GraphSource, OutputFormat, PhaseId, PhaseTimes};
 pub use distributed::{deterministic_for_comparison, partition_with_policy_tcp};
 pub use dist_graph::{DistGraph, PartitionClass};
 pub use phases::alloc::MasterSpec;
 pub use phases::delta::{partition_delta, DirtySet};
 pub use phases::driver::{partition, PartitionOutput};
-pub use phases::pipeline::{Phase, PhaseCtx, ReplayReady, SliceData};
+pub use phases::pipeline::{PhaseCtx, ReplayReady, SliceData};
 pub use policies::catalog::{partition_delta_with_policy, partition_with_policy, PolicyKind};
 pub use orientation::{partition_with_policy_oriented, Orientation};
 pub use policy::{EdgeRule, MasterRule, MasterView, Setup};

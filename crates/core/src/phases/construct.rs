@@ -1,11 +1,13 @@
 //! Phase 5 — graph construction (paper Algorithm 4, §IV-B5, §IV-C3/D3).
 //!
-//! Each host re-walks its read edges, re-evaluating `getEdgeOwner` (the
-//! edge-rule state was reset after edge assignment, so the replay yields
-//! the same decisions). Locally owned edges are inserted directly; remote
-//! edges are serialized — per worker thread, into per-destination buffers
-//! — as `(src, count, dsts…)` records and flushed once a buffer crosses
-//! the configured threshold (§IV-D3). Because allocation reserved exact
+//! Each host re-walks its read edges, re-evaluating `getEdgeOwner`. The
+//! replay must make the decisions edge assignment made, which for a
+//! stateful rule needs its state reset first — so `construct` takes the
+//! state only as a [`ReplayReady`] token, whose one constructor resets it.
+//! Locally owned edges are inserted directly; remote edges are serialized —
+//! per worker thread, into per-destination buffers — as
+//! `(src, count, dsts…)` records and flushed once a buffer crosses the
+//! configured threshold (§IV-D3). Because allocation reserved exact
 //! per-node slots, arriving records are inserted with a lock-free
 //! fetch-add cursor; no two records ever contend for the same slots.
 //!
@@ -31,7 +33,7 @@ use crate::config::{CuspConfig, OutputFormat};
 use crate::phases::alloc::AllocOutcome;
 use crate::phases::edge_assign::EdgeFilter;
 use crate::phases::master::ResolvedMasters;
-use crate::phases::pipeline::SliceData;
+use crate::phases::pipeline::{ReplayReady, SliceData};
 use crate::policy::{EdgeRule, Setup};
 use crate::props::LocalProps;
 use crate::state::PartitionState;
@@ -78,7 +80,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     data: &mut SliceData,
     masters: &ResolvedMasters,
     rule: &ER,
-    estate: &ER::State,
+    replay: ReplayReady<'_, ER::State>,
     alloc: &mut AllocOutcome,
     to_receive: u64,
     cfg: &CuspConfig,
@@ -86,6 +88,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
 ) -> (Csr, Option<Vec<u32>>) {
     let me = comm.host();
     let k = comm.num_hosts();
+    let estate = replay.state();
     let weighted = data.weighted();
     let scalar = cfg.scalar_codec;
     debug_assert_eq!(weighted, alloc.edge_data.is_some());

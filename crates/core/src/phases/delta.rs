@@ -16,9 +16,9 @@
 //! This module holds only what is delta-specific: the dirty set, the
 //! kept-edge tally and kept-edge copy out of the previous partition, the
 //! sparse `(src, count)` metadata exchange, and the driver. The per-edge
-//! walk is the full pipeline's: phase 3 calls `edge_assign::tally_edges`
-//! and phase 5 calls `construct::construct` with the [`DirtySet`] as their
-//! edge filter, so `getEdgeOwner` is evaluated, routed and replayed by the
+//! walk is the full pipeline's: `delta_assign` calls
+//! `edge_assign::tally_edges` and `delta_construct` calls
+//! `construct::construct` with the [`DirtySet`] as their edge filter, so `getEdgeOwner` is evaluated, routed and replayed by the
 //! same code a full run uses.
 //!
 //! # Dirty-set rules
@@ -61,15 +61,16 @@ use cusp_galois::{do_all_with_tid, PerThread, DEFAULT_GRAIN};
 use cusp_graph::{Csr, GraphEvent, Node};
 use cusp_net::{Comm, WireReader, WireWriter};
 
-use crate::config::OutputFormat;
+use crate::config::{OutputFormat, PhaseId};
 use crate::dist_graph::{DistGraph, PartitionClass};
-use crate::phases::alloc::{AllocOutcome, MasterSpec};
+use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
 use crate::phases::bitset::NodeBitRows;
 use crate::phases::construct::{construct, insert_record, slot_ptrs};
 use crate::phases::driver::{partition, PartitionOutput};
 use crate::phases::edge_assign::{tally_edges, EdgeAssignOutcome, EdgeFilter};
 use crate::phases::master::{pure_masters, ResolvedMasters};
-use crate::phases::pipeline::{AllocPhase, Phase, PhaseCtx, ReadPhase, SliceData};
+use crate::phases::pipeline::{PhaseCtx, ReplayReady, SliceData};
+use crate::phases::read::read_phase;
 use crate::policy::{EdgeRule, MasterRule, Setup};
 use crate::state::PartitionState;
 use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
@@ -188,166 +189,162 @@ struct DeltaCx<'a, ER: EdgeRule> {
 /// partition locally, runs the full phase's tally under the dirty filter,
 /// and exchanges only that dirty-edge metadata — sparse `(src, count)`
 /// pairs instead of the full positional count vectors.
-struct DeltaAssignPhase<'a, ER: EdgeRule>(&'a DeltaCx<'a, ER>);
+fn delta_assign<ER: EdgeRule>(
+    ctx: &PhaseCtx<'_>,
+    cx: &DeltaCx<'_, ER>,
+    data: &mut SliceData,
+) -> DeltaAssignOutcome {
+    let DeltaCx { setup, masters, rule, estate, prev, prev_csc: csc, dirty } = *cx;
+    let comm = ctx.comm;
+    let me = comm.host();
+    let k = comm.num_hosts();
+    let lo = data.node_lo();
+    let local_n = data.num_nodes();
 
-impl<'a, ER: EdgeRule> Phase for DeltaAssignPhase<'a, ER> {
-    const NAME: &'static str = "edge_assign";
-    type Input = &'a mut SliceData;
-    type Output = DeltaAssignOutcome;
-
-    fn run(self, ctx: &mut PhaseCtx<'_>, data: &'a mut SliceData) -> DeltaAssignOutcome {
-        let DeltaCx { setup, masters, rule, estate, prev, prev_csc: csc, dirty } = *self.0;
-        let comm = ctx.comm;
-        let me = comm.host();
-        let k = comm.num_hosts();
-        let lo = data.node_lo();
-        let local_n = data.num_nodes();
-
-        // --- Kept (clean) edges from the previous partition. -------------
-        // Both endpoints clean ⇒ the edge's owner is unchanged ⇒ it stays
-        // on this host. Positional tallies sized by the (replicated) global
-        // node count keep the walk a lock-free parallel pass: `incoming[v]`
-        // counts kept edges sourced at `v`, `mirror_bits` marks proxies
-        // mastered elsewhere (deduplication by construction — no sort).
-        let n_glob = setup.num_nodes as usize;
-        let incoming: Vec<AtomicU32> = (0..n_glob).map(|_| AtomicU32::new(0)).collect();
-        let mirror_bits = NodeBitRows::new(1, n_glob);
-        let mark_mirror = |v: Node| mirror_bits.mark(0, v);
-        let reused_total = AtomicU64::new(0);
-        do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |_tid, row| {
-            let edges = prev.graph.edges(row as Node);
-            if edges.is_empty() {
-                return;
-            }
-            let g_row = prev.local2global[row];
-            if dirty.contains(g_row) {
-                return; // every edge of a dirty row has a dirty endpoint
-            }
-            let mut kept = 0u32;
-            if !csc {
-                // Row is the source: one tally update covers the whole run.
-                for &other in edges {
-                    let g_other = prev.local2global[other as usize];
-                    if dirty.contains(g_other) {
-                        continue;
-                    }
-                    kept += 1;
-                    if masters.of(g_other) as usize != me {
-                        mark_mirror(g_other);
-                    }
+    // --- Kept (clean) edges from the previous partition. -------------
+    // Both endpoints clean ⇒ the edge's owner is unchanged ⇒ it stays
+    // on this host. Positional tallies sized by the (replicated) global
+    // node count keep the walk a lock-free parallel pass: `incoming[v]`
+    // counts kept edges sourced at `v`, `mirror_bits` marks proxies
+    // mastered elsewhere (deduplication by construction — no sort).
+    let n_glob = setup.num_nodes as usize;
+    let incoming: Vec<AtomicU32> = (0..n_glob).map(|_| AtomicU32::new(0)).collect();
+    let mirror_bits = NodeBitRows::new(1, n_glob);
+    let mark_mirror = |v: Node| mirror_bits.mark(0, v);
+    let reused_total = AtomicU64::new(0);
+    do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |_tid, row| {
+        let edges = prev.graph.edges(row as Node);
+        if edges.is_empty() {
+            return;
+        }
+        let g_row = prev.local2global[row];
+        if dirty.contains(g_row) {
+            return; // every edge of a dirty row has a dirty endpoint
+        }
+        let mut kept = 0u32;
+        if !csc {
+            // Row is the source: one tally update covers the whole run.
+            for &other in edges {
+                let g_other = prev.local2global[other as usize];
+                if dirty.contains(g_other) {
+                    continue;
                 }
-                if kept > 0 {
-                    incoming[g_row as usize].fetch_add(kept, Ordering::Relaxed);
-                }
-            } else {
-                // Row is the destination: tally each stored source; the
-                // mirror check applies to the row itself, once.
-                for &other in edges {
-                    let g_other = prev.local2global[other as usize];
-                    if dirty.contains(g_other) {
-                        continue;
-                    }
-                    kept += 1;
-                    incoming[g_other as usize].fetch_add(1, Ordering::Relaxed);
-                }
-                if kept > 0 && masters.of(g_row) as usize != me {
-                    mark_mirror(g_row);
+                kept += 1;
+                if masters.of(g_other) as usize != me {
+                    mark_mirror(g_other);
                 }
             }
             if kept > 0 {
-                reused_total.fetch_add(kept as u64, Ordering::Relaxed);
+                incoming[g_row as usize].fetch_add(kept, Ordering::Relaxed);
             }
-        });
-        let reused_edges = reused_total.load(Ordering::Relaxed);
-
-        // --- Dirty edges from the mutated slice. ---------------------------
-        // The full phase's tally, deciding only edges with a dirty endpoint.
-        let (counts, mirrors_for) = tally_edges(&ctx.pool, setup, data, masters, rule, estate, dirty);
-
-        // --- Exchange dirty-edge metadata (sparse pairs + mirror ids). ----
-        // Masters are pure, so receivers recompute them; only ids travel.
-        for peer in 0..k {
-            if peer == me {
-                continue;
-            }
-            let mut pairs: Vec<u32> = Vec::new();
-            for (i, &c) in counts[peer * local_n..(peer + 1) * local_n].iter().enumerate() {
-                if c > 0 {
-                    pairs.extend([lo + i as Node, c]);
+        } else {
+            // Row is the destination: tally each stored source; the
+            // mirror check applies to the row itself, once.
+            for &other in edges {
+                let g_other = prev.local2global[other as usize];
+                if dirty.contains(g_other) {
+                    continue;
                 }
+                kept += 1;
+                incoming[g_other as usize].fetch_add(1, Ordering::Relaxed);
             }
-            if pairs.is_empty() && mirrors_for[peer].is_empty() {
-                let mut w = WireWriter::with_capacity(1);
-                w.put_u8(META_EMPTY);
-                comm.send_bytes(peer, TAG_EDGE_META, w.finish());
-                continue;
+            if kept > 0 && masters.of(g_row) as usize != me {
+                mark_mirror(g_row);
             }
-            let mut w = WireWriter::with_capacity(pairs.len() * 4 + mirrors_for[peer].len() * 4 + 32);
-            w.put_u8(META_FULL);
-            w.put_u64((pairs.len() / 2) as u64);
-            w.put_u32_raw_slice(&pairs);
-            w.put_u64(mirrors_for[peer].len() as u64);
-            w.put_u32_raw_slice(&mirrors_for[peer]);
-            comm.send_bytes(peer, TAG_EDGE_META, w.finish());
         }
+        if kept > 0 {
+            reused_total.fetch_add(kept as u64, Ordering::Relaxed);
+        }
+    });
+    let reused_edges = reused_total.load(Ordering::Relaxed);
 
-        // --- Local dirty contributions (h == me). -------------------------
-        for (i, &c) in counts[me * local_n..(me + 1) * local_n].iter().enumerate() {
+    // --- Dirty edges from the mutated slice. ---------------------------
+    // The full phase's tally, deciding only edges with a dirty endpoint.
+    let (counts, mirrors_for) = tally_edges(&ctx.pool, setup, data, masters, rule, estate, dirty);
+
+    // --- Exchange dirty-edge metadata (sparse pairs + mirror ids). ----
+    // Masters are pure, so receivers recompute them; only ids travel.
+    for peer in 0..k {
+        if peer == me {
+            continue;
+        }
+        let mut pairs: Vec<u32> = Vec::new();
+        for (i, &c) in counts[peer * local_n..(peer + 1) * local_n].iter().enumerate() {
             if c > 0 {
-                incoming[(lo + i as Node) as usize].fetch_add(c, Ordering::Relaxed);
+                pairs.extend([lo + i as Node, c]);
             }
         }
-        for &d in &mirrors_for[me] {
+        if pairs.is_empty() && mirrors_for[peer].is_empty() {
+            let mut w = WireWriter::with_capacity(1);
+            w.put_u8(META_EMPTY);
+            comm.send_bytes(peer, TAG_EDGE_META, w.finish());
+            continue;
+        }
+        let mut w = WireWriter::with_capacity(pairs.len() * 4 + mirrors_for[peer].len() * 4 + 32);
+        w.put_u8(META_FULL);
+        w.put_u64((pairs.len() / 2) as u64);
+        w.put_u32_raw_slice(&pairs);
+        w.put_u64(mirrors_for[peer].len() as u64);
+        w.put_u32_raw_slice(&mirrors_for[peer]);
+        comm.send_bytes(peer, TAG_EDGE_META, w.finish());
+    }
+
+    // --- Local dirty contributions (h == me). -------------------------
+    for (i, &c) in counts[me * local_n..(me + 1) * local_n].iter().enumerate() {
+        if c > 0 {
+            incoming[(lo + i as Node) as usize].fetch_add(c, Ordering::Relaxed);
+        }
+    }
+    for &d in &mirrors_for[me] {
+        mark_mirror(d);
+    }
+
+    // --- Receive peer dirty metadata. ---------------------------------
+    let mut to_receive = 0u64;
+    for _ in 0..k.saturating_sub(1) {
+        let (_src, payload) = comm.recv_any(TAG_EDGE_META);
+        let mut r = WireReader::new(payload);
+        let kind = r.get_u8().expect("empty delta metadata message");
+        if kind == META_EMPTY {
+            continue;
+        }
+        let np = r.get_u64().expect("malformed delta pair count") as usize;
+        let mut pairs = vec![0u32; np * 2];
+        r.get_u32_into(&mut pairs).expect("malformed delta pairs");
+        for pair in pairs.chunks_exact(2) {
+            let (s, c) = (pair[0], pair[1]);
+            incoming[s as usize].fetch_add(c, Ordering::Relaxed);
+            to_receive += c as u64;
+        }
+        let nm = r.get_u64().expect("malformed delta mirror count") as usize;
+        let mut run = vec![0u32; nm];
+        r.get_u32_into(&mut run).expect("malformed delta mirrors");
+        for d in run {
             mark_mirror(d);
         }
+    }
 
-        // --- Receive peer dirty metadata. ---------------------------------
-        let mut to_receive = 0u64;
-        for _ in 0..k.saturating_sub(1) {
-            let (_src, payload) = comm.recv_any(TAG_EDGE_META);
-            let mut r = WireReader::new(payload);
-            let kind = r.get_u8().expect("empty delta metadata message");
-            if kind == META_EMPTY {
-                continue;
-            }
-            let np = r.get_u64().expect("malformed delta pair count") as usize;
-            let mut pairs = vec![0u32; np * 2];
-            r.get_u32_into(&mut pairs).expect("malformed delta pairs");
-            for pair in pairs.chunks_exact(2) {
-                let (s, c) = (pair[0], pair[1]);
-                incoming[s as usize].fetch_add(c, Ordering::Relaxed);
-                to_receive += c as u64;
-            }
-            let nm = r.get_u64().expect("malformed delta mirror count") as usize;
-            let mut run = vec![0u32; nm];
-            r.get_u32_into(&mut run).expect("malformed delta mirrors");
-            for d in run {
-                mark_mirror(d);
-            }
+    // --- Synthesize the outcome allocation consumes. ------------------
+    // Both tallies are positional, so scanning them yields the sorted
+    // vectors directly — no hash drain, no sort, no dedup.
+    let mut incoming_srcs: Vec<(Node, u32, PartId)> = Vec::new();
+    for (v, c) in incoming.iter().enumerate() {
+        let c = c.load(Ordering::Relaxed);
+        if c > 0 {
+            incoming_srcs.push((v as Node, c, masters.of(v as Node)));
         }
+    }
+    let mirrors: Vec<(Node, PartId)> =
+        mirror_bits.ones(0).map(|v| (v, masters.of(v))).collect();
 
-        // --- Synthesize the outcome allocation consumes. ------------------
-        // Both tallies are positional, so scanning them yields the sorted
-        // vectors directly — no hash drain, no sort, no dedup.
-        let mut incoming_srcs: Vec<(Node, u32, PartId)> = Vec::new();
-        for (v, c) in incoming.iter().enumerate() {
-            let c = c.load(Ordering::Relaxed);
-            if c > 0 {
-                incoming_srcs.push((v as Node, c, masters.of(v as Node)));
-            }
-        }
-        let mirrors: Vec<(Node, PartId)> =
-            mirror_bits.ones(0).map(|v| (v, masters.of(v))).collect();
-
-        DeltaAssignOutcome {
-            ea: EdgeAssignOutcome {
-                incoming_srcs,
-                mirrors,
-                my_master_nodes: None,
-                to_receive,
-            },
-            reused_edges,
-        }
+    DeltaAssignOutcome {
+        ea: EdgeAssignOutcome {
+            incoming_srcs,
+            mirrors,
+            my_master_nodes: None,
+            to_receive,
+        },
+        reused_edges,
     }
 }
 
@@ -387,118 +384,113 @@ fn for_each_kept_edge(
 /// Delta construction: copies kept edges out of the previous partition
 /// (no decision, no communication), then runs the full construction phase
 /// under the dirty filter, so only dirty edges are re-decided and shipped.
-struct DeltaConstructPhase<'a, ER: EdgeRule> {
-    cx: &'a DeltaCx<'a, ER>,
+fn delta_construct<ER: EdgeRule>(
+    ctx: &PhaseCtx<'_>,
+    cx: &DeltaCx<'_, ER>,
+    data: &mut SliceData,
+    alloc: &mut AllocOutcome,
     to_receive: u64,
-}
+) -> (Csr, Option<Vec<u32>>) {
+    let DeltaCx { setup, masters, rule, estate, prev, prev_csc, dirty } = *cx;
+    let weighted = data.weighted();
+    debug_assert_eq!(weighted, prev.edge_data.is_some());
+    let (dest_ptr, data_ptr) = slot_ptrs(alloc);
+    let alloc_ref: &AllocOutcome = alloc;
 
-impl<'a, ER: EdgeRule> Phase for DeltaConstructPhase<'a, ER> {
-    const NAME: &'static str = "construct";
-    type Input = (&'a mut SliceData, &'a mut AllocOutcome);
-    type Output = (Csr, Option<Vec<u32>>);
-
-    fn run(self, ctx: &mut PhaseCtx<'_>, (data, alloc): Self::Input) -> Self::Output {
-        let DeltaCx { setup, masters, rule, estate, prev, prev_csc, dirty } = *self.cx;
-        let weighted = data.weighted();
-        debug_assert_eq!(weighted, prev.edge_data.is_some());
-        let (dest_ptr, data_ptr) = slot_ptrs(alloc);
-        let alloc_ref: &AllocOutcome = alloc;
-
-        // --- 1. Copy kept edges from the previous partition. --------------
-        // Pure memory movement: globalize the destination, carry the weight,
-        // insert into the freshly reserved slots. No rule, no wire.
-        if !prev_csc {
-            // Rows are sources: each clean row's kept run is one record,
-            // and the atomic cursors make the inserts safe to parallelize.
-            let scratch: PerThread<(Vec<Node>, Vec<u32>)> =
-                PerThread::new(&ctx.pool, |_| (Vec::new(), Vec::new()));
-            do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |tid, row| {
-                let edges = prev.graph.edges(row as Node);
-                if edges.is_empty() {
-                    return;
-                }
-                let g_row = prev.local2global[row];
-                if dirty.contains(g_row) {
-                    return;
-                }
-                let e0 = prev.graph.first_edge(row as Node) as usize;
-                scratch.with(tid, |(dsts, ws)| {
-                    dsts.clear();
-                    ws.clear();
-                    for (i, &other) in edges.iter().enumerate() {
-                        let g_other = prev.local2global[other as usize];
-                        if dirty.contains(g_other) {
-                            continue;
-                        }
-                        dsts.push(g_other);
-                        if let Some(d) = &prev.edge_data {
-                            ws.push(d[e0 + i]);
-                        }
+    // --- 1. Copy kept edges from the previous partition. --------------
+    // Pure memory movement: globalize the destination, carry the weight,
+    // insert into the freshly reserved slots. No rule, no wire.
+    if !prev_csc {
+        // Rows are sources: each clean row's kept run is one record,
+        // and the atomic cursors make the inserts safe to parallelize.
+        let scratch: PerThread<(Vec<Node>, Vec<u32>)> =
+            PerThread::new(&ctx.pool, |_| (Vec::new(), Vec::new()));
+        do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |tid, row| {
+            let edges = prev.graph.edges(row as Node);
+            if edges.is_empty() {
+                return;
+            }
+            let g_row = prev.local2global[row];
+            if dirty.contains(g_row) {
+                return;
+            }
+            let e0 = prev.graph.first_edge(row as Node) as usize;
+            scratch.with(tid, |(dsts, ws)| {
+                dsts.clear();
+                ws.clear();
+                for (i, &other) in edges.iter().enumerate() {
+                    let g_other = prev.local2global[other as usize];
+                    if dirty.contains(g_other) {
+                        continue;
                     }
+                    dsts.push(g_other);
+                    if let Some(d) = &prev.edge_data {
+                        ws.push(d[e0 + i]);
+                    }
+                }
+                if !dsts.is_empty() {
+                    insert_record(
+                        alloc_ref,
+                        &dest_ptr,
+                        &data_ptr,
+                        g_row,
+                        dsts,
+                        weighted.then_some(ws.as_slice()),
+                    );
+                }
+            });
+        });
+    } else {
+        // CSC rows are destinations, so sources vary within a row —
+        // keep the grouped sequential walk (runs are consecutive
+        // same-source spans of the in-edge adjacency).
+        let mut dsts: Vec<Node> = Vec::new();
+        let mut ws: Vec<u32> = Vec::new();
+        let mut run_src: Option<Node> = None;
+        let flush =
+            |src: Option<Node>, dsts: &mut Vec<Node>, ws: &mut Vec<u32>| {
+                if let Some(s) = src {
                     if !dsts.is_empty() {
                         insert_record(
                             alloc_ref,
                             &dest_ptr,
                             &data_ptr,
-                            g_row,
+                            s,
                             dsts,
                             weighted.then_some(ws.as_slice()),
                         );
                     }
-                });
-            });
-        } else {
-            // CSC rows are destinations, so sources vary within a row —
-            // keep the grouped sequential walk (runs are consecutive
-            // same-source spans of the in-edge adjacency).
-            let mut dsts: Vec<Node> = Vec::new();
-            let mut ws: Vec<u32> = Vec::new();
-            let mut run_src: Option<Node> = None;
-            let flush =
-                |src: Option<Node>, dsts: &mut Vec<Node>, ws: &mut Vec<u32>| {
-                    if let Some(s) = src {
-                        if !dsts.is_empty() {
-                            insert_record(
-                                alloc_ref,
-                                &dest_ptr,
-                                &data_ptr,
-                                s,
-                                dsts,
-                                weighted.then_some(ws.as_slice()),
-                            );
-                        }
-                    }
-                    dsts.clear();
-                    ws.clear();
-                };
-            for_each_kept_edge(prev, prev_csc, dirty, |src, dst, e| {
-                if run_src != Some(src) {
-                    flush(run_src, &mut dsts, &mut ws);
-                    run_src = Some(src);
                 }
-                dsts.push(dst);
-                if let Some(d) = &prev.edge_data {
-                    ws.push(d[e]);
-                }
-            });
-            flush(run_src, &mut dsts, &mut ws);
-        }
-
-        // --- 2. Dirty edges: the full phase, re-deciding only those. --------
-        construct(
-            ctx.comm,
-            &ctx.pool,
-            setup,
-            data,
-            masters,
-            rule,
-            estate,
-            alloc,
-            self.to_receive,
-            ctx.cfg,
-            dirty,
-        )
+                dsts.clear();
+                ws.clear();
+            };
+        for_each_kept_edge(prev, prev_csc, dirty, |src, dst, e| {
+            if run_src != Some(src) {
+                flush(run_src, &mut dsts, &mut ws);
+                run_src = Some(src);
+            }
+            dsts.push(dst);
+            if let Some(d) = &prev.edge_data {
+                ws.push(d[e]);
+            }
+        });
+        flush(run_src, &mut dsts, &mut ws);
     }
+
+    // --- 2. Dirty edges: the full phase, re-deciding only those. --------
+    construct(
+        ctx.comm,
+        &ctx.pool,
+        setup,
+        data,
+        masters,
+        rule,
+        ReplayReady::arm(estate),
+        alloc,
+        to_receive,
+        ctx.cfg,
+        dirty,
+    )
 }
 
 /// Incrementally repartitions a mutated graph against the previous run.
@@ -545,7 +537,9 @@ where
 
     // Phase 1: re-read the mutated graph (the slice is process memory, not
     // durable state — reading always re-runs, exactly as in the full driver).
-    let read = ctx.run_phase(ReadPhase { source: &source }, ());
+    let read = ctx.run_phase(PhaseId::Read, |_| {
+        read_phase(comm, &source, cfg).expect("failed to read input graph")
+    });
     let setup = read.setup;
     let mut data = read.data;
     debug_assert_eq!(setup.parts, prev.setup.parts, "host count changed between runs");
@@ -576,18 +570,20 @@ where
         prev_csc: cfg.output == OutputFormat::Csc,
         dirty: &dirty,
     };
-    let d = ctx.run_phase(DeltaAssignPhase(&cx), &mut data);
+    let d = ctx.run_phase(PhaseId::EdgeAssign, |ctx| delta_assign(ctx, &cx, &mut data));
 
     // Phase 4: allocation — unchanged; the synthesized outcome feeds the
     // exact same deterministic local-id layout a full run would compute.
     let spec = MasterSpec::PureRange(master_rule.pure_owned_range(comm.host() as PartId));
-    let mut alloc = ctx.run_phase(AllocPhase { spec, weighted: data.weighted() }, &d.ea);
+    let weighted = data.weighted();
+    let mut alloc = ctx.run_phase(PhaseId::Alloc, |ctx| {
+        allocate(comm.host(), &ctx.pool, spec, &d.ea, weighted)
+    });
 
     // Phase 5: delta construction (kept edges copied, dirty edges shipped).
-    let built = ctx.run_phase(
-        DeltaConstructPhase { cx: &cx, to_receive: d.ea.to_receive },
-        (&mut data, &mut alloc),
-    );
+    let built = ctx.run_phase(PhaseId::Construct, |ctx| {
+        delta_construct(ctx, &cx, &mut data, &mut alloc, d.ea.to_receive)
+    });
 
     PartitionOutput {
         dirty_vertices: dirty.len(),

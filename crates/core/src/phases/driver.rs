@@ -1,10 +1,10 @@
 //! Orchestrates the five partitioning phases on one host (paper Fig. 2).
 //!
-//! The driver is now a thin composition of [`Phase`] values executed by
+//! The driver is the five phase functions called in order, each under
 //! [`PhaseCtx::run_phase`]; all cross-cutting machinery (comm tagging,
-//! timing, barriers) lives in the pipeline harness, and the §IV-B4
-//! state-reset seam between allocation and construction is the
-//! [`ReplayReady`] token rather than a free-floating call.
+//! timing, barriers) lives in that harness, and the §IV-B4 state-reset
+//! seam between allocation and construction is the [`ReplayReady`] token
+//! `construct` takes rather than a free-floating call.
 //!
 //! # Crash recovery
 //!
@@ -19,8 +19,8 @@
 //! * The transport state is restored *after* the re-read
 //!   ([`Comm::restore_net`]), jumping send sequences, receive floors, and
 //!   the barrier count to the checkpointed boundary.
-//! * Checkpointed phases are **skipped**: their outputs are rebuilt from
-//!   the snapshot instead of re-communicated, so survivors parked in later
+//! * Checkpointed phases are **skipped**: their outputs are loaded from
+//!   the checkpoint instead of re-communicated, so survivors parked in later
 //!   phases never see re-driven protocol traffic for phases they finished.
 //! * Allocation (host-local) and construction always re-run; the replay
 //!   token resets the edge-rule state anyway, so a fresh state on the
@@ -33,17 +33,15 @@
 use cusp_graph::Csr;
 use cusp_net::Comm;
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointStore, EdgeAssignSnapshot, MastersSnapshot, Stage,
-};
-use crate::config::{CuspConfig, GraphSource, PhaseTimes};
+use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::config::{CuspConfig, GraphSource, PhaseId, PhaseTimes};
 use crate::dist_graph::{DistGraph, PartitionClass};
-use crate::phases::alloc::{AllocOutcome, MasterSpec};
-use crate::phases::master::pure_masters;
-use crate::phases::pipeline::{
-    AllocPhase, ConstructPhase, EdgeAssignPhase, MasterPhase, PhaseCtx, ReadPhase, ReplayReady,
-    SliceData,
-};
+use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
+use crate::phases::construct::construct;
+use crate::phases::edge_assign::{assign_edges, AllEdges, EdgeAssignOutcome};
+use crate::phases::master::{assign_masters, pure_masters, ResolvedMasters};
+use crate::phases::pipeline::{PhaseCtx, ReplayReady, SliceData};
+use crate::phases::read::read_phase;
 use crate::policy::{EdgeRule, MasterRule, Setup};
 use crate::state::PartitionState;
 use crate::PartId;
@@ -148,65 +146,53 @@ where
 
     // Phase 1: graph reading — always runs; on a restart the re-sent
     // traffic dedupes receiver-side and the barrier falls through.
-    let read = ctx.run_phase(ReadPhase { source: &source }, ());
+    let read = ctx.run_phase(PhaseId::Read, |_| {
+        read_phase(comm, &source, cfg).expect("failed to read input graph")
+    });
     let setup = read.setup;
     let mut data = read.data;
-
-    // With the slice back in memory, fast-forward the transport to the
-    // checkpointed boundary before skipping the phases it covers.
-    if let Some(ck) = &resume {
-        comm.restore_net(&ck.net);
-        cusp_obs::instant("ckpt_resume", ck.net.barrier_calls);
-    }
-
     let (master_rule, edge_rule) = build(&setup);
+    let save = |masters: &ResolvedMasters, edge_assign: Option<&EdgeAssignOutcome>| {
+        if let Some(s) = &store {
+            let _ = s.save(&comm.net_checkpoint(), masters, edge_assign);
+        }
+    };
 
-    // Phase 2: master assignment — skipped on resume (every checkpoint
-    // stage has it); the snapshot rebuilds the resolved locations, with
-    // pure rules re-deriving their replicated range starts from the rule.
-    let masters = match resume.as_ref().map(|ck| &ck.masters) {
-        Some(snap) => snap
-            .to_stored()
-            .unwrap_or_else(|| pure_masters(&master_rule, setup.parts)),
+    // Phase 2: master assignment, with the §IV-D5 elision for pure rules
+    // (unless the `force_stored_masters` ablation is on) — skipped on
+    // resume (every checkpoint has its output). With the slice back in
+    // memory, a resuming host first fast-forwards the transport to the
+    // checkpointed boundary.
+    let (masters, resumed_ea) = match resume {
+        Some(Checkpoint { net, masters, edge_assign }) => {
+            comm.restore_net(&net);
+            cusp_obs::instant("ckpt_resume", net.barrier_calls);
+            (masters, edge_assign)
+        }
         None => {
             let mstate = <MR as MasterRule>::State::new(setup.parts);
-            let masters = ctx.run_phase(
-                MasterPhase { setup: &setup, rule: &master_rule, state: &mstate },
-                &mut data,
-            );
-            if let Some(s) = &store {
-                let _ = s.save(&Checkpoint {
-                    stage: Stage::Master,
-                    net: comm.net_checkpoint(),
-                    masters: MastersSnapshot::of(&masters),
-                    edge_assign: None,
-                });
-            }
-            masters
+            let masters = ctx.run_phase(PhaseId::Master, |ctx| {
+                if master_rule.is_pure() && !cfg.force_stored_masters {
+                    pure_masters(&master_rule, setup.parts)
+                } else {
+                    assign_masters(comm, &ctx.pool, &setup, &mut data, &master_rule, &mstate, cfg)
+                }
+            });
+            save(&masters, None);
+            (masters, None)
         }
     };
 
-    // Phase 3: edge assignment — skipped when the checkpoint reached its
-    // boundary; rebuilt from the snapshot otherwise.
+    // Phase 3: edge assignment (Algorithm 3) — skipped when the checkpoint
+    // reached its boundary.
     let estate = <ER as EdgeRule>::State::new(setup.parts);
-    let ea = match resume.as_ref().and_then(|ck| ck.edge_assign.as_ref()) {
-        Some(snap) => snap.to_outcome(),
-        None => {
-            let ea = ctx.run_phase(
-                EdgeAssignPhase { setup: &setup, masters: &masters, rule: &edge_rule, state: &estate },
-                &mut data,
-            );
-            if let Some(s) = &store {
-                let _ = s.save(&Checkpoint {
-                    stage: Stage::EdgeAssign,
-                    net: comm.net_checkpoint(),
-                    masters: MastersSnapshot::of(&masters),
-                    edge_assign: Some(EdgeAssignSnapshot::of(&ea)),
-                });
-            }
-            ea
-        }
-    };
+    let ea = resumed_ea.unwrap_or_else(|| {
+        let ea = ctx.run_phase(PhaseId::EdgeAssign, |ctx| {
+            assign_edges(comm, &ctx.pool, &setup, &mut data, &masters, &edge_rule, &estate)
+        });
+        save(&masters, Some(&ea));
+        ea
+    });
 
     // Phase 4: graph allocation (host-local, no barrier).
     let spec = if masters.is_pure() {
@@ -218,20 +204,29 @@ where
                 .expect("stored master assignment produced no master list"),
         )
     };
-    let mut alloc = ctx.run_phase(AllocPhase { spec, weighted: data.weighted() }, &ea);
+    let weighted = data.weighted();
+    let mut alloc =
+        ctx.run_phase(PhaseId::Alloc, |ctx| allocate(me, &ctx.pool, spec, &ea, weighted));
 
-    // Phase 5: graph construction. Arming the replay token resets the
-    // edge-rule state so construction replays the assignment decisions.
-    let built = ctx.run_phase(
-        ConstructPhase {
-            setup: &setup,
-            masters: &masters,
-            rule: &edge_rule,
-            replay: ReplayReady::arm(&estate),
-            to_receive: ea.to_receive,
-        },
-        (&mut data, &mut alloc),
-    );
+    // Phase 5: graph construction (Algorithm 4). Arming the replay token
+    // resets the edge-rule state so construction replays the assignment
+    // decisions.
+    let replay = ReplayReady::arm(&estate);
+    let built = ctx.run_phase(PhaseId::Construct, |ctx| {
+        construct(
+            comm,
+            &ctx.pool,
+            &setup,
+            &mut data,
+            &masters,
+            &edge_rule,
+            replay,
+            &mut alloc,
+            ea.to_receive,
+            cfg,
+            &AllEdges,
+        )
+    });
 
     PartitionOutput::assemble(ctx, class, setup, &data, alloc, built)
 }

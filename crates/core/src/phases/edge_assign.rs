@@ -42,6 +42,7 @@ use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
 use crate::PartId;
 
 /// Everything a host learns in the edge assignment phase.
+#[derive(Debug, PartialEq, Eq)]
 pub struct EdgeAssignOutcome {
     /// Sources whose edges land on this partition: `(global id, edges,
     /// master partition)`. Includes locally kept sources.

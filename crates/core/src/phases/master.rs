@@ -55,6 +55,7 @@ use crate::PartId;
 /// window comparable to their count, lookup is a bounds check plus an array
 /// load (holes hold [`UNASSIGNED`]); for pathologically sparse id sets it
 /// falls back to binary search over the sorted ids.
+#[derive(Debug, PartialEq, Eq)]
 pub struct RemoteMasters {
     /// Requested node ids, sorted ascending.
     keys: Vec<Node>,
@@ -71,8 +72,15 @@ impl RemoteMasters {
     pub fn from_map(map: &HashMap<Node, PartId>) -> Self {
         let mut pairs: Vec<(Node, PartId)> = map.iter().map(|(&v, &p)| (v, p)).collect();
         pairs.sort_unstable_by_key(|&(v, _)| v);
-        let keys: Vec<Node> = pairs.iter().map(|&(v, _)| v).collect();
-        let vals: Vec<PartId> = pairs.iter().map(|&(_, p)| p).collect();
+        let (keys, vals) = pairs.into_iter().unzip();
+        Self::from_sorted(keys, vals)
+    }
+
+    /// Builds the lookup form from strictly ascending `keys` and their
+    /// masters (what [`RemoteMasters::iter`] yields — the checkpoint's
+    /// durable form).
+    pub(crate) fn from_sorted(keys: Vec<Node>, vals: Vec<PartId>) -> Self {
+        debug_assert!(keys.len() == vals.len() && keys.windows(2).all(|w| w[0] < w[1]));
         let (window_lo, window) = match (keys.first(), keys.last()) {
             (Some(&lo), Some(&hi)) => {
                 let span = (hi - lo) as usize + 1;
@@ -82,7 +90,7 @@ impl RemoteMasters {
                 // scattered across billions).
                 if span <= keys.len().saturating_mul(4).saturating_add(1024) {
                     let mut window = vec![UNASSIGNED; span];
-                    for &(v, p) in &pairs {
+                    for (&v, &p) in keys.iter().zip(&vals) {
                         window[(v - lo) as usize] = p;
                     }
                     (lo, window)
@@ -126,6 +134,7 @@ impl RemoteMasters {
 }
 
 /// Master assignments as visible to the later phases on one host.
+#[derive(Debug, PartialEq, Eq)]
 pub enum ResolvedMasters {
     /// Assignment is a replicated pure function: partition `p` owns the
     /// contiguous node range from `starts[p - 1]` (0 for `p = 0`) up to

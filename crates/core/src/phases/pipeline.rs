@@ -1,47 +1,34 @@
-//! The phase pipeline: a first-class [`Phase`] abstraction over the five
-//! partitioning steps, plus the chunk-streaming slice the phases consume.
+//! The phase pipeline: the per-host context and harness the five
+//! partitioning steps run under, plus the chunk-streaming slice they consume.
 //!
-//! The paper's Fig. 2 pipeline used to be hard-wired into one monolithic
-//! driver body: five function calls, each preceded by an ad-hoc
-//! `comm.set_phase` + `Instant::now()` pair and followed by a barrier.
-//! This module makes the seams explicit:
+//! The paper's Fig. 2 pipeline is five phases in a fixed order, so the
+//! drivers are five calls in that order; what this module holds is what the
+//! calls share:
 //!
 //! * [`PhaseCtx`] owns the per-host execution resources — comm handle,
 //!   thread pool, config, and the per-phase wall-clock timers — and its
 //!   [`PhaseCtx::run_phase`] harness tags communication, times the body,
-//!   and places the inter-phase barrier. Because the tag is set by the
-//!   harness itself, no phase traffic can ever land in the stats
-//!   collector's `(untagged)` bucket.
-//! * [`Phase`] is the unit of pipeline structure: a name (which doubles as
-//!   the comm accounting tag), a barrier policy, and a typed
-//!   `Input -> Output` transition. The five concrete phases are
-//!   [`ReadPhase`], [`MasterPhase`], [`EdgeAssignPhase`], [`AllocPhase`]
-//!   and [`ConstructPhase`].
+//!   and places the inter-phase barrier, all keyed by a [`PhaseId`]. Because
+//!   the tag is set by the harness itself, no phase traffic can ever land in
+//!   the stats collector's `(untagged)` bucket.
 //! * [`SliceData`] is what the reading phase hands to the edge-walking
 //!   phases: either the monolithic resident [`GraphSlice`] (the
 //!   `chunk_edges: None` identity case) or a [`ChunkedSlice`] stream of
 //!   node-aligned bounded chunks, so peak resident edge state is O(chunk)
 //!   instead of O(slice).
 //! * [`ReplayReady`] is the structural form of the §IV-B4 replay
-//!   invariant: [`ConstructPhase`] cannot be built without the token, and
-//!   the token's only constructor resets the edge-rule state — the reset
-//!   can no longer be forgotten by a driver edit.
+//!   invariant: `construct` takes the token where it would take the
+//!   edge-rule state, and the token's only constructor resets that state —
+//!   a driver that forgets the reset does not compile.
 
 use std::time::Instant;
 
 use cusp_galois::ThreadPool;
-use cusp_graph::{ChunkedSlice, Csr, GraphSlice, Node};
+use cusp_graph::{ChunkedSlice, GraphSlice, Node};
 use cusp_net::Comm;
 
-use crate::config::{CuspConfig, PhaseTimes};
-use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
-use crate::phases::construct::construct;
-use crate::phases::edge_assign::{assign_edges, AllEdges, EdgeAssignOutcome};
-use crate::phases::master::{assign_masters, pure_masters, ResolvedMasters};
-use crate::phases::read::{read_phase, ReadOutcome};
-use crate::policy::{EdgeRule, MasterRule, Setup};
+use crate::config::{CuspConfig, PhaseId, PhaseTimes};
 use crate::state::PartitionState;
-use crate::GraphSource;
 
 /// The host's read range as the edge-walking phases consume it: one
 /// resident slice, or a bounded-memory chunk stream over the same range.
@@ -177,48 +164,29 @@ impl<'a> PhaseCtx<'a> {
         }
     }
 
-    /// Runs one phase: tags all communication with [`Phase::NAME`], times
-    /// the body, and — when [`Phase::BARRIER`] — barriers before stopping
-    /// the clock so the per-phase times attribute cleanly across hosts.
-    pub fn run_phase<P: Phase>(&mut self, phase: P, input: P::Input) -> P::Output {
-        self.comm.set_phase(P::NAME);
+    /// Runs one phase body: tags all communication with the phase's name,
+    /// times the body, and — when [`PhaseId::barrier`] — barriers before
+    /// stopping the clock so the per-phase times attribute cleanly across
+    /// hosts.
+    pub fn run_phase<T>(&mut self, phase: PhaseId, body: impl FnOnce(&Self) -> T) -> T {
+        let name = phase.name();
+        self.comm.set_phase(name);
         if self.cfg.announce_phases {
             // Line-buffered stdout flushes on the newline, so the launch
             // supervisor sees the marker before any phase work begins —
             // the anchor `--kill-seed` injection is timed against.
-            println!("CUSP-WORKER-PHASE {}", P::NAME);
+            println!("CUSP-WORKER-PHASE {name}");
         }
-        cusp_obs::span_begin(P::NAME);
+        cusp_obs::span_begin(name);
         let t = Instant::now();
-        let out = phase.run(self, input);
-        if P::BARRIER {
+        let out = body(self);
+        if phase.barrier() {
             self.comm.barrier();
         }
-        self.times.record(P::NAME, t.elapsed());
-        cusp_obs::span_end(P::NAME);
+        self.times.record(phase, t.elapsed());
+        cusp_obs::span_end(name);
         out
     }
-}
-
-/// One step of the partitioning pipeline.
-///
-/// A phase is consumed by [`PhaseCtx::run_phase`], which handles the
-/// cross-cutting concerns (comm tagging, timing, barrier); `run` holds only
-/// the phase's own logic. Rule references and other phase-lifetime
-/// parameters live on the implementing struct; `Input`/`Output` carry the
-/// data products that flow between phases.
-pub trait Phase {
-    /// Phase name — the comm accounting tag and the [`PhaseTimes`] key.
-    const NAME: &'static str;
-    /// Whether a barrier separates this phase from the next (true for all
-    /// communicating phases; allocation is host-local and skips it).
-    const BARRIER: bool = true;
-    /// What the phase consumes.
-    type Input;
-    /// What the phase produces.
-    type Output;
-    /// Executes the phase body.
-    fn run(self, ctx: &mut PhaseCtx<'_>, input: Self::Input) -> Self::Output;
 }
 
 /// Proof token that the edge-rule state has been reset for the §IV-B4
@@ -227,9 +195,9 @@ pub trait Phase {
 /// Graph construction re-evaluates `getEdgeOwner` for every locally read
 /// edge and relies on the replay making *identical* decisions to edge
 /// assignment — which for stateful rules requires resetting the state to
-/// its pre-assignment value first. [`ConstructPhase`] demands this token,
-/// and the only way to mint one is [`ReplayReady::arm`], which performs the
-/// reset: the invariant is enforced by construction, not by the driver
+/// its pre-assignment value first. `construct` demands this token, and the
+/// only way to mint one is [`ReplayReady::arm`], which performs the reset:
+/// the invariant is enforced by construction, not by the driver
 /// remembering a call.
 pub struct ReplayReady<'s, S: PartitionState> {
     state: &'s S,
@@ -245,131 +213,6 @@ impl<'s, S: PartitionState> ReplayReady<'s, S> {
     /// The reset state, for the construction replay.
     pub fn state(&self) -> &'s S {
         self.state
-    }
-}
-
-/// Phase 1 — graph reading (§IV-B1). Yields the host's [`SliceData`]
-/// (monolithic or chunk-streaming per `CuspConfig::chunk_edges`) and the
-/// globally replicated [`Setup`].
-pub struct ReadPhase<'a> {
-    /// Where the input graph comes from.
-    pub source: &'a GraphSource,
-}
-
-impl Phase for ReadPhase<'_> {
-    const NAME: &'static str = "read";
-    type Input = ();
-    type Output = ReadOutcome;
-
-    fn run(self, ctx: &mut PhaseCtx<'_>, _input: ()) -> ReadOutcome {
-        read_phase(ctx.comm, self.source, ctx.cfg).expect("failed to read input graph")
-    }
-}
-
-/// Phase 2 — master assignment (§IV-B2). Applies the §IV-D5 elision for
-/// pure rules (unless the `force_stored_masters` ablation is on) and the
-/// stored sync protocol otherwise.
-pub struct MasterPhase<'a, MR: MasterRule> {
-    /// Global facts the rule was built from.
-    pub setup: &'a Setup,
-    /// The `getMaster` half of the policy.
-    pub rule: &'a MR,
-    /// The rule's partitioning state (`()` when stateless).
-    pub state: &'a MR::State,
-}
-
-impl<'a, MR: MasterRule> Phase for MasterPhase<'a, MR> {
-    const NAME: &'static str = "master";
-    type Input = &'a mut SliceData;
-    type Output = ResolvedMasters;
-
-    fn run(self, ctx: &mut PhaseCtx<'_>, data: &'a mut SliceData) -> ResolvedMasters {
-        if self.rule.is_pure() && !ctx.cfg.force_stored_masters {
-            pure_masters(self.rule, self.setup.parts)
-        } else {
-            assign_masters(ctx.comm, &ctx.pool, self.setup, data, self.rule, self.state, ctx.cfg)
-        }
-    }
-}
-
-/// Phase 3 — edge assignment (Algorithm 3, §IV-B3).
-pub struct EdgeAssignPhase<'a, ER: EdgeRule> {
-    /// Global facts the rule was built from.
-    pub setup: &'a Setup,
-    /// Resolved master locations from phase 2.
-    pub masters: &'a ResolvedMasters,
-    /// The `getEdgeOwner` half of the policy.
-    pub rule: &'a ER,
-    /// The rule's partitioning state (`()` when stateless).
-    pub state: &'a ER::State,
-}
-
-impl<'a, ER: EdgeRule> Phase for EdgeAssignPhase<'a, ER> {
-    const NAME: &'static str = "edge_assign";
-    type Input = &'a mut SliceData;
-    type Output = EdgeAssignOutcome;
-
-    fn run(self, ctx: &mut PhaseCtx<'_>, data: &'a mut SliceData) -> EdgeAssignOutcome {
-        assign_edges(ctx.comm, &ctx.pool, self.setup, data, self.masters, self.rule, self.state)
-    }
-}
-
-/// Phase 4 — graph allocation (§IV-B4). Host-local: no communication, no
-/// barrier (matching the monolithic driver, whose alloc step also ran
-/// un-barriered straight into construction).
-pub struct AllocPhase<'a> {
-    /// Where this host's master set comes from (stored list or pure range).
-    pub spec: MasterSpec<'a>,
-    /// Whether per-edge data buffers must be allocated.
-    pub weighted: bool,
-}
-
-impl<'a> Phase for AllocPhase<'a> {
-    const NAME: &'static str = "alloc";
-    const BARRIER: bool = false;
-    type Input = &'a EdgeAssignOutcome;
-    type Output = AllocOutcome;
-
-    fn run(self, ctx: &mut PhaseCtx<'_>, outcome: &'a EdgeAssignOutcome) -> AllocOutcome {
-        allocate(ctx.comm.host(), &ctx.pool, self.spec, outcome, self.weighted)
-    }
-}
-
-/// Phase 5 — graph construction (Algorithm 4, §IV-B5). Requires the
-/// [`ReplayReady`] token, making the state-reset seam between allocation
-/// and construction part of the type signature.
-pub struct ConstructPhase<'a, ER: EdgeRule> {
-    /// Global facts the rule was built from.
-    pub setup: &'a Setup,
-    /// Resolved master locations from phase 2.
-    pub masters: &'a ResolvedMasters,
-    /// The `getEdgeOwner` half of the policy.
-    pub rule: &'a ER,
-    /// Reset edge-rule state for the §IV-B4 replay.
-    pub replay: ReplayReady<'a, ER::State>,
-    /// Edges this host will receive, from the edge-assignment exchange.
-    pub to_receive: u64,
-}
-
-impl<'a, ER: EdgeRule> Phase for ConstructPhase<'a, ER> {
-    const NAME: &'static str = "construct";
-    type Input = (&'a mut SliceData, &'a mut AllocOutcome);
-    type Output = (Csr, Option<Vec<u32>>);
-
-    fn run(self, ctx: &mut PhaseCtx<'_>, (data, alloc): Self::Input) -> Self::Output {
-        construct(
-            ctx.comm,
-            &ctx.pool,
-            self.setup,
-            data,
-            self.masters,
-            self.rule,
-            self.replay.state(),
-            alloc,
-            self.to_receive,
-            ctx.cfg,
-            &AllEdges,
-        )
     }
 }
 

@@ -1,132 +1,14 @@
-//! Reducible accumulators and per-thread storage.
+//! Per-thread storage.
 //!
 //! Galois-style "reducibles": each thread updates a cache-line-padded
 //! private slot; the final value is produced by a reduction after the
 //! parallel loop. This avoids contended atomics on the hot path.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::utils::CachePadded;
 
 use crate::pool::ThreadPool;
-
-/// A sum accumulator with one padded atomic slot per pool thread.
-///
-/// The per-slot atomics are only ever contended when callers don't know
-/// their tid and fall back to [`Accumulator::add`]; loops that use
-/// [`crate::do_all_with_tid`] can use [`Accumulator::add_to`] for fully
-/// uncontended updates.
-pub struct Accumulator {
-    slots: Vec<CachePadded<AtomicU64>>,
-}
-
-impl Accumulator {
-    /// Creates an accumulator sized for `pool`.
-    pub fn new(pool: &ThreadPool) -> Self {
-        Self::with_slots(pool.threads())
-    }
-
-    /// Creates an accumulator with an explicit slot count.
-    pub fn with_slots(slots: usize) -> Self {
-        Accumulator {
-            slots: (0..slots.max(1))
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-        }
-    }
-
-    /// Adds `v` to a slot chosen by hashing the value address — safe from
-    /// any thread, mildly contended.
-    #[inline]
-    pub fn add(&self, v: u64) {
-        // Distribute over slots without thread-id plumbing: use the stack
-        // address of a local as a cheap per-thread discriminator.
-        let marker = 0u8;
-        let slot = (&marker as *const u8 as usize >> 8) % self.slots.len();
-        self.slots[slot].fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Adds `v` to thread `tid`'s private slot (uncontended).
-    #[inline]
-    pub fn add_to(&self, tid: usize, v: u64) {
-        self.slots[tid % self.slots.len()].fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Sums all slots.
-    pub fn reduce(&self) -> u64 {
-        self.slots.iter().map(|s| s.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Resets all slots to zero.
-    pub fn reset(&self) {
-        for s in &self.slots {
-            s.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A max-reduction over per-thread slots (initialized to `u64::MIN`).
-pub struct ReduceMax {
-    slots: Vec<CachePadded<AtomicU64>>,
-}
-
-impl ReduceMax {
-    /// Creates a new instance.
-    pub fn new(pool: &ThreadPool) -> Self {
-        ReduceMax {
-            slots: (0..pool.threads().max(1))
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-        }
-    }
-
-    /// Folds `v` into thread `tid`'s slot.
-    #[inline]
-    pub fn update(&self, tid: usize, v: u64) {
-        self.slots[tid % self.slots.len()].fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Reduces all per-thread slots into the final value.
-    pub fn reduce(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// A min-reduction over per-thread slots (initialized to `u64::MAX`).
-pub struct ReduceMin {
-    slots: Vec<CachePadded<AtomicU64>>,
-}
-
-impl ReduceMin {
-    /// Creates a new instance.
-    pub fn new(pool: &ThreadPool) -> Self {
-        ReduceMin {
-            slots: (0..pool.threads().max(1))
-                .map(|_| CachePadded::new(AtomicU64::new(u64::MAX)))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    /// Folds `v` into thread `tid`'s slot.
-    pub fn update(&self, tid: usize, v: u64) {
-        self.slots[tid % self.slots.len()].fetch_min(v, Ordering::Relaxed);
-    }
-
-    /// Reduces all per-thread slots into the final value.
-    pub fn reduce(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-}
 
 /// Per-thread mutable storage indexed by pool thread id.
 ///
@@ -194,40 +76,7 @@ impl<T> PerThread<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::do_all::{do_all, do_all_with_tid};
-
-    #[test]
-    fn accumulator_sums() {
-        let pool = ThreadPool::new(4);
-        let acc = Accumulator::new(&pool);
-        do_all(&pool, 10_000, 16, |i| acc.add(i as u64));
-        assert_eq!(acc.reduce(), (0..10_000u64).sum());
-        acc.reset();
-        assert_eq!(acc.reduce(), 0);
-    }
-
-    #[test]
-    fn accumulator_add_to_uncontended() {
-        let pool = ThreadPool::new(4);
-        let acc = Accumulator::new(&pool);
-        do_all_with_tid(&pool, 10_000, 16, |tid, i| acc.add_to(tid, i as u64));
-        assert_eq!(acc.reduce(), (0..10_000u64).sum());
-    }
-
-    #[test]
-    fn reduce_max_min() {
-        let pool = ThreadPool::new(3);
-        let mx = ReduceMax::new(&pool);
-        let mn = ReduceMin::new(&pool);
-        do_all_with_tid(&pool, 1000, 8, |tid, i| {
-            let v = ((i * 37) % 991) as u64;
-            mx.update(tid, v);
-            mn.update(tid, v);
-        });
-        let vals: Vec<u64> = (0..1000).map(|i| ((i * 37) % 991) as u64).collect();
-        assert_eq!(mx.reduce(), *vals.iter().max().unwrap());
-        assert_eq!(mn.reduce(), *vals.iter().min().unwrap());
-    }
+    use crate::do_all::do_all_with_tid;
 
     #[test]
     fn per_thread_collects() {

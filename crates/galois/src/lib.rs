@@ -11,44 +11,38 @@
 //! * [`do_all_stealing`] — a Chase–Lev work-stealing executor (built on
 //!   `crossbeam-deque`) for very irregular loops such as per-vertex edge
 //!   serialization, where a single high-degree vertex can dominate.
-//! * [`for_each`] — data-driven worklist execution (operators may push
-//!   new work), the construct Galois itself is named for;
 //! * [`prefix`] — two-pass parallel prefix sums (paper §IV-C2), used to
 //!   compact sparse per-vertex count vectors without fine-grained
 //!   synchronization.
-//! * [`accum`] — reducible accumulators and per-thread storage so that
-//!   threads can count/collect without sharing cache lines.
+//! * [`PerThread`] — per-thread storage so that threads can count/collect
+//!   without sharing cache lines.
 //!
 //! The pool is deliberately *not* global: in the CuSP reproduction each
 //! simulated host owns its own pool, mirroring one multi-core machine in a
 //! cluster.
 //!
 //! ```
-//! use cusp_galois::{ThreadPool, do_all, accum::Accumulator};
+//! use cusp_galois::{do_all_with_tid, PerThread, ThreadPool};
 //!
 //! let pool = ThreadPool::new(4);
-//! let acc = Accumulator::new(&pool);
-//! do_all(&pool, 1000, 16, |i| acc.add(i as u64));
-//! assert_eq!(acc.reduce(), (0..1000u64).sum());
+//! let sums: PerThread<u64> = PerThread::new(&pool, |_| 0);
+//! do_all_with_tid(&pool, 1000, 16, |tid, i| sums.with(tid, |s| *s += i as u64));
+//! assert_eq!(sums.into_inner().iter().sum::<u64>(), (0..1000u64).sum());
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod accum;
-pub mod barrier;
 pub mod do_all;
 pub mod pool;
 pub mod prefix;
 pub mod steal;
-pub mod worklist;
 
-pub use accum::{Accumulator, PerThread, ReduceMax, ReduceMin};
-pub use barrier::SenseBarrier;
+pub use accum::PerThread;
 pub use do_all::{do_all, do_all_items, do_all_with_tid};
 pub use pool::ThreadPool;
 pub use prefix::{exclusive_prefix_sum, inclusive_prefix_sum_in_place};
 pub use steal::do_all_stealing;
-pub use worklist::{for_each, WorklistHandle};
 
 /// Default grain size (items per chunk lower bound) for `do_all` loops over
 /// vertices. Chosen so chunk dispatch overhead stays well under 1% for

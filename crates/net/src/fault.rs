@@ -169,12 +169,6 @@ const SALT_KILL_VICTIM: u64 = 0x2545_f491_4f6c_dd1d;
 const SALT_KILL_PHASE: u64 = 0x9e6c_63d0_876a_8b03;
 const SALT_KILL_MODE: u64 = 0xe703_7ed1_a0b4_28db;
 
-/// The five pipeline phases a [`KillPlan`] can strike at, in execution
-/// order. Mirrors the phase names `cusp-core` announces on worker stdout
-/// (`CUSP-WORKER-PHASE <name>`), which is how the launcher knows the
-/// victim has reached the chosen point.
-pub const KILL_PHASES: [&str; 5] = ["read", "master", "edge_assign", "alloc", "construct"];
-
 /// How a [`KillPlan`] takes its victim down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillMode {
@@ -206,8 +200,8 @@ impl KillMode {
 pub struct KillDecision {
     /// The worker process to take down.
     pub victim: usize,
-    /// The phase announcement that triggers the kill (one of
-    /// [`KILL_PHASES`]).
+    /// The phase announcement that triggers the kill (one of the names
+    /// handed to [`KillPlan::decide`]).
     pub phase: &'static str,
     /// The method.
     pub mode: KillMode,
@@ -231,11 +225,15 @@ pub struct KillPlan {
 }
 
 impl KillPlan {
-    /// The kill decision for this seed. Pure in `(seed, hosts)`.
-    pub fn decide(&self) -> KillDecision {
+    /// The kill decision for this seed. Pure in `(seed, hosts, phases)`.
+    /// `phases` are the names the workers announce on stdout
+    /// (`CUSP-WORKER-PHASE <name>`, `cusp::PhaseTimes::NAMES` in execution
+    /// order), which is how the launcher knows the victim has reached the
+    /// chosen point.
+    pub fn decide(&self, phases: &[&'static str]) -> KillDecision {
         let hosts = self.hosts.max(1) as u64;
         let victim = (mix(self.seed ^ SALT_KILL_VICTIM) % hosts) as usize;
-        let phase = KILL_PHASES[(mix(self.seed ^ SALT_KILL_PHASE) % KILL_PHASES.len() as u64) as usize];
+        let phase = phases[(mix(self.seed ^ SALT_KILL_PHASE) % phases.len() as u64) as usize];
         let mode = match mix(self.seed ^ SALT_KILL_MODE) % 3 {
             0 => KillMode::Kill,
             1 => KillMode::Torn,
@@ -329,15 +327,17 @@ mod tests {
 
     #[test]
     fn kill_plan_is_pure_in_the_seed_and_covers_its_ranges() {
+        let phases = ["read", "master", "edge_assign", "alloc", "construct"];
         for seed in 0..64u64 {
             let plan = KillPlan { seed, hosts: 4 };
-            let a = plan.decide();
-            assert_eq!(a, plan.decide(), "same seed must replay the same kill");
+            let a = plan.decide(&phases);
+            assert_eq!(a, plan.decide(&phases), "same seed must replay the same kill");
             assert!(a.victim < 4);
-            assert!(KILL_PHASES.contains(&a.phase));
+            assert!(phases.contains(&a.phase));
         }
         // Across seeds, all three modes and more than one victim appear.
-        let decisions: Vec<_> = (0..64u64).map(|s| KillPlan { seed: s, hosts: 4 }.decide()).collect();
+        let decisions: Vec<_> =
+            (0..64u64).map(|s| KillPlan { seed: s, hosts: 4 }.decide(&phases)).collect();
         for mode in [KillMode::Kill, KillMode::Torn, KillMode::Wedge] {
             assert!(decisions.iter().any(|d| d.mode == mode), "{mode:?} never drawn");
         }

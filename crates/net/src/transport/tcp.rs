@@ -673,7 +673,11 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -> Rea
 // Handshake
 // ---------------------------------------------------------------------------
 
-fn hello_body(me: HostId, hosts: usize, run_nonce: u64, incarnation: u32) -> Bytes {
+/// The HELLO frame body. `#[doc(hidden)] pub`, like [`parse_hello`] and
+/// [`admit_incarnation`], so `tests/hello_props.rs` pins the very functions
+/// the dialer and both acceptors call — not part of the supported API.
+#[doc(hidden)]
+pub fn hello_body(me: HostId, hosts: usize, run_nonce: u64, incarnation: u32) -> Bytes {
     let mut w = WireWriter::with_capacity(25);
     w.put_u32(MAGIC);
     w.put_u8(TCP_PROTOCOL_VERSION);
@@ -741,7 +745,8 @@ fn dial(
 /// acceptor and the rejoin acceptor: magic, version, cluster shape, run
 /// nonce. Returns the claimed `(host_id, incarnation)`; the caller applies
 /// its own slot/staleness policy on top.
-fn parse_hello(
+#[doc(hidden)]
+pub fn parse_hello(
     body: &[u8],
     me: HostId,
     hosts: usize,
@@ -772,20 +777,34 @@ fn parse_hello(
     Ok((host_id, incarnation))
 }
 
-/// Validates one inbound HELLO during mesh establishment. `Ok` accepts the
-/// connection; `Err(reason)` is sent back in a REJECT frame.
-fn validate_hello(
-    body: &[u8],
-    me: HostId,
-    hosts: usize,
-    run_nonce: u64,
-    taken: &[bool],
-) -> Result<(HostId, u32), RejectReason> {
-    let (host_id, incarnation) = parse_hello(body, me, hosts, run_nonce)?;
-    if taken[host_id] {
-        return Err(RejectReason::BadHostId);
+/// Answers the HELLO on one accepted connection, the step the mesh
+/// acceptor and the rejoin acceptor share: `validate` is the caller's
+/// admission rule over the HELLO body. An admitted peer gets an ACCEPT and
+/// is returned as `(host_id, incarnation)`; a refused one gets a REJECT
+/// carrying the reason (the dialer sees it and errors out). `None` also
+/// covers strangers that never speak the protocol (port scans, stale
+/// workers), which are dropped silently.
+fn answer_hello(
+    stream: &mut TcpStream,
+    opts: &TcpOptions,
+    validate: impl FnOnce(&[u8]) -> Result<(HostId, u32), RejectReason>,
+) -> Option<(HostId, u32)> {
+    // The accepted socket may inherit the listener's non-blocking mode; the
+    // reader threads want plain blocking-with-timeout.
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(opts.handshake_timeout));
+    let (kind, body) = read_handshake_frame(stream).ok()?;
+    if kind != FRAME_HELLO {
+        return None;
     }
-    Ok((host_id, incarnation))
+    match validate(&body) {
+        Ok(admitted) => write_frame(stream, FRAME_ACCEPT, &[]).is_ok().then_some(admitted),
+        Err(reason) => {
+            let _ = write_frame(stream, FRAME_REJECT, &[reason as u8]);
+            None
+        }
+    }
 }
 
 /// Accept loop: collects `hosts - 1` validated peer connections, returning
@@ -824,29 +843,17 @@ fn accept_peers(
                 continue;
             }
         };
-        // The accepted socket may inherit the listener's non-blocking
-        // mode; the reader threads want plain blocking-with-timeout.
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(opts.handshake_timeout));
-        let Ok((kind, body)) = read_handshake_frame(&mut stream) else {
-            continue; // not a worker; drop silently
-        };
-        if kind != FRAME_HELLO {
-            continue;
-        }
-        match validate_hello(&body, me, hosts, run_nonce, &taken) {
-            Ok((peer, inc)) => {
-                if write_frame(&mut stream, FRAME_ACCEPT, &[]).is_err() {
-                    continue;
-                }
-                taken[peer] = true;
-                inbound.push((peer, inc, stream));
+        // Mesh admission: a run member whose slot is still free.
+        let admitted = answer_hello(&mut stream, opts, |body| {
+            let (peer, inc) = parse_hello(body, me, hosts, run_nonce)?;
+            if taken[peer] {
+                return Err(RejectReason::BadHostId);
             }
-            Err(reason) => {
-                let _ = write_frame(&mut stream, FRAME_REJECT, &[reason as u8]);
-                // Dropped: the dialer sees the REJECT and errors out.
-            }
+            Ok((peer, inc))
+        });
+        if let Some((peer, inc)) = admitted {
+            taken[peer] = true;
+            inbound.push((peer, inc, stream));
         }
     }
     Ok((listener, inbound))
@@ -873,81 +880,29 @@ fn rejoin_acceptor(listener: TcpListener, fabric: Arc<Fabric>, shared: Arc<TcpSh
                 continue;
             }
         };
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(shared.opts.handshake_timeout));
-        let Ok((kind, body)) = read_handshake_frame(&mut stream) else {
-            continue;
-        };
-        if kind != FRAME_HELLO {
-            continue;
-        }
-        match validate_rejoin(&body, &shared) {
-            Ok((peer, inc)) => {
-                if write_frame(&mut stream, FRAME_ACCEPT, &[]).is_err() {
-                    continue;
-                }
-                handle_rejoin(&fabric, &shared, peer, inc, stream);
-            }
-            Err(reason) => {
-                let _ = write_frame(&mut stream, FRAME_REJECT, &[reason as u8]);
-            }
+        // Rejoin admission: protocol fields must match the run, and the
+        // claimed incarnation must be strictly newer than the last one
+        // accepted for that peer (equal or older = a stale duplicate, not a
+        // respawn).
+        let admitted = answer_hello(&mut stream, &shared.opts, |body| {
+            let (peer, inc) = parse_hello(body, shared.me, shared.hosts, shared.run_nonce)?;
+            admit_incarnation(inc, shared.peer_incarnation[peer].load(Ordering::Acquire))?;
+            Ok((peer, inc))
+        });
+        if let Some((peer, inc)) = admitted {
+            handle_rejoin(&fabric, &shared, peer, inc, stream);
         }
     }
-}
-
-/// Rejoin admission policy: protocol fields must match the run, and the
-/// claimed incarnation must be strictly newer than the last one accepted
-/// for that peer (equal or older = a stale duplicate, not a respawn).
-fn validate_rejoin(body: &[u8], shared: &TcpShared) -> Result<(HostId, u32), RejectReason> {
-    let (peer, inc) =
-        parse_hello(body, shared.me, shared.hosts, shared.run_nonce)?;
-    admit_incarnation(inc, shared.peer_incarnation[peer].load(Ordering::Acquire))?;
-    Ok((peer, inc))
 }
 
 /// The rejoin staleness rule, isolated so the property battery can pin it:
 /// only a strictly newer incarnation supersedes the last admitted one.
-fn admit_incarnation(claimed: u32, last_admitted: u32) -> Result<(), RejectReason> {
+#[doc(hidden)]
+pub fn admit_incarnation(claimed: u32, last_admitted: u32) -> Result<(), RejectReason> {
     if claimed <= last_admitted {
         return Err(RejectReason::StaleIncarnation);
     }
     Ok(())
-}
-
-/// Test-support access to the pure handshake codec: the exact encode /
-/// parse / admission functions the dialer and both acceptors use, without
-/// opening sockets. Hidden — not part of the supported API.
-#[doc(hidden)]
-pub mod hello_codec {
-    use super::HostId;
-    use crate::transport::RejectReason;
-
-    pub fn admit_incarnation(claimed: u32, last_admitted: u32) -> Result<(), RejectReason> {
-        super::admit_incarnation(claimed, last_admitted)
-    }
-
-    /// Byte offsets of the HELLO fields, for targeted corruption.
-    pub const MAGIC_RANGE: std::ops::Range<usize> = 0..4;
-    pub const VERSION_RANGE: std::ops::Range<usize> = 4..5;
-    pub const HOST_ID_RANGE: std::ops::Range<usize> = 5..9;
-    pub const HOSTS_RANGE: std::ops::Range<usize> = 9..13;
-    pub const NONCE_RANGE: std::ops::Range<usize> = 13..21;
-    pub const INCARNATION_RANGE: std::ops::Range<usize> = 21..25;
-    pub const HELLO_LEN: usize = 25;
-
-    pub fn encode_hello(me: HostId, hosts: usize, run_nonce: u64, incarnation: u32) -> Vec<u8> {
-        super::hello_body(me, hosts, run_nonce, incarnation).to_vec()
-    }
-
-    pub fn parse_hello(
-        body: &[u8],
-        me: HostId,
-        hosts: usize,
-        run_nonce: u64,
-    ) -> Result<(HostId, u32), RejectReason> {
-        super::parse_hello(body, me, hosts, run_nonce)
-    }
 }
 
 /// Splices a reconnecting peer back into the mesh: supersede the stale

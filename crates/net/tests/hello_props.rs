@@ -10,11 +10,22 @@
 
 use proptest::prelude::*;
 
-use cusp_net::transport::tcp::hello_codec::{
-    admit_incarnation, encode_hello, parse_hello, HELLO_LEN, HOSTS_RANGE, HOST_ID_RANGE,
-    INCARNATION_RANGE, MAGIC_RANGE, NONCE_RANGE, VERSION_RANGE,
-};
+use cusp_net::transport::tcp::{admit_incarnation, hello_body, parse_hello};
 use cusp_net::RejectReason;
+
+/// Byte offsets of the HELLO fields, for targeted corruption.
+const MAGIC_RANGE: std::ops::Range<usize> = 0..4;
+const VERSION_RANGE: std::ops::Range<usize> = 4..5;
+const HOST_ID_RANGE: std::ops::Range<usize> = 5..9;
+const HOSTS_RANGE: std::ops::Range<usize> = 9..13;
+const NONCE_RANGE: std::ops::Range<usize> = 13..21;
+const INCARNATION_RANGE: std::ops::Range<usize> = 21..25;
+const HELLO_LEN: usize = 25;
+
+/// The HELLO exactly as the dialer frames it, as mutable bytes.
+fn encode_hello(me: usize, hosts: usize, run_nonce: u64, incarnation: u32) -> Vec<u8> {
+    hello_body(me, hosts, run_nonce, incarnation).to_vec()
+}
 
 /// A cluster shape and a sender/receiver pair within it.
 fn cluster() -> impl Strategy<Value = (usize, usize, usize)> {

@@ -157,7 +157,9 @@ pub enum Request {
     /// Apply a mutation batch to an uploaded graph: the events are
     /// journaled to the tenant's WAL, the stored graph advances to the
     /// mutated fingerprint, and every cache entry keyed by the old
-    /// fingerprint becomes unreachable.
+    /// fingerprint becomes unreachable. On the wire the batch is the WAL
+    /// record payload ([`cusp_graph::wal::encode_batch`]), so the bytes a
+    /// client sends are the bytes the server journals.
     Apply {
         /// Tenant namespace.
         tenant: String,
@@ -184,12 +186,6 @@ const TAG_R_GRAPHS: u8 = 0x85;
 const TAG_R_SERVER_STATS: u8 = 0x86;
 const TAG_R_APPLIED: u8 = 0x87;
 const TAG_R_ERROR: u8 = 0xFF;
-
-// Event kinds inside an `Apply` body.
-const EV_ADD: u8 = 0;
-const EV_ADD_WEIGHTED: u8 = 1;
-const EV_REMOVE: u8 = 2;
-const EV_SET_WEIGHT: u8 = 3;
 
 /// A server-to-client message.
 #[derive(Debug, Clone, PartialEq)]
@@ -386,33 +382,9 @@ impl Request {
                 w.put_u8(TAG_APPLY);
                 put_str(&mut w, tenant);
                 put_str(&mut w, graph);
-                w.put_u64(batch.len() as u64);
-                for ev in batch {
-                    match *ev {
-                        cusp_graph::GraphEvent::AddEdge { src, dst, weight: None } => {
-                            w.put_u8(EV_ADD);
-                            w.put_u32(src);
-                            w.put_u32(dst);
-                        }
-                        cusp_graph::GraphEvent::AddEdge { src, dst, weight: Some(wt) } => {
-                            w.put_u8(EV_ADD_WEIGHTED);
-                            w.put_u32(src);
-                            w.put_u32(dst);
-                            w.put_u32(wt);
-                        }
-                        cusp_graph::GraphEvent::RemoveEdge { src, dst } => {
-                            w.put_u8(EV_REMOVE);
-                            w.put_u32(src);
-                            w.put_u32(dst);
-                        }
-                        cusp_graph::GraphEvent::SetWeight { src, dst, weight } => {
-                            w.put_u8(EV_SET_WEIGHT);
-                            w.put_u32(src);
-                            w.put_u32(dst);
-                            w.put_u32(weight);
-                        }
-                    }
-                }
+                // The rest of the payload is the batch exactly as the WAL
+                // records it: the wire and the log speak the same bytes.
+                w.put_raw(&cusp_graph::wal::encode_batch(batch));
             }
         }
         w.finish().to_vec()
@@ -460,39 +432,16 @@ impl Request {
             TAG_APPLY => {
                 let tenant = get_str(&mut r, MAX_NAME)?;
                 let graph = get_str(&mut r, MAX_NAME)?;
-                let n = r.get_u64()? as usize;
-                if n > MAX_BATCH_EVENTS {
+                // The rest of the payload is one WAL batch record. Its
+                // leading u32 count is capped here; `decode_batch` checks it
+                // against the bytes present before it allocates.
+                let rest = &payload[payload.len() - r.remaining()..];
+                if r.get_u32()? as usize > MAX_BATCH_EVENTS {
                     return Err(ProtocolError::BadValue("batch event count"));
                 }
-                // Each event is at least 9 bytes; bound the claimed count
-                // by what could possibly be present before allocating.
-                if n > r.remaining() / 9 {
-                    return Err(ProtocolError::Truncated {
-                        needed: n.saturating_mul(9),
-                        available: r.remaining(),
-                    });
-                }
-                let mut batch = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let kind = r.get_u8()?;
-                    let src = r.get_u32()?;
-                    let dst = r.get_u32()?;
-                    batch.push(match kind {
-                        EV_ADD => cusp_graph::GraphEvent::AddEdge { src, dst, weight: None },
-                        EV_ADD_WEIGHTED => cusp_graph::GraphEvent::AddEdge {
-                            src,
-                            dst,
-                            weight: Some(r.get_u32()?),
-                        },
-                        EV_REMOVE => cusp_graph::GraphEvent::RemoveEdge { src, dst },
-                        EV_SET_WEIGHT => cusp_graph::GraphEvent::SetWeight {
-                            src,
-                            dst,
-                            weight: r.get_u32()?,
-                        },
-                        _ => return Err(ProtocolError::BadValue("event kind")),
-                    });
-                }
+                let batch =
+                    cusp_graph::wal::decode_batch(rest).map_err(ProtocolError::BadValue)?;
+                r.skip(r.remaining())?; // `decode_batch` accounted for every byte
                 Request::Apply { tenant, graph, batch }
             }
             other => return Err(ProtocolError::UnknownTag(other)),
@@ -986,46 +935,76 @@ mod tests {
     }
 
     #[test]
-    fn hostile_apply_batches_are_typed() {
-        // A batch claiming 2^40 events with a few bytes behind it.
+    fn apply_payload_ends_with_the_wal_record_payload() {
+        let req = sample_requests().pop().unwrap();
+        let Request::Apply { batch, .. } = &req else { panic!("last sample is the Apply") };
+        let record = cusp_graph::wal::encode_batch(batch);
+        let payload = req.encode();
+        assert_eq!(&payload[payload.len() - record.len()..], &record[..]);
+        // tag + two u32-length strings ("acme", "web") precede it, nothing else.
+        assert_eq!(payload.len() - record.len(), 1 + (4 + 4) + (4 + 3));
+    }
+
+    /// An `Apply` payload for tenant "t", graph "g" whose batch bytes are
+    /// `batch`.
+    fn apply_with(batch: &[u8]) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_u8(TAG_APPLY);
         put_str(&mut w, "t");
         put_str(&mut w, "g");
-        w.put_u64(1 << 40);
-        w.put_raw(&[0u8; 18]);
-        let err = Request::decode(&w.finish()).unwrap_err();
-        assert!(
-            matches!(err, ProtocolError::BadValue(_) | ProtocolError::Truncated { .. }),
-            "{err:?}"
+        w.put_raw(batch);
+        w.finish().to_vec()
+    }
+
+    #[test]
+    fn hostile_apply_batches_are_typed() {
+        use cusp_graph::wal::encode_batch;
+        use cusp_graph::GraphEvent;
+
+        // A batch claiming more events than the cap, with a few bytes
+        // behind it — refused on the count alone.
+        let mut bytes = (MAX_BATCH_EVENTS as u32 + 1).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 18]);
+        assert_eq!(
+            Request::decode(&apply_with(&bytes)),
+            Err(ProtocolError::BadValue("batch event count"))
+        );
+
+        // A count under the cap that the bytes present cannot back.
+        let mut bytes = 1000u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 18]);
+        assert_eq!(
+            Request::decode(&apply_with(&bytes)),
+            Err(ProtocolError::BadValue("event count exceeds payload"))
         );
 
         // An unknown event kind.
-        let mut w = WireWriter::new();
-        w.put_u8(TAG_APPLY);
-        put_str(&mut w, "t");
-        put_str(&mut w, "g");
-        w.put_u64(1);
-        w.put_u8(9); // no such kind
-        w.put_u32(0);
-        w.put_u32(1);
+        let mut bytes = encode_batch(&[GraphEvent::RemoveEdge { src: 0, dst: 1 }]);
+        bytes[4] = 9; // no such kind
         assert_eq!(
-            Request::decode(&w.finish()),
-            Err(ProtocolError::BadValue("event kind"))
+            Request::decode(&apply_with(&bytes)),
+            Err(ProtocolError::BadValue("bad event tag"))
         );
 
         // A weighted add cut off before its weight.
-        let mut w = WireWriter::new();
-        w.put_u8(TAG_APPLY);
-        put_str(&mut w, "t");
-        put_str(&mut w, "g");
-        w.put_u64(1);
-        w.put_u8(EV_ADD_WEIGHTED);
-        w.put_u32(0);
-        w.put_u32(1);
+        let bytes = encode_batch(&[GraphEvent::AddEdge { src: 0, dst: 1, weight: Some(7) }]);
+        assert_eq!(
+            Request::decode(&apply_with(&bytes[..bytes.len() - 4])),
+            Err(ProtocolError::BadValue("truncated event"))
+        );
+
+        // A batch cut off inside its count.
         assert!(matches!(
-            Request::decode(&w.finish()),
+            Request::decode(&apply_with(&[1, 0])),
             Err(ProtocolError::Truncated { .. })
         ));
+
+        // Bytes after the last event.
+        let mut bytes = encode_batch(&[GraphEvent::RemoveEdge { src: 0, dst: 1 }]);
+        bytes.push(0xAA);
+        assert_eq!(
+            Request::decode(&apply_with(&bytes)),
+            Err(ProtocolError::BadValue("trailing bytes after events"))
+        );
     }
 }

@@ -33,6 +33,21 @@ fn valid_frame() -> Vec<u8> {
     encode_frame(&sample_request("acme", 4).encode())
 }
 
+/// An `Apply` covering every event shape of the shared WAL batch codec.
+fn sample_apply() -> Request {
+    use cusp_graph::GraphEvent;
+    Request::Apply {
+        tenant: "acme".to_string(),
+        graph: "g1".to_string(),
+        batch: vec![
+            GraphEvent::AddEdge { src: 0, dst: 9, weight: None },
+            GraphEvent::AddEdge { src: 1, dst: 2, weight: Some(7) },
+            GraphEvent::RemoveEdge { src: 2, dst: 0 },
+            GraphEvent::SetWeight { src: 1, dst: 2, weight: 50 },
+        ],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -82,6 +97,38 @@ proptest! {
             decode_frame(&frame, DEFAULT_MAX_FRAME).is_err(),
             "bit {bit} flip went undetected"
         );
+    }
+
+    /// The same two corruptions against an `Apply`, whose body is a WAL
+    /// batch record: inside a frame the CRC catches every flip and every
+    /// cut, and the bare body decoder — which a CRC does not shield —
+    /// rejects every proper prefix and never panics on a flipped bit (a
+    /// flip in a vertex id or weight is a different valid batch; anything
+    /// else is a typed error).
+    #[test]
+    fn apply_corruption_is_typed(pos in 0usize..(1 << 16)) {
+        let req = sample_apply();
+        let payload = req.encode();
+        let frame = encode_frame(&payload);
+
+        let mut flipped = frame.clone();
+        let bit = pos % (frame.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        prop_assert!(decode_frame(&flipped, DEFAULT_MAX_FRAME).is_err(), "frame bit {bit}");
+        let cut = pos % frame.len();
+        prop_assert!(
+            matches!(decode_frame(&frame[..cut], DEFAULT_MAX_FRAME), Err(ProtocolError::Truncated { .. })),
+            "frame cut {cut}"
+        );
+
+        let cut = pos % payload.len();
+        prop_assert!(Request::decode(&payload[..cut]).is_err(), "body cut {cut} accepted");
+        let mut body = payload.clone();
+        let bit = pos % (payload.len() * 8);
+        body[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(back) = Request::decode(&body) {
+            prop_assert!(matches!(back, Request::Apply { .. }) && back != req, "body bit {bit}");
+        }
     }
 
     /// A length prefix above the cap is rejected *before* any payload

@@ -768,7 +768,7 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
             .unwrap_or(100),
     );
     let plan = kill_seed.map(|seed| {
-        let d = cusp_net::KillPlan { seed, hosts }.decide();
+        let d = cusp_net::KillPlan { seed, hosts }.decide(&cusp::PhaseTimes::NAMES);
         println!(
             "kill plan: seed {seed} -> host {victim}, {mode} @ {phase} (max {max_restarts} restart(s))",
             victim = d.victim,
