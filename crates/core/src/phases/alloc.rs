@@ -6,13 +6,21 @@
 //! mirrors, each ascending by global id), builds the global↔local maps,
 //! and allocates the partition CSR so that construction can insert edges
 //! in parallel as they arrive.
+//!
+//! It is host-local and single-threaded between two parallel phases, so it
+//! is held to the cost of its output: the mirror list is a merge of the
+//! ascending runs edge assignment delivered (no sort), the global→local
+//! window is scattered straight from `local2global` (sorted keys exist only
+//! in the sparse fallback), and the edge buffers are reserved, not
+//! zero-filled — construction writes every slot exactly once and gives the
+//! buffers their length only after checking that it did.
 
 use std::sync::atomic::AtomicU64;
 
 use cusp_galois::{exclusive_prefix_sum, ThreadPool};
 use cusp_graph::{EdgeIdx, Node};
 
-use crate::phases::edge_assign::EdgeAssignOutcome;
+use crate::phases::edge_assign::{merge_runs, EdgeAssignOutcome};
 use crate::PartId;
 
 /// Sentinel for a dense-index hole (no proxy with that global id).
@@ -28,13 +36,17 @@ pub struct AllocOutcome {
     pub master_of: Vec<PartId>,
     /// CSR offsets (`num_local + 1`).
     pub offsets: Vec<EdgeIdx>,
-    /// Destination buffer to fill during construction (local ids).
+    /// Destination buffer (local ids) that construction fills through raw
+    /// slot pointers: capacity for every edge, length 0 until construction
+    /// has checked that every reserved slot was written.
     pub dests: Vec<Node>,
-    /// Per-edge data buffer, same slots as `dests` (weighted inputs only).
+    /// Per-edge data buffer, same slots and same length rule as `dests`
+    /// (weighted inputs only).
     pub edge_data: Option<Vec<u32>>,
     /// Per-node insertion cursors for lock-free parallel filling.
     pub cursors: Vec<AtomicU64>,
-    /// Global ids of all proxies, sorted ascending (fallback index).
+    /// Global ids of all proxies, sorted ascending — the fallback index,
+    /// built only when `dense_index` is not.
     index_keys: Vec<Node>,
     /// Local id of `index_keys[i]`.
     index_locals: Vec<u32>,
@@ -49,37 +61,29 @@ impl AllocOutcome {
     /// Builds the global→local index over a finished `local2global` map.
     ///
     /// Construction resolves every received destination through
-    /// [`AllocOutcome::local_of`] — once per edge — so the two-segment
-    /// binary search this used to do is frozen into a dense window (holes
-    /// hold [`NO_PROXY`]) whenever the proxy ids span an affordable range,
-    /// with a single sorted-array search as the sparse fallback.
+    /// [`AllocOutcome::local_of`] — once per edge — so the lookup is a dense
+    /// window (holes hold [`NO_PROXY`]), scattered straight from
+    /// `local2global`, whenever the proxy ids span an affordable range. Only
+    /// the sparse fallback needs the ids sorted, for a binary search; its
+    /// two segments are ascending already, so that is one merge.
     fn build_index(local2global: &[Node]) -> (Vec<Node>, Vec<u32>, Node, Vec<u32>) {
-        let mut pairs: Vec<(Node, u32)> = local2global
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l as u32))
-            .collect();
-        pairs.sort_unstable_by_key(|&(g, _)| g);
-        let keys: Vec<Node> = pairs.iter().map(|&(g, _)| g).collect();
-        let locals: Vec<u32> = pairs.iter().map(|&(_, l)| l).collect();
-        let (index_lo, dense) = match (keys.first(), keys.last()) {
-            (Some(&lo), Some(&hi)) => {
-                let span = (hi - lo) as usize + 1;
-                // Partitions of real graphs have proxies blanketing the id
-                // space; the cap only rejects degenerate sparse layouts.
-                if span <= keys.len().saturating_mul(4).saturating_add(1024) {
-                    let mut dense = vec![NO_PROXY; span];
-                    for &(g, l) in &pairs {
-                        dense[(g - lo) as usize] = l;
-                    }
-                    (lo, dense)
-                } else {
-                    (0, Vec::new())
-                }
-            }
-            _ => (0, Vec::new()),
+        let (Some(&lo), Some(&hi)) = (local2global.iter().min(), local2global.iter().max()) else {
+            return (Vec::new(), Vec::new(), 0, Vec::new());
         };
-        (keys, locals, index_lo, dense)
+        let span = (hi - lo) as usize + 1;
+        // Partitions of real graphs have proxies blanketing the id space;
+        // the cap only rejects degenerate sparse layouts.
+        if span <= local2global.len().saturating_mul(4).saturating_add(1024) {
+            let mut dense = vec![NO_PROXY; span];
+            for (l, &g) in local2global.iter().enumerate() {
+                dense[(g - lo) as usize] = l as u32;
+            }
+            return (Vec::new(), Vec::new(), lo, dense);
+        }
+        let pairs: Vec<(Node, u32)> =
+            local2global.iter().enumerate().map(|(l, &g)| (g, l as u32)).collect();
+        let (keys, locals) = merge_runs(pairs).into_iter().unzip();
+        (keys, locals, 0, Vec::new())
     }
 
     /// Local id of global vertex `v` (must exist in this partition).
@@ -156,7 +160,9 @@ fn build(
             debug_assert!(in_masters(s), "locally mastered source {s} missing from master set");
         }
     }
-    mirror_pairs.sort_unstable();
+    // Ascending runs — the deduplicated mirrors, then one block of sources
+    // per sender — that may repeat a node between them.
+    let mut mirror_pairs = merge_runs(mirror_pairs);
     mirror_pairs.dedup();
     debug_assert!(
         mirror_pairs.windows(2).all(|w| w[0].0 != w[1].0),
@@ -203,10 +209,12 @@ fn build(
         .map(|&o| AtomicU64::new(o))
         .collect();
 
+    // Capacity only: zero-filling would write (and fault in) every page of
+    // the output once before construction writes it again.
     AllocOutcome {
         offsets,
-        dests: vec![0 as Node; total as usize],
-        edge_data: weighted.then(|| vec![0u32; total as usize]),
+        dests: Vec::with_capacity(total as usize),
+        edge_data: weighted.then(|| Vec::with_capacity(total as usize)),
         cursors,
         ..alloc
     }
@@ -215,6 +223,9 @@ fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn outcome() -> EdgeAssignOutcome {
         EdgeAssignOutcome {
@@ -238,7 +249,7 @@ mod tests {
         assert_eq!(a.master_of, vec![0, 0, 1, 2]);
         // degrees: node 2 → 3, node 7 → 2, others 0.
         assert_eq!(a.offsets, vec![0, 3, 3, 5, 5]);
-        assert_eq!(a.dests.len(), 5);
+        assert!(a.dests.capacity() >= 5 && a.dests.is_empty(), "capacity only until construction");
         assert_eq!(a.local_of(2), 0);
         assert_eq!(a.local_of(9), 3);
     }
@@ -257,7 +268,7 @@ mod tests {
         assert_eq!(a.num_masters, 3);
         assert_eq!(a.master_of, vec![0, 0, 0, 1]);
         assert_eq!(a.offsets, vec![0, 1, 1, 1, 1]);
-        assert_eq!(a.edge_data.as_ref().map(Vec::len), Some(1));
+        assert!(a.edge_data.as_ref().is_some_and(|d| d.capacity() >= 1 && d.is_empty()));
     }
 
     #[test]
@@ -297,5 +308,136 @@ mod tests {
             false,
         );
         let _ = a.local_of(99);
+    }
+
+    /// Every order `0..n` can be arranged in.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![vec![]];
+        }
+        permutations(n - 1)
+            .into_iter()
+            .flat_map(|p| {
+                (0..n).map(move |at| {
+                    let mut q = p.clone();
+                    q.insert(at, n - 1);
+                    q
+                })
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// `allocate` against a `BTreeMap` build of the same layout, over
+        /// random outcomes: an own block and one block of sources per peer
+        /// in every arrival order, nodes that are both a reported mirror
+        /// and a remote-master source, empty master ranges, stored and
+        /// range master specs, and id strides from blanketing (dense
+        /// window) to scattered (sorted-key fallback).
+        #[test]
+        fn allocate_matches_a_btreemap_build(
+            k in 1usize..5,
+            me_pick in 0usize..4,
+            stride in prop_oneof![Just(1u32), Just(3), Just(40), Just(5_000_000)],
+            (m_lo, m_len) in (0u32..60, 0u32..40),
+            stored in any::<bool>(),
+            weighted in any::<bool>(),
+            // (node, sender (≥ k: not a source), edges, reported as a mirror)
+            nodes in proptest::collection::vec((0u32..160, 0usize..6, 1u32..5, any::<bool>()), 0..120),
+        ) {
+            let me = me_pick % k;
+            let in_masters = |v: u32| (m_lo..m_lo + m_len).contains(&v);
+            let master = |v: u32| -> Option<usize> {
+                if in_masters(v) {
+                    Some(me)
+                } else {
+                    (k > 1).then(|| (me + 1 + v as usize % (k - 1)) % k)
+                }
+            };
+            let mut roles: BTreeMap<u32, (usize, u32, bool)> = BTreeMap::new();
+            for &(v, sender, c, mirror) in &nodes {
+                roles.entry(v).or_insert((sender, c, mirror));
+            }
+            // Blocks and mirrors ascend because `roles` iterates in id order.
+            let mut blocks: Vec<Vec<(Node, u32, PartId)>> = vec![Vec::new(); k];
+            let mut mirrors: Vec<(Node, PartId)> = Vec::new();
+            for (&v, &(sender, c, mirror)) in &roles {
+                let Some(m) = master(v) else { continue };
+                if sender < k {
+                    blocks[sender].push((v * stride, c, m as PartId));
+                }
+                if mirror && m != me {
+                    mirrors.push((v * stride, m as PartId));
+                }
+            }
+            let master_ids: Vec<Node> = (m_lo..m_lo + m_len).map(|v| v * stride).collect();
+            let peers: Vec<usize> = (0..k).filter(|&h| h != me).collect();
+
+            // The reference layout, independent of arrival order.
+            let mut mirror_map: BTreeMap<Node, PartId> = mirrors.iter().copied().collect();
+            for &(s, _, sm) in blocks.iter().flatten() {
+                if sm as usize != me {
+                    mirror_map.insert(s, sm);
+                }
+            }
+            let want_l2g: Vec<Node> =
+                master_ids.iter().copied().chain(mirror_map.keys().copied()).collect();
+            let want_master_of: Vec<PartId> = std::iter::repeat_n(me as PartId, master_ids.len())
+                .chain(mirror_map.values().copied())
+                .collect();
+            let want_local: BTreeMap<Node, u32> =
+                want_l2g.iter().enumerate().map(|(l, &g)| (g, l as u32)).collect();
+            let mut degrees = vec![0u64; want_l2g.len()];
+            for &(s, c, _) in blocks.iter().flatten() {
+                degrees[want_local[&s] as usize] += c as u64;
+            }
+            let mut want_offsets = vec![0u64];
+            for d in &degrees {
+                want_offsets.push(want_offsets.last().unwrap() + d);
+            }
+            let total = *want_offsets.last().unwrap() as usize;
+
+            let pool = ThreadPool::new(2);
+            for order in permutations(peers.len()) {
+                let mut incoming_srcs = blocks[me].clone();
+                for &i in &order {
+                    incoming_srcs.extend_from_slice(&blocks[peers[i]]);
+                }
+                let outcome = EdgeAssignOutcome {
+                    incoming_srcs,
+                    mirrors: mirrors.clone(),
+                    my_master_nodes: None,
+                    to_receive: 0,
+                };
+                let spec = if stored || stride > 1 {
+                    MasterSpec::Stored(&master_ids)
+                } else {
+                    MasterSpec::PureRange(m_lo..m_lo + m_len)
+                };
+                let a = allocate(me, &pool, spec, &outcome, weighted);
+                prop_assert_eq!(&a.local2global, &want_l2g);
+                prop_assert_eq!(a.num_masters, master_ids.len());
+                prop_assert_eq!(&a.master_of, &want_master_of);
+                prop_assert_eq!(&a.offsets, &want_offsets);
+                let cursors: Vec<u64> =
+                    a.cursors.iter().map(|c| c.load(std::sync::atomic::Ordering::Relaxed)).collect();
+                prop_assert_eq!(&cursors[..], &want_offsets[..want_l2g.len()]);
+                prop_assert!(a.dests.is_empty() && a.dests.capacity() >= total);
+                prop_assert_eq!(a.edge_data.is_some(), weighted);
+                prop_assert!(a.edge_data.as_ref().is_none_or(|d| d.is_empty() && d.capacity() >= total));
+                for (&g, &l) in &want_local {
+                    prop_assert_eq!(a.local_of(g), l);
+                }
+                // Absent ids: a hole between two proxies, and past the last.
+                let hole = want_l2g.iter().map(|&g| g + 1).find(|g| !want_local.contains_key(g));
+                let past = want_l2g.iter().max().map_or(0, |&g| g + 2);
+                for absent in hole.into_iter().chain([past]) {
+                    let looked_up = catch_unwind(AssertUnwindSafe(|| a.local_of(absent)));
+                    prop_assert!(looked_up.is_err(), "absent id {} resolved", absent);
+                }
+            }
+        }
     }
 }

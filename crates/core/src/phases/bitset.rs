@@ -1,12 +1,14 @@
 //! A dense, concurrently markable bitset over global node ids, one row per
 //! owner (the `dense_bitset` idiom of the Hybrid Edge Partitioner).
 //!
-//! The edge walks collect *sets* of nodes — the mirrors each owner must
-//! create, the off-host destinations whose masters must be requested, the
-//! kept-edge mirrors of the delta path. Marking a bit per edge and scanning
-//! the row afterwards yields the set sorted and duplicate-free by
-//! construction, where a per-edge push list needs a flatten, a sort and a
-//! dedup over every edge's entry.
+//! The edge walks collect *sets* of nodes — the destinations each owner
+//! receives edges to, the off-host destinations whose masters must be
+//! requested, the kept-edge destinations of the delta path. Marking a bit
+//! per edge and scanning the row afterwards yields the set sorted and
+//! duplicate-free by construction, where a per-edge push list needs a
+//! flatten, a sort and a dedup over every edge's entry. It also moves
+//! membership tests off the edge: the walks mark unconditionally, and the
+//! scan decides per set bit which destinations are mirrors.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -91,7 +91,9 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     let estate = replay.state();
     let weighted = data.weighted();
     let scalar = cfg.scalar_codec;
-    debug_assert_eq!(weighted, alloc.edge_data.is_some());
+    // Not a debug check: the `set_len` below relies on the weight slots
+    // being written exactly when they exist.
+    assert_eq!(weighted, alloc.edge_data.is_some(), "weight buffer and input disagree");
 
     let (dest_ptr, data_ptr) = slot_ptrs(alloc);
     let alloc_ref: &AllocOutcome = alloc;
@@ -234,8 +236,24 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
         );
     }
 
+    let total = alloc.offsets[alloc.cursors.len()] as usize;
     let mut dests = std::mem::take(&mut alloc.dests);
     let mut data = alloc.edge_data.take();
+    assert!(dests.capacity() >= total && data.as_ref().is_none_or(|d| d.capacity() >= total));
+    // SAFETY: both buffers have capacity `total` (just checked) and come
+    // from allocation with length 0 and each cursor at its node's
+    // `offsets[l]`. Every write went through `reserve_slots`, which hands out
+    // disjoint ranges of `offsets[l]..offsets[l + 1]` by advancing that
+    // cursor, and `insert_record` / `insert_message` write a whole range
+    // (its weight run too whenever the weight buffer exists) or panic. The
+    // cursor assertion above — every cursor reached `offsets[l + 1]` — thus
+    // proves that slots `0..total` of both buffers are initialized.
+    unsafe {
+        dests.set_len(total);
+        if let Some(d) = &mut data {
+            d.set_len(total);
+        }
+    }
     if cfg.deterministic_sync {
         // Slots within a node's range are claimed in arrival/thread order,
         // which varies run to run. A canonical per-node adjacency order
@@ -244,7 +262,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
         // bit-identical determinism contract.
         sort_adjacency(&alloc.offsets, &mut dests, data.as_deref_mut());
     }
-    let csr = Csr::from_parts(alloc.offsets.clone(), dests);
+    let csr = Csr::from_parts(std::mem::take(&mut alloc.offsets), dests);
     match (cfg.output, data) {
         (OutputFormat::Csr, data) => (csr, data),
         // "each host performs an in-memory transpose of their CSR graph to
@@ -311,7 +329,7 @@ pub(crate) fn insert_record(
         }
     }
     if let Some(ws) = weights {
-        debug_assert_eq!(ws.len(), dsts.len());
+        assert_eq!(ws.len(), dsts.len(), "weight run shorter than its record");
         for (off, &x) in ws.iter().enumerate() {
             // SAFETY: same exclusively reserved slots as above.
             unsafe {
@@ -403,5 +421,65 @@ pub(crate) fn insert_message(
                 unsafe { std::slice::from_raw_parts_mut(data_ptr.get().add(slot), cnt) };
             r.get_u32_into(data_slots).expect("malformed edge record");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::GraphSource;
+    use crate::phases::alloc::{allocate, MasterSpec};
+    use crate::phases::edge_assign::{assign_edges, AllEdges};
+    use crate::phases::master::pure_masters;
+    use crate::phases::read::read_phase;
+    use crate::policies::edges::SourceEdge;
+    use crate::policies::masters::ContiguousEB;
+    use crate::policy::MasterRule;
+    use cusp_graph::gen::uniform::erdos_renyi;
+    use cusp_net::Cluster;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+
+    #[test]
+    #[should_panic(expected = "missing edges after construction")]
+    fn an_unfilled_slot_panics_before_the_buffers_get_a_length() {
+        let g = Arc::new(erdos_renyi(60, 400, 3));
+        let weights = Arc::new((0..g.num_edges() as u32).collect::<Vec<u32>>());
+        Cluster::run(1, move |comm| {
+            let cfg = CuspConfig::default();
+            let pool = ThreadPool::new(2);
+            let source = GraphSource::MemoryWeighted(g.clone(), weights.clone());
+            let mut r = read_phase(comm, &source, &cfg).unwrap();
+            let mrule = ContiguousEB::new(&r.setup);
+            let masters = pure_masters(&mrule, r.setup.parts);
+            let mut ea =
+                assign_edges(comm, &pool, &r.setup, &mut r.data, &masters, &SourceEdge, &());
+            // Reserve one slot more than the replay will fill.
+            ea.incoming_srcs[0].1 += 1;
+            let spec = MasterSpec::PureRange(mrule.pure_owned_range(0));
+            let weighted = r.data.weighted();
+            let mut alloc = allocate(0, &pool, spec, &ea, weighted);
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                construct(
+                    comm,
+                    &pool,
+                    &r.setup,
+                    &mut r.data,
+                    &masters,
+                    &SourceEdge,
+                    ReplayReady::arm(&()),
+                    &mut alloc,
+                    ea.to_receive,
+                    &cfg,
+                    &AllEdges,
+                )
+            }));
+            // The cursor check failed, so neither buffer may expose a slot.
+            assert!(alloc.dests.is_empty(), "unfilled destination buffer got a length");
+            assert!(alloc.edge_data.as_ref().is_none_or(Vec::is_empty), "unfilled weight buffer");
+            if let Err(panic) = built {
+                resume_unwind(panic);
+            }
+        });
     }
 }

@@ -205,12 +205,13 @@ fn delta_assign<ER: EdgeRule>(
     // Both endpoints clean ⇒ the edge's owner is unchanged ⇒ it stays
     // on this host. Positional tallies sized by the (replicated) global
     // node count keep the walk a lock-free parallel pass: `incoming[v]`
-    // counts kept edges sourced at `v`, `mirror_bits` marks proxies
-    // mastered elsewhere (deduplication by construction — no sort).
+    // counts kept edges sourced at `v`, `dest_bits` marks every destination
+    // proxy (deduplication by construction — no sort); which of them are
+    // mirrors is decided once per set bit, in the scan at the end.
     let n_glob = setup.num_nodes as usize;
     let incoming: Vec<AtomicU32> = (0..n_glob).map(|_| AtomicU32::new(0)).collect();
-    let mirror_bits = NodeBitRows::new(1, n_glob);
-    let mark_mirror = |v: Node| mirror_bits.mark(0, v);
+    let dest_bits = NodeBitRows::new(1, n_glob);
+    let mark_dest = |v: Node| dest_bits.mark(0, v);
     let reused_total = AtomicU64::new(0);
     do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |_tid, row| {
         let edges = prev.graph.edges(row as Node);
@@ -230,16 +231,14 @@ fn delta_assign<ER: EdgeRule>(
                     continue;
                 }
                 kept += 1;
-                if masters.of(g_other) as usize != me {
-                    mark_mirror(g_other);
-                }
+                mark_dest(g_other);
             }
             if kept > 0 {
                 incoming[g_row as usize].fetch_add(kept, Ordering::Relaxed);
             }
         } else {
             // Row is the destination: tally each stored source; the
-            // mirror check applies to the row itself, once.
+            // row itself is the proxy, marked once.
             for &other in edges {
                 let g_other = prev.local2global[other as usize];
                 if dirty.contains(g_other) {
@@ -248,8 +247,8 @@ fn delta_assign<ER: EdgeRule>(
                 kept += 1;
                 incoming[g_other as usize].fetch_add(1, Ordering::Relaxed);
             }
-            if kept > 0 && masters.of(g_row) as usize != me {
-                mark_mirror(g_row);
+            if kept > 0 {
+                mark_dest(g_row);
             }
         }
         if kept > 0 {
@@ -296,7 +295,7 @@ fn delta_assign<ER: EdgeRule>(
         }
     }
     for &d in &mirrors_for[me] {
-        mark_mirror(d);
+        mark_dest(d);
     }
 
     // --- Receive peer dirty metadata. ---------------------------------
@@ -320,7 +319,7 @@ fn delta_assign<ER: EdgeRule>(
         let mut run = vec![0u32; nm];
         r.get_u32_into(&mut run).expect("malformed delta mirrors");
         for d in run {
-            mark_mirror(d);
+            mark_dest(d);
         }
     }
 
@@ -334,8 +333,11 @@ fn delta_assign<ER: EdgeRule>(
             incoming_srcs.push((v as Node, c, masters.of(v as Node)));
         }
     }
-    let mirrors: Vec<(Node, PartId)> =
-        mirror_bits.ones(0).map(|v| (v, masters.of(v))).collect();
+    let mirrors: Vec<(Node, PartId)> = dest_bits
+        .ones(0)
+        .map(|v| (v, masters.of(v)))
+        .filter(|&(_, m)| m as usize != me)
+        .collect();
 
     DeltaAssignOutcome {
         ea: EdgeAssignOutcome {

@@ -13,11 +13,19 @@
 //! one `getEdgeOwner` call site for both. Its per-edge body is kept to a
 //! few instructions, because for pure master rules it *is* the replicated
 //! computation that stands in for master communication (§IV-D5): both
-//! master lookups inline ([`ResolvedMasters::of`]), the count goes into a
-//! per-thread `k`-entry row that is stored once per source (chunks are
-//! node-aligned, so one task finishes a source), and a mirror is a bit in
-//! a per-owner [`NodeBitRows`] row — no atomic read-modify-write per edge,
-//! no push list to flatten and sort afterwards.
+//! master lookups are forced inline ([`ResolvedMasters::of`]), the grid
+//! rules read the owner from tables, the count goes into a per-thread
+//! `k`-entry row that is stored once per source (chunks are node-aligned,
+//! so one task finishes a source), and the destination is marked in its
+//! owner's [`NodeBitRows`] row for every edge — no division, no atomic
+//! read-modify-write and no data-dependent branch per edge, no push list to
+//! flatten and sort afterwards. Whether a marked destination is a *mirror*
+//! (mastered elsewhere) is asked once per set bit when the rows are
+//! scanned, not once per edge.
+//!
+//! Everything the exchange delivers arrives as one ascending run per sender
+//! (positions, bitset scans), so the received lists are put in order with
+//! `merge_runs`, not with a comparison sort.
 //!
 //! On top of Algorithm 3 the exchange also carries the master locations a
 //! receiver cannot compute itself when the master rule is not pure: the
@@ -105,7 +113,8 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
     // Atomic only so that tasks may share the table: every cell belongs to
     // one source, hence to one task, which stores it at most once.
     let counts: Vec<AtomicU32> = (0..k * local_n).map(|_| AtomicU32::new(0)).collect();
-    let mirror_bits = NodeBitRows::new(k, setup.num_nodes as usize);
+    // Row `h`: the destinations of the edges `h` owns.
+    let dest_bits = NodeBitRows::new(k, setup.num_nodes as usize);
     // Per-thread tally of the source being walked, all zero between sources.
     let rows: PerThread<Vec<u32>> = PerThread::new(pool, |_| vec![0u32; k]);
 
@@ -129,9 +138,10 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
                     let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
                     debug_assert!(h < setup.parts);
                     row[h as usize] += 1;
-                    if h != dm {
-                        mirror_bits.mark(h as usize, d);
-                    }
+                    // Marked whether or not `h` masters `d`: under a 2D cut
+                    // that test is a coin flip per edge, so it is made once
+                    // per set bit in the scan below instead.
+                    dest_bits.mark(h as usize, d);
                 }
                 for (h, c) in row.iter_mut().enumerate() {
                     if *c != 0 {
@@ -155,8 +165,53 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
         }
     });
 
-    let mirrors_for = (0..k).map(|h| mirror_bits.ones(h).collect()).collect();
+    // An owner's mirrors are its destinations mastered elsewhere. Every
+    // marked `d` went through `masters.of` in the walk, so stored masters
+    // know it too.
+    let mirrors_for = (0..k)
+        .map(|h| dest_bits.ones(h).filter(|&d| masters.of(d) as usize != h).collect())
+        .collect();
     (counts.into_iter().map(AtomicU32::into_inner).collect(), mirrors_for)
+}
+
+/// Sorts `items`, a concatenation of ascending runs, by merging
+/// neighbouring runs until one is left — `O(len · log runs)`. What the
+/// exchange delivers, and what allocation builds from it, arrives as a
+/// handful of runs (one per sender, each in node order), which a comparison
+/// sort would take apart and rediscover.
+pub(crate) fn merge_runs<T: Copy + Ord>(mut items: Vec<T>) -> Vec<T> {
+    // Run starts, closed by the total length.
+    let mut bounds = vec![0];
+    bounds.extend((1..items.len()).filter(|&i| items[i] < items[i - 1]));
+    bounds.push(items.len());
+    let mut out: Vec<T> = Vec::with_capacity(items.len());
+    while bounds.len() > 2 {
+        let mut merged = vec![0];
+        for w in bounds.windows(3).step_by(2) {
+            let (mut a, mut b) = (&items[w[0]..w[1]], &items[w[1]..w[2]]);
+            while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+                if y < x {
+                    out.push(y);
+                    b = &b[1..];
+                } else {
+                    out.push(x);
+                    a = &a[1..];
+                }
+            }
+            out.extend_from_slice(a);
+            out.extend_from_slice(b);
+            merged.push(out.len());
+        }
+        if out.len() < items.len() {
+            // An odd run out: carried to the next round as it is.
+            out.extend_from_slice(&items[out.len()..]);
+            merged.push(out.len());
+        }
+        std::mem::swap(&mut items, &mut out);
+        out.clear();
+        bounds = merged;
+    }
+    items
 }
 
 /// Runs the edge assignment phase.
@@ -299,11 +354,12 @@ pub fn assign_edges<ER: EdgeRule>(
         }
     }
 
-    // Mirrors may repeat across senders; dedup once more.
-    mirrors.sort_unstable();
+    // One ascending run per sender, and a mirror may repeat across them.
+    let mut mirrors = merge_runs(mirrors);
     mirrors.dedup();
-    if let Some(v) = &mut my_master_nodes {
-        v.sort_unstable();
+    // Likewise one ascending list per reader; readers never share a node.
+    let my_master_nodes = my_master_nodes.map(merge_runs);
+    if let Some(v) = &my_master_nodes {
         debug_assert!(v.windows(2).all(|w| w[0] != w[1]), "duplicate master claims");
     }
 
@@ -319,7 +375,7 @@ pub fn assign_edges<ER: EdgeRule>(
 mod tests {
     use super::*;
     use crate::config::{CuspConfig, GraphSource};
-    use crate::phases::master::pure_masters;
+    use crate::phases::master::{pure_masters, RemoteMasters};
     use crate::phases::read::read_phase;
     use crate::policies::edges::{CartesianEdge, SourceEdge};
     use crate::policies::extensions::HdrfEdge;
@@ -329,7 +385,7 @@ mod tests {
     use cusp_graph::gen::uniform::erdos_renyi;
     use cusp_graph::{ChunkedSlice, GraphSlice, ReadSplit};
     use cusp_net::Cluster;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
     use std::sync::Arc;
 
     fn run_eec(k: usize, n: usize, m: usize) -> (Arc<cusp_graph::Csr>, Vec<EdgeAssignOutcome>) {
@@ -444,6 +500,15 @@ mod tests {
     }
 
     fn check_tally_matches_naive<ER: EdgeRule>(make_rule: impl Fn(&Setup) -> ER) {
+        check_tally_with_masters(make_rule, |_, mrule, parts, _| pure_masters(mrule, parts));
+    }
+
+    /// `resolve(graph, master rule, parts, read range)` builds the masters
+    /// the tally of that read range looks up.
+    fn check_tally_with_masters<ER: EdgeRule>(
+        make_rule: impl Fn(&Setup) -> ER,
+        resolve: impl Fn(&cusp_graph::Csr, &ContiguousEB, PartId, (Node, Node)) -> ResolvedMasters,
+    ) {
         let n = 700usize;
         let g = Arc::new(powerlaw(PowerLawConfig::webcrawl(n, 9.0, 77)));
         let pool = ThreadPool::new(2);
@@ -464,10 +529,10 @@ mod tests {
                 ),
             };
             let mrule = ContiguousEB::new(&setup);
-            let masters = pure_masters(&mrule, parts);
             let rule = make_rule(&setup);
             for split in setup.read_splits.iter() {
                 let (lo, hi) = (split.lo as Node, split.hi as Node);
+                let masters = resolve(&g, &mrule, parts, (lo, hi));
                 let (want_counts, want_mirrors) = naive_tally(&g, &setup, (lo, hi), &mrule, &rule);
                 saw_mirrors |= !want_mirrors.is_empty();
                 let shapes = [
@@ -512,6 +577,42 @@ mod tests {
         // HDRF decides from its history: both walks are sequential in node
         // order from a fresh state, so the decision streams must agree.
         check_tally_matches_naive(HdrfEdge::new);
+    }
+
+    #[test]
+    fn tally_matches_naive_reference_for_stored_masters() {
+        // What `assign_masters` leaves on a host: its read range dense, and
+        // of the rest only the destinations of its own edges. The mirror
+        // filter runs in the scan after the walk and must neither ask for a
+        // node outside that set nor read the pure table.
+        check_tally_with_masters(CartesianEdge::new, |g, mrule, _, (lo, hi)| {
+            let remote: HashMap<Node, PartId> = (lo..hi)
+                .flat_map(|s| g.edges(s))
+                .filter(|d| !(lo..hi).contains(d))
+                .map(|&d| (d, mrule.pure_master(d)))
+                .collect();
+            ResolvedMasters::Stored {
+                lo,
+                local: (lo..hi).map(|v| mrule.pure_master(v)).collect(),
+                remote: RemoteMasters::from_map(&remote),
+            }
+        });
+    }
+
+    #[test]
+    fn merge_runs_sorts_any_run_structure() {
+        for input in [
+            vec![],
+            vec![7],
+            vec![1, 2, 3, 4],
+            vec![5, 9, 1, 9, 12, 0, 0, 3],
+            vec![4, 5, 6, 1, 2, 3, 7, 8, 0],
+            (0..50u32).rev().collect(),
+        ] {
+            let mut want = input.clone();
+            want.sort();
+            assert_eq!(merge_runs(input), want);
+        }
     }
 
     #[test]

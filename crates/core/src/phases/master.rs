@@ -9,8 +9,11 @@
 //!   the computation on demand ([`ResolvedMasters::Pure`]). Every pure rule
 //!   owns contiguous node ranges ([`MasterRule::pure_owned_range`]), so the
 //!   replicated computation is a count over the `k − 1` interior range
-//!   starts that inlines into the per-edge loops — the elision only pays
-//!   while it stays a few instructions;
+//!   starts. The elision only pays while that stays a few instructions
+//!   *inside* the per-edge loops, so [`ResolvedMasters::of`] is forced
+//!   inline with its rare paths kept out of line (as a call it cost more
+//!   than the count; a block table in front of the count was measured and
+//!   lost to it at `k = 4` — DESIGN.md §8);
 //! * **stateful, neighbor-blind** rules: the loop runs without rounds and
 //!   partitioning state is reconciled once, after the phase;
 //! * **neighbor-aware** rules (Fennel-family): the local range is processed
@@ -108,12 +111,15 @@ impl RemoteMasters {
     pub fn get(&self, v: Node) -> Option<PartId> {
         if !self.window.is_empty() {
             let off = v.wrapping_sub(self.window_lo) as usize;
-            if off < self.window.len() {
-                let m = self.window[off];
-                return (m != UNASSIGNED).then_some(m);
-            }
-            return None;
+            return self.window.get(off).copied().filter(|&m| m != UNASSIGNED);
         }
+        self.search(v)
+    }
+
+    /// The sparse fallback of [`RemoteMasters::get`], out of line so the
+    /// window load is all that inlines into the per-edge loops.
+    #[inline(never)]
+    fn search(&self, v: Node) -> Option<PartId> {
         self.keys.binary_search(&v).ok().map(|i| self.vals[i])
     }
 
@@ -158,7 +164,13 @@ pub enum ResolvedMasters {
 impl ResolvedMasters {
     /// The master partition of `v`. Panics if the protocol did not deliver
     /// it (which would be a driver bug, not a user error).
-    #[inline]
+    ///
+    /// Called up to twice per edge by both edge walks, so it is forced
+    /// inline — as a call it costs more than the lookup, and a plain
+    /// `#[inline]` hint loses against the size of the stored arm — and what
+    /// is neither the count nor a window load (the sparse search, the panic)
+    /// sits in a function of its own.
+    #[inline(always)]
     pub fn of(&self, v: Node) -> PartId {
         match self {
             // The owner is the number of range starts at or below `v`. A
@@ -166,14 +178,12 @@ impl ResolvedMasters {
             // with its unpredictable branches, and vectorizes.
             ResolvedMasters::Pure { starts } => starts.iter().map(|&b| (b <= v) as PartId).sum(),
             ResolvedMasters::Stored { lo, local, remote } => {
-                if v >= *lo && ((v - lo) as usize) < local.len() {
-                    let m = local[(v - lo) as usize];
-                    debug_assert_ne!(m, UNASSIGNED);
-                    m
-                } else {
-                    remote
-                        .get(v)
-                        .unwrap_or_else(|| panic!("master of {v} unknown on this host"))
+                match local.get(v.wrapping_sub(*lo) as usize) {
+                    Some(&m) => {
+                        debug_assert_ne!(m, UNASSIGNED);
+                        m
+                    }
+                    None => remote.get(v).unwrap_or_else(|| unknown_master(v)),
                 }
             }
         }
@@ -183,6 +193,12 @@ impl ResolvedMasters {
     pub fn is_pure(&self) -> bool {
         matches!(self, ResolvedMasters::Pure { .. })
     }
+}
+
+#[cold]
+#[inline(never)]
+fn unknown_master(v: Node) -> PartId {
+    panic!("master of {v} unknown on this host")
 }
 
 /// Runs the master assignment phase for a non-pure rule.
@@ -612,9 +628,20 @@ mod tests {
             for v in 0..n as Node {
                 assert_eq!(resolved.of(v), rule.pure_master(v), "n={n} k={parts} v={v}");
             }
+            // Past the node count, beyond the last start, everything belongs
+            // to the last partition.
+            for v in [n as Node, n as Node + 1, (n as Node).saturating_mul(3), Node::MAX] {
+                assert_eq!(resolved.of(v), parts - 1, "n={n} k={parts} v={v}");
+            }
         }
         // n < k, n == k, k = 1, k = 64, and blocks that do not divide n.
         for (n, k) in [(10u64, 3u32), (7, 7), (5, 8), (3, 64), (100, 16), (50, 1), (640, 64), (1000, 64)] {
+            let even: Vec<u64> = (0..=k as u64).map(|p| p * n / k as u64).collect();
+            check(&Contiguous::new(&setup(n, k, even.clone())), n, k);
+            check(&ContiguousEB::new(&setup(n, k, even)), n, k);
+        }
+        // k > 255 (the count must not be a byte) and k in the thousands.
+        for (n, k) in [(70_001u64, 300u32), (9_000, 5000)] {
             let even: Vec<u64> = (0..=k as u64).map(|p| p * n / k as u64).collect();
             check(&Contiguous::new(&setup(n, k, even.clone())), n, k);
             check(&ContiguousEB::new(&setup(n, k, even)), n, k);

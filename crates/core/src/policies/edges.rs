@@ -1,5 +1,11 @@
 //! `getEdgeOwner` rules from Algorithm 2 of the paper: `Source`, `Hybrid`,
-//! and `Cartesian`.
+//! and `Cartesian`, plus the two other 2D block cuts of §II-A3.
+//!
+//! `get_edge_owner` runs once per edge in edge assignment and once more in
+//! the construction replay, so the three grid rules (`Cartesian`,
+//! `CheckerBoard`, `Jagged`) do not evaluate their closed forms there: each
+//! divides once per partition when it is built, into the tables of a shared
+//! `GridOwners`, and answers an edge with two loads and an add.
 
 use cusp_graph::Node;
 
@@ -71,6 +77,47 @@ impl EdgeRule for HybridEdge {
     }
 }
 
+/// Largest divisor of `k` that is ≤ √k, paired with its cofactor.
+pub fn grid_factors(k: PartId) -> (PartId, PartId) {
+    assert!(k > 0);
+    let mut p_r = (k as f64).sqrt() as PartId;
+    while p_r > 1 && !k.is_multiple_of(p_r) {
+        p_r -= 1;
+    }
+    (p_r.max(1), k / p_r.max(1))
+}
+
+/// The owner function of a 2D block cut on a `p_r × p_c` grid, tabulated
+/// once per rule: `owner = row_base[srcMaster] + col[key]`, where the
+/// column key is the destination's master (plus, for [`JaggedEdge`], the
+/// source's grid row). Every grid rule blocks the adjacency matrix's rows
+/// over the grid rows the same way — `row_base[sm] = floor(sm / p_c) · p_c`
+/// — and differs only in how a key picks the grid column, which is the
+/// closure each rule hands to [`GridOwners::new`].
+#[derive(Clone, Debug)]
+struct GridOwners {
+    /// First partition of the grid row that holds each source master.
+    row_base: Box<[PartId]>,
+    /// Grid column of each column key.
+    col: Box<[PartId]>,
+}
+
+impl GridOwners {
+    /// Tabulates `row_base` for the `k` masters of a grid `p_c` columns
+    /// wide, and `col` for `keys` column keys.
+    fn new(k: PartId, p_c: PartId, keys: PartId, col: impl Fn(PartId) -> PartId) -> Self {
+        GridOwners {
+            row_base: (0..k).map(|sm| sm / p_c * p_c).collect(),
+            col: (0..keys).map(col).collect(),
+        }
+    }
+
+    #[inline]
+    fn owner(&self, src_master: PartId, key: PartId) -> PartId {
+        self.row_base[src_master as usize] + self.col[key as usize]
+    }
+}
+
 /// `Cartesian` (Algorithm 2): the 2D block cut of CVC. Partitions form a
 /// `p_r × p_c` grid; the adjacency matrix's row blocks are distributed
 /// *blocked* over the grid rows and its column blocks *cyclically* over
@@ -81,12 +128,13 @@ impl EdgeRule for HybridEdge {
 /// cyclicColumnOffset = dstMaster mod p_c
 /// owner = blockedRowOffset + cyclicColumnOffset
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct CartesianEdge {
     /// P r.
     pub p_r: PartId,
     /// P c.
     pub p_c: PartId,
+    owners: GridOwners,
 }
 
 impl CartesianEdge {
@@ -94,18 +142,9 @@ impl CartesianEdge {
     /// `p_r ≤ p_c` (e.g. 4 → 2×2, 8 → 2×4, 7 → 1×7).
     pub fn new(setup: &Setup) -> Self {
         let (p_r, p_c) = grid_factors(setup.parts);
-        CartesianEdge { p_r, p_c }
+        let owners = GridOwners::new(setup.parts, p_c, setup.parts, |dm| dm % p_c);
+        CartesianEdge { p_r, p_c, owners }
     }
-}
-
-/// Largest divisor of `k` that is ≤ √k, paired with its cofactor.
-pub fn grid_factors(k: PartId) -> (PartId, PartId) {
-    assert!(k > 0);
-    let mut p_r = (k as f64).sqrt() as PartId;
-    while p_r > 1 && !k.is_multiple_of(p_r) {
-        p_r -= 1;
-    }
-    (p_r.max(1), k / p_r.max(1))
 }
 
 impl EdgeRule for CartesianEdge {
@@ -121,9 +160,7 @@ impl EdgeRule for CartesianEdge {
         dst_master: PartId,
         _state: &Self::State,
     ) -> PartId {
-        let blocked_row = (src_master / self.p_c) * self.p_c;
-        let cyclic_col = dst_master % self.p_c;
-        blocked_row + cyclic_col
+        self.owners.owner(src_master, dst_master)
     }
 }
 
@@ -132,24 +169,23 @@ impl EdgeRule for CartesianEdge {
 /// dimensions and owners share a grid row with the source's master — but
 /// the column blocks are distributed **blocked** instead of cyclically:
 /// `col = floor(dstMaster · p_c / k)`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct CheckerboardEdge {
     /// Grid rows.
     pub p_r: PartId,
     /// Grid columns.
     pub p_c: PartId,
-    parts: PartId,
+    owners: GridOwners,
 }
 
 impl CheckerboardEdge {
     /// Factorizes `parts` like [`CartesianEdge::new`].
     pub fn new(setup: &Setup) -> Self {
-        let (p_r, p_c) = grid_factors(setup.parts);
-        CheckerboardEdge {
-            p_r,
-            p_c,
-            parts: setup.parts,
-        }
+        let k = setup.parts;
+        let (p_r, p_c) = grid_factors(k);
+        let owners =
+            GridOwners::new(k, p_c, k, |dm| (dm as u64 * p_c as u64 / k as u64) as PartId);
+        CheckerboardEdge { p_r, p_c, owners }
     }
 }
 
@@ -166,9 +202,7 @@ impl EdgeRule for CheckerboardEdge {
         dst_master: PartId,
         _state: &Self::State,
     ) -> PartId {
-        let blocked_row = (src_master / self.p_c) * self.p_c;
-        let blocked_col = (dst_master as u64 * self.p_c as u64 / self.parts as u64) as PartId;
-        blocked_row + blocked_col
+        self.owners.owner(src_master, dst_master)
     }
 }
 
@@ -179,19 +213,25 @@ impl EdgeRule for CheckerboardEdge {
 /// from the nonzero distribution; the stagger reproduces their key
 /// property (per-row column independence, row-bounded communication)
 /// without a second pass over the data.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct JaggedEdge {
     /// Grid rows.
     pub p_r: PartId,
     /// Grid columns.
     pub p_c: PartId,
+    /// Grid row of each source master: the stagger added to the column key.
+    row: Box<[PartId]>,
+    owners: GridOwners,
 }
 
 impl JaggedEdge {
     /// Factorizes `parts` like [`CartesianEdge::new`].
     pub fn new(setup: &Setup) -> Self {
-        let (p_r, p_c) = grid_factors(setup.parts);
-        JaggedEdge { p_r, p_c }
+        let k = setup.parts;
+        let (p_r, p_c) = grid_factors(k);
+        // Keys are `dstMaster + row`, at most `(k − 1) + (p_r − 1)`.
+        let owners = GridOwners::new(k, p_c, k + p_r - 1, |key| key % p_c);
+        JaggedEdge { p_r, p_c, row: (0..k).map(|sm| sm / p_c).collect(), owners }
     }
 }
 
@@ -208,10 +248,7 @@ impl EdgeRule for JaggedEdge {
         dst_master: PartId,
         _state: &Self::State,
     ) -> PartId {
-        let row = src_master / self.p_c;
-        let blocked_row = row * self.p_c;
-        let staggered_col = (dst_master + row) % self.p_c;
-        blocked_row + staggered_col
+        self.owners.owner(src_master, dst_master + self.row[src_master as usize])
     }
 }
 
@@ -227,6 +264,46 @@ mod tests {
             g.num_nodes() as u64,
             g.num_edges(),
         )
+    }
+
+    fn grid_setup(k: PartId) -> Setup {
+        Setup {
+            num_nodes: 10,
+            num_edges: 10,
+            parts: k,
+            eb_boundaries: Arc::new(vec![0; k as usize + 1]),
+            read_splits: Arc::new(vec![ReadSplit { lo: 0, hi: 10 }]),
+        }
+    }
+
+    #[test]
+    fn grid_tables_equal_the_closed_forms_for_every_master_pair() {
+        // The formulas of the three doc comments, divided out per pair: a
+        // wrong table entry, key range or stagger fails here.
+        let g = Csr::from_edges(2, &[(0, 1)]);
+        for k in [1u32, 2, 4, 6, 7, 8, 12, 16, 64, 300] {
+            let setup = grid_setup(k);
+            let (cvc, bvc, jvc) =
+                (CartesianEdge::new(&setup), CheckerboardEdge::new(&setup), JaggedEdge::new(&setup));
+            let (p_r, p_c) = grid_factors(k);
+            assert_eq!(p_r * p_c, k);
+            for rule_grid in [(cvc.p_r, cvc.p_c), (bvc.p_r, bvc.p_c), (jvc.p_r, jvc.p_c)] {
+                assert_eq!(rule_grid, (p_r, p_c));
+            }
+            let (s, n, m) = props(&g, k);
+            let p = LocalProps::new(n, m, k, &s);
+            for sm in 0..k {
+                let row = sm / p_c;
+                for dm in 0..k {
+                    let want_cvc = row * p_c + dm % p_c;
+                    let want_bvc = row * p_c + (dm as u64 * p_c as u64 / k as u64) as PartId;
+                    let want_jvc = row * p_c + (dm + row) % p_c;
+                    assert_eq!(cvc.get_edge_owner(&p, 0, 1, sm, dm, &()), want_cvc, "CVC k={k} ({sm},{dm})");
+                    assert_eq!(bvc.get_edge_owner(&p, 0, 1, sm, dm, &()), want_bvc, "BVC k={k} ({sm},{dm})");
+                    assert_eq!(jvc.get_edge_owner(&p, 0, 1, sm, dm, &()), want_jvc, "JVC k={k} ({sm},{dm})");
+                }
+            }
+        }
     }
 
     #[test]
@@ -268,7 +345,8 @@ mod tests {
         // 4 partitions → 2×2 grid. Row blocks {0,1} and {2,3}; columns
         // cyclic mod 2. Edge with masters (src=0, dst=3) → row block 0,
         // column 3 % 2 = 1 → partition 1.
-        let rule = CartesianEdge { p_r: 2, p_c: 2 };
+        let rule = CartesianEdge::new(&grid_setup(4));
+        assert_eq!((rule.p_r, rule.p_c), (2, 2));
         let g = Csr::from_edges(2, &[(0, 1)]);
         let (s, n, m) = props(&g, 4);
         let p = LocalProps::new(n, m, 4, &s);
@@ -286,13 +364,7 @@ mod tests {
     #[test]
     fn checkerboard_and_jagged_stay_in_grid_row() {
         for k in [4u32, 8, 16] {
-            let setup = Setup {
-                num_nodes: 10,
-                num_edges: 10,
-                parts: k,
-                eb_boundaries: Arc::new(vec![0; k as usize + 1]),
-                read_splits: Arc::new(vec![ReadSplit { lo: 0, hi: 10 }]),
-            };
+            let setup = grid_setup(k);
             let bvc = CheckerboardEdge::new(&setup);
             let jvc = JaggedEdge::new(&setup);
             let g = Csr::from_edges(2, &[(0, 1)]);
@@ -316,13 +388,7 @@ mod tests {
     fn checkerboard_columns_are_blocked_not_cyclic() {
         // k = 4, 2×2 grid: masters {0,1} map to column 0 and {2,3} to
         // column 1 (blocked), unlike CVC's 0,1,0,1 (cyclic).
-        let setup = Setup {
-            num_nodes: 10,
-            num_edges: 10,
-            parts: 4,
-            eb_boundaries: Arc::new(vec![0; 5]),
-            read_splits: Arc::new(vec![ReadSplit { lo: 0, hi: 10 }]),
-        };
+        let setup = grid_setup(4);
         let bvc = CheckerboardEdge::new(&setup);
         let g = Csr::from_edges(2, &[(0, 1)]);
         let (s, n, m) = props(&g, 4);
@@ -336,13 +402,7 @@ mod tests {
 
     #[test]
     fn jagged_columns_differ_per_row() {
-        let setup = Setup {
-            num_nodes: 10,
-            num_edges: 10,
-            parts: 4,
-            eb_boundaries: Arc::new(vec![0; 5]),
-            read_splits: Arc::new(vec![ReadSplit { lo: 0, hi: 10 }]),
-        };
+        let setup = grid_setup(4);
         let jvc = JaggedEdge::new(&setup);
         let g = Csr::from_edges(2, &[(0, 1)]);
         let (s, n, m) = props(&g, 4);
@@ -360,13 +420,7 @@ mod tests {
         // its grid row with the source's master and its grid column with
         // the destination's master.
         for k in [4u32, 8, 16, 12] {
-            let setup = Setup {
-                num_nodes: 10,
-                num_edges: 10,
-                parts: k,
-                eb_boundaries: Arc::new(vec![0; k as usize + 1]),
-                read_splits: Arc::new(vec![ReadSplit { lo: 0, hi: 10 }]),
-            };
+            let setup = grid_setup(k);
             let rule = CartesianEdge::new(&setup);
             let g = Csr::from_edges(2, &[(0, 1)]);
             let (s, n, m) = props(&g, k);

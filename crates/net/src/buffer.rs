@@ -20,11 +20,14 @@ pub struct SendBuffers {
     buffers: Vec<WireWriter>,
     threshold: usize,
     /// Capacity re-reserved in a writer right after each flush. Taking a
-    /// payload hands the writer's allocation to the outgoing message, so
-    /// without this the next record would regrow the buffer from zero
-    /// through the doubling sequence — one allocation per flush instead.
+    /// payload moves the writer's buffer out and leaves it empty — and the
+    /// vendored `Bytes::from(Vec<u8>)` does not adopt that buffer: it
+    /// allocates an `Arc<[u8]>`, copies the payload into it and frees the
+    /// original, so every flush costs one allocation and one memcpy of the
+    /// payload on top of this one. Without the re-reserve the next record
+    /// would also regrow the buffer from zero through the doubling sequence.
     /// Capped at `threshold.min(1 << 20)`: threshold-0 runs keep it at 0
-    /// (every record becomes a message and takes the allocation with it,
+    /// (every record becomes a message and leaves an empty writer behind,
     /// so there is nothing worth pre-reserving), and huge thresholds don't
     /// pin a giant buffer per destination.
     retain: usize,

@@ -76,7 +76,7 @@ impl WireWriter {
 
     /// Ensures capacity for at least `additional` more bytes. Used by
     /// [`crate::SendBuffers`] to re-arm a writer right after
-    /// [`WireWriter::take`] hands its allocation to the flushed message.
+    /// [`WireWriter::take`] has left it without an allocation.
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
@@ -174,7 +174,10 @@ impl WireWriter {
         self.buf.put_slice(bytes);
     }
 
-    /// Finishes the message, leaving the writer empty and reusable.
+    /// Finishes the message, leaving the writer empty (capacity 0) and
+    /// reusable. The writer's buffer is not what the message ends up
+    /// holding: the vendored `bytes` freezes a `Vec<u8>` by copying it into
+    /// a new `Arc<[u8]>`, so this allocates and memcpys the payload once.
     pub fn take(&mut self) -> Bytes {
         self.buf.split().freeze()
     }
@@ -583,7 +586,7 @@ mod tests {
         let mut w = WireWriter::with_capacity(64);
         w.put_u64(1);
         let _ = w.take();
-        assert_eq!(w.capacity(), 0, "take() hands the allocation to the message");
+        assert_eq!(w.capacity(), 0, "take() moves the writer's buffer out");
         w.reserve(64);
         assert!(w.capacity() >= 64);
         w.put_u64(2);
