@@ -1,9 +1,10 @@
-//! A dense, concurrently markable bitset over global node ids, one row per
-//! owner (the `dense_bitset` idiom of the Hybrid Edge Partitioner).
+//! A dense, concurrently markable bitset over node ids, one row per owner
+//! (the `dense_bitset` idiom of the Hybrid Edge Partitioner).
 //!
 //! The edge walks collect *sets* of nodes — the destinations each owner
 //! receives edges to, the off-host destinations whose masters must be
-//! requested, the kept-edge destinations of the delta path. Marking a bit
+//! requested, and on the delta path the dirty roles and the kept-edge
+//! destinations (those by a previous partition's local ids). Marking a bit
 //! per edge and scanning the row afterwards yields the set sorted and
 //! duplicate-free by construction, where a per-edge push list needs a
 //! flatten, a sort and a dedup over every edge's entry. It also moves
@@ -61,6 +62,14 @@ impl NodeBitRows {
         }
     }
 
+    /// Is bit `v` of `row` set? As with [`NodeBitRows::mark`], `v < n` is the
+    /// caller's to guarantee (a larger `v` lands in the next row).
+    #[inline]
+    pub(crate) fn test(&self, row: usize, v: Node) -> bool {
+        let word = &self.words[row * self.words_per_row + v as usize / 64];
+        word.load(Ordering::Relaxed) & (1u64 << (v % 64)) != 0
+    }
+
     /// The marked nodes of `row`, ascending.
     pub(crate) fn ones(&self, row: usize) -> impl Iterator<Item = Node> + '_ {
         let words = &self.words[row * self.words_per_row..(row + 1) * self.words_per_row];
@@ -102,6 +111,8 @@ mod tests {
                 want.push(last);
             }
             assert_eq!(b.ones(1).collect::<Vec<_>>(), want, "n = {n}");
+            assert!(want.iter().all(|&v| b.test(1, v) && !b.test(0, v)), "n = {n}");
+            assert!(!b.test(1, 1) && !b.test(1, 62), "n = {n}");
             assert_eq!(b.ones(0).count(), 0, "row 0 was never marked (n = {n})");
         }
     }

@@ -3,50 +3,82 @@
 //!
 //! A partition produced by [`partition`] is a pure function of the input
 //! graph and the policy. When the graph mutates (a [`GraphEvent`] batch
-//! from the WAL), most of that function's inputs are unchanged: a vertex
-//! whose out-edges, master, and weights did not move keeps exactly the
-//! partition-side state it had. [`partition_delta`] exploits this by
-//! re-running only master re-resolution, edge assignment, and construction
-//! for the *dirty* vertices, while every clean vertex keeps its master,
-//! its mirrors, and its CSR slots — clean edges are copied out of the
-//! previous partition instead of being re-decided and re-shipped.
+//! from the WAL), most of that function's inputs are unchanged, and
+//! [`partition_delta`] re-runs master re-resolution, edge assignment and
+//! construction only for the edges one of whose inputs changed; every other
+//! edge is copied out of the previous partition by the host that already
+//! owns it instead of being re-decided and re-shipped.
 //!
 //! # Structure
 //!
-//! This module holds only what is delta-specific: the dirty set, the
-//! kept-edge tally and kept-edge copy out of the previous partition, the
-//! sparse `(src, count)` metadata exchange, and the driver. The per-edge
-//! walk is the full pipeline's: `delta_assign` calls
-//! `edge_assign::tally_edges` and `delta_construct` calls
-//! `construct::construct` with the [`DirtySet`] as their edge filter, so `getEdgeOwner` is evaluated, routed and replayed by the
-//! same code a full run uses.
+//! This module holds only what is delta-specific: the dirty set, the tally
+//! and the translate-copy of the kept edges (`Kept`), the sparse
+//! `(src, count)` metadata exchange, and the driver. The per-edge walk is
+//! the full pipeline's: `delta_assign` calls `edge_assign::tally_edges` and
+//! `delta_construct` calls `construct::construct` with the [`DirtySet`] as
+//! their edge filter, so `getEdgeOwner` is evaluated, routed and replayed
+//! by the same code a full run uses.
 //!
-//! # Dirty-set rules
+//! # Dirty by role
 //!
-//! A vertex is dirty when any of its partitioning inputs changed:
+//! `getEdgeOwner` sees an edge `(s, d)` through `prop`, which answers
+//! structural queries for locally read nodes only — by contract the source
+//! (§III-A) — and through the two masters. What a changed vertex drags along
+//! therefore depends on the role it changed in, and [`DirtySet`] keeps one
+//! bitset per role:
 //!
-//! * it is the **source of a batch event** (its out-degree or out-edge
-//!   payload changed, so degree-sensitive rules like `Hybrid` may re-decide
-//!   *all* of its edges);
-//! * it is a **new vertex** (`old_n..new_n` — it had no master before);
-//! * its **pure master moved** (edge-balanced boundaries shift with the
-//!   edge distribution, so a mutation can re-home vertices far from the
-//!   batch).
+//! * **sources** — every out-edge is re-decided: the **source of a batch
+//!   event** (its out-degree or payload changed, and degree-sensitive rules
+//!   like `Hybrid` may move *all* of its edges), a **new vertex**
+//!   (`old_n..new_n`, it had no master before), a vertex whose **pure master
+//!   moved** (edge-balanced boundaries shift with the edge distribution, so
+//!   a mutation can re-home vertices far from the batch). These are the
+//!   dirty *vertices* that [`DirtySet::contains`] and [`DirtySet::len`]
+//!   report.
+//! * **moved** ⊆ sources — the new and the master-shifted vertices, the only
+//!   ones that change an edge *into* them.
 //!
-//! An *edge* is dirty iff either endpoint is dirty. This is sound because
-//! every stateless edge rule in the catalog is a function of
-//! `(out_degree(src), src_master, dst_master, parts)` only — all four are
-//! unchanged for a clean edge, so its owner (and the mirrors it induces)
-//! cannot move.
+//! Edge `(s, d)` is re-decided iff `sources(s) || moved(d)`, which is
+//! exactly "some input of `getEdgeOwner(out_degree(s), master(s),
+//! master(d), parts)` changed": an edge into a vertex that was merely a
+//! batch source keeps its owner and the mirror it induces. Both sides of
+//! that agreement evaluate the same predicate over replicated inputs — the
+//! previous owner to keep an edge, the new reader to skip it — so no
+//! message says which edges stay.
+//!
+//! # The kept edges
+//!
+//! Rows of a [`DistGraph`] store *local* ids, and local ids shift whenever a
+//! mirror appears or disappears or a master boundary moves, so a kept row
+//! cannot be shared with the previous partition: the floor is one
+//! translating pass, and `Kept` is held to it.
+//!
+//! * **Tests by previous local id.** Each host localises the two global
+//!   bitsets once (one pass over `prev.local2global`). The tally then costs
+//!   a bit test per row and, per edge, a sequential load of the stored id, a
+//!   bit test and a mark in `num_local`-bit rows; nothing is indexed by
+//!   global id, and what the tally learned is globalised once per set bit.
+//! * **Translate-copy.** After allocation `old2new` maps the previous local
+//!   id of every proxy a kept edge touches to its new one (a hole anywhere
+//!   else). A kept CSR row reserves its tallied slots once and fills them
+//!   with one gather and one store per edge, weights beside; a CSC row is a
+//!   destination, so each of its edges reserves one slot of its own source.
+//!   Tally and copy call one predicate, and the copy checks per row that it
+//!   wrote exactly what was tallied.
+//!
+//! The translation is monotone on kept proxies: neither endpoint of a kept
+//! edge moved, so masters stay masters and mirrors stay mirrors, each
+//! segment ascending by global id, masters first. A kept run thus arrives
+//! in the canonical adjacency order it was stored in.
 //!
 //! # Scope
 //!
 //! The delta path requires a **pure master rule** (re-resolution is
 //! replicated computation, §IV-D5) and a **stateless edge rule** (per-edge
-//! decisions independent of history). Stateful policies (HDRF, LDG,
-//! Fennel-family masters) fall back to a full re-partition — still
-//! correct, and under `deterministic_sync` still fingerprint-identical,
-//! just not incremental.
+//! decisions independent of history) that keeps the contract above.
+//! Stateful policies (HDRF, LDG, Fennel-family masters) fall back to a full
+//! re-partition — still correct, and under `deterministic_sync` still
+//! fingerprint-identical, just not incremental.
 //!
 //! Under `CuspConfig::deterministic_sync` the delta result is
 //! bit-identical to a full re-partition of the mutated graph: the per-host
@@ -55,9 +87,10 @@
 //! would use), allocation assigns local ids deterministically from that
 //! multiset, and the canonical adjacency sort erases insertion order.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 
-use cusp_galois::{do_all_with_tid, PerThread, DEFAULT_GRAIN};
+use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{Csr, GraphEvent, Node};
 use cusp_net::{Comm, WireReader, WireWriter};
 
@@ -65,9 +98,9 @@ use crate::config::{OutputFormat, PhaseId};
 use crate::dist_graph::{DistGraph, PartitionClass};
 use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
 use crate::phases::bitset::NodeBitRows;
-use crate::phases::construct::{construct, insert_record, slot_ptrs};
+use crate::phases::construct::{construct, slot_ptrs};
 use crate::phases::driver::{partition, PartitionOutput};
-use crate::phases::edge_assign::{tally_edges, EdgeAssignOutcome, EdgeFilter};
+use crate::phases::edge_assign::{merge_runs, tally_edges, EdgeAssignOutcome, EdgeFilter};
 use crate::phases::master::{pure_masters, ResolvedMasters};
 use crate::phases::pipeline::{PhaseCtx, ReplayReady, SliceData};
 use crate::phases::read::read_phase;
@@ -76,36 +109,48 @@ use crate::state::PartitionState;
 use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
 use crate::{CuspConfig, GraphSource, PartId};
 
-/// Dense bitset over global vertex ids marking the dirty set.
+/// Rows of [`DirtySet::roles`].
+const SOURCES: usize = 0;
+const MOVED: usize = 1;
+
+/// The vertices a batch dirtied, by the role they changed in (module docs):
+/// two dense bitsets over global vertex ids, `moved` a subset of `sources`.
 pub struct DirtySet {
-    bits: Vec<u64>,
+    roles: NodeBitRows,
+    n: u64,
     count: u64,
 }
 
 impl DirtySet {
     fn new(n: u64) -> Self {
-        DirtySet { bits: vec![0u64; (n as usize).div_ceil(64)], count: 0 }
+        DirtySet { roles: NodeBitRows::new(2, n as usize), n, count: 0 }
     }
 
-    fn insert(&mut self, v: Node) {
-        let (w, b) = (v as usize / 64, v as usize % 64);
-        if self.bits[w] & (1 << b) == 0 {
-            self.bits[w] |= 1 << b;
-            self.count += 1;
+    /// Marks the vertices `vs` as dirty sources and, if `moved`, as moved.
+    fn insert(&mut self, vs: impl IntoIterator<Item = Node>, moved: bool) {
+        for v in vs {
+            // `mark` would land a larger id in the next row.
+            assert!((v as u64) < self.n, "dirty vertex {v} is not in the mutated graph");
+            self.count += !self.roles.test(SOURCES, v) as u64;
+            self.roles.mark(SOURCES, v);
+            if moved {
+                self.roles.mark(MOVED, v);
+            }
         }
     }
 
-    fn insert_range(&mut self, r: std::ops::Range<Node>) {
-        for v in r {
-            self.insert(v);
-        }
-    }
-
-    /// Is global vertex `v` dirty?
+    /// Is global vertex `v` dirty, i.e. is every one of its out-edges
+    /// re-decided?
     #[inline]
     pub fn contains(&self, v: Node) -> bool {
-        let (w, b) = (v as usize / 64, v as usize % 64);
-        w < self.bits.len() && self.bits[w] & (1 << b) != 0
+        (v as u64) < self.n && self.roles.test(SOURCES, v)
+    }
+
+    /// Is `v` new or re-homed, so that the edges *into* it are re-decided
+    /// too? Implies [`DirtySet::contains`].
+    #[inline]
+    pub fn moved(&self, v: Node) -> bool {
+        (v as u64) < self.n && self.roles.test(MOVED, v)
     }
 
     /// Number of dirty vertices.
@@ -119,7 +164,7 @@ impl DirtySet {
     }
 }
 
-/// The delta walk: an edge is decided iff either endpoint is dirty.
+/// The delta walk: edge `(s, d)` is decided iff `s` is dirty or `d` moved.
 impl EdgeFilter for DirtySet {
     #[inline]
     fn whole_source(&self, s: Node) -> bool {
@@ -127,12 +172,12 @@ impl EdgeFilter for DirtySet {
     }
     #[inline]
     fn edge(&self, whole_source: bool, d: Node) -> bool {
-        whole_source || self.contains(d)
+        whole_source || self.moved(d)
     }
 }
 
 /// Computes the dirty set for `batch` against the old/new pure master
-/// rules (see the module docs for the three dirty-set rules). Every host
+/// rules (see the module docs for the rules and roles). Every host
 /// computes an identical set — the inputs are all replicated.
 pub fn dirty_set<MR: MasterRule>(
     old_rule: &MR,
@@ -144,10 +189,8 @@ pub fn dirty_set<MR: MasterRule>(
 ) -> DirtySet {
     debug_assert!(new_n >= old_n, "graphs never shrink under a WAL batch");
     let mut dirty = DirtySet::new(new_n);
-    for ev in batch {
-        dirty.insert(ev.src());
-    }
-    dirty.insert_range(old_n as Node..new_n as Node);
+    dirty.insert(batch.iter().map(GraphEvent::src), false);
+    dirty.insert(old_n as Node..new_n as Node, true);
     // Master shifts: a vertex whose new owner differs from its old owner.
     // Both rules assign contiguous per-part ranges, so the shifted vertices
     // are interval differences — `new_range(p) \ old_range(p)` per part
@@ -159,18 +202,186 @@ pub fn dirty_set<MR: MasterRule>(
         if old_r == new_r {
             continue;
         }
-        dirty.insert_range(new_r.start..new_r.end.min(old_r.start.max(new_r.start)));
-        dirty.insert_range(old_r.end.max(new_r.start).min(new_r.end)..new_r.end);
+        dirty.insert(new_r.start..new_r.end.min(old_r.start.max(new_r.start)), true);
+        dirty.insert(old_r.end.max(new_r.start).min(new_r.end)..new_r.end, true);
     }
     dirty
 }
 
-/// Output of the delta edge-assignment phase: the synthesized
-/// [`EdgeAssignOutcome`] plus the number of clean edges this host reuses
-/// from its previous partition.
-struct DeltaAssignOutcome {
-    ea: EdgeAssignOutcome,
-    reused_edges: u64,
+/// `old2new` of a previous proxy no kept edge touches.
+const HOLE: u32 = u32::MAX;
+
+/// Rows of [`Kept::bits`], all indexed by previous local id: rows that keep
+/// no edge, stored ids whose edges drop, destination proxies of kept edges.
+const DROP_ROW: usize = 0;
+const DROP_EDGE: usize = 1;
+const DEST: usize = 2;
+
+/// The edges of the previous partition that keep their owner: tallied for
+/// allocation and copied into it by previous local id (module docs, "The
+/// kept edges").
+struct Kept<'a> {
+    prev: &'a DistGraph,
+    /// `prev` stores in-edges (`OutputFormat::Csc`): each row is the
+    /// *destination* of its edges and each stored id a source.
+    csc: bool,
+    /// [`DROP_ROW`] and [`DROP_EDGE`] are the dirty roles localised —
+    /// `sources` and `moved` for CSR rows, the reverse for CSC; [`DEST`] is
+    /// marked by the tally.
+    bits: NodeBitRows,
+    /// Kept edges per source proxy.
+    counts: Vec<AtomicU32>,
+}
+
+impl<'a> Kept<'a> {
+    /// Localises `dirty` and tallies the kept edges of `prev`.
+    fn tally(pool: &ThreadPool, prev: &'a DistGraph, csc: bool, dirty: &DirtySet) -> Self {
+        let n = prev.num_local();
+        let bits = NodeBitRows::new(3, n);
+        let (sources, moved) = if csc { (DROP_EDGE, DROP_ROW) } else { (DROP_ROW, DROP_EDGE) };
+        for (l, &g) in prev.local2global.iter().enumerate() {
+            if dirty.contains(g) {
+                bits.mark(sources, l as Node);
+                if dirty.moved(g) {
+                    bits.mark(moved, l as Node);
+                }
+            }
+        }
+        let kept = Kept { prev, csc, bits, counts: (0..n).map(|_| AtomicU32::new(0)).collect() };
+        // A CSR row is its edges' source: its count cell has one writer.
+        // The sources of a CSC row vary, hence the read-modify-write there.
+        do_all(pool, n, DEFAULT_GRAIN, |row| {
+            let mut run = 0u32;
+            kept.for_each_in_row(row, |_, other| {
+                run += 1;
+                if csc {
+                    kept.counts[other as usize].fetch_add(1, Ordering::Relaxed);
+                } else {
+                    kept.bits.mark(DEST, other);
+                }
+            });
+            if run == 0 {
+                return;
+            }
+            if csc {
+                kept.bits.mark(DEST, row as Node);
+            } else {
+                kept.counts[row].store(run, Ordering::Relaxed);
+            }
+        });
+        kept
+    }
+
+    /// The kept predicate: calls `f(edge index, stored id)` for every edge
+    /// of previous row `row` none of whose `getEdgeOwner` inputs changed.
+    #[inline]
+    fn for_each_in_row(&self, row: usize, mut f: impl FnMut(usize, u32)) {
+        if self.bits.test(DROP_ROW, row as Node) {
+            return;
+        }
+        let e0 = self.prev.graph.first_edge(row as Node) as usize;
+        for (i, &other) in self.prev.graph.edges(row as Node).iter().enumerate() {
+            if !self.bits.test(DROP_EDGE, other) {
+                f(e0 + i, other);
+            }
+        }
+    }
+
+    /// Number of kept edges.
+    fn reused_edges(&self) -> u64 {
+        self.counts.iter().map(|c| c.load(Ordering::Relaxed) as u64).sum()
+    }
+
+    /// What allocation must know of the kept edges, globalised once per
+    /// proxy: `(source, edges, master)` and the destinations mastered
+    /// elsewhere. Previous local ids ascend by global id within the master
+    /// and within the mirror segment, so each list is two ascending runs.
+    fn outcome(&self, masters: &ResolvedMasters, me: usize) -> EdgeAssignOutcome {
+        let global = |l: usize| self.prev.local2global[l];
+        let counts = self.counts.iter().enumerate().map(|(l, c)| (l, c.load(Ordering::Relaxed)));
+        let incoming_srcs = counts
+            .filter(|&(_, c)| c > 0)
+            .map(|(l, c)| (global(l), c, masters.of(global(l))))
+            .collect();
+        let mirrors = self
+            .bits
+            .ones(DEST)
+            .map(|l| (global(l as usize), masters.of(global(l as usize))))
+            .filter(|&(_, m)| m as usize != me)
+            .collect();
+        EdgeAssignOutcome { incoming_srcs, mirrors, my_master_nodes: None, to_receive: 0 }
+    }
+
+    /// Previous local id → new local id for every proxy a kept edge touches,
+    /// [`HOLE`] for the rest (which `alloc` need not know at all).
+    fn old2new(&self, alloc: &AllocOutcome) -> Vec<u32> {
+        let touched = |l: usize| {
+            self.counts[l].load(Ordering::Relaxed) > 0 || self.bits.test(DEST, l as Node)
+        };
+        let global = self.prev.local2global.iter().enumerate();
+        global.map(|(l, &g)| if touched(l) { alloc.local_of(g) } else { HOLE }).collect()
+    }
+
+    /// Translate-copies every kept edge into the slots `alloc` holds for it:
+    /// pure memory movement, no rule and no wire. The tally is spent after.
+    fn copy(self, pool: &ThreadPool, alloc: &mut AllocOutcome) {
+        let weights = self.prev.edge_data.as_deref();
+        let total = *alloc.offsets.last().expect("offsets are never empty") as usize;
+        // Not debug checks: the stores below rely on both.
+        assert_eq!(weights.is_some(), alloc.edge_data.is_some(), "previous weights, new input");
+        let fits = |cap: usize| cap >= total;
+        assert!(
+            fits(alloc.dests.capacity()) && alloc.edge_data.as_ref().is_none_or(|d| fits(d.capacity())),
+            "allocation reserved fewer slots than its offsets span"
+        );
+        let (dest_ptr, data_ptr) = slot_ptrs(alloc);
+        let alloc: &AllocOutcome = alloc;
+        let old2new = self.old2new(alloc);
+        let new_id = |l: u32| {
+            let new = old2new[l as usize];
+            // The predicate kept the edge, so the bit of `l` in the local
+            // dirty rows is clear and the tally must have touched it.
+            assert!(new != HOLE, "kept edge at previous proxy {l}, which the tally never touched");
+            new
+        };
+        // One reservation: the next `cnt` slots of new local source `src`.
+        let reserve = |src: u32, cnt: usize| {
+            let slot = alloc.cursors[src as usize].fetch_add(cnt as u64, Ordering::Relaxed);
+            let end = slot + cnt as u64;
+            assert!(end <= alloc.offsets[src as usize + 1], "kept edges overflow new local id {src}");
+            slot as usize..end as usize
+        };
+        let put = |slots: &mut Range<usize>, to: u32, e: usize| {
+            let at = slots.next().expect("kept-edge copy wrote more edges than the tally counted");
+            // SAFETY: `at` comes out of a range `reserve` handed out, by
+            // advancing its source's cursor, to this call chain alone, and
+            // `next` bound-checks it against that range's end; `reserve`
+            // asserted the end within the source's `offsets` range, hence
+            // within `total`, for which both buffers have capacity (checked
+            // above, as is that the weight buffer exists when weights do).
+            unsafe {
+                *dest_ptr.get().add(at) = to;
+                if let Some(w) = weights {
+                    *data_ptr.get().add(at) = w[e];
+                }
+            }
+        };
+        do_all(pool, self.prev.num_local(), DEFAULT_GRAIN, |row| {
+            if self.csc {
+                // Sources vary within the row: one slot per edge.
+                let dst = row as u32;
+                self.for_each_in_row(row, |e, src| {
+                    put(&mut reserve(new_id(src), 1), new_id(dst), e);
+                });
+                return;
+            }
+            let cnt = self.counts[row].load(Ordering::Relaxed) as usize;
+            let mut slots = if cnt > 0 { reserve(new_id(row as u32), cnt) } else { 0..0 };
+            self.for_each_in_row(row, |e, dst| put(&mut slots, new_id(dst), e));
+            let short = slots.len();
+            assert!(short == 0, "previous row {row} was copied {short} edges short of its tally");
+        });
+    }
 }
 
 /// What both delta phases work from: the new run's rules and masters, the
@@ -185,80 +396,30 @@ struct DeltaCx<'a, ER: EdgeRule> {
     dirty: &'a DirtySet,
 }
 
-/// Delta edge assignment: tallies kept (clean) edges from the previous
-/// partition locally, runs the full phase's tally under the dirty filter,
-/// and exchanges only that dirty-edge metadata — sparse `(src, count)`
-/// pairs instead of the full positional count vectors.
-fn delta_assign<ER: EdgeRule>(
+/// Delta edge assignment: tallies the kept edges of the previous partition
+/// locally, runs the full phase's tally under the dirty filter, and
+/// exchanges only that dirty-edge metadata — sparse `(src, count)` pairs
+/// instead of the full positional count vectors.
+fn delta_assign<'a, ER: EdgeRule>(
     ctx: &PhaseCtx<'_>,
-    cx: &DeltaCx<'_, ER>,
+    cx: &DeltaCx<'a, ER>,
     data: &mut SliceData,
-) -> DeltaAssignOutcome {
-    let DeltaCx { setup, masters, rule, estate, prev, prev_csc: csc, dirty } = *cx;
+) -> (EdgeAssignOutcome, Kept<'a>) {
+    let DeltaCx { setup, masters, rule, estate, prev, prev_csc, dirty } = *cx;
     let comm = ctx.comm;
     let me = comm.host();
     let k = comm.num_hosts();
     let lo = data.node_lo();
     let local_n = data.num_nodes();
 
-    // --- Kept (clean) edges from the previous partition. -------------
-    // Both endpoints clean ⇒ the edge's owner is unchanged ⇒ it stays
-    // on this host. Positional tallies sized by the (replicated) global
-    // node count keep the walk a lock-free parallel pass: `incoming[v]`
-    // counts kept edges sourced at `v`, `dest_bits` marks every destination
-    // proxy (deduplication by construction — no sort); which of them are
-    // mirrors is decided once per set bit, in the scan at the end.
-    let n_glob = setup.num_nodes as usize;
-    let incoming: Vec<AtomicU32> = (0..n_glob).map(|_| AtomicU32::new(0)).collect();
-    let dest_bits = NodeBitRows::new(1, n_glob);
-    let mark_dest = |v: Node| dest_bits.mark(0, v);
-    let reused_total = AtomicU64::new(0);
-    do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |_tid, row| {
-        let edges = prev.graph.edges(row as Node);
-        if edges.is_empty() {
-            return;
-        }
-        let g_row = prev.local2global[row];
-        if dirty.contains(g_row) {
-            return; // every edge of a dirty row has a dirty endpoint
-        }
-        let mut kept = 0u32;
-        if !csc {
-            // Row is the source: one tally update covers the whole run.
-            for &other in edges {
-                let g_other = prev.local2global[other as usize];
-                if dirty.contains(g_other) {
-                    continue;
-                }
-                kept += 1;
-                mark_dest(g_other);
-            }
-            if kept > 0 {
-                incoming[g_row as usize].fetch_add(kept, Ordering::Relaxed);
-            }
-        } else {
-            // Row is the destination: tally each stored source; the
-            // row itself is the proxy, marked once.
-            for &other in edges {
-                let g_other = prev.local2global[other as usize];
-                if dirty.contains(g_other) {
-                    continue;
-                }
-                kept += 1;
-                incoming[g_other as usize].fetch_add(1, Ordering::Relaxed);
-            }
-            if kept > 0 {
-                mark_dest(g_row);
-            }
-        }
-        if kept > 0 {
-            reused_total.fetch_add(kept as u64, Ordering::Relaxed);
-        }
-    });
-    let reused_edges = reused_total.load(Ordering::Relaxed);
+    // --- Kept edges from the previous partition. -----------------------
+    // No input of their decision changed ⇒ their owner did not ⇒ they
+    // stay on this host, with the proxies they need.
+    let kept = Kept::tally(&ctx.pool, prev, prev_csc, dirty);
+    let mut ea = kept.outcome(masters, me);
 
     // --- Dirty edges from the mutated slice. ---------------------------
-    // The full phase's tally, deciding only edges with a dirty endpoint.
+    // The full phase's tally, deciding only what the filter selects.
     let (counts, mirrors_for) = tally_edges(&ctx.pool, setup, data, masters, rule, estate, dirty);
 
     // --- Exchange dirty-edge metadata (sparse pairs + mirror ids). ----
@@ -289,17 +450,16 @@ fn delta_assign<ER: EdgeRule>(
     }
 
     // --- Local dirty contributions (h == me). -------------------------
+    let with_master = |d: Node| (d, masters.of(d));
     for (i, &c) in counts[me * local_n..(me + 1) * local_n].iter().enumerate() {
         if c > 0 {
-            incoming[(lo + i as Node) as usize].fetch_add(c, Ordering::Relaxed);
+            let s = lo + i as Node;
+            ea.incoming_srcs.push((s, c, masters.of(s)));
         }
     }
-    for &d in &mirrors_for[me] {
-        mark_dest(d);
-    }
+    ea.mirrors.extend(mirrors_for[me].iter().copied().map(with_master));
 
     // --- Receive peer dirty metadata. ---------------------------------
-    let mut to_receive = 0u64;
     for _ in 0..k.saturating_sub(1) {
         let (_src, payload) = comm.recv_any(TAG_EDGE_META);
         let mut r = WireReader::new(payload);
@@ -312,186 +472,48 @@ fn delta_assign<ER: EdgeRule>(
         r.get_u32_into(&mut pairs).expect("malformed delta pairs");
         for pair in pairs.chunks_exact(2) {
             let (s, c) = (pair[0], pair[1]);
-            incoming[s as usize].fetch_add(c, Ordering::Relaxed);
-            to_receive += c as u64;
+            ea.incoming_srcs.push((s, c, masters.of(s)));
+            ea.to_receive += c as u64;
         }
         let nm = r.get_u64().expect("malformed delta mirror count") as usize;
         let mut run = vec![0u32; nm];
         r.get_u32_into(&mut run).expect("malformed delta mirrors");
-        for d in run {
-            mark_dest(d);
-        }
+        ea.mirrors.extend(run.into_iter().map(with_master));
     }
 
-    // --- Synthesize the outcome allocation consumes. ------------------
-    // Both tallies are positional, so scanning them yields the sorted
-    // vectors directly — no hash drain, no sort, no dedup.
-    let mut incoming_srcs: Vec<(Node, u32, PartId)> = Vec::new();
-    for (v, c) in incoming.iter().enumerate() {
-        let c = c.load(Ordering::Relaxed);
-        if c > 0 {
-            incoming_srcs.push((v as Node, c, masters.of(v as Node)));
-        }
-    }
-    let mirrors: Vec<(Node, PartId)> = dest_bits
-        .ones(0)
-        .map(|v| (v, masters.of(v)))
-        .filter(|&(_, m)| m as usize != me)
-        .collect();
-
-    DeltaAssignOutcome {
-        ea: EdgeAssignOutcome {
-            incoming_srcs,
-            mirrors,
-            my_master_nodes: None,
-            to_receive,
-        },
-        reused_edges,
-    }
+    // --- The outcome allocation consumes. ------------------------------
+    // A source may come twice — kept edges here, re-decided ones from its
+    // reader — and allocation adds its counts up. Every list above is an
+    // ascending run (the kept ones two), so the mirrors merge, not sort.
+    ea.mirrors = merge_runs(std::mem::take(&mut ea.mirrors));
+    ea.mirrors.dedup();
+    (ea, kept)
 }
 
-/// Invokes `f(src, dst, edge_index)` (global ids, previous-partition edge
-/// index) for every edge of `prev` whose endpoints are both clean.
-///
-/// `csc` says the previous partition stores in-edges
-/// (`OutputFormat::Csc`), in which case each row is the edge's
-/// *destination* and each stored id its source.
-fn for_each_kept_edge(
-    prev: &DistGraph,
-    csc: bool,
-    dirty: &DirtySet,
-    mut f: impl FnMut(Node, Node, usize),
-) {
-    for row in 0..prev.num_local() {
-        let edges = prev.graph.edges(row as Node);
-        if edges.is_empty() {
-            continue;
-        }
-        let g_row = prev.local2global[row];
-        if dirty.contains(g_row) {
-            continue; // every edge of a dirty row has a dirty endpoint
-        }
-        let e0 = prev.graph.first_edge(row as Node) as usize;
-        for (i, &other) in edges.iter().enumerate() {
-            let g_other = prev.local2global[other as usize];
-            if dirty.contains(g_other) {
-                continue;
-            }
-            let (src, dst) = if csc { (g_other, g_row) } else { (g_row, g_other) };
-            f(src, dst, e0 + i);
-        }
-    }
-}
-
-/// Delta construction: copies kept edges out of the previous partition
+/// Delta construction: copies the kept edges out of the previous partition
 /// (no decision, no communication), then runs the full construction phase
 /// under the dirty filter, so only dirty edges are re-decided and shipped.
 fn delta_construct<ER: EdgeRule>(
     ctx: &PhaseCtx<'_>,
     cx: &DeltaCx<'_, ER>,
+    kept: Kept<'_>,
     data: &mut SliceData,
     alloc: &mut AllocOutcome,
     to_receive: u64,
 ) -> (Csr, Option<Vec<u32>>) {
-    let DeltaCx { setup, masters, rule, estate, prev, prev_csc, dirty } = *cx;
-    let weighted = data.weighted();
-    debug_assert_eq!(weighted, prev.edge_data.is_some());
-    let (dest_ptr, data_ptr) = slot_ptrs(alloc);
-    let alloc_ref: &AllocOutcome = alloc;
-
-    // --- 1. Copy kept edges from the previous partition. --------------
-    // Pure memory movement: globalize the destination, carry the weight,
-    // insert into the freshly reserved slots. No rule, no wire.
-    if !prev_csc {
-        // Rows are sources: each clean row's kept run is one record,
-        // and the atomic cursors make the inserts safe to parallelize.
-        let scratch: PerThread<(Vec<Node>, Vec<u32>)> =
-            PerThread::new(&ctx.pool, |_| (Vec::new(), Vec::new()));
-        do_all_with_tid(&ctx.pool, prev.num_local(), DEFAULT_GRAIN, |tid, row| {
-            let edges = prev.graph.edges(row as Node);
-            if edges.is_empty() {
-                return;
-            }
-            let g_row = prev.local2global[row];
-            if dirty.contains(g_row) {
-                return;
-            }
-            let e0 = prev.graph.first_edge(row as Node) as usize;
-            scratch.with(tid, |(dsts, ws)| {
-                dsts.clear();
-                ws.clear();
-                for (i, &other) in edges.iter().enumerate() {
-                    let g_other = prev.local2global[other as usize];
-                    if dirty.contains(g_other) {
-                        continue;
-                    }
-                    dsts.push(g_other);
-                    if let Some(d) = &prev.edge_data {
-                        ws.push(d[e0 + i]);
-                    }
-                }
-                if !dsts.is_empty() {
-                    insert_record(
-                        alloc_ref,
-                        &dest_ptr,
-                        &data_ptr,
-                        g_row,
-                        dsts,
-                        weighted.then_some(ws.as_slice()),
-                    );
-                }
-            });
-        });
-    } else {
-        // CSC rows are destinations, so sources vary within a row —
-        // keep the grouped sequential walk (runs are consecutive
-        // same-source spans of the in-edge adjacency).
-        let mut dsts: Vec<Node> = Vec::new();
-        let mut ws: Vec<u32> = Vec::new();
-        let mut run_src: Option<Node> = None;
-        let flush =
-            |src: Option<Node>, dsts: &mut Vec<Node>, ws: &mut Vec<u32>| {
-                if let Some(s) = src {
-                    if !dsts.is_empty() {
-                        insert_record(
-                            alloc_ref,
-                            &dest_ptr,
-                            &data_ptr,
-                            s,
-                            dsts,
-                            weighted.then_some(ws.as_slice()),
-                        );
-                    }
-                }
-                dsts.clear();
-                ws.clear();
-            };
-        for_each_kept_edge(prev, prev_csc, dirty, |src, dst, e| {
-            if run_src != Some(src) {
-                flush(run_src, &mut dsts, &mut ws);
-                run_src = Some(src);
-            }
-            dsts.push(dst);
-            if let Some(d) = &prev.edge_data {
-                ws.push(d[e]);
-            }
-        });
-        flush(run_src, &mut dsts, &mut ws);
-    }
-
-    // --- 2. Dirty edges: the full phase, re-deciding only those. --------
+    kept.copy(&ctx.pool, alloc);
     construct(
         ctx.comm,
         &ctx.pool,
-        setup,
+        cx.setup,
         data,
-        masters,
-        rule,
-        ReplayReady::arm(estate),
+        cx.masters,
+        cx.rule,
+        ReplayReady::arm(cx.estate),
         alloc,
         to_receive,
         ctx.cfg,
-        dirty,
+        cx.dirty,
     )
 }
 
@@ -504,6 +526,14 @@ fn delta_construct<ER: EdgeRule>(
 /// identical on every host. `build` must be the same deterministic policy
 /// constructor the previous run used; it is evaluated against both the old
 /// and the new [`Setup`].
+///
+/// An edge `(src, dst)` is re-decided iff `src` is dirty or `dst` moved
+/// (module docs); every other edge stays where `prev` has it. That rests on
+/// the [`EdgeRule`] contract: a stateless rule handed to this function
+/// decides from structural properties of `src`, the two masters and `parts`
+/// only — `prop` refuses structural queries about any node but a locally
+/// read one, which `dst` need not be — so a vertex that was merely the
+/// source of a batch event changes no decision about the edges into it.
 ///
 /// Policies with a stateful edge rule or a non-pure master rule (and runs
 /// with `force_stored_masters`) fall back to a full re-partition; the
@@ -562,7 +592,7 @@ where
     );
     let estate = <ER as EdgeRule>::State::new(setup.parts);
 
-    // Phase 3: delta edge assignment (dirty edges decided, clean tallied).
+    // Phase 3: delta edge assignment (dirty edges decided, kept ones tallied).
     let cx = DeltaCx {
         setup: &setup,
         masters: &masters,
@@ -572,24 +602,24 @@ where
         prev_csc: cfg.output == OutputFormat::Csc,
         dirty: &dirty,
     };
-    let d = ctx.run_phase(PhaseId::EdgeAssign, |ctx| delta_assign(ctx, &cx, &mut data));
+    let (ea, kept) = ctx.run_phase(PhaseId::EdgeAssign, |ctx| delta_assign(ctx, &cx, &mut data));
 
     // Phase 4: allocation — unchanged; the synthesized outcome feeds the
     // exact same deterministic local-id layout a full run would compute.
     let spec = MasterSpec::PureRange(master_rule.pure_owned_range(comm.host() as PartId));
     let weighted = data.weighted();
-    let mut alloc = ctx.run_phase(PhaseId::Alloc, |ctx| {
-        allocate(comm.host(), &ctx.pool, spec, &d.ea, weighted)
-    });
+    let mut alloc =
+        ctx.run_phase(PhaseId::Alloc, |ctx| allocate(comm.host(), &ctx.pool, spec, &ea, weighted));
 
     // Phase 5: delta construction (kept edges copied, dirty edges shipped).
+    let reused_edges = kept.reused_edges();
     let built = ctx.run_phase(PhaseId::Construct, |ctx| {
-        delta_construct(ctx, &cx, &mut data, &mut alloc, d.ea.to_receive)
+        delta_construct(ctx, &cx, kept, &mut data, &mut alloc, ea.to_receive)
     });
 
     PartitionOutput {
         dirty_vertices: dirty.len(),
-        reused_edges: d.reused_edges,
+        reused_edges,
         ..PartitionOutput::assemble(ctx, class, setup, &data, alloc, built)
     }
 }
@@ -639,6 +669,13 @@ mod tests {
         assert!(!d.contains(5));
         assert!(d.len() >= 12);
         assert!(!d.is_empty());
+        // Roles: an event source drags only its own out-edges; a re-homed
+        // or a new vertex also the edges into it.
+        assert_eq!(old.pure_master(90), new.pure_master(90));
+        assert!(!d.moved(3) && !d.moved(90), "an event source did not move");
+        assert!(d.moved(25) && (100..110).all(|v| d.moved(v)));
+        assert!((0..120).all(|v| !d.moved(v) || d.contains(v)), "moved is a subset of sources");
+        assert_eq!((0..110).filter(|&v| d.contains(v)).count() as u64, d.len());
     }
 
     #[test]
@@ -670,7 +707,7 @@ mod tests {
         let mut dirty = DirtySet::new(150);
         let none = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &dirty);
         assert!(none.0.iter().all(|&c| c == 0) && none.1.iter().all(Vec::is_empty));
-        dirty.insert_range(0..150);
+        dirty.insert(0..150, false);
         let every = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &dirty);
         assert_eq!(all, every);
         let in_range = g.offsets()[140] - g.offsets()[10];
@@ -678,33 +715,95 @@ mod tests {
         assert!(all.1.iter().any(|m| !m.is_empty()), "no mirrors: the comparison is vacuous");
     }
 
-    #[test]
-    fn kept_edge_walk_respects_orientation() {
-        use crate::dist_graph::PartitionClass;
-        // Partition over globals {2, 5, 9}: edges 2->5, 2->9, 5->9.
-        let graph = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
+    /// Host 0 of 2 over globals `0..10` — masters `0..5`, mirrors {6, 7, 9} —
+    /// holding 1→6 (10), 1→7 (11), 3→1 (12), 3→9 (13), 4→7 (14), 7→2 (15),
+    /// as CSR rows or transposed to CSC. 4 and 7 were batch sources and 6 was
+    /// re-homed, so row 1 loses its edge into the moved 6 and keeps the one
+    /// into 7, which is only an event source: 1→7, 3→1 and 3→9 stay.
+    fn hand_built(csc: bool) -> (DistGraph, DirtySet) {
+        let rows = Csr::from_edges(8, &[(1, 5), (1, 6), (3, 1), (3, 7), (4, 6), (6, 2)]);
+        let weights = vec![10, 11, 12, 13, 14, 15];
+        let (graph, weights) = if csc { rows.transpose_with_data(&weights) } else { (rows, weights) };
         let prev = DistGraph {
             part_id: 0,
-            num_parts: 1,
+            num_parts: 2,
             global_nodes: 10,
-            global_edges: 3,
-            num_masters: 3,
-            local2global: vec![2, 5, 9],
-            master_of: vec![0, 0, 0],
+            global_edges: 6,
+            num_masters: 5,
+            local2global: vec![0, 1, 2, 3, 4, 6, 7, 9],
+            master_of: vec![0, 0, 0, 0, 0, 1, 1, 1],
             graph,
-            edge_data: Some(vec![20, 21, 22]),
-            class: PartitionClass::OutEdgeCut,
+            edge_data: Some(weights),
+            class: PartitionClass::GeneralVertexCut,
         };
         let mut dirty = DirtySet::new(10);
-        dirty.insert(5);
-        // CSR orientation: rows are sources; only 2->9 survives (5 dirty).
-        let mut seen = Vec::new();
-        for_each_kept_edge(&prev, false, &dirty, |s, d, e| seen.push((s, d, e)));
-        assert_eq!(seen, vec![(2, 9, 1)]);
-        // CSC orientation: rows are destinations, so the same stored edges
-        // read as 5->2, 9->2, 9->5; with 5 dirty the kept set is {9->2}.
-        let mut seen = Vec::new();
-        for_each_kept_edge(&prev, true, &dirty, |s, d, e| seen.push((s, d, e)));
-        assert_eq!(seen, vec![(9, 2, 1)]);
+        dirty.insert([4, 7], false);
+        dirty.insert([6], true);
+        (prev, dirty)
+    }
+
+    /// Tallies `prev` and allocates for its kept edges alone.
+    fn tally_and_allocate<'a>(
+        pool: &cusp_galois::ThreadPool,
+        prev: &'a DistGraph,
+        csc: bool,
+        dirty: &DirtySet,
+        bump: Option<usize>,
+    ) -> (Kept<'a>, EdgeAssignOutcome, AllocOutcome) {
+        let masters = pure_masters(&Contiguous::new(&setup(10, 2)), 2);
+        let kept = Kept::tally(pool, prev, csc, dirty);
+        if let Some(l) = bump {
+            kept.counts[l].fetch_add(1, Ordering::Relaxed);
+        }
+        let ea = kept.outcome(&masters, 0);
+        let alloc = allocate(0, pool, MasterSpec::PureRange(0..5), &ea, true);
+        (kept, ea, alloc)
+    }
+
+    #[test]
+    fn kept_edges_follow_roles_and_translate_in_both_orientations() {
+        let pool = cusp_galois::ThreadPool::new(2);
+        for csc in [false, true] {
+            let (prev, dirty) = hand_built(csc);
+            let (kept, ea, mut alloc) = tally_and_allocate(&pool, &prev, csc, &dirty, None);
+            assert_eq!(kept.reused_edges(), 3, "csc={csc}");
+            assert_eq!(ea.incoming_srcs, vec![(1, 1, 0), (3, 2, 0)], "csc={csc}");
+            assert_eq!(ea.mirrors, vec![(7, 1), (9, 1)], "csc={csc}");
+            // Mirror 6 is gone, so 7 and 9 shift down by one: holes exactly
+            // at the proxies no kept edge touches, increasing on the rest.
+            assert_eq!(alloc.local2global, vec![0, 1, 2, 3, 4, 7, 9]);
+            let old2new = kept.old2new(&alloc);
+            assert_eq!(old2new, vec![HOLE, 1, HOLE, 3, HOLE, HOLE, 5, 6], "csc={csc}");
+            // Initialised stand-ins for the reserved buffers, so the copy
+            // can be read back without `construct` giving them a length.
+            assert_eq!(alloc.offsets, vec![0, 0, 1, 1, 3, 3, 3, 3]);
+            alloc.dests = vec![HOLE; 3];
+            alloc.edge_data = Some(vec![0; 3]);
+            kept.copy(&pool, &mut alloc);
+            for (l, cursor) in alloc.cursors.iter().enumerate() {
+                assert_eq!(cursor.load(Ordering::Relaxed), alloc.offsets[l + 1], "csc={csc} row {l}");
+            }
+            let weights = alloc.edge_data.as_ref().unwrap();
+            let mut row3 = vec![(alloc.dests[1], weights[1]), (alloc.dests[2], weights[2])];
+            row3.sort_unstable();
+            assert_eq!((alloc.dests[0], weights[0]), (5, 11), "csc={csc}: 1→7");
+            assert_eq!(row3, vec![(1, 12), (6, 13)], "csc={csc}: 3→1, 3→9");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "previous row 1 was copied 1 edges short of its tally")]
+    fn a_tally_the_copy_does_not_fill_panics_before_the_buffers_get_a_length() {
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        let pool = cusp_galois::ThreadPool::new(2);
+        let (prev, dirty) = hand_built(false);
+        // Row 1 is tallied, and allocated, one edge more than it keeps.
+        let (kept, _, mut alloc) = tally_and_allocate(&pool, &prev, false, &dirty, Some(1));
+        let copied = catch_unwind(AssertUnwindSafe(|| kept.copy(&pool, &mut alloc)));
+        assert!(alloc.dests.is_empty(), "short-copied destination buffer got a length");
+        assert!(alloc.edge_data.as_ref().is_some_and(Vec::is_empty), "short-copied weight buffer");
+        if let Err(panic) = copied {
+            resume_unwind(panic);
+        }
     }
 }

@@ -101,6 +101,16 @@ pub trait MasterRule: Send + Sync {
 }
 
 /// The `getEdgeOwner` half of a policy.
+///
+/// A rule sees an edge through `prop`, the endpoint ids, the two masters and
+/// its own state. `prop` answers structural queries (out-degree, neighbours)
+/// for locally read nodes only, which the edge walks guarantee for `src`
+/// alone. A *stateless* rule handed to
+/// [`partition_delta`](crate::phases::delta::partition_delta) is held to
+/// exactly that: it decides from structural properties of `src`, the two
+/// masters and `parts` only, so an edge is re-decided only when its source
+/// changed or an endpoint's master moved — every rule in the catalog
+/// qualifies.
 pub trait EdgeRule: Send + Sync {
     /// The `estate` type tracked by this rule (`()` if stateless).
     ///
