@@ -4,9 +4,6 @@
 //! * the §IV-D5 pure-master elision ("replicate computation instead of
 //!   communication") — toggled with `CuspConfig::force_stored_masters`;
 //! * §IV-D3 message buffering — buffered vs unbuffered construction;
-//! * the bulk wire codec — element-by-element serialization via
-//!   `CuspConfig::scalar_codec` (wire bytes are identical; only CPU cost
-//!   changes);
 //! * chunk streaming — `CuspConfig::chunk_edges` bounds resident edge
 //!   state to O(chunk) at the cost of per-chunk re-reads and flushes;
 //! * phase checkpoints — the "checkpointed" row reruns the baseline with
@@ -48,7 +45,7 @@ fn main() {
     );
     let ckpt_dir = std::env::temp_dir().join("cusp-ablation-ckpt");
     for input in drilldown_inputs(scale) {
-        let variants: [(&str, CuspConfig, bool); 9] = [
+        let variants: [(&str, CuspConfig, bool); 8] = [
             ("baseline", CuspConfig::default(), false),
             ("traced", CuspConfig::default(), true),
             (
@@ -71,14 +68,6 @@ fn main() {
                 "no buffering",
                 CuspConfig {
                     buffer_threshold: 0,
-                    ..CuspConfig::default()
-                },
-                false,
-            ),
-            (
-                "scalar codec",
-                CuspConfig {
-                    scalar_codec: true,
                     ..CuspConfig::default()
                 },
                 false,

@@ -23,8 +23,9 @@
 //! restarted host is bit-identical to the reset state a crash-free run
 //! would have used.
 //!
-//! The on-disk format follows `storage.rs`: a fixed header (magic,
-//! version, host topology), a payload, and a trailing CRC-32.
+//! The file is one checked record (`cusp_graph::wire`: `len u32 | crc32
+//! u32 | payload`) whose payload starts with a fixed header (magic,
+//! version, host topology) followed by the phase outputs.
 //! Corruption is handled by *rejection*, never by partial trust — any
 //! truncation, bad magic, wrong topology, or checksum mismatch makes
 //! [`CheckpointStore::load`] return `None`, and the restarted host simply
@@ -38,8 +39,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
-use cusp_graph::wal::crc32;
-use cusp_graph::Node;
+use cusp_graph::{wire, Node};
 use cusp_net::{NetCheckpoint, WireReader, WireWriter};
 
 use crate::phases::edge_assign::EdgeAssignOutcome;
@@ -48,10 +48,11 @@ use crate::PartId;
 
 /// File magic: `CUSPCK\0\0`, little-endian.
 const MAGIC: u64 = 0x0000_4B43_5053_5543;
-/// Format version; bump on any layout change. v3 stores the phase outputs
-/// themselves (pure masters as their range starts, no stage field); files
-/// of an older version decode as absent and force a safe full re-run.
-const VERSION: u32 = 3;
+/// Format version; bump on any layout change. v4 frames the v3 payload
+/// (the phase outputs themselves; pure masters as their range starts) as
+/// one checked record instead of appending a CRC; files of an older
+/// version decode as absent and force a safe full re-run.
+const VERSION: u32 = 4;
 
 impl ResolvedMasters {
     fn encode(&self, w: &mut WireWriter) {
@@ -202,11 +203,8 @@ impl CheckpointStore {
                 ea.encode(&mut w);
             }
         }
-        let body = w.finish();
-        let crc = crc32(&body);
-        let mut file = Vec::with_capacity(body.len() + 4);
-        file.extend_from_slice(&body);
-        file.extend_from_slice(&crc.to_le_bytes());
+        let mut file = Vec::new();
+        wire::put_record(&mut file, &w.finish());
         fs::write(&self.tmp, &file)?;
         fs::rename(&self.tmp, &self.path)
     }
@@ -218,12 +216,8 @@ impl CheckpointStore {
     /// one by design: the restart falls back to full re-execution.
     pub fn load(&self) -> Option<Checkpoint> {
         let raw = fs::read(&self.path).ok()?;
-        if raw.len() < 4 {
-            return None;
-        }
-        let (body, tail) = raw.split_at(raw.len() - 4);
-        let stored = u32::from_le_bytes(tail.try_into().ok()?);
-        if crc32(body) != stored {
+        let (body, used) = wire::take_record(&raw, u32::MAX).ok()?;
+        if used != raw.len() {
             return None;
         }
         let mut r = WireReader::new(Bytes::from(body.to_vec()));
@@ -376,23 +370,29 @@ mod tests {
 
     #[test]
     fn older_version_file_is_absent() {
-        // A v2 file, as the previous format wrote it: header with a stage
-        // field, one pure-masters byte, no edge assignment, valid CRC.
-        let dir = std::env::temp_dir().join(format!("cusp-ckpt-v2-{}", std::process::id()));
+        // A v3 file, as the previous format wrote it: the same payload,
+        // unframed, with a trailing CRC — and the same payload framed as a
+        // record but still claiming version 3.
+        let dir = std::env::temp_dir().join(format!("cusp-ckpt-v3-{}", std::process::id()));
         let s = store(&dir);
+        let ck = sample(false);
         let mut w = WireWriter::new();
         w.put_u64(MAGIC);
-        w.put_u32(2);
-        w.put_u32(2); // Stage::Master
+        w.put_u32(3);
         w.put_u64(3);
         w.put_u64(1);
-        sample(false).net.encode(&mut w);
-        w.put_u8(0); // v2's pure-masters marker
+        ck.net.encode(&mut w);
+        ck.masters.encode(&mut w);
         w.put_u8(0); // no edge assignment
-        let mut file = w.finish().to_vec();
-        file.extend_from_slice(&crc32(&file).to_le_bytes());
+        let body = w.finish().to_vec();
+        let mut file = body.clone();
+        wire::put_u32(&mut file, wire::crc32(&body));
         fs::write(s.path(), &file).expect("writable");
-        assert!(s.load().is_none(), "v2 checkpoint accepted");
+        assert!(s.load().is_none(), "v3 checkpoint accepted");
+        let mut framed = Vec::new();
+        wire::put_record(&mut framed, &body);
+        fs::write(s.path(), &framed).expect("writable");
+        assert!(s.load().is_none(), "record-framed v3 payload accepted");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -411,7 +411,8 @@ mod tests {
         let s = store(&dir);
         save(&s, &sample(false));
         let good = fs::read(s.path()).expect("readable");
-        for (offset, what) in [(0, "magic"), (8, "version"), (12, "hosts"), (20, "host")] {
+        // Offsets count from the file start: the record header is 8 bytes.
+        for (offset, what) in [(8, "magic"), (16, "version"), (20, "hosts"), (28, "host")] {
             let mut bad = good.clone();
             bad[offset] ^= 0xFF;
             fs::write(s.path(), &bad).expect("writable");
@@ -433,8 +434,9 @@ mod tests {
         fs::write(s.path(), &bad).expect("writable");
         assert!(s.load().is_none(), "payload flip accepted");
 
-        // Truncations at several depths, including mid-header and mid-CRC.
-        for cut in [0, 3, 11, good.len() / 2, good.len() - 1] {
+        // Truncations at several depths, including mid-length, mid-CRC and
+        // mid-header.
+        for cut in [0, 3, 6, 11, good.len() / 2, good.len() - 1] {
             fs::write(s.path(), &good[..cut]).expect("writable");
             assert!(s.load().is_none(), "truncation at {cut} accepted");
         }

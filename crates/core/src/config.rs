@@ -57,11 +57,6 @@ pub struct CuspConfig {
     /// Ablation switch: disable the §IV-D5 "replicate computation" elision
     /// and run the full stored-master protocol even for pure rules.
     pub force_stored_masters: bool,
-    /// Ablation switch: serialize/deserialize construction edge records
-    /// element by element instead of with the bulk slice codec. The wire
-    /// bytes are identical either way — this isolates the codec's CPU cost
-    /// without perturbing the communication-volume tables.
-    pub scalar_codec: bool,
     /// Upper bound on edges materialized per reader chunk. `None` (the
     /// default) streams each host's whole slice as one chunk — the
     /// monolithic behaviour. With `Some(c)` the reading phase keeps only
@@ -113,7 +108,6 @@ impl Default for CuspConfig {
             edge_read_weight: 1,
             output: OutputFormat::Csr,
             force_stored_masters: false,
-            scalar_codec: false,
             chunk_edges: None,
             checkpoint_dir: None,
             deterministic_sync: false,

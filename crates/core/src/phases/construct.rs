@@ -19,9 +19,9 @@
 //! with the wire codec's memcpy slice ops, incoming messages are sized by
 //! skip-scanning record headers in O(records), and destination runs are
 //! decoded straight from the received payload into the record's reserved
-//! CSR slots (weights are a straight memcpy). The wire format is identical
-//! to the element-by-element encoding — `CuspConfig::scalar_codec` keeps
-//! the scalar path around as an ablation and parity check.
+//! CSR slots (weights are a straight memcpy). The bytes are those of the
+//! element-by-element encoding, a property the slice codec's own tests
+//! (`cusp_graph::wire`) hold it to.
 
 use std::sync::atomic::Ordering;
 
@@ -90,7 +90,6 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     let k = comm.num_hosts();
     let estate = replay.state();
     let weighted = data.weighted();
-    let scalar = cfg.scalar_codec;
     // Not a debug check: the `set_len` below relies on the weight slots
     // being written exactly when they exist.
     assert_eq!(weighted, alloc.edge_data.is_some(), "weight buffer and input disagree");
@@ -120,11 +119,11 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     let drain_arrived = |received: &mut u64, batch: &mut Vec<bytes::Bytes>| {
         while *received < to_receive {
             let Some((_src, p)) = comm.try_recv_any(TAG_EDGES) else { break };
-            *received += count_edges_in(&p, weighted, scalar);
+            *received += count_edges_in(&p, weighted);
             batch.push(p);
         }
         do_all_items(pool, batch, 1, |payload| {
-            insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted, scalar);
+            insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted);
         });
         batch.clear();
     };
@@ -172,22 +171,11 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
                         ts.buffers.record(comm, h, |w| {
                             w.put_u32(s);
                             w.put_u32(bucket.len() as u32);
-                            if scalar {
-                                for &d in bucket {
-                                    w.put_u32(d);
-                                }
-                                if let Some(ws) = wbucket {
-                                    for &x in ws {
-                                        w.put_u32(x);
-                                    }
-                                }
-                            } else {
-                                // Raw runs: same bytes as the scalar writes,
-                                // one memcpy per run instead of a call per edge.
-                                w.put_u32_raw_slice(bucket);
-                                if let Some(ws) = wbucket {
-                                    w.put_u32_raw_slice(ws);
-                                }
+                            // Raw runs: one codec pass per run, not a call
+                            // per edge.
+                            w.put_u32_raw_slice(bucket);
+                            if let Some(ws) = wbucket {
+                                w.put_u32_raw_slice(ws);
                             }
                         });
                     }
@@ -221,7 +209,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     // whatever else arrived with it.
     while received < to_receive {
         let (_src, payload) = comm.recv_any(TAG_EDGES);
-        received += count_edges_in(&payload, weighted, scalar);
+        received += count_edges_in(&payload, weighted);
         batch.push(payload);
         drain_arrived(&mut received, &mut batch);
     }
@@ -339,12 +327,10 @@ pub(crate) fn insert_record(
     }
 }
 
-/// Total edges carried by a message (sum of record counts).
-///
-/// Bulk mode skip-scans the record headers — O(records), not O(edges) —
-/// since the run lengths alone determine the total. Scalar mode decodes
-/// every element (the pre-bulk behavior, kept for the ablation).
-pub(crate) fn count_edges_in(payload: &bytes::Bytes, weighted: bool, scalar: bool) -> u64 {
+/// Total edges carried by a message (sum of record counts): a skip-scan of
+/// the record headers — O(records), not O(edges) — since the run lengths
+/// alone determine the total.
+pub(crate) fn count_edges_in(payload: &bytes::Bytes, weighted: bool) -> u64 {
     let mut r = WireReader::new(payload.clone());
     let per_edge = if weighted { 2 } else { 1 };
     let mut total = 0u64;
@@ -352,57 +338,24 @@ pub(crate) fn count_edges_in(payload: &bytes::Bytes, weighted: bool, scalar: boo
         let _src = r.get_u32().expect("malformed edge record");
         let cnt = r.get_u32().expect("malformed edge record") as u64;
         total += cnt;
-        if scalar {
-            for _ in 0..cnt * per_edge {
-                let _ = r.get_u32().expect("malformed edge record");
-            }
-        } else {
-            r.skip((cnt * per_edge) as usize * 4).expect("malformed edge record");
-        }
+        r.skip((cnt * per_edge) as usize * 4).expect("malformed edge record");
     }
     total
 }
 
-/// Deserializes a full message of records and inserts them.
-///
-/// Bulk mode is zero-copy: each record's destination run is decoded from
-/// the payload directly into its reserved CSR slots and localized in place,
-/// and the weight run is a straight memcpy into the edge-data slots — no
-/// intermediate `Vec` is materialized.
+/// Deserializes a full message of records and inserts them, zero-copy:
+/// each record's destination run is decoded from the payload directly into
+/// its reserved CSR slots and localized in place, and the weight run is a
+/// straight memcpy into the edge-data slots — no intermediate `Vec` is
+/// materialized.
 pub(crate) fn insert_message(
     alloc: &AllocOutcome,
     dest_ptr: &DestPtr,
     data_ptr: &DataPtr,
     payload: bytes::Bytes,
     weighted: bool,
-    scalar: bool,
 ) {
     let mut r = WireReader::new(payload);
-    if scalar {
-        let mut dsts: Vec<Node> = Vec::new();
-        let mut ws: Vec<u32> = Vec::new();
-        while !r.is_exhausted() {
-            let src = r.get_u32().expect("malformed edge record");
-            let cnt = r.get_u32().expect("malformed edge record") as usize;
-            dsts.clear();
-            dsts.reserve(cnt);
-            for _ in 0..cnt {
-                dsts.push(r.get_u32().expect("malformed edge record"));
-            }
-            let weights = if weighted {
-                ws.clear();
-                ws.reserve(cnt);
-                for _ in 0..cnt {
-                    ws.push(r.get_u32().expect("malformed edge record"));
-                }
-                Some(ws.as_slice())
-            } else {
-                None
-            };
-            insert_record(alloc, dest_ptr, data_ptr, src, &dsts, weights);
-        }
-        return;
-    }
     while !r.is_exhausted() {
         let src = r.get_u32().expect("malformed edge record");
         let cnt = r.get_u32().expect("malformed edge record") as usize;

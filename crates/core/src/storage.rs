@@ -20,12 +20,16 @@
 //! dests          u32 × num_edges
 //! data           u32 × num_edges   (weighted only)
 //! ```
+//!
+//! The bytes go through `cusp_graph::wire`: header via `put_*` / `Reader`,
+//! arrays streamed through its slice codec. No checksum: the serve cache
+//! detects rot by the fingerprint in its `meta` (DESIGN.md §4 "Bytes").
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
-use cusp_graph::Csr;
+use cusp_graph::{wire, Csr};
 
 use crate::dist_graph::{DistGraph, PartitionClass};
 
@@ -54,54 +58,35 @@ fn class_from(tag: u8) -> io::Result<PartitionClass> {
     })
 }
 
-/// Writes one partition to `path`.
-pub fn write_partition(path: &Path, dg: &DistGraph) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&MAGIC.to_le_bytes())?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&dg.part_id.to_le_bytes())?;
-    w.write_all(&dg.num_parts.to_le_bytes())?;
-    w.write_all(&dg.global_nodes.to_le_bytes())?;
-    w.write_all(&dg.global_edges.to_le_bytes())?;
-    w.write_all(&(dg.num_masters as u64).to_le_bytes())?;
-    w.write_all(&(dg.num_local() as u64).to_le_bytes())?;
-    w.write_all(&[class_tag(dg.class)])?;
-    w.write_all(&[u8::from(dg.edge_data.is_some())])?;
-    for &g in &dg.local2global {
-        w.write_all(&g.to_le_bytes())?;
-    }
-    for &m in &dg.master_of {
-        w.write_all(&m.to_le_bytes())?;
-    }
-    for &o in dg.graph.offsets() {
-        w.write_all(&o.to_le_bytes())?;
-    }
-    for &d in dg.graph.dests() {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    if let Some(data) = &dg.edge_data {
-        for &x in data {
-            w.write_all(&x.to_le_bytes())?;
-        }
-    }
-    w.flush()
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
 /// Fixed header size: magic + version + part_id + num_parts +
 /// global_nodes + global_edges + num_masters + num_local + 2 tag bytes.
-const HEADER_BYTES: u64 = 8 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 2;
+const HEADER_BYTES: usize = 8 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 2;
+
+/// Writes one partition to `path`.
+pub fn write_partition(path: &Path, dg: &DistGraph) -> io::Result<()> {
+    let mut header = Vec::with_capacity(HEADER_BYTES);
+    wire::put_u64(&mut header, MAGIC);
+    wire::put_u64(&mut header, VERSION);
+    wire::put_u32(&mut header, dg.part_id);
+    wire::put_u32(&mut header, dg.num_parts);
+    wire::put_u64(&mut header, dg.global_nodes);
+    wire::put_u64(&mut header, dg.global_edges);
+    wire::put_u64(&mut header, dg.num_masters as u64);
+    wire::put_u64(&mut header, dg.num_local() as u64);
+    header.push(class_tag(dg.class));
+    header.push(u8::from(dg.edge_data.is_some()));
+    let mut w = File::create(path)?;
+    w.write_all(&header)?;
+    let scratch = &mut vec![0u8; wire::SCRATCH_BYTES];
+    wire::write_u32s(&mut w, &dg.local2global, scratch)?;
+    wire::write_u32s(&mut w, &dg.master_of, scratch)?;
+    wire::write_u64s(&mut w, dg.graph.offsets(), scratch)?;
+    wire::write_u32s(&mut w, dg.graph.dests(), scratch)?;
+    if let Some(data) = &dg.edge_data {
+        wire::write_u32s(&mut w, data, scratch)?;
+    }
+    Ok(())
+}
 
 /// Reads a partition written by [`write_partition`].
 ///
@@ -110,33 +95,33 @@ const HEADER_BYTES: u64 = 8 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 2;
 /// as `InvalidData` (so cache loads fall back to recompute), never as an
 /// allocation-failure abort.
 pub fn read_partition(path: &Path) -> io::Result<DistGraph> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
+    let mut r = File::open(path)?;
+    let file_len = r.metadata()?.len();
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    if read_u64(&mut r)? != MAGIC {
+    let mut header = [0u8; HEADER_BYTES];
+    r.read_exact(&mut header)?;
+    let mut h = wire::Reader::new(&header);
+    if h.u64()? != MAGIC {
         return Err(bad("bad partition magic".into()));
     }
-    let version = read_u64(&mut r)?;
+    let version = h.u64()?;
     if version != VERSION {
         return Err(bad(format!("unsupported partition version {version}")));
     }
-    let part_id = read_u32(&mut r)?;
-    let num_parts = read_u32(&mut r)?;
-    let global_nodes = read_u64(&mut r)?;
-    let global_edges = read_u64(&mut r)?;
-    let num_masters = read_u64(&mut r)?;
-    let num_local = read_u64(&mut r)?;
-    let mut tag = [0u8; 2];
-    r.read_exact(&mut tag)?;
-    let class = class_from(tag[0])?;
-    let weighted = tag[1] != 0;
+    let part_id = h.u32()?;
+    let num_parts = h.u32()?;
+    let global_nodes = h.u64()?;
+    let global_edges = h.u64()?;
+    let num_masters = h.u64()?;
+    let num_local = h.u64()?;
+    let class = class_from(h.u8()?)?;
+    let weighted = h.u8()? != 0;
     if num_masters > num_local {
         return Err(bad("num_masters exceeds num_local".into()));
     }
     // Each local node costs 4 (local2global) + 4 (master_of) + 8
     // (offset) = 16 bytes, plus one trailing 8-byte offset.
-    let body_bytes = file_len.saturating_sub(HEADER_BYTES);
+    let body_bytes = file_len.saturating_sub(HEADER_BYTES as u64);
     let node_bytes = match num_local.checked_mul(16).and_then(|b| b.checked_add(8)) {
         Some(b) if b <= body_bytes => b,
         _ => {
@@ -147,18 +132,15 @@ pub fn read_partition(path: &Path) -> io::Result<DistGraph> {
     };
     let num_masters = num_masters as usize;
     let num_local = num_local as usize;
-    let mut local2global = Vec::with_capacity(num_local);
-    for _ in 0..num_local {
-        local2global.push(read_u32(&mut r)?);
-    }
-    let mut master_of = Vec::with_capacity(num_local);
-    for _ in 0..num_local {
-        master_of.push(read_u32(&mut r)?);
-    }
-    let mut offsets = Vec::with_capacity(num_local + 1);
-    for _ in 0..=num_local {
-        offsets.push(read_u64(&mut r)?);
-    }
+    // Every array below is sized only after its count was bounded by the
+    // bytes the file holds; the zeroed buffers are filled in place.
+    let scratch = &mut vec![0u8; wire::SCRATCH_BYTES];
+    let mut local2global = vec![0u32; num_local];
+    wire::read_u32s_into(&mut r, &mut local2global, scratch)?;
+    let mut master_of = vec![0u32; num_local];
+    wire::read_u32s_into(&mut r, &mut master_of, scratch)?;
+    let mut offsets = vec![0u64; num_local + 1];
+    wire::read_u64s_into(&mut r, &mut offsets, scratch)?;
     // Validate CSR shape here rather than letting Csr::from_parts assert:
     // a corrupted body must surface as InvalidData, not a panic.
     if offsets.first() != Some(&0) || offsets.windows(2).any(|w| w[0] > w[1]) {
@@ -177,15 +159,11 @@ pub fn read_partition(path: &Path) -> io::Result<DistGraph> {
         }
     }
     let num_edges = num_edges as usize;
-    let mut dests = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        dests.push(read_u32(&mut r)?);
-    }
+    let mut dests = vec![0u32; num_edges];
+    wire::read_u32s_into(&mut r, &mut dests, scratch)?;
     let edge_data = if weighted {
-        let mut data = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            data.push(read_u32(&mut r)?);
-        }
+        let mut data = vec![0u32; num_edges];
+        wire::read_u32s_into(&mut r, &mut data, scratch)?;
         Some(data)
     } else {
         None

@@ -17,12 +17,15 @@
 //! range — the header, that range's slice of the offset array (plus one
 //! preceding entry), and the corresponding span of the destination array —
 //! mirroring how each CuSP host reads its slice of the file (§IV-B1).
+//! The bytes go through [`wire`]: header via its `Reader`, arrays streamed
+//! through its slice codec; no checksum (DESIGN.md §4 "Bytes" has why).
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::csr::Csr;
+use crate::wire;
 use crate::{EdgeIdx, Node};
 
 const MAGIC: u64 = 0x2147_4253_5543;
@@ -38,30 +41,25 @@ fn write_bgr_inner(path: &Path, graph: &Csr, weights: Option<&[u32]>) -> io::Res
             "edge data length must match edge count"
         );
     }
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
-    w.write_all(&MAGIC.to_le_bytes())?;
     let version = if weights.is_some() {
         VERSION_WEIGHTED
     } else {
         VERSION_UNWEIGHTED
     };
-    w.write_all(&version.to_le_bytes())?;
-    w.write_all(&(graph.num_nodes() as u64).to_le_bytes())?;
-    w.write_all(&graph.num_edges().to_le_bytes())?;
+    let mut header = Vec::with_capacity(HEADER_BYTES as usize);
+    for field in [MAGIC, version, graph.num_nodes() as u64, graph.num_edges()] {
+        wire::put_u64(&mut header, field);
+    }
+    let mut w = File::create(path)?;
+    w.write_all(&header)?;
+    let scratch = &mut vec![0u8; wire::SCRATCH_BYTES];
     // Exclusive end offsets (skip offsets[0] which is always 0).
-    for &end in &graph.offsets()[1..] {
-        w.write_all(&end.to_le_bytes())?;
-    }
-    for &d in graph.dests() {
-        w.write_all(&d.to_le_bytes())?;
-    }
+    wire::write_u64s(&mut w, &graph.offsets()[1..], scratch)?;
+    wire::write_u32s(&mut w, graph.dests(), scratch)?;
     if let Some(data) = weights {
-        for &x in data {
-            w.write_all(&x.to_le_bytes())?;
-        }
+        wire::write_u32s(&mut w, data, scratch)?;
     }
-    w.flush()
+    Ok(())
 }
 
 /// Writes `graph` to `path` in unweighted `.bgr` format (version 1).
@@ -73,12 +71,6 @@ pub fn write_bgr(path: &Path, graph: &Csr) -> io::Result<()> {
 /// belongs to the `e`-th edge of the CSR order.
 pub fn write_bgr_weighted(path: &Path, graph: &Csr, weights: &[u32]) -> io::Result<()> {
     write_bgr_inner(path, graph, Some(weights))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 fn bad_data(msg: String) -> io::Error {
@@ -245,34 +237,9 @@ impl GraphSlice {
     }
 }
 
-/// Decodes little-endian `u32`s from `src` onto the end of `out`, in the
-/// same 32-byte blocks as the wire codec's bulk paths — the inner loop has
-/// no cross-iteration dependency, so it autovectorizes to full-width
-/// copies on little-endian targets.
-fn decode_u32s(src: &[u8], out: &mut Vec<u32>) {
-    const BLOCK: usize = 32;
-    const PER_BLOCK: usize = BLOCK / 4;
-    debug_assert_eq!(src.len() % 4, 0);
-    out.reserve(src.len() / 4);
-    let mut blocks = src.chunks_exact(BLOCK);
-    for blk in &mut blocks {
-        let mut vals = [0u32; PER_BLOCK];
-        for (j, v) in vals.iter_mut().enumerate() {
-            *v = u32::from_le_bytes(blk[j * 4..j * 4 + 4].try_into().unwrap());
-        }
-        out.extend_from_slice(&vals);
-    }
-    out.extend(
-        blocks
-            .remainder()
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-    );
-}
-
 /// Random-access reader over a `.bgr` file.
 pub struct RangeReader {
-    file: BufReader<File>,
+    file: File,
     nodes: u64,
     edges: u64,
     weighted: bool,
@@ -280,7 +247,7 @@ pub struct RangeReader {
     /// stream walking the destination array in order) skip the seek — and
     /// its buffer-discarding syscall — entirely.
     pos: u64,
-    /// Raw-byte staging buffer reused across range reads, so a chunk
+    /// The codec's staging block, reused across range reads, so a chunk
     /// stream re-reading the same file allocates it once.
     scratch: Vec<u8>,
 }
@@ -288,25 +255,25 @@ pub struct RangeReader {
 impl RangeReader {
     /// Opens the file and validates the header.
     pub fn open(path: &Path) -> io::Result<Self> {
-        let file = File::open(path)?;
-        let mut r = BufReader::new(file);
-        let magic = read_u64(&mut r)?;
+        let mut file = File::open(path)?;
+        let mut header = [0u8; HEADER_BYTES as usize];
+        file.read_exact(&mut header)?;
+        let mut h = wire::Reader::new(&header);
+        let magic = h.u64()?;
         if magic != MAGIC {
             return Err(bad_data(format!("bad magic {magic:#x}")));
         }
-        let version = read_u64(&mut r)?;
+        let version = h.u64()?;
         if version != VERSION_UNWEIGHTED && version != VERSION_WEIGHTED {
             return Err(bad_data(format!("unsupported version {version}")));
         }
-        let nodes = read_u64(&mut r)?;
-        let edges = read_u64(&mut r)?;
         Ok(RangeReader {
-            file: r,
-            nodes,
-            edges,
+            file,
+            nodes: h.u64()?,
+            edges: h.u64()?,
             weighted: version == VERSION_WEIGHTED,
             pos: HEADER_BYTES,
-            scratch: Vec::new(),
+            scratch: vec![0u8; wire::SCRATCH_BYTES],
         })
     }
 
@@ -320,12 +287,18 @@ impl RangeReader {
         Ok(())
     }
 
-    /// `read_exact` through the position tracker.
-    fn read_bytes_at(&mut self, target: u64, len: usize) -> io::Result<()> {
+    /// Fills `dst` with the array at byte offset `target` — `read` is
+    /// `wire::read_u32s_into` or `wire::read_u64s_into` — through the
+    /// position tracker.
+    fn read_at<T>(
+        &mut self,
+        target: u64,
+        dst: &mut [T],
+        read: fn(&mut File, &mut [T], &mut [u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
         self.seek_to(target)?;
-        self.scratch.resize(len, 0);
-        self.file.read_exact(&mut self.scratch)?;
-        self.pos += len as u64;
+        read(&mut self.file, dst, &mut self.scratch)?;
+        self.pos += size_of_val(dst) as u64;
         Ok(())
     }
 
@@ -347,20 +320,8 @@ impl RangeReader {
     /// Reads the full end-offsets array (used once, to compute the
     /// edge-balanced host split).
     pub fn read_end_offsets(&mut self) -> io::Result<Vec<EdgeIdx>> {
-        self.seek_to(HEADER_BYTES)?;
-        let mut out = Vec::with_capacity(self.nodes as usize);
-        let mut buf = vec![0u8; 8 * 4096];
-        let mut remaining = self.nodes as usize;
-        while remaining > 0 {
-            let take = remaining.min(4096);
-            let bytes = &mut buf[..take * 8];
-            self.file.read_exact(bytes)?;
-            self.pos += bytes.len() as u64;
-            for c in bytes.chunks_exact(8) {
-                out.push(u64::from_le_bytes(c.try_into().unwrap()));
-            }
-            remaining -= take;
-        }
+        let mut out = vec![0; self.nodes as usize];
+        self.read_at(HEADER_BYTES, &mut out, wire::read_u64s_into)?;
         Ok(out)
     }
 
@@ -382,28 +343,23 @@ impl RangeReader {
                 self.nodes
             )));
         }
-        // Edge range start = end offset of node lo-1 (0 if lo == 0).
-        let edge_lo = if lo == 0 {
-            0
-        } else {
-            self.seek_to(HEADER_BYTES + (lo - 1) * 8)?;
-            let v = read_u64(&mut self.file)?;
-            self.pos += 8;
-            v
-        };
-        // End offsets for [lo, hi), bulk-read and rebased in one pass
-        // (contiguous with the edge_lo read above, so no seek happens).
+        // End offsets for [lo, hi) behind the edge range's start — the end
+        // offset of node lo-1, read in the same pass (0 if lo == 0) — then
+        // rebased in place.
         let count = (hi - lo) as usize;
-        self.read_bytes_at(HEADER_BYTES + lo * 8, count * 8)?;
         out.offsets.clear();
-        out.offsets.reserve(count + 1);
-        out.offsets.push(0);
-        let mut edge_hi = edge_lo;
-        for c in self.scratch.chunks_exact(8) {
-            edge_hi = u64::from_le_bytes(c.try_into().unwrap());
+        out.offsets.resize(count + 1, 0);
+        if lo > 0 {
+            self.read_at(HEADER_BYTES + (lo - 1) * 8, &mut out.offsets, wire::read_u64s_into)?;
+        } else {
+            self.read_at(HEADER_BYTES, &mut out.offsets[1..], wire::read_u64s_into)?;
+        }
+        let edge_lo = out.offsets[0];
+        let edge_hi = out.offsets[count];
+        for o in &mut out.offsets {
             // Wrapping: validated right below; a corrupt end < edge_lo is
             // reported as an error, not an overflow panic.
-            out.offsets.push(edge_hi.wrapping_sub(edge_lo));
+            *o = o.wrapping_sub(edge_lo);
         }
         if edge_hi < edge_lo || edge_hi > self.edges {
             return Err(bad_data(format!(
@@ -440,15 +396,13 @@ impl RangeReader {
             )));
         }
         let dest_base = HEADER_BYTES + self.nodes * 8;
-        self.read_bytes_at(dest_base + edge_lo * 4, count as usize * 4)?;
-        out.dests.clear();
-        decode_u32s(&self.scratch, &mut out.dests);
+        out.dests.resize(count as usize, 0);
+        self.read_at(dest_base + edge_lo * 4, &mut out.dests, wire::read_u32s_into)?;
         if self.weighted {
             let data_base = dest_base + self.edges * 4;
-            self.read_bytes_at(data_base + edge_lo * 4, count as usize * 4)?;
             let w = out.weights.get_or_insert_with(Vec::new);
-            w.clear();
-            decode_u32s(&self.scratch, w);
+            w.resize(count as usize, 0);
+            self.read_at(data_base + edge_lo * 4, w, wire::read_u32s_into)?;
         } else {
             out.weights = None;
         }

@@ -29,6 +29,7 @@ pub mod gen;
 pub mod metis;
 pub mod props;
 pub mod wal;
+pub mod wire;
 
 pub use chunk::{chunk_boundaries, ChunkBacking, ChunkedSlice};
 pub use csr::{Csr, CsrBuilder};

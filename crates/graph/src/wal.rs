@@ -27,17 +27,20 @@
 //! construction was never acknowledged — and [`Wal::recover`] repairs
 //! exactly that by truncating back to the longest valid prefix.
 //! Decoding is *total*: truncation, bit flips, torn records, and
-//! version skew all map to a typed [`WalError`], never a panic — the
-//! same discipline as `cusp::checkpoint` and the `cusp-serve` frame
-//! codec.
+//! version skew all map to a typed [`WalError`], never a panic. The
+//! record framing, its checksum and the cursor events are read through
+//! are [`crate::wire`]'s; this module keeps the header and the event list.
 
 use std::path::{Path, PathBuf};
 
-use crate::{EdgeIdx, Node};
 use crate::csr::Csr;
+use crate::wire::{self, Reader, RecordError};
+use crate::{EdgeIdx, Node};
+
+pub use crate::wire::crc32;
 
 /// WAL file magic: `CUSPWAL\0` read as a little-endian `u64`.
-pub const WAL_MAGIC: u64 = u64::from_le_bytes(*b"CUSPWAL\0");
+pub const WAL_MAGIC: u64 = 0x004C_4157_5053_5543;
 /// Current WAL format version.
 pub const WAL_VERSION: u32 = 1;
 /// Header byte count (magic + version).
@@ -169,50 +172,35 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// CRC-32 (IEEE, reflected — the gzip/zip polynomial). The one checksum
-/// routine of the workspace: WAL records, checkpoint files and serve
-/// frames all call it.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// Encodes one batch as a WAL record payload (no framing). Shared with
 /// the serve protocol so the wire and the log speak the same bytes.
 pub fn encode_batch(batch: &[GraphEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + batch.len() * 14);
-    out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+    wire::put_u32(&mut out, batch.len() as u32);
     for ev in batch {
         match *ev {
             GraphEvent::AddEdge { src, dst, weight } => {
                 out.push(1);
-                out.extend_from_slice(&src.to_le_bytes());
-                out.extend_from_slice(&dst.to_le_bytes());
+                wire::put_u32(&mut out, src);
+                wire::put_u32(&mut out, dst);
                 match weight {
                     None => out.push(0),
                     Some(w) => {
                         out.push(1);
-                        out.extend_from_slice(&w.to_le_bytes());
+                        wire::put_u32(&mut out, w);
                     }
                 }
             }
             GraphEvent::RemoveEdge { src, dst } => {
                 out.push(2);
-                out.extend_from_slice(&src.to_le_bytes());
-                out.extend_from_slice(&dst.to_le_bytes());
+                wire::put_u32(&mut out, src);
+                wire::put_u32(&mut out, dst);
             }
             GraphEvent::SetWeight { src, dst, weight } => {
                 out.push(3);
-                out.extend_from_slice(&src.to_le_bytes());
-                out.extend_from_slice(&dst.to_le_bytes());
-                out.extend_from_slice(&weight.to_le_bytes());
+                wire::put_u32(&mut out, src);
+                wire::put_u32(&mut out, dst);
+                wire::put_u32(&mut out, weight);
             }
         }
     }
@@ -223,50 +211,32 @@ pub fn encode_batch(batch: &[GraphEvent]) -> Vec<u8> {
 /// the bytes actually present before anything is allocated, and trailing
 /// bytes are rejected.
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<GraphEvent>, &'static str> {
-    let mut pos = 0usize;
-    let take_u32 = |pos: &mut usize, bytes: &[u8]| -> Result<u32, &'static str> {
-        let end = pos.checked_add(4).ok_or("offset overflow")?;
-        if end > bytes.len() {
-            return Err("truncated event");
-        }
-        let v = u32::from_le_bytes(bytes[*pos..end].try_into().unwrap());
-        *pos = end;
-        Ok(v)
-    };
-    let count = take_u32(&mut pos, bytes)? as usize;
-    if count.saturating_mul(MIN_EVENT_BYTES) > bytes.len().saturating_sub(pos) {
+    let cut = |_: wire::Truncated| "truncated event";
+    let mut r = Reader::new(bytes);
+    let count = r.u32().map_err(cut)? as usize;
+    if count.saturating_mul(MIN_EVENT_BYTES) > r.remaining() {
         return Err("event count exceeds payload");
     }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        if pos >= bytes.len() {
-            return Err("truncated event");
-        }
-        let tag = bytes[pos];
-        pos += 1;
-        let src = take_u32(&mut pos, bytes)?;
-        let dst = take_u32(&mut pos, bytes)?;
-        let ev = match tag {
+        let tag = r.u8().map_err(cut)?;
+        let src = r.u32().map_err(cut)?;
+        let dst = r.u32().map_err(cut)?;
+        out.push(match tag {
             1 => {
-                if pos >= bytes.len() {
-                    return Err("truncated event");
-                }
-                let flag = bytes[pos];
-                pos += 1;
-                let weight = match flag {
+                let weight = match r.u8().map_err(cut)? {
                     0 => None,
-                    1 => Some(take_u32(&mut pos, bytes)?),
+                    1 => Some(r.u32().map_err(cut)?),
                     _ => return Err("bad weight flag"),
                 };
                 GraphEvent::AddEdge { src, dst, weight }
             }
             2 => GraphEvent::RemoveEdge { src, dst },
-            3 => GraphEvent::SetWeight { src, dst, weight: take_u32(&mut pos, bytes)? },
+            3 => GraphEvent::SetWeight { src, dst, weight: r.u32().map_err(cut)? },
             _ => return Err("bad event tag"),
-        };
-        out.push(ev);
+        });
     }
-    if pos != bytes.len() {
+    if !r.is_empty() {
         return Err("trailing bytes after events");
     }
     Ok(out)
@@ -312,7 +282,7 @@ impl Wal {
     /// to [`truncate_to`](Wal::truncate_to) to roll the append back if
     /// the caller cannot honor the batch after journaling it.
     pub fn append(&self, batch: &[GraphEvent]) -> Result<u64, WalError> {
-        use std::io::{Read, Seek, SeekFrom, Write};
+        use std::io::{Read, Write};
         if let Some(dir) = self.path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
@@ -324,37 +294,20 @@ impl Wal {
             .append(true)
             .open(&self.path)?;
         let len = f.metadata()?.len();
+        let mut rec = Vec::new();
         let prior = if len == 0 {
-            let mut header = Vec::with_capacity(WAL_HEADER_BYTES);
-            header.extend_from_slice(&WAL_MAGIC.to_le_bytes());
-            header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-            f.write_all(&header)?;
+            wire::put_u64(&mut rec, WAL_MAGIC);
+            wire::put_u32(&mut rec, WAL_VERSION);
             WAL_HEADER_BYTES as u64
         } else {
-            if len < WAL_HEADER_BYTES as u64 {
-                return Err(WalError::Truncated {
-                    needed: WAL_HEADER_BYTES,
-                    available: len as usize,
-                });
-            }
-            let mut header = [0u8; WAL_HEADER_BYTES];
-            f.seek(SeekFrom::Start(0))?;
-            f.read_exact(&mut header)?;
-            let magic = u64::from_le_bytes(header[0..8].try_into().unwrap());
-            if magic != WAL_MAGIC {
-                return Err(WalError::BadMagic(magic));
-            }
-            let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-            if version != WAL_VERSION {
-                return Err(WalError::BadVersion(version));
-            }
+            // A fresh descriptor reads from offset 0 (append mode only
+            // positions writes).
+            let mut header = Vec::with_capacity(WAL_HEADER_BYTES);
+            (&f).take(WAL_HEADER_BYTES as u64).read_to_end(&mut header)?;
+            validate_header(&header)?;
             len
         };
-        let payload = encode_batch(batch);
-        let mut rec = Vec::with_capacity(8 + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
+        wire::put_record(&mut rec, &encode_batch(batch));
         f.write_all(&rec)?;
         f.sync_data()?;
         Ok(prior)
@@ -393,29 +346,6 @@ impl Wal {
         Ok((batches, err.is_some()))
     }
 
-    /// Replaces the log's contents with exactly `batches` (used by
-    /// rollback paths as well as `append`).
-    pub fn write_all(&self, batches: &[Vec<GraphEvent>]) -> Result<(), WalError> {
-        let mut out = Vec::with_capacity(WAL_HEADER_BYTES);
-        out.extend_from_slice(&WAL_MAGIC.to_le_bytes());
-        out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        for batch in batches {
-            let payload = encode_batch(batch);
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crc32(&payload).to_le_bytes());
-            out.extend_from_slice(&payload);
-        }
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let tmp = self.path.with_extension("wal.tmp");
-        std::fs::write(&tmp, &out)?;
-        std::fs::rename(&tmp, &self.path)?;
-        Ok(())
-    }
-
     /// Deletes the log (missing file is fine).
     pub fn clear(&self) -> Result<(), WalError> {
         match std::fs::remove_file(&self.path) {
@@ -438,14 +368,13 @@ pub fn decode_wal(bytes: &[u8]) -> Result<Vec<Vec<GraphEvent>>, WalError> {
 
 /// Checks magic + version, the part of the file an append can't tear.
 fn validate_header(bytes: &[u8]) -> Result<(), WalError> {
-    if bytes.len() < WAL_HEADER_BYTES {
+    let mut r = Reader::new(bytes);
+    let (Ok(magic), Ok(version)) = (r.u64(), r.u32()) else {
         return Err(WalError::Truncated { needed: WAL_HEADER_BYTES, available: bytes.len() });
-    }
-    let magic = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
+    };
     if magic != WAL_MAGIC {
         return Err(WalError::BadMagic(magic));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != WAL_VERSION {
         return Err(WalError::BadVersion(version));
     }
@@ -460,28 +389,28 @@ fn validate_header(bytes: &[u8]) -> Result<(), WalError> {
 fn decode_records(bytes: &[u8]) -> (Vec<Vec<GraphEvent>>, usize, Option<WalError>) {
     let mut batches = Vec::new();
     let mut pos = WAL_HEADER_BYTES;
-    let mut record = 0usize;
     while pos < bytes.len() {
-        if bytes.len() - pos < 8 {
-            return (batches, pos, Some(WalError::TornTail { offset: pos }));
+        let record = batches.len();
+        // No cap beyond the bytes present: `take_record` bounds the claimed
+        // length by them before touching the payload.
+        let step = wire::take_record(&bytes[pos..], u32::MAX)
+            .map_err(|e| match e {
+                RecordError::Crc { .. } => WalError::Corrupt { record },
+                RecordError::Truncated(_) | RecordError::Oversize { .. } => {
+                    WalError::TornTail { offset: pos }
+                }
+            })
+            .and_then(|(payload, used)| match decode_batch(payload) {
+                Ok(batch) => Ok((batch, used)),
+                Err(what) => Err(WalError::BadEvent { record, what }),
+            });
+        match step {
+            Ok((batch, used)) => {
+                batches.push(batch);
+                pos += used;
+            }
+            Err(e) => return (batches, pos, Some(e)),
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        // Bound the claimed length by the bytes actually present before
-        // touching the payload — a hostile prefix costs nothing.
-        if len > bytes.len() - pos - 8 {
-            return (batches, pos, Some(WalError::TornTail { offset: pos }));
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != stored {
-            return (batches, pos, Some(WalError::Corrupt { record }));
-        }
-        match decode_batch(payload) {
-            Ok(batch) => batches.push(batch),
-            Err(what) => return (batches, pos, Some(WalError::BadEvent { record, what })),
-        }
-        pos += 8 + len;
-        record += 1;
     }
     (batches, pos, None)
 }

@@ -1,0 +1,392 @@
+//! The one battery for the workspace's byte layer (`cusp_graph::wire`):
+//! the checked record is total and its two parsers agree, the slice codec
+//! equals the per-element encoding on every length and through a scratch
+//! smaller than the array, and the five on-disk / on-wire formats built
+//! on them still read and write the bytes the previous commit produced.
+
+use std::io::Read;
+
+use proptest::prelude::*;
+
+use cusp_graph::wire::{
+    self, put_record, read_record, take_record, RecordError, Truncated, RECORD_HEADER_BYTES,
+};
+
+/// A `Read` that counts the bytes it has handed out, so a test can assert
+/// what a parser pulled off the stream before it gave its verdict.
+struct Counting<'a> {
+    src: &'a [u8],
+    handed_out: usize,
+}
+
+impl Read for Counting<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.src.read(buf)?;
+        self.handed_out += n;
+        Ok(n)
+    }
+}
+
+/// `read_record` over a whole buffer: its verdict and the bytes it took.
+fn read_all(bytes: &[u8], max_len: u32) -> (Result<Vec<u8>, RecordError>, usize) {
+    let mut r = Counting { src: bytes, handed_out: 0 };
+    let verdict = read_record(&mut r, max_len).expect("a slice never fails to read");
+    (verdict, r.handed_out)
+}
+
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_record(&mut out, payload);
+    out
+}
+
+/// Both parsers on one input: they must give the same payload or the same
+/// error, and the stream parser must take exactly the record's bytes.
+fn parsers_agree(bytes: &[u8], max_len: u32) -> Result<(), TestCaseError> {
+    let (streamed, handed_out) = read_all(bytes, max_len);
+    match take_record(bytes, max_len) {
+        Ok((payload, used)) => {
+            prop_assert_eq!(streamed.as_deref(), Ok(payload));
+            prop_assert_eq!(handed_out, used);
+        }
+        Err(e) => prop_assert_eq!(streamed, Err(e)),
+    }
+    Ok(())
+}
+
+#[test]
+fn record_round_trips_and_reports_what_it_consumed() {
+    for payload in [&b""[..], b"x", b"twelve bytes", &[0xAB; 1000]] {
+        let mut bytes = framed(payload);
+        assert_eq!(bytes.len(), RECORD_HEADER_BYTES + payload.len());
+        bytes.extend_from_slice(b"next record");
+        let (got, used) = take_record(&bytes, u32::MAX).unwrap();
+        assert_eq!((got, used), (payload, RECORD_HEADER_BYTES + payload.len()));
+        let (streamed, handed_out) = read_all(&bytes, u32::MAX);
+        assert_eq!((streamed.as_deref(), handed_out), (Ok(payload), used));
+    }
+}
+
+#[test]
+fn every_truncation_point_is_a_typed_truncation() {
+    let bytes = framed(b"a payload long enough to cut in many places");
+    for cut in 0..bytes.len() {
+        let needed = if cut < RECORD_HEADER_BYTES { RECORD_HEADER_BYTES } else { bytes.len() };
+        let want = Err(RecordError::Truncated(Truncated { needed, available: cut }));
+        assert_eq!(take_record(&bytes[..cut], u32::MAX).map(|_| ()), want, "cut {cut}");
+        assert_eq!(read_all(&bytes[..cut], u32::MAX).0.map(|_| ()), want, "cut {cut}");
+    }
+}
+
+#[test]
+fn every_single_bit_flip_is_a_typed_error() {
+    let bytes = framed(b"sixteen byte pay");
+    for bit in 0..bytes.len() * 8 {
+        let mut bad = bytes.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        // A flipped length bit is a truncation (longer), a CRC failure
+        // (shorter) or oversize; anything else fails the CRC.
+        for max_len in [u32::MAX, 64] {
+            let err = take_record(&bad, max_len).expect_err("flip accepted");
+            assert_eq!(read_all(&bad, max_len).0, Err(err), "bit {bit}");
+            if bit >= 32 {
+                assert!(matches!(err, RecordError::Crc { .. }), "bit {bit}: {err:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_hostile_length_prefix_allocates_nothing() {
+    let mut bytes = Vec::new();
+    wire::put_u32(&mut bytes, u32::MAX);
+    wire::put_u32(&mut bytes, 0);
+    bytes.extend_from_slice(b"abc");
+
+    // Over the cap: refused on the header alone — the stream parser has
+    // taken the 8 header bytes and not one byte of payload.
+    let oversize = Err(RecordError::Oversize { len: u32::MAX, max: 1 << 20 });
+    assert_eq!(take_record(&bytes, 1 << 20).map(|_| ()), oversize);
+    let (verdict, handed_out) = read_all(&bytes, 1 << 20);
+    assert_eq!((verdict.map(|_| ()), handed_out), (oversize, RECORD_HEADER_BYTES));
+
+    // Under the cap (there is none): bounded by the bytes present. The
+    // stream parser's buffer grows with what arrives — 3 bytes — so a
+    // 4 GiB claim costs a 3-byte read, not a 4 GiB allocation.
+    let truncated = Err(RecordError::Truncated(Truncated {
+        needed: RECORD_HEADER_BYTES + u32::MAX as usize,
+        available: bytes.len(),
+    }));
+    assert_eq!(take_record(&bytes, u32::MAX).map(|_| ()), truncated);
+    let (verdict, handed_out) = read_all(&bytes, u32::MAX);
+    assert_eq!((verdict.map(|_| ()), handed_out), (truncated, bytes.len()));
+}
+
+/// Bulk == per-element in both directions, in memory, through the cursor
+/// and streamed through a scratch of `scratch_bytes`.
+macro_rules! codec_check {
+    ($name:ident, $t:ty, $encode:ident, $decode:ident, $write:ident, $read_into:ident, $cursor:ident) => {
+        fn $name(vs: &[$t], scratch_bytes: usize) {
+            let want: Vec<u8> = vs.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let mut bytes = vec![0u8; want.len()];
+            wire::$encode(vs, &mut bytes);
+            assert_eq!(bytes, want, "encode, len {}", vs.len());
+            let mut back = vec![0; vs.len()];
+            wire::$decode(&want, &mut back);
+            assert_eq!(back, vs, "decode, len {}", vs.len());
+            assert_eq!(wire::Reader::new(&want).$cursor(&mut back), Ok(()));
+            assert_eq!(back, vs, "cursor, len {}", vs.len());
+
+            let scratch = &mut vec![0xEE; scratch_bytes];
+            let mut file = Vec::new();
+            wire::$write(&mut file, vs, scratch).unwrap();
+            assert_eq!(file, want, "write, len {} scratch {scratch_bytes}", vs.len());
+            let mut back = vec![0; vs.len()];
+            wire::$read_into(&mut &file[..], &mut back, scratch).unwrap();
+            assert_eq!(back, vs, "read, len {} scratch {scratch_bytes}", vs.len());
+        }
+    };
+}
+
+codec_check!(check_u32s, u32, encode_u32s, decode_u32s, write_u32s, read_u32s_into, u32s_into);
+codec_check!(check_u64s, u64, encode_u64s, decode_u64s, write_u64s, read_u64s_into, u64s_into);
+
+#[test]
+fn slice_codec_equals_the_scalar_encoding_on_every_short_length() {
+    // 0..=67 straddles empty, tail-only, one block, and two blocks plus a
+    // tail for both widths; the scratch sizes force 1, 2 and many passes
+    // (the 9- and 13-byte ones are not a whole number of elements).
+    let v32: Vec<u32> = (0..67u32).map(|i| i.wrapping_mul(0x9E37_79B9) ^ 0x0102_0304).collect();
+    let v64: Vec<u64> = (0..67u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    for n in 0..=67 {
+        for scratch_bytes in [9, 13, 64, 1024] {
+            check_u32s(&v32[..n], scratch_bytes);
+            check_u64s(&v64[..n], scratch_bytes);
+        }
+    }
+}
+
+#[test]
+fn a_scratch_larger_than_the_bound_is_used_up_to_the_bound() {
+    // An array of two and a half passes, written with a scratch four times
+    // the bound: the writer must still cut it into bound-sized writes.
+    struct Widest(usize);
+    impl std::io::Write for Widest {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0 = self.0.max(buf.len());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let vs = vec![7u32; wire::SCRATCH_BYTES / 4 * 5 / 2];
+    let mut w = Widest(0);
+    wire::write_u32s(&mut w, &vs, &mut vec![0u8; 4 * wire::SCRATCH_BYTES]).unwrap();
+    assert_eq!(w.0, wire::SCRATCH_BYTES);
+}
+
+#[test]
+fn a_short_stream_is_an_io_error_not_a_partial_array() {
+    let mut dst = [0u32; 4];
+    let err = wire::read_u32s_into(&mut &[0u8; 15][..], &mut dst, &mut [0u8; 8]).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Arbitrary bytes: both record parsers return the same typed verdict.
+    #[test]
+    fn record_parsers_agree_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        max_len in 0u32..80,
+    ) {
+        parsers_agree(&bytes, max_len)?;
+        parsers_agree(&bytes, u32::MAX)?;
+    }
+
+    /// A valid record, then cut, flipped or extended: still the same
+    /// verdict from both, and never the original payload from a damaged
+    /// record.
+    #[test]
+    fn record_parsers_agree_on_damaged_records(
+        payload in proptest::collection::vec(any::<u8>(), 0..48),
+        pos in 0usize..(1 << 16),
+        tail in proptest::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let clean = framed(&payload);
+        let mut extended = clean.clone();
+        extended.extend_from_slice(&tail);
+        parsers_agree(&extended, u32::MAX)?;
+        prop_assert_eq!(take_record(&extended, u32::MAX), Ok((&payload[..], clean.len())));
+
+        parsers_agree(&clean[..pos % clean.len()], u32::MAX)?;
+        let mut flipped = clean.clone();
+        let bit = pos % (clean.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        parsers_agree(&flipped, u32::MAX)?;
+        parsers_agree(&flipped, 48)?;
+        prop_assert!(take_record(&flipped, u32::MAX).is_err(), "bit {} flip accepted", bit);
+    }
+
+    /// Random arrays through a random scratch, both widths.
+    #[test]
+    fn slice_codec_equals_the_scalar_encoding_on_random_arrays(
+        v32 in proptest::collection::vec(any::<u32>(), 0..600),
+        v64 in proptest::collection::vec(any::<u64>(), 0..300),
+        scratch_bytes in 8usize..700,
+    ) {
+        check_u32s(&v32, scratch_bytes);
+        check_u64s(&v64, scratch_bytes);
+    }
+}
+
+// --- Golden bytes: files and a frame written by the commit before this
+// --- module existed. "Bytes identical" means these decode here and
+// --- re-encode to themselves.
+
+const BGR_V1: [u8; 84] = [
+    0x43, 0x55, 0x53, 0x42, 0x47, 0x21, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00,
+];
+const BGR_V2: [u8; 104] = [
+    0x43, 0x55, 0x53, 0x42, 0x47, 0x21, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x1e, 0x00, 0x00, 0x00,
+    0x28, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde,
+];
+const PART_WEIGHTED: [u8; 154] = [
+    0x43, 0x55, 0x53, 0x50, 0x41, 0x52, 0x54, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xf4, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x0a, 0x00, 0x00, 0x00, 0x14, 0x00,
+    0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x63, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00,
+    0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x04, 0x03, 0x02, 0x01,
+];
+const WAL_TWO_BATCHES: [u8; 82] = [
+    0x43, 0x55, 0x53, 0x50, 0x57, 0x41, 0x4c, 0x00, 0x01, 0x00, 0x00, 0x00, 0x17, 0x00, 0x00, 0x00,
+    0x96, 0x16, 0xbd, 0xab, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x1f, 0x00, 0x00, 0x00, 0x64,
+    0xd4, 0x8e, 0x8e, 0x02, 0x00, 0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+    0x01, 0x2a, 0x00, 0x00, 0x00, 0x03, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+    0x00, 0x00,
+];
+const SERVE_FRAME: [u8; 47] = [
+    0x56, 0x52, 0x53, 0x43, 0x23, 0x00, 0x00, 0x00, 0xbe, 0x22, 0x69, 0x78, 0x02, 0x04, 0x00, 0x00,
+    0x00, 0x61, 0x63, 0x6d, 0x65, 0x03, 0x00, 0x00, 0x00, 0x77, 0x65, 0x62, 0x03, 0x00, 0x00, 0x00,
+    0x43, 0x56, 0x43, 0x04, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+];
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("cusp-wire-golden-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn golden_graph() -> cusp_graph::Csr {
+    cusp_graph::Csr::from_edges(4, &[(0, 1), (0, 2), (1, 3), (3, 0), (3, 3)])
+}
+
+#[test]
+fn golden_bgr_v1_and_v2() {
+    let dir = temp_dir("bgr");
+    let weights = [10, 20, 30, 40, 0xDEAD_BEEF];
+
+    std::fs::write(dir.join("v1.bgr"), BGR_V1).unwrap();
+    assert_eq!(cusp_graph::read_bgr(&dir.join("v1.bgr")).unwrap(), golden_graph());
+    cusp_graph::write_bgr(&dir.join("v1.out"), &golden_graph()).unwrap();
+    assert_eq!(std::fs::read(dir.join("v1.out")).unwrap(), BGR_V1);
+
+    std::fs::write(dir.join("v2.bgr"), BGR_V2).unwrap();
+    let (g, w) = cusp_graph::read_bgr_weighted(&dir.join("v2.bgr")).unwrap();
+    assert_eq!((g, &w[..]), (golden_graph(), &weights[..]));
+    cusp_graph::write_bgr_weighted(&dir.join("v2.out"), &golden_graph(), &weights).unwrap();
+    assert_eq!(std::fs::read(dir.join("v2.out")).unwrap(), BGR_V2);
+
+    // A mid-file range read sees the same bytes the whole-file read does.
+    let slice = cusp_graph::RangeReader::open(&dir.join("v2.bgr")).unwrap().read_range(1, 4).unwrap();
+    assert_eq!(slice.offsets, [0, 1, 1, 3]);
+    assert_eq!(slice.dests, [3, 0, 3]);
+    assert_eq!(slice.weights.as_deref(), Some(&weights[2..]));
+    assert_eq!(slice.first_edge_global, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn golden_weighted_part() {
+    let dir = temp_dir("part");
+    std::fs::write(dir.join("w.part"), PART_WEIGHTED).unwrap();
+    let dg = cusp::read_partition(&dir.join("w.part")).unwrap();
+    assert_eq!((dg.part_id, dg.num_parts, dg.global_nodes, dg.global_edges), (1, 4, 100, 500));
+    assert_eq!(dg.num_masters, 2);
+    assert_eq!(dg.local2global, [10, 20, 5, 99]);
+    assert_eq!(dg.master_of, [1, 1, 0, 3]);
+    assert_eq!(dg.graph, cusp_graph::Csr::from_edges(4, &[(0, 2), (0, 3), (1, 2)]));
+    assert_eq!(dg.edge_data.as_deref(), Some(&[7, 8, 0x0102_0304][..]));
+    assert_eq!(dg.class, cusp::PartitionClass::TwoDimensional);
+    cusp::write_partition(&dir.join("w.out"), &dg).unwrap();
+    assert_eq!(std::fs::read(dir.join("w.out")).unwrap(), PART_WEIGHTED);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn golden_wal_of_two_batches() {
+    use cusp_graph::wal::{decode_wal, Wal};
+    use cusp_graph::GraphEvent;
+    let batches = vec![
+        vec![
+            GraphEvent::AddEdge { src: 0, dst: 1, weight: None },
+            GraphEvent::RemoveEdge { src: 2, dst: 3 },
+        ],
+        vec![
+            GraphEvent::AddEdge { src: 7, dst: 9, weight: Some(42) },
+            GraphEvent::SetWeight { src: 1, dst: 0, weight: 5 },
+        ],
+    ];
+    assert_eq!(decode_wal(&WAL_TWO_BATCHES).unwrap(), batches);
+
+    // Appending to the golden file's first-batch prefix and to nothing at
+    // all both end at the golden bytes.
+    let dir = temp_dir("wal");
+    let wal = Wal::new(dir.join("fresh.wal"));
+    for b in &batches {
+        wal.append(b).unwrap();
+    }
+    assert_eq!(std::fs::read(wal.path()).unwrap(), WAL_TWO_BATCHES);
+    let first_len = 12 + 8 + 0x17;
+    let wal = Wal::new(dir.join("prefix.wal"));
+    std::fs::write(wal.path(), &WAL_TWO_BATCHES[..first_len]).unwrap();
+    assert_eq!(wal.append(&batches[1]).unwrap(), first_len as u64);
+    assert_eq!(std::fs::read(wal.path()).unwrap(), WAL_TWO_BATCHES);
+    assert_eq!(wal.recover().unwrap(), (batches, false));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn golden_serve_frame() {
+    use cusp_serve::protocol::{decode_frame, encode_frame, read_frame, Request, DEFAULT_MAX_FRAME};
+    let req = Request::Partition {
+        tenant: "acme".into(),
+        graph: "web".into(),
+        policy: "CVC".into(),
+        hosts: 4,
+        chunk_edges: 1024,
+    };
+    let (payload, used) = decode_frame(&SERVE_FRAME, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(used, SERVE_FRAME.len());
+    assert_eq!(Request::decode(payload).unwrap(), req);
+    assert_eq!(read_frame(&mut &SERVE_FRAME[..], DEFAULT_MAX_FRAME).unwrap(), payload);
+    assert_eq!(encode_frame(&req.encode()), SERVE_FRAME);
+}

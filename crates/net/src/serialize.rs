@@ -5,37 +5,14 @@
 //! counts reported in Table V deterministic and easy to reason about, and
 //! lets serialization/deserialization happen in parallel on thread-local
 //! buffers without any framing library.
+//! Per-element `put_*`/`get_*` are inlined `bytes` calls; the per-slice
+//! ops are one call each into the one slice codec, `cusp_graph::wire`.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-/// Stride of the bulk codec loops: one 32-byte block per iteration (a full
-/// AVX2 register / two NEON registers), i.e. 8 `u32`s or 4 `u64`s. The
-/// fixed-count inner loops below compile to straight-line vector code; the
-/// sub-block tail is handled element-wise.
-const BLOCK_BYTES: usize = 32;
-const U32_PER_BLOCK: usize = BLOCK_BYTES / 4;
-const U64_PER_BLOCK: usize = BLOCK_BYTES / 8;
+use cusp_graph::wire;
 
 /// Error returned when a reader runs out of bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireError {
-    /// Bytes requested by the failed read.
-    pub needed: usize,
-    /// Bytes that were actually available.
-    pub available: usize,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "wire underrun: needed {} bytes, {} available",
-            self.needed, self.available
-        )
-    }
-}
-
-impl std::error::Error for WireError {}
+pub use cusp_graph::wire::Truncated as WireError;
 
 /// An append-only message writer.
 #[derive(Default)]
@@ -118,55 +95,20 @@ impl WireWriter {
     }
 
     /// Appends a `u32` run with **no length prefix**, byte-identical to
-    /// calling [`WireWriter::put_u32`] once per element.
-    ///
-    /// The run is encoded straight into the buffer in 32-byte blocks
-    /// (8 elements per iteration); the fixed-count inner loop vectorizes,
-    /// and on little-endian targets reduces to wide copies. Endianness is
-    /// handled per element by `to_le_bytes`, so the encode is portable.
+    /// calling [`WireWriter::put_u32`] once per element: one pass of the
+    /// leaf slice codec ([`wire::encode_u32s`]) straight into the buffer.
     pub fn put_u32_raw_slice(&mut self, vs: &[u32]) {
         let old = self.buf.len();
-        self.buf.resize(old + vs.len() * 4, 0);
-        let dst = &mut self.buf[old..];
-        let mut blocks = vs.chunks_exact(U32_PER_BLOCK);
-        let mut outs = dst.chunks_exact_mut(BLOCK_BYTES);
-        for (blk, out) in (&mut blocks).zip(&mut outs) {
-            for j in 0..U32_PER_BLOCK {
-                out[j * 4..j * 4 + 4].copy_from_slice(&blk[j].to_le_bytes());
-            }
-        }
-        for (&v, out) in blocks
-            .remainder()
-            .iter()
-            .zip(outs.into_remainder().chunks_exact_mut(4))
-        {
-            out.copy_from_slice(&v.to_le_bytes());
-        }
+        self.buf.resize(old + size_of_val(vs), 0);
+        wire::encode_u32s(vs, &mut self.buf[old..]);
     }
 
     /// Appends a `u64` run with **no length prefix**, byte-identical to
     /// calling [`WireWriter::put_u64`] once per element.
-    ///
-    /// Same 32-byte-block scheme as [`WireWriter::put_u32_raw_slice`],
-    /// 4 elements per iteration.
     pub fn put_u64_raw_slice(&mut self, vs: &[u64]) {
         let old = self.buf.len();
-        self.buf.resize(old + vs.len() * 8, 0);
-        let dst = &mut self.buf[old..];
-        let mut blocks = vs.chunks_exact(U64_PER_BLOCK);
-        let mut outs = dst.chunks_exact_mut(BLOCK_BYTES);
-        for (blk, out) in (&mut blocks).zip(&mut outs) {
-            for j in 0..U64_PER_BLOCK {
-                out[j * 8..j * 8 + 8].copy_from_slice(&blk[j].to_le_bytes());
-            }
-        }
-        for (&v, out) in blocks
-            .remainder()
-            .iter()
-            .zip(outs.into_remainder().chunks_exact_mut(8))
-        {
-            out.copy_from_slice(&v.to_le_bytes());
-        }
+        self.buf.resize(old + size_of_val(vs), 0);
+        wire::encode_u64s(vs, &mut self.buf[old..]);
     }
 
     /// Writes raw bytes with no length prefix.
@@ -262,56 +204,19 @@ impl WireReader {
         Ok(())
     }
 
-    /// Reads exactly `dst.len()` `u32`s (no length prefix) into `dst`.
-    ///
-    /// Decodes straight off the payload in 32-byte blocks (8 elements per
-    /// iteration); the fixed-count inner loop vectorizes, and endianness is
-    /// handled per element by `from_le_bytes`, so the decode is portable.
+    /// Reads exactly `dst.len()` `u32`s (no length prefix) into `dst`,
+    /// decoded straight off the payload by the leaf slice codec. A failed
+    /// read consumes nothing.
     pub fn get_u32_into(&mut self, dst: &mut [u32]) -> Result<(), WireError> {
-        let nbytes = dst.len() * 4;
-        self.check(nbytes)?;
-        let src = &self.buf.chunk()[..nbytes];
-        let mut blocks = src.chunks_exact(BLOCK_BYTES);
-        let mut outs = dst.chunks_exact_mut(U32_PER_BLOCK);
-        for (blk, out) in (&mut blocks).zip(&mut outs) {
-            for j in 0..U32_PER_BLOCK {
-                out[j] = u32::from_le_bytes(blk[j * 4..j * 4 + 4].try_into().unwrap());
-            }
-        }
-        for (b, v) in blocks
-            .remainder()
-            .chunks_exact(4)
-            .zip(outs.into_remainder().iter_mut())
-        {
-            *v = u32::from_le_bytes(b.try_into().unwrap());
-        }
-        self.buf.advance(nbytes);
+        wire::Reader::new(self.buf.chunk()).u32s_into(dst)?;
+        self.buf.advance(size_of_val(dst));
         Ok(())
     }
 
     /// Reads exactly `dst.len()` `u64`s (no length prefix) into `dst`.
-    ///
-    /// Same 32-byte-block scheme as [`WireReader::get_u32_into`],
-    /// 4 elements per iteration.
     pub fn get_u64_into(&mut self, dst: &mut [u64]) -> Result<(), WireError> {
-        let nbytes = dst.len() * 8;
-        self.check(nbytes)?;
-        let src = &self.buf.chunk()[..nbytes];
-        let mut blocks = src.chunks_exact(BLOCK_BYTES);
-        let mut outs = dst.chunks_exact_mut(U64_PER_BLOCK);
-        for (blk, out) in (&mut blocks).zip(&mut outs) {
-            for j in 0..U64_PER_BLOCK {
-                out[j] = u64::from_le_bytes(blk[j * 8..j * 8 + 8].try_into().unwrap());
-            }
-        }
-        for (b, v) in blocks
-            .remainder()
-            .chunks_exact(8)
-            .zip(outs.into_remainder().iter_mut())
-        {
-            *v = u64::from_le_bytes(b.try_into().unwrap());
-        }
-        self.buf.advance(nbytes);
+        wire::Reader::new(self.buf.chunk()).u64s_into(dst)?;
+        self.buf.advance(size_of_val(dst));
         Ok(())
     }
 

@@ -4,7 +4,8 @@
 //! `(graph fingerprint, policy, hosts, chunk_edges)` — exactly the inputs
 //! that determine the output under the determinism contract. The on-disk
 //! format is the existing `storage.rs` `.part` framing (one file per
-//! host) plus a CRC-checked `meta` file written last as the commit
+//! host) plus a `meta` file — one checked record (`cusp_graph::wire`)
+//! holding the partition fingerprint — written last as the commit
 //! marker; a corrupted or torn entry loads as a miss and falls back to
 //! re-partitioning, mirroring the checkpoint store's any-corruption →
 //! full-re-run posture.
@@ -22,9 +23,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use cusp::{metrics::QualityReport, partition_fingerprint, DistGraph, PolicyKind};
+use cusp_graph::wire;
 
 use crate::error::ServeError;
-use crate::protocol::{crc32, CacheTier};
+use crate::protocol::CacheTier;
 
 /// Everything that determines a partition's bytes, and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -328,28 +330,29 @@ impl PartitionCache {
     }
 }
 
-/// Meta file: `fingerprint u64 | hosts u32 | crc32 u32` (LE), CRC over
-/// the first 12 bytes.
+/// Meta file: one checked record whose payload is `fingerprint u64 |
+/// hosts u32` (LE), `META_BYTES` long.
+const META_BYTES: u32 = 12;
+
 fn write_meta(path: &Path, fingerprint: u64, hosts: u32) -> std::io::Result<()> {
-    let mut body = Vec::with_capacity(16);
-    body.extend_from_slice(&fingerprint.to_le_bytes());
-    body.extend_from_slice(&hosts.to_le_bytes());
-    let crc = crc32(&body);
-    body.extend_from_slice(&crc.to_le_bytes());
+    let mut payload = Vec::with_capacity(META_BYTES as usize);
+    wire::put_u64(&mut payload, fingerprint);
+    wire::put_u32(&mut payload, hosts);
+    let mut file = Vec::new();
+    wire::put_record(&mut file, &payload);
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &body)?;
+    std::fs::write(&tmp, &file)?;
     std::fs::rename(&tmp, path)
 }
 
 fn read_meta(path: &Path) -> Option<(u64, u32)> {
     let bytes = std::fs::read(path).ok()?;
-    if bytes.len() != 16 || crc32(&bytes[..12]) != u32::from_le_bytes(bytes[12..16].try_into().ok()?)
-    {
+    let (payload, used) = wire::take_record(&bytes, META_BYTES).ok()?;
+    if used != bytes.len() || payload.len() != META_BYTES as usize {
         return None;
     }
-    let fingerprint = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
-    let hosts = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
-    Some((fingerprint, hosts))
+    let mut r = wire::Reader::new(payload);
+    Some((r.u64().ok()?, r.u32().ok()?))
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
 //! The cusp-serve wire protocol: one request (or response) per
-//! length-delimited, CRC-checked frame.
+//! length-delimited, CRC-checked frame: a magic word, then one checked
+//! record of `cusp_graph::wire`, which owns its parse, bounds and checksum.
 //!
 //! ```text
 //! frame:
 //!   magic   u32  0x43_53_52_56  ("CSRV" read as LE bytes 'V''R''S''C')
-//!   length  u32  payload byte count (<= the negotiated cap)
-//!   crc32   u32  CRC-32 (IEEE, reflected) of the payload bytes
-//!   payload length bytes
+//!   record:
+//!     length  u32  payload byte count (<= the negotiated cap)
+//!     crc32   u32  CRC-32 (IEEE, reflected) of the payload bytes
+//!     payload length bytes
 //!
 //! payload:
 //!   tag     u8   message kind
@@ -24,14 +26,17 @@
 
 use std::io::{self, Read, Write};
 
-use cusp_net::{WireError, WireReader, WireWriter};
+use cusp_graph::wire::{self, RecordError, Truncated, RECORD_HEADER_BYTES};
+use cusp_net::{WireReader, WireWriter};
 
 use crate::error::ProtocolError;
 
 /// Frame magic ("CSRV" in the header doc above).
 pub const MAGIC: u32 = 0x4353_5256;
+/// Byte count of the magic word.
+const MAGIC_BYTES: usize = 4;
 /// Frame header byte count (magic + length + crc).
-pub const HEADER_BYTES: usize = 12;
+pub const HEADER_BYTES: usize = MAGIC_BYTES + RECORD_HEADER_BYTES;
 /// Default cap on one frame's payload: large enough for a few hundred
 /// million edges' worth of CSR upload, small enough that a hostile length
 /// prefix cannot balloon memory.
@@ -50,7 +55,7 @@ pub const MAX_BATCH_EVENTS: usize = 1 << 20;
 
 /// The frame checksum: the workspace's one CRC-32 (IEEE, reflected),
 /// shared with the WAL and the checkpoint store.
-pub use cusp_graph::wal::crc32;
+pub use cusp_graph::wire::crc32;
 
 /// How a served partition was obtained — travels in the `Partitioned`
 /// response so clients (and the CI smoke job) can see cache behaviour.
@@ -305,34 +310,6 @@ fn get_str(r: &mut WireReader, cap: usize) -> Result<String, ProtocolError> {
     String::from_utf8(bytes).map_err(|_| ProtocolError::BadUtf8)
 }
 
-/// Reads a u64-length-prefixed `u32` slice, validating the claimed length
-/// against the bytes actually present *before* allocating.
-fn get_u32_vec_checked(r: &mut WireReader) -> Result<Vec<u32>, ProtocolError> {
-    let n = r.get_u64()? as usize;
-    let needed = n.saturating_mul(4);
-    if r.remaining() < needed {
-        return Err(ProtocolError::Truncated { needed, available: r.remaining() });
-    }
-    let mut out = vec![0u32; n];
-    r.get_u32_into(&mut out).map_err(wire_err)?;
-    Ok(out)
-}
-
-fn get_u64_vec_checked(r: &mut WireReader) -> Result<Vec<u64>, ProtocolError> {
-    let n = r.get_u64()? as usize;
-    let needed = n.saturating_mul(8);
-    if r.remaining() < needed {
-        return Err(ProtocolError::Truncated { needed, available: r.remaining() });
-    }
-    let mut out = vec![0u64; n];
-    r.get_u64_into(&mut out).map_err(wire_err)?;
-    Ok(out)
-}
-
-fn wire_err(e: WireError) -> ProtocolError {
-    ProtocolError::Truncated { needed: e.needed, available: e.available }
-}
-
 impl Request {
     /// Encodes the request payload (tag + body, no frame header).
     pub fn encode(&self) -> Vec<u8> {
@@ -399,11 +376,11 @@ impl Request {
             TAG_UPLOAD => {
                 let tenant = get_str(&mut r, MAX_NAME)?;
                 let name = get_str(&mut r, MAX_NAME)?;
-                let offsets = get_u64_vec_checked(&mut r)?;
-                let dests = get_u32_vec_checked(&mut r)?;
+                let offsets = r.get_u64_vec()?;
+                let dests = r.get_u32_vec()?;
                 let weights = match r.get_u8()? {
                     0 => None,
-                    1 => Some(get_u32_vec_checked(&mut r)?),
+                    1 => Some(r.get_u32_vec()?),
                     _ => return Err(ProtocolError::BadValue("weights flag")),
                 };
                 Request::UploadGraph { tenant, name, offsets, dests, weights }
@@ -637,39 +614,40 @@ fn bytes_of(payload: &[u8]) -> bytes::Bytes {
 /// Wraps a payload in a frame header.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    wire::put_u32(&mut out, MAGIC);
+    wire::put_record(&mut out, payload);
     out
+}
+
+/// Checks the magic word that starts a frame; `bytes` is whatever of the
+/// frame has arrived.
+fn check_magic(bytes: &[u8]) -> Result<(), ProtocolError> {
+    match wire::Reader::new(bytes).u32() {
+        Ok(MAGIC) => Ok(()),
+        Ok(other) => Err(ProtocolError::BadMagic(other)),
+        Err(_) => Err(ProtocolError::Truncated { needed: HEADER_BYTES, available: bytes.len() }),
+    }
+}
+
+/// A record's verdict as a frame's: byte counts move past the magic word.
+fn frame_error(e: RecordError) -> ProtocolError {
+    match e {
+        RecordError::Truncated(Truncated { needed, available }) => ProtocolError::Truncated {
+            needed: MAGIC_BYTES + needed,
+            available: MAGIC_BYTES + available,
+        },
+        RecordError::Oversize { len, max } => ProtocolError::Oversize { len, max },
+        RecordError::Crc { stored, actual } => ProtocolError::CrcMismatch { stored, actual },
+    }
 }
 
 /// Decodes one frame from the front of `bytes`, returning the payload and
 /// the total bytes consumed. Pure and total — the in-memory half of the
 /// socket reader, and what the fuzzers drive directly.
 pub fn decode_frame(bytes: &[u8], max_frame: u32) -> Result<(&[u8], usize), ProtocolError> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(ProtocolError::Truncated { needed: HEADER_BYTES, available: bytes.len() });
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(ProtocolError::BadMagic(magic));
-    }
-    let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if len > max_frame {
-        return Err(ProtocolError::Oversize { len, max: max_frame });
-    }
-    let stored = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let total = HEADER_BYTES + len as usize;
-    if bytes.len() < total {
-        return Err(ProtocolError::Truncated { needed: total, available: bytes.len() });
-    }
-    let payload = &bytes[HEADER_BYTES..total];
-    let actual = crc32(payload);
-    if actual != stored {
-        return Err(ProtocolError::CrcMismatch { stored, actual });
-    }
-    Ok((payload, total))
+    check_magic(bytes)?;
+    let (payload, used) = wire::take_record(&bytes[MAGIC_BYTES..], max_frame).map_err(frame_error)?;
+    Ok((payload, MAGIC_BYTES + used))
 }
 
 /// What [`read_frame`] can yield besides a payload.
@@ -701,51 +679,18 @@ impl std::error::Error for RecvError {}
 /// nothing; a read timeout set on the socket bounds how long a silent or
 /// trickling peer can hold the loop.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Vec<u8>, RecvError> {
-    let mut header = [0u8; HEADER_BYTES];
-    // Distinguish clean EOF (no bytes at all) from a truncated header.
-    let mut got = 0;
-    while got < HEADER_BYTES {
-        match r.read(&mut header[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Err(RecvError::Eof)
-                } else {
-                    Err(RecvError::Protocol(ProtocolError::Truncated {
-                        needed: HEADER_BYTES,
-                        available: got,
-                    }))
-                };
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(RecvError::Io(e)),
-        }
+    // The whole header in one read; the record parser then sees its part
+    // of it chained in front of the stream.
+    let mut header = Vec::with_capacity(HEADER_BYTES);
+    r.by_ref().take(HEADER_BYTES as u64).read_to_end(&mut header).map_err(RecvError::Io)?;
+    if header.is_empty() {
+        // Clean EOF (no bytes at all), as distinct from a truncated header.
+        return Err(RecvError::Eof);
     }
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(RecvError::Protocol(ProtocolError::BadMagic(magic)));
-    }
-    let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > max_frame {
-        return Err(RecvError::Protocol(ProtocolError::Oversize { len, max: max_frame }));
-    }
-    let stored = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    let mut payload = vec![0u8; len as usize];
-    if let Err(e) = r.read_exact(&mut payload) {
-        return if e.kind() == io::ErrorKind::UnexpectedEof {
-            Err(RecvError::Protocol(ProtocolError::Truncated {
-                needed: HEADER_BYTES + len as usize,
-                available: HEADER_BYTES,
-            }))
-        } else {
-            Err(RecvError::Io(e))
-        };
-    }
-    let actual = crc32(&payload);
-    if actual != stored {
-        return Err(RecvError::Protocol(ProtocolError::CrcMismatch { stored, actual }));
-    }
-    Ok(payload)
+    check_magic(&header).map_err(RecvError::Protocol)?;
+    wire::read_record(&mut (&header[MAGIC_BYTES..]).chain(r), max_frame)
+        .map_err(RecvError::Io)?
+        .map_err(|e| RecvError::Protocol(frame_error(e)))
 }
 
 /// Writes one framed payload to a blocking stream.
