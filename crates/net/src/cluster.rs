@@ -28,12 +28,14 @@
 //!
 //! A seeded [`CrashPlan`] in [`ClusterOptions::crash`] arms a recovery
 //! layer. Planned crashes unwind the victim's thread (silently — they are
-//! simulations, not bugs); the launcher doubles as a **supervisor** that
-//! detects the death by heartbeat staleness, tears the host down (draining
-//! its mailboxes so in-flight messages become *counted* losses instead of
+//! simulations, not bugs); the launcher drives the one
+//! [`crate::recovery::Supervisor`]: it detects the death by heartbeat
+//! staleness and reports it, and when the supervisor answers `Spawn` (after
+//! the backoff it chose) it tears the host down (draining its mailboxes so
+//! in-flight messages become *counted* losses instead of
 //! `unconserved_pairs` false positives), re-delivers everything peers ever
-//! sent it from per-destination send logs, and respawns the thread with
-//! exponential backoff. The respawned incarnation re-executes from scratch
+//! sent it from per-destination send logs, and respawns the thread. The
+//! respawned incarnation re-executes from scratch
 //! — or from a phase checkpoint, if the application restores one via
 //! [`Comm::restore_net`] — regenerating byte-identical sends under the
 //! deterministic-sync contract; the resequencer's sequence numbers dedupe
@@ -54,7 +56,8 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{fnv1a, CrashPlan, FaultPlan, FaultReport, FaultStats};
 use crate::recovery::{
-    ClusterError, CrashSignal, LostSignal, NetCheckpoint, RecoveryOptions, RecoveryReport,
+    Action, ClusterError, CrashSignal, Event, Exit, LostSignal, NetCheckpoint, RecoveryOptions,
+    RecoveryReport, Supervisor,
 };
 use crate::serialize::{decode_envelope, encode_envelope};
 use crate::stats::{CommStats, StatsCollector};
@@ -75,9 +78,6 @@ pub const MAX_TAGS: usize = 32;
 
 /// How often blocked operations re-check the poison flag.
 const POISON_POLL: Duration = Duration::from_millis(50);
-
-/// How often the supervisor wakes to check heartbeat staleness.
-const SUPERVISOR_POLL: Duration = Duration::from_millis(2);
 
 /// One in-flight message: transport metadata plus the payload.
 #[derive(Clone)]
@@ -245,11 +245,11 @@ impl RecoveryLayer {
         self.beats[host].store(self.start.elapsed().as_millis() as u64, Ordering::Relaxed);
     }
 
-    /// Whether `host`'s last heartbeat is older than the timeout.
-    fn stale(&self, host: usize) -> bool {
-        let now = self.start.elapsed().as_millis() as u64;
-        now.saturating_sub(self.beats[host].load(Ordering::Relaxed))
-            >= self.opts.heartbeat_timeout.as_millis() as u64
+    /// How long until `host`'s last heartbeat is older than the timeout;
+    /// zero once it is.
+    fn stale_in(&self, host: usize) -> Duration {
+        let beat = Duration::from_millis(self.beats[host].load(Ordering::Relaxed));
+        (beat + self.opts.heartbeat_timeout).saturating_sub(self.start.elapsed())
     }
 
     fn report(&self) -> RecoveryReport {
@@ -945,7 +945,9 @@ impl Comm {
     /// finished phases left off, receive floors make the resequencer
     /// discard replayed inbound messages the checkpointed phases already
     /// consumed, and the barrier count re-aligns this host with survivors
-    /// parked at later barriers.
+    /// parked at later barriers — re-announced, so a survivor that never
+    /// heard the dead incarnation arrive at the checkpointed barrier is
+    /// released from it.
     ///
     /// The restore is *forward-only* and purges as it goes: re-running the
     /// prefix may already have pulled replayed messages of later phases
@@ -977,6 +979,15 @@ impl Comm {
         }
         self.barrier_calls.fetch_max(ck.barrier_calls, Ordering::Relaxed);
         drop(st);
+        // Re-arrive at the checkpointed barrier, as re-execution would have.
+        // Every host passed it, so this falls through — but over TCP the
+        // dead incarnation's own arrival may have died unsent with it, and
+        // a survivor still parked there would never send the traffic this
+        // host is about to wait for.
+        let fabric = &*self.fabric;
+        if !fabric.transport.barrier_wait(fabric, self.host, ck.barrier_calls) {
+            fabric.check_abort();
+        }
         // In-process restarts share the collector, so this max-restore is a
         // no-op there; a respawned *process* starts with empty counters and
         // gets its pre-crash accounting rows back here.
@@ -988,18 +999,6 @@ impl Comm {
     pub fn stats(&self) -> &StatsCollector {
         &self.fabric.stats
     }
-}
-
-/// How one host thread ended, reported to the supervisor.
-enum HostExit {
-    /// Returned a result.
-    Done,
-    /// Unwound with a planned [`CrashSignal`] — candidate for restart.
-    Crashed,
-    /// Unwound with [`LostSignal`] after the run was declared lost.
-    Aborted,
-    /// A real panic: poison the fabric and propagate.
-    Panicked(Box<dyn std::any::Any + Send>),
 }
 
 /// Results of a cluster execution.
@@ -1111,11 +1110,12 @@ impl Cluster {
             .map(|cfg| cusp_obs::Recorder::with_capacity(cfg.ring_capacity));
         let results: Vec<Mutex<Option<R>>> = (0..hosts).map(|_| Mutex::new(None)).collect();
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut lost: Option<(usize, u32)> = None;
+        let mut lost: Option<ClusterError> = None;
 
         std::thread::scope(|scope| {
-            let (tx, rx) = unbounded::<(usize, HostExit)>();
-            let spawn_host = |h: usize, epoch: u64| {
+            // `(host, incarnation, how it ended, a real panic's payload)`.
+            let (tx, rx) = unbounded::<(usize, u32, Exit, Option<Box<dyn std::any::Any + Send>>)>();
+            let spawn_host = |h: usize, incarnation: u32| {
                 let fabric = Arc::clone(&fabric);
                 let recorder = recorder.clone();
                 let f = &f;
@@ -1125,107 +1125,95 @@ impl Cluster {
                     .name(format!("host-{h}"))
                     .spawn_scoped(scope, move || {
                         let _trace_guard = recorder.as_ref().map(|r| r.attach(h as u32, "main"));
-                        let comm = Comm::new(h, Arc::clone(&fabric), epoch);
+                        let comm = Comm::new(h, Arc::clone(&fabric), incarnation as u64);
                         let out =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
-                        let exit = match out {
+                        drop(comm);
+                        let (how, panic) = match out {
                             Ok(r) => {
                                 *results[h].lock() = Some(r);
-                                HostExit::Done
+                                (Exit::Finished, None)
                             }
-                            Err(p) if p.is::<CrashSignal>() => HostExit::Crashed,
-                            Err(p) if p.is::<LostSignal>() => HostExit::Aborted,
+                            Err(p) if p.is::<CrashSignal>() => {
+                                // A dead host is *detected* when its frozen
+                                // heartbeat goes stale, exactly as a silently
+                                // hung one would be; until then sends in flight
+                                // toward it land, so the teardown's loss count
+                                // is exact.
+                                let rec = fabric.recovery.as_ref().expect("only a plan crashes");
+                                std::thread::sleep(rec.stale_in(h));
+                                (Exit::Crashed, None)
+                            }
+                            // Unwound by `abort_lost`: the run is over.
+                            Err(p) if p.is::<LostSignal>() => return,
                             Err(p) => {
                                 fabric.poison();
-                                HostExit::Panicked(p)
+                                (Exit::Failed, Some(p))
                             }
                         };
-                        let _ = tx.send((h, exit));
+                        let _ = tx.send((h, incarnation, how, panic));
                     })
-                    .expect("failed to spawn host thread")
+                    .expect("failed to spawn host thread");
             };
 
-            let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, ()>>> =
-                (0..hosts).map(|h| Some(spawn_host(h, 0))).collect();
-            let mut running = hosts;
-            // Crashed hosts awaiting heartbeat-staleness detection.
-            let mut pending: Vec<usize> = Vec::new();
-            let mut attempts = vec![0u32; hosts];
-
-            while running > 0 || !pending.is_empty() {
-                match rx.recv_timeout(SUPERVISOR_POLL) {
-                    Ok((h, exit)) => {
-                        if let Some(handle) = handles[h].take() {
-                            let _ = handle.join();
-                        }
-                        running -= 1;
-                        match exit {
-                            HostExit::Done | HostExit::Aborted => {}
-                            HostExit::Crashed => pending.push(h),
-                            HostExit::Panicked(p) => {
-                                if first_panic.is_none() {
-                                    first_panic = Some(p);
-                                }
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-                if fabric.poisoned.load(Ordering::Acquire) || lost.is_some() {
-                    // The run is going down; crashed hosts stay down.
-                    pending.clear();
-                    continue;
-                }
-                let Some(rec) = &fabric.recovery else {
-                    pending.clear();
-                    continue;
+            // The thread driver of the one `Supervisor`: it reports exits
+            // and performs actions; what follows from a death is decided
+            // by `Supervisor::step`. Supervisor-side trace events land on
+            // the dead host's pid under a "supervisor" thread track.
+            let mark = |h: usize, name: &'static str, arg: u64| {
+                let _obs = recorder.as_ref().map(|r| r.attach(h as u32, "supervisor"));
+                cusp_obs::instant(name, arg);
+            };
+            (0..hosts).for_each(|h| spawn_host(h, 0));
+            let mut supervisor = Supervisor::new(hosts, opts.recovery, None);
+            let clock = Instant::now();
+            let now_ms = || clock.elapsed().as_millis() as u64;
+            'run: loop {
+                // The one place this thread blocks: until a host exits or a
+                // backoff ends. With no plan armed nothing is ever due.
+                let exit = match supervisor.next_deadline() {
+                    Some(at) => rx.recv_timeout(Duration::from_millis(at.saturating_sub(now_ms()))).ok(),
+                    None => rx.recv().ok(),
                 };
-                let mut i = 0;
-                while i < pending.len() {
-                    let h = pending[i];
-                    // The victim's heartbeat froze at death; "detection"
-                    // is that staleness crossing the timeout, exactly as
-                    // it would for a silently hung host.
-                    if !rec.stale(h) {
-                        i += 1;
-                        continue;
+                let event = exit.map_or(Event::Tick, |(host, incarnation, how, panic)| {
+                    if how == Exit::Crashed {
+                        mark(host, "host_detect", incarnation as u64 + 1);
                     }
-                    pending.remove(i);
-                    attempts[h] += 1;
-                    // Supervisor-side events land on the dead host's pid
-                    // under a dedicated "supervisor" thread track.
-                    let _obs = recorder.as_ref().map(|r| r.attach(h as u32, "supervisor"));
-                    cusp_obs::instant("host_detect", attempts[h] as u64);
-                    if attempts[h] > rec.opts.max_restarts {
-                        cusp_obs::instant("host_lost", (attempts[h] - 1) as u64);
-                        lost = Some((h, attempts[h] - 1));
-                        fabric.abort_lost();
-                        continue;
+                    first_panic = first_panic.take().or(panic);
+                    Event::Exited { host, incarnation, how }
+                });
+                for action in supervisor.step(now_ms(), event) {
+                    match action {
+                        Action::Spawn { host, incarnation } => {
+                            let rec = fabric.recovery.as_ref().expect("only a plan crashes");
+                            fabric.prepare_restart(host);
+                            rec.restarts.fetch_add(1, Ordering::Relaxed);
+                            // Fresh grace period for the new incarnation.
+                            rec.beat(host);
+                            mark(host, "host_restart", incarnation as u64);
+                            spawn_host(host, incarnation);
+                        }
+                        // Threads die together: one flag unwinds every survivor.
+                        Action::Kill { .. } => fabric.abort_lost(),
+                        Action::Fail(e) => {
+                            let ClusterError::HostLost { host, restarts } = e;
+                            mark(host, "host_lost", restarts as u64);
+                            lost = Some(e);
+                            break 'run;
+                        }
+                        Action::Finish => break 'run,
+                        Action::TellPeers { .. } => unreachable!("no thread announces a listener"),
                     }
-                    let backoff =
-                        rec.opts.restart_backoff * (1u32 << (attempts[h] - 1).min(10));
-                    std::thread::sleep(backoff);
-                    fabric.prepare_restart(h);
-                    rec.restarts.fetch_add(1, Ordering::Relaxed);
-                    // Fresh grace period for the new incarnation.
-                    rec.beat(h);
-                    let epoch = attempts[h] as u64;
-                    cusp_obs::instant("host_restart", epoch);
-                    handles[h] = Some(spawn_host(h, epoch));
-                    running += 1;
                 }
             }
-            for handle in handles.iter_mut().filter_map(|h| h.take()) {
-                let _ = handle.join();
-            }
+            // The scope joins every host thread, the unwinding ones included.
         });
 
         if let Some(p) = first_panic {
             std::panic::resume_unwind(p);
         }
-        if let Some((host, restarts)) = lost {
-            return Err(ClusterError::HostLost { host, restarts });
+        if let Some(e) = lost {
+            return Err(e);
         }
 
         Ok(ClusterOutput {
@@ -1254,9 +1242,11 @@ impl Cluster {
     /// blocked operation unwinds and the run returns
     /// [`ClusterError::HostLost`] with `restarts: 0` — never a hang.
     ///
-    /// Crash *recovery* ([`ClusterOptions::crash`]) is a simulator-only
-    /// feature (the supervisor owns all host threads, which has no
-    /// cross-process analogue) and is rejected by assertion.
+    /// A [`ClusterOptions::crash`] plan is rejected by assertion: it
+    /// unwinds host *threads*, and this call is one host of many processes.
+    /// Their supervisor is `cusp-part launch`, which drives the same
+    /// [`crate::recovery::Supervisor`] as the simulator over whole worker
+    /// processes and respawns a dead one into the surviving mesh.
     ///
     /// # Panics
     /// Propagates `f`'s own panic after tearing the transport down
@@ -1287,10 +1277,9 @@ impl Cluster {
         fabric.transport.start(&fabric);
         // A respawned process (incarnation > 0) runs at that restart
         // epoch, so checkpoint-aware callers resume instead of starting
-        // over — the cross-process analogue of the supervisor respawning a
-        // host thread at epoch `attempts`. The same `host_restart` instant
-        // the in-process supervisor emits marks the restart in this
-        // process's trace.
+        // over — the cross-process analogue of the thread driver respawning
+        // a host at epoch `incarnation`. The same `host_restart` instant
+        // that driver emits marks the restart in this process's trace.
         if incarnation > 0 {
             cusp_obs::instant("host_restart", incarnation as u64);
         }

@@ -107,11 +107,11 @@ const SALT_CRASH_OP: u64 = 0x1ce4_e5b9_bf58_476d;
 /// scheduling — so a crash schedule replays exactly and the recovery
 /// oracle can compare against the crash-free run bit for bit.
 ///
-/// The supervisor in `cluster.rs` detects the death by heartbeat
-/// staleness, tears the host down, and respawns it (see
-/// [`crate::RecoveryOptions`]). With `repeat: false` (the default) each
-/// site fires at most once across restarts, so the respawned incarnation
-/// runs to completion; `repeat: true` re-fires the same site every
+/// The launcher in `cluster.rs` detects the death by heartbeat staleness
+/// and, when [`crate::recovery::Supervisor`] says so, tears the host down
+/// and respawns it (see [`crate::RecoveryOptions`]). With `repeat: false`
+/// (the default) each site fires at most once across restarts, so the
+/// respawned incarnation runs to completion; `repeat: true` re-fires the same site every
 /// incarnation, which is how restart-budget exhaustion (and the resulting
 /// [`crate::ClusterError::HostLost`]) is exercised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,12 +210,12 @@ pub struct KillDecision {
 /// Seeded *process*-level kill schedule for `cusp-part launch`.
 ///
 /// The cross-process analogue of [`CrashPlan`]: where a `CrashPlan`
-/// unwinds a host *thread* inside the simulator, a `KillPlan` tells the
-/// launch supervisor to take down a whole worker *process* once it
-/// announces the chosen phase. Every choice — victim, phase, mode — is a
-/// pure hash of the seed, so `--kill-seed N` replays the identical kill
-/// schedule in CI and the recovered fingerprint can be compared against
-/// the crash-free oracle.
+/// unwinds a host *thread* inside the simulator, a `KillPlan`'s decision,
+/// handed to [`crate::recovery::Supervisor`], takes down a whole worker
+/// *process* once it announces the chosen phase. Every choice — victim,
+/// phase, mode — is a pure hash of the seed, so `--kill-seed N` replays
+/// the identical kill schedule in CI and the recovered fingerprint can be
+/// compared against the crash-free oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillPlan {
     /// Seed all decisions derive from.

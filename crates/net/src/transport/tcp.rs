@@ -1529,6 +1529,39 @@ mod tests {
         script.join().expect("script peer");
     }
 
+    /// The `eec_2_hosts_recovers_from_torn_connection_at_edge_assign`
+    /// stall: the victim passes the master barrier, checkpoints, and dies
+    /// with its own arrival frame unsent; its respawn resumes past that
+    /// barrier while the survivor is still parked at it, and each waits
+    /// for the other. A restore must announce the barrier it skips.
+    #[test]
+    fn restored_checkpoint_re_arrives_at_the_barrier_it_skips() {
+        let (l0, a0) = bind();
+        let (l1, a1) = bind();
+        let peers = vec![a0.clone(), a1];
+        let peer = raw_peer(l1, a0, |s| {
+            // The survivor, parked at barrier 2: what it re-announces at a
+            // rejoin. It never heard host 0 arrive there.
+            write_frame(s, FRAME_BARRIER, &2u64.to_le_bytes()).unwrap();
+            write_frame(s, FRAME_FIN, &[]).unwrap();
+            s.flush().unwrap();
+        });
+        let transport = TcpTransport::establish_with(0, l0, &peers, 77, 1, fast_opts())
+            .expect("mesh up");
+        Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+            comm.restore_net(&crate::NetCheckpoint {
+                send_seqs: vec![0; 2 * crate::MAX_TAGS],
+                recv_floors: vec![0; 2 * crate::MAX_TAGS],
+                barrier_calls: 2,
+                stats: Vec::new(),
+            });
+        })
+        .expect("the restore falls through barrier 2");
+        let mut from0 = peer.join().expect("script peer");
+        let (kind, body) = read_data_frame(&mut from0);
+        assert_eq!((kind, body), (FRAME_BARRIER, 2u64.to_le_bytes().to_vec()));
+    }
+
     #[test]
     fn down_peer_that_never_rejoins_is_lost_after_the_window() {
         let (l0, a0) = bind();

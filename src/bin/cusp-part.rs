@@ -93,12 +93,13 @@ use cusp::{
 };
 use cusp_graph::gen::{kronecker, powerlaw, KroneckerConfig, PowerLawConfig};
 use cusp_graph::{edgelist, read_bgr, write_bgr, GraphProps};
-use cusp_net::Cluster;
+use cusp_net::recovery::{Action, Event, Exit, HostState, Supervisor};
+use cusp_net::{Cluster, KillMode};
 use cusp_xtrapulp::{xtrapulp_partition, XpConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  cusp-part gen --kind kron|webcrawl|uniform --nodes N [--degree D] [--seed S] --out G.bgr\n  cusp-part convert --edgelist IN.txt --out G.bgr\n  cusp-part convert --metis IN.graph --out G.bgr\n  cusp-part props G.bgr\n  cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]\n                      [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]\n                      [--chunk-edges E] [--trace OUT.json]\n                      [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]\n  cusp-part launch --hosts K --graph G.bgr --policy NAME [--out-dir DIR]\n                   [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]\n                   [--kill-seed S [--kill-repeat]] [--max-restarts N]\n                   [--restart-backoff-ms MS] [--checkpoint-dir DIR]\n  cusp-part worker --host-id H --hosts K --graph G.bgr --policy NAME --nonce N --out-dir DIR [--det]\n                   [--listen ADDR] [--incarnation I] [--rejoin] [--announce-phases]\n  cusp-part inspect PART.part [PART.part ...]\n  cusp-part validate --graph G.bgr --parts DIR\n  cusp-part trace-check OUT.json\n  cusp-part apply --graph G.bgr (--batch B.txt | --events N [--seed S]) [--out G2.bgr] [--wal W.wal]\n  cusp-part wal-replay --graph G.bgr --wal W.wal [--out G2.bgr] [--policy NAME --hosts K]\n  cusp-part client upload --graph G.bgr --tenant T --name N [--addr HOST:PORT]\n  cusp-part client partition --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client quality --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client apply --tenant T --name N --batch B.txt [--addr A]\n  cusp-part client stats --tenant T --name N [--addr A]\n  cusp-part client list --tenant T [--addr A]\n  cusp-part client server-stats [--addr A]\npolicies (--policy NAME): {} (partition only: XTRAPULP)",
+        "usage:\n  cusp-part gen --kind kron|webcrawl|uniform --nodes N [--degree D] [--seed S] --out G.bgr\n  cusp-part convert --edgelist IN.txt --out G.bgr\n  cusp-part convert --metis IN.graph --out G.bgr\n  cusp-part props G.bgr\n  cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]\n                      [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]\n                      [--chunk-edges E] [--trace OUT.json]\n                      [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]\n  cusp-part launch --hosts K --graph G.bgr --policy NAME [--out-dir DIR]\n                   [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]\n                   [--kill-seed S [--kill-repeat]] [--max-restarts N]\n                   [--checkpoint-dir DIR]\n  cusp-part worker --host-id H --hosts K --graph G.bgr --policy NAME --nonce N --out-dir DIR [--det]\n                   [--listen ADDR] [--incarnation I] [--rejoin] [--announce-phases]\n  cusp-part inspect PART.part [PART.part ...]\n  cusp-part validate --graph G.bgr --parts DIR\n  cusp-part trace-check OUT.json\n  cusp-part apply --graph G.bgr (--batch B.txt | --events N [--seed S]) [--out G2.bgr] [--wal W.wal]\n  cusp-part wal-replay --graph G.bgr --wal W.wal [--out G2.bgr] [--policy NAME --hosts K]\n  cusp-part client upload --graph G.bgr --tenant T --name N [--addr HOST:PORT]\n  cusp-part client partition --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client quality --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client apply --tenant T --name N --batch B.txt [--addr A]\n  cusp-part client stats --tenant T --name N [--addr A]\n  cusp-part client list --tenant T [--addr A]\n  cusp-part client server-stats [--addr A]\npolicies (--policy NAME): {} (partition only: XTRAPULP)",
         PolicyKind::ALL.map(PolicyKind::name).join(" ")
     );
     exit(2)
@@ -696,23 +697,15 @@ fn cmd_launch(flags: &HashMap<String, String>) {
     exit(launch_run(flags));
 }
 
-/// One worker process under supervision.
+/// One worker process under supervision: the OS handles the launch driver
+/// acts through. Where the host stands is the `Supervisor`'s to know.
 struct Worker {
     child: std::process::Child,
     /// Kept open: the torn kill mode speaks TEAR over it.
     stdin: Option<std::process::ChildStdin>,
     addr: Option<String>,
-    incarnation: u32,
-    restarts: u32,
-    kills: u32,
-    done: bool,
-    /// Stdout of the current incarnation fully drained. Judging a dead
-    /// child before this is set races the reader thread: `try_wait` can
-    /// observe a clean exit before the buffered DONE line has been
-    /// delivered through the event channel.
-    eof: bool,
-    /// Deadline at which a SIGSTOPped (wedged) victim gets its SIGKILL.
-    wedge_deadline: Option<std::time::Instant>,
+    /// The last phase the running incarnation announced, for the watchdog.
+    last_phase: Option<String>,
     stderr_path: PathBuf,
 }
 
@@ -731,10 +724,22 @@ impl Drop for Fleet {
     }
 }
 
-/// A line (or EOF, `None`) from worker `host`'s stdout at `incarnation`.
-/// The incarnation tag lets the supervisor drop stragglers from a dead
-/// generation's reader thread that land after the respawn.
-type WorkerEvent = (usize, u32, Option<String>);
+/// What the reader thread of worker `host`'s stdout at `incarnation`
+/// forwards: each line, then the end. A dead child is judged at `Eof`, not
+/// when it is reaped: every line it printed has been handled by then, so
+/// `done` — it printed `CUSP-WORKER-DONE` — cannot race a clean exit.
+enum WorkerOut {
+    Line(String),
+    Eof { done: bool },
+}
+type WorkerEvent = (usize, u32, WorkerOut);
+
+/// Base delay before a respawn; doubles per attempt.
+const RESTART_BACKOFF: std::time::Duration = std::time::Duration::from_millis(100);
+
+/// The launcher gives up after this long without a word from any worker.
+/// A safety net, not a decision: it reports where every host stands.
+const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(180);
 
 fn launch_run(flags: &HashMap<String, String>) -> i32 {
     use std::io::Write;
@@ -761,12 +766,6 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
         .get("max-restarts")
         .map(|s| parse_num(s, "max restarts"))
         .unwrap_or(3);
-    let backoff_base = std::time::Duration::from_millis(
-        flags
-            .get("restart-backoff-ms")
-            .map(|s| parse_num(s, "restart backoff ms"))
-            .unwrap_or(100),
-    );
     let plan = kill_seed.map(|seed| {
         let d = cusp_net::KillPlan { seed, hosts }.decide(&cusp::PhaseTimes::NAMES);
         println!(
@@ -847,13 +846,15 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
         std::thread::spawn(move || {
             use std::io::BufRead;
             let rdr = std::io::BufReader::new(stdout);
+            let mut done = false;
             for line in rdr.lines() {
                 let Ok(line) = line else { break };
-                if tx.send((h, incarnation, Some(line))).is_err() {
+                done |= line.starts_with("CUSP-WORKER-DONE");
+                if tx.send((h, incarnation, WorkerOut::Line(line))).is_err() {
                     return;
                 }
             }
-            let _ = tx.send((h, incarnation, None));
+            let _ = tx.send((h, incarnation, WorkerOut::Eof { done }));
         });
         child
     };
@@ -864,18 +865,7 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
         let _ = std::fs::remove_file(&stderr_path);
         let mut child = spawn_worker(h, 0, None, &stderr_path);
         let stdin = child.stdin.take();
-        fleet.workers.push(Worker {
-            child,
-            stdin,
-            addr: None,
-            incarnation: 0,
-            restarts: 0,
-            kills: 0,
-            done: false,
-            eof: false,
-            wedge_deadline: None,
-            stderr_path,
-        });
+        fleet.workers.push(Worker { child, stdin, addr: None, last_phase: None, stderr_path });
     }
 
     let fail = |fleet: &Fleet, h: usize, why: &str| -> i32 {
@@ -884,209 +874,160 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
         1
     };
 
-    // Supervise: drive the PEERS handshake, watch for phase markers to
-    // fire the kill plan, detect deaths (child exit, stdout EOF), respawn
-    // with backoff, and collect the per-peer accounting rows.
-    let mut peers_line: Option<String> = None;
+    // The process driver of the one `Supervisor`. It detects — stdout
+    // lines, and a death once the dead child's stdout is at EOF — and it
+    // acts with the closures above; whether a death is a respawn, a lost
+    // run or the end, when the kill plan fires and who is told the peer
+    // list is decided by `Supervisor::step`. The accounting rows are not the
+    // supervisor's business and are collected here.
+    let recovery = cusp_net::RecoveryOptions {
+        heartbeat_timeout: wedge_hold,
+        max_restarts,
+        restart_backoff: RESTART_BACKOFF,
+    };
+    let mut supervisor = Supervisor::new(hosts, recovery, plan.map(|d| (d, kill_repeat)));
     let mut sent = vec![vec![(0u64, 0u64); hosts]; hosts];
     let mut recv = vec![vec![(0u64, 0u64); hosts]; hosts];
     let mut rejoins_total = 0u64;
     let mut respawns = 0u32;
-    let mut kills_fired = 0u32;
-    let mut pending_respawn: Vec<(usize, std::time::Instant)> = Vec::new();
-    let mut last_progress = std::time::Instant::now();
-    let watchdog = std::time::Duration::from_secs(180);
+    let clock = std::time::Instant::now();
+    let mut last_progress = clock.elapsed();
 
-    loop {
-        match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-            Ok((h, inc, ev)) => {
-                if inc != fleet.workers[h].incarnation {
-                    // A dead generation's reader thread draining out.
-                } else if let Some(line) = ev {
-                    last_progress = std::time::Instant::now();
-                    let toks: Vec<&str> = line.split_whitespace().collect();
-                    match toks.as_slice() {
-                        ["CUSP-WORKER-LISTEN", addr] => {
-                            if let Some(prev) = &fleet.workers[h].addr {
-                                if prev != addr {
-                                    return fail(
-                                        &fleet,
-                                        h,
-                                        &format!("respawned worker {h} rebound {addr}, expected {prev}"),
+    'supervise: loop {
+        // The one place the launcher blocks: until a worker says something,
+        // the supervisor's next deadline, or the watchdog.
+        let deadline = supervisor.next_deadline().map(std::time::Duration::from_millis);
+        let wake = deadline.unwrap_or(std::time::Duration::MAX).min(last_progress + WATCHDOG);
+        let msg = rx.recv_timeout(wake.saturating_sub(clock.elapsed())).ok();
+        // How the child reaped this turn ended, for the messages below.
+        let mut reaped = None;
+        let event = match &msg {
+            None if clock.elapsed() >= last_progress + WATCHDOG => {
+                eprintln!("cusp-part launch: no worker progress within the watchdog window");
+                for h in (0..hosts).filter(|&h| supervisor.state(h) != HostState::Done) {
+                    let phase = fleet.workers[h].last_phase.as_ref();
+                    let phase = phase.map(|p| format!(", last phase {p}")).unwrap_or_default();
+                    eprintln!("  host {h}: {}{phase}", supervisor.state(h));
+                    stderr_tail(h, &fleet.workers[h].stderr_path);
+                }
+                return 1;
+            }
+            None => Event::Tick,
+            &Some((host, incarnation, ref out)) => {
+                last_progress = clock.elapsed();
+                let w = &mut fleet.workers[host];
+                match out {
+                    WorkerOut::Line(line) => {
+                        let toks: Vec<&str> = line.split_whitespace().collect();
+                        match toks.as_slice() {
+                            ["CUSP-WORKER-LISTEN", addr] => {
+                                // A respawn must come back where its peers
+                                // will redial it.
+                                if let Some(prev) = w.addr.as_ref().filter(|prev| prev != addr) {
+                                    let why = format!(
+                                        "respawned worker {host} rebound {addr}, expected {prev}"
                                     );
+                                    return fail(&fleet, host, &why);
                                 }
-                                // A respawn: it already knows where everyone
-                                // lives — re-send the list immediately.
-                                send_peers(&mut fleet.workers[h], peers_line.as_deref().unwrap());
-                            } else {
-                                fleet.workers[h].addr = Some(addr.to_string());
-                                if fleet.workers.iter().all(|w| w.addr.is_some()) {
-                                    let all: Vec<&str> = fleet
-                                        .workers
-                                        .iter()
-                                        .map(|w| w.addr.as_deref().unwrap())
-                                        .collect();
-                                    let line = format!("PEERS {}\n", all.join(","));
-                                    for w in &mut fleet.workers {
-                                        send_peers(w, &line);
-                                    }
-                                    peers_line = Some(line);
-                                }
+                                w.addr = Some(addr.to_string());
+                                Event::Listening { host, incarnation }
                             }
-                        }
-                        ["CUSP-WORKER-PHASE", phase] => {
-                            if let Some(d) = &plan {
-                                let due = d.victim == h
-                                    && d.phase == *phase
-                                    && (fleet.workers[h].kills == 0 || kill_repeat);
-                                if due {
-                                    fleet.workers[h].kills += 1;
-                                    kills_fired += 1;
-                                    println!(
-                                        "killing host {h} ({} @ {phase}, incarnation {})",
-                                        d.mode.as_str(),
-                                        fleet.workers[h].incarnation
-                                    );
-                                    match d.mode {
-                                        cusp_net::KillMode::Kill => {
-                                            let _ = fleet.workers[h].child.kill();
-                                        }
-                                        cusp_net::KillMode::Torn => {
-                                            let torn = fleet.workers[h]
-                                                .stdin
-                                                .as_mut()
-                                                .and_then(|s| s.write_all(b"TEAR\n").ok())
-                                                .is_some();
-                                            if !torn {
-                                                let _ = fleet.workers[h].child.kill();
-                                            }
-                                        }
-                                        cusp_net::KillMode::Wedge => {
-                                            let pid = fleet.workers[h].child.id().to_string();
-                                            let stopped = std::process::Command::new("kill")
-                                                .args(["-STOP", &pid])
-                                                .status()
-                                                .map(|s| s.success())
-                                                .unwrap_or(false);
-                                            if stopped {
-                                                fleet.workers[h].wedge_deadline =
-                                                    Some(std::time::Instant::now() + wedge_hold);
-                                            } else {
-                                                let _ = fleet.workers[h].child.kill();
-                                            }
-                                        }
-                                    }
-                                }
+                            ["CUSP-WORKER-PHASE", phase] => {
+                                w.last_phase = Some(phase.to_string());
+                                Event::PhaseReached { host, incarnation, phase }
                             }
+                            [row @ ("CUSP-WORKER-SENT" | "CUSP-WORKER-RECV"), peer, bytes, msgs] => {
+                                let table = if row.ends_with("SENT") { &mut sent } else { &mut recv };
+                                table[host][parse_num::<usize>(peer, "peer")] =
+                                    (parse_num(bytes, "bytes"), parse_num(msgs, "messages"));
+                                continue;
+                            }
+                            ["CUSP-WORKER-REJOINS", n] => {
+                                rejoins_total += parse_num::<u64>(n, "rejoin count");
+                                continue;
+                            }
+                            _ => continue,
                         }
-                        ["CUSP-WORKER-SENT", peer, bytes, msgs] => {
-                            sent[h][parse_num::<usize>(peer, "peer")] =
-                                (parse_num(bytes, "bytes"), parse_num(msgs, "messages"));
-                        }
-                        ["CUSP-WORKER-RECV", peer, bytes, msgs] => {
-                            recv[h][parse_num::<usize>(peer, "peer")] =
-                                (parse_num(bytes, "bytes"), parse_num(msgs, "messages"));
-                        }
-                        ["CUSP-WORKER-REJOINS", n] => {
-                            rejoins_total += parse_num::<u64>(n, "rejoin count");
-                        }
-                        ["CUSP-WORKER-DONE", _] => fleet.workers[h].done = true,
-                        _ => {}
                     }
-                } else {
-                    // EOF of the current incarnation: every line it printed
-                    // has now been processed. Death itself is still decided
-                    // by try_wait below.
-                    fleet.workers[h].eof = true;
+                    WorkerOut::Eof { done } => {
+                        // Nothing more can come from it; the kill only makes
+                        // sure the reap below cannot block.
+                        let _ = w.child.kill();
+                        let status = w.child.wait().expect("cannot reap worker");
+                        // Under a kill plan any death past the listen line
+                        // can be repaired by a respawn at the same address.
+                        let how = match done {
+                            true => Exit::Finished,
+                            false if plan.is_some() && w.addr.is_some() => Exit::Crashed,
+                            false => Exit::Failed,
+                        };
+                        reaped = Some((host, how, status));
+                        Event::Exited { host, incarnation, how }
+                    }
                 }
             }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
-        }
-
-        // A wedged victim's hold expired: deliver the SIGKILL (it lands on
-        // stopped processes too).
-        for h in 0..hosts {
-            if fleet.workers[h]
-                .wedge_deadline
-                .is_some_and(|d| std::time::Instant::now() >= d)
-            {
-                fleet.workers[h].wedge_deadline = None;
-                let _ = fleet.workers[h].child.kill();
-            }
-        }
-
-        // Reap deaths and decide: normal exit, respawn, or give up.
-        for h in 0..hosts {
-            let Some(status) = fleet.workers[h].child.try_wait().expect("cannot poll worker") else {
-                continue;
-            };
-            if fleet.workers[h].done || pending_respawn.iter().any(|&(p, _)| p == h) {
-                continue;
-            }
-            if !fleet.workers[h].eof {
-                // The exit landed before the stdout drain: its DONE line (or
-                // final accounting rows) may still be in the channel. Hold
-                // judgment until the reader thread reports EOF — the dead
-                // child's pipe is closed, so that arrives promptly.
-                continue;
-            }
-            last_progress = std::time::Instant::now();
-            if kill_seed.is_some()
-                && fleet.workers[h].addr.is_some()
-                && fleet.workers[h].restarts < max_restarts
-            {
-                fleet.workers[h].restarts += 1;
-                let backoff = backoff_base * 2u32.pow((fleet.workers[h].restarts - 1).min(8));
+        };
+        let actions = supervisor.step(clock.elapsed().as_millis() as u64, event);
+        if let Some((host, _, status)) = reaped {
+            if let HostState::Backoff { incarnation, .. } = supervisor.state(host) {
                 println!(
-                    "host {h} died ({status}); respawning incarnation {} in {backoff:?}",
-                    fleet.workers[h].incarnation + 1
+                    "host {host} died ({status}); respawning incarnation {incarnation} in {:?}",
+                    recovery.backoff(incarnation)
                 );
-                pending_respawn.push((h, std::time::Instant::now() + backoff));
-            } else if kill_seed.is_some() && fleet.workers[h].restarts >= max_restarts {
-                return fail(
-                    &fleet,
-                    h,
-                    &format!("host {h} lost: exhausted {max_restarts} restart attempt(s)"),
-                );
-            } else {
-                return fail(&fleet, h, &format!("worker {h} failed ({status})"));
             }
         }
-
-        // Fire due respawns: same address, bumped incarnation.
-        let now = std::time::Instant::now();
-        let mut i = 0;
-        while i < pending_respawn.len() {
-            if pending_respawn[i].1 > now {
-                i += 1;
-                continue;
+        for action in actions {
+            match action {
+                Action::TellPeers { host } => {
+                    let all: Vec<&str> = fleet
+                        .workers
+                        .iter()
+                        .map(|w| w.addr.as_deref().expect("told once every host listens"))
+                        .collect();
+                    let line = format!("PEERS {}\n", all.join(","));
+                    send_peers(&mut fleet.workers[host], &line);
+                }
+                Action::Kill { host, mode } => {
+                    println!("killing host {host} ({}): {}", mode.as_str(), supervisor.state(host));
+                    let w = &mut fleet.workers[host];
+                    // Each softer method falls back to SIGKILL.
+                    let soft = match mode {
+                        KillMode::Kill => false,
+                        KillMode::Torn => {
+                            w.stdin.as_mut().is_some_and(|s| s.write_all(b"TEAR\n").is_ok())
+                        }
+                        // The hard kill follows when the supervisor says so
+                        // (it lands on stopped processes too).
+                        KillMode::Wedge => std::process::Command::new("kill")
+                            .args(["-STOP", &w.child.id().to_string()])
+                            .status()
+                            .is_ok_and(|s| s.success()),
+                    };
+                    if !soft {
+                        let _ = w.child.kill();
+                    }
+                }
+                // Same address, bumped incarnation.
+                Action::Spawn { host, incarnation } => {
+                    let w = &mut fleet.workers[host];
+                    let addr = w.addr.clone().expect("a respawn has listened");
+                    let mut child = spawn_worker(host, incarnation, Some(&addr), &w.stderr_path);
+                    w.stdin = child.stdin.take();
+                    w.child = child;
+                    w.last_phase = None;
+                    respawns += 1;
+                }
+                Action::Finish => break 'supervise,
+                Action::Fail(cusp_net::ClusterError::HostLost { host, restarts }) => {
+                    let why = match reaped.expect("only a death loses a host") {
+                        (_, Exit::Crashed, _) => {
+                            format!("host {host} lost: exhausted {restarts} restart attempt(s)")
+                        }
+                        (_, _, status) => format!("worker {host} failed ({status})"),
+                    };
+                    return fail(&fleet, host, &why);
+                }
             }
-            let (h, _) = pending_respawn.swap_remove(i);
-            let w = &mut fleet.workers[h];
-            let _ = w.child.wait();
-            w.incarnation += 1;
-            w.wedge_deadline = None;
-            w.eof = false;
-            respawns += 1;
-            let addr = w.addr.clone().unwrap();
-            let mut child = spawn_worker(h, w.incarnation, Some(&addr), &w.stderr_path);
-            w.stdin = child.stdin.take();
-            w.child = child;
-        }
-
-        // `eof`: the REJOINS row follows DONE (it is counted after the
-        // drain), so a finished worker's stdout is read to its end.
-        if fleet.workers.iter().all(|w| w.done && w.eof)
-            && fleet
-                .workers
-                .iter_mut()
-                .all(|w| w.child.try_wait().map(|s| s.is_some()).unwrap_or(true))
-        {
-            break;
-        }
-        if last_progress.elapsed() > watchdog {
-            return fail(&fleet, 0, "no worker progress within the watchdog window");
         }
     }
 
@@ -1112,7 +1053,8 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
     );
     if let Some(d) = &plan {
         println!(
-            "recovery: {kills_fired} kill(s) ({} @ {}, host {}), {respawns} respawn(s), {rejoins_total} peer rejoin(s)",
+            "recovery: {} kill(s) ({} @ {}, host {}), {respawns} respawn(s), {rejoins_total} peer rejoin(s)",
+            supervisor.kills(),
             d.mode.as_str(),
             d.phase,
             d.victim
@@ -1158,8 +1100,8 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
 fn send_peers(w: &mut Worker, line: &str) {
     use std::io::Write;
     let stdin = w.stdin.as_mut().expect("worker stdin piped");
-    stdin.write_all(line.as_bytes()).expect("cannot send peer list to worker");
-    stdin.flush().expect("cannot flush worker stdin");
+    // A failed write means the worker is dead; its stdout EOF says so.
+    let _ = stdin.write_all(line.as_bytes()).and_then(|()| stdin.flush());
 }
 
 /// Prints the last lines of a dead worker's captured stderr, so the panic

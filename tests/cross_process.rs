@@ -23,10 +23,12 @@
 //! still draining. Until PR 14 the FIN came first, and a wedge at `alloc`
 //! or `construct` that landed between FIN and DONE exhausted its restarts
 //! on `unreachable before dial timeout` — in a few percent of runs, more
-//! once the construction replay got faster. Still open:
-//! `eec_2_hosts_recovers_from_torn_connection_at_edge_assign` can stall
-//! into the launcher's watchdog in a few percent of runs, with or without
-//! the budget; it is not a load effect.
+//! once the construction replay got faster. Until PR 21
+//! `eec_2_hosts_recovers_from_torn_connection_at_edge_assign` stalled
+//! into the launcher's watchdog in a few percent of runs: the victim's
+//! arrival at the master barrier died unsent with it, and its respawn,
+//! resuming from the checkpoint past that barrier, never re-announced it
+//! (`Comm::restore_net` does now; DESIGN.md §11).
 
 use std::path::PathBuf;
 use std::process::Command;
