@@ -80,7 +80,7 @@ pub use storage::{read_partition, write_partition};
 pub use tracing::{phase_net_rows, phase_summary, render_phase_summary};
 pub use verify::{
     check_all, check_comm_stats, check_delta_equivalence, check_partition, graph_fingerprint,
-    partition_fingerprint, Violation, ViolationKind,
+    merge_part_fingerprints, part_fingerprint, partition_fingerprint, Violation, ViolationKind,
 };
 
 /// A partition id; CuSP runs with as many hosts as partitions, so this is

@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 
+use cusp_graph::wire::Fingerprint;
 use cusp_graph::{Csr, Node};
 use cusp_net::CommStats;
 
@@ -462,89 +463,81 @@ pub fn check_delta_equivalence(
     out
 }
 
-/// FNV-1a fingerprint over every structural byte of the partitions, in
-/// partition order. Two runs produce the same fingerprint iff they built
-/// bit-identical partitions (id maps, master pointers, CSR arrays, weights,
-/// and class) — the quantity the determinism harness compares.
-pub fn partition_fingerprint(parts: &[DistGraph]) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(parts.len() as u64);
-    for p in parts {
-        h.u64(p.part_id as u64);
-        h.u64(p.num_masters as u64);
-        h.u64(p.global_nodes);
-        h.u64(p.global_edges);
-        h.u64(p.class as u64);
-        h.u64(p.local2global.len() as u64);
-        for &g in &p.local2global {
-            h.u64(g as u64);
-        }
-        for &m in &p.master_of {
-            h.u64(m as u64);
-        }
-        for &o in p.graph.offsets() {
-            h.u64(o);
-        }
-        for &d in p.graph.dests() {
-            h.u64(d as u64);
-        }
-        match &p.edge_data {
-            None => h.u64(0),
-            Some(data) => {
-                h.u64(1 + data.len() as u64);
-                for &w in data {
-                    h.u64(w as u64);
-                }
-            }
-        }
-    }
+/// Fingerprint of one partition: every structural value of `p` through
+/// one [`Fingerprint`], in this order —
+///
+/// 1. the scalars `part_id`, `num_parts`, `num_masters`, `global_nodes`,
+///    `global_edges`, `class` (its discriminant);
+/// 2. the arrays `local2global`, `master_of`, the CSR `offsets`, the CSR
+///    `dests`, each framed by its own length;
+/// 3. the weights: the word `0` for `None`, or `1` and then `edge_data`
+///    framed by its length (so `None` and `Some(vec![])` differ).
+///
+/// Two parts share a fingerprint iff they are value-identical (a single
+/// differing element always shows; anything else collides with
+/// probability ≈ 2⁻⁶⁴). This is the unit the serve cache digests while it writes or reads a `.part`
+/// file, and what `cusp-part launch`/`inspect` print per host so that a
+/// mismatch names the host that differs.
+pub fn part_fingerprint(p: &DistGraph) -> u64 {
+    let mut h = Fingerprint::new();
+    h.word(p.part_id as u64);
+    h.word(p.num_parts as u64);
+    h.word(p.num_masters as u64);
+    h.word(p.global_nodes);
+    h.word(p.global_edges);
+    h.word(p.class as u64);
+    h.array(&p.local2global);
+    h.array(&p.master_of);
+    h.array(p.graph.offsets());
+    h.array(p.graph.dests());
+    weights_into(&mut h, p.edge_data.as_deref());
     h.finish()
 }
 
-/// FNV-1a fingerprint over every structural byte of an *input* graph
-/// (offsets, destinations, optional per-edge weights). This is the
-/// graph-identity half of a serving-layer cache key: two graphs share a
-/// fingerprint iff their CSR representations are bit-identical, so a
+/// Fingerprint of a whole partitioning: the [`part_fingerprint`]s in
+/// partition order, framed by the partition count, through one more
+/// [`Fingerprint`] ([`merge_part_fingerprints`]). Two runs produce the
+/// same value iff they built identical partitions (id maps, master
+/// pointers, CSR arrays, weights, and class) in the same order — the
+/// quantity the determinism harness compares.
+pub fn partition_fingerprint(parts: &[DistGraph]) -> u64 {
+    let per_part: Vec<u64> = parts.iter().map(part_fingerprint).collect();
+    merge_part_fingerprints(&per_part)
+}
+
+/// The ordered combination [`partition_fingerprint`] is defined as, for a
+/// caller that computed the [`part_fingerprint`]s itself (the serve cache
+/// does, on the threads that write or read the part files).
+pub fn merge_part_fingerprints(per_part: &[u64]) -> u64 {
+    let mut h = Fingerprint::new();
+    h.array(per_part);
+    h.finish()
+}
+
+/// Fingerprint of an *input* graph: `num_nodes`, `num_edges`, then the
+/// CSR `offsets` and `dests` each framed by its length, then the weights
+/// as in [`part_fingerprint`] — one [`Fingerprint`], that order. This is
+/// the graph-identity half of a serving-layer cache key: two graphs share
+/// a fingerprint iff their CSR representations are value-identical, so a
 /// cached partition of one is valid for the other. Complements
 /// [`partition_fingerprint`], which hashes the *output*.
 pub fn graph_fingerprint(graph: &Csr, weights: Option<&[u32]>) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(graph.num_nodes() as u64);
-    h.u64(graph.num_edges());
-    for &o in graph.offsets() {
-        h.u64(o);
-    }
-    for &d in graph.dests() {
-        h.u64(d as u64);
-    }
-    match weights {
-        None => h.u64(0),
-        Some(ws) => {
-            h.u64(1 + ws.len() as u64);
-            for &w in ws {
-                h.u64(w as u64);
-            }
-        }
-    }
+    let mut h = Fingerprint::new();
+    h.word(graph.num_nodes() as u64);
+    h.word(graph.num_edges());
+    h.array(graph.offsets());
+    h.array(graph.dests());
+    weights_into(&mut h, weights);
     h.finish()
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+fn weights_into(h: &mut Fingerprint, weights: Option<&[u32]>) {
+    match weights {
+        None => h.word(0),
+        Some(ws) => {
+            h.word(1);
+            h.array(ws);
         }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

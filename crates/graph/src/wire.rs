@@ -13,6 +13,11 @@
 //!    ([`put_record`], [`take_record`] for slices, [`read_record`] for
 //!    streams — one header parse and one payload check under both), with
 //!    [`crc32`] beneath it.
+//!
+//! Beside the byte checksum sits the workspace's one *content* hash,
+//! [`Fingerprint`]: defined over integer values rather than their bytes,
+//! it is what `cusp::graph_fingerprint` and `cusp::part_fingerprint` feed
+//! their arrays through.
 
 use std::io::{self, Read, Write};
 
@@ -350,6 +355,110 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Lanes of a [`Fingerprint`]: consecutive elements go to consecutive
+/// lanes, so four multiply chains are in flight at once.
+const LANES: usize = 4;
+/// Distinct start values per lane (the fractional bits of √2, √3, √5, √7),
+/// so equal elements in neighbouring lanes do not leave equal lanes.
+const LANE_SEEDS: [u64; LANES] =
+    [0x6A09_E667_F3BC_C908, 0xBB67_AE85_84CA_A73B, 0x3C6E_F372_FE94_F82B, 0xA54F_F53A_5F1D_36F1];
+/// Odd (so multiplying by it is a bijection of `u64`): 2⁶⁴ / φ.
+const LANE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Brings the well-mixed high bits of a product under the next element.
+const LANE_ROT: u32 = 31;
+
+/// One lane step. For a fixed `v` it is a bijection of `lane` (xor, odd
+/// multiply, rotate), and for a fixed `lane` it is injective in `v`.
+#[inline(always)]
+fn lane_step(lane: u64, v: u64) -> u64 {
+    (lane ^ v).wrapping_mul(LANE_MUL).rotate_left(LANE_ROT)
+}
+
+/// A 64-bit content hash over a sequence of integer *values* (a `u32` is
+/// hashed as the `u64` it widens to, so the digest does not depend on
+/// byte order or element width). Element `i` of everything absorbed so
+/// far steps lane `i mod 4`; [`finish`](Self::finish) folds the element
+/// count and the lanes, in order, through the same step and a final
+/// avalanche. Two consequences the callers rely on:
+///
+/// * the digest depends on the sequence only, not on how it was cut into
+///   calls — [`word`](Self::word) per element, one [`extend`](Self::extend),
+///   or several over consecutive sub-slices all agree;
+/// * every step is a bijection of the state it touches, so changing a
+///   single element *always* changes the digest (anything else collides
+///   with probability ≈ 2⁻⁶⁴; this is a fingerprint, not a MAC).
+///
+/// Sequences are not self-delimiting: an array whose length can vary is
+/// absorbed with [`array`](Self::array), which frames it by its length.
+#[derive(Debug, Clone)]
+pub struct Fingerprint {
+    lanes: [u64; LANES],
+    absorbed: u64,
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fingerprint {
+    /// The state that has absorbed nothing.
+    pub fn new() -> Self {
+        Fingerprint { lanes: LANE_SEEDS, absorbed: 0 }
+    }
+
+    /// Absorbs one value.
+    #[inline]
+    pub fn word(&mut self, v: u64) {
+        let lane = &mut self.lanes[(self.absorbed % LANES as u64) as usize];
+        *lane = lane_step(*lane, v);
+        self.absorbed += 1;
+    }
+
+    /// Absorbs every element of `vs`, in order, unframed.
+    pub fn extend<T: Copy + Into<u64>>(&mut self, vs: &[T]) {
+        // Element-wise up to the next lane-0 boundary, then whole rounds
+        // with the lanes in registers, then the sub-round tail.
+        let to_boundary = (LANES as u64 - self.absorbed % LANES as u64) % LANES as u64;
+        let (head, rest) = vs.split_at(vs.len().min(to_boundary as usize));
+        for &v in head {
+            self.word(v.into());
+        }
+        let mut rounds = rest.chunks_exact(LANES);
+        let mut lanes = self.lanes;
+        for round in &mut rounds {
+            for (lane, &v) in lanes.iter_mut().zip(round) {
+                *lane = lane_step(*lane, v.into());
+            }
+        }
+        self.lanes = lanes;
+        self.absorbed += (rest.len() - rounds.remainder().len()) as u64;
+        for &v in rounds.remainder() {
+            self.word(v.into());
+        }
+    }
+
+    /// Absorbs `vs` framed by its length, so an element cannot move
+    /// across the boundary between two arrays unnoticed.
+    pub fn array<T: Copy + Into<u64>>(&mut self, vs: &[T]) {
+        self.word(vs.len() as u64);
+        self.extend(vs);
+    }
+
+    /// The digest of everything absorbed so far.
+    pub fn finish(&self) -> u64 {
+        let mut acc = self.lanes.iter().fold(self.absorbed, |acc, &lane| lane_step(acc, lane));
+        // MurmurHash3's 64-bit finalizer: a bijection that makes every
+        // output bit depend on every bit of the fold.
+        acc ^= acc >> 33;
+        acc = acc.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        acc ^= acc >> 33;
+        acc = acc.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        acc ^ (acc >> 33)
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,11 @@
 //! The one battery for the workspace's byte layer (`cusp_graph::wire`):
 //! the checked record is total and its two parsers agree, the slice codec
 //! equals the per-element encoding on every length and through a scratch
-//! smaller than the array, and the five on-disk / on-wire formats built
-//! on them still read and write the bytes the previous commit produced.
+//! smaller than the array, the five on-disk / on-wire formats built
+//! on them still read and write the bytes the previous commit produced,
+//! and the content hash (`wire::Fingerprint`) equals its scalar definition,
+//! ignores how a sequence was cut into calls, and moves on every
+//! structural change to a real partition.
 
 use std::io::Read;
 
@@ -191,6 +194,226 @@ fn a_short_stream_is_an_io_error_not_a_partial_array() {
     let mut dst = [0u32; 4];
     let err = wire::read_u32s_into(&mut &[0u8; 15][..], &mut dst, &mut [0u8; 8]).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+/// The definition of `wire::Fingerprint`, one element at a time: element
+/// `i` steps lane `i mod 4`; the count and the lanes fold through the same
+/// step; MurmurHash3's finalizer on top.
+fn fingerprint_reference(vs: &[u64]) -> u64 {
+    let step = |lane: u64, v: u64| (lane ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
+    let mut lanes: [u64; 4] =
+        [0x6A09_E667_F3BC_C908, 0xBB67_AE85_84CA_A73B, 0x3C6E_F372_FE94_F82B, 0xA54F_F53A_5F1D_36F1];
+    for (i, &v) in vs.iter().enumerate() {
+        lanes[i % 4] = step(lanes[i % 4], v);
+    }
+    let mut acc = lanes.iter().fold(vs.len() as u64, |acc, &lane| step(acc, lane));
+    acc = (acc ^ (acc >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    acc = (acc ^ (acc >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    acc ^ (acc >> 33)
+}
+
+fn digest(absorb: impl FnOnce(&mut wire::Fingerprint)) -> u64 {
+    let mut h = wire::Fingerprint::new();
+    absorb(&mut h);
+    h.finish()
+}
+
+fn xorshift_u64s(seed: u64, n: usize) -> Vec<u64> {
+    let mut s = seed | 1;
+    (0..n)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        })
+        .collect()
+}
+
+#[test]
+fn fingerprint_equals_the_scalar_reference() {
+    // 0..=40 straddles empty, sub-round, and ten whole rounds plus every
+    // tail; then slices long enough that the round loop dominates.
+    let cases = (0..=40).map(|n| (7, n)).chain([(1, 1000), (2, 4099), (3, 65_537)]);
+    for (seed, n) in cases {
+        let v64 = xorshift_u64s(seed, n);
+        let v32: Vec<u32> = v64.iter().map(|&v| (v >> 17) as u32).collect();
+        let widened: Vec<u64> = v32.iter().map(|&v| v as u64).collect();
+        assert_eq!(digest(|h| h.extend(&v64)), fingerprint_reference(&v64), "u64 x{n} seed {seed}");
+        assert_eq!(digest(|h| h.extend(&v32)), fingerprint_reference(&widened), "u32 x{n} seed {seed}");
+    }
+    // Pinned: the serve cache persists these values in `meta` and in its
+    // directory names, so a change of definition must be a decision.
+    assert_eq!(digest(|_| ()), 0xa1f9_4f6f_a313_d212);
+    assert_eq!(digest(|h| h.extend(&[0u32, 1, 2, 3, 4, 5, 6, 7, 8, 9])), 0x7840_6677_0eeb_cc69);
+}
+
+#[test]
+fn fingerprint_depends_on_the_sequence_not_on_the_calls() {
+    let v32: Vec<u32> = xorshift_u64s(11, 41).iter().map(|&v| v as u32).collect();
+    let whole = digest(|h| h.extend(&v32));
+    let by_element = digest(|h| v32.iter().for_each(|&v| h.word(v as u64)));
+    assert_eq!(by_element, whole);
+    for cut in 0..=v32.len() {
+        let split = digest(|h| {
+            h.extend(&v32[..cut]);
+            h.extend(&v32[cut..]);
+        });
+        assert_eq!(split, whole, "cut at {cut}");
+    }
+    // `array` is the length, then the elements.
+    let framed = digest(|h| {
+        h.word(v32.len() as u64);
+        h.extend(&v32);
+    });
+    assert_eq!(digest(|h| h.array(&v32)), framed);
+}
+
+#[test]
+fn fingerprint_moves_on_every_element_and_every_boundary() {
+    let vs = xorshift_u64s(13, 41);
+    let base = digest(|h| h.extend(&vs));
+    // Every step is a bijection of its lane: any one element, any one
+    // bit, changes the digest — not "almost surely", always.
+    for i in 0..vs.len() {
+        for bit in 0..64 {
+            let mut bad = vs.clone();
+            bad[i] ^= 1 << bit;
+            assert_ne!(digest(|h| h.extend(&bad)), base, "element {i} bit {bit}");
+        }
+    }
+    // Two framed arrays: each of the 42 places the boundary can sit
+    // gives its own digest, and none equals the unframed sequence.
+    let mut seen = std::collections::HashSet::from([base]);
+    for cut in 0..=vs.len() {
+        let framed = digest(|h| {
+            h.array(&vs[..cut]);
+            h.array(&vs[cut..]);
+        });
+        assert!(seen.insert(framed), "boundary at {cut} collides");
+    }
+}
+
+/// A small real partition: weighted web-crawl graph, CVC on four
+/// simulated hosts.
+fn real_partition() -> Vec<cusp::DistGraph> {
+    use std::sync::Arc;
+    let graph = cusp_graph::gen::powerlaw(cusp_graph::gen::PowerLawConfig::webcrawl(48, 3.0, 5));
+    let weights: Vec<u32> = (0..graph.num_edges() as u32).map(|e| e.wrapping_mul(2_654_435_761)).collect();
+    let source = cusp::GraphSource::MemoryWeighted(Arc::new(graph), Arc::new(weights));
+    let cfg = cusp::deterministic_for_comparison(cusp::CuspConfig::default());
+    cusp_net::Cluster::run(4, move |comm| {
+        cusp::partition_with_policy(comm, source.clone(), cusp::PolicyKind::Cvc, &cfg).dist_graph
+    })
+    .results
+}
+
+#[test]
+fn every_structural_change_moves_the_partition_fingerprint() {
+    use cusp::{partition_fingerprint, DistGraph};
+    use cusp_graph::Csr;
+
+    let parts = real_partition();
+    let base = partition_fingerprint(&parts);
+    assert_eq!(base, partition_fingerprint(&real_partition()), "not deterministic");
+    assert!(parts.iter().all(|p| p.num_local() > 1 && p.graph.num_edges() > 1), "input too small");
+    let mut checked = 0usize;
+    // `edit` applied to part `h` must change the whole fingerprint (and
+    // that part's own); `what` names the edit when it does not.
+    let mut must_move = |h: usize, what: String, edit: &dyn Fn(&mut DistGraph)| {
+        let mut changed = parts.clone();
+        edit(&mut changed[h]);
+        assert_ne!(cusp::part_fingerprint(&changed[h]), cusp::part_fingerprint(&parts[h]), "{what}");
+        assert_ne!(partition_fingerprint(&changed), base, "{what}");
+        checked += 1;
+    };
+    /// The four `u32` arrays of a part, by index: to read, and to edit.
+    fn array_of(p: &DistGraph, which: usize) -> &[u32] {
+        match which {
+            0 => &p.local2global,
+            1 => &p.master_of,
+            2 => p.graph.dests(),
+            _ => p.edge_data.as_deref().expect("weighted input"),
+        }
+    }
+    fn with_array(p: &mut DistGraph, which: usize, edit: impl FnOnce(&mut Vec<u32>)) {
+        match which {
+            0 => edit(&mut p.local2global),
+            1 => edit(&mut p.master_of),
+            2 => {
+                let mut dests = p.graph.dests().to_vec();
+                edit(&mut dests);
+                p.graph = Csr::from_parts(p.graph.offsets().to_vec(), dests);
+            }
+            _ => edit(p.edge_data.as_mut().expect("weighted input")),
+        }
+    }
+    const ARRAYS: [&str; 4] = ["local2global", "master_of", "dests", "edge_data"];
+
+    for (h, p) in parts.iter().enumerate() {
+        for (which, name) in ARRAYS.iter().enumerate() {
+            let array = array_of(p, which);
+            // Every single element, flipped in its lowest and highest bit.
+            for i in 0..array.len() {
+                for bit in [0, 31] {
+                    must_move(h, format!("part {h} {name}[{i}] bit {bit}"), &|p| {
+                        with_array(p, which, |a| a[i] ^= 1 << bit)
+                    });
+                }
+            }
+            // Every adjacent pair that differs, swapped.
+            for i in 0..array.len() - 1 {
+                if array[i] != array[i + 1] {
+                    must_move(h, format!("part {h} {name}[{i}] <-> [{}]", i + 1), &|p| {
+                        with_array(p, which, |a| a.swap(i, i + 1))
+                    });
+                }
+            }
+        }
+        // Offsets must stay monotone from 0 to the edge count for `Csr`
+        // to hold them, so an interior offset moves by one where its
+        // neighbours leave room (a swap of two unequal offsets never does).
+        let offsets = p.graph.offsets();
+        for i in 1..offsets.len() - 1 {
+            for moved in [offsets[i].wrapping_sub(1), offsets[i] + 1] {
+                if offsets[i - 1] <= moved && moved <= offsets[i + 1] {
+                    must_move(h, format!("part {h} offsets[{i}] -> {moved}"), &|p| {
+                        let mut offsets = p.graph.offsets().to_vec();
+                        offsets[i] = moved;
+                        p.graph = Csr::from_parts(offsets, p.graph.dests().to_vec());
+                    });
+                }
+            }
+        }
+        // One element across the only boundary two equal-width arrays
+        // share: the same values in the same order, framed differently.
+        must_move(h, format!("part {h} local2global -> master_of"), &|p| {
+            let moved = p.local2global.pop().expect("non-empty");
+            p.master_of.insert(0, moved);
+        });
+        must_move(h, format!("part {h} master_of -> local2global"), &|p| {
+            let moved = p.master_of.remove(0);
+            p.local2global.push(moved);
+        });
+        // Absent weights are not empty weights.
+        let unweighted = DistGraph { edge_data: None, ..p.clone() };
+        let empty = DistGraph { edge_data: Some(vec![]), ..p.clone() };
+        assert_ne!(cusp::part_fingerprint(&unweighted), cusp::part_fingerprint(&empty), "part {h}");
+        assert_ne!(cusp::part_fingerprint(&unweighted), cusp::part_fingerprint(p), "part {h}");
+    }
+    assert!(checked > 1000, "only {checked} edits were possible");
+
+    // Part order is part of the value.
+    for a in 0..parts.len() {
+        for b in a + 1..parts.len() {
+            let mut reordered = parts.clone();
+            reordered.swap(a, b);
+            assert_ne!(partition_fingerprint(&reordered), base, "parts {a} <-> {b}");
+        }
+    }
+    // And the whole is exactly the ordered merge of its parts.
+    let per_part: Vec<u64> = parts.iter().map(cusp::part_fingerprint).collect();
+    assert_eq!(cusp::merge_part_fingerprints(&per_part), base);
 }
 
 proptest! {

@@ -8,7 +8,10 @@
 //! holding the partition fingerprint — written last as the commit
 //! marker; a corrupted or torn entry loads as a miss and falls back to
 //! re-partitioning, mirroring the checkpoint store's any-corruption →
-//! full-re-run posture.
+//! full-re-run posture. A partition is fingerprinted once per artefact:
+//! part by part, on the thread that writes (cold) or has just read
+//! (disk hit) that part's file, and the merged value is what `meta`
+//! holds, what a load checks, and what the entry answers with.
 //!
 //! Concurrent requests for the same key coalesce: the first becomes the
 //! runner, later ones block on its result and are counted in
@@ -22,7 +25,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use cusp::{metrics::QualityReport, partition_fingerprint, DistGraph, PolicyKind};
+use cusp::{
+    merge_part_fingerprints, metrics::QualityReport, part_fingerprint, DistGraph, PolicyKind,
+};
 use cusp_graph::wire;
 
 use crate::error::ServeError;
@@ -82,11 +87,31 @@ impl std::fmt::Debug for CachedPartition {
 }
 
 impl CachedPartition {
-    fn of(parts: Vec<DistGraph>) -> Self {
-        let fingerprint = partition_fingerprint(&parts);
+    /// `fingerprint` is `cusp::partition_fingerprint(&parts)`, which the
+    /// caller computed (store) or verified (load) part by part.
+    fn new(parts: Vec<DistGraph>, fingerprint: u64) -> Self {
         let quality = cusp::metrics::quality(&parts);
         CachedPartition { parts, fingerprint, quality }
     }
+}
+
+/// `f(0..n)` on up to one scoped thread per core, each taking one
+/// contiguous run of indices; results in index order. The per-part stage
+/// of a store or a load.
+fn per_part<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let run = n.div_ceil(workers).max(1);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .step_by(run)
+            .map(|lo| scope.spawn(move || (lo..n.min(lo + run)).map(f).collect::<Vec<T>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 struct Inflight {
@@ -209,8 +234,8 @@ impl PartitionCache {
                     self.jobs_run.fetch_add(1, Ordering::Relaxed);
                     let _span = cusp_obs::span_arg("serve_partition_job", key.hash64());
                     compute().map(|parts| {
-                        let cached = Arc::new(CachedPartition::of(parts));
-                        if let Err(e) = self.store_disk(&key, &cached) {
+                        let (fingerprint, stored) = self.store_disk(&key, &parts);
+                        if let Err(e) = stored {
                             // Disk persistence is best-effort; memory
                             // still serves the result.
                             eprintln!(
@@ -218,7 +243,7 @@ impl PartitionCache {
                                 self.entry_dir(&key).display()
                             );
                         }
-                        (cached, CacheTier::Cold)
+                        (Arc::new(CachedPartition::new(parts, fingerprint)), CacheTier::Cold)
                     })
                 }
             };
@@ -293,41 +318,68 @@ impl PartitionCache {
 
     /// Loads a committed disk entry, or `None` on any inconsistency:
     /// missing/corrupt meta, unreadable part file, wrong part count or
-    /// id, or a fingerprint mismatch against the meta record. All of
-    /// those mean "miss", never an error — the fallback is recomputing.
+    /// id, or a fingerprint mismatch against the meta record (bit rot, or
+    /// a `meta` written by a build whose fingerprint function differed).
+    /// All of those mean "miss", never an error — the fallback is
+    /// recomputing, whose store overwrites the entry.
     fn load_disk(&self, key: &CacheKey) -> Option<CachedPartition> {
         let dir = self.entry_dir(key);
         let (fingerprint, hosts) = read_meta(&dir.join("meta"))?;
         if hosts != key.hosts {
             return None;
         }
-        let mut parts = Vec::with_capacity(hosts as usize);
-        for h in 0..hosts {
-            let part = cusp::read_partition(&dir.join(format!("part-{h:04}.part"))).ok()?;
-            if part.part_id != h || part.num_parts != hosts {
-                return None;
-            }
-            parts.push(part);
-        }
+        // Each part is read and digested by one thread.
+        let loaded = per_part(hosts as usize, |h| {
+            let part = cusp::read_partition(&dir.join(part_file(h as u32))).ok()?;
+            (part.part_id == h as u32 && part.num_parts == hosts)
+                .then(|| (part_fingerprint(&part), part))
+        });
+        let (digests, parts): (Vec<u64>, Vec<DistGraph>) =
+            loaded.into_iter().collect::<Option<Vec<_>>>()?.into_iter().unzip();
         // Check the store-time fingerprint BEFORE computing quality
         // metrics: bit rot that survives `read_partition`'s shape checks
-        // must be caught while the data is still untrusted.
-        if cusp::partition_fingerprint(&parts) != fingerprint {
+        // must be caught while the data is still untrusted. The verified
+        // value then *is* the entry's fingerprint — nothing recomputes it.
+        if merge_part_fingerprints(&digests) != fingerprint {
             return None;
         }
-        Some(CachedPartition::of(parts))
+        Some(CachedPartition::new(parts, fingerprint))
     }
 
-    /// Persists an entry: part files first, CRC-checked `meta` last as
-    /// the commit marker (a torn write leaves no meta → clean miss).
-    fn store_disk(&self, key: &CacheKey, cached: &CachedPartition) -> std::io::Result<()> {
+    /// Fingerprints `parts` and persists them: a previous `meta` is
+    /// removed first (a rewrite is uncommitted while its parts change),
+    /// then each part is digested and written by one thread, and the
+    /// CRC-checked `meta` goes last as the commit marker — only if every
+    /// part file was written, so a torn or failed store leaves no meta →
+    /// clean miss. The fingerprint is returned whatever became of the
+    /// files; persistence is best-effort.
+    fn store_disk(&self, key: &CacheKey, parts: &[DistGraph]) -> (u64, std::io::Result<()>) {
         let dir = self.entry_dir(key);
-        std::fs::create_dir_all(&dir)?;
-        for part in &cached.parts {
-            cusp::write_partition(&dir.join(format!("part-{:04}.part", part.part_id)), part)?;
-        }
-        write_meta(&dir.join("meta"), cached.fingerprint, key.hosts)
+        let meta = dir.join("meta");
+        let uncommitted =
+            std::fs::create_dir_all(&dir).and_then(|()| match std::fs::remove_file(&meta) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+                _ => Ok(()),
+            });
+        let (digests, written): (Vec<u64>, Vec<std::io::Result<()>>) =
+            per_part(parts.len(), |h| {
+                let part = &parts[h];
+                let path = dir.join(part_file(part.part_id));
+                (part_fingerprint(part), cusp::write_partition(&path, part))
+            })
+            .into_iter()
+            .unzip();
+        let fingerprint = merge_part_fingerprints(&digests);
+        let stored = uncommitted
+            .and(written.into_iter().collect())
+            .and_then(|()| write_meta(&meta, fingerprint, key.hosts));
+        (fingerprint, stored)
     }
+}
+
+/// File name of host `h`'s partition inside an entry directory.
+fn part_file(h: u32) -> String {
+    format!("part-{h:04}.part")
 }
 
 /// Meta file: one checked record whose payload is `fingerprint u64 |
@@ -402,7 +454,80 @@ mod tests {
         assert_eq!(tier, CacheTier::Disk);
         assert_eq!(c.fingerprint, a.fingerprint);
         assert_eq!(cache2.jobs_run.load(Ordering::Relaxed), 0);
+        // Both tiers answer with the library's fingerprint of what they hold.
+        assert_eq!(a.fingerprint, cusp::partition_fingerprint(&a.parts));
+        assert_eq!(c.fingerprint, cusp::partition_fingerprint(&c.parts));
 
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn failed_part_write_commits_nothing_and_the_next_request_is_cold() {
+        let root = temp_root("unwritable");
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = PartitionCache::new(root.clone());
+        let key = CacheKey { graph: 21, policy: PolicyKind::Cvc, hosts: 2, chunk_edges: 0 };
+        // A directory squats on part 1's file name: that write fails (for
+        // any uid, unlike a permission bit) while part 0's succeeds.
+        let dir = cache.entry_dir(&key);
+        std::fs::create_dir_all(dir.join(part_file(1))).unwrap();
+
+        // Best-effort persistence: the request itself is served.
+        let (a, tier) = cache.get_or_compute(key, || Ok(tiny_parts(2))).unwrap();
+        assert_eq!(tier, CacheTier::Cold);
+        assert!(dir.join(part_file(0)).is_file(), "the other part was written");
+        assert!(!dir.join("meta").exists(), "a half-written entry must not be committed");
+
+        // A restart sees a clean miss, not a disk hit on the half entry.
+        let cache2 = PartitionCache::new(root.clone());
+        let (b, tier) = cache2.get_or_compute(key, || Ok(tiny_parts(2))).unwrap();
+        assert_eq!(tier, CacheTier::Cold);
+        assert_eq!(cache2.disk_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(cache2.jobs_run.load(Ordering::Relaxed), 1);
+        assert_eq!(b.fingerprint, a.fingerprint);
+        assert!(!dir.join("meta").exists());
+
+        // Once the path is writable the recompute commits the entry.
+        std::fs::remove_dir(dir.join(part_file(1))).unwrap();
+        let cache3 = PartitionCache::new(root.clone());
+        let (_, tier) = cache3.get_or_compute(key, || Ok(tiny_parts(2))).unwrap();
+        assert_eq!(tier, CacheTier::Cold);
+        let cache4 = PartitionCache::new(root.clone());
+        let (d, tier) = cache4.get_or_compute(key, || panic!("disk should hit")).unwrap();
+        assert_eq!((tier, d.fingerprint), (CacheTier::Disk, a.fingerprint));
+
+        // A rewrite that fails un-commits the entry it was replacing.
+        std::fs::remove_file(dir.join(part_file(1))).unwrap();
+        std::fs::create_dir(dir.join(part_file(1))).unwrap();
+        let cache5 = PartitionCache::new(root.clone());
+        let (_, tier) = cache5.get_or_compute(key, || Ok(tiny_parts(2))).unwrap();
+        assert_eq!(tier, CacheTier::Cold);
+        assert!(!dir.join("meta").exists(), "the old commit marker must not outlive its parts");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn meta_from_another_fingerprint_function_is_a_miss_the_recompute_overwrites() {
+        let root = temp_root("stale-meta");
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = PartitionCache::new(root.clone());
+        let key = CacheKey { graph: 22, policy: PolicyKind::Cvc, hosts: 2, chunk_edges: 0 };
+        let (a, _) = cache.get_or_compute(key, || Ok(tiny_parts(2))).unwrap();
+
+        // A well-formed meta whose value this build's function would not
+        // produce — what a data directory kept across the change holds.
+        let meta = cache.entry_dir(&key).join("meta");
+        write_meta(&meta, !a.fingerprint, key.hosts).unwrap();
+        assert_eq!(read_meta(&meta), Some((!a.fingerprint, 2)));
+
+        let cache2 = PartitionCache::new(root.clone());
+        let (b, tier) = cache2.get_or_compute(key, || Ok(tiny_parts(2))).unwrap();
+        assert_eq!((tier, b.fingerprint), (CacheTier::Cold, a.fingerprint));
+        assert_eq!(read_meta(&meta), Some((a.fingerprint, 2)), "recompute overwrites the entry");
+
+        let cache3 = PartitionCache::new(root.clone());
+        let (c, tier) = cache3.get_or_compute(key, || panic!("disk should hit")).unwrap();
+        assert_eq!((tier, c.fingerprint), (CacheTier::Disk, a.fingerprint));
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -69,8 +69,10 @@
 //! onto the determinism contract via `--det`). Exit status is non-zero on
 //! any worker failure, conservation violation, or fingerprint mismatch;
 //! the final line `fingerprint tcp=... sim=... MATCH` is the CI grep
-//! target. `worker` is the per-host half of that protocol and is also
-//! usable standalone for multi-machine experiments: it prints
+//! target, preceded by one `host H: tcp=... sim=...` line of
+//! [`cusp::part_fingerprint`]s per host so a mismatch names its host.
+//! `worker` is the per-host half of that protocol and is also usable
+//! standalone for multi-machine experiments: it prints
 //! `CUSP-WORKER-LISTEN <addr>`, waits for `PEERS a,b,...` on stdin, and
 //! reports `CUSP-WORKER-SENT/RECV/DONE` lines once its partition is
 //! written — before it FINs, so a FIN means the worker is finished with
@@ -229,8 +231,11 @@ fn cmd_inspect(positional: &[String]) {
         eprintln!("inspect needs at least one .part file");
         usage()
     }
+    let mut fingerprints = Vec::with_capacity(positional.len());
     for path in positional {
         let p = cusp::read_partition(&PathBuf::from(path)).expect("cannot read partition");
+        let fingerprint = cusp::part_fingerprint(&p);
+        fingerprints.push(fingerprint);
         println!(
             "{path}: partition {}/{} of a {}-node / {}-edge graph ({:?})",
             p.part_id,
@@ -245,6 +250,15 @@ fn cmd_inspect(positional: &[String]) {
             p.num_mirrors(),
             p.num_local_edges(),
             if p.edge_data.is_some() { ", weighted" } else { "" }
+        );
+        println!("  fingerprint {fingerprint:016x}");
+    }
+    if fingerprints.len() > 1 {
+        // `partition_fingerprint` of the files as one partitioning, which
+        // they are when given in host order.
+        println!(
+            "merged fingerprint (in the order given): {:016x}",
+            cusp::merge_part_fingerprints(&fingerprints)
         );
     }
 }
@@ -1067,7 +1081,8 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
         let path = out_dir.join(format!("part-{h:04}.part"));
         parts.push(cusp::read_partition(&path).expect("cannot read worker partition"));
     }
-    let tcp_fp = cusp::partition_fingerprint(&parts);
+    let tcp_parts: Vec<u64> = parts.iter().map(cusp::part_fingerprint).collect();
+    let tcp_fp = cusp::merge_part_fingerprints(&tcp_parts);
 
     // The oracle: the in-process simulator over the identical config,
     // crash-free (so a recovered run must land on the crash-free answer).
@@ -1078,12 +1093,18 @@ fn launch_run(flags: &HashMap<String, String>) -> i32 {
     let sim = run_cluster_or_exit(hosts, cusp_net::ClusterOptions::default(), move |comm| {
         partition_with_policy(comm, source.clone(), kind, &cfg2).dist_graph
     });
-    let sim_fp = cusp::partition_fingerprint(&sim.results);
+    let sim_parts: Vec<u64> = sim.results.iter().map(cusp::part_fingerprint).collect();
+    let sim_fp = cusp::merge_part_fingerprints(&sim_parts);
 
     if cfg.output == OutputFormat::Csr {
         let original = read_bgr(&graph_path).expect("cannot re-read graph");
         metrics::validate_partitioning(&original, &parts).expect("partitioning INVALID");
         println!("validation: ok");
+    }
+    // Per host first, so that a mismatch names the host that differs.
+    for (h, (tcp, sim)) in tcp_parts.iter().zip(&sim_parts).enumerate() {
+        let verdict = if tcp == sim { "" } else { " DIFFERS" };
+        println!("  host {h}: tcp=0x{tcp:016x} sim=0x{sim:016x}{verdict}");
     }
     println!(
         "fingerprint tcp=0x{tcp_fp:016x} sim=0x{sim_fp:016x} {}",
