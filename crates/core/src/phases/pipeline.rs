@@ -172,10 +172,7 @@ impl<'a> PhaseCtx<'a> {
         let name = phase.name();
         self.comm.set_phase(name);
         if self.cfg.announce_phases {
-            // Line-buffered stdout flushes on the newline, so the launch
-            // supervisor sees the marker before any phase work begins —
-            // the anchor `--kill-seed` injection is timed against.
-            println!("CUSP-WORKER-PHASE {name}");
+            crate::distributed::announce_phase(name);
         }
         cusp_obs::span_begin(name);
         let t = Instant::now();

@@ -1,7 +1,8 @@
 //! Work-stealing parallel-for for irregular loops.
 //!
 //! Indices are pre-partitioned into contiguous blocks, one deque per worker
-//! (Chase–Lev deques from `crossbeam-deque`). A worker drains its own deque
+//! (`crossbeam::deque` here is `vendor/crossbeam`'s stand-in: each deque a
+//! `Mutex<VecDeque>`, not a lock-free Chase–Lev deque). A worker drains its own deque
 //! LIFO and, when empty, steals FIFO from a random victim. Compared to the
 //! shared-cursor schedule in [`fn@crate::do_all::do_all`], this keeps initial locality
 //! (each worker starts on its own contiguous block — important when indices

@@ -213,6 +213,36 @@ impl<'a> Reader<'a> {
         decode_u64s(self.bytes(size_of_val(dst))?, dst);
         Ok(())
     }
+
+    /// Reads a little-endian `f64`.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, Truncated> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// Reads a `u64` count and that many `u32`s. The count is held against
+    /// the bytes present before anything is sized by it.
+    pub fn u32_vec(&mut self) -> Result<Vec<u32>, Truncated> {
+        let mut r = self.clone();
+        let n = r.u64()? as usize;
+        let run = r.bytes(n.saturating_mul(4))?;
+        let mut out = vec![0u32; n];
+        decode_u32s(run, &mut out);
+        *self = r;
+        Ok(out)
+    }
+
+    /// Reads a `u64` count and that many `u64`s, bounded as
+    /// [`Reader::u32_vec`].
+    pub fn u64_vec(&mut self) -> Result<Vec<u64>, Truncated> {
+        let mut r = self.clone();
+        let n = r.u64()? as usize;
+        let run = r.bytes(n.saturating_mul(8))?;
+        let mut out = vec![0u64; n];
+        decode_u64s(run, &mut out);
+        *self = r;
+        Ok(out)
+    }
 }
 
 /// Byte count of a record header (`len u32 | crc32 u32`).
@@ -523,5 +553,26 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.u8(), Err(Truncated { needed: 1, available: 0 }));
         assert_eq!(r.bytes(usize::MAX), Err(Truncated { needed: usize::MAX, available: 0 }));
+    }
+
+    #[test]
+    fn counted_runs_are_bounded_by_the_bytes_present() {
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, 2);
+        put_u32(&mut bytes, 7);
+        put_u32(&mut bytes, 8);
+        put_u64(&mut bytes, 1.5f64.to_bits());
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u32_vec(), Ok(vec![7, 8]));
+        assert_eq!(r.f64(), Ok(1.5));
+        assert!(r.is_empty());
+        // A count no buffer could hold is refused before anything is
+        // sized by it, and the count itself is not consumed.
+        let mut hostile = Vec::new();
+        put_u64(&mut hostile, u64::MAX);
+        let mut r = Reader::new(&hostile);
+        assert_eq!(r.u64_vec(), Err(Truncated { needed: usize::MAX, available: 0 }));
+        assert_eq!(r.u32_vec(), Err(Truncated { needed: usize::MAX, available: 0 }));
+        assert_eq!(r.remaining(), 8);
     }
 }

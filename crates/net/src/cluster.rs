@@ -1244,7 +1244,7 @@ impl Cluster {
     ///
     /// A [`ClusterOptions::crash`] plan is rejected by assertion: it
     /// unwinds host *threads*, and this call is one host of many processes.
-    /// Their supervisor is `cusp-part launch`, which drives the same
+    /// Their supervisor is `cusp::distributed::launch`, which drives the same
     /// [`crate::recovery::Supervisor`] as the simulator over whole worker
     /// processes and respawns a dead one into the surviving mesh.
     ///

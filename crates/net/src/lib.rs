@@ -3,7 +3,8 @@
 //! The CuSP paper runs on an MPI/LCI cluster (Stampede2, up to 128 hosts).
 //! This crate substitutes an **in-process simulated cluster**: each host is
 //! an OS thread, and hosts exchange length-delimited byte messages through
-//! lock-free channels. The substitution preserves everything the paper's
+//! unbounded MPMC channels (`vendor/crossbeam`'s stand-in: a mutex-guarded
+//! queue and a condvar each, not lock-free). The substitution preserves everything the paper's
 //! experiments measure about communication:
 //!
 //! * algorithms are written SPMD against a private-memory API ([`Comm`]),

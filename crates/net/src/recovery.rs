@@ -4,7 +4,7 @@
 //!
 //! * [`RecoveryOptions`] — heartbeat timeout, restart budget, backoff;
 //! * [`Supervisor`] — the pure state machine both clusters drive: the
-//!   thread fabric (`Cluster::try_run_with`) and `cusp-part launch` only
+//!   thread fabric (`Cluster::try_run_with`) and `cusp::distributed::launch` only
 //!   *detect* (a stale heartbeat, a reaped child at stdout EOF) and *act*
 //!   (spawn, signal, write the peer list); every decision in between —
 //!   count, budget, backoff, respawn, give up, finish — is made by

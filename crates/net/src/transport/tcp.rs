@@ -64,19 +64,6 @@
 //! * A peer still down after [`TcpOptions::rejoin_window`] is declared
 //!   lost — the typed `HostLost`, never a hang.
 //!
-//! ## Environment knobs
-//!
-//! [`TcpOptions::from_env`] honors two variables (both milliseconds, both
-//! with generous CI-safe defaults so a loaded machine never produces a
-//! spurious `HostLost`):
-//!
-//! * `CUSP_TCP_HEARTBEAT_MS` — idle-writer heartbeat interval (default
-//!   500). The silence timeout [`TcpOptions::peer_timeout`] scales with it
-//!   (20×, floor 500 ms), preserving the default 500 ms → 10 s ratio.
-//! * `CUSP_TCP_DRAIN_MS` — the FIN drain window
-//!   [`TcpOptions::fin_timeout`] (default 10 000): how long a cleanly
-//!   finished host keeps its readers alive for slower peers.
-//!
 //! [`ClusterError::HostLost`]: crate::ClusterError
 
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -88,11 +75,12 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use cusp_graph::wire;
 use parking_lot::Mutex;
 
 use super::{RejectReason, Transport, TransportError};
 use crate::cluster::{Envelope, Fabric, HostId, Tag, MAX_TAGS};
-use crate::serialize::{decode_envelope, encode_envelope, WireReader, WireWriter};
+use crate::serialize::{decode_envelope, encode_envelope, WireWriter};
 
 /// "CUSP" in ASCII — the handshake magic.
 const MAGIC: u32 = 0x4355_5350;
@@ -127,9 +115,7 @@ const MONITOR_POLL: Duration = Duration::from_millis(50);
 const REJOIN_POLL: Duration = Duration::from_millis(10);
 
 /// Knobs of the TCP transport. Defaults are deliberately generous: a
-/// loaded CI machine must never produce spurious `HostLost`s. See the
-/// module docs for the `CUSP_TCP_HEARTBEAT_MS` / `CUSP_TCP_DRAIN_MS`
-/// environment overrides applied by [`TcpOptions::from_env`].
+/// loaded CI machine must never produce spurious `HostLost`s.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpOptions {
     /// How long to keep redialing an unreachable peer before giving up.
@@ -145,9 +131,6 @@ pub struct TcpOptions {
     /// A peer silent this long (without FIN) is declared lost — or, with
     /// [`TcpOptions::rejoin`], marked down pending a reconnect.
     pub peer_timeout: Duration,
-    /// How long a cleanly finished host waits for peer FINs before
-    /// tearing its readers down anyway (the teardown drain window).
-    pub fin_timeout: Duration,
     /// Accept reconnecting peers with a newer incarnation instead of
     /// aborting on the first connection loss. Costs a per-destination
     /// send log kept for the whole run; enabled by the process supervisor
@@ -167,7 +150,6 @@ impl Default for TcpOptions {
             handshake_timeout: Duration::from_secs(3),
             heartbeat_interval: Duration::from_millis(500),
             peer_timeout: Duration::from_secs(10),
-            fin_timeout: Duration::from_secs(10),
             rejoin: false,
             rejoin_window: Duration::from_secs(60),
         }
@@ -175,26 +157,14 @@ impl Default for TcpOptions {
 }
 
 impl TcpOptions {
-    /// Defaults with the documented environment overrides applied:
-    /// `CUSP_TCP_HEARTBEAT_MS` (heartbeat interval, silence timeout
-    /// scaling with it) and `CUSP_TCP_DRAIN_MS` (FIN drain window).
-    /// Unparseable values are ignored in favor of the defaults.
-    pub fn from_env() -> Self {
-        let mut opts = TcpOptions::default();
-        if let Some(ms) = env_ms("CUSP_TCP_HEARTBEAT_MS") {
-            let ms = ms.max(10);
-            opts.heartbeat_interval = Duration::from_millis(ms);
-            opts.peer_timeout = Duration::from_millis((ms * 20).max(500));
-        }
-        if let Some(ms) = env_ms("CUSP_TCP_DRAIN_MS") {
-            opts.fin_timeout = Duration::from_millis(ms.max(10));
-        }
-        opts
+    /// These options with idle writers heartbeating every `interval`
+    /// (at least 10 ms). The silence timeout scales with it (20×, floor
+    /// 500 ms), preserving the default 500 ms → 10 s ratio.
+    pub fn with_heartbeat(mut self, interval: Duration) -> Self {
+        self.heartbeat_interval = interval.max(Duration::from_millis(10));
+        self.peer_timeout = (self.heartbeat_interval * 20).max(Duration::from_millis(500));
+        self
     }
-}
-
-fn env_ms(var: &str) -> Option<u64> {
-    std::env::var(var).ok()?.trim().parse().ok()
 }
 
 /// What ship/barrier enqueue toward a peer's writer thread.
@@ -299,6 +269,19 @@ fn peer_failed(fabric: &Fabric, shared: &TcpShared, peer: HostId, gen: u64) {
     }
 }
 
+/// See [`TcpTransport::saboteur`].
+pub struct Saboteur(TcpStream);
+
+impl Saboteur {
+    /// Writes a frame whose length prefix promises far more bytes than
+    /// follow, as a worker dying mid-write would leave it: the peer must
+    /// classify the partial frame as connection death, never as data.
+    pub fn tear(mut self) {
+        let _ = self.0.write_all(&frame_head(100, FRAME_ENVELOPE));
+        let _ = self.0.write_all(&[0xde, 0xad]).and_then(|()| self.0.flush());
+    }
+}
+
 /// Connected-but-not-yet-running sockets, parked between
 /// [`TcpTransport::establish`] and [`Transport::start`].
 struct Pending {
@@ -337,17 +320,13 @@ impl TcpTransport {
         self.shared.incarnation
     }
 
-    /// A raw clone of one outbound mesh socket, for fault-injection
-    /// tooling (torn-connection kill mode): writing a truncated frame on
-    /// it and aborting simulates a worker dying mid-write. `None` for a
-    /// single-host mesh or once `start` has consumed the pending sockets.
-    pub fn saboteur(&self) -> Option<TcpStream> {
+    /// A handle on one outbound mesh socket, for fault-injection tooling
+    /// (torn-connection kill mode). `None` for a single-host mesh or once
+    /// `start` has consumed the pending sockets.
+    pub fn saboteur(&self) -> Option<Saboteur> {
         let pending = self.pending.lock();
-        pending
-            .as_ref()?
-            .writers
-            .first()
-            .and_then(|(_, s, _)| s.try_clone().ok())
+        let (_, stream, _) = pending.as_ref()?.writers.first()?;
+        stream.try_clone().ok().map(Saboteur)
     }
 
     /// [`TcpTransport::establish_with`] at incarnation 0 — a first spawn.
@@ -405,7 +384,7 @@ impl TcpTransport {
             if peer == me {
                 continue;
             }
-            match dial(me, peer, addr, hosts, run_nonce, incarnation, &opts) {
+            match dial(me, peer, addr, hosts, run_nonce, incarnation, &opts, &|| false) {
                 Ok(stream) => {
                     let (tx, rx) = unbounded();
                     outbound[peer] = Some(tx);
@@ -470,62 +449,23 @@ impl Transport for TcpTransport {
         let Some(pending) = self.pending.lock().take() else {
             return;
         };
-        // Snapshot the caller's trace attachment (if tracing is on) so the
-        // I/O threads record their `peer_down` / `peer_rejoin` instants
-        // into the same trace as the host thread.
-        let obs = cusp_obs::current();
         let shared = &self.shared;
-        let mut threads = shared.threads.lock();
         for (peer, stream, rx) in pending.writers {
             let interval = shared.opts.heartbeat_interval;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("tcp-send-{peer}"))
-                    .spawn(move || writer_loop(stream, rx, interval))
-                    .expect("failed to spawn writer thread"),
-            );
+            let name = format!("tcp-send-{peer}");
+            spawn_io(shared, name, None, move || writer_loop(stream, rx, interval));
         }
         for (peer, stream) in pending.inbound {
-            *shared.reader_socks[peer].lock() = stream.try_clone().ok();
-            let fabric = Arc::clone(fabric);
-            let shared = Arc::clone(shared);
-            let obs = obs.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("tcp-recv-{peer}"))
-                    .spawn(move || {
-                        let _obs = obs.as_ref().map(|a| a.attach("tcp-recv"));
-                        reader_loop(stream, peer, 0, fabric, shared)
-                    })
-                    .expect("failed to spawn reader thread"),
-            );
+            spawn_reader(fabric, shared, format!("tcp-recv-{peer}"), stream, peer, 0);
         }
         if shared.hosts > 1 {
-            let fabric = Arc::clone(fabric);
-            let shared = Arc::clone(shared);
-            let obs = obs.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("tcp-monitor".into())
-                    .spawn(move || {
-                        let _obs = obs.as_ref().map(|a| a.attach("tcp-monitor"));
-                        monitor_loop(fabric, shared)
-                    })
-                    .expect("failed to spawn monitor thread"),
-            );
+            let (f, s) = (Arc::clone(fabric), Arc::clone(shared));
+            spawn_io(shared, "tcp-monitor".into(), Some("tcp-monitor"), move || monitor_loop(f, s));
         }
         if let Some(listener) = self.listener.lock().take() {
-            let fabric = Arc::clone(fabric);
-            let shared = Arc::clone(shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("tcp-rejoin".into())
-                    .spawn(move || {
-                        let _obs = obs.as_ref().map(|a| a.attach("tcp-rejoin"));
-                        rejoin_acceptor(listener, fabric, shared)
-                    })
-                    .expect("failed to spawn rejoin acceptor thread"),
-            );
+            let (f, s) = (Arc::clone(fabric), Arc::clone(shared));
+            let body = move || rejoin_acceptor(listener, f, s);
+            spawn_io(shared, "tcp-rejoin".into(), Some("tcp-rejoin"), body);
         }
     }
 
@@ -569,11 +509,12 @@ impl Transport for TcpTransport {
             }
         }
         if clean {
-            // Drain window: keep readers alive until every peer has FINed
-            // (or died, or overstayed the timeout), so slower peers can
-            // still pull our already-queued frames and barriers.
-            let deadline = Instant::now() + self.shared.opts.fin_timeout;
-            while Instant::now() < deadline && !fabric.should_abort() {
+            // Drain: keep readers alive until every peer has FINed, so
+            // slower peers can still pull our already-queued frames and
+            // barriers. The readers and the monitor are still up, so a
+            // peer that dies or goes silent here raises the abort flag
+            // exactly as it would have during the run.
+            while !fabric.should_abort() {
                 let all = (0..self.shared.hosts)
                     .filter(|&p| p != self.shared.me)
                     .all(|p| self.shared.fin_received[p].load(Ordering::Acquire));
@@ -602,14 +543,63 @@ impl Transport for TcpTransport {
     }
 }
 
+/// Starts one of the transport's threads and keeps its handle for `finish`
+/// to join. With a `role`, the thread records into the trace the calling
+/// thread is attached to (if tracing is on), so `peer_down` / `peer_rejoin`
+/// instants land beside the host's own events.
+fn spawn_io(
+    shared: &TcpShared,
+    name: String,
+    role: Option<&'static str>,
+    body: impl FnOnce() + Send + 'static,
+) {
+    let obs = cusp_obs::current().zip(role);
+    let handle = std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            let _obs = obs.as_ref().map(|(a, role)| a.attach(role));
+            body()
+        })
+        .expect("failed to spawn transport thread");
+    shared.threads.lock().push(handle);
+}
+
+/// Stands up the reader of connection generation `gen` from `peer`,
+/// keeping a clone of its socket so that a rejoin (or a down-marking) can
+/// tear it out of a blocking read.
+fn spawn_reader(
+    fabric: &Arc<Fabric>,
+    shared: &Arc<TcpShared>,
+    name: String,
+    stream: TcpStream,
+    peer: HostId,
+    gen: u64,
+) {
+    *shared.reader_socks[peer].lock() = stream.try_clone().ok();
+    let (f, s) = (Arc::clone(fabric), Arc::clone(shared));
+    spawn_io(shared, name, Some("tcp-recv"), move || reader_loop(stream, peer, gen, f, s));
+}
+
 // ---------------------------------------------------------------------------
 // Frame I/O helpers
 // ---------------------------------------------------------------------------
 
+/// `len: u32 LE | kind` — the five bytes that start every frame.
+fn frame_head(len: u32, kind: u8) -> [u8; 5] {
+    let mut head = [0u8; 5];
+    wire::encode_u32s(&[len], &mut head[..4]);
+    head[4] = kind;
+    head
+}
+
 fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(1 + body.len() as u32).to_le_bytes())?;
-    w.write_all(&[kind])?;
+    w.write_all(&frame_head(1 + body.len() as u32, kind))?;
     w.write_all(body)
+}
+
+/// Decodes a frame's length prefix.
+fn frame_len(prefix: [u8; 4]) -> u32 {
+    wire::Reader::new(&prefix).u32().expect("four bytes hold a u32")
 }
 
 /// Blocking read of one small frame during the handshake (the socket has a
@@ -617,7 +607,7 @@ fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<()>
 fn read_handshake_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf);
+    let len = frame_len(len_buf);
     if len == 0 || len > MAX_HANDSHAKE_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -633,11 +623,10 @@ fn read_handshake_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)
 enum ReadOutcome {
     /// Buffer filled.
     Ok,
-    /// Clean EOF before the first byte.
-    Eof,
     /// The stop flag fired while blocked.
     Stopped,
-    /// I/O error or EOF mid-buffer (a torn frame).
+    /// EOF or an I/O error. Whether an EOF is clean is the caller's to say:
+    /// only a FIN before it makes it so.
     Failed,
 }
 
@@ -648,9 +637,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -> Rea
     let mut off = 0;
     while off < buf.len() {
         match r.read(&mut buf[off..]) {
-            Ok(0) => {
-                return if off == 0 { ReadOutcome::Eof } else { ReadOutcome::Failed };
-            }
+            Ok(0) => return ReadOutcome::Failed,
             Ok(n) => off += n,
             Err(e)
                 if matches!(
@@ -688,8 +675,9 @@ pub fn hello_body(me: HostId, hosts: usize, run_nonce: u64, incarnation: u32) ->
     w.finish()
 }
 
-/// Dials `addr` until the peer answers (or the timeout), then runs the
-/// HELLO/ACCEPT exchange.
+/// Dials `addr` until the peer answers (or the timeout, or `stop`), then
+/// runs the HELLO/ACCEPT exchange.
+#[allow(clippy::too_many_arguments)]
 fn dial(
     me: HostId,
     peer: HostId,
@@ -698,6 +686,7 @@ fn dial(
     run_nonce: u64,
     incarnation: u32,
     opts: &TcpOptions,
+    stop: &dyn Fn() -> bool,
 ) -> Result<TcpStream, TransportError> {
     let deadline = Instant::now() + opts.dial_timeout;
     let mut backoff = opts.dial_backoff;
@@ -731,7 +720,7 @@ fn dial(
                 };
             }
             Err(_) => {
-                if Instant::now() >= deadline {
+                if stop() || Instant::now() >= deadline {
                     return Err(TransportError::DialTimeout { peer, addr: addr.to_string() });
                 }
                 std::thread::sleep(backoff);
@@ -752,19 +741,19 @@ pub fn parse_hello(
     hosts: usize,
     run_nonce: u64,
 ) -> Result<(HostId, u32), RejectReason> {
-    let mut r = WireReader::new(Bytes::from(body.to_vec()));
-    let magic = r.get_u32().map_err(|_| RejectReason::BadMagic)?;
+    let mut r = wire::Reader::new(body);
+    let magic = r.u32().map_err(|_| RejectReason::BadMagic)?;
     if magic != MAGIC {
         return Err(RejectReason::BadMagic);
     }
-    let version = r.get_u8().map_err(|_| RejectReason::BadVersion)?;
+    let version = r.u8().map_err(|_| RejectReason::BadVersion)?;
     if version != TCP_PROTOCOL_VERSION {
         return Err(RejectReason::BadVersion);
     }
-    let host_id = r.get_u32().map_err(|_| RejectReason::BadHostId)? as usize;
-    let their_hosts = r.get_u32().map_err(|_| RejectReason::BadHosts)? as usize;
-    let nonce = r.get_u64().map_err(|_| RejectReason::BadNonce)?;
-    let incarnation = r.get_u32().map_err(|_| RejectReason::BadHostId)?;
+    let host_id = r.u32().map_err(|_| RejectReason::BadHostId)? as usize;
+    let their_hosts = r.u32().map_err(|_| RejectReason::BadHosts)? as usize;
+    let nonce = r.u64().map_err(|_| RejectReason::BadNonce)?;
+    let incarnation = r.u32().map_err(|_| RejectReason::BadHostId)?;
     if their_hosts != hosts {
         return Err(RejectReason::BadHosts);
     }
@@ -832,16 +821,9 @@ fn accept_peers(
                 missing: hosts - 1 - inbound.len(),
             });
         }
-        let mut stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
+        let Ok((mut stream, _)) = listener.accept() else {
+            std::thread::sleep(Duration::from_millis(5));
+            continue;
         };
         // Mesh admission: a run member whose slot is still free.
         let admitted = answer_hello(&mut stream, opts, |body| {
@@ -873,12 +855,9 @@ fn rejoin_acceptor(listener: TcpListener, fabric: Arc<Fabric>, shared: Arc<TcpSh
         if shared.stopped(&fabric) {
             return;
         }
-        let mut stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                std::thread::sleep(REJOIN_POLL);
-                continue;
-            }
+        let Ok((mut stream, _)) = listener.accept() else {
+            std::thread::sleep(REJOIN_POLL);
+            continue;
         };
         // Rejoin admission: protocol fields must match the run, and the
         // claimed incarnation must be strictly newer than the last one
@@ -933,8 +912,19 @@ fn handle_rejoin(
     // installed — no frame can fall between the two.
     let mut slot = shared.outbound[peer].lock();
     *slot = None;
-    match redial_for_rejoin(shared, fabric, peer) {
-        Some(out_stream) => {
+    // Our fresh outbound simplex half, bounded and shutdown-aware.
+    let redial = dial(
+        shared.me,
+        peer,
+        &shared.peers[peer],
+        shared.hosts,
+        shared.run_nonce,
+        shared.incarnation,
+        &shared.opts,
+        &|| shared.stopped(fabric),
+    );
+    match redial {
+        Ok(out_stream) => {
             let (tx, rx) = unbounded();
             {
                 let log = shared.send_log[peer].lock();
@@ -951,15 +941,12 @@ fn handle_rejoin(
                 let _ = tx.send(Out::Fin);
             }
             let interval = shared.opts.heartbeat_interval;
-            let writer = std::thread::Builder::new()
-                .name(format!("tcp-send-{peer}-i{inc}"))
-                .spawn(move || writer_loop(out_stream, rx, interval))
-                .expect("failed to spawn rejoin writer thread");
-            shared.threads.lock().push(writer);
+            let name = format!("tcp-send-{peer}-i{inc}");
+            spawn_io(shared, name, None, move || writer_loop(out_stream, rx, interval));
             *slot = Some(tx);
             shared.down_since[peer].store(0, Ordering::Release);
         }
-        None => {
+        Err(_) => {
             // Could not dial back (the peer died again mid-rejoin, or we
             // are shutting down). Leave the peer down with a fresh stamp;
             // the next rejoin or the down-window expiry decides its fate.
@@ -968,55 +955,11 @@ fn handle_rejoin(
     }
     drop(slot);
 
-    *shared.reader_socks[peer].lock() = stream.try_clone().ok();
-    let reader = {
-        let fabric = Arc::clone(fabric);
-        let shared_r = Arc::clone(shared);
-        // Runs on the (attached, if tracing) rejoin acceptor thread, so
-        // the fresh reader inherits the same trace.
-        let obs = cusp_obs::current();
-        std::thread::Builder::new()
-            .name(format!("tcp-recv-{peer}-i{inc}"))
-            .spawn(move || {
-                let _obs = obs.as_ref().map(|a| a.attach("tcp-recv"));
-                reader_loop(stream, peer, gen, fabric, shared_r)
-            })
-            .expect("failed to spawn rejoin reader thread")
-    };
-    shared.threads.lock().push(reader);
+    // On the (attached, if tracing) rejoin acceptor thread, so the fresh
+    // reader inherits the same trace.
+    spawn_reader(fabric, shared, format!("tcp-recv-{peer}-i{inc}"), stream, peer, gen);
     shared.rejoins.fetch_add(1, Ordering::Relaxed);
     cusp_obs::instant("peer_rejoin", inc as u64);
-}
-
-/// Dials a rejoining peer's listener back (our fresh outbound simplex
-/// half), bounded and shutdown-aware. `None` on failure.
-fn redial_for_rejoin(
-    shared: &TcpShared,
-    fabric: &Fabric,
-    peer: HostId,
-) -> Option<TcpStream> {
-    let deadline = Instant::now() + shared.opts.dial_timeout;
-    let mut backoff = shared.opts.dial_backoff;
-    loop {
-        if shared.stopped(fabric) || Instant::now() >= deadline {
-            return None;
-        }
-        match dial(
-            shared.me,
-            peer,
-            &shared.peers[peer],
-            shared.hosts,
-            shared.run_nonce,
-            shared.incarnation,
-            &shared.opts,
-        ) {
-            Ok(stream) => return Some(stream),
-            Err(_) => {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(500));
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1039,9 +982,9 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
                 }
             }
             Ok(Out::Barrier(n)) => {
-                if write_frame(&mut w, FRAME_BARRIER, &n.to_le_bytes()).is_err()
-                    || w.flush().is_err()
-                {
+                let mut body = [0u8; 8];
+                wire::encode_u64s(&[n], &mut body);
+                if write_frame(&mut w, FRAME_BARRIER, &body).is_err() || w.flush().is_err() {
                     return;
                 }
             }
@@ -1084,14 +1027,14 @@ fn reader_loop(
         match read_full(&mut r, &mut len_buf, &stop) {
             ReadOutcome::Ok => {}
             ReadOutcome::Stopped => return,
-            ReadOutcome::Eof | ReadOutcome::Failed => {
+            ReadOutcome::Failed => {
                 if !finned() && !stop() {
                     peer_failed(&fabric, &shared, peer, gen);
                 }
                 return;
             }
         }
-        let len = u32::from_le_bytes(len_buf);
+        let len = frame_len(len_buf);
         if len == 0 || len > MAX_FRAME {
             peer_failed(&fabric, &shared, peer, gen);
             return;
@@ -1100,7 +1043,7 @@ fn reader_loop(
         match read_full(&mut r, &mut frame, &stop) {
             ReadOutcome::Ok => {}
             ReadOutcome::Stopped => return,
-            ReadOutcome::Eof | ReadOutcome::Failed => {
+            ReadOutcome::Failed => {
                 // A frame torn mid-body is never clean, FIN or not.
                 if !stop() {
                     peer_failed(&fabric, &shared, peer, gen);
@@ -1136,15 +1079,13 @@ fn reader_loop(
                     }
                 }
             }
-            FRAME_BARRIER => {
-                if frame.len() != 9 {
+            FRAME_BARRIER => match (frame.len(), wire::Reader::new(&frame[1..]).u64()) {
+                (9, Ok(arrival)) => fabric.barrier.announce(peer, arrival),
+                _ => {
                     peer_failed(&fabric, &shared, peer, gen);
                     return;
                 }
-                let mut arr = [0u8; 8];
-                arr.copy_from_slice(&frame[1..9]);
-                fabric.barrier.announce(peer, u64::from_le_bytes(arr));
-            }
+            },
             FRAME_HEARTBEAT => {}
             FRAME_FIN => {
                 shared.fin_received[peer].store(true, Ordering::Release);
@@ -1161,6 +1102,8 @@ fn reader_loop(
 /// declared lost (no rejoin) or marked down (rejoin); a peer down past
 /// `rejoin_window` is lost either way. Socket-level failures are caught
 /// faster by the readers; this net catches peers that hang without dying.
+/// It stands until shutdown, not until every peer has FINed: a rejoin
+/// clears a FIN, and the drain in `finish` relies on this watch.
 fn monitor_loop(fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
     let silence_ms = shared.opts.peer_timeout.as_millis() as u64;
     let window_ms = shared.opts.rejoin_window.as_millis() as u64;
@@ -1170,12 +1113,10 @@ fn monitor_loop(fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
             return;
         }
         let now = shared.now_ms();
-        let mut all_fin = true;
         for peer in (0..shared.hosts).filter(|&p| p != shared.me) {
             if shared.fin_received[peer].load(Ordering::Acquire) {
                 continue;
             }
-            all_fin = false;
             let down = shared.down_since[peer].load(Ordering::Acquire);
             if down != 0 {
                 if now.saturating_sub(down - 1) > window_ms {
@@ -1191,9 +1132,6 @@ fn monitor_loop(fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
                     return;
                 }
             }
-        }
-        if all_fin {
-            return;
         }
     }
 }
@@ -1391,6 +1329,29 @@ mod tests {
         let _ = peer.join();
     }
 
+    /// The drain has no timeout of its own: a finished host waits for every
+    /// peer's FIN, and a peer that goes silent meanwhile is found by the same
+    /// monitor that would have found it mid-run.
+    #[test]
+    fn silent_peer_during_the_drain_is_host_lost_not_a_hang() {
+        let (l0, a0) = bind();
+        let (l1, a1) = bind();
+        let peers = vec![a0.clone(), a1];
+        let (release, hold) = std::sync::mpsc::channel::<()>();
+        let peer = raw_peer(l1, a0, move |_| {
+            // Alive, connected, and saying nothing — no heartbeat, no FIN —
+            // until host 0 has given up on it.
+            let _ = hold.recv();
+        });
+        let opts = TcpOptions { peer_timeout: Duration::from_millis(300), ..fast_opts() };
+        let transport = TcpTransport::establish(0, l0, &peers, 77, opts).expect("mesh up");
+        // Host 0 has nothing to do and goes straight to its FIN and drain.
+        let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |_| ());
+        assert!(matches!(got, Err(ClusterError::HostLost { host: 1, restarts: 0 })), "typed loss");
+        drop(release);
+        let _ = peer.join();
+    }
+
     #[test]
     fn corrupt_envelope_version_is_a_protocol_error() {
         let (l0, a0) = bind();
@@ -1427,7 +1388,7 @@ mod tests {
         loop {
             let mut len_buf = [0u8; 4];
             s.read_exact(&mut len_buf).expect("frame length");
-            let len = u32::from_le_bytes(len_buf);
+            let len = frame_len(len_buf);
             assert!(len > 0 && len <= MAX_FRAME, "bogus frame length {len}");
             let mut frame = vec![0u8; len as usize];
             s.read_exact(&mut frame).expect("frame body");

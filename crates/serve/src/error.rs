@@ -52,8 +52,8 @@ pub enum ProtocolError {
     BadValue(&'static str),
 }
 
-impl From<cusp_net::WireError> for ProtocolError {
-    fn from(e: cusp_net::WireError) -> Self {
+impl From<cusp_graph::wire::Truncated> for ProtocolError {
+    fn from(e: cusp_graph::wire::Truncated) -> Self {
         ProtocolError::Truncated { needed: e.needed, available: e.available }
     }
 }

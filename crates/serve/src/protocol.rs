@@ -27,7 +27,7 @@
 use std::io::{self, Read, Write};
 
 use cusp_graph::wire::{self, RecordError, Truncated, RECORD_HEADER_BYTES};
-use cusp_net::{WireReader, WireWriter};
+use cusp_net::WireWriter;
 
 use crate::error::ProtocolError;
 
@@ -295,19 +295,12 @@ fn put_str(w: &mut WireWriter, s: &str) {
     w.put_raw(s.as_bytes());
 }
 
-fn get_str(r: &mut WireReader, cap: usize) -> Result<String, ProtocolError> {
-    let len = r.get_u32()? as usize;
+fn get_str(r: &mut wire::Reader, cap: usize) -> Result<String, ProtocolError> {
+    let len = r.u32()? as usize;
     if len > cap {
         return Err(ProtocolError::BadValue("string length"));
     }
-    if r.remaining() < len {
-        return Err(ProtocolError::Truncated { needed: len, available: r.remaining() });
-    }
-    let mut bytes = vec![0u8; len];
-    for b in bytes.iter_mut() {
-        *b = r.get_u8()?;
-    }
-    String::from_utf8(bytes).map_err(|_| ProtocolError::BadUtf8)
+    String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| ProtocolError::BadUtf8)
 }
 
 impl Request {
@@ -370,17 +363,17 @@ impl Request {
     /// Decodes a request payload. Total: every byte string yields `Ok` or
     /// a typed error.
     pub fn decode(payload: &[u8]) -> Result<Request, ProtocolError> {
-        let mut r = WireReader::new(bytes_of(payload));
-        let tag = r.get_u8()?;
+        let mut r = wire::Reader::new(payload);
+        let tag = r.u8()?;
         let req = match tag {
             TAG_UPLOAD => {
                 let tenant = get_str(&mut r, MAX_NAME)?;
                 let name = get_str(&mut r, MAX_NAME)?;
-                let offsets = r.get_u64_vec()?;
-                let dests = r.get_u32_vec()?;
-                let weights = match r.get_u8()? {
+                let offsets = r.u64_vec()?;
+                let dests = r.u32_vec()?;
+                let weights = match r.u8()? {
                     0 => None,
-                    1 => Some(r.get_u32_vec()?),
+                    1 => Some(r.u32_vec()?),
                     _ => return Err(ProtocolError::BadValue("weights flag")),
                 };
                 Request::UploadGraph { tenant, name, offsets, dests, weights }
@@ -389,11 +382,11 @@ impl Request {
                 let tenant = get_str(&mut r, MAX_NAME)?;
                 let graph = get_str(&mut r, MAX_NAME)?;
                 let policy = get_str(&mut r, MAX_NAME)?;
-                let hosts = r.get_u32()?;
+                let hosts = r.u32()?;
                 if hosts == 0 || hosts > MAX_HOSTS {
                     return Err(ProtocolError::BadValue("hosts"));
                 }
-                let chunk_edges = r.get_u64()?;
+                let chunk_edges = r.u64()?;
                 if tag == TAG_PARTITION {
                     Request::Partition { tenant, graph, policy, hosts, chunk_edges }
                 } else {
@@ -413,17 +406,17 @@ impl Request {
                 // leading u32 count is capped here; `decode_batch` checks it
                 // against the bytes present before it allocates.
                 let rest = &payload[payload.len() - r.remaining()..];
-                if r.get_u32()? as usize > MAX_BATCH_EVENTS {
+                if r.u32()? as usize > MAX_BATCH_EVENTS {
                     return Err(ProtocolError::BadValue("batch event count"));
                 }
                 let batch =
                     cusp_graph::wal::decode_batch(rest).map_err(ProtocolError::BadValue)?;
-                r.skip(r.remaining())?; // `decode_batch` accounted for every byte
+                r.bytes(r.remaining())?; // `decode_batch` accounted for every byte
                 Request::Apply { tenant, graph, batch }
             }
             other => return Err(ProtocolError::UnknownTag(other)),
         };
-        if !r.is_exhausted() {
+        if !r.is_empty() {
             return Err(ProtocolError::TrailingBytes { remaining: r.remaining() });
         }
         Ok(req)
@@ -525,42 +518,42 @@ impl Response {
 
     /// Decodes a response payload.
     pub fn decode(payload: &[u8]) -> Result<Response, ProtocolError> {
-        let mut r = WireReader::new(bytes_of(payload));
-        let tag = r.get_u8()?;
+        let mut r = wire::Reader::new(payload);
+        let tag = r.u8()?;
         let resp = match tag {
             TAG_R_UPLOADED => Response::GraphUploaded {
-                fingerprint: r.get_u64()?,
-                nodes: r.get_u64()?,
-                edges: r.get_u64()?,
+                fingerprint: r.u64()?,
+                nodes: r.u64()?,
+                edges: r.u64()?,
             },
             TAG_R_PARTITIONED => Response::Partitioned {
-                fingerprint: r.get_u64()?,
-                tier: CacheTier::from_u8(r.get_u8()?)?,
-                wall_micros: r.get_u64()?,
-                replication_factor: r.get_f64()?,
-                edge_balance: r.get_f64()?,
+                fingerprint: r.u64()?,
+                tier: CacheTier::from_u8(r.u8()?)?,
+                wall_micros: r.u64()?,
+                replication_factor: r.f64()?,
+                edge_balance: r.f64()?,
             },
             TAG_R_GRAPH_STATS => Response::GraphStatsReport {
-                fingerprint: r.get_u64()?,
-                nodes: r.get_u64()?,
-                edges: r.get_u64()?,
-                max_degree: r.get_u64()?,
-                weighted: match r.get_u8()? {
+                fingerprint: r.u64()?,
+                nodes: r.u64()?,
+                edges: r.u64()?,
+                max_degree: r.u64()?,
+                weighted: match r.u8()? {
                     0 => false,
                     1 => true,
                     _ => return Err(ProtocolError::BadValue("weighted flag")),
                 },
             },
             TAG_R_QUALITY => Response::QualityReport {
-                fingerprint: r.get_u64()?,
-                tier: CacheTier::from_u8(r.get_u8()?)?,
-                replication_factor: r.get_f64()?,
-                node_balance: r.get_f64()?,
-                edge_balance: r.get_f64()?,
-                total_mirrors: r.get_u64()?,
+                fingerprint: r.u64()?,
+                tier: CacheTier::from_u8(r.u8()?)?,
+                replication_factor: r.f64()?,
+                node_balance: r.f64()?,
+                edge_balance: r.f64()?,
+                total_mirrors: r.u64()?,
             },
             TAG_R_GRAPHS => {
-                let n = r.get_u64()? as usize;
+                let n = r.u64()? as usize;
                 // Each row is at least 4 + 8 + 8 bytes; bound the claimed
                 // count by what could possibly be present.
                 if n > r.remaining() / 20 {
@@ -572,43 +565,39 @@ impl Response {
                 let mut rows = Vec::with_capacity(n);
                 for _ in 0..n {
                     let name = get_str(&mut r, MAX_NAME)?;
-                    let nodes = r.get_u64()?;
-                    let edges = r.get_u64()?;
+                    let nodes = r.u64()?;
+                    let edges = r.u64()?;
                     rows.push((name, nodes, edges));
                 }
                 Response::Graphs { rows }
             }
             TAG_R_SERVER_STATS => Response::ServerStatsReport {
-                requests: r.get_u64()?,
-                jobs_run: r.get_u64()?,
-                mem_hits: r.get_u64()?,
-                disk_hits: r.get_u64()?,
-                coalesced: r.get_u64()?,
-                tenants: r.get_u64()?,
-                graphs: r.get_u64()?,
+                requests: r.u64()?,
+                jobs_run: r.u64()?,
+                mem_hits: r.u64()?,
+                disk_hits: r.u64()?,
+                coalesced: r.u64()?,
+                tenants: r.u64()?,
+                graphs: r.u64()?,
             },
             TAG_R_APPLIED => Response::Applied {
-                old_fingerprint: r.get_u64()?,
-                new_fingerprint: r.get_u64()?,
-                dirty_vertices: r.get_u64()?,
-                nodes: r.get_u64()?,
-                edges: r.get_u64()?,
+                old_fingerprint: r.u64()?,
+                new_fingerprint: r.u64()?,
+                dirty_vertices: r.u64()?,
+                nodes: r.u64()?,
+                edges: r.u64()?,
             },
             TAG_R_ERROR => Response::Error {
-                code: r.get_u8()?,
+                code: r.u8()?,
                 message: get_str(&mut r, MAX_MESSAGE)?,
             },
             other => return Err(ProtocolError::UnknownTag(other)),
         };
-        if !r.is_exhausted() {
+        if !r.is_empty() {
             return Err(ProtocolError::TrailingBytes { remaining: r.remaining() });
         }
         Ok(resp)
     }
-}
-
-fn bytes_of(payload: &[u8]) -> bytes::Bytes {
-    bytes::Bytes::from(payload.to_vec())
 }
 
 /// Wraps a payload in a frame header.

@@ -1,27 +1,6 @@
 //! `cusp-part` — the stand-alone partitioning tool.
 //!
-//! ```text
-//! cusp-part gen       --kind kron|webcrawl|uniform --nodes N [--degree D] [--seed S] --out G.bgr
-//! cusp-part convert   --edgelist IN.txt --out G.bgr
-//! cusp-part convert   --metis IN.graph --out G.bgr
-//! cusp-part props     G.bgr
-//! cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]
-//!                     [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]
-//!                     [--chunk-edges E] [--trace OUT.json]
-//!                     [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]
-//! cusp-part launch    --hosts K --graph G.bgr --policy NAME [--out-dir DIR]
-//!                     [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]
-//! cusp-part worker    --host-id H --hosts K --graph G.bgr --policy NAME
-//!                     --nonce N --out-dir DIR [--det] [tuning flags as above]
-//! cusp-part inspect   PART.part [PART.part ...]
-//! cusp-part validate  --graph G.bgr --parts DIR
-//! cusp-part trace-check OUT.json
-//! cusp-part apply     --graph G.bgr (--batch B.txt | --events N [--seed S])
-//!                     [--out G2.bgr] [--wal W.wal]
-//! cusp-part wal-replay --graph G.bgr --wal W.wal [--out G2.bgr]
-//!                     [--policy NAME --hosts K]
-//! cusp-part client    upload|partition|quality|apply|stats|list|server-stats ...
-//! ```
+//! Run without arguments for the synopsis: `usage()` holds its one copy.
 //!
 //! `--policy NAME` takes any [`PolicyKind::ALL`] abbreviation (`usage()`
 //! prints them, so the list cannot drift from the parser); `partition`
@@ -56,27 +35,19 @@
 //! partition after each batch and checks it fingerprint-matches a full
 //! from-scratch run (the incremental-equivalence oracle).
 //!
-//! `launch` runs the same five-phase pipeline across **real OS
-//! processes**: it forks `--hosts` copies of this binary as `worker`
-//! subprocesses, hands each the full list of peer listen addresses, and
-//! the workers mesh up over loopback TCP (`cusp_net::TcpTransport`) and
-//! partition cooperatively, each writing its own `part-XXXX.part`. The
-//! launcher then (i) joins every worker's send rows against the
-//! receivers' recv rows — a cross-process conservation check no single
-//! process could fake — and (ii) re-runs the identical configuration on
-//! the in-process simulator and asserts the merged
-//! [`cusp::partition_fingerprint`]s are bit-identical (workers are forced
-//! onto the determinism contract via `--det`). Exit status is non-zero on
-//! any worker failure, conservation violation, or fingerprint mismatch;
-//! the final line `fingerprint tcp=... sim=... MATCH` is the CI grep
-//! target, preceded by one `host H: tcp=... sim=...` line of
-//! [`cusp::part_fingerprint`]s per host so a mismatch names its host.
-//! `worker` is the per-host half of that protocol and is also usable
-//! standalone for multi-machine experiments: it prints
-//! `CUSP-WORKER-LISTEN <addr>`, waits for `PEERS a,b,...` on stdin, and
-//! reports `CUSP-WORKER-SENT/RECV/DONE` lines once its partition is
-//! written — before it FINs, so a FIN means the worker is finished with
-//! the mesh for good.
+//! `launch` runs the same pipeline across **real OS processes**, and
+//! `worker` is one of them: each is flag parsing → spec →
+//! [`cusp::distributed::launch`] / [`cusp::distributed::worker`] → print
+//! (the module documents the driver, the line protocol and the seeded
+//! `--kill-seed` chaos). `launch` composes the oracle itself — the
+//! crash-free [`cusp::distributed::simulator_twin`] — and prints
+//! `cross-process conservation: ok`, `recovery: ...` under a kill plan, one
+//! `host H: tcp=... sim=...` line of [`cusp::part_fingerprint`]s per host so
+//! that a mismatch names its host, and last `fingerprint tcp=... sim=...
+//! MATCH`, the CI grep target. It exits non-zero on a lost or failed worker
+//! (a one-line diagnostic, then that worker's stderr tail), a conservation
+//! violation or a mismatch. `--heartbeat-ms` shortens the mesh's idle
+//! heartbeat, and with it the silence after which a peer counts as down.
 //!
 //! `client` speaks the framed `cusp-serve` protocol (default server
 //! `127.0.0.1:7421`): upload a `.bgr` graph into a tenant namespace,
@@ -89,19 +60,19 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
+use cusp::distributed::{self, part_path, LaunchSpec, RunSpec, WorkerError, WorkerSpec};
 use cusp::{
     metrics, partition_with_policy, write_partition, CuspConfig, GraphSource, OutputFormat,
     PolicyKind,
 };
 use cusp_graph::gen::{kronecker, powerlaw, KroneckerConfig, PowerLawConfig};
 use cusp_graph::{edgelist, read_bgr, write_bgr, GraphProps};
-use cusp_net::recovery::{Action, Event, Exit, HostState, Supervisor};
-use cusp_net::{Cluster, KillMode};
+use cusp_net::Cluster;
 use cusp_xtrapulp::{xtrapulp_partition, XpConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  cusp-part gen --kind kron|webcrawl|uniform --nodes N [--degree D] [--seed S] --out G.bgr\n  cusp-part convert --edgelist IN.txt --out G.bgr\n  cusp-part convert --metis IN.graph --out G.bgr\n  cusp-part props G.bgr\n  cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]\n                      [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]\n                      [--chunk-edges E] [--trace OUT.json]\n                      [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]\n  cusp-part launch --hosts K --graph G.bgr --policy NAME [--out-dir DIR]\n                   [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]\n                   [--kill-seed S [--kill-repeat]] [--max-restarts N]\n                   [--checkpoint-dir DIR]\n  cusp-part worker --host-id H --hosts K --graph G.bgr --policy NAME --nonce N --out-dir DIR [--det]\n                   [--listen ADDR] [--incarnation I] [--rejoin] [--announce-phases]\n  cusp-part inspect PART.part [PART.part ...]\n  cusp-part validate --graph G.bgr --parts DIR\n  cusp-part trace-check OUT.json\n  cusp-part apply --graph G.bgr (--batch B.txt | --events N [--seed S]) [--out G2.bgr] [--wal W.wal]\n  cusp-part wal-replay --graph G.bgr --wal W.wal [--out G2.bgr] [--policy NAME --hosts K]\n  cusp-part client upload --graph G.bgr --tenant T --name N [--addr HOST:PORT]\n  cusp-part client partition --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client quality --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client apply --tenant T --name N --batch B.txt [--addr A]\n  cusp-part client stats --tenant T --name N [--addr A]\n  cusp-part client list --tenant T [--addr A]\n  cusp-part client server-stats [--addr A]\npolicies (--policy NAME): {} (partition only: XTRAPULP)",
+        "usage:\n  cusp-part gen --kind kron|webcrawl|uniform --nodes N [--degree D] [--seed S] --out G.bgr\n  cusp-part convert --edgelist IN.txt --out G.bgr\n  cusp-part convert --metis IN.graph --out G.bgr\n  cusp-part props G.bgr\n  cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]\n                      [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]\n                      [--chunk-edges E] [--trace OUT.json]\n                      [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]\n  cusp-part launch --hosts K --graph G.bgr --policy NAME [--out-dir DIR]\n                   [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]\n                   [--kill-seed S [--kill-repeat]] [--max-restarts N]\n                   [--checkpoint-dir DIR] [--heartbeat-ms MS]\n  cusp-part worker --host-id H --hosts K --graph G.bgr --policy NAME --nonce N --out-dir DIR [--det]\n                   [--listen ADDR] [--incarnation I] [--rejoin] [--announce-phases] [--heartbeat-ms MS]\n  cusp-part inspect PART.part [PART.part ...]\n  cusp-part validate --graph G.bgr --parts DIR\n  cusp-part trace-check OUT.json\n  cusp-part apply --graph G.bgr (--batch B.txt | --events N [--seed S]) [--out G2.bgr] [--wal W.wal]\n  cusp-part wal-replay --graph G.bgr --wal W.wal [--out G2.bgr] [--policy NAME --hosts K]\n  cusp-part client upload --graph G.bgr --tenant T --name N [--addr HOST:PORT]\n  cusp-part client partition --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client quality --tenant T --name N --policy P --hosts K [--chunk-edges E] [--addr A]\n  cusp-part client apply --tenant T --name N --batch B.txt [--addr A]\n  cusp-part client stats --tenant T --name N [--addr A]\n  cusp-part client list --tenant T [--addr A]\n  cusp-part client server-stats [--addr A]\npolicies (--policy NAME): {} (partition only: XTRAPULP)",
         PolicyKind::ALL.map(PolicyKind::name).join(" ")
     );
     exit(2)
@@ -146,6 +117,30 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> T {
     })
 }
 
+/// An optional numeric flag, parsed.
+fn num_flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str) -> Option<T> {
+    flags.get(name).map(|s| parse_num(s, name))
+}
+
+/// `--policy NAME`, as the catalog knows it.
+fn policy_flag(flags: &HashMap<String, String>) -> PolicyKind {
+    let name = required(flags, "policy").to_ascii_uppercase();
+    PolicyKind::parse(&name).unwrap_or_else(|| {
+        eprintln!("unknown policy '{name}'");
+        usage()
+    })
+}
+
+/// Writes a `.bgr`, with its per-edge weights when it has them.
+fn write_graph_any(path: &Path, graph: &cusp_graph::Csr, weights: Option<&[u32]>) {
+    match weights {
+        Some(w) => cusp_graph::write_bgr_weighted(path, graph, w),
+        None => write_bgr(path, graph),
+    }
+    .expect("failed to write graph");
+    println!("wrote graph to {}", path.display());
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
@@ -173,11 +168,8 @@ fn main() {
 fn cmd_gen(flags: &HashMap<String, String>) {
     let kind = required(flags, "kind");
     let nodes: usize = parse_num(required(flags, "nodes"), "node count");
-    let degree: f64 = flags
-        .get("degree")
-        .map(|s| parse_num(s, "degree"))
-        .unwrap_or(16.0);
-    let seed: u64 = flags.get("seed").map(|s| parse_num(s, "seed")).unwrap_or(42);
+    let degree: f64 = num_flag(flags, "degree").unwrap_or(16.0);
+    let seed: u64 = num_flag(flags, "seed").unwrap_or(42);
     let out = PathBuf::from(required(flags, "out"));
     let graph = match kind {
         "kron" => {
@@ -361,23 +353,11 @@ where
 fn cusp_cfg_from_flags(flags: &HashMap<String, String>) -> CuspConfig {
     let defaults = CuspConfig::default();
     let mut cfg = CuspConfig {
-        sync_rounds: flags
-            .get("sync-rounds")
-            .map_or(defaults.sync_rounds, |s| parse_num(s, "sync rounds")),
-        buffer_threshold: flags
-            .get("buffer")
-            .map_or(defaults.buffer_threshold, |s| parse_num(s, "buffer bytes")),
-        threads_per_host: flags
-            .get("threads")
-            .map_or(defaults.threads_per_host, |s| parse_num(s, "threads")),
-        output: if flags.contains_key("csc") {
-            OutputFormat::Csc
-        } else {
-            OutputFormat::Csr
-        },
-        chunk_edges: flags
-            .get("chunk-edges")
-            .map(|s| parse_num(s, "chunk edges")),
+        sync_rounds: num_flag(flags, "sync-rounds").unwrap_or(defaults.sync_rounds),
+        buffer_threshold: num_flag(flags, "buffer").unwrap_or(defaults.buffer_threshold),
+        threads_per_host: num_flag(flags, "threads").unwrap_or(defaults.threads_per_host),
+        output: if flags.contains_key("csc") { OutputFormat::Csc } else { OutputFormat::Csr },
+        chunk_edges: num_flag(flags, "chunk-edges"),
         checkpoint_dir: flags.get("checkpoint-dir").map(PathBuf::from),
         announce_phases: flags.contains_key("announce-phases"),
         ..defaults
@@ -392,7 +372,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
     let graph_path = PathBuf::from(required(flags, "graph"));
     let policy_name = required(flags, "policy").to_ascii_uppercase();
     let hosts: usize = parse_num(required(flags, "hosts"), "host count");
-    let crash_seed: Option<u64> = flags.get("crash-seed").map(|s| parse_num(s, "crash seed"));
+    let crash_seed: Option<u64> = num_flag(flags, "crash-seed");
     let mut cfg = cusp_cfg_from_flags(flags);
     if crash_seed.is_some() {
         // Recovery replays re-executed sends and dedupes them by sequence
@@ -403,9 +383,8 @@ fn cmd_partition(flags: &HashMap<String, String>) {
 
     let trace_path = flags.get("trace").map(PathBuf::from);
     let mut recovery = cusp_net::RecoveryOptions::default();
-    if let Some(ms) = flags.get("heartbeat-ms") {
-        recovery.heartbeat_timeout =
-            std::time::Duration::from_millis(parse_num(ms, "heartbeat ms"));
+    if let Some(ms) = num_flag(flags, "heartbeat-ms") {
+        recovery.heartbeat_timeout = std::time::Duration::from_millis(ms);
     }
     let opts = cusp_net::ClusterOptions {
         trace: trace_path.as_ref().map(|_| cusp_net::TraceConfig::default()),
@@ -430,10 +409,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
             out.recovery,
         )
     } else {
-        let Some(kind) = PolicyKind::parse(&policy_name) else {
-            eprintln!("unknown policy '{policy_name}'");
-            usage()
-        };
+        let kind = policy_flag(flags);
         let cfg2 = cfg.clone();
         let out = run_cluster_or_exit(hosts, opts, move |comm| {
             let r = partition_with_policy(comm, source.clone(), kind, &cfg2);
@@ -519,624 +495,109 @@ fn cmd_partition(flags: &HashMap<String, String>) {
         let dir = PathBuf::from(dir);
         std::fs::create_dir_all(&dir).expect("cannot create out dir");
         for p in &parts {
-            let path = dir.join(format!("part-{:04}.part", p.part_id));
-            write_partition(&path, p).expect("failed to write partition");
+            write_partition(&part_path(&dir, p.part_id as usize), p)
+                .expect("failed to write partition");
         }
         println!("wrote {} partition files to {}", parts.len(), dir.display());
     }
 }
 
-/// One host of a multi-process TCP partition run, spawned by
-/// `cusp-part launch` (or any orchestrator speaking the same two-line
-/// protocol: the worker prints `CUSP-WORKER-LISTEN <addr>` on stdout,
-/// then reads `PEERS <addr0>,<addr1>,...` from stdin before building the
-/// mesh). Writes `part-XXXX.part` into `--out-dir` and reports its
-/// per-peer send/recv totals so the launcher can check conservation
-/// across processes.
+/// What `launch` and `worker` share of a cross-process run, from the flags
+/// they share.
+fn run_spec_from_flags(flags: &HashMap<String, String>) -> RunSpec {
+    RunSpec {
+        hosts: parse_num(required(flags, "hosts"), "host count"),
+        graph: PathBuf::from(required(flags, "graph")),
+        policy: policy_flag(flags),
+        out_dir: flags.get("out-dir").map(PathBuf::from).unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("cusp-launch-{}", std::process::id()))
+        }),
+        cfg: cusp_cfg_from_flags(flags),
+        heartbeat: num_flag(flags, "heartbeat-ms").map(std::time::Duration::from_millis),
+    }
+}
+
+/// One host of a cross-process run: [`distributed::worker`] under
+/// `cusp-part launch` or any orchestrator speaking the same lines.
 fn cmd_worker(flags: &HashMap<String, String>) {
-    use std::io::{BufRead, Write};
-    let host: usize = parse_num(required(flags, "host-id"), "host id");
-    let hosts: usize = parse_num(required(flags, "hosts"), "host count");
-    let graph_path = PathBuf::from(required(flags, "graph"));
-    let policy_name = required(flags, "policy").to_ascii_uppercase();
-    let Some(kind) = PolicyKind::parse(&policy_name) else {
-        eprintln!("unknown policy '{policy_name}'");
-        usage()
+    let spec = WorkerSpec {
+        run: run_spec_from_flags(flags),
+        host: parse_num(required(flags, "host-id"), "host id"),
+        nonce: parse_num(required(flags, "nonce"), "run nonce"),
+        incarnation: num_flag(flags, "incarnation").unwrap_or(0),
+        listen: flags.get("listen").cloned(),
+        rejoin: flags.contains_key("rejoin"),
     };
-    let nonce: u64 = parse_num(required(flags, "nonce"), "run nonce");
-    let incarnation: u32 = flags
-        .get("incarnation")
-        .map(|s| parse_num(s, "incarnation"))
-        .unwrap_or(0);
-    let out_dir = PathBuf::from(required(flags, "out-dir"));
-    let cfg = cusp_cfg_from_flags(flags);
-
-    // Bind an ephemeral port first and announce it: the orchestrator
-    // gathers every worker's address before any dial happens, so there is
-    // no port race and no config file. A respawned worker (`--listen`)
-    // instead pins its original address, so the peer list the survivors
-    // hold — and their rejoin redials — stay valid across the restart.
-    let listener = match flags.get("listen") {
-        Some(addr) => bind_pinned(addr, host),
-        None => std::net::TcpListener::bind("127.0.0.1:0").expect("cannot bind worker listener"),
-    };
-    let addr = listener.local_addr().expect("listener has no local addr");
-    println!("CUSP-WORKER-LISTEN {addr}");
-    std::io::stdout().flush().expect("cannot flush stdout");
-
-    let mut line = String::new();
-    std::io::stdin()
-        .lock()
-        .read_line(&mut line)
-        .expect("cannot read PEERS line from stdin");
-    let Some(list) = line.trim().strip_prefix("PEERS ") else {
-        eprintln!("worker {host}: expected 'PEERS a,b,...' on stdin, got '{}'", line.trim());
-        exit(2);
-    };
-    let peers: Vec<String> = list.split(',').map(str::to_string).collect();
-    if peers.len() != hosts || host >= hosts {
-        eprintln!(
-            "worker {host}: got {} peer address(es) for a {hosts}-host cluster",
-            peers.len()
-        );
-        exit(2);
-    }
-
-    let mut topts = cusp_net::TcpOptions::from_env();
-    topts.rejoin = flags.contains_key("rejoin");
-    let transport = match cusp_net::TcpTransport::establish_with(
-        host,
-        listener,
-        &peers,
-        nonce,
-        incarnation,
-        topts,
-    ) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("worker {host}: transport establish failed: {e}");
-            exit(1);
-        }
-    };
-
-    // Torn-connection saboteur (kill mode `torn`): when the supervisor
-    // writes TEAR on our stdin, emit a frame whose length prefix promises
-    // far more bytes than follow and die mid-write — peers must classify
-    // the partial frame as connection death, never as data.
-    let mut saboteur = transport.saboteur();
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        let mut lock = stdin.lock();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match lock.read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-            if line.trim() == "TEAR" {
-                if let Some(s) = saboteur.as_mut() {
-                    let _ = s.write_all(&100u32.to_le_bytes());
-                    let _ = s.write_all(&[4, 0xde, 0xad]);
-                    let _ = s.flush();
-                }
-                std::process::abort();
-            }
-        }
-    });
-
-    // Everything this worker owes the launcher — the partition file, the
-    // accounting rows, DONE — is produced *inside* the run, before the
-    // transport FINs. A peer that has seen our FIN may leave its drain
-    // window and drop its listener, so a FIN must certify that this
-    // incarnation never needs the mesh again: a worker taken down after
-    // its FIN is already DONE and is not respawned; one taken down before
-    // it still finds every survivor draining, and rejoins.
-    let source = GraphSource::File(graph_path);
-    let run = Cluster::try_run_tcp(transport, cusp_net::ClusterOptions::default(), |comm| {
-        let out = cusp::partition_with_policy(comm, source, kind, &cfg);
-
-        std::fs::create_dir_all(&out_dir).expect("cannot create out dir");
-        let dg = out.dist_graph;
-        let path = out_dir.join(format!("part-{:04}.part", dg.part_id));
-        write_partition(&path, &dg).expect("failed to write partition");
-
-        // Per-pair totals summed over phases. The launcher joins this
-        // host's SENT row with each receiver's RECV row: over TCP the two
-        // sides are counted by different processes, so equality is a real
-        // end-to-end conservation check, not bookkeeping tautology. (All
-        // data traffic is over once the last phase's barrier has passed.)
-        let stats = comm.stats().snapshot();
-        for peer in (0..hosts).filter(|&p| p != host) {
-            let (mut sb, mut sm, mut rb, mut rm) = (0u64, 0u64, 0u64, 0u64);
-            for (_name, ph) in stats.iter() {
-                sb += ph.bytes_between(host, peer);
-                sm += ph.messages_between(host, peer);
-                rb += ph.recv_bytes_between(peer, host);
-                rm += ph.recv_messages_between(peer, host);
-            }
-            println!("CUSP-WORKER-SENT {peer} {sb} {sm}");
-            println!("CUSP-WORKER-RECV {peer} {rb} {rm}");
-        }
-        println!("CUSP-WORKER-DONE {host}");
-    });
-    match run {
-        // Counted after the drain, so peers re-admitted during it show.
-        Ok(run) => println!("CUSP-WORKER-REJOINS {}", run.rejoins),
-        Err(e) => {
-            eprintln!("worker {host}: {}", cusp::PartitionError::from(e));
-            exit(1);
-        }
+    if let Err(e) = distributed::worker(&spec) {
+        eprintln!("worker {}: {e}", spec.host);
+        exit(if matches!(e, WorkerError::Protocol { .. }) { 2 } else { 1 });
     }
 }
 
-/// Binds a specific listen address, retrying briefly: a respawned worker
-/// reclaims its old port, which may linger for a moment after the previous
-/// incarnation's death.
-fn bind_pinned(addr: &str, host: usize) -> std::net::TcpListener {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        match std::net::TcpListener::bind(addr) {
-            Ok(l) => return l,
-            Err(e) => {
-                if std::time::Instant::now() >= deadline {
-                    eprintln!("worker {host}: cannot rebind {addr}: {e}");
-                    exit(1);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-/// Orchestrates a real multi-process partition run: forks `--hosts`
-/// worker processes of this same binary, wires their TCP mesh, merges
-/// the partitions they write, checks cross-process conservation, and
-/// compares the merged `partition_fingerprint` against an in-process
-/// simulated run of the identical configuration. The comparison pins the
-/// determinism contract (`deterministic_sync`, one worker thread), under
-/// which the two transports must be bit-identical.
-///
-/// With `--kill-seed`, the launcher doubles as a chaos supervisor: a
-/// seeded [`cusp_net::KillPlan`] picks one worker, a pipeline phase, and a
-/// kill mode (SIGKILL / torn connection / SIGSTOP wedge); the launcher
-/// takes the victim down when it announces that phase, then respawns it
-/// (bounded by `--max-restarts`, exponential backoff) with the same listen
-/// address and a bumped incarnation so it rejoins the surviving mesh. The
-/// run must still end in fingerprint MATCH against the crash-free
-/// simulator. `--kill-repeat` re-kills every incarnation at the same
-/// point, which exhausts the restart budget and must produce a one-line
-/// diagnostic and a non-zero exit — never a hang.
+/// A real multi-process partition run: [`distributed::launch`], then the
+/// oracle — the crash-free in-process simulator over the identical
+/// configuration, which a launched run, recovered or not, must match host
+/// by host — and the lines CI greps.
 fn cmd_launch(flags: &HashMap<String, String>) {
-    exit(launch_run(flags));
-}
-
-/// One worker process under supervision: the OS handles the launch driver
-/// acts through. Where the host stands is the `Supervisor`'s to know.
-struct Worker {
-    child: std::process::Child,
-    /// Kept open: the torn kill mode speaks TEAR over it.
-    stdin: Option<std::process::ChildStdin>,
-    addr: Option<String>,
-    /// The last phase the running incarnation announced, for the watchdog.
-    last_phase: Option<String>,
-    stderr_path: PathBuf,
-}
-
-/// Kills and reaps every worker on drop, so no exit path — including the
-/// early-return failure paths — leaks zombies.
-struct Fleet {
-    workers: Vec<Worker>,
-}
-
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            let _ = w.child.kill();
-            let _ = w.child.wait();
-        }
-    }
-}
-
-/// What the reader thread of worker `host`'s stdout at `incarnation`
-/// forwards: each line, then the end. A dead child is judged at `Eof`, not
-/// when it is reaped: every line it printed has been handled by then, so
-/// `done` — it printed `CUSP-WORKER-DONE` — cannot race a clean exit.
-enum WorkerOut {
-    Line(String),
-    Eof { done: bool },
-}
-type WorkerEvent = (usize, u32, WorkerOut);
-
-/// Base delay before a respawn; doubles per attempt.
-const RESTART_BACKOFF: std::time::Duration = std::time::Duration::from_millis(100);
-
-/// The launcher gives up after this long without a word from any worker.
-/// A safety net, not a decision: it reports where every host stands.
-const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(180);
-
-fn launch_run(flags: &HashMap<String, String>) -> i32 {
-    use std::io::Write;
-    let hosts: usize = parse_num(required(flags, "hosts"), "host count");
-    let graph_path = PathBuf::from(required(flags, "graph"));
-    let policy_name = required(flags, "policy").to_ascii_uppercase();
-    let Some(kind) = PolicyKind::parse(&policy_name) else {
-        eprintln!("unknown policy '{policy_name}'");
-        usage()
+    let spec = LaunchSpec {
+        worker: std::env::current_exe().expect("cannot locate own executable"),
+        run: run_spec_from_flags(flags),
+        kill: num_flag(flags, "kill-seed").map(|seed| (seed, flags.contains_key("kill-repeat"))),
+        max_restarts: num_flag(flags, "max-restarts").unwrap_or(3),
     };
-    if hosts == 0 {
+    let run = &spec.run;
+    if run.hosts == 0 {
         eprintln!("launch needs at least one host");
-        return 2;
+        exit(2);
     }
-    let out_dir = flags
-        .get("out-dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("cusp-launch-{}", std::process::id())));
-    std::fs::create_dir_all(&out_dir).expect("cannot create out dir");
-
-    let kill_seed: Option<u64> = flags.get("kill-seed").map(|s| parse_num(s, "kill seed"));
-    let kill_repeat = flags.contains_key("kill-repeat");
-    let max_restarts: u32 = flags
-        .get("max-restarts")
-        .map(|s| parse_num(s, "max restarts"))
-        .unwrap_or(3);
-    let plan = kill_seed.map(|seed| {
-        let d = cusp_net::KillPlan { seed, hosts }.decide(&cusp::PhaseTimes::NAMES);
-        println!(
-            "kill plan: seed {seed} -> host {victim}, {mode} @ {phase} (max {max_restarts} restart(s))",
-            victim = d.victim,
-            mode = d.mode.as_str(),
-            phase = d.phase,
-        );
-        d
+    let report = distributed::launch(&spec, &mut std::io::stdout()).unwrap_or_else(|e| {
+        eprintln!("cusp-part launch: {e}");
+        exit(1)
     });
-    // How long a wedged victim stays SIGSTOPped before the SIGKILL: past
-    // the peers' heartbeat timeout when that is CI-short, bounded at 2.5 s
-    // so default 10 s timeouts don't stall the run (EOF detection covers
-    // that configuration instead).
-    let wedge_hold = {
-        let t = cusp_net::TcpOptions::from_env().peer_timeout;
-        t.min(std::time::Duration::from_secs(2)) + std::time::Duration::from_millis(500)
-    };
-
-    // A fresh nonce per launch: stale workers from a previous run (or a
-    // concurrent launch on the same machine) fail the handshake instead
-    // of corrupting the mesh.
-    let nonce = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock before epoch")
-        .as_nanos() as u64
-        ^ ((std::process::id() as u64) << 32);
-
-    let exe = std::env::current_exe().expect("cannot locate own executable");
-    let (tx, rx) = std::sync::mpsc::channel::<WorkerEvent>();
-
-    let spawn_worker = |h: usize, incarnation: u32, listen: Option<&str>, stderr_path: &Path| {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("worker")
-            .arg("--host-id")
-            .arg(h.to_string())
-            .arg("--hosts")
-            .arg(hosts.to_string())
-            .arg("--graph")
-            .arg(&graph_path)
-            .arg("--policy")
-            .arg(&policy_name)
-            .arg("--nonce")
-            .arg(nonce.to_string())
-            .arg("--out-dir")
-            .arg(&out_dir)
-            .arg("--det");
-        for key in ["sync-rounds", "buffer", "chunk-edges", "checkpoint-dir"] {
-            if let Some(v) = flags.get(key) {
-                cmd.arg(format!("--{key}")).arg(v);
-            }
-        }
-        if flags.contains_key("csc") {
-            cmd.arg("--csc");
-        }
-        if kill_seed.is_some() {
-            // Recovery needs the survivors' rejoin acceptors and the
-            // victim's phase markers; both are inert otherwise.
-            cmd.arg("--rejoin").arg("--announce-phases");
-        }
-        if incarnation > 0 {
-            cmd.arg("--incarnation").arg(incarnation.to_string());
-        }
-        if let Some(addr) = listen {
-            cmd.arg("--listen").arg(addr);
-        }
-        let log = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(stderr_path)
-            .expect("cannot open worker stderr log");
-        cmd.stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::from(log));
-        let mut child = cmd.spawn().expect("cannot spawn worker process");
-        let stdout = child.stdout.take().expect("worker stdout piped");
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            use std::io::BufRead;
-            let rdr = std::io::BufReader::new(stdout);
-            let mut done = false;
-            for line in rdr.lines() {
-                let Ok(line) = line else { break };
-                done |= line.starts_with("CUSP-WORKER-DONE");
-                if tx.send((h, incarnation, WorkerOut::Line(line))).is_err() {
-                    return;
-                }
-            }
-            let _ = tx.send((h, incarnation, WorkerOut::Eof { done }));
-        });
-        child
-    };
-
-    let mut fleet = Fleet { workers: Vec::with_capacity(hosts) };
-    for h in 0..hosts {
-        let stderr_path = out_dir.join(format!("worker-{h}.stderr.log"));
-        let _ = std::fs::remove_file(&stderr_path);
-        let mut child = spawn_worker(h, 0, None, &stderr_path);
-        let stdin = child.stdin.take();
-        fleet.workers.push(Worker { child, stdin, addr: None, last_phase: None, stderr_path });
-    }
-
-    let fail = |fleet: &Fleet, h: usize, why: &str| -> i32 {
-        eprintln!("cusp-part launch: {why}");
-        stderr_tail(h, &fleet.workers[h].stderr_path);
-        1
-    };
-
-    // The process driver of the one `Supervisor`. It detects — stdout
-    // lines, and a death once the dead child's stdout is at EOF — and it
-    // acts with the closures above; whether a death is a respawn, a lost
-    // run or the end, when the kill plan fires and who is told the peer
-    // list is decided by `Supervisor::step`. The accounting rows are not the
-    // supervisor's business and are collected here.
-    let recovery = cusp_net::RecoveryOptions {
-        heartbeat_timeout: wedge_hold,
-        max_restarts,
-        restart_backoff: RESTART_BACKOFF,
-    };
-    let mut supervisor = Supervisor::new(hosts, recovery, plan.map(|d| (d, kill_repeat)));
-    let mut sent = vec![vec![(0u64, 0u64); hosts]; hosts];
-    let mut recv = vec![vec![(0u64, 0u64); hosts]; hosts];
-    let mut rejoins_total = 0u64;
-    let mut respawns = 0u32;
-    let clock = std::time::Instant::now();
-    let mut last_progress = clock.elapsed();
-
-    'supervise: loop {
-        // The one place the launcher blocks: until a worker says something,
-        // the supervisor's next deadline, or the watchdog.
-        let deadline = supervisor.next_deadline().map(std::time::Duration::from_millis);
-        let wake = deadline.unwrap_or(std::time::Duration::MAX).min(last_progress + WATCHDOG);
-        let msg = rx.recv_timeout(wake.saturating_sub(clock.elapsed())).ok();
-        // How the child reaped this turn ended, for the messages below.
-        let mut reaped = None;
-        let event = match &msg {
-            None if clock.elapsed() >= last_progress + WATCHDOG => {
-                eprintln!("cusp-part launch: no worker progress within the watchdog window");
-                for h in (0..hosts).filter(|&h| supervisor.state(h) != HostState::Done) {
-                    let phase = fleet.workers[h].last_phase.as_ref();
-                    let phase = phase.map(|p| format!(", last phase {p}")).unwrap_or_default();
-                    eprintln!("  host {h}: {}{phase}", supervisor.state(h));
-                    stderr_tail(h, &fleet.workers[h].stderr_path);
-                }
-                return 1;
-            }
-            None => Event::Tick,
-            &Some((host, incarnation, ref out)) => {
-                last_progress = clock.elapsed();
-                let w = &mut fleet.workers[host];
-                match out {
-                    WorkerOut::Line(line) => {
-                        let toks: Vec<&str> = line.split_whitespace().collect();
-                        match toks.as_slice() {
-                            ["CUSP-WORKER-LISTEN", addr] => {
-                                // A respawn must come back where its peers
-                                // will redial it.
-                                if let Some(prev) = w.addr.as_ref().filter(|prev| prev != addr) {
-                                    let why = format!(
-                                        "respawned worker {host} rebound {addr}, expected {prev}"
-                                    );
-                                    return fail(&fleet, host, &why);
-                                }
-                                w.addr = Some(addr.to_string());
-                                Event::Listening { host, incarnation }
-                            }
-                            ["CUSP-WORKER-PHASE", phase] => {
-                                w.last_phase = Some(phase.to_string());
-                                Event::PhaseReached { host, incarnation, phase }
-                            }
-                            [row @ ("CUSP-WORKER-SENT" | "CUSP-WORKER-RECV"), peer, bytes, msgs] => {
-                                let table = if row.ends_with("SENT") { &mut sent } else { &mut recv };
-                                table[host][parse_num::<usize>(peer, "peer")] =
-                                    (parse_num(bytes, "bytes"), parse_num(msgs, "messages"));
-                                continue;
-                            }
-                            ["CUSP-WORKER-REJOINS", n] => {
-                                rejoins_total += parse_num::<u64>(n, "rejoin count");
-                                continue;
-                            }
-                            _ => continue,
-                        }
-                    }
-                    WorkerOut::Eof { done } => {
-                        // Nothing more can come from it; the kill only makes
-                        // sure the reap below cannot block.
-                        let _ = w.child.kill();
-                        let status = w.child.wait().expect("cannot reap worker");
-                        // Under a kill plan any death past the listen line
-                        // can be repaired by a respawn at the same address.
-                        let how = match done {
-                            true => Exit::Finished,
-                            false if plan.is_some() && w.addr.is_some() => Exit::Crashed,
-                            false => Exit::Failed,
-                        };
-                        reaped = Some((host, how, status));
-                        Event::Exited { host, incarnation, how }
-                    }
-                }
-            }
-        };
-        let actions = supervisor.step(clock.elapsed().as_millis() as u64, event);
-        if let Some((host, _, status)) = reaped {
-            if let HostState::Backoff { incarnation, .. } = supervisor.state(host) {
-                println!(
-                    "host {host} died ({status}); respawning incarnation {incarnation} in {:?}",
-                    recovery.backoff(incarnation)
-                );
-            }
-        }
-        for action in actions {
-            match action {
-                Action::TellPeers { host } => {
-                    let all: Vec<&str> = fleet
-                        .workers
-                        .iter()
-                        .map(|w| w.addr.as_deref().expect("told once every host listens"))
-                        .collect();
-                    let line = format!("PEERS {}\n", all.join(","));
-                    send_peers(&mut fleet.workers[host], &line);
-                }
-                Action::Kill { host, mode } => {
-                    println!("killing host {host} ({}): {}", mode.as_str(), supervisor.state(host));
-                    let w = &mut fleet.workers[host];
-                    // Each softer method falls back to SIGKILL.
-                    let soft = match mode {
-                        KillMode::Kill => false,
-                        KillMode::Torn => {
-                            w.stdin.as_mut().is_some_and(|s| s.write_all(b"TEAR\n").is_ok())
-                        }
-                        // The hard kill follows when the supervisor says so
-                        // (it lands on stopped processes too).
-                        KillMode::Wedge => std::process::Command::new("kill")
-                            .args(["-STOP", &w.child.id().to_string()])
-                            .status()
-                            .is_ok_and(|s| s.success()),
-                    };
-                    if !soft {
-                        let _ = w.child.kill();
-                    }
-                }
-                // Same address, bumped incarnation.
-                Action::Spawn { host, incarnation } => {
-                    let w = &mut fleet.workers[host];
-                    let addr = w.addr.clone().expect("a respawn has listened");
-                    let mut child = spawn_worker(host, incarnation, Some(&addr), &w.stderr_path);
-                    w.stdin = child.stdin.take();
-                    w.child = child;
-                    w.last_phase = None;
-                    respawns += 1;
-                }
-                Action::Finish => break 'supervise,
-                Action::Fail(cusp_net::ClusterError::HostLost { host, restarts }) => {
-                    let why = match reaped.expect("only a death loses a host") {
-                        (_, Exit::Crashed, _) => {
-                            format!("host {host} lost: exhausted {restarts} restart attempt(s)")
-                        }
-                        (_, _, status) => format!("worker {host} failed ({status})"),
-                    };
-                    return fail(&fleet, host, &why);
-                }
-            }
-        }
-    }
-
-    let mut conserved = true;
-    for s in 0..hosts {
-        for d in (0..hosts).filter(|&d| d != s) {
-            if sent[s][d] != recv[d][s] {
-                eprintln!(
-                    "conservation violated {s}->{d}: sent {:?} != received {:?}",
-                    sent[s][d], recv[d][s]
-                );
-                conserved = false;
-            }
-        }
-    }
-    let wire_bytes: u64 = sent.iter().flatten().map(|&(b, _)| b).sum();
-    let wire_msgs: u64 = sent.iter().flatten().map(|&(_, m)| m).sum();
     println!(
         "cross-process conservation: {} ({:.2} MB in {} messages over TCP)",
-        if conserved { "ok" } else { "VIOLATED" },
-        wire_bytes as f64 / 1e6,
-        wire_msgs
+        if report.conserved { "ok" } else { "VIOLATED" },
+        report.wire_bytes as f64 / 1e6,
+        report.wire_messages
     );
-    if let Some(d) = &plan {
+    if let Some(d) = &report.kill {
         println!(
-            "recovery: {} kill(s) ({} @ {}, host {}), {respawns} respawn(s), {rejoins_total} peer rejoin(s)",
-            supervisor.kills(),
+            "recovery: {} kill(s) ({} @ {}, host {}), {} respawn(s), {} peer rejoin(s)",
+            report.kills,
             d.mode.as_str(),
             d.phase,
-            d.victim
+            d.victim,
+            report.respawns,
+            report.rejoins
         );
     }
 
-    // Merge the partitions the workers wrote and fingerprint them.
-    let mut parts = Vec::with_capacity(hosts);
-    for h in 0..hosts {
-        let path = out_dir.join(format!("part-{h:04}.part"));
-        parts.push(cusp::read_partition(&path).expect("cannot read worker partition"));
-    }
-    let tcp_parts: Vec<u64> = parts.iter().map(cusp::part_fingerprint).collect();
-    let tcp_fp = cusp::merge_part_fingerprints(&tcp_parts);
-
-    // The oracle: the in-process simulator over the identical config,
-    // crash-free (so a recovered run must land on the crash-free answer).
-    let mut cfg = cusp::deterministic_for_comparison(cusp_cfg_from_flags(flags));
-    cfg.checkpoint_dir = None;
-    let source = GraphSource::File(graph_path.clone());
-    let cfg2 = cfg.clone();
-    let sim = run_cluster_or_exit(hosts, cusp_net::ClusterOptions::default(), move |comm| {
-        partition_with_policy(comm, source.clone(), kind, &cfg2).dist_graph
+    let sim_parts = distributed::simulator_twin(run).unwrap_or_else(|e| {
+        eprintln!("cusp-part: {e}");
+        exit(1)
     });
-    let sim_parts: Vec<u64> = sim.results.iter().map(cusp::part_fingerprint).collect();
-    let sim_fp = cusp::merge_part_fingerprints(&sim_parts);
-
-    if cfg.output == OutputFormat::Csr {
-        let original = read_bgr(&graph_path).expect("cannot re-read graph");
+    if run.cfg.output == OutputFormat::Csr {
+        let original = read_bgr(&run.graph).expect("cannot re-read graph");
+        let parts: Vec<_> = (0..run.hosts)
+            .map(|h| cusp::read_partition(&part_path(&run.out_dir, h)))
+            .collect::<Result<_, _>>()
+            .expect("cannot read worker partition");
         metrics::validate_partitioning(&original, &parts).expect("partitioning INVALID");
         println!("validation: ok");
     }
     // Per host first, so that a mismatch names the host that differs.
-    for (h, (tcp, sim)) in tcp_parts.iter().zip(&sim_parts).enumerate() {
+    for (h, (tcp, sim)) in report.part_fingerprints.iter().zip(&sim_parts).enumerate() {
         let verdict = if tcp == sim { "" } else { " DIFFERS" };
         println!("  host {h}: tcp=0x{tcp:016x} sim=0x{sim:016x}{verdict}");
     }
+    let tcp_fp = cusp::merge_part_fingerprints(&report.part_fingerprints);
+    let sim_fp = cusp::merge_part_fingerprints(&sim_parts);
     println!(
         "fingerprint tcp=0x{tcp_fp:016x} sim=0x{sim_fp:016x} {}",
         if tcp_fp == sim_fp { "MATCH" } else { "MISMATCH" }
     );
-    if tcp_fp != sim_fp || !conserved {
-        return 1;
-    }
-    0
-}
-
-/// Hands a worker the full peer list over its stdin, keeping the handle
-/// open afterwards (the torn kill mode needs it).
-fn send_peers(w: &mut Worker, line: &str) {
-    use std::io::Write;
-    let stdin = w.stdin.as_mut().expect("worker stdin piped");
-    // A failed write means the worker is dead; its stdout EOF says so.
-    let _ = stdin.write_all(line.as_bytes()).and_then(|()| stdin.flush());
-}
-
-/// Prints the last lines of a dead worker's captured stderr, so the panic
-/// message is not lost inside the log file.
-fn stderr_tail(h: usize, path: &Path) {
-    let Ok(text) = std::fs::read_to_string(path) else { return };
-    let lines: Vec<&str> = text.lines().collect();
-    let tail = &lines[lines.len().saturating_sub(15)..];
-    if tail.is_empty() {
-        return;
-    }
-    eprintln!("--- worker {h} stderr tail ({}):", path.display());
-    for l in tail {
-        eprintln!("  {l}");
+    if tcp_fp != sim_fp || !report.conserved {
+        exit(1);
     }
 }
 
@@ -1206,7 +667,7 @@ fn batch_from_flags(
         let text = std::fs::read_to_string(path).expect("cannot read batch file");
         parse_batch_text(&text)
     } else if let Some(n) = flags.get("events") {
-        let seed: u64 = flags.get("seed").map(|s| parse_num(s, "seed")).unwrap_or(42);
+        let seed: u64 = num_flag(flags, "seed").unwrap_or(42);
         cusp_graph::wal::seeded_batch(graph, weighted, seed, parse_num(n, "event count"))
     } else {
         eprintln!("apply needs --batch FILE or --events N");
@@ -1251,13 +712,7 @@ fn cmd_apply(flags: &HashMap<String, String>) {
         println!("journaled to {wal_path} ({total} batch(es) total)");
     }
     if let Some(out) = flags.get("out") {
-        let out = PathBuf::from(out);
-        match &applied.weights {
-            Some(w) => cusp_graph::write_bgr_weighted(&out, &applied.graph, w),
-            None => write_bgr(&out, &applied.graph),
-        }
-        .expect("failed to write mutated graph");
-        println!("wrote mutated graph to {}", out.display());
+        write_graph_any(Path::new(out), &applied.graph, applied.weights.as_deref());
     }
 }
 
@@ -1274,16 +729,9 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
     });
     println!("{}: {} batch(es)", wal_path, batches.len());
 
-    let checker = flags.get("policy").map(|p| {
-        let name = p.to_ascii_uppercase();
-        let Some(kind) = PolicyKind::parse(&name) else {
-            eprintln!("unknown policy '{name}'");
-            usage()
-        };
-        let hosts: usize =
-            parse_num(flags.get("hosts").map(String::as_str).unwrap_or("4"), "host count");
-        (kind, hosts)
-    });
+    let checker = flags
+        .contains_key("policy")
+        .then(|| (policy_flag(flags), num_flag(flags, "hosts").unwrap_or(4usize)));
     // The delta/full equivalence check rides on the determinism contract.
     let cfg = CuspConfig {
         deterministic_sync: true,
@@ -1372,13 +820,7 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
         cusp::graph_fingerprint(&graph, weights.as_deref())
     );
     if let Some(out) = flags.get("out") {
-        let out = PathBuf::from(out);
-        match &weights {
-            Some(w) => cusp_graph::write_bgr_weighted(&out, &graph, w),
-            None => write_bgr(&out, &graph),
-        }
-        .expect("failed to write replayed graph");
-        println!("wrote replayed graph to {}", out.display());
+        write_graph_any(Path::new(out), &graph, weights.as_deref());
     }
 }
 
@@ -1406,10 +848,7 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
             let path = PathBuf::from(required(flags, "graph"));
             // Weighted .bgr files carry their weights along; plain ones
             // upload structure only.
-            let (graph, weights) = match cusp_graph::read_bgr_weighted(&path) {
-                Ok((g, w)) => (g, Some(w)),
-                Err(_) => (read_bgr(&path).expect("cannot read graph"), None),
-            };
+            let (graph, weights) = read_graph_any(&path);
             let (fp, nodes, edges) = client
                 .upload_graph(tenant, name, &graph, weights.as_deref())
                 .unwrap_or_else(|e| fail(e));
@@ -1422,8 +861,8 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
                     required(flags, "tenant"),
                     required(flags, "name"),
                     required(flags, "policy"),
-                    parse_num(flags.get("hosts").map(String::as_str).unwrap_or("4"), "hosts"),
-                    flags.get("chunk-edges").map(|s| parse_num(s, "chunk size")).unwrap_or(0),
+                    num_flag(flags, "hosts").unwrap_or(4),
+                    num_flag(flags, "chunk-edges").unwrap_or(0),
                 )
                 .unwrap_or_else(|e| fail(e));
             let Response::Partitioned {
@@ -1449,8 +888,8 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
                     required(flags, "tenant"),
                     required(flags, "name"),
                     required(flags, "policy"),
-                    parse_num(flags.get("hosts").map(String::as_str).unwrap_or("4"), "hosts"),
-                    flags.get("chunk-edges").map(|s| parse_num(s, "chunk size")).unwrap_or(0),
+                    num_flag(flags, "hosts").unwrap_or(4),
+                    num_flag(flags, "chunk-edges").unwrap_or(0),
                 )
                 .unwrap_or_else(|e| fail(e));
             let Response::QualityReport {

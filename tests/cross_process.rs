@@ -1,15 +1,16 @@
-//! Cross-process oracle battery: `cusp-part launch` forks real worker
-//! processes, meshes them over loopback TCP, and compares the merged
-//! partition against the in-process simulator. Each case asserts the
-//! launcher's own end-to-end checks pass — per-pair byte/message
-//! conservation joined *across* processes, and bit-identical
-//! `partition_fingerprint` between the TCP run and the simulated run
-//! under the determinism contract.
+//! Cross-process oracle battery: [`cusp::distributed::launch`] starts real
+//! `cusp-part worker` processes, meshes them over loopback TCP and returns
+//! a typed report; each cell composes the oracle with it and asserts on
+//! fields — per-pair byte/message conservation joined *across* processes,
+//! and every host's `part_fingerprint` bit-identical to the crash-free
+//! in-process simulator's under the determinism contract. Only the two
+//! cells that pin the CLI's contract (a one-line diagnostic on stderr, a
+//! non-zero exit, no MATCH) drive `cusp-part launch` and read its output.
 //!
-//! These tests exercise the entire stack at once: CLI arg plumbing →
-//! worker handshake protocol (listen line / PEERS line) → TcpTransport
-//! mesh establishment → five-phase pipeline over real sockets → FIN
-//! teardown → `.part` serialization → merge + fingerprint.
+//! These tests exercise the entire stack at once: worker command line →
+//! line protocol (listen line / PEERS line) → TcpTransport mesh
+//! establishment → five-phase pipeline over real sockets → FIN teardown →
+//! `.part` serialization → fingerprints.
 //!
 //! Every test takes [`fleet_budget`] before it forks: the harness still
 //! runs the `#[test]`s on parallel threads, but at most one launcher plus
@@ -33,9 +34,16 @@
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Duration;
 
+use cusp::distributed::{
+    launch as launch_processes, part_path, simulator_twin, LaunchError, LaunchReport, LaunchSpec,
+    RunSpec,
+};
+use cusp::{CuspConfig, PolicyKind};
 use cusp_graph::gen::uniform::erdos_renyi;
 use cusp_graph::write_bgr;
+use cusp_net::{KillDecision, KillMode};
 
 /// The shared input graph, generated once per test binary run. Big enough
 /// that every phase moves real traffic (multiple buffer flushes per
@@ -61,97 +69,87 @@ fn fleet_budget() -> MutexGuard<'static, ()> {
     ONE_FLEET.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `cusp-part launch` for one (policy, hosts) cell and asserts the
-/// MATCH line and a zero exit. stdout/stderr are attached to the panic
-/// message so a failing cell is diagnosable from the test log alone.
-/// `tag` keeps out-dirs distinct between the crash-free and kill
-/// matrices; `extra` appends launch flags (e.g. `--kill-seed`).
-fn launch_with(policy: &str, hosts: usize, tag: &str, extra: &[String]) -> String {
-    let out_dir = std::env::temp_dir().join(format!(
-        "cusp-xproc-{}-{}-{}-{}",
-        std::process::id(),
-        tag,
-        policy,
-        hosts
-    ));
+/// A scratch directory of this test process, distinct per `tag`.
+fn scratch(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("cusp-xproc-{}-{tag}", std::process::id()))
+}
+
+/// One (policy, hosts) cell over real `cusp-part worker` processes. `tag`
+/// keeps out-dirs distinct between cells. Heartbeats are short so that
+/// survivors notice a SIGKILLed or wedged peer in test time rather than
+/// after the default 10 s of silence.
+fn spec(policy: &str, hosts: usize, tag: &str) -> LaunchSpec {
+    LaunchSpec {
+        worker: PathBuf::from(env!("CARGO_BIN_EXE_cusp-part")),
+        run: RunSpec {
+            hosts,
+            graph: graph_path().clone(),
+            policy: PolicyKind::parse(policy).expect("a catalog policy"),
+            out_dir: scratch(&format!("{tag}-{policy}-{hosts}")),
+            cfg: CuspConfig::default(),
+            heartbeat: Some(Duration::from_millis(50)),
+        },
+        kill: None,
+        max_restarts: 3,
+    }
+}
+
+/// Launches `spec` and asserts what `cusp-part launch` prints as verdicts:
+/// per-pair byte/message conservation joined *across* processes, and every
+/// host's partition bit-identical to the crash-free simulator's. The
+/// narration and the error (which carries the stderr tails of the workers
+/// it names) go into the panic message, so a failing cell is diagnosable
+/// from the test log alone.
+fn launch_ok(spec: &LaunchSpec) -> LaunchReport {
     let _budget = fleet_budget();
-    let output = Command::new(env!("CARGO_BIN_EXE_cusp-part"))
-        .arg("launch")
-        .arg("--hosts")
-        .arg(hosts.to_string())
-        .arg("--graph")
-        .arg(graph_path())
-        .arg("--policy")
-        .arg(policy)
-        .arg("--out-dir")
-        .arg(&out_dir)
-        .args(extra)
-        // Short heartbeats so survivors notice a SIGKILLed or wedged peer
-        // in CI time rather than after the default 10 s silence window.
-        .env("CUSP_TCP_HEARTBEAT_MS", "50")
-        .output()
-        .expect("spawn cusp-part launch");
-    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.success(),
-        "launch {policy} x{hosts} ({tag}) failed ({:?})\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}",
-        output.status
-    );
-    assert!(
-        stdout.contains("cross-process conservation: ok"),
-        "launch {policy} x{hosts} ({tag}): conservation line missing\n{stdout}"
-    );
-    let fp_line = stdout
-        .lines()
-        .find(|l| l.starts_with("fingerprint "))
-        .unwrap_or_else(|| panic!("launch {policy} x{hosts} ({tag}): no fingerprint line\n{stdout}"));
-    assert!(
-        fp_line.ends_with("MATCH"),
-        "launch {policy} x{hosts} ({tag}): TCP and simulator partitions diverge: {fp_line}"
-    );
+    let run = &spec.run;
+    let mut narration = Vec::new();
+    let report = launch_processes(spec, &mut narration).unwrap_or_else(|e| {
+        let narration = String::from_utf8_lossy(&narration);
+        panic!("launch {spec:?} failed: {e}\n--- narration ---\n{narration}")
+    });
+    assert!(report.conserved, "conservation violated: {report:?}");
+    assert!(report.wire_messages > 0, "nothing crossed the wire: {report:?}");
+    let sim = simulator_twin(run).expect("the crash-free simulator completes");
+    assert_eq!(report.part_fingerprints, sim, "TCP and simulator partitions diverge, by host");
     // The workers really did write one partition per host.
-    for h in 0..hosts {
-        let part = out_dir.join(format!("part-{h:04}.part"));
+    for h in 0..run.hosts {
+        let part = part_path(&run.out_dir, h);
         assert!(part.is_file(), "worker {h} left no partition at {}", part.display());
     }
-    stdout
+    report
 }
 
 fn launch(policy: &str, hosts: usize) {
-    launch_with(policy, hosts, "plain", &[]);
+    let report = launch_ok(&spec(policy, hosts, "plain"));
+    assert_eq!((report.kill, report.kills, report.respawns, report.rejoins), (None, 0, 0, 0));
 }
 
-/// One kill-matrix cell: run under `--kill-seed` (chaos supervision) and
-/// assert the recovered run still fingerprints identically to the
-/// crash-free simulator. The seed fully determines victim/phase/mode, so
-/// each cell's comment records what its seed decides. `checkpoint` also
-/// hands workers a `--checkpoint-dir`, so the respawned victim resumes
-/// from its last phase checkpoint instead of recomputing from scratch —
-/// both restore paths must land on the same answer.
-fn launch_kill(policy: &str, hosts: usize, seed: u64, checkpoint: bool) -> String {
-    let mut extra = vec!["--kill-seed".to_string(), seed.to_string()];
+/// One kill-matrix cell: run under a seeded kill plan (chaos supervision)
+/// and assert the recovered run still fingerprints identically to the
+/// crash-free simulator. The seed fully determines victim/phase/mode, and
+/// each cell asserts what its seed decides. `checkpoint` also hands workers
+/// a checkpoint directory, so the respawned victim resumes from its last
+/// phase checkpoint instead of recomputing from scratch — both restore
+/// paths must land on the same answer.
+fn launch_kill(
+    policy: &str,
+    hosts: usize,
+    seed: u64,
+    checkpoint: bool,
+    (victim, mode, phase): (usize, KillMode, &'static str),
+) -> LaunchReport {
+    let mut spec = spec(policy, hosts, &format!("kill{seed}"));
+    spec.kill = Some((seed, false));
     if checkpoint {
-        let ckpt = std::env::temp_dir().join(format!(
-            "cusp-xproc-{}-killck-{}-{}-{}",
-            std::process::id(),
-            policy,
-            hosts,
-            seed
-        ));
-        extra.push("--checkpoint-dir".to_string());
-        extra.push(ckpt.to_string_lossy().into_owned());
+        spec.run.cfg.checkpoint_dir = Some(scratch(&format!("killck-{policy}-{hosts}-{seed}")));
     }
-    let stdout = launch_with(policy, hosts, &format!("kill{seed}"), &extra);
-    assert!(
-        stdout.lines().any(|l| l.starts_with("kill plan: seed ")),
-        "kill run must print its seeded plan\n{stdout}"
-    );
-    assert!(
-        stdout.lines().any(|l| l.starts_with("recovery: ")),
-        "kill run must print the recovery summary line\n{stdout}"
-    );
-    stdout
+    let report = launch_ok(&spec);
+    assert_eq!(report.kill, Some(KillDecision { victim, phase, mode }), "what seed {seed} decides");
+    // (A late victim may already be DONE when the kill lands, and then is
+    // not respawned; `respawns` is not the plan's to fix.)
+    assert_eq!(report.kills, 1, "the plan fires once: {report:?}");
+    report
 }
 
 // The policy x hosts matrix. One #[test] per cell so the harness reports
@@ -200,48 +198,42 @@ fn eec_4_hosts_matches_simulator() {
 
 #[test]
 fn cvc_2_hosts_recovers_from_sigkill_at_read() {
-    launch_kill("CVC", 2, 13, true); // seed 13 -> host 1, kill @ read
+    launch_kill("CVC", 2, 13, true, (1, KillMode::Kill, "read"));
 }
 
 #[test]
 fn cvc_4_hosts_recovers_from_torn_connection_at_read() {
-    launch_kill("CVC", 4, 1, true); // seed 1 -> host 3, torn @ read
+    launch_kill("CVC", 4, 1, true, (3, KillMode::Torn, "read"));
 }
 
 #[test]
 fn hvc_2_hosts_recovers_from_sigkill_at_master() {
-    launch_kill("HVC", 2, 11, false); // seed 11 -> host 0, kill @ master
+    launch_kill("HVC", 2, 11, false, (0, KillMode::Kill, "master"));
 }
 
 #[test]
 fn hvc_4_hosts_recovers_from_wedge_at_alloc() {
-    launch_kill("HVC", 4, 16, false); // seed 16 -> host 1, wedge @ alloc
+    launch_kill("HVC", 4, 16, false, (1, KillMode::Wedge, "alloc"));
 }
 
 #[test]
 fn eec_2_hosts_recovers_from_torn_connection_at_edge_assign() {
-    launch_kill("EEC", 2, 5, true); // seed 5 -> host 0, torn @ edge_assign
+    launch_kill("EEC", 2, 5, true, (0, KillMode::Torn, "edge_assign"));
 }
 
 #[test]
 fn eec_4_hosts_recovers_from_wedge_at_construct() {
-    launch_kill("EEC", 4, 2, false); // seed 2 -> host 3, wedge @ construct
+    launch_kill("EEC", 4, 2, false, (3, KillMode::Wedge, "construct"));
 }
 
 #[test]
 fn same_kill_seed_replays_the_same_decisions() {
     // The plan is a pure hash of (seed, hosts): two runs with the same
-    // seed must announce the identical victim/phase/mode, making any
+    // seed must decide the identical victim/phase/mode, making any
     // chaos failure replayable from nothing but the seed.
-    let a = launch_kill("CVC", 2, 9, false); // seed 9 -> host 1, torn @ read
-    let b = launch_kill("CVC", 2, 9, false);
-    let plan = |out: &str| {
-        out.lines()
-            .find(|l| l.starts_with("kill plan: "))
-            .expect("plan line")
-            .to_string()
-    };
-    assert_eq!(plan(&a), plan(&b), "same seed must replay the same kill decisions");
+    let a = launch_kill("CVC", 2, 9, false, (1, KillMode::Torn, "read"));
+    let b = launch_kill("CVC", 2, 9, false, (1, KillMode::Torn, "read"));
+    assert_eq!(a.kill, b.kill, "same seed must replay the same kill decisions");
 }
 
 #[test]
@@ -250,10 +242,7 @@ fn exhausted_restart_budget_is_a_diagnosed_failure_not_a_hang() {
     // budget of 1 restart is guaranteed to run out. The launcher must
     // exit non-zero with a one-line diagnostic — never print MATCH, and
     // never hang on the half-dead mesh.
-    let out_dir = std::env::temp_dir().join(format!(
-        "cusp-xproc-{}-exhaust",
-        std::process::id()
-    ));
+    let out_dir = scratch("exhaust");
     let _budget = fleet_budget();
     let output = Command::new(env!("CARGO_BIN_EXE_cusp-part"))
         .arg("launch")
@@ -270,7 +259,7 @@ fn exhausted_restart_budget_is_a_diagnosed_failure_not_a_hang() {
         .arg("--kill-repeat")
         .arg("--max-restarts")
         .arg("1")
-        .env("CUSP_TCP_HEARTBEAT_MS", "50")
+        .args(["--heartbeat-ms", "50"])
         .output()
         .expect("spawn cusp-part launch");
     let stdout = String::from_utf8_lossy(&output.stdout);
@@ -301,10 +290,74 @@ fn launch_surfaces_worker_failure_as_nonzero_exit() {
         .arg("--policy")
         .arg("CVC")
         .arg("--out-dir")
-        .arg(std::env::temp_dir().join(format!("cusp-xproc-{}-fail", std::process::id())))
+        .arg(scratch("fail"))
         .output()
         .expect("spawn cusp-part launch");
     assert!(!output.status.success(), "launch must fail when workers cannot start");
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(!stdout.contains("MATCH"), "no MATCH line on a failed run\n{stdout}");
+}
+
+#[test]
+fn exhausted_restart_budget_is_host_lost() {
+    // The same run as the CLI cell above, as a value: the victim of seed 13
+    // is host 1, and one restart was made before the run was given up.
+    let mut spec = spec("EEC", 2, "exhaust-typed");
+    (spec.kill, spec.max_restarts) = (Some((13, true)), 1);
+    let _budget = fleet_budget();
+    let mut narration = Vec::new();
+    match launch_processes(&spec, &mut narration) {
+        Err(LaunchError::HostLost { host: 1, restarts: 1, .. }) => {}
+        other => panic!("wanted HostLost {{ host: 1, restarts: 1 }}, got {other:?}"),
+    }
+    let narration = String::from_utf8(narration).expect("narration is text");
+    assert_eq!(narration.matches("killing host 1 (kill)").count(), 2, "{narration}");
+}
+
+#[test]
+fn worker_that_cannot_start_is_worker_failed_with_its_stderr() {
+    let mut spec = spec("CVC", 2, "fail-typed");
+    spec.run.graph = PathBuf::from("/nonexistent/definitely-missing.bgr");
+    let _budget = fleet_budget();
+    match launch_processes(&spec, &mut std::io::sink()) {
+        Err(LaunchError::WorkerFailed { status, stderr_tail, .. }) => {
+            assert!(!status.success());
+            assert!(!stderr_tail.is_empty(), "the worker's panic message is in its stderr");
+        }
+        other => panic!("wanted WorkerFailed, got {other:?}"),
+    }
+}
+
+#[test]
+fn worker_stdout_is_outside_input_a_bad_row_is_a_typed_error() {
+    // A fake worker: it listens nowhere, reports traffic toward a host
+    // that does not exist, and then waits on its stdin for ever. The row
+    // used to index the accounting tables unchecked.
+    let dir = scratch("fake-worker");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let (script, pids) = (dir.join("worker.sh"), dir.join("pids"));
+    let _ = std::fs::remove_file(&pids);
+    let text = format!(
+        "#!/bin/sh\necho $$ >> {}\necho CUSP-WORKER-LISTEN 127.0.0.1:1\n\
+         echo CUSP-WORKER-SENT 99 1 1\nread _peers\nread _never\n",
+        pids.display()
+    );
+    std::fs::write(&script, text).expect("write fake worker");
+    use std::os::unix::fs::PermissionsExt;
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+
+    let mut spec = spec("CVC", 2, "fake-worker-out");
+    spec.worker = script;
+    let _budget = fleet_budget();
+    match launch_processes(&spec, &mut std::io::sink()) {
+        Err(LaunchError::Protocol { line, .. }) => assert_eq!(line, "CUSP-WORKER-SENT 99 1 1"),
+        other => panic!("wanted Protocol, got {other:?}"),
+    }
+    // The fleet was killed and reaped on the way out: no fake worker lives.
+    // (The second may have been killed before it wrote its pid.)
+    let pids = std::fs::read_to_string(&pids).expect("the offending worker wrote its pid");
+    assert!(pids.lines().count() >= 1, "{pids}");
+    for pid in pids.lines() {
+        assert!(!PathBuf::from(format!("/proc/{pid}")).exists(), "worker {pid} outlived launch");
+    }
 }
