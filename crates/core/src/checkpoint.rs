@@ -259,7 +259,6 @@ mod tests {
     use crate::policies::edges::CartesianEdge;
     use crate::policies::masters::ContiguousEB;
     use cusp_net::MAX_TAGS;
-    use std::collections::HashMap;
 
     fn sample(edge_assign: bool) -> Checkpoint {
         let hosts = 3;
@@ -280,7 +279,7 @@ mod tests {
         let masters = ResolvedMasters::Stored {
             lo: 10,
             local: vec![0, 1, 2, 0, 1],
-            remote: RemoteMasters::from_map(&HashMap::from([(3, 2), (99, 0)])),
+            remote: RemoteMasters::from_sorted(vec![3, 99], vec![2, 0]),
         };
         let edge_assign = edge_assign.then(|| EdgeAssignOutcome {
             incoming_srcs: vec![(10, 3, 0), (11, 1, 2)],

@@ -385,7 +385,7 @@ mod tests {
     use cusp_graph::gen::uniform::erdos_renyi;
     use cusp_graph::{ChunkedSlice, GraphSlice, ReadSplit};
     use cusp_net::Cluster;
-    use std::collections::{BTreeMap, BTreeSet, HashMap};
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
     fn run_eec(k: usize, n: usize, m: usize) -> (Arc<cusp_graph::Csr>, Vec<EdgeAssignOutcome>) {
@@ -586,15 +586,16 @@ mod tests {
         // filter runs in the scan after the walk and must neither ask for a
         // node outside that set nor read the pure table.
         check_tally_with_masters(CartesianEdge::new, |g, mrule, _, (lo, hi)| {
-            let remote: HashMap<Node, PartId> = (lo..hi)
+            let remote: BTreeMap<Node, PartId> = (lo..hi)
                 .flat_map(|s| g.edges(s))
                 .filter(|d| !(lo..hi).contains(d))
                 .map(|&d| (d, mrule.pure_master(d)))
                 .collect();
+            let (keys, vals) = remote.into_iter().unzip();
             ResolvedMasters::Stored {
                 lo,
                 local: (lo..hi).map(|v| mrule.pure_master(v)).collect(),
-                remote: RemoteMasters::from_map(&remote),
+                remote: RemoteMasters::from_sorted(keys, vals),
             }
         });
     }

@@ -27,17 +27,44 @@
 //! assignments for nodes it asked for — the destinations of its locally
 //! read edges — keeping the map proportional to its slice, not the graph.
 //! The request set is marked per edge in a dense bitset
-//! ([`NodeBitRows`]) and read back sorted and duplicate-free.
+//! ([`NodeBitRows`]) and read back sorted and duplicate-free, and that one
+//! sorted set is the key of everything after it:
+//!
+//! * **one table** — [`RemoteMasters`] is built over the request set
+//!   *before* the first round, every slot [`UNASSIGNED`]; answers are
+//!   written into it in place, [`MasterView`] reads it during the rounds
+//!   (a neighbour lookup is an array load), and [`ResolvedMasters::Stored`]
+//!   takes it as it stands when the phase ends;
+//! * **one run per peer** — hosts read contiguous ascending node ranges, so
+//!   the sorted set splits into `k` consecutive runs, run `p` being what is
+//!   asked of host `p` (`Requests`);
+//! * **positional answers** — a responder answers each peer's run strictly
+//!   in order (its `sent_cursor`), and a channel is FIFO per (peer, tag),
+//!   replayed restarts included, so a SYNC/FINAL carries only the masters of
+//!   *the next `n` requested ids* (§IV-D2's reduced metadata, applied to
+//!   this map): 4 bytes an answer, decoded in bulk into the run at the
+//!   requester's mirror cursor. The cursors also make completeness a
+//!   compare: a run longer than what is outstanding, or a FINAL that leaves
+//!   a request open, panics at the message that shows it.
+//!
+//! Under the `master` phase span the phase records, through `cusp-obs`,
+//! `master.requests` (building the request set and exchanging it; inside,
+//! one `master.requested` instant per peer carrying the id count asked of
+//! it), one `master.round` per round (argument: nodes assigned) whose
+//! `master.sync` child covers the answers sent and whatever was drained,
+//! and `master.final` (the last flush plus the time blocked in
+//! reconciliation); every `master.sync` and the `master.final` close with
+//! the counters `master.answered` and `master.received` (ids, summed over
+//! peers).
 
 // The explicit `for i in 0..n` indexing in the SPMD/scan loops below is
 // deliberate (it mirrors per-host/per-block protocol structure).
 #![allow(clippy::needless_range_loop)]
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
-use cusp_graph::Node;
+use cusp_graph::{Node, ReadSplit};
 use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::config::CuspConfig;
@@ -51,18 +78,22 @@ use crate::PartId;
 
 /// Dense lookup table for the masters of requested remote nodes.
 ///
-/// Built once from the sparse protocol-time map after master resolution.
-/// The edge-assignment and construction inner loops call
-/// [`ResolvedMasters::of`] up to twice *per edge*, so the `HashMap` the sync
-/// protocol accumulates into is frozen here: when the requested ids span a
-/// window comparable to their count, lookup is a bounds check plus an array
-/// load (holes hold [`UNASSIGNED`]); for pathologically sparse id sets it
-/// falls back to binary search over the sorted ids.
+/// One table from the first request to the last lookup: it is built over
+/// the sorted request set before the first sync round with every slot
+/// [`UNASSIGNED`] ([`RemoteMasters::requested`]), the protocol writes each
+/// peer's answers into it in place ([`RemoteMasters::set_run`]), the rules'
+/// neighbour lookups read it while the rounds run, and the edge-assignment
+/// and construction inner loops — which call [`ResolvedMasters::of`] up to
+/// twice *per edge* — read the same table afterwards. When the requested
+/// ids span a window comparable to their count, lookup is a bounds check
+/// plus an array load (holes and unanswered requests hold [`UNASSIGNED`]);
+/// for pathologically sparse id sets it falls back to binary search over
+/// the sorted ids.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RemoteMasters {
     /// Requested node ids, sorted ascending.
     keys: Vec<Node>,
-    /// Master of `keys[i]`.
+    /// Master of `keys[i]`, [`UNASSIGNED`] until answered.
     vals: Vec<PartId>,
     /// First id covered by `window` (meaningful only when non-empty).
     window_lo: Node,
@@ -71,11 +102,9 @@ pub struct RemoteMasters {
 }
 
 impl RemoteMasters {
-    /// Freezes a protocol-time map into the dense lookup form.
-    pub fn from_map(map: &HashMap<Node, PartId>) -> Self {
-        let mut pairs: Vec<(Node, PartId)> = map.iter().map(|(&v, &p)| (v, p)).collect();
-        pairs.sort_unstable_by_key(|&(v, _)| v);
-        let (keys, vals) = pairs.into_iter().unzip();
+    /// The table over a strictly ascending request set, nothing answered.
+    pub(crate) fn requested(keys: Vec<Node>) -> Self {
+        let vals = vec![UNASSIGNED; keys.len()];
         Self::from_sorted(keys, vals)
     }
 
@@ -106,7 +135,19 @@ impl RemoteMasters {
         RemoteMasters { keys, vals, window_lo, window }
     }
 
-    /// The master of `v`, or `None` if the protocol never delivered it.
+    /// Stores `run` as the masters of the `run.len()` requested ids from
+    /// position `at` of the sorted request set.
+    pub(crate) fn set_run(&mut self, at: usize, run: &[PartId]) {
+        self.vals[at..at + run.len()].copy_from_slice(run);
+        if !self.window.is_empty() {
+            for (&v, &p) in self.keys[at..at + run.len()].iter().zip(run) {
+                self.window[(v - self.window_lo) as usize] = p;
+            }
+        }
+    }
+
+    /// The master of `v`, or `None` if it was never requested or the
+    /// protocol has not delivered it (yet).
     #[inline]
     pub fn get(&self, v: Node) -> Option<PartId> {
         if !self.window.is_empty() {
@@ -120,10 +161,12 @@ impl RemoteMasters {
     /// window load is all that inlines into the per-edge loops.
     #[inline(never)]
     fn search(&self, v: Node) -> Option<PartId> {
-        self.keys.binary_search(&v).ok().map(|i| self.vals[i])
+        let i = self.keys.binary_search(&v).ok()?;
+        Some(self.vals[i]).filter(|&m| m != UNASSIGNED)
     }
 
-    /// Number of stored assignments.
+    /// Number of requested ids (all of them answered once
+    /// [`assign_masters`] has returned the table).
     pub fn len(&self) -> usize {
         self.keys.len()
     }
@@ -201,6 +244,87 @@ fn unknown_master(v: Node) -> PartId {
     panic!("master of {v} unknown on this host")
 }
 
+/// The requester's half of the positional answer stream: what this host
+/// asked of each peer, and how far each peer has answered.
+struct Requests {
+    /// The sorted request set and the answers received so far.
+    table: RemoteMasters,
+    /// Request `bounds[p]..bounds[p + 1]` of the sorted set went to host
+    /// `p`: hosts read contiguous ascending node ranges, so the set splits
+    /// into one consecutive run per reader.
+    bounds: Vec<usize>,
+    /// How many ids of host `p`'s run it has answered. Answers carry no
+    /// ids, so this cursor is all that says whose masters a run holds.
+    answered: Vec<usize>,
+    /// Decode scratch, reused across messages.
+    run: Vec<PartId>,
+}
+
+impl Requests {
+    /// Splits the strictly ascending request set `needed` by reader.
+    fn new(needed: Vec<Node>, read_splits: &[ReadSplit]) -> Self {
+        let mut bounds = Vec::with_capacity(read_splits.len() + 1);
+        bounds.push(0);
+        bounds.extend(read_splits.iter().map(|s| needed.partition_point(|&v| (v as u64) < s.hi)));
+        assert_eq!(bounds.last(), Some(&needed.len()), "requested a node no host reads");
+        Requests {
+            table: RemoteMasters::requested(needed),
+            answered: vec![0; read_splits.len()],
+            bounds,
+            run: Vec::new(),
+        }
+    }
+
+    /// The ids asked of `peer`, ascending — the order it answers them in.
+    fn of_peer(&self, peer: usize) -> &[Node] {
+        &self.table.keys[self.bounds[peer]..self.bounds[peer + 1]]
+    }
+
+    /// Ids asked of `peer` and not yet answered.
+    fn outstanding(&self, peer: usize) -> usize {
+        self.bounds[peer + 1] - self.bounds[peer] - self.answered[peer]
+    }
+
+    /// Ids answered so far, over all peers.
+    fn received(&self) -> usize {
+        self.answered.iter().sum()
+    }
+
+    /// Decodes the rest of a SYNC/FINAL from `src` — `n`, then the masters
+    /// of the next `n` ids asked of it — into the table.
+    /// The bytes come from another host: `n` is bounded by what is still
+    /// outstanding before anything is sized or indexed by it, the run is
+    /// decoded in one piece, nothing may follow it, and a master must name
+    /// a partition — there is one per host — since the scored rules index
+    /// their counts by it.
+    fn apply_run(&mut self, src: usize, round: usize, r: &mut WireReader) {
+        let parts = self.answered.len() as PartId;
+        let n = r.get_u64().expect("truncated sync message: no answer count");
+        let outstanding = self.outstanding(src);
+        assert!(
+            n <= outstanding as u64,
+            "host {src} answered {n} master(s) in round {round} but only {outstanding} of its {} \
+             requested id(s) are outstanding",
+            self.of_peer(src).len()
+        );
+        let n = n as usize;
+        self.run.resize(n, UNASSIGNED);
+        r.get_u32_into(&mut self.run)
+            .unwrap_or_else(|e| panic!("host {src} announced {n} master(s) in round {round}: {e}"));
+        assert!(
+            r.is_exhausted(),
+            "host {src} sent {} byte(s) after its {n} master(s) in round {round}",
+            r.remaining()
+        );
+        if let Some(i) = self.run.iter().position(|&p| p >= parts) {
+            let v = self.of_peer(src)[self.answered[src] + i];
+            panic!("host {src} answered master {} for node {v}; there are {parts} partitions", self.run[i]);
+        }
+        self.table.set_run(self.bounds[src] + self.answered[src], &self.run);
+        self.answered[src] += n;
+    }
+}
+
 /// Runs the master assignment phase for a non-pure rule.
 ///
 /// `sends_counter` style accounting is inherited from `comm` (the driver
@@ -222,31 +346,38 @@ pub fn assign_masters<MR: MasterRule>(
     let local_n = data.num_nodes();
 
     // --- Step 1: request the masters of my edges' destinations. --------
-    let needed = remote_dests(pool, data, setup);
-    let mut per_peer_requests: Vec<Vec<Node>> = vec![Vec::new(); k];
-    for &d in &needed {
-        per_peer_requests[setup.reader_of(d)].push(d);
-    }
+    let requests_span = cusp_obs::span("master.requests");
+    let mut requests = Requests::new(remote_dests(pool, data, setup), &setup.read_splits);
+    debug_assert!(requests.of_peer(me).is_empty());
     for peer in 0..k {
         if peer == me {
             continue;
         }
-        let mut w = WireWriter::with_capacity(8 + per_peer_requests[peer].len() * 4);
-        w.put_u32_slice(&per_peer_requests[peer]);
+        let ids = requests.of_peer(peer);
+        cusp_obs::instant("master.requested", ids.len() as u64);
+        let mut w = WireWriter::with_capacity(8 + ids.len() * 4);
+        w.put_u32_slice(ids);
         comm.send_bytes(peer, TAG_MASTER_REQ, w.finish());
     }
-    // requested_by[peer]: nodes of MY range that `peer` wants, sorted.
+    // requested_by[peer]: nodes of MY range that `peer` wants, ascending —
+    // the order its answers are sent in and the only thing that names them.
     let mut requested_by: Vec<Vec<Node>> = vec![Vec::new(); k];
     for _ in 0..k - 1 {
         let (src, payload) = comm.recv_any(TAG_MASTER_REQ);
         let mut r = WireReader::new(payload);
-        requested_by[src] = r.get_u32_vec().expect("malformed master request");
-        debug_assert!(requested_by[src].windows(2).all(|w| w[0] < w[1]));
+        let ids = r.get_u32_vec().expect("malformed master request");
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1])
+                && ids.first().is_none_or(|&v| v >= lo)
+                && ids.last().is_none_or(|&v| ((v - lo) as usize) < local_n),
+            "host {src} requested masters outside this host's read range or out of order"
+        );
+        requested_by[src] = ids;
     }
+    drop(requests_span);
 
     // --- Step 2: assignment loop with periodic asynchronous sync. ------
     let local: Vec<AtomicU32> = (0..local_n).map(|_| AtomicU32::new(UNASSIGNED)).collect();
-    let mut remote: HashMap<Node, PartId> = HashMap::with_capacity(needed.len());
 
     let rounds = if rule.uses_neighbor_masters() {
         cfg.sync_rounds.max(1) as usize
@@ -258,19 +389,27 @@ pub fn assign_masters<MR: MasterRule>(
     // Cursor into requested_by[peer] for masters already sent.
     let mut sent_cursor = vec![0usize; k];
     let mut delta_buf: Vec<u64> = Vec::new();
+    let mut run_buf: Vec<PartId> = Vec::new();
     // FINAL messages may arrive while we are still in our round loop (a
     // fast peer); count them wherever they show up.
     let mut finals = 0usize;
+    // Sends `kind` to `peer` with the masters of its requests from `cursor`
+    // up to `upto`, in request order; returns how many that was.
+    let mut answer = |peer: usize, kind: u8, upto: usize, delta: &[u64], cursor: &mut usize| {
+        let ids = &requested_by[peer][*cursor..upto];
+        run_buf.clear();
+        run_buf.extend(ids.iter().map(|&v| local[(v - lo) as usize].load(Ordering::Relaxed)));
+        *cursor = upto;
+        comm.send_bytes(peer, TAG_MASTER_SYNC, encode_sync(kind, delta, &run_buf));
+        ids.len()
+    };
 
     let mut start = 0usize;
     for round in 0..rounds {
         let end = (start + chunk).min(local_n);
+        let _round_span = cusp_obs::span_arg("master.round", (end - start) as u64);
         if start < end {
-            let view = MasterView::Stored {
-                lo,
-                local: &local,
-                remote: &remote,
-            };
+            let view = MasterView::new(lo, &local, &requests.table);
             let parallel =
                 rule.uses_neighbor_masters() && pool.threads() > 1 && !cfg.deterministic_sync;
             // Stream the round's node range chunk by chunk; for monolithic
@@ -305,30 +444,29 @@ pub fn assign_masters<MR: MasterRule>(
             break;
         }
         // Send SYNC: state delta + newly assignable requested masters.
+        let sync_span = cusp_obs::span("master.sync");
         if stateful {
             state.take_delta(&mut delta_buf);
         } else {
             delta_buf.clear();
         }
         let assigned_below = lo + start as Node;
+        let mut answered = 0usize;
         for peer in 0..k {
             if peer == me {
                 continue;
             }
-            let reqs = &requested_by[peer];
-            let mut pairs: Vec<(Node, PartId)> = Vec::new();
-            let mut cur = sent_cursor[peer];
-            while cur < reqs.len() && reqs[cur] < assigned_below {
-                let idx = (reqs[cur] - lo) as usize;
-                pairs.push((reqs[cur], local[idx].load(Ordering::Relaxed)));
-                cur += 1;
-            }
-            sent_cursor[peer] = cur;
-            if !cfg.deterministic_sync && pairs.is_empty() && delta_buf.iter().all(|&v| v == 0) {
+            let upto = requested_by[peer].partition_point(|&v| v < assigned_below);
+            if !cfg.deterministic_sync
+                && upto == sent_cursor[peer]
+                && delta_buf.iter().all(|&v| v == 0)
+            {
                 continue; // nothing new for this peer this round
             }
-            comm.send_bytes(peer, TAG_MASTER_SYNC, encode_sync(MSG_SYNC, &delta_buf, &pairs));
+            answered += answer(peer, MSG_SYNC, upto, &delta_buf, &mut sent_cursor[peer]);
         }
+        cusp_obs::counter("master.answered", answered as u64);
+        let received = requests.received();
         if cfg.deterministic_sync {
             // Lockstep rounds: every host sent one SYNC to every peer above
             // (no skip-empty elision), so blocking-receive exactly one from
@@ -340,37 +478,39 @@ pub fn assign_masters<MR: MasterRule>(
                     continue;
                 }
                 let payload = comm.recv_from(peer, TAG_MASTER_SYNC);
-                if apply_sync::<MR>(payload, state, &mut remote) {
+                if apply_sync::<MR>(payload, peer, round, state, &mut requests) {
                     finals += 1;
                 }
             }
         } else {
             // Drain whatever peers have sent, without blocking.
-            while let Some((_src, payload)) = comm.try_recv_any(TAG_MASTER_SYNC) {
-                if apply_sync::<MR>(payload, state, &mut remote) {
+            while let Some((src, payload)) = comm.try_recv_any(TAG_MASTER_SYNC) {
+                if apply_sync::<MR>(payload, src, round, state, &mut requests) {
                     finals += 1;
                 }
             }
         }
+        cusp_obs::counter("master.received", (requests.received() - received) as u64);
+        drop(sync_span);
     }
 
     // --- Step 3: final flush and blocking reconciliation. --------------
+    let final_span = cusp_obs::span("master.final");
     if stateful {
         state.take_delta(&mut delta_buf);
     } else {
         delta_buf.clear();
     }
+    let mut answered = 0usize;
     for peer in 0..k {
         if peer == me {
             continue;
         }
-        let reqs = &requested_by[peer];
-        let pairs: Vec<(Node, PartId)> = reqs[sent_cursor[peer]..]
-            .iter()
-            .map(|&v| (v, local[(v - lo) as usize].load(Ordering::Relaxed)))
-            .collect();
-        comm.send_bytes(peer, TAG_MASTER_SYNC, encode_sync(MSG_FINAL, &delta_buf, &pairs));
+        let upto = requested_by[peer].len();
+        answered += answer(peer, MSG_FINAL, upto, &delta_buf, &mut sent_cursor[peer]);
     }
+    cusp_obs::counter("master.answered", answered as u64);
+    let received = requests.received();
     if cfg.deterministic_sync {
         // Fixed-order reconciliation: drain each peer's channel through its
         // FINAL, in host order, so state folds apply in the same order on
@@ -381,7 +521,7 @@ pub fn assign_masters<MR: MasterRule>(
             }
             loop {
                 let payload = comm.recv_from(peer, TAG_MASTER_SYNC);
-                if apply_sync::<MR>(payload, state, &mut remote) {
+                if apply_sync::<MR>(payload, peer, rounds, state, &mut requests) {
                     finals += 1;
                     break;
                 }
@@ -390,20 +530,21 @@ pub fn assign_masters<MR: MasterRule>(
         debug_assert_eq!(finals, k - 1);
     } else {
         while finals < k - 1 {
-            let (_src, payload) = comm.recv_any(TAG_MASTER_SYNC);
-            if apply_sync::<MR>(payload, state, &mut remote) {
+            let (src, payload) = comm.recv_any(TAG_MASTER_SYNC);
+            if apply_sync::<MR>(payload, src, rounds, state, &mut requests) {
                 finals += 1;
             }
         }
     }
+    cusp_obs::counter("master.received", (requests.received() - received) as u64);
+    drop(final_span);
 
-    debug_assert_eq!(remote.len(), needed.len(), "unanswered master requests");
+    // Every peer's FINAL was checked against its run as it arrived, so the
+    // table is complete: later phases read it as it stands.
     ResolvedMasters::Stored {
         lo,
         local: local.into_iter().map(|a| a.into_inner()).collect(),
-        // Freeze the protocol-time map into the dense form the per-edge
-        // lookups in edge assignment and construction read from.
-        remote: RemoteMasters::from_map(&remote),
+        remote: requests.table,
     }
 }
 
@@ -433,37 +574,47 @@ fn remote_dests(pool: &ThreadPool, data: &mut SliceData, setup: &Setup) -> Vec<N
     remote.ones(0).collect()
 }
 
-fn encode_sync(kind: u8, delta: &[u64], pairs: &[(Node, PartId)]) -> bytes::Bytes {
-    let mut w = WireWriter::with_capacity(1 + 8 + delta.len() * 8 + 8 + pairs.len() * 8);
+/// A SYNC/FINAL: `kind`, the length-prefixed state delta, then the count
+/// and the masters of the receiver's next `run.len()` requested ids — the
+/// ids themselves are not sent ([`Requests`]).
+fn encode_sync(kind: u8, delta: &[u64], run: &[PartId]) -> bytes::Bytes {
+    let mut w = WireWriter::with_capacity(1 + 8 + delta.len() * 8 + 8 + run.len() * 4);
     w.put_u8(kind);
     w.put_u64_slice(delta);
-    w.put_u64(pairs.len() as u64);
-    for &(v, p) in pairs {
-        w.put_u32(v);
-        w.put_u32(p);
-    }
+    w.put_u64(run.len() as u64);
+    w.put_u32_raw_slice(run);
     w.finish()
 }
 
-/// Applies a SYNC/FINAL message; returns true if it was FINAL.
+/// Applies a SYNC/FINAL from host `src`; returns true if it was the FINAL
+/// — which must leave none of `src`'s requests open, or a missing answer
+/// would only surface phases later as an unknown master.
 fn apply_sync<MR: MasterRule>(
     payload: bytes::Bytes,
+    src: usize,
+    round: usize,
     state: &MR::State,
-    remote: &mut HashMap<Node, PartId>,
+    requests: &mut Requests,
 ) -> bool {
     let mut r = WireReader::new(payload);
     let kind = r.get_u8().expect("empty sync message");
+    assert!(kind == MSG_SYNC || kind == MSG_FINAL, "host {src} sent sync message kind {kind}");
     let delta = r.get_u64_vec().expect("malformed sync delta");
     if !MR::State::STATELESS && !delta.is_empty() {
         state.apply_remote(&delta);
     }
-    let n = r.get_u64().expect("malformed sync pairs") as usize;
-    for _ in 0..n {
-        let v = r.get_u32().expect("malformed pair");
-        let p = r.get_u32().expect("malformed pair");
-        remote.insert(v, p);
+    requests.apply_run(src, round, &mut r);
+    let is_final = kind == MSG_FINAL;
+    if is_final {
+        assert_eq!(
+            requests.outstanding(src),
+            0,
+            "host {src} sent its FINAL in round {round} having answered {} of {} requested id(s)",
+            requests.answered[src],
+            requests.of_peer(src).len()
+        );
     }
-    kind == MSG_FINAL
+    is_final
 }
 
 #[cfg(test)]
@@ -475,6 +626,8 @@ mod tests {
     use crate::state::LoadState;
     use cusp_graph::gen::uniform::erdos_renyi;
     use cusp_net::Cluster;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
     use std::sync::Arc;
 
     /// A trivially non-pure rule for protocol tests: master = node % k.
@@ -561,28 +714,198 @@ mod tests {
 
     #[test]
     fn remote_masters_dense_and_sparse_forms_agree() {
+        fn table(pairs: &BTreeMap<Node, PartId>) -> RemoteMasters {
+            RemoteMasters::from_sorted(pairs.keys().copied().collect(), pairs.values().copied().collect())
+        }
         // Dense: contiguous-ish ids → window form.
-        let dense: HashMap<Node, PartId> =
+        let dense: BTreeMap<Node, PartId> =
             (100u32..400).filter(|v| v % 3 != 0).map(|v| (v, v % 5)).collect();
-        let rm = RemoteMasters::from_map(&dense);
+        let rm = table(&dense);
+        assert!(!rm.window.is_empty());
         assert_eq!(rm.len(), dense.len());
         for v in 0u32..500 {
             assert_eq!(rm.get(v), dense.get(&v).copied(), "dense get({v})");
         }
         // Sparse: ids scattered far beyond the dense-window cap → sorted
         // array + binary search.
-        let sparse: HashMap<Node, PartId> =
+        let sparse: BTreeMap<Node, PartId> =
             (0u32..8).map(|i| (i.wrapping_mul(100_000_003), i)).collect();
-        let rm = RemoteMasters::from_map(&sparse);
+        let rm = table(&sparse);
+        assert!(rm.window.is_empty());
         assert_eq!(rm.len(), sparse.len());
         for (&v, &p) in &sparse {
             assert_eq!(rm.get(v), Some(p));
             assert_eq!(rm.get(v ^ 1), sparse.get(&(v ^ 1)).copied());
         }
-        // Empty map.
-        let rm = RemoteMasters::from_map(&HashMap::new());
+        // Empty set.
+        let rm = RemoteMasters::requested(Vec::new());
         assert!(rm.is_empty());
         assert_eq!(rm.get(0), None);
+    }
+
+    /// Read ranges `[0, 100) [100, 100) [100, 250) [250, 400)` × `stride`:
+    /// host 1 reads nothing, as a host of a skewed split may.
+    fn splits(stride: u64) -> Vec<ReadSplit> {
+        [(0u64, 100u64), (100, 100), (100, 250), (250, 400)]
+            .iter()
+            .map(|&(lo, hi)| ReadSplit { lo: lo * stride, hi: hi * stride })
+            .collect()
+    }
+
+    /// What host `src` would send for `run`, through the real encoder.
+    fn sync_from(kind: u8, run: &[PartId]) -> bytes::Bytes {
+        encode_sync(kind, &[], run)
+    }
+
+    fn apply(req: &mut Requests, src: usize, round: usize, payload: bytes::Bytes) -> bool {
+        apply_sync::<ModRule>(payload, src, round, &(), req)
+    }
+
+    #[test]
+    fn answers_land_on_the_ids_of_their_peer_in_request_order() {
+        let needed: Vec<Node> = vec![3, 40, 99, 100, 180, 249, 250, 399];
+        let mut req = Requests::new(needed, &splits(1));
+        assert_eq!(req.of_peer(0), [3, 40, 99]);
+        assert_eq!(req.of_peer(1), [0u32; 0]);
+        assert_eq!(req.of_peer(2), [100, 180, 249]);
+        assert_eq!(req.of_peer(3), [250, 399]);
+        // Host 3 answers first, then host 0 in two messages, one of them empty.
+        assert!(!apply(&mut req, 3, 0, sync_from(MSG_SYNC, &[1])));
+        assert!(!apply(&mut req, 0, 0, sync_from(MSG_SYNC, &[])));
+        assert!(!apply(&mut req, 0, 1, sync_from(MSG_SYNC, &[2, 3])));
+        assert_eq!(req.received(), 3);
+        let got: Vec<Option<PartId>> = [3, 40, 99, 100, 250, 399].iter().map(|&v| req.table.get(v)).collect();
+        assert_eq!(got, [Some(2), Some(3), None, None, Some(1), None]);
+        assert!(apply(&mut req, 0, 2, sync_from(MSG_FINAL, &[0])));
+        assert!(apply(&mut req, 1, 2, sync_from(MSG_FINAL, &[])));
+        assert!(apply(&mut req, 2, 2, sync_from(MSG_FINAL, &[0, 1, 2])));
+        assert!(apply(&mut req, 3, 2, sync_from(MSG_FINAL, &[3])));
+        let all: Vec<(Node, PartId)> = req.table.iter().collect();
+        assert_eq!(all, [(3, 2), (40, 3), (99, 0), (100, 0), (180, 1), (249, 2), (250, 1), (399, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "host 2 sent its FINAL in round 7 having answered 2 of 3 requested id(s)")]
+    fn a_responder_that_answers_one_too_few_is_caught_at_its_final() {
+        let mut req = Requests::new(vec![100, 180, 249], &splits(1));
+        apply(&mut req, 2, 0, sync_from(MSG_SYNC, &[1]));
+        apply(&mut req, 2, 7, sync_from(MSG_FINAL, &[1]));
+    }
+
+    #[test]
+    fn a_responder_that_answers_one_too_many_is_caught_before_a_slot_is_written() {
+        let mut req = Requests::new(vec![3, 100, 180, 249], &splits(1));
+        apply(&mut req, 2, 0, sync_from(MSG_SYNC, &[1]));
+        let before: Vec<(Node, PartId)> = req.table.iter().collect();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            apply(&mut req, 2, 5, sync_from(MSG_SYNC, &[2, 2, 2]))
+        }))
+        .expect_err("three answers for two outstanding requests");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.contains("host 2 answered 3 master(s) in round 5 but only 2 of its 3 requested id(s)"),
+            "{msg}"
+        );
+        assert_eq!(req.table.iter().collect::<Vec<_>>(), before);
+        assert_eq!(req.answered, [0, 0, 1, 0]);
+    }
+
+    /// `apply_sync` reads bytes another host produced: every malformed
+    /// shape is refused by name, none indexes or sizes anything first.
+    #[test]
+    fn malformed_sync_messages_are_refused() {
+        fn refused(payload: Vec<u8>, expect: &str) {
+            let mut req = Requests::new(vec![100, 180, 249], &splits(1));
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                apply(&mut req, 2, 1, bytes::Bytes::from(payload))
+            }))
+            .expect_err(expect);
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("panic message");
+            assert!(msg.contains(expect), "expected {expect:?} in {msg:?}");
+            assert!(req.table.iter().all(|(_, p)| p == UNASSIGNED), "{expect}: a slot was written");
+        }
+        let good = sync_from(MSG_SYNC, &[1, 2]).to_vec();
+        refused(Vec::new(), "empty sync message");
+        refused(vec![9], "sync message kind 9");
+        refused(good[..good.len() - 1].to_vec(), "announced 2 master(s)");
+        refused([&good[..], &[0]].concat(), "1 byte(s) after its 2 master(s)");
+        // A count far past the payload and the request list (would size a
+        // buffer of 2^61 elements if trusted).
+        let mut huge = sync_from(MSG_SYNC, &[]).to_vec();
+        let at = huge.len() - 8;
+        huge[at..].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        refused(huge, "answered 2305843009213693952 master(s)");
+        // A master that names no partition (four hosts, four partitions).
+        refused(sync_from(MSG_SYNC, &[1, 4]).to_vec(), "answered master 4 for node 180");
+        refused(sync_from(MSG_SYNC, &[UNASSIGNED]).to_vec(), "for node 100");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The table and the positional stream against a `BTreeMap` of
+        /// what has been answered, after every message: random request
+        /// sets — stride 1 blankets a window, stride 5,000,000 forces the
+        /// sorted-key fallback — answered by each peer in order but cut
+        /// into messages of arbitrary (also zero) length, the peers'
+        /// messages interleaved arbitrarily. A cursor that advanced by
+        /// messages rather than by ids would misplace the first run that
+        /// follows a run of length ≠ 1.
+        #[test]
+        fn positional_answers_match_a_btreemap(
+            stride in prop_oneof![Just(1u32), Just(5_000_000)],
+            picks in proptest::collection::vec(any::<bool>(), 400),
+            cuts in proptest::collection::vec(0usize..40, 1..60),
+            order in proptest::collection::vec(0usize..4, 0..200),
+        ) {
+            let splits = splits(stride as u64);
+            let needed: Vec<Node> =
+                (0u32..400).filter(|&v| picks[v as usize]).map(|v| v * stride).collect();
+            let master = |v: Node| (v / stride) % 4;
+            let mut req = Requests::new(needed.clone(), &splits);
+            prop_assert_eq!(req.table.window.is_empty(), stride != 1 && !needed.is_empty());
+            let mut reference: BTreeMap<Node, PartId> = BTreeMap::new();
+            let check = |req: &Requests, reference: &BTreeMap<Node, PartId>| {
+                // Requested and answered, requested and not yet answered,
+                // never requested: between, on and beside the keys.
+                for v in 0u32..400 {
+                    for probe in [v * stride, (v * stride).wrapping_add(1)] {
+                        assert_eq!(req.table.get(probe), reference.get(&probe).copied(), "get({probe})");
+                    }
+                }
+            };
+            check(&req, &reference);
+
+            let mut sent = [0usize; 4];
+            let mut cut = cuts.iter().copied().cycle();
+            let mut send = |peer: usize, kind: u8, req: &mut Requests, reference: &mut BTreeMap<Node, PartId>| {
+                let ids = req.of_peer(peer).to_vec();
+                let n = match kind {
+                    MSG_FINAL => ids.len() - sent[peer],
+                    _ => cut.next().expect("cycled").min(ids.len() - sent[peer]),
+                };
+                let run: Vec<PartId> = ids[sent[peer]..sent[peer] + n].iter().map(|&v| master(v)).collect();
+                reference.extend(ids[sent[peer]..sent[peer] + n].iter().map(|&v| (v, master(v))));
+                sent[peer] += n;
+                assert_eq!(apply(req, peer, 0, sync_from(kind, &run)), kind == MSG_FINAL);
+                assert_eq!(req.received(), sent.iter().sum::<usize>());
+                check(req, reference);
+            };
+            for &peer in &order {
+                send(peer, MSG_SYNC, &mut req, &mut reference);
+            }
+            // FINALs arrive in an order of their own.
+            let first = order.first().copied().unwrap_or(0);
+            for i in 0..4 {
+                send((first + i) % 4, MSG_FINAL, &mut req, &mut reference);
+            }
+            prop_assert_eq!(req.table.iter().collect::<Vec<_>>(),
+                needed.iter().map(|&v| (v, master(v))).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use cusp_graph::Node;
 use parking_lot::Mutex;
 
+use crate::policies::masters::{best_partition, neighbor_counts};
 use crate::policy::{EdgeRule, MasterRule, MasterView, Setup};
 use crate::props::LocalProps;
 use crate::state::{LoadState, PartitionState};
@@ -54,25 +55,12 @@ impl MasterRule for Ldg {
         state: &LoadState,
         masters: &MasterView,
     ) -> PartId {
-        let k = prop.num_partitions();
-        let mut counts = vec![0u64; k as usize];
-        for &n in prop.out_neighbors(node) {
-            if let Some(p) = masters.get(n) {
-                counts[p as usize] += 1;
-            }
-        }
-        let mut best = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for p in 0..k {
-            let fill = state.nodes(p) as f64 / self.capacity;
-            let score = counts[p as usize] as f64 * (1.0 - fill)
-                // tie-break toward the emptier partition
-                - fill * 1e-6;
-            if score > best_score {
-                best_score = score;
-                best = p;
-            }
-        }
+        let counts = neighbor_counts(prop, node, masters);
+        let best = best_partition(counts.len(), |p| {
+            let fill = state.nodes(p as PartId) as f64 / self.capacity;
+            // tie-break toward the emptier partition
+            counts[p] as f64 * (1.0 - fill) - fill * 1e-6
+        });
         state.add_assignment(best, 0);
         best
     }

@@ -144,6 +144,35 @@ impl Fennel {
             gamma: 1.5,
         }
     }
+
+    /// `load^(γ−1)`, the growth term of the size penalty `α·γ·load^(γ−1)`
+    /// that [`Fennel`] and [`FennelEB`] both subtract. It is evaluated for
+    /// every partition of every node, and at the paper's γ = 1.5 the
+    /// exponent is exactly ½: a square root (one instruction, correctly
+    /// rounded) where `powf` is a libm call.
+    #[inline]
+    fn size_penalty(&self, load: f64) -> f64 {
+        if self.gamma == 1.5 {
+            load.sqrt()
+        } else {
+            load.powf(self.gamma - 1.0)
+        }
+    }
+
+    /// The partition with the best `neighbours − α·γ·load^(γ−1)`.
+    fn best(
+        &self,
+        prop: &LocalProps,
+        node: Node,
+        masters: &MasterView,
+        load: impl Fn(PartId) -> f64,
+    ) -> PartId {
+        let weight = self.alpha * self.gamma;
+        let counts = neighbor_counts(prop, node, masters);
+        best_partition(counts.len(), |p| {
+            counts[p] as f64 - weight * self.size_penalty(load(p as PartId))
+        })
+    }
 }
 
 /// α = m·h^(γ−1)/n^γ with γ = 1.5 (paper §V-A).
@@ -154,11 +183,27 @@ pub fn paper_alpha(setup: &Setup) -> f64 {
     m * h.powf(0.5) / n.powf(1.5)
 }
 
-/// Scores partitions and returns the argmax (lowest id wins ties).
-fn best_partition(scores: &[f64]) -> PartId {
+/// Counts, per partition, the out-neighbours of `node` whose master is
+/// already known — the neighbour term of every scored rule.
+pub(crate) fn neighbor_counts(prop: &LocalProps, node: Node, masters: &MasterView) -> Vec<u64> {
+    let mut counts = vec![0u64; prop.num_partitions() as usize];
+    for &n in prop.out_neighbors(node) {
+        if let Some(m) = masters.get(n) {
+            counts[m as usize] += 1;
+        }
+    }
+    counts
+}
+
+/// The partition in `0..parts` with the highest score (lowest id wins
+/// ties).
+pub(crate) fn best_partition(parts: usize, score: impl Fn(usize) -> f64) -> PartId {
     let mut best = 0usize;
-    for p in 1..scores.len() {
-        if scores[p] > scores[best] {
+    let mut best_score = f64::NEG_INFINITY;
+    for p in 0..parts {
+        let s = score(p);
+        if s > best_score {
+            best_score = s;
             best = p;
         }
     }
@@ -179,17 +224,7 @@ impl MasterRule for Fennel {
         state: &Self::State,
         masters: &MasterView,
     ) -> PartId {
-        let parts = prop.num_partitions() as usize;
-        let mut score = vec![0.0f64; parts];
-        for (p, s) in score.iter_mut().enumerate() {
-            *s = -self.alpha * self.gamma * (state.nodes(p as PartId) as f64).powf(self.gamma - 1.0);
-        }
-        for &n in prop.out_neighbors(node) {
-            if let Some(m) = masters.get(n) {
-                score[m as usize] += 1.0;
-            }
-        }
-        let part = best_partition(&score);
+        let part = self.best(prop, node, masters, |p| state.nodes(p) as f64);
         state.add_assignment(part, 0);
         part
     }
@@ -206,10 +241,8 @@ impl MasterRule for Fennel {
 /// the edge term a node counter.
 #[derive(Clone, Debug)]
 pub struct FennelEB {
-    /// Fennel size-penalty coefficient α.
-    pub alpha: f64,
-    /// Fennel size-penalty exponent γ.
-    pub gamma: f64,
+    /// The Fennel constants α and γ, and with them the size penalty.
+    pub fennel: Fennel,
     /// Degree threshold above which placement degrades to ContiguousEB.
     pub degree_threshold: u64,
     eb: ContiguousEB,
@@ -220,8 +253,7 @@ impl FennelEB {
     /// Creates a new instance.
     pub fn new(setup: &Setup) -> Self {
         FennelEB {
-            alpha: paper_alpha(setup),
-            gamma: 1.5,
+            fennel: Fennel::new(setup),
             degree_threshold: 100,
             eb: ContiguousEB::new(setup),
             mu: setup.num_nodes.max(1) as f64 / setup.num_edges.max(1) as f64,
@@ -253,20 +285,9 @@ impl MasterRule for FennelEB {
         if degree > self.degree_threshold {
             return self.eb.pure_master(node);
         }
-        let parts = prop.num_partitions() as usize;
-        let mut score = vec![0.0f64; parts];
-        for (p, s) in score.iter_mut().enumerate() {
-            let load = (state.nodes(p as PartId) as f64
-                + self.mu * state.edges(p as PartId) as f64)
-                / 2.0;
-            *s = -self.alpha * self.gamma * load.powf(self.gamma - 1.0);
-        }
-        for &n in prop.out_neighbors(node) {
-            if let Some(m) = masters.get(n) {
-                score[m as usize] += 1.0;
-            }
-        }
-        let part = best_partition(&score);
+        let part = self.fennel.best(prop, node, masters, |p| {
+            (state.nodes(p) as f64 + self.mu * state.edges(p) as f64) / 2.0
+        });
         state.add_assignment(part, degree);
         part
     }
@@ -275,8 +296,11 @@ impl MasterRule for FennelEB {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::master::RemoteMasters;
     use crate::state::PartitionState;
     use cusp_graph::{Csr, GraphSlice, ReadSplit};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup(n: u64, m: u64, k: PartId, eb: Vec<u64>) -> Setup {
         Setup {
@@ -359,12 +383,8 @@ mod tests {
             .iter()
             .map(|&v| std::sync::atomic::AtomicU32::new(v))
             .collect();
-        let remote = std::collections::HashMap::new();
-        let view = MasterView::Stored {
-            lo: 0,
-            local: &local,
-            remote: &remote,
-        };
+        let remote = RemoteMasters::requested(Vec::new());
+        let view = MasterView::new(0, &local, &remote);
         let f = Fennel {
             alpha: 0.01,
             gamma: 1.5,
@@ -380,7 +400,7 @@ mod tests {
         let (slice, n, m) = props_for(&g, 4);
         let prop = LocalProps::new(n, m.max(1), 4, &slice);
         let state = LoadState::new(4);
-        let remote = std::collections::HashMap::new();
+        let remote = RemoteMasters::requested(Vec::new());
         let local: Vec<std::sync::atomic::AtomicU32> = (0..8)
             .map(|_| std::sync::atomic::AtomicU32::new(crate::policy::UNASSIGNED))
             .collect();
@@ -389,11 +409,7 @@ mod tests {
             gamma: 1.5,
         };
         for v in 0..8u32 {
-            let view = MasterView::Stored {
-                lo: 0,
-                local: &local,
-                remote: &remote,
-            };
+            let view = MasterView::new(0, &local, &remote);
             let p = f.get_master(&prop, v, &state, &view);
             local[v as usize].store(p, std::sync::atomic::Ordering::Relaxed);
         }
@@ -415,15 +431,11 @@ mod tests {
         let prop = LocalProps::new(n, m, 2, &slice);
         let rule = FennelEB::new(&s).with_threshold(10);
         let state = LoadState::new(2);
-        let remote = std::collections::HashMap::new();
+        let remote = RemoteMasters::requested(Vec::new());
         let local: Vec<std::sync::atomic::AtomicU32> = (0..10)
             .map(|_| std::sync::atomic::AtomicU32::new(crate::policy::UNASSIGNED))
             .collect();
-        let view = MasterView::Stored {
-            lo: 0,
-            local: &local,
-            remote: &remote,
-        };
+        let view = MasterView::new(0, &local, &remote);
         // Node 0 has degree 51 > 10 → ContiguousEB says partition 0.
         assert_eq!(rule.get_master(&prop, 0, &state, &view), 0);
         // EB path must not touch state (per Algorithm 1).
@@ -444,7 +456,51 @@ mod tests {
 
     #[test]
     fn ties_break_toward_lower_partition() {
-        assert_eq!(best_partition(&[0.0, 0.0, 0.0]), 0);
-        assert_eq!(best_partition(&[0.0, 1.0, 1.0]), 1);
+        assert_eq!(best_partition(3, |p| [0.0, 0.0, 0.0][p]), 0);
+        assert_eq!(best_partition(3, |p| [0.0, 1.0, 1.0][p]), 1);
+    }
+
+    #[test]
+    fn scored_rules_count_remote_and_local_neighbours_alike() {
+        // Node 2 points at 0, 1 (local) and 7, 8, 9 (remote; 9 unanswered).
+        let g = Csr::from_edges(10, &[(2, 0), (2, 1), (2, 7), (2, 8), (2, 9)]);
+        let slice = GraphSlice::from_csr(&g, 0, 4);
+        let prop = LocalProps::new(10, 5, 3, &slice);
+        let local: Vec<std::sync::atomic::AtomicU32> = [2u32, 0, crate::policy::UNASSIGNED, 0]
+            .iter()
+            .map(|&v| std::sync::atomic::AtomicU32::new(v))
+            .collect();
+        let remote = RemoteMasters::from_sorted(vec![7, 8, 9], vec![2, 2, crate::policy::UNASSIGNED]);
+        let view = MasterView::new(0, &local, &remote);
+        assert_eq!(neighbor_counts(&prop, 2, &view), [1, 0, 3]);
+        assert_eq!(neighbor_counts(&prop, 3, &view), [0, 0, 0]);
+        let f = Fennel { alpha: 0.01, gamma: 1.5 };
+        assert_eq!(f.get_master(&prop, 2, &LoadState::new(3), &view), 2);
+    }
+
+    /// Distance in units in the last place between two finite non-negative
+    /// doubles.
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[test]
+    fn size_penalty_is_sqrt_at_the_papers_gamma_and_pow_elsewhere() {
+        let paper = Fennel { alpha: 1.0, gamma: 1.5 };
+        let other = Fennel { alpha: 1.0, gamma: 1.25 };
+        let mut rng = StdRng::seed_from_u64(0x5EED_F0CA);
+        for i in 0..1_000_000u32 {
+            // Integer node counts, and FennelEB's fractional blended loads.
+            let whole = rng.random_range(0u64..20_000_000) as f64;
+            let load = if i % 2 == 0 { whole } else { whole + rng.random::<f64>() };
+            let p = paper.size_penalty(load);
+            assert_eq!(p.to_bits(), load.sqrt().to_bits(), "gamma 1.5 must take the sqrt path");
+            assert!(ulps(p, load.powf(0.5)) <= 1, "load {load}: sqrt {p} vs powf {}", load.powf(0.5));
+            if i % 1000 == 0 {
+                assert_eq!(other.size_penalty(load).to_bits(), load.powf(0.25).to_bits());
+            }
+        }
+        assert_ne!(other.size_penalty(16.0), 4.0, "gamma 1.25 must not take the sqrt path");
+        assert_eq!(other.size_penalty(16.0), 2.0);
     }
 }

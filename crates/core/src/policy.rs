@@ -14,13 +14,13 @@
 //! * stateful but neighbor-blind → state syncs only once, after the phase;
 //! * neighbor-aware → periodic asynchronous rounds during the phase.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use cusp_graph::{Node, ReadSplit};
 
+use crate::phases::master::RemoteMasters;
 use crate::props::LocalProps;
 use crate::state::PartitionState;
 use crate::PartId;
@@ -135,43 +135,33 @@ pub trait EdgeRule: Send + Sync {
 }
 
 /// Read access to previously assigned masters — the `masters` argument of
-/// `getMaster` and the lookup used during edge assignment.
-pub enum MasterView<'a> {
-    /// Masters are stored: a dense array for the locally read range plus a
-    /// sparse map of remote assignments received so far.
-    Stored {
-        /// First node of the locally read range.
-        lo: Node,
-        /// Dense assignments for the local range, `UNASSIGNED` until set.
-        local: &'a [AtomicU32],
-        /// Remote assignments received so far, keyed by global id.
-        remote: &'a HashMap<Node, PartId>,
-    },
+/// `getMaster`: the dense array of the locally read range plus the table of
+/// requested remote assignments, as far as the sync rounds have filled it.
+pub struct MasterView<'a> {
+    /// First node of the locally read range.
+    lo: Node,
+    /// Dense assignments for the local range, `UNASSIGNED` until set.
+    local: &'a [AtomicU32],
+    /// Requested remote assignments, `None` until answered.
+    remote: &'a RemoteMasters,
 }
 
-impl MasterView<'_> {
+impl<'a> MasterView<'a> {
+    /// A view over the local range starting at `lo` and the remote table.
+    pub fn new(lo: Node, local: &'a [AtomicU32], remote: &'a RemoteMasters) -> Self {
+        MasterView { lo, local, remote }
+    }
+
     /// The master partition of `v`, or `None` if not (yet) known.
     #[inline]
     pub fn get(&self, v: Node) -> Option<PartId> {
-        match self {
-            MasterView::Stored { lo, local, remote } => {
-                if v >= *lo && ((v - lo) as usize) < local.len() {
-                    let m = local[(v - lo) as usize].load(Ordering::Relaxed);
-                    (m != UNASSIGNED).then_some(m)
-                } else {
-                    remote.get(&v).copied()
-                }
+        match self.local.get(v.wrapping_sub(self.lo) as usize) {
+            Some(m) => {
+                let m = m.load(Ordering::Relaxed);
+                (m != UNASSIGNED).then_some(m)
             }
+            None => self.remote.get(v),
         }
-    }
-
-    /// Like [`MasterView::get`] but panics with context if unknown — used
-    /// by the driver at points where the protocol guarantees availability.
-    #[inline]
-    pub fn get_required(&self, v: Node) -> PartId {
-        self.get(v).unwrap_or_else(|| {
-            panic!("master of node {v} required but not yet known on this host")
-        })
     }
 }
 
@@ -208,28 +198,13 @@ mod tests {
     #[test]
     fn stored_view_distinguishes_local_and_remote() {
         let local: Vec<AtomicU32> = vec![AtomicU32::new(2), AtomicU32::new(UNASSIGNED)];
-        let mut remote = HashMap::new();
-        remote.insert(50u32, 3u32);
-        let view = MasterView::Stored {
-            lo: 10,
-            local: &local,
-            remote: &remote,
-        };
+        let remote = RemoteMasters::from_sorted(vec![50, 55], vec![3, UNASSIGNED]);
+        let view = MasterView::new(10, &local, &remote);
         assert_eq!(view.get(10), Some(2));
         assert_eq!(view.get(11), None); // local but unassigned
         assert_eq!(view.get(50), Some(3));
-        assert_eq!(view.get(60), None); // unknown remote
-    }
-
-    #[test]
-    #[should_panic(expected = "required but not yet known")]
-    fn get_required_panics_on_missing() {
-        let remote = HashMap::new();
-        let view = MasterView::Stored {
-            lo: 0,
-            local: &[],
-            remote: &remote,
-        };
-        let _ = view.get_required(5);
+        assert_eq!(view.get(55), None); // requested, not yet answered
+        assert_eq!(view.get(60), None); // never requested
+        assert_eq!(view.get(9), None); // below the local range
     }
 }

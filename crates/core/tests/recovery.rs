@@ -273,6 +273,48 @@ fn checkpoint_skips_reexecution_traffic() {
     );
 }
 
+/// A neighbour-aware rule crashed *inside* the master phase. SYNC answers
+/// carry no node ids — a run is "the masters of the next `n` ids you asked
+/// me for" — so the restarted host's decoding leans on each peer's channel
+/// being replayed to it from the first message, in order, and on its own
+/// re-sent answers deduplicating against the ones the survivors already
+/// consumed. Full restart and checkpointed restart must both end bit-identical
+/// to the clean run.
+#[test]
+fn neighbour_aware_rule_recovers_from_a_crash_in_master() {
+    let hosts = 4;
+    let graph = Arc::new(erdos_renyi(NODES, EDGES, 61));
+    let src = GraphSource::Memory(graph.clone());
+    let (clean, clean_stats, _, _) =
+        run(hosts, PolicyKind::Svc, src.clone(), None, det_cfg(None, None), None).expect("clean");
+    assert_clean(&clean, &clean_stats, &graph, "svc clean");
+    let fp = partition_fingerprint(&clean);
+
+    // With 4 hosts and 4 rounds the phase is 30 sends and receives on each
+    // host: 6 exchange the requests, 6 more make each of the three SYNC
+    // rounds, 6 the FINALs. Die in the requests, in the first SYNC round,
+    // with answers already decoded in the third, and among the FINALs.
+    const MASTER_OPS: u64 = 30;
+    for op in [1, 8, 20, 26] {
+        let seed = (0..5000u64)
+            .find(|&s| CrashPlan::once(s, 2, "master", MASTER_OPS).decide(2, "master") == Some(op))
+            .expect("a firing seed exists");
+        let plan = CrashPlan::once(seed, 2, "master", MASTER_OPS);
+        let dir = cell_dir(&format!("svc-master-{op}"));
+        for ckpt in [None, Some(dir.clone())] {
+            let label = format!("svc master crash at op {op}, checkpoints {}", ckpt.is_some());
+            let (parts, stats, rec, _) =
+                run(hosts, PolicyKind::Svc, src.clone(), Some(plan), det_cfg(None, ckpt), None)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(rec.expect("armed").crashes, 1, "{label}: plan must fire");
+            assert_clean(&parts, &stats, &graph, &label);
+            assert_eq!(partition_fingerprint(&parts), fp, "{label}: crash changed the partition");
+            assert!(stats.replayed_messages() > 0, "{label}: nothing was replayed");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A host that keeps dying exhausts its restart budget and surfaces as a
 /// typed error — mapped into [`PartitionError::HostLost`] — instead of a
 /// hang or a panic.

@@ -88,3 +88,107 @@ fn chunked_matches_monolithic_structure() {
         "chunked run recorded no chunk spans"
     );
 }
+
+/// The master phase of a neighbour-aware rule explains itself: under each
+/// host's `master` span sit one `master.requests` (with one
+/// `master.requested` instant per peer), one `master.round` per sync round
+/// — all but the last with a `master.sync` child — and one `master.final`,
+/// and nothing of the family opens anywhere else. CVC above never runs
+/// that phase body (pure masters), so this cell uses SVC.
+#[test]
+fn master_phase_records_its_rounds_under_the_master_span() {
+    use cusp_obs::EventKind;
+
+    const ROUNDS: u64 = 5;
+    let graph = Arc::new(erdos_renyi(240, 1900, 11));
+    let cfg = CuspConfig {
+        sync_rounds: ROUNDS as u32,
+        ..det_config(None)
+    };
+    let run = || {
+        let (graph, cfg) = (graph.clone(), cfg.clone());
+        let opts = ClusterOptions {
+            trace: Some(TraceConfig::default()),
+            ..ClusterOptions::default()
+        };
+        let out = Cluster::run_with(HOSTS, opts, move |comm| {
+            partition_with_policy(comm, GraphSource::Memory(graph.clone()), PolicyKind::Svc, &cfg)
+        });
+        let trace = out.trace.expect("trace requested");
+        assert_eq!(trace.dropped_events, 0, "ring too small for this test");
+        trace
+    };
+    let trace = run();
+    let structure = Structure::of(&trace);
+    for host in 0..HOSTS as u32 {
+        let spans = |name| structure.span_counts.get(&(host, name)).copied().unwrap_or(0);
+        assert_eq!(spans("master"), 1);
+        assert_eq!(spans("master.requests"), 1);
+        assert_eq!(spans("master.round"), ROUNDS);
+        assert_eq!(spans("master.sync"), ROUNDS - 1);
+        assert_eq!(spans("master.final"), 1);
+        assert_eq!(
+            structure.instant_counts.get(&(host, "master.requested")),
+            Some(&(HOSTS as u64 - 1))
+        );
+    }
+
+    // Parentage and arguments, from the events of each host's main thread
+    // (a thread's events are in record order, so a stack recovers nesting).
+    for thread in trace.threads.iter().filter(|t| t.name == "main") {
+        let mut stack: Vec<&'static str> = Vec::new();
+        let (mut assigned, mut requested, mut counters) = (0u64, 0u64, Vec::new());
+        for e in trace.events.iter().filter(|e| e.tid == thread.tid) {
+            match e.kind {
+                EventKind::SpanBegin { name, arg } => {
+                    match name {
+                        "master.requests" | "master.round" | "master.final" => {
+                            assert_eq!(stack.last(), Some(&"master"), "{name} outside master")
+                        }
+                        "master.sync" => assert_eq!(stack.last(), Some(&"master.round")),
+                        _ => {}
+                    }
+                    if name == "master.round" {
+                        assigned += arg;
+                    }
+                    stack.push(name);
+                }
+                EventKind::SpanEnd { name } => assert_eq!(stack.pop(), Some(name)),
+                EventKind::Instant { name: "master.requested", arg } => {
+                    assert_eq!(stack.last(), Some(&"master.requests"));
+                    requested += arg;
+                }
+                EventKind::Counter { name, value } if name.starts_with("master.") => {
+                    assert!(matches!(stack.last(), Some(&"master.sync") | Some(&"master.final")));
+                    counters.push((name, value));
+                }
+                _ => {}
+            }
+        }
+        assert!(stack.is_empty());
+        // The rounds cover the host's read range; the answers received over
+        // the rounds and the final are the ids requested, no more, no less.
+        assert!(assigned > 0 && assigned <= 240, "host {}: {assigned} nodes", thread.host);
+        let sum = |which| counters.iter().filter(|c| c.0 == which).map(|c| c.1).sum::<u64>();
+        assert_eq!(sum("master.received"), requested, "host {}", thread.host);
+        assert_eq!(counters.len() as u64, 2 * ROUNDS, "one answered and one received per sync");
+    }
+    // Every id a host requested is an id some host answered.
+    let total = |which: &str| -> u64 {
+        trace
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Counter { name, value } if name == which => Some(value),
+                _ => None,
+            })
+            .sum()
+    };
+    assert_eq!(total("master.answered"), total("master.received"));
+
+    // And the whole of it is structure: a second run records the same.
+    assert_eq!(
+        structure.without_names(&["pool_task", "steal"]),
+        Structure::of(&run()).without_names(&["pool_task", "steal"])
+    );
+}
