@@ -200,6 +200,17 @@ fn parse_peers(line: &str) -> Option<Vec<String>> {
 /// The driver's line to the victim of [`KillMode::Torn`].
 const TEAR: &str = "TEAR";
 
+/// The driver's line to every worker once host `host` finished: it is never
+/// respawned, so its peers take this in place of a FIN (and a last barrier
+/// arrival) that may have died with it.
+fn finished_line(host: usize) -> String {
+    format!("FINISHED {host}\n")
+}
+
+fn parse_finished(line: &str) -> Option<usize> {
+    line.trim().strip_prefix("FINISHED ")?.parse().ok()
+}
+
 // ---------------------------------------------------------------------------
 // The worker
 // ---------------------------------------------------------------------------
@@ -324,18 +335,21 @@ pub fn worker(spec: &WorkerSpec) -> Result<(), WorkerError> {
             .map_err(WorkerError::Establish)?;
 
     // Kill mode `torn`: when the driver says TEAR, leave half a frame on
-    // the wire and die mid-write.
-    let mut saboteur = transport.saboteur();
-    std::thread::spawn(move || {
+    // the wire and die mid-write. FINISHED is the driver's word that a peer
+    // is done; the reader starts with the run, so none arrives too early.
+    let (mut saboteur, finished) = (transport.saboteur(), transport.finished());
+    let read_driver = move || {
         for line in io::stdin().lock().lines().map_while(Result::ok) {
-            if line.trim() == TEAR {
+            if let Some(peer) = parse_finished(&line) {
+                finished.peer(peer);
+            } else if line.trim() == TEAR {
                 if let Some(s) = saboteur.take() {
                     s.tear();
                 }
                 std::process::abort();
             }
         }
-    });
+    };
 
     // Everything this worker owes the driver — the partition file, the
     // rows, DONE — is produced *inside* the run, before the transport FINs.
@@ -346,6 +360,7 @@ pub fn worker(spec: &WorkerSpec) -> Result<(), WorkerError> {
     // draining, and rejoins.
     let source = GraphSource::File(run.graph.clone());
     let out = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+        std::thread::spawn(read_driver);
         let dg = partition_with_policy(comm, source, run.policy, &run.cfg).dist_graph;
         std::fs::create_dir_all(&run.out_dir)?;
         write_partition(&part_path(&run.out_dir, host), &dg)?;
@@ -560,7 +575,7 @@ pub fn launch(spec: &LaunchSpec, narration: &mut dyn Write) -> Result<LaunchRepo
     // that is test-short, but at most 2.5 s: under the default 10 s the
     // hard kill's EOF is what the survivors detect.
     let wedge_hold =
-        run.tcp_options().peer_timeout.min(Duration::from_secs(2)) + Duration::from_millis(500);
+        run.tcp_options().peer_timeout().min(Duration::from_secs(2)) + Duration::from_millis(500);
     let recovery = RecoveryOptions {
         heartbeat_timeout: wedge_hold,
         max_restarts: spec.max_restarts,
@@ -693,7 +708,15 @@ pub fn launch(spec: &LaunchSpec, narration: &mut dyn Write) -> Result<LaunchRepo
             }
         };
         let actions = supervisor.step(clock.elapsed().as_millis() as u64, event);
-        if let Some((host, _, status)) = reaped {
+        if let Some((host, how, status)) = reaped {
+            if how == Exit::Finished {
+                // Its FIN may have died with it, and nothing else would end
+                // its peers' wait for one. A failed write is a dead worker.
+                for stdin in fleet.0.iter_mut().filter_map(|w| w.stdin.as_mut()) {
+                    let _ = stdin.write_all(finished_line(host).as_bytes());
+                    let _ = stdin.flush();
+                }
+            }
             if let HostState::Backoff { incarnation, .. } = supervisor.state(host) {
                 let backoff = recovery.backoff(incarnation);
                 writeln!(
@@ -806,6 +829,8 @@ mod tests {
         let addrs = ["127.0.0.1:1", "127.0.0.1:2"].map(String::from).to_vec();
         assert_eq!(parse_peers(&peers_line(&addrs)), Some(addrs));
         assert_eq!(parse_peers("HELLO"), None);
+        assert_eq!(parse_finished(&finished_line(3)), Some(3));
+        assert_eq!(parse_finished(TEAR), None);
     }
 
     #[test]

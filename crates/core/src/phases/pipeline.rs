@@ -168,6 +168,11 @@ impl<'a> PhaseCtx<'a> {
     /// times the body, and — when [`PhaseId::barrier`] — barriers before
     /// stopping the clock so the per-phase times attribute cleanly across
     /// hosts.
+    ///
+    /// Contract: `body` consumes all of the phase's inbound traffic before
+    /// it returns, so before the barrier. A checkpoint is taken at that
+    /// barrier, and [`cusp_net::Comm::restore_net`]'s send-sequence jump is
+    /// sound only because nothing sent before it is still unconsumed.
     pub fn run_phase<T>(&mut self, phase: PhaseId, body: impl FnOnce(&Self) -> T) -> T {
         let name = phase.name();
         self.comm.set_phase(name);

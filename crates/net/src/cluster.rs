@@ -45,7 +45,7 @@
 //! budget aborts the run with a clean [`ClusterError::HostLost`]; blocked
 //! survivors are unwound, never left hanging.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -333,17 +333,13 @@ impl Fabric {
     /// propagates as a descriptive panic, a lost host as a silent
     /// [`LostSignal`] (the diagnosis is [`ClusterError::HostLost`]).
     fn check_abort(&self) {
+        if !self.should_abort() {
+            return;
+        }
         if self.poisoned.load(Ordering::Acquire) {
             panic!("cluster poisoned: a peer host panicked");
         }
-        if self.remote_lost.load(Ordering::Acquire) != NO_PEER_LOST {
-            std::panic::resume_unwind(Box::new(LostSignal));
-        }
-        if let Some(rec) = &self.recovery {
-            if rec.lost.load(Ordering::Acquire) {
-                std::panic::resume_unwind(Box::new(LostSignal));
-            }
-        }
+        std::panic::resume_unwind(Box::new(LostSignal));
     }
 
     /// Declares remote host `peer` dead (transport-level detection: EOF
@@ -526,12 +522,14 @@ impl Fabric {
     }
 }
 
+/// One tag's messages in delivery order, ready for the application (the
+/// sequence number rides along so consumption can be tracked per channel).
+type Ready = VecDeque<(HostId, u64, Bytes)>;
+
 /// Receive-side state: the resequencer plus ready (application-visible)
 /// messages, all per tag.
 struct RecvState {
-    /// Messages in delivery order, ready for the application (the sequence
-    /// number rides along so consumption can be tracked per channel).
-    ready: Vec<std::collections::VecDeque<(HostId, u64, Bytes)>>,
+    ready: Vec<Ready>,
     /// `next[tag][src]` — the next expected sequence number.
     next: Vec<Vec<u64>>,
     /// `stash[tag][src]` — out-of-order envelopes awaiting predecessors.
@@ -810,48 +808,29 @@ impl Comm {
 
     /// Receives the next message of `tag` from any source, blocking.
     pub fn recv_any(&self, tag: Tag) -> (HostId, Bytes) {
-        loop {
-            self.heartbeat();
-            let hit = {
-                let mut st = self.recv.lock();
-                st.ready[tag.0 as usize].pop_front()
-            };
-            if let Some((src, seq, payload)) = hit {
-                self.note_consumed(src, tag, seq);
-                self.note_op();
-                return (src, payload);
-            }
-            self.fabric.flush_holdback(self.host);
-            match self.mailbox(tag).recv_timeout(POISON_POLL) {
-                Ok(env) => {
-                    let mut st = self.recv.lock();
-                    self.ingest(&mut st, tag, env);
-                    self.drain_channel(&mut st, tag);
-                }
-                Err(RecvTimeoutError::Timeout) => self.fabric.check_abort(),
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("mailbox disconnected")
-                }
-            }
-        }
+        self.recv_blocking(tag, VecDeque::pop_front)
     }
 
     /// Receives the next message of `tag` from `src` specifically, blocking.
     /// Messages from other sources that arrive first stay buffered.
     pub fn recv_from(&self, src: HostId, tag: Tag) -> Bytes {
+        let pop = |q: &mut Ready| q.remove(q.iter().position(|&(s, _, _)| s == src)?);
+        self.recv_blocking(tag, pop).1
+    }
+
+    /// The blocking receive both flavours share: `pop` takes the wanted
+    /// message out of the tag's ready queue, if it is there yet.
+    fn recv_blocking<P>(&self, tag: Tag, pop: P) -> (HostId, Bytes)
+    where
+        P: Fn(&mut Ready) -> Option<(HostId, u64, Bytes)>,
+    {
         loop {
             self.heartbeat();
-            let hit = {
-                let mut st = self.recv.lock();
-                let q = &mut st.ready[tag.0 as usize];
-                q.iter()
-                    .position(|(s, _, _)| *s == src)
-                    .map(|pos| q.remove(pos).expect("position valid"))
-            };
-            if let Some((_, seq, payload)) = hit {
+            let hit = pop(&mut self.recv.lock().ready[tag.0 as usize]);
+            if let Some((src, seq, payload)) = hit {
                 self.note_consumed(src, tag, seq);
                 self.note_op();
-                return payload;
+                return (src, payload);
             }
             self.fabric.flush_holdback(self.host);
             match self.mailbox(tag).recv_timeout(POISON_POLL) {
@@ -956,6 +935,13 @@ impl Comm {
     /// consumed by the previous incarnation before the checkpoint — is
     /// dropped, while in-flight messages above the floor stay queued for
     /// the resumed phases to consume.
+    ///
+    /// The send-sequence jump relies on one contract, kept by
+    /// `PhaseCtx::run_phase`: every phase consumes all its inbound traffic
+    /// before its barrier. No host passes the checkpointed barrier before
+    /// every host has consumed what was sent to it ahead of it, so a frame
+    /// the dead incarnation still had queued below a checkpointed sequence
+    /// is one its receiver already holds, and is never needed again.
     pub fn restore_net(&self, ck: &NetCheckpoint) {
         let hosts = self.fabric.hosts;
         assert_eq!(ck.send_seqs.len(), hosts * MAX_TAGS, "checkpoint host count mismatch");

@@ -1,0 +1,176 @@
+//! One peer's connection life, decided once: [`PeerLink`] says whether a
+//! broken connection is a loss, a down peer awaiting its respawn or the
+//! expected close after FIN, whether a HELLO is a respawn or a stale
+//! duplicate, and which reports are about a superseded connection. Its
+//! [`PeerLink::step`] touches no clock, socket, thread or atomic, so
+//! `tests/link_schedules.rs` runs it against a fake world; `tcp.rs` only
+//! detects and acts.
+
+use super::RejectReason;
+
+/// Where one peer stands: `gen` is the connection generation (0 for the
+/// mesh, one more per admission), `inc` the incarnation last admitted.
+#[allow(missing_docs)] // the fields are the two names above
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkState {
+    /// Connected both ways; its reader and the silence watch are live.
+    Up { gen: u64, inc: u32 },
+    /// The peer sent FIN: that incarnation never needs the mesh again, so a
+    /// broken connection or silence is expected from here on.
+    Finned { gen: u64, inc: u32 },
+    /// Admitted; the redial of its listener is under way.
+    Joining { gen: u64, inc: u32 },
+    /// Dead, awaiting a newer incarnation (with rejoin only), with no
+    /// deadline: whether one comes is the process supervisor's decision.
+    Down { gen: u64, inc: u32 },
+    /// Dead for good (without rejoin): the run ends in `HostLost`.
+    Lost,
+}
+
+/// A fact a driver reports to [`PeerLink::step`].
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// The reader of generation `gen` read a FIN frame.
+    FrameFin { gen: u64 },
+    /// The reader of generation `gen` hit EOF, a torn or corrupt frame.
+    ReadFailed { gen: u64 },
+    /// Nothing arrived on generation `gen` for the peer timeout.
+    Silent { gen: u64 },
+    /// The peer's process redialed with a valid HELLO claiming `inc`.
+    HelloFrom { inc: u32 },
+    /// The peer's supervisor saw it finish: as good as a FIN that died.
+    Finished,
+    /// The outcome of the redial an [`Action::Admit`] asked for.
+    Redialed { ok: bool },
+    /// This host tears its transport down; nothing follows.
+    Shutdown,
+}
+
+/// An effect [`PeerLink::step`] asks its driver to perform.
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// Drop the outbound queue and tear the reader out of its socket.
+    Unhook,
+    /// Accept the HELLO, redial the peer's listener, send it what
+    /// [`resend`] lists and read it as generation `gen`; then report
+    /// [`Event::Redialed`].
+    Admit { gen: u64 },
+    /// Refuse the HELLO with this reason.
+    Reject(RejectReason),
+    /// The peer finished: wake whoever waits for every FIN.
+    Release,
+    /// The peer is lost: abort the run.
+    MarkLost,
+}
+
+/// One peer's connection life: a [`LinkState`] moved by [`PeerLink::step`].
+#[derive(Debug, Clone)]
+pub struct PeerLink {
+    rejoin: bool,
+    state: LinkState,
+    /// [`Event::Shutdown`] arrived.
+    closed: bool,
+}
+
+impl PeerLink {
+    /// A peer the mesh admitted with incarnation `inc`, as generation 0.
+    pub fn new(rejoin: bool, inc: u32) -> Self {
+        PeerLink { rejoin, state: LinkState::Up { gen: 0, inc }, closed: false }
+    }
+
+    /// Where the peer stands.
+    pub fn state(&self) -> LinkState {
+        self.state
+    }
+
+    /// Advances the link by one event. Each rule is written once:
+    ///
+    /// * after [`Event::Shutdown`], and once lost, nothing changes;
+    /// * a report about any generation but the current one changes nothing;
+    /// * a HELLO is admitted iff its incarnation is strictly newer than the
+    ///   last one admitted (equal is a duplicate of the live worker, older a
+    ///   zombie): only one process can ever hold a given (peer, incarnation);
+    /// * a failure after FIN is the expected close, in either mode;
+    /// * otherwise a failure is `Lost` without rejoin and `Down` with it.
+    pub fn step(&mut self, event: Event) -> Vec<Action> {
+        use LinkState::*;
+        let (gen, inc) = match self.state {
+            _ if self.closed => return Vec::new(),
+            Lost => return Vec::new(),
+            Up { gen, inc } | Finned { gen, inc } | Joining { gen, inc } | Down { gen, inc } => {
+                (gen, inc)
+            }
+        };
+        match event {
+            Event::Shutdown => {
+                self.closed = true;
+                Vec::new()
+            }
+            Event::HelloFrom { inc: claimed } if claimed <= inc => {
+                vec![Action::Reject(RejectReason::StaleIncarnation)]
+            }
+            Event::HelloFrom { inc: claimed } => {
+                let hooked = matches!(self.state, Up { .. } | Finned { .. });
+                self.state = Joining { gen: gen + 1, inc: claimed };
+                let admit = Action::Admit { gen: gen + 1 };
+                hooked.then_some(Action::Unhook).into_iter().chain([admit]).collect()
+            }
+            Event::Redialed { ok } => {
+                if let Joining { .. } = self.state {
+                    self.state = if ok { Up { gen, inc } } else { Down { gen, inc } };
+                }
+                Vec::new()
+            }
+            Event::FrameFin { gen: of }
+            | Event::ReadFailed { gen: of }
+            | Event::Silent { gen: of }
+                if of != gen =>
+            {
+                Vec::new()
+            }
+            Event::FrameFin { .. } | Event::Finished => match self.state {
+                Up { .. } | Down { .. } => {
+                    self.state = Finned { gen, inc };
+                    vec![Action::Release]
+                }
+                _ => Vec::new(),
+            },
+            Event::ReadFailed { .. } | Event::Silent { .. } => match self.state {
+                Up { .. } if self.rejoin => {
+                    self.state = Down { gen, inc };
+                    vec![Action::Unhook]
+                }
+                Up { .. } => {
+                    self.state = Lost;
+                    vec![Action::MarkLost]
+                }
+                _ => Vec::new(),
+            },
+        }
+    }
+}
+
+/// One item [`resend`] lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resend<'a, T> {
+    /// A frame of the send log.
+    Logged(&'a T),
+    /// The latest barrier arrival (monotone, so it subsumes every barrier
+    /// frame that died with the old connection).
+    Barrier(u64),
+    /// FIN, already sent on the old connection.
+    Fin,
+}
+
+/// What an admission sends on the fresh connection, in order: the whole
+/// send log toward the peer (its resequencer floors drop what it already
+/// consumed), the latest barrier arrival if there was one, and FIN if this
+/// host has finished.
+pub fn resend<T>(log: &[T], barrier: u64, fin: bool) -> impl Iterator<Item = Resend<'_, T>> {
+    log.iter()
+        .map(Resend::Logged)
+        .chain((barrier > 0).then_some(Resend::Barrier(barrier)))
+        .chain(fin.then_some(Resend::Fin))
+}

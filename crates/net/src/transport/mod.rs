@@ -10,18 +10,14 @@
 //!
 //! Two implementations exist:
 //!
-//! - [`LocalTransport`] — the in-process simulator (the default). All
-//!   hosts share one [`Fabric`]; shipping is a direct push into the
-//!   destination's mailbox through the fault layer, and the barrier is the
-//!   shared in-memory [`FabricBarrier`](crate::cluster). A zero-sized type:
-//!   every bit of its state already lives in the fabric.
+//! - [`LocalTransport`] — the in-process simulator (the default): all hosts
+//!   share one [`Fabric`], shipping is a push into the destination's
+//!   mailbox through the fault layer, and the barrier is the shared
+//!   [`FabricBarrier`](crate::cluster).
 //! - [`tcp::TcpTransport`] — one OS process per host, length-delimited
-//!   frames over TCP. Shipping encodes the envelope with the versioned
-//!   little-endian codec ([`crate::serialize::encode_envelope`]) and hands
-//!   it to a per-peer writer thread; reader threads decode inbound frames
-//!   and feed the *same* dispatch/fault/resequencer path the simulator
-//!   uses, and the barrier is a broadcast control frame driving the same
-//!   monotone arrival table.
+//!   frames over TCP feeding the *same* dispatch/fault/resequencer path
+//!   and monotone arrival table; what each peer's connection state means
+//!   is decided by one pure [`link::PeerLink`] per peer.
 //!
 //! The fidelity claim — a TCP run is indistinguishable from a simulated
 //! one above the transport line — is what `tests/cross_process.rs`
@@ -31,6 +27,7 @@ use std::sync::Arc;
 
 use crate::cluster::{Envelope, Fabric, HostId, Tag};
 
+pub mod link;
 pub mod tcp;
 
 pub use tcp::{TcpOptions, TcpTransport, TCP_PROTOCOL_VERSION};
@@ -89,9 +86,9 @@ impl Transport for LocalTransport {
 pub enum TransportError {
     /// Could not bind the listener.
     Bind(std::io::Error),
-    /// Could not reach `peer` before the dial timeout elapsed.
-    DialTimeout {
-        /// The peer that never answered.
+    /// `peer`'s listener refused the connection (or could not be reached).
+    Unreachable {
+        /// The peer dialed.
         peer: HostId,
         /// The address dialed.
         addr: String,
@@ -125,9 +122,7 @@ impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransportError::Bind(e) => write!(f, "cannot bind listener: {e}"),
-            TransportError::DialTimeout { peer, addr } => {
-                write!(f, "host {peer} at {addr} unreachable before dial timeout")
-            }
+            TransportError::Unreachable { peer, addr } => write!(f, "host {peer} at {addr} unreachable"),
             TransportError::Rejected { peer, reason } => {
                 write!(f, "host {peer} rejected the handshake: {reason}")
             }

@@ -18,66 +18,38 @@
 //! ## Topology and threading
 //!
 //! The mesh is built from **simplex** connections: host `i` dials every
-//! peer's listener (with bounded-backoff retries, since workers start at
-//! different times) and uses those sockets only for *sending*; it accepts
-//! `hosts - 1` inbound connections and uses those only for *reading*. Per
-//! outbound socket a **writer thread** drains a frame queue (heartbeating
-//! when idle); per inbound socket a **reader thread** decodes frames and
-//! feeds the same dispatch → fault-layer → resequencer path the in-process
-//! simulator uses. A **monitor thread** declares a peer lost when it goes
-//! silent past [`TcpOptions::peer_timeout`] without having sent FIN.
+//! peer's listener once (every caller binds every listener before any
+//! dial, so a refusal is [`TransportError::Unreachable`], not a race) and
+//! writes to those sockets; it reads from the `hosts - 1` connections it
+//! accepts. Per outbound socket a writer thread drains a frame queue
+//! (heartbeating when idle); per inbound socket a reader thread feeds the
+//! same dispatch → fault layer → resequencer path the simulator uses, so
+//! [`crate::FaultPlan`]'s pure `decide` makes the simulator's decisions at
+//! the receiving end. A monitor thread sleeps until a connected peer could
+//! have been silent for [`TcpOptions::peer_timeout`].
 //!
-//! ## Failure semantics
+//! ## One peer link
 //!
-//! Without rejoin ([`TcpOptions::rejoin`] off, the default), a peer that
-//! closes its connection (or tears a frame) without FIN is declared lost
-//! immediately; the fabric unwinds every blocked operation and the run
-//! ends in a typed [`ClusterError::HostLost`] — never a hang. A host that
-//! panics aborts its writers *without* FIN, so peers detect the death by
-//! EOF. Fault injection ([`crate::FaultPlan`]) is applied at the
-//! receiving end of the wire — `decide` is a pure function of
-//! `(seed, src, dst, tag, seq)`, so the decisions are identical to the
-//! simulator's regardless of which side of the socket evaluates them.
-//!
-//! ## Process rejoin
-//!
-//! With [`TcpOptions::rejoin`] on (how `cusp-part launch` supervises its
-//! workers), a dead peer opens a bounded **down window** instead of
-//! aborting the run:
-//!
-//! * Connection failures and heartbeat silence mark the peer *down*: its
-//!   writer queue is unhooked (outbound frames are dropped but retained in
-//!   the per-destination send log) and its reader socket is torn so the
-//!   state is unambiguous. Blocked receives and barriers keep waiting.
-//! * The mesh listener stays open after `establish`; a **rejoin acceptor**
-//!   thread answers HELLOs for the same `run_nonce` whose `incarnation` is
-//!   strictly greater than the peer's last known one (anything else gets
-//!   `REJECT StaleIncarnation`). On accept it bumps the peer's connection
-//!   generation (so the stale reader's death is ignored), re-dials the
-//!   peer's listener, **replays the entire send log** for that
-//!   destination, re-announces its own barrier arrival count, re-sends FIN
-//!   if it had already finished, and installs fresh writer/reader threads.
-//! * The receive-side resequencer floors survive untouched, so replayed
-//!   traffic dedups exactly as in the simulator; replayed bytes are
-//!   accounted in [`crate::CommStats::replayed_bytes`], outside the
-//!   conserved per-phase matrices.
-//! * A peer still down after [`TcpOptions::rejoin_window`] is declared
-//!   lost — the typed `HostLost`, never a hang.
-//!
-//! [`ClusterError::HostLost`]: crate::ClusterError
+//! What a FIN, a broken connection, silence, a reconnecting HELLO or a
+//! supervisor's word that a peer finished means is decided by the peer's
+//! [`PeerLink`] (`super::link`; DESIGN.md §11 has its table): the threads
+//! only report to it and act, under the one lock that holds the link with
+//! the peer's queue, reader socket and send log. A down peer (with
+//! [`TcpOptions::rejoin`]) has no deadline here; its supervisor decides.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use cusp_graph::wire;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
+use super::link::{self, Action, Event, LinkState, PeerLink, Resend};
 use super::{RejectReason, Transport, TransportError};
 use crate::cluster::{Envelope, Fabric, HostId, Tag, MAX_TAGS};
 use crate::serialize::{decode_envelope, encode_envelope, WireWriter};
@@ -104,12 +76,15 @@ const MAX_FRAME: u32 = 1 << 30;
 /// Handshake frames are tiny; a "HELLO" claiming more is garbage.
 const MAX_HANDSHAKE_FRAME: u32 = 256;
 
+/// How long one handshake exchange may take on a connected socket.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(3);
+
 /// How often reader threads come up for air to check shutdown/abort flags
 /// while blocked on a socket.
 const READ_POLL: Duration = Duration::from_millis(100);
 
-/// Monitor thread wake interval.
-const MONITOR_POLL: Duration = Duration::from_millis(50);
+/// Mesh acceptor poll interval while no connection is pending.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Rejoin acceptor poll interval while no connection is pending.
 const REJOIN_POLL: Duration = Duration::from_millis(10);
@@ -118,52 +93,40 @@ const REJOIN_POLL: Duration = Duration::from_millis(10);
 /// loaded CI machine must never produce spurious `HostLost`s.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpOptions {
-    /// How long to keep redialing an unreachable peer before giving up.
-    pub dial_timeout: Duration,
-    /// Initial redial backoff (doubles per attempt, capped at 500ms).
-    pub dial_backoff: Duration,
+    /// Idle writers emit a heartbeat frame this often; the silence timeout
+    /// is derived from it ([`TcpOptions::peer_timeout`]).
+    pub heartbeat_interval: Duration,
     /// How long to wait for all `hosts - 1` inbound peers to connect.
     pub accept_timeout: Duration,
-    /// Per-socket timeout for one handshake exchange.
-    pub handshake_timeout: Duration,
-    /// Idle writers emit a heartbeat frame this often.
-    pub heartbeat_interval: Duration,
-    /// A peer silent this long (without FIN) is declared lost — or, with
-    /// [`TcpOptions::rejoin`], marked down pending a reconnect.
-    pub peer_timeout: Duration,
     /// Accept reconnecting peers with a newer incarnation instead of
     /// aborting on the first connection loss. Costs a per-destination
     /// send log kept for the whole run; enabled by the process supervisor
     /// (`cusp-part launch`), off for unsupervised meshes.
     pub rejoin: bool,
-    /// With [`TcpOptions::rejoin`]: how long a peer may stay down before
-    /// it is declared lost after all.
-    pub rejoin_window: Duration,
 }
 
 impl Default for TcpOptions {
     fn default() -> Self {
         TcpOptions {
-            dial_timeout: Duration::from_secs(15),
-            dial_backoff: Duration::from_millis(20),
-            accept_timeout: Duration::from_secs(15),
-            handshake_timeout: Duration::from_secs(3),
             heartbeat_interval: Duration::from_millis(500),
-            peer_timeout: Duration::from_secs(10),
+            accept_timeout: Duration::from_secs(15),
             rejoin: false,
-            rejoin_window: Duration::from_secs(60),
         }
     }
 }
 
 impl TcpOptions {
     /// These options with idle writers heartbeating every `interval`
-    /// (at least 10 ms). The silence timeout scales with it (20×, floor
-    /// 500 ms), preserving the default 500 ms → 10 s ratio.
+    /// (at least 10 ms).
     pub fn with_heartbeat(mut self, interval: Duration) -> Self {
         self.heartbeat_interval = interval.max(Duration::from_millis(10));
-        self.peer_timeout = (self.heartbeat_interval * 20).max(Duration::from_millis(500));
         self
+    }
+
+    /// A connected peer silent this long without FIN has failed: 20
+    /// heartbeats, at least 500 ms (10 s at the default heartbeat).
+    pub fn peer_timeout(&self) -> Duration {
+        (self.heartbeat_interval * 20).max(Duration::from_millis(500))
     }
 }
 
@@ -179,13 +142,34 @@ enum Out {
     Abort,
 }
 
+/// One peer as the driver holds it: the link and the handles its actions
+/// act on.
+struct Peer {
+    link: PeerLink,
+    /// Frames toward the peer's writer thread; `None` while unhooked (and
+    /// at `me`).
+    queue: Option<Sender<Out>>,
+    /// A clone of the current inbound socket, so its reader can be torn out
+    /// of a blocking read.
+    reader: Option<TcpStream>,
+    /// Every `(encoded frame, payload bytes)` shipped to the peer, kept with
+    /// rejoin for the whole run: a from-scratch respawn needs them all.
+    log: Vec<(Bytes, u64)>,
+}
+
+struct Link {
+    /// The latest admitted generation, written under `peer`'s lock: the one
+    /// thing the per-frame path reads, to stop a superseded reader.
+    gen: AtomicU64,
+    peer: Mutex<Peer>,
+}
+
 /// State shared between the transport handle and its threads.
 struct TcpShared {
     me: HostId,
     hosts: usize,
     run_nonce: u64,
-    /// This process's incarnation (0 for the first spawn; the supervisor
-    /// increments it per respawn).
+    /// This process's incarnation (0 for a first spawn).
     incarnation: u32,
     opts: TcpOptions,
     /// Every host's listen address (`peers[me]` is our own).
@@ -193,33 +177,19 @@ struct TcpShared {
     start: Instant,
     /// Milliseconds since `start` of the last frame from each peer.
     last_heard: Vec<AtomicU64>,
-    /// Set once a peer's FIN arrives — silence is then expected. Cleared
-    /// again when that peer rejoins with a newer incarnation.
-    fin_received: Vec<AtomicBool>,
-    /// Set by `finish` so readers and the monitor stand down.
+    links: Vec<Link>,
+    /// The fabric `start` ran the transport on.
+    fabric: OnceLock<Weak<Fabric>>,
+    /// Set by `finish` so readers, the monitor and the rejoin acceptor
+    /// stand down.
     shutting_down: AtomicBool,
-    /// Set when a clean FIN has been enqueued, so a later rejoin re-sends
-    /// it on the fresh connection.
+    /// Set when a clean FIN has been enqueued, so a later admission
+    /// re-sends it on the fresh connection.
     fin_sent: AtomicBool,
-    /// Outbound frame queues, one per peer (`None` at `me`, and `None`
-    /// while a peer is down awaiting rejoin).
-    outbound: Vec<Mutex<Option<Sender<Out>>>>,
-    /// Per-destination replay log of `(encoded frame, payload bytes)` —
-    /// populated only when `opts.rejoin` is set.
-    send_log: Vec<Mutex<Vec<(Bytes, u64)>>>,
-    /// Clones of the current inbound socket per peer, so a rejoin (or a
-    /// down-marking) can tear the stale reader out of its blocking read.
-    reader_socks: Vec<Mutex<Option<TcpStream>>>,
-    /// Last incarnation each peer was accepted with.
-    peer_incarnation: Vec<AtomicU32>,
-    /// Connection generation per peer; bumping it invalidates failure
-    /// reports from the superseded reader.
-    conn_gen: Vec<AtomicU64>,
-    /// `0` while the peer is up; otherwise `now_ms + 1` at the moment the
-    /// down window opened.
-    down_since: Vec<AtomicU64>,
-    /// Rejoin handshakes accepted.
-    rejoins: AtomicU64,
+    /// Notified after every link step and at shutdown: `finish` waits on it
+    /// for every FIN, the monitor for its next deadline.
+    waiting: Mutex<()>,
+    links_changed: Condvar,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -235,38 +205,96 @@ impl TcpShared {
     fn stopped(&self, fabric: &Fabric) -> bool {
         self.shutting_down.load(Ordering::Acquire) || fabric.should_abort()
     }
+
+    fn fabric(&self) -> Option<Arc<Fabric>> {
+        self.fabric.get().and_then(Weak::upgrade)
+    }
+
+    fn state(&self, peer: HostId) -> LinkState {
+        self.links[peer].peer.lock().link.state()
+    }
+
+    fn notify(&self) {
+        let _guard = self.waiting.lock();
+        self.links_changed.notify_all();
+    }
 }
 
-/// Marks a connection failure from `peer`, observed on connection
-/// generation `gen`. Without rejoin this is a terminal `HostLost`; with
-/// rejoin it opens the peer's down window (first marker wins) and tears
-/// both simplex halves so the state is unambiguous: down means *no*
-/// connection, recovery only via a fresh rejoin handshake.
-fn peer_failed(fabric: &Fabric, shared: &TcpShared, peer: HostId, gen: u64) {
-    if shared.stopped(fabric) {
-        return;
+/// Steps `peer`'s link with `event` and performs what it says, all under
+/// the peer's lock, leaving one trace instant per action. `hello` is the
+/// connection an [`Event::HelloFrom`] arrived on.
+fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<TcpStream>) {
+    let Some(fabric) = shared.fabric() else { return };
+    let mut p = shared.links[peer].peer.lock();
+    let mut actions = p.link.step(event);
+    let mut next = 0;
+    while let Some(&action) = actions.get(next) {
+        next += 1;
+        let name = match action {
+            Action::Unhook => {
+                p.queue = None;
+                if let Some(s) = p.reader.take() {
+                    let _ = s.shutdown(Shutdown::Both);
+                }
+                "peer_down"
+            }
+            Action::Admit { gen } => {
+                let stream = hello.take().expect("only a HELLO is admitted");
+                let ok = admit(&fabric, shared, &mut p, peer, gen, stream);
+                actions.extend(p.link.step(Event::Redialed { ok }));
+                "peer_rejoin"
+            }
+            Action::Reject(reason) => {
+                reject(hello.as_mut().expect("only a HELLO is refused"), reason);
+                "peer_reject"
+            }
+            Action::Release => "peer_fin",
+            Action::MarkLost => {
+                fabric.mark_remote_lost(peer);
+                "peer_lost"
+            }
+        };
+        cusp_obs::instant(name, peer as u64);
     }
-    if gen < shared.conn_gen[peer].load(Ordering::Acquire) {
-        return; // a superseded connection's death, not the peer's
+    drop(p);
+    shared.notify();
+}
+
+/// Performs [`Action::Admit`]: accepts the HELLO on `stream`, re-dials the
+/// peer's listener, queues what [`link::resend`] lists and stands up fresh
+/// writer and reader threads as generation `gen`. `false` if the peer could
+/// not be reached back (it died again mid-rejoin).
+fn admit(
+    fabric: &Arc<Fabric>,
+    shared: &Arc<TcpShared>,
+    p: &mut Peer,
+    peer: HostId,
+    gen: u64,
+    mut stream: TcpStream,
+) -> bool {
+    shared.links[peer].gen.store(gen, Ordering::Release);
+    shared.heard(peer);
+    let hello = hello_body(shared.me, shared.hosts, shared.run_nonce, shared.incarnation);
+    let redial = write_frame(&mut stream, FRAME_ACCEPT, &[])
+        .ok()
+        .and_then(|()| dial(peer, &shared.peers[peer], &hello).ok());
+    let Some(out) = redial else { return false };
+    let (tx, rx) = unbounded();
+    let fin = shared.fin_sent.load(Ordering::Acquire);
+    for item in link::resend(&p.log, fabric.barrier.arrived(shared.me), fin) {
+        let _ = tx.send(match item {
+            Resend::Logged((frame, payload_bytes)) => {
+                fabric.stats.record_replayed(*payload_bytes);
+                Out::Env(frame.clone())
+            }
+            Resend::Barrier(n) => Out::Barrier(n),
+            Resend::Fin => Out::Fin,
+        });
     }
-    if !shared.opts.rejoin {
-        fabric.mark_remote_lost(peer);
-        return;
-    }
-    if shared.fin_received[peer].load(Ordering::Acquire) {
-        return; // clean close after FIN
-    }
-    let stamp = shared.now_ms() + 1;
-    if shared.down_since[peer]
-        .compare_exchange(0, stamp, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
-    {
-        *shared.outbound[peer].lock() = None;
-        if let Some(s) = shared.reader_socks[peer].lock().take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        cusp_obs::instant("peer_down", peer as u64);
-    }
+    p.queue = Some(tx);
+    spawn_writer(shared, peer, gen, out, rx);
+    spawn_reader(shared, p, stream, peer, gen);
+    true
 }
 
 /// See [`TcpTransport::saboteur`].
@@ -282,6 +310,22 @@ impl Saboteur {
     }
 }
 
+/// See [`TcpTransport::finished`].
+pub struct Finished(Arc<TcpShared>);
+
+impl Finished {
+    /// Takes the word of `peer`'s supervisor that its process finished: it
+    /// passed every barrier and never needs the mesh again, even if its last
+    /// arrival and its FIN died with it. Ignored outside the run.
+    pub fn peer(&self, peer: HostId) {
+        let fabric = self.0.fabric().filter(|_| peer < self.0.hosts && peer != self.0.me);
+        if let Some(fabric) = fabric {
+            fabric.barrier.announce(peer, u64::MAX);
+            drive(&self.0, peer, Event::Finished, None);
+        }
+    }
+}
+
 /// Connected-but-not-yet-running sockets, parked between
 /// [`TcpTransport::establish`] and [`Transport::start`].
 struct Pending {
@@ -289,6 +333,9 @@ struct Pending {
     inbound: Vec<(HostId, TcpStream)>,
     /// `(peer, socket, queue)` — outbound simplex connections we write to.
     writers: Vec<(HostId, TcpStream, Receiver<Out>)>,
+    /// Kept open with rejoin, so reconnecting peers have a door to knock on
+    /// for the whole run.
+    listener: Option<TcpListener>,
 }
 
 /// The established TCP transport for one host process. Created by
@@ -297,9 +344,6 @@ struct Pending {
 pub struct TcpTransport {
     shared: Arc<TcpShared>,
     pending: Mutex<Option<Pending>>,
-    /// Kept open when rejoin is enabled, so reconnecting peers have a door
-    /// to knock on for the whole run.
-    listener: Mutex<Option<TcpListener>>,
 }
 
 impl TcpTransport {
@@ -329,6 +373,13 @@ impl TcpTransport {
         stream.try_clone().ok().map(Saboteur)
     }
 
+    /// A handle through which a supervisor that saw a peer finish says so
+    /// ([`Finished::peer`]): a host that printed its result is never
+    /// respawned, so nothing else would resolve a wait for its FIN.
+    pub fn finished(&self) -> Finished {
+        Finished(Arc::clone(&self.shared))
+    }
+
     /// [`TcpTransport::establish_with`] at incarnation 0 — a first spawn.
     pub fn establish(
         me: HostId,
@@ -341,17 +392,16 @@ impl TcpTransport {
     }
 
     /// Builds the full connection mesh for host `me` of `peers.len()`
-    /// hosts: dials every peer's listener (retrying with backoff until
-    /// [`TcpOptions::dial_timeout`]) while concurrently accepting the
-    /// `hosts - 1` inbound connections on `listener`, validating every
+    /// hosts: dials every peer's listener once while concurrently accepting
+    /// the `hosts - 1` inbound connections on `listener`, validating every
     /// handshake against `{magic, version, host_id, hosts, run_nonce}`.
     ///
     /// `peers[i]` is host `i`'s listen address; `peers[me]` is this host's
     /// own (used only for arity, unless rejoin keeps the listener open).
+    /// Every host's listener must be bound before any host calls this.
     /// `incarnation` is this process's spawn count for the run; survivors
     /// of a crash accept a redial only with a strictly larger value than
-    /// the one they last saw. Returns a typed [`TransportError`] on any
-    /// bind/dial/handshake failure — never hangs past its timeouts.
+    /// the one they last saw. Any failure is a typed [`TransportError`].
     pub fn establish_with(
         me: HostId,
         listener: TcpListener,
@@ -365,45 +415,46 @@ impl TcpTransport {
             return Err(TransportError::Config("empty peer list".into()));
         }
         if me >= hosts {
-            return Err(TransportError::Config(format!(
-                "host id {me} out of range for {hosts} host(s)"
-            )));
+            let detail = format!("host id {me} out of range for {hosts} host(s)");
+            return Err(TransportError::Config(detail));
         }
 
         // Accept concurrently with our own dials: every worker is doing
         // both at once, so neither side can afford to serialize them.
         let acceptor = std::thread::Builder::new()
             .name("tcp-accept".into())
-            .spawn(move || accept_peers(listener, me, hosts, run_nonce, &opts))
+            .spawn(move || accept_peers(listener, me, hosts, run_nonce, opts.accept_timeout))
             .expect("failed to spawn acceptor thread");
 
-        let mut outbound: Vec<Option<Sender<Out>>> = (0..hosts).map(|_| None).collect();
-        let mut writers = Vec::with_capacity(hosts.saturating_sub(1));
-        let mut dial_err = None;
-        for (peer, addr) in peers.iter().enumerate() {
-            if peer == me {
-                continue;
-            }
-            match dial(me, peer, addr, hosts, run_nonce, incarnation, &opts, &|| false) {
-                Ok(stream) => {
-                    let (tx, rx) = unbounded();
-                    outbound[peer] = Some(tx);
-                    writers.push((peer, stream, rx));
-                }
-                Err(e) => {
-                    dial_err = Some(e);
-                    break;
-                }
-            }
-        }
+        let hello = hello_body(me, hosts, run_nonce, incarnation);
+        let dialed: Result<Vec<_>, _> = (0..hosts)
+            .filter(|&peer| peer != me)
+            .map(|peer| dial(peer, &peers[peer], &hello).map(|s| (peer, s)))
+            .collect();
         // Join the acceptor even on a dial error: it owns the listener and
         // terminates at accept_timeout at the latest.
         let accepted = acceptor.join().expect("acceptor thread panicked");
-        if let Some(e) = dial_err {
-            return Err(e);
-        }
-        let (listener, accepted) = accepted?;
+        let (dialed, (listener, accepted)) = (dialed?, accepted?);
 
+        let mut queues: Vec<Option<Sender<Out>>> = (0..hosts).map(|_| None).collect();
+        let mut incarnations = vec![0; hosts];
+        let listener = opts.rejoin.then_some(listener);
+        let mut pending = Pending { inbound: Vec::new(), writers: Vec::new(), listener };
+        for (peer, stream) in dialed {
+            let (tx, rx) = unbounded();
+            queues[peer] = Some(tx);
+            pending.writers.push((peer, stream, rx));
+        }
+        for (peer, inc, stream) in accepted {
+            incarnations[peer] = inc;
+            pending.inbound.push((peer, stream));
+        }
+        let links = queues.into_iter().zip(incarnations).map(|(queue, inc)| {
+            let link = PeerLink::new(opts.rejoin, inc);
+            let peer = Mutex::new(Peer { link, queue, reader: None, log: Vec::new() });
+            Link { gen: AtomicU64::new(0), peer }
+        });
+        // Every peer proved alive during the handshake just now: heard at 0.
         let shared = Arc::new(TcpShared {
             me,
             hosts,
@@ -413,56 +464,38 @@ impl TcpTransport {
             peers: peers.to_vec(),
             start: Instant::now(),
             last_heard: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
-            fin_received: (0..hosts).map(|_| AtomicBool::new(false)).collect(),
+            links: links.collect(),
+            fabric: OnceLock::new(),
             shutting_down: AtomicBool::new(false),
             fin_sent: AtomicBool::new(false),
-            outbound: outbound.into_iter().map(Mutex::new).collect(),
-            send_log: (0..hosts).map(|_| Mutex::new(Vec::new())).collect(),
-            reader_socks: (0..hosts).map(|_| Mutex::new(None)).collect(),
-            peer_incarnation: (0..hosts).map(|_| AtomicU32::new(0)).collect(),
-            conn_gen: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
-            down_since: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
-            rejoins: AtomicU64::new(0),
+            waiting: Mutex::new(()),
+            links_changed: Condvar::new(),
             threads: Mutex::new(Vec::new()),
         });
 
-        let mut inbound = Vec::with_capacity(accepted.len());
-        for (peer, inc, stream) in accepted {
-            shared.peer_incarnation[peer].store(inc, Ordering::Release);
-            inbound.push((peer, stream));
-        }
-        // Peers proved alive during the handshake just now.
-        for peer in 0..hosts {
-            shared.heard(peer);
-        }
-
         Ok(TcpTransport {
             shared,
-            pending: Mutex::new(Some(Pending { inbound, writers })),
-            listener: Mutex::new(opts.rejoin.then_some(listener)),
+            pending: Mutex::new(Some(pending)),
         })
     }
 }
 
 impl Transport for TcpTransport {
     fn start(&self, fabric: &Arc<Fabric>) {
-        let Some(pending) = self.pending.lock().take() else {
-            return;
-        };
+        let Some(pending) = self.pending.lock().take() else { return };
         let shared = &self.shared;
+        let _ = shared.fabric.set(Arc::downgrade(fabric));
         for (peer, stream, rx) in pending.writers {
-            let interval = shared.opts.heartbeat_interval;
-            let name = format!("tcp-send-{peer}");
-            spawn_io(shared, name, None, move || writer_loop(stream, rx, interval));
+            spawn_writer(shared, peer, 0, stream, rx);
         }
         for (peer, stream) in pending.inbound {
-            spawn_reader(fabric, shared, format!("tcp-recv-{peer}"), stream, peer, 0);
+            spawn_reader(shared, &mut shared.links[peer].peer.lock(), stream, peer, 0);
         }
         if shared.hosts > 1 {
             let (f, s) = (Arc::clone(fabric), Arc::clone(shared));
             spawn_io(shared, "tcp-monitor".into(), Some("tcp-monitor"), move || monitor_loop(f, s));
         }
-        if let Some(listener) = self.listener.lock().take() {
+        if let Some(listener) = pending.listener {
             let (f, s) = (Arc::clone(fabric), Arc::clone(shared));
             let body = move || rejoin_acceptor(listener, f, s);
             spawn_io(shared, "tcp-rejoin".into(), Some("tcp-rejoin"), body);
@@ -471,28 +504,27 @@ impl Transport for TcpTransport {
 
     fn ship(&self, _fabric: &Fabric, dst: HostId, tag: Tag, env: Envelope) {
         let frame = encode_envelope(tag.0, env.src as u64, env.phase, env.seq, &env.payload);
-        let shared = &self.shared;
-        if shared.opts.rejoin {
-            shared.send_log[dst]
-                .lock()
-                .push((frame.clone(), env.payload.len() as u64));
+        let mut p = self.shared.links[dst].peer.lock();
+        if self.shared.opts.rejoin {
+            p.log.push((frame.clone(), env.payload.len() as u64));
         }
-        if let Some(tx) = &*shared.outbound[dst].lock() {
-            // A closed queue means the writer died with its peer; the run
-            // is already being torn down and check_abort will surface it.
-            // A down peer's slot is None: the frame stays in the send log
-            // and is replayed wholesale at rejoin.
+        if let Some(tx) = &p.queue {
+            // A closed queue means the writer died with its peer; the link
+            // hears of it from the reader or the monitor. An unhooked peer's
+            // frame stays in the log and is replayed at its admission.
             let _ = tx.send(Out::Env(frame));
         }
     }
 
     fn barrier_wait(&self, fabric: &Fabric, host: HostId, n: u64) -> bool {
-        // Announce over every connection *before* blocking. Queues are
-        // FIFO per peer, so a peer observes all our pre-barrier envelopes
+        // Arrive locally first, so an admission racing this call re-announces
+        // `n`; then announce over every connection *before* blocking. Queues
+        // are FIFO per peer, so a peer observes all our pre-barrier envelopes
         // before our arrival — exactly the simulator's guarantee that
         // barrier release implies all prior traffic is in the mailboxes.
-        for slot in &self.shared.outbound {
-            if let Some(tx) = &*slot.lock() {
+        fabric.barrier.announce(host, n);
+        for link in &self.shared.links {
+            if let Some(tx) = &link.peer.lock().queue {
                 let _ = tx.send(Out::Barrier(n));
             }
         }
@@ -500,11 +532,12 @@ impl Transport for TcpTransport {
     }
 
     fn finish(&self, fabric: &Fabric, clean: bool) {
+        let shared = &self.shared;
         if clean {
-            self.shared.fin_sent.store(true, Ordering::Release);
+            shared.fin_sent.store(true, Ordering::Release);
         }
-        for slot in &self.shared.outbound {
-            if let Some(tx) = &*slot.lock() {
+        for link in &shared.links {
+            if let Some(tx) = &link.peer.lock().queue {
                 let _ = tx.send(if clean { Out::Fin } else { Out::Abort });
             }
         }
@@ -513,22 +546,22 @@ impl Transport for TcpTransport {
             // slower peers can still pull our already-queued frames and
             // barriers. The readers and the monitor are still up, so a
             // peer that dies or goes silent here raises the abort flag
-            // exactly as it would have during the run.
-            while !fabric.should_abort() {
-                let all = (0..self.shared.hosts)
-                    .filter(|&p| p != self.shared.me)
-                    .all(|p| self.shared.fin_received[p].load(Ordering::Acquire));
-                if all {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            // exactly as it would have during the run; both wake this wait.
+            let finned = |p| p == shared.me || matches!(shared.state(p), LinkState::Finned { .. });
+            let mut guard = shared.waiting.lock();
+            while !fabric.should_abort() && !(0..shared.hosts).all(finned) {
+                shared.links_changed.wait(&mut guard);
             }
         }
-        self.shared.shutting_down.store(true, Ordering::Release);
+        shared.shutting_down.store(true, Ordering::Release);
+        for link in &shared.links {
+            link.peer.lock().link.step(Event::Shutdown);
+        }
+        shared.notify();
         loop {
-            // Rejoin handlers may add writer/reader threads concurrently
-            // with this join; drain until the list stays empty.
-            let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.threads.lock());
+            // Admissions may add writer/reader threads concurrently with
+            // this join; drain until the list stays empty.
+            let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *shared.threads.lock());
             if handles.is_empty() {
                 break;
             }
@@ -539,13 +572,14 @@ impl Transport for TcpTransport {
     }
 
     fn rejoin_count(&self) -> u64 {
-        self.shared.rejoins.load(Ordering::Relaxed)
+        // One generation per admission.
+        self.shared.links.iter().map(|l| l.gen.load(Ordering::Relaxed)).sum()
     }
 }
 
 /// Starts one of the transport's threads and keeps its handle for `finish`
 /// to join. With a `role`, the thread records into the trace the calling
-/// thread is attached to (if tracing is on), so `peer_down` / `peer_rejoin`
+/// thread is attached to (if tracing is on), so the links' `peer_*`
 /// instants land beside the host's own events.
 fn spawn_io(
     shared: &TcpShared,
@@ -564,25 +598,21 @@ fn spawn_io(
     shared.threads.lock().push(handle);
 }
 
-/// Stands up the reader of connection generation `gen` from `peer`,
-/// keeping a clone of its socket so that a rejoin (or a down-marking) can
-/// tear it out of a blocking read.
-fn spawn_reader(
-    fabric: &Arc<Fabric>,
-    shared: &Arc<TcpShared>,
-    name: String,
-    stream: TcpStream,
-    peer: HostId,
-    gen: u64,
-) {
-    *shared.reader_socks[peer].lock() = stream.try_clone().ok();
-    let (f, s) = (Arc::clone(fabric), Arc::clone(shared));
-    spawn_io(shared, name, Some("tcp-recv"), move || reader_loop(stream, peer, gen, f, s));
+/// Stands up the writer of connection generation `gen` toward `peer`.
+fn spawn_writer(shared: &TcpShared, peer: HostId, gen: u64, stream: TcpStream, rx: Receiver<Out>) {
+    let interval = shared.opts.heartbeat_interval;
+    let body = move || writer_loop(stream, rx, interval);
+    spawn_io(shared, format!("tcp-send-{peer}-g{gen}"), None, body);
 }
 
-// ---------------------------------------------------------------------------
-// Frame I/O helpers
-// ---------------------------------------------------------------------------
+/// Stands up the reader of connection generation `gen` from `peer`,
+/// keeping a clone of its socket in `p` so that the link can tear it.
+fn spawn_reader(shared: &Arc<TcpShared>, p: &mut Peer, stream: TcpStream, peer: HostId, gen: u64) {
+    p.reader = stream.try_clone().ok();
+    let (f, s) = (shared.fabric().expect("readers start with the run"), Arc::clone(shared));
+    let name = format!("tcp-recv-{peer}-g{gen}");
+    spawn_io(shared, name, Some("tcp-recv"), move || reader_loop(stream, peer, gen, f, s));
+}
 
 /// `len: u32 LE | kind` — the five bytes that start every frame.
 fn frame_head(len: u32, kind: u8) -> [u8; 5] {
@@ -609,10 +639,8 @@ fn read_handshake_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)
     stream.read_exact(&mut len_buf)?;
     let len = frame_len(len_buf);
     if len == 0 || len > MAX_HANDSHAKE_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("handshake frame length {len}"),
-        ));
+        let detail = format!("handshake frame length {len}");
+        return Err(std::io::Error::new(ErrorKind::InvalidData, detail));
     }
     let mut frame = vec![0u8; len as usize];
     stream.read_exact(&mut frame)?;
@@ -625,8 +653,8 @@ enum ReadOutcome {
     Ok,
     /// The stop flag fired while blocked.
     Stopped,
-    /// EOF or an I/O error. Whether an EOF is clean is the caller's to say:
-    /// only a FIN before it makes it so.
+    /// EOF or an I/O error; whether it was the expected close is the link's
+    /// to say.
     Failed,
 }
 
@@ -639,30 +667,21 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -> Rea
         match r.read(&mut buf[off..]) {
             Ok(0) => return ReadOutcome::Failed,
             Ok(n) => off += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if stop() {
                     return ReadOutcome::Stopped;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return ReadOutcome::Failed,
         }
     }
     ReadOutcome::Ok
 }
 
-// ---------------------------------------------------------------------------
-// Handshake
-// ---------------------------------------------------------------------------
-
-/// The HELLO frame body. `#[doc(hidden)] pub`, like [`parse_hello`] and
-/// [`admit_incarnation`], so `tests/hello_props.rs` pins the very functions
-/// the dialer and both acceptors call — not part of the supported API.
+/// The HELLO frame body. `#[doc(hidden)] pub`, like [`parse_hello`], so
+/// `tests/hello_props.rs` pins the very functions the dialer and both
+/// acceptors call — not part of the supported API.
 #[doc(hidden)]
 pub fn hello_body(me: HostId, hosts: usize, run_nonce: u64, incarnation: u32) -> Bytes {
     let mut w = WireWriter::with_capacity(25);
@@ -675,65 +694,38 @@ pub fn hello_body(me: HostId, hosts: usize, run_nonce: u64, incarnation: u32) ->
     w.finish()
 }
 
-/// Dials `addr` until the peer answers (or the timeout, or `stop`), then
-/// runs the HELLO/ACCEPT exchange.
-#[allow(clippy::too_many_arguments)]
-fn dial(
-    me: HostId,
-    peer: HostId,
-    addr: &str,
-    hosts: usize,
-    run_nonce: u64,
-    incarnation: u32,
-    opts: &TcpOptions,
-    stop: &dyn Fn() -> bool,
-) -> Result<TcpStream, TransportError> {
-    let deadline = Instant::now() + opts.dial_timeout;
-    let mut backoff = opts.dial_backoff;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(mut stream) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(opts.handshake_timeout));
-                let hs = |detail: String| TransportError::Handshake { peer, detail };
-                write_frame(
-                    &mut stream,
-                    FRAME_HELLO,
-                    &hello_body(me, hosts, run_nonce, incarnation),
-                )
-                .map_err(|e| hs(format!("cannot send HELLO: {e}")))?;
-                let (kind, body) = read_handshake_frame(&mut stream)
-                    .map_err(|e| hs(format!("no handshake reply: {e}")))?;
-                return match kind {
-                    FRAME_ACCEPT => {
-                        let _ = stream.set_read_timeout(None);
-                        Ok(stream)
-                    }
-                    FRAME_REJECT => {
-                        let reason = body
-                            .first()
-                            .and_then(|&b| RejectReason::from_u8(b))
-                            .unwrap_or(RejectReason::BadMagic);
-                        Err(TransportError::Rejected { peer, reason })
-                    }
-                    other => Err(hs(format!("unexpected handshake frame kind {other}"))),
-                };
-            }
-            Err(_) => {
-                if stop() || Instant::now() >= deadline {
-                    return Err(TransportError::DialTimeout { peer, addr: addr.to_string() });
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(500));
-            }
+/// Connects to `peer` at `addr` once, then sends `hello` and waits for
+/// the answer. The listener is bound before anyone dials it, so a refusal
+/// is an answer, not a race to retry.
+fn dial(peer: HostId, addr: &str, hello: &[u8]) -> Result<TcpStream, TransportError> {
+    let unreachable = |_| TransportError::Unreachable { peer, addr: addr.to_string() };
+    let mut stream = TcpStream::connect(addr).map_err(unreachable)?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
+    let hs = |detail: String| TransportError::Handshake { peer, detail };
+    write_frame(&mut stream, FRAME_HELLO, hello).map_err(|e| hs(format!("no HELLO sent: {e}")))?;
+    let (kind, body) =
+        read_handshake_frame(&mut stream).map_err(|e| hs(format!("no handshake reply: {e}")))?;
+    match kind {
+        FRAME_ACCEPT => {
+            let _ = stream.set_read_timeout(None);
+            Ok(stream)
         }
+        FRAME_REJECT => {
+            let reason = body
+                .first()
+                .and_then(|&b| RejectReason::from_u8(b))
+                .unwrap_or(RejectReason::BadMagic);
+            Err(TransportError::Rejected { peer, reason })
+        }
+        other => Err(hs(format!("unexpected handshake frame kind {other}"))),
     }
 }
 
 /// Parses and checks the transport-level HELLO fields shared by the mesh
 /// acceptor and the rejoin acceptor: magic, version, cluster shape, run
 /// nonce. Returns the claimed `(host_id, incarnation)`; the caller applies
-/// its own slot/staleness policy on top.
+/// its own slot policy, or the peer's link its incarnation rule, on top.
 #[doc(hidden)]
 pub fn parse_hello(
     body: &[u8],
@@ -766,34 +758,27 @@ pub fn parse_hello(
     Ok((host_id, incarnation))
 }
 
-/// Answers the HELLO on one accepted connection, the step the mesh
-/// acceptor and the rejoin acceptor share: `validate` is the caller's
-/// admission rule over the HELLO body. An admitted peer gets an ACCEPT and
-/// is returned as `(host_id, incarnation)`; a refused one gets a REJECT
-/// carrying the reason (the dialer sees it and errors out). `None` also
-/// covers strangers that never speak the protocol (port scans, stale
-/// workers), which are dropped silently.
-fn answer_hello(
-    stream: &mut TcpStream,
-    opts: &TcpOptions,
-    validate: impl FnOnce(&[u8]) -> Result<(HostId, u32), RejectReason>,
-) -> Option<(HostId, u32)> {
+/// Reads the HELLO on one accepted connection and checks its fields — the
+/// step both acceptors share. A malformed or foreign HELLO gets a REJECT
+/// carrying the reason (the dialer sees it and errors out); strangers that
+/// never speak the protocol (port scans, stale workers) are dropped
+/// silently. Both come back as `None`.
+fn read_hello(s: &mut TcpStream, me: HostId, hosts: usize, nonce: u64) -> Option<(HostId, u32)> {
     // The accepted socket may inherit the listener's non-blocking mode; the
     // reader threads want plain blocking-with-timeout.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(opts.handshake_timeout));
-    let (kind, body) = read_handshake_frame(stream).ok()?;
+    let _ = s.set_nonblocking(false);
+    let _ = s.set_nodelay(true);
+    let _ = s.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
+    let (kind, body) = read_handshake_frame(s).ok()?;
     if kind != FRAME_HELLO {
         return None;
     }
-    match validate(&body) {
-        Ok(admitted) => write_frame(stream, FRAME_ACCEPT, &[]).is_ok().then_some(admitted),
-        Err(reason) => {
-            let _ = write_frame(stream, FRAME_REJECT, &[reason as u8]);
-            None
-        }
-    }
+    parse_hello(&body, me, hosts, nonce).map_err(|reason| reject(s, reason)).ok()
+}
+
+/// Answers a HELLO with REJECT carrying `reason`.
+fn reject(stream: &mut TcpStream, reason: RejectReason) {
+    let _ = write_frame(stream, FRAME_REJECT, &[reason as u8]);
 }
 
 /// Accept loop: collects `hosts - 1` validated peer connections, returning
@@ -807,33 +792,25 @@ fn accept_peers(
     me: HostId,
     hosts: usize,
     run_nonce: u64,
-    opts: &TcpOptions,
+    timeout: Duration,
 ) -> Result<(TcpListener, Vec<(HostId, u32, TcpStream)>), TransportError> {
     let mut taken = vec![false; hosts];
     let mut inbound = Vec::with_capacity(hosts.saturating_sub(1));
-    listener
-        .set_nonblocking(true)
-        .map_err(TransportError::Bind)?;
-    let deadline = Instant::now() + opts.accept_timeout;
+    listener.set_nonblocking(true).map_err(TransportError::Bind)?;
+    let deadline = Instant::now() + timeout;
     while inbound.len() < hosts - 1 {
         if Instant::now() >= deadline {
-            return Err(TransportError::AcceptTimeout {
-                missing: hosts - 1 - inbound.len(),
-            });
+            return Err(TransportError::AcceptTimeout { missing: hosts - 1 - inbound.len() });
         }
         let Ok((mut stream, _)) = listener.accept() else {
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(ACCEPT_POLL);
             continue;
         };
         // Mesh admission: a run member whose slot is still free.
-        let admitted = answer_hello(&mut stream, opts, |body| {
-            let (peer, inc) = parse_hello(body, me, hosts, run_nonce)?;
-            if taken[peer] {
-                return Err(RejectReason::BadHostId);
-            }
-            Ok((peer, inc))
-        });
-        if let Some((peer, inc)) = admitted {
+        let Some((peer, inc)) = read_hello(&mut stream, me, hosts, run_nonce) else { continue };
+        if taken[peer] {
+            reject(&mut stream, RejectReason::BadHostId);
+        } else if write_frame(&mut stream, FRAME_ACCEPT, &[]).is_ok() {
             taken[peer] = true;
             inbound.push((peer, inc, stream));
         }
@@ -841,130 +818,23 @@ fn accept_peers(
     Ok((listener, inbound))
 }
 
-// ---------------------------------------------------------------------------
-// Rejoin
-// ---------------------------------------------------------------------------
-
 /// Answers HELLOs on the retained mesh listener for the rest of the run:
-/// a peer redialing with the right nonce and a strictly newer incarnation
-/// is re-admitted to the mesh; anything else gets a typed REJECT (or is
+/// one with this run's fields goes to the claimed peer's link, which
+/// admits it or has it refused; anything else gets a typed REJECT (or is
 /// ignored, for non-protocol garbage). Runs until shutdown or abort.
 fn rejoin_acceptor(listener: TcpListener, fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
     // `establish` left the listener non-blocking; keep polling it.
-    loop {
-        if shared.stopped(&fabric) {
-            return;
-        }
+    while !shared.stopped(&fabric) {
         let Ok((mut stream, _)) = listener.accept() else {
             std::thread::sleep(REJOIN_POLL);
             continue;
         };
-        // Rejoin admission: protocol fields must match the run, and the
-        // claimed incarnation must be strictly newer than the last one
-        // accepted for that peer (equal or older = a stale duplicate, not a
-        // respawn).
-        let admitted = answer_hello(&mut stream, &shared.opts, |body| {
-            let (peer, inc) = parse_hello(body, shared.me, shared.hosts, shared.run_nonce)?;
-            admit_incarnation(inc, shared.peer_incarnation[peer].load(Ordering::Acquire))?;
-            Ok((peer, inc))
-        });
-        if let Some((peer, inc)) = admitted {
-            handle_rejoin(&fabric, &shared, peer, inc, stream);
+        let hello = read_hello(&mut stream, shared.me, shared.hosts, shared.run_nonce);
+        if let Some((peer, inc)) = hello {
+            drive(&shared, peer, Event::HelloFrom { inc }, Some(stream));
         }
     }
 }
-
-/// The rejoin staleness rule, isolated so the property battery can pin it:
-/// only a strictly newer incarnation supersedes the last admitted one.
-#[doc(hidden)]
-pub fn admit_incarnation(claimed: u32, last_admitted: u32) -> Result<(), RejectReason> {
-    if claimed <= last_admitted {
-        return Err(RejectReason::StaleIncarnation);
-    }
-    Ok(())
-}
-
-/// Splices a reconnecting peer back into the mesh: supersede the stale
-/// connection pair, re-dial the peer's listener, replay the send log on
-/// the fresh outbound socket, re-announce our barrier arrival (and FIN, if
-/// we already finished), and stand up new writer/reader threads.
-fn handle_rejoin(
-    fabric: &Arc<Fabric>,
-    shared: &Arc<TcpShared>,
-    peer: HostId,
-    inc: u32,
-    stream: TcpStream,
-) {
-    shared.peer_incarnation[peer].store(inc, Ordering::Release);
-    // Invalidate the previous connection generation: the old reader's
-    // eventual death report becomes a no-op, and shutting its socket here
-    // kicks it out of any blocking read promptly.
-    let gen = shared.conn_gen[peer].fetch_add(1, Ordering::AcqRel) + 1;
-    if let Some(s) = shared.reader_socks[peer].lock().take() {
-        let _ = s.shutdown(Shutdown::Both);
-    }
-    shared.fin_received[peer].store(false, Ordering::Release);
-    shared.heard(peer);
-
-    // Re-dial while holding the outbound slot: any `ship` that logged its
-    // frame before we snapshot the log below is covered by the replay, and
-    // any later `ship` blocks on the slot until the fresh queue is
-    // installed — no frame can fall between the two.
-    let mut slot = shared.outbound[peer].lock();
-    *slot = None;
-    // Our fresh outbound simplex half, bounded and shutdown-aware.
-    let redial = dial(
-        shared.me,
-        peer,
-        &shared.peers[peer],
-        shared.hosts,
-        shared.run_nonce,
-        shared.incarnation,
-        &shared.opts,
-        &|| shared.stopped(fabric),
-    );
-    match redial {
-        Ok(out_stream) => {
-            let (tx, rx) = unbounded();
-            {
-                let log = shared.send_log[peer].lock();
-                for (frame, payload_bytes) in log.iter() {
-                    let _ = tx.send(Out::Env(frame.clone()));
-                    fabric.stats.record_replayed(*payload_bytes);
-                }
-            }
-            let arrived = fabric.barrier.arrived(shared.me);
-            if arrived > 0 {
-                let _ = tx.send(Out::Barrier(arrived));
-            }
-            if shared.fin_sent.load(Ordering::Acquire) {
-                let _ = tx.send(Out::Fin);
-            }
-            let interval = shared.opts.heartbeat_interval;
-            let name = format!("tcp-send-{peer}-i{inc}");
-            spawn_io(shared, name, None, move || writer_loop(out_stream, rx, interval));
-            *slot = Some(tx);
-            shared.down_since[peer].store(0, Ordering::Release);
-        }
-        Err(_) => {
-            // Could not dial back (the peer died again mid-rejoin, or we
-            // are shutting down). Leave the peer down with a fresh stamp;
-            // the next rejoin or the down-window expiry decides its fate.
-            shared.down_since[peer].store(shared.now_ms() + 1, Ordering::Release);
-        }
-    }
-    drop(slot);
-
-    // On the (attached, if tracing) rejoin acceptor thread, so the fresh
-    // reader inherits the same trace.
-    spawn_reader(fabric, shared, format!("tcp-recv-{peer}-i{inc}"), stream, peer, gen);
-    shared.rejoins.fetch_add(1, Ordering::Relaxed);
-    cusp_obs::instant("peer_rejoin", inc as u64);
-}
-
-// ---------------------------------------------------------------------------
-// Runtime threads
-// ---------------------------------------------------------------------------
 
 /// Drains one peer's outbound queue onto its socket, heartbeating when
 /// idle. Exits on FIN (clean), Abort (unclean, no FIN), queue closure, or
@@ -1007,10 +877,10 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
 
 /// Decodes frames from one peer and feeds them to the fabric: envelopes
 /// go through the regular dispatch (fault layer included), barrier
-/// announcements into the shared arrival table. Any protocol violation —
-/// torn frame, corrupt envelope, absurd length, EOF without FIN — reports
-/// the connection failed on generation `gen`: terminal without rejoin, the
-/// start of a down window with it.
+/// announcements into the shared arrival table. A FIN, and any protocol
+/// violation — torn frame, corrupt envelope, absurd length, EOF — is
+/// reported to the link as an event of generation `gen`. The per-frame
+/// path takes no lock: one atomic load tells a superseded reader to stop.
 fn reader_loop(
     stream: TcpStream,
     peer: HostId,
@@ -1021,118 +891,75 @@ fn reader_loop(
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut r = BufReader::with_capacity(64 << 10, stream);
     let stop = || shared.stopped(&fabric);
-    let finned = || shared.fin_received[peer].load(Ordering::Acquire);
+    let failed = || drive(&shared, peer, Event::ReadFailed { gen }, None);
     let mut len_buf = [0u8; 4];
     loop {
         match read_full(&mut r, &mut len_buf, &stop) {
             ReadOutcome::Ok => {}
             ReadOutcome::Stopped => return,
-            ReadOutcome::Failed => {
-                if !finned() && !stop() {
-                    peer_failed(&fabric, &shared, peer, gen);
-                }
-                return;
-            }
+            ReadOutcome::Failed => return failed(),
         }
         let len = frame_len(len_buf);
         if len == 0 || len > MAX_FRAME {
-            peer_failed(&fabric, &shared, peer, gen);
-            return;
+            return failed();
         }
         let mut frame = vec![0u8; len as usize];
         match read_full(&mut r, &mut frame, &stop) {
             ReadOutcome::Ok => {}
             ReadOutcome::Stopped => return,
-            ReadOutcome::Failed => {
-                // A frame torn mid-body is never clean, FIN or not.
-                if !stop() {
-                    peer_failed(&fabric, &shared, peer, gen);
-                }
-                return;
-            }
+            ReadOutcome::Failed => return failed(),
         }
-        if gen < shared.conn_gen[peer].load(Ordering::Acquire) {
-            // Superseded mid-frame by a rejoin; stop feeding stale data.
-            return;
+        if shared.links[peer].gen.load(Ordering::Acquire) != gen {
+            return; // superseded by an admission; stop feeding stale data
         }
         shared.heard(peer);
-        let kind = frame[0];
-        match kind {
-            FRAME_ENVELOPE => {
-                let body = Bytes::from(frame).slice(1..);
-                match decode_envelope(body) {
-                    Ok(we) if (we.tag as usize) < MAX_TAGS && we.src as usize == peer => {
-                        fabric.dispatch(
-                            shared.me,
-                            Tag(we.tag),
-                            Envelope {
-                                src: peer,
-                                seq: we.seq,
-                                phase: we.phase,
-                                payload: we.payload,
-                            },
-                        );
-                    }
-                    _ => {
-                        peer_failed(&fabric, &shared, peer, gen);
-                        return;
-                    }
+        match frame[0] {
+            FRAME_ENVELOPE => match decode_envelope(Bytes::from(frame).slice(1..)) {
+                Ok(we) if (we.tag as usize) < MAX_TAGS && we.src as usize == peer => {
+                    let (seq, phase, payload) = (we.seq, we.phase, we.payload);
+                    let env = Envelope { src: peer, seq, phase, payload };
+                    fabric.dispatch(shared.me, Tag(we.tag), env);
                 }
-            }
+                _ => return failed(),
+            },
             FRAME_BARRIER => match (frame.len(), wire::Reader::new(&frame[1..]).u64()) {
                 (9, Ok(arrival)) => fabric.barrier.announce(peer, arrival),
-                _ => {
-                    peer_failed(&fabric, &shared, peer, gen);
-                    return;
-                }
+                _ => return failed(),
             },
             FRAME_HEARTBEAT => {}
-            FRAME_FIN => {
-                shared.fin_received[peer].store(true, Ordering::Release);
-            }
-            _ => {
-                peer_failed(&fabric, &shared, peer, gen);
-                return;
-            }
+            FRAME_FIN => drive(&shared, peer, Event::FrameFin { gen }, None),
+            _ => return failed(),
         }
     }
 }
 
-/// Watches peer liveness. A peer silent past `peer_timeout` without FIN is
-/// declared lost (no rejoin) or marked down (rejoin); a peer down past
-/// `rejoin_window` is lost either way. Socket-level failures are caught
-/// faster by the readers; this net catches peers that hang without dying.
-/// It stands until shutdown, not until every peer has FINed: a rejoin
-/// clears a FIN, and the drain in `finish` relies on this watch.
+/// Watches liveness: a connected peer whose last frame is
+/// [`TcpOptions::peer_timeout`] old is reported [`Event::Silent`]. Sleeps
+/// until the earliest such moment (a link step or shutdown wakes it
+/// early); socket-level failures are caught faster by the readers, this
+/// catches peers that hang without dying. It stands until shutdown, not
+/// until every peer has FINed: an admission clears a FIN, and the drain in
+/// `finish` relies on this watch.
 fn monitor_loop(fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
-    let silence_ms = shared.opts.peer_timeout.as_millis() as u64;
-    let window_ms = shared.opts.rejoin_window.as_millis() as u64;
+    let timeout = shared.opts.peer_timeout().as_millis() as u64;
     loop {
-        std::thread::sleep(MONITOR_POLL);
+        let now = shared.now_ms();
+        let mut wake = now + timeout;
+        for peer in (0..shared.hosts).filter(|&p| p != shared.me) {
+            let LinkState::Up { gen, .. } = shared.state(peer) else { continue };
+            let due = shared.last_heard[peer].load(Ordering::Acquire) + timeout;
+            if due <= now {
+                drive(&shared, peer, Event::Silent { gen }, None);
+            } else {
+                wake = wake.min(due);
+            }
+        }
+        let mut guard = shared.waiting.lock();
         if shared.stopped(&fabric) {
             return;
         }
-        let now = shared.now_ms();
-        for peer in (0..shared.hosts).filter(|&p| p != shared.me) {
-            if shared.fin_received[peer].load(Ordering::Acquire) {
-                continue;
-            }
-            let down = shared.down_since[peer].load(Ordering::Acquire);
-            if down != 0 {
-                if now.saturating_sub(down - 1) > window_ms {
-                    fabric.mark_remote_lost(peer);
-                    return;
-                }
-                continue;
-            }
-            if now.saturating_sub(shared.last_heard[peer].load(Ordering::Acquire)) > silence_ms {
-                let gen = shared.conn_gen[peer].load(Ordering::Acquire);
-                peer_failed(&fabric, &shared, peer, gen);
-                if !shared.opts.rejoin {
-                    return;
-                }
-            }
-        }
+        let idle = Duration::from_millis(wake.saturating_sub(shared.now_ms()));
+        shared.links_changed.wait_for(&mut guard, idle);
     }
 }
 
@@ -1145,12 +972,26 @@ mod tests {
     /// Options tuned so a failed establish errors out in test time rather
     /// than wall-clock seconds.
     fn fast_opts() -> TcpOptions {
-        TcpOptions {
-            dial_timeout: Duration::from_secs(2),
-            accept_timeout: Duration::from_secs(2),
-            handshake_timeout: Duration::from_secs(2),
-            ..TcpOptions::default()
-        }
+        TcpOptions { accept_timeout: Duration::from_secs(2), ..TcpOptions::default() }
+    }
+
+    /// Runs `run` with this thread attached to a fresh trace recorder —
+    /// which the transport's I/O threads inherit — and returns its result
+    /// with the names of the instants recorded meanwhile.
+    fn instants<R>(run: impl FnOnce() -> R) -> (R, Vec<&'static str>) {
+        let recorder = cusp_obs::Recorder::new();
+        let guard = recorder.attach(0, "test");
+        let out = run();
+        drop(guard);
+        let names = recorder.drain().events.into_iter().filter_map(|e| match e.kind {
+            cusp_obs::EventKind::Instant { name, .. } => Some(name),
+            _ => None,
+        });
+        (out, names.collect())
+    }
+
+    fn count(names: &[&str], name: &str) -> usize {
+        names.iter().filter(|&&n| n == name).count()
     }
 
     fn bind() -> (TcpListener, String) {
@@ -1178,12 +1019,7 @@ mod tests {
     /// Raw host-1 side of the handshake: dial host 0 with a HELLO built by
     /// `mutate` and return the reply frame kind + body.
     fn dial_raw(addr: &str, mutate: impl FnOnce(&mut Vec<u8>)) -> (u8, Vec<u8>) {
-        let mut s = loop {
-            match TcpStream::connect(addr) {
-                Ok(s) => break s,
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        };
+        let mut s = TcpStream::connect(addr).expect("host 0 listens");
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut hello = hello_body(1, 2, 77, 0).to_vec();
         mutate(&mut hello);
@@ -1206,7 +1042,7 @@ mod tests {
         // accepting side for it.
         let t = h.join().unwrap();
         match t {
-            Err(TransportError::DialTimeout { peer: 1, .. }) => {}
+            Err(TransportError::Unreachable { peer: 1, .. }) => {}
             Err(e) => panic!("unexpected establish error: {e}"),
             Ok(_) => panic!("establish cannot succeed: nobody listened for host 0's dial"),
         }
@@ -1227,7 +1063,7 @@ mod tests {
         let (kind, body) = dial_raw(&a0, |hello| hello[5] = 0); // host id = ours
         assert_eq!(kind, FRAME_REJECT);
         assert_eq!(RejectReason::from_u8(body[0]), Some(RejectReason::BadHostId));
-        drop(h.join().unwrap()); // DialTimeout; nothing listened for host 0
+        drop(h.join().unwrap()); // Unreachable; nothing listened for host 0
     }
 
     #[test]
@@ -1238,7 +1074,7 @@ mod tests {
         let (l0, a0) = bind();
         let peers = vec![a0, a1];
         let acceptor = std::thread::spawn(move || {
-            accept_peers(l1, 1, 2, 9999, &fast_opts()) // nonce 9999 ≠ 77
+            accept_peers(l1, 1, 2, 9999, fast_opts().accept_timeout) // nonce 9999 ≠ 77
         });
         let got = TcpTransport::establish(0, l0, &peers, 77, fast_opts());
         match got {
@@ -1295,20 +1131,58 @@ mod tests {
         });
         let transport =
             TcpTransport::establish(0, l0, &peers, 77, fast_opts()).expect("mesh up");
-        let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
-            // The message in front of the tear is delivered in sequence...
-            let (src, payload) = comm.recv_any(Tag(0));
-            assert_eq!((src, &payload[..]), (1, &b"before the tear"[..]));
-            // ...and the next receive unwinds with a typed loss instead of
-            // hanging on the dead connection.
-            comm.recv_any(Tag(0))
+        let (got, instants) = instants(|| {
+            Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+                // The message in front of the tear is delivered in sequence...
+                let (src, payload) = comm.recv_any(Tag(0));
+                assert_eq!((src, &payload[..]), (1, &b"before the tear"[..]));
+                // ...and the next receive unwinds with a typed loss instead of
+                // hanging on the dead connection.
+                comm.recv_any(Tag(0))
+            })
         });
         match got {
             Err(ClusterError::HostLost { host: 1, restarts: 0 }) => {}
             Err(e) => panic!("wanted HostLost for host 1, got: {e}"),
             Ok(_) => panic!("run must not complete past a torn frame"),
         }
+        assert_eq!(count(&instants, "peer_lost"), 1, "{instants:?}");
         let _ = peer.join();
+    }
+
+    /// A FIN certifies that its incarnation never needs the mesh again, so
+    /// whatever its connection does afterwards — here, a frame torn
+    /// mid-body — is the expected close, with rejoin or without.
+    #[test]
+    fn torn_frame_after_fin_is_the_expected_close_in_either_mode() {
+        for opts in [fast_opts(), rejoin_opts()] {
+            let (l0, a0) = bind();
+            let (l1, a1) = bind();
+            let peers = vec![a0.clone(), a1];
+            let peer = raw_peer(l1, a0, |s| {
+                let env = encode_envelope(0, 1, 0, 0, b"last words");
+                write_frame(s, FRAME_ENVELOPE, &env).unwrap();
+                write_frame(s, FRAME_FIN, &[]).unwrap();
+                s.write_all(&frame_head(100, FRAME_ENVELOPE)).unwrap();
+                s.write_all(&[0xde, 0xad]).unwrap();
+                s.flush().unwrap();
+                let _ = s.shutdown(Shutdown::Write);
+            });
+            let transport = TcpTransport::establish(0, l0, &peers, 77, opts).expect("mesh up");
+            let (got, instants) = instants(|| {
+                Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+                    let (src, payload) = comm.recv_any(Tag(0));
+                    assert_eq!((src, &payload[..]), (1, &b"last words"[..]));
+                })
+            });
+            let rejoin = opts.rejoin;
+            if let Err(e) = got {
+                panic!("rejoin {rejoin}: the run must complete after the peer's FIN, got {e}");
+            }
+            assert_eq!(count(&instants, "peer_fin"), 1, "rejoin {rejoin}: {instants:?}");
+            assert_eq!(count(&instants, "peer_lost") + count(&instants, "peer_down"), 0);
+            let _ = peer.join();
+        }
     }
 
     #[test]
@@ -1343,7 +1217,7 @@ mod tests {
             // until host 0 has given up on it.
             let _ = hold.recv();
         });
-        let opts = TcpOptions { peer_timeout: Duration::from_millis(300), ..fast_opts() };
+        let opts = fast_opts().with_heartbeat(Duration::from_millis(15)); // silent after 500 ms
         let transport = TcpTransport::establish(0, l0, &peers, 77, opts).expect("mesh up");
         // Host 0 has nothing to do and goes straight to its FIN and drain.
         let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |_| ());
@@ -1375,11 +1249,7 @@ mod tests {
     // -- rejoin ------------------------------------------------------------
 
     fn rejoin_opts() -> TcpOptions {
-        TcpOptions {
-            rejoin: true,
-            rejoin_window: Duration::from_secs(20),
-            ..fast_opts()
-        }
+        TcpOptions { rejoin: true, ..fast_opts() }
     }
 
     /// Blocking read of one full data frame on a raw test socket,
@@ -1476,18 +1346,52 @@ mod tests {
 
         let transport =
             TcpTransport::establish(0, l0, &peers, nonce, rejoin_opts()).expect("mesh up");
-        let out = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
-            comm.send_bytes(1, Tag(0), Bytes::from_static(b"payload-A"));
-            let (src, payload) = comm.recv_any(Tag(1));
-            assert_eq!((src, &payload[..]), (1, &b"hello-again"[..]));
-        })
-        .expect("run completes across the rejoin");
+        let (out, instants) = instants(|| {
+            Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+                comm.send_bytes(1, Tag(0), Bytes::from_static(b"payload-A"));
+                let (src, payload) = comm.recv_any(Tag(1));
+                assert_eq!((src, &payload[..]), (1, &b"hello-again"[..]));
+            })
+        });
+        let out = out.expect("run completes across the rejoin");
         assert_eq!(out.rejoins, 1, "one rejoin handshake accepted");
+        // Whether the death or the respawn's HELLO reached the link first,
+        // it was unhooked once, admitted once and never lost.
+        let seen = ["peer_down", "peer_rejoin", "peer_lost"].map(|n| count(&instants, n));
+        assert_eq!(seen, [1, 1, 0], "{instants:?}");
         assert!(
             out.stats.replayed_bytes() > 0,
             "replayed traffic is accounted outside the phase matrices"
         );
         script.join().expect("script peer");
+    }
+
+    /// A peer that finished and died before its last barrier arrival and
+    /// its FIN got out is never respawned: its supervisor's word stands in
+    /// for both, where nothing else would end the wait.
+    #[test]
+    fn supervisor_word_that_a_peer_finished_stands_in_for_its_arrival_and_fin() {
+        let (l0, a0) = bind();
+        let (l1, a1) = bind();
+        let peers = vec![a0.clone(), a1];
+        let peer = raw_peer(l1, a0, |s| {
+            let _ = s.shutdown(Shutdown::Both);
+        });
+        let transport =
+            TcpTransport::establish(0, l0, &peers, 77, rejoin_opts()).expect("mesh up");
+        let finished = transport.finished();
+        let (at_barrier, reached) = std::sync::mpsc::channel();
+        let word = std::thread::spawn(move || {
+            reached.recv().expect("host 0 reaches its barrier");
+            finished.peer(1);
+        });
+        Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+            at_barrier.send(()).expect("the word waits for it");
+            comm.barrier();
+        })
+        .expect("the run completes on the supervisor's word");
+        word.join().expect("word thread");
+        let _ = peer.join();
     }
 
     /// The `eec_2_hosts_recovers_from_torn_connection_at_edge_assign`
@@ -1521,34 +1425,5 @@ mod tests {
         let mut from0 = peer.join().expect("script peer");
         let (kind, body) = read_data_frame(&mut from0);
         assert_eq!((kind, body), (FRAME_BARRIER, 2u64.to_le_bytes().to_vec()));
-    }
-
-    #[test]
-    fn down_peer_that_never_rejoins_is_lost_after_the_window() {
-        let (l0, a0) = bind();
-        let (l1, a1) = bind();
-        let peers = vec![a0.clone(), a1];
-        let peer = raw_peer(l1, a0, |s| {
-            let _ = s.shutdown(Shutdown::Both);
-        });
-        let opts = TcpOptions {
-            rejoin_window: Duration::from_millis(300),
-            ..rejoin_opts()
-        };
-        let transport = TcpTransport::establish(0, l0, &peers, 77, opts).expect("mesh up");
-        let t = Instant::now();
-        let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
-            comm.recv_any(Tag(0))
-        });
-        let err = got.map(|out| out.result).expect_err("run must fail");
-        assert!(
-            matches!(err, ClusterError::HostLost { host: 1, restarts: 0 }),
-            "typed loss after the rejoin window, got {err:?}"
-        );
-        assert!(
-            t.elapsed() < Duration::from_secs(10),
-            "the down window must be bounded, not a hang"
-        );
-        let _ = peer.join();
     }
 }

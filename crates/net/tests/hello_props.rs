@@ -6,11 +6,13 @@
 //! as a typed [`RejectReason`], never a panic, and the field checks must
 //! fire in a fixed order so a corrupt frame is diagnosed by its first
 //! broken field. The rejoin admission rule (strictly newer incarnation)
-//! rides on top and is pinned here too.
+//! rides on top and is pinned here too, through the peer link that applies
+//! it.
 
 use proptest::prelude::*;
 
-use cusp_net::transport::tcp::{admit_incarnation, hello_body, parse_hello};
+use cusp_net::transport::link::{Action, Event, PeerLink};
+use cusp_net::transport::tcp::{hello_body, parse_hello};
 use cusp_net::RejectReason;
 
 /// Byte offsets of the HELLO fields, for targeted corruption.
@@ -182,17 +184,21 @@ proptest! {
     /// The rejoin admission rule: a claimed incarnation supersedes the
     /// last admitted one iff it is strictly newer. Equal (a duplicate of
     /// the live worker) and older (a zombie from a previous generation)
-    /// both classify as [`RejectReason::StaleIncarnation`].
+    /// both classify as [`RejectReason::StaleIncarnation`] and leave the
+    /// link as it was.
     #[test]
     fn rejoin_admission_is_strictly_monotone(
         claimed in any::<u32>(),
         last in any::<u32>(),
     ) {
-        let got = admit_incarnation(claimed, last);
+        let mut link = PeerLink::new(true, last);
+        let before = link.state();
+        let got = link.step(Event::HelloFrom { inc: claimed });
         if claimed > last {
-            prop_assert_eq!(got, Ok(()));
+            prop_assert_eq!(got, vec![Action::Unhook, Action::Admit { gen: 1 }]);
         } else {
-            prop_assert_eq!(got, Err(RejectReason::StaleIncarnation));
+            prop_assert_eq!(got, vec![Action::Reject(RejectReason::StaleIncarnation)]);
+            prop_assert_eq!(link.state(), before);
         }
     }
 }

@@ -15,11 +15,7 @@ use cusp_net::{
 };
 
 fn test_opts() -> TcpOptions {
-    TcpOptions {
-        dial_timeout: Duration::from_secs(10),
-        accept_timeout: Duration::from_secs(10),
-        ..TcpOptions::default()
-    }
+    TcpOptions { accept_timeout: Duration::from_secs(10), ..TcpOptions::default() }
 }
 
 /// Establishes a full `n`-host mesh over loopback, all endpoints in this
