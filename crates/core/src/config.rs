@@ -83,13 +83,16 @@ pub struct CuspConfig {
     /// Testing switch: make partitioning bitwise reproducible. Replaces the
     /// master phase's asynchronous "drain whatever arrived" rounds
     /// (§IV-D5) with lockstep rounds (every host sends one SYNC to every
-    /// peer per round and blocking-receives one from each, in host order),
-    /// runs neighbor-aware chunks sequentially, and sorts each node's
-    /// adjacency before freezing the CSR. With `threads_per_host: 1` the
-    /// same seed then yields bit-identical partitions — the determinism
-    /// contract the oracle harness asserts. Off by default because
-    /// lockstep sacrifices the asynchrony the paper's streaming design is
-    /// built around.
+    /// peer per round and blocking-receives one from each, in host order)
+    /// and runs neighbor-aware chunks sequentially. With
+    /// `threads_per_host: 1` the same seed then yields bit-identical
+    /// partitions — the determinism contract the oracle harness asserts.
+    /// Construction needs nothing from this switch: a full run fills each
+    /// row with one record, in input order, so its rows never depend on
+    /// arrival order; a delta run's rows match a full run's by
+    /// [`crate::partition_fingerprint`], which sees each row as a multiset.
+    /// Off by default because lockstep sacrifices the asynchrony the
+    /// paper's streaming design is built around.
     pub deterministic_sync: bool,
     /// Print `CUSP-WORKER-PHASE <name>` on stdout as each pipeline phase
     /// begins. Used by the `cusp-part launch` supervisor to drive seeded

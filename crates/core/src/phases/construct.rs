@@ -11,9 +11,24 @@
 //! per-node slots, arriving records are inserted with a lock-free
 //! fetch-add cursor; no two records ever contend for the same slots.
 //!
+//! Nothing is sorted, and the full pipeline needs no sort to be
+//! deterministic. A source is read by one host and walked by one task,
+//! which buckets all of its edges for owner `h` into one record, so each
+//! row of a full run is filled by exactly one reservation, in input order:
+//! the input row filtered to this host's edges and localised, whatever the
+//! arrival order, thread count or chunking (the paper's Alg. 4 inserts
+//! the same way).
+//!
 //! `construct` takes the same `EdgeFilter` as edge assignment's tally:
 //! the full pipeline replays every edge, `partition_delta` — having copied
-//! its kept edges into the allocation first — only the dirty ones.
+//! its kept edges into the allocation first — only the dirty ones, so a
+//! delta row is its kept run followed by its re-decided run.
+//!
+//! Under the `construct` phase span the phase records, through
+//! `cusp-obs`, `construct.wait` (blocking for the records still in flight
+//! once the local walk is done) and `construct.freeze` (the cursor check,
+//! giving the buffers their length, building the CSR and, for CSC output,
+//! the transpose).
 //!
 //! The byte path is bulk end to end: destination/weight runs are encoded
 //! with the wire codec's memcpy slice ops, incoming messages are sized by
@@ -207,6 +222,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
 
     // Block for the remaining edge records, one message at a time plus
     // whatever else arrived with it.
+    let wait_span = cusp_obs::span("construct.wait");
     while received < to_receive {
         let (_src, payload) = comm.recv_any(TAG_EDGES);
         received += count_edges_in(&payload, weighted);
@@ -214,7 +230,10 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
         drain_arrived(&mut received, &mut batch);
     }
     assert_eq!(received, to_receive, "received more edges than expected");
+    drop(wait_span);
 
+    // The freeze, up to the returned (possibly transposed) graph.
+    let _freeze_span = cusp_obs::span("construct.freeze");
     // Every reserved slot must be filled.
     for (l, cursor) in alloc.cursors.iter().enumerate() {
         assert_eq!(
@@ -242,14 +261,6 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
             d.set_len(total);
         }
     }
-    if cfg.deterministic_sync {
-        // Slots within a node's range are claimed in arrival/thread order,
-        // which varies run to run. A canonical per-node adjacency order
-        // (destination, then weight) makes the frozen CSR — and its CSC
-        // transpose — a pure function of the assignment, fulfilling the
-        // bit-identical determinism contract.
-        sort_adjacency(&alloc.offsets, &mut dests, data.as_deref_mut());
-    }
     let csr = Csr::from_parts(std::mem::take(&mut alloc.offsets), dests);
     match (cfg.output, data) {
         (OutputFormat::Csr, data) => (csr, data),
@@ -259,26 +270,6 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
         (OutputFormat::Csc, Some(data)) => {
             let (t, td) = csr.transpose_with_data(&data);
             (t, Some(td))
-        }
-    }
-}
-
-/// Sorts each node's adjacency slice (keeping per-edge data aligned) into
-/// (destination, weight) order.
-pub(crate) fn sort_adjacency(offsets: &[u64], dests: &mut [Node], mut data: Option<&mut [u32]>) {
-    for l in 0..offsets.len() - 1 {
-        let (s, e) = (offsets[l] as usize, offsets[l + 1] as usize);
-        match data.as_deref_mut() {
-            None => dests[s..e].sort_unstable(),
-            Some(d) => {
-                let mut pairs: Vec<(Node, u32)> =
-                    dests[s..e].iter().copied().zip(d[s..e].iter().copied()).collect();
-                pairs.sort_unstable();
-                for (i, (dst, w)) in pairs.into_iter().enumerate() {
-                    dests[s + i] = dst;
-                    d[s + i] = w;
-                }
-            }
         }
     }
 }

@@ -68,8 +68,12 @@
 //!
 //! The translation is monotone on kept proxies: neither endpoint of a kept
 //! edge moved, so masters stay masters and mirrors stay mirrors, each
-//! segment ascending by global id, masters first. A kept run thus arrives
-//! in the canonical adjacency order it was stored in.
+//! segment ascending by global id, masters first. A kept CSR run thus
+//! arrives in the order it was stored in, and the row's re-decided edges
+//! follow it (construction reserves after the copy). A kept CSC edge takes
+//! one slot of its source's row, in whatever order the pool's tasks reach
+//! them, so with several threads a CSC delta can order multi-edges
+//! differently from run to run.
 //!
 //! # Scope
 //!
@@ -81,11 +85,13 @@
 //! fingerprint-identical, just not incremental.
 //!
 //! Under `CuspConfig::deterministic_sync` the delta result is
-//! bit-identical to a full re-partition of the mutated graph: the per-host
-//! per-source edge multiset is reproduced exactly (kept edges keep their
-//! owners, dirty edges are re-decided with the same inputs a full run
-//! would use), allocation assigns local ids deterministically from that
-//! multiset, and the canonical adjacency sort erases insertion order.
+//! fingerprint-identical to a full re-partition of the mutated graph: the
+//! per-host per-source edge multiset is reproduced exactly (kept edges
+//! keep their owners, dirty edges are re-decided with the same inputs a
+//! full run would use), allocation assigns local ids deterministically
+//! from that multiset, and [`crate::partition_fingerprint`] sees each row
+//! as a multiset. It is not byte-identical: a full row is the input row in
+//! input order, a delta row the kept run followed by the re-decided run.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -540,9 +546,9 @@ fn delta_construct<ER: EdgeRule>(
 /// returned accounting (`dirty_vertices == num_nodes`,
 /// `reused_edges == 0`) makes the fallback observable.
 ///
-/// Under `deterministic_sync` the result is bit-identical (same
-/// [`crate::verify::partition_fingerprint`]) to a full re-partition of the
-/// mutated graph.
+/// Under `deterministic_sync` the result has the same
+/// [`crate::verify::partition_fingerprint`] as a full re-partition of the
+/// mutated graph; its rows hold the same edges in another order.
 pub fn partition_delta<MR, ER>(
     comm: &Comm,
     source: GraphSource,

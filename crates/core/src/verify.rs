@@ -424,8 +424,10 @@ pub fn check_all(
 /// `deterministic` is set (the run used `CuspConfig::deterministic_sync`),
 /// [`partition_fingerprint`]-identical to `full_parts`, a from-scratch
 /// re-partition of the same mutated graph under the same policy and
-/// config. Divergence is reported as [`ViolationKind::DeltaDivergence`]
-/// with both fingerprints in the detail.
+/// config. Fingerprint-identical, not byte-identical: a delta row holds
+/// its kept edges before its re-decided ones, which the fingerprint's
+/// per-row multiset does not see. Divergence is reported as
+/// [`ViolationKind::DeltaDivergence`] with both fingerprints in the detail.
 pub fn check_delta_equivalence(
     mutated: &Csr,
     mutated_data: Option<&[u32]>,
@@ -468,16 +470,23 @@ pub fn check_delta_equivalence(
 ///
 /// 1. the scalars `part_id`, `num_parts`, `num_masters`, `global_nodes`,
 ///    `global_edges`, `class` (its discriminant);
-/// 2. the arrays `local2global`, `master_of`, the CSR `offsets`, the CSR
-///    `dests`, each framed by its own length;
-/// 3. the weights: the word `0` for `None`, or `1` and then `edge_data`
-///    framed by its length (so `None` and `Some(vec![])` differ).
+/// 2. the arrays `local2global`, `master_of`, the CSR `offsets`, each
+///    framed by its own length;
+/// 3. each row as the multiset of its `(dest, weight)` pairs
+///    ([`Fingerprint::rows`]), in row order;
+/// 4. the weights-present word: `0` for `None`, `1` for one weight per
+///    edge. A weight array of any other length is malformed; it is `2` and
+///    then `edge_data` framed by its length, with the rows absorbed
+///    unweighted, so `None` and `Some(vec![])` still differ.
 ///
-/// Two parts share a fingerprint iff they are value-identical (a single
-/// differing element always shows; anything else collides with
-/// probability ≈ 2⁻⁶⁴). This is the unit the serve cache digests while it writes or reads a `.part`
-/// file, and what `cusp-part launch`/`inspect` print per host so that a
-/// mismatch names the host that differs.
+/// Two parts share a fingerprint iff they are equal up to the order of
+/// edges within a row (a single differing element always shows; anything
+/// else collides with probability ≈ 2⁻⁶⁴). A full run's rows come out in
+/// input order, so its parts are byte-identical across execution shapes;
+/// a delta run orders a row differently and matches it by this value
+/// alone. This is the unit the serve cache digests while it writes or
+/// reads a `.part` file, and what `cusp-part launch`/`inspect` print per
+/// host so that a mismatch names the host that differs.
 pub fn part_fingerprint(p: &DistGraph) -> u64 {
     let mut h = Fingerprint::new();
     h.word(p.part_id as u64);
@@ -488,18 +497,33 @@ pub fn part_fingerprint(p: &DistGraph) -> u64 {
     h.word(p.class as u64);
     h.array(&p.local2global);
     h.array(&p.master_of);
-    h.array(p.graph.offsets());
-    h.array(p.graph.dests());
-    weights_into(&mut h, p.edge_data.as_deref());
+    let (offsets, dests) = (p.graph.offsets(), p.graph.dests());
+    h.array(offsets);
+    match p.edge_data.as_deref() {
+        None => {
+            h.rows(offsets, dests, None);
+            h.word(0);
+        }
+        Some(ws) if ws.len() == dests.len() => {
+            h.rows(offsets, dests, Some(ws));
+            h.word(1);
+        }
+        Some(ws) => {
+            h.rows(offsets, dests, None);
+            h.word(2);
+            h.array(ws);
+        }
+    }
     h.finish()
 }
 
 /// Fingerprint of a whole partitioning: the [`part_fingerprint`]s in
 /// partition order, framed by the partition count, through one more
 /// [`Fingerprint`] ([`merge_part_fingerprints`]). Two runs produce the
-/// same value iff they built identical partitions (id maps, master
-/// pointers, CSR arrays, weights, and class) in the same order — the
-/// quantity the determinism harness compares.
+/// same value iff they built the same partitions (id maps, master
+/// pointers, CSR offsets, each row's edges and weights as a multiset, and
+/// class) in the same order — the quantity the determinism harness
+/// compares.
 pub fn partition_fingerprint(parts: &[DistGraph]) -> u64 {
     let per_part: Vec<u64> = parts.iter().map(part_fingerprint).collect();
     merge_part_fingerprints(&per_part)
@@ -515,23 +539,20 @@ pub fn merge_part_fingerprints(per_part: &[u64]) -> u64 {
 }
 
 /// Fingerprint of an *input* graph: `num_nodes`, `num_edges`, then the
-/// CSR `offsets` and `dests` each framed by its length, then the weights
-/// as in [`part_fingerprint`] — one [`Fingerprint`], that order. This is
-/// the graph-identity half of a serving-layer cache key: two graphs share
-/// a fingerprint iff their CSR representations are value-identical, so a
-/// cached partition of one is valid for the other. Complements
-/// [`partition_fingerprint`], which hashes the *output*.
+/// CSR `offsets` and `dests` each framed by its length, then the weights:
+/// the word `0` for `None`, or `1` and then the weights framed by their
+/// length — one [`Fingerprint`], that order. This is the graph-identity
+/// half of a serving-layer cache key: two graphs share a fingerprint iff
+/// their CSR representations are value-identical, so a cached partition
+/// of one is valid for the other. Unlike [`part_fingerprint`] it sees the
+/// order within a row, because that order is the order of the partition's
+/// rows. Complements [`partition_fingerprint`], which hashes the *output*.
 pub fn graph_fingerprint(graph: &Csr, weights: Option<&[u32]>) -> u64 {
     let mut h = Fingerprint::new();
     h.word(graph.num_nodes() as u64);
     h.word(graph.num_edges());
     h.array(graph.offsets());
     h.array(graph.dests());
-    weights_into(&mut h, weights);
-    h.finish()
-}
-
-fn weights_into(h: &mut Fingerprint, weights: Option<&[u32]>) {
     match weights {
         None => h.word(0),
         Some(ws) => {
@@ -539,6 +560,7 @@ fn weights_into(h: &mut Fingerprint, weights: Option<&[u32]>) {
             h.array(ws);
         }
     }
+    h.finish()
 }
 
 #[cfg(test)]

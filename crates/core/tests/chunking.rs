@@ -6,16 +6,22 @@
 //! every chunk size, host count, and policy — while actually bounding the
 //! resident edge state to O(max(chunk, d_max)) and keeping the per-phase
 //! communication conserved.
+//!
+//! Construction sorts nothing, so what makes the parts byte-identical is
+//! the row property checked last: a full run's row is the input row,
+//! filtered and in input order, in every execution shape.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cusp::{
-    check_all, check_comm_stats, partition_fingerprint, partition_with_policy, CuspConfig,
-    DistGraph, GraphSource, PolicyKind,
+    check_all, check_comm_stats, deterministic_for_comparison, partition_fingerprint,
+    partition_with_policy, CuspConfig, DistGraph, GraphSource, PolicyKind,
 };
 use cusp_graph::gen::uniform::erdos_renyi;
+use cusp_graph::gen::{powerlaw, PowerLawConfig};
 use cusp_graph::Csr;
-use cusp_net::{Cluster, CommStats};
+use cusp_net::{Cluster, ClusterOptions, CommStats, FaultPlan};
 
 const NODES: usize = 150;
 const EDGES: usize = 800;
@@ -165,4 +171,83 @@ fn file_backed_chunks_match_memory_backed() {
     let (file, _, _) = run(4, PolicyKind::Cvc, GraphSource::File(path.clone()), Some(7));
     assert_eq!(partition_fingerprint(&mem), partition_fingerprint(&file));
     std::fs::remove_file(&path).ok();
+}
+
+/// Asserts that each part's row for local source `l` is the input row of
+/// `local2global[l]` restricted to the edges the part holds, in input
+/// order, with each edge's weight beside it.
+fn assert_rows_in_input_order(graph: &Csr, weights: &[u32], parts: &[DistGraph], label: &str) {
+    for p in parts {
+        let (offsets, data) = (p.graph.offsets(), p.edge_data.as_deref().expect("weighted input"));
+        for (l, &s) in p.local2global.iter().enumerate() {
+            let slots = offsets[l] as usize..offsets[l + 1] as usize;
+            let dests = p.graph.dests()[slots.clone()].iter().map(|&d| p.local2global[d as usize]);
+            let row: Vec<(u32, u32)> = dests.zip(data[slots].iter().copied()).collect();
+            let mut held: HashMap<(u32, u32), usize> = HashMap::new();
+            for &edge in &row {
+                *held.entry(edge).or_default() += 1;
+            }
+            let first = graph.offsets()[s as usize] as usize;
+            let input = graph.edges(s).iter().enumerate().map(|(i, &d)| (d, weights[first + i]));
+            let in_order: Vec<(u32, u32)> = input
+                .filter(|edge| match held.get_mut(edge) {
+                    Some(c) if *c > 0 => {
+                        *c -= 1;
+                        true
+                    }
+                    _ => false,
+                })
+                .collect();
+            assert_eq!(row, in_order, "{label}: part {} row of {s}", p.part_id);
+        }
+    }
+}
+
+/// The property the determinism contract rests on now that construction
+/// sorts nothing: every source's edges for one owner travel as one record
+/// from the one task that reads it, so a row is filled by one reservation
+/// in input order. Then no execution shape can reorder a row — chunking,
+/// chaos on the wire, or (for stateless rules) a second worker thread —
+/// and the parts are byte-identical across all of them.
+#[test]
+fn full_run_rows_are_input_rows_in_input_order_in_every_shape() {
+    // Skewed rows with repeated destinations, and a weight per edge that
+    // differs from its neighbours', so any reordering within a row shows.
+    let graph = Arc::new(powerlaw(PowerLawConfig::webcrawl(400, 6.0, 17)));
+    let weights: Arc<Vec<u32>> =
+        Arc::new((0..graph.num_edges() as u32).map(|e| e.wrapping_mul(2_654_435_761)).collect());
+    let src = GraphSource::MemoryWeighted(graph.clone(), weights.clone());
+    for kind in [PolicyKind::Eec, PolicyKind::Hvc, PolicyKind::Cvc, PolicyKind::Hdrf] {
+        for hosts in [2usize, 4] {
+            let run = |chunk_edges: Option<u64>, threads: usize, fault: Option<FaultPlan>| {
+                let cfg = CuspConfig {
+                    chunk_edges,
+                    threads_per_host: threads,
+                    ..deterministic_for_comparison(CuspConfig::default())
+                };
+                let src = src.clone();
+                let opts = ClusterOptions { fault, ..ClusterOptions::default() };
+                let out = Cluster::run_with(hosts, opts, move |comm| {
+                    partition_with_policy(comm, src.clone(), kind, &cfg).dist_graph
+                });
+                out.results
+            };
+            let reference = run(None, 1, None);
+            let label = format!("{kind:?} at {hosts} hosts");
+            assert_rows_in_input_order(&graph, &weights, &reference, &label);
+            let threads: &[usize] = if kind == PolicyKind::Hdrf { &[1] } else { &[1, 2] };
+            for chunk in [None, Some(7)] {
+                for &t in threads {
+                    for fault in [None, Some(FaultPlan::chaos(0xC0FFEE ^ hosts as u64))] {
+                        let chaos = fault.is_some();
+                        let shape = format!("{label}, chunk {chunk:?}, {t} threads, chaos {chaos}");
+                        for (a, b) in run(chunk, t, fault).iter().zip(&reference) {
+                            let same = a.graph == b.graph && a.edge_data == b.edge_data;
+                            assert!(same, "{shape}: part {}", a.part_id);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use cusp::{partition_with_policy, CuspConfig, GraphSource, PolicyKind};
 use cusp_graph::gen::uniform::erdos_renyi;
 use cusp_net::{Cluster, ClusterOptions, TraceConfig};
-use cusp_obs::Structure;
+use cusp_obs::{EventKind, Structure, Trace};
 
 const HOSTS: usize = 3;
 
@@ -35,7 +35,8 @@ fn det_config(chunk_edges: Option<u64>) -> CuspConfig {
     }
 }
 
-fn traced_structure(cfg: &CuspConfig) -> Structure {
+/// One traced run of `kind` over the test graph.
+fn trace_of(kind: PolicyKind, cfg: &CuspConfig) -> Trace {
     let graph = Arc::new(erdos_renyi(240, 1900, 11));
     let cfg = cfg.clone();
     let opts = ClusterOptions {
@@ -43,11 +44,15 @@ fn traced_structure(cfg: &CuspConfig) -> Structure {
         ..ClusterOptions::default()
     };
     let out = Cluster::run_with(HOSTS, opts, move |comm| {
-        partition_with_policy(comm, GraphSource::Memory(graph.clone()), PolicyKind::Cvc, &cfg)
+        partition_with_policy(comm, GraphSource::Memory(graph.clone()), kind, &cfg)
     });
     let trace = out.trace.expect("trace requested");
     assert_eq!(trace.dropped_events, 0, "ring too small for this test");
-    Structure::of(&trace)
+    trace
+}
+
+fn traced_structure(cfg: &CuspConfig) -> Structure {
+    Structure::of(&trace_of(PolicyKind::Cvc, cfg))
 }
 
 /// Outside runtime-internal dispatch, two identical deterministic runs
@@ -97,27 +102,12 @@ fn chunked_matches_monolithic_structure() {
 /// that phase body (pure masters), so this cell uses SVC.
 #[test]
 fn master_phase_records_its_rounds_under_the_master_span() {
-    use cusp_obs::EventKind;
-
     const ROUNDS: u64 = 5;
-    let graph = Arc::new(erdos_renyi(240, 1900, 11));
     let cfg = CuspConfig {
         sync_rounds: ROUNDS as u32,
         ..det_config(None)
     };
-    let run = || {
-        let (graph, cfg) = (graph.clone(), cfg.clone());
-        let opts = ClusterOptions {
-            trace: Some(TraceConfig::default()),
-            ..ClusterOptions::default()
-        };
-        let out = Cluster::run_with(HOSTS, opts, move |comm| {
-            partition_with_policy(comm, GraphSource::Memory(graph.clone()), PolicyKind::Svc, &cfg)
-        });
-        let trace = out.trace.expect("trace requested");
-        assert_eq!(trace.dropped_events, 0, "ring too small for this test");
-        trace
-    };
+    let run = || trace_of(PolicyKind::Svc, &cfg);
     let trace = run();
     let structure = Structure::of(&trace);
     for host in 0..HOSTS as u32 {
@@ -191,4 +181,39 @@ fn master_phase_records_its_rounds_under_the_master_span() {
         structure.without_names(&["pool_task", "steal"]),
         Structure::of(&run()).without_names(&["pool_task", "steal"])
     );
+}
+
+/// The construction phase splits its tail the same way: under each host's
+/// `construct` span sit exactly one `construct.wait` (blocking for the
+/// records still in flight after the local walk) and one
+/// `construct.freeze` (cursor check, CSR, transpose), for the CSR and the
+/// CSC output alike.
+#[test]
+fn construct_phase_records_its_wait_and_freeze_under_the_construct_span() {
+    for output in [cusp::OutputFormat::Csr, cusp::OutputFormat::Csc] {
+        let trace = trace_of(PolicyKind::Cvc, &CuspConfig { output, ..det_config(Some(512)) });
+        let structure = Structure::of(&trace);
+        for host in 0..HOSTS as u32 {
+            for name in ["construct", "construct.wait", "construct.freeze"] {
+                let spans = structure.span_counts.get(&(host, name)).copied();
+                assert_eq!(spans, Some(1), "{output:?} host {host}: {name}");
+            }
+        }
+        for thread in trace.threads.iter().filter(|t| t.name == "main") {
+            let mut stack: Vec<&'static str> = Vec::new();
+            for e in trace.events.iter().filter(|e| e.tid == thread.tid) {
+                match e.kind {
+                    EventKind::SpanBegin { name, .. } => {
+                        if name.starts_with("construct.") {
+                            assert_eq!(stack.last(), Some(&"construct"), "{output:?}: {name}");
+                        }
+                        stack.push(name);
+                    }
+                    EventKind::SpanEnd { name } => assert_eq!(stack.pop(), Some(name)),
+                    _ => {}
+                }
+            }
+            assert!(stack.is_empty(), "{output:?} host {}: open spans {stack:?}", thread.host);
+        }
+    }
 }

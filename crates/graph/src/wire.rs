@@ -17,7 +17,9 @@
 //! Beside the byte checksum sits the workspace's one *content* hash,
 //! [`Fingerprint`]: defined over integer values rather than their bytes,
 //! it is what `cusp::graph_fingerprint` and `cusp::part_fingerprint` feed
-//! their arrays through.
+//! their arrays through, and [`Fingerprint::rows`] is how a partition's
+//! rows enter it: as edge multisets, so the order within a row does not
+//! count.
 
 use std::io::{self, Read, Write};
 
@@ -478,16 +480,53 @@ impl Fingerprint {
         self.extend(vs);
     }
 
+    /// Absorbs the rows of a CSR as edge multisets: one row digest per
+    /// row, in row order, unframed (`offsets` fixes the row count). The
+    /// order of edges within a row does not show; which row holds which
+    /// edges, and how many, does. Panics unless `offsets` index into
+    /// `dests` and `weights`, when given, is as long as `dests`.
+    pub fn rows(&mut self, offsets: &[u64], dests: &[u32], weights: Option<&[u32]>) {
+        if let Some(ws) = weights {
+            assert_eq!(ws.len(), dests.len(), "one weight per edge");
+        }
+        for w in offsets.windows(2) {
+            let row = w[0] as usize..w[1] as usize;
+            self.word(row_digest(&dests[row.clone()], weights.map(|ws| &ws[row])));
+        }
+    }
+
     /// The digest of everything absorbed so far.
     pub fn finish(&self) -> u64 {
-        let mut acc = self.lanes.iter().fold(self.absorbed, |acc, &lane| lane_step(acc, lane));
-        // MurmurHash3's 64-bit finalizer: a bijection that makes every
-        // output bit depend on every bit of the fold.
-        acc ^= acc >> 33;
-        acc = acc.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        acc ^= acc >> 33;
-        acc = acc.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        acc ^ (acc >> 33)
+        let acc = self.lanes.iter().fold(self.absorbed, |acc, &lane| lane_step(acc, lane));
+        avalanche(acc)
+    }
+}
+
+/// MurmurHash3's 64-bit finalizer: a bijection of `u64` (xor-shifts and
+/// odd multiplies) that makes every output bit depend on every input bit.
+#[inline(always)]
+fn avalanche(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    x ^ (x >> 33)
+}
+
+/// The order-free digest of one row's edges, for [`Fingerprint::rows`]:
+/// the wrapping sum of [`avalanche`]`(dest << 32 | weight)` over them,
+/// weight 0 when there are none. A sum does not see the order of its
+/// terms, so every permutation of a row's `(dest, weight)` pairs agrees.
+/// The mix is a bijection, so one changed dest or weight always changes
+/// the sum. It is not linear, so rows whose keys merely add up the same
+/// (`{1, 4}` and `{2, 3}`), or a dest swapped between two unequal weights,
+/// are no likelier to collide than any other two rows.
+#[inline]
+fn row_digest(dests: &[u32], weights: Option<&[u32]>) -> u64 {
+    let key = |d: u32, w: u32| avalanche((d as u64) << 32 | w as u64);
+    match weights {
+        None => dests.iter().fold(0u64, |s, &d| s.wrapping_add(key(d, 0))),
+        Some(ws) => dests.iter().zip(ws).fold(0u64, |s, (&d, &w)| s.wrapping_add(key(d, w))),
     }
 }
 
@@ -539,6 +578,28 @@ mod tests {
             let bytes = xorshift_bytes(seed, n);
             assert_eq!(crc32(&bytes), crc32_reference(&bytes), "seed {seed} length {n}");
         }
+    }
+
+    #[test]
+    fn rows_enter_the_fingerprint_as_multisets() {
+        let digest = |offsets: &[u64], dests: &[u32], ws: Option<&[u32]>| {
+            let mut h = Fingerprint::new();
+            h.rows(offsets, dests, ws);
+            h.finish()
+        };
+        // The definition: one wrapping sum of mixed keys per row, in order.
+        let mut by_hand = Fingerprint::new();
+        by_hand.word(avalanche(4 << 32 | 7).wrapping_add(avalanche(1 << 32 | 8)));
+        by_hand.word(avalanche(2 << 32 | 9));
+        let base = digest(&[0, 2, 3], &[4, 1, 2], Some(&[7, 8, 9]));
+        assert_eq!(base, by_hand.finish());
+        // Pairs permuted within a row agree; a dest swapped between two
+        // weights, or an edge moved across the row boundary, does not.
+        assert_eq!(digest(&[0, 2, 3], &[1, 4, 2], Some(&[8, 7, 9])), base);
+        assert_ne!(digest(&[0, 2, 3], &[1, 4, 2], Some(&[7, 8, 9])), base);
+        assert_ne!(digest(&[0, 1, 3], &[4, 1, 2], Some(&[7, 8, 9])), base);
+        // Not linear: keys with equal sums are different rows.
+        assert_ne!(digest(&[0, 2], &[1, 4], None), digest(&[0, 2], &[2, 3], None));
     }
 
     #[test]

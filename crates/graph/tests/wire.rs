@@ -5,7 +5,8 @@
 //! on them still read and write the bytes the previous commit produced,
 //! and the content hash (`wire::Fingerprint`) equals its scalar definition,
 //! ignores how a sequence was cut into calls, and moves on every
-//! structural change to a real partition.
+//! structural change to a real partition but not on a reordering of the
+//! edges within a row.
 
 use std::io::Read;
 
@@ -317,15 +318,17 @@ fn every_structural_change_moves_the_partition_fingerprint() {
     let base = partition_fingerprint(&parts);
     assert_eq!(base, partition_fingerprint(&real_partition()), "not deterministic");
     assert!(parts.iter().all(|p| p.num_local() > 1 && p.graph.num_edges() > 1), "input too small");
-    let mut checked = 0usize;
-    // `edit` applied to part `h` must change the whole fingerprint (and
-    // that part's own); `what` names the edit when it does not.
-    let mut must_move = |h: usize, what: String, edit: &dyn Fn(&mut DistGraph)| {
+    let (mut moved, mut stayed, mut repeated) = (0usize, 0usize, 0usize);
+    // `edit` applied to part `h` must change the whole fingerprint and
+    // that part's own when `moves`, and leave both alone otherwise; `what`
+    // names the edit when it does not.
+    let mut check = |h: usize, what: String, moves: bool, edit: &dyn Fn(&mut DistGraph)| {
         let mut changed = parts.clone();
         edit(&mut changed[h]);
-        assert_ne!(cusp::part_fingerprint(&changed[h]), cusp::part_fingerprint(&parts[h]), "{what}");
-        assert_ne!(partition_fingerprint(&changed), base, "{what}");
-        checked += 1;
+        let part = cusp::part_fingerprint(&changed[h]) != cusp::part_fingerprint(&parts[h]);
+        let whole = partition_fingerprint(&changed) != base;
+        assert_eq!((part, whole), (moves, moves), "{what}: moved (part, whole)");
+        *if moves { &mut moved } else { &mut stayed } += 1;
     };
     /// The four `u32` arrays of a part, by index: to read, and to edit.
     fn array_of(p: &DistGraph, which: usize) -> &[u32] {
@@ -356,30 +359,54 @@ fn every_structural_change_moves_the_partition_fingerprint() {
             // Every single element, flipped in its lowest and highest bit.
             for i in 0..array.len() {
                 for bit in [0, 31] {
-                    must_move(h, format!("part {h} {name}[{i}] bit {bit}"), &|p| {
+                    check(h, format!("part {h} {name}[{i}] bit {bit}"), true, &|p| {
                         with_array(p, which, |a| a[i] ^= 1 << bit)
                     });
                 }
             }
-            // Every adjacent pair that differs, swapped.
+        }
+        // The id maps are sequences: every adjacent pair that differs,
+        // swapped, moves.
+        for (which, name) in ARRAYS.iter().enumerate().take(2) {
+            let array = array_of(p, which);
             for i in 0..array.len() - 1 {
                 if array[i] != array[i + 1] {
-                    must_move(h, format!("part {h} {name}[{i}] <-> [{}]", i + 1), &|p| {
+                    check(h, format!("part {h} {name}[{i}] <-> [{}]", i + 1), true, &|p| {
                         with_array(p, which, |a| a.swap(i, i + 1))
                     });
                 }
             }
         }
+        // A row is a multiset of (dest, weight) pairs. Two whole pairs
+        // swapped inside a row are the same row, so nothing moves; a dest
+        // swapped alone between two unequal weights, or two unequal dests
+        // swapped across a row boundary, is another partition.
+        let offsets = p.graph.offsets();
+        let (dests, weights) = (p.graph.dests(), p.edge_data.as_deref().expect("weighted input"));
+        for i in 0..dests.len() - 1 {
+            let in_row = offsets.binary_search(&(i as u64 + 1)).is_err();
+            if in_row {
+                repeated += (dests[i] == dests[i + 1] && weights[i] != weights[i + 1]) as usize;
+                let what = format!("part {h} edge {i} <-> {} (dest and weight)", i + 1);
+                check(h, what, false, &|p| {
+                    with_array(p, 2, |a| a.swap(i, i + 1));
+                    with_array(p, 3, |a| a.swap(i, i + 1));
+                });
+            }
+            if dests[i] != dests[i + 1] && (!in_row || weights[i] != weights[i + 1]) {
+                let what = format!("part {h} dests[{i}] <-> [{}], in row: {in_row}", i + 1);
+                check(h, what, true, &|p| with_array(p, 2, |a| a.swap(i, i + 1)));
+            }
+        }
         // Offsets must stay monotone from 0 to the edge count for `Csr`
         // to hold them, so an interior offset moves by one where its
         // neighbours leave room (a swap of two unequal offsets never does).
-        let offsets = p.graph.offsets();
         for i in 1..offsets.len() - 1 {
-            for moved in [offsets[i].wrapping_sub(1), offsets[i] + 1] {
-                if offsets[i - 1] <= moved && moved <= offsets[i + 1] {
-                    must_move(h, format!("part {h} offsets[{i}] -> {moved}"), &|p| {
+            for to in [offsets[i].wrapping_sub(1), offsets[i] + 1] {
+                if offsets[i - 1] <= to && to <= offsets[i + 1] {
+                    check(h, format!("part {h} offsets[{i}] -> {to}"), true, &|p| {
                         let mut offsets = p.graph.offsets().to_vec();
-                        offsets[i] = moved;
+                        offsets[i] = to;
                         p.graph = Csr::from_parts(offsets, p.graph.dests().to_vec());
                     });
                 }
@@ -387,11 +414,11 @@ fn every_structural_change_moves_the_partition_fingerprint() {
         }
         // One element across the only boundary two equal-width arrays
         // share: the same values in the same order, framed differently.
-        must_move(h, format!("part {h} local2global -> master_of"), &|p| {
+        check(h, format!("part {h} local2global -> master_of"), true, &|p| {
             let moved = p.local2global.pop().expect("non-empty");
             p.master_of.insert(0, moved);
         });
-        must_move(h, format!("part {h} master_of -> local2global"), &|p| {
+        check(h, format!("part {h} master_of -> local2global"), true, &|p| {
             let moved = p.master_of.remove(0);
             p.local2global.push(moved);
         });
@@ -401,7 +428,10 @@ fn every_structural_change_moves_the_partition_fingerprint() {
         assert_ne!(cusp::part_fingerprint(&unweighted), cusp::part_fingerprint(&empty), "part {h}");
         assert_ne!(cusp::part_fingerprint(&unweighted), cusp::part_fingerprint(p), "part {h}");
     }
-    assert!(checked > 1000, "only {checked} edits were possible");
+    assert!(moved > 900 && stayed > 30, "only {moved} moving and {stayed} in-row edits possible");
+    // Among the in-row swaps, a repeated (src, dest) edge whose two
+    // weights trade places: the one multiset edit an ordered hash sees.
+    assert!(repeated > 0, "no row repeats a dest with unequal weights");
 
     // Part order is part of the value.
     for a in 0..parts.len() {

@@ -33,8 +33,8 @@ pub struct ServeConfig {
     pub default_quota: Quota,
     /// Worker threads per simulated host inside partition jobs.
     pub threads_per_host: usize,
-    /// Run jobs under the determinism contract (lockstep sync, sorted
-    /// adjacency) so cache hits are bit-identical to fresh runs across
+    /// Run jobs under the determinism contract (lockstep master
+    /// sync rounds) so cache hits are bit-identical to fresh runs across
     /// server restarts. On by default; turning it off trades
     /// reproducible fingerprints for the paper's asynchronous speed.
     pub deterministic: bool,
