@@ -10,7 +10,8 @@
 //!
 //! * after **master assignment**: the [`ResolvedMasters`] (a pure resolver
 //!   stores its `k − 1` range starts, so a load needs no rule to rebuild
-//!   it) plus the transport state ([`cusp_net::NetCheckpoint`]) that
+//!   it; a stored one its table's node count and known entries) plus the
+//!   transport state ([`cusp_net::NetCheckpoint`]) that
 //!   re-aligns the restarted host's sequence numbers and barrier count
 //!   with its peers;
 //! * after **edge assignment**: additionally the [`EdgeAssignOutcome`]
@@ -43,16 +44,18 @@ use cusp_graph::{wire, Node};
 use cusp_net::{NetCheckpoint, WireReader, WireWriter};
 
 use crate::phases::edge_assign::EdgeAssignOutcome;
-use crate::phases::master::{RemoteMasters, ResolvedMasters};
+use crate::phases::master::{MasterTable, ResolvedMasters, MAX_STORED_PARTS};
 use crate::PartId;
 
 /// File magic: `CUSPCK\0\0`, little-endian.
 const MAGIC: u64 = 0x0000_4B43_5053_5543;
-/// Format version; bump on any layout change. v4 frames the v3 payload
-/// (the phase outputs themselves; pure masters as their range starts) as
-/// one checked record instead of appending a CRC; files of an older
-/// version decode as absent and force a safe full re-run.
-const VERSION: u32 = 4;
+/// Format version; bump on any layout change. v5 stores a stored-master
+/// table as its node count and its known `(node, master)` entries (v4
+/// stored the read range's array and the requested ids' answers apart);
+/// v4 framed the v3 payload as one checked record instead of appending a
+/// CRC. Files of an older version decode as absent and force a safe full
+/// re-run.
+const VERSION: u32 = 5;
 
 impl ResolvedMasters {
     fn encode(&self, w: &mut WireWriter) {
@@ -61,29 +64,41 @@ impl ResolvedMasters {
                 w.put_u8(0);
                 w.put_u32_slice(starts);
             }
-            ResolvedMasters::Stored { lo, local, remote } => {
+            ResolvedMasters::Stored(table) => {
                 w.put_u8(1);
-                w.put_u32(*lo);
-                w.put_u32_slice(local);
-                let (keys, vals): (Vec<Node>, Vec<PartId>) = remote.iter().unzip();
-                w.put_u32_slice(&keys);
-                w.put_u32_slice(&vals);
+                w.put_u64(table.num_nodes() as u64);
+                let (nodes, masters): (Vec<Node>, Vec<PartId>) = table.iter().unzip();
+                w.put_u32_slice(&nodes);
+                w.put_u32_slice(&masters);
             }
         }
     }
 
-    fn decode(r: &mut WireReader) -> Option<ResolvedMasters> {
+    /// Decodes what [`ResolvedMasters::encode`] wrote for a run over
+    /// `parts` partitions; `None` for any entry the table could not hold —
+    /// a node count past the id space, a node `≥` it, nodes out of order, or
+    /// a master `≥ parts` — never a panic.
+    fn decode(r: &mut WireReader, parts: usize) -> Option<ResolvedMasters> {
         match r.get_u8().ok()? {
             0 => Some(ResolvedMasters::Pure { starts: r.get_u32_vec().ok()? }),
             1 => {
-                let lo = r.get_u32().ok()?;
-                let local = r.get_u32_vec().ok()?;
-                let keys = r.get_u32_vec().ok()?;
-                let vals = r.get_u32_vec().ok()?;
-                if keys.len() != vals.len() || !keys.windows(2).all(|w| w[0] < w[1]) {
+                let n = r.get_u64().ok()?;
+                let nodes = r.get_u32_vec().ok()?;
+                let masters = r.get_u32_vec().ok()?;
+                if n > Node::MAX as u64 + 1
+                    || parts > MAX_STORED_PARTS as usize
+                    || nodes.len() != masters.len()
+                    || !nodes.windows(2).all(|w| w[0] < w[1])
+                    || nodes.last().is_some_and(|&v| v as u64 >= n)
+                    || masters.iter().any(|&p| p as usize >= parts)
+                {
                     return None;
                 }
-                Some(ResolvedMasters::Stored { lo, local, remote: RemoteMasters::from_sorted(keys, vals) })
+                let table = MasterTable::new(n as usize, parts as PartId);
+                for (v, p) in nodes.into_iter().zip(masters) {
+                    table.set(v, p);
+                }
+                Some(ResolvedMasters::Stored(table))
             }
             _ => None,
         }
@@ -228,7 +243,7 @@ impl CheckpointStore {
             return None;
         }
         let net = NetCheckpoint::decode(&mut r, self.hosts)?;
-        let masters = ResolvedMasters::decode(&mut r)?;
+        let masters = ResolvedMasters::decode(&mut r, self.hosts)?;
         let edge_assign = match r.get_u8().ok()? {
             0 => None,
             1 => Some(EdgeAssignOutcome::decode(&mut r)?),
@@ -276,11 +291,12 @@ mod tests {
         };
         net.send_seqs[5] = 17;
         net.recv_floors[2 * MAX_TAGS + 1] = 4;
-        let masters = ResolvedMasters::Stored {
-            lo: 10,
-            local: vec![0, 1, 2, 0, 1],
-            remote: RemoteMasters::from_sorted(vec![3, 99], vec![2, 0]),
-        };
+        // Read range 10..15 and two requested ids, over 3 partitions.
+        let table = MasterTable::new(100, 3);
+        for (v, p) in [(3, 2), (10, 0), (11, 1), (12, 2), (13, 0), (14, 1), (99, 0)] {
+            table.set(v, p);
+        }
+        let masters = ResolvedMasters::Stored(table);
         let edge_assign = edge_assign.then(|| EdgeAssignOutcome {
             incoming_srcs: vec![(10, 3, 0), (11, 1, 2)],
             mirrors: vec![(99, 0)],
@@ -355,9 +371,7 @@ mod tests {
             // The loaded resolver answers lookups, not just compares equal.
             let known: Vec<Node> = match &ck.masters {
                 ResolvedMasters::Pure { .. } => (0..240).collect(),
-                ResolvedMasters::Stored { lo, local, remote } => {
-                    (*lo..lo + local.len() as Node).chain(remote.iter().map(|(v, _)| v)).collect()
-                }
+                ResolvedMasters::Stored(table) => table.iter().map(|(v, _)| v).collect(),
             };
             for v in known {
                 assert_eq!(back.masters.of(v), ck.masters.of(v), "stored={stored} master of {v}");
@@ -392,6 +406,75 @@ mod tests {
         wire::put_record(&mut framed, &body);
         fs::write(s.path(), &framed).expect("writable");
         assert!(s.load().is_none(), "record-framed v3 payload accepted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes a file whose record and header are valid for `store(dir)`
+    /// (3 hosts, host 1) at `version`, with `masters` as the master bytes.
+    fn write_raw(s: &CheckpointStore, version: u32, masters: impl FnOnce(&mut WireWriter)) {
+        let mut w = WireWriter::new();
+        w.put_u64(MAGIC);
+        w.put_u32(version);
+        w.put_u64(3);
+        w.put_u64(1);
+        sample(false).net.encode(&mut w);
+        masters(&mut w);
+        w.put_u8(0); // no edge assignment
+        let mut file = Vec::new();
+        wire::put_record(&mut file, &w.finish());
+        fs::write(s.path(), &file).expect("writable");
+    }
+
+    #[test]
+    fn a_v4_file_is_absent() {
+        // The sample's stored masters as v4 wrote them: the read range's
+        // array, then the requested ids and their answers.
+        let dir = std::env::temp_dir().join(format!("cusp-ckpt-v4-{}", std::process::id()));
+        let s = store(&dir);
+        let v4_masters = |w: &mut WireWriter| {
+            w.put_u8(1);
+            w.put_u32(10);
+            w.put_u32_slice(&[0, 1, 2, 0, 1]);
+            w.put_u32_slice(&[3, 99]);
+            w.put_u32_slice(&[2, 0]);
+        };
+        write_raw(&s, 4, v4_masters);
+        assert!(s.load().is_none(), "v4 checkpoint accepted");
+        // Relabelled as v5 it is not a v5 file either.
+        write_raw(&s, VERSION, v4_masters);
+        assert!(s.load().is_none(), "v4 payload accepted as v5");
+        // The same masters in v5's layout load (the harness is sound).
+        write_raw(&s, VERSION, |w| sample(false).masters.encode(w));
+        assert_eq!(s.load().expect("v5 loads").masters, sample(false).masters);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_masters_the_table_cannot_hold_are_absent() {
+        let dir = std::env::temp_dir().join(format!("cusp-ckpt-tbl-{}", std::process::id()));
+        let s = store(&dir);
+        let stored = |n: u64, nodes: &[Node], masters: &[PartId]| {
+            write_raw(&s, VERSION, |w| {
+                w.put_u8(1);
+                w.put_u64(n);
+                w.put_u32_slice(nodes);
+                w.put_u32_slice(masters);
+            });
+            s.load().map(|ck| ck.masters)
+        };
+        // The last id of the table and the last partition (3 hosts) load.
+        let ok = stored(100, &[0, 99], &[2, 0]).expect("in range");
+        assert_eq!(ok.of(0), 2);
+        assert_eq!(ok.of(99), 0);
+        assert!(stored(0, &[], &[]).is_some(), "an empty table is a table");
+        assert!(stored(100, &[0, 100], &[2, 0]).is_none(), "id = n accepted");
+        assert!(stored(100, &[0, Node::MAX], &[2, 0]).is_none(), "id > n accepted");
+        assert!(stored(100, &[0, 99], &[3, 0]).is_none(), "master = parts accepted");
+        assert!(stored(100, &[0, 99], &[2, 65_537]).is_none(), "master past a u16 accepted");
+        assert!(stored(100, &[99, 0], &[2, 0]).is_none(), "ids out of order accepted");
+        assert!(stored(100, &[5, 5], &[2, 2]).is_none(), "a repeated id accepted");
+        assert!(stored(100, &[0, 99], &[2]).is_none(), "a master missing accepted");
+        assert!(stored(1 << 33, &[], &[]).is_none(), "a table past the id space accepted");
         let _ = fs::remove_dir_all(&dir);
     }
 

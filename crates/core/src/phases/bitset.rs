@@ -1,5 +1,6 @@
 //! A dense, concurrently markable bitset over node ids, one row per owner
-//! (the `dense_bitset` idiom of the Hybrid Edge Partitioner).
+//! (the `dense_bitset` idiom of the Hybrid Edge Partitioner), and the one
+//! zeroed allocation it shares with the stored-master table.
 //!
 //! The edge walks collect *sets* of nodes — the destinations each owner
 //! receives edges to, the off-host destinations whose masters must be
@@ -10,11 +11,47 @@
 //! flatten, a sort and a dedup over every edge's entry. It also moves
 //! membership tests off the edge: the walks mark unconditionally, and the
 //! scan decides per set bit which destinations are mirrors.
+//!
+//! Both node-indexed structures — these rows and phase 2's
+//! [`MasterTable`](crate::phases::master::MasterTable), a `u16` per node —
+//! come from [`zeroed`]: one block straight from the allocator, so the ids
+//! a host never touches cost address space, not pages.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 
 use cusp_graph::Node;
+
+mod sealed {
+    /// Element types [`zeroed`](super::zeroed) may hand out: integer
+    /// atomics, which have the bit validity of their integer, so all-zero
+    /// bytes are a valid value. Sealed in this module, so nothing else can
+    /// implement it.
+    pub trait ZeroIsValid {}
+    impl ZeroIsValid for super::AtomicU64 {}
+    impl ZeroIsValid for super::AtomicU16 {}
+}
+
+/// `len` zeroed elements in one allocation. The block comes zeroed from
+/// the allocator (fresh pages for a large one), so an element that is never
+/// written costs address space, not a touched page.
+pub(crate) fn zeroed<T: sealed::ZeroIsValid>(len: usize) -> Vec<T> {
+    let layout = Layout::array::<T>(len).expect("zeroed table size overflows");
+    if layout.size() == 0 {
+        return Vec::new();
+    }
+    // SAFETY: `layout` has non-zero size. The block is allocated by the
+    // global allocator with exactly the layout `Vec<T>` uses for capacity
+    // `len`, and `T: ZeroIsValid` is an integer atomic, for which all-zero
+    // bytes are a valid value — so all `len` elements are initialized.
+    unsafe {
+        let ptr = alloc_zeroed(layout).cast::<T>();
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        Vec::from_raw_parts(ptr, len, len)
+    }
+}
 
 /// `rows` dense bitsets over the node range `0..n`, in one allocation of
 /// `rows × ⌈n/64⌉` words.
@@ -24,28 +61,11 @@ pub(crate) struct NodeBitRows {
 }
 
 impl NodeBitRows {
-    /// All bits clear. The words come zeroed from the allocator, so a row
-    /// that is never marked costs address space, not touched pages.
+    /// All bits clear, from [`zeroed`]: a row that is never marked costs
+    /// address space, not touched pages.
     pub(crate) fn new(rows: usize, n: usize) -> Self {
         let words_per_row = n.div_ceil(64);
-        let len = rows * words_per_row;
-        if len == 0 {
-            return NodeBitRows { words_per_row, words: Vec::new() };
-        }
-        let layout = Layout::array::<AtomicU64>(len).expect("bitset size overflows");
-        // SAFETY: `layout` has non-zero size (`len > 0`). The block is
-        // allocated by the global allocator with exactly the layout
-        // `Vec<AtomicU64>` uses for capacity `len`, and `AtomicU64` has the
-        // bit validity of `u64`, for which all-zero bytes are a valid value
-        // — so all `len` elements are initialized.
-        let words = unsafe {
-            let ptr = alloc_zeroed(layout).cast::<AtomicU64>();
-            if ptr.is_null() {
-                handle_alloc_error(layout);
-            }
-            Vec::from_raw_parts(ptr, len, len)
-        };
-        NodeBitRows { words_per_row, words }
+        NodeBitRows { words_per_row, words: zeroed(rows * words_per_row) }
     }
 
     /// Sets bit `v` of `row`. Safe to call from any number of threads; a

@@ -375,7 +375,7 @@ pub fn assign_edges<ER: EdgeRule>(
 mod tests {
     use super::*;
     use crate::config::{CuspConfig, GraphSource};
-    use crate::phases::master::{pure_masters, RemoteMasters};
+    use crate::phases::master::{pure_masters, MasterTable};
     use crate::phases::read::read_phase;
     use crate::policies::edges::{CartesianEdge, SourceEdge};
     use crate::policies::extensions::HdrfEdge;
@@ -585,18 +585,12 @@ mod tests {
         // of the rest only the destinations of its own edges. The mirror
         // filter runs in the scan after the walk and must neither ask for a
         // node outside that set nor read the pure table.
-        check_tally_with_masters(CartesianEdge::new, |g, mrule, _, (lo, hi)| {
-            let remote: BTreeMap<Node, PartId> = (lo..hi)
-                .flat_map(|s| g.edges(s))
-                .filter(|d| !(lo..hi).contains(d))
-                .map(|&d| (d, mrule.pure_master(d)))
-                .collect();
-            let (keys, vals) = remote.into_iter().unzip();
-            ResolvedMasters::Stored {
-                lo,
-                local: (lo..hi).map(|v| mrule.pure_master(v)).collect(),
-                remote: RemoteMasters::from_sorted(keys, vals),
+        check_tally_with_masters(CartesianEdge::new, |g, mrule, parts, (lo, hi)| {
+            let table = MasterTable::new(g.num_nodes(), parts);
+            for v in (lo..hi).chain((lo..hi).flat_map(|s| g.edges(s).iter().copied())) {
+                table.set(v, mrule.pure_master(v));
             }
+            ResolvedMasters::Stored(table)
         });
     }
 

@@ -25,16 +25,21 @@
 //!
 //! The masters map is demand-driven (§IV-D5): a host only ever receives
 //! assignments for nodes it asked for — the destinations of its locally
-//! read edges — keeping the map proportional to its slice, not the graph.
-//! The request set is marked per edge in a dense bitset
-//! ([`NodeBitRows`]) and read back sorted and duplicate-free, and that one
-//! sorted set is the key of everything after it:
+//! read edges — so the map touches memory in proportion to its slice, not
+//! the graph. The request set is marked per edge in a dense bitset
+//! ([`NodeBitRows`]) and read back sorted and duplicate-free; the answers
+//! land in one table:
 //!
-//! * **one table** — [`RemoteMasters`] is built over the request set
-//!   *before* the first round, every slot [`UNASSIGNED`]; answers are
-//!   written into it in place, [`MasterView`] reads it during the rounds
-//!   (a neighbour lookup is an array load), and [`ResolvedMasters::Stored`]
-//!   takes it as it stands when the phase ends;
+//! * **one table** — a [`MasterTable`] per host, a `u16` per node id over
+//!   `0..n` holding `p + 1` for partition `p` (`0`: unknown), allocated
+//!   zeroed before the first request: the rounds store their own decisions
+//!   into it, answers are written into it in place, [`MasterView`] reads it
+//!   during the rounds, and [`ResolvedMasters::Stored`] is the same table,
+//!   frozen, when the phase ends — every lookup, a neighbour's or an
+//!   edge's, local or remote, is one two-byte load. Ids the host never
+//!   touches cost address space, not pages; a run over `parts ≥ u16::MAX`
+//!   partitions is refused before a message is sent
+//!   ([`MAX_STORED_PARTS`]);
 //! * **one run per peer** — hosts read contiguous ascending node ranges, so
 //!   the sorted set splits into `k` consecutive runs, run `p` being what is
 //!   asked of host `p` (`Requests`);
@@ -61,124 +66,106 @@
 // deliberate (it mirrors per-host/per-block protocol structure).
 #![allow(clippy::needless_range_loop)]
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicU16, Ordering};
 
 use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{Node, ReadSplit};
 use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::config::CuspConfig;
-use crate::phases::bitset::NodeBitRows;
+use crate::phases::bitset::{zeroed, NodeBitRows};
 use crate::phases::pipeline::SliceData;
-use crate::policy::{MasterRule, MasterView, Setup, UNASSIGNED};
+use crate::policy::{MasterRule, MasterView, Setup};
 use crate::props::LocalProps;
 use crate::state::PartitionState;
 use crate::tags::{MSG_FINAL, MSG_SYNC, TAG_MASTER_REQ, TAG_MASTER_SYNC};
 use crate::PartId;
 
-/// Dense lookup table for the masters of requested remote nodes.
+/// The most partitions a [`MasterTable`] can name: a slot holds `p + 1`
+/// in a `u16`, so partitions `0..=65_533` are storable and a stored-master
+/// run over `u16::MAX` or more partitions is refused, never truncated.
+pub const MAX_STORED_PARTS: PartId = u16::MAX as PartId - 1;
+
+/// One host's stored masters: a `u16` per node id over `0..n`, holding
+/// `p + 1` for partition `p` and `0` while the master is unknown.
 ///
-/// One table from the first request to the last lookup: it is built over
-/// the sorted request set before the first sync round with every slot
-/// [`UNASSIGNED`] ([`RemoteMasters::requested`]), the protocol writes each
-/// peer's answers into it in place ([`RemoteMasters::set_run`]), the rules'
-/// neighbour lookups read it while the rounds run, and the edge-assignment
+/// One table from the first request to the last lookup. It is allocated
+/// zeroed ([`zeroed`]) before the first request, so the ids a host never
+/// touches cost address space, not pages; the rounds store the host's own
+/// decisions into it, the protocol writes each peer's positional answers
+/// into it in place ([`Requests::apply_run`]), the rules' neighbour lookups
+/// read it while the rounds run ([`MasterView`]), and the edge-assignment
 /// and construction inner loops — which call [`ResolvedMasters::of`] up to
-/// twice *per edge* — read the same table afterwards. When the requested
-/// ids span a window comparable to their count, lookup is a bounds check
-/// plus an array load (holes and unanswered requests hold [`UNASSIGNED`]);
-/// for pathologically sparse id sets it falls back to binary search over
-/// the sorted ids.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RemoteMasters {
-    /// Requested node ids, sorted ascending.
-    keys: Vec<Node>,
-    /// Master of `keys[i]`, [`UNASSIGNED`] until answered.
-    vals: Vec<PartId>,
-    /// First id covered by `window` (meaningful only when non-empty).
-    window_lo: Node,
-    /// Dense id → master table covering `window_lo..window_lo + len`.
-    window: Vec<PartId>,
+/// twice *per edge* — read the same table afterwards. Every lookup is a
+/// bounds check and one two-byte load, and the table is `2n` bytes of
+/// address space per host, of which only the touched pages are memory.
+pub struct MasterTable {
+    parts: PartId,
+    slots: Vec<AtomicU16>,
 }
 
-impl RemoteMasters {
-    /// The table over a strictly ascending request set, nothing answered.
-    pub(crate) fn requested(keys: Vec<Node>) -> Self {
-        let vals = vec![UNASSIGNED; keys.len()];
-        Self::from_sorted(keys, vals)
+impl MasterTable {
+    /// Every master of `0..n` unknown, for a run over `parts` partitions.
+    /// Panics — naming the limit — when `parts` exceeds
+    /// [`MAX_STORED_PARTS`].
+    pub(crate) fn new(n: usize, parts: PartId) -> Self {
+        assert!(
+            parts <= MAX_STORED_PARTS,
+            "stored masters support at most {MAX_STORED_PARTS} partitions (a u16 per node); \
+             this run has {parts}"
+        );
+        MasterTable { parts, slots: zeroed(n) }
     }
 
-    /// Builds the lookup form from strictly ascending `keys` and their
-    /// masters (what [`RemoteMasters::iter`] yields — the checkpoint's
-    /// durable form).
-    pub(crate) fn from_sorted(keys: Vec<Node>, vals: Vec<PartId>) -> Self {
-        debug_assert!(keys.len() == vals.len() && keys.windows(2).all(|w| w[0] < w[1]));
-        let (window_lo, window) = match (keys.first(), keys.last()) {
-            (Some(&lo), Some(&hi)) => {
-                let span = (hi - lo) as usize + 1;
-                // Remote dests of a contiguous read range tend to blanket
-                // the id space, so the dense form almost always applies; the
-                // cap only guards against degenerate sparse sets (a few ids
-                // scattered across billions).
-                if span <= keys.len().saturating_mul(4).saturating_add(1024) {
-                    let mut window = vec![UNASSIGNED; span];
-                    for (&v, &p) in keys.iter().zip(&vals) {
-                        window[(v - lo) as usize] = p;
-                    }
-                    (lo, window)
-                } else {
-                    (0, Vec::new())
-                }
-            }
-            _ => (0, Vec::new()),
-        };
-        RemoteMasters { keys, vals, window_lo, window }
-    }
-
-    /// Stores `run` as the masters of the `run.len()` requested ids from
-    /// position `at` of the sorted request set.
-    pub(crate) fn set_run(&mut self, at: usize, run: &[PartId]) {
-        self.vals[at..at + run.len()].copy_from_slice(run);
-        if !self.window.is_empty() {
-            for (&v, &p) in self.keys[at..at + run.len()].iter().zip(run) {
-                self.window[(v - self.window_lo) as usize] = p;
-            }
+    /// Records `p` as the master of `v`. Safe from any number of threads
+    /// (relaxed: a slot publishes no other data). A master that names no
+    /// partition panics rather than being stored truncated.
+    #[inline]
+    pub(crate) fn set(&self, v: Node, p: PartId) {
+        if p >= self.parts {
+            no_such_partition(v, p, self.parts);
         }
+        self.slots[v as usize].store(p as u16 + 1, Ordering::Relaxed);
     }
 
-    /// The master of `v`, or `None` if it was never requested or the
-    /// protocol has not delivered it (yet).
+    /// The master of `v`, or `None` while it is unknown (never requested,
+    /// not answered yet, or past the node count).
     #[inline]
     pub fn get(&self, v: Node) -> Option<PartId> {
-        if !self.window.is_empty() {
-            let off = v.wrapping_sub(self.window_lo) as usize;
-            return self.window.get(off).copied().filter(|&m| m != UNASSIGNED);
+        match self.slots.get(v as usize)?.load(Ordering::Relaxed) {
+            0 => None,
+            m => Some(m as PartId - 1),
         }
-        self.search(v)
     }
 
-    /// The sparse fallback of [`RemoteMasters::get`], out of line so the
-    /// window load is all that inlines into the per-edge loops.
-    #[inline(never)]
-    fn search(&self, v: Node) -> Option<PartId> {
-        let i = self.keys.binary_search(&v).ok()?;
-        Some(self.vals[i]).filter(|&m| m != UNASSIGNED)
+    /// The node count `n` the table spans.
+    pub fn num_nodes(&self) -> usize {
+        self.slots.len()
     }
 
-    /// Number of requested ids (all of them answered once
-    /// [`assign_masters`] has returned the table).
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when no remote assignments were requested.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Iterates `(node, master)` pairs in ascending node order.
+    /// Iterates the known `(node, master)` pairs in ascending node order —
+    /// a scan of the whole table, for checkpoints and tests.
     pub fn iter(&self) -> impl Iterator<Item = (Node, PartId)> + '_ {
-        self.keys.iter().copied().zip(self.vals.iter().copied())
+        self.slots.iter().enumerate().filter_map(|(v, m)| match m.load(Ordering::Relaxed) {
+            0 => None,
+            m => Some((v as Node, m as PartId - 1)),
+        })
+    }
+}
+
+impl PartialEq for MasterTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts == other.parts && self.num_nodes() == other.num_nodes() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for MasterTable {}
+
+impl fmt::Debug for MasterTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "MasterTable(n = {}, parts = {}) ", self.num_nodes(), self.parts)?;
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -192,16 +179,9 @@ pub enum ResolvedMasters {
         /// First node of partitions `1..k`, ascending (`k − 1` entries).
         starts: Vec<Node>,
     },
-    /// Assignments are stored: dense for the local read range, dense-window
-    /// (or sorted-array) for the requested remote nodes.
-    Stored {
-        /// First node of the locally read range.
-        lo: Node,
-        /// Master of each node in the local range.
-        local: Vec<PartId>,
-        /// Masters of the requested remote nodes.
-        remote: RemoteMasters,
-    },
+    /// Assignments are stored: phase 2's [`MasterTable`], frozen — every
+    /// node of the read range and every requested destination is known.
+    Stored(MasterTable),
 }
 
 impl ResolvedMasters {
@@ -209,10 +189,9 @@ impl ResolvedMasters {
     /// it (which would be a driver bug, not a user error).
     ///
     /// Called up to twice per edge by both edge walks, so it is forced
-    /// inline — as a call it costs more than the lookup, and a plain
-    /// `#[inline]` hint loses against the size of the stored arm — and what
-    /// is neither the count nor a window load (the sparse search, the panic)
-    /// sits in a function of its own.
+    /// inline — as a call it costs more than the lookup — and the
+    /// unknown-master panic sits in a cold function of its own: a stored
+    /// master is one two-byte load.
     #[inline(always)]
     pub fn of(&self, v: Node) -> PartId {
         match self {
@@ -220,15 +199,7 @@ impl ResolvedMasters {
             // branch-free count over the few starts beats a binary search
             // with its unpredictable branches, and vectorizes.
             ResolvedMasters::Pure { starts } => starts.iter().map(|&b| (b <= v) as PartId).sum(),
-            ResolvedMasters::Stored { lo, local, remote } => {
-                match local.get(v.wrapping_sub(*lo) as usize) {
-                    Some(&m) => {
-                        debug_assert_ne!(m, UNASSIGNED);
-                        m
-                    }
-                    None => remote.get(v).unwrap_or_else(|| unknown_master(v)),
-                }
-            }
+            ResolvedMasters::Stored(table) => table.get(v).unwrap_or_else(|| unknown_master(v)),
         }
     }
 
@@ -244,11 +215,19 @@ fn unknown_master(v: Node) -> PartId {
     panic!("master of {v} unknown on this host")
 }
 
+#[cold]
+#[inline(never)]
+fn no_such_partition(v: Node, p: PartId, parts: PartId) -> ! {
+    panic!("master {p} of node {v} names no partition; there are {parts}")
+}
+
 /// The requester's half of the positional answer stream: what this host
-/// asked of each peer, and how far each peer has answered.
+/// asked of each peer, and how far each peer has answered. The answers
+/// themselves go straight into the [`MasterTable`].
 struct Requests {
-    /// The sorted request set and the answers received so far.
-    table: RemoteMasters,
+    /// The sorted request set: answers carry no ids, so these are what
+    /// names them.
+    ids: Vec<Node>,
     /// Request `bounds[p]..bounds[p + 1]` of the sorted set went to host
     /// `p`: hosts read contiguous ascending node ranges, so the set splits
     /// into one consecutive run per reader.
@@ -261,23 +240,18 @@ struct Requests {
 }
 
 impl Requests {
-    /// Splits the strictly ascending request set `needed` by reader.
-    fn new(needed: Vec<Node>, read_splits: &[ReadSplit]) -> Self {
+    /// Splits the strictly ascending request set `ids` by reader.
+    fn new(ids: Vec<Node>, read_splits: &[ReadSplit]) -> Self {
         let mut bounds = Vec::with_capacity(read_splits.len() + 1);
         bounds.push(0);
-        bounds.extend(read_splits.iter().map(|s| needed.partition_point(|&v| (v as u64) < s.hi)));
-        assert_eq!(bounds.last(), Some(&needed.len()), "requested a node no host reads");
-        Requests {
-            table: RemoteMasters::requested(needed),
-            answered: vec![0; read_splits.len()],
-            bounds,
-            run: Vec::new(),
-        }
+        bounds.extend(read_splits.iter().map(|s| ids.partition_point(|&v| (v as u64) < s.hi)));
+        assert_eq!(bounds.last(), Some(&ids.len()), "requested a node no host reads");
+        Requests { ids, answered: vec![0; read_splits.len()], bounds, run: Vec::new() }
     }
 
     /// The ids asked of `peer`, ascending — the order it answers them in.
     fn of_peer(&self, peer: usize) -> &[Node] {
-        &self.table.keys[self.bounds[peer]..self.bounds[peer + 1]]
+        &self.ids[self.bounds[peer]..self.bounds[peer + 1]]
     }
 
     /// Ids asked of `peer` and not yet answered.
@@ -291,13 +265,13 @@ impl Requests {
     }
 
     /// Decodes the rest of a SYNC/FINAL from `src` — `n`, then the masters
-    /// of the next `n` ids asked of it — into the table.
+    /// of the next `n` ids asked of it — into `table`.
     /// The bytes come from another host: `n` is bounded by what is still
     /// outstanding before anything is sized or indexed by it, the run is
     /// decoded in one piece, nothing may follow it, and a master must name
     /// a partition — there is one per host — since the scored rules index
-    /// their counts by it.
-    fn apply_run(&mut self, src: usize, round: usize, r: &mut WireReader) {
+    /// their counts by it. Nothing is written before all of that holds.
+    fn apply_run(&mut self, src: usize, round: usize, r: &mut WireReader, table: &MasterTable) {
         let parts = self.answered.len() as PartId;
         let n = r.get_u64().expect("truncated sync message: no answer count");
         let outstanding = self.outstanding(src);
@@ -308,7 +282,7 @@ impl Requests {
             self.of_peer(src).len()
         );
         let n = n as usize;
-        self.run.resize(n, UNASSIGNED);
+        self.run.resize(n, 0);
         r.get_u32_into(&mut self.run)
             .unwrap_or_else(|e| panic!("host {src} announced {n} master(s) in round {round}: {e}"));
         assert!(
@@ -316,11 +290,14 @@ impl Requests {
             "host {src} sent {} byte(s) after its {n} master(s) in round {round}",
             r.remaining()
         );
+        let at = self.answered[src];
+        let ids = &self.of_peer(src)[at..at + n];
         if let Some(i) = self.run.iter().position(|&p| p >= parts) {
-            let v = self.of_peer(src)[self.answered[src] + i];
-            panic!("host {src} answered master {} for node {v}; there are {parts} partitions", self.run[i]);
+            panic!("host {src} answered master {} for node {}; there are {parts} partitions", self.run[i], ids[i]);
         }
-        self.table.set_run(self.bounds[src] + self.answered[src], &self.run);
+        for (&v, &p) in ids.iter().zip(&self.run) {
+            table.set(v, p);
+        }
         self.answered[src] += n;
     }
 }
@@ -344,6 +321,9 @@ pub fn assign_masters<MR: MasterRule>(
     let k = comm.num_hosts();
     let lo = data.node_lo();
     let local_n = data.num_nodes();
+    // The one table, before anything is sent: a run it cannot hold is
+    // refused here.
+    let table = MasterTable::new(setup.num_nodes as usize, setup.parts);
 
     // --- Step 1: request the masters of my edges' destinations. --------
     let requests_span = cusp_obs::span("master.requests");
@@ -377,8 +357,6 @@ pub fn assign_masters<MR: MasterRule>(
     drop(requests_span);
 
     // --- Step 2: assignment loop with periodic asynchronous sync. ------
-    let local: Vec<AtomicU32> = (0..local_n).map(|_| AtomicU32::new(UNASSIGNED)).collect();
-
     let rounds = if rule.uses_neighbor_masters() {
         cfg.sync_rounds.max(1) as usize
     } else {
@@ -398,25 +376,24 @@ pub fn assign_masters<MR: MasterRule>(
     let mut answer = |peer: usize, kind: u8, upto: usize, delta: &[u64], cursor: &mut usize| {
         let ids = &requested_by[peer][*cursor..upto];
         run_buf.clear();
-        run_buf.extend(ids.iter().map(|&v| local[(v - lo) as usize].load(Ordering::Relaxed)));
+        run_buf.extend(ids.iter().map(|&v| table.get(v).unwrap_or_else(|| unknown_master(v))));
         *cursor = upto;
         comm.send_bytes(peer, TAG_MASTER_SYNC, encode_sync(kind, delta, &run_buf));
         ids.len()
     };
 
+    let view = MasterView::new(&table);
     let mut start = 0usize;
     for round in 0..rounds {
         let end = (start + chunk).min(local_n);
         let _round_span = cusp_obs::span_arg("master.round", (end - start) as u64);
         if start < end {
-            let view = MasterView::new(lo, &local, &requests.table);
             let parallel =
                 rule.uses_neighbor_masters() && pool.threads() > 1 && !cfg.deterministic_sync;
             // Stream the round's node range chunk by chunk; for monolithic
             // data this is a single pass over the resident slice.
             data.for_chunks_in(lo + start as Node..lo + end as Node, |chunk, sub| {
                 let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
-                let base = (sub.start - lo) as usize;
                 let n = (sub.end - sub.start) as usize;
                 if parallel {
                     // Parallel within the chunk; neighbor lookups see fresh
@@ -424,16 +401,12 @@ pub fn assign_masters<MR: MasterRule>(
                     // thread-safe, non-deterministic streaming).
                     do_all(pool, n, DEFAULT_GRAIN, |j| {
                         let v = sub.start + j as Node;
-                        let m = rule.get_master(&prop, v, state, &view);
-                        debug_assert!(m < setup.parts);
-                        local[base + j].store(m, Ordering::Relaxed);
+                        table.set(v, rule.get_master(&prop, v, state, &view));
                     });
                 } else {
                     for j in 0..n {
                         let v = sub.start + j as Node;
-                        let m = rule.get_master(&prop, v, state, &view);
-                        debug_assert!(m < setup.parts);
-                        local[base + j].store(m, Ordering::Relaxed);
+                        table.set(v, rule.get_master(&prop, v, state, &view));
                     }
                 }
             });
@@ -478,14 +451,14 @@ pub fn assign_masters<MR: MasterRule>(
                     continue;
                 }
                 let payload = comm.recv_from(peer, TAG_MASTER_SYNC);
-                if apply_sync::<MR>(payload, peer, round, state, &mut requests) {
+                if apply_sync::<MR>(payload, peer, round, state, &mut requests, &table) {
                     finals += 1;
                 }
             }
         } else {
             // Drain whatever peers have sent, without blocking.
             while let Some((src, payload)) = comm.try_recv_any(TAG_MASTER_SYNC) {
-                if apply_sync::<MR>(payload, src, round, state, &mut requests) {
+                if apply_sync::<MR>(payload, src, round, state, &mut requests, &table) {
                     finals += 1;
                 }
             }
@@ -521,7 +494,7 @@ pub fn assign_masters<MR: MasterRule>(
             }
             loop {
                 let payload = comm.recv_from(peer, TAG_MASTER_SYNC);
-                if apply_sync::<MR>(payload, peer, rounds, state, &mut requests) {
+                if apply_sync::<MR>(payload, peer, rounds, state, &mut requests, &table) {
                     finals += 1;
                     break;
                 }
@@ -531,7 +504,7 @@ pub fn assign_masters<MR: MasterRule>(
     } else {
         while finals < k - 1 {
             let (src, payload) = comm.recv_any(TAG_MASTER_SYNC);
-            if apply_sync::<MR>(payload, src, rounds, state, &mut requests) {
+            if apply_sync::<MR>(payload, src, rounds, state, &mut requests, &table) {
                 finals += 1;
             }
         }
@@ -541,11 +514,7 @@ pub fn assign_masters<MR: MasterRule>(
 
     // Every peer's FINAL was checked against its run as it arrived, so the
     // table is complete: later phases read it as it stands.
-    ResolvedMasters::Stored {
-        lo,
-        local: local.into_iter().map(|a| a.into_inner()).collect(),
-        remote: requests.table,
-    }
+    ResolvedMasters::Stored(table)
 }
 
 /// Builds the pure resolver for a pure rule over `parts` partitions (no
@@ -595,6 +564,7 @@ fn apply_sync<MR: MasterRule>(
     round: usize,
     state: &MR::State,
     requests: &mut Requests,
+    table: &MasterTable,
 ) -> bool {
     let mut r = WireReader::new(payload);
     let kind = r.get_u8().expect("empty sync message");
@@ -603,7 +573,7 @@ fn apply_sync<MR: MasterRule>(
     if !MR::State::STATELESS && !delta.is_empty() {
         state.apply_remote(&delta);
     }
-    requests.apply_run(src, round, &mut r);
+    requests.apply_run(src, round, &mut r, table);
     let is_final = kind == MSG_FINAL;
     if is_final {
         assert_eq!(
@@ -628,6 +598,7 @@ mod tests {
     use cusp_net::Cluster;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap};
+    use std::ops::Range;
     use std::sync::Arc;
 
     /// A trivially non-pure rule for protocol tests: master = node % k.
@@ -646,11 +617,12 @@ mod tests {
         }
     }
 
+    /// Each host's read range and the table `assign_masters` left it.
     fn run_assignment<MR: MasterRule>(
         k: usize,
         rule_of: impl Fn(&Setup) -> MR + Sync,
         rounds: u32,
-    ) -> Vec<(Node, Vec<PartId>, RemoteMasters)> {
+    ) -> Vec<(Range<Node>, MasterTable)> {
         let g = Arc::new(erdos_renyi(300, 3000, 17));
         let out = Cluster::run(k, |comm| {
             let cfg = CuspConfig {
@@ -662,8 +634,9 @@ mod tests {
             let mut r = read_phase(comm, &GraphSource::Memory(g.clone()), &cfg).unwrap();
             let rule = rule_of(&r.setup);
             let state = MR::State::new(r.setup.parts);
+            let range = r.data.node_lo()..r.data.node_hi();
             match assign_masters(comm, &pool, &r.setup, &mut r.data, &rule, &state, &cfg) {
-                ResolvedMasters::Stored { lo, local, remote } => (lo, local, remote),
+                ResolvedMasters::Stored(table) => (range, table),
                 _ => unreachable!(),
             }
         });
@@ -672,19 +645,14 @@ mod tests {
 
     #[test]
     fn stateless_rule_assignments_are_consistent_across_hosts() {
-        let results = run_assignment(4, |_s| ModRule, 1);
-        // Every remote entry must equal what the owner computed locally.
-        for (_, _, remote) in &results {
-            assert!(!remote.is_empty());
-            for (v, p) in remote.iter() {
-                assert_eq!(p, v % 4, "remote master of {v} wrong");
-                assert_eq!(remote.get(v), Some(p));
-            }
-        }
-        // Local arrays complete.
-        for (lo, local, _) in &results {
-            for (i, &m) in local.iter().enumerate() {
-                assert_eq!(m, (lo + i as u32) % 4);
+        for (range, table) in run_assignment(4, |_s| ModRule, 1) {
+            assert_eq!(table.num_nodes(), 300);
+            // The read range is complete, something beyond it was asked
+            // for, and every entry is what its owner computed.
+            assert!(range.clone().all(|v| table.get(v).is_some()));
+            assert!(table.iter().any(|(v, _)| !range.contains(&v)));
+            for (v, p) in table.iter() {
+                assert_eq!(p, v % 4, "master of {v} wrong");
             }
         }
     }
@@ -693,19 +661,19 @@ mod tests {
     fn fennel_assignments_complete_and_agree() {
         for rounds in [1u32, 4, 32] {
             let results = run_assignment(4, FennelEB::new, rounds);
-            // Build the global truth from local arrays.
+            // Build the global truth from the read ranges.
             let mut truth: HashMap<Node, PartId> = HashMap::new();
-            for (lo, local, _) in &results {
-                for (i, &m) in local.iter().enumerate() {
-                    assert_ne!(m, UNASSIGNED);
+            for (range, table) in &results {
+                for v in range.clone() {
+                    let m = table.get(v).expect("own range complete");
                     assert!(m < 4);
-                    truth.insert(lo + i as u32, m);
+                    truth.insert(v, m);
                 }
             }
             assert_eq!(truth.len(), 300);
-            // Remote views agree with the truth.
-            for (_, _, remote) in &results {
-                for (v, p) in remote.iter() {
+            // What each host was answered agrees with the truth.
+            for (_, table) in &results {
+                for (v, p) in table.iter() {
                     assert_eq!(p, truth[&v], "rounds={rounds}: master of {v} diverged");
                 }
             }
@@ -713,34 +681,79 @@ mod tests {
     }
 
     #[test]
-    fn remote_masters_dense_and_sparse_forms_agree() {
-        fn table(pairs: &BTreeMap<Node, PartId>) -> RemoteMasters {
-            RemoteMasters::from_sorted(pairs.keys().copied().collect(), pairs.values().copied().collect())
+    fn master_table_answers_what_was_set_and_nothing_else() {
+        fn check(n: usize, pairs: &BTreeMap<Node, PartId>) {
+            let table = MasterTable::new(n, 5);
+            for (&v, &p) in pairs {
+                table.set(v, p);
+            }
+            assert_eq!(table.num_nodes(), n);
+            assert_eq!(table.iter().collect::<BTreeMap<_, _>>(), *pairs);
+            let last = n as Node;
+            let probes = pairs.keys().flat_map(|&v| [v.wrapping_sub(1), v, v + 1]);
+            for v in probes.chain([0, last.wrapping_sub(1), last, last + 1, Node::MAX]) {
+                assert_eq!(table.get(v), pairs.get(&v).copied(), "n = {n}: get({v})");
+            }
         }
-        // Dense: contiguous-ish ids → window form.
-        let dense: BTreeMap<Node, PartId> =
-            (100u32..400).filter(|v| v % 3 != 0).map(|v| (v, v % 5)).collect();
-        let rm = table(&dense);
-        assert!(!rm.window.is_empty());
-        assert_eq!(rm.len(), dense.len());
-        for v in 0u32..500 {
-            assert_eq!(rm.get(v), dense.get(&v).copied(), "dense get({v})");
+        // Contiguous-ish ids, ids scattered over tens of millions, ids at
+        // both ends of the table.
+        check(500, &(100u32..400).filter(|v| v % 3 != 0).map(|v| (v, v % 5)).collect());
+        check(20_000_000, &(0u32..8).map(|i| (i * 2_499_999 + 7, i % 5)).collect());
+        check(64, &[(0, 4), (63, 0)].into_iter().collect());
+        // The empty set, over a table and over no nodes at all.
+        check(1000, &BTreeMap::new());
+        check(0, &BTreeMap::new());
+    }
+
+    #[test]
+    fn partitions_past_a_byte_round_trip_up_to_the_named_limit() {
+        let table = MasterTable::new(8, MAX_STORED_PARTS);
+        let parts = [0, 255, 256, 65_533];
+        for (v, &p) in parts.iter().enumerate() {
+            table.set(v as Node * 2, p);
         }
-        // Sparse: ids scattered far beyond the dense-window cap → sorted
-        // array + binary search.
-        let sparse: BTreeMap<Node, PartId> =
-            (0u32..8).map(|i| (i.wrapping_mul(100_000_003), i)).collect();
-        let rm = table(&sparse);
-        assert!(rm.window.is_empty());
-        assert_eq!(rm.len(), sparse.len());
-        for (&v, &p) in &sparse {
-            assert_eq!(rm.get(v), Some(p));
-            assert_eq!(rm.get(v ^ 1), sparse.get(&(v ^ 1)).copied());
+        let want: Vec<(Node, PartId)> = parts.iter().enumerate().map(|(v, &p)| (v as Node * 2, p)).collect();
+        assert_eq!(table.iter().collect::<Vec<_>>(), want);
+        for (v, p) in want {
+            assert_eq!(table.get(v), Some(p));
+            assert_eq!(table.get(v + 1), None);
         }
-        // Empty set.
-        let rm = RemoteMasters::requested(Vec::new());
-        assert!(rm.is_empty());
-        assert_eq!(rm.get(0), None);
+        assert_eq!(MAX_STORED_PARTS, 65_534);
+    }
+
+    #[test]
+    #[should_panic(expected = "stored masters support at most 65534 partitions (a u16 per node); this run has 65535")]
+    fn a_table_over_u16_max_partitions_is_refused() {
+        MasterTable::new(1, u16::MAX as PartId);
+    }
+
+    #[test]
+    #[should_panic(expected = "master 4 of node 2 names no partition; there are 4")]
+    fn a_master_that_names_no_partition_is_not_stored() {
+        MasterTable::new(3, 4).set(2, 4);
+    }
+
+    /// A stored-master run over more partitions than a slot can name stops
+    /// at the limit on every host, before a byte of the phase is sent.
+    #[test]
+    fn a_stored_run_past_the_limit_panics_before_any_message() {
+        let g = Arc::new(erdos_renyi(200, 1000, 5));
+        let out = Cluster::run(2, |comm| {
+            let cfg = CuspConfig::default();
+            let pool = ThreadPool::new(1);
+            let mut r = read_phase(comm, &GraphSource::Memory(g.clone()), &cfg).unwrap();
+            comm.set_phase("master");
+            r.setup.parts = u16::MAX as PartId;
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                assign_masters(comm, &pool, &r.setup, &mut r.data, &ModRule, &(), &cfg)
+            }))
+            .expect_err("65535 partitions stored");
+            err.downcast_ref::<String>().cloned().expect("formatted panic")
+        });
+        for msg in &out.results {
+            assert!(msg.contains("at most 65534 partitions"), "{msg}");
+        }
+        assert_eq!(out.stats.phase("master").unwrap().total_bytes(), 0);
     }
 
     /// Read ranges `[0, 100) [100, 100) [100, 250) [250, 400)` × `stride`:
@@ -757,30 +770,31 @@ mod tests {
         encode_sync(kind, &[], run)
     }
 
-    fn apply(req: &mut Requests, src: usize, round: usize, payload: bytes::Bytes) -> bool {
-        apply_sync::<ModRule>(payload, src, round, &(), req)
+    fn apply(req: &mut Requests, table: &MasterTable, src: usize, round: usize, payload: bytes::Bytes) -> bool {
+        apply_sync::<ModRule>(payload, src, round, &(), req, table)
     }
 
     #[test]
     fn answers_land_on_the_ids_of_their_peer_in_request_order() {
         let needed: Vec<Node> = vec![3, 40, 99, 100, 180, 249, 250, 399];
         let mut req = Requests::new(needed, &splits(1));
+        let table = MasterTable::new(400, 4);
         assert_eq!(req.of_peer(0), [3, 40, 99]);
         assert_eq!(req.of_peer(1), [0u32; 0]);
         assert_eq!(req.of_peer(2), [100, 180, 249]);
         assert_eq!(req.of_peer(3), [250, 399]);
         // Host 3 answers first, then host 0 in two messages, one of them empty.
-        assert!(!apply(&mut req, 3, 0, sync_from(MSG_SYNC, &[1])));
-        assert!(!apply(&mut req, 0, 0, sync_from(MSG_SYNC, &[])));
-        assert!(!apply(&mut req, 0, 1, sync_from(MSG_SYNC, &[2, 3])));
+        assert!(!apply(&mut req, &table, 3, 0, sync_from(MSG_SYNC, &[1])));
+        assert!(!apply(&mut req, &table, 0, 0, sync_from(MSG_SYNC, &[])));
+        assert!(!apply(&mut req, &table, 0, 1, sync_from(MSG_SYNC, &[2, 3])));
         assert_eq!(req.received(), 3);
-        let got: Vec<Option<PartId>> = [3, 40, 99, 100, 250, 399].iter().map(|&v| req.table.get(v)).collect();
+        let got: Vec<Option<PartId>> = [3, 40, 99, 100, 250, 399].iter().map(|&v| table.get(v)).collect();
         assert_eq!(got, [Some(2), Some(3), None, None, Some(1), None]);
-        assert!(apply(&mut req, 0, 2, sync_from(MSG_FINAL, &[0])));
-        assert!(apply(&mut req, 1, 2, sync_from(MSG_FINAL, &[])));
-        assert!(apply(&mut req, 2, 2, sync_from(MSG_FINAL, &[0, 1, 2])));
-        assert!(apply(&mut req, 3, 2, sync_from(MSG_FINAL, &[3])));
-        let all: Vec<(Node, PartId)> = req.table.iter().collect();
+        assert!(apply(&mut req, &table, 0, 2, sync_from(MSG_FINAL, &[0])));
+        assert!(apply(&mut req, &table, 1, 2, sync_from(MSG_FINAL, &[])));
+        assert!(apply(&mut req, &table, 2, 2, sync_from(MSG_FINAL, &[0, 1, 2])));
+        assert!(apply(&mut req, &table, 3, 2, sync_from(MSG_FINAL, &[3])));
+        let all: Vec<(Node, PartId)> = table.iter().collect();
         assert_eq!(all, [(3, 2), (40, 3), (99, 0), (100, 0), (180, 1), (249, 2), (250, 1), (399, 3)]);
     }
 
@@ -788,17 +802,19 @@ mod tests {
     #[should_panic(expected = "host 2 sent its FINAL in round 7 having answered 2 of 3 requested id(s)")]
     fn a_responder_that_answers_one_too_few_is_caught_at_its_final() {
         let mut req = Requests::new(vec![100, 180, 249], &splits(1));
-        apply(&mut req, 2, 0, sync_from(MSG_SYNC, &[1]));
-        apply(&mut req, 2, 7, sync_from(MSG_FINAL, &[1]));
+        let table = MasterTable::new(400, 4);
+        apply(&mut req, &table, 2, 0, sync_from(MSG_SYNC, &[1]));
+        apply(&mut req, &table, 2, 7, sync_from(MSG_FINAL, &[1]));
     }
 
     #[test]
     fn a_responder_that_answers_one_too_many_is_caught_before_a_slot_is_written() {
         let mut req = Requests::new(vec![3, 100, 180, 249], &splits(1));
-        apply(&mut req, 2, 0, sync_from(MSG_SYNC, &[1]));
-        let before: Vec<(Node, PartId)> = req.table.iter().collect();
+        let table = MasterTable::new(400, 4);
+        apply(&mut req, &table, 2, 0, sync_from(MSG_SYNC, &[1]));
+        let before: Vec<(Node, PartId)> = table.iter().collect();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            apply(&mut req, 2, 5, sync_from(MSG_SYNC, &[2, 2, 2]))
+            apply(&mut req, &table, 2, 5, sync_from(MSG_SYNC, &[2, 2, 2]))
         }))
         .expect_err("three answers for two outstanding requests");
         let msg = err.downcast_ref::<String>().expect("formatted panic");
@@ -806,7 +822,7 @@ mod tests {
             msg.contains("host 2 answered 3 master(s) in round 5 but only 2 of its 3 requested id(s)"),
             "{msg}"
         );
-        assert_eq!(req.table.iter().collect::<Vec<_>>(), before);
+        assert_eq!(table.iter().collect::<Vec<_>>(), before);
         assert_eq!(req.answered, [0, 0, 1, 0]);
     }
 
@@ -816,8 +832,9 @@ mod tests {
     fn malformed_sync_messages_are_refused() {
         fn refused(payload: Vec<u8>, expect: &str) {
             let mut req = Requests::new(vec![100, 180, 249], &splits(1));
+            let table = MasterTable::new(400, 4);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                apply(&mut req, 2, 1, bytes::Bytes::from(payload))
+                apply(&mut req, &table, 2, 1, bytes::Bytes::from(payload))
             }))
             .expect_err(expect);
             let msg = err
@@ -826,7 +843,7 @@ mod tests {
                 .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
                 .expect("panic message");
             assert!(msg.contains(expect), "expected {expect:?} in {msg:?}");
-            assert!(req.table.iter().all(|(_, p)| p == UNASSIGNED), "{expect}: a slot was written");
+            assert_eq!(table.iter().count(), 0, "{expect}: a slot was written");
         }
         let good = sync_from(MSG_SYNC, &[1, 2]).to_vec();
         refused(Vec::new(), "empty sync message");
@@ -839,9 +856,11 @@ mod tests {
         let at = huge.len() - 8;
         huge[at..].copy_from_slice(&(1u64 << 61).to_le_bytes());
         refused(huge, "answered 2305843009213693952 master(s)");
-        // A master that names no partition (four hosts, four partitions).
+        // A master that names no partition (four hosts, four partitions),
+        // also one that a `u16` slot would truncate to a valid one.
         refused(sync_from(MSG_SYNC, &[1, 4]).to_vec(), "answered master 4 for node 180");
-        refused(sync_from(MSG_SYNC, &[UNASSIGNED]).to_vec(), "for node 100");
+        refused(sync_from(MSG_SYNC, &[65_536 + 1]).to_vec(), "for node 100");
+        refused(sync_from(MSG_SYNC, &[u32::MAX]).to_vec(), "for node 100");
     }
 
     proptest! {
@@ -849,36 +868,37 @@ mod tests {
 
         /// The table and the positional stream against a `BTreeMap` of
         /// what has been answered, after every message: random request
-        /// sets — stride 1 blankets a window, stride 5,000,000 forces the
-        /// sorted-key fallback — answered by each peer in order but cut
+        /// sets — stride 1 packs them, stride 50,000 spreads them over a
+        /// 20,000,000-node table — answered by each peer in order but cut
         /// into messages of arbitrary (also zero) length, the peers'
         /// messages interleaved arbitrarily. A cursor that advanced by
         /// messages rather than by ids would misplace the first run that
         /// follows a run of length ≠ 1.
         #[test]
         fn positional_answers_match_a_btreemap(
-            stride in prop_oneof![Just(1u32), Just(5_000_000)],
+            stride in prop_oneof![Just(1u32), Just(50_000)],
             picks in proptest::collection::vec(any::<bool>(), 400),
             cuts in proptest::collection::vec(0usize..40, 1..60),
             order in proptest::collection::vec(0usize..4, 0..200),
         ) {
             let splits = splits(stride as u64);
+            let n = 400 * stride;
             let needed: Vec<Node> =
                 (0u32..400).filter(|&v| picks[v as usize]).map(|v| v * stride).collect();
             let master = |v: Node| (v / stride) % 4;
             let mut req = Requests::new(needed.clone(), &splits);
-            prop_assert_eq!(req.table.window.is_empty(), stride != 1 && !needed.is_empty());
+            let table = MasterTable::new(n as usize, 4);
             let mut reference: BTreeMap<Node, PartId> = BTreeMap::new();
-            let check = |req: &Requests, reference: &BTreeMap<Node, PartId>| {
+            let check = |table: &MasterTable, reference: &BTreeMap<Node, PartId>| {
                 // Requested and answered, requested and not yet answered,
-                // never requested: between, on and beside the keys.
-                for v in 0u32..400 {
-                    for probe in [v * stride, (v * stride).wrapping_add(1)] {
-                        assert_eq!(req.table.get(probe), reference.get(&probe).copied(), "get({probe})");
-                    }
+                // never requested: between, on and beside the keys, and
+                // the table's first and last id.
+                let probes = (0u32..400).flat_map(|v| [v * stride, v * stride + 1]);
+                for probe in probes.chain([0, n - 1]) {
+                    assert_eq!(table.get(probe), reference.get(&probe).copied(), "get({probe})");
                 }
             };
-            check(&req, &reference);
+            check(&table, &reference);
 
             let mut sent = [0usize; 4];
             let mut cut = cuts.iter().copied().cycle();
@@ -891,9 +911,9 @@ mod tests {
                 let run: Vec<PartId> = ids[sent[peer]..sent[peer] + n].iter().map(|&v| master(v)).collect();
                 reference.extend(ids[sent[peer]..sent[peer] + n].iter().map(|&v| (v, master(v))));
                 sent[peer] += n;
-                assert_eq!(apply(req, peer, 0, sync_from(kind, &run)), kind == MSG_FINAL);
+                assert_eq!(apply(req, &table, peer, 0, sync_from(kind, &run)), kind == MSG_FINAL);
                 assert_eq!(req.received(), sent.iter().sum::<usize>());
-                check(req, reference);
+                check(&table, reference);
             };
             for &peer in &order {
                 send(peer, MSG_SYNC, &mut req, &mut reference);
@@ -903,7 +923,7 @@ mod tests {
             for i in 0..4 {
                 send((first + i) % 4, MSG_FINAL, &mut req, &mut reference);
             }
-            prop_assert_eq!(req.table.iter().collect::<Vec<_>>(),
+            prop_assert_eq!(table.iter().collect::<Vec<_>>(),
                 needed.iter().map(|&v| (v, master(v))).collect::<Vec<_>>());
         }
     }

@@ -296,7 +296,7 @@ impl MasterRule for FennelEB {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phases::master::RemoteMasters;
+    use crate::phases::master::MasterTable;
     use crate::state::PartitionState;
     use cusp_graph::{Csr, GraphSlice, ReadSplit};
     use rand::rngs::StdRng;
@@ -379,12 +379,11 @@ mod tests {
         let prop = LocalProps::new(n, m, 2, &slice);
         let state = LoadState::new(2);
         // Pre-place masters: 0,1,2 → partition 1; 3 → partition 0.
-        let local: Vec<std::sync::atomic::AtomicU32> = [1u32, 1, 1, 0, crate::policy::UNASSIGNED]
-            .iter()
-            .map(|&v| std::sync::atomic::AtomicU32::new(v))
-            .collect();
-        let remote = RemoteMasters::requested(Vec::new());
-        let view = MasterView::new(0, &local, &remote);
+        let table = MasterTable::new(5, 2);
+        for (v, p) in [(0, 1), (1, 1), (2, 1), (3, 0)] {
+            table.set(v, p);
+        }
+        let view = MasterView::new(&table);
         let f = Fennel {
             alpha: 0.01,
             gamma: 1.5,
@@ -400,18 +399,14 @@ mod tests {
         let (slice, n, m) = props_for(&g, 4);
         let prop = LocalProps::new(n, m.max(1), 4, &slice);
         let state = LoadState::new(4);
-        let remote = RemoteMasters::requested(Vec::new());
-        let local: Vec<std::sync::atomic::AtomicU32> = (0..8)
-            .map(|_| std::sync::atomic::AtomicU32::new(crate::policy::UNASSIGNED))
-            .collect();
+        let table = MasterTable::new(8, 4);
+        let view = MasterView::new(&table);
         let f = Fennel {
             alpha: 1.0,
             gamma: 1.5,
         };
         for v in 0..8u32 {
-            let view = MasterView::new(0, &local, &remote);
-            let p = f.get_master(&prop, v, &state, &view);
-            local[v as usize].store(p, std::sync::atomic::Ordering::Relaxed);
+            table.set(v, f.get_master(&prop, v, &state, &view));
         }
         for p in 0..4 {
             assert_eq!(state.nodes(p), 2, "partition {p} should get 2 nodes");
@@ -431,11 +426,8 @@ mod tests {
         let prop = LocalProps::new(n, m, 2, &slice);
         let rule = FennelEB::new(&s).with_threshold(10);
         let state = LoadState::new(2);
-        let remote = RemoteMasters::requested(Vec::new());
-        let local: Vec<std::sync::atomic::AtomicU32> = (0..10)
-            .map(|_| std::sync::atomic::AtomicU32::new(crate::policy::UNASSIGNED))
-            .collect();
-        let view = MasterView::new(0, &local, &remote);
+        let table = MasterTable::new(10, 2);
+        let view = MasterView::new(&table);
         // Node 0 has degree 51 > 10 → ContiguousEB says partition 0.
         assert_eq!(rule.get_master(&prop, 0, &state, &view), 0);
         // EB path must not touch state (per Algorithm 1).
@@ -466,12 +458,11 @@ mod tests {
         let g = Csr::from_edges(10, &[(2, 0), (2, 1), (2, 7), (2, 8), (2, 9)]);
         let slice = GraphSlice::from_csr(&g, 0, 4);
         let prop = LocalProps::new(10, 5, 3, &slice);
-        let local: Vec<std::sync::atomic::AtomicU32> = [2u32, 0, crate::policy::UNASSIGNED, 0]
-            .iter()
-            .map(|&v| std::sync::atomic::AtomicU32::new(v))
-            .collect();
-        let remote = RemoteMasters::from_sorted(vec![7, 8, 9], vec![2, 2, crate::policy::UNASSIGNED]);
-        let view = MasterView::new(0, &local, &remote);
+        let table = MasterTable::new(10, 3);
+        for (v, p) in [(0, 2), (1, 0), (3, 0), (7, 2), (8, 2)] {
+            table.set(v, p);
+        }
+        let view = MasterView::new(&table);
         assert_eq!(neighbor_counts(&prop, 2, &view), [1, 0, 3]);
         assert_eq!(neighbor_counts(&prop, 3, &view), [0, 0, 0]);
         let f = Fennel { alpha: 0.01, gamma: 1.5 };

@@ -15,18 +15,14 @@
 //! * neighbor-aware → periodic asynchronous rounds during the phase.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use cusp_graph::{Node, ReadSplit};
 
-use crate::phases::master::RemoteMasters;
+use crate::phases::master::MasterTable;
 use crate::props::LocalProps;
 use crate::state::PartitionState;
 use crate::PartId;
-
-/// Sentinel for "no master assigned yet" in the local masters array.
-pub const UNASSIGNED: u32 = u32::MAX;
 
 /// Global, host-independent facts available when rules are constructed.
 /// Every host computes an identical `Setup`, so rules built from it are
@@ -135,33 +131,23 @@ pub trait EdgeRule: Send + Sync {
 }
 
 /// Read access to previously assigned masters — the `masters` argument of
-/// `getMaster`: the dense array of the locally read range plus the table of
-/// requested remote assignments, as far as the sync rounds have filled it.
+/// `getMaster`: phase 2's [`MasterTable`], as far as this host's own
+/// decisions and the sync rounds' answers have filled it. A lookup is one
+/// two-byte load, the same for a local node and a remote one.
 pub struct MasterView<'a> {
-    /// First node of the locally read range.
-    lo: Node,
-    /// Dense assignments for the local range, `UNASSIGNED` until set.
-    local: &'a [AtomicU32],
-    /// Requested remote assignments, `None` until answered.
-    remote: &'a RemoteMasters,
+    table: &'a MasterTable,
 }
 
 impl<'a> MasterView<'a> {
-    /// A view over the local range starting at `lo` and the remote table.
-    pub fn new(lo: Node, local: &'a [AtomicU32], remote: &'a RemoteMasters) -> Self {
-        MasterView { lo, local, remote }
+    /// A view over the host's master table.
+    pub fn new(table: &'a MasterTable) -> Self {
+        MasterView { table }
     }
 
     /// The master partition of `v`, or `None` if not (yet) known.
     #[inline]
     pub fn get(&self, v: Node) -> Option<PartId> {
-        match self.local.get(v.wrapping_sub(self.lo) as usize) {
-            Some(m) => {
-                let m = m.load(Ordering::Relaxed);
-                (m != UNASSIGNED).then_some(m)
-            }
-            None => self.remote.get(v),
-        }
+        self.table.get(v)
     }
 }
 
@@ -196,15 +182,18 @@ mod tests {
     }
 
     #[test]
-    fn stored_view_distinguishes_local_and_remote() {
-        let local: Vec<AtomicU32> = vec![AtomicU32::new(2), AtomicU32::new(UNASSIGNED)];
-        let remote = RemoteMasters::from_sorted(vec![50, 55], vec![3, UNASSIGNED]);
-        let view = MasterView::new(10, &local, &remote);
-        assert_eq!(view.get(10), Some(2));
-        assert_eq!(view.get(11), None); // local but unassigned
-        assert_eq!(view.get(50), Some(3));
-        assert_eq!(view.get(55), None); // requested, not yet answered
-        assert_eq!(view.get(60), None); // never requested
-        assert_eq!(view.get(9), None); // below the local range
+    fn stored_view_reads_local_and_remote_alike() {
+        let table = MasterTable::new(100, 4);
+        for (v, p) in [(10, 2), (50, 3), (99, 0)] {
+            table.set(v, p);
+        }
+        let view = MasterView::new(&table);
+        assert_eq!(view.get(10), Some(2)); // local, assigned
+        assert_eq!(view.get(11), None); // local, not assigned yet
+        assert_eq!(view.get(50), Some(3)); // requested and answered
+        assert_eq!(view.get(55), None); // not answered, or never requested
+        assert_eq!(view.get(0), None);
+        assert_eq!(view.get(99), Some(0)); // partition 0 is not "unknown"
+        assert_eq!(view.get(100), None); // past the node count
     }
 }
