@@ -39,9 +39,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use bytes::Bytes;
 use cusp_graph::{wire, Node};
-use cusp_net::{NetCheckpoint, WireReader, WireWriter};
+use cusp_net::{NetCheckpoint, WireWriter};
 
 use crate::phases::edge_assign::EdgeAssignOutcome;
 use crate::phases::master::{MasterTable, ResolvedMasters, MAX_STORED_PARTS};
@@ -78,13 +77,13 @@ impl ResolvedMasters {
     /// `parts` partitions; `None` for any entry the table could not hold —
     /// a node count past the id space, a node `≥` it, nodes out of order, or
     /// a master `≥ parts` — never a panic.
-    fn decode(r: &mut WireReader, parts: usize) -> Option<ResolvedMasters> {
-        match r.get_u8().ok()? {
-            0 => Some(ResolvedMasters::Pure { starts: r.get_u32_vec().ok()? }),
+    fn decode(r: &mut wire::Reader<'_>, parts: usize) -> Option<ResolvedMasters> {
+        match r.u8().ok()? {
+            0 => Some(ResolvedMasters::Pure { starts: r.u32_vec().ok()? }),
             1 => {
-                let n = r.get_u64().ok()?;
-                let nodes = r.get_u32_vec().ok()?;
-                let masters = r.get_u32_vec().ok()?;
+                let n = r.u64().ok()?;
+                let nodes = r.u32_vec().ok()?;
+                let masters = r.u32_vec().ok()?;
                 if n > Node::MAX as u64 + 1
                     || parts > MAX_STORED_PARTS as usize
                     || nodes.len() != masters.len()
@@ -126,10 +125,10 @@ impl EdgeAssignOutcome {
         w.put_u64(self.to_receive);
     }
 
-    fn decode(r: &mut WireReader) -> Option<EdgeAssignOutcome> {
-        let nodes = r.get_u32_vec().ok()?;
-        let counts = r.get_u32_vec().ok()?;
-        let owners = r.get_u32_vec().ok()?;
+    fn decode(r: &mut wire::Reader<'_>) -> Option<EdgeAssignOutcome> {
+        let nodes = r.u32_vec().ok()?;
+        let counts = r.u32_vec().ok()?;
+        let owners = r.u32_vec().ok()?;
         if nodes.len() != counts.len() || nodes.len() != owners.len() {
             return None;
         }
@@ -139,18 +138,18 @@ impl EdgeAssignOutcome {
             .zip(owners)
             .map(|((v, c), p)| (v, c, p))
             .collect();
-        let mnodes = r.get_u32_vec().ok()?;
-        let mparts = r.get_u32_vec().ok()?;
+        let mnodes = r.u32_vec().ok()?;
+        let mparts = r.u32_vec().ok()?;
         if mnodes.len() != mparts.len() {
             return None;
         }
         let mirrors = mnodes.into_iter().zip(mparts).collect();
-        let my_master_nodes = match r.get_u8().ok()? {
+        let my_master_nodes = match r.u8().ok()? {
             0 => None,
-            1 => Some(r.get_u32_vec().ok()?),
+            1 => Some(r.u32_vec().ok()?),
             _ => return None,
         };
-        let to_receive = r.get_u64().ok()?;
+        let to_receive = r.u64().ok()?;
         Some(EdgeAssignOutcome { incoming_srcs, mirrors, my_master_nodes, to_receive })
     }
 }
@@ -235,21 +234,21 @@ impl CheckpointStore {
         if used != raw.len() {
             return None;
         }
-        let mut r = WireReader::new(Bytes::from(body.to_vec()));
-        if r.get_u64().ok()? != MAGIC || r.get_u32().ok()? != VERSION {
+        let mut r = wire::Reader::new(body);
+        if r.u64().ok()? != MAGIC || r.u32().ok()? != VERSION {
             return None;
         }
-        if r.get_u64().ok()? != self.hosts as u64 || r.get_u64().ok()? != self.host as u64 {
+        if r.u64().ok()? != self.hosts as u64 || r.u64().ok()? != self.host as u64 {
             return None;
         }
         let net = NetCheckpoint::decode(&mut r, self.hosts)?;
         let masters = ResolvedMasters::decode(&mut r, self.hosts)?;
-        let edge_assign = match r.get_u8().ok()? {
+        let edge_assign = match r.u8().ok()? {
             0 => None,
             1 => Some(EdgeAssignOutcome::decode(&mut r)?),
             _ => return None,
         };
-        if !r.is_exhausted() {
+        if !r.is_empty() {
             return None;
         }
         Some(Checkpoint { net, masters, edge_assign })

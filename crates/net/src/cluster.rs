@@ -27,27 +27,21 @@
 //! ## Host-crash recovery
 //!
 //! A seeded [`CrashPlan`] in [`ClusterOptions::crash`] arms a recovery
-//! layer. Planned crashes unwind the victim's thread (silently — they are
-//! simulations, not bugs); the launcher drives the one
-//! [`crate::recovery::Supervisor`]: it detects the death by heartbeat
-//! staleness and reports it, and when the supervisor answers `Spawn` (after
-//! the backoff it chose) it tears the host down (draining its mailboxes so
-//! in-flight messages become *counted* losses instead of
-//! `unconserved_pairs` false positives), re-delivers everything peers ever
-//! sent it from per-destination send logs, and respawns the thread. The
-//! respawned incarnation re-executes from scratch
-//! — or from a phase checkpoint, if the application restores one via
-//! [`Comm::restore_net`] — regenerating byte-identical sends under the
-//! deterministic-sync contract; the resequencer's sequence numbers dedupe
-//! everything peers already consumed, and high-water marks keep the
-//! re-execution out of [`CommStats`] (it is accounted separately, in
-//! [`CommStats::replayed_bytes`]). A host that keeps dying past its restart
-//! budget aborts the run with a clean [`ClusterError::HostLost`]; blocked
-//! survivors are unwound, never left hanging.
+//! layer. Planned crashes unwind the victim's thread silently; the launcher
+//! drives the one [`crate::recovery::Supervisor`]: it reports a death found
+//! by heartbeat staleness, and on `Spawn` tears the host down (in-flight
+//! messages become *counted* losses), re-delivers everything peers ever
+//! sent it from the fabric's one send log (`replay.rs`, which TCP rejoin
+//! reads too) and respawns the thread. The respawn re-executes from scratch
+//! or from a phase checkpoint ([`Comm::restore_net`]); sequence numbers
+//! dedupe what peers already consumed, and high-water marks account the
+//! re-execution in [`CommStats::replayed_bytes`], not the phase matrices.
+//! A host dying past its restart budget ends the run in
+//! [`ClusterError::HostLost`]; blocked survivors are unwound, never hung.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -59,7 +53,8 @@ use crate::recovery::{
     Action, ClusterError, CrashSignal, Event, Exit, LostSignal, NetCheckpoint, RecoveryOptions,
     RecoveryReport, Supervisor,
 };
-use crate::serialize::{decode_envelope, encode_envelope};
+use crate::replay::SendLog;
+use crate::serialize::{decode_envelope, encode_envelope, WireEnvelope};
 use crate::stats::{CommStats, StatsCollector};
 use crate::transport::{LocalTransport, TcpTransport, Transport};
 
@@ -88,6 +83,19 @@ pub(crate) struct Envelope {
     /// The sender's accounting phase at send time.
     pub(crate) phase: u32,
     pub(crate) payload: Bytes,
+}
+
+impl Envelope {
+    /// The wire form of this envelope under `tag` (an ENVELOPE frame body).
+    pub(crate) fn encode(&self, tag: Tag) -> Bytes {
+        encode_envelope(tag.0, self.src as u64, self.phase, self.seq, &self.payload)
+    }
+}
+
+impl From<WireEnvelope> for Envelope {
+    fn from(we: WireEnvelope) -> Self {
+        Envelope { src: we.src as HostId, seq: we.seq, phase: we.phase, payload: we.payload }
+    }
 }
 
 type Mailbox = (Sender<Envelope>, Receiver<Envelope>);
@@ -176,15 +184,10 @@ struct FaultLayer {
     holdback: Vec<Mutex<Vec<(Tag, Envelope)>>>,
 }
 
-/// One destination's send log: every remote envelope ever dispatched
-/// toward it, keyed `(tag, src, seq)`.
-type SendLog = Mutex<BTreeMap<(u8, usize, u64), Envelope>>;
-
 /// The crash/restart machinery attached to a fabric when a [`CrashPlan`]
-/// is armed. All state is indexed so a host can die and come back without
-/// any peer's cooperation: heartbeats for detection, per-destination send
-/// logs for replay, and per-channel high-water marks so a restarted host's
-/// re-execution is recognized (and accounted as replay, not new traffic).
+/// is armed, indexed so a host can die and come back without any peer's
+/// cooperation: heartbeats for detection, and per-channel receive-side
+/// high-water marks that recognize a restarted host's re-consumption.
 struct RecoveryLayer {
     plan: CrashPlan,
     opts: RecoveryOptions,
@@ -194,19 +197,9 @@ struct RecoveryLayer {
     /// one-shot plan does not re-kill the respawned incarnation when it
     /// re-executes the same phase.
     fired: Mutex<HashSet<(usize, u64)>>,
-    /// `log[dst]` — every remote envelope ever dispatched toward `dst`.
-    /// Re-executed sends carry the same sequence numbers and overwrite
-    /// nothing (`or_insert`); the whole log is re-delivered into `dst`'s
-    /// mailboxes on respawn and the resequencer floors dedupe whatever
-    /// was already consumed.
-    log: Vec<SendLog>,
-    /// Send high-water marks per channel cell (same indexing as
-    /// `Fabric::seqs`): sequences below were already executed and
+    /// Receive high-water marks per channel cell (same indexing as
+    /// `Fabric::seqs`): resequencer deliveries below were already
     /// accounted by a previous incarnation.
-    send_hw: Vec<AtomicU64>,
-    /// Receive high-water marks per channel cell, same role for
-    /// resequencer deliveries into the ready queue (receive-side
-    /// accounting happens there).
     recv_hw: Vec<AtomicU64>,
     /// Application-consumption high-water marks per channel cell: the
     /// highest sequence actually popped by a `recv*` call. The gap
@@ -228,8 +221,6 @@ impl RecoveryLayer {
             opts,
             beats: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
             fired: Mutex::new(HashSet::new()),
-            log: (0..hosts).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            send_hw: (0..hosts * hosts * MAX_TAGS).map(|_| AtomicU64::new(0)).collect(),
             recv_hw: (0..hosts * hosts * MAX_TAGS).map(|_| AtomicU64::new(0)).collect(),
             consumed_hw: (0..hosts * hosts * MAX_TAGS).map(|_| AtomicU64::new(0)).collect(),
             lost: AtomicBool::new(false),
@@ -261,9 +252,6 @@ impl RecoveryLayer {
     }
 }
 
-/// Sentinel for [`Fabric::remote_lost`] meaning "no peer lost".
-const NO_PEER_LOST: usize = usize::MAX;
-
 /// Shared state between all host threads.
 pub(crate) struct Fabric {
     hosts: usize,
@@ -274,23 +262,25 @@ pub(crate) struct Fabric {
     transport: Box<dyn Transport>,
     /// `mailboxes[dst][tag]` — MPMC channel of envelopes.
     mailboxes: Vec<Vec<Mailbox>>,
+    /// The one send log: [`Comm::send_bytes`] writes it, both recoveries read it.
+    pub(crate) log: SendLog,
     /// `seqs[(src * hosts + dst) * MAX_TAGS + tag]` — next send sequence
     /// number for that channel.
     seqs: Vec<AtomicU64>,
     pub(crate) barrier: FabricBarrier,
     poisoned: AtomicBool,
-    /// First remote host declared dead by the transport
-    /// ([`NO_PEER_LOST`] = none). Only a real transport ever sets this;
-    /// the in-process simulator expresses host loss through the recovery
-    /// layer instead.
-    remote_lost: AtomicUsize,
+    /// First remote host declared dead by the transport. Only a real
+    /// transport ever sets this; the in-process simulator expresses host
+    /// loss through the recovery layer instead.
+    remote_lost: OnceLock<HostId>,
     fault: Option<FaultLayer>,
     recovery: Option<RecoveryLayer>,
     pub(crate) stats: StatsCollector,
 }
 
 impl Fabric {
-    fn new(hosts: usize, opts: &ClusterOptions, transport: Box<dyn Transport>) -> Self {
+    /// Arms the send log exactly when the run can respawn a host (a crash plan, TCP `rejoin`).
+    fn new(hosts: usize, opts: &ClusterOptions, transport: Box<dyn Transport>, rejoin: bool) -> Self {
         let mailboxes = (0..hosts)
             .map(|_| (0..MAX_TAGS).map(|_| unbounded()).collect())
             .collect();
@@ -298,10 +288,11 @@ impl Fabric {
             hosts,
             transport,
             mailboxes,
+            log: SendLog::new(hosts, opts.crash.is_some() || rejoin),
             seqs: (0..hosts * hosts * MAX_TAGS).map(|_| AtomicU64::new(0)).collect(),
             barrier: FabricBarrier::new(hosts),
             poisoned: AtomicBool::new(false),
-            remote_lost: AtomicUsize::new(NO_PEER_LOST),
+            remote_lost: OnceLock::new(),
             fault: opts.fault.map(|plan| FaultLayer {
                 plan,
                 stats: FaultStats::default(),
@@ -317,6 +308,12 @@ impl Fabric {
         (src * self.hosts + dst) * MAX_TAGS + tag.0 as usize
     }
 
+    /// The cells of `src`'s own channels, in `dst * MAX_TAGS + tag` order.
+    fn own_cells(&self, src: HostId) -> std::ops::Range<usize> {
+        let base = src * self.hosts * MAX_TAGS;
+        base..base + self.hosts * MAX_TAGS
+    }
+
     fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
         self.barrier.wake_all();
@@ -325,7 +322,7 @@ impl Fabric {
     /// Whether blocked operations should give up (peer panic or host lost).
     pub(crate) fn should_abort(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
-            || self.remote_lost.load(Ordering::Acquire) != NO_PEER_LOST
+            || self.remote_lost.get().is_some()
             || self.recovery.as_ref().is_some_and(|r| r.lost.load(Ordering::Acquire))
     }
 
@@ -348,19 +345,8 @@ impl Fabric {
     /// instead of hanging. First caller wins; later detections of the same
     /// collapse are redundant.
     pub(crate) fn mark_remote_lost(&self, peer: HostId) {
-        let _ = self.remote_lost.compare_exchange(
-            NO_PEER_LOST,
-            peer,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        let _ = self.remote_lost.set(peer);
         self.barrier.wake_all();
-    }
-
-    /// The peer recorded by [`Fabric::mark_remote_lost`], if any.
-    fn lost_peer(&self) -> Option<HostId> {
-        let v = self.remote_lost.load(Ordering::Acquire);
-        (v != NO_PEER_LOST).then_some(v)
     }
 
     /// Declares a host unrecoverable and wakes everyone to notice.
@@ -371,38 +357,13 @@ impl Fabric {
         }
     }
 
-    fn next_seq(&self, src: HostId, dst: HostId, tag: Tag) -> u64 {
-        self.seqs[self.cell(src, dst, tag)].fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Advances the send high-water mark of channel cell `cell` to cover
-    /// `seq`; returns `true` when this is the sequence's first execution
-    /// (account it as fresh traffic) and `false` when a restarted host is
-    /// re-executing pre-crash work (account it as replay).
-    #[inline]
-    fn note_send(&self, cell: usize, seq: u64) -> bool {
-        match &self.recovery {
-            None => true,
-            Some(rec) => rec.send_hw[cell].fetch_max(seq + 1, Ordering::Relaxed) <= seq,
-        }
-    }
-
-    /// Same as [`Fabric::note_send`] for application-visible deliveries.
+    /// `true` when `seq` on channel `cell` reaches the application for the
+    /// first time (account it); `false` when a restarted host re-consumes it.
     #[inline]
     fn note_recv(&self, cell: usize, seq: u64) -> bool {
         match &self.recovery {
             None => true,
             Some(rec) => rec.recv_hw[cell].fetch_max(seq + 1, Ordering::Relaxed) <= seq,
-        }
-    }
-
-    /// Retains a copy of a remote envelope for post-crash re-delivery.
-    fn log_send(&self, dst: HostId, tag: Tag, env: &Envelope) {
-        if let Some(rec) = &self.recovery {
-            rec.log[dst]
-                .lock()
-                .entry((tag.0, env.src, env.seq))
-                .or_insert_with(|| env.clone());
         }
     }
 
@@ -447,22 +408,19 @@ impl Fabric {
             let mut q = layer.holdback[dst].lock();
             q.push((tag, env));
             if q.len() > layer.plan.reorder_window {
-                let drained: Vec<_> = q.drain(..).collect();
                 drop(q);
-                // Reverse order maximizes observable reordering; the
-                // receive-side resequencer restores sequence order.
-                for (t, e) in drained.into_iter().rev() {
-                    self.deliver(dst, t, e);
-                }
+                self.flush_holdback(dst);
             }
         } else {
             self.deliver(dst, tag, env);
         }
     }
 
-    /// Releases every held-back message destined for `dst`. Called from the
-    /// receive paths and at barriers so a delayed message can never
-    /// deadlock the protocol.
+    /// Releases every held-back message destined for `dst`, in reverse:
+    /// that maximizes observable reordering, and the receive-side
+    /// resequencer restores sequence order. Called once the reorder window
+    /// fills, from the receive paths and at barriers, so a delayed message
+    /// can never deadlock the protocol.
     fn flush_holdback(&self, dst: HostId) {
         let Some(layer) = &self.fault else { return };
         let drained: Vec<_> = {
@@ -484,13 +442,13 @@ impl Fabric {
     ///    resequencer state died with it, so those copies are unusable;
     /// 2. its send sequences are reset to zero so the respawned
     ///    incarnation's re-execution regenerates the same per-channel
-    ///    streams (receivers dedupe by sequence number);
+    ///    streams (receivers dedupe by sequence number), and the send log
+    ///    learns how far the dead incarnation got;
     /// 3. every envelope peers ever sent it is re-delivered from the send
-    ///    log, accounted as replayed traffic. Entries above the host's
-    ///    receive high-water mark — dispatched but never consumed at the
-    ///    moment of death, whether stranded in the mailbox, the dead
-    ///    resequencer, or the fault layer's holdback — are additionally
-    ///    *counted* as teardown losses.
+    ///    log. Entries above the host's consumption high-water mark —
+    ///    dispatched but never consumed at the moment of death, whether
+    ///    stranded in the mailbox, the dead resequencer, or the fault
+    ///    layer's holdback — are additionally *counted* as teardown losses.
     fn prepare_restart(&self, host: HostId) {
         let Some(rec) = &self.recovery else { return };
         for tag in 0..MAX_TAGS {
@@ -499,25 +457,17 @@ impl Fabric {
         if let Some(layer) = &self.fault {
             layer.holdback[host].lock().clear();
         }
-        for dst in 0..self.hosts {
-            for tag in 0..MAX_TAGS {
-                self.seqs[(host * self.hosts + dst) * MAX_TAGS + tag].store(0, Ordering::Relaxed);
-            }
+        for cell in self.own_cells(host) {
+            self.log.retire(cell, self.seqs[cell].swap(0, Ordering::Relaxed));
         }
-        let entries: Vec<(Tag, Envelope)> = rec.log[host]
-            .lock()
-            .iter()
-            .map(|(&(tag, _, _), env)| (Tag(tag), env.clone()))
-            .collect();
         let mut lost = 0u64;
-        for (tag, env) in entries {
+        self.log.replay(host, &self.stats, |tag, env| {
             let cell = self.cell(env.src, host, tag);
             if env.seq >= rec.consumed_hw[cell].load(Ordering::Relaxed) {
                 lost += 1;
             }
-            self.stats.record_replayed(env.payload.len() as u64);
-            self.deliver(host, tag, env);
-        }
+            self.deliver(host, tag, env.clone());
+        });
         rec.lost_in_teardown.fetch_add(lost, Ordering::Relaxed);
     }
 }
@@ -683,35 +633,21 @@ impl Comm {
         assert!(dst < self.fabric.hosts, "destination host out of range");
         self.note_op();
         let phase = self.phase.load(Ordering::Relaxed);
-        let seq = self.fabric.next_seq(self.host, dst, tag);
         let cell = self.fabric.cell(self.host, dst, tag);
-        let fresh = self.fabric.note_send(cell, seq);
-        if dst != self.host {
-            if fresh {
-                self.fabric
-                    .stats
-                    .record(phase, self.host, dst, payload.len() as u64);
-            } else {
-                self.fabric.stats.record_replayed(payload.len() as u64);
+        let seq = self.fabric.seqs[cell].fetch_add(1, Ordering::Relaxed);
+        let env = Envelope { src: self.host, seq, phase: phase as u32, payload };
+        // Logged before it is shipped: a frame racing a TCP admission is in
+        // the admission's replay or goes out on the fresh queue, never lost.
+        let fabric = &*self.fabric;
+        if fabric.log.record(&fabric.stats, cell, dst, tag, &env) {
+            let (bytes, remote) = (env.payload.len() as u64, dst != self.host);
+            if remote {
+                fabric.stats.record(phase, self.host, dst, bytes);
             }
-        }
-        let env = Envelope {
-            src: self.host,
-            seq,
-            phase: phase as u32,
-            payload,
-        };
-        if fresh {
             // Re-executed sends suppress the trace event: the previous
             // incarnation's ring already holds the `msg_send` this sequence
             // number pairs with, and flow ids bind by channel + seq.
-            cusp_obs::msg_send(
-                dst as u32,
-                tag.0,
-                env.seq,
-                env.payload.len() as u64,
-                dst != self.host,
-            );
+            cusp_obs::msg_send(dst as u32, tag.0, seq, bytes, remote);
         }
         if dst == self.host {
             // Local data stays local: self-sends bypass the fault layer
@@ -720,21 +656,10 @@ impl Comm {
             // so a payload that would not survive the codec fails
             // identically on both transports and the CommStats matrices
             // stay conserved the same way everywhere.
-            let frame = encode_envelope(tag.0, env.src as u64, env.phase, env.seq, &env.payload);
-            let we = decode_envelope(frame).expect("loopback envelope survives the wire codec");
-            self.fabric.deliver(
-                dst,
-                tag,
-                Envelope {
-                    src: we.src as HostId,
-                    seq: we.seq,
-                    phase: we.phase,
-                    payload: we.payload,
-                },
-            );
+            let we = decode_envelope(env.encode(tag)).expect("loopback survives the codec");
+            fabric.deliver(dst, tag, we.into());
         } else {
-            self.fabric.log_send(dst, tag, &env);
-            self.fabric.transport.ship(&self.fabric, dst, tag, env);
+            fabric.transport.ship(fabric, dst, tag, env);
         }
     }
 
@@ -897,20 +822,10 @@ impl Comm {
                 && st.stash.iter().flatten().all(|m| m.is_empty()),
             "net_checkpoint must be taken at a quiescent phase boundary"
         );
-        let hosts = self.fabric.hosts;
-        let mut send_seqs = vec![0u64; hosts * MAX_TAGS];
-        let mut recv_floors = vec![0u64; hosts * MAX_TAGS];
-        for peer in 0..hosts {
-            for tag in 0..MAX_TAGS {
-                send_seqs[peer * MAX_TAGS + tag] = self.fabric.seqs
-                    [(self.host * hosts + peer) * MAX_TAGS + tag]
-                    .load(Ordering::Relaxed);
-                recv_floors[peer * MAX_TAGS + tag] = st.next[tag][peer];
-            }
-        }
+        let seqs = &self.fabric.seqs[self.fabric.own_cells(self.host)];
         NetCheckpoint {
-            send_seqs,
-            recv_floors,
+            send_seqs: seqs.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            recv_floors: (0..seqs.len()).map(|i| st.next[i % MAX_TAGS][i / MAX_TAGS]).collect(),
             barrier_calls: self.barrier_calls.load(Ordering::Relaxed),
             stats: self.fabric.stats.host_traffic(self.host),
         }
@@ -947,21 +862,15 @@ impl Comm {
         assert_eq!(ck.send_seqs.len(), hosts * MAX_TAGS, "checkpoint host count mismatch");
         assert_eq!(ck.recv_floors.len(), hosts * MAX_TAGS, "checkpoint host count mismatch");
         let mut st = self.recv.lock();
-        for peer in 0..hosts {
-            for tag in 0..MAX_TAGS {
-                self.fabric.seqs[(self.host * hosts + peer) * MAX_TAGS + tag]
-                    .fetch_max(ck.send_seqs[peer * MAX_TAGS + tag], Ordering::Relaxed);
-                let floor = ck.recv_floors[peer * MAX_TAGS + tag];
-                st.next[tag][peer] = st.next[tag][peer].max(floor);
-            }
+        let seqs = &self.fabric.seqs[self.fabric.own_cells(self.host)];
+        for (i, seq) in seqs.iter().enumerate() {
+            seq.fetch_max(ck.send_seqs[i], Ordering::Relaxed);
+            let (tag, src, floor) = (i % MAX_TAGS, i / MAX_TAGS, ck.recv_floors[i]);
+            st.next[tag][src] = st.next[tag][src].max(floor);
+            st.stash[tag][src].retain(|&seq, _| seq >= floor);
         }
-        for tag in 0..MAX_TAGS {
-            let floors = &ck.recv_floors;
-            st.ready[tag].retain(|(src, seq, _)| *seq >= floors[*src * MAX_TAGS + tag]);
-            for src in 0..hosts {
-                let floor = floors[src * MAX_TAGS + tag];
-                st.stash[tag][src].retain(|&seq, _| seq >= floor);
-            }
+        for (tag, ready) in st.ready.iter_mut().enumerate() {
+            ready.retain(|(src, seq, _)| *seq >= ck.recv_floors[*src * MAX_TAGS + tag]);
         }
         self.barrier_calls.fetch_max(ck.barrier_calls, Ordering::Relaxed);
         drop(st);
@@ -1090,7 +999,7 @@ impl Cluster {
         F: Fn(&Comm) -> R + Sync,
     {
         assert!(hosts > 0, "cluster needs at least one host");
-        let fabric = Arc::new(Fabric::new(hosts, &opts, Box::new(LocalTransport)));
+        let fabric = Arc::new(Fabric::new(hosts, &opts, Box::new(LocalTransport), false));
         let recorder = opts
             .trace
             .map(|cfg| cusp_obs::Recorder::with_capacity(cfg.ring_capacity));
@@ -1252,7 +1161,8 @@ impl Cluster {
         let me = transport.host();
         let hosts = transport.num_hosts();
         let incarnation = transport.incarnation();
-        let fabric = Arc::new(Fabric::new(hosts, &opts, Box::new(transport)));
+        let rejoin = transport.rejoin();
+        let fabric = Arc::new(Fabric::new(hosts, &opts, Box::new(transport), rejoin));
         let recorder = opts
             .trace
             .map(|cfg| cusp_obs::Recorder::with_capacity(cfg.ring_capacity));
@@ -1279,7 +1189,7 @@ impl Cluster {
         drop(guard);
         match out {
             Ok(result) => {
-                if let Some(peer) = fabric.lost_peer() {
+                if let Some(&peer) = fabric.remote_lost.get() {
                     return Err(ClusterError::HostLost { host: peer, restarts: 0 });
                 }
                 Ok(TcpRunOutput {
@@ -1291,7 +1201,7 @@ impl Cluster {
                 })
             }
             Err(p) if p.is::<LostSignal>() => {
-                let peer = fabric.lost_peer().unwrap_or(me);
+                let peer = fabric.remote_lost.get().copied().unwrap_or(me);
                 Err(ClusterError::HostLost { host: peer, restarts: 0 })
             }
             Err(p) => std::panic::resume_unwind(p),

@@ -41,6 +41,7 @@ pub mod collective;
 pub mod fault;
 pub mod model;
 pub mod recovery;
+mod replay;
 pub mod serialize;
 pub mod stats;
 pub mod transport;

@@ -24,13 +24,15 @@
 //!   contract, just with more re-execution.
 //!
 //! What a fault *is* stays where it happens: [`crate::CrashPlan`] fires
-//! inside the victim thread (`fault.rs`, `Comm::note_op`), send logs and
-//! replay live in `cluster.rs` and `transport/tcp.rs`.
+//! inside the victim thread (`fault.rs`, `Comm::note_op`), and the one send
+//! log a respawn is replayed from lives in `replay.rs`.
 
 use std::time::Duration;
 
+use cusp_graph::wire;
+
 use crate::fault::{KillDecision, KillMode};
-use crate::serialize::{WireReader, WireWriter};
+use crate::serialize::WireWriter;
 use crate::stats::PhaseTraffic;
 use crate::MAX_TAGS;
 
@@ -379,16 +381,12 @@ fn put_str(w: &mut WireWriter, s: &str) {
     w.put_raw(bytes);
 }
 
-fn get_str(r: &mut WireReader) -> Option<String> {
-    let len = r.get_u32().ok()? as usize;
+fn get_str(r: &mut wire::Reader<'_>) -> Option<String> {
+    let len = r.u32().ok()? as usize;
     if len > MAX_PHASE_NAME {
         return None;
     }
-    let mut bytes = Vec::with_capacity(len);
-    for _ in 0..len {
-        bytes.push(r.get_u8().ok()?);
-    }
-    String::from_utf8(bytes).ok()
+    String::from_utf8(r.bytes(len).ok()?.to_vec()).ok()
 }
 
 impl NetCheckpoint {
@@ -409,15 +407,15 @@ impl NetCheckpoint {
 
     /// Deserializes from `r`; `None` on any truncation or length mismatch
     /// against `hosts` (corrupt checkpoints are treated as absent).
-    pub fn decode(r: &mut WireReader, hosts: usize) -> Option<Self> {
+    pub fn decode(r: &mut wire::Reader<'_>, hosts: usize) -> Option<Self> {
         let want = hosts * MAX_TAGS;
-        let send_seqs = r.get_u64_vec().ok()?;
-        let recv_floors = r.get_u64_vec().ok()?;
+        let send_seqs = r.u64_vec().ok()?;
+        let recv_floors = r.u64_vec().ok()?;
         if send_seqs.len() != want || recv_floors.len() != want {
             return None;
         }
-        let barrier_calls = r.get_u64().ok()?;
-        let phases = r.get_u32().ok()? as usize;
+        let barrier_calls = r.u64().ok()?;
+        let phases = r.u32().ok()? as usize;
         if phases > MAX_STATS_PHASES {
             return None;
         }
@@ -426,10 +424,10 @@ impl NetCheckpoint {
             let name = get_str(r)?;
             let row = PhaseTraffic {
                 name,
-                sent_bytes: r.get_u64_vec().ok()?,
-                sent_msgs: r.get_u64_vec().ok()?,
-                recv_bytes: r.get_u64_vec().ok()?,
-                recv_msgs: r.get_u64_vec().ok()?,
+                sent_bytes: r.u64_vec().ok()?,
+                sent_msgs: r.u64_vec().ok()?,
+                recv_bytes: r.u64_vec().ok()?,
+                recv_msgs: r.u64_vec().ok()?,
             };
             if [&row.sent_bytes, &row.sent_msgs, &row.recv_bytes, &row.recv_msgs]
                 .iter()
@@ -466,8 +464,8 @@ mod tests {
         ck.recv_floors[2 * MAX_TAGS + 1] = 9;
         let mut w = WireWriter::new();
         ck.encode(&mut w);
-        let mut r = WireReader::new(w.finish());
-        let back = NetCheckpoint::decode(&mut r, hosts).expect("decodes");
+        let bytes = w.finish();
+        let back = NetCheckpoint::decode(&mut wire::Reader::new(&bytes), hosts).expect("decodes");
         assert_eq!(back, ck);
     }
 
@@ -489,10 +487,10 @@ mod tests {
         let mut w = WireWriter::new();
         ck.encode(&mut w);
         let bytes = w.finish();
-        let mut r = WireReader::new(bytes.clone());
+        let mut r = wire::Reader::new(&bytes);
         assert!(NetCheckpoint::decode(&mut r, 4).is_none(), "host count mismatch");
         for cut in [0, 1, 8, bytes.len() - 1] {
-            let mut r = WireReader::new(bytes.slice(..cut));
+            let mut r = wire::Reader::new(&bytes[..cut]);
             assert!(NetCheckpoint::decode(&mut r, hosts).is_none(), "truncated at {cut}");
         }
     }

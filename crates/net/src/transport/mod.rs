@@ -1,12 +1,16 @@
 //! The transport abstraction: how envelopes move between hosts.
 //!
 //! Everything above this line — [`crate::Comm`]'s send/recv surface,
-//! sequence numbering, the resequencer and its dedup floors, fault
-//! injection, and [`crate::CommStats`] accounting — is transport-agnostic.
-//! A [`Transport`] implementation only has to do two things:
+//! sequence numbering, the one send log a respawned host is replayed from
+//! (`replay.rs`), the resequencer and its dedup floors, fault injection,
+//! and [`crate::CommStats`] accounting — is transport-agnostic. A
+//! [`Transport`] is only "ship + barrier":
 //!
 //! 1. **ship** an [`Envelope`](crate::cluster) toward a remote host, and
 //! 2. **wait** at a monotone barrier until every host has arrived.
+//!
+//! A transport that can readmit a respawned peer (TCP rejoin) re-sends it
+//! what the send log replays; it keeps no log of its own.
 //!
 //! Two implementations exist:
 //!

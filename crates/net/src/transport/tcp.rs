@@ -34,8 +34,9 @@
 //! supervisor's word that a peer finished means is decided by the peer's
 //! [`PeerLink`] (`super::link`; DESIGN.md §11 has its table): the threads
 //! only report to it and act, under the one lock that holds the link with
-//! the peer's queue, reader socket and send log. A down peer (with
-//! [`TcpOptions::rejoin`]) has no deadline here; its supervisor decides.
+//! the peer's queue and reader socket; an admission re-sends the fabric's
+//! send log (`replay.rs`). A down peer (with [`TcpOptions::rejoin`]) has no
+//! deadline here; its supervisor decides.
 
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -52,7 +53,7 @@ use parking_lot::{Condvar, Mutex};
 use super::link::{self, Action, Event, LinkState, PeerLink, Resend};
 use super::{RejectReason, Transport, TransportError};
 use crate::cluster::{Envelope, Fabric, HostId, Tag, MAX_TAGS};
-use crate::serialize::{decode_envelope, encode_envelope, WireWriter};
+use crate::serialize::{decode_envelope, WireWriter};
 
 /// "CUSP" in ASCII — the handshake magic.
 const MAGIC: u32 = 0x4355_5350;
@@ -86,9 +87,6 @@ const READ_POLL: Duration = Duration::from_millis(100);
 /// Mesh acceptor poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// Rejoin acceptor poll interval while no connection is pending.
-const REJOIN_POLL: Duration = Duration::from_millis(10);
-
 /// Knobs of the TCP transport. Defaults are deliberately generous: a
 /// loaded CI machine must never produce spurious `HostLost`s.
 #[derive(Debug, Clone, Copy)]
@@ -99,9 +97,10 @@ pub struct TcpOptions {
     /// How long to wait for all `hosts - 1` inbound peers to connect.
     pub accept_timeout: Duration,
     /// Accept reconnecting peers with a newer incarnation instead of
-    /// aborting on the first connection loss. Costs a per-destination
-    /// send log kept for the whole run; enabled by the process supervisor
-    /// (`cusp-part launch`), off for unsupervised meshes.
+    /// aborting on the first connection loss. Arms the fabric's send log,
+    /// kept for the whole run and re-sent to each admitted respawn;
+    /// enabled by the process supervisor (`cusp-part launch`), off for
+    /// unsupervised meshes.
     pub rejoin: bool,
 }
 
@@ -152,9 +151,6 @@ struct Peer {
     /// A clone of the current inbound socket, so its reader can be torn out
     /// of a blocking read.
     reader: Option<TcpStream>,
-    /// Every `(encoded frame, payload bytes)` shipped to the peer, kept with
-    /// rejoin for the whole run: a from-scratch respawn needs them all.
-    log: Vec<(Bytes, u64)>,
 }
 
 struct Link {
@@ -261,9 +257,11 @@ fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<
 }
 
 /// Performs [`Action::Admit`]: accepts the HELLO on `stream`, re-dials the
-/// peer's listener, queues what [`link::resend`] lists and stands up fresh
-/// writer and reader threads as generation `gen`. `false` if the peer could
-/// not be reached back (it died again mid-rejoin).
+/// peer's listener, queues what [`link::resend`] lists over the send log
+/// toward the peer and stands up fresh writer and reader threads as
+/// generation `gen`. `false` if the peer could not be reached back (it died
+/// again mid-rejoin). A frame racing this is logged before `ship` takes the
+/// lock: it is in the replay or on the fresh queue (or both; deduped).
 fn admit(
     fabric: &Arc<Fabric>,
     shared: &Arc<TcpShared>,
@@ -281,12 +279,11 @@ fn admit(
     let Some(out) = redial else { return false };
     let (tx, rx) = unbounded();
     let fin = shared.fin_sent.load(Ordering::Acquire);
-    for item in link::resend(&p.log, fabric.barrier.arrived(shared.me), fin) {
+    let mut frames = Vec::new();
+    fabric.log.replay(peer, &fabric.stats, |tag, env| frames.push(env.encode(tag)));
+    for item in link::resend(&frames, fabric.barrier.arrived(shared.me), fin) {
         let _ = tx.send(match item {
-            Resend::Logged((frame, payload_bytes)) => {
-                fabric.stats.record_replayed(*payload_bytes);
-                Out::Env(frame.clone())
-            }
+            Resend::Logged(frame) => Out::Env(frame.clone()),
             Resend::Barrier(n) => Out::Barrier(n),
             Resend::Fin => Out::Fin,
         });
@@ -362,6 +359,11 @@ impl TcpTransport {
     /// from its checkpoints instead of clearing them.
     pub fn incarnation(&self) -> u32 {
         self.shared.incarnation
+    }
+
+    /// Whether this host admits respawned peers ([`TcpOptions::rejoin`]).
+    pub(crate) fn rejoin(&self) -> bool {
+        self.shared.opts.rejoin
     }
 
     /// A handle on one outbound mesh socket, for fault-injection tooling
@@ -451,7 +453,7 @@ impl TcpTransport {
         }
         let links = queues.into_iter().zip(incarnations).map(|(queue, inc)| {
             let link = PeerLink::new(opts.rejoin, inc);
-            let peer = Mutex::new(Peer { link, queue, reader: None, log: Vec::new() });
+            let peer = Mutex::new(Peer { link, queue, reader: None });
             Link { gen: AtomicU64::new(0), peer }
         });
         // Every peer proved alive during the handshake just now: heard at 0.
@@ -503,15 +505,11 @@ impl Transport for TcpTransport {
     }
 
     fn ship(&self, _fabric: &Fabric, dst: HostId, tag: Tag, env: Envelope) {
-        let frame = encode_envelope(tag.0, env.src as u64, env.phase, env.seq, &env.payload);
-        let mut p = self.shared.links[dst].peer.lock();
-        if self.shared.opts.rejoin {
-            p.log.push((frame.clone(), env.payload.len() as u64));
-        }
-        if let Some(tx) = &p.queue {
+        let frame = env.encode(tag);
+        if let Some(tx) = &self.shared.links[dst].peer.lock().queue {
             // A closed queue means the writer died with its peer; the link
             // hears of it from the reader or the monitor. An unhooked peer's
-            // frame stays in the log and is replayed at its admission.
+            // frame is in the send log and is replayed at its admission.
             let _ = tx.send(Out::Env(frame));
         }
     }
@@ -554,6 +552,10 @@ impl Transport for TcpTransport {
             }
         }
         shared.shutting_down.store(true, Ordering::Release);
+        if shared.opts.rejoin {
+            // Wakes the rejoin acceptor out of `accept`; it sees the flag.
+            drop(TcpStream::connect(&shared.peers[shared.me]));
+        }
         for link in &shared.links {
             link.peer.lock().link.step(Event::Shutdown);
         }
@@ -821,14 +823,16 @@ fn accept_peers(
 /// Answers HELLOs on the retained mesh listener for the rest of the run:
 /// one with this run's fields goes to the claimed peer's link, which
 /// admits it or has it refused; anything else gets a typed REJECT (or is
-/// ignored, for non-protocol garbage). Runs until shutdown or abort.
+/// ignored, for non-protocol garbage). Blocks in `accept`, and returns on
+/// the first connection after shutdown or abort: `finish` makes one.
 fn rejoin_acceptor(listener: TcpListener, fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
-    // `establish` left the listener non-blocking; keep polling it.
-    while !shared.stopped(&fabric) {
-        let Ok((mut stream, _)) = listener.accept() else {
-            std::thread::sleep(REJOIN_POLL);
-            continue;
-        };
+    // `establish` polled the listener; it blocks from here on.
+    let _ = listener.set_nonblocking(false);
+    for conn in listener.incoming() {
+        if shared.stopped(&fabric) {
+            return;
+        }
+        let Ok(mut stream) = conn else { continue };
         let hello = read_hello(&mut stream, shared.me, shared.hosts, shared.run_nonce);
         if let Some((peer, inc)) = hello {
             drive(&shared, peer, Event::HelloFrom { inc }, Some(stream));
@@ -916,9 +920,7 @@ fn reader_loop(
         match frame[0] {
             FRAME_ENVELOPE => match decode_envelope(Bytes::from(frame).slice(1..)) {
                 Ok(we) if (we.tag as usize) < MAX_TAGS && we.src as usize == peer => {
-                    let (seq, phase, payload) = (we.seq, we.phase, we.payload);
-                    let env = Envelope { src: peer, seq, phase, payload };
-                    fabric.dispatch(shared.me, Tag(we.tag), env);
+                    fabric.dispatch(shared.me, Tag(we.tag), we.into());
                 }
                 _ => return failed(),
             },
@@ -968,6 +970,7 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterOptions};
     use crate::recovery::ClusterError;
+    use crate::serialize::encode_envelope;
 
     /// Options tuned so a failed establish errors out in test time rather
     /// than wall-clock seconds.
@@ -1253,9 +1256,12 @@ mod tests {
     }
 
     /// Blocking read of one full data frame on a raw test socket,
-    /// skipping heartbeats. Panics on EOF/timeout.
+    /// skipping heartbeats. Panics on EOF/timeout, and when only heartbeats
+    /// arrive for 5 s.
     fn read_data_frame(s: &mut TcpStream) -> (u8, Vec<u8>) {
+        let deadline = Instant::now() + Duration::from_secs(5);
         loop {
+            assert!(Instant::now() < deadline, "only heartbeats for 5 s");
             let mut len_buf = [0u8; 4];
             s.read_exact(&mut len_buf).expect("frame length");
             let len = frame_len(len_buf);
@@ -1363,6 +1369,84 @@ mod tests {
             out.stats.replayed_bytes() > 0,
             "replayed traffic is accounted outside the phase matrices"
         );
+        script.join().expect("script peer");
+    }
+
+    /// A frame shipped while its peer is down goes nowhere but the send log,
+    /// and the admission of the respawn re-sends it after the frames the
+    /// dead incarnation already had, in order.
+    #[test]
+    fn a_frame_shipped_while_the_peer_is_down_reaches_its_respawn() {
+        let (l0, a0) = bind();
+        let (l1, a1) = bind();
+        let peers = vec![a0.clone(), a1];
+        let nonce = 77;
+        let (shipped, b_is_logged) = std::sync::mpsc::channel();
+
+        let script = std::thread::spawn(move || {
+            // ---- incarnation 0: mesh up, read payload-A, die without FIN.
+            let (mut from0, _) = l1.accept().expect("host 0 dials us");
+            from0.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            assert_eq!(read_handshake_frame(&mut from0).unwrap().0, FRAME_HELLO);
+            write_frame(&mut from0, FRAME_ACCEPT, &[]).unwrap();
+            let mut to0 = TcpStream::connect(&a0).expect("dial host 0");
+            to0.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            write_frame(&mut to0, FRAME_HELLO, &hello_body(1, 2, nonce, 0)).unwrap();
+            assert_eq!(read_handshake_frame(&mut to0).unwrap().0, FRAME_ACCEPT);
+            let (kind, body) = read_data_frame(&mut from0);
+            assert_eq!(kind, FRAME_ENVELOPE);
+            assert_eq!(&decode_envelope(Bytes::from(body)).unwrap().payload[..], b"payload-A");
+            let _ = from0.shutdown(Shutdown::Both);
+            let _ = to0.shutdown(Shutdown::Both);
+            drop((from0, to0));
+
+            // ---- incarnation 1, only once host 0 shipped payload-B.
+            b_is_logged.recv().expect("host 0 ships payload-B");
+            let mut to0 = TcpStream::connect(&a0).expect("redial host 0");
+            to0.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            write_frame(&mut to0, FRAME_HELLO, &hello_body(1, 2, nonce, 1)).unwrap();
+            assert_eq!(read_handshake_frame(&mut to0).unwrap().0, FRAME_ACCEPT);
+            let (mut from0, _) = l1.accept().expect("host 0 re-dials us");
+            from0.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+            assert_eq!(read_handshake_frame(&mut from0).unwrap().0, FRAME_HELLO);
+            write_frame(&mut from0, FRAME_ACCEPT, &[]).unwrap();
+            // A missing frame times the read out; answer host 0 regardless,
+            // well inside its silence timeout, so the test fails, not hangs.
+            let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut frame = || {
+                    let (kind, body) = read_data_frame(&mut from0);
+                    assert_eq!(kind, FRAME_ENVELOPE);
+                    let we = decode_envelope(Bytes::from(body)).expect("replayed envelope decodes");
+                    (we.seq, we.payload.to_vec())
+                };
+                [frame(), frame()]
+            }));
+            write_frame(&mut to0, FRAME_ENVELOPE, &encode_envelope(1, 1, 0, 0, b"done")).unwrap();
+            write_frame(&mut to0, FRAME_FIN, &[]).unwrap();
+            to0.flush().unwrap();
+            let replayed = replayed.expect("the respawn reads two replayed frames");
+            assert_eq!(replayed, [(0, b"payload-A".to_vec()), (1, b"payload-B".to_vec())]);
+            assert_eq!(read_data_frame(&mut from0).0, FRAME_FIN);
+        });
+
+        let transport =
+            TcpTransport::establish(0, l0, &peers, nonce, rejoin_opts()).expect("mesh up");
+        let shared = Arc::clone(&transport.shared);
+        let out = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+            comm.send_bytes(1, Tag(0), Bytes::from_static(b"payload-A"));
+            let mut waiting = shared.waiting.lock();
+            while !matches!(shared.state(1), LinkState::Down { .. }) {
+                shared.links_changed.wait(&mut waiting);
+            }
+            drop(waiting);
+            comm.send_bytes(1, Tag(0), Bytes::from_static(b"payload-B"));
+            shipped.send(()).expect("the script waits for it");
+            let (src, payload) = comm.recv_any(Tag(1));
+            assert_eq!((src, &payload[..]), (1, &b"done"[..]));
+        });
+        let out = out.expect("run completes across the rejoin");
+        assert_eq!(out.rejoins, 1);
+        assert_eq!(out.stats.replayed_bytes(), 18, "payload-A and payload-B, once each");
         script.join().expect("script peer");
     }
 
