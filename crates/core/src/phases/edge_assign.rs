@@ -482,7 +482,7 @@ mod tests {
         mrule: &ContiguousEB,
         rule: &ER,
     ) -> (BTreeMap<(PartId, Node), u32>, BTreeSet<(PartId, Node)>) {
-        let slice = GraphSlice::from_csr(g, lo, hi);
+        let slice = GraphSlice::window(Arc::new(g.clone()), None, lo, hi);
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, &slice);
         let estate = ER::State::new(setup.parts);
         let (mut counts, mut mirrors) = (BTreeMap::new(), BTreeSet::new());
@@ -536,7 +536,7 @@ mod tests {
                 let (want_counts, want_mirrors) = naive_tally(&g, &setup, (lo, hi), &mrule, &rule);
                 saw_mirrors |= !want_mirrors.is_empty();
                 let shapes = [
-                    SliceData::Whole(GraphSlice::from_csr(&g, lo, hi)),
+                    SliceData::Whole(GraphSlice::window(g.clone(), None, lo, hi)),
                     SliceData::Chunked(Box::new(ChunkedSlice::from_csr(g.clone(), None, lo, hi, 50))),
                 ];
                 for mut data in shapes {

@@ -75,7 +75,7 @@ impl SliceData {
     /// Whether the range carries per-edge data.
     pub fn weighted(&self) -> bool {
         match self {
-            SliceData::Whole(s) => s.weights.is_some(),
+            SliceData::Whole(s) => s.weights().is_some(),
             SliceData::Chunked(c) => c.weighted(),
         }
     }
@@ -227,7 +227,7 @@ mod tests {
 
     fn whole_and_chunked(chunk: u64) -> (SliceData, SliceData) {
         let g = Arc::new(erdos_renyi(150, 1100, 13));
-        let whole = SliceData::Whole(GraphSlice::from_csr(&g, 10, 140));
+        let whole = SliceData::Whole(GraphSlice::window(Arc::clone(&g), None, 10, 140));
         let chunked = SliceData::Chunked(Box::new(ChunkedSlice::from_csr(g, None, 10, 140, chunk)));
         (whole, chunked)
     }

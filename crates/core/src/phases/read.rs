@@ -3,13 +3,18 @@
 //! The edge array is divided "more or less equally among hosts so that
 //! each host reads and processes a contiguous set of edges ... rounded off
 //! so that the outgoing edges of a given node are not divided between
-//! hosts." Each host loads only its slice; later phases read from memory.
+//! hosts." Each host loads only its slice of a `.bgr` file; later phases
+//! read from memory. An in-memory source is read in place: each host's
+//! [`GraphSlice`] is a window over the caller's `Arc<Csr>` (and its edge
+//! data), and the splits are computed over the graph's own offsets, so a
+//! memory-source run holds its input once.
 //!
 //! With `CuspConfig::chunk_edges` set, the slice is not materialized at
 //! all: this phase reads only the O(nodes) offset array of the host's
 //! range and hands later phases a [`ChunkedSlice`] that re-streams the
-//! edge payload in bounded, node-aligned chunks (from the file, or from
-//! the shared in-memory graph standing in for the page cache).
+//! edge payload in bounded, node-aligned chunks (re-read from the file,
+//! or windowed over the shared in-memory graph standing in for the page
+//! cache).
 //!
 //! This phase also derives the [`Setup`] every rule is built from: the
 //! global node/edge counts, the reading split, and the edge-balanced
@@ -94,35 +99,25 @@ pub fn read_phase(comm: &Comm, source: &GraphSource, cfg: &CuspConfig) -> std::i
                 },
             });
         }
-        GraphSource::Memory(g) => (g, None),
-        GraphSource::MemoryWeighted(g, w) => (g, Some(w)),
+        GraphSource::Memory(g) => (Arc::clone(g), None),
+        GraphSource::MemoryWeighted(g, w) => (Arc::clone(g), Some(Arc::clone(w))),
     };
-    let ends: Vec<u64> = graph.offsets()[1..].to_vec();
-    let read_splits = reading_split(&ends, k, cfg.node_read_weight, cfg.edge_read_weight);
-    let eb = reading_split(&ends, k, 0, 1);
-    let my = read_splits[me];
-    let (lo, hi) = (my.lo as Node, my.hi as Node);
-    let data = match (cfg.chunk_edges, weights) {
-        (None, None) => SliceData::Whole(GraphSlice::from_csr(graph, lo, hi)),
-        (None, Some(w)) => SliceData::Whole(GraphSlice::from_csr_weighted(graph, w, lo, hi)),
-        (Some(c), w) => SliceData::Chunked(Box::new(ChunkedSlice::from_csr(
-            Arc::clone(graph),
-            w.cloned(),
-            lo,
-            hi,
-            c,
-        ))),
+    let ends = &graph.offsets()[1..];
+    let read_splits = reading_split(ends, k, cfg.node_read_weight, cfg.edge_read_weight);
+    let eb = reading_split(ends, k, 0, 1);
+    let (lo, hi) = (read_splits[me].lo as Node, read_splits[me].hi as Node);
+    let setup = Setup {
+        num_nodes: graph.num_nodes() as u64,
+        num_edges: graph.num_edges(),
+        parts: k as u32,
+        eb_boundaries: Arc::new(splits_to_boundaries(&eb)),
+        read_splits: Arc::new(read_splits),
     };
-    Ok(ReadOutcome {
-        data,
-        setup: Setup {
-            num_nodes: graph.num_nodes() as u64,
-            num_edges: graph.num_edges(),
-            parts: k as u32,
-            eb_boundaries: Arc::new(splits_to_boundaries(&eb)),
-            read_splits: Arc::new(read_splits),
-        },
-    })
+    let data = match cfg.chunk_edges {
+        None => SliceData::Whole(GraphSlice::window(graph, weights, lo, hi)),
+        Some(c) => SliceData::Chunked(Box::new(ChunkedSlice::from_csr(graph, weights, lo, hi, c))),
+    };
+    Ok(ReadOutcome { data, setup })
 }
 
 #[cfg(test)]
@@ -150,6 +145,48 @@ mod tests {
         assert!(out.results.iter().all(|r| r.3 == g.num_edges()));
     }
 
+    /// `first_edge` of every node of the slice and of `node_hi`: its
+    /// offsets, placed at its first global edge.
+    fn first_edges(s: &GraphSlice) -> Vec<EdgeIdx> {
+        (s.node_lo..=s.node_hi).map(|v| s.first_edge(v)).collect()
+    }
+
+    #[test]
+    fn memory_sources_are_read_in_place() {
+        let g = Arc::new(erdos_renyi(500, 4000, 5));
+        let w: Arc<Vec<u32>> = Arc::new((0..g.num_edges() as u32).map(|e| e.wrapping_mul(7)).collect());
+        for hosts in [1, 4] {
+            for weighted in [false, true] {
+                for chunk_edges in [None, Some(300)] {
+                    let (g, w) = (Arc::clone(&g), Arc::clone(&w));
+                    Cluster::run(hosts, move |comm| {
+                        let source = if weighted {
+                            GraphSource::MemoryWeighted(g.clone(), w.clone())
+                        } else {
+                            GraphSource::Memory(g.clone())
+                        };
+                        let cfg = CuspConfig { chunk_edges, ..CuspConfig::default() };
+                        let mut r = read_phase(comm, &source, &cfg).unwrap();
+                        let (lo, hi) = (r.data.node_lo(), r.data.node_hi());
+                        let host = comm.host();
+                        let shape = format!("host {host}/{hosts}, weighted {weighted}, chunks {chunk_edges:?}");
+                        for v in [lo, hi - 1] {
+                            r.data.for_chunks_in(v..v + 1, |s, _| {
+                                let at = g.first_edge(v) as usize;
+                                let dests = s.edges(v).as_ptr();
+                                assert!(std::ptr::eq(dests, g.dests()[at..].as_ptr()), "{shape}: node {v}");
+                                let data = s.edge_data(v).map(<[u32]>::as_ptr);
+                                let want = weighted.then(|| w[at..].as_ptr());
+                                assert_eq!(data, want, "{shape}: node {v}");
+                                assert_eq!(s.heap_bytes(), 0, "{shape}");
+                            });
+                        }
+                    });
+                }
+            }
+        }
+    }
+
     #[test]
     fn file_source_matches_memory_source() {
         let g = Arc::new(erdos_renyi(300, 2500, 9));
@@ -162,8 +199,9 @@ mod tests {
             let cfg = CuspConfig::default();
             let mem = read_phase(comm, &GraphSource::Memory(g2.clone()), &cfg).unwrap();
             let file = read_phase(comm, &GraphSource::File(p2.clone()), &cfg).unwrap();
-            assert_eq!(mem.data.expect_whole().offsets, file.data.expect_whole().offsets);
-            assert_eq!(mem.data.expect_whole().dests, file.data.expect_whole().dests);
+            let (m, f) = (mem.data.expect_whole(), file.data.expect_whole());
+            assert_eq!(first_edges(m), first_edges(f));
+            assert_eq!(m.dests(), f.dests());
             assert_eq!(*mem.setup.eb_boundaries, *file.setup.eb_boundaries);
             assert_eq!(*mem.setup.read_splits, *file.setup.read_splits);
         });

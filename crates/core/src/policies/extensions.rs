@@ -201,10 +201,11 @@ impl EdgeRule for HdrfEdge {
 mod tests {
     use super::*;
     use cusp_graph::{Csr, GraphSlice};
+    use std::sync::Arc;
 
     fn props(g: &Csr, _k: PartId) -> (GraphSlice, u64, u64) {
         (
-            GraphSlice::from_csr(g, 0, g.num_nodes() as Node),
+            GraphSlice::window(Arc::new(g.clone()), None, 0, g.num_nodes() as Node),
             g.num_nodes() as u64,
             g.num_edges(),
         )

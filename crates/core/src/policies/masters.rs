@@ -367,7 +367,7 @@ mod tests {
     }
 
     fn props_for(g: &Csr, _k: PartId) -> (GraphSlice, u64, u64) {
-        let slice = GraphSlice::from_csr(g, 0, g.num_nodes() as Node);
+        let slice = GraphSlice::window(Arc::new(g.clone()), None, 0, g.num_nodes() as Node);
         (slice, g.num_nodes() as u64, g.num_edges())
     }
 
@@ -456,7 +456,7 @@ mod tests {
     fn scored_rules_count_remote_and_local_neighbours_alike() {
         // Node 2 points at 0, 1 (local) and 7, 8, 9 (remote; 9 unanswered).
         let g = Csr::from_edges(10, &[(2, 0), (2, 1), (2, 7), (2, 8), (2, 9)]);
-        let slice = GraphSlice::from_csr(&g, 0, 4);
+        let slice = GraphSlice::window(Arc::new(g), None, 0, 4);
         let prop = LocalProps::new(10, 5, 3, &slice);
         let table = MasterTable::new(10, 3);
         for (v, p) in [(0, 2), (1, 0), (3, 0), (7, 2), (8, 2)] {

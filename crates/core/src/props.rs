@@ -99,10 +99,11 @@ impl<'a> LocalProps<'a> {
 mod tests {
     use super::*;
     use cusp_graph::Csr;
+    use std::sync::Arc;
 
     fn props_over(lo: Node, hi: Node) -> (Csr, GraphSlice) {
         let g = Csr::from_edges(6, &[(0, 1), (2, 3), (2, 4), (3, 0), (5, 5)]);
-        let s = GraphSlice::from_csr(&g, lo, hi);
+        let s = GraphSlice::window(Arc::new(g.clone()), None, lo, hi);
         (g, s)
     }
 

@@ -4,15 +4,16 @@
 //! node-aligned chunks, each carrying at most a configured number of edges
 //! (a single node whose degree exceeds the budget gets a chunk of its own,
 //! so the bound is `max(chunk_edges, d_max)`). Only the O(nodes) rebased
-//! offset array stays resident; edge payloads are materialized one chunk at
-//! a time — re-read from the `.bgr` file, or copied out of a shared
-//! in-memory graph standing in for the page cache. The high-water mark of
-//! materialized chunk edges is tracked in [`ChunkedSlice::peak_resident_edges`]
-//! so callers can *prove* the O(chunk) residency claim rather than assume it.
+//! offset array stays resident. Each chunk is a [`GraphSlice`]: re-read
+//! from the `.bgr` file into one recycled buffer, or, for a graph already
+//! in memory, a window over the shared CSR that copies nothing. The
+//! high-water mark of a chunk's edges is tracked in
+//! [`ChunkedSlice::peak_resident_edges`] so callers can *prove* the
+//! O(chunk) residency claim rather than assume it.
 //!
-//! Retired chunk buffers are cleared and refilled instead of reallocated
-//! ([`RangeReader::read_edge_span_into`] / [`GraphSlice::fill_from_csr`]),
-//! so a steady-state stream stops allocating after the first chunk.
+//! The File backing clears and refills the chunk it returned last instead
+//! of allocating, so a steady-state stream stops allocating after its
+//! largest chunk.
 
 use std::sync::Arc;
 
@@ -48,8 +49,8 @@ pub fn chunk_boundaries(offsets: &[EdgeIdx], node_lo: Node, chunk_edges: u64) ->
 pub enum ChunkBacking {
     /// Range-reads each chunk's byte span from the `.bgr` file.
     File(RangeReader),
-    /// Copies each chunk window out of a shared in-memory graph (the
-    /// stand-in for a hot page cache).
+    /// Hands out each chunk as a window over a shared in-memory graph
+    /// (the stand-in for a hot page cache).
     Mem {
         /// The full graph shared by all simulated hosts.
         csr: Arc<Csr>,
@@ -74,7 +75,7 @@ pub struct ChunkedSlice {
     weighted: bool,
     peak_resident: u64,
     /// The chunk most recently returned by `load_chunk` (empty before the
-    /// first); the next load clears and refills its buffers.
+    /// first); the next File load clears and refills its buffers.
     current: GraphSlice,
 }
 
@@ -109,8 +110,8 @@ impl ChunkedSlice {
         }
     }
 
-    /// Chunked view over an in-memory graph window (copies the offsets,
-    /// streams the edges chunk by chunk).
+    /// Chunked view over an in-memory graph window (copies the range's
+    /// offsets; each chunk is a window over `csr`).
     pub fn from_csr(
         csr: Arc<Csr>,
         weights: Option<Arc<Vec<u32>>>,
@@ -188,35 +189,24 @@ impl ChunkedSlice {
     }
 
     /// Materializes chunk `i` as a [`GraphSlice`] (global destination ids,
-    /// correct `first_edge_global`), updating the peak-residency high-water
-    /// mark. The returned slice stays valid until the next `load_chunk`,
-    /// which refills its buffers. Content is identical to what a full
-    /// `read_range_into` of the same window would produce.
+    /// global `first_edge`), updating the peak-residency high-water mark.
+    /// The returned slice stays valid until the next `load_chunk`. Content
+    /// is identical to what a full `read_range_into` of the same window
+    /// would produce.
     pub fn load_chunk(&mut self, i: usize) -> &GraphSlice {
         let (lo, hi) = self.chunk_bounds(i);
-        let li = (lo - self.node_lo) as usize;
-        let hi_i = (hi - self.node_lo) as usize;
-        let base = self.offsets[li];
+        let offsets = &self.offsets[(lo - self.node_lo) as usize..=(hi - self.node_lo) as usize];
+        let edge_lo = self.first_edge_global + offsets[0];
         let slice = &mut self.current;
         match &mut self.backing {
-            ChunkBacking::File(r) => {
-                slice.offsets.clear();
-                slice
-                    .offsets
-                    .extend(self.offsets[li..=hi_i].iter().map(|&o| o - base));
-                let edge_lo = self.first_edge_global + base;
-                r.read_edge_span_into(edge_lo, self.offsets[hi_i] - base, slice)
-                    .expect("chunk re-read from input file failed");
-                slice.node_lo = lo;
-                slice.node_hi = hi;
-                slice.first_edge_global = edge_lo;
+            ChunkBacking::File(r) => r
+                .read_chunk_into(lo, hi, offsets, edge_lo, slice)
+                .expect("chunk re-read from input file failed"),
+            ChunkBacking::Mem { csr, weights } => {
+                *slice = GraphSlice::window(Arc::clone(csr), weights.clone(), lo, hi)
             }
-            ChunkBacking::Mem { csr, weights } => match weights {
-                Some(w) => slice.fill_from_csr_weighted(csr, w, lo, hi),
-                None => slice.fill_from_csr(csr, lo, hi),
-            },
         }
-        debug_assert_eq!(slice.first_edge_global, self.first_edge_global + base);
+        debug_assert_eq!(slice.first_edge(lo), edge_lo);
         self.peak_resident = self.peak_resident.max(slice.num_edges());
         slice
     }
@@ -262,10 +252,24 @@ mod tests {
         assert_eq!(b, vec![10]);
     }
 
+    /// A File-backed stream over `[lo, hi)` of the `.bgr` at `path`.
+    fn file_chunks(path: &std::path::Path, lo: Node, hi: Node, chunk_edges: u64) -> ChunkedSlice {
+        let mut reader = RangeReader::open(path).unwrap();
+        let ends = reader.read_end_offsets().unwrap();
+        let base = if lo == 0 { 0 } else { ends[lo as usize - 1] };
+        let mut offsets = vec![0];
+        offsets.extend(ends[lo as usize..hi as usize].iter().map(|&e| e - base));
+        ChunkedSlice::new(ChunkBacking::File(reader), lo, hi, offsets, base, chunk_edges)
+    }
+
+    fn temp_bgr(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("cusp-chunk-test-{}-{name}.bgr", std::process::id()))
+    }
+
     #[test]
     fn mem_chunks_reassemble_the_slice() {
         let g = Arc::new(erdos_renyi(120, 900, 11));
-        let whole = GraphSlice::from_csr(&g, 20, 100);
+        let whole = GraphSlice::window(Arc::clone(&g), None, 20, 100);
         let mut c = ChunkedSlice::from_csr(Arc::clone(&g), None, 20, 100, 50);
         assert_eq!(c.num_edges(), whole.num_edges());
         assert!(c.num_chunks() > 1);
@@ -278,7 +282,7 @@ mod tests {
                 dests.extend_from_slice(chunk.edges(v));
             }
         }
-        assert_eq!(dests, whole.dests);
+        assert_eq!(dests, whole.dests());
         let max_deg = (20..100).map(|v| whole.out_degree(v)).max().unwrap();
         assert!(
             c.peak_resident_edges() <= 50u64.max(max_deg),
@@ -291,25 +295,18 @@ mod tests {
     #[test]
     fn file_chunks_match_mem_chunks() {
         let g = Arc::new(erdos_renyi(80, 600, 3));
-        let mut path = std::env::temp_dir();
-        path.push(format!("cusp-chunk-test-{}.bgr", std::process::id()));
+        let path = temp_bgr("match");
         write_bgr(&path, &g).unwrap();
-        let mut reader = RangeReader::open(&path).unwrap();
-        let ends = reader.read_end_offsets().unwrap();
-        let lo = 10u32;
-        let hi = 70u32;
-        let base = ends[lo as usize - 1];
-        let mut offsets = vec![0];
-        offsets.extend(ends[lo as usize..hi as usize].iter().map(|&e| e - base));
-        let mut file_c = ChunkedSlice::new(ChunkBacking::File(reader), lo, hi, offsets, base, 33);
+        let (lo, hi) = (10u32, 70u32);
+        let mut file_c = file_chunks(&path, lo, hi, 33);
         let mut mem_c = ChunkedSlice::from_csr(Arc::clone(&g), None, lo, hi, 33);
         assert_eq!(file_c.num_chunks(), mem_c.num_chunks());
         for i in 0..file_c.num_chunks() {
             let f = file_c.load_chunk(i);
             let m = mem_c.load_chunk(i);
-            assert_eq!(f.offsets, m.offsets, "chunk {i}");
-            assert_eq!(f.dests, m.dests, "chunk {i}");
-            assert_eq!(f.first_edge_global, m.first_edge_global, "chunk {i}");
+            assert_eq!(f.local_offsets(), m.local_offsets(), "chunk {i}");
+            assert_eq!(f.dests(), m.dests(), "chunk {i}");
+            assert_eq!(f.first_edge(f.node_lo), m.first_edge(m.node_lo), "chunk {i}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -317,29 +314,33 @@ mod tests {
     #[test]
     fn recycled_buffer_never_leaks_the_previous_chunk() {
         // Master-phase rounds restart sub-range walks, so chunks are
-        // reloaded out of order into the one recycled buffer: a longer
-        // chunk followed by a shorter one must leave nothing behind.
+        // reloaded out of order into the File backing's one recycled
+        // buffer: a longer chunk followed by a shorter one must leave
+        // nothing behind.
         let g = Arc::new(erdos_renyi(100, 800, 29));
         let w: Arc<Vec<u32>> = Arc::new((0..g.num_edges() as u32).map(|e| e ^ 0x5a5a).collect());
         for weights in [None, Some(Arc::clone(&w))] {
-            let mut c = ChunkedSlice::from_csr(Arc::clone(&g), weights.clone(), 0, 100, 30);
+            let path = temp_bgr(if weights.is_some() { "recycle-w" } else { "recycle" });
+            match &weights {
+                Some(w) => crate::write_bgr_weighted(&path, &g, w).unwrap(),
+                None => write_bgr(&path, &g).unwrap(),
+            }
+            let mut c = file_chunks(&path, 0, 100, 30);
             let n = c.num_chunks();
             assert!(n >= 3);
             let lens: Vec<u64> = (0..n).map(|i| c.load_chunk(i).num_edges()).collect();
             assert!(lens.windows(2).any(|p| p[0] > p[1]), "no longer-then-shorter pair in {lens:?}");
             for &i in &[0usize, 1, 2, 0, 1, 2, n - 1, 0] {
                 let (lo, hi) = c.chunk_bounds(i);
-                let want = match &weights {
-                    Some(w) => GraphSlice::from_csr_weighted(&g, w, lo, hi),
-                    None => GraphSlice::from_csr(&g, lo, hi),
-                };
+                let want = GraphSlice::window(Arc::clone(&g), weights.clone(), lo, hi);
                 let got = c.load_chunk(i);
-                assert_eq!(want.offsets, got.offsets, "chunk {i}");
-                assert_eq!(want.dests, got.dests, "chunk {i}");
-                assert_eq!(want.weights, got.weights, "chunk {i}");
+                assert_eq!(want.local_offsets(), got.local_offsets(), "chunk {i}");
+                assert_eq!(want.dests(), got.dests(), "chunk {i}");
+                assert_eq!(want.weights(), got.weights(), "chunk {i}");
                 assert_eq!((want.node_lo, want.node_hi), (got.node_lo, got.node_hi));
-                assert_eq!(want.first_edge_global, got.first_edge_global, "chunk {i}");
+                assert_eq!(want.first_edge(lo), got.first_edge(lo), "chunk {i}");
             }
+            std::fs::remove_file(&path).ok();
         }
     }
 

@@ -10,10 +10,21 @@ use crate::{EdgeIdx, Node};
 /// An immutable CSR graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
-    /// `offsets[v]..offsets[v+1]` indexes `dests` for vertex `v`.
-    offsets: Vec<EdgeIdx>,
+    /// `offsets[v]..offsets[v+1]` indexes `dests` for vertex `v`. The
+    /// `.bgr` reader refills both buffers in place.
+    pub(crate) offsets: Vec<EdgeIdx>,
     /// Flat destination array.
-    dests: Vec<Node>,
+    pub(crate) dests: Vec<Node>,
+}
+
+/// The graph with no nodes.
+impl Default for Csr {
+    fn default() -> Self {
+        Csr {
+            offsets: vec![0],
+            dests: Vec::new(),
+        }
+    }
 }
 
 impl Csr {
@@ -108,6 +119,11 @@ impl Csr {
     #[inline]
     pub fn dests(&self) -> &[Node] {
         &self.dests
+    }
+
+    /// Heap bytes backing the graph's buffers (capacities, not lengths).
+    pub fn heap_bytes(&self) -> u64 {
+        (self.offsets.capacity() * 8 + self.dests.capacity() * 4) as u64
     }
 
     /// Iterates all edges as `(src, dst)` pairs in CSR order.

@@ -19,10 +19,18 @@
 //! mirroring how each CuSP host reads its slice of the file (§IV-B1).
 //! The bytes go through [`wire`]: header via its `Reader`, arrays streamed
 //! through its slice codec; no checksum (DESIGN.md §4 "Bytes" has why).
+//! The reader is total: a header whose counts do not match the file
+//! length, or end offsets that decrease or pass the edge count, are an
+//! `InvalidData` error before anything is allocated or indexed by them.
+//!
+//! A [`GraphSlice`] is what a host holds of its range, read from a file or
+//! windowed over a graph already in memory.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::csr::Csr;
 use crate::wire;
@@ -82,8 +90,7 @@ fn bad_data(msg: String) -> io::Error {
 pub fn read_bgr(path: &Path) -> io::Result<Csr> {
     let mut reader = RangeReader::open(path)?;
     let n = reader.num_nodes();
-    let slice = reader.read_range(0, n)?;
-    Ok(Csr::from_parts(slice.offsets, slice.dests))
+    Ok(reader.read_range(0, n)?.into_parts().0)
 }
 
 /// Reads a version-2 `.bgr` file with its edge data.
@@ -93,43 +100,99 @@ pub fn read_bgr_weighted(path: &Path) -> io::Result<(Csr, Vec<u32>)> {
         return Err(bad_data("file has no edge data section".into()));
     }
     let n = reader.num_nodes();
-    let slice = reader.read_range(0, n)?;
-    let weights = slice.weights.expect("weighted reader returns weights");
-    Ok((Csr::from_parts(slice.offsets, slice.dests), weights))
+    let (graph, weights) = reader.read_range(0, n)?.into_parts();
+    Ok((graph, weights.expect("weighted reader returns weights")))
 }
 
-/// A contiguous node-range slice of an on-disk graph.
+/// A host's contiguous node range `[node_lo, node_hi)`: a window over
+/// rows of a shared [`Csr`], plus the edge data aligned with that CSR's
+/// edges.
 ///
-/// `offsets` is rebased to the slice (first entry 0); `dests` holds global
-/// destination ids. `first_edge_global` is the global index of the slice's
-/// first edge, needed by edge-balanced master rules (`ContiguousEB`).
+/// There is one representation. A window over an in-memory graph
+/// ([`GraphSlice::window`]) shares the caller's buffers, so nothing is
+/// copied. A range read from a `.bgr` file ([`RangeReader::read_range`])
+/// is a CSR of just that range, which the reader refills in place when it
+/// is the slice's alone. Either way `edges(v)` holds global destination
+/// ids and `first_edge(v)` is `v`'s global edge index, which edge-balanced
+/// master rules (`ContiguousEB`) need.
 #[derive(Clone, Debug)]
 pub struct GraphSlice {
     /// First node of the slice (global id).
     pub node_lo: Node,
-    /// One past the last node (global id).
+    /// One past the last node of the slice (global id).
     pub node_hi: Node,
-    /// Rebased offsets, `node_hi - node_lo + 1` entries.
-    pub offsets: Vec<EdgeIdx>,
-    /// Global destination ids.
-    pub dests: Vec<Node>,
-    /// Per-edge `u32` data aligned with `dests` (version-2 files only).
-    pub weights: Option<Vec<u32>>,
-    /// Global edge index of the first edge in the slice.
-    pub first_edge_global: EdgeIdx,
+    /// Global id of `csr`'s row 0: node `v` is row `v - csr_node0`.
+    csr_node0: Node,
+    /// Global index of `csr`'s edge 0.
+    csr_edge0: EdgeIdx,
+    csr: Arc<Csr>,
+    /// Per-edge `u32` data aligned with `csr`'s edges, if weighted.
+    weights: Option<Arc<Vec<u32>>>,
+}
+
+/// The value behind `arc`, for writing; a shared value is left to its
+/// other owners and replaced by a fresh default first.
+fn unique<T: Default>(arc: &mut Arc<T>) -> &mut T {
+    if Arc::get_mut(arc).is_none() {
+        *arc = Arc::default();
+    }
+    Arc::get_mut(arc).expect("a fresh Arc has one owner")
+}
+
+/// `bytes(value)` if `arc` is the value's only owner, else 0.
+fn sole_bytes<T>(arc: &Arc<T>, bytes: impl Fn(&T) -> u64) -> u64 {
+    if Arc::strong_count(arc) == 1 {
+        bytes(arc)
+    } else {
+        0
+    }
 }
 
 impl GraphSlice {
-    /// An empty slice, used as the seed of buffer-recycling fills
-    /// ([`GraphSlice::fill_from_csr`], [`RangeReader::read_range_into`]).
+    /// An empty slice, used as the seed of buffer-recycling reads
+    /// ([`RangeReader::read_range_into`]).
     pub fn empty() -> Self {
         GraphSlice {
             node_lo: 0,
             node_hi: 0,
-            offsets: vec![0],
-            dests: Vec::new(),
+            csr_node0: 0,
+            csr_edge0: 0,
+            csr: Arc::default(),
             weights: None,
-            first_edge_global: 0,
+        }
+    }
+
+    /// The window `[node_lo, node_hi)` of `graph`, sharing its buffers
+    /// (and `weights`, aligned with `graph`'s edges): nothing is copied.
+    ///
+    /// # Panics
+    /// Panics if the window leaves the graph or `weights` does not hold
+    /// one entry per edge.
+    pub fn window(
+        graph: Arc<Csr>,
+        weights: Option<Arc<Vec<u32>>>,
+        node_lo: Node,
+        node_hi: Node,
+    ) -> Self {
+        assert!(
+            node_lo <= node_hi && node_hi as usize <= graph.num_nodes(),
+            "window [{node_lo}, {node_hi}) outside a graph of {} nodes",
+            graph.num_nodes()
+        );
+        if let Some(w) = &weights {
+            assert_eq!(
+                w.len() as u64,
+                graph.num_edges(),
+                "edge data length must match edge count"
+            );
+        }
+        GraphSlice {
+            node_lo,
+            node_hi,
+            csr_node0: 0,
+            csr_edge0: 0,
+            csr: graph,
+            weights,
         }
     }
 
@@ -138,102 +201,74 @@ impl GraphSlice {
         (self.node_hi - self.node_lo) as usize
     }
 
-    /// Heap bytes backing the slice's buffers (capacities, not lengths).
+    /// Heap bytes of the buffers this slice alone keeps alive (capacities,
+    /// not lengths): 0 for a window over a graph someone else also holds.
     pub fn heap_bytes(&self) -> u64 {
-        (self.offsets.capacity() * 8
-            + self.dests.capacity() * 4
-            + self.weights.as_ref().map_or(0, |w| w.capacity() * 4)) as u64
+        sole_bytes(&self.csr, Csr::heap_bytes)
+            + self
+                .weights
+                .as_ref()
+                .map_or(0, |w| sole_bytes(w, |w| w.capacity() as u64 * 4))
+    }
+
+    /// Positions in `csr`'s edge arrays of the edges of nodes `[lo, hi)`.
+    #[inline]
+    fn edge_range(&self, lo: Node, hi: Node) -> Range<usize> {
+        self.csr.first_edge(lo - self.csr_node0) as usize
+            ..self.csr.first_edge(hi - self.csr_node0) as usize
     }
 
     /// Number of edges in the slice.
     pub fn num_edges(&self) -> u64 {
-        *self.offsets.last().unwrap_or(&0)
+        self.edge_range(self.node_lo, self.node_hi).len() as u64
+    }
+
+    /// Destination ids of the slice's edges, in row order.
+    pub fn dests(&self) -> &[Node] {
+        &self.csr.dests()[self.edge_range(self.node_lo, self.node_hi)]
+    }
+
+    /// Edge data of the slice's edges, in row order, if weighted.
+    pub fn weights(&self) -> Option<&[u32]> {
+        let span = self.edge_range(self.node_lo, self.node_hi);
+        self.weights.as_ref().map(|w| &w[span])
     }
 
     /// Out-degree of global node `v` (must lie in the slice).
     #[inline]
     pub fn out_degree(&self, v: Node) -> u64 {
-        let l = (v - self.node_lo) as usize;
-        self.offsets[l + 1] - self.offsets[l]
+        self.csr.out_degree(v - self.csr_node0)
     }
 
     /// Outgoing neighbors of global node `v` (must lie in the slice).
     #[inline]
     pub fn edges(&self, v: Node) -> &[Node] {
-        let l = (v - self.node_lo) as usize;
-        &self.dests[self.offsets[l] as usize..self.offsets[l + 1] as usize]
+        self.csr.edges(v - self.csr_node0)
     }
 
     /// Edge data of global node `v`'s out-edges, if the input is weighted.
     #[inline]
     pub fn edge_data(&self, v: Node) -> Option<&[u32]> {
-        let l = (v - self.node_lo) as usize;
-        self.weights
-            .as_ref()
-            .map(|w| &w[self.offsets[l] as usize..self.offsets[l + 1] as usize])
+        let span = self.edge_range(v, v + 1);
+        self.weights.as_ref().map(|w| &w[span])
     }
 
-    /// Global index of the first outgoing edge of global node `v`.
+    /// Global index of the first outgoing edge of global node `v`, for
+    /// `v` in `[node_lo, node_hi]`: `first_edge(node_hi)` is one past the
+    /// slice's last edge.
     #[inline]
     pub fn first_edge(&self, v: Node) -> EdgeIdx {
-        let l = (v - self.node_lo) as usize;
-        self.first_edge_global + self.offsets[l]
+        self.csr_edge0 + self.csr.first_edge(v - self.csr_node0)
     }
 
-    /// Builds a slice directly from an in-memory graph (used by tests and
-    /// by in-memory partitioning runs that skip the disk).
-    pub fn from_csr(graph: &Csr, node_lo: Node, node_hi: Node) -> Self {
-        let mut slice = Self::empty();
-        slice.fill_from_csr(graph, node_lo, node_hi);
-        slice
-    }
-
-    /// Builds a weighted slice from an in-memory graph plus edge data
-    /// (aligned with the graph's CSR edge order).
-    pub fn from_csr_weighted(graph: &Csr, weights: &[u32], node_lo: Node, node_hi: Node) -> Self {
-        let mut slice = Self::empty();
-        slice.fill_from_csr_weighted(graph, weights, node_lo, node_hi);
-        slice
-    }
-
-    /// Refills `self` with the `[node_lo, node_hi)` window of `graph`,
-    /// reusing the existing buffers. Content is identical to
-    /// [`GraphSlice::from_csr`]; only the allocations are recycled.
-    pub fn fill_from_csr(&mut self, graph: &Csr, node_lo: Node, node_hi: Node) {
-        let base = graph.offsets()[node_lo as usize];
-        let end = graph.offsets()[node_hi as usize];
-        self.offsets.clear();
-        self.offsets.extend(
-            graph.offsets()[node_lo as usize..=node_hi as usize]
-                .iter()
-                .map(|&o| o - base),
-        );
-        self.dests.clear();
-        self.dests
-            .extend_from_slice(&graph.dests()[base as usize..end as usize]);
-        self.weights = None;
-        self.node_lo = node_lo;
-        self.node_hi = node_hi;
-        self.first_edge_global = base;
-    }
-
-    /// Weighted variant of [`GraphSlice::fill_from_csr`]; the recycled
-    /// weights buffer survives the refill.
-    pub fn fill_from_csr_weighted(
-        &mut self,
-        graph: &Csr,
-        weights: &[u32],
-        node_lo: Node,
-        node_hi: Node,
-    ) {
-        assert_eq!(weights.len() as u64, graph.num_edges());
-        let mut wbuf = self.weights.take().unwrap_or_default();
-        self.fill_from_csr(graph, node_lo, node_hi);
-        let base = graph.offsets()[node_lo as usize] as usize;
-        let end = graph.offsets()[node_hi as usize] as usize;
-        wbuf.clear();
-        wbuf.extend_from_slice(&weights[base..end]);
-        self.weights = Some(wbuf);
+    /// The slice's CSR and edge data, by value: moved out when the slice
+    /// is their only owner (as it is fresh off the reader), cloned
+    /// otherwise.
+    fn into_parts(self) -> (Csr, Option<Vec<u32>>) {
+        (
+            Arc::unwrap_or_clone(self.csr),
+            self.weights.map(Arc::unwrap_or_clone),
+        )
     }
 }
 
@@ -253,7 +288,8 @@ pub struct RangeReader {
 }
 
 impl RangeReader {
-    /// Opens the file and validates the header.
+    /// Opens the file and validates the header, including that its node
+    /// and edge counts account for the file's length exactly.
     pub fn open(path: &Path) -> io::Result<Self> {
         let mut file = File::open(path)?;
         let mut header = [0u8; HEADER_BYTES as usize];
@@ -267,11 +303,24 @@ impl RangeReader {
         if version != VERSION_UNWEIGHTED && version != VERSION_WEIGHTED {
             return Err(bad_data(format!("unsupported version {version}")));
         }
+        let weighted = version == VERSION_WEIGHTED;
+        let (nodes, edges) = (h.u64()?, h.u64()?);
+        let bytes_per_edge = if weighted { 8 } else { 4 };
+        let expected = nodes
+            .checked_mul(8)
+            .zip(edges.checked_mul(bytes_per_edge))
+            .and_then(|(o, e)| o.checked_add(e)?.checked_add(HEADER_BYTES));
+        let len = file.metadata()?.len();
+        if expected != Some(len) {
+            return Err(bad_data(format!(
+                "header claims {nodes} nodes and {edges} edges, but the file is {len} bytes"
+            )));
+        }
         Ok(RangeReader {
             file,
-            nodes: h.u64()?,
-            edges: h.u64()?,
-            weighted: version == VERSION_WEIGHTED,
+            nodes,
+            edges,
+            weighted,
             pos: HEADER_BYTES,
             scratch: vec![0u8; wire::SCRATCH_BYTES],
         })
@@ -302,6 +351,18 @@ impl RangeReader {
         Ok(())
     }
 
+    /// An `InvalidData` error unless the end offsets `ends` never decrease
+    /// and stay within the edge count.
+    fn check_ends(&self, ends: &[EdgeIdx]) -> io::Result<()> {
+        if ends.windows(2).any(|w| w[1] < w[0]) || ends.last().is_some_and(|&e| e > self.edges) {
+            return Err(bad_data(format!(
+                "corrupt offsets: end offsets decrease or pass the edge count ({})",
+                self.edges
+            )));
+        }
+        Ok(())
+    }
+
     /// Whether the file carries per-edge data.
     pub fn has_weights(&self) -> bool {
         self.weighted
@@ -322,6 +383,7 @@ impl RangeReader {
     pub fn read_end_offsets(&mut self) -> io::Result<Vec<EdgeIdx>> {
         let mut out = vec![0; self.nodes as usize];
         self.read_at(HEADER_BYTES, &mut out, wire::read_u64s_into)?;
+        self.check_ends(&out)?;
         Ok(out)
     }
 
@@ -333,10 +395,19 @@ impl RangeReader {
     }
 
     /// Reads the slice for nodes `[lo, hi)` into `out`, recycling `out`'s
-    /// buffers. Content is identical to [`RangeReader::read_range`]; this
-    /// is the allocation-free fill for re-reading the same file over and
-    /// over.
+    /// buffers when `out` alone holds them. Content is identical to
+    /// [`RangeReader::read_range`]; this is the allocation-free fill for
+    /// re-reading the same file over and over. On an error `out` is left
+    /// empty.
     pub fn read_range_into(&mut self, lo: u64, hi: u64, out: &mut GraphSlice) -> io::Result<()> {
+        let read = self.fill_range(lo, hi, out);
+        if read.is_err() {
+            *out = GraphSlice::empty();
+        }
+        read
+    }
+
+    fn fill_range(&mut self, lo: u64, hi: u64, out: &mut GraphSlice) -> io::Result<()> {
         if lo > hi || hi > self.nodes {
             return Err(bad_data(format!(
                 "range [{lo}, {hi}) out of bounds (nodes = {})",
@@ -345,50 +416,42 @@ impl RangeReader {
         }
         // End offsets for [lo, hi) behind the edge range's start — the end
         // offset of node lo-1, read in the same pass (0 if lo == 0) — then
-        // rebased in place.
+        // checked and rebased in place.
         let count = (hi - lo) as usize;
-        out.offsets.clear();
-        out.offsets.resize(count + 1, 0);
+        let offsets = &mut unique(&mut out.csr).offsets;
+        offsets.clear();
+        offsets.resize(count + 1, 0);
         if lo > 0 {
-            self.read_at(HEADER_BYTES + (lo - 1) * 8, &mut out.offsets, wire::read_u64s_into)?;
+            self.read_at(HEADER_BYTES + (lo - 1) * 8, offsets, wire::read_u64s_into)?;
         } else {
-            self.read_at(HEADER_BYTES, &mut out.offsets[1..], wire::read_u64s_into)?;
+            self.read_at(HEADER_BYTES, &mut offsets[1..], wire::read_u64s_into)?;
         }
-        let edge_lo = out.offsets[0];
-        let edge_hi = out.offsets[count];
-        for o in &mut out.offsets {
-            // Wrapping: validated right below; a corrupt end < edge_lo is
-            // reported as an error, not an overflow panic.
-            *o = o.wrapping_sub(edge_lo);
+        self.check_ends(offsets)?;
+        let edge_lo = offsets[0];
+        for o in offsets.iter_mut() {
+            *o -= edge_lo;
         }
-        if edge_hi < edge_lo || edge_hi > self.edges {
-            return Err(bad_data(format!(
-                "corrupt offsets: edge range [{edge_lo}, {edge_hi})"
-            )));
-        }
-        self.read_edge_span_into(edge_lo, edge_hi - edge_lo, out)?;
-        out.node_lo = lo as Node;
-        out.node_hi = hi as Node;
-        out.first_edge_global = edge_lo;
-        Ok(())
+        self.read_edges_into(lo as Node, hi as Node, edge_lo, out)
     }
 
-    /// Reads only the destination (and, for weighted files, edge-data)
-    /// span of global edges `[edge_lo, edge_lo + count)` into `out.dests`
-    /// / `out.weights`, recycling the buffers. `out`'s node fields and
-    /// offsets are left untouched — the caller owns them.
+    /// Reads the edges of nodes `[lo, hi)` into `out`, whose CSR already
+    /// holds that window's offsets rebased to 0, and points `out` at the
+    /// window. `edge_lo` is the global index of the window's first edge.
     ///
-    /// This is the chunk stream's fast path: the host's rebased offsets
-    /// stay resident in [`crate::ChunkedSlice`], so per-chunk re-reads
-    /// skip the offsets section entirely, and in-order walks of an
-    /// unweighted file degenerate to pure sequential reads (the position
+    /// Only the destination (and, for weighted files, edge-data) span is
+    /// read, so a chunk stream, which keeps its range's offsets resident,
+    /// skips the offsets section entirely, and an in-order walk of an
+    /// unweighted file degenerates to pure sequential reads (the position
     /// tracker elides every seek).
-    pub fn read_edge_span_into(
+    fn read_edges_into(
         &mut self,
-        edge_lo: u64,
-        count: u64,
+        lo: Node,
+        hi: Node,
+        edge_lo: EdgeIdx,
         out: &mut GraphSlice,
     ) -> io::Result<()> {
+        let csr = unique(&mut out.csr);
+        let count = csr.num_edges();
         if edge_lo.checked_add(count).is_none_or(|h| h > self.edges) {
             return Err(bad_data(format!(
                 "edge span [{edge_lo}, +{count}) out of bounds (edges = {})",
@@ -396,17 +459,37 @@ impl RangeReader {
             )));
         }
         let dest_base = HEADER_BYTES + self.nodes * 8;
-        out.dests.resize(count as usize, 0);
-        self.read_at(dest_base + edge_lo * 4, &mut out.dests, wire::read_u32s_into)?;
+        csr.dests.resize(count as usize, 0);
+        self.read_at(dest_base + edge_lo * 4, &mut csr.dests, wire::read_u32s_into)?;
         if self.weighted {
-            let data_base = dest_base + self.edges * 4;
-            let w = out.weights.get_or_insert_with(Vec::new);
+            let w = unique(out.weights.get_or_insert_with(Arc::default));
             w.resize(count as usize, 0);
-            self.read_at(data_base + edge_lo * 4, w, wire::read_u32s_into)?;
+            self.read_at(dest_base + (self.edges + edge_lo) * 4, w, wire::read_u32s_into)?;
         } else {
             out.weights = None;
         }
+        out.node_lo = lo;
+        out.node_hi = hi;
+        out.csr_node0 = lo;
+        out.csr_edge0 = edge_lo;
         Ok(())
+    }
+
+    /// Reads chunk `[lo, hi)` of a chunk stream into `out`, recycling its
+    /// buffers: `offsets` are the chunk's `hi - lo + 1` offsets, rebased
+    /// to any origin, and `edge_lo` is the global index of its first edge.
+    pub(crate) fn read_chunk_into(
+        &mut self,
+        lo: Node,
+        hi: Node,
+        offsets: &[EdgeIdx],
+        edge_lo: EdgeIdx,
+        out: &mut GraphSlice,
+    ) -> io::Result<()> {
+        let own = &mut unique(&mut out.csr).offsets;
+        own.clear();
+        own.extend(offsets.iter().map(|&o| o - offsets[0]));
+        self.read_edges_into(lo, hi, edge_lo, out)
     }
 }
 
@@ -421,6 +504,35 @@ mod tests {
         p
     }
 
+    impl GraphSlice {
+        /// The slice's `num_nodes + 1` offsets rebased to its first edge.
+        pub(crate) fn local_offsets(&self) -> Vec<EdgeIdx> {
+            let base = self.first_edge(self.node_lo);
+            (self.node_lo..=self.node_hi).map(|v| self.first_edge(v) - base).collect()
+        }
+    }
+
+    /// A hand-made version-1 file: `header_nodes`/`header_edges` go in the
+    /// header as given, followed by `ends` and `dests`.
+    fn raw_bgr(name: &str, header_nodes: u64, header_edges: u64, ends: &[u64], dests: &[u32]) -> std::path::PathBuf {
+        let mut bytes = Vec::new();
+        for field in [MAGIC, VERSION_UNWEIGHTED, header_nodes, header_edges] {
+            wire::put_u64(&mut bytes, field);
+        }
+        ends.iter().for_each(|&e| wire::put_u64(&mut bytes, e));
+        dests.iter().for_each(|&d| wire::put_u32(&mut bytes, d));
+        let path = temp_path(name);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    fn assert_invalid_data<T>(r: io::Result<T>) {
+        match r {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+            Ok(_) => panic!("accepted a corrupt file"),
+        }
+    }
+
     #[test]
     fn write_read_round_trip() {
         let g = erdos_renyi(200, 1500, 42);
@@ -433,16 +545,16 @@ mod tests {
 
     #[test]
     fn range_reads_match_in_memory_slices() {
-        let g = erdos_renyi(100, 700, 7);
+        let g = Arc::new(erdos_renyi(100, 700, 7));
         let path = temp_path("ranges.bgr");
         write_bgr(&path, &g).unwrap();
         let mut reader = RangeReader::open(&path).unwrap();
         for (lo, hi) in [(0u64, 30u64), (30, 77), (77, 100), (50, 50), (0, 100)] {
             let disk = reader.read_range(lo, hi).unwrap();
-            let mem = GraphSlice::from_csr(&g, lo as Node, hi as Node);
-            assert_eq!(disk.offsets, mem.offsets, "offsets for [{lo},{hi})");
-            assert_eq!(disk.dests, mem.dests, "dests for [{lo},{hi})");
-            assert_eq!(disk.first_edge_global, mem.first_edge_global);
+            let mem = GraphSlice::window(Arc::clone(&g), None, lo as Node, hi as Node);
+            assert_eq!(disk.local_offsets(), mem.local_offsets(), "offsets for [{lo},{hi})");
+            assert_eq!(disk.dests(), mem.dests(), "dests for [{lo},{hi})");
+            assert_eq!(disk.first_edge(disk.node_lo), mem.first_edge(mem.node_lo));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -450,7 +562,7 @@ mod tests {
     #[test]
     fn slice_queries() {
         let g = Csr::from_edges(5, &[(0, 1), (0, 2), (1, 3), (3, 4), (3, 0), (3, 1)]);
-        let s = GraphSlice::from_csr(&g, 1, 4);
+        let s = GraphSlice::window(Arc::new(g), None, 1, 4);
         assert_eq!(s.num_nodes(), 3);
         assert_eq!(s.num_edges(), 4);
         assert_eq!(s.out_degree(1), 1);
@@ -459,6 +571,29 @@ mod tests {
         assert_eq!(s.edges(3), &[4, 0, 1]);
         assert_eq!(s.first_edge(1), 2);
         assert_eq!(s.first_edge(3), 3);
+    }
+
+    #[test]
+    fn a_window_shares_the_graph_and_owns_nothing_while_it_is_shared() {
+        let g = Arc::new(erdos_renyi(50, 300, 4));
+        let w: Arc<Vec<u32>> = Arc::new((0..g.num_edges() as u32).collect());
+        let s = GraphSlice::window(Arc::clone(&g), Some(Arc::clone(&w)), 10, 40);
+        for v in [10, 39] {
+            let at = g.first_edge(v) as usize;
+            assert!(std::ptr::eq(s.edges(v).as_ptr(), g.dests()[at..].as_ptr()));
+            assert!(std::ptr::eq(s.edge_data(v).unwrap().as_ptr(), w[at..].as_ptr()));
+        }
+        assert_eq!(s.heap_bytes(), 0);
+        let owned = g.heap_bytes() + w.capacity() as u64 * 4;
+        drop((g, w));
+        assert_eq!(s.heap_bytes(), owned);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge data length must match edge count")]
+    fn a_window_rejects_edge_data_of_another_length() {
+        let g = Arc::new(erdos_renyi(20, 60, 1));
+        let _ = GraphSlice::window(g, Some(Arc::new(vec![0; 59])), 0, 20);
     }
 
     #[test]
@@ -483,10 +618,10 @@ mod tests {
         for (lo, hi) in [(0u64, 120u64), (10, 50), (50, 120), (0, 120)] {
             reader.read_range_into(lo, hi, &mut out).unwrap();
             let fresh = reader.read_range(lo, hi).unwrap();
-            assert_eq!(out.offsets, fresh.offsets, "[{lo},{hi})");
-            assert_eq!(out.dests, fresh.dests, "[{lo},{hi})");
-            assert_eq!(out.weights, fresh.weights, "[{lo},{hi})");
-            assert_eq!(out.first_edge_global, fresh.first_edge_global);
+            assert_eq!(out.local_offsets(), fresh.local_offsets(), "[{lo},{hi})");
+            assert_eq!(out.dests(), fresh.dests(), "[{lo},{hi})");
+            assert_eq!(out.weights(), fresh.weights(), "[{lo},{hi})");
+            assert_eq!(out.first_edge(out.node_lo), fresh.first_edge(fresh.node_lo));
         }
         // After the full-range read, smaller refills must not shrink the
         // retained capacity (that's what recycling buys).
@@ -497,25 +632,68 @@ mod tests {
     }
 
     #[test]
-    fn fill_from_csr_matches_from_csr() {
-        let g = erdos_renyi(90, 650, 5);
-        let w: Vec<u32> = (0..g.num_edges() as u32).map(|i| i * 3).collect();
-        let mut recycled = GraphSlice::empty();
-        for (lo, hi) in [(0u32, 90u32), (12, 40), (40, 90)] {
-            recycled.fill_from_csr_weighted(&g, &w, lo, hi);
-            let fresh = GraphSlice::from_csr_weighted(&g, &w, lo, hi);
-            assert_eq!(recycled.offsets, fresh.offsets);
-            assert_eq!(recycled.dests, fresh.dests);
-            assert_eq!(recycled.weights, fresh.weights);
-            assert_eq!(recycled.first_edge_global, fresh.first_edge_global);
-        }
-    }
-
-    #[test]
     fn rejects_bad_magic() {
         let path = temp_path("bad.bgr");
         std::fs::write(&path, vec![0u8; 64]).unwrap();
         assert!(RangeReader::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rejects_header_counts_the_file_length_does_not_match() {
+        // 2^40 nodes in a 32-byte file: refused before any allocation.
+        let path = raw_bgr("huge.bgr", 1 << 40, 0, &[], &[]);
+        assert_invalid_data(RangeReader::open(&path));
+        assert_invalid_data(read_bgr(&path));
+        // Counts whose byte size overflows a u64.
+        let path = raw_bgr("overflow.bgr", u64::MAX / 4, u64::MAX / 4, &[], &[]);
+        assert_invalid_data(RangeReader::open(&path));
+        // One byte too many, and one edge fewer than the header claims.
+        let path = raw_bgr("long.bgr", 2, 2, &[1, 2], &[1, 0, 7]);
+        assert_invalid_data(RangeReader::open(&path));
+        let path = raw_bgr("short.bgr", 2, 3, &[1, 3], &[1, 0]);
+        assert_invalid_data(RangeReader::open(&path));
+        for name in ["huge.bgr", "overflow.bgr", "long.bgr", "short.bgr"] {
+            std::fs::remove_file(temp_path(name)).ok();
+        }
+    }
+
+    #[test]
+    fn read_end_offsets_rejects_decreasing_offsets() {
+        let path = raw_bgr("ends-decrease.bgr", 3, 5, &[3, 1, 5], &[0, 1, 2, 0, 1]);
+        let mut reader = RangeReader::open(&path).unwrap();
+        assert_invalid_data(reader.read_end_offsets());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_end_offsets_rejects_offsets_past_the_edge_count() {
+        let path = raw_bgr("ends-past.bgr", 3, 2, &[1, 6, 2], &[0, 1]);
+        let mut reader = RangeReader::open(&path).unwrap();
+        assert_invalid_data(reader.read_end_offsets());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_range_rejects_decreasing_offsets() {
+        let path = raw_bgr("range-decrease.bgr", 3, 5, &[3, 1, 5], &[0, 1, 2, 0, 1]);
+        let mut reader = RangeReader::open(&path).unwrap();
+        // The whole range, and one whose decrease is at its lo - 1 entry;
+        // an error leaves the recycled slice empty, not half-filled.
+        let mut out = reader.read_range(2, 3).unwrap();
+        for (lo, hi) in [(0, 3), (1, 3)] {
+            assert_invalid_data(reader.read_range_into(lo, hi, &mut out));
+            assert_eq!((out.num_nodes(), out.num_edges()), (0, 0));
+        }
+        assert_invalid_data(read_bgr(&path));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_range_rejects_offsets_past_the_edge_count() {
+        let path = raw_bgr("range-past.bgr", 3, 2, &[1, 6, 2], &[0, 1]);
+        let mut reader = RangeReader::open(&path).unwrap();
+        assert_invalid_data(reader.read_range(1, 2));
         std::fs::remove_file(&path).ok();
     }
 

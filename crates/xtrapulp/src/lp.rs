@@ -113,7 +113,7 @@ pub fn label_propagation(
     // --- Ghost subscriptions: peers that read my dests send me updates. --
     let mut wanted: Vec<Vec<Node>> = vec![Vec::new(); k];
     {
-        let mut all: Vec<Node> = slice.dests.to_vec();
+        let mut all: Vec<Node> = slice.dests().to_vec();
         all.sort_unstable();
         all.dedup();
         for d in all {
