@@ -42,7 +42,7 @@ use std::sync::atomic::Ordering;
 
 use cusp_galois::{do_all_items, do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{Csr, Node};
-use cusp_net::{Comm, SendBuffers, WireReader};
+use cusp_net::{Bytes, Comm, SendBuffers, WireReader};
 
 use crate::config::{CuspConfig, OutputFormat};
 use crate::phases::alloc::AllocOutcome;
@@ -127,11 +127,11 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     });
 
     let mut received = 0u64;
-    let mut batch: Vec<bytes::Bytes> = Vec::new();
+    let mut batch: Vec<Bytes> = Vec::new();
     // Takes every record message that already arrived, without blocking,
     // and deserializes and inserts the batch in parallel (§IV-C3;
     // `do_all_items` runs one- or two-message batches inline).
-    let drain_arrived = |received: &mut u64, batch: &mut Vec<bytes::Bytes>| {
+    let drain_arrived = |received: &mut u64, batch: &mut Vec<Bytes>| {
         while *received < to_receive {
             let Some((_src, p)) = comm.try_recv_any(TAG_EDGES) else { break };
             *received += count_edges_in(&p, weighted);
@@ -321,7 +321,7 @@ pub(crate) fn insert_record(
 /// Total edges carried by a message (sum of record counts): a skip-scan of
 /// the record headers — O(records), not O(edges) — since the run lengths
 /// alone determine the total.
-pub(crate) fn count_edges_in(payload: &bytes::Bytes, weighted: bool) -> u64 {
+pub(crate) fn count_edges_in(payload: &Bytes, weighted: bool) -> u64 {
     let mut r = WireReader::new(payload.clone());
     let per_edge = if weighted { 2 } else { 1 };
     let mut total = 0u64;
@@ -343,7 +343,7 @@ pub(crate) fn insert_message(
     alloc: &AllocOutcome,
     dest_ptr: &DestPtr,
     data_ptr: &DataPtr,
-    payload: bytes::Bytes,
+    payload: Bytes,
     weighted: bool,
 ) {
     let mut r = WireReader::new(payload);

@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicU16, Ordering};
 
 use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{Node, ReadSplit};
-use cusp_net::{Comm, WireReader, WireWriter};
+use cusp_net::{Bytes, Comm, WireReader, WireWriter};
 
 use crate::config::CuspConfig;
 use crate::phases::bitset::{zeroed, NodeBitRows};
@@ -546,7 +546,7 @@ fn remote_dests(pool: &ThreadPool, data: &mut SliceData, setup: &Setup) -> Vec<N
 /// A SYNC/FINAL: `kind`, the length-prefixed state delta, then the count
 /// and the masters of the receiver's next `run.len()` requested ids — the
 /// ids themselves are not sent ([`Requests`]).
-fn encode_sync(kind: u8, delta: &[u64], run: &[PartId]) -> bytes::Bytes {
+fn encode_sync(kind: u8, delta: &[u64], run: &[PartId]) -> Bytes {
     let mut w = WireWriter::with_capacity(1 + 8 + delta.len() * 8 + 8 + run.len() * 4);
     w.put_u8(kind);
     w.put_u64_slice(delta);
@@ -559,7 +559,7 @@ fn encode_sync(kind: u8, delta: &[u64], run: &[PartId]) -> bytes::Bytes {
 /// — which must leave none of `src`'s requests open, or a missing answer
 /// would only surface phases later as an unknown master.
 fn apply_sync<MR: MasterRule>(
-    payload: bytes::Bytes,
+    payload: Bytes,
     src: usize,
     round: usize,
     state: &MR::State,
@@ -766,11 +766,11 @@ mod tests {
     }
 
     /// What host `src` would send for `run`, through the real encoder.
-    fn sync_from(kind: u8, run: &[PartId]) -> bytes::Bytes {
+    fn sync_from(kind: u8, run: &[PartId]) -> Bytes {
         encode_sync(kind, &[], run)
     }
 
-    fn apply(req: &mut Requests, table: &MasterTable, src: usize, round: usize, payload: bytes::Bytes) -> bool {
+    fn apply(req: &mut Requests, table: &MasterTable, src: usize, round: usize, payload: Bytes) -> bool {
         apply_sync::<ModRule>(payload, src, round, &(), req, table)
     }
 
@@ -834,7 +834,7 @@ mod tests {
             let mut req = Requests::new(vec![100, 180, 249], &splits(1));
             let table = MasterTable::new(400, 4);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                apply(&mut req, &table, 2, 1, bytes::Bytes::from(payload))
+                apply(&mut req, &table, 2, 1, Bytes::from(payload))
             }))
             .expect_err(expect);
             let msg = err

@@ -12,9 +12,9 @@
 //! integration tests.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use cusp_graph::Node;
-use parking_lot::Mutex;
 
 use crate::policies::masters::{best_partition, neighbor_counts};
 use crate::policy::{EdgeRule, MasterRule, MasterView, Setup};
@@ -105,7 +105,7 @@ impl PartitionState for HdrfState {
     }
 
     fn reset(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect("HDRF state is only ever held by panic-free bookkeeping");
         inner.partial_degree.clear();
         inner.replicas.clear();
         inner.load.iter_mut().for_each(|l| *l = 0);
@@ -146,7 +146,7 @@ impl EdgeRule for HdrfEdge {
         _dst_master: PartId,
         state: &Self::State,
     ) -> PartId {
-        let mut inner = state.inner.lock();
+        let mut inner = state.inner.lock().expect("HDRF state is only ever held by panic-free bookkeeping");
         // Update partial degrees.
         let ds = {
             let e = inner.partial_degree.entry(src).or_insert(0);

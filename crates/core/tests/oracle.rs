@@ -633,7 +633,7 @@ fn mutation_leaky_phase_breaks_conservation() {
     let out = Cluster::run(2, |comm| {
         comm.set_phase("leak");
         if comm.host() == 0 {
-            comm.send_bytes(1, Tag(9), bytes::Bytes::from_static(b"orphan"));
+            comm.send_bytes(1, Tag(9), cusp_net::Bytes::from_static(b"orphan"));
         }
         comm.barrier();
     });

@@ -6,9 +6,12 @@
 
 use std::cell::UnsafeCell;
 
-use crossbeam::utils::CachePadded;
-
 use crate::pool::ThreadPool;
+
+/// One slot aligned to (at least) a cache line, so slots of different
+/// threads never share one.
+#[repr(align(128))]
+struct CachePadded<T>(T);
 
 /// Per-thread mutable storage indexed by pool thread id.
 ///
@@ -31,7 +34,7 @@ impl<T> PerThread<T> {
     pub fn new(pool: &ThreadPool, mut init: impl FnMut(usize) -> T) -> Self {
         PerThread {
             slots: (0..pool.threads())
-                .map(|tid| CachePadded::new(UnsafeCell::new(init(tid))))
+                .map(|tid| CachePadded(UnsafeCell::new(init(tid))))
                 .collect(),
         }
     }
@@ -54,7 +57,7 @@ impl<T> PerThread<T> {
     #[inline]
     pub fn with<R>(&self, tid: usize, f: impl FnOnce(&mut T) -> R) -> R {
         // SAFETY: per the documented contract, `tid` grants exclusivity.
-        let slot = unsafe { &mut *self.slots[tid].get() };
+        let slot = unsafe { &mut *self.slots[tid].0.get() };
         f(slot)
     }
 
@@ -63,13 +66,13 @@ impl<T> PerThread<T> {
     pub fn into_inner(self) -> Vec<T> {
         self.slots
             .into_iter()
-            .map(|c| CachePadded::into_inner(c).into_inner())
+            .map(|c| c.0.into_inner())
             .collect()
     }
 
     /// Iterates over all slots mutably from a single thread.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().map(|c| c.get_mut())
+        self.slots.iter_mut().map(|c| c.0.get_mut())
     }
 }
 
@@ -88,6 +91,12 @@ mod tests {
         let mut all: Vec<usize> = locals.into_inner().into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..5000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn slots_are_cache_line_aligned() {
+        assert_eq!(std::mem::align_of::<CachePadded<UnsafeCell<u64>>>(), 128);
+        assert_eq!(std::mem::size_of::<CachePadded<UnsafeCell<u64>>>(), 128);
     }
 
     #[test]

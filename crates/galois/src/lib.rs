@@ -8,10 +8,9 @@
 //! * [`fn@do_all::do_all`] / [`do_all_with_tid`] — parallel iteration over an index
 //!   range with *guided dynamic chunking*: threads that finish early keep
 //!   fetching work, which load-balances skewed per-item costs.
-//! * [`do_all_stealing`] — a work-stealing executor (per-worker deques from
-//!   `vendor/crossbeam`'s stand-in: mutex-guarded `VecDeque`s, not
-//!   Chase–Lev) for very irregular loops such as per-vertex edge
-//!   serialization, where a single high-degree vertex can dominate.
+//! * [`do_all_stealing`] — a work-stealing executor (one mutex-guarded
+//!   `VecDeque` of index blocks per worker, not Chase–Lev) for very
+//!   irregular loops, where a single high-degree vertex can dominate.
 //! * [`prefix`] — two-pass parallel prefix sums (paper §IV-C2), used to
 //!   compact sparse per-vertex count vectors without fine-grained
 //!   synchronization.

@@ -9,10 +9,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Sender};
 
 /// A job handed to the workers: a type-erased pointer to a `Fn(usize) + Sync`
 /// closure living on the stack of the thread inside [`ThreadPool::run`].
@@ -37,8 +36,8 @@ unsafe impl Send for Job {}
 struct JobDone {
     finished: AtomicUsize,
     panicked: AtomicBool,
-    unparker: parking_lot::Mutex<()>,
-    condvar: parking_lot::Condvar,
+    unparker: Mutex<()>,
+    condvar: Condvar,
 }
 
 impl JobDone {
@@ -46,8 +45,8 @@ impl JobDone {
         JobDone {
             finished: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
-            unparker: parking_lot::Mutex::new(()),
-            condvar: parking_lot::Condvar::new(),
+            unparker: Mutex::new(()),
+            condvar: Condvar::new(),
         }
     }
 
@@ -56,17 +55,20 @@ impl JobDone {
         // writes (including through the job closure) before the waiter's
         // return.
         self.finished.fetch_add(1, Ordering::Release);
-        let _guard = self.unparker.lock();
+        let _guard = self.unparker.lock().expect(UNPOISONED);
         self.condvar.notify_all();
     }
 
     fn wait(&self, expected: usize) {
-        let mut guard = self.unparker.lock();
-        while self.finished.load(Ordering::Acquire) < expected {
-            self.condvar.wait(&mut guard);
-        }
+        let guard = self.unparker.lock().expect(UNPOISONED);
+        let unfinished = |_: &mut ()| self.finished.load(Ordering::Acquire) < expected;
+        drop(self.condvar.wait_while(guard, unfinished).expect(UNPOISONED));
     }
 }
+
+/// The unparker guards no data and is never held across a job, so no
+/// panic can poison it.
+const UNPOISONED: &str = "the unparker is never held across a job";
 
 enum Message {
     Run(Job),
@@ -96,7 +98,7 @@ impl ThreadPool {
         // workers so their task spans land under the same host.
         let attachment = cusp_obs::current();
         for tid in 0..threads {
-            let (tx, rx) = unbounded::<Message>();
+            let (tx, rx) = mpsc::channel::<Message>();
             senders.push(tx);
             let attachment = attachment.clone();
             let handle = std::thread::Builder::new()

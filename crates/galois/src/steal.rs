@@ -1,25 +1,24 @@
 //! Work-stealing parallel-for for irregular loops.
 //!
-//! Indices are pre-partitioned into contiguous blocks, one deque per worker
-//! (`crossbeam::deque` here is `vendor/crossbeam`'s stand-in: each deque a
-//! `Mutex<VecDeque>`, not a lock-free Chase–Lev deque). A worker drains its own deque
-//! LIFO and, when empty, steals FIFO from a random victim. Compared to the
-//! shared-cursor schedule in [`fn@crate::do_all::do_all`], this keeps initial locality
-//! (each worker starts on its own contiguous block — important when indices
-//! map to contiguous vertex data) while still rebalancing heavy tails such
-//! as power-law vertices whose edge lists are orders of magnitude longer
-//! than the median.
+//! Indices are pre-partitioned into contiguous blocks, one deque per worker:
+//! a `Mutex<VecDeque>` of index ranges. A worker drains its own deque from
+//! the back and, when it is empty, steals one block from the front of the
+//! next non-empty victim's. Compared to the shared-cursor schedule in
+//! [`fn@crate::do_all::do_all`], this keeps initial locality (each worker
+//! starts on its own contiguous block — important when indices map to
+//! contiguous vertex data) while still rebalancing heavy tails such as
+//! power-law vertices whose edge lists are orders of magnitude longer than
+//! the median.
 
-use crossbeam::deque::{Steal, Stealer, Worker};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::Mutex;
 
 use crate::pool::ThreadPool;
 
-/// Granularity of a stealable unit: a contiguous index sub-range.
-#[derive(Clone, Copy, Debug)]
-struct Block {
-    lo: usize,
-    hi: usize,
-}
+/// A deque lock is held only to pop, never while `f` runs, so no panic
+/// can poison it.
+const UNPOISONED: &str = "a deque lock is never held across `f`";
 
 /// Runs `f(i)` for every `i in 0..n` using per-thread deques with stealing.
 ///
@@ -29,79 +28,36 @@ where
     F: Fn(usize) + Sync,
 {
     let grain = grain.max(1);
-    if n == 0 {
-        return;
-    }
     let threads = pool.threads();
     if n <= grain || threads == 1 {
-        for i in 0..n {
-            f(i);
-        }
+        (0..n).for_each(f);
         return;
     }
 
-    // Carve 0..n into blocks of ~grain and deal them round-robin block-wise
-    // so each worker's deque holds a contiguous span of the range (locality)
-    // split into stealable units.
-    let workers: Vec<Worker<Block>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<Block>> = workers.iter().map(|w| w.stealer()).collect();
-
+    // Carve 0..n into one contiguous span per worker (locality), split into
+    // stealable blocks of ~grain.
     let per_thread = n.div_ceil(threads);
-    for (tid, w) in workers.iter().enumerate() {
-        let span_lo = tid * per_thread;
-        let span_hi = ((tid + 1) * per_thread).min(n);
-        let mut lo = span_lo;
-        while lo < span_hi {
-            let hi = (lo + grain).min(span_hi);
-            w.push(Block { lo, hi });
-            lo = hi;
-        }
-    }
-
-    // Workers take ownership of their deque through an index; deques are
-    // moved into a Vec of Options guarded per-tid.
-    let slots: Vec<parking_lot::Mutex<Option<Worker<Block>>>> =
-        workers.into_iter().map(|w| parking_lot::Mutex::new(Some(w))).collect();
+    let deques: Vec<Mutex<VecDeque<Range<usize>>>> = (0..threads)
+        .map(|tid| {
+            let end = ((tid + 1) * per_thread).min(n);
+            let blocks = (tid * per_thread..end).step_by(grain).map(|lo| lo..(lo + grain).min(end));
+            Mutex::new(blocks.collect())
+        })
+        .collect();
 
     pool.run(|tid| {
-        let local: Worker<Block> = slots[tid]
-            .lock()
-            .take()
-            .expect("deque already taken: do_all_stealing re-entered with same tid");
-        // Simple deterministic victim order: round-robin starting after tid.
-        loop {
-            if let Some(block) = local.pop() {
-                for i in block.lo..block.hi {
-                    f(i);
-                }
-                continue;
-            }
-            // Local deque empty: try to steal one block.
-            let mut stolen = None;
-            'victims: for off in 1..stealers.len() {
-                let victim = (tid + off) % stealers.len();
-                loop {
-                    match stealers[victim].steal() {
-                        Steal::Success(b) => {
-                            cusp_obs::instant("steal", victim as u64);
-                            stolen = Some(b);
-                            break 'victims;
-                        }
-                        Steal::Retry => continue,
-                        Steal::Empty => break,
-                    }
-                }
-            }
-            match stolen {
-                Some(block) => {
-                    for i in block.lo..block.hi {
-                        f(i);
-                    }
-                }
-                None => break,
-            }
+        let own = || deques[tid].lock().expect(UNPOISONED).pop_back();
+        // Victims in a fixed order: round-robin starting after `tid`.
+        let steal = || {
+            (1..threads).map(|off| (tid + off) % threads).find_map(|victim| {
+                let block = deques[victim].lock().expect(UNPOISONED).pop_front()?;
+                cusp_obs::instant("steal", victim as u64);
+                Some(block)
+            })
+        };
+        while let Some(block) = own().or_else(steal) {
+            block.for_each(&f);
         }
-        *slots[tid].lock() = Some(local);
     });
 }
 

@@ -7,10 +7,9 @@
 //! less per-message overhead; the evaluation (Fig. 7) sweeps this threshold
 //! from 0 (send immediately) upward.
 
-use bytes::Bytes;
-
 use crate::cluster::{Comm, HostId, Tag};
 use crate::serialize::WireWriter;
+use crate::Bytes;
 
 /// Per-destination send buffers with a flush threshold in bytes.
 ///
@@ -21,7 +20,7 @@ pub struct SendBuffers {
     threshold: usize,
     /// Capacity re-reserved in a writer right after each flush. Taking a
     /// payload moves the writer's buffer out and leaves it empty — and the
-    /// vendored `Bytes::from(Vec<u8>)` does not adopt that buffer: it
+    /// [`Bytes::from`] a `Vec<u8>` does not adopt that buffer: it
     /// allocates an `Arc<[u8]>`, copies the payload into it and frees the
     /// original, so every flush costs one allocation and one memcpy of the
     /// payload on top of this one. Without the re-reserve the next record

@@ -4,12 +4,13 @@
 //! Hosts are OS threads. Each host `h` owns a [`Comm`] handle; `send` pushes
 //! an [`Envelope`] (source, per-channel sequence number, sender phase, and
 //! the [`Bytes`] payload) into the destination's per-tag mailbox (an
-//! unbounded MPMC channel), and the various `recv` flavours pop from it
-//! through a **resequencer**: envelopes are reordered back into sequence
-//! order per `(src, tag)` and duplicates are discarded, so the application
-//! always observes per-(src, dst, tag) FIFO delivery — even when a seeded
-//! [`FaultPlan`] delays, reorders, duplicates, or drops-and-retries
-//! messages underneath (see [`crate::fault`]).
+//! unbounded FIFO that several threads may pop at once), and the various
+//! `recv` flavours pop from it through a **resequencer**: envelopes are
+//! reordered back into sequence order per `(src, tag)` and duplicates are
+//! discarded, so the application always observes per-(src, dst, tag) FIFO
+//! delivery — even when a seeded [`FaultPlan`] delays, reorders,
+//! duplicates, or drops-and-retries messages underneath (see
+//! [`crate::fault`]).
 //!
 //! Receive-side accounting mirrors send-side accounting: when the
 //! resequencer hands a message to the application it is recorded against
@@ -41,12 +42,8 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{fnv1a, CrashPlan, FaultPlan, FaultReport, FaultStats};
 use crate::recovery::{
@@ -57,6 +54,7 @@ use crate::replay::SendLog;
 use crate::serialize::{decode_envelope, encode_envelope, WireEnvelope};
 use crate::stats::{CommStats, StatsCollector};
 use crate::transport::{LocalTransport, TcpTransport, Transport};
+use crate::{Bytes, Unpoison};
 
 /// Identifies a host (partition) in the simulated cluster.
 pub type HostId = usize;
@@ -98,7 +96,34 @@ impl From<WireEnvelope> for Envelope {
     }
 }
 
-type Mailbox = (Sender<Envelope>, Receiver<Envelope>);
+/// One `(host, tag)` mailbox: an unbounded FIFO of envelopes that any
+/// thread may push to and several threads may pop from at once. The fabric
+/// owns every mailbox for the whole run, so none is ever closed; a blocked
+/// pop gives up after its timeout instead.
+#[derive(Default)]
+struct Mailbox {
+    queue: Mutex<VecDeque<Envelope>>,
+    ready: Condvar,
+}
+
+impl Mailbox {
+    fn push(&self, env: Envelope) {
+        self.queue.lock().unpoisoned().push_back(env);
+        self.ready.notify_all();
+    }
+
+    fn try_pop(&self) -> Option<Envelope> {
+        self.queue.lock().unpoisoned().pop_front()
+    }
+
+    /// The oldest envelope, waiting up to `timeout` for one to arrive.
+    fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
+        let queue = self.queue.lock().unpoisoned();
+        let empty = |q: &mut VecDeque<Envelope>| q.is_empty();
+        let (mut queue, _) = self.ready.wait_timeout_while(queue, timeout, empty).unpoisoned();
+        queue.pop_front()
+    }
+}
 
 /// A poison-aware reusable barrier that counts per-host arrivals
 /// **monotonically**: `wait(host, n)` announces the host's `n`-th arrival
@@ -131,7 +156,7 @@ impl FabricBarrier {
     /// for transports that learn about *remote* arrivals asynchronously
     /// (a TCP reader thread decoding a BARRIER frame).
     pub(crate) fn announce(&self, host: usize, n: u64) {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock().unpoisoned();
         Self::announce_locked(&mut guard, host, n, &self.cv);
     }
 
@@ -149,10 +174,10 @@ impl FabricBarrier {
     /// Returns `true` once every host has arrived `n` times, `false` if
     /// `aborted` reported the cluster is going down first.
     pub(crate) fn wait(&self, host: usize, n: u64, aborted: impl Fn() -> bool) -> bool {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.lock().unpoisoned();
         Self::announce_locked(&mut guard, host, n, &self.cv);
         while guard.done < n {
-            self.cv.wait_for(&mut guard, POISON_POLL);
+            guard = self.cv.wait_timeout(guard, POISON_POLL).unpoisoned().0;
             if aborted() {
                 return false;
             }
@@ -165,13 +190,13 @@ impl FabricBarrier {
     /// arrivals are monotone, so the latest count subsumes every barrier
     /// frame that died with the old connection.
     pub(crate) fn arrived(&self, host: usize) -> u64 {
-        self.state.lock().arrived[host]
+        self.state.lock().unpoisoned().arrived[host]
     }
 
     /// Wakes all current waiters (used when poisoning or declaring a host
     /// lost, so they observe the abort condition).
     pub(crate) fn wake_all(&self) {
-        let _guard = self.state.lock();
+        let _guard = self.state.lock().unpoisoned();
         self.cv.notify_all();
     }
 }
@@ -260,7 +285,7 @@ pub(crate) struct Fabric {
     /// fabric belongs to a single host process; remote mailboxes exist but
     /// only `me`'s is consumed, fed by reader threads).
     transport: Box<dyn Transport>,
-    /// `mailboxes[dst][tag]` — MPMC channel of envelopes.
+    /// `mailboxes[dst][tag]`.
     mailboxes: Vec<Vec<Mailbox>>,
     /// The one send log: [`Comm::send_bytes`] writes it, both recoveries read it.
     pub(crate) log: SendLog,
@@ -282,7 +307,7 @@ impl Fabric {
     /// Arms the send log exactly when the run can respawn a host (a crash plan, TCP `rejoin`).
     fn new(hosts: usize, opts: &ClusterOptions, transport: Box<dyn Transport>, rejoin: bool) -> Self {
         let mailboxes = (0..hosts)
-            .map(|_| (0..MAX_TAGS).map(|_| unbounded()).collect())
+            .map(|_| (0..MAX_TAGS).map(|_| Mailbox::default()).collect())
             .collect();
         Fabric {
             hosts,
@@ -369,10 +394,7 @@ impl Fabric {
 
     /// Pushes an envelope straight into the destination mailbox.
     fn deliver(&self, dst: HostId, tag: Tag, env: Envelope) {
-        self.mailboxes[dst][tag.0 as usize]
-            .0
-            .send(env)
-            .expect("mailbox closed");
+        self.mailboxes[dst][tag.0 as usize].push(env);
     }
 
     /// Routes a remote send through the fault layer (if any). Over the
@@ -405,7 +427,7 @@ impl Fabric {
         }
         if d.delay {
             layer.stats.delayed.fetch_add(1, Ordering::Relaxed);
-            let mut q = layer.holdback[dst].lock();
+            let mut q = layer.holdback[dst].lock().unpoisoned();
             q.push((tag, env));
             if q.len() > layer.plan.reorder_window {
                 drop(q);
@@ -424,7 +446,7 @@ impl Fabric {
     fn flush_holdback(&self, dst: HostId) {
         let Some(layer) = &self.fault else { return };
         let drained: Vec<_> = {
-            let mut q = layer.holdback[dst].lock();
+            let mut q = layer.holdback[dst].lock().unpoisoned();
             if q.is_empty() {
                 return;
             }
@@ -451,11 +473,11 @@ impl Fabric {
     ///    layer's holdback — are additionally *counted* as teardown losses.
     fn prepare_restart(&self, host: HostId) {
         let Some(rec) = &self.recovery else { return };
-        for tag in 0..MAX_TAGS {
-            while self.mailboxes[host][tag].1.try_recv().is_ok() {}
+        for mailbox in &self.mailboxes[host] {
+            while mailbox.try_pop().is_some() {}
         }
         if let Some(layer) = &self.fault {
-            layer.holdback[host].lock().clear();
+            layer.holdback[host].lock().unpoisoned().clear();
         }
         for cell in self.own_cells(host) {
             self.log.retire(cell, self.seqs[cell].swap(0, Ordering::Relaxed));
@@ -582,7 +604,7 @@ impl Comm {
         let threshold = rec
             .plan
             .decide(self.host, name)
-            .filter(|_| rec.plan.repeat || !rec.fired.lock().contains(&(self.host, site)));
+            .filter(|_| rec.plan.repeat || !rec.fired.lock().unpoisoned().contains(&(self.host, site)));
         self.phase_ops.store(0, Ordering::Relaxed);
         self.crash_site.store(site, Ordering::Relaxed);
         self.crash_at.store(threshold.unwrap_or(NO_CRASH), Ordering::Relaxed);
@@ -611,7 +633,7 @@ impl Comm {
         let op = self.phase_ops.fetch_add(1, Ordering::Relaxed);
         if op >= self.crash_at.load(Ordering::Relaxed) {
             self.crash_at.store(NO_CRASH, Ordering::Relaxed);
-            rec.fired.lock().insert((self.host, self.crash_site.load(Ordering::Relaxed)));
+            rec.fired.lock().unpoisoned().insert((self.host, self.crash_site.load(Ordering::Relaxed)));
             rec.crashes.fetch_add(1, Ordering::Relaxed);
             cusp_obs::instant("host_crash", op);
             // A planned death is not a bug: unwind without the panic hook's
@@ -663,8 +685,8 @@ impl Comm {
         }
     }
 
-    fn mailbox(&self, tag: Tag) -> &Receiver<Envelope> {
-        &self.fabric.mailboxes[self.host][tag.0 as usize].1
+    fn mailbox(&self, tag: Tag) -> &Mailbox {
+        &self.fabric.mailboxes[self.host][tag.0 as usize]
     }
 
     /// Runs one envelope through the resequencer: duplicates (sequence
@@ -726,7 +748,7 @@ impl Comm {
     /// Pulls every immediately available envelope of `tag` through the
     /// resequencer.
     fn drain_channel(&self, st: &mut RecvState, tag: Tag) {
-        while let Ok(env) = self.mailbox(tag).try_recv() {
+        while let Some(env) = self.mailbox(tag).try_pop() {
             self.ingest(st, tag, env);
         }
     }
@@ -751,21 +773,20 @@ impl Comm {
     {
         loop {
             self.heartbeat();
-            let hit = pop(&mut self.recv.lock().ready[tag.0 as usize]);
+            let hit = pop(&mut self.recv.lock().unpoisoned().ready[tag.0 as usize]);
             if let Some((src, seq, payload)) = hit {
                 self.note_consumed(src, tag, seq);
                 self.note_op();
                 return (src, payload);
             }
             self.fabric.flush_holdback(self.host);
-            match self.mailbox(tag).recv_timeout(POISON_POLL) {
-                Ok(env) => {
-                    let mut st = self.recv.lock();
+            match self.mailbox(tag).pop_timeout(POISON_POLL) {
+                Some(env) => {
+                    let mut st = self.recv.lock().unpoisoned();
                     self.ingest(&mut st, tag, env);
                     self.drain_channel(&mut st, tag);
                 }
-                Err(RecvTimeoutError::Timeout) => self.fabric.check_abort(),
-                Err(RecvTimeoutError::Disconnected) => panic!("mailbox disconnected"),
+                None => self.fabric.check_abort(),
             }
         }
     }
@@ -776,7 +797,7 @@ impl Comm {
         self.heartbeat();
         self.fabric.flush_holdback(self.host);
         let hit = {
-            let mut st = self.recv.lock();
+            let mut st = self.recv.lock().unpoisoned();
             self.drain_channel(&mut st, tag);
             st.ready[tag.0 as usize].pop_front()
         };
@@ -816,7 +837,7 @@ impl Comm {
     /// the application, nothing stashed out of order — so the floors are
     /// phase-complete by construction.
     pub fn net_checkpoint(&self) -> NetCheckpoint {
-        let st = self.recv.lock();
+        let st = self.recv.lock().unpoisoned();
         debug_assert!(
             st.ready.iter().all(|q| q.is_empty())
                 && st.stash.iter().flatten().all(|m| m.is_empty()),
@@ -861,7 +882,7 @@ impl Comm {
         let hosts = self.fabric.hosts;
         assert_eq!(ck.send_seqs.len(), hosts * MAX_TAGS, "checkpoint host count mismatch");
         assert_eq!(ck.recv_floors.len(), hosts * MAX_TAGS, "checkpoint host count mismatch");
-        let mut st = self.recv.lock();
+        let mut st = self.recv.lock().unpoisoned();
         let seqs = &self.fabric.seqs[self.fabric.own_cells(self.host)];
         for (i, seq) in seqs.iter().enumerate() {
             seq.fetch_max(ck.send_seqs[i], Ordering::Relaxed);
@@ -1009,7 +1030,7 @@ impl Cluster {
 
         std::thread::scope(|scope| {
             // `(host, incarnation, how it ended, a real panic's payload)`.
-            let (tx, rx) = unbounded::<(usize, u32, Exit, Option<Box<dyn std::any::Any + Send>>)>();
+            let (tx, rx) = mpsc::channel::<(usize, u32, Exit, Option<Box<dyn std::any::Any + Send>>)>();
             let spawn_host = |h: usize, incarnation: u32| {
                 let fabric = Arc::clone(&fabric);
                 let recorder = recorder.clone();
@@ -1026,7 +1047,7 @@ impl Cluster {
                         drop(comm);
                         let (how, panic) = match out {
                             Ok(r) => {
-                                *results[h].lock() = Some(r);
+                                *results[h].lock().unpoisoned() = Some(r);
                                 (Exit::Finished, None)
                             }
                             Err(p) if p.is::<CrashSignal>() => {
@@ -1114,7 +1135,7 @@ impl Cluster {
         Ok(ClusterOutput {
             results: results
                 .into_iter()
-                .map(|m| m.into_inner().expect("host produced no result"))
+                .map(|m| m.into_inner().unpoisoned().expect("host produced no result"))
                 .collect(),
             stats: fabric.stats.snapshot(),
             faults: fabric.fault.as_ref().map(|l| l.stats.report()),
@@ -1235,6 +1256,61 @@ pub struct TcpRunOutput<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn env(seq: u64) -> Envelope {
+        Envelope { src: 0, seq, phase: 0, payload: Bytes::new() }
+    }
+
+    #[test]
+    fn mailboxes_are_fifo_per_tag() {
+        let fabric = Fabric::new(2, &ClusterOptions::default(), Box::new(LocalTransport), false);
+        for seq in 0..7 {
+            fabric.deliver(1, Tag(seq as u8 % 2), env(seq));
+        }
+        let drain = |tag: usize| {
+            std::iter::from_fn(|| fabric.mailboxes[1][tag].try_pop()).map(|e| e.seq).collect::<Vec<_>>()
+        };
+        assert_eq!((drain(0), drain(1), drain(2)), (vec![0, 2, 4, 6], vec![1, 3, 5], vec![]));
+    }
+
+    #[test]
+    fn a_pop_that_timed_out_leaves_the_mailbox_usable_for_a_late_delivery() {
+        let mailbox = Mailbox::default();
+        let start = Instant::now();
+        assert!(mailbox.pop_timeout(Duration::from_millis(20)).is_none());
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                mailbox.push(env(7));
+            });
+            assert_eq!(mailbox.pop_timeout(Duration::from_secs(30)).map(|e| e.seq), Some(7));
+        });
+    }
+
+    #[test]
+    fn four_threads_popping_one_mailbox_receive_every_envelope_exactly_once() {
+        const N: u64 = 20_000;
+        const STOP: u64 = u64::MAX;
+        let mailbox = Mailbox::default();
+        let popped: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let poppers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let next = || mailbox.pop_timeout(Duration::from_secs(30)).expect("pushed").seq;
+                        std::iter::repeat_with(next).take_while(|&seq| seq != STOP).collect()
+                    })
+                })
+                .collect();
+            (0..N).chain([STOP; 4]).for_each(|seq| mailbox.push(env(seq)));
+            poppers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Each thread sees its share in push order; together, all of it once.
+        assert!(popped.iter().all(|p| p.is_sorted()));
+        let mut all = popped.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..N).collect::<Vec<_>>());
+    }
 
     #[test]
     fn ring_exchange() {
@@ -1628,7 +1704,7 @@ mod tests {
         let out = Cluster::try_run_with(2, opts, |comm| {
             let me = comm.host();
             let restored = me == 1 && comm.restart_epoch() > 0 && {
-                let guard = ckpt.lock();
+                let guard = ckpt.lock().unwrap();
                 if let Some(ck) = guard.as_ref() {
                     comm.restore_net(ck);
                     true
@@ -1648,7 +1724,7 @@ mod tests {
                 );
                 comm.barrier();
                 if me == 1 {
-                    *ckpt.lock() = Some(comm.net_checkpoint());
+                    *ckpt.lock().unwrap() = Some(comm.net_checkpoint());
                 }
             }
             comm.set_phase("b");

@@ -9,10 +9,9 @@
 // deliberate (it mirrors per-host/per-block protocol structure).
 #![allow(clippy::needless_range_loop)]
 
-use bytes::Bytes;
-
 use crate::cluster::{Comm, Tag};
 use crate::serialize::{WireReader, WireWriter};
+use crate::Bytes;
 
 /// Tags reserved for collectives. User code must not send on these.
 pub const COLLECTIVE_TAG: Tag = Tag(30);

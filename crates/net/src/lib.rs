@@ -2,10 +2,10 @@
 //!
 //! The CuSP paper runs on an MPI/LCI cluster (Stampede2, up to 128 hosts).
 //! This crate substitutes an **in-process simulated cluster**: each host is
-//! an OS thread, and hosts exchange length-delimited byte messages through
-//! unbounded MPMC channels (`vendor/crossbeam`'s stand-in: a mutex-guarded
-//! queue and a condvar each, not lock-free). The substitution preserves everything the paper's
-//! experiments measure about communication:
+//! an OS thread, and hosts exchange [`Bytes`] messages through per-(host,
+//! tag) mailboxes (a `std::sync::Mutex<VecDeque>` and a `Condvar` each).
+//! The substitution preserves everything the paper's experiments measure
+//! about communication:
 //!
 //! * algorithms are written SPMD against a private-memory API ([`Comm`]),
 //!   exactly as they would be against MPI;
@@ -35,11 +35,14 @@
 
 #![warn(missing_docs)]
 
+use std::sync::{LockResult, PoisonError};
+
 pub mod buffer;
 pub mod cluster;
 pub mod collective;
 pub mod fault;
 pub mod model;
+mod payload;
 pub mod recovery;
 mod replay;
 pub mod serialize;
@@ -53,6 +56,7 @@ pub use cluster::{
 pub use fault::{CrashPlan, FaultPlan, FaultReport, KillDecision, KillMode, KillPlan};
 pub use recovery::{ClusterError, NetCheckpoint, RecoveryOptions, RecoveryReport};
 pub use model::NetworkModel;
+pub use payload::Bytes;
 pub use serialize::{
     decode_envelope, encode_envelope, EnvelopeError, WireEnvelope, WireError, WireReader,
     WireWriter, ENVELOPE_VERSION,
@@ -64,3 +68,50 @@ pub use collective::{
     all_gather_bytes, all_reduce_sum_f64, all_reduce_u64, all_reduce_vec_u64, broadcast_u64,
     ReduceOp,
 };
+
+/// Absorbs lock poisoning. A planned crash or a propagated host panic may
+/// unwind a thread that holds a fabric, send-log, peer or stats lock; the
+/// survivors must go on to see that original panic (or the lost host), not
+/// a second `PoisonError` panic of their own. Every structure under these
+/// locks is consistent between statements, so the guard is safe to use.
+trait Unpoison<G> {
+    fn unpoisoned(self) -> G;
+}
+
+impl<G> Unpoison<G> for LockResult<G> {
+    #[inline]
+    fn unpoisoned(self) -> G {
+        self.unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Condvar, Mutex, RwLock};
+    use std::time::Duration;
+
+    use super::Unpoison;
+
+    #[test]
+    fn unpoisoned_returns_the_guard_after_a_holder_panicked() {
+        let (m, rw) = (Mutex::new(7), RwLock::new(vec![1]));
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let (_m, _rw) = (m.lock().unwrap(), rw.write().unwrap());
+                panic!("deliberate: poison both locks");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(m.is_poisoned() && rw.is_poisoned());
+        *m.lock().unpoisoned() += 1;
+        rw.write().unpoisoned().push(2);
+        assert_eq!(*m.lock().unpoisoned(), 8);
+        assert_eq!(*rw.read().unpoisoned(), [1, 2]);
+        let cv = Condvar::new();
+        let (g, timeout) = cv.wait_timeout(m.lock().unpoisoned(), Duration::ZERO).unpoisoned();
+        assert!(timeout.timed_out());
+        assert_eq!(*g, 8);
+        drop(g);
+        assert_eq!(m.into_inner().unpoisoned(), 8);
+    }
+}

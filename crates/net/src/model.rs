@@ -93,7 +93,7 @@ impl NetworkModel {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, Tag};
-    use bytes::Bytes;
+    use crate::Bytes;
 
     fn stats_two_hosts(msg_count: usize, msg_size: usize) -> CommStats {
         Cluster::run(2, |comm| {

@@ -13,11 +13,11 @@
 //! regenerates no earlier send); over TCP it lives as long as the process.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::cluster::{Envelope, HostId, Tag, MAX_TAGS};
 use crate::stats::StatsCollector;
+use crate::Unpoison;
 
 pub(crate) struct SendLog {
     /// Send high-water marks per channel cell (as `Fabric::cell`): how many
@@ -55,7 +55,7 @@ impl SendLog {
         if remote && !first {
             replayed(stats, env);
         } else if let Some(sent) = self.sent.get(dst).filter(|_| remote) {
-            sent.lock().push((tag, env.clone()));
+            sent.lock().unpoisoned().push((tag, env.clone()));
         }
         first
     }
@@ -72,7 +72,7 @@ impl SendLog {
     /// order, accounting each as replayed traffic.
     pub(crate) fn replay(&self, dst: HostId, stats: &StatsCollector, mut each: impl FnMut(Tag, &Envelope)) {
         let Some(sent) = self.sent.get(dst) else { return };
-        for (tag, env) in sent.lock().iter() {
+        for (tag, env) in sent.lock().unpoisoned().iter() {
             replayed(stats, env);
             each(*tag, env);
         }
@@ -86,9 +86,8 @@ fn replayed(stats: &StatsCollector, env: &Envelope) {
 
 #[cfg(test)]
 mod tests {
-    use bytes::Bytes;
-
     use super::*;
+    use crate::Bytes;
 
     const HOSTS: usize = 3;
 

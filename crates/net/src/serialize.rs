@@ -5,11 +5,13 @@
 //! counts reported in Table V deterministic and easy to reason about, and
 //! lets serialization/deserialization happen in parallel on thread-local
 //! buffers without any framing library.
-//! Per-element `put_*`/`get_*` are inlined `bytes` calls; the per-slice
-//! ops are one call each into the one slice codec, `cusp_graph::wire`.
+//! The writer appends to a `Vec<u8>` and the reader is a
+//! [`cusp_graph::wire::Reader`] over its [`Bytes`]: every scalar and slice
+//! goes through the one byte layer, `cusp_graph::wire`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cusp_graph::wire;
+
+use crate::Bytes;
 
 /// Error returned when a reader runs out of bytes.
 pub use cusp_graph::wire::Truncated as WireError;
@@ -17,7 +19,7 @@ pub use cusp_graph::wire::Truncated as WireError;
 /// An append-only message writer.
 #[derive(Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
@@ -29,7 +31,7 @@ impl WireWriter {
     /// Creates a new instance with preallocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         WireWriter {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
@@ -61,25 +63,25 @@ impl WireWriter {
     #[inline]
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     #[inline]
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        wire::put_u32(&mut self.buf, v);
     }
 
     #[inline]
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        wire::put_u64(&mut self.buf, v);
     }
 
     #[inline]
     /// Appends a little-endian `f64`.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
+        self.put_u64(v.to_bits());
     }
 
     /// Writes a length-prefixed `u64` slice.
@@ -113,38 +115,42 @@ impl WireWriter {
 
     /// Writes raw bytes with no length prefix.
     pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.put_slice(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Finishes the message, leaving the writer empty (capacity 0) and
     /// reusable. The writer's buffer is not what the message ends up
-    /// holding: the vendored `bytes` freezes a `Vec<u8>` by copying it into
-    /// a new `Arc<[u8]>`, so this allocates and memcpys the payload once.
+    /// holding: [`Bytes::from`] copies a `Vec<u8>` into a new `Arc<[u8]>`,
+    /// so this allocates and memcpys the payload once.
     pub fn take(&mut self) -> Bytes {
-        self.buf.split().freeze()
+        Bytes::from(std::mem::take(&mut self.buf))
     }
 
     /// Finishes the message, consuming the writer.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 }
 
-/// A sequential message reader.
+/// A sequential message reader: a [`wire::Reader`] over a shared payload,
+/// so every read either yields its value and advances or fails with a
+/// [`WireError`] and consumes nothing.
 pub struct WireReader {
     buf: Bytes,
+    /// Bytes of `buf` consumed so far.
+    pos: usize,
 }
 
 impl WireReader {
     /// Creates a new instance.
     pub fn new(buf: Bytes) -> Self {
-        WireReader { buf }
+        WireReader { buf, pos: 0 }
     }
 
     /// Bytes left to read.
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 
     #[inline]
@@ -153,44 +159,38 @@ impl WireReader {
         self.remaining() == 0
     }
 
+    /// Runs one read of the wire layer over the unread bytes and advances
+    /// past what it consumed.
     #[inline]
-    fn check(&self, n: usize) -> Result<(), WireError> {
-        if self.buf.remaining() < n {
-            Err(WireError {
-                needed: n,
-                available: self.buf.remaining(),
-            })
-        } else {
-            Ok(())
-        }
+    fn read<T>(&mut self, f: impl FnOnce(&mut wire::Reader<'_>) -> Result<T, WireError>) -> Result<T, WireError> {
+        let mut r = wire::Reader::new(&self.buf[self.pos..]);
+        let v = f(&mut r)?;
+        self.pos = self.buf.len() - r.remaining();
+        Ok(v)
     }
 
     #[inline]
     /// Reads a `u8`.
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        self.check(1)?;
-        Ok(self.buf.get_u8())
+        self.read(|r| r.u8())
     }
 
     #[inline]
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        self.check(4)?;
-        Ok(self.buf.get_u32_le())
+        self.read(|r| r.u32())
     }
 
     #[inline]
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        self.check(8)?;
-        Ok(self.buf.get_u64_le())
+        self.read(|r| r.u64())
     }
 
     #[inline]
     /// Reads a little-endian `f64`.
     pub fn get_f64(&mut self) -> Result<f64, WireError> {
-        self.check(8)?;
-        Ok(self.buf.get_f64_le())
+        self.read(|r| r.f64())
     }
 
     /// Skips `n` bytes without decoding them.
@@ -199,43 +199,31 @@ impl WireReader {
     /// header, then `skip` the whole element run.
     #[inline]
     pub fn skip(&mut self, n: usize) -> Result<(), WireError> {
-        self.check(n)?;
-        self.buf.advance(n);
-        Ok(())
+        self.read(|r| r.bytes(n).map(drop))
     }
 
     /// Reads exactly `dst.len()` `u32`s (no length prefix) into `dst`,
     /// decoded straight off the payload by the leaf slice codec. A failed
     /// read consumes nothing.
     pub fn get_u32_into(&mut self, dst: &mut [u32]) -> Result<(), WireError> {
-        wire::Reader::new(self.buf.chunk()).u32s_into(dst)?;
-        self.buf.advance(size_of_val(dst));
-        Ok(())
+        self.read(|r| r.u32s_into(dst))
     }
 
     /// Reads exactly `dst.len()` `u64`s (no length prefix) into `dst`.
     pub fn get_u64_into(&mut self, dst: &mut [u64]) -> Result<(), WireError> {
-        wire::Reader::new(self.buf.chunk()).u64s_into(dst)?;
-        self.buf.advance(size_of_val(dst));
-        Ok(())
+        self.read(|r| r.u64s_into(dst))
     }
 
-    /// Reads a length-prefixed `u64` slice.
+    /// Reads a length-prefixed `u64` slice. The count is held against the
+    /// bytes present before anything is sized by it.
     pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, WireError> {
-        let n = self.get_u64()? as usize;
-        self.check(n.saturating_mul(8))?;
-        let mut out = vec![0u64; n];
-        self.get_u64_into(&mut out)?;
-        Ok(out)
+        self.read(|r| r.u64_vec())
     }
 
-    /// Reads a length-prefixed `u32` slice.
+    /// Reads a length-prefixed `u32` slice, bounded as
+    /// [`WireReader::get_u64_vec`].
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, WireError> {
-        let n = self.get_u64()? as usize;
-        self.check(n.saturating_mul(4))?;
-        let mut out = vec![0u32; n];
-        self.get_u32_into(&mut out)?;
-        Ok(out)
+        self.read(|r| r.u32_vec())
     }
 }
 
@@ -424,6 +412,8 @@ mod tests {
         w.put_u64(1000); // claims 1000 elements, provides none
         let mut r = WireReader::new(w.finish());
         assert!(r.get_u64_vec().is_err());
+        // The failed read consumed nothing, not even the count.
+        assert_eq!(r.get_u64().unwrap(), 1000);
     }
 
     #[test]

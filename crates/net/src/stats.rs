@@ -6,8 +6,9 @@
 //! per phase for CVC vs HVC) an exact measurement in this reproduction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
-use parking_lot::RwLock;
+use crate::Unpoison;
 
 /// Live, thread-safe statistics collector shared by all hosts.
 pub struct StatsCollector {
@@ -60,24 +61,24 @@ impl StatsCollector {
     /// Returns the index for `name`, registering it if new.
     pub fn phase_index(&self, name: &str) -> usize {
         {
-            let names = self.names.read();
+            let names = self.names.read().unpoisoned();
             if let Some(idx) = names.iter().position(|n| n == name) {
                 return idx;
             }
         }
-        let mut names = self.names.write();
+        let mut names = self.names.write().unpoisoned();
         // Re-check: another thread may have registered it meanwhile.
         if let Some(idx) = names.iter().position(|n| n == name) {
             return idx;
         }
         names.push(name.to_string());
-        self.phases.write().push(PhaseCounters::new(self.hosts));
+        self.phases.write().unpoisoned().push(PhaseCounters::new(self.hosts));
         names.len() - 1
     }
 
     #[inline]
     pub(crate) fn record(&self, phase: usize, src: usize, dst: usize, bytes: u64) {
-        let phases = self.phases.read();
+        let phases = self.phases.read().unpoisoned();
         let counters = &phases[phase];
         let cell = src * self.hosts + dst;
         counters.bytes[cell].fetch_add(bytes, Ordering::Relaxed);
@@ -89,7 +90,7 @@ impl StatsCollector {
     /// send and receive matrices of a phase are directly comparable.
     #[inline]
     pub(crate) fn record_recv(&self, phase: usize, src: usize, dst: usize, bytes: u64) {
-        let phases = self.phases.read();
+        let phases = self.phases.read().unpoisoned();
         let counters = &phases[phase];
         let cell = src * self.hosts + dst;
         counters.recv_bytes[cell].fetch_add(bytes, Ordering::Relaxed);
@@ -111,8 +112,8 @@ impl StatsCollector {
     /// in-process restart that shares the collector) can restore its own
     /// contribution to Table V accounting.
     pub fn host_traffic(&self, host: usize) -> Vec<PhaseTraffic> {
-        let names = self.names.read();
-        let phases = self.phases.read();
+        let names = self.names.read().unpoisoned();
+        let phases = self.phases.read().unpoisoned();
         names
             .iter()
             .zip(phases.iter())
@@ -146,7 +147,7 @@ impl StatsCollector {
     pub fn restore_host_traffic(&self, host: usize, rows: &[PhaseTraffic]) {
         for row in rows {
             let idx = self.phase_index(&row.name);
-            let phases = self.phases.read();
+            let phases = self.phases.read().unpoisoned();
             let p = &phases[idx];
             for dst in 0..self.hosts.min(row.sent_bytes.len()) {
                 let cell = host * self.hosts + dst;
@@ -163,18 +164,18 @@ impl StatsCollector {
 
     /// Total bytes recorded so far under `name` (0 if never registered).
     pub fn live_total_bytes(&self, name: &str) -> u64 {
-        let names = self.names.read();
+        let names = self.names.read().unpoisoned();
         let Some(idx) = names.iter().position(|n| n == name) else {
             return 0;
         };
-        let phases = self.phases.read();
+        let phases = self.phases.read().unpoisoned();
         phases[idx].bytes.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Freezes the collector into an immutable snapshot.
     pub fn snapshot(&self) -> CommStats {
-        let names = self.names.read().clone();
-        let phases = self.phases.read();
+        let names = self.names.read().unpoisoned().clone();
+        let phases = self.phases.read().unpoisoned();
         let snaps = phases
             .iter()
             .map(|p| PhaseSnapshot {

@@ -41,19 +41,18 @@
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use cusp_graph::wire;
-use parking_lot::{Condvar, Mutex};
 
 use super::link::{self, Action, Event, LinkState, PeerLink, Resend};
 use super::{RejectReason, Transport, TransportError};
 use crate::cluster::{Envelope, Fabric, HostId, Tag, MAX_TAGS};
 use crate::serialize::{decode_envelope, WireWriter};
+use crate::{Bytes, Unpoison};
 
 /// "CUSP" in ASCII — the handshake magic.
 const MAGIC: u32 = 0x4355_5350;
@@ -207,11 +206,11 @@ impl TcpShared {
     }
 
     fn state(&self, peer: HostId) -> LinkState {
-        self.links[peer].peer.lock().link.state()
+        self.links[peer].peer.lock().unpoisoned().link.state()
     }
 
     fn notify(&self) {
-        let _guard = self.waiting.lock();
+        let _guard = self.waiting.lock().unpoisoned();
         self.links_changed.notify_all();
     }
 }
@@ -221,7 +220,7 @@ impl TcpShared {
 /// connection an [`Event::HelloFrom`] arrived on.
 fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<TcpStream>) {
     let Some(fabric) = shared.fabric() else { return };
-    let mut p = shared.links[peer].peer.lock();
+    let mut p = shared.links[peer].peer.lock().unpoisoned();
     let mut actions = p.link.step(event);
     let mut next = 0;
     while let Some(&action) = actions.get(next) {
@@ -277,7 +276,7 @@ fn admit(
         .ok()
         .and_then(|()| dial(peer, &shared.peers[peer], &hello).ok());
     let Some(out) = redial else { return false };
-    let (tx, rx) = unbounded();
+    let (tx, rx) = mpsc::channel();
     let fin = shared.fin_sent.load(Ordering::Acquire);
     let mut frames = Vec::new();
     fabric.log.replay(peer, &fabric.stats, |tag, env| frames.push(env.encode(tag)));
@@ -370,7 +369,7 @@ impl TcpTransport {
     /// (torn-connection kill mode). `None` for a single-host mesh or once
     /// `start` has consumed the pending sockets.
     pub fn saboteur(&self) -> Option<Saboteur> {
-        let pending = self.pending.lock();
+        let pending = self.pending.lock().unpoisoned();
         let (_, stream, _) = pending.as_ref()?.writers.first()?;
         stream.try_clone().ok().map(Saboteur)
     }
@@ -443,7 +442,7 @@ impl TcpTransport {
         let listener = opts.rejoin.then_some(listener);
         let mut pending = Pending { inbound: Vec::new(), writers: Vec::new(), listener };
         for (peer, stream) in dialed {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = mpsc::channel();
             queues[peer] = Some(tx);
             pending.writers.push((peer, stream, rx));
         }
@@ -484,14 +483,14 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn start(&self, fabric: &Arc<Fabric>) {
-        let Some(pending) = self.pending.lock().take() else { return };
+        let Some(pending) = self.pending.lock().unpoisoned().take() else { return };
         let shared = &self.shared;
         let _ = shared.fabric.set(Arc::downgrade(fabric));
         for (peer, stream, rx) in pending.writers {
             spawn_writer(shared, peer, 0, stream, rx);
         }
         for (peer, stream) in pending.inbound {
-            spawn_reader(shared, &mut shared.links[peer].peer.lock(), stream, peer, 0);
+            spawn_reader(shared, &mut shared.links[peer].peer.lock().unpoisoned(), stream, peer, 0);
         }
         if shared.hosts > 1 {
             let (f, s) = (Arc::clone(fabric), Arc::clone(shared));
@@ -506,7 +505,7 @@ impl Transport for TcpTransport {
 
     fn ship(&self, _fabric: &Fabric, dst: HostId, tag: Tag, env: Envelope) {
         let frame = env.encode(tag);
-        if let Some(tx) = &self.shared.links[dst].peer.lock().queue {
+        if let Some(tx) = &self.shared.links[dst].peer.lock().unpoisoned().queue {
             // A closed queue means the writer died with its peer; the link
             // hears of it from the reader or the monitor. An unhooked peer's
             // frame is in the send log and is replayed at its admission.
@@ -522,7 +521,7 @@ impl Transport for TcpTransport {
         // barrier release implies all prior traffic is in the mailboxes.
         fabric.barrier.announce(host, n);
         for link in &self.shared.links {
-            if let Some(tx) = &link.peer.lock().queue {
+            if let Some(tx) = &link.peer.lock().unpoisoned().queue {
                 let _ = tx.send(Out::Barrier(n));
             }
         }
@@ -535,7 +534,7 @@ impl Transport for TcpTransport {
             shared.fin_sent.store(true, Ordering::Release);
         }
         for link in &shared.links {
-            if let Some(tx) = &link.peer.lock().queue {
+            if let Some(tx) = &link.peer.lock().unpoisoned().queue {
                 let _ = tx.send(if clean { Out::Fin } else { Out::Abort });
             }
         }
@@ -546,9 +545,9 @@ impl Transport for TcpTransport {
             // peer that dies or goes silent here raises the abort flag
             // exactly as it would have during the run; both wake this wait.
             let finned = |p| p == shared.me || matches!(shared.state(p), LinkState::Finned { .. });
-            let mut guard = shared.waiting.lock();
+            let mut guard = shared.waiting.lock().unpoisoned();
             while !fabric.should_abort() && !(0..shared.hosts).all(finned) {
-                shared.links_changed.wait(&mut guard);
+                guard = shared.links_changed.wait(guard).unpoisoned();
             }
         }
         shared.shutting_down.store(true, Ordering::Release);
@@ -557,13 +556,13 @@ impl Transport for TcpTransport {
             drop(TcpStream::connect(&shared.peers[shared.me]));
         }
         for link in &shared.links {
-            link.peer.lock().link.step(Event::Shutdown);
+            link.peer.lock().unpoisoned().link.step(Event::Shutdown);
         }
         shared.notify();
         loop {
             // Admissions may add writer/reader threads concurrently with
             // this join; drain until the list stays empty.
-            let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *shared.threads.lock());
+            let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *shared.threads.lock().unpoisoned());
             if handles.is_empty() {
                 break;
             }
@@ -597,7 +596,7 @@ fn spawn_io(
             body()
         })
         .expect("failed to spawn transport thread");
-    shared.threads.lock().push(handle);
+    shared.threads.lock().unpoisoned().push(handle);
 }
 
 /// Stands up the writer of connection generation `gen` toward `peer`.
@@ -846,12 +845,21 @@ fn rejoin_acceptor(listener: TcpListener, fabric: Arc<Fabric>, shared: Arc<TcpSh
 fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
     let mut w = BufWriter::with_capacity(64 << 10, stream);
     loop {
-        match rx.recv_timeout(heartbeat) {
-            Ok(Out::Env(frame)) => {
-                if write_frame(&mut w, FRAME_ENVELOPE, &frame).is_err() {
+        // Envelopes queued back to back share one flush, made once the
+        // queue is empty and before the writer blocks on it.
+        let next = match rx.try_recv() {
+            Ok(out) => Ok(out),
+            Err(TryRecvError::Disconnected) => return,
+            Err(TryRecvError::Empty) => {
+                if w.flush().is_err() {
                     return;
                 }
-                if rx.is_empty() && w.flush().is_err() {
+                rx.recv_timeout(heartbeat)
+            }
+        };
+        match next {
+            Ok(Out::Env(frame)) => {
+                if write_frame(&mut w, FRAME_ENVELOPE, &frame).is_err() {
                     return;
                 }
             }
@@ -956,12 +964,12 @@ fn monitor_loop(fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
                 wake = wake.min(due);
             }
         }
-        let mut guard = shared.waiting.lock();
+        let guard = shared.waiting.lock().unpoisoned();
         if shared.stopped(&fabric) {
             return;
         }
         let idle = Duration::from_millis(wake.saturating_sub(shared.now_ms()));
-        shared.links_changed.wait_for(&mut guard, idle);
+        drop(shared.links_changed.wait_timeout(guard, idle).unpoisoned());
     }
 }
 
@@ -1434,9 +1442,9 @@ mod tests {
         let shared = Arc::clone(&transport.shared);
         let out = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
             comm.send_bytes(1, Tag(0), Bytes::from_static(b"payload-A"));
-            let mut waiting = shared.waiting.lock();
+            let mut waiting = shared.waiting.lock().unwrap();
             while !matches!(shared.state(1), LinkState::Down { .. }) {
-                shared.links_changed.wait(&mut waiting);
+                waiting = shared.links_changed.wait(waiting).unwrap();
             }
             drop(waiting);
             comm.send_bytes(1, Tag(0), Bytes::from_static(b"payload-B"));

@@ -3,10 +3,8 @@
 //! dropped, nothing lost — while the fault counters prove the chaos
 //! actually fired, and everything replays deterministically per seed.
 
-use bytes::Bytes;
-
 use cusp_net::{
-    all_gather_bytes, all_reduce_u64, Cluster, ClusterOptions, FaultPlan, ReduceOp, Tag,
+    all_gather_bytes, all_reduce_u64, Bytes, Cluster, ClusterOptions, FaultPlan, ReduceOp, Tag,
     WireReader, WireWriter,
 };
 

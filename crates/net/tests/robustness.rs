@@ -2,9 +2,7 @@
 //! substrate must fail loudly (never hang, never corrupt) under host
 //! panics, malformed payloads, tag interleavings, and heavy concurrency.
 
-use bytes::Bytes;
-
-use cusp_net::{all_reduce_u64, Cluster, ReduceOp, Tag, WireReader, WireWriter};
+use cusp_net::{all_reduce_u64, Bytes, Cluster, ReduceOp, Tag, WireReader, WireWriter};
 
 #[test]
 fn panic_during_collective_does_not_hang() {

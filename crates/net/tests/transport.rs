@@ -8,9 +8,8 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
-use bytes::Bytes;
 use cusp_net::{
-    Cluster, ClusterError, ClusterOptions, Comm, FaultPlan, Tag, TcpOptions, TcpRunOutput,
+    Bytes, Cluster, ClusterError, ClusterOptions, Comm, FaultPlan, Tag, TcpOptions, TcpRunOutput,
     TcpTransport,
 };
 

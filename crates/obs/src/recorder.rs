@@ -19,10 +19,8 @@
 
 use std::cell::Cell;
 use std::ptr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::event::{self, Event};
 use crate::ring::Ring;
@@ -101,7 +99,7 @@ impl Recorder {
     /// threads have quiesced (for the cluster: after `Cluster::run`
     /// joined its host threads, which transitively joins pool workers).
     pub fn drain(&self) -> Trace {
-        let rings = self.shared.rings.lock();
+        let rings = self.shared.rings.lock().expect("the ring registry is never held across recording");
         let mut threads = Vec::with_capacity(rings.len());
         let mut events = Vec::new();
         let mut dropped_events = 0u64;
@@ -181,7 +179,7 @@ impl Drop for AttachGuard {
 
 fn attach_shared(shared: Arc<Shared>, host: u32, name: &str) -> AttachGuard {
     let ring = {
-        let mut rings = shared.rings.lock();
+        let mut rings = shared.rings.lock().expect("the ring registry is never held across recording");
         let ring = Arc::new(Ring::new(
             shared.ring_capacity,
             host,
