@@ -13,7 +13,8 @@
 //! files under `target/cusp-data/` (override with `CUSP_DATA_DIR`), so
 //! benchmark binaries exercise the real disk-reading phase.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cusp_graph::gen::{kronecker, powerlaw, KroneckerConfig, PowerLawConfig};
@@ -85,15 +86,26 @@ fn data_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("target/cusp-data"))
 }
 
+/// Loads `name` from the cache, or generates it and caches it. A cache
+/// file appears whole or not at all: it is written under a name unique to
+/// this process and call, then renamed into place, so a reader racing the
+/// writer (two test binaries, or two threads) never sees half a graph.
 fn cached(name: &str, scale: Scale, gen: impl FnOnce() -> Csr) -> Input {
-    let dir = data_dir();
-    std::fs::create_dir_all(&dir).expect("cannot create data dir");
+    cached_in(&data_dir(), name, scale, gen)
+}
+
+fn cached_in(dir: &Path, name: &str, scale: Scale, gen: impl FnOnce() -> Csr) -> Input {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    std::fs::create_dir_all(dir).expect("cannot create data dir");
     let path = dir.join(format!("{name}-{:?}-v{GEN_VERSION}.bgr", scale));
     let graph = if path.exists() {
         read_bgr(&path).expect("corrupt cached graph; delete target/cusp-data")
     } else {
         let g = gen();
-        write_bgr(&path, &g).expect("cannot cache graph");
+        let write = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("{}-{write}.tmp", std::process::id()));
+        write_bgr(&tmp, &g).expect("cannot cache graph");
+        std::fs::rename(&tmp, &path).expect("cannot cache graph");
         g
     };
     let name: &'static str = Box::leak(name.to_string().into_boxed_str());
@@ -156,6 +168,35 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.graph, y.graph, "{} not stable across cache reload", x.name);
         }
+    }
+
+    /// Threads racing to cache one fresh name all read back the one graph:
+    /// the readers open the file the moment its name appears, and still
+    /// never see it half written.
+    #[test]
+    fn racing_readers_never_see_half_a_cached_graph() {
+        let dir = std::env::temp_dir().join(format!("cusp-bench-race-{}", std::process::id()));
+        let path = dir.join(format!("race-{:?}-v{GEN_VERSION}.bgr", Scale::Small));
+        let graph = || kronecker(KroneckerConfig::graph500(15, 16, 0xACE));
+        let want = graph();
+        std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|i| {
+                    let (dir, path) = (&dir, &path);
+                    s.spawn(move || {
+                        while i > 0 && !path.exists() {
+                            std::thread::yield_now();
+                        }
+                        cached_in(dir, "race", Scale::Small, graph)
+                    })
+                })
+                .collect();
+            for racer in racers {
+                let input = racer.join().expect("no racer panics");
+                assert!(*input.graph == want, "a racer read another graph");
+            }
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

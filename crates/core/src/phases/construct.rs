@@ -11,6 +11,16 @@
 //! per-node slots, arriving records are inserted with a lock-free
 //! fetch-add cursor; no two records ever contend for the same slots.
 //!
+//! Records are inserted as they arrive, on every slice shape: the thread
+//! whose `SendBuffers::record` has just flushed takes every record message
+//! already arrived for this host and inserts it in place, and the host
+//! thread drains again before each chunk and, blocking, after the walk.
+//! All of it is one routine, `Drain::drain`, with one atomic `received` count.
+//! A host thus consumes records as fast as it produces them, and the
+//! receive queue is bounded by the flush threshold, not by the size of a
+//! peer's slice. A worker that meets an aborted run there unwinds with the
+//! cluster's own signal, which the pool re-raises on the host thread.
+//!
 //! Nothing is sorted, and the full pipeline needs no sort to be
 //! deterministic. A source is read by one host and walked by one task,
 //! which buckets all of its edges for owner `h` into one record, so each
@@ -28,7 +38,9 @@
 //! `cusp-obs`, `construct.wait` (blocking for the records still in flight
 //! once the local walk is done) and `construct.freeze` (the cursor check,
 //! giving the buffers their length, building the CSR and, for CSC output,
-//! the transpose).
+//! the transpose), and two counters, `construct.drained_walk` and
+//! `construct.drained_wait`: the record bytes inserted during the walk
+//! and after it, together every byte the host received.
 //!
 //! The byte path is bulk end to end: destination/weight runs are encoded
 //! with the wire codec's memcpy slice ops, incoming messages are sized by
@@ -38,7 +50,7 @@
 //! element-by-element encoding, a property the slice codec's own tests
 //! (`cusp_graph::wire`) hold it to.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use cusp_galois::{do_all_items, do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{Csr, Node};
@@ -84,6 +96,58 @@ pub(crate) fn slot_ptrs(alloc: &mut AllocOutcome) -> (DestPtr, DataPtr) {
     (DestPtr(alloc.dests.as_mut_ptr()), DataPtr(data))
 }
 
+/// The receiving half of construction, shared by the host thread and its
+/// pool workers: the record messages still expected, counted in edges, and
+/// the payload bytes inserted so far.
+struct Drain<'a> {
+    comm: &'a Comm,
+    alloc: &'a AllocOutcome,
+    dest_ptr: &'a DestPtr,
+    data_ptr: &'a DataPtr,
+    weighted: bool,
+    to_receive: u64,
+    received: AtomicU64,
+    inserted: AtomicU64,
+}
+
+impl Drain<'_> {
+    fn pending(&self) -> bool {
+        self.received.load(Ordering::Relaxed) < self.to_receive
+    }
+
+    /// Takes every record message that has already arrived for this host —
+    /// with `wait`, blocking for the first — and inserts it (§IV-C3): as a
+    /// batch over `pool` between walks, or one message at a time, as it is
+    /// taken, from inside a walk (`None`: a pool worker cannot fork the
+    /// pool it runs on).
+    fn drain(&self, pool: Option<&ThreadPool>, mut wait: bool) {
+        let insert = |payload: &Bytes| {
+            let (d, w) = (self.dest_ptr, self.data_ptr);
+            insert_message(self.alloc, d, w, payload.clone(), self.weighted);
+            self.inserted.fetch_add(payload.len() as u64, Ordering::Relaxed);
+        };
+        let mut batch = Vec::new();
+        while self.pending() {
+            let next = if wait {
+                Some(self.comm.recv_any(TAG_EDGES))
+            } else {
+                self.comm.try_recv_any(TAG_EDGES)
+            };
+            let Some((_src, payload)) = next else { break };
+            wait = false;
+            self.received.fetch_add(count_edges_in(&payload, self.weighted), Ordering::Relaxed);
+            match pool {
+                Some(_) => batch.push(payload),
+                None => insert(&payload),
+            }
+        }
+        if let Some(pool) = pool {
+            // `do_all_items` runs one- or two-message batches inline.
+            do_all_items(pool, &batch, 1, insert);
+        }
+    }
+}
+
 /// Runs the construction phase over the edges `filter` selects (every edge
 /// for the full pipeline; the dirty ones for the delta path, which has
 /// already copied the rest into `alloc`) and returns the local CSR (or CSC).
@@ -111,6 +175,16 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
 
     let (dest_ptr, data_ptr) = slot_ptrs(alloc);
     let alloc_ref: &AllocOutcome = alloc;
+    let drain = Drain {
+        comm,
+        alloc: alloc_ref,
+        dest_ptr: &dest_ptr,
+        data_ptr: &data_ptr,
+        weighted,
+        to_receive,
+        received: AtomicU64::new(0),
+        inserted: AtomicU64::new(0),
+    };
 
     // Per-thread send buffers and per-destination bucket scratch,
     // allocated once for the whole phase (buckets are cleared per node,
@@ -126,27 +200,13 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
         wbuckets: vec![Vec::new(); k],
     });
 
-    let mut received = 0u64;
-    let mut batch: Vec<Bytes> = Vec::new();
-    // Takes every record message that already arrived, without blocking,
-    // and deserializes and inserts the batch in parallel (§IV-C3;
-    // `do_all_items` runs one- or two-message batches inline).
-    let drain_arrived = |received: &mut u64, batch: &mut Vec<Bytes>| {
-        while *received < to_receive {
-            let Some((_src, p)) = comm.try_recv_any(TAG_EDGES) else { break };
-            *received += count_edges_in(&p, weighted);
-            batch.push(p);
-        }
-        do_all_items(pool, batch, 1, |payload| {
-            insert_message(alloc_ref, &dest_ptr, &data_ptr, payload.clone(), weighted);
-        });
-        batch.clear();
-    };
-
     // The source edges stream through one bounded chunk at a time (a whole
-    // slice is a single chunk): replay, flush, and opportunistically drain
-    // per chunk, so resident edge state stays O(chunk) end to end.
+    // slice is a single chunk): replay and flush per chunk, so resident
+    // edge state stays O(chunk) end to end. Whoever flushes a buffer also
+    // takes what has arrived, so the receive queue stays O(threshold) too.
     data.for_each_chunk(|chunk| {
+        // What arrived while the previous chunk was flushed.
+        drain.drain(Some(pool), false);
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
         let process = |tid: usize, j: usize| {
             let s = chunk.node_lo + j as Node;
@@ -183,7 +243,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
                     if h == me {
                         insert_record(alloc_ref, &dest_ptr, &data_ptr, s, bucket, wbucket);
                     } else {
-                        ts.buffers.record(comm, h, |w| {
+                        let flushed = ts.buffers.record(comm, h, |w| {
                             w.put_u32(s);
                             w.put_u32(bucket.len() as u32);
                             // Raw runs: one codec pass per run, not a call
@@ -193,6 +253,9 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
                                 w.put_u32_raw_slice(ws);
                             }
                         });
+                        if flushed {
+                            drain.drain(None, false);
+                        }
                     }
                 }
             });
@@ -213,24 +276,20 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
         for ts in threads.iter_mut() {
             ts.buffers.flush_all(comm);
         }
-
-        // Opportunistically drain records that already arrived, so the
-        // receive queue cannot grow to hold a whole remote slice.
-        drain_arrived(&mut received, &mut batch);
     });
     drop(threads);
+    let walked = drain.inserted.load(Ordering::Relaxed);
+    cusp_obs::counter("construct.drained_walk", walked);
 
     // Block for the remaining edge records, one message at a time plus
     // whatever else arrived with it.
     let wait_span = cusp_obs::span("construct.wait");
-    while received < to_receive {
-        let (_src, payload) = comm.recv_any(TAG_EDGES);
-        received += count_edges_in(&payload, weighted);
-        batch.push(payload);
-        drain_arrived(&mut received, &mut batch);
+    while drain.pending() {
+        drain.drain(Some(pool), true);
     }
-    assert_eq!(received, to_receive, "received more edges than expected");
+    assert_eq!(drain.received.into_inner(), to_receive, "received more edges than expected");
     drop(wait_span);
+    cusp_obs::counter("construct.drained_wait", drain.inserted.into_inner() - walked);
 
     // The freeze, up to the returned (possibly transposed) graph.
     let _freeze_span = cusp_obs::span("construct.freeze");

@@ -45,15 +45,19 @@ fn env_seed() -> u64 {
 /// `CUSP_CHUNK_EDGES` (set by the CI chaos job) re-runs the entire oracle
 /// suite with chunk-streaming slices of that size — the partitions must be
 /// bit-identical to monolithic runs, so every oracle check carries over.
+/// `CUSP_BUFFER_THRESHOLD` does the same for the send-buffer threshold: at
+/// `0` every record is its own message and construction drains after
+/// every one of them, under whatever faults the run injects.
 fn det_cfg() -> CuspConfig {
+    let env = |name| std::env::var(name).ok().and_then(|s| s.parse().ok());
+    let default = CuspConfig::default();
     CuspConfig {
         threads_per_host: 1,
         sync_rounds: 4,
         deterministic_sync: true,
-        chunk_edges: std::env::var("CUSP_CHUNK_EDGES")
-            .ok()
-            .and_then(|s| s.parse().ok()),
-        ..CuspConfig::default()
+        chunk_edges: env("CUSP_CHUNK_EDGES"),
+        buffer_threshold: env("CUSP_BUFFER_THRESHOLD").map_or(default.buffer_threshold, |t| t as usize),
+        ..default
     }
 }
 

@@ -335,6 +335,54 @@ fn exhausted_restarts_surface_as_partition_error() {
     assert!(msg.contains("host 0"), "{msg}");
 }
 
+/// A host lost while the survivors' pool workers are draining
+/// construction's records inline — every record its own message, two
+/// workers a host, a streamed slice so the victim dies after its first
+/// chunk while the others still walk — surfaces as `HostLost`, not as a
+/// poisoned cluster and not as a hang. A worker that sees the abort
+/// unwinds with the cluster's silent signal and the pool hands it to the
+/// host thread as it is, so no survivor unwinds with a panic message.
+#[test]
+fn a_host_lost_while_workers_drain_is_host_lost() {
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    let hosts = 4;
+    let victim = 2;
+    let graph = Arc::new(erdos_renyi(40_000, 400_000, 5));
+    let cfg = CuspConfig { threads_per_host: 2, buffer_threshold: 0, ..det_cfg(Some(4096), None) };
+    let recovery = RecoveryOptions { max_restarts: 0, ..fast_recovery() };
+    let opts = ClusterOptions {
+        crash: Some(CrashPlan::once(env_seed(), victim, "construct", 1)),
+        recovery,
+        ..ClusterOptions::default()
+    };
+    let panicked = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&panicked);
+    let started = Instant::now();
+    let lost = Cluster::try_run_with(hosts, opts, move |comm| {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            partition_with_policy(comm, GraphSource::Memory(graph.clone()), PolicyKind::Cvc, &cfg)
+        }));
+        run.unwrap_or_else(|payload| {
+            if payload.is::<String>() || payload.is::<&str>() {
+                seen.fetch_add(1, Ordering::Relaxed);
+            }
+            resume_unwind(payload)
+        })
+    })
+    .err()
+    .expect("a host crashed with no restart left");
+    let took = started.elapsed();
+    assert_eq!(lost, ClusterError::HostLost { host: victim, restarts: 0 });
+    assert_eq!(panicked.load(Ordering::Relaxed), 0, "a survivor unwound with a panic");
+    // The crashed host's staleness and one 50 ms poll of the survivors'
+    // blocked receives, after an unoptimised build on a loaded machine
+    // has partitioned up to construction: well inside 20 s.
+    assert!(took < Duration::from_secs(20), "lost after {took:?}");
+}
+
 /// A traced crashed-and-recovered partitioning run records the outage as
 /// first-class events and still exports a structurally valid trace (the
 /// crashed incarnation's open phase spans are closed synthetically).

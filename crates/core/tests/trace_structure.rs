@@ -16,7 +16,8 @@
 
 use std::sync::Arc;
 
-use cusp::{partition_with_policy, CuspConfig, GraphSource, PolicyKind};
+use cusp::tags::TAG_EDGES;
+use cusp::{partition_with_policy, CuspConfig, GraphSource, OutputFormat, PolicyKind};
 use cusp_graph::gen::uniform::erdos_renyi;
 use cusp_net::{Cluster, ClusterOptions, TraceConfig};
 use cusp_obs::{EventKind, Structure, Trace};
@@ -187,33 +188,60 @@ fn master_phase_records_its_rounds_under_the_master_span() {
 /// `construct` span sit exactly one `construct.wait` (blocking for the
 /// records still in flight after the local walk) and one
 /// `construct.freeze` (cursor check, CSR, transpose), for the CSR and the
-/// CSC output alike.
+/// CSC output alike, resident or streamed. Beside them, one
+/// `construct.drained_walk` and one `construct.drained_wait` counter say
+/// how many record bytes were inserted during the walk and after it: they
+/// add up to the `TAG_EDGES` bytes the host received.
 #[test]
 fn construct_phase_records_its_wait_and_freeze_under_the_construct_span() {
-    for output in [cusp::OutputFormat::Csr, cusp::OutputFormat::Csc] {
-        let trace = trace_of(PolicyKind::Cvc, &CuspConfig { output, ..det_config(Some(512)) });
+    let shapes = [OutputFormat::Csr, OutputFormat::Csc].into_iter().flat_map(|output| {
+        [None, Some(512)].map(|chunk_edges| CuspConfig { output, ..det_config(chunk_edges) })
+    });
+    for cfg in shapes {
+        let label = format!("{:?} chunk {:?}", cfg.output, cfg.chunk_edges);
+        let trace = trace_of(PolicyKind::Cvc, &cfg);
         let structure = Structure::of(&trace);
         for host in 0..HOSTS as u32 {
             for name in ["construct", "construct.wait", "construct.freeze"] {
                 let spans = structure.span_counts.get(&(host, name)).copied();
-                assert_eq!(spans, Some(1), "{output:?} host {host}: {name}");
+                assert_eq!(spans, Some(1), "{label} host {host}: {name}");
             }
         }
         for thread in trace.threads.iter().filter(|t| t.name == "main") {
             let mut stack: Vec<&'static str> = Vec::new();
+            let mut drained = Vec::new();
             for e in trace.events.iter().filter(|e| e.tid == thread.tid) {
                 match e.kind {
                     EventKind::SpanBegin { name, .. } => {
                         if name.starts_with("construct.") {
-                            assert_eq!(stack.last(), Some(&"construct"), "{output:?}: {name}");
+                            assert_eq!(stack.last(), Some(&"construct"), "{label}: {name}");
                         }
                         stack.push(name);
                     }
                     EventKind::SpanEnd { name } => assert_eq!(stack.pop(), Some(name)),
+                    EventKind::Counter { name, value } if name.starts_with("construct.") => {
+                        assert_eq!(stack.last(), Some(&"construct"), "{label}: {name}");
+                        drained.push((name, value));
+                    }
                     _ => {}
                 }
             }
-            assert!(stack.is_empty(), "{output:?} host {}: open spans {stack:?}", thread.host);
+            assert!(stack.is_empty(), "{label} host {}: open spans {stack:?}", thread.host);
+            let names: Vec<_> = drained.iter().map(|c| c.0).collect();
+            assert_eq!(names, ["construct.drained_walk", "construct.drained_wait"], "{label}");
+            // Records arrive on whichever thread drains them.
+            let received: u64 = trace
+                .events
+                .iter()
+                .filter(|e| e.host == thread.host)
+                .filter_map(|e| match e.kind {
+                    EventKind::MsgRecv { tag, bytes, .. } if tag == TAG_EDGES.0 => Some(bytes),
+                    _ => None,
+                })
+                .sum();
+            assert!(received > 0, "{label} host {}: no records received", thread.host);
+            let inserted: u64 = drained.iter().map(|c| c.1).sum();
+            assert_eq!(inserted, received, "{label} host {}", thread.host);
         }
     }
 }

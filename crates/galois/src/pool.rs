@@ -7,8 +7,9 @@
 //! long-lived; the lifetime erasure this requires is confined to this
 //! module and justified below.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -35,7 +36,8 @@ unsafe impl Send for Job {}
 
 struct JobDone {
     finished: AtomicUsize,
-    panicked: AtomicBool,
+    /// The payload of the first worker invocation that panicked.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     unparker: Mutex<()>,
     condvar: Condvar,
 }
@@ -44,7 +46,7 @@ impl JobDone {
     fn new() -> Self {
         JobDone {
             finished: AtomicUsize::new(0),
-            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
             unparker: Mutex::new(()),
             condvar: Condvar::new(),
         }
@@ -66,9 +68,9 @@ impl JobDone {
     }
 }
 
-/// The unparker guards no data and is never held across a job, so no
-/// panic can poison it.
-const UNPOISONED: &str = "the unparker is never held across a job";
+/// Neither the unparker nor the panic slot is ever held across a job, so
+/// no panic can poison them.
+const UNPOISONED: &str = "the pool's locks are never held across a job";
 
 enum Message {
     Run(Job),
@@ -116,8 +118,9 @@ impl ThreadPool {
                                     let _task = cusp_obs::span("pool_task");
                                     func(tid)
                                 }));
-                                if result.is_err() {
-                                    job.done.panicked.store(true, Ordering::Release);
+                                if let Err(payload) = result {
+                                    let mut first = job.done.panic.lock().expect(UNPOISONED);
+                                    first.get_or_insert(payload);
                                 }
                                 job.done.signal();
                             }
@@ -145,8 +148,10 @@ impl ThreadPool {
     /// finished. `f` may freely borrow from the caller's stack.
     ///
     /// # Panics
-    /// If any worker invocation panics, the panic is re-raised here (after
-    /// all workers finished, so no work is left dangling).
+    /// If any worker invocation panics, the first one's payload is
+    /// re-raised here with [`resume_unwind`] (after all workers finished,
+    /// so no work is left dangling): a typed unwind signal reaches the
+    /// caller as itself, and a panic message unchanged.
     pub fn run<F>(&self, f: F)
     where
         F: Fn(usize) + Sync,
@@ -164,8 +169,9 @@ impl ThreadPool {
             tx.send(Message::Run(job)).expect("worker thread died");
         }
         done.wait(self.threads);
-        if done.panicked.load(Ordering::Acquire) {
-            panic!("a ThreadPool worker panicked during ThreadPool::run");
+        let first = done.panic.lock().expect(UNPOISONED).take();
+        if let Some(payload) = first {
+            resume_unwind(payload);
         }
     }
 }
@@ -222,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker panicked")]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let pool = ThreadPool::new(2);
         pool.run(|tid| {
@@ -230,6 +236,29 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    /// A worker's payload reaches the caller as it was raised: a typed
+    /// signal stays downcastable, and a formatted message keeps its text.
+    #[test]
+    fn a_worker_panic_keeps_its_payload() {
+        struct Signal(u32);
+        let pool = ThreadPool::new(3);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(|tid| {
+                if tid == 2 {
+                    resume_unwind(Box::new(Signal(7)));
+                }
+            });
+        }));
+        let payload = caught.expect_err("the worker unwound");
+        assert_eq!(payload.downcast_ref::<Signal>().map(|s| s.0), Some(7));
+
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(|tid| assert!(tid != 1, "worker {tid} refused"));
+        }));
+        let payload = caught.expect_err("the worker panicked");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("worker 1 refused"));
     }
 
     #[test]

@@ -54,16 +54,19 @@ impl SendBuffers {
     }
 
     /// Appends one record for `dst`, built by `write`, flushing if the
-    /// buffer crosses the threshold.
-    pub fn record(&mut self, comm: &Comm, dst: HostId, write: impl FnOnce(&mut WireWriter)) {
+    /// buffer crosses the threshold. Returns whether it flushed, so a
+    /// caller that also receives can take its arrivals at the same pace.
+    pub fn record(&mut self, comm: &Comm, dst: HostId, write: impl FnOnce(&mut WireWriter)) -> bool {
         let buf = &mut self.buffers[dst];
         write(buf);
         self.records += 1;
-        if buf.len() >= self.threshold {
+        let flush = buf.len() >= self.threshold;
+        if flush {
             let payload = buf.take();
             buf.reserve(self.retain);
             self.send(comm, dst, payload);
         }
+        flush
     }
 
     fn send(&mut self, comm: &Comm, dst: HostId, payload: Bytes) {
@@ -213,6 +216,27 @@ mod tests {
             }
         });
         assert_eq!(out.results[0], 0, "threshold-0 buffers must not pin capacity");
+    }
+
+    #[test]
+    fn record_reports_each_flush() {
+        let out = Cluster::run(2, |comm| {
+            if comm.host() == 0 {
+                let mut bufs = SendBuffers::new(2, 100, Tag(6));
+                let flushed = (0..50u64).filter(|&i| bufs.record(comm, 1, |w| w.put_u64(i))).count();
+                assert_eq!(flushed as u64, bufs.flushes());
+                bufs.flush_all(comm);
+                flushed as u64
+            } else {
+                let mut got = 0u64;
+                while got < 50 {
+                    got += comm.recv_any(Tag(6)).1.len() as u64 / 8;
+                }
+                0
+            }
+        });
+        // 13 records of 8 bytes cross 100: three flushes, the tail is left.
+        assert_eq!(out.results[0], 3);
     }
 
     #[test]
