@@ -40,11 +40,11 @@ fn main() {
             // Recompute the modeled network portion under this model over
             // the phases that count for the reported time.
             let prefix_time: f64 = match p {
-                Partitioner::XtraPulp => model.time_with_prefix(&run.stats, "xp:"),
+                Partitioner::XtraPulp => run.stats.modeled_time_with_prefix(model, "xp:"),
                 Partitioner::Cusp(_) => ["read", "master", "edge_assign", "alloc", "construct"]
                     .iter()
                     .filter_map(|ph| run.stats.phase(ph))
-                    .map(|ph| model.phase_time(ph))
+                    .map(|ph| ph.modeled_time(model))
                     .sum(),
             };
             cells.push(format!("{:.3}", wall + prefix_time + run.modeled_disk));

@@ -122,7 +122,7 @@ pub fn run_partition_opts(
             let modeled_net = PhaseTimes::NAMES
                 .iter()
                 .filter_map(|p| out.stats.phase(p))
-                .map(|ph| model().phase_time(ph))
+                .map(|ph| ph.modeled_time(&model()))
                 .sum();
             let modeled_disk = parts
                 .first()
@@ -157,7 +157,7 @@ pub fn run_partition_opts(
                 peak = peak.max(p);
                 parts.push(dg);
             }
-            let modeled_net = model().time_with_prefix(&out.stats, "xp:");
+            let modeled_net = out.stats.modeled_time_with_prefix(&model(), "xp:");
             let modeled_disk = parts
                 .first()
                 .map_or(0.0, |d| modeled_disk_secs(d.global_nodes, d.global_edges, k));
@@ -287,7 +287,7 @@ pub fn run_app(
         elapsed,
         rounds,
         comm_bytes: phase.map_or(0, |p| p.total_bytes()),
-        modeled_net: phase.map_or(0.0, |p| model().phase_time(p)),
+        modeled_net: phase.map_or(0.0, |p| p.modeled_time(&model())),
     }
 }
 

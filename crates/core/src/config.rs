@@ -57,8 +57,10 @@ pub struct CuspConfig {
     /// Ablation switch: disable the §IV-D5 "replicate computation" elision
     /// and run the full stored-master protocol even for pure rules.
     pub force_stored_masters: bool,
-    /// Upper bound on edges materialized per reader chunk. `None` (the
-    /// default) streams each host's whole slice as one chunk — the
+    /// Upper bound on edges materialized per reader chunk: the budget of
+    /// the `ChunkedSlice` every host's range is read as. `None` (the
+    /// default) is an unbounded budget, so the whole range is one chunk,
+    /// read by the reading phase and resident from then on — the
     /// monolithic behaviour. With `Some(c)` the reading phase keeps only
     /// the O(nodes) offset array resident and the edge-walking phases
     /// (master, edge assignment, construction) pull node-aligned chunks of

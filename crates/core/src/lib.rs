@@ -70,7 +70,7 @@ pub use dist_graph::{DistGraph, PartitionClass};
 pub use phases::alloc::MasterSpec;
 pub use phases::delta::{partition_delta, DirtySet};
 pub use phases::driver::{partition, PartitionOutput};
-pub use phases::pipeline::{PhaseCtx, ReplayReady, SliceData};
+pub use phases::pipeline::{PhaseCtx, ReplayReady};
 pub use policies::catalog::{partition_delta_with_policy, partition_with_policy, PolicyKind};
 pub use orientation::{partition_with_policy_oriented, Orientation};
 pub use policy::{EdgeRule, MasterRule, MasterView, Setup};

@@ -53,14 +53,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cusp_galois::{do_all_items, do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
-use cusp_graph::{Csr, Node};
+use cusp_graph::{ChunkedSlice, Csr, Node};
 use cusp_net::{Bytes, Comm, SendBuffers, WireReader};
 
 use crate::config::{CuspConfig, OutputFormat};
 use crate::phases::alloc::AllocOutcome;
 use crate::phases::edge_assign::EdgeFilter;
 use crate::phases::master::ResolvedMasters;
-use crate::phases::pipeline::{ReplayReady, SliceData};
+use crate::phases::pipeline::{for_each_chunk, ReplayReady};
 use crate::policy::{EdgeRule, Setup};
 use crate::props::LocalProps;
 use crate::state::PartitionState;
@@ -156,7 +156,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     comm: &Comm,
     pool: &ThreadPool,
     setup: &Setup,
-    data: &mut SliceData,
+    data: &mut ChunkedSlice,
     masters: &ResolvedMasters,
     rule: &ER,
     replay: ReplayReady<'_, ER::State>,
@@ -204,7 +204,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     // slice is a single chunk): replay and flush per chunk, so resident
     // edge state stays O(chunk) end to end. Whoever flushes a buffer also
     // takes what has arrived, so the receive queue stays O(threshold) too.
-    data.for_each_chunk(|chunk| {
+    for_each_chunk(data, |chunk| {
         // What arrived while the previous chunk was flushed.
         drain.drain(Some(pool), false);
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);

@@ -97,7 +97,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
-use cusp_graph::{Csr, GraphEvent, Node};
+use cusp_graph::{ChunkedSlice, Csr, GraphEvent, Node};
 use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::config::{OutputFormat, PhaseId};
@@ -108,7 +108,7 @@ use crate::phases::construct::{construct, slot_ptrs};
 use crate::phases::driver::{partition, PartitionOutput};
 use crate::phases::edge_assign::{merge_runs, tally_edges, EdgeAssignOutcome, EdgeFilter};
 use crate::phases::master::{pure_masters, ResolvedMasters};
-use crate::phases::pipeline::{PhaseCtx, ReplayReady, SliceData};
+use crate::phases::pipeline::{PhaseCtx, ReplayReady};
 use crate::phases::read::read_phase;
 use crate::policy::{EdgeRule, MasterRule, Setup};
 use crate::state::PartitionState;
@@ -409,7 +409,7 @@ struct DeltaCx<'a, ER: EdgeRule> {
 fn delta_assign<'a, ER: EdgeRule>(
     ctx: &PhaseCtx<'_>,
     cx: &DeltaCx<'a, ER>,
-    data: &mut SliceData,
+    data: &mut ChunkedSlice,
 ) -> (EdgeAssignOutcome, Kept<'a>) {
     let DeltaCx { setup, masters, rule, estate, prev, prev_csc, dirty } = *cx;
     let comm = ctx.comm;
@@ -503,7 +503,7 @@ fn delta_construct<ER: EdgeRule>(
     ctx: &PhaseCtx<'_>,
     cx: &DeltaCx<'_, ER>,
     kept: Kept<'_>,
-    data: &mut SliceData,
+    data: &mut ChunkedSlice,
     alloc: &mut AllocOutcome,
     to_receive: u64,
 ) -> (Csr, Option<Vec<u32>>) {
@@ -700,25 +700,25 @@ mod tests {
         use crate::phases::edge_assign::AllEdges;
         use crate::policies::edges::CartesianEdge;
         use cusp_graph::gen::uniform::erdos_renyi;
-        use cusp_graph::ChunkedSlice;
 
         let g = Arc::new(erdos_renyi(150, 1100, 13));
         let setup = setup(150, 4);
         let masters = pure_masters(&Contiguous::new(&setup), setup.parts);
         let rule = CartesianEdge::new(&setup);
         let pool = cusp_galois::ThreadPool::new(2);
-        let chunked =
-            || SliceData::Chunked(Box::new(ChunkedSlice::from_csr(g.clone(), None, 10, 140, 40)));
-        let all = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &AllEdges);
-        let mut dirty = DirtySet::new(150);
-        let none = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &dirty);
-        assert!(none.0.iter().all(|&c| c == 0) && none.1.iter().all(Vec::is_empty));
-        dirty.insert(0..150, false);
-        let every = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &dirty);
-        assert_eq!(all, every);
-        let in_range = g.offsets()[140] - g.offsets()[10];
-        assert_eq!(all.0.iter().map(|&c| c as u64).sum::<u64>(), in_range);
-        assert!(all.1.iter().any(|m| !m.is_empty()), "no mirrors: the comparison is vacuous");
+        for budget in [u64::MAX, 40] {
+            let chunked = || ChunkedSlice::from_csr(g.clone(), None, 10, 140, budget);
+            let all = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &AllEdges);
+            let mut dirty = DirtySet::new(150);
+            let none = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &dirty);
+            assert!(none.0.iter().all(|&c| c == 0) && none.1.iter().all(Vec::is_empty));
+            dirty.insert(0..150, false);
+            let every = tally_edges(&pool, &setup, &mut chunked(), &masters, &rule, &(), &dirty);
+            assert_eq!(all, every, "budget {budget}");
+            let in_range = g.offsets()[140] - g.offsets()[10];
+            assert_eq!(all.0.iter().map(|&c| c as u64).sum::<u64>(), in_range);
+            assert!(all.1.iter().any(|m| !m.is_empty()), "no mirrors: the comparison is vacuous");
+        }
     }
 
     /// Host 0 of 2 over globals `0..10` — masters `0..5`, mirrors {6, 7, 9} —

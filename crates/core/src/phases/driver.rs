@@ -30,7 +30,7 @@
 //! the determinism contract makes equivalent (bit-identical partitions),
 //! just slower.
 
-use cusp_graph::Csr;
+use cusp_graph::{ChunkedSlice, Csr};
 use cusp_net::Comm;
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
@@ -40,7 +40,7 @@ use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
 use crate::phases::construct::construct;
 use crate::phases::edge_assign::{assign_edges, AllEdges, EdgeAssignOutcome};
 use crate::phases::master::{assign_masters, pure_masters, ResolvedMasters};
-use crate::phases::pipeline::{PhaseCtx, ReplayReady, SliceData};
+use crate::phases::pipeline::{PhaseCtx, ReplayReady};
 use crate::phases::read::read_phase;
 use crate::policy::{EdgeRule, MasterRule, Setup};
 use crate::state::PartitionState;
@@ -77,7 +77,7 @@ impl PartitionOutput {
         ctx: PhaseCtx<'_>,
         class: PartitionClass,
         setup: Setup,
-        data: &SliceData,
+        data: &ChunkedSlice,
         alloc: AllocOutcome,
         (graph, edge_data): (Csr, Option<Vec<u32>>),
     ) -> Self {

@@ -37,12 +37,12 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cusp_galois::{do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
-use cusp_graph::Node;
+use cusp_graph::{ChunkedSlice, Node};
 use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::phases::bitset::NodeBitRows;
 use crate::phases::master::ResolvedMasters;
-use crate::phases::pipeline::SliceData;
+use crate::phases::pipeline::for_each_chunk;
 use crate::policy::{EdgeRule, Setup};
 use crate::props::LocalProps;
 use crate::state::PartitionState;
@@ -101,7 +101,7 @@ impl EdgeFilter for AllEdges {
 pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
     pool: &ThreadPool,
     setup: &Setup,
-    data: &mut SliceData,
+    data: &mut ChunkedSlice,
     masters: &ResolvedMasters,
     rule: &ER,
     estate: &ER::State,
@@ -118,7 +118,7 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
     // Per-thread tally of the source being walked, all zero between sources.
     let rows: PerThread<Vec<u32>> = PerThread::new(pool, |_| vec![0u32; k]);
 
-    data.for_each_chunk(|chunk| {
+    for_each_chunk(data, |chunk| {
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
         let base = (chunk.node_lo - lo) as usize;
         let process = |tid: usize, j: usize| {
@@ -219,7 +219,7 @@ pub fn assign_edges<ER: EdgeRule>(
     comm: &Comm,
     pool: &ThreadPool,
     setup: &Setup,
-    data: &mut SliceData,
+    data: &mut ChunkedSlice,
     masters: &ResolvedMasters,
     rule: &ER,
     estate: &ER::State,
@@ -383,7 +383,7 @@ mod tests {
     use crate::policy::MasterRule;
     use cusp_graph::gen::powerlaw::{powerlaw, PowerLawConfig};
     use cusp_graph::gen::uniform::erdos_renyi;
-    use cusp_graph::{ChunkedSlice, GraphSlice, ReadSplit};
+    use cusp_graph::{GraphSlice, ReadSplit};
     use cusp_net::Cluster;
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
@@ -535,12 +535,8 @@ mod tests {
                 let masters = resolve(&g, &mrule, parts, (lo, hi));
                 let (want_counts, want_mirrors) = naive_tally(&g, &setup, (lo, hi), &mrule, &rule);
                 saw_mirrors |= !want_mirrors.is_empty();
-                let shapes = [
-                    SliceData::Whole(GraphSlice::window(g.clone(), None, lo, hi)),
-                    SliceData::Chunked(Box::new(ChunkedSlice::from_csr(g.clone(), None, lo, hi, 50))),
-                ];
-                for mut data in shapes {
-                    let chunked = data.is_chunked();
+                for budget in [u64::MAX, 50] {
+                    let mut data = ChunkedSlice::from_csr(g.clone(), None, lo, hi, budget);
                     let estate = ER::State::new(parts);
                     let (counts, mirrors_for) =
                         tally_edges(&pool, &setup, &mut data, &masters, &rule, &estate, &AllEdges);
@@ -551,7 +547,7 @@ mod tests {
                         .filter(|&(_, &c)| c > 0)
                         .map(|(i, &c)| (((i / local_n) as PartId, lo + (i % local_n) as Node), c))
                         .collect();
-                    assert_eq!(got_counts, want_counts, "counts: k={parts} lo={lo} chunked={chunked}");
+                    assert_eq!(got_counts, want_counts, "counts: k={parts} lo={lo} budget={budget}");
                     assert_eq!(mirrors_for.len(), parts as usize);
                     for (h, got) in mirrors_for.iter().enumerate() {
                         let want: Vec<Node> = want_mirrors
@@ -559,7 +555,7 @@ mod tests {
                             .filter(|&&(o, _)| o as usize == h)
                             .map(|&(_, d)| d)
                             .collect();
-                        assert_eq!(got, &want, "mirrors: k={parts} lo={lo} owner={h} chunked={chunked}");
+                        assert_eq!(got, &want, "mirrors: k={parts} lo={lo} owner={h} budget={budget}");
                     }
                 }
             }

@@ -70,12 +70,12 @@ use std::fmt;
 use std::sync::atomic::{AtomicU16, Ordering};
 
 use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
-use cusp_graph::{Node, ReadSplit};
+use cusp_graph::{ChunkedSlice, Node, ReadSplit};
 use cusp_net::{Bytes, Comm, WireReader, WireWriter};
 
 use crate::config::CuspConfig;
 use crate::phases::bitset::{zeroed, NodeBitRows};
-use crate::phases::pipeline::SliceData;
+use crate::phases::pipeline::{for_chunks_in, for_each_chunk};
 use crate::policy::{MasterRule, MasterView, Setup};
 use crate::props::LocalProps;
 use crate::state::PartitionState;
@@ -310,7 +310,7 @@ pub fn assign_masters<MR: MasterRule>(
     comm: &Comm,
     pool: &ThreadPool,
     setup: &Setup,
-    data: &mut SliceData,
+    data: &mut ChunkedSlice,
     rule: &MR,
     state: &MR::State,
     cfg: &CuspConfig,
@@ -392,7 +392,7 @@ pub fn assign_masters<MR: MasterRule>(
                 rule.uses_neighbor_masters() && pool.threads() > 1 && !cfg.deterministic_sync;
             // Stream the round's node range chunk by chunk; for monolithic
             // data this is a single pass over the resident slice.
-            data.for_chunks_in(lo + start as Node..lo + end as Node, |chunk, sub| {
+            for_chunks_in(data, lo + start as Node..lo + end as Node, |chunk, sub| {
                 let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
                 let n = (sub.end - sub.start) as usize;
                 if parallel {
@@ -528,10 +528,10 @@ pub fn pure_masters<MR: MasterRule>(rule: &MR, parts: PartId) -> ResolvedMasters
 
 /// Sorted, deduplicated destinations of the local slice that fall outside
 /// the local read range (the nodes whose masters this host must request).
-fn remote_dests(pool: &ThreadPool, data: &mut SliceData, setup: &Setup) -> Vec<Node> {
+fn remote_dests(pool: &ThreadPool, data: &mut ChunkedSlice, setup: &Setup) -> Vec<Node> {
     let local = data.node_lo()..data.node_hi();
     let remote = NodeBitRows::new(1, setup.num_nodes as usize);
-    data.for_each_chunk(|chunk| {
+    for_each_chunk(data, |chunk| {
         do_all(pool, chunk.num_nodes(), DEFAULT_GRAIN, |i| {
             for &d in chunk.edges(chunk.node_lo + i as Node) {
                 if !local.contains(&d) {

@@ -1,5 +1,6 @@
 //! The phase pipeline: the per-host context and harness the five
-//! partitioning steps run under, plus the chunk-streaming slice they consume.
+//! partitioning steps run under, plus the walk over the chunk stream they
+//! consume.
 //!
 //! The paper's Fig. 2 pipeline is five phases in a fixed order, so the
 //! drivers are five calls in that order; what this module holds is what the
@@ -11,16 +12,18 @@
 //!   and places the inter-phase barrier, all keyed by a [`PhaseId`]. Because
 //!   the tag is set by the harness itself, no phase traffic can ever land in
 //!   the stats collector's `(untagged)` bucket.
-//! * [`SliceData`] is what the reading phase hands to the edge-walking
-//!   phases: either the monolithic resident [`GraphSlice`] (the
-//!   `chunk_edges: None` identity case) or a [`ChunkedSlice`] stream of
-//!   node-aligned bounded chunks, so peak resident edge state is O(chunk)
-//!   instead of O(slice).
+//! * [`for_chunks_in`] and [`for_each_chunk`] are how the edge-walking
+//!   phases stream the [`ChunkedSlice`] the reading phase hands them: chunk
+//!   by chunk in node order, each chunk under a `chunk` span. A resident
+//!   range (`chunk_edges: None`) is the one-chunk case, loaded once, so
+//!   every walk sees one shape and peak resident edge state is O(chunk)
+//!   whenever a budget is set.
 //! * [`ReplayReady`] is the structural form of the §IV-B4 replay
 //!   invariant: `construct` takes the token where it would take the
 //!   edge-rule state, and the token's only constructor resets that state —
 //!   a driver that forgets the reset does not compile.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use cusp_galois::ThreadPool;
@@ -30,113 +33,30 @@ use cusp_net::Comm;
 use crate::config::{CuspConfig, PhaseId, PhaseTimes};
 use crate::state::PartitionState;
 
-/// The host's read range as the edge-walking phases consume it: one
-/// resident slice, or a bounded-memory chunk stream over the same range.
-pub enum SliceData {
-    /// The whole slice is resident (`CuspConfig::chunk_edges = None`).
-    Whole(GraphSlice),
-    /// Only the offset array is resident; edge payloads are materialized
-    /// one bounded chunk at a time. Boxed: the stream's bookkeeping
-    /// (backing, recycled buffer, resident offsets) dwarfs the `Whole`
-    /// variant, and the enum travels by value between phases.
-    Chunked(Box<ChunkedSlice>),
+/// Streams the chunks of `data` overlapping the global node range `[lo,
+/// hi)`, in ascending node order. `f` receives each chunk plus the
+/// sub-range of `nodes` it covers. Sequential chunk order is what keeps
+/// stateful rules' decision streams — and therefore the §IV-B4 replay —
+/// identical at every chunk budget.
+pub(crate) fn for_chunks_in(data: &mut ChunkedSlice, nodes: Range<Node>, mut f: impl FnMut(&GraphSlice, Range<Node>)) {
+    if nodes.start >= nodes.end {
+        return;
+    }
+    let first = data.chunk_index_of(nodes.start);
+    let last = data.chunk_index_of(nodes.end - 1);
+    for i in first..=last {
+        let (lo, hi) = data.chunk_bounds(i);
+        let sub = nodes.start.max(lo)..nodes.end.min(hi);
+        cusp_obs::span_begin_arg("chunk", i as u64);
+        f(data.load_chunk(i), sub);
+        cusp_obs::span_end("chunk");
+    }
 }
 
-impl SliceData {
-    /// First node of the range (global id).
-    pub fn node_lo(&self) -> Node {
-        match self {
-            SliceData::Whole(s) => s.node_lo,
-            SliceData::Chunked(c) => c.node_lo(),
-        }
-    }
-
-    /// One past the last node of the range (global id).
-    pub fn node_hi(&self) -> Node {
-        match self {
-            SliceData::Whole(s) => s.node_hi,
-            SliceData::Chunked(c) => c.node_hi(),
-        }
-    }
-
-    /// Number of nodes in the range.
-    pub fn num_nodes(&self) -> usize {
-        (self.node_hi() - self.node_lo()) as usize
-    }
-
-    /// Number of edges in the range (across all chunks).
-    pub fn num_edges(&self) -> u64 {
-        match self {
-            SliceData::Whole(s) => s.num_edges(),
-            SliceData::Chunked(c) => c.num_edges(),
-        }
-    }
-
-    /// Whether the range carries per-edge data.
-    pub fn weighted(&self) -> bool {
-        match self {
-            SliceData::Whole(s) => s.weights().is_some(),
-            SliceData::Chunked(c) => c.weighted(),
-        }
-    }
-
-    /// True when the range streams as bounded chunks.
-    pub fn is_chunked(&self) -> bool {
-        matches!(self, SliceData::Chunked(_))
-    }
-
-    /// The resident slice of a monolithic range. Panics for chunked data —
-    /// callers that need the whole slice at once (e.g. label propagation)
-    /// do not support streaming and must run with `chunk_edges: None`.
-    pub fn expect_whole(&self) -> &GraphSlice {
-        match self {
-            SliceData::Whole(s) => s,
-            SliceData::Chunked(_) => {
-                panic!("this code path needs the whole slice resident; run with chunk_edges: None")
-            }
-        }
-    }
-
-    /// Streams the chunks overlapping the global node range `[lo, hi)`, in
-    /// ascending node order. `f` receives each chunk as a [`GraphSlice`]
-    /// plus the sub-range of `nodes` it covers; for monolithic data it is
-    /// called exactly once with the resident slice. Sequential chunk order
-    /// is what keeps stateful rules' decision streams — and therefore the
-    /// §IV-B4 replay — identical to the monolithic run.
-    pub fn for_chunks_in(&mut self, nodes: std::ops::Range<Node>, mut f: impl FnMut(&GraphSlice, std::ops::Range<Node>)) {
-        if nodes.start >= nodes.end {
-            return;
-        }
-        match self {
-            SliceData::Whole(s) => f(s, nodes),
-            SliceData::Chunked(c) => {
-                let first = c.chunk_index_of(nodes.start);
-                let last = c.chunk_index_of(nodes.end - 1);
-                for i in first..=last {
-                    let (lo, hi) = c.chunk_bounds(i);
-                    let sub = nodes.start.max(lo)..nodes.end.min(hi);
-                    cusp_obs::span_begin_arg("chunk", i as u64);
-                    f(c.load_chunk(i), sub);
-                    cusp_obs::span_end("chunk");
-                }
-            }
-        }
-    }
-
-    /// Streams every chunk of the range once, in ascending node order.
-    pub fn for_each_chunk(&mut self, mut f: impl FnMut(&GraphSlice)) {
-        let full = self.node_lo()..self.node_hi();
-        self.for_chunks_in(full, |chunk, _| f(chunk));
-    }
-
-    /// Largest number of edges resident at once so far: the whole range for
-    /// monolithic data, the measured chunk high-water mark when streaming.
-    pub fn peak_resident_edges(&self) -> u64 {
-        match self {
-            SliceData::Whole(s) => s.num_edges(),
-            SliceData::Chunked(c) => c.peak_resident_edges(),
-        }
-    }
+/// Streams every chunk of `data` once, in ascending node order.
+pub(crate) fn for_each_chunk(data: &mut ChunkedSlice, mut f: impl FnMut(&GraphSlice)) {
+    let full = data.node_lo()..data.node_hi();
+    for_chunks_in(data, full, |chunk, _| f(chunk));
 }
 
 /// Per-host execution context threaded through every phase: the comm
@@ -225,10 +145,12 @@ mod tests {
     use cusp_graph::gen::uniform::erdos_renyi;
     use std::sync::Arc;
 
-    fn whole_and_chunked(chunk: u64) -> (SliceData, SliceData) {
+    /// The range `[10, 140)` of one graph, resident (an unbounded budget)
+    /// and streamed under `chunk`.
+    fn whole_and_chunked(chunk: u64) -> (ChunkedSlice, ChunkedSlice) {
         let g = Arc::new(erdos_renyi(150, 1100, 13));
-        let whole = SliceData::Whole(GraphSlice::window(Arc::clone(&g), None, 10, 140));
-        let chunked = SliceData::Chunked(Box::new(ChunkedSlice::from_csr(g, None, 10, 140, chunk)));
+        let whole = ChunkedSlice::from_csr(Arc::clone(&g), None, 10, 140, u64::MAX);
+        let chunked = ChunkedSlice::from_csr(g, None, 10, 140, chunk);
         (whole, chunked)
     }
 
@@ -236,9 +158,9 @@ mod tests {
     fn chunked_stream_visits_same_edges_as_whole() {
         let (mut whole, mut chunked) = whole_and_chunked(40);
         assert_eq!(whole.num_edges(), chunked.num_edges());
-        let walk = |d: &mut SliceData| {
+        let walk = |d: &mut ChunkedSlice| {
             let mut seen: Vec<(Node, Vec<Node>)> = Vec::new();
-            d.for_each_chunk(|chunk| {
+            for_each_chunk(d, |chunk| {
                 for v in chunk.node_lo..chunk.node_hi {
                     seen.push((v, chunk.edges(v).to_vec()));
                 }
@@ -246,6 +168,7 @@ mod tests {
             seen
         };
         assert_eq!(walk(&mut whole), walk(&mut chunked));
+        assert_eq!(whole.peak_resident_edges(), whole.num_edges());
         assert!(chunked.peak_resident_edges() < whole.peak_resident_edges());
     }
 
@@ -253,9 +176,9 @@ mod tests {
     fn sub_ranges_clip_to_chunk_intersections() {
         let (mut whole, mut chunked) = whole_and_chunked(25);
         for range in [10u32..140, 37..91, 60..61, 90..90] {
-            let collect = |d: &mut SliceData| {
+            let collect = |d: &mut ChunkedSlice| {
                 let mut nodes = Vec::new();
-                d.for_chunks_in(range.clone(), |chunk, sub| {
+                for_chunks_in(d, range.clone(), |chunk, sub| {
                     assert!(sub.start >= chunk.node_lo && sub.end <= chunk.node_hi);
                     nodes.extend(sub.clone());
                 });
@@ -278,9 +201,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "whole slice resident")]
-    fn expect_whole_rejects_chunked_data() {
-        let (_, chunked) = whole_and_chunked(16);
-        let _ = chunked.expect_whole();
+    fn an_unbounded_budget_is_one_chunk_even_for_an_empty_range() {
+        // What label propagation relies on: chunk 0 is the whole range.
+        let g = Arc::new(erdos_renyi(150, 1100, 13));
+        for (lo, hi) in [(0u32, 150u32), (10, 140), (70, 70), (150, 150)] {
+            let mut s = ChunkedSlice::from_csr(Arc::clone(&g), None, lo, hi, u64::MAX);
+            assert_eq!(s.num_chunks(), 1, "[{lo}, {hi})");
+            let chunk = s.load_chunk(0);
+            assert_eq!((chunk.node_lo, chunk.node_hi), (lo, hi));
+            assert_eq!(chunk.num_edges(), g.offsets()[hi as usize] - g.offsets()[lo as usize]);
+            let mut walks = 0;
+            for_each_chunk(&mut s, |_| walks += 1);
+            assert_eq!(walks, usize::from(lo < hi), "[{lo}, {hi})");
+        }
     }
 }

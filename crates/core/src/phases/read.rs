@@ -9,12 +9,13 @@
 //! data), and the splits are computed over the graph's own offsets, so a
 //! memory-source run holds its input once.
 //!
-//! With `CuspConfig::chunk_edges` set, the slice is not materialized at
-//! all: this phase reads only the O(nodes) offset array of the host's
-//! range and hands later phases a [`ChunkedSlice`] that re-streams the
-//! edge payload in bounded, node-aligned chunks (re-read from the file,
-//! or windowed over the shared in-memory graph standing in for the page
-//! cache).
+//! Either way the host's range comes out as one shape, a [`ChunkedSlice`]
+//! with budget `CuspConfig::chunk_edges` (unbounded when `None`). A File
+//! source reads the O(nodes) offsets of its range here; a one-chunk stream
+//! also reads its edges here, so the range read stays in this phase, while
+//! a stream of several chunks re-reads each chunk's edges from the file as
+//! later phases walk it. A memory source's chunks are windows over the
+//! shared graph, standing in for the page cache.
 //!
 //! This phase also derives the [`Setup`] every rule is built from: the
 //! global node/edge counts, the reading split, and the edge-balanced
@@ -23,19 +24,18 @@
 
 use std::sync::Arc;
 
-use cusp_graph::{reading_split, ChunkBacking, ChunkedSlice, EdgeIdx, GraphSlice, Node, ReadSplit};
+use cusp_graph::{reading_split, ChunkedSlice, EdgeIdx, Node, RangeReader, ReadSplit};
 use cusp_net::Comm;
 
 use crate::config::{CuspConfig, GraphSource};
-use crate::phases::pipeline::SliceData;
 use crate::policy::Setup;
 
 /// Result of the reading phase on one host. For weighted (version-2)
 /// files the slice carries the per-edge data of the host's range.
 pub struct ReadOutcome {
-    /// The contiguous node range this host reads — resident as one slice,
-    /// or streamed as bounded chunks per `CuspConfig::chunk_edges`.
-    pub data: SliceData,
+    /// The contiguous node range this host reads, as a stream of chunks of
+    /// at most `CuspConfig::chunk_edges` edges (one chunk when `None`).
+    pub data: ChunkedSlice,
     /// Global facts identical on every host.
     pub setup: Setup,
 }
@@ -48,6 +48,20 @@ fn splits_to_boundaries(splits: &[ReadSplit]) -> Vec<u64> {
         b.push(s.hi);
     }
     b
+}
+
+/// The [`Setup`] of a graph of `num_nodes` nodes and `num_edges` edges
+/// whose end offsets are `ends`, split across `k` hosts.
+fn global_setup(ends: &[EdgeIdx], num_nodes: u64, num_edges: u64, k: usize, cfg: &CuspConfig) -> Setup {
+    let read_splits = reading_split(ends, k, cfg.node_read_weight, cfg.edge_read_weight);
+    let eb = reading_split(ends, k, 0, 1);
+    Setup {
+        num_nodes,
+        num_edges,
+        parts: k as u32,
+        eb_boundaries: Arc::new(splits_to_boundaries(&eb)),
+        read_splits: Arc::new(read_splits),
+    }
 }
 
 /// Rebases the global end-offsets of range `[lo, hi)` into a local offset
@@ -63,67 +77,34 @@ fn rebase_offsets(ends: &[EdgeIdx], lo: u64, hi: u64) -> (Vec<EdgeIdx>, EdgeIdx)
 
 /// Executes the reading phase.
 pub fn read_phase(comm: &Comm, source: &GraphSource, cfg: &CuspConfig) -> std::io::Result<ReadOutcome> {
-    let k = comm.num_hosts();
-    let me = comm.host();
+    let (k, me) = (comm.num_hosts(), comm.host());
+    let budget = cfg.chunk_edges.unwrap_or(u64::MAX);
     let (graph, weights) = match source {
         GraphSource::File(path) => {
-            let mut reader = cusp_graph::RangeReader::open(path)?;
-            let num_nodes = reader.num_nodes();
-            let num_edges = reader.num_edges();
+            let mut reader = RangeReader::open(path)?;
             let ends = reader.read_end_offsets()?;
-            let read_splits = reading_split(&ends, k, cfg.node_read_weight, cfg.edge_read_weight);
-            let eb = reading_split(&ends, k, 0, 1);
-            let my = read_splits[me];
-            let data = match cfg.chunk_edges {
-                None => SliceData::Whole(reader.read_range(my.lo, my.hi)?),
-                Some(c) => {
-                    let (offsets, base) = rebase_offsets(&ends, my.lo, my.hi);
-                    SliceData::Chunked(Box::new(ChunkedSlice::new(
-                        ChunkBacking::File(reader),
-                        my.lo as Node,
-                        my.hi as Node,
-                        offsets,
-                        base,
-                        c,
-                    )))
-                }
-            };
-            return Ok(ReadOutcome {
-                data,
-                setup: Setup {
-                    num_nodes,
-                    num_edges,
-                    parts: k as u32,
-                    eb_boundaries: Arc::new(splits_to_boundaries(&eb)),
-                    read_splits: Arc::new(read_splits),
-                },
-            });
+            let setup = global_setup(&ends, reader.num_nodes(), reader.num_edges(), k, cfg);
+            let my = setup.read_splits[me];
+            let (offsets, base) = rebase_offsets(&ends, my.lo, my.hi);
+            let (lo, hi) = (my.lo as Node, my.hi as Node);
+            let data = ChunkedSlice::from_file(reader, lo, hi, offsets, base, budget)?;
+            return Ok(ReadOutcome { data, setup });
         }
         GraphSource::Memory(g) => (Arc::clone(g), None),
         GraphSource::MemoryWeighted(g, w) => (Arc::clone(g), Some(Arc::clone(w))),
     };
-    let ends = &graph.offsets()[1..];
-    let read_splits = reading_split(ends, k, cfg.node_read_weight, cfg.edge_read_weight);
-    let eb = reading_split(ends, k, 0, 1);
-    let (lo, hi) = (read_splits[me].lo as Node, read_splits[me].hi as Node);
-    let setup = Setup {
-        num_nodes: graph.num_nodes() as u64,
-        num_edges: graph.num_edges(),
-        parts: k as u32,
-        eb_boundaries: Arc::new(splits_to_boundaries(&eb)),
-        read_splits: Arc::new(read_splits),
-    };
-    let data = match cfg.chunk_edges {
-        None => SliceData::Whole(GraphSlice::window(graph, weights, lo, hi)),
-        Some(c) => SliceData::Chunked(Box::new(ChunkedSlice::from_csr(graph, weights, lo, hi, c))),
-    };
+    let setup = global_setup(&graph.offsets()[1..], graph.num_nodes() as u64, graph.num_edges(), k, cfg);
+    let my = setup.read_splits[me];
+    let data = ChunkedSlice::from_csr(graph, weights, my.lo as Node, my.hi as Node, budget);
     Ok(ReadOutcome { data, setup })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::pipeline::{for_chunks_in, for_each_chunk};
     use cusp_graph::gen::uniform::erdos_renyi;
+    use cusp_graph::GraphSlice;
     use cusp_net::Cluster;
 
     #[test]
@@ -171,7 +152,7 @@ mod tests {
                         let host = comm.host();
                         let shape = format!("host {host}/{hosts}, weighted {weighted}, chunks {chunk_edges:?}");
                         for v in [lo, hi - 1] {
-                            r.data.for_chunks_in(v..v + 1, |s, _| {
+                            for_chunks_in(&mut r.data, v..v + 1, |s, _| {
                                 let at = g.first_edge(v) as usize;
                                 let dests = s.edges(v).as_ptr();
                                 assert!(std::ptr::eq(dests, g.dests()[at..].as_ptr()), "{shape}: node {v}");
@@ -197,9 +178,10 @@ mod tests {
         let p2 = path.clone();
         let out = Cluster::run(3, move |comm| {
             let cfg = CuspConfig::default();
-            let mem = read_phase(comm, &GraphSource::Memory(g2.clone()), &cfg).unwrap();
-            let file = read_phase(comm, &GraphSource::File(p2.clone()), &cfg).unwrap();
-            let (m, f) = (mem.data.expect_whole(), file.data.expect_whole());
+            let mut mem = read_phase(comm, &GraphSource::Memory(g2.clone()), &cfg).unwrap();
+            let mut file = read_phase(comm, &GraphSource::File(p2.clone()), &cfg).unwrap();
+            assert_eq!((mem.data.num_chunks(), file.data.num_chunks()), (1, 1));
+            let (m, f) = (mem.data.load_chunk(0), file.data.load_chunk(0));
             assert_eq!(first_edges(m), first_edges(f));
             assert_eq!(m.dests(), f.dests());
             assert_eq!(*mem.setup.eb_boundaries, *file.setup.eb_boundaries);
@@ -220,14 +202,14 @@ mod tests {
         let out = Cluster::run(3, move |comm| {
             let whole_cfg = CuspConfig::default();
             let chunk_cfg = CuspConfig { chunk_edges: Some(50), ..CuspConfig::default() };
-            let whole = read_phase(comm, &GraphSource::Memory(g2.clone()), &whole_cfg).unwrap();
+            let mut whole = read_phase(comm, &GraphSource::Memory(g2.clone()), &whole_cfg).unwrap();
+            let ws = whole.data.load_chunk(0);
             for source in [GraphSource::Memory(g2.clone()), GraphSource::File(p2.clone())] {
                 let mut chunked = read_phase(comm, &source, &chunk_cfg).unwrap();
-                assert!(chunked.data.is_chunked());
-                assert_eq!(chunked.data.num_edges(), whole.data.num_edges());
-                let ws = whole.data.expect_whole();
+                assert!(chunked.data.num_chunks() > 1);
+                assert_eq!(chunked.data.num_edges(), ws.num_edges());
                 let mut edges = 0u64;
-                chunked.data.for_each_chunk(|chunk| {
+                for_each_chunk(&mut chunked.data, |chunk| {
                     for v in chunk.node_lo..chunk.node_hi {
                         assert_eq!(chunk.edges(v), ws.edges(v), "node {v}");
                         assert_eq!(chunk.first_edge(v), ws.first_edge(v), "node {v}");

@@ -494,6 +494,20 @@ impl RangeReader {
         own.extend(offsets.iter().map(|&o| o - offsets[0]));
         self.read_edges_into(lo, hi, edge_lo, out)
     }
+
+    /// [`RangeReader::read_chunk_into`] for a chunk that takes `offsets`,
+    /// rebased to 0, as its own instead of copying them.
+    pub(crate) fn read_chunk_owning(
+        &mut self,
+        lo: Node,
+        hi: Node,
+        offsets: Vec<EdgeIdx>,
+        edge_lo: EdgeIdx,
+        out: &mut GraphSlice,
+    ) -> io::Result<()> {
+        unique(&mut out.csr).offsets = offsets;
+        self.read_edges_into(lo, hi, edge_lo, out)
+    }
 }
 
 #[cfg(test)]

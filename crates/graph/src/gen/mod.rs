@@ -11,3 +11,56 @@ pub mod uniform;
 pub use kronecker::{kronecker, KroneckerConfig};
 pub use powerlaw::{powerlaw, PowerLawConfig};
 pub use uniform::erdos_renyi;
+
+use crate::csr::Csr;
+
+/// The generator names [`generate`] takes: the one vocabulary of
+/// `cusp-part gen` and the daemon's `gen` request.
+pub const KINDS: [&str; 3] = ["uniform", "webcrawl", "kron"];
+
+/// Builds the graph `kind` names with `seed`, `degree` out-edges per node
+/// on average:
+///
+/// * `uniform` — Erdős–Rényi, `nodes` nodes and `nodes · degree` edges;
+/// * `webcrawl` — the scale-free web-crawl stand-in,
+///   [`PowerLawConfig::webcrawl`] over `nodes` nodes;
+/// * `kron` — Graph500 Kronecker at scale ⌊log₂ nodes⌋ and edge factor
+///   ⌊degree⌋: never more nodes or edges than `nodes` and `degree` ask for.
+///
+/// Any other `kind` is an error naming it.
+pub fn generate(kind: &str, nodes: usize, degree: f64, seed: u64) -> Result<Csr, String> {
+    match kind {
+        "uniform" => Ok(erdos_renyi(nodes, (nodes as f64 * degree) as usize, seed)),
+        "webcrawl" => Ok(powerlaw(PowerLawConfig::webcrawl(nodes, degree, seed))),
+        "kron" => {
+            let scale = nodes.max(1).ilog2();
+            Ok(kronecker(KroneckerConfig::graph500(scale, degree as u32, seed)))
+        }
+        other => Err(format!("unknown generator kind '{other}' (one of {})", KINDS.join(", "))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_kind_generates_and_no_other() {
+        for kind in KINDS {
+            assert!(generate(kind, 100, 4.0, 1).is_ok(), "{kind}");
+        }
+        for kind in ["powerlaw", "kronecker", "Kron", ""] {
+            let err = generate(kind, 100, 4.0, 1).unwrap_err();
+            assert!(err.starts_with(&format!("unknown generator kind '{kind}'")), "{err}");
+        }
+    }
+
+    #[test]
+    fn kron_never_exceeds_the_request() {
+        for nodes in [1usize, 2, 3, 1000, 1024, 3000] {
+            let g = generate("kron", nodes, 6.0, 9).unwrap();
+            assert!(g.num_nodes() <= nodes && g.num_nodes() * 2 > nodes, "{nodes}: {}", g.num_nodes());
+            assert_eq!(g.num_edges(), g.num_nodes() as u64 * 6);
+        }
+    }
+}

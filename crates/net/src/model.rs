@@ -16,75 +16,46 @@
 //! operate concurrently, and the slowest host bounds the phase. This is the
 //! same first-order model used to motivate message buffering in the paper
 //! (§IV-D3: fewer, larger messages amortize α).
+//!
+//! The model type and its one formula live in the leaf crate `cusp-obs`
+//! ([`cusp_obs::CostModel`], re-exported here as [`NetworkModel`]), so the
+//! phase times below and the critical-path summary price a host alike.
+
+use cusp_obs::HostNet;
 
 use crate::stats::{CommStats, PhaseSnapshot};
 
-/// Network cost parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct NetworkModel {
-    /// Per-message overhead in seconds (software + injection latency).
-    pub alpha: f64,
-    /// Per-byte transfer cost in seconds (1 / effective bandwidth).
-    pub beta: f64,
+/// Network cost parameters: `cusp-obs`'s α–β model under its network name.
+pub use cusp_obs::CostModel as NetworkModel;
+
+impl PhaseSnapshot {
+    /// Host `h`'s traffic in this phase, as the cost model reads it.
+    pub fn host_net(&self, h: usize) -> HostNet {
+        HostNet {
+            msgs_out: self.messages_out(h),
+            msgs_in: self.messages_in(h),
+            bytes_out: self.bytes_out(h),
+            bytes_in: self.bytes_in(h),
+        }
+    }
+
+    /// Modeled network time of this phase in seconds: its slowest host's.
+    pub fn modeled_time(&self, model: &NetworkModel) -> f64 {
+        (0..self.hosts()).map(|h| model.host_seconds(&self.host_net(h))).fold(0.0, f64::max)
+    }
 }
 
-impl NetworkModel {
-    /// A model loosely calibrated to the paper's testbed: 100 Gb/s
-    /// Omni-Path (~10 GB/s effective per host) with ~20 µs end-to-end
-    /// per-message software overhead (MPI rendezvous path).
-    pub fn omni_path() -> Self {
-        NetworkModel {
-            alpha: 20e-6,
-            beta: 1.0 / 10e9,
-        }
-    }
-
-    /// A slower commodity 10 GbE-like model (higher α and β) — useful for
-    /// sensitivity checks.
-    pub fn ten_gbe() -> Self {
-        NetworkModel {
-            alpha: 50e-6,
-            beta: 1.0 / 1.1e9,
-        }
-    }
-
-    /// A zero-cost model (modeled network time is always 0).
-    pub fn free() -> Self {
-        NetworkModel {
-            alpha: 0.0,
-            beta: 0.0,
-        }
-    }
-
-    /// The same parameters as a `cusp-obs` [`cusp_obs::CostModel`], for
-    /// feeding the per-phase critical-path summary.
-    pub fn cost_model(&self) -> cusp_obs::CostModel {
-        cusp_obs::CostModel { alpha: self.alpha, beta: self.beta }
-    }
-
-    /// Modeled network time for one phase, in seconds.
-    pub fn phase_time(&self, phase: &PhaseSnapshot) -> f64 {
-        let hosts = phase.hosts();
-        let mut worst: f64 = 0.0;
-        for h in 0..hosts {
-            let msgs = phase.messages_out(h).max(phase.messages_in(h)) as f64;
-            let bytes = phase.bytes_out(h).max(phase.bytes_in(h)) as f64;
-            worst = worst.max(self.alpha * msgs + self.beta * bytes);
-        }
-        worst
-    }
-
+impl CommStats {
     /// Modeled network time summed over all phases, in seconds.
-    pub fn total_time(&self, stats: &CommStats) -> f64 {
-        stats.iter().map(|(_, p)| self.phase_time(p)).sum()
+    pub fn modeled_time(&self, model: &NetworkModel) -> f64 {
+        self.modeled_time_with_prefix(model, "")
     }
 
     /// Modeled time for all phases whose name starts with `prefix`.
-    pub fn time_with_prefix(&self, stats: &CommStats, prefix: &str) -> f64 {
-        stats
-            .iter()
+    pub fn modeled_time_with_prefix(&self, model: &NetworkModel, prefix: &str) -> f64 {
+        self.iter()
             .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, p)| self.phase_time(p))
+            .map(|(_, p)| p.modeled_time(model))
             .sum()
     }
 }
@@ -119,8 +90,8 @@ mod tests {
         };
         let many = stats_two_hosts(100, 1);
         let few = stats_two_hosts(2, 50);
-        let t_many = model.phase_time(many.phase("p").unwrap());
-        let t_few = model.phase_time(few.phase("p").unwrap());
+        let t_many = many.phase("p").unwrap().modeled_time(&model);
+        let t_few = few.phase("p").unwrap().modeled_time(&model);
         assert!(t_many > t_few * 10.0, "{t_many} vs {t_few}");
     }
 
@@ -131,13 +102,13 @@ mod tests {
             beta: 1.0,
         };
         let s = stats_two_hosts(3, 10);
-        assert!((model.phase_time(s.phase("p").unwrap()) - 30.0).abs() < 1e-9);
+        assert!((s.phase("p").unwrap().modeled_time(&model) - 30.0).abs() < 1e-9);
     }
 
     #[test]
     fn free_model_is_zero() {
         let s = stats_two_hosts(5, 100);
-        assert_eq!(NetworkModel::free().total_time(&s), 0.0);
+        assert_eq!(s.modeled_time(&NetworkModel::free()), 0.0);
     }
 
     #[test]
@@ -147,8 +118,8 @@ mod tests {
         let model = NetworkModel::omni_path();
         let unbuffered = stats_two_hosts(1000, 16);
         let buffered = stats_two_hosts(4, 4000);
-        let tu = model.phase_time(unbuffered.phase("p").unwrap());
-        let tb = model.phase_time(buffered.phase("p").unwrap());
+        let tu = unbuffered.phase("p").unwrap().modeled_time(&model);
+        let tb = buffered.phase("p").unwrap().modeled_time(&model);
         assert!(tb < tu, "buffered {tb} should beat unbuffered {tu}");
     }
 }

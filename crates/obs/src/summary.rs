@@ -43,18 +43,39 @@ pub struct PhaseNet {
     pub hosts: Vec<HostNet>,
 }
 
-/// The α–β point-to-point cost model used for the modeled network time
-/// (mirrors the simulator's `NetworkModel` without depending on it).
+/// The α–β point-to-point cost model: the one formula behind every
+/// modeled network time, here and in `cusp_net` (which re-exports it as
+/// `NetworkModel` and prices each host of a phase with
+/// [`CostModel::host_seconds`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
-    /// Per-message latency in seconds.
+    /// Per-message overhead in seconds (software + injection latency).
     pub alpha: f64,
-    /// Per-byte transfer time in seconds (1 / bandwidth).
+    /// Per-byte transfer cost in seconds (1 / effective bandwidth).
     pub beta: f64,
 }
 
 impl CostModel {
-    /// Modeled network seconds for one host's phase traffic.
+    /// A model loosely calibrated to the paper's testbed: 100 Gb/s
+    /// Omni-Path (~10 GB/s effective per host) with ~20 µs end-to-end
+    /// per-message software overhead (MPI rendezvous path).
+    pub fn omni_path() -> Self {
+        CostModel { alpha: 20e-6, beta: 1.0 / 10e9 }
+    }
+
+    /// A slower commodity 10 GbE-like model (higher α and β) — useful for
+    /// sensitivity checks.
+    pub fn ten_gbe() -> Self {
+        CostModel { alpha: 50e-6, beta: 1.0 / 1.1e9 }
+    }
+
+    /// A zero-cost model (modeled network time is always 0).
+    pub fn free() -> Self {
+        CostModel { alpha: 0.0, beta: 0.0 }
+    }
+
+    /// Modeled network seconds for one host's phase traffic:
+    /// `α · max(msgs_out, msgs_in) + β · max(bytes_out, bytes_in)`.
     pub fn host_seconds(&self, net: &HostNet) -> f64 {
         self.alpha * net.msgs_out.max(net.msgs_in) as f64
             + self.beta * net.bytes_out.max(net.bytes_in) as f64

@@ -16,7 +16,6 @@
 
 use std::fmt::Write;
 
-use cusp_graph::gen::{kronecker, powerlaw, uniform};
 use cusp_obs::json_string;
 
 use crate::error::ServeError;
@@ -50,7 +49,7 @@ pub const VERBS: [Verb; 6] = [
         name: "gen",
         http: ("POST", "/v1/{tenant}/graphs/{name}/gen"),
         client: false,
-        synopsis: "--tenant T --name N [--kind uniform|powerlaw|kronecker] [--nodes V] [--degree D] [--seed S]",
+        synopsis: "--tenant T --name N [--kind uniform|webcrawl|kron] [--nodes V] [--degree D] [--seed S]",
         build: gen,
     },
     Verb {
@@ -201,20 +200,10 @@ fn gen_size(nodes: u64, degree: u64) -> Result<(usize, usize), String> {
 /// quotas and fingerprint as any upload.
 fn gen(a: &Args) -> Result<Request, String> {
     let degree = num(a, "degree", 8)?;
-    let (nodes, edges) = gen_size(num(a, "nodes", 1024)?, degree)?;
+    let (nodes, _) = gen_size(num(a, "nodes", 1024)?, degree)?;
     let seed = num(a, "seed", 42)?;
-    let graph = match arg(a, "kind").unwrap_or("uniform") {
-        "uniform" => uniform::erdos_renyi(nodes, edges, seed),
-        "powerlaw" => {
-            powerlaw::powerlaw(powerlaw::PowerLawConfig::webcrawl(nodes, degree as f64, seed))
-        }
-        "kronecker" => {
-            let scale = (usize::BITS - nodes.leading_zeros() - 1).max(1);
-            let degree = degree.max(1) as u32;
-            kronecker::kronecker(kronecker::KroneckerConfig::graph500(scale, degree, seed))
-        }
-        other => return Err(format!("unknown generator kind '{other}'")),
-    };
+    let kind = arg(a, "kind").unwrap_or("uniform");
+    let graph = cusp_graph::gen::generate(kind, nodes, degree as f64, seed)?;
     Ok(Request::UploadGraph {
         tenant: text(a, "tenant")?,
         name: text(a, "name")?,

@@ -36,11 +36,13 @@ pub fn xtrapulp_partition(comm: &Comm, source: GraphSource, cfg: &XpConfig) -> X
     // --- Timed section: read + label propagation. -----------------------
     comm.set_phase("xp:read");
     let t0 = Instant::now();
-    // Label propagation iterates over the whole slice repeatedly, so it
-    // runs monolithic (chunk_edges: None — the default it passes here).
-    let read = read_phase(comm, &source, &CuspConfig::default()).expect("failed to read graph");
+    // Label propagation iterates over the whole range repeatedly, so it
+    // reads it resident (chunk_edges: None — the default it passes here):
+    // the range is the stream's one chunk, which even an empty range has.
+    let mut read = read_phase(comm, &source, &CuspConfig::default()).expect("failed to read graph");
     comm.set_phase("xp:lp");
-    let labels = label_propagation(comm, &read.setup, read.data.expect_whole(), cfg.lp);
+    debug_assert_eq!(read.data.num_chunks(), 1);
+    let labels = label_propagation(comm, &read.setup, read.data.load_chunk(0), cfg.lp);
     comm.barrier();
     let partition_time = t0.elapsed();
 

@@ -345,9 +345,9 @@ mod tests {
     fn run_lp(k: usize, n: usize, m: usize, params: LpParams) -> Vec<Vec<PartId>> {
         let g = StdArc::new(erdos_renyi(n, m, 77));
         let out = Cluster::run(k, move |comm| {
-            let r = read_phase(comm, &GraphSource::Memory(g.clone()), &CuspConfig::default())
+            let mut r = read_phase(comm, &GraphSource::Memory(g.clone()), &CuspConfig::default())
                 .unwrap();
-            label_propagation(comm, &r.setup, r.data.expect_whole(), params)
+            label_propagation(comm, &r.setup, r.data.load_chunk(0), params)
         });
         out.results
     }
@@ -402,7 +402,7 @@ mod tests {
         };
         let g2 = StdArc::clone(&g);
         let out = Cluster::run(2, move |comm| {
-            let r = read_phase(comm, &GraphSource::Memory(g2.clone()), &CuspConfig::default())
+            let mut r = read_phase(comm, &GraphSource::Memory(g2.clone()), &CuspConfig::default())
                 .unwrap();
             let initial: Vec<PartId> = (r.data.node_lo()..r.data.node_hi())
                 .map(|v| {
@@ -410,7 +410,7 @@ mod tests {
                     inner.partition_point(|&b| b <= v as u64) as PartId
                 })
                 .collect();
-            let refined = label_propagation(comm, &r.setup, r.data.expect_whole(), LpParams::default());
+            let refined = label_propagation(comm, &r.setup, r.data.load_chunk(0), LpParams::default());
             (initial, refined)
         });
         let initial: Vec<PartId> = out.results.iter().flat_map(|(i, _)| i.clone()).collect();

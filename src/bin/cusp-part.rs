@@ -69,7 +69,6 @@ use cusp::{
     metrics, partition_with_policy, write_partition, CuspConfig, GraphSource, OutputFormat,
     PolicyKind,
 };
-use cusp_graph::gen::{kronecker, powerlaw, KroneckerConfig, PowerLawConfig};
 use cusp_graph::{edgelist, read_bgr, write_bgr, GraphProps};
 use cusp_net::Cluster;
 use cusp_xtrapulp::{xtrapulp_partition, XpConfig};
@@ -85,7 +84,7 @@ fn usage() -> ! {
     .map(|(verb, synopsis)| format!("\n  cusp-part client {verb} {synopsis}").trim_end().to_owned())
     .collect();
     eprintln!(
-        "usage:\n  cusp-part gen --kind kron|webcrawl|uniform --nodes N [--degree D] [--seed S] --out G.bgr\n  cusp-part convert --edgelist IN.txt --out G.bgr\n  cusp-part convert --metis IN.graph --out G.bgr\n  cusp-part props G.bgr\n  cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]\n                      [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]\n                      [--chunk-edges E] [--trace OUT.json]\n                      [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]\n  cusp-part launch --hosts K --graph G.bgr --policy NAME [--out-dir DIR]\n                   [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]\n                   [--kill-seed S [--kill-repeat]] [--max-restarts N]\n                   [--checkpoint-dir DIR] [--heartbeat-ms MS]\n  cusp-part worker --host-id H --hosts K --graph G.bgr --policy NAME --nonce N --out-dir DIR [--det]\n                   [--listen ADDR] [--incarnation I] [--rejoin] [--announce-phases] [--heartbeat-ms MS]\n  cusp-part inspect PART.part [PART.part ...]\n  cusp-part validate --graph G.bgr --parts DIR\n  cusp-part trace-check OUT.json\n  cusp-part apply --graph G.bgr (--batch B.txt | --events N [--seed S]) [--out G2.bgr] [--wal W.wal]\n  cusp-part wal-replay --graph G.bgr --wal W.wal [--out G2.bgr] [--policy NAME --hosts K]{client}\n  (client verbs take [--addr HOST:PORT] and print the JSON the HTTP front end returns)\npolicies (--policy NAME): {} (partition only: XTRAPULP)",
+        "usage:\n  cusp-part gen --kind uniform|webcrawl|kron --nodes N [--degree D] [--seed S] --out G.bgr\n  cusp-part convert --edgelist IN.txt --out G.bgr\n  cusp-part convert --metis IN.graph --out G.bgr\n  cusp-part props G.bgr\n  cusp-part partition --graph G.bgr --policy NAME --hosts K [--out-dir DIR]\n                      [--sync-rounds N] [--buffer BYTES] [--threads T] [--csc]\n                      [--chunk-edges E] [--trace OUT.json]\n                      [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]\n  cusp-part launch --hosts K --graph G.bgr --policy NAME [--out-dir DIR]\n                   [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]\n                   [--kill-seed S [--kill-repeat]] [--max-restarts N]\n                   [--checkpoint-dir DIR] [--heartbeat-ms MS]\n  cusp-part worker --host-id H --hosts K --graph G.bgr --policy NAME --nonce N --out-dir DIR [--det]\n                   [--listen ADDR] [--incarnation I] [--rejoin] [--announce-phases] [--heartbeat-ms MS]\n  cusp-part inspect PART.part [PART.part ...]\n  cusp-part validate --graph G.bgr --parts DIR\n  cusp-part trace-check OUT.json\n  cusp-part apply --graph G.bgr (--batch B.txt | --events N [--seed S]) [--out G2.bgr] [--wal W.wal]\n  cusp-part wal-replay --graph G.bgr --wal W.wal [--out G2.bgr] [--policy NAME --hosts K]{client}\n  (client verbs take [--addr HOST:PORT] and print the JSON the HTTP front end returns)\npolicies (--policy NAME): {} (partition only: XTRAPULP)",
         PolicyKind::ALL.map(PolicyKind::name).join(" ")
     );
     exit(2)
@@ -184,21 +183,10 @@ fn cmd_gen(flags: &HashMap<String, String>) {
     let degree: f64 = num_flag(flags, "degree").unwrap_or(16.0);
     let seed: u64 = num_flag(flags, "seed").unwrap_or(42);
     let out = PathBuf::from(required(flags, "out"));
-    let graph = match kind {
-        "kron" => {
-            let scale = (nodes.max(2) as f64).log2().ceil() as u32;
-            println!("generating kronecker: scale {scale}, edge factor {degree}");
-            kronecker(KroneckerConfig::graph500(scale, degree as u32, seed))
-        }
-        "webcrawl" => powerlaw(PowerLawConfig::webcrawl(nodes, degree, seed)),
-        "uniform" => {
-            cusp_graph::gen::uniform::erdos_renyi(nodes, (nodes as f64 * degree) as usize, seed)
-        }
-        other => {
-            eprintln!("unknown generator '{other}'");
-            usage()
-        }
-    };
+    let graph = cusp_graph::gen::generate(kind, nodes, degree, seed).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     write_bgr(&out, &graph).expect("failed to write graph");
     println!("{}", GraphProps::compute(&graph).row(out.display().to_string().as_str()));
 }

@@ -10,6 +10,7 @@ use cusp_graph::gen::{kronecker, powerlaw, KroneckerConfig, PowerLawConfig};
 use cusp_graph::gen::uniform::erdos_renyi;
 use cusp_graph::Csr;
 use cusp_net::Cluster;
+use cusp_xtrapulp::{xtrapulp_partition, XpConfig};
 
 fn partition_all(graph: &Arc<Csr>, k: usize, kind: PolicyKind, cfg: CuspConfig) -> Vec<DistGraph> {
     let g = Arc::clone(graph);
@@ -199,6 +200,39 @@ fn more_hosts_than_nodes() {
     for kind in [PolicyKind::Eec, PolicyKind::Cvc] {
         check(&graph, 6, kind, CuspConfig::default());
     }
+}
+
+#[test]
+fn empty_host_ranges_are_valid_at_both_budgets() {
+    // 16 hosts over 10 nodes: most read ranges are empty. An empty range is
+    // still one (empty) chunk, which every phase walks and XtraPulp reads
+    // whole, from memory and from a file alike.
+    let graph = Arc::new(erdos_renyi(10, 40, 53));
+    let path = std::env::temp_dir().join(format!("cusp-empty-ranges-{}.bgr", std::process::id()));
+    cusp_graph::write_bgr(&path, &graph).unwrap();
+    let valid = |what: String, parts: Vec<DistGraph>| {
+        metrics::validate_partitioning(&graph, &parts).unwrap_or_else(|e| panic!("{what}: {e}"));
+    };
+    for source in [GraphSource::Memory(Arc::clone(&graph)), GraphSource::File(path.clone())] {
+        let from = if matches!(source, GraphSource::File(_)) { "file" } else { "memory" };
+        for kind in PolicyKind::ALL {
+            for chunk_edges in [None, Some(1)] {
+                let cfg = CuspConfig { chunk_edges, ..CuspConfig::default() };
+                let source = source.clone();
+                let out = Cluster::run(16, move |comm| {
+                    partition_with_policy(comm, source.clone(), kind, &cfg)
+                });
+                let parts = out.results.into_iter().map(|r| r.dist_graph).collect();
+                valid(format!("{kind} from {from}, chunk_edges {chunk_edges:?}"), parts);
+            }
+        }
+        let out = Cluster::run(16, move |comm| {
+            xtrapulp_partition(comm, source.clone(), &XpConfig::default())
+        });
+        let parts = out.results.into_iter().map(|r| r.partition.dist_graph).collect();
+        valid(format!("XtraPulp from {from}"), parts);
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -43,21 +43,32 @@ fn the_client_prints_what_http_returns() {
     let (framed, web) = (framed.addr().to_string(), web.addr().to_string());
     let graph = ["--tenant", "t", "--name", "g"];
 
-    // HTTP's `gen` and `cusp-part gen` build the same graph, so the
-    // server-side generation and the client's upload of the file answer
-    // with one fingerprint.
-    let gen = http(&web, "POST", "/v1/t/graphs/g/gen?kind=powerlaw&nodes=3000&degree=6&seed=5");
-    assert_eq!(gen.0, 200, "{}", gen.1);
-    let file = dir.join("g.bgr");
-    let file = file.to_str().expect("utf-8 path");
-    let made = Command::new(env!("CARGO_BIN_EXE_cusp-part"))
-        .args(["gen", "--kind", "webcrawl", "--nodes", "3000", "--degree", "6", "--seed", "5"])
-        .args(["--out", file])
-        .status()
-        .expect("run cusp-part gen");
-    assert!(made.success());
-    let upload = ["upload", "--tenant", "t", "--name", "copy", "--graph", file];
-    assert_eq!(client(&framed, &upload), (0, gen.1));
+    // HTTP's `gen` and `cusp-part gen` take one vocabulary and build the
+    // same graph, so the server-side generation and the client's upload of
+    // the file answer with one fingerprint — for `kron` too, at a node count
+    // that is not a power of two.
+    for (kind, name) in [("webcrawl", "g"), ("kron", "k")] {
+        let target = format!("/v1/t/graphs/{name}/gen?kind={kind}&nodes=3000&degree=6&seed=5");
+        let gen = http(&web, "POST", &target);
+        assert_eq!(gen.0, 200, "{kind}: {}", gen.1);
+        let file = dir.join(format!("{name}.bgr"));
+        let file = file.to_str().expect("utf-8 path");
+        let made = Command::new(env!("CARGO_BIN_EXE_cusp-part"))
+            .args(["gen", "--kind", kind, "--nodes", "3000", "--degree", "6", "--seed", "5"])
+            .args(["--out", file])
+            .status()
+            .expect("run cusp-part gen");
+        assert!(made.success(), "{kind}");
+        let copy = format!("{name}-copy");
+        let upload = ["upload", "--tenant", "t", "--name", &copy, "--graph", file];
+        assert_eq!(client(&framed, &upload), (0, gen.1), "{kind}");
+    }
+    // The daemon's old names are gone, not aliased.
+    for kind in ["powerlaw", "kronecker"] {
+        let (status, body) = http(&web, "POST", &format!("/v1/t/graphs/old/gen?kind={kind}"));
+        assert_eq!(status, 400, "{kind}: {body}");
+        assert!(body.contains("unknown generator kind"), "{kind}: {body}");
+    }
 
     // Warm the cache, so both sides see the memory tier.
     let warm = http(&web, "GET", "/v1/t/graphs/g/quality?policy=cvc&hosts=3");
