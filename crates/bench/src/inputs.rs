@@ -11,7 +11,7 @@
 //! (wdc12 is the same family at 4× scale; the `--scale large` preset adds
 //! a `wdcx` stand-in.) Graphs are generated once and cached as `.bgr`
 //! files under `target/cusp-data/` (override with `CUSP_DATA_DIR`), so
-//! benchmark binaries exercise the real disk-reading phase.
+//! the exhibits exercise the real disk-reading phase.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,21 +49,24 @@ impl Scale {
         }
     }
 
-    /// Reads the scale from argv (`--scale small|medium|large`) or the
-    /// `CUSP_SCALE` environment variable; defaults to `Small` so that a
-    /// bare `cargo run` finishes quickly.
-    pub fn from_env() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            if w[0] == "--scale" {
-                return Scale::parse(&w[1])
-                    .unwrap_or_else(|| panic!("unknown scale '{}'", w[1]));
-            }
-        }
-        std::env::var("CUSP_SCALE")
-            .ok()
-            .and_then(|s| Scale::parse(&s))
-            .unwrap_or(Scale::Small)
+    /// Picks the scale from the arguments (`--scale small|medium|large`)
+    /// or, when they name none, from `env`, the value of `CUSP_SCALE`;
+    /// `Small` when neither does, so that a bare `cargo run` finishes
+    /// quickly. An unknown name from either source is an error.
+    pub fn select(args: &[String], env: Option<&str>) -> Result<Scale, String> {
+        let (name, source) = match args.iter().position(|a| a == "--scale") {
+            Some(i) => match args.get(i + 1) {
+                Some(name) => (name.as_str(), "--scale"),
+                None => return Err("--scale needs a value: small, medium or large".into()),
+            },
+            None => match env {
+                Some(name) => (name, "CUSP_SCALE"),
+                None => return Ok(Scale::Small),
+            },
+        };
+        Scale::parse(name).ok_or_else(|| {
+            format!("unknown scale '{name}' from {source}: expected small, medium or large")
+        })
     }
 }
 
@@ -148,16 +151,35 @@ pub fn standard_inputs(scale: Scale) -> Vec<Input> {
 
 /// The two inputs the paper's drill-down exhibits focus on (Fig. 4,
 /// Tables VI/VII use clueweb12 and uk14).
-pub fn drilldown_inputs(scale: Scale) -> Vec<Input> {
-    standard_inputs(scale)
-        .into_iter()
-        .filter(|i| i.name == "cwx" || i.name == "ukx")
-        .collect()
-}
+pub const DRILLDOWN: [&str; 2] = ["cwx", "ukx"];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_comes_from_the_flag_then_the_environment() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(Scale::select(&args(&["all"]), None), Ok(Scale::Small));
+        assert_eq!(
+            Scale::select(&args(&["all"]), Some("large")),
+            Ok(Scale::Large)
+        );
+        let flag = args(&["fig3_partition_time", "--scale", "medium"]);
+        assert_eq!(Scale::select(&flag, None), Ok(Scale::Medium));
+        assert_eq!(Scale::select(&flag, Some("large")), Ok(Scale::Medium));
+        // A mistyped name is refused from either source, and names it.
+        let err = Scale::select(&args(&["all"]), Some("medum")).unwrap_err();
+        assert!(
+            err.contains("'medum'") && err.contains("CUSP_SCALE"),
+            "{err}"
+        );
+        let err = Scale::select(&args(&["all", "--scale", "medum"]), None).unwrap_err();
+        assert!(err.contains("'medum'") && err.contains("--scale"), "{err}");
+        // The flag wins even when only the environment is valid.
+        assert!(Scale::select(&args(&["all", "--scale", "x"]), Some("small")).is_err());
+        assert!(Scale::select(&args(&["all", "--scale"]), None).is_err());
+    }
 
     #[test]
     fn inputs_are_cached_and_stable() {

@@ -1,9 +1,10 @@
 //! # cusp-bench: the evaluation harness
 //!
-//! One binary per table/figure of the paper's evaluation (§V); see
-//! `DESIGN.md` for the exhibit index and `EXPERIMENTS.md` for recorded
-//! results. Each binary prints a human-readable table and writes a CSV
-//! under `results/`.
+//! One binary, `exhibits`, with one subcommand per table/figure of the
+//! paper's evaluation (§V) and `all` for every one; see `DESIGN.md` for
+//! the exhibit index and `EXPERIMENTS.md` for recorded results. Each
+//! exhibit prints a human-readable table and writes a CSV under
+//! `results/`.
 //!
 //! The shared pieces live here: the scaled-down stand-in inputs
 //! ([`inputs`]), run helpers ([`runner`]), and table/CSV output

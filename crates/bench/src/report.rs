@@ -1,4 +1,4 @@
-//! Table rendering and CSV output for the exhibit binaries.
+//! Table rendering and CSV output for the `exhibits` binary.
 
 use std::fmt::Write as _;
 use std::io::Write as _;

@@ -1,4 +1,4 @@
-//! Shared run helpers for the exhibit binaries.
+//! Shared run helpers for the `exhibits` binary.
 //!
 //! Timing methodology (documented in DESIGN.md §4): phase wall-clock is
 //! real (the parallelism is real), but thread channels are far faster than
@@ -9,6 +9,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use cusp::metrics::{self, QualityReport};
 use cusp::{partition_with_policy, CuspConfig, DistGraph, GraphSource, PhaseTimes, PolicyKind};
 use cusp_dgalois::{bfs, cc, pagerank, sssp, PageRankConfig, SyncPlan};
 use cusp_galois::ThreadPool;
@@ -17,7 +18,7 @@ use cusp_net::{Cluster, ClusterOptions, CommStats, NetworkModel};
 use cusp_xtrapulp::{xtrapulp_partition, XpConfig};
 
 /// Which partitioner to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Partitioner {
     Cusp(PolicyKind),
     XtraPulp,
@@ -39,11 +40,13 @@ impl Partitioner {
     }
 }
 
-/// Result of one partitioning run.
+/// Result of one partitioning run, without the partitions themselves:
+/// everything an exhibit row reads.
 pub struct PartitionRun {
-    pub parts: Vec<DistGraph>,
-    /// Per-phase wall times, max across hosts.
-    pub times: PhaseTimes,
+    /// Per-phase wall times of each host, indexed by host.
+    pub host_times: Vec<PhaseTimes>,
+    /// Local edges of each host's partition, indexed by host.
+    pub host_edges: Vec<u64>,
     /// The partitioning time as the paper reports it: for CuSP the whole
     /// pipeline; for XtraPulp reading + label propagation only.
     pub reported: Duration,
@@ -57,13 +60,25 @@ pub struct PartitionRun {
     /// Max over hosts of the per-host peak resident source edges (the
     /// whole read slice monolithic, the largest chunk when streaming).
     pub peak_resident_edges: u64,
+    pub quality: QualityReport,
 }
 
 impl PartitionRun {
+    /// Per-phase wall times, max across hosts.
+    pub fn times(&self) -> PhaseTimes {
+        max_times(&self.host_times)
+    }
+
     /// Headline seconds for shape comparisons.
     pub fn combined_secs(&self) -> f64 {
         self.reported.as_secs_f64() + self.modeled_net + self.modeled_disk
     }
+}
+
+fn max_times(host_times: &[PhaseTimes]) -> PhaseTimes {
+    host_times
+        .iter()
+        .fold(PhaseTimes::default(), |a, t| a.max(t))
 }
 
 /// Default cost model for all exhibits.
@@ -83,14 +98,16 @@ fn modeled_disk_secs(nodes: u64, edges: u64, k: usize) -> f64 {
     per_host / DISK_BYTES_PER_SEC
 }
 
-/// Runs one partitioner over `source` on `k` simulated hosts.
+/// Runs one partitioner over `source` on `k` simulated hosts; returns the
+/// run's summary and its partitions, indexed by host.
 pub fn run_partition(
     source: GraphSource,
     k: usize,
     p: Partitioner,
     cfg: &CuspConfig,
-) -> PartitionRun {
-    run_partition_opts(source, k, p, cfg, ClusterOptions::default()).0
+) -> (PartitionRun, Vec<DistGraph>) {
+    let (run, parts, _) = run_partition_opts(source, k, p, cfg, ClusterOptions::default());
+    (run, parts)
 }
 
 /// Like [`run_partition`], with explicit cluster options — used by the
@@ -103,95 +120,83 @@ pub fn run_partition_opts(
     p: Partitioner,
     cfg: &CuspConfig,
     opts: ClusterOptions,
-) -> (PartitionRun, Option<cusp_obs::Trace>) {
-    match p {
+) -> (PartitionRun, Vec<DistGraph>, Option<cusp_obs::Trace>) {
+    // Per host: partition, phase times, XtraPulp's own reported time, peak.
+    let out = match p {
         Partitioner::Cusp(kind) => {
             let cfg = cfg.clone();
-            let out = Cluster::run_with(k, opts, move |comm| {
+            Cluster::run_with(k, opts, move |comm| {
                 let r = partition_with_policy(comm, source.clone(), kind, &cfg);
-                (r.dist_graph, r.times, r.peak_resident_edges)
-            });
-            let mut times = PhaseTimes::default();
-            let mut parts = Vec::new();
-            let mut peak = 0;
-            for (dg, t, p) in out.results {
-                times = times.max(&t);
-                peak = peak.max(p);
-                parts.push(dg);
-            }
-            let modeled_net = PhaseTimes::NAMES
-                .iter()
-                .filter_map(|p| out.stats.phase(p))
-                .map(|ph| ph.modeled_time(&model()))
-                .sum();
-            let modeled_disk = parts
-                .first()
-                .map_or(0.0, |d| modeled_disk_secs(d.global_nodes, d.global_edges, k));
-            (
-                PartitionRun {
-                    parts,
-                    reported: times.total(),
-                    times,
-                    stats: out.stats,
-                    modeled_net,
-                    modeled_disk,
-                    peak_resident_edges: peak,
-                },
-                out.trace,
-            )
+                (r.dist_graph, r.times, None, r.peak_resident_edges)
+            })
         }
         Partitioner::XtraPulp => {
             let xp = XpConfig::default();
-            let out = Cluster::run_with(k, opts, move |comm| {
+            Cluster::run_with(k, opts, move |comm| {
                 let r = xtrapulp_partition(comm, source.clone(), &xp);
                 let peak = r.partition.peak_resident_edges;
-                (r.partition.dist_graph, r.partition.times, r.partition_time, peak)
-            });
-            let mut times = PhaseTimes::default();
-            let mut reported = Duration::ZERO;
-            let mut parts = Vec::new();
-            let mut peak = 0;
-            for (dg, t, pt, p) in out.results {
-                times = times.max(&t);
-                reported = reported.max(pt);
-                peak = peak.max(p);
-                parts.push(dg);
-            }
-            let modeled_net = out.stats.modeled_time_with_prefix(&model(), "xp:");
-            let modeled_disk = parts
-                .first()
-                .map_or(0.0, |d| modeled_disk_secs(d.global_nodes, d.global_edges, k));
-            (
-                PartitionRun {
-                    parts,
-                    times,
-                    reported,
-                    stats: out.stats,
-                    modeled_net,
-                    modeled_disk,
-                    peak_resident_edges: peak,
-                },
-                out.trace,
-            )
+                (
+                    r.partition.dist_graph,
+                    r.partition.times,
+                    Some(r.partition_time),
+                    peak,
+                )
+            })
         }
+    };
+    let mut parts = Vec::with_capacity(k);
+    let mut host_times = Vec::with_capacity(k);
+    let mut xp_reported = Duration::ZERO;
+    let mut peak = 0;
+    for (dg, t, reported, p) in out.results {
+        parts.push(dg);
+        host_times.push(t);
+        xp_reported = xp_reported.max(reported.unwrap_or_default());
+        peak = peak.max(p);
     }
+    let (reported, modeled_net) = match p {
+        Partitioner::Cusp(_) => (
+            max_times(&host_times).total(),
+            PhaseTimes::NAMES
+                .iter()
+                .filter_map(|p| out.stats.phase(p))
+                .map(|ph| ph.modeled_time(&model()))
+                .sum(),
+        ),
+        Partitioner::XtraPulp => (
+            xp_reported,
+            out.stats.modeled_time_with_prefix(&model(), "xp:"),
+        ),
+    };
+    let run = PartitionRun {
+        host_edges: parts.iter().map(DistGraph::num_local_edges).collect(),
+        host_times,
+        reported,
+        stats: out.stats,
+        modeled_net,
+        modeled_disk: modeled_disk_secs(parts[0].global_nodes, parts[0].global_edges, k),
+        peak_resident_edges: peak,
+        quality: metrics::quality(&parts),
+    };
+    (run, parts, out.trace)
 }
 
-/// Runs the partition-invariant oracle over a finished [`PartitionRun`]:
+/// Runs the partition-invariant oracle over a finished run's partitions:
 /// every input edge on exactly one host, one master per vertex with
 /// symmetric mirror pointers, well-formed CSRs, and conserved per-phase
 /// communication. Returns all violations (empty means the run is valid).
 ///
-/// Exhibit binaries call this before reporting numbers so a partitioner
-/// bug surfaces as a loud failure instead of a silently wrong figure.
-pub fn verify_run(graph: &Csr, run: &PartitionRun) -> Vec<cusp::Violation> {
-    let mut v = cusp::check_partition(graph, None, &run.parts);
+/// The `exhibits` binary calls this on every partition it reports before
+/// any row reads it, so a partitioner bug surfaces as a loud failure
+/// instead of a silently wrong figure.
+pub fn verify_run(graph: &Csr, run: &PartitionRun, parts: &[DistGraph]) -> Vec<cusp::Violation> {
+    let mut v = cusp::check_partition(graph, None, parts);
     v.extend(cusp::check_comm_stats(&run.stats));
     v
 }
 
 /// The four evaluation applications.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AppKind {
     Bfs,
     Cc,
@@ -222,6 +227,7 @@ impl AppKind {
 }
 
 /// Result of one application run over freshly built partitions.
+#[derive(Clone, Copy)]
 pub struct AppRun {
     pub elapsed: Duration,
     pub rounds: u32,
@@ -304,8 +310,8 @@ mod tests {
         let graph = Arc::new(erdos_renyi(120, 700, 17));
         let cfg = CuspConfig::default();
         for p in Partitioner::figure3_set() {
-            let run = run_partition(GraphSource::Memory(graph.clone()), 4, p, &cfg);
-            let v = verify_run(&graph, &run);
+            let (run, parts) = run_partition(GraphSource::Memory(graph.clone()), 4, p, &cfg);
+            let v = verify_run(&graph, &run, &parts);
             assert!(v.is_empty(), "{}: oracle violations: {v:#?}", p.name());
         }
     }
