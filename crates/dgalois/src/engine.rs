@@ -13,9 +13,9 @@
 
 use cusp::DistGraph;
 use cusp_galois::{do_all_items, ThreadPool};
-use cusp_net::{all_reduce_u64, Comm, ReduceOp, WireReader, WireWriter};
+use cusp_net::{all_reduce_u64, Comm, ReduceOp};
 
-use crate::plan::{SyncPlan, TAG_BCAST, TAG_REDUCE};
+use crate::plan::SyncPlan;
 use crate::values::U64Values;
 use crate::INF;
 
@@ -82,74 +82,27 @@ pub fn min_propagate_indexed(
         });
 
         // --- (2) Reduce: dirty mirrors → masters. ------------------------
-        for p in plan.reduce_targets() {
-            let mut body = WireWriter::new();
-            let mut count = 0u64;
-            for &l in &plan.reduce_out[p] {
-                let v = vals.get(l as usize);
-                if v < last_sent[l as usize] {
-                    body.put_u32(dg.global_of(l));
-                    body.put_u64(v);
-                    last_sent[l as usize] = v;
-                    count += 1;
-                }
-            }
-            let mut w = WireWriter::with_capacity(8 + body.len());
-            w.put_u64(count);
-            let body = body.finish();
-            w.put_raw(&body);
-            comm.send_bytes(p, TAG_REDUCE, w.finish());
-        }
-        for &src in &plan.reduce_in_from {
-            let payload = comm.recv_from(src, TAG_REDUCE);
-            let mut r = WireReader::new(payload);
-            let cnt = r.get_u64().expect("malformed reduce");
-            for _ in 0..cnt {
-                let g = r.get_u32().expect("malformed reduce pair");
-                let v = r.get_u64().expect("malformed reduce pair");
-                let l = dg.local_of(g).expect("reduce for absent vertex");
-                vals.min_in(l as usize, v);
-            }
+        let reduced = plan.reduce(comm, dg, |l| {
+            let (v, sent) = (vals.get(l as usize), &mut last_sent[l as usize]);
+            (v < *sent).then(|| {
+                *sent = v;
+                v
+            })
+        });
+        for (l, v) in reduced {
+            vals.min_in(l as usize, v);
         }
 
         // --- (3) Broadcast: dirty masters → subscribed mirrors. ----------
         // A master can appear in several hosts' subscription lists, so the
         // sent-snapshot is updated only after all destinations were served.
-        for p in plan.bcast_targets() {
-            let mut body = WireWriter::new();
-            let mut count = 0u64;
-            for &l in &plan.bcast_out[p] {
-                let v = vals.get(l as usize);
-                if v < last_sent[l as usize] {
-                    body.put_u32(dg.global_of(l));
-                    body.put_u64(v);
-                    count += 1;
-                }
-            }
-            let mut w = WireWriter::with_capacity(8 + body.len());
-            w.put_u64(count);
-            let body = body.finish();
-            w.put_raw(&body);
-            comm.send_bytes(p, TAG_BCAST, w.finish());
+        let dirty = |l: u32| Some(vals.get(l as usize)).filter(|&v| v < last_sent[l as usize]);
+        let received = plan.broadcast(comm, dg, dirty);
+        for &l in plan.bcast_out.iter().flatten() {
+            last_sent[l as usize] = last_sent[l as usize].min(vals.get(l as usize));
         }
-        for p in plan.bcast_targets() {
-            for &l in &plan.bcast_out[p] {
-                let v = vals.get(l as usize);
-                if v < last_sent[l as usize] {
-                    last_sent[l as usize] = v;
-                }
-            }
-        }
-        for &src in &plan.bcast_in_from {
-            let payload = comm.recv_from(src, TAG_BCAST);
-            let mut r = WireReader::new(payload);
-            let cnt = r.get_u64().expect("malformed broadcast");
-            for _ in 0..cnt {
-                let g = r.get_u32().expect("malformed bcast pair");
-                let v = r.get_u64().expect("malformed bcast pair");
-                let l = dg.local_of(g).expect("broadcast for absent vertex");
-                vals.min_in(l as usize, v);
-            }
+        for (l, v) in received {
+            vals.min_in(l as usize, v);
         }
 
         // --- (4) Global termination: anyone still below their scatter

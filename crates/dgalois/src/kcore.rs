@@ -12,10 +12,10 @@ use std::time::Instant;
 
 use cusp::DistGraph;
 use cusp_galois::ThreadPool;
-use cusp_net::{all_reduce_u64, Comm, ReduceOp, WireReader, WireWriter};
+use cusp_net::{all_reduce_u64, Comm, ReduceOp};
 
 use crate::apps::AppRun;
-use crate::plan::{global_out_degrees, SyncPlan, TAG_BCAST, TAG_REDUCE};
+use crate::plan::{global_out_degrees, SyncPlan};
 
 /// Runs k-core peeling; master values are `1` (in the k-core) or `0`.
 ///
@@ -46,33 +46,11 @@ pub fn kcore(comm: &Comm, pool: &ThreadPool, dg: &DistGraph, plan: &SyncPlan, k:
         }
 
         // --- Reduce decrements (sum) to masters. -------------------------
-        for p in plan.reduce_targets() {
-            let mut body = WireWriter::new();
-            let mut count = 0u64;
-            for &l in &plan.reduce_out[p] {
-                if pending[l as usize] > 0 {
-                    body.put_u32(dg.global_of(l));
-                    body.put_u64(pending[l as usize]);
-                    pending[l as usize] = 0;
-                    count += 1;
-                }
-            }
-            let mut w = WireWriter::with_capacity(8 + body.len());
-            w.put_u64(count);
-            let body = body.finish();
-            w.put_raw(&body);
-            comm.send_bytes(p, TAG_REDUCE, w.finish());
-        }
-        for &src in &plan.reduce_in_from {
-            let payload = comm.recv_from(src, TAG_REDUCE);
-            let mut r = WireReader::new(payload);
-            let cnt = r.get_u64().expect("malformed kcore reduce");
-            for _ in 0..cnt {
-                let g = r.get_u32().expect("malformed kcore pair");
-                let d = r.get_u64().expect("malformed kcore pair");
-                let l = dg.local_of(g).expect("kcore reduce for absent vertex") as usize;
-                pending[l] += d;
-            }
+        // Every mirror is on exactly one reduce list, so all of them were sent.
+        let received = plan.reduce(comm, dg, |l| Some(pending[l as usize]).filter(|&d| d > 0));
+        pending[dg.num_masters..].fill(0);
+        for (l, d) in received {
+            pending[l as usize] += d;
         }
         // Apply at masters (own pending + received).
         for l in 0..dg.num_masters {
@@ -83,26 +61,8 @@ pub fn kcore(comm: &Comm, pool: &ThreadPool, dg: &DistGraph, plan: &SyncPlan, k:
         }
 
         // --- Broadcast updated degrees to subscribed mirrors. ------------
-        for p in plan.bcast_targets() {
-            let list = &plan.bcast_out[p];
-            let mut w = WireWriter::with_capacity(8 + list.len() * 12);
-            w.put_u64(list.len() as u64);
-            for &l in list {
-                w.put_u32(dg.global_of(l));
-                w.put_u64(degree[l as usize]);
-            }
-            comm.send_bytes(p, TAG_BCAST, w.finish());
-        }
-        for &src in &plan.bcast_in_from {
-            let payload = comm.recv_from(src, TAG_BCAST);
-            let mut r = WireReader::new(payload);
-            let cnt = r.get_u64().expect("malformed kcore bcast");
-            for _ in 0..cnt {
-                let g = r.get_u32().expect("malformed kcore bcast pair");
-                let d = r.get_u64().expect("malformed kcore bcast pair");
-                let l = dg.local_of(g).expect("kcore bcast for absent vertex") as usize;
-                degree[l] = d;
-            }
+        for (l, d) in plan.broadcast(comm, dg, |l| Some(degree[l as usize])) {
+            degree[l as usize] = d;
         }
 
         // --- Terminate when nobody died anywhere this round. -------------

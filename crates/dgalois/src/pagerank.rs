@@ -16,9 +16,9 @@ use std::time::{Duration, Instant};
 
 use cusp::DistGraph;
 use cusp_galois::{do_all, ThreadPool};
-use cusp_net::{all_reduce_sum_f64, Comm, WireReader, WireWriter};
+use cusp_net::{all_reduce_sum_f64, Comm};
 
-use crate::plan::{global_out_degrees, SyncPlan, TAG_BCAST, TAG_REDUCE};
+use crate::plan::{global_out_degrees, SyncPlan};
 use crate::values::F64Accum;
 
 /// PageRank parameters (paper §V-A values by default).
@@ -90,33 +90,13 @@ pub fn pagerank(
         }
 
         // --- Reduce mirror accumulations to masters (sum). ---------------
-        for p in plan.reduce_targets() {
-            let mut body = WireWriter::new();
-            let mut count = 0u64;
-            for &l in &plan.reduce_out[p] {
-                let a = accum.get(l as usize);
-                if a != 0.0 {
-                    body.put_u32(dg.global_of(l));
-                    body.put_f64(a);
-                    count += 1;
-                }
-            }
-            let mut w = WireWriter::with_capacity(8 + body.len());
-            w.put_u64(count);
-            let body = body.finish();
-            w.put_raw(&body);
-            comm.send_bytes(p, TAG_REDUCE, w.finish());
-        }
-        for &src in &plan.reduce_in_from {
-            let payload = comm.recv_from(src, TAG_REDUCE);
-            let mut r = WireReader::new(payload);
-            let cnt = r.get_u64().expect("malformed pr reduce");
-            for _ in 0..cnt {
-                let g = r.get_u32().expect("malformed pr pair");
-                let a = r.get_f64().expect("malformed pr pair");
-                let l = dg.local_of(g).expect("pr reduce for absent vertex");
-                accum.add(l as usize, a);
-            }
+        let nonzero = |l: u32| {
+            Some(accum.get(l as usize))
+                .filter(|&a| a != 0.0)
+                .map(f64::to_bits)
+        };
+        for (l, a) in plan.reduce(comm, dg, nonzero) {
+            accum.add(l as usize, f64::from_bits(a));
         }
 
         // --- Apply at masters. --------------------------------------------
@@ -128,26 +108,8 @@ pub fn pagerank(
         }
 
         // --- Broadcast fresh master ranks to subscribed mirrors. ----------
-        for p in plan.bcast_targets() {
-            let list = &plan.bcast_out[p];
-            let mut w = WireWriter::with_capacity(8 + list.len() * 12);
-            w.put_u64(list.len() as u64);
-            for &l in list {
-                w.put_u32(dg.global_of(l));
-                w.put_f64(ranks[l as usize]);
-            }
-            comm.send_bytes(p, TAG_BCAST, w.finish());
-        }
-        for &src in &plan.bcast_in_from {
-            let payload = comm.recv_from(src, TAG_BCAST);
-            let mut r = WireReader::new(payload);
-            let cnt = r.get_u64().expect("malformed pr bcast");
-            for _ in 0..cnt {
-                let g = r.get_u32().expect("malformed pr bcast pair");
-                let v = r.get_f64().expect("malformed pr bcast pair");
-                let l = dg.local_of(g).expect("pr bcast for absent vertex");
-                ranks[l as usize] = v;
-            }
+        for (l, r) in plan.broadcast(comm, dg, |l| Some(ranks[l as usize].to_bits())) {
+            ranks[l as usize] = f64::from_bits(r);
         }
 
         // --- Convergence. ---------------------------------------------------

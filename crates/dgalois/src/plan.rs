@@ -13,16 +13,54 @@
 //!   paper's invariant-specific behaviours — edge-cut mirrors have no
 //!   out-edges (no broadcast at all), CVC mirrors confine partners to the
 //!   grid row/column, and general vertex-cuts broadcast widely.
+//!
+//! Every app synchronizes through [`SyncPlan::reduce`] and
+//! [`SyncPlan::broadcast`], one exchange each: a message to every peer with
+//! a non-empty list, then one message from every peer on the matching
+//! `*_in_from` list. A message is `count u64 | (gid u32, value u64)*`,
+//! little-endian, with the pairs in list order; an `f64` value travels as
+//! its `to_bits()`. `exchange` writes it and [`Received`] reads it.
 
 use cusp::DistGraph;
-use cusp_net::{Comm, Tag, WireReader, WireWriter};
+use cusp_graph::wire;
+use cusp_net::{Bytes, Comm, Tag, WireReader, WireWriter};
 
-/// Tag for the one-time plan exchange.
+/// Tag for the one-time plan exchange (and [`global_out_degrees`]).
 pub const TAG_PLAN: Tag = Tag(10);
 /// Tag for mirror→master reduction rounds.
 pub const TAG_REDUCE: Tag = Tag(11);
 /// Tag for master→mirror broadcast rounds.
 pub const TAG_BCAST: Tag = Tag(12);
+
+/// The `(local id, value)` pairs one exchange received, decoded as the
+/// caller iterates. Drain it before the next exchange on the same tag.
+/// A named type: an `impl Iterator` would capture `pick`'s borrows, and a
+/// boxed one costs a virtual call per pair.
+pub struct Received<'a> {
+    comm: &'a Comm,
+    dg: &'a DistGraph,
+    tag: Tag,
+    from: std::slice::Iter<'a, usize>,
+    msg: WireReader,
+    left: u64,
+}
+
+impl Iterator for Received<'_> {
+    type Item = (u32, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, u64)> {
+        while self.left == 0 {
+            let &src = self.from.next()?;
+            self.msg = WireReader::new(self.comm.recv_from(src, self.tag));
+            self.left = self.msg.get_u64().expect("malformed sync message");
+        }
+        self.left -= 1;
+        let g = self.msg.get_u32().expect("malformed sync pair");
+        let l = self.dg.local_of(g).expect("sync pair for an absent vertex");
+        Some((l, self.msg.get_u64().expect("malformed sync pair")))
+    }
+}
 
 /// Precomputed synchronization lists for one partition.
 pub struct SyncPlan {
@@ -109,35 +147,81 @@ impl SyncPlan {
         }
     }
 
+    /// Mirrors → masters: sends `pick(l)` for each of my mirrors `l` it
+    /// returns a value for, and yields what my masters' mirrors sent.
+    pub fn reduce<'a>(
+        &'a self,
+        comm: &'a Comm,
+        dg: &'a DistGraph,
+        pick: impl FnMut(u32) -> Option<u64>,
+    ) -> Received<'a> {
+        let (out, from) = (&self.reduce_out, &self.reduce_in_from);
+        exchange(comm, dg, TAG_REDUCE, out, from, pick)
+    }
+
+    /// Masters → subscribed mirrors: sends `pick(l)` for each of my masters
+    /// `l` a peer subscribed to, and yields what my own subscriptions got.
+    /// A master on several peers' lists is picked once per list.
+    pub fn broadcast<'a>(
+        &'a self,
+        comm: &'a Comm,
+        dg: &'a DistGraph,
+        pick: impl FnMut(u32) -> Option<u64>,
+    ) -> Received<'a> {
+        let (out, from) = (&self.bcast_out, &self.bcast_in_from);
+        exchange(comm, dg, TAG_BCAST, out, from, pick)
+    }
+
     /// Hosts I send reduce messages to every round.
     pub fn reduce_targets(&self) -> impl Iterator<Item = usize> + '_ {
-        self.reduce_out
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(p, _)| p)
+        non_empty(&self.reduce_out)
     }
 
     /// Hosts I send broadcast messages to every round.
     pub fn bcast_targets(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bcast_out
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(p, _)| p)
+        non_empty(&self.bcast_out)
     }
+}
 
-    /// Number of distinct communication partners (either direction).
-    pub fn partner_count(&self) -> usize {
-        let mut partners: Vec<usize> = self
-            .reduce_targets()
-            .chain(self.bcast_targets())
-            .chain(self.reduce_in_from.iter().copied())
-            .chain(self.bcast_in_from.iter().copied())
-            .collect();
-        partners.sort_unstable();
-        partners.dedup();
-        partners.len()
+/// The peers whose list is non-empty: the ones an exchange sends to.
+fn non_empty(lists: &[Vec<u32>]) -> impl Iterator<Item = usize> + '_ {
+    (0..lists.len()).filter(|&p| !lists[p].is_empty())
+}
+
+/// The one exchange: sends every peer with a non-empty `out_lists[p]` the
+/// listed proxies `pick` returns a value for, then returns the pairs from
+/// `in_from`, in that order. `pick` is dropped before the first pair is
+/// yielded, so the caller may write what it read.
+fn exchange<'a>(
+    comm: &'a Comm,
+    dg: &'a DistGraph,
+    tag: Tag,
+    out_lists: &[Vec<u32>],
+    in_from: &'a [usize],
+    mut pick: impl FnMut(u32) -> Option<u64>,
+) -> Received<'a> {
+    for peer in non_empty(out_lists) {
+        let list = &out_lists[peer];
+        let mut msg = Vec::with_capacity(8 + 12 * list.len());
+        wire::put_u64(&mut msg, 0); // the count, patched below
+        let mut count = 0u64;
+        for &l in list {
+            if let Some(v) = pick(l) {
+                wire::put_u32(&mut msg, dg.global_of(l));
+                wire::put_u64(&mut msg, v);
+                count += 1;
+            }
+        }
+        wire::encode_u64s(&[count], &mut msg[..8]);
+        comm.send_bytes(peer, tag, Bytes::from(msg));
+    }
+    Received {
+        comm,
+        dg,
+        tag,
+        from: in_from.iter(),
+        msg: WireReader::new(Bytes::new()),
+        left: 0,
     }
 }
 
@@ -148,51 +232,14 @@ impl SyncPlan {
 pub fn global_out_degrees(comm: &Comm, dg: &DistGraph, plan: &SyncPlan) -> Vec<u64> {
     let n = dg.num_local();
     let mut deg: Vec<u64> = (0..n as u32).map(|l| dg.graph.out_degree(l)).collect();
-
-    // Reduce: mirrors report their local degree to the master owner.
-    for p in plan.reduce_targets() {
-        let mut w = WireWriter::new();
-        let list = &plan.reduce_out[p];
-        w.put_u64(list.len() as u64);
-        for &l in list {
-            w.put_u32(dg.global_of(l));
-            w.put_u64(deg[l as usize]);
-        }
-        comm.send_bytes(p, TAG_PLAN, w.finish());
+    // Mirrors report their local degree to the master, which publishes the sum.
+    let (out, from) = (&plan.reduce_out, &plan.reduce_in_from);
+    for (l, d) in exchange(comm, dg, TAG_PLAN, out, from, |l| Some(deg[l as usize])) {
+        deg[l as usize] += d;
     }
-    for &src in &plan.reduce_in_from {
-        let payload = comm.recv_from(src, TAG_PLAN);
-        let mut r = WireReader::new(payload);
-        let cnt = r.get_u64().expect("malformed degree reduce");
-        for _ in 0..cnt {
-            let g = r.get_u32().expect("malformed degree pair");
-            let d = r.get_u64().expect("malformed degree pair");
-            let l = dg.local_of(g).expect("degree for absent vertex");
-            deg[l as usize] += d;
-        }
-    }
-
-    // Broadcast: masters publish the global degree to subscribers.
-    for p in plan.bcast_targets() {
-        let mut w = WireWriter::new();
-        let list = &plan.bcast_out[p];
-        w.put_u64(list.len() as u64);
-        for &l in list {
-            w.put_u32(dg.global_of(l));
-            w.put_u64(deg[l as usize]);
-        }
-        comm.send_bytes(p, TAG_PLAN, w.finish());
-    }
-    for &src in &plan.bcast_in_from {
-        let payload = comm.recv_from(src, TAG_PLAN);
-        let mut r = WireReader::new(payload);
-        let cnt = r.get_u64().expect("malformed degree bcast");
-        for _ in 0..cnt {
-            let g = r.get_u32().expect("malformed degree pair");
-            let d = r.get_u64().expect("malformed degree pair");
-            let l = dg.local_of(g).expect("degree for absent vertex");
-            deg[l as usize] = d;
-        }
+    let (out, from) = (&plan.bcast_out, &plan.bcast_in_from);
+    for (l, d) in exchange(comm, dg, TAG_PLAN, out, from, |l| Some(deg[l as usize])) {
+        deg[l as usize] = d;
     }
     deg
 }

@@ -21,17 +21,6 @@ impl U64Values {
     }
 
     #[inline]
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    #[inline]
     /// Reads slot `i`.
     pub fn get(&self, i: usize) -> u64 {
         self.slots[i].load(Ordering::Relaxed)
@@ -93,16 +82,6 @@ impl F64Accum {
         for s in &self.slots {
             s.store(0f64.to_bits(), Ordering::Relaxed);
         }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 

@@ -213,85 +213,6 @@ impl Csr {
     }
 }
 
-/// Incremental CSR builder for construction phases that know per-node
-/// degree counts in advance (CuSP's graph-allocation phase): allocate once,
-/// then insert edges in any order, in parallel-friendly per-node slots.
-pub struct CsrBuilder {
-    offsets: Vec<EdgeIdx>,
-    dests: Vec<Node>,
-    /// Next insertion slot per node.
-    cursor: Vec<EdgeIdx>,
-}
-
-impl CsrBuilder {
-    /// Allocates a builder for nodes with the given degrees.
-    pub fn with_degrees(degrees: &[u64]) -> Self {
-        let n = degrees.len();
-        let mut offsets = vec![0 as EdgeIdx; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + degrees[v];
-        }
-        let total = offsets[n] as usize;
-        CsrBuilder {
-            cursor: offsets[..n].to_vec(),
-            dests: vec![0; total],
-            offsets,
-        }
-    }
-
-    /// Inserts one out-edge of local node `u`.
-    ///
-    /// # Panics
-    /// Panics if more edges are inserted for `u` than its declared degree.
-    pub fn insert(&mut self, u: usize, dst: Node) {
-        let slot = self.cursor[u];
-        assert!(
-            slot < self.offsets[u + 1],
-            "too many edges inserted for node {u}"
-        );
-        self.dests[slot as usize] = dst;
-        self.cursor[u] = slot + 1;
-    }
-
-    /// Inserts a batch of out-edges of `u`, returning the slot range used.
-    pub fn insert_batch(&mut self, u: usize, dsts: &[Node]) {
-        for &d in dsts {
-            self.insert(u, d);
-        }
-    }
-
-    /// Finishes, checking all declared slots were filled.
-    ///
-    /// # Panics
-    /// Panics if any node received fewer edges than declared.
-    pub fn finish(self) -> Csr {
-        for u in 0..self.cursor.len() {
-            assert!(
-                self.cursor[u] == self.offsets[u + 1],
-                "node {u} missing edges: filled {} of {}",
-                self.cursor[u] - self.offsets[u],
-                self.offsets[u + 1] - self.offsets[u]
-            );
-        }
-        Csr {
-            offsets: self.offsets,
-            dests: self.dests,
-        }
-    }
-
-    /// Raw parts for lock-free parallel filling: `(offsets, dests_ptr)`.
-    /// Used by the construction phase, which computes disjoint slot ranges
-    /// with a prefix sum and fills them from multiple threads.
-    pub fn into_parts(self) -> (Vec<EdgeIdx>, Vec<Node>, Vec<EdgeIdx>) {
-        (self.offsets, self.dests, self.cursor)
-    }
-
-    /// Rebuilds from parts after external (parallel) filling.
-    pub fn from_filled_parts(offsets: Vec<EdgeIdx>, dests: Vec<Node>) -> Csr {
-        Csr::from_parts(offsets, dests)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,33 +279,6 @@ mod tests {
         assert_eq!(g.max_out_degree_node(), Some(1));
         let empty = Csr::from_edges(0, &[]);
         assert_eq!(empty.max_out_degree_node(), None);
-    }
-
-    #[test]
-    fn builder_round_trip() {
-        let degrees = vec![2, 0, 1];
-        let mut b = CsrBuilder::with_degrees(&degrees);
-        b.insert(2, 0);
-        b.insert(0, 2);
-        b.insert(0, 1);
-        let g = b.finish();
-        assert_eq!(g.edges(0), &[2, 1]);
-        assert_eq!(g.edges(2), &[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "too many edges")]
-    fn builder_rejects_overfill() {
-        let mut b = CsrBuilder::with_degrees(&[1]);
-        b.insert(0, 0);
-        b.insert(0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "missing edges")]
-    fn builder_rejects_underfill() {
-        let b = CsrBuilder::with_degrees(&[1]);
-        let _ = b.finish();
     }
 
     #[test]

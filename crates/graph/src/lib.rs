@@ -32,7 +32,7 @@ pub mod wal;
 pub mod wire;
 
 pub use chunk::{chunk_boundaries, ChunkBacking, ChunkedSlice};
-pub use csr::{Csr, CsrBuilder};
+pub use csr::Csr;
 pub use dist::{reading_split, ReadSplit};
 pub use file::{
     read_bgr, read_bgr_any, read_bgr_weighted, write_bgr, write_bgr_weighted, RangeReader,

@@ -291,16 +291,6 @@ impl PhaseSnapshot {
         self.recv_msgs[src * self.hosts + dst]
     }
 
-    /// Total bytes delivered to applications across all host pairs.
-    pub fn total_recv_bytes(&self) -> u64 {
-        self.recv_bytes.iter().sum()
-    }
-
-    /// Total messages delivered to applications across all host pairs.
-    pub fn total_recv_messages(&self) -> u64 {
-        self.recv_msgs.iter().sum()
-    }
-
     /// The `(src, dst)` pairs whose send-side and receive-side accounting
     /// disagree — the conservation invariant (everything sent in a phase is
     /// delivered and consumed) fails exactly on these cells.

@@ -129,6 +129,16 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> T {
     })
 }
 
+/// `--hosts K`, refusing 0: no cluster runs on zero hosts.
+fn hosts_flag(flags: &HashMap<String, String>) -> usize {
+    let hosts = parse_num(required(flags, "hosts"), "host count");
+    if hosts == 0 {
+        eprintln!("--hosts must be at least 1");
+        usage()
+    }
+    hosts
+}
+
 /// An optional numeric flag, parsed.
 fn num_flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str) -> Option<T> {
     flags.get(name).map(|s| parse_num(s, name))
@@ -372,7 +382,7 @@ fn cusp_cfg_from_flags(flags: &HashMap<String, String>) -> CuspConfig {
 fn cmd_partition(flags: &HashMap<String, String>) {
     let graph_path = PathBuf::from(required(flags, "graph"));
     let policy_name = required(flags, "policy").to_ascii_uppercase();
-    let hosts: usize = parse_num(required(flags, "hosts"), "host count");
+    let hosts = hosts_flag(flags);
     let crash_seed: Option<u64> = num_flag(flags, "crash-seed");
     let mut cfg = cusp_cfg_from_flags(flags);
     if crash_seed.is_some() {
@@ -507,7 +517,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
 /// they share.
 fn run_spec_from_flags(flags: &HashMap<String, String>) -> RunSpec {
     RunSpec {
-        hosts: parse_num(required(flags, "hosts"), "host count"),
+        hosts: hosts_flag(flags),
         graph: PathBuf::from(required(flags, "graph")),
         policy: policy_flag(flags),
         out_dir: flags.get("out-dir").map(PathBuf::from).unwrap_or_else(|| {
@@ -547,10 +557,6 @@ fn cmd_launch(flags: &HashMap<String, String>) {
         max_restarts: num_flag(flags, "max-restarts").unwrap_or(3),
     };
     let run = &spec.run;
-    if run.hosts == 0 {
-        eprintln!("launch needs at least one host");
-        exit(2);
-    }
     let report = distributed::launch(&spec, &mut std::io::stdout()).unwrap_or_else(|e| {
         eprintln!("cusp-part launch: {e}");
         exit(1)
@@ -670,6 +676,10 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
 
     let graph_path = PathBuf::from(required(flags, "graph"));
     let wal_path = required(flags, "wal");
+    let checker = flags.contains_key("policy").then(|| {
+        let hosts = flags.get("hosts").map_or(4, |_| hosts_flag(flags));
+        (policy_flag(flags), hosts)
+    });
     let (mut graph, mut weights) =
         cusp_graph::read_bgr_any(&graph_path).expect("cannot read graph");
     let wal = cusp_graph::Wal::new(PathBuf::from(wal_path));
@@ -679,9 +689,6 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
     });
     println!("{}: {} batch(es)", wal_path, batches.len());
 
-    let checker = flags
-        .contains_key("policy")
-        .then(|| (policy_flag(flags), num_flag(flags, "hosts").unwrap_or(4usize)));
     // The delta/full equivalence check rides on the determinism contract.
     let cfg = CuspConfig {
         deterministic_sync: true,

@@ -1,0 +1,62 @@
+//! `cusp-part` refuses a cluster of zero hosts as a usage error: exit 2
+//! with a message, never `Cluster::try_run_with`'s assertion and a panic.
+
+use std::process::Command;
+
+fn cusp_part(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_cusp-part"))
+        .args(args)
+        .output()
+        .expect("run cusp-part")
+}
+
+#[test]
+fn zero_hosts_is_a_usage_error_for_every_cluster_command() {
+    let dir = std::env::temp_dir().join(format!("cusp-cli-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let graph = dir.join("g.bgr");
+    let graph = graph.to_str().expect("utf-8 path");
+    let gen = cusp_part(&[
+        "gen", "--kind", "uniform", "--nodes", "50", "--degree", "4", "--out", graph,
+    ]);
+    assert!(
+        gen.status.success(),
+        "gen: {}",
+        String::from_utf8_lossy(&gen.stderr)
+    );
+    let wal = dir.join("w.wal");
+    let wal = wal.to_str().expect("utf-8 path");
+    let applied = cusp_part(&["apply", "--graph", graph, "--events", "5", "--wal", wal]);
+    assert!(
+        applied.status.success(),
+        "apply: {}",
+        String::from_utf8_lossy(&applied.stderr)
+    );
+    let out_dir = dir.join("parts");
+    let out_dir = out_dir.to_str().expect("utf-8 path");
+
+    let graph_policy = ["--graph", graph, "--policy", "CVC", "--hosts", "0"];
+    let runs: [(&str, &[&str]); 3] = [
+        ("partition", &["--out-dir", out_dir]),
+        ("launch", &["--out-dir", out_dir]),
+        ("wal-replay", &["--wal", wal]),
+    ];
+    for (cmd, extra) in runs {
+        let out = cusp_part(&[&[cmd][..], &graph_policy, extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{cmd} --hosts 0 exits 2\n{stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "{cmd} --hosts 0 must not panic\n{stderr}"
+        );
+        assert!(
+            stderr.contains("--hosts must be at least 1"),
+            "{cmd}: says why\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
