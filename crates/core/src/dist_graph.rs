@@ -47,7 +47,21 @@ pub struct DistGraph {
     pub class: PartitionClass,
 }
 
+/// Heap bytes behind `v`'s buffer (its capacity, not its length).
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * std::mem::size_of::<T>()) as u64
+}
+
 impl DistGraph {
+    /// Heap bytes of the partition's buffers (capacities, not lengths): the
+    /// local-id maps, the CSR and the per-edge data.
+    pub fn heap_bytes(&self) -> u64 {
+        vec_bytes(&self.local2global)
+            + vec_bytes(&self.master_of)
+            + self.graph.heap_bytes()
+            + self.edge_data.as_ref().map_or(0, vec_bytes)
+    }
+
     /// Number of proxies (masters + mirrors) in this partition.
     #[inline]
     pub fn num_local(&self) -> usize {

@@ -14,12 +14,21 @@
 //! in the sparse fallback), and the edge buffers are reserved, not
 //! zero-filled — construction writes every slot exactly once and gives the
 //! buffers their length only after checking that it did.
+//!
+//! It also consumes what edge assignment handed it, so the outcome never
+//! sits beside the partition it became: the reported mirrors are freed
+//! once merged into the mirror proxies, the incoming sources once their
+//! edge counts are in place, and a stored master list is moved into
+//! `local2global` as its masters segment rather than copied. Row counts go
+//! straight into `offsets[l + 1]` and one in-place prefix sum turns them
+//! into offsets, with no degree array beside them.
 
 use std::sync::atomic::AtomicU64;
 
-use cusp_galois::{exclusive_prefix_sum, ThreadPool};
+use cusp_galois::{inclusive_prefix_sum_in_place, ThreadPool};
 use cusp_graph::{EdgeIdx, Node};
 
+use crate::dist_graph::vec_bytes;
 use crate::phases::edge_assign::{merge_runs, EdgeAssignOutcome};
 use crate::PartId;
 
@@ -58,6 +67,21 @@ pub struct AllocOutcome {
 }
 
 impl AllocOutcome {
+    /// Heap bytes of every buffer the outcome holds (capacities, not
+    /// lengths): the output arrays construction fills and freezes, plus the
+    /// cursors and the global→local index that construction alone needs.
+    pub fn heap_bytes(&self) -> u64 {
+        vec_bytes(&self.local2global)
+            + vec_bytes(&self.master_of)
+            + vec_bytes(&self.offsets)
+            + vec_bytes(&self.dests)
+            + self.edge_data.as_ref().map_or(0, vec_bytes)
+            + vec_bytes(&self.cursors)
+            + vec_bytes(&self.index_keys)
+            + vec_bytes(&self.index_locals)
+            + vec_bytes(&self.dense_index)
+    }
+
     /// Builds the global→local index over a finished `local2global` map.
     ///
     /// Construction resolves every received destination through
@@ -110,50 +134,59 @@ impl AllocOutcome {
 ///
 /// Both feed the same allocation path; the spec only decides how the sorted
 /// master-global list is produced.
-pub enum MasterSpec<'a> {
-    /// Masters were stored and exchanged (sorted ascending global ids).
-    Stored(&'a [Node]),
+pub enum MasterSpec {
+    /// Masters were stored and exchanged: the outcome's sorted
+    /// `my_master_nodes`, which becomes the masters segment of
+    /// `local2global` without a copy.
+    Stored,
     /// Pure master rule: this host's masters are exactly the range.
     PureRange(std::ops::Range<Node>),
 }
 
-/// Runs the allocation phase for host `me`.
+/// Runs the allocation phase for host `me`, consuming what edge assignment
+/// handed it.
 pub fn allocate(
     me: usize,
     pool: &ThreadPool,
-    spec: MasterSpec<'_>,
-    outcome: &EdgeAssignOutcome,
+    spec: MasterSpec,
+    mut outcome: EdgeAssignOutcome,
     weighted: bool,
 ) -> AllocOutcome {
     let master_globals: Vec<Node> = match spec {
-        MasterSpec::Stored(globals) => globals.to_vec(),
+        MasterSpec::Stored => outcome
+            .my_master_nodes
+            .take()
+            .expect("stored master assignment produced no master list"),
         MasterSpec::PureRange(range) => range.collect(),
     };
-    build(me, pool, master_globals, outcome, weighted)
+    let alloc = build(me, pool, master_globals, outcome, weighted);
+    cusp_obs::counter("mem.alloc", alloc.heap_bytes());
+    alloc
 }
 
 fn build(
     me: usize,
     pool: &ThreadPool,
-    master_globals: Vec<Node>,
-    outcome: &EdgeAssignOutcome,
+    mut local2global: Vec<Node>,
+    outcome: EdgeAssignOutcome,
     weighted: bool,
 ) -> AllocOutcome {
-    debug_assert!(master_globals.windows(2).all(|w| w[0] < w[1]));
-    let num_masters = master_globals.len();
-    let in_masters = |v: Node| master_globals.binary_search(&v).is_ok();
+    let EdgeAssignOutcome { incoming_srcs, mirrors, .. } = outcome;
+    let masters = &local2global[..];
+    debug_assert!(masters.windows(2).all(|w| w[0] < w[1]));
+    let num_masters = masters.len();
+    let in_masters = |v: Node| masters.binary_search(&v).is_ok();
 
     // --- Mirror proxies: incoming sources with remote masters plus the
     // destination mirrors reported by edge assignment. ---------------------
-    let mut mirror_pairs: Vec<(Node, PartId)> = Vec::with_capacity(
-        outcome.mirrors.len() + outcome.incoming_srcs.len() / 2,
-    );
-    for &(d, dm) in &outcome.mirrors {
+    let mut mirror_pairs: Vec<(Node, PartId)> =
+        Vec::with_capacity(mirrors.len() + incoming_srcs.len() / 2);
+    for (d, dm) in mirrors {
         debug_assert_ne!(dm as usize, me);
         debug_assert!(!in_masters(d), "mirror {d} is also a master here");
         mirror_pairs.push((d, dm));
     }
-    for &(s, _, sm) in &outcome.incoming_srcs {
+    for &(s, _, sm) in &incoming_srcs {
         if sm as usize != me {
             mirror_pairs.push((s, sm));
         } else {
@@ -169,18 +202,17 @@ fn build(
         "a mirror was reported with two different master locations"
     );
 
-    // --- Local id maps. ----------------------------------------------------
+    // --- Local id maps: the masters segment is the master list itself. ----
     let num_local = num_masters + mirror_pairs.len();
-    let mut local2global = Vec::with_capacity(num_local);
+    local2global.reserve_exact(mirror_pairs.len());
     let mut master_of = Vec::with_capacity(num_local);
-    local2global.extend_from_slice(&master_globals);
     master_of.extend(std::iter::repeat_n(me as PartId, num_masters));
-    for &(v, m) in &mirror_pairs {
+    for (v, m) in mirror_pairs {
         local2global.push(v);
         master_of.push(m);
     }
 
-    // --- Degrees and CSR skeleton. -----------------------------------------
+    // --- CSR skeleton. -----------------------------------------------------
     let (index_keys, index_locals, index_lo, dense_index) =
         AllocOutcome::build_index(&local2global);
     let alloc = AllocOutcome {
@@ -196,14 +228,14 @@ fn build(
         index_lo,
         dense_index,
     };
-    let mut degrees = vec![0u64; num_local];
-    for &(s, c, _) in &outcome.incoming_srcs {
-        degrees[alloc.local_of(s) as usize] += c as u64;
-    }
-    // Offsets via parallel prefix sum (§IV-C2).
+    // Row counts go straight into `offsets[l + 1]`, and one in-place
+    // parallel prefix sum (§IV-C2) turns them into offsets.
     let mut offsets = vec![0u64; num_local + 1];
-    let total = exclusive_prefix_sum(pool, &degrees, &mut offsets[..num_local]);
-    offsets[num_local] = total;
+    for &(s, c, _) in &incoming_srcs {
+        offsets[alloc.local_of(s) as usize + 1] += c as u64;
+    }
+    drop(incoming_srcs);
+    let total = inclusive_prefix_sum_in_place(pool, &mut offsets[1..]);
     let cursors: Vec<AtomicU64> = offsets[..num_local]
         .iter()
         .map(|&o| AtomicU64::new(o))
@@ -242,7 +274,7 @@ mod tests {
     fn allocation_layout() {
         let pool = ThreadPool::new(2);
         let o = outcome();
-        let a = allocate(0, &pool, MasterSpec::Stored(o.my_master_nodes.as_deref().unwrap()), &o, false);
+        let a = allocate(0, &pool, MasterSpec::Stored, o, false);
         // masters {2, 4}, mirrors {7, 9}
         assert_eq!(a.local2global, vec![2, 4, 7, 9]);
         assert_eq!(a.num_masters, 2);
@@ -263,7 +295,7 @@ mod tests {
             my_master_nodes: None,
             to_receive: 0,
         };
-        let a = allocate(0, &pool, MasterSpec::PureRange(5..8), &o, true);
+        let a = allocate(0, &pool, MasterSpec::PureRange(5..8), o, true);
         assert_eq!(a.local2global, vec![5, 6, 7, 20]);
         assert_eq!(a.num_masters, 3);
         assert_eq!(a.master_of, vec![0, 0, 0, 1]);
@@ -282,7 +314,7 @@ mod tests {
             my_master_nodes: Some(vec![0, 1]),
             to_receive: 2,
         };
-        let a = allocate(0, &pool, MasterSpec::Stored(o.my_master_nodes.as_deref().unwrap()), &o, false);
+        let a = allocate(0, &pool, MasterSpec::Stored, o, false);
         assert_eq!(a.local2global, vec![0, 1, 500_000_000, 1_000_000_000]);
         assert_eq!(a.local_of(0), 0);
         assert_eq!(a.local_of(1), 1);
@@ -299,7 +331,7 @@ mod tests {
             0,
             &pool,
             MasterSpec::PureRange(0..2),
-            &EdgeAssignOutcome {
+            EdgeAssignOutcome {
                 incoming_srcs: vec![],
                 mirrors: vec![],
                 my_master_nodes: None,
@@ -405,18 +437,19 @@ mod tests {
                 for &i in &order {
                     incoming_srcs.extend_from_slice(&blocks[peers[i]]);
                 }
+                let stored = stored || stride > 1;
                 let outcome = EdgeAssignOutcome {
                     incoming_srcs,
                     mirrors: mirrors.clone(),
-                    my_master_nodes: None,
+                    my_master_nodes: stored.then(|| master_ids.clone()),
                     to_receive: 0,
                 };
-                let spec = if stored || stride > 1 {
-                    MasterSpec::Stored(&master_ids)
+                let spec = if stored {
+                    MasterSpec::Stored
                 } else {
                     MasterSpec::PureRange(m_lo..m_lo + m_len)
                 };
-                let a = allocate(me, &pool, spec, &outcome, weighted);
+                let a = allocate(me, &pool, spec, outcome, weighted);
                 prop_assert_eq!(&a.local2global, &want_l2g);
                 prop_assert_eq!(a.num_masters, master_ids.len());
                 prop_assert_eq!(&a.master_of, &want_master_of);

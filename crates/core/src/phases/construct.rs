@@ -461,7 +461,7 @@ mod tests {
             ea.incoming_srcs[0].1 += 1;
             let spec = MasterSpec::PureRange(mrule.pure_owned_range(0));
             let weighted = r.data.weighted();
-            let mut alloc = allocate(0, &pool, spec, &ea, weighted);
+            let mut alloc = allocate(0, &pool, spec, ea.clone(), weighted);
             let built = catch_unwind(AssertUnwindSafe(|| {
                 construct(
                     comm,

@@ -105,7 +105,7 @@ use crate::dist_graph::{DistGraph, PartitionClass};
 use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
 use crate::phases::bitset::NodeBitRows;
 use crate::phases::construct::{construct, slot_ptrs};
-use crate::phases::driver::{partition, PartitionOutput};
+use crate::phases::driver::{freeze_part, partition, PartitionOutput};
 use crate::phases::edge_assign::{merge_runs, tally_edges, EdgeAssignOutcome, EdgeFilter};
 use crate::phases::master::{pure_masters, ResolvedMasters};
 use crate::phases::pipeline::{PhaseCtx, ReplayReady};
@@ -493,6 +493,7 @@ fn delta_assign<'a, ER: EdgeRule>(
     // ascending run (the kept ones two), so the mirrors merge, not sort.
     ea.mirrors = merge_runs(std::mem::take(&mut ea.mirrors));
     ea.mirrors.dedup();
+    cusp_obs::counter("mem.edge_assign_outcome", ea.heap_bytes());
     (ea, kept)
 }
 
@@ -611,22 +612,25 @@ where
     let (ea, kept) = ctx.run_phase(PhaseId::EdgeAssign, |ctx| delta_assign(ctx, &cx, &mut data));
 
     // Phase 4: allocation — unchanged; the synthesized outcome feeds the
-    // exact same deterministic local-id layout a full run would compute.
+    // exact same deterministic local-id layout a full run would compute,
+    // and is consumed by it.
+    let to_receive = ea.to_receive;
     let spec = MasterSpec::PureRange(master_rule.pure_owned_range(comm.host() as PartId));
     let weighted = data.weighted();
     let mut alloc =
-        ctx.run_phase(PhaseId::Alloc, |ctx| allocate(comm.host(), &ctx.pool, spec, &ea, weighted));
+        ctx.run_phase(PhaseId::Alloc, |ctx| allocate(comm.host(), &ctx.pool, spec, ea, weighted));
 
     // Phase 5: delta construction (kept edges copied, dirty edges shipped).
     let reused_edges = kept.reused_edges();
-    let built = ctx.run_phase(PhaseId::Construct, |ctx| {
-        delta_construct(ctx, &cx, kept, &mut data, &mut alloc, ea.to_receive)
+    let dist_graph = ctx.run_phase(PhaseId::Construct, |ctx| {
+        let built = delta_construct(ctx, &cx, kept, &mut data, &mut alloc, to_receive);
+        freeze_part(comm.host(), class, &setup, alloc, built)
     });
 
     PartitionOutput {
         dirty_vertices: dirty.len(),
         reused_edges,
-        ..PartitionOutput::assemble(ctx, class, setup, &data, alloc, built)
+        ..PartitionOutput::assemble(ctx, setup, &data, dist_graph)
     }
 }
 
@@ -762,7 +766,7 @@ mod tests {
             kept.counts[l].fetch_add(1, Ordering::Relaxed);
         }
         let ea = kept.outcome(&masters, 0);
-        let alloc = allocate(0, pool, MasterSpec::PureRange(0..5), &ea, true);
+        let alloc = allocate(0, pool, MasterSpec::PureRange(0..5), ea.clone(), true);
         (kept, ea, alloc)
     }
 

@@ -70,30 +70,17 @@ pub struct PartitionOutput {
 }
 
 impl PartitionOutput {
-    /// Assembles a host's result from what allocation and construction
-    /// produced, accounted as a full run (everything recomputed, nothing
-    /// reused) — `partition_delta` overrides those two counters.
+    /// Assembles a host's result around the partition construction froze,
+    /// accounted as a full run (everything recomputed, nothing reused) —
+    /// `partition_delta` overrides those two counters.
     pub(crate) fn assemble(
         ctx: PhaseCtx<'_>,
-        class: PartitionClass,
         setup: Setup,
         data: &ChunkedSlice,
-        alloc: AllocOutcome,
-        (graph, edge_data): (Csr, Option<Vec<u32>>),
+        dist_graph: DistGraph,
     ) -> Self {
         PartitionOutput {
-            dist_graph: DistGraph {
-                part_id: ctx.comm.host() as PartId,
-                num_parts: setup.parts,
-                global_nodes: setup.num_nodes,
-                global_edges: setup.num_edges,
-                num_masters: alloc.num_masters,
-                local2global: alloc.local2global,
-                master_of: alloc.master_of,
-                graph,
-                edge_data,
-                class,
-            },
+            dist_graph,
             times: ctx.times,
             peak_resident_edges: data.peak_resident_edges(),
             dirty_vertices: setup.num_nodes,
@@ -101,6 +88,32 @@ impl PartitionOutput {
             setup,
         }
     }
+}
+
+/// Host `me`'s partition from what allocation and construction produced.
+/// Called as the construction phase ends, so its span records the output's
+/// size as `mem.output`.
+pub(crate) fn freeze_part(
+    me: usize,
+    class: PartitionClass,
+    setup: &Setup,
+    alloc: AllocOutcome,
+    (graph, edge_data): (Csr, Option<Vec<u32>>),
+) -> DistGraph {
+    let part = DistGraph {
+        part_id: me as PartId,
+        num_parts: setup.parts,
+        global_nodes: setup.num_nodes,
+        global_edges: setup.num_edges,
+        num_masters: alloc.num_masters,
+        local2global: alloc.local2global,
+        master_of: alloc.master_of,
+        graph,
+        edge_data,
+        class,
+    };
+    cusp_obs::counter("mem.output", part.heap_bytes());
+    part
 }
 
 /// Partitions the input graph with a user-supplied policy.
@@ -194,26 +207,25 @@ where
         ea
     });
 
-    // Phase 4: graph allocation (host-local, no barrier).
+    // Phase 4: graph allocation (host-local, no barrier). It consumes the
+    // outcome, freeing each part once read; construction needs only the
+    // count of edges still to arrive.
+    let to_receive = ea.to_receive;
     let spec = if masters.is_pure() {
         MasterSpec::PureRange(master_rule.pure_owned_range(me as PartId))
     } else {
-        MasterSpec::Stored(
-            ea.my_master_nodes
-                .as_deref()
-                .expect("stored master assignment produced no master list"),
-        )
+        MasterSpec::Stored
     };
     let weighted = data.weighted();
     let mut alloc =
-        ctx.run_phase(PhaseId::Alloc, |ctx| allocate(me, &ctx.pool, spec, &ea, weighted));
+        ctx.run_phase(PhaseId::Alloc, |ctx| allocate(me, &ctx.pool, spec, ea, weighted));
 
     // Phase 5: graph construction (Algorithm 4). Arming the replay token
     // resets the edge-rule state so construction replays the assignment
     // decisions.
     let replay = ReplayReady::arm(&estate);
-    let built = ctx.run_phase(PhaseId::Construct, |ctx| {
-        construct(
+    let dist_graph = ctx.run_phase(PhaseId::Construct, |ctx| {
+        let built = construct(
             comm,
             &ctx.pool,
             &setup,
@@ -222,11 +234,12 @@ where
             &edge_rule,
             replay,
             &mut alloc,
-            ea.to_receive,
+            to_receive,
             cfg,
             &AllEdges,
-        )
+        );
+        freeze_part(me, class, &setup, alloc, built)
     });
 
-    PartitionOutput::assemble(ctx, class, setup, &data, alloc, built)
+    PartitionOutput::assemble(ctx, setup, &data, dist_graph)
 }

@@ -40,6 +40,7 @@ use cusp_galois::{do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{ChunkedSlice, Node};
 use cusp_net::{Comm, WireReader, WireWriter};
 
+use crate::dist_graph::vec_bytes;
 use crate::phases::bitset::NodeBitRows;
 use crate::phases::master::ResolvedMasters;
 use crate::phases::pipeline::for_each_chunk;
@@ -50,7 +51,7 @@ use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
 use crate::PartId;
 
 /// Everything a host learns in the edge assignment phase.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EdgeAssignOutcome {
     /// Sources whose edges land on this partition: `(global id, edges,
     /// master partition)`. Includes locally kept sources.
@@ -63,6 +64,15 @@ pub struct EdgeAssignOutcome {
     pub my_master_nodes: Option<Vec<Node>>,
     /// Edges this host will receive from peers during construction.
     pub to_receive: u64,
+}
+
+impl EdgeAssignOutcome {
+    /// Heap bytes of the outcome's lists (capacities, not lengths).
+    pub fn heap_bytes(&self) -> u64 {
+        vec_bytes(&self.incoming_srcs)
+            + vec_bytes(&self.mirrors)
+            + self.my_master_nodes.as_ref().map_or(0, vec_bytes)
+    }
 }
 
 /// Which of a host's read edges a walk decides. Both edge-walking phases
@@ -363,12 +373,14 @@ pub fn assign_edges<ER: EdgeRule>(
         debug_assert!(v.windows(2).all(|w| w[0] != w[1]), "duplicate master claims");
     }
 
-    EdgeAssignOutcome {
+    let outcome = EdgeAssignOutcome {
         incoming_srcs,
         mirrors,
         my_master_nodes,
         to_receive,
-    }
+    };
+    cusp_obs::counter("mem.edge_assign_outcome", outcome.heap_bytes());
+    outcome
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 use std::sync::Arc;
 
 use cusp::tags::TAG_EDGES;
-use cusp::{partition_with_policy, CuspConfig, GraphSource, OutputFormat, PolicyKind};
+use cusp::{
+    partition_with_policy, CuspConfig, GraphSource, OutputFormat, PartitionOutput, PolicyKind,
+};
 use cusp_graph::gen::uniform::erdos_renyi;
 use cusp_net::{Cluster, ClusterOptions, TraceConfig};
 use cusp_obs::{EventKind, Structure, Trace};
@@ -36,8 +38,8 @@ fn det_config(chunk_edges: Option<u64>) -> CuspConfig {
     }
 }
 
-/// One traced run of `kind` over the test graph.
-fn trace_of(kind: PolicyKind, cfg: &CuspConfig) -> Trace {
+/// One traced run of `kind` over the test graph, with each host's output.
+fn traced_run(kind: PolicyKind, cfg: &CuspConfig) -> (Trace, Vec<PartitionOutput>) {
     let graph = Arc::new(erdos_renyi(240, 1900, 11));
     let cfg = cfg.clone();
     let opts = ClusterOptions {
@@ -49,7 +51,12 @@ fn trace_of(kind: PolicyKind, cfg: &CuspConfig) -> Trace {
     });
     let trace = out.trace.expect("trace requested");
     assert_eq!(trace.dropped_events, 0, "ring too small for this test");
-    trace
+    (trace, out.results)
+}
+
+/// One traced run of `kind` over the test graph.
+fn trace_of(kind: PolicyKind, cfg: &CuspConfig) -> Trace {
+    traced_run(kind, cfg).0
 }
 
 fn traced_structure(cfg: &CuspConfig) -> Structure {
@@ -242,6 +249,53 @@ fn construct_phase_records_its_wait_and_freeze_under_the_construct_span() {
             assert!(received > 0, "{label} host {}: no records received", thread.host);
             let inserted: u64 = drained.iter().map(|c| c.1).sum();
             assert_eq!(inserted, received, "{label} host {}", thread.host);
+        }
+    }
+}
+
+/// Memory is attributed from the structures themselves: each host's
+/// `edge_assign`, `alloc` and `construct` spans hold one `mem.*` counter —
+/// the edge-assignment outcome, the allocated partition and the output —
+/// and `mem.output` is the heap of the part the host returned. Pure and
+/// stored masters, resident and streamed, CSR and CSC.
+#[test]
+fn memory_counters_sit_under_their_phase_spans() {
+    let cells = [
+        (PolicyKind::Cvc, det_config(None)),
+        (PolicyKind::Cvc, det_config(Some(512))),
+        (PolicyKind::Svc, det_config(None)),
+        (PolicyKind::Hvc, CuspConfig { output: OutputFormat::Csc, ..det_config(None) }),
+    ];
+    for (kind, cfg) in cells {
+        let label = format!("{kind:?} chunk {:?} {:?}", cfg.chunk_edges, cfg.output);
+        let (trace, parts) = traced_run(kind, &cfg);
+        for thread in trace.threads.iter().filter(|t| t.name == "main") {
+            let host = thread.host;
+            let mut stack: Vec<&'static str> = Vec::new();
+            let mut mem = Vec::new();
+            for e in trace.events.iter().filter(|e| e.tid == thread.tid) {
+                match e.kind {
+                    EventKind::SpanBegin { name, .. } => stack.push(name),
+                    EventKind::SpanEnd { name } => assert_eq!(stack.pop(), Some(name)),
+                    EventKind::Counter { name, value } if name.starts_with("mem.") => {
+                        mem.push((name, stack.last().copied(), value));
+                    }
+                    _ => {}
+                }
+            }
+            let placed: Vec<_> = mem.iter().map(|&(name, span, _)| (name, span)).collect();
+            assert_eq!(
+                placed,
+                [
+                    ("mem.edge_assign_outcome", Some("edge_assign")),
+                    ("mem.alloc", Some("alloc")),
+                    ("mem.output", Some("construct")),
+                ],
+                "{label} host {host}"
+            );
+            let part = &parts[host as usize].dist_graph;
+            assert_eq!(mem[2].2, part.heap_bytes(), "{label} host {host}: mem.output");
+            assert!(mem[0].2 > 0 && mem[1].2 > 0, "{label} host {host}: empty outcome or allocation");
         }
     }
 }

@@ -191,18 +191,38 @@ mod tests {
         assert_eq!(exclusive_prefix_sum(&pool, &[], &mut out), 0);
     }
 
+    /// The in-place inclusive sum builds allocation's CSR offsets from row
+    /// counts stored at `offsets[1..]`, so it is checked on every path —
+    /// the sequential fallback (one thread, or fewer than 4096 elements),
+    /// its edge, and uneven parallel blocks — against the sequential
+    /// reference, and against the exclusive sum shifted by one place.
     #[test]
-    fn inclusive_in_place_matches() {
-        let pool = ThreadPool::new(4);
-        let original: Vec<u64> = (0..50_000).map(|i| i % 11).collect();
-        let mut data = original.clone();
-        let total = inclusive_prefix_sum_in_place(&pool, &mut data);
-        let mut run = 0u64;
-        for (i, &x) in original.iter().enumerate() {
-            run += x;
-            assert_eq!(data[i], run, "mismatch at {i}");
+    fn inclusive_in_place_over_threads_and_lengths() {
+        for threads in 1..=4 {
+            let pool = ThreadPool::new(threads);
+            for n in [0, 1, 4095, 4096, 4097, 100_003] {
+                let counts: Vec<u64> = (0..n as u64).map(|i| (i * 2654435761) % 61).collect();
+                let (exclusive, want_total) = reference_exclusive(&counts);
+                let inclusive: Vec<u64> = exclusive.iter().zip(&counts).map(|(e, c)| e + c).collect();
+
+                let mut data = counts.clone();
+                let total = inclusive_prefix_sum_in_place(&pool, &mut data);
+                assert_eq!(data, inclusive, "threads {threads}, n {n}");
+                assert_eq!(total, want_total, "threads {threads}, n {n}");
+
+                // Row counts at offsets[1..], summed in place, are the
+                // offsets the exclusive sum gives, shifted by one place.
+                let mut offsets = vec![0u64; n + 1];
+                offsets[1..].copy_from_slice(&counts);
+                let total = inclusive_prefix_sum_in_place(&pool, &mut offsets[1..]);
+                let mut out = vec![0u64; n];
+                let ex_total = exclusive_prefix_sum(&pool, &counts, &mut out);
+                assert_eq!(out, exclusive, "threads {threads}, n {n}");
+                assert_eq!(total, ex_total, "threads {threads}, n {n}");
+                out.push(ex_total);
+                assert_eq!(offsets, out, "threads {threads}, n {n}");
+            }
         }
-        assert_eq!(total, run);
     }
 
     #[test]
