@@ -465,8 +465,9 @@ fn fig7_buffer_size(ctx: &Ctx, memo: &mut Memo) {
 const SYNC_ROUNDS: [u32; 4] = [1, 10, 100, 1000];
 
 /// Table VI: SVC partitioning time vs master-phase sync rounds. Claim:
-/// largely flat until the count gets very high (1000), because rounds are
-/// asynchronous — a host with nothing to receive continues (§IV-D5).
+/// largely flat until the count gets very high (1000). The paper's rounds
+/// are asynchronous (§IV-D5); ours are lockstep (DESIGN.md §8), so every
+/// round costs each host one message per peer and a wait for the slowest.
 fn table6_sync_rounds(ctx: &Ctx, memo: &mut Memo) {
     let mut table = Table::new(
         &format!("Table VI — SVC partitioning time vs sync rounds at {MAX_HOSTS} hosts (seconds)"),
@@ -871,8 +872,8 @@ fn twod_cuts(ctx: &Ctx, memo: &mut Memo) {
 }
 
 /// Figure 2's empirical analogue: each host's per-phase durations in one
-/// CVC run, making visible the skew between hosts that the asynchronous
-/// master rounds and buffered construction tolerate.
+/// CVC run, making visible the skew between hosts that buffered
+/// construction tolerates.
 fn fig2_timeline(ctx: &Ctx, memo: &mut Memo) {
     let run = memo.partition(
         ctx.input("cwx"),

@@ -67,8 +67,8 @@ pub struct CuspConfig {
     /// at most `c` edges on demand, flushing construction send buffers at
     /// every chunk boundary, so peak resident edge state is O(c) instead
     /// of O(slice). A single node whose degree exceeds `c` gets a chunk of
-    /// its own (the bound is `max(c, d_max)`). Under `deterministic_sync`
-    /// the produced partitions are bit-identical for every chunk size.
+    /// its own (the bound is `max(c, d_max)`). The produced partitions are
+    /// bit-identical for every chunk size.
     pub chunk_edges: Option<u64>,
     /// Directory for durable phase-boundary checkpoints (host-crash
     /// recovery). `None` (the default) disables checkpointing: a restarted
@@ -78,24 +78,11 @@ pub struct CuspConfig {
     /// assignment phases and, on restart, resumes from the last completed
     /// phase (corrupt or missing checkpoints silently fall back to the
     /// full re-run). Meaningful only together with a
-    /// [`cusp_net::CrashPlan`]; recovery relies on the determinism
-    /// contract, so crash runs should also set `deterministic_sync` and
-    /// `threads_per_host: 1`.
+    /// [`cusp_net::CrashPlan`]; recovery replays re-executed sends, which
+    /// construction's per-thread send buffers only reproduce at one thread,
+    /// so crash runs should also set `threads_per_host: 1`
+    /// ([`crate::deterministic_for_comparison`]).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Testing switch: make partitioning bitwise reproducible. Replaces the
-    /// master phase's asynchronous "drain whatever arrived" rounds
-    /// (§IV-D5) with lockstep rounds (every host sends one SYNC to every
-    /// peer per round and blocking-receives one from each, in host order)
-    /// and runs neighbor-aware chunks sequentially. With
-    /// `threads_per_host: 1` the same seed then yields bit-identical
-    /// partitions — the determinism contract the oracle harness asserts.
-    /// Construction needs nothing from this switch: a full run fills each
-    /// row with one record, in input order, so its rows never depend on
-    /// arrival order; a delta run's rows match a full run's by
-    /// [`crate::partition_fingerprint`], which sees each row as a multiset.
-    /// Off by default because lockstep sacrifices the asynchrony the
-    /// paper's streaming design is built around.
-    pub deterministic_sync: bool,
     /// Print `CUSP-WORKER-PHASE <name>` on stdout as each pipeline phase
     /// begins. Used by the `cusp-part launch` supervisor to drive seeded
     /// process-kill injection at deterministic phase points (`--kill-seed`).
@@ -115,7 +102,6 @@ impl Default for CuspConfig {
             force_stored_masters: false,
             chunk_edges: None,
             checkpoint_dir: None,
-            deterministic_sync: false,
             announce_phases: false,
         }
     }

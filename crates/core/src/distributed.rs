@@ -62,13 +62,16 @@ pub fn partition_with_policy_tcp(
     .map_err(PartitionError::from)
 }
 
-/// Pins `cfg` to the determinism contract required for cross-transport
-/// fingerprint comparison: one worker thread per host and
-/// [`CuspConfig::deterministic_sync`], so a TCP run and a simulated run
-/// of the same input produce bit-identical partitions regardless of
-/// arrival order.
+/// Pins `cfg` to one worker thread per host, the configuration recovery
+/// and cross-transport comparisons run under.
+///
+/// The pin is not what makes a partition reproducible — that is a
+/// function of the input, the policy, `k` and `sync_rounds` at any thread
+/// count. It is what makes the *sends* reproducible: construction's
+/// per-thread send buffers flush at schedule-dependent points, and a
+/// recovered host's replay is deduplicated against the messages it sent
+/// before it died, which must be the same messages.
 pub fn deterministic_for_comparison(mut cfg: CuspConfig) -> CuspConfig {
-    cfg.deterministic_sync = true;
     cfg.threads_per_host = 1;
     cfg
 }
@@ -86,8 +89,7 @@ pub struct RunSpec {
     /// each worker's stderr log.
     pub out_dir: PathBuf,
     /// Pipeline tuning, as far as the worker command line carries it: the
-    /// read weights and `force_stored_masters` stay default, and `--det`
-    /// (for `deterministic_sync`) also pins one thread.
+    /// read weights and `force_stored_masters` stay default.
     pub cfg: CuspConfig,
     /// The mesh's idle heartbeat ([`TcpOptions::with_heartbeat`]); `None`
     /// keeps the generous defaults. Tests shorten it so survivors notice a
@@ -258,7 +260,6 @@ impl WorkerSpec {
         ];
         let switches = [
             ("--csc", cfg.output == OutputFormat::Csc),
-            ("--det", cfg.deterministic_sync),
             ("--announce-phases", cfg.announce_phases),
             ("--rejoin", self.rejoin),
         ];

@@ -14,7 +14,7 @@
 //! 1. **Graph reading** — each host range-reads a contiguous, edge-balanced
 //!    slice of the on-disk CSR.
 //! 2. **Master assignment** — each host assigns masters for its slice,
-//!    with periodic asynchronous synchronization of the masters map and any
+//!    with periodic lockstep synchronization of the masters map and any
 //!    user partitioning state (§IV-D4/5).
 //! 3. **Edge assignment** — each host computes, per peer, how many edges of
 //!    each of its vertices it will send and which mirror proxies the peer

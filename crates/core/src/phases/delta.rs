@@ -81,16 +81,15 @@
 //! replicated computation, §IV-D5) and a **stateless edge rule** (per-edge
 //! decisions independent of history) that keeps the contract above.
 //! Stateful policies (HDRF, LDG, Fennel-family masters) fall back to a full
-//! re-partition — still correct, and under `deterministic_sync` still
-//! fingerprint-identical, just not incremental.
+//! re-partition — still correct, and still fingerprint-identical, just not
+//! incremental.
 //!
-//! Under `CuspConfig::deterministic_sync` the delta result is
-//! fingerprint-identical to a full re-partition of the mutated graph: the
-//! per-host per-source edge multiset is reproduced exactly (kept edges
-//! keep their owners, dirty edges are re-decided with the same inputs a
-//! full run would use), allocation assigns local ids deterministically
-//! from that multiset, and [`crate::partition_fingerprint`] sees each row
-//! as a multiset. It is not byte-identical: a full row is the input row in
+//! The delta result is fingerprint-identical to a full re-partition of
+//! the mutated graph: the per-host per-source edge multiset is reproduced
+//! exactly (kept edges keep their owners, dirty edges are re-decided with
+//! the same inputs a full run would use), allocation assigns local ids
+//! deterministically from that multiset, and
+//! [`crate::partition_fingerprint`] sees each row as a multiset. It is not byte-identical: a full row is the input row in
 //! input order, a delta row the kept run followed by the re-decided run.
 
 use std::ops::Range;
@@ -547,9 +546,9 @@ fn delta_construct<ER: EdgeRule>(
 /// returned accounting (`dirty_vertices == num_nodes`,
 /// `reused_edges == 0`) makes the fallback observable.
 ///
-/// Under `deterministic_sync` the result has the same
-/// [`crate::verify::partition_fingerprint`] as a full re-partition of the
-/// mutated graph; its rows hold the same edges in another order.
+/// The result has the same [`crate::verify::partition_fingerprint`] as a
+/// full re-partition of the mutated graph; its rows hold the same edges in
+/// another order.
 pub fn partition_delta<MR, ER>(
     comm: &Comm,
     source: GraphSource,

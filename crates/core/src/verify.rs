@@ -420,8 +420,7 @@ pub fn check_all(
 /// §V's determinism argument extended to mutation batches).
 ///
 /// Asserts the delta-maintained partitions are (a) invariant-clean against
-/// the **mutated** graph via [`check_partition`], and (b) when
-/// `deterministic` is set (the run used `CuspConfig::deterministic_sync`),
+/// the **mutated** graph via [`check_partition`], and (b)
 /// [`partition_fingerprint`]-identical to `full_parts`, a from-scratch
 /// re-partition of the same mutated graph under the same policy and
 /// config. Fingerprint-identical, not byte-identical: a delta row holds
@@ -433,7 +432,6 @@ pub fn check_delta_equivalence(
     mutated_data: Option<&[u32]>,
     delta_parts: &[DistGraph],
     full_parts: &[DistGraph],
-    deterministic: bool,
 ) -> Vec<Violation> {
     let mut out = check_partition(mutated, mutated_data, delta_parts);
     if delta_parts.len() != full_parts.len() {
@@ -448,19 +446,14 @@ pub fn check_delta_equivalence(
         });
         return out;
     }
-    if deterministic {
-        let d = partition_fingerprint(delta_parts);
-        let f = partition_fingerprint(full_parts);
-        if d != f {
-            out.push(Violation {
-                kind: ViolationKind::DeltaDivergence,
-                part: None,
-                detail: format!(
-                    "delta fingerprint {d:#018x} != full re-partition fingerprint {f:#018x} \
-                     under deterministic_sync"
-                ),
-            });
-        }
+    let d = partition_fingerprint(delta_parts);
+    let f = partition_fingerprint(full_parts);
+    if d != f {
+        out.push(Violation {
+            kind: ViolationKind::DeltaDivergence,
+            part: None,
+            detail: format!("delta fingerprint {d:#018x} != full re-partition fingerprint {f:#018x}"),
+        });
     }
     out
 }

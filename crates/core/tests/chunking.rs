@@ -1,9 +1,9 @@
 //! Chunk-streaming equivalence suite.
 //!
-//! `CuspConfig::chunk_edges` must be a pure memory/latency knob: under
-//! `deterministic_sync` a chunked run is required to produce partitions
-//! bit-identical (by [`partition_fingerprint`]) to the monolithic run, for
-//! every chunk size, host count, and policy — while actually bounding the
+//! `CuspConfig::chunk_edges` must be a pure memory/latency knob: a chunked
+//! run is required to produce partitions bit-identical (by
+//! [`partition_fingerprint`]) to the monolithic run, for every chunk
+//! size, host count, and policy — while actually bounding the
 //! resident edge state to O(max(chunk, d_max)) and keeping the per-phase
 //! communication conserved.
 //!
@@ -31,7 +31,6 @@ fn cfg(chunk_edges: Option<u64>) -> CuspConfig {
     CuspConfig {
         threads_per_host: 1,
         sync_rounds: 4,
-        deterministic_sync: true,
         chunk_edges,
         ..CuspConfig::default()
     }

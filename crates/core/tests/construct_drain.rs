@@ -40,7 +40,6 @@ fn every_record_drained_inline_builds_the_default_partition() {
                 let run = |buffer_threshold: usize| {
                     let cfg = CuspConfig {
                         threads_per_host: 2,
-                        deterministic_sync: true,
                         buffer_threshold,
                         output,
                         ..CuspConfig::default()

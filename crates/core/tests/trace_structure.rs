@@ -1,9 +1,8 @@
 //! Determinism of the recorded event *structure*.
 //!
-//! Timestamps and interleavings vary run to run, but under
-//! `deterministic_sync` (lockstep sync rounds, one worker thread,
-//! unbuffered sends) the multiset of *algorithmic* events — which phase
-//! spans ran on which host, and how many messages flowed per
+//! Timestamps and interleavings vary run to run, but with one worker
+//! thread and unbuffered sends the multiset of *algorithmic* events —
+//! which phase spans ran on which host, and how many messages flowed per
 //! (src, dst, tag) edge — is a function of the input alone. These tests
 //! pin that down: the trace is usable as a regression fingerprint, not
 //! just a profile.
@@ -28,7 +27,6 @@ const HOSTS: usize = 3;
 
 fn det_config(chunk_edges: Option<u64>) -> CuspConfig {
     CuspConfig {
-        deterministic_sync: true,
         threads_per_host: 1,
         // Unbuffered: one message per record, so the send multiset does
         // not depend on flush boundaries (chunked runs flush extra).

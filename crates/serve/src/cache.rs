@@ -1,8 +1,8 @@
 //! The partition cache: the amortization engine of the serving layer.
 //!
 //! Completed partitions are kept in memory and on disk, keyed by
-//! `(graph fingerprint, policy, hosts, chunk_edges)` — exactly the inputs
-//! that determine the output under the determinism contract. The on-disk
+//! `(graph fingerprint, policy, hosts, chunk_edges)` — the inputs that
+//! determine the output, which no thread count changes. The on-disk
 //! format is the existing `storage.rs` `.part` framing (one file per
 //! host) plus a `meta` file — one checked record (`cusp_graph::wire`)
 //! holding the partition fingerprint — written last as the commit

@@ -25,8 +25,8 @@
 //!   record) → recompute; concurrent requests for the same key coalesce
 //!   onto a single in-flight job.
 //! - [`state`] — the transport-independent request router and job
-//!   runner (deterministic pipeline config by default, so cache hits
-//!   are bit-identical to fresh runs).
+//!   runner (a partition depends on no thread count, so cache hits are
+//!   bit-identical to fresh runs).
 //! - [`api`] — what the front ends share: the request table (verb and
 //!   named arguments → [`Request`], with each verb's HTTP route) and the
 //!   one JSON rendering of a [`Response`].

@@ -31,13 +31,9 @@ pub struct ServeConfig {
     pub data_dir: PathBuf,
     /// Quota handed to tenants on first use.
     pub default_quota: Quota,
-    /// Worker threads per simulated host inside partition jobs.
+    /// Worker threads per simulated host inside partition jobs. The cache
+    /// key carries no thread count: a partition is the same at any.
     pub threads_per_host: usize,
-    /// Run jobs under the determinism contract (lockstep master
-    /// sync rounds) so cache hits are bit-identical to fresh runs across
-    /// server restarts. On by default; turning it off trades
-    /// reproducible fingerprints for the paper's asynchronous speed.
-    pub deterministic: bool,
     /// Frame payload cap for both directions.
     pub max_frame: u32,
     /// Socket read timeout — bounds how long a silent peer can hold a
@@ -53,7 +49,6 @@ impl Default for ServeConfig {
             data_dir: PathBuf::from("cusp-serve-data"),
             default_quota: Quota::default(),
             threads_per_host: 1,
-            deterministic: true,
             max_frame: DEFAULT_MAX_FRAME,
             read_timeout: Duration::from_secs(30),
             max_connections: 64,
@@ -416,7 +411,6 @@ impl ServerState {
         };
         let cfg = CuspConfig {
             threads_per_host: self.config.threads_per_host,
-            deterministic_sync: self.config.deterministic,
             chunk_edges: (key.chunk_edges > 0).then_some(key.chunk_edges),
             ..CuspConfig::default()
         };

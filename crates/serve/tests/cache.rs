@@ -107,6 +107,38 @@ fn disk_roundtrip_passes_oracle_and_matches_fingerprint() {
     assert_eq!(cusp::partition_fingerprint(&cached.parts), cold_fp);
 }
 
+/// The cache key carries no thread count, which is correct because no
+/// partition depends on one: the server (one thread per host) serves what
+/// the library computes at two and four, for a stored-master policy whose
+/// rounds exchange state (SVC) and a pure one (HVC).
+#[test]
+fn served_partition_equals_the_library_at_any_thread_count() {
+    let dir = temp_dir("served-equals-library");
+    let state = state_at(&dir);
+    let graph = Arc::new(upload(&state, 2000, 33));
+    for policy in [cusp::PolicyKind::Svc, cusp::PolicyKind::Hvc] {
+        let served = match state.handle(Request::Partition {
+            tenant: "acme".to_string(),
+            graph: "g".to_string(),
+            policy: policy.name().to_string(),
+            hosts: 4,
+            chunk_edges: 0,
+        }) {
+            Response::Partitioned { fingerprint, .. } => fingerprint,
+            other => panic!("partition failed: {other:?}"),
+        };
+        for threads_per_host in [2, 4] {
+            let cfg = cusp::CuspConfig { threads_per_host, ..cusp::CuspConfig::default() };
+            let src = cusp::GraphSource::Memory(Arc::clone(&graph));
+            let parts = cusp_net::Cluster::run(4, |comm| {
+                cusp::partition_with_policy(comm, src.clone(), policy, &cfg).dist_graph
+            })
+            .results;
+            assert_eq!(cusp::partition_fingerprint(&parts), served, "{policy:?} at {threads_per_host} threads");
+        }
+    }
+}
+
 /// Flipping bytes inside a cached `.part` file makes the disk entry
 /// unloadable; the server recomputes instead of serving the corruption,
 /// and the recomputed fingerprint matches the original run.
@@ -364,10 +396,7 @@ fn inflight_pre_mutation_job_completes_under_own_key() {
                 started_tx.send(()).unwrap();
                 release_rx.recv().unwrap();
                 let src = cusp::GraphSource::Memory(Arc::clone(&graph));
-                let cfg = cusp::CuspConfig {
-                    deterministic_sync: true,
-                    ..cusp::CuspConfig::default()
-                };
+                let cfg = cusp::CuspConfig { threads_per_host: 2, ..cusp::CuspConfig::default() };
                 let out = cusp_net::Cluster::run(2, move |comm| {
                     cusp::partition_with_policy(
                         comm,
