@@ -591,7 +591,7 @@ pub fn launch(spec: &LaunchSpec, narration: &mut dyn Write) -> Result<LaunchRepo
     let mut base =
         WorkerSpec { run: run.clone(), host: 0, nonce, incarnation: 0, listen: None, rejoin: false };
     base.run.cfg = deterministic_for_comparison(base.run.cfg);
-    // Recovery needs the survivors' rejoin acceptors and the victim's phase
+    // Recovery needs survivors that admit respawns and the victim's phase
     // markers; both are inert otherwise.
     (base.rejoin, base.run.cfg.announce_phases) = (kill.is_some(), kill.is_some());
 

@@ -1,7 +1,8 @@
 //! One peer's connection life, decided once: [`PeerLink`] says whether a
 //! broken connection is a loss, a down peer awaiting its respawn or the
-//! expected close after FIN, whether a HELLO is a respawn or a stale
-//! duplicate, and which reports are about a superseded connection. Its
+//! expected close after FIN, whether a HELLO is the peer's first, a respawn
+//! or a stale duplicate, and which reports are about a superseded
+//! connection. Its
 //! [`PeerLink::step`] touches no clock, socket, thread or atomic, so
 //! `tests/link_schedules.rs` runs it against a fake world; `tcp.rs` only
 //! detects and acts.
@@ -13,6 +14,8 @@ use super::RejectReason;
 #[allow(missing_docs)] // the fields are the two names above
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkState {
+    /// Generation 0 before the peer's first HELLO (silent from `establish` on).
+    Awaiting,
     /// Connected both ways; its reader and the silence watch are live.
     Up { gen: u64, inc: u32 },
     /// The peer sent FIN: that incarnation never needs the mesh again, so a
@@ -37,7 +40,7 @@ pub enum Event {
     ReadFailed { gen: u64 },
     /// Nothing arrived on generation `gen` for the peer timeout.
     Silent { gen: u64 },
-    /// The peer's process redialed with a valid HELLO claiming `inc`.
+    /// The peer's process dialed in with a valid HELLO claiming `inc`.
     HelloFrom { inc: u32 },
     /// The peer's supervisor saw it finish: as good as a FIN that died.
     Finished,
@@ -51,6 +54,9 @@ pub enum Event {
 #[allow(missing_docs)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
+    /// Accept the first HELLO and read its connection as generation 0; the
+    /// outbound connection is this host's own dial.
+    Hook,
     /// Drop the outbound queue and tear the reader out of its socket.
     Unhook,
     /// Accept the HELLO, redial the peer's listener, send it what
@@ -75,9 +81,9 @@ pub struct PeerLink {
 }
 
 impl PeerLink {
-    /// A peer the mesh admitted with incarnation `inc`, as generation 0.
-    pub fn new(rejoin: bool, inc: u32) -> Self {
-        PeerLink { rejoin, state: LinkState::Up { gen: 0, inc }, closed: false }
+    /// A peer that has not dialed in yet.
+    pub fn new(rejoin: bool) -> Self {
+        PeerLink { rejoin, state: LinkState::Awaiting, closed: false }
     }
 
     /// Where the peer stands.
@@ -89,16 +95,20 @@ impl PeerLink {
     ///
     /// * after [`Event::Shutdown`], and once lost, nothing changes;
     /// * a report about any generation but the current one changes nothing;
-    /// * a HELLO is admitted iff its incarnation is strictly newer than the
-    ///   last one admitted (equal is a duplicate of the live worker, older a
-    ///   zombie): only one process can ever hold a given (peer, incarnation);
+    /// * the first HELLO, of any incarnation, is hooked as generation 0;
+    /// * a later one is refused as a taken slot without rejoin; with it, it
+    ///   is admitted iff its incarnation is strictly newer than the last one
+    ///   admitted (equal is a duplicate of the live worker, older a zombie):
+    ///   only one process can ever hold a given (peer, incarnation);
     /// * a failure after FIN is the expected close, in either mode;
-    /// * otherwise a failure is `Lost` without rejoin and `Down` with it.
+    /// * otherwise a failure, or silence before the first HELLO, is `Lost`
+    ///   without rejoin and `Down` (awaiting a respawn) with it.
     pub fn step(&mut self, event: Event) -> Vec<Action> {
-        use LinkState::*;
+        use {LinkState::*, RejectReason::*};
         let (gen, inc) = match self.state {
             _ if self.closed => return Vec::new(),
             Lost => return Vec::new(),
+            Awaiting => (0, 0),
             Up { gen, inc } | Finned { gen, inc } | Joining { gen, inc } | Down { gen, inc } => {
                 (gen, inc)
             }
@@ -108,8 +118,13 @@ impl PeerLink {
                 self.closed = true;
                 Vec::new()
             }
+            Event::HelloFrom { inc: claimed } if self.state == Awaiting => {
+                self.state = Up { gen: 0, inc: claimed };
+                vec![Action::Hook]
+            }
+            Event::HelloFrom { .. } if !self.rejoin => vec![Action::Reject(BadHostId)],
             Event::HelloFrom { inc: claimed } if claimed <= inc => {
-                vec![Action::Reject(RejectReason::StaleIncarnation)]
+                vec![Action::Reject(StaleIncarnation)]
             }
             Event::HelloFrom { inc: claimed } => {
                 let hooked = matches!(self.state, Up { .. } | Finned { .. });
@@ -131,18 +146,18 @@ impl PeerLink {
                 Vec::new()
             }
             Event::FrameFin { .. } | Event::Finished => match self.state {
-                Up { .. } | Down { .. } => {
+                Awaiting | Up { .. } | Down { .. } => {
                     self.state = Finned { gen, inc };
                     vec![Action::Release]
                 }
                 _ => Vec::new(),
             },
             Event::ReadFailed { .. } | Event::Silent { .. } => match self.state {
-                Up { .. } if self.rejoin => {
+                Awaiting | Up { .. } if self.rejoin => {
                     self.state = Down { gen, inc };
                     vec![Action::Unhook]
                 }
-                Up { .. } => {
+                Awaiting | Up { .. } => {
                     self.state = Lost;
                     vec![Action::MarkLost]
                 }

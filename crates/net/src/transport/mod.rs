@@ -42,9 +42,10 @@ pub use tcp::{TcpOptions, TcpTransport, TCP_PROTOCOL_VERSION};
 /// from pool worker threads during parallel serialization.
 pub(crate) trait Transport: Send + Sync {
     /// Spawns any background machinery (reader/writer threads) once the
-    /// fabric exists behind its `Arc`. Infallible by construction: all
-    /// fallible work (binding, dialing, handshakes) happens before the
-    /// transport is handed to the cluster.
+    /// fabric exists behind its `Arc`. Infallible by construction: binding
+    /// and dialing happen before the transport is handed to the cluster;
+    /// inbound handshakes complete here (TCP returns once every peer has
+    /// dialed in), and a peer that never does fails like any silent peer.
     fn start(&self, _fabric: &Arc<Fabric>) {}
 
     /// Moves `env` toward remote host `dst` (`dst != env.src`; loopback is
@@ -111,12 +112,6 @@ pub enum TransportError {
         /// Human-readable detail.
         detail: String,
     },
-    /// Fewer than `hosts - 1` valid peers dialed in before the accept
-    /// timeout.
-    AcceptTimeout {
-        /// How many inbound peer connections never arrived.
-        missing: usize,
-    },
     /// Invalid transport configuration (host id out of range, duplicate
     /// addresses, ...).
     Config(String),
@@ -132,9 +127,6 @@ impl std::fmt::Display for TransportError {
             }
             TransportError::Handshake { peer, detail } => {
                 write!(f, "handshake with host {peer} failed: {detail}")
-            }
-            TransportError::AcceptTimeout { missing } => {
-                write!(f, "{missing} peer(s) never connected before the accept timeout")
             }
             TransportError::Config(msg) => write!(f, "invalid transport config: {msg}"),
         }

@@ -20,23 +20,25 @@
 //! The mesh is built from **simplex** connections: host `i` dials every
 //! peer's listener once (every caller binds every listener before any
 //! dial, so a refusal is [`TransportError::Unreachable`], not a race) and
-//! writes to those sockets; it reads from the `hosts - 1` connections it
-//! accepts. Per outbound socket a writer thread drains a frame queue
-//! (heartbeating when idle); per inbound socket a reader thread feeds the
-//! same dispatch → fault layer → resequencer path the simulator uses, so
-//! [`crate::FaultPlan`]'s pure `decide` makes the simulator's decisions at
-//! the receiving end. A monitor thread sleeps until a connected peer could
-//! have been silent for [`TcpOptions::peer_timeout`].
+//! writes to those sockets; it reads from the connections its peers dial
+//! in. One acceptor thread answers every HELLO on the listener, from
+//! `establish` until teardown, blocked in `accept`. Per outbound socket a
+//! writer thread drains a frame queue (heartbeating when idle); per inbound
+//! socket a reader thread feeds the same dispatch → fault layer →
+//! resequencer path the simulator uses, so [`crate::FaultPlan`]'s pure
+//! `decide` makes the simulator's decisions at the receiving end. A monitor
+//! thread sleeps until a peer could have been silent for
+//! [`TcpOptions::peer_timeout`], counted from `establish` before its HELLO.
 //!
 //! ## One peer link
 //!
-//! What a FIN, a broken connection, silence, a reconnecting HELLO or a
-//! supervisor's word that a peer finished means is decided by the peer's
-//! [`PeerLink`] (`super::link`; DESIGN.md §11 has its table): the threads
-//! only report to it and act, under the one lock that holds the link with
-//! the peer's queue and reader socket; an admission re-sends the fabric's
-//! send log (`replay.rs`). A down peer (with [`TcpOptions::rejoin`]) has no
-//! deadline here; its supervisor decides.
+//! What a FIN, a broken connection, silence, a HELLO (the first or a
+//! respawn's) or a supervisor's word that a peer finished means is decided
+//! by the peer's [`PeerLink`] (`super::link`; DESIGN.md §11 has its table):
+//! the threads only report to it and act, under the one lock that holds the
+//! link with the peer's queue and reader socket; an admission re-sends the
+//! fabric's send log (`replay.rs`). A down peer (with
+//! [`TcpOptions::rejoin`]) has no deadline here; its supervisor decides.
 
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -83,18 +85,15 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(3);
 /// while blocked on a socket.
 const READ_POLL: Duration = Duration::from_millis(100);
 
-/// Mesh acceptor poll interval while no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
 /// Knobs of the TCP transport. Defaults are deliberately generous: a
-/// loaded CI machine must never produce spurious `HostLost`s.
+/// loaded CI machine must never produce spurious `HostLost`s. No wait has a
+/// deadline of its own: every peer, before its first HELLO too, is bounded
+/// by the silence rule ([`TcpOptions::peer_timeout`]).
 #[derive(Debug, Clone, Copy)]
 pub struct TcpOptions {
     /// Idle writers emit a heartbeat frame this often; the silence timeout
     /// is derived from it ([`TcpOptions::peer_timeout`]).
     pub heartbeat_interval: Duration,
-    /// How long to wait for all `hosts - 1` inbound peers to connect.
-    pub accept_timeout: Duration,
     /// Accept reconnecting peers with a newer incarnation instead of
     /// aborting on the first connection loss. Arms the fabric's send log,
     /// kept for the whole run and re-sent to each admitted respawn;
@@ -105,11 +104,7 @@ pub struct TcpOptions {
 
 impl Default for TcpOptions {
     fn default() -> Self {
-        TcpOptions {
-            heartbeat_interval: Duration::from_millis(500),
-            accept_timeout: Duration::from_secs(15),
-            rejoin: false,
-        }
+        TcpOptions { heartbeat_interval: Duration::from_millis(500), rejoin: false }
     }
 }
 
@@ -121,8 +116,9 @@ impl TcpOptions {
         self
     }
 
-    /// A connected peer silent this long without FIN has failed: 20
-    /// heartbeats, at least 500 ms (10 s at the default heartbeat).
+    /// A peer silent this long without FIN has failed, and so has one that
+    /// has not dialed in this long after `establish`: 20 heartbeats, at
+    /// least 500 ms (10 s at the default heartbeat).
     pub fn peer_timeout(&self) -> Duration {
         (self.heartbeat_interval * 20).max(Duration::from_millis(500))
     }
@@ -144,11 +140,12 @@ enum Out {
 /// act on.
 struct Peer {
     link: PeerLink,
-    /// Frames toward the peer's writer thread; `None` while unhooked (and
-    /// at `me`).
+    /// Frames toward the peer's writer thread; `None` before this host's
+    /// dial, while unhooked (and at `me`).
     queue: Option<Sender<Out>>,
-    /// A clone of the current inbound socket, so its reader can be torn out
-    /// of a blocking read.
+    /// The current inbound socket: parked here until `start` spawns its
+    /// reader, then a clone, so the reader can be torn out of a blocking
+    /// read.
     reader: Option<TcpStream>,
 }
 
@@ -173,10 +170,9 @@ struct TcpShared {
     /// Milliseconds since `start` of the last frame from each peer.
     last_heard: Vec<AtomicU64>,
     links: Vec<Link>,
-    /// The fabric `start` ran the transport on.
-    fabric: OnceLock<Weak<Fabric>>,
-    /// Set by `finish` so readers, the monitor and the rejoin acceptor
-    /// stand down.
+    /// The fabric `start` ran on and the trace its I/O threads attach to.
+    run: OnceLock<(Weak<Fabric>, Option<cusp_obs::Attachment>)>,
+    /// Set at teardown so readers, the monitor and the acceptor stand down.
     shutting_down: AtomicBool,
     /// Set when a clean FIN has been enqueued, so a later admission
     /// re-sends it on the fresh connection.
@@ -202,7 +198,7 @@ impl TcpShared {
     }
 
     fn fabric(&self) -> Option<Arc<Fabric>> {
-        self.fabric.get().and_then(Weak::upgrade)
+        self.run.get().and_then(|(fabric, _)| fabric.upgrade())
     }
 
     fn state(&self, peer: HostId) -> LinkState {
@@ -213,19 +209,37 @@ impl TcpShared {
         let _guard = self.waiting.lock().unpoisoned();
         self.links_changed.notify_all();
     }
+
+    /// Blocks until every peer's link is `done`, or the run aborts; each link
+    /// step wakes it.
+    fn wait_all(&self, fabric: &Fabric, done: impl Fn(LinkState) -> bool) {
+        let done = |p| p == self.me || done(self.state(p));
+        let mut guard = self.waiting.lock().unpoisoned();
+        while !fabric.should_abort() && !(0..self.hosts).all(done) {
+            guard = self.links_changed.wait(guard).unpoisoned();
+        }
+    }
 }
 
 /// Steps `peer`'s link with `event` and performs what it says, all under
-/// the peer's lock, leaving one trace instant per action. `hello` is the
-/// connection an [`Event::HelloFrom`] arrived on.
+/// the peer's lock, leaving one trace instant per action but `Hook`.
+/// `hello` is the connection an [`Event::HelloFrom`] arrived on, the only
+/// event before `start` (whose sockets are parked for `start` to read).
 fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<TcpStream>) {
-    let Some(fabric) = shared.fabric() else { return };
     let mut p = shared.links[peer].peer.lock().unpoisoned();
     let mut actions = p.link.step(event);
     let mut next = 0;
     while let Some(&action) = actions.get(next) {
         next += 1;
         let name = match action {
+            Action::Hook => {
+                let mut stream = hello.take().expect("only a HELLO is hooked");
+                shared.heard(peer);
+                // A failed ACCEPT leaves a dead socket, which its reader reports.
+                let _ = write_frame(&mut stream, FRAME_ACCEPT, &[]);
+                read_from(shared, &mut p, stream, peer, 0);
+                continue;
+            }
             Action::Unhook => {
                 p.queue = None;
                 if let Some(s) = p.reader.take() {
@@ -235,7 +249,7 @@ fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<
             }
             Action::Admit { gen } => {
                 let stream = hello.take().expect("only a HELLO is admitted");
-                let ok = admit(&fabric, shared, &mut p, peer, gen, stream);
+                let ok = admit(shared, &mut p, peer, gen, stream);
                 actions.extend(p.link.step(Event::Redialed { ok }));
                 "peer_rejoin"
             }
@@ -245,7 +259,9 @@ fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<
             }
             Action::Release => "peer_fin",
             Action::MarkLost => {
-                fabric.mark_remote_lost(peer);
+                if let Some(fabric) = shared.fabric() {
+                    fabric.mark_remote_lost(peer);
+                }
                 "peer_lost"
             }
         };
@@ -257,30 +273,26 @@ fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<
 
 /// Performs [`Action::Admit`]: accepts the HELLO on `stream`, re-dials the
 /// peer's listener, queues what [`link::resend`] lists over the send log
-/// toward the peer and stands up fresh writer and reader threads as
-/// generation `gen`. `false` if the peer could not be reached back (it died
-/// again mid-rejoin). A frame racing this is logged before `ship` takes the
-/// lock: it is in the replay or on the fresh queue (or both; deduped).
-fn admit(
-    fabric: &Arc<Fabric>,
-    shared: &Arc<TcpShared>,
-    p: &mut Peer,
-    peer: HostId,
-    gen: u64,
-    mut stream: TcpStream,
-) -> bool {
+/// toward the peer (nothing before `start`) and stands up a fresh writer
+/// and reader as generation `gen`. `false` if the peer could not be reached
+/// back (it died again mid-rejoin). A frame racing this is logged before
+/// `ship` takes the lock: it is in the replay or on the fresh queue (or
+/// both; deduped).
+fn admit(shared: &Arc<TcpShared>, p: &mut Peer, peer: HostId, gen: u64, mut s: TcpStream) -> bool {
     shared.links[peer].gen.store(gen, Ordering::Release);
     shared.heard(peer);
     let hello = hello_body(shared.me, shared.hosts, shared.run_nonce, shared.incarnation);
-    let redial = write_frame(&mut stream, FRAME_ACCEPT, &[])
+    let redial = write_frame(&mut s, FRAME_ACCEPT, &[])
         .ok()
         .and_then(|()| dial(peer, &shared.peers[peer], &hello).ok());
     let Some(out) = redial else { return false };
     let (tx, rx) = mpsc::channel();
     let fin = shared.fin_sent.load(Ordering::Acquire);
-    let mut frames = Vec::new();
-    fabric.log.replay(peer, &fabric.stats, |tag, env| frames.push(env.encode(tag)));
-    for item in link::resend(&frames, fabric.barrier.arrived(shared.me), fin) {
+    let (fabric, mut frames) = (shared.fabric(), Vec::new());
+    if let Some(fabric) = &fabric {
+        fabric.log.replay(peer, &fabric.stats, |tag, env| frames.push(env.encode(tag)));
+    }
+    for item in link::resend(&frames, fabric.map_or(0, |f| f.barrier.arrived(shared.me)), fin) {
         let _ = tx.send(match item {
             Resend::Logged(frame) => Out::Env(frame.clone()),
             Resend::Barrier(n) => Out::Barrier(n),
@@ -289,7 +301,7 @@ fn admit(
     }
     p.queue = Some(tx);
     spawn_writer(shared, peer, gen, out, rx);
-    spawn_reader(shared, p, stream, peer, gen);
+    read_from(shared, p, s, peer, gen);
     true
 }
 
@@ -322,24 +334,17 @@ impl Finished {
     }
 }
 
-/// Connected-but-not-yet-running sockets, parked between
+/// `(peer, socket, queue)`: an outbound simplex connection, parked between
 /// [`TcpTransport::establish`] and [`Transport::start`].
-struct Pending {
-    /// `(peer, socket)` — inbound simplex connections we read from.
-    inbound: Vec<(HostId, TcpStream)>,
-    /// `(peer, socket, queue)` — outbound simplex connections we write to.
-    writers: Vec<(HostId, TcpStream, Receiver<Out>)>,
-    /// Kept open with rejoin, so reconnecting peers have a door to knock on
-    /// for the whole run.
-    listener: Option<TcpListener>,
-}
+type Dialed = (HostId, TcpStream, Receiver<Out>);
 
-/// The established TCP transport for one host process. Created by
-/// [`TcpTransport::establish`] once the full mesh has handshaken; handed
+/// The TCP transport for one host process. Created by
+/// [`TcpTransport::establish`] once this host's dials are answered; handed
 /// to [`crate::Cluster::try_run_tcp`] to run the partition over it.
 pub struct TcpTransport {
     shared: Arc<TcpShared>,
-    pending: Mutex<Option<Pending>>,
+    /// The dialed connections until `start` spawns their writers.
+    pending: Mutex<Option<Vec<Dialed>>>,
 }
 
 impl TcpTransport {
@@ -370,7 +375,7 @@ impl TcpTransport {
     /// `start` has consumed the pending sockets.
     pub fn saboteur(&self) -> Option<Saboteur> {
         let pending = self.pending.lock().unpoisoned();
-        let (_, stream, _) = pending.as_ref()?.writers.first()?;
+        let (_, stream, _) = pending.as_ref()?.first()?;
         stream.try_clone().ok().map(Saboteur)
     }
 
@@ -392,17 +397,21 @@ impl TcpTransport {
         Self::establish_with(me, listener, peers, run_nonce, 0, opts)
     }
 
-    /// Builds the full connection mesh for host `me` of `peers.len()`
-    /// hosts: dials every peer's listener once while concurrently accepting
-    /// the `hosts - 1` inbound connections on `listener`, validating every
-    /// handshake against `{magic, version, host_id, hosts, run_nonce}`.
+    /// Stands up host `me` of `peers.len()` hosts: starts the one acceptor
+    /// on `listener`, which answers every HELLO for the rest of the run,
+    /// then dials every peer's listener once, validating each handshake
+    /// against `{magic, version, host_id, hosts, run_nonce}`. It does not
+    /// wait for the peers to dial in: each is hooked when its HELLO
+    /// arrives, the run starts once all are, and one that never comes is
+    /// silent ([`TcpOptions::peer_timeout`] from now).
     ///
-    /// `peers[i]` is host `i`'s listen address; `peers[me]` is this host's
-    /// own (used only for arity, unless rejoin keeps the listener open).
-    /// Every host's listener must be bound before any host calls this.
-    /// `incarnation` is this process's spawn count for the run; survivors
-    /// of a crash accept a redial only with a strictly larger value than
-    /// the one they last saw. Any failure is a typed [`TransportError`].
+    /// `peers[i]` is host `i`'s listen address, each named once;
+    /// `peers[me]` is this host's own, which teardown connects to once to
+    /// wake the acceptor. Every host's listener must be bound before any
+    /// host calls this. `incarnation` is this process's spawn count for the
+    /// run; survivors of a crash admit a redial only with a strictly larger
+    /// value than the one they last saw. Any failure is a typed
+    /// [`TransportError`].
     pub fn establish_with(
         me: HostId,
         listener: TcpListener,
@@ -419,43 +428,18 @@ impl TcpTransport {
             let detail = format!("host id {me} out of range for {hosts} host(s)");
             return Err(TransportError::Config(detail));
         }
-
-        // Accept concurrently with our own dials: every worker is doing
-        // both at once, so neither side can afford to serialize them.
-        let acceptor = std::thread::Builder::new()
-            .name("tcp-accept".into())
-            .spawn(move || accept_peers(listener, me, hosts, run_nonce, opts.accept_timeout))
-            .expect("failed to spawn acceptor thread");
-
-        let hello = hello_body(me, hosts, run_nonce, incarnation);
-        let dialed: Result<Vec<_>, _> = (0..hosts)
-            .filter(|&peer| peer != me)
-            .map(|peer| dial(peer, &peers[peer], &hello).map(|s| (peer, s)))
-            .collect();
-        // Join the acceptor even on a dial error: it owns the listener and
-        // terminates at accept_timeout at the latest.
-        let accepted = acceptor.join().expect("acceptor thread panicked");
-        let (dialed, (listener, accepted)) = (dialed?, accepted?);
-
-        let mut queues: Vec<Option<Sender<Out>>> = (0..hosts).map(|_| None).collect();
-        let mut incarnations = vec![0; hosts];
-        let listener = opts.rejoin.then_some(listener);
-        let mut pending = Pending { inbound: Vec::new(), writers: Vec::new(), listener };
-        for (peer, stream) in dialed {
-            let (tx, rx) = mpsc::channel();
-            queues[peer] = Some(tx);
-            pending.writers.push((peer, stream, rx));
+        for (b, addr) in peers.iter().enumerate() {
+            if let Some(a) = peers[..b].iter().position(|other| other == addr) {
+                let detail = format!("hosts {a} and {b} share the address {addr}");
+                return Err(TransportError::Config(detail));
+            }
         }
-        for (peer, inc, stream) in accepted {
-            incarnations[peer] = inc;
-            pending.inbound.push((peer, stream));
-        }
-        let links = queues.into_iter().zip(incarnations).map(|(queue, inc)| {
-            let link = PeerLink::new(opts.rejoin, inc);
-            let peer = Mutex::new(Peer { link, queue, reader: None });
-            Link { gen: AtomicU64::new(0), peer }
+
+        let links = (0..hosts).map(|_| Link {
+            gen: AtomicU64::new(0),
+            peer: Mutex::new(Peer { link: PeerLink::new(opts.rejoin), queue: None, reader: None }),
         });
-        // Every peer proved alive during the handshake just now: heard at 0.
+        // Silence is counted from here: heard at 0.
         let shared = Arc::new(TcpShared {
             me,
             hosts,
@@ -466,41 +450,66 @@ impl TcpTransport {
             start: Instant::now(),
             last_heard: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
             links: links.collect(),
-            fabric: OnceLock::new(),
+            run: OnceLock::new(),
             shutting_down: AtomicBool::new(false),
             fin_sent: AtomicBool::new(false),
             waiting: Mutex::new(()),
             links_changed: Condvar::new(),
             threads: Mutex::new(Vec::new()),
         });
+        // Accept before dialing: every host dials at once, and each dial
+        // waits for the peer's acceptor to answer.
+        let s = Arc::clone(&shared);
+        spawn_io(&shared, "tcp-accept".into(), None, move || acceptor(listener, s));
+        let mut transport = TcpTransport { shared, pending: Mutex::new(None) };
 
-        Ok(TcpTransport {
-            shared,
-            pending: Mutex::new(Some(pending)),
-        })
+        let hello = hello_body(me, hosts, run_nonce, incarnation);
+        let mut dialed = Vec::with_capacity(hosts - 1);
+        for peer in (0..hosts).filter(|&peer| peer != me) {
+            // A failed dial drops `transport`, which stops the acceptor.
+            let stream = dial(peer, &peers[peer], &hello)?;
+            let (tx, rx) = mpsc::channel();
+            transport.shared.links[peer].peer.lock().unpoisoned().queue = Some(tx);
+            dialed.push((peer, stream, rx));
+        }
+        transport.pending = Mutex::new(Some(dialed));
+        Ok(transport)
+    }
+}
+
+impl Drop for TcpTransport {
+    /// A transport that never ran (a dial failed) still stops its acceptor.
+    fn drop(&mut self) {
+        stop(&self.shared);
     }
 }
 
 impl Transport for TcpTransport {
     fn start(&self, fabric: &Arc<Fabric>) {
-        let Some(pending) = self.pending.lock().unpoisoned().take() else { return };
+        let Some(dialed) = self.pending.lock().unpoisoned().take() else { return };
         let shared = &self.shared;
-        let _ = shared.fabric.set(Arc::downgrade(fabric));
-        for (peer, stream, rx) in pending.writers {
+        for (peer, stream, rx) in dialed {
             spawn_writer(shared, peer, 0, stream, rx);
         }
-        for (peer, stream) in pending.inbound {
-            spawn_reader(shared, &mut shared.links[peer].peer.lock().unpoisoned(), stream, peer, 0);
+        // Under every peer's lock: a HELLO driven meanwhile either parked its
+        // socket before the run was set, or sees the run and reads it itself.
+        let mut peers: Vec<_> = shared.links.iter().map(|l| l.peer.lock().unpoisoned()).collect();
+        let _ = shared.run.set((Arc::downgrade(fabric), cusp_obs::current()));
+        for (peer, p) in peers.iter_mut().enumerate() {
+            if let Some(stream) = p.reader.take() {
+                let gen = shared.links[peer].gen.load(Ordering::Acquire);
+                read_from(shared, p, stream, peer, gen);
+            }
         }
+        drop(peers);
         if shared.hosts > 1 {
             let (f, s) = (Arc::clone(fabric), Arc::clone(shared));
             spawn_io(shared, "tcp-monitor".into(), Some("tcp-monitor"), move || monitor_loop(f, s));
         }
-        if let Some(listener) = pending.listener {
-            let (f, s) = (Arc::clone(fabric), Arc::clone(shared));
-            let body = move || rejoin_acceptor(listener, f, s);
-            spawn_io(shared, "tcp-rejoin".into(), Some("tcp-rejoin"), body);
-        }
+        // Run once every peer has dialed in, or the monitor gave up on it: a
+        // peer still dialing this host must not meet it dead (a kill at the
+        // first phase). A count, bounded by the silence rule, not a deadline.
+        shared.wait_all(fabric, |link| link != LinkState::Awaiting);
     }
 
     fn ship(&self, _fabric: &Fabric, dst: HostId, tag: Tag, env: Envelope) {
@@ -544,32 +553,9 @@ impl Transport for TcpTransport {
             // barriers. The readers and the monitor are still up, so a
             // peer that dies or goes silent here raises the abort flag
             // exactly as it would have during the run; both wake this wait.
-            let finned = |p| p == shared.me || matches!(shared.state(p), LinkState::Finned { .. });
-            let mut guard = shared.waiting.lock().unpoisoned();
-            while !fabric.should_abort() && !(0..shared.hosts).all(finned) {
-                guard = shared.links_changed.wait(guard).unpoisoned();
-            }
+            shared.wait_all(fabric, |link| matches!(link, LinkState::Finned { .. }));
         }
-        shared.shutting_down.store(true, Ordering::Release);
-        if shared.opts.rejoin {
-            // Wakes the rejoin acceptor out of `accept`; it sees the flag.
-            drop(TcpStream::connect(&shared.peers[shared.me]));
-        }
-        for link in &shared.links {
-            link.peer.lock().unpoisoned().link.step(Event::Shutdown);
-        }
-        shared.notify();
-        loop {
-            // Admissions may add writer/reader threads concurrently with
-            // this join; drain until the list stays empty.
-            let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *shared.threads.lock().unpoisoned());
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
+        stop(shared);
     }
 
     fn rejoin_count(&self) -> u64 {
@@ -578,17 +564,45 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Starts one of the transport's threads and keeps its handle for `finish`
-/// to join. With a `role`, the thread records into the trace the calling
-/// thread is attached to (if tracing is on), so the links' `peer_*`
-/// instants land beside the host's own events.
+/// Stands every transport thread down and joins it; the acceptor is woken
+/// out of `accept` by one connection to this host's own listener. Runs
+/// once, whichever of `finish` and `drop` comes first.
+fn stop(shared: &TcpShared) {
+    if shared.shutting_down.swap(true, Ordering::AcqRel) {
+        return;
+    }
+    drop(TcpStream::connect(&shared.peers[shared.me]));
+    for link in &shared.links {
+        let mut p = link.peer.lock().unpoisoned();
+        p.link.step(Event::Shutdown);
+        // Ends a writer no FIN or abort reached (admitted before a run that never came).
+        (p.queue, p.reader) = (None, None);
+    }
+    shared.notify();
+    loop {
+        // Admissions may add writer/reader threads concurrently with
+        // this join; drain until the list stays empty.
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *shared.threads.lock().unpoisoned());
+        if handles.is_empty() {
+            break;
+        }
+        for h in handles {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Starts one of the transport's threads and keeps its handle for `stop`
+/// to join. With a `role`, the thread records into the run's trace (if
+/// tracing is on), so the links' `peer_*` instants land beside the host's
+/// own events.
 fn spawn_io(
     shared: &TcpShared,
     name: String,
     role: Option<&'static str>,
     body: impl FnOnce() + Send + 'static,
 ) {
-    let obs = cusp_obs::current().zip(role);
+    let obs = shared.run.get().and_then(|(_, trace)| trace.clone()).zip(role);
     let handle = std::thread::Builder::new()
         .name(name)
         .spawn(move || {
@@ -606,11 +620,17 @@ fn spawn_writer(shared: &TcpShared, peer: HostId, gen: u64, stream: TcpStream, r
     spawn_io(shared, format!("tcp-send-{peer}-g{gen}"), None, body);
 }
 
-/// Stands up the reader of connection generation `gen` from `peer`,
-/// keeping a clone of its socket in `p` so that the link can tear it.
-fn spawn_reader(shared: &Arc<TcpShared>, p: &mut Peer, stream: TcpStream, peer: HostId, gen: u64) {
+/// Reads `stream` as connection generation `gen` from `peer`: spawns its
+/// reader, keeping a clone of the socket in `p` so that the link can tear
+/// it; before the run parks the socket in `p` for `start`. Called under the
+/// peer's lock, which `start` holds while it sets the run up.
+fn read_from(shared: &Arc<TcpShared>, p: &mut Peer, stream: TcpStream, peer: HostId, gen: u64) {
+    let Some(f) = shared.fabric() else {
+        p.reader = Some(stream);
+        return;
+    };
     p.reader = stream.try_clone().ok();
-    let (f, s) = (shared.fabric().expect("readers start with the run"), Arc::clone(shared));
+    let s = Arc::clone(shared);
     let name = format!("tcp-recv-{peer}-g{gen}");
     spawn_io(shared, name, Some("tcp-recv"), move || reader_loop(stream, peer, gen, f, s));
 }
@@ -681,8 +701,8 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -> Rea
 }
 
 /// The HELLO frame body. `#[doc(hidden)] pub`, like [`parse_hello`], so
-/// `tests/hello_props.rs` pins the very functions the dialer and both
-/// acceptors call — not part of the supported API.
+/// `tests/hello_props.rs` pins the very functions the dialer and the
+/// acceptor call — not part of the supported API.
 #[doc(hidden)]
 pub fn hello_body(me: HostId, hosts: usize, run_nonce: u64, incarnation: u32) -> Bytes {
     let mut w = WireWriter::with_capacity(25);
@@ -723,10 +743,10 @@ fn dial(peer: HostId, addr: &str, hello: &[u8]) -> Result<TcpStream, TransportEr
     }
 }
 
-/// Parses and checks the transport-level HELLO fields shared by the mesh
-/// acceptor and the rejoin acceptor: magic, version, cluster shape, run
-/// nonce. Returns the claimed `(host_id, incarnation)`; the caller applies
-/// its own slot policy, or the peer's link its incarnation rule, on top.
+/// Parses and checks the transport-level HELLO fields: magic, version,
+/// cluster shape, run nonce. Returns the claimed `(host_id, incarnation)`;
+/// the peer's link decides, on top, whether it is the first, a respawn or a
+/// duplicate.
 #[doc(hidden)]
 pub fn parse_hello(
     body: &[u8],
@@ -759,15 +779,11 @@ pub fn parse_hello(
     Ok((host_id, incarnation))
 }
 
-/// Reads the HELLO on one accepted connection and checks its fields — the
-/// step both acceptors share. A malformed or foreign HELLO gets a REJECT
-/// carrying the reason (the dialer sees it and errors out); strangers that
-/// never speak the protocol (port scans, stale workers) are dropped
-/// silently. Both come back as `None`.
+/// Reads the HELLO on one accepted connection and checks its fields. A
+/// malformed or foreign HELLO gets a REJECT carrying the reason (the dialer
+/// sees it and errors out); strangers that never speak the protocol (port
+/// scans, stale workers) are dropped silently. Both come back as `None`.
 fn read_hello(s: &mut TcpStream, me: HostId, hosts: usize, nonce: u64) -> Option<(HostId, u32)> {
-    // The accepted socket may inherit the listener's non-blocking mode; the
-    // reader threads want plain blocking-with-timeout.
-    let _ = s.set_nonblocking(false);
     let _ = s.set_nodelay(true);
     let _ = s.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
     let (kind, body) = read_handshake_frame(s).ok()?;
@@ -782,56 +798,23 @@ fn reject(stream: &mut TcpStream, reason: RejectReason) {
     let _ = write_frame(stream, FRAME_REJECT, &[reason as u8]);
 }
 
-/// Accept loop: collects `hosts - 1` validated peer connections, returning
-/// them together with the listener (kept for the rejoin acceptor).
-/// Connections failing validation get a REJECT and are dropped without
-/// consuming a slot; random strangers (port scans, stale workers) are
-/// simply ignored.
-#[allow(clippy::type_complexity)]
-fn accept_peers(
-    listener: TcpListener,
-    me: HostId,
-    hosts: usize,
-    run_nonce: u64,
-    timeout: Duration,
-) -> Result<(TcpListener, Vec<(HostId, u32, TcpStream)>), TransportError> {
-    let mut taken = vec![false; hosts];
-    let mut inbound = Vec::with_capacity(hosts.saturating_sub(1));
-    listener.set_nonblocking(true).map_err(TransportError::Bind)?;
-    let deadline = Instant::now() + timeout;
-    while inbound.len() < hosts - 1 {
-        if Instant::now() >= deadline {
-            return Err(TransportError::AcceptTimeout { missing: hosts - 1 - inbound.len() });
-        }
-        let Ok((mut stream, _)) = listener.accept() else {
-            std::thread::sleep(ACCEPT_POLL);
-            continue;
-        };
-        // Mesh admission: a run member whose slot is still free.
-        let Some((peer, inc)) = read_hello(&mut stream, me, hosts, run_nonce) else { continue };
-        if taken[peer] {
-            reject(&mut stream, RejectReason::BadHostId);
-        } else if write_frame(&mut stream, FRAME_ACCEPT, &[]).is_ok() {
-            taken[peer] = true;
-            inbound.push((peer, inc, stream));
-        }
-    }
-    Ok((listener, inbound))
-}
-
-/// Answers HELLOs on the retained mesh listener for the rest of the run:
-/// one with this run's fields goes to the claimed peer's link, which
-/// admits it or has it refused; anything else gets a typed REJECT (or is
-/// ignored, for non-protocol garbage). Blocks in `accept`, and returns on
-/// the first connection after shutdown or abort: `finish` makes one.
-fn rejoin_acceptor(listener: TcpListener, fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
-    // `establish` polled the listener; it blocks from here on.
-    let _ = listener.set_nonblocking(false);
+/// The one acceptor: answers HELLOs on the listener from `establish` until
+/// teardown. One with this run's fields goes to the claimed peer's link,
+/// which hooks it (the first), admits it (a respawn) or has it refused;
+/// anything else gets a typed REJECT (or is ignored, for non-protocol
+/// garbage). Blocks in `accept`, and returns on the first connection after
+/// shutdown: `stop` makes one.
+fn acceptor(listener: TcpListener, shared: Arc<TcpShared>) {
+    let mut trace = None;
     for conn in listener.incoming() {
-        if shared.stopped(&fabric) {
+        if shared.shutting_down.load(Ordering::Acquire) {
             return;
         }
         let Ok(mut stream) = conn else { continue };
+        // Spawned before the run; its admissions record into the run's trace.
+        if trace.is_none() {
+            trace = shared.run.get().and_then(|(_, t)| t.as_ref()).map(|a| a.attach("tcp-accept"));
+        }
         let hello = read_hello(&mut stream, shared.me, shared.hosts, shared.run_nonce);
         if let Some((peer, inc)) = hello {
             drive(&shared, peer, Event::HelloFrom { inc }, Some(stream));
@@ -943,8 +926,9 @@ fn reader_loop(
     }
 }
 
-/// Watches liveness: a connected peer whose last frame is
-/// [`TcpOptions::peer_timeout`] old is reported [`Event::Silent`]. Sleeps
+/// Watches liveness: a peer whose last frame is [`TcpOptions::peer_timeout`]
+/// old, or that has not dialed in that long after `establish`, is reported
+/// [`Event::Silent`]. Sleeps
 /// until the earliest such moment (a link step or shutdown wakes it
 /// early); socket-level failures are caught faster by the readers, this
 /// catches peers that hang without dying. It stands until shutdown, not
@@ -956,7 +940,11 @@ fn monitor_loop(fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
         let now = shared.now_ms();
         let mut wake = now + timeout;
         for peer in (0..shared.hosts).filter(|&p| p != shared.me) {
-            let LinkState::Up { gen, .. } = shared.state(peer) else { continue };
+            let gen = match shared.state(peer) {
+                LinkState::Awaiting => 0,
+                LinkState::Up { gen, .. } => gen,
+                _ => continue,
+            };
             let due = shared.last_heard[peer].load(Ordering::Acquire) + timeout;
             if due <= now {
                 drive(&shared, peer, Event::Silent { gen }, None);
@@ -979,12 +967,6 @@ mod tests {
     use crate::cluster::{Cluster, ClusterOptions};
     use crate::recovery::ClusterError;
     use crate::serialize::encode_envelope;
-
-    /// Options tuned so a failed establish errors out in test time rather
-    /// than wall-clock seconds.
-    fn fast_opts() -> TcpOptions {
-        TcpOptions { accept_timeout: Duration::from_secs(2), ..TcpOptions::default() }
-    }
 
     /// Runs `run` with this thread attached to a fresh trace recorder —
     /// which the transport's I/O threads inherit — and returns its result
@@ -1011,20 +993,29 @@ mod tests {
         (l, addr)
     }
 
-    /// Starts `TcpTransport::establish` for host 0 of a 2-host cluster in
-    /// a background thread and returns its listen address plus the join
-    /// handle, so a raw scripted "host 1" can talk to it.
-    fn establish_host0(
-        nonce: u64,
-    ) -> (String, std::thread::JoinHandle<Result<TcpTransport, TransportError>>, String) {
+    /// Raw host 1's half of host 0's dial: accepts it on `l1`, checks the
+    /// HELLO and answers ACCEPT. Returns the socket host 0 writes to.
+    fn answer_dial(l1: &TcpListener) -> TcpStream {
+        let (mut from0, _) = l1.accept().expect("host 0 dials us");
+        from0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let (kind, _) = read_handshake_frame(&mut from0).unwrap();
+        assert_eq!(kind, FRAME_HELLO);
+        write_frame(&mut from0, FRAME_ACCEPT, &[]).unwrap();
+        from0
+    }
+
+    /// Establishes host 0 of a 2-host cluster whose host 1 is a raw script
+    /// that answers host 0's dial and has not dialed back, so the test can
+    /// talk to host 0's acceptor. Returns host 0's listen address, the
+    /// transport (not started) and the socket host 0 writes to.
+    fn establish_host0(nonce: u64) -> (String, TcpTransport, TcpStream) {
         let (l0, a0) = bind();
         let (l1, a1) = bind();
-        drop(l1); // host 1 is played by the raw script, not a transport
-        let peers = vec![a0.clone(), a1.clone()];
-        let h = std::thread::spawn(move || {
-            TcpTransport::establish(0, l0, &peers, nonce, fast_opts())
-        });
-        (a0, h, a1)
+        let answer = std::thread::spawn(move || answer_dial(&l1));
+        let peers = vec![a0.clone(), a1];
+        let opts = TcpOptions::default();
+        let t = TcpTransport::establish(0, l0, &peers, nonce, opts).expect("mesh up");
+        (a0, t, answer.join().expect("host 0's dial answered"))
     }
 
     /// Raw host-1 side of the handshake: dial host 0 with a HELLO built by
@@ -1041,27 +1032,27 @@ mod tests {
 
     #[test]
     fn handshake_rejects_wrong_version_then_accepts_a_valid_peer() {
-        let (a0, h, _a1) = establish_host0(77);
+        let (a0, transport, _from0) = establish_host0(77);
         // Bad protocol version → REJECT(BadVersion), and the slot is not
-        // consumed: a follow-up valid HELLO still completes the mesh.
+        // consumed: a follow-up valid HELLO is hooked...
         let (kind, body) = dial_raw(&a0, |hello| hello[4] = TCP_PROTOCOL_VERSION + 1);
         assert_eq!(kind, FRAME_REJECT);
         assert_eq!(RejectReason::from_u8(body[0]), Some(RejectReason::BadVersion));
         let (kind, _) = dial_raw(&a0, |_| {});
         assert_eq!(kind, FRAME_ACCEPT);
-        // Host 0 still needs its own outbound dial to succeed; play the
-        // accepting side for it.
-        let t = h.join().unwrap();
-        match t {
-            Err(TransportError::Unreachable { peer: 1, .. }) => {}
-            Err(e) => panic!("unexpected establish error: {e}"),
-            Ok(_) => panic!("establish cannot succeed: nobody listened for host 0's dial"),
+        assert_eq!(transport.shared.state(1), LinkState::Up { gen: 0, inc: 0 });
+        // ...and without rejoin the slot is taken from then on, whatever
+        // the incarnation.
+        for inc in [0, 1] {
+            let (kind, body) = dial_raw(&a0, |hello| hello[21] = inc);
+            assert_eq!(kind, FRAME_REJECT);
+            assert_eq!(RejectReason::from_u8(body[0]), Some(RejectReason::BadHostId));
         }
     }
 
     #[test]
     fn handshake_rejects_wrong_nonce_and_magic() {
-        let (a0, h, _a1) = establish_host0(77);
+        let (a0, _transport, _from0) = establish_host0(77);
         let (kind, body) = dial_raw(&a0, |hello| hello[13] ^= 0xFF); // nonce byte
         assert_eq!(kind, FRAME_REJECT);
         assert_eq!(RejectReason::from_u8(body[0]), Some(RejectReason::BadNonce));
@@ -1074,7 +1065,6 @@ mod tests {
         let (kind, body) = dial_raw(&a0, |hello| hello[5] = 0); // host id = ours
         assert_eq!(kind, FRAME_REJECT);
         assert_eq!(RejectReason::from_u8(body[0]), Some(RejectReason::BadHostId));
-        drop(h.join().unwrap()); // Unreachable; nothing listened for host 0
     }
 
     #[test]
@@ -1084,18 +1074,53 @@ mod tests {
         let (l1, a1) = bind();
         let (l0, a0) = bind();
         let peers = vec![a0, a1];
-        let acceptor = std::thread::spawn(move || {
-            accept_peers(l1, 1, 2, 9999, fast_opts().accept_timeout) // nonce 9999 ≠ 77
+        let host1 = std::thread::spawn(move || {
+            let (mut from0, _) = l1.accept().expect("host 0 dials us");
+            assert_eq!(read_hello(&mut from0, 1, 2, 9999), None); // nonce 9999 ≠ 77
         });
-        let got = TcpTransport::establish(0, l0, &peers, 77, fast_opts());
+        let got = TcpTransport::establish(0, l0, &peers, 77, TcpOptions::default());
         match got {
             Err(TransportError::Rejected { peer: 1, reason: RejectReason::BadNonce }) => {}
             Err(e) => panic!("wanted Rejected(BadNonce), got: {e}"),
             Ok(_) => panic!("establish must fail across a nonce mismatch"),
         }
-        // The scripted acceptor times out (host 0 gave up after the
-        // rejection and never retried with the right nonce).
-        assert!(matches!(acceptor.join().unwrap(), Err(TransportError::AcceptTimeout { .. })));
+        host1.join().expect("host 1 refused the dial");
+    }
+
+    /// A peer that answers host 0's dial but never dials back is silent from
+    /// `establish` on: the run ends in the typed loss once the peer timeout
+    /// has passed, as it would for a peer that went quiet mid-run.
+    #[test]
+    fn peer_that_never_dials_in_is_host_lost_after_the_peer_timeout() {
+        let (l0, a0) = bind();
+        let (l1, a1) = bind();
+        let peers = vec![a0, a1];
+        let host1 = std::thread::spawn(move || answer_dial(&l1));
+        let opts = TcpOptions::default().with_heartbeat(Duration::from_millis(15));
+        let began = Instant::now();
+        let transport = TcpTransport::establish(0, l0, &peers, 77, opts).expect("dial answered");
+        let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+            comm.recv_any(Tag(0))
+        });
+        let took = began.elapsed();
+        assert!(matches!(got, Err(ClusterError::HostLost { host: 1, restarts: 0 })), "typed loss");
+        let timeout = opts.peer_timeout();
+        assert!(took >= timeout && took < 4 * timeout, "lost after {took:?}, timeout {timeout:?}");
+        drop(host1.join());
+    }
+
+    #[test]
+    fn duplicate_peer_addresses_are_refused_before_any_dial() {
+        let (l0, a0) = bind();
+        let (_l1, a1) = bind();
+        let peers = vec![a0, a1.clone(), a1.clone()];
+        match TcpTransport::establish(0, l0, &peers, 77, TcpOptions::default()) {
+            Err(TransportError::Config(detail)) => {
+                assert_eq!(detail, format!("hosts 1 and 2 share the address {a1}"));
+            }
+            Err(e) => panic!("wanted Config, got: {e}"),
+            Ok(_) => panic!("a peer list naming one address twice must be refused"),
+        }
     }
 
     /// Full raw "host 1": completes both handshake directions against a
@@ -1108,12 +1133,7 @@ mod tests {
         script: impl FnOnce(&mut TcpStream) + Send + 'static,
     ) -> std::thread::JoinHandle<TcpStream> {
         std::thread::spawn(move || {
-            // Accept host 0's outbound dial and ACCEPT its HELLO.
-            let (mut from0, _) = l1.accept().expect("host 0 dials us");
-            from0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let (kind, _) = read_handshake_frame(&mut from0).unwrap();
-            assert_eq!(kind, FRAME_HELLO);
-            write_frame(&mut from0, FRAME_ACCEPT, &[]).unwrap();
+            let from0 = answer_dial(&l1);
             // Dial host 0 with our own valid HELLO.
             let mut to0 = TcpStream::connect(&a0).expect("dial host 0");
             to0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -1141,7 +1161,7 @@ mod tests {
             let _ = s.shutdown(Shutdown::Write);
         });
         let transport =
-            TcpTransport::establish(0, l0, &peers, 77, fast_opts()).expect("mesh up");
+            TcpTransport::establish(0, l0, &peers, 77, TcpOptions::default()).expect("mesh up");
         let (got, instants) = instants(|| {
             Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
                 // The message in front of the tear is delivered in sequence...
@@ -1166,7 +1186,7 @@ mod tests {
     /// mid-body — is the expected close, with rejoin or without.
     #[test]
     fn torn_frame_after_fin_is_the_expected_close_in_either_mode() {
-        for opts in [fast_opts(), rejoin_opts()] {
+        for opts in [TcpOptions::default(), rejoin_opts()] {
             let (l0, a0) = bind();
             let (l1, a1) = bind();
             let peers = vec![a0.clone(), a1];
@@ -1206,7 +1226,7 @@ mod tests {
             let _ = s.shutdown(Shutdown::Both);
         });
         let transport =
-            TcpTransport::establish(0, l0, &peers, 77, fast_opts()).expect("mesh up");
+            TcpTransport::establish(0, l0, &peers, 77, TcpOptions::default()).expect("mesh up");
         let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
             comm.recv_any(Tag(0)) // would block forever on a hanging transport
         });
@@ -1228,7 +1248,8 @@ mod tests {
             // until host 0 has given up on it.
             let _ = hold.recv();
         });
-        let opts = fast_opts().with_heartbeat(Duration::from_millis(15)); // silent after 500 ms
+        // Silent after 500 ms.
+        let opts = TcpOptions::default().with_heartbeat(Duration::from_millis(15));
         let transport = TcpTransport::establish(0, l0, &peers, 77, opts).expect("mesh up");
         // Host 0 has nothing to do and goes straight to its FIN and drain.
         let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |_| ());
@@ -1249,7 +1270,7 @@ mod tests {
             s.flush().unwrap();
         });
         let transport =
-            TcpTransport::establish(0, l0, &peers, 77, fast_opts()).expect("mesh up");
+            TcpTransport::establish(0, l0, &peers, 77, TcpOptions::default()).expect("mesh up");
         let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
             comm.recv_any(Tag(0))
         });
@@ -1260,7 +1281,7 @@ mod tests {
     // -- rejoin ------------------------------------------------------------
 
     fn rejoin_opts() -> TcpOptions {
-        TcpOptions { rejoin: true, ..fast_opts() }
+        TcpOptions { rejoin: true, ..TcpOptions::default() }
     }
 
     /// Blocking read of one full data frame on a raw test socket,
@@ -1503,7 +1524,7 @@ mod tests {
             write_frame(s, FRAME_FIN, &[]).unwrap();
             s.flush().unwrap();
         });
-        let transport = TcpTransport::establish_with(0, l0, &peers, 77, 1, fast_opts())
+        let transport = TcpTransport::establish_with(0, l0, &peers, 77, 1, TcpOptions::default())
             .expect("mesh up");
         Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
             comm.restore_net(&crate::NetCheckpoint {

@@ -5,13 +5,13 @@
 //! string — truncated, bit-flipped, or outright garbage — must come back
 //! as a typed [`RejectReason`], never a panic, and the field checks must
 //! fire in a fixed order so a corrupt frame is diagnosed by its first
-//! broken field. The rejoin admission rule (strictly newer incarnation)
-//! rides on top and is pinned here too, through the peer link that applies
-//! it.
+//! broken field. The admission rules (the first HELLO is hooked; later
+//! ones need rejoin and a strictly newer incarnation) ride on top and are
+//! pinned here too, through the peer link that applies them.
 
 use proptest::prelude::*;
 
-use cusp_net::transport::link::{Action, Event, PeerLink};
+use cusp_net::transport::link::{Action, Event, LinkState, PeerLink};
 use cusp_net::transport::tcp::{hello_body, parse_hello};
 use cusp_net::RejectReason;
 
@@ -191,7 +191,8 @@ proptest! {
         claimed in any::<u32>(),
         last in any::<u32>(),
     ) {
-        let mut link = PeerLink::new(true, last);
+        let mut link = PeerLink::new(true);
+        link.step(Event::HelloFrom { inc: last });
         let before = link.state();
         let got = link.step(Event::HelloFrom { inc: claimed });
         if claimed > last {
@@ -200,5 +201,26 @@ proptest! {
             prop_assert_eq!(got, vec![Action::Reject(RejectReason::StaleIncarnation)]);
             prop_assert_eq!(link.state(), before);
         }
+    }
+
+    /// The first HELLO, of any incarnation and in either mode, is hooked as
+    /// generation 0: no `Unhook`, no `Admit`.
+    #[test]
+    fn first_hello_hooks_generation_0(rejoin in any::<bool>(), inc in any::<u32>()) {
+        let mut link = PeerLink::new(rejoin);
+        prop_assert_eq!(link.step(Event::HelloFrom { inc }), vec![Action::Hook]);
+        prop_assert_eq!(link.state(), LinkState::Up { gen: 0, inc });
+    }
+
+    /// Without rejoin, any HELLO after the first is a taken slot,
+    /// [`RejectReason::BadHostId`], and leaves the link as it was.
+    #[test]
+    fn second_hello_without_rejoin_is_bad_host_id(first in any::<u32>(), claimed in any::<u32>()) {
+        let mut link = PeerLink::new(false);
+        link.step(Event::HelloFrom { inc: first });
+        let before = link.state();
+        let got = link.step(Event::HelloFrom { inc: claimed });
+        prop_assert_eq!(got, vec![Action::Reject(RejectReason::BadHostId)]);
+        prop_assert_eq!(link.state(), before);
     }
 }

@@ -15,6 +15,10 @@
 //! `Comm::restore_net` relies on: every phase consumes all its inbound
 //! traffic before its barrier, so a respawn resumes from a floor one of its
 //! predecessors reached. A failure prints the seed that replays it.
+//!
+//! Every schedule starts once the first incarnation's HELLO is hooked; what
+//! the link does before that — the first HELLO, a second one, silence,
+//! shutdown — is pinned case by case at the end of this file.
 
 use std::collections::VecDeque;
 
@@ -150,11 +154,13 @@ impl World {
     fn new(cfg: Config, rng: Rng, seed: u64) -> Self {
         let mut first = Proc::new(0, 0);
         (first.conn, first.said_hello) = (Some(0), true);
+        let mut link = PeerLink::new(cfg.rejoin);
+        assert_eq!(link.step(Event::HelloFrom { inc: 0 }), [Action::Hook], "seed {seed}");
         World {
             rng,
             seed,
             cfg,
-            link: PeerLink::new(cfg.rejoin, 0),
+            link,
             log: 0,
             barrier: 0,
             fin_sent: false,
@@ -175,6 +181,7 @@ impl World {
     /// The generation the link is about, if it is not lost.
     fn gen(&self) -> Option<u64> {
         match self.link.state() {
+            LinkState::Awaiting => Some(0),
             LinkState::Up { gen, .. }
             | LinkState::Finned { gen, .. }
             | LinkState::Joining { gen, .. }
@@ -231,6 +238,7 @@ impl World {
         let actions = self.link.step(event);
         for &action in &actions {
             match action {
+                Action::Hook => panic!("seed {seed}: a second first HELLO"),
                 Action::Unhook => {
                     let gen = self.queue.take();
                     let gen = gen.unwrap_or_else(|| panic!("seed {seed}: Unhook of no queue"));
@@ -397,6 +405,7 @@ impl World {
             LinkState::Up { gen, .. } => assert_eq!(self.queue, Some(gen), "seed {seed}"),
             LinkState::Down { .. } => assert_eq!(self.queue, None, "seed {seed}"),
             LinkState::Joining { .. } => panic!("seed {seed}: an admission outlived its redial"),
+            LinkState::Awaiting => panic!("seed {seed}: the link forgot its first HELLO"),
             LinkState::Finned { .. } | LinkState::Lost => {}
         }
     }
@@ -476,5 +485,65 @@ fn every_schedule_ends_finned_lost_or_shut_down() {
 fn same_seed_same_schedule() {
     for seed in [7, 20261015] {
         assert_eq!(explore(true, seed), explore(true, seed));
+    }
+}
+
+// -- before the first HELLO -------------------------------------------------
+
+#[test]
+fn a_first_hello_of_any_incarnation_hooks_generation_0() {
+    for rejoin in [false, true] {
+        for inc in [0, 1, 7, u32::MAX] {
+            let mut link = PeerLink::new(rejoin);
+            assert_eq!(link.state(), LinkState::Awaiting);
+            // No Unhook (nothing was hooked) and no Admit (no redial): this
+            // host's own dial is the outbound connection.
+            assert_eq!(link.step(Event::HelloFrom { inc }), [Action::Hook]);
+            assert_eq!(link.state(), LinkState::Up { gen: 0, inc });
+        }
+    }
+}
+
+#[test]
+fn a_second_hello_without_rejoin_is_a_taken_slot() {
+    let reject = Action::Reject(RejectReason::BadHostId);
+    for inc in [0, 1, u32::MAX] {
+        let mut link = PeerLink::new(false);
+        link.step(Event::HelloFrom { inc: 0 });
+        assert_eq!(link.step(Event::HelloFrom { inc }), [reject]);
+        assert_eq!(link.state(), LinkState::Up { gen: 0, inc: 0 });
+        // Finned or not, the slot stays taken.
+        link.step(Event::FrameFin { gen: 0 });
+        assert_eq!(link.step(Event::HelloFrom { inc }), [reject]);
+    }
+}
+
+#[test]
+fn silence_before_the_first_hello_is_lost_without_rejoin_and_down_with_it() {
+    let mut link = PeerLink::new(false);
+    assert_eq!(link.step(Event::Silent { gen: 0 }), [Action::MarkLost]);
+    assert_eq!(link.state(), LinkState::Lost);
+    assert_eq!(link.step(Event::HelloFrom { inc: 0 }), []);
+
+    let mut link = PeerLink::new(true);
+    assert_eq!(link.step(Event::Silent { gen: 0 }), [Action::Unhook]);
+    assert_eq!(link.state(), LinkState::Down { gen: 0, inc: 0 });
+    // The incarnation it waited for is given up on; its respawn is admitted.
+    let stale = Action::Reject(RejectReason::StaleIncarnation);
+    assert_eq!(link.step(Event::HelloFrom { inc: 0 }), [stale]);
+    assert_eq!(link.step(Event::HelloFrom { inc: 1 }), [Action::Admit { gen: 1 }]);
+    assert_eq!(link.step(Event::Redialed { ok: true }), []);
+    assert_eq!(link.state(), LinkState::Up { gen: 1, inc: 1 });
+}
+
+#[test]
+fn shutdown_before_the_first_hello_is_closed() {
+    for rejoin in [false, true] {
+        let mut link = PeerLink::new(rejoin);
+        assert_eq!(link.step(Event::Shutdown), []);
+        for event in [Event::HelloFrom { inc: 0 }, Event::Silent { gen: 0 }, Event::Finished] {
+            assert_eq!(link.step(event), [], "rejoin {rejoin}: {event:?} after shutdown");
+            assert_eq!(link.state(), LinkState::Awaiting);
+        }
     }
 }

@@ -6,16 +6,11 @@
 //! decisions, and typed `HostLost` instead of hangs when a peer dies.
 
 use std::net::TcpListener;
-use std::time::Duration;
 
 use cusp_net::{
     Bytes, Cluster, ClusterError, ClusterOptions, Comm, FaultPlan, Tag, TcpOptions, TcpRunOutput,
     TcpTransport,
 };
-
-fn test_opts() -> TcpOptions {
-    TcpOptions { accept_timeout: Duration::from_secs(10), ..TcpOptions::default() }
-}
 
 /// Establishes a full `n`-host mesh over loopback, all endpoints in this
 /// process. Mirrors what `cusp-part launch` does across processes.
@@ -33,7 +28,7 @@ fn mesh(n: usize, nonce: u64) -> Vec<TcpTransport> {
         .map(|(i, l)| {
             let peers = peers.clone();
             std::thread::spawn(move || {
-                TcpTransport::establish(i, l, &peers, nonce, test_opts()).expect("establish")
+                TcpTransport::establish(i, l, &peers, nonce, TcpOptions::default()).expect("establish")
             })
         })
         .collect();
