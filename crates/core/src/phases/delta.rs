@@ -56,8 +56,11 @@
 //! * **Tests by previous local id.** Each host localises the two global
 //!   bitsets once (one pass over `prev.local2global`). The tally then costs
 //!   a bit test per row and, per edge, a sequential load of the stored id, a
-//!   bit test and a mark in `num_local`-bit rows; nothing is indexed by
-//!   global id, and what the tally learned is globalised once per set bit.
+//!   bit test and a plain `|=` into the worker's own `num_local`-bit
+//!   destination row (per row for CSC, whose row is the destination). The
+//!   workers' rows are ORed together once the walk has joined; nothing is
+//!   indexed by global id, and what the tally learned is globalised once per
+//!   set bit.
 //! * **Translate-copy.** After allocation `old2new` maps the previous local
 //!   id of every proxy a kept edge touches to its new one (a hole anywhere
 //!   else). A kept CSR row reserves its tallied slots once and fills them
@@ -65,6 +68,11 @@
 //!   destination, so each of its edges reserves one slot of its own source.
 //!   Tally and copy call one predicate, and the copy checks per row that it
 //!   wrote exactly what was tallied.
+//!
+//! Under the phase spans the delta path records `delta.kept_tally` (the
+//! kept-edge tally and its globalisation, in `edge_assign`, beside the
+//! filtered `edge_assign.tally` and the `edge_assign.exchange`) and
+//! `delta.kept_copy` (the translate-copy, in `construct`).
 //!
 //! The translation is monotone on kept proxies: neither endpoint of a kept
 //! edge moved, so masters stay masters and mirrors stay mirrors, each
@@ -95,14 +103,14 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
+use cusp_galois::{do_all, do_all_with_tid, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{ChunkedSlice, Csr, GraphEvent, Node};
 use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::config::{OutputFormat, PhaseId};
 use crate::dist_graph::{DistGraph, PartitionClass};
 use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
-use crate::phases::bitset::NodeBitRows;
+use crate::phases::bitset::{NodeBitRows, ThreadRows};
 use crate::phases::construct::{construct, slot_ptrs};
 use crate::phases::driver::{freeze_part, partition, PartitionOutput};
 use crate::phases::edge_assign::{merge_runs, tally_edges, EdgeAssignOutcome, EdgeFilter};
@@ -216,11 +224,10 @@ pub fn dirty_set<MR: MasterRule>(
 /// `old2new` of a previous proxy no kept edge touches.
 const HOLE: u32 = u32::MAX;
 
-/// Rows of [`Kept::bits`], all indexed by previous local id: rows that keep
-/// no edge, stored ids whose edges drop, destination proxies of kept edges.
+/// Rows of [`Kept::drops`], both indexed by previous local id: rows that
+/// keep no edge, stored ids whose edges drop.
 const DROP_ROW: usize = 0;
 const DROP_EDGE: usize = 1;
-const DEST: usize = 2;
 
 /// The edges of the previous partition that keep their owner: tallied for
 /// allocation and copied into it by previous local id (module docs, "The
@@ -230,10 +237,12 @@ struct Kept<'a> {
     /// `prev` stores in-edges (`OutputFormat::Csc`): each row is the
     /// *destination* of its edges and each stored id a source.
     csc: bool,
-    /// [`DROP_ROW`] and [`DROP_EDGE`] are the dirty roles localised —
-    /// `sources` and `moved` for CSR rows, the reverse for CSC; [`DEST`] is
-    /// marked by the tally.
-    bits: NodeBitRows,
+    /// [`DROP_ROW`] and [`DROP_EDGE`]: the dirty roles localised —
+    /// `sources` and `moved` for CSR rows, the reverse for CSC.
+    drops: NodeBitRows,
+    /// One row, by previous local id: the destination proxies of kept
+    /// edges, marked by the tally.
+    dests: NodeBitRows,
     /// Kept edges per source proxy.
     counts: Vec<AtomicU32>,
 }
@@ -242,38 +251,49 @@ impl<'a> Kept<'a> {
     /// Localises `dirty` and tallies the kept edges of `prev`.
     fn tally(pool: &ThreadPool, prev: &'a DistGraph, csc: bool, dirty: &DirtySet) -> Self {
         let n = prev.num_local();
-        let bits = NodeBitRows::new(3, n);
+        let mut drops = NodeBitRows::new(2, n);
         let (sources, moved) = if csc { (DROP_EDGE, DROP_ROW) } else { (DROP_ROW, DROP_EDGE) };
         for (l, &g) in prev.local2global.iter().enumerate() {
             if dirty.contains(g) {
-                bits.mark(sources, l as Node);
+                drops.mark(sources, l as Node);
                 if dirty.moved(g) {
-                    bits.mark(moved, l as Node);
+                    drops.mark(moved, l as Node);
                 }
             }
         }
-        let kept = Kept { prev, csc, bits, counts: (0..n).map(|_| AtomicU32::new(0)).collect() };
+        let mut kept = Kept {
+            prev,
+            csc,
+            drops,
+            // The union of the workers' rows, once the walk below has joined.
+            dests: NodeBitRows::new(0, 0),
+            counts: (0..n).map(|_| AtomicU32::new(0)).collect(),
+        };
+        let dests = ThreadRows::new(pool, 1, n);
         // A CSR row is its edges' source: its count cell has one writer.
         // The sources of a CSC row vary, hence the read-modify-write there.
-        do_all(pool, n, DEFAULT_GRAIN, |row| {
-            let mut run = 0u32;
-            kept.for_each_in_row(row, |_, other| {
-                run += 1;
+        do_all_with_tid(pool, n, DEFAULT_GRAIN, |tid, row| {
+            dests.with(tid, |dest| {
+                let mut run = 0u32;
+                kept.for_each_in_row(row, |_, other| {
+                    run += 1;
+                    if csc {
+                        kept.counts[other as usize].fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        dest.mark(0, other);
+                    }
+                });
+                if run == 0 {
+                    return;
+                }
                 if csc {
-                    kept.counts[other as usize].fetch_add(1, Ordering::Relaxed);
+                    dest.mark(0, row as Node);
                 } else {
-                    kept.bits.mark(DEST, other);
+                    kept.counts[row].store(run, Ordering::Relaxed);
                 }
             });
-            if run == 0 {
-                return;
-            }
-            if csc {
-                kept.bits.mark(DEST, row as Node);
-            } else {
-                kept.counts[row].store(run, Ordering::Relaxed);
-            }
         });
+        kept.dests = dests.union();
         kept
     }
 
@@ -281,12 +301,12 @@ impl<'a> Kept<'a> {
     /// of previous row `row` none of whose `getEdgeOwner` inputs changed.
     #[inline]
     fn for_each_in_row(&self, row: usize, mut f: impl FnMut(usize, u32)) {
-        if self.bits.test(DROP_ROW, row as Node) {
+        if self.drops.test(DROP_ROW, row as Node) {
             return;
         }
         let e0 = self.prev.graph.first_edge(row as Node) as usize;
         for (i, &other) in self.prev.graph.edges(row as Node).iter().enumerate() {
-            if !self.bits.test(DROP_EDGE, other) {
+            if !self.drops.test(DROP_EDGE, other) {
                 f(e0 + i, other);
             }
         }
@@ -309,8 +329,8 @@ impl<'a> Kept<'a> {
             .map(|(l, c)| (global(l), c, masters.of(global(l))))
             .collect();
         let mirrors = self
-            .bits
-            .ones(DEST)
+            .dests
+            .ones(0)
             .map(|l| (global(l as usize), masters.of(global(l as usize))))
             .filter(|&(_, m)| m as usize != me)
             .collect();
@@ -321,7 +341,7 @@ impl<'a> Kept<'a> {
     /// [`HOLE`] for the rest (which `alloc` need not know at all).
     fn old2new(&self, alloc: &AllocOutcome) -> Vec<u32> {
         let touched = |l: usize| {
-            self.counts[l].load(Ordering::Relaxed) > 0 || self.bits.test(DEST, l as Node)
+            self.counts[l].load(Ordering::Relaxed) > 0 || self.dests.test(0, l as Node)
         };
         let global = self.prev.local2global.iter().enumerate();
         global.map(|(l, &g)| if touched(l) { alloc.local_of(g) } else { HOLE }).collect()
@@ -420,12 +440,15 @@ fn delta_assign<'a, ER: EdgeRule>(
     // --- Kept edges from the previous partition. -----------------------
     // No input of their decision changed ⇒ their owner did not ⇒ they
     // stay on this host, with the proxies they need.
+    let kept_span = cusp_obs::span("delta.kept_tally");
     let kept = Kept::tally(&ctx.pool, prev, prev_csc, dirty);
     let mut ea = kept.outcome(masters, me);
+    drop(kept_span);
 
     // --- Dirty edges from the mutated slice. ---------------------------
     // The full phase's tally, deciding only what the filter selects.
     let (counts, mirrors_for) = tally_edges(&ctx.pool, setup, data, masters, rule, estate, dirty);
+    let exchange_span = cusp_obs::span("edge_assign.exchange");
 
     // --- Exchange dirty-edge metadata (sparse pairs + mirror ids). ----
     // Masters are pure, so receivers recompute them; only ids travel.
@@ -492,6 +515,7 @@ fn delta_assign<'a, ER: EdgeRule>(
     // ascending run (the kept ones two), so the mirrors merge, not sort.
     ea.mirrors = merge_runs(std::mem::take(&mut ea.mirrors));
     ea.mirrors.dedup();
+    drop(exchange_span);
     cusp_obs::counter("mem.edge_assign_outcome", ea.heap_bytes());
     (ea, kept)
 }
@@ -507,7 +531,10 @@ fn delta_construct<ER: EdgeRule>(
     alloc: &mut AllocOutcome,
     to_receive: u64,
 ) -> (Csr, Option<Vec<u32>>) {
-    kept.copy(&ctx.pool, alloc);
+    {
+        let _span = cusp_obs::span("delta.kept_copy");
+        kept.copy(&ctx.pool, alloc);
+    }
     construct(
         ctx.comm,
         &ctx.pool,

@@ -17,11 +17,18 @@
 //! rules read the owner from tables, the count goes into a per-thread
 //! `k`-entry row that is stored once per source (chunks are node-aligned,
 //! so one task finishes a source), and the destination is marked in its
-//! owner's [`NodeBitRows`] row for every edge — no division, no atomic
-//! read-modify-write and no data-dependent branch per edge, no push list to
-//! flatten and sort afterwards. Whether a marked destination is a *mirror*
-//! (mastered elsewhere) is asked once per set bit when the rows are
-//! scanned, not once per edge.
+//! owner's row of the worker's own [`NodeBitRows`] for every edge, one
+//! plain `|=` — no division, no atomic read-modify-write and no
+//! data-dependent branch per edge, no push list to flatten and sort
+//! afterwards. The workers' rows are ORed together once the walk has
+//! joined, and whether a marked destination is a *mirror* (mastered
+//! elsewhere) is asked once per set bit when the union is scanned, not once
+//! per edge.
+//!
+//! Under the `edge_assign` phase span the phase records, through
+//! `cusp-obs`, `edge_assign.tally` (the walk and the scan of its rows, on
+//! the full and the delta path alike) and `edge_assign.exchange` (sending
+//! the tallies, receiving the peers' and merging them).
 //!
 //! Everything the exchange delivers arrives as one ascending run per sender
 //! (positions, bitset scans), so the received lists are put in order with
@@ -41,7 +48,7 @@ use cusp_graph::{ChunkedSlice, Node};
 use cusp_net::{Comm, WireReader, WireWriter};
 
 use crate::dist_graph::vec_bytes;
-use crate::phases::bitset::NodeBitRows;
+use crate::phases::bitset::ThreadRows;
 use crate::phases::master::ResolvedMasters;
 use crate::phases::pipeline::for_each_chunk;
 use crate::policy::{EdgeRule, Setup};
@@ -117,14 +124,15 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
     estate: &ER::State,
     filter: &F,
 ) -> (Vec<u32>, Vec<Vec<Node>>) {
+    let _span = cusp_obs::span("edge_assign.tally");
     let k = setup.parts as usize;
     let lo = data.node_lo();
     let local_n = data.num_nodes();
     // Atomic only so that tasks may share the table: every cell belongs to
     // one source, hence to one task, which stores it at most once.
     let counts: Vec<AtomicU32> = (0..k * local_n).map(|_| AtomicU32::new(0)).collect();
-    // Row `h`: the destinations of the edges `h` owns.
-    let dest_bits = NodeBitRows::new(k, setup.num_nodes as usize);
+    // Row `h`: the destinations of the edges `h` owns, one copy per worker.
+    let dest_bits = ThreadRows::new(pool, k, setup.num_nodes as usize);
     // Per-thread tally of the source being walked, all zero between sources.
     let rows: PerThread<Vec<u32>> = PerThread::new(pool, |_| vec![0u32; k]);
 
@@ -140,19 +148,21 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
             let whole = filter.whole_source(s);
             let sm = masters.of(s);
             rows.with(tid, |row| {
-                for &d in edges {
-                    if !filter.edge(whole, d) {
-                        continue;
+                dest_bits.with(tid, |bits| {
+                    for &d in edges {
+                        if !filter.edge(whole, d) {
+                            continue;
+                        }
+                        let dm = masters.of(d);
+                        let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
+                        debug_assert!(h < setup.parts);
+                        row[h as usize] += 1;
+                        // Marked whether or not `h` masters `d`: under a 2D
+                        // cut that test is a coin flip per edge, so it is
+                        // made once per set bit in the scan below instead.
+                        bits.mark(h as usize, d);
                     }
-                    let dm = masters.of(d);
-                    let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
-                    debug_assert!(h < setup.parts);
-                    row[h as usize] += 1;
-                    // Marked whether or not `h` masters `d`: under a 2D cut
-                    // that test is a coin flip per edge, so it is made once
-                    // per set bit in the scan below instead.
-                    dest_bits.mark(h as usize, d);
-                }
+                });
                 for (h, c) in row.iter_mut().enumerate() {
                     if *c != 0 {
                         counts[h * local_n + base + j].store(*c, Ordering::Relaxed);
@@ -178,6 +188,7 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
     // An owner's mirrors are its destinations mastered elsewhere. Every
     // marked `d` went through `masters.of` in the walk, so stored masters
     // know it too.
+    let dest_bits = dest_bits.union();
     let mirrors_for = (0..k)
         .map(|h| dest_bits.ones(h).filter(|&d| masters.of(d) as usize != h).collect())
         .collect();
@@ -239,6 +250,7 @@ pub fn assign_edges<ER: EdgeRule>(
     let lo = data.node_lo();
     let local_n = data.num_nodes();
     let (counts, mut mirrors_for) = tally_edges(pool, setup, data, masters, rule, estate, &AllEdges);
+    let exchange_span = cusp_obs::span("edge_assign.exchange");
 
     // Masters of my read range, bucketed by owning partition (stored only).
     let pure = masters.is_pure();
@@ -372,6 +384,7 @@ pub fn assign_edges<ER: EdgeRule>(
     if let Some(v) = &my_master_nodes {
         debug_assert!(v.windows(2).all(|w| w[0] != w[1]), "duplicate master claims");
     }
+    drop(exchange_span);
 
     let outcome = EdgeAssignOutcome {
         incoming_srcs,
@@ -516,14 +529,15 @@ mod tests {
     }
 
     /// `resolve(graph, master rule, parts, read range)` builds the masters
-    /// the tally of that read range looks up.
+    /// the tally of that read range looks up. Pools of 1, 2 and 4 threads,
+    /// whose workers mark rows of their own, give one output.
     fn check_tally_with_masters<ER: EdgeRule>(
         make_rule: impl Fn(&Setup) -> ER,
         resolve: impl Fn(&cusp_graph::Csr, &ContiguousEB, PartId, (Node, Node)) -> ResolvedMasters,
     ) {
         let n = 700usize;
         let g = Arc::new(powerlaw(PowerLawConfig::webcrawl(n, 9.0, 77)));
-        let pool = ThreadPool::new(2);
+        let pools = [1, 2, 4].map(ThreadPool::new);
         let mut saw_mirrors = false;
         for parts in [1u32, 3, 4] {
             // Uneven master blocks (quadratic boundaries) over even read
@@ -548,10 +562,17 @@ mod tests {
                 let (want_counts, want_mirrors) = naive_tally(&g, &setup, (lo, hi), &mrule, &rule);
                 saw_mirrors |= !want_mirrors.is_empty();
                 for budget in [u64::MAX, 50] {
-                    let mut data = ChunkedSlice::from_csr(g.clone(), None, lo, hi, budget);
-                    let estate = ER::State::new(parts);
-                    let (counts, mirrors_for) =
-                        tally_edges(&pool, &setup, &mut data, &masters, &rule, &estate, &AllEdges);
+                    let tally = |pool: &ThreadPool| {
+                        let mut data = ChunkedSlice::from_csr(g.clone(), None, lo, hi, budget);
+                        let estate = ER::State::new(parts);
+                        tally_edges(pool, &setup, &mut data, &masters, &rule, &estate, &AllEdges)
+                    };
+                    let one = tally(&pools[0]);
+                    for pool in &pools[1..] {
+                        let label = format!("k={parts} lo={lo} budget={budget} threads={}", pool.threads());
+                        assert!(tally(pool) == one, "{label}");
+                    }
+                    let (counts, mirrors_for) = one;
                     let local_n = (hi - lo) as usize;
                     let got_counts: BTreeMap<(PartId, Node), u32> = counts
                         .iter()

@@ -41,9 +41,10 @@
 //! The masters map is demand-driven (§IV-D5): a host only ever receives
 //! assignments for nodes it asked for — the destinations of its locally
 //! read edges — so the map touches memory in proportion to its slice, not
-//! the graph. The request set is marked per edge in a dense bitset
-//! ([`NodeBitRows`]) and read back sorted and duplicate-free; the answers
-//! land in one table:
+//! the graph. The request set is marked per edge, one plain `|=` into the
+//! worker's own dense bitset ([`ThreadRows`]), and the workers' bitsets are
+//! ORed together and read back sorted and duplicate-free; the answers land
+//! in one table:
 //!
 //! * **one table** — a [`MasterTable`] per host, a `u16` per node id over
 //!   `0..n` holding `p + 1` for partition `p` (`0`: unknown), allocated
@@ -80,12 +81,12 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU16, Ordering};
 
-use cusp_galois::{do_all, ThreadPool, DEFAULT_GRAIN};
+use cusp_galois::{do_all_with_tid, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{ChunkedSlice, Node, ReadSplit};
 use cusp_net::{Bytes, Comm, WireReader, WireWriter};
 
 use crate::config::CuspConfig;
-use crate::phases::bitset::{zeroed, NodeBitRows};
+use crate::phases::bitset::{zeroed, ThreadRows};
 use crate::phases::pipeline::{for_chunks_in, for_each_chunk};
 use crate::policy::{MasterRule, MasterView, Setup};
 use crate::props::LocalProps;
@@ -454,19 +455,21 @@ pub fn pure_masters<MR: MasterRule>(rule: &MR, parts: PartId) -> ResolvedMasters
 
 /// Sorted, deduplicated destinations of the local slice that fall outside
 /// the local read range (the nodes whose masters this host must request).
+/// Every destination is marked, in the worker's own row; the local ones are
+/// dropped once per set bit in the scan of the union, not once per edge.
 fn remote_dests(pool: &ThreadPool, data: &mut ChunkedSlice, setup: &Setup) -> Vec<Node> {
     let local = data.node_lo()..data.node_hi();
-    let remote = NodeBitRows::new(1, setup.num_nodes as usize);
+    let dests = ThreadRows::new(pool, 1, setup.num_nodes as usize);
     for_each_chunk(data, |chunk| {
-        do_all(pool, chunk.num_nodes(), DEFAULT_GRAIN, |i| {
-            for &d in chunk.edges(chunk.node_lo + i as Node) {
-                if !local.contains(&d) {
-                    remote.mark(0, d);
+        do_all_with_tid(pool, chunk.num_nodes(), DEFAULT_GRAIN, |tid, i| {
+            dests.with(tid, |row| {
+                for &d in chunk.edges(chunk.node_lo + i as Node) {
+                    row.mark(0, d);
                 }
-            }
+            });
         });
     });
-    remote.ones(0).collect()
+    dests.union().ones(0).filter(|d| !local.contains(d)).collect()
 }
 
 /// A SYNC/FINAL: `kind`, the length-prefixed state delta, then the count
@@ -878,6 +881,37 @@ mod tests {
         // scored path (≤ 400; high-degree nodes bypass to ContiguousEB).
         let total: u64 = out.results[0].iter().map(|&(n, _)| n).sum();
         assert!(total > 0 && total <= 400);
+    }
+
+    #[test]
+    fn remote_dests_are_the_off_range_destinations_once_each_in_order() {
+        let n = 20_000u64;
+        let g = Arc::new(erdos_renyi(n as usize, 200_000, 17));
+        let setup = Setup {
+            num_nodes: n,
+            num_edges: g.num_edges(),
+            parts: 1,
+            eb_boundaries: Arc::new(vec![0, n]),
+            read_splits: Arc::new(vec![cusp_graph::ReadSplit { lo: 0, hi: n }]),
+        };
+        // Far more rows than `DEFAULT_GRAIN`, so a pool's workers split it.
+        let (lo, hi) = (4_000, 14_000);
+        assert!((hi - lo) as usize > DEFAULT_GRAIN);
+        let want: Vec<Node> = (lo..hi)
+            .flat_map(|s| g.edges(s).iter().copied())
+            .filter(|d| !(lo..hi).contains(d))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert!(want.iter().any(|&d| d < lo) && want.iter().any(|&d| d >= hi));
+        for threads in [1, 4] {
+            let pool = ThreadPool::new(threads);
+            for budget in [u64::MAX, 50] {
+                let mut data = ChunkedSlice::from_csr(g.clone(), None, lo, hi, budget);
+                let got = remote_dests(&pool, &mut data, &setup);
+                assert_eq!(got, want, "threads {threads} budget {budget}");
+            }
+        }
     }
 
     #[test]

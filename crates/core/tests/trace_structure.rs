@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 use cusp::tags::TAG_EDGES;
 use cusp::{
-    partition_with_policy, CuspConfig, GraphSource, OutputFormat, PartitionOutput, PolicyKind,
+    partition_delta_with_policy, partition_with_policy, CuspConfig, GraphSource, OutputFormat,
+    PartitionOutput, PolicyKind,
 };
 use cusp_graph::gen::uniform::erdos_renyi;
 use cusp_net::{Cluster, ClusterOptions, TraceConfig};
@@ -294,6 +295,65 @@ fn memory_counters_sit_under_their_phase_spans() {
             let part = &parts[host as usize].dist_graph;
             assert_eq!(mem[2].2, part.heap_bytes(), "{label} host {host}: mem.output");
             assert!(mem[0].2 > 0 && mem[1].2 > 0, "{label} host {host}: empty outcome or allocation");
+        }
+    }
+}
+
+/// The edge walks explain themselves too. Under each host's `edge_assign`
+/// span sit one `edge_assign.tally` (the walk and the scan of its rows) and
+/// one `edge_assign.exchange` (send, receive, merge), on a full run and on
+/// a delta run alike; the delta run adds one `delta.kept_tally` under
+/// `edge_assign` and one `delta.kept_copy` under `construct`, and a full run
+/// records neither. Four hosts, two threads each, CVC.
+#[test]
+fn edge_walks_record_their_sub_phases_under_their_phase_spans() {
+    const HOSTS: usize = 4;
+    let cfg = CuspConfig { threads_per_host: 2, ..CuspConfig::default() };
+    let graph = Arc::new(erdos_renyi(600, 5000, 23));
+    let batch = cusp_graph::wal::seeded_batch(&graph, false, 0xD17A, 20);
+    let mutated = Arc::new(graph.apply_batch(None, &batch).expect("batch applies").graph);
+    let traced = || ClusterOptions { trace: Some(TraceConfig::default()), ..ClusterOptions::default() };
+    let full = Cluster::run_with(HOSTS, traced(), |comm| {
+        partition_with_policy(comm, GraphSource::Memory(graph.clone()), PolicyKind::Cvc, &cfg)
+    });
+    let prevs = full.results;
+    let delta = Cluster::run_with(HOSTS, traced(), |comm| {
+        let source = GraphSource::Memory(mutated.clone());
+        partition_delta_with_policy(comm, source, PolicyKind::Cvc, &cfg, &prevs[comm.host()], &batch)
+    });
+    assert!(delta.results.iter().any(|r| r.reused_edges > 0), "nothing kept: not a delta run");
+
+    let walks = [("edge_assign.tally", "edge_assign"), ("edge_assign.exchange", "edge_assign")];
+    let kept = [("delta.kept_tally", "edge_assign"), ("delta.kept_copy", "construct")];
+    for (label, trace, expected) in [
+        ("full", full.trace, walks.to_vec()),
+        ("delta", delta.trace, [&walks[..], &kept[..]].concat()),
+    ] {
+        let trace = trace.expect("trace requested");
+        assert_eq!(trace.dropped_events, 0, "ring too small for this test");
+        let structure = Structure::of(&trace);
+        for host in 0..HOSTS as u32 {
+            for name in ["edge_assign.tally", "edge_assign.exchange", "delta.kept_tally", "delta.kept_copy"] {
+                let want = expected.iter().any(|&(n, _)| n == name) as u64;
+                let got = structure.span_counts.get(&(host, name)).copied().unwrap_or(0);
+                assert_eq!(got, want, "{label} host {host}: {name}");
+            }
+        }
+        for thread in trace.threads.iter().filter(|t| t.name == "main") {
+            let mut stack: Vec<&'static str> = Vec::new();
+            for e in trace.events.iter().filter(|e| e.tid == thread.tid) {
+                match e.kind {
+                    EventKind::SpanBegin { name, .. } => {
+                        if let Some(&(_, phase)) = expected.iter().find(|&&(n, _)| n == name) {
+                            assert_eq!(stack.last(), Some(&phase), "{label} host {}: {name}", thread.host);
+                        }
+                        stack.push(name);
+                    }
+                    EventKind::SpanEnd { name } => assert_eq!(stack.pop(), Some(name)),
+                    _ => {}
+                }
+            }
+            assert!(stack.is_empty(), "{label} host {}: open spans {stack:?}", thread.host);
         }
     }
 }

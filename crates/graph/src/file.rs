@@ -21,7 +21,9 @@
 //! through its slice codec; no checksum (DESIGN.md §4 "Bytes" has why).
 //! The reader is total: a header whose counts do not match the file
 //! length, or end offsets that decrease or pass the edge count, are an
-//! `InvalidData` error before anything is allocated or indexed by them.
+//! `InvalidData` error before anything is allocated or indexed by them, and
+//! so is a destination id that names no node, on every read of the
+//! destination array (a whole file, a range, or a chunk re-read).
 //!
 //! A [`GraphSlice`] is what a host holds of its range, read from a file or
 //! windowed over a graph already in memory.
@@ -339,19 +341,19 @@ impl RangeReader {
         Ok(())
     }
 
-    /// Fills `dst` with the array at byte offset `target` — `read` is
-    /// `wire::read_u32s_into` or `wire::read_u64s_into` — through the
-    /// position tracker.
-    fn read_at<T>(
+    /// Fills `dst` with the array at byte offset `target` — `read` is one
+    /// of `wire`'s streaming array readers — through the position tracker,
+    /// and returns what `read` does.
+    fn read_at<T, R>(
         &mut self,
         target: u64,
         dst: &mut [T],
-        read: fn(&mut File, &mut [T], &mut [u8]) -> io::Result<()>,
-    ) -> io::Result<()> {
+        read: fn(&mut File, &mut [T], &mut [u8]) -> io::Result<R>,
+    ) -> io::Result<R> {
         self.seek_to(target)?;
-        read(&mut self.file, dst, &mut self.scratch)?;
+        let out = read(&mut self.file, dst, &mut self.scratch)?;
         self.pos += size_of_val(dst) as u64;
-        Ok(())
+        Ok(out)
     }
 
     /// An `InvalidData` error unless the end offsets `ends` never decrease
@@ -463,7 +465,18 @@ impl RangeReader {
         }
         let dest_base = HEADER_BYTES + self.nodes * 8;
         csr.dests.resize(count as usize, 0);
-        self.read_at(dest_base + edge_lo * 4, &mut csr.dests, wire::read_u32s_into)?;
+        // The bound on destinations is taken in the decode pass; only a
+        // file that breaks it pays a second look, to name the edge.
+        let max = self.read_at(dest_base + edge_lo * 4, &mut csr.dests, wire::read_u32s_max_into)?;
+        if count > 0 && max as u64 >= self.nodes {
+            let i = csr.dests.iter().position(|&d| d as u64 >= self.nodes).expect("the maximum is one");
+            return Err(bad_data(format!(
+                "edge {} has destination {}, but the graph has {} nodes",
+                edge_lo + i as u64,
+                csr.dests[i],
+                self.nodes
+            )));
+        }
         if self.weighted {
             let w = unique(out.weights.get_or_insert_with(Arc::default));
             w.resize(count as usize, 0);
@@ -645,6 +658,46 @@ mod tests {
         let full_bytes = out.heap_bytes();
         reader.read_range_into(10, 20, &mut out).unwrap();
         assert_eq!(out.heap_bytes(), full_bytes);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_destination_past_the_node_count_is_invalid_data_on_ranged_and_chunked_reads() {
+        let g = erdos_renyi(1000, 8000, 3);
+        let e = 4321u64;
+        // The node whose edge range holds edge `e`.
+        let v = g.offsets().partition_point(|&o| o <= e) as u64 - 1;
+        let offsets = g.offsets();
+        let path = temp_path("bad-dest.bgr");
+        for bad in [1000u32, 1010, 1070, u32::MAX] {
+            write_bgr(&path, &g).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = (HEADER_BYTES + 8 * 1000 + 4 * e) as usize;
+            bytes[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+            let want = format!("edge {e} has destination {bad}, but the graph has 1000 nodes");
+            let named = |r: io::Result<()>| match r {
+                Err(err) => {
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+                    assert!(err.to_string().contains(&want), "{err}");
+                }
+                Ok(()) => panic!("accepted destination {bad}"),
+            };
+            // Ranged reads: the whole file, and the one node whose row holds
+            // the edge; the rows before it read as written.
+            named(read_bgr(&path).map(drop));
+            let mut reader = RangeReader::open(&path).unwrap();
+            named(reader.read_range(v, v + 1).map(drop));
+            let before = reader.read_range(0, v).unwrap();
+            assert_eq!(before.dests(), &g.dests()[..offsets[v as usize] as usize]);
+            // A chunk stream's re-read, into the buffer of the chunk before.
+            let mut out = GraphSlice::empty();
+            let lo = v.saturating_sub(5) as Node;
+            let chunk = |lo: Node, hi: Node| &offsets[lo as usize..=hi as usize];
+            reader.read_chunk_into(0, lo, chunk(0, lo), 0, &mut out).unwrap();
+            let (hi, edge_lo) = (v as Node + 1, offsets[lo as usize]);
+            named(reader.read_chunk_into(lo, hi, chunk(lo, hi), edge_lo, &mut out));
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -109,6 +109,42 @@ macro_rules! slice_codec {
 slice_codec!(u32, encode_u32s, decode_u32s, write_u32s, read_u32s_into);
 slice_codec!(u64, encode_u64s, decode_u64s, write_u64s, read_u64s_into);
 
+/// [`decode_u32s`] that also returns the largest value decoded (0 for an
+/// empty `dst`). The maximum is kept per lane of the 32-byte block, so a
+/// bound check on the values rides the decode loop instead of a second
+/// pass over the array.
+#[inline]
+pub fn decode_u32s_max(src: &[u8], dst: &mut [u32]) -> u32 {
+    const LANES: usize = BLOCK_BYTES / 4;
+    assert_eq!(src.len(), dst.len() * 4, "decode: source is not the array's byte length");
+    let mut max = [0u32; LANES];
+    let mut blocks = src.chunks_exact(BLOCK_BYTES);
+    let mut outs = dst.chunks_exact_mut(LANES);
+    for (blk, out) in (&mut blocks).zip(&mut outs) {
+        for j in 0..LANES {
+            out[j] = u32::from_le_bytes(blk[j * 4..(j + 1) * 4].try_into().expect("4 bytes"));
+            max[j] = max[j].max(out[j]);
+        }
+    }
+    for (b, v) in blocks.remainder().chunks_exact(4).zip(outs.into_remainder()) {
+        *v = u32::from_le_bytes(b.try_into().expect("4 bytes"));
+        max[0] = max[0].max(*v);
+    }
+    max.into_iter().fold(0, u32::max)
+}
+
+/// [`read_u32s_into`] that also returns the largest value read (0 for an
+/// empty `dst`), taken in the decode pass ([`decode_u32s_max`]).
+pub fn read_u32s_max_into(r: &mut impl Read, dst: &mut [u32], scratch: &mut [u8]) -> io::Result<u32> {
+    let mut max = 0;
+    for run in dst.chunks_mut(elems_per_pass(scratch, 4)) {
+        let block = &mut scratch[..run.len() * 4];
+        r.read_exact(block)?;
+        max = max.max(decode_u32s_max(block, run));
+    }
+    Ok(max)
+}
+
 /// Appends a little-endian `u32` to `out`.
 #[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {

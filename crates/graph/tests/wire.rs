@@ -171,6 +171,28 @@ fn slice_codec_equals_the_scalar_encoding_on_every_short_length() {
 }
 
 #[test]
+fn the_max_reader_decodes_like_the_plain_one_and_returns_the_largest_value() {
+    // Every length through two blocks and a tail, the maximum at each
+    // position in turn, and scratch sizes that force one and many passes.
+    for n in 0..=19usize {
+        for at in 0..n.max(1) {
+            let mut vs: Vec<u32> = (0..n as u32).map(|i| i * 3).collect();
+            if n > 0 {
+                vs[at] = 0xF000_0000 + at as u32;
+            }
+            let mut bytes = vec![0; n * 4];
+            wire::encode_u32s(&vs, &mut bytes);
+            for scratch_bytes in [4, 13, 1024] {
+                let mut back = vec![0; n];
+                let max = wire::read_u32s_max_into(&mut &bytes[..], &mut back, &mut vec![0; scratch_bytes]);
+                assert_eq!(max.unwrap(), vs.iter().copied().max().unwrap_or(0), "n {n} at {at}");
+                assert_eq!(back, vs, "n {n} scratch {scratch_bytes}");
+            }
+        }
+    }
+}
+
+#[test]
 fn a_scratch_larger_than_the_bound_is_used_up_to_the_bound() {
     // An array of two and a half passes, written with a scratch four times
     // the bound: the writer must still cut it into bound-sized writes.
