@@ -10,10 +10,17 @@
 //! It is host-local and single-threaded between two parallel phases, so it
 //! is held to the cost of its output: the mirror list is a merge of the
 //! ascending runs edge assignment delivered (no sort), the global→local
-//! window is scattered straight from `local2global` (sorted keys exist only
-//! in the sparse fallback), and the edge buffers are reserved, not
-//! zero-filled — construction writes every slot exactly once and gives the
-//! buffers their length only after checking that it did.
+//! index is one zeroed `u32` per id of the proxies' span, scattered
+//! straight from `local2global` (ids without a proxy cost address space,
+//! not pages), and the edge buffers are reserved, not zero-filled.
+//!
+//! The reserved buffers have one writer, [`Slots`]: construction's local
+//! and received records and the delta path's kept-edge copy all take their
+//! windows from [`Slots::reserve`], which advances the row's cursor and
+//! asserts the row's end, and [`AllocOutcome::take_filled`] gives the
+//! buffers their length only after checking that every cursor reached its
+//! row's end. This module and the bitset's zeroed allocation are the
+//! phases' only raw-pointer code.
 //!
 //! It also consumes what edge assignment handed it, so the outcome never
 //! sits beside the partition it became: the reported mirrors are freed
@@ -23,17 +30,14 @@
 //! straight into `offsets[l + 1]` and one in-place prefix sum turns them
 //! into offsets, with no degree array beside them.
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use cusp_galois::{inclusive_prefix_sum_in_place, ThreadPool};
-use cusp_graph::{EdgeIdx, Node};
+use cusp_graph::{Csr, EdgeIdx, Node};
 
 use crate::dist_graph::vec_bytes;
 use crate::phases::edge_assign::{merge_runs, EdgeAssignOutcome};
 use crate::PartId;
-
-/// Sentinel for a dense-index hole (no proxy with that global id).
-const NO_PROXY: u32 = u32::MAX;
 
 /// The allocated (but not yet filled) partition.
 pub struct AllocOutcome {
@@ -45,25 +49,21 @@ pub struct AllocOutcome {
     pub master_of: Vec<PartId>,
     /// CSR offsets (`num_local + 1`).
     pub offsets: Vec<EdgeIdx>,
-    /// Destination buffer (local ids) that construction fills through raw
-    /// slot pointers: capacity for every edge, length 0 until construction
-    /// has checked that every reserved slot was written.
-    pub dests: Vec<Node>,
+    /// Destination buffer (local ids), written only through [`Slots`]:
+    /// capacity for every edge, length 0 until
+    /// [`AllocOutcome::take_filled`] has checked every row.
+    pub(crate) dests: Vec<Node>,
     /// Per-edge data buffer, same slots and same length rule as `dests`
     /// (weighted inputs only).
-    pub edge_data: Option<Vec<u32>>,
-    /// Per-node insertion cursors for lock-free parallel filling.
-    pub cursors: Vec<AtomicU64>,
-    /// Global ids of all proxies, sorted ascending — the fallback index,
-    /// built only when `dense_index` is not.
-    index_keys: Vec<Node>,
-    /// Local id of `index_keys[i]`.
-    index_locals: Vec<u32>,
-    /// First global id covered by `dense_index` (when non-empty).
+    pub(crate) edge_data: Option<Vec<u32>>,
+    /// Per-row insertion cursors, each starting at its row's offset and
+    /// advanced only by [`Slots::reserve`].
+    cursors: Vec<AtomicU64>,
+    /// First global id `index` covers.
     index_lo: Node,
-    /// Dense global → local table with [`NO_PROXY`] holes; empty when the
-    /// proxy id span is too sparse to afford.
-    dense_index: Vec<u32>,
+    /// Global → local over the proxies' id span: `index[v - index_lo]`
+    /// holds `local + 1`, and 0 means `v` has no proxy here.
+    index: Vec<u32>,
 }
 
 impl AllocOutcome {
@@ -77,54 +77,130 @@ impl AllocOutcome {
             + vec_bytes(&self.dests)
             + self.edge_data.as_ref().map_or(0, vec_bytes)
             + vec_bytes(&self.cursors)
-            + vec_bytes(&self.index_keys)
-            + vec_bytes(&self.index_locals)
-            + vec_bytes(&self.dense_index)
+            + vec_bytes(&self.index)
     }
 
-    /// Builds the global→local index over a finished `local2global` map.
-    ///
-    /// Construction resolves every received destination through
-    /// [`AllocOutcome::local_of`] — once per edge — so the lookup is a dense
-    /// window (holes hold [`NO_PROXY`]), scattered straight from
-    /// `local2global`, whenever the proxy ids span an affordable range. Only
-    /// the sparse fallback needs the ids sorted, for a binary search; its
-    /// two segments are ascending already, so that is one merge.
-    fn build_index(local2global: &[Node]) -> (Vec<Node>, Vec<u32>, Node, Vec<u32>) {
+    /// Builds the global→local index over a finished `local2global` map:
+    /// one zeroed `u32` per id of the proxies' span, so the pages of ids
+    /// without a proxy are never touched.
+    fn build_index(local2global: &[Node]) -> (Node, Vec<u32>) {
         let (Some(&lo), Some(&hi)) = (local2global.iter().min(), local2global.iter().max()) else {
-            return (Vec::new(), Vec::new(), 0, Vec::new());
+            return (0, Vec::new());
         };
-        let span = (hi - lo) as usize + 1;
-        // Partitions of real graphs have proxies blanketing the id space;
-        // the cap only rejects degenerate sparse layouts.
-        if span <= local2global.len().saturating_mul(4).saturating_add(1024) {
-            let mut dense = vec![NO_PROXY; span];
-            for (l, &g) in local2global.iter().enumerate() {
-                dense[(g - lo) as usize] = l as u32;
-            }
-            return (Vec::new(), Vec::new(), lo, dense);
+        let mut index = vec![0u32; (hi - lo) as usize + 1];
+        for (l, &g) in local2global.iter().enumerate() {
+            index[(g - lo) as usize] = l as u32 + 1;
         }
-        let pairs: Vec<(Node, u32)> =
-            local2global.iter().enumerate().map(|(l, &g)| (g, l as u32)).collect();
-        let (keys, locals) = merge_runs(pairs).into_iter().unzip();
-        (keys, locals, 0, Vec::new())
+        (lo, index)
     }
 
     /// Local id of global vertex `v` (must exist in this partition).
+    /// Construction calls it once per edge.
     #[inline]
     pub fn local_of(&self, v: Node) -> u32 {
-        if !self.dense_index.is_empty() {
-            let off = v.wrapping_sub(self.index_lo) as usize;
-            if off < self.dense_index.len() {
-                let l = self.dense_index[off];
-                if l != NO_PROXY {
-                    return l;
-                }
-            }
-        } else if let Ok(i) = self.index_keys.binary_search(&v) {
-            return self.index_locals[i];
+        match self.index.get(v.wrapping_sub(self.index_lo) as usize) {
+            Some(&l) if l != 0 => l - 1,
+            _ => panic!("global vertex {v} has no proxy in this partition"),
         }
-        panic!("global vertex {v} has no proxy in this partition")
+    }
+
+    /// The one writer into this allocation's reserved buffers. It holds
+    /// the allocation for as long as it lives, so nothing else reads, moves
+    /// or gives a length to the buffers while windows of them are out.
+    pub(crate) fn slots(&mut self) -> Slots<'_> {
+        self.reserved_slots();
+        let dests = self.dests.as_mut_ptr();
+        let data = self.edge_data.as_mut().map_or(std::ptr::null_mut(), |d| d.as_mut_ptr());
+        Slots { alloc: self, dests, data }
+    }
+
+    /// The number of slots the offsets span. Not a debug check: it panics
+    /// unless both buffers have capacity for all of them, which every store
+    /// into a window and the final `set_len` rely on.
+    fn reserved_slots(&self) -> usize {
+        let total = *self.offsets.last().expect("offsets are never empty") as usize;
+        let (dests, data) = (self.dests.capacity(), self.edge_data.as_ref().map_or(total, Vec::capacity));
+        assert!(dests >= total && data >= total, "allocation reserved fewer slots than its offsets span");
+        total
+    }
+
+    /// The filled CSR and its per-edge data. Panics, before either buffer
+    /// gets a length, unless every row's cursor reached the row's end.
+    pub(crate) fn take_filled(&mut self) -> (Csr, Option<Vec<u32>>) {
+        for (l, cursor) in self.cursors.iter().enumerate() {
+            assert_eq!(
+                cursor.load(Ordering::Relaxed),
+                self.offsets[l + 1],
+                "node with local id {l} is missing edges after construction"
+            );
+        }
+        let total = self.reserved_slots();
+        let (mut dests, mut data) = (std::mem::take(&mut self.dests), self.edge_data.take());
+        // SAFETY: both buffers have capacity `total` (just checked), and
+        // every slot below it lies in exactly one row's `offsets[l]..
+        // offsets[l + 1]`. Each cursor started at its row's `offsets[l]`
+        // and only `Slots::reserve` advances it, handing out the window it
+        // passed over to one caller, which writes the whole window — both
+        // buffers' windows whenever the weight buffer exists — or panics;
+        // a panic unwinds past this call. Every cursor reached
+        // `offsets[l + 1]` (checked above), so slots `0..total` of both
+        // buffers are initialized.
+        unsafe {
+            dests.set_len(total);
+            if let Some(d) = &mut data {
+                d.set_len(total);
+            }
+        }
+        (Csr::from_parts(std::mem::take(&mut self.offsets), dests), data)
+    }
+}
+
+/// The writer into an allocation's reserved buffers, shared by every
+/// thread that inserts edges ([`AllocOutcome::slots`]).
+pub(crate) struct Slots<'a> {
+    alloc: &'a AllocOutcome,
+    dests: *mut Node,
+    /// Null when the input carries no weights.
+    data: *mut u32,
+}
+
+// SAFETY: the buffers behind the two pointers are written only through
+// windows `reserve` hands out, which its cursors keep disjoint across
+// threads; everything else is read through the shared `alloc`.
+unsafe impl Sync for Slots<'_> {}
+
+impl Slots<'_> {
+    /// Local id of global vertex `v` ([`AllocOutcome::local_of`]).
+    #[inline]
+    pub(crate) fn local_of(&self, v: Node) -> u32 {
+        self.alloc.local_of(v)
+    }
+
+    /// Reserves the next `cnt` slots of local row `row` and returns their
+    /// destination window and, when the input is weighted, their weight
+    /// window. The caller must write all of both. A reservation past the
+    /// row's end panics, naming the row, before anything is written.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // one window per reservation, disjoint by the cursor
+    pub(crate) fn reserve(&self, row: u32, cnt: usize) -> (&mut [Node], Option<&mut [u32]>) {
+        let l = row as usize;
+        let at = self.alloc.cursors[l].fetch_add(cnt as u64, Ordering::Relaxed);
+        let end = self.alloc.offsets[l + 1];
+        assert!(
+            at + cnt as u64 <= end,
+            "{cnt} slot(s) from {at} overflow local id {row}, whose row ends at {end}: \
+             assignment and construction disagree"
+        );
+        let at = at as usize;
+        // SAFETY: `at..at + cnt` lies in row `row`'s `offsets` range (just
+        // asserted), hence in `0..total`, for which both buffers have
+        // capacity (asserted by `AllocOutcome::slots`); the `fetch_add`
+        // handed it to this call alone, so no other window overlaps it.
+        unsafe {
+            let dests = std::slice::from_raw_parts_mut(self.dests.add(at), cnt);
+            let data = (!self.data.is_null()).then(|| std::slice::from_raw_parts_mut(self.data.add(at), cnt));
+            (dests, data)
+        }
     }
 }
 
@@ -213,8 +289,7 @@ fn build(
     }
 
     // --- CSR skeleton. -----------------------------------------------------
-    let (index_keys, index_locals, index_lo, dense_index) =
-        AllocOutcome::build_index(&local2global);
+    let (index_lo, index) = AllocOutcome::build_index(&local2global);
     let alloc = AllocOutcome {
         local2global,
         num_masters,
@@ -223,10 +298,8 @@ fn build(
         dests: Vec::new(),
         edge_data: None,
         cursors: Vec::new(),
-        index_keys,
-        index_locals,
         index_lo,
-        dense_index,
+        index,
     };
     // Row counts go straight into `offsets[l + 1]`, and one in-place
     // parallel prefix sum (§IV-C2) turns them into offsets.
@@ -258,6 +331,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
 
     fn outcome() -> EdgeAssignOutcome {
         EdgeAssignOutcome {
@@ -304,23 +378,91 @@ mod tests {
     }
 
     #[test]
-    fn sparse_proxy_ids_use_fallback_index() {
-        // Ids scattered across the u32 space exceed the dense-window cap,
-        // exercising the sorted-array fallback of local_of.
+    fn scattered_proxy_ids_resolve_through_the_zeroed_index() {
+        // Ids scattered over a span far wider than the proxy count: the
+        // index covers the whole span (under 2^24 ids here), and only the
+        // pages holding a proxy are written.
         let pool = ThreadPool::new(1);
         let o = EdgeAssignOutcome {
-            incoming_srcs: vec![(0, 1, 0), (500_000_000, 2, 1)],
-            mirrors: vec![(1_000_000_000, 2)],
+            incoming_srcs: vec![(0, 1, 0), (5_000_000, 2, 1)],
+            mirrors: vec![(16_000_000, 2)],
             my_master_nodes: Some(vec![0, 1]),
             to_receive: 2,
         };
         let a = allocate(0, &pool, MasterSpec::Stored, o, false);
-        assert_eq!(a.local2global, vec![0, 1, 500_000_000, 1_000_000_000]);
+        assert_eq!(a.local2global, vec![0, 1, 5_000_000, 16_000_000]);
         assert_eq!(a.local_of(0), 0);
         assert_eq!(a.local_of(1), 1);
-        assert_eq!(a.local_of(500_000_000), 2);
-        assert_eq!(a.local_of(1_000_000_000), 3);
+        assert_eq!(a.local_of(5_000_000), 2);
+        assert_eq!(a.local_of(16_000_000), 3);
         assert_eq!(a.offsets, vec![0, 1, 1, 3, 3]);
+        assert_eq!(a.index.len(), 16_000_001);
+    }
+
+    /// The message a panic carried.
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("panic message")
+    }
+
+    #[test]
+    fn a_reservation_past_its_rows_end_panics_naming_the_row_before_any_write() {
+        let pool = ThreadPool::new(1);
+        let mut a = allocate(0, &pool, MasterSpec::Stored, outcome(), false);
+        assert_eq!(a.offsets, vec![0, 3, 3, 5, 5]);
+        // An initialised stand-in for the reserved buffer, so the slots can
+        // be read back without `take_filled` giving it a length.
+        a.dests = vec![u32::MAX; 5];
+        let slots = a.slots();
+        slots.reserve(0, 2).0.fill(7);
+        // Two more would run into row 2's slots.
+        let overflow = catch_unwind(AssertUnwindSafe(|| slots.reserve(0, 2).0.fill(8)));
+        let msg = panic_message(overflow.expect_err("row 0 holds three slots"));
+        assert!(msg.contains("overflow local id 0"), "{msg}");
+        assert_eq!(a.dests, [7, 7, u32::MAX, u32::MAX, u32::MAX], "a slot past row 0 was written");
+    }
+
+    #[test]
+    fn two_threads_reserving_one_row_get_disjoint_windows_that_fill_it() {
+        const WINDOWS: usize = 500;
+        const WIDTH: usize = 3;
+        let pool = ThreadPool::new(2);
+        let o = EdgeAssignOutcome {
+            incoming_srcs: vec![(2, (2 * WINDOWS * WIDTH) as u32, 0)],
+            mirrors: vec![],
+            my_master_nodes: None,
+            to_receive: 0,
+        };
+        let mut a = allocate(0, &pool, MasterSpec::PureRange(0..4), o, true);
+        let slots = a.slots();
+        // Both threads reserve from the first window on, not one after the
+        // other.
+        let barrier = Barrier::new(2);
+        pool.run(|tid| {
+            barrier.wait();
+            for i in 0..WINDOWS {
+                let (dests, data) = slots.reserve(2, WIDTH);
+                dests.fill(tid as u32);
+                data.expect("weighted allocation").fill(i as u32);
+            }
+        });
+        let (csr, data) = a.take_filled();
+        let data = data.expect("weighted allocation");
+        let row = csr.edges(2);
+        assert_eq!(row.len(), 2 * WINDOWS * WIDTH);
+        // Each window is whole and one thread's; each thread's windows
+        // follow in the order it reserved them.
+        let mut next = [0u32; 2];
+        for (dests, weights) in row.chunks(WIDTH).zip(data.chunks(WIDTH)) {
+            let tid = dests[0] as usize;
+            assert!(dests.iter().all(|&d| d as usize == tid), "windows overlap: {dests:?}");
+            assert!(weights.iter().all(|&w| w == next[tid]), "thread {tid}: {weights:?}");
+            next[tid] += 1;
+        }
+        assert_eq!(next, [WINDOWS as u32; 2]);
     }
 
     #[test]
@@ -366,13 +508,13 @@ mod tests {
         /// random outcomes: an own block and one block of sources per peer
         /// in every arrival order, nodes that are both a reported mirror
         /// and a remote-master source, empty master ranges, stored and
-        /// range master specs, and id strides from blanketing (dense
-        /// window) to scattered (sorted-key fallback).
+        /// range master specs, and id strides from blanketing to
+        /// scattered (a 16,000,000-id index span).
         #[test]
         fn allocate_matches_a_btreemap_build(
             k in 1usize..5,
             me_pick in 0usize..4,
-            stride in prop_oneof![Just(1u32), Just(3), Just(40), Just(5_000_000)],
+            stride in prop_oneof![Just(1u32), Just(3), Just(40), Just(100_000)],
             (m_lo, m_len) in (0u32..60, 0u32..40),
             stored in any::<bool>(),
             weighted in any::<bool>(),

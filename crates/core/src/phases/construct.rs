@@ -8,7 +8,8 @@
 //! per worker thread, into per-destination buffers — as
 //! `(src, count, dsts…)` records and flushed once a buffer crosses the
 //! configured threshold (§IV-D3). Because allocation reserved exact
-//! per-node slots, arriving records are inserted with a lock-free
+//! per-node slots, every record — local or arrived — takes a window of its
+//! row from allocation's one writer, [`Slots::reserve`], a lock-free
 //! fetch-add cursor; no two records ever contend for the same slots.
 //!
 //! Records are inserted as they arrive, on every slice shape: the thread
@@ -36,9 +37,10 @@
 //!
 //! Under the `construct` phase span the phase records, through
 //! `cusp-obs`, `construct.wait` (blocking for the records still in flight
-//! once the local walk is done) and `construct.freeze` (the cursor check,
-//! giving the buffers their length, building the CSR and, for CSC output,
-//! the transpose), and two counters, `construct.drained_walk` and
+//! once the local walk is done) and `construct.freeze`
+//! ([`AllocOutcome::take_filled`]'s cursor check, giving the buffers their
+//! length and building the CSR, and, for CSC output, the transpose), and
+//! two counters, `construct.drained_walk` and
 //! `construct.drained_wait`: the record bytes inserted during the walk
 //! and after it, together every byte the host received.
 //!
@@ -46,7 +48,7 @@
 //! with the wire codec's memcpy slice ops, incoming messages are sized by
 //! skip-scanning record headers in O(records), and destination runs are
 //! decoded straight from the received payload into the record's reserved
-//! CSR slots (weights are a straight memcpy). The bytes are those of the
+//! window (weights are a straight memcpy). The bytes are those of the
 //! element-by-element encoding, a property the slice codec's own tests
 //! (`cusp_graph::wire`) hold it to.
 
@@ -57,7 +59,7 @@ use cusp_graph::{ChunkedSlice, Csr, Node};
 use cusp_net::{Bytes, Comm, SendBuffers, WireReader};
 
 use crate::config::{CuspConfig, OutputFormat};
-use crate::phases::alloc::AllocOutcome;
+use crate::phases::alloc::{AllocOutcome, Slots};
 use crate::phases::edge_assign::EdgeFilter;
 use crate::phases::master::ResolvedMasters;
 use crate::phases::pipeline::{for_each_chunk, ReplayReady};
@@ -66,44 +68,12 @@ use crate::props::LocalProps;
 use crate::state::PartitionState;
 use crate::tags::TAG_EDGES;
 
-/// A raw-pointer window over the destination buffer so pool workers can
-/// fill disjoint slot ranges concurrently.
-pub(crate) struct DestPtr(pub(crate) *mut Node);
-unsafe impl Send for DestPtr {}
-unsafe impl Sync for DestPtr {}
-impl DestPtr {
-    #[inline]
-    pub(crate) fn get(&self) -> *mut Node {
-        self.0
-    }
-}
-
-/// Same, for the optional per-edge data buffer (null when unweighted).
-pub(crate) struct DataPtr(pub(crate) *mut u32);
-unsafe impl Send for DataPtr {}
-unsafe impl Sync for DataPtr {}
-impl DataPtr {
-    #[inline]
-    pub(crate) fn get(&self) -> *mut u32 {
-        self.0
-    }
-}
-
-/// Raw windows over the preallocated CSR buffers of `alloc`, for
-/// [`insert_record`] / [`insert_message`] to fill concurrently.
-pub(crate) fn slot_ptrs(alloc: &mut AllocOutcome) -> (DestPtr, DataPtr) {
-    let data = alloc.edge_data.as_mut().map_or(std::ptr::null_mut(), |d| d.as_mut_ptr());
-    (DestPtr(alloc.dests.as_mut_ptr()), DataPtr(data))
-}
-
 /// The receiving half of construction, shared by the host thread and its
 /// pool workers: the record messages still expected, counted in edges, and
 /// the payload bytes inserted so far.
 struct Drain<'a> {
     comm: &'a Comm,
-    alloc: &'a AllocOutcome,
-    dest_ptr: &'a DestPtr,
-    data_ptr: &'a DataPtr,
+    slots: &'a Slots<'a>,
     weighted: bool,
     to_receive: u64,
     received: AtomicU64,
@@ -122,8 +92,7 @@ impl Drain<'_> {
     /// pool it runs on).
     fn drain(&self, pool: Option<&ThreadPool>, mut wait: bool) {
         let insert = |payload: &Bytes| {
-            let (d, w) = (self.dest_ptr, self.data_ptr);
-            insert_message(self.alloc, d, w, payload.clone(), self.weighted);
+            insert_message(self.slots, payload.clone());
             self.inserted.fetch_add(payload.len() as u64, Ordering::Relaxed);
         };
         let mut batch = Vec::new();
@@ -169,17 +138,15 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     let k = comm.num_hosts();
     let estate = replay.state();
     let weighted = data.weighted();
-    // Not a debug check: the `set_len` below relies on the weight slots
-    // being written exactly when they exist.
+    // Not a debug check: records carry a weight run exactly when the input
+    // is weighted, and `insert_message` decodes one exactly when the
+    // allocation has a weight buffer.
     assert_eq!(weighted, alloc.edge_data.is_some(), "weight buffer and input disagree");
 
-    let (dest_ptr, data_ptr) = slot_ptrs(alloc);
-    let alloc_ref: &AllocOutcome = alloc;
+    let slots = alloc.slots();
     let drain = Drain {
         comm,
-        alloc: alloc_ref,
-        dest_ptr: &dest_ptr,
-        data_ptr: &data_ptr,
+        slots: &slots,
         weighted,
         to_receive,
         received: AtomicU64::new(0),
@@ -241,7 +208,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
                     }
                     let wbucket = weighted.then(|| ts.wbuckets[h].as_slice());
                     if h == me {
-                        insert_record(alloc_ref, &dest_ptr, &data_ptr, s, bucket, wbucket);
+                        insert_record(&slots, s, bucket, wbucket);
                     } else {
                         let flushed = ts.buffers.record(comm, h, |w| {
                             w.put_u32(s);
@@ -293,34 +260,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
 
     // The freeze, up to the returned (possibly transposed) graph.
     let _freeze_span = cusp_obs::span("construct.freeze");
-    // Every reserved slot must be filled.
-    for (l, cursor) in alloc.cursors.iter().enumerate() {
-        assert_eq!(
-            cursor.load(Ordering::Relaxed),
-            alloc.offsets[l + 1],
-            "node with local id {l} is missing edges after construction"
-        );
-    }
-
-    let total = alloc.offsets[alloc.cursors.len()] as usize;
-    let mut dests = std::mem::take(&mut alloc.dests);
-    let mut data = alloc.edge_data.take();
-    assert!(dests.capacity() >= total && data.as_ref().is_none_or(|d| d.capacity() >= total));
-    // SAFETY: both buffers have capacity `total` (just checked) and come
-    // from allocation with length 0 and each cursor at its node's
-    // `offsets[l]`. Every write went through `reserve_slots`, which hands out
-    // disjoint ranges of `offsets[l]..offsets[l + 1]` by advancing that
-    // cursor, and `insert_record` / `insert_message` write a whole range
-    // (its weight run too whenever the weight buffer exists) or panic. The
-    // cursor assertion above — every cursor reached `offsets[l + 1]` — thus
-    // proves that slots `0..total` of both buffers are initialized.
-    unsafe {
-        dests.set_len(total);
-        if let Some(d) = &mut data {
-            d.set_len(total);
-        }
-    }
-    let csr = Csr::from_parts(std::mem::take(&mut alloc.offsets), dests);
+    let (csr, data) = alloc.take_filled();
     match (cfg.output, data) {
         (OutputFormat::Csr, data) => (csr, data),
         // "each host performs an in-memory transpose of their CSR graph to
@@ -333,47 +273,19 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     }
 }
 
-/// Reserves `cnt` contiguous CSR slots for a record of `src` and returns
-/// the first slot index.
+/// Inserts one record's destinations (and optional per-edge data) into a
+/// window of its source's row, converting global destination ids to local
+/// ids.
 #[inline]
-pub(crate) fn reserve_slots(alloc: &AllocOutcome, src: Node, cnt: usize) -> usize {
-    let ls = alloc.local_of(src) as usize;
-    let slot = alloc.cursors[ls].fetch_add(cnt as u64, Ordering::Relaxed);
-    assert!(
-        slot + cnt as u64 <= alloc.offsets[ls + 1],
-        "edge overflow for source {src}: assignment and construction disagree"
-    );
-    slot as usize
-}
-
-/// Inserts one record's destinations (and optional per-edge data) into the
-/// preallocated CSR, converting global destination ids to local ids.
-#[inline]
-pub(crate) fn insert_record(
-    alloc: &AllocOutcome,
-    dest_ptr: &DestPtr,
-    data_ptr: &DataPtr,
-    src: Node,
-    dsts: &[Node],
-    weights: Option<&[u32]>,
-) {
-    let slot = reserve_slots(alloc, src, dsts.len());
-    for (off, &d) in dsts.iter().enumerate() {
-        let ld = alloc.local_of(d);
-        // SAFETY: slots [slot, slot + len) were exclusively reserved by the
-        // fetch_add above; no other thread writes them.
-        unsafe {
-            *dest_ptr.get().add(slot + off) = ld;
-        }
+pub(crate) fn insert_record(slots: &Slots<'_>, src: Node, dsts: &[Node], weights: Option<&[u32]>) {
+    let (dests, data) = slots.reserve(slots.local_of(src), dsts.len());
+    for (slot, &d) in dests.iter_mut().zip(dsts) {
+        *slot = slots.local_of(d);
     }
-    if let Some(ws) = weights {
+    if let Some(data) = data {
+        let ws = weights.expect("a weighted allocation takes weighted records");
         assert_eq!(ws.len(), dsts.len(), "weight run shorter than its record");
-        for (off, &x) in ws.iter().enumerate() {
-            // SAFETY: same exclusively reserved slots as above.
-            unsafe {
-                *data_ptr.get().add(slot + off) = x;
-            }
-        }
+        data.copy_from_slice(ws);
     }
 }
 
@@ -395,34 +307,22 @@ pub(crate) fn count_edges_in(payload: &Bytes, weighted: bool) -> u64 {
 
 /// Deserializes a full message of records and inserts them, zero-copy:
 /// each record's destination run is decoded from the payload directly into
-/// its reserved CSR slots and localized in place, and the weight run is a
-/// straight memcpy into the edge-data slots — no intermediate `Vec` is
-/// materialized.
-pub(crate) fn insert_message(
-    alloc: &AllocOutcome,
-    dest_ptr: &DestPtr,
-    data_ptr: &DataPtr,
-    payload: Bytes,
-    weighted: bool,
-) {
+/// its reserved window and localized in place, and the weight run is a
+/// straight memcpy into the weight window — no intermediate `Vec` is
+/// materialized. The records carry weights exactly when the allocation
+/// has a weight buffer.
+pub(crate) fn insert_message(slots: &Slots<'_>, payload: Bytes) {
     let mut r = WireReader::new(payload);
     while !r.is_exhausted() {
         let src = r.get_u32().expect("malformed edge record");
         let cnt = r.get_u32().expect("malformed edge record") as usize;
-        let slot = reserve_slots(alloc, src, cnt);
-        // SAFETY: slots [slot, slot + cnt) were exclusively reserved by
-        // reserve_slots; no other thread touches them.
-        let dst_slots =
-            unsafe { std::slice::from_raw_parts_mut(dest_ptr.get().add(slot), cnt) };
-        r.get_u32_into(dst_slots).expect("malformed edge record");
-        for d in dst_slots.iter_mut() {
-            *d = alloc.local_of(*d);
+        let (dests, data) = slots.reserve(slots.local_of(src), cnt);
+        r.get_u32_into(dests).expect("malformed edge record");
+        for d in dests.iter_mut() {
+            *d = slots.local_of(*d);
         }
-        if weighted {
-            // SAFETY: same exclusively reserved slots, edge-data buffer.
-            let data_slots =
-                unsafe { std::slice::from_raw_parts_mut(data_ptr.get().add(slot), cnt) };
-            r.get_u32_into(data_slots).expect("malformed edge record");
+        if let Some(data) = data {
+            r.get_u32_into(data).expect("malformed edge record");
         }
     }
 }

@@ -12,12 +12,15 @@
 //! # Structure
 //!
 //! This module holds only what is delta-specific: the dirty set, the tally
-//! and the translate-copy of the kept edges (`Kept`), the sparse
-//! `(src, count)` metadata exchange, and the driver. The per-edge walk is
-//! the full pipeline's: `delta_assign` calls `edge_assign::tally_edges` and
-//! `delta_construct` calls `construct::construct` with the [`DirtySet`] as
-//! their edge filter, so `getEdgeOwner` is evaluated, routed and replayed
-//! by the same code a full run uses.
+//! and the translate-copy of the kept edges (`Kept`), and the driver; it
+//! sends and receives nothing itself. The rest is the full pipeline's:
+//! `edge_assign::tally_edges` and `construct::construct` walk with the
+//! [`DirtySet`] as their edge filter, so `getEdgeOwner` is evaluated,
+//! routed and replayed by the same code a full run uses;
+//! `edge_assign::exchange` sends the dirty tally in the full run's
+//! positional messages, starting from the kept edges' outcome; and the
+//! kept edges enter allocation's buffers through its one writer,
+//! `alloc::Slots`.
 //!
 //! # Dirty by role
 //!
@@ -63,11 +66,11 @@
 //!   set bit.
 //! * **Translate-copy.** After allocation `old2new` maps the previous local
 //!   id of every proxy a kept edge touches to its new one (a hole anywhere
-//!   else). A kept CSR row reserves its tallied slots once and fills them
-//!   with one gather and one store per edge, weights beside; a CSC row is a
-//!   destination, so each of its edges reserves one slot of its own source.
-//!   Tally and copy call one predicate, and the copy checks per row that it
-//!   wrote exactly what was tallied.
+//!   else). A kept CSR row reserves its tallied slots once and fills the
+//!   window with one gather and one store per edge, weights beside; a CSC
+//!   row is a destination, so each of its edges reserves one slot of its own
+//!   source. Tally and copy call one predicate, and the copy checks per row
+//!   that it wrote exactly what was tallied.
 //!
 //! Under the phase spans the delta path records `delta.kept_tally` (the
 //! kept-edge tally and its globalisation, in `edge_assign`, beside the
@@ -100,26 +103,24 @@
 //! [`crate::partition_fingerprint`] sees each row as a multiset. It is not byte-identical: a full row is the input row in
 //! input order, a delta row the kept run followed by the re-decided run.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cusp_galois::{do_all, do_all_with_tid, ThreadPool, DEFAULT_GRAIN};
-use cusp_graph::{ChunkedSlice, Csr, GraphEvent, Node};
-use cusp_net::{Comm, WireReader, WireWriter};
+use cusp_graph::{GraphEvent, Node};
+use cusp_net::Comm;
 
 use crate::config::{OutputFormat, PhaseId};
 use crate::dist_graph::{DistGraph, PartitionClass};
 use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
 use crate::phases::bitset::{NodeBitRows, ThreadRows};
-use crate::phases::construct::{construct, slot_ptrs};
+use crate::phases::construct::construct;
 use crate::phases::driver::{freeze_part, partition, PartitionOutput};
-use crate::phases::edge_assign::{merge_runs, tally_edges, EdgeAssignOutcome, EdgeFilter};
+use crate::phases::edge_assign::{exchange, tally_edges, EdgeAssignOutcome, EdgeFilter};
 use crate::phases::master::{pure_masters, ResolvedMasters};
 use crate::phases::pipeline::{PhaseCtx, ReplayReady};
 use crate::phases::read::read_phase;
 use crate::policy::{EdgeRule, MasterRule, Setup};
 use crate::state::PartitionState;
-use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
 use crate::{CuspConfig, GraphSource, PartId};
 
 /// Rows of [`DirtySet::roles`].
@@ -347,20 +348,13 @@ impl<'a> Kept<'a> {
         global.map(|(l, &g)| if touched(l) { alloc.local_of(g) } else { HOLE }).collect()
     }
 
-    /// Translate-copies every kept edge into the slots `alloc` holds for it:
-    /// pure memory movement, no rule and no wire. The tally is spent after.
+    /// Translate-copies every kept edge into the slots `alloc` holds for it,
+    /// through allocation's one writer: pure memory movement, no rule and
+    /// no wire. The tally is spent after.
     fn copy(self, pool: &ThreadPool, alloc: &mut AllocOutcome) {
         let weights = self.prev.edge_data.as_deref();
-        let total = *alloc.offsets.last().expect("offsets are never empty") as usize;
-        // Not debug checks: the stores below rely on both.
+        // Not a debug check: every weight window must be written.
         assert_eq!(weights.is_some(), alloc.edge_data.is_some(), "previous weights, new input");
-        let fits = |cap: usize| cap >= total;
-        assert!(
-            fits(alloc.dests.capacity()) && alloc.edge_data.as_ref().is_none_or(|d| fits(d.capacity())),
-            "allocation reserved fewer slots than its offsets span"
-        );
-        let (dest_ptr, data_ptr) = slot_ptrs(alloc);
-        let alloc: &AllocOutcome = alloc;
         let old2new = self.old2new(alloc);
         let new_id = |l: u32| {
             let new = old2new[l as usize];
@@ -369,26 +363,13 @@ impl<'a> Kept<'a> {
             assert!(new != HOLE, "kept edge at previous proxy {l}, which the tally never touched");
             new
         };
-        // One reservation: the next `cnt` slots of new local source `src`.
-        let reserve = |src: u32, cnt: usize| {
-            let slot = alloc.cursors[src as usize].fetch_add(cnt as u64, Ordering::Relaxed);
-            let end = slot + cnt as u64;
-            assert!(end <= alloc.offsets[src as usize + 1], "kept edges overflow new local id {src}");
-            slot as usize..end as usize
-        };
-        let put = |slots: &mut Range<usize>, to: u32, e: usize| {
-            let at = slots.next().expect("kept-edge copy wrote more edges than the tally counted");
-            // SAFETY: `at` comes out of a range `reserve` handed out, by
-            // advancing its source's cursor, to this call chain alone, and
-            // `next` bound-checks it against that range's end; `reserve`
-            // asserted the end within the source's `offsets` range, hence
-            // within `total`, for which both buffers have capacity (checked
-            // above, as is that the weight buffer exists when weights do).
-            unsafe {
-                *dest_ptr.get().add(at) = to;
-                if let Some(w) = weights {
-                    *data_ptr.get().add(at) = w[e];
-                }
+        let slots = alloc.slots();
+        // Slot `at` of a reserved window gets kept edge `e`, as `to`.
+        let put = |dests: &mut [Node], data: Option<&mut [u32]>, at: usize, to: u32, e: usize| {
+            let slot = dests.get_mut(at).expect("kept-edge copy wrote more edges than the tally counted");
+            *slot = to;
+            if let (Some(data), Some(w)) = (data, weights) {
+                data[at] = w[e];
             }
         };
         do_all(pool, self.prev.num_local(), DEFAULT_GRAIN, |row| {
@@ -396,158 +377,25 @@ impl<'a> Kept<'a> {
                 // Sources vary within the row: one slot per edge.
                 let dst = row as u32;
                 self.for_each_in_row(row, |e, src| {
-                    put(&mut reserve(new_id(src), 1), new_id(dst), e);
+                    let (dests, data) = slots.reserve(new_id(src), 1);
+                    put(dests, data, 0, new_id(dst), e);
                 });
                 return;
             }
             let cnt = self.counts[row].load(Ordering::Relaxed) as usize;
-            let mut slots = if cnt > 0 { reserve(new_id(row as u32), cnt) } else { 0..0 };
-            self.for_each_in_row(row, |e, dst| put(&mut slots, new_id(dst), e));
-            let short = slots.len();
+            let (dests, mut data) = match cnt {
+                0 => (&mut [][..], None),
+                _ => slots.reserve(new_id(row as u32), cnt),
+            };
+            let mut at = 0;
+            self.for_each_in_row(row, |e, dst| {
+                put(dests, data.as_deref_mut(), at, new_id(dst), e);
+                at += 1;
+            });
+            let short = cnt - at;
             assert!(short == 0, "previous row {row} was copied {short} edges short of its tally");
         });
     }
-}
-
-/// What both delta phases work from: the new run's rules and masters, the
-/// previous partition, and the dirty set.
-struct DeltaCx<'a, ER: EdgeRule> {
-    setup: &'a Setup,
-    masters: &'a ResolvedMasters,
-    rule: &'a ER,
-    estate: &'a ER::State,
-    prev: &'a DistGraph,
-    prev_csc: bool,
-    dirty: &'a DirtySet,
-}
-
-/// Delta edge assignment: tallies the kept edges of the previous partition
-/// locally, runs the full phase's tally under the dirty filter, and
-/// exchanges only that dirty-edge metadata — sparse `(src, count)` pairs
-/// instead of the full positional count vectors.
-fn delta_assign<'a, ER: EdgeRule>(
-    ctx: &PhaseCtx<'_>,
-    cx: &DeltaCx<'a, ER>,
-    data: &mut ChunkedSlice,
-) -> (EdgeAssignOutcome, Kept<'a>) {
-    let DeltaCx { setup, masters, rule, estate, prev, prev_csc, dirty } = *cx;
-    let comm = ctx.comm;
-    let me = comm.host();
-    let k = comm.num_hosts();
-    let lo = data.node_lo();
-    let local_n = data.num_nodes();
-
-    // --- Kept edges from the previous partition. -----------------------
-    // No input of their decision changed ⇒ their owner did not ⇒ they
-    // stay on this host, with the proxies they need.
-    let kept_span = cusp_obs::span("delta.kept_tally");
-    let kept = Kept::tally(&ctx.pool, prev, prev_csc, dirty);
-    let mut ea = kept.outcome(masters, me);
-    drop(kept_span);
-
-    // --- Dirty edges from the mutated slice. ---------------------------
-    // The full phase's tally, deciding only what the filter selects.
-    let (counts, mirrors_for) = tally_edges(&ctx.pool, setup, data, masters, rule, estate, dirty);
-    let exchange_span = cusp_obs::span("edge_assign.exchange");
-
-    // --- Exchange dirty-edge metadata (sparse pairs + mirror ids). ----
-    // Masters are pure, so receivers recompute them; only ids travel.
-    for peer in 0..k {
-        if peer == me {
-            continue;
-        }
-        let mut pairs: Vec<u32> = Vec::new();
-        for (i, &c) in counts[peer * local_n..(peer + 1) * local_n].iter().enumerate() {
-            if c > 0 {
-                pairs.extend([lo + i as Node, c]);
-            }
-        }
-        if pairs.is_empty() && mirrors_for[peer].is_empty() {
-            let mut w = WireWriter::with_capacity(1);
-            w.put_u8(META_EMPTY);
-            comm.send_bytes(peer, TAG_EDGE_META, w.finish());
-            continue;
-        }
-        let mut w = WireWriter::with_capacity(pairs.len() * 4 + mirrors_for[peer].len() * 4 + 32);
-        w.put_u8(META_FULL);
-        w.put_u64((pairs.len() / 2) as u64);
-        w.put_u32_raw_slice(&pairs);
-        w.put_u64(mirrors_for[peer].len() as u64);
-        w.put_u32_raw_slice(&mirrors_for[peer]);
-        comm.send_bytes(peer, TAG_EDGE_META, w.finish());
-    }
-
-    // --- Local dirty contributions (h == me). -------------------------
-    let with_master = |d: Node| (d, masters.of(d));
-    for (i, &c) in counts[me * local_n..(me + 1) * local_n].iter().enumerate() {
-        if c > 0 {
-            let s = lo + i as Node;
-            ea.incoming_srcs.push((s, c, masters.of(s)));
-        }
-    }
-    ea.mirrors.extend(mirrors_for[me].iter().copied().map(with_master));
-
-    // --- Receive peer dirty metadata. ---------------------------------
-    for _ in 0..k.saturating_sub(1) {
-        let (_src, payload) = comm.recv_any(TAG_EDGE_META);
-        let mut r = WireReader::new(payload);
-        let kind = r.get_u8().expect("empty delta metadata message");
-        if kind == META_EMPTY {
-            continue;
-        }
-        let np = r.get_u64().expect("malformed delta pair count") as usize;
-        let mut pairs = vec![0u32; np * 2];
-        r.get_u32_into(&mut pairs).expect("malformed delta pairs");
-        for pair in pairs.chunks_exact(2) {
-            let (s, c) = (pair[0], pair[1]);
-            ea.incoming_srcs.push((s, c, masters.of(s)));
-            ea.to_receive += c as u64;
-        }
-        let nm = r.get_u64().expect("malformed delta mirror count") as usize;
-        let mut run = vec![0u32; nm];
-        r.get_u32_into(&mut run).expect("malformed delta mirrors");
-        ea.mirrors.extend(run.into_iter().map(with_master));
-    }
-
-    // --- The outcome allocation consumes. ------------------------------
-    // A source may come twice — kept edges here, re-decided ones from its
-    // reader — and allocation adds its counts up. Every list above is an
-    // ascending run (the kept ones two), so the mirrors merge, not sort.
-    ea.mirrors = merge_runs(std::mem::take(&mut ea.mirrors));
-    ea.mirrors.dedup();
-    drop(exchange_span);
-    cusp_obs::counter("mem.edge_assign_outcome", ea.heap_bytes());
-    (ea, kept)
-}
-
-/// Delta construction: copies the kept edges out of the previous partition
-/// (no decision, no communication), then runs the full construction phase
-/// under the dirty filter, so only dirty edges are re-decided and shipped.
-fn delta_construct<ER: EdgeRule>(
-    ctx: &PhaseCtx<'_>,
-    cx: &DeltaCx<'_, ER>,
-    kept: Kept<'_>,
-    data: &mut ChunkedSlice,
-    alloc: &mut AllocOutcome,
-    to_receive: u64,
-) -> (Csr, Option<Vec<u32>>) {
-    {
-        let _span = cusp_obs::span("delta.kept_copy");
-        kept.copy(&ctx.pool, alloc);
-    }
-    construct(
-        ctx.comm,
-        &ctx.pool,
-        cx.setup,
-        data,
-        cx.masters,
-        cx.rule,
-        ReplayReady::arm(cx.estate),
-        alloc,
-        to_receive,
-        ctx.cfg,
-        cx.dirty,
-    )
 }
 
 /// Incrementally repartitions a mutated graph against the previous run.
@@ -625,31 +473,52 @@ where
     );
     let estate = <ER as EdgeRule>::State::new(setup.parts);
 
-    // Phase 3: delta edge assignment (dirty edges decided, kept ones tallied).
-    let cx = DeltaCx {
-        setup: &setup,
-        masters: &masters,
-        rule: &edge_rule,
-        estate: &estate,
-        prev: &prev.dist_graph,
-        prev_csc: cfg.output == OutputFormat::Csc,
-        dirty: &dirty,
-    };
-    let (ea, kept) = ctx.run_phase(PhaseId::EdgeAssign, |ctx| delta_assign(ctx, &cx, &mut data));
+    // Phase 3: the kept edges tallied locally, then the full phase's tally
+    // under the dirty filter and its exchange, starting from what the kept
+    // edges need. No input of a kept edge's decision changed, so neither did
+    // its owner: it stays on this host, with the proxies it needs.
+    let (ea, kept) = ctx.run_phase(PhaseId::EdgeAssign, |ctx| {
+        let kept_span = cusp_obs::span("delta.kept_tally");
+        let csc = cfg.output == OutputFormat::Csc;
+        let kept = Kept::tally(&ctx.pool, &prev.dist_graph, csc, &dirty);
+        let held = kept.outcome(&masters, comm.host());
+        drop(kept_span);
+        let tally = tally_edges(&ctx.pool, &setup, &mut data, &masters, &edge_rule, &estate, &dirty);
+        (exchange(comm, &setup, &masters, tally, held), kept)
+    });
 
-    // Phase 4: allocation — unchanged; the synthesized outcome feeds the
-    // exact same deterministic local-id layout a full run would compute,
-    // and is consumed by it.
+    // Phase 4: allocation — unchanged; the outcome feeds the exact same
+    // deterministic local-id layout a full run would compute, and is
+    // consumed by it.
     let to_receive = ea.to_receive;
     let spec = MasterSpec::PureRange(master_rule.pure_owned_range(comm.host() as PartId));
     let weighted = data.weighted();
     let mut alloc =
         ctx.run_phase(PhaseId::Alloc, |ctx| allocate(comm.host(), &ctx.pool, spec, ea, weighted));
 
-    // Phase 5: delta construction (kept edges copied, dirty edges shipped).
+    // Phase 5: the kept edges copied out of the previous partition (no
+    // decision, no communication), then the full construction phase under
+    // the dirty filter, so only dirty edges are re-decided and shipped.
     let reused_edges = kept.reused_edges();
     let dist_graph = ctx.run_phase(PhaseId::Construct, |ctx| {
-        let built = delta_construct(ctx, &cx, kept, &mut data, &mut alloc, to_receive);
+        {
+            let _span = cusp_obs::span("delta.kept_copy");
+            kept.copy(&ctx.pool, &mut alloc);
+        }
+        let replay = ReplayReady::arm(&estate);
+        let built = construct(
+            comm,
+            &ctx.pool,
+            &setup,
+            &mut data,
+            &masters,
+            &edge_rule,
+            replay,
+            &mut alloc,
+            to_receive,
+            cfg,
+            &dirty,
+        );
         freeze_part(comm.host(), class, &setup, alloc, built)
     });
 
@@ -664,6 +533,7 @@ where
 mod tests {
     use super::*;
     use crate::policies::masters::Contiguous;
+    use cusp_graph::{ChunkedSlice, Csr};
     use cusp_graph::ReadSplit;
     use std::sync::Arc;
 
@@ -810,19 +680,15 @@ mod tests {
             assert_eq!(alloc.local2global, vec![0, 1, 2, 3, 4, 7, 9]);
             let old2new = kept.old2new(&alloc);
             assert_eq!(old2new, vec![HOLE, 1, HOLE, 3, HOLE, HOLE, 5, 6], "csc={csc}");
-            // Initialised stand-ins for the reserved buffers, so the copy
-            // can be read back without `construct` giving them a length.
             assert_eq!(alloc.offsets, vec![0, 0, 1, 1, 3, 3, 3, 3]);
-            alloc.dests = vec![HOLE; 3];
-            alloc.edge_data = Some(vec![0; 3]);
             kept.copy(&pool, &mut alloc);
-            for (l, cursor) in alloc.cursors.iter().enumerate() {
-                assert_eq!(cursor.load(Ordering::Relaxed), alloc.offsets[l + 1], "csc={csc} row {l}");
-            }
-            let weights = alloc.edge_data.as_ref().unwrap();
-            let mut row3 = vec![(alloc.dests[1], weights[1]), (alloc.dests[2], weights[2])];
+            // The kept edges are all this allocation holds, so the copy
+            // alone must bring every cursor to its row's end.
+            let (csr, weights) = alloc.take_filled();
+            let (dests, weights) = (csr.dests(), weights.expect("weighted input"));
+            let mut row3 = vec![(dests[1], weights[1]), (dests[2], weights[2])];
             row3.sort_unstable();
-            assert_eq!((alloc.dests[0], weights[0]), (5, 11), "csc={csc}: 1→7");
+            assert_eq!((dests[0], weights[0]), (5, 11), "csc={csc}: 1→7");
             assert_eq!(row3, vec![(1, 12), (6, 13)], "csc={csc}: 3→1, 3→9");
         }
     }

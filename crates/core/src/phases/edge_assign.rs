@@ -25,10 +25,18 @@
 //! elsewhere) is asked once per set bit when the union is scanned, not once
 //! per edge.
 //!
+//! Both walks hand their tally to one exchange, [`exchange`], which starts
+//! from what the host already holds — nothing on a full run, the kept
+//! edges on a delta run — so a delta run sends the full run's positional
+//! messages. Each received message is decoded by one function, which
+//! checks the frame's kind and shape against the sender's read range before
+//! sizing anything from it.
+//!
 //! Under the `edge_assign` phase span the phase records, through
-//! `cusp-obs`, `edge_assign.tally` (the walk and the scan of its rows, on
-//! the full and the delta path alike) and `edge_assign.exchange` (sending
-//! the tallies, receiving the peers' and merging them).
+//! `cusp-obs`, `edge_assign.tally` (the walk and the scan of its rows) and
+//! `edge_assign.exchange` (sending the tallies, receiving the peers' and
+//! merging them), on the full and the delta path alike, and one
+//! `mem.edge_assign_outcome` counter after them.
 //!
 //! Everything the exchange delivers arrives as one ascending run per sender
 //! (positions, bitset scans), so the received lists are put in order with
@@ -44,8 +52,8 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cusp_galois::{do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
-use cusp_graph::{ChunkedSlice, Node};
-use cusp_net::{Comm, WireReader, WireWriter};
+use cusp_graph::{ChunkedSlice, Node, ReadSplit};
+use cusp_net::{Bytes, Comm, WireReader, WireWriter};
 
 use crate::dist_graph::vec_bytes;
 use crate::phases::bitset::ThreadRows;
@@ -58,7 +66,7 @@ use crate::tags::{META_EMPTY, META_FULL, TAG_EDGE_META};
 use crate::PartId;
 
 /// Everything a host learns in the edge assignment phase.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EdgeAssignOutcome {
     /// Sources whose edges land on this partition: `(global id, edges,
     /// master partition)`. Includes locally kept sources.
@@ -235,7 +243,8 @@ pub(crate) fn merge_runs<T: Copy + Ord>(mut items: Vec<T>) -> Vec<T> {
     items
 }
 
-/// Runs the edge assignment phase.
+/// Runs the edge assignment phase: the tally over every edge, exchanged
+/// from an empty outcome.
 pub fn assign_edges<ER: EdgeRule>(
     comm: &Comm,
     pool: &ThreadPool,
@@ -245,12 +254,35 @@ pub fn assign_edges<ER: EdgeRule>(
     rule: &ER,
     estate: &ER::State,
 ) -> EdgeAssignOutcome {
+    let tally = tally_edges(pool, setup, data, masters, rule, estate, &AllEdges);
+    exchange(comm, setup, masters, tally, EdgeAssignOutcome::default())
+}
+
+/// Number of nonzero entries of a count vector.
+fn nonzero(counts: &[u32]) -> usize {
+    counts.iter().filter(|&&c| c > 0).count()
+}
+
+/// Algorithm 3's exchange (lines 7–14) of `tally`, this host's
+/// [`tally_edges`] over its read range: sends every peer its positional
+/// vector (or the one-byte empty message), then adds this host's own part
+/// and every peer's to `held` — what the host holds before the exchange:
+/// nothing on a full run, the kept edges' outcome on a delta run
+/// ([`crate::phases::delta::partition_delta`]). Records the outcome's heap
+/// as `mem.edge_assign_outcome`.
+pub(crate) fn exchange(
+    comm: &Comm,
+    setup: &Setup,
+    masters: &ResolvedMasters,
+    (counts, mut mirrors_for): (Vec<u32>, Vec<Vec<Node>>),
+    held: EdgeAssignOutcome,
+) -> EdgeAssignOutcome {
+    let span = cusp_obs::span("edge_assign.exchange");
     let me = comm.host();
     let k = comm.num_hosts();
-    let lo = data.node_lo();
-    let local_n = data.num_nodes();
-    let (counts, mut mirrors_for) = tally_edges(pool, setup, data, masters, rule, estate, &AllEdges);
-    let exchange_span = cusp_obs::span("edge_assign.exchange");
+    let lo = setup.read_splits[me].lo as Node;
+    let local_n = setup.read_splits[me].len() as usize;
+    debug_assert_eq!(counts.len(), k * local_n, "a tally covers the read range once per host");
 
     // Masters of my read range, bucketed by owning partition (stored only).
     let pure = masters.is_pure();
@@ -262,9 +294,6 @@ pub fn assign_edges<ER: EdgeRule>(
         }
     }
 
-    let nonzero = |counts: &[u32]| counts.iter().filter(|&&c| c > 0).count();
-
-    // --- Exchange (Algorithm 3, lines 7–14). ----------------------------
     for peer in 0..k {
         if peer == me {
             continue;
@@ -290,8 +319,7 @@ pub fn assign_edges<ER: EdgeRule>(
         );
         w.put_u8(META_FULL);
         w.put_u64(local_n as u64);
-        // Bulk-encode the positional count vector (same bytes as the old
-        // per-element writes; raw runs carry no length prefix).
+        // Raw runs carry no length prefix: one codec pass per run.
         w.put_u32_raw_slice(count_slice);
         if !pure {
             // Compacted masters of nonzero-count sources, in position order.
@@ -312,88 +340,112 @@ pub fn assign_edges<ER: EdgeRule>(
         comm.send_bytes(peer, TAG_EDGE_META, w.finish());
     }
 
-    // --- Local contributions (h == me). ---------------------------------
+    // This host's own part (h == me), after what it held.
+    let EdgeAssignOutcome { mut incoming_srcs, mut mirrors, my_master_nodes, to_receive } = held;
+    debug_assert!(my_master_nodes.is_none(), "a held outcome carries no master list");
     let my_counts = &counts[me * local_n..(me + 1) * local_n];
-    let mut incoming_srcs: Vec<(Node, u32, PartId)> = Vec::with_capacity(nonzero(my_counts));
+    incoming_srcs.reserve_exact(nonzero(my_counts));
     for (i, &c) in my_counts.iter().enumerate() {
         if c > 0 {
             let s = lo + i as Node;
             incoming_srcs.push((s, c, masters.of(s)));
         }
     }
-    let mut mirrors: Vec<(Node, PartId)> =
-        std::mem::take(&mut mirrors_for[me]).into_iter().map(|d| (d, masters.of(d))).collect();
-    let mut my_master_nodes = (!pure).then(|| std::mem::take(&mut master_buckets[me]));
+    let mine = std::mem::take(&mut mirrors_for[me]);
+    mirrors.reserve_exact(mine.len());
+    mirrors.extend(mine.into_iter().map(|d| (d, masters.of(d))));
+    let mut ea = EdgeAssignOutcome {
+        incoming_srcs,
+        mirrors,
+        my_master_nodes: (!pure).then(|| std::mem::take(&mut master_buckets[me])),
+        to_receive,
+    };
 
-    // --- Receive peer metadata. ------------------------------------------
-    let mut to_receive = 0u64;
     for _ in 0..k - 1 {
         let (src, payload) = comm.recv_any(TAG_EDGE_META);
+        ea.add_peer_tally(src, &setup.read_splits[src], masters, payload);
+    }
+
+    // One ascending run per sender (the held lists two), and a mirror may
+    // repeat across them.
+    ea.mirrors = merge_runs(std::mem::take(&mut ea.mirrors));
+    ea.mirrors.dedup();
+    // Likewise one ascending list per reader; readers never share a node.
+    ea.my_master_nodes = ea.my_master_nodes.map(merge_runs);
+    if let Some(v) = &ea.my_master_nodes {
+        debug_assert!(v.windows(2).all(|w| w[0] != w[1]), "duplicate master claims");
+    }
+    drop(span);
+    cusp_obs::counter("mem.edge_assign_outcome", ea.heap_bytes());
+    ea
+}
+
+impl EdgeAssignOutcome {
+    /// Adds host `src`'s tally message, positional over its read range
+    /// `sender`, to the outcome. The frame's kind, its vector's length and
+    /// every announced run are checked before anything is sized from them
+    /// or added; a frame that fails panics naming the peer.
+    fn add_peer_tally(&mut self, src: usize, sender: &ReadSplit, masters: &ResolvedMasters, payload: Bytes) {
         let mut r = WireReader::new(payload);
-        let kind = r.get_u8().expect("empty metadata message");
-        if kind == META_EMPTY {
-            continue;
+        match r.get_u8() {
+            Ok(META_EMPTY) => {
+                let extra = r.remaining();
+                assert!(extra == 0, "host {src} sent {extra} byte(s) after its empty tally");
+                return;
+            }
+            Ok(META_FULL) => {}
+            Ok(kind) => panic!("host {src} sent edge-assignment message kind {kind}"),
+            Err(_) => panic!("host {src} sent an empty edge-assignment message"),
         }
-        let sender_lo = setup.read_splits[src].lo as Node;
-        let n = r.get_u64().expect("malformed counts") as usize;
-        debug_assert_eq!(n as u64, setup.read_splits[src].len());
-        let mut raw_counts = vec![0u32; n];
-        r.get_u32_into(&mut raw_counts).expect("malformed counts");
-        let compacted: Option<Vec<u32>> = if pure {
-            None
-        } else {
-            Some(r.get_u32_vec().expect("malformed compacted masters"))
-        };
-        incoming_srcs.reserve(nonzero(&raw_counts));
-        let mut j = 0usize;
-        for (i, &c) in raw_counts.iter().enumerate() {
+        let pure = masters.is_pure();
+        let n = r.get_u64().unwrap_or_else(|e| panic!("host {src} sent a tally without a length: {e}"));
+        let want = sender.len();
+        assert!(n == want, "host {src} sent a tally of {n} node(s) for its read range of {want}");
+        let mut counts = vec![0u32; n as usize];
+        r.get_u32_into(&mut counts)
+            .unwrap_or_else(|e| panic!("host {src} announced a tally of {n} node(s): {e}"));
+        let sources = nonzero(&counts);
+        let compacted = (!pure).then(|| {
+            let v = r.get_u32_vec().unwrap_or_else(|e| panic!("host {src} sent no source masters: {e}"));
+            let got = v.len();
+            assert!(got == sources, "host {src} sent {got} master(s) for its {sources} source(s)");
+            v
+        });
+        let nm = r.get_u64().unwrap_or_else(|e| panic!("host {src} sent no mirror count: {e}"));
+        let width = if pure { 1 } else { 2 };
+        let left = r.remaining() as u64;
+        assert!(
+            nm.checked_mul(4 * width).is_some_and(|bytes| bytes <= left),
+            "host {src} announced {nm} mirror(s) with {left} byte(s) left"
+        );
+        let mut mirror_run = vec![0u32; (nm * width) as usize];
+        r.get_u32_into(&mut mirror_run).expect("the mirror run's bytes were counted");
+        let master_list = (!pure).then(|| {
+            r.get_u32_vec().unwrap_or_else(|e| panic!("host {src} sent no master list: {e}"))
+        });
+        let extra = r.remaining();
+        assert!(extra == 0, "host {src} sent {extra} byte(s) after its tally");
+
+        self.incoming_srcs.reserve(sources);
+        let mut sms = compacted.iter().flatten();
+        for (i, &c) in counts.iter().enumerate() {
             if c == 0 {
                 continue;
             }
-            let s = sender_lo + i as Node;
-            let sm = match &compacted {
-                Some(v) => v[j],
-                None => masters.of(s),
-            };
-            j += 1;
-            incoming_srcs.push((s, c, sm));
-            to_receive += c as u64;
+            let s = (sender.lo + i as u64) as Node;
+            let sm = sms.next().copied().unwrap_or_else(|| masters.of(s));
+            self.incoming_srcs.push((s, c, sm));
+            self.to_receive += c as u64;
         }
-        if let Some(v) = &compacted {
-            debug_assert_eq!(j, v.len());
-        }
-        let nm = r.get_u64().expect("malformed mirror count") as usize;
-        let mut mirror_run = vec![0u32; if pure { nm } else { nm * 2 }];
-        r.get_u32_into(&mut mirror_run).expect("malformed mirrors");
         if pure {
-            mirrors.extend(mirror_run.into_iter().map(|d| (d, masters.of(d))));
+            self.mirrors.extend(mirror_run.into_iter().map(|d| (d, masters.of(d))));
         } else {
-            mirrors.extend(mirror_run.chunks_exact(2).map(|p| (p[0], p[1])));
+            self.mirrors.extend(mirror_run.chunks_exact(2).map(|p| (p[0], p[1])));
         }
-        if !pure {
-            let list = r.get_u32_vec().expect("malformed master list");
-            my_master_nodes.as_mut().expect("stored mode").extend(list);
+        if let Some(list) = master_list {
+            self.my_master_nodes.as_mut().expect("stored mode").extend(list);
         }
     }
-
-    // One ascending run per sender, and a mirror may repeat across them.
-    let mut mirrors = merge_runs(mirrors);
-    mirrors.dedup();
-    // Likewise one ascending list per reader; readers never share a node.
-    let my_master_nodes = my_master_nodes.map(merge_runs);
-    if let Some(v) = &my_master_nodes {
-        debug_assert!(v.windows(2).all(|w| w[0] != w[1]), "duplicate master claims");
-    }
-    drop(exchange_span);
-
-    let outcome = EdgeAssignOutcome {
-        incoming_srcs,
-        mirrors,
-        my_master_nodes,
-        to_receive,
-    };
-    cusp_obs::counter("mem.edge_assign_outcome", outcome.heap_bytes());
-    outcome
 }
 
 #[cfg(test)]
@@ -637,6 +689,90 @@ mod tests {
             want.sort();
             assert_eq!(merge_runs(input), want);
         }
+    }
+
+    /// Host 1's tally message over a four-node read range: `counts`, then
+    /// the compacted source masters (stored masters only), the mirrors
+    /// (with their masters when stored) and the master list (stored only).
+    fn tally_frame(n: u64, counts: &[u32], stored: bool, mirrors: &[u32]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_u8(META_FULL);
+        w.put_u64(n);
+        w.put_u32_raw_slice(counts);
+        if stored {
+            w.put_u32_slice(&[1, 0]);
+        }
+        w.put_u64((mirrors.len() / if stored { 2 } else { 1 }) as u64);
+        w.put_u32_raw_slice(mirrors);
+        if stored {
+            w.put_u32_slice(&[2]);
+        }
+        w.finish().to_vec()
+    }
+
+    #[test]
+    fn malformed_tally_messages_are_refused() {
+        let setup = Setup {
+            num_nodes: 20,
+            num_edges: 100,
+            parts: 2,
+            eb_boundaries: Arc::new(vec![0, 10, 20]),
+            read_splits: Arc::new(vec![ReadSplit { lo: 0, hi: 10 }, ReadSplit { lo: 10, hi: 14 }]),
+        };
+        let pure = pure_masters(&ContiguousEB::new(&setup), 2);
+        let stored = ResolvedMasters::Stored(MasterTable::new(20, 2));
+        let sender = setup.read_splits[1];
+        let receive = |masters: &ResolvedMasters, payload: Vec<u8>| {
+            let mut ea = EdgeAssignOutcome {
+                my_master_nodes: (!masters.is_pure()).then(Vec::new),
+                ..EdgeAssignOutcome::default()
+            };
+            let before = ea.clone();
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ea.add_peer_tally(1, &sender, masters, Bytes::from(payload))
+            }));
+            (got, ea, before)
+        };
+        let refused = |masters: &ResolvedMasters, payload: Vec<u8>, expect: &str| {
+            let (got, ea, before) = receive(masters, payload);
+            let err = got.expect_err(expect);
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("panic message");
+            assert!(msg.contains(expect), "expected {expect:?} in {msg:?}");
+            assert_eq!(ea, before, "{expect}: the outcome changed");
+        };
+
+        let good = tally_frame(4, &[0, 2, 0, 1], false, &[3, 5]);
+        let (got, ea, _) = receive(&pure, good.clone());
+        assert!(got.is_ok());
+        assert_eq!(ea.incoming_srcs, vec![(11, 2, 1), (13, 1, 1)]);
+        assert_eq!(ea.mirrors, vec![(3, 0), (5, 0)]);
+        assert_eq!(ea.to_receive, 3);
+
+        refused(&pure, Vec::new(), "host 1 sent an empty edge-assignment message");
+        refused(&pure, vec![9], "host 1 sent edge-assignment message kind 9");
+        refused(&pure, vec![META_EMPTY, 0], "host 1 sent 1 byte(s) after its empty tally");
+        // A vector one node longer than the sender reads would credit node 14.
+        refused(&pure, tally_frame(5, &[0, 2, 0, 1, 4], false, &[3]), "tally of 5 node(s) for its read range of 4");
+        refused(&pure, tally_frame(3, &[0, 2, 0], false, &[3]), "tally of 3 node(s) for its read range of 4");
+        // A length that would size a buffer of 2^61 counts if trusted.
+        refused(&pure, tally_frame(1 << 61, &[], false, &[]), "tally of 2305843009213693952 node(s)");
+        refused(&pure, good[..1 + 8 + 12].to_vec(), "announced a tally of 4 node(s)");
+        refused(&pure, good[..good.len() - 4].to_vec(), "announced 2 mirror(s) with 4 byte(s) left");
+        refused(&pure, [&good[..], &[0]].concat(), "host 1 sent 1 byte(s) after its tally");
+
+        let good = tally_frame(4, &[0, 2, 0, 1], true, &[3, 1, 5, 0]);
+        let (got, ea, _) = receive(&stored, good.clone());
+        assert!(got.is_ok());
+        assert_eq!(ea.incoming_srcs, vec![(11, 2, 1), (13, 1, 0)]);
+        assert_eq!(ea.mirrors, vec![(3, 1), (5, 0)]);
+        assert_eq!(ea.my_master_nodes, Some(vec![2]));
+        refused(&stored, tally_frame(4, &[0, 2, 0, 0], true, &[]), "sent 2 master(s) for its 1 source(s)");
+        // The master list gone and the second mirror pair cut short.
+        refused(&stored, good[..good.len() - 21].to_vec(), "announced 2 mirror(s) with 7 byte(s) left");
     }
 
     #[test]

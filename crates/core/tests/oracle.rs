@@ -493,7 +493,8 @@ fn delta_oracle_csr_two_threads_per_host() {
 }
 
 /// An empty batch is the degenerate delta: nothing dirty, everything
-/// reused, fingerprint unchanged from the previous partition.
+/// reused, fingerprint unchanged from the previous partition, and nothing
+/// on the wire but the empty tallies.
 #[test]
 fn delta_empty_batch_is_identity() {
     let graph = Arc::new(erdos_renyi(NODES, EDGES, 23));
@@ -511,6 +512,13 @@ fn delta_empty_batch_is_identity() {
             &[],
         )
     });
+    // Nothing is dirty, so the shared exchange sends every ordered pair of
+    // hosts its one-byte empty tally, and no edge record moves.
+    let pairs = 4 * 3;
+    let meta = out.stats.phase("edge_assign").expect("edge assignment ran");
+    assert_eq!((meta.total_messages(), meta.total_bytes()), (pairs, pairs), "edge_assign traffic");
+    let records = out.stats.phase("construct").map_or(0, |p| p.total_messages());
+    assert_eq!(records, 0, "construct traffic");
     let outs = out.results;
     assert_eq!(outs[0].dirty_vertices, 0, "empty batch dirtied vertices");
     assert_eq!(

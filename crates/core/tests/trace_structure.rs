@@ -53,6 +53,30 @@ fn traced_run(kind: PolicyKind, cfg: &CuspConfig) -> (Trace, Vec<PartitionOutput
     (trace, out.results)
 }
 
+/// One traced CVC delta run over the test graph after a seeded batch,
+/// against an untraced full run of the graph before it.
+fn traced_delta_run(cfg: &CuspConfig) -> (Trace, Vec<PartitionOutput>) {
+    let graph = Arc::new(erdos_renyi(240, 1900, 11));
+    let batch = cusp_graph::wal::seeded_batch(&graph, false, 0xD17A, 20);
+    let mutated = Arc::new(graph.apply_batch(None, &batch).expect("batch applies").graph);
+    let prevs = Cluster::run(HOSTS, |comm| {
+        partition_with_policy(comm, GraphSource::Memory(graph.clone()), PolicyKind::Cvc, cfg)
+    })
+    .results;
+    let opts = ClusterOptions {
+        trace: Some(TraceConfig::default()),
+        ..ClusterOptions::default()
+    };
+    let out = Cluster::run_with(HOSTS, opts, |comm| {
+        let source = GraphSource::Memory(mutated.clone());
+        partition_delta_with_policy(comm, source, PolicyKind::Cvc, cfg, &prevs[comm.host()], &batch)
+    });
+    assert!(out.results.iter().any(|r| r.reused_edges > 0), "nothing kept: not a delta run");
+    let trace = out.trace.expect("trace requested");
+    assert_eq!(trace.dropped_events, 0, "ring too small for this test");
+    (trace, out.results)
+}
+
 /// One traced run of `kind` over the test graph.
 fn trace_of(kind: PolicyKind, cfg: &CuspConfig) -> Trace {
     traced_run(kind, cfg).0
@@ -256,7 +280,8 @@ fn construct_phase_records_its_wait_and_freeze_under_the_construct_span() {
 /// `edge_assign`, `alloc` and `construct` spans hold one `mem.*` counter —
 /// the edge-assignment outcome, the allocated partition and the output —
 /// and `mem.output` is the heap of the part the host returned. Pure and
-/// stored masters, resident and streamed, CSR and CSC.
+/// stored masters, resident and streamed, CSR and CSC, and a delta run,
+/// whose kept edges and exchange make one outcome.
 #[test]
 fn memory_counters_sit_under_their_phase_spans() {
     let cells = [
@@ -265,9 +290,15 @@ fn memory_counters_sit_under_their_phase_spans() {
         (PolicyKind::Svc, det_config(None)),
         (PolicyKind::Hvc, CuspConfig { output: OutputFormat::Csc, ..det_config(None) }),
     ];
-    for (kind, cfg) in cells {
-        let label = format!("{kind:?} chunk {:?} {:?}", cfg.chunk_edges, cfg.output);
-        let (trace, parts) = traced_run(kind, &cfg);
+    let mut runs: Vec<(String, (Trace, Vec<PartitionOutput>))> = cells
+        .into_iter()
+        .map(|(kind, cfg)| {
+            let label = format!("{kind:?} chunk {:?} {:?}", cfg.chunk_edges, cfg.output);
+            (label, traced_run(kind, &cfg))
+        })
+        .collect();
+    runs.push(("Cvc delta".to_owned(), traced_delta_run(&det_config(None))));
+    for (label, (trace, parts)) in runs {
         for thread in trace.threads.iter().filter(|t| t.name == "main") {
             let host = thread.host;
             let mut stack: Vec<&'static str> = Vec::new();

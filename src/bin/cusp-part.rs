@@ -15,6 +15,9 @@
 //! <https://ui.perfetto.dev>), and prints the per-phase critical-path
 //! summary (measured compute vs. α–β modeled network time per host).
 //! `trace-check` validates such a JSON file (used by the CI smoke job).
+//! A file a command cannot read or write ends it with one
+//! `cusp-part: <path>: <error>` line and exit 1, and partitions that fail
+//! validation with an `INVALID: …` line and exit 1.
 //!
 //! With `--crash-seed`, a seeded [`cusp_net::CrashPlan`] kills simulated
 //! hosts mid-phase and the supervisor restarts them (heartbeat detection
@@ -168,13 +171,32 @@ fn policy_flag(flags: &HashMap<String, String>) -> PolicyKind {
     })
 }
 
+/// The value of a file operation on `path`, or — when it failed —
+/// `cusp-part: <path>: <error>` on stderr and exit 1.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, path: impl AsRef<Path>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("cusp-part: {}: {e}", path.as_ref().display());
+        exit(1)
+    })
+}
+
+/// Checks the partitions against the graph they came from: an `INVALID`
+/// line and exit 1 when they do not partition it.
+fn validate_or_exit(original: &cusp_graph::Csr, parts: &[cusp::DistGraph]) {
+    if let Err(e) = metrics::validate_partitioning(original, parts) {
+        eprintln!("INVALID: {e}");
+        exit(1);
+    }
+    println!("validation: ok");
+}
+
 /// Writes a `.bgr`, with its per-edge weights when it has them.
 fn write_graph_any(path: &Path, graph: &cusp_graph::Csr, weights: Option<&[u32]>) {
-    match weights {
+    let written = match weights {
         Some(w) => cusp_graph::write_bgr_weighted(path, graph, w),
         None => write_bgr(path, graph),
-    }
-    .expect("failed to write graph");
+    };
+    or_exit(written, path);
     println!("wrote graph to {}", path.display());
 }
 
@@ -215,7 +237,7 @@ fn cmd_gen(flags: &HashMap<String, String>) {
         eprintln!("{e}");
         usage()
     });
-    write_bgr(&out, &graph).expect("failed to write graph");
+    or_exit(write_bgr(&out, &graph), &out);
     println!("{}", GraphProps::compute(&graph).row(out.display().to_string().as_str()));
 }
 
@@ -223,21 +245,19 @@ fn cmd_convert(flags: &HashMap<String, String>) {
     let out = PathBuf::from(required(flags, "out"));
     let (input, graph) = if let Some(path) = flags.get("edgelist") {
         let input = PathBuf::from(path);
-        let file = std::fs::File::open(&input).expect("cannot open edge list");
-        let graph =
-            edgelist::read_edge_list(std::io::BufReader::new(file)).expect("parse failed");
+        let file = or_exit(std::fs::File::open(&input), &input);
+        let graph = or_exit(edgelist::read_edge_list(std::io::BufReader::new(file)), &input);
         (input, graph)
     } else if let Some(path) = flags.get("metis") {
         let input = PathBuf::from(path);
-        let file = std::fs::File::open(&input).expect("cannot open metis file");
-        let graph =
-            cusp_graph::metis::read_metis(std::io::BufReader::new(file)).expect("parse failed");
+        let file = or_exit(std::fs::File::open(&input), &input);
+        let graph = or_exit(cusp_graph::metis::read_metis(std::io::BufReader::new(file)), &input);
         (input, graph)
     } else {
         eprintln!("convert needs --edgelist or --metis");
         usage()
     };
-    write_bgr(&out, &graph).expect("failed to write graph");
+    or_exit(write_bgr(&out, &graph), &out);
     println!(
         "converted {} -> {} ({} nodes, {} edges)",
         input.display(),
@@ -254,7 +274,7 @@ fn cmd_inspect(positional: &[String]) {
     }
     let mut fingerprints = Vec::with_capacity(positional.len());
     for path in positional {
-        let p = cusp::read_partition(&PathBuf::from(path)).expect("cannot read partition");
+        let p = or_exit(cusp::read_partition(Path::new(path)), path);
         let fingerprint = cusp::part_fingerprint(&p);
         fingerprints.push(fingerprint);
         println!(
@@ -287,17 +307,16 @@ fn cmd_inspect(positional: &[String]) {
 fn cmd_validate(flags: &HashMap<String, String>) {
     let graph_path = PathBuf::from(required(flags, "graph"));
     let dir = PathBuf::from(required(flags, "parts"));
-    let original = read_bgr(&graph_path).expect("cannot read graph");
+    let original = or_exit(read_bgr(&graph_path), &graph_path);
     let mut parts = Vec::new();
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .expect("cannot read parts dir")
+    let mut entries: Vec<_> = or_exit(std::fs::read_dir(&dir), &dir)
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|x| x == "part"))
         .collect();
     entries.sort();
     for path in entries {
-        parts.push(cusp::read_partition(&path).expect("cannot read partition"));
+        parts.push(or_exit(cusp::read_partition(&path), &path));
     }
     parts.sort_by_key(|p| p.part_id);
     if parts.is_empty() {
@@ -352,7 +371,7 @@ fn cmd_trace_check(positional: &[String]) {
 
 fn cmd_props(positional: &[String]) {
     let Some(path) = positional.first() else { usage() };
-    let graph = read_bgr(&PathBuf::from(path)).expect("cannot read graph");
+    let graph = or_exit(read_bgr(Path::new(path)), path);
     println!("{}", GraphProps::compute(&graph).row(path));
 }
 
@@ -478,7 +497,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
 
     if let (Some(path), Some(trace)) = (&trace_path, &trace) {
         let json = cusp_obs::export_chrome_trace(trace);
-        std::fs::write(path, &json).expect("failed to write trace file");
+        or_exit(std::fs::write(path, &json), path);
         println!(
             "trace: {} events on {} threads -> {} (open in https://ui.perfetto.dev){}",
             trace.events.len(),
@@ -495,10 +514,9 @@ fn cmd_partition(flags: &HashMap<String, String>) {
     }
 
     // Validate against the original (in-memory reload) and report quality.
-    let original = read_bgr(&graph_path).expect("cannot re-read graph");
+    let original = or_exit(read_bgr(&graph_path), &graph_path);
     if cfg.output == OutputFormat::Csr {
-        metrics::validate_partitioning(&original, &parts).expect("partitioning INVALID");
-        println!("validation: ok");
+        validate_or_exit(&original, &parts);
     }
     let q = metrics::quality(&parts);
     println!(
@@ -517,10 +535,10 @@ fn cmd_partition(flags: &HashMap<String, String>) {
 
     if let Some(dir) = flags.get("out-dir") {
         let dir = PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("cannot create out dir");
+        or_exit(std::fs::create_dir_all(&dir), &dir);
         for p in &parts {
-            write_partition(&part_path(&dir, p.part_id as usize), p)
-                .expect("failed to write partition");
+            let path = part_path(&dir, p.part_id as usize);
+            or_exit(write_partition(&path, p), &path);
         }
         println!("wrote {} partition files to {}", parts.len(), dir.display());
     }
@@ -597,13 +615,14 @@ fn cmd_launch(flags: &HashMap<String, String>) {
         exit(1)
     });
     if run.cfg.output == OutputFormat::Csr {
-        let original = read_bgr(&run.graph).expect("cannot re-read graph");
+        let original = or_exit(read_bgr(&run.graph), &run.graph);
         let parts: Vec<_> = (0..run.hosts)
-            .map(|h| cusp::read_partition(&part_path(&run.out_dir, h)))
-            .collect::<Result<_, _>>()
-            .expect("cannot read worker partition");
-        metrics::validate_partitioning(&original, &parts).expect("partitioning INVALID");
-        println!("validation: ok");
+            .map(|h| {
+                let path = part_path(&run.out_dir, h);
+                or_exit(cusp::read_partition(&path), &path)
+            })
+            .collect();
+        validate_or_exit(&original, &parts);
     }
     // Per host first, so that a mismatch names the host that differs.
     for (h, (tcp, sim)) in report.part_fingerprints.iter().zip(&sim_parts).enumerate() {
@@ -629,7 +648,7 @@ fn batch_from_flags(
     weighted: bool,
 ) -> Vec<cusp_graph::GraphEvent> {
     if let Some(path) = flags.get("batch") {
-        let text = std::fs::read_to_string(path).expect("cannot read batch file");
+        let text = or_exit(std::fs::read_to_string(path), path);
         cusp_graph::wal::parse_batch_text(&text).unwrap_or_else(|e| {
             eprintln!("{e}");
             exit(2)
@@ -645,7 +664,7 @@ fn batch_from_flags(
 
 fn cmd_apply(flags: &HashMap<String, String>) {
     let graph_path = PathBuf::from(required(flags, "graph"));
-    let (graph, weights) = cusp_graph::read_bgr_any(&graph_path).expect("cannot read graph");
+    let (graph, weights) = or_exit(cusp_graph::read_bgr_any(&graph_path), &graph_path);
     let batch = batch_from_flags(flags, &graph, weights.is_some());
     if batch.is_empty() {
         println!("empty batch: nothing to do");
@@ -675,7 +694,7 @@ fn cmd_apply(flags: &HashMap<String, String>) {
     println!("graph fingerprint: {old_fp:016x} -> {new_fp:016x}");
     if let Some(wal_path) = flags.get("wal") {
         let wal = cusp_graph::Wal::new(PathBuf::from(wal_path));
-        wal.append(&batch).expect("failed to append batch to WAL");
+        or_exit(wal.append(&batch), wal_path);
         let total = wal.load().map(|b| b.len()).unwrap_or(0);
         println!("journaled to {wal_path} ({total} batch(es) total)");
     }
@@ -693,8 +712,7 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
         let hosts = flags.get("hosts").map_or(4, |_| hosts_flag(flags));
         (policy_flag(flags), hosts)
     });
-    let (mut graph, mut weights) =
-        cusp_graph::read_bgr_any(&graph_path).expect("cannot read graph");
+    let (mut graph, mut weights) = or_exit(cusp_graph::read_bgr_any(&graph_path), &graph_path);
     let wal = cusp_graph::Wal::new(PathBuf::from(wal_path));
     let batches = wal.load().unwrap_or_else(|e| {
         eprintln!("cannot load WAL {wal_path}: {e}");

@@ -93,3 +93,40 @@ fn cusp_serve_refuses_a_flag_it_does_not_know() {
         assert!(stderr.contains(&format!("unknown flag {flag}")), "names {flag}\n{stderr}");
     }
 }
+
+/// A file the command cannot read is one `cusp-part: <path>: <error>`
+/// line and exit 1 — the reader's own message, not a panic around it: a
+/// `.part` cut short, for `inspect` and inside `validate --parts`, and a
+/// `.bgr` that is not there, for `props`.
+#[test]
+fn an_unreadable_file_is_one_line_and_exit_1() {
+    let dir = std::env::temp_dir().join(format!("cusp-cli-files-{}", std::process::id()));
+    let parts = dir.join("parts");
+    std::fs::create_dir_all(&parts).expect("scratch dir");
+    let path = |p: &std::path::Path| p.to_str().expect("utf-8 path").to_owned();
+    let graph = path(&dir.join("g.bgr"));
+    let gen = cusp_part(&["gen", "--kind", "webcrawl", "--nodes", "2000", "--degree", "8", "--out", &graph]);
+    assert!(gen.status.success(), "gen: {}", String::from_utf8_lossy(&gen.stderr));
+    let full = path(&dir.join("full"));
+    let run = cusp_part(&["partition", "--graph", &graph, "--policy", "CVC", "--hosts", "2", "--out-dir", &full]);
+    assert!(run.status.success(), "partition: {}", String::from_utf8_lossy(&run.stderr));
+    let bytes = std::fs::read(dir.join("full").join("part-0000.part")).expect("a written part");
+    let cut = path(&dir.join("cut.part"));
+    std::fs::write(&cut, &bytes[..200]).expect("write the cut part");
+    std::fs::write(parts.join("part-0000.part"), &bytes[..300]).expect("write the cut part");
+    let missing = path(&dir.join("missing.bgr"));
+
+    let runs: [(&[&str], &str); 3] = [
+        (&["inspect", &cut], "cannot fit in 200-byte file"),
+        (&["validate", "--graph", &graph, "--parts", &path(&parts)], "cannot fit in 300-byte file"),
+        (&["props", &missing], "No such file"),
+    ];
+    for (args, reason) in runs {
+        let out = cusp_part(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} exits 1\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} must not panic\n{stderr}");
+        assert!(stderr.starts_with("cusp-part: ") && stderr.contains(reason), "{args:?}: says why\n{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
