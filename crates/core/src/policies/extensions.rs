@@ -79,23 +79,61 @@ pub struct HdrfState {
 
 struct HdrfInner {
     partial_degree: HashMap<Node, u32>,
-    /// Bitmask of partitions holding a replica of each seen vertex
-    /// (supports up to 64 partitions — far beyond the simulated cluster).
-    replicas: HashMap<Node, u64>,
+    replicas: ReplicaSets,
     load: Vec<u64>,
     max_load: u64,
     min_load: u64,
+}
+
+/// The partitions holding a replica of each seen vertex: one bit set per
+/// vertex, `words` `u64`s long, so the sets are sized by the partition
+/// count.
+struct ReplicaSets {
+    words: usize,
+    /// Where each seen vertex's set starts in `bits`.
+    start: HashMap<Node, usize>,
+    bits: Vec<u64>,
+}
+
+impl ReplicaSets {
+    fn new(parts: PartId) -> Self {
+        ReplicaSets { words: (parts as usize).div_ceil(64), start: HashMap::new(), bits: Vec::new() }
+    }
+
+    /// `v`'s set, if `v` has been seen.
+    fn of(&self, v: Node) -> Option<&[u64]> {
+        self.start.get(&v).map(|&s| &self.bits[s..s + self.words])
+    }
+
+    /// Adds `p` to `v`'s set, giving `v` an empty one first if it has none.
+    fn insert(&mut self, v: Node, p: PartId) {
+        let fresh = self.bits.len();
+        let s = *self.start.entry(v).or_insert(fresh);
+        if s == fresh {
+            self.bits.resize(fresh + self.words, 0);
+        }
+        self.bits[s + p as usize / 64] |= 1 << (p % 64);
+    }
+
+    fn clear(&mut self) {
+        self.start.clear();
+        self.bits.clear();
+    }
+}
+
+/// Whether `set` holds partition `p` (no set holds nothing).
+fn holds(set: Option<&[u64]>, p: PartId) -> bool {
+    set.is_some_and(|words| words[p as usize / 64] >> (p % 64) & 1 == 1)
 }
 
 impl PartitionState for HdrfState {
     const STATELESS: bool = false;
 
     fn new(parts: PartId) -> Self {
-        assert!(parts <= 64, "HdrfState replica bitmask supports ≤ 64 partitions");
         HdrfState {
             inner: Mutex::new(HdrfInner {
                 partial_degree: HashMap::new(),
-                replicas: HashMap::new(),
+                replicas: ReplicaSets::new(parts),
                 load: vec![0; parts as usize],
                 max_load: 0,
                 min_load: 0,
@@ -163,18 +201,17 @@ impl EdgeRule for HdrfEdge {
         // (replicating the high-degree endpoint instead).
         let theta_src = ds / (ds + dd);
         let theta_dst = 1.0 - theta_src;
-        let rep_src = inner.replicas.get(&src).copied().unwrap_or(0);
-        let rep_dst = inner.replicas.get(&dst).copied().unwrap_or(0);
+        let rep_src = inner.replicas.of(src);
+        let rep_dst = inner.replicas.of(dst);
 
         let mut best = 0 as PartId;
         let mut best_score = f64::NEG_INFINITY;
         for p in 0..state.parts {
-            let bit = 1u64 << p;
             let mut c_rep = 0.0;
-            if rep_src & bit != 0 {
+            if holds(rep_src, p) {
                 c_rep += 1.0 + (1.0 - theta_src);
             }
-            if rep_dst & bit != 0 {
+            if holds(rep_dst, p) {
                 c_rep += 1.0 + (1.0 - theta_dst);
             }
             let c_bal = self.lambda * (inner.max_load as f64 - inner.load[p as usize] as f64)
@@ -187,9 +224,8 @@ impl EdgeRule for HdrfEdge {
         }
 
         // Update replica sets and load.
-        let bit = 1u64 << best;
-        *inner.replicas.entry(src).or_insert(0) |= bit;
-        *inner.replicas.entry(dst).or_insert(0) |= bit;
+        inner.replicas.insert(src, best);
+        inner.replicas.insert(dst, best);
         inner.load[best as usize] += 1;
         inner.max_load = inner.max_load.max(inner.load[best as usize]);
         inner.min_load = *inner.load.iter().min().expect("at least one partition");
@@ -269,8 +305,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "64 partitions")]
-    fn rejects_too_many_partitions() {
-        let _ = HdrfState::new(65);
+    fn replica_sets_are_sized_by_the_partition_count() {
+        let mut sets = ReplicaSets::new(130);
+        sets.insert(7, 129);
+        sets.insert(7, 64);
+        sets.insert(9, 0);
+        let seven = sets.of(7);
+        assert!(holds(seven, 129) && holds(seven, 64));
+        assert!(!holds(seven, 63) && !holds(seven, 0) && !holds(seven, 128));
+        assert!(holds(sets.of(9), 0) && !holds(sets.of(9), 129));
+        assert!(!holds(sets.of(8), 0), "an unseen vertex holds no partition");
     }
 }

@@ -175,36 +175,43 @@ impl From<std::io::Error> for WalError {
 /// Encodes one batch as a WAL record payload (no framing). Shared with
 /// the serve protocol so the wire and the log speak the same bytes.
 pub fn encode_batch(batch: &[GraphEvent]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + batch.len() * 14);
-    wire::put_u32(&mut out, batch.len() as u32);
+    let mut out = Vec::new();
+    put_batch(&mut out, batch);
+    out
+}
+
+/// Appends `batch` to `out` in the [`encode_batch`] layout: what a WAL
+/// record and an `Apply` request write in place.
+pub fn put_batch(out: &mut Vec<u8>, batch: &[GraphEvent]) {
+    out.reserve(4 + batch.len() * 14);
+    wire::put_u32(out, batch.len() as u32);
     for ev in batch {
         match *ev {
             GraphEvent::AddEdge { src, dst, weight } => {
                 out.push(1);
-                wire::put_u32(&mut out, src);
-                wire::put_u32(&mut out, dst);
+                wire::put_u32(out, src);
+                wire::put_u32(out, dst);
                 match weight {
                     None => out.push(0),
                     Some(w) => {
                         out.push(1);
-                        wire::put_u32(&mut out, w);
+                        wire::put_u32(out, w);
                     }
                 }
             }
             GraphEvent::RemoveEdge { src, dst } => {
                 out.push(2);
-                wire::put_u32(&mut out, src);
-                wire::put_u32(&mut out, dst);
+                wire::put_u32(out, src);
+                wire::put_u32(out, dst);
             }
             GraphEvent::SetWeight { src, dst, weight } => {
                 out.push(3);
-                wire::put_u32(&mut out, src);
-                wire::put_u32(&mut out, dst);
-                wire::put_u32(&mut out, weight);
+                wire::put_u32(out, src);
+                wire::put_u32(out, dst);
+                wire::put_u32(out, weight);
             }
         }
     }
-    out
 }
 
 /// Decodes one batch payload. Total: claimed counts are validated against
@@ -337,7 +344,7 @@ impl Wal {
             validate_header(&header)?;
             len
         };
-        wire::put_record(&mut rec, &encode_batch(batch));
+        wire::put_record_with(&mut rec, |out| put_batch(out, batch));
         f.write_all(&rec)?;
         f.sync_data()?;
         Ok(prior)

@@ -10,9 +10,10 @@
 //! 2. [`Reader`], a total borrowed cursor: every read is the value or a
 //!    [`Truncated`], never a panic;
 //! 3. the **checked record** `len u32 | crc32 u32 | payload`
-//!    ([`put_record`], [`take_record`] for slices, [`read_record`] for
-//!    streams — one header parse and one payload check under both), with
-//!    [`crc32`] beneath it.
+//!    ([`put_record_with`] writes the payload in place behind a reserved
+//!    header, [`take_record`] for slices, [`read_record`] for streams —
+//!    one header parse and one payload check under both), with [`crc32`]
+//!    beneath it.
 //!
 //! Beside the byte checksum sits the workspace's one *content* hash,
 //! [`Fingerprint`]: defined over integer values rather than their bytes,
@@ -44,7 +45,7 @@ fn elems_per_pass(scratch: &[u8], width: usize) -> usize {
 }
 
 macro_rules! slice_codec {
-    ($t:ty, $encode:ident, $decode:ident, $write:ident, $read_into:ident) => {
+    ($t:ty, $encode:ident, $extend:ident, $decode:ident, $write:ident, $read_into:ident) => {
         #[doc = concat!("Encodes `vs` as little-endian `", stringify!($t), "`s into `dst` (exactly `size_of_val(vs)`")]
         /// bytes), byte-identical to encoding element by element.
         #[inline]
@@ -60,6 +61,25 @@ macro_rules! slice_codec {
             }
             for (v, out) in blocks.remainder().iter().zip(outs.into_remainder().chunks_exact_mut(W)) {
                 out.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+
+        #[doc = concat!("Appends `vs` to `out` as little-endian `", stringify!($t), "`s: the bytes [`", stringify!($encode), "`] writes,")]
+        /// without zero-filling the destination first. Each block is
+        /// encoded in registers and appended whole, into capacity reserved
+        /// once.
+        #[inline]
+        pub fn $extend(out: &mut Vec<u8>, vs: &[$t]) {
+            const W: usize = size_of::<$t>();
+            out.reserve(size_of_val(vs));
+            let mut blocks = vs.chunks_exact(BLOCK_BYTES / W);
+            for blk in &mut blocks {
+                let mut bytes = [0u8; BLOCK_BYTES];
+                $encode(blk, &mut bytes);
+                out.extend_from_slice(&bytes);
+            }
+            for v in blocks.remainder() {
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
 
@@ -106,8 +126,8 @@ macro_rules! slice_codec {
     };
 }
 
-slice_codec!(u32, encode_u32s, decode_u32s, write_u32s, read_u32s_into);
-slice_codec!(u64, encode_u64s, decode_u64s, write_u64s, read_u64s_into);
+slice_codec!(u32, encode_u32s, extend_u32s, decode_u32s, write_u32s, read_u32s_into);
+slice_codec!(u64, encode_u64s, extend_u64s, decode_u64s, write_u64s, read_u64s_into);
 
 /// [`decode_u32s`] that also returns the largest value decoded (0 for an
 /// empty `dst`). The maximum is kept per lane of the 32-byte block, so a
@@ -161,18 +181,14 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// reads back.
 pub fn put_u32_vec(out: &mut Vec<u8>, vs: &[u32]) {
     put_u64(out, vs.len() as u64);
-    let old = out.len();
-    out.resize(old + size_of_val(vs), 0);
-    encode_u32s(vs, &mut out[old..]);
+    extend_u32s(out, vs);
 }
 
 /// Appends a `u64` count and that many `u64`s: what [`Reader::u64_vec`]
 /// reads back.
 pub fn put_u64_vec(out: &mut Vec<u8>, vs: &[u64]) {
     put_u64(out, vs.len() as u64);
-    let old = out.len();
-    out.resize(old + size_of_val(vs), 0);
-    encode_u64s(vs, &mut out[old..]);
+    extend_u64s(out, vs);
 }
 
 /// A read ran past the end of its buffer.
@@ -276,27 +292,42 @@ impl<'a> Reader<'a> {
         self.u64().map(f64::from_bits)
     }
 
+    /// A `u64` count and the run of that many `width`-byte elements. The
+    /// count is held against the bytes present before anything is sized
+    /// by it; a failed read consumes nothing, the count included.
+    fn counted_run(&mut self, width: usize) -> Result<&'a [u8], Truncated> {
+        let mut r = self.clone();
+        let n = r.u64()? as usize;
+        let run = r.bytes(n.saturating_mul(width))?;
+        *self = r;
+        Ok(run)
+    }
+
     /// Reads a `u64` count and that many `u32`s. The count is held against
     /// the bytes present before anything is sized by it.
     pub fn u32_vec(&mut self) -> Result<Vec<u32>, Truncated> {
-        let mut r = self.clone();
-        let n = r.u64()? as usize;
-        let run = r.bytes(n.saturating_mul(4))?;
-        let mut out = vec![0u32; n];
+        let run = self.counted_run(4)?;
+        let mut out = vec![0u32; run.len() / 4];
         decode_u32s(run, &mut out);
-        *self = r;
         Ok(out)
+    }
+
+    /// [`Reader::u32_vec`] that also returns the largest value read (0
+    /// when there is none), taken in the decode pass
+    /// ([`decode_u32s_max`]).
+    pub fn u32_vec_max(&mut self) -> Result<(Vec<u32>, u32), Truncated> {
+        let run = self.counted_run(4)?;
+        let mut out = vec![0u32; run.len() / 4];
+        let max = decode_u32s_max(run, &mut out);
+        Ok((out, max))
     }
 
     /// Reads a `u64` count and that many `u64`s, bounded as
     /// [`Reader::u32_vec`].
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, Truncated> {
-        let mut r = self.clone();
-        let n = r.u64()? as usize;
-        let run = r.bytes(n.saturating_mul(8))?;
-        let mut out = vec![0u64; n];
+        let run = self.counted_run(8)?;
+        let mut out = vec![0u64; run.len() / 8];
         decode_u64s(run, &mut out);
-        *self = r;
         Ok(out)
     }
 }
@@ -328,14 +359,26 @@ pub enum RecordError {
     },
 }
 
-/// Appends `payload` to `out` framed as one record. Panics if `payload`
-/// is longer than the `u32` length prefix can express.
-pub fn put_record(out: &mut Vec<u8>, payload: &[u8]) {
+/// Appends one record to `out` whose payload `write` appends in place:
+/// the header is reserved first and patched with the payload's length and
+/// CRC once the payload is written, so a payload is never copied into its
+/// record. Panics if the payload is longer than the `u32` length prefix
+/// can express.
+pub fn put_record_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_BYTES]);
+    write(out);
+    let payload = &out[start + RECORD_HEADER_BYTES..];
     let len = u32::try_from(payload.len()).expect("record payload exceeds u32::MAX bytes");
+    let crc = crc32(payload);
+    encode_u32s(&[len, crc], &mut out[start..start + RECORD_HEADER_BYTES]);
+}
+
+/// Appends `payload` to `out` framed as one record: [`put_record_with`]
+/// for a payload that already exists.
+pub fn put_record(out: &mut Vec<u8>, payload: &[u8]) {
     out.reserve(RECORD_HEADER_BYTES + payload.len());
-    put_u32(out, len);
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
+    put_record_with(out, |out| out.extend_from_slice(payload));
 }
 
 /// The one header parse: from the bytes that start a record, the claimed
@@ -379,34 +422,58 @@ pub fn take_record(bytes: &[u8], max_len: u32) -> Result<(&[u8], usize), RecordE
 
 /// Reads one record off a blocking stream: the outer error is the
 /// stream's, the inner one says the bytes that arrived are not a record
-/// (end of stream inside it is [`RecordError::Truncated`]). The payload
-/// buffer grows with the bytes that arrive, so a length prefix under
-/// `max_len` still cannot make this allocate what the peer does not send.
+/// (end of stream inside it is [`RecordError::Truncated`]).
 pub fn read_record(r: &mut impl Read, max_len: u32) -> io::Result<Result<Vec<u8>, RecordError>> {
     let mut header = Vec::with_capacity(RECORD_HEADER_BYTES);
     r.by_ref().take(RECORD_HEADER_BYTES as u64).read_to_end(&mut header)?;
-    let (len, stored) = match record_header(&header, max_len) {
+    read_record_after(&header, r, max_len)
+}
+
+/// [`read_record`] once the bytes that start the record have been read:
+/// `header` holds them (up to [`RECORD_HEADER_BYTES`]; fewer when the
+/// stream ended inside the header), and the payload is read from `r`.
+///
+/// The payload goes into one buffer with room for the checked length,
+/// reserved before the first read, so it is never regrown and copied. A
+/// reservation only claims address space: pages are committed as the
+/// reads fill them, so a length prefix under `max_len` still cannot make
+/// this commit memory for bytes the peer does not send. Where the system
+/// refuses the reservation, the buffer grows with the bytes instead.
+pub fn read_record_after(
+    header: &[u8],
+    r: &mut impl Read,
+    max_len: u32,
+) -> io::Result<Result<Vec<u8>, RecordError>> {
+    let (len, stored) = match record_header(header, max_len) {
         Ok(h) => h,
         Err(e) => return Ok(Err(e)),
     };
-    let mut payload = Vec::with_capacity(len.min(SCRATCH_BYTES));
-    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    let mut payload = Vec::new();
+    let _ = payload.try_reserve_exact(len);
+    r.take(len as u64).read_to_end(&mut payload)?;
     Ok(match record_payload(&payload, len, stored) {
         Ok(_) => Ok(payload),
         Err(e) => Err(e),
     })
 }
 
-/// Slice-by-8 tables for [`crc32`]: `[0]` is the classic byte-at-a-time
-/// table, `[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+/// The CRC-32 generator polynomial (IEEE 802.3, as gzip and zip use it)
+/// in normal form, `x³²` implied. Every constant of [`crc32`], the tables
+/// and the fold's alike, is computed from it.
+const CRC_POLY: u32 = 0x04C1_1DB7;
+
+/// Slice-by-8 tables for [`crc32_table`]: `[0]` is the classic
+/// byte-at-a-time table of the reflected polynomial, `[k][b]` the CRC of
+/// byte `b` followed by `k` zero bytes.
 static CRC_TABLES: [[u32; 256]; 8] = {
+    let reflected = CRC_POLY.reverse_bits();
     let mut t = [[0u32; 256]; 8];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            crc = (crc >> 1) ^ (reflected & (crc & 1).wrapping_neg());
             bit += 1;
         }
         t[0][b] = crc;
@@ -424,11 +491,28 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
-/// CRC-32 (IEEE, reflected — the gzip/zip polynomial), eight bytes per
-/// step. The one checksum routine of the workspace: every checked record
-/// — WAL, checkpoint, cache `meta`, serve frame — hashes through it.
+/// CRC-32 (IEEE, reflected — the gzip/zip polynomial). The one checksum
+/// routine of the workspace: every checked record — WAL, checkpoint,
+/// cache `meta`, serve frame — hashes through it. On an x86-64 CPU with
+/// carry-less multiply it folds 64-byte blocks (`fold::crc32_fold`); on
+/// every other CPU, and for inputs shorter than one block, it runs the
+/// slice-by-8 tables (`crc32_table`). The CPU chooses, not an option:
+/// both paths compute the same function.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= fold::BLOCK && std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: the CPU was just found to have PCLMULQDQ, the one
+        // instruction set `crc32_fold` is compiled for beyond the
+        // x86-64 baseline (SSE2).
+        let (state, tail) = unsafe { fold::crc32_fold(bytes) };
+        return !crc32_table(state, tail);
+    }
+    !crc32_table(!0, bytes)
+}
+
+/// Advances the CRC register `crc` (not inverted) over `bytes`, eight
+/// bytes per step through [`CRC_TABLES`].
+fn crc32_table(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let x = u64::from_le_bytes(w.try_into().expect("8 bytes")) ^ crc as u64;
@@ -440,7 +524,127 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// The carry-less-multiply kernel of [`crc32`] (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel 2009, in its bit-reflected form): four 128-bit accumulators fold
+/// 64 bytes per step, then fold into one, then Barrett-reduce to the
+/// 32-bit register.
+#[cfg(target_arch = "x86_64")]
+mod fold {
+    use std::arch::x86_64::*;
+
+    use super::CRC_POLY;
+
+    /// `x^n mod P(x)` for [`CRC_POLY`], in normal form (bit `i` is `xⁱ`).
+    const fn xpow_mod(n: u32) -> u32 {
+        let mut r = 1u32;
+        let mut i = 0;
+        while i < n {
+            let carry = r >> 31;
+            r = (r << 1) ^ (CRC_POLY & carry.wrapping_neg());
+            i += 1;
+        }
+        r
+    }
+
+    /// A fold constant for the reflected domain: `x^n mod P(x)`, bit-reflected
+    /// and shifted left once, as a 33-bit multiplier.
+    const fn fold_constant(n: u32) -> u64 {
+        (xpow_mod(n).reverse_bits() as u64) << 1
+    }
+
+    /// The Barrett constants of the final 64 → 32-bit reduction, both
+    /// bit-reflected over 33 bits: `P(x)` itself and `μ = ⌊x⁶⁴ / P(x)⌋`.
+    const fn barrett_constants() -> (u64, u64) {
+        let p = 1u128 << 32 | CRC_POLY as u128;
+        let mut rem = 1u128 << 64;
+        let mut mu = 0u64;
+        let mut bit = 64;
+        while bit >= 32 {
+            if rem >> bit & 1 == 1 {
+                rem ^= p << (bit - 32);
+                mu |= 1 << (bit - 32);
+            }
+            bit -= 1;
+        }
+        ((p as u64).reverse_bits() >> 31, mu.reverse_bits() >> 31)
+    }
+
+    /// Bytes folded per step: four 16-byte lanes.
+    pub(super) const BLOCK: usize = 64;
+    /// Folds a lane across four lanes (512 bits) ahead: `x^(512±32) mod P`.
+    const FOLD_BY_4: (u64, u64) = (fold_constant(4 * 128 + 32), fold_constant(4 * 128 - 32));
+    /// Folds a lane into the next one (128 bits ahead): `x^(128±32) mod P`.
+    const FOLD_BY_1: (u64, u64) = (fold_constant(128 + 32), fold_constant(128 - 32));
+    /// Folds the last 64 bits into 32: `x⁶⁴ mod P`.
+    const FOLD_64: u64 = fold_constant(64);
+    /// `(P, μ)`, reflected, for the final reduction.
+    const BARRETT: (u64, u64) = barrett_constants();
+
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn pair(lo: u64, hi: u64) -> __m128i {
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    /// `acc` carried 128·n bits ahead (the constants say how far) and
+    /// added to `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn fold_into(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, k, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// Runs the CRC register (initial `!0`, not inverted) over the longest
+    /// multiple-of-16 prefix of `bytes`, which holds at least [`BLOCK`];
+    /// returns the register and the bytes left for the table path.
+    ///
+    /// # Safety
+    /// The CPU must support PCLMULQDQ.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn crc32_fold(bytes: &[u8]) -> (u32, &[u8]) {
+        debug_assert!(bytes.len() >= BLOCK);
+        let mut lanes = bytes.chunks_exact(16);
+        // SAFETY (all loads): each chunk is 16 bytes; loadu needs no alignment.
+        let mut next = || _mm_loadu_si128(lanes.next().expect("a 16-byte lane").as_ptr().cast());
+        let mut x = [next(), next(), next(), next()];
+        // The initial register enters as the first four bytes' complement.
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(!0));
+        let blocks = bytes.len() / BLOCK;
+        let by4 = pair(FOLD_BY_4.0, FOLD_BY_4.1);
+        for _ in 1..blocks {
+            for acc in &mut x {
+                *acc = fold_into(*acc, next(), by4);
+            }
+        }
+        let by1 = pair(FOLD_BY_1.0, FOLD_BY_1.1);
+        let mut acc = fold_into(fold_into(fold_into(x[0], x[1], by1), x[2], by1), x[3], by1);
+        for _ in 0..(bytes.len() % BLOCK) / 16 {
+            acc = fold_into(acc, next(), by1);
+        }
+        // 128 → 64 bits, then 64 → 32 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        acc = _mm_xor_si128(_mm_clmulepi64_si128(acc, by1, 0x10), _mm_srli_si128(acc, 8));
+        acc = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(acc, low32), pair(FOLD_64, 0), 0x00),
+            _mm_srli_si128(acc, 4),
+        );
+        // Barrett: T1 = (R mod x³²)·μ, T2 = (T1 mod x³²)·P, C = (R ⊕ T2) / x³².
+        let pmu = pair(BARRETT.0, BARRETT.1);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        let crc = _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(acc, t2), 4)) as u32;
+        (crc, &bytes[bytes.len() / 16 * 16..])
+    }
+
+    #[cfg(test)]
+    pub(super) const CONSTANTS: [u64; 7] =
+        [FOLD_BY_4.0, FOLD_BY_4.1, FOLD_BY_1.0, FOLD_BY_1.1, FOLD_64, BARRETT.0, BARRETT.1];
 }
 
 /// Lanes of a [`Fingerprint`]: consecutive elements go to consecutive
@@ -588,17 +792,29 @@ fn row_digest(dests: &[u32], weights: Option<&[u32]>) -> u64 {
 mod tests {
     use super::*;
 
-    /// The bit-at-a-time definition the tables are built from: the
-    /// reference [`crc32`] must equal on every input.
-    fn crc32_reference(bytes: &[u8]) -> u32 {
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-            }
+    /// One byte through the bit-at-a-time definition of the CRC register
+    /// (not inverted), over the reflected polynomial.
+    fn crc32_reference_step(mut crc: u32, byte: u8) -> u32 {
+        crc ^= byte as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
         }
-        !crc
+        crc
+    }
+
+    /// The bit-at-a-time definition both paths of [`crc32`] must equal on
+    /// every input.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0, |crc, &b| crc32_reference_step(crc, b))
+    }
+
+    type CrcPath = fn(&[u8]) -> u32;
+
+    /// Each path of [`crc32`] as a whole function of the bytes: the table
+    /// path on any CPU, and `crc32` itself, which on an x86-64 CPU with
+    /// carry-less multiply is the fold for every input of a block or more.
+    fn crc32_paths() -> [(&'static str, CrcPath); 2] {
+        [("table", |b| !crc32_table(!0, b)), ("crc32", crc32)]
     }
 
     fn xorshift_bytes(seed: u64, n: usize) -> Vec<u8> {
@@ -621,17 +837,69 @@ mod tests {
     }
 
     #[test]
-    fn crc_equals_the_bitwise_reference() {
-        // Every length around the 8-byte step, at every alignment of the
-        // tail, then a few large random buffers.
-        let bytes = xorshift_bytes(7, 67);
-        for n in 0..=67 {
-            assert_eq!(crc32(&bytes[..n]), crc32_reference(&bytes[..n]), "length {n}");
+    fn crc_paths_equal_the_bitwise_reference() {
+        #[cfg(target_arch = "x86_64")]
+        eprintln!("pclmulqdq: {}", std::arch::is_x86_feature_detected!("pclmulqdq"));
+        // Every length to 1 KiB at every start offset in a 16-byte lane,
+        // against a reference register run along the same bytes.
+        let bytes = xorshift_bytes(7, 16 + 1024);
+        for start in 0..16 {
+            let mut reference = !0u32;
+            for n in 0..=1024 {
+                if n > 0 {
+                    reference = crc32_reference_step(reference, bytes[start + n - 1]);
+                }
+                for (path, crc) in crc32_paths() {
+                    assert_eq!(crc(&bytes[start..start + n]), !reference, "{path}: start {start} length {n}");
+                }
+            }
         }
-        for (seed, n) in [(1, 1000), (2, 4096), (3, 65_537)] {
+        for (seed, n) in [(1, 1000), (2, 4096), (3, 65_537), (4, (1 << 20) - 13), (5, 1 << 20)] {
             let bytes = xorshift_bytes(seed, n);
-            assert_eq!(crc32(&bytes), crc32_reference(&bytes), "seed {seed} length {n}");
+            let reference = crc32_reference(&bytes);
+            for (path, crc) in crc32_paths() {
+                assert_eq!(crc(&bytes), reference, "{path}: seed {seed} length {n}");
+            }
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_are_the_published_ones() {
+        // The reflected IEEE constants of Intel's white paper, as Linux's
+        // crc32-pclmul and zlib's crc32_simd list them.
+        assert_eq!(
+            fold::CONSTANTS,
+            [0x1_5444_2BD4, 0x1_C6E4_1596, 0x1_7519_97D0, 0x0_CCAA_009E, 0x1_63CD_6124, 0x1_DB71_0641, 0x1_F701_1641]
+        );
+    }
+
+    #[test]
+    fn records_written_in_place_equal_records_of_a_finished_payload() {
+        let payload = xorshift_bytes(9, 300);
+        let mut copied = vec![0xAA];
+        put_record(&mut copied, &payload);
+        let mut in_place = vec![0xAA];
+        put_record_with(&mut in_place, |out| {
+            out.push(payload[0]);
+            extend_u32s(out, &[u32::from_le_bytes(payload[1..5].try_into().unwrap())]);
+            out.extend_from_slice(&payload[5..]);
+        });
+        assert_eq!(in_place, copied);
+        assert_eq!(take_record(&copied[1..], u32::MAX), Ok((&payload[..], RECORD_HEADER_BYTES + 300)));
+    }
+
+    #[test]
+    fn extend_appends_what_encode_writes() {
+        let small: Vec<u32> = (0..19).map(|v| v * 0x0101_0101).collect();
+        let large: Vec<u64> = (0..11).map(|v| v << 37 | 5).collect();
+        let mut out = vec![7];
+        extend_u32s(&mut out, &small);
+        extend_u64s(&mut out, &large);
+        let mut want = vec![7; 1 + 19 * 4 + 11 * 8];
+        encode_u32s(&small, &mut want[1..77]);
+        encode_u64s(&large, &mut want[77..]);
+        assert_eq!(out, want);
     }
 
     #[test]

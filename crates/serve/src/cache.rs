@@ -387,11 +387,11 @@ fn part_file(h: u32) -> String {
 const META_BYTES: u32 = 12;
 
 fn write_meta(path: &Path, fingerprint: u64, hosts: u32) -> std::io::Result<()> {
-    let mut payload = Vec::with_capacity(META_BYTES as usize);
-    wire::put_u64(&mut payload, fingerprint);
-    wire::put_u32(&mut payload, hosts);
-    let mut file = Vec::new();
-    wire::put_record(&mut file, &payload);
+    let mut file = Vec::with_capacity(wire::RECORD_HEADER_BYTES + META_BYTES as usize);
+    wire::put_record_with(&mut file, |payload| {
+        wire::put_u64(payload, fingerprint);
+        wire::put_u32(payload, hosts);
+    });
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, &file)?;
     std::fs::rename(&tmp, path)

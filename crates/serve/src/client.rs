@@ -2,6 +2,7 @@
 //! `cusp-part client` subcommand (through [`Client::request`]), the
 //! benches, and the test batteries.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -9,7 +10,7 @@ use cusp_graph::Csr;
 
 use crate::error::ProtocolError;
 use crate::protocol::{
-    read_frame, write_frame, RecvError, Request, Response, DEFAULT_MAX_FRAME,
+    frame_with, put_upload, read_frame, RecvError, Request, Response, DEFAULT_MAX_FRAME,
 };
 
 /// Client-side failures. `Server` carries the typed error the server
@@ -80,7 +81,12 @@ impl Client {
     /// Sends one request and waits for its response. `Error` responses
     /// come back as `Err(ClientError::Server { .. })`.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &req.encode())?;
+        self.exchange(&req.frame())
+    }
+
+    /// Sends one finished frame and waits for the response to it.
+    fn exchange(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
+        self.stream.write_all(frame)?;
         let payload = match read_frame(&mut self.stream, self.max_frame) {
             Ok(p) => p,
             Err(RecvError::Eof) => return Err(ClientError::Disconnected),
@@ -94,7 +100,8 @@ impl Client {
     }
 
     /// Uploads a CSR under `tenant/name`; returns `(fingerprint, nodes,
-    /// edges)`.
+    /// edges)`. The frame is written in place from the borrowed arrays:
+    /// the graph is copied once, into the frame, and checksummed once.
     pub fn upload_graph(
         &mut self,
         tenant: &str,
@@ -102,14 +109,9 @@ impl Client {
         graph: &Csr,
         weights: Option<&[u32]>,
     ) -> Result<(u64, u64, u64), ClientError> {
-        let req = Request::UploadGraph {
-            tenant: tenant.to_string(),
-            name: name.to_string(),
-            offsets: graph.offsets().to_vec(),
-            dests: graph.dests().to_vec(),
-            weights: weights.map(|w| w.to_vec()),
-        };
-        match self.request(&req)? {
+        let frame =
+            frame_with(|out| put_upload(out, tenant, name, graph.offsets(), graph.dests(), weights));
+        match self.exchange(&frame)? {
             Response::GraphUploaded { fingerprint, nodes, edges } => {
                 Ok((fingerprint, nodes, edges))
             }

@@ -24,7 +24,7 @@
 //! `tests/protocol_fuzz.rs` holds the codec to exactly that contract,
 //! mirroring the corrupt-header style of the `storage.rs` tests.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use cusp_graph::wire::{self, RecordError, Truncated, RECORD_HEADER_BYTES};
 
@@ -302,61 +302,88 @@ fn get_str(r: &mut wire::Reader, cap: usize) -> Result<String, ProtocolError> {
     String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| ProtocolError::BadUtf8)
 }
 
+/// Appends an upload's payload to `out`, borrowing the arrays: the one
+/// upload encoder, which [`Request::encode_into`] and
+/// [`crate::Client::upload_graph`] both call. The payload's length follows
+/// from the slices, so `out` grows once.
+pub(crate) fn put_upload(
+    out: &mut Vec<u8>,
+    tenant: &str,
+    name: &str,
+    offsets: &[u64],
+    dests: &[u32],
+    weights: Option<&[u32]>,
+) {
+    let arrays = 8 + size_of_val(offsets) + 8 + size_of_val(dests) + 1;
+    out.reserve(1 + 4 + tenant.len() + 4 + name.len() + arrays + weights.map_or(0, |ws| 8 + size_of_val(ws)));
+    out.push(TAG_UPLOAD);
+    put_str(out, tenant);
+    put_str(out, name);
+    wire::put_u64_vec(out, offsets);
+    wire::put_u32_vec(out, dests);
+    match weights {
+        None => out.push(0),
+        Some(ws) => {
+            out.push(1);
+            wire::put_u32_vec(out, ws);
+        }
+    }
+}
+
 impl Request {
-    /// Encodes the request payload (tag + body, no frame header).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::new();
+    /// Appends the request payload (tag + body, no frame header) to `w`.
+    fn encode_into(&self, w: &mut Vec<u8>) {
         match self {
             Request::UploadGraph { tenant, name, offsets, dests, weights } => {
-                w.push(TAG_UPLOAD);
-                put_str(&mut w, tenant);
-                put_str(&mut w, name);
-                wire::put_u64_vec(&mut w, offsets);
-                wire::put_u32_vec(&mut w, dests);
-                match weights {
-                    None => w.push(0),
-                    Some(ws) => {
-                        w.push(1);
-                        wire::put_u32_vec(&mut w, ws);
-                    }
-                }
+                put_upload(w, tenant, name, offsets, dests, weights.as_deref())
             }
             Request::Partition { tenant, graph, policy, hosts, chunk_edges } => {
                 w.push(TAG_PARTITION);
-                put_str(&mut w, tenant);
-                put_str(&mut w, graph);
-                put_str(&mut w, policy);
-                wire::put_u32(&mut w, *hosts);
-                wire::put_u64(&mut w, *chunk_edges);
+                put_str(w, tenant);
+                put_str(w, graph);
+                put_str(w, policy);
+                wire::put_u32(w, *hosts);
+                wire::put_u64(w, *chunk_edges);
             }
             Request::GraphStats { tenant, graph } => {
                 w.push(TAG_GRAPH_STATS);
-                put_str(&mut w, tenant);
-                put_str(&mut w, graph);
+                put_str(w, tenant);
+                put_str(w, graph);
             }
             Request::Quality { tenant, graph, policy, hosts, chunk_edges } => {
                 w.push(TAG_QUALITY);
-                put_str(&mut w, tenant);
-                put_str(&mut w, graph);
-                put_str(&mut w, policy);
-                wire::put_u32(&mut w, *hosts);
-                wire::put_u64(&mut w, *chunk_edges);
+                put_str(w, tenant);
+                put_str(w, graph);
+                put_str(w, policy);
+                wire::put_u32(w, *hosts);
+                wire::put_u64(w, *chunk_edges);
             }
             Request::ListGraphs { tenant } => {
                 w.push(TAG_LIST);
-                put_str(&mut w, tenant);
+                put_str(w, tenant);
             }
             Request::ServerStats => w.push(TAG_SERVER_STATS),
             Request::Apply { tenant, graph, batch } => {
                 w.push(TAG_APPLY);
-                put_str(&mut w, tenant);
-                put_str(&mut w, graph);
+                put_str(w, tenant);
+                put_str(w, graph);
                 // The rest of the payload is the batch exactly as the WAL
                 // records it: the wire and the log speak the same bytes.
-                w.extend_from_slice(&cusp_graph::wal::encode_batch(batch));
+                cusp_graph::wal::put_batch(w, batch);
             }
         }
+    }
+
+    /// The request payload (tag + body, no frame header).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Vec::new();
+        self.encode_into(&mut w);
         w
+    }
+
+    /// The request as one frame, its payload encoded in place.
+    pub fn frame(&self) -> Vec<u8> {
+        frame_with(|w| self.encode_into(w))
     }
 
     /// Decodes a request payload. Total: every byte string yields `Ok` or
@@ -369,7 +396,12 @@ impl Request {
                 let tenant = get_str(&mut r, MAX_NAME)?;
                 let name = get_str(&mut r, MAX_NAME)?;
                 let offsets = r.u64_vec()?;
-                let dests = r.u32_vec()?;
+                // The destinations' bound is taken in their decode pass, so
+                // the router does not scan them again.
+                let (dests, max_dest) = r.u32_vec_max()?;
+                if max_dest as usize >= offsets.len().saturating_sub(1).max(1) {
+                    return Err(ProtocolError::BadValue("destination id out of range"));
+                }
                 let weights = match r.u8()? {
                     0 => None,
                     1 => Some(r.u32_vec()?),
@@ -421,239 +453,202 @@ impl Request {
     }
 }
 
-/// One named response field, as both renderings see it: the wire encoder
-/// writes it, and [`Response::to_json`] names it.
+/// One named response field, as every rendering sees it: the wire
+/// encoder writes it, [`Response::decode`] reads it back, and
+/// [`Response::to_json`] names it.
 pub(crate) enum Field<'a> {
     /// A count: a `u64` on the wire, a JSON number.
-    Count(u64),
+    Count(&'a u64),
     /// A fingerprint: a `u64` on the wire, 16 hex digits in JSON.
-    Fingerprint(u64),
+    Fingerprint(&'a u64),
     /// A ratio: an `f64` on the wire, six decimals in JSON.
-    Ratio(f64),
+    Ratio(&'a f64),
     /// A cache tier: one byte on the wire, its label in JSON.
-    Tier(CacheTier),
+    Tier(&'a CacheTier),
     /// A flag: one byte on the wire, a JSON boolean.
-    Flag(bool),
+    Flag(&'a bool),
     /// An error class ([`crate::ServeError::code`]): one byte, a number.
-    Code(u8),
+    Code(&'a u8),
     /// A string: `u32` length and UTF-8 bytes on the wire.
     Text(&'a str),
     /// `(name, nodes, edges)` rows: a `u64` count, then each row.
     Rows(&'a [(String, u64, u64)]),
 }
 
-impl Response {
-    /// The response's tag and its fields in wire order: the one field list
-    /// that [`Response::encode`] and [`Response::to_json`] both walk.
-    /// ([`Response::decode`] reads the same order back.)
-    pub(crate) fn fields(&self) -> (u8, Vec<(&'static str, Field<'_>)>) {
-        use Field::*;
-        match *self {
-            Response::GraphUploaded { fingerprint, nodes, edges } => (
-                TAG_R_UPLOADED,
-                vec![
-                    ("fingerprint", Fingerprint(fingerprint)),
-                    ("nodes", Count(nodes)),
-                    ("edges", Count(edges)),
-                ],
-            ),
-            Response::Partitioned {
-                fingerprint,
-                tier,
-                wall_micros,
-                replication_factor,
-                edge_balance,
-            } => (
-                TAG_R_PARTITIONED,
-                vec![
-                    ("fingerprint", Fingerprint(fingerprint)),
-                    ("cache", Tier(tier)),
-                    ("wall_micros", Count(wall_micros)),
-                    ("replication_factor", Ratio(replication_factor)),
-                    ("edge_balance", Ratio(edge_balance)),
-                ],
-            ),
-            Response::GraphStatsReport { fingerprint, nodes, edges, max_degree, weighted } => (
-                TAG_R_GRAPH_STATS,
-                vec![
-                    ("fingerprint", Fingerprint(fingerprint)),
-                    ("nodes", Count(nodes)),
-                    ("edges", Count(edges)),
-                    ("max_degree", Count(max_degree)),
-                    ("weighted", Flag(weighted)),
-                ],
-            ),
-            Response::QualityReport {
-                fingerprint,
-                tier,
-                replication_factor,
-                node_balance,
-                edge_balance,
-                total_mirrors,
-            } => (
-                TAG_R_QUALITY,
-                vec![
-                    ("fingerprint", Fingerprint(fingerprint)),
-                    ("cache", Tier(tier)),
-                    ("replication_factor", Ratio(replication_factor)),
-                    ("node_balance", Ratio(node_balance)),
-                    ("edge_balance", Ratio(edge_balance)),
-                    ("total_mirrors", Count(total_mirrors)),
-                ],
-            ),
-            Response::Graphs { ref rows } => (TAG_R_GRAPHS, vec![("graphs", Rows(rows))]),
-            Response::ServerStatsReport {
-                requests,
-                jobs_run,
-                mem_hits,
-                disk_hits,
-                coalesced,
-                tenants,
-                graphs,
-            } => (
-                TAG_R_SERVER_STATS,
-                vec![
-                    ("requests", Count(requests)),
-                    ("jobs_run", Count(jobs_run)),
-                    ("mem_hits", Count(mem_hits)),
-                    ("disk_hits", Count(disk_hits)),
-                    ("coalesced", Count(coalesced)),
-                    ("tenants", Count(tenants)),
-                    ("graphs", Count(graphs)),
-                ],
-            ),
-            Response::Applied { old_fingerprint, new_fingerprint, dirty_vertices, nodes, edges } => (
-                TAG_R_APPLIED,
-                vec![
-                    ("old_fingerprint", Fingerprint(old_fingerprint)),
-                    ("new_fingerprint", Fingerprint(new_fingerprint)),
-                    ("dirty_vertices", Count(dirty_vertices)),
-                    ("nodes", Count(nodes)),
-                    ("edges", Count(edges)),
-                ],
-            ),
-            Response::Error { code, ref message } => {
-                (TAG_R_ERROR, vec![("error", Code(code)), ("message", Text(message))])
+/// Reads one field of kind `$kind` off the reader `$r`: the inverse of
+/// that kind's arm in [`Response::encode_into`].
+macro_rules! read_field {
+    (Count, $r:ident) => { $r.u64()? };
+    (Fingerprint, $r:ident) => { $r.u64()? };
+    (Ratio, $r:ident) => { $r.f64()? };
+    (Tier, $r:ident) => { CacheTier::from_u8($r.u8()?)? };
+    (Flag, $r:ident) => {
+        match $r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(ProtocolError::BadValue("flag")),
+        }
+    };
+    (Code, $r:ident) => { $r.u8()? };
+    (Text, $r:ident) => { get_str(&mut $r, MAX_MESSAGE)? };
+    (Rows, $r:ident) => { get_rows(&mut $r)? };
+}
+
+/// The responses' one field list: per variant its tag, then each field in
+/// wire order with its JSON name and kind. It expands into
+/// [`Response::fields`], which the encoder and [`Response::to_json`]
+/// walk, and into [`Response::decode`], which reads the same fields in
+/// the same order — so the three cannot disagree.
+macro_rules! response_fields {
+    ($($variant:ident = $tag:ident { $($field:ident $json:literal $kind:ident),* $(,)? })*) => {
+        impl Response {
+            /// The response's tag and its fields in wire order.
+            pub(crate) fn fields(&self) -> (u8, Vec<(&'static str, Field<'_>)>) {
+                match self {
+                    $(Response::$variant { $($field),* } => ($tag, vec![$(($json, Field::$kind($field))),*]),)*
+                }
+            }
+
+            /// Decodes a response payload. Total: every byte string
+            /// yields `Ok` or a typed error.
+            pub fn decode(payload: &[u8]) -> Result<Response, ProtocolError> {
+                let mut r = wire::Reader::new(payload);
+                let resp = match r.u8()? {
+                    // Struct-expression fields evaluate in the order
+                    // written: the list's order.
+                    $($tag => Response::$variant { $($field: read_field!($kind, r)),* },)*
+                    other => return Err(ProtocolError::UnknownTag(other)),
+                };
+                if !r.is_empty() {
+                    return Err(ProtocolError::TrailingBytes { remaining: r.remaining() });
+                }
+                Ok(resp)
             }
         }
-    }
+    };
+}
 
-    /// Encodes the response payload (tag + body, no frame header).
-    pub fn encode(&self) -> Vec<u8> {
+response_fields! {
+    GraphUploaded = TAG_R_UPLOADED {
+        fingerprint "fingerprint" Fingerprint,
+        nodes "nodes" Count,
+        edges "edges" Count,
+    }
+    Partitioned = TAG_R_PARTITIONED {
+        fingerprint "fingerprint" Fingerprint,
+        tier "cache" Tier,
+        wall_micros "wall_micros" Count,
+        replication_factor "replication_factor" Ratio,
+        edge_balance "edge_balance" Ratio,
+    }
+    GraphStatsReport = TAG_R_GRAPH_STATS {
+        fingerprint "fingerprint" Fingerprint,
+        nodes "nodes" Count,
+        edges "edges" Count,
+        max_degree "max_degree" Count,
+        weighted "weighted" Flag,
+    }
+    QualityReport = TAG_R_QUALITY {
+        fingerprint "fingerprint" Fingerprint,
+        tier "cache" Tier,
+        replication_factor "replication_factor" Ratio,
+        node_balance "node_balance" Ratio,
+        edge_balance "edge_balance" Ratio,
+        total_mirrors "total_mirrors" Count,
+    }
+    Graphs = TAG_R_GRAPHS {
+        rows "graphs" Rows,
+    }
+    ServerStatsReport = TAG_R_SERVER_STATS {
+        requests "requests" Count,
+        jobs_run "jobs_run" Count,
+        mem_hits "mem_hits" Count,
+        disk_hits "disk_hits" Count,
+        coalesced "coalesced" Count,
+        tenants "tenants" Count,
+        graphs "graphs" Count,
+    }
+    Applied = TAG_R_APPLIED {
+        old_fingerprint "old_fingerprint" Fingerprint,
+        new_fingerprint "new_fingerprint" Fingerprint,
+        dirty_vertices "dirty_vertices" Count,
+        nodes "nodes" Count,
+        edges "edges" Count,
+    }
+    Error = TAG_R_ERROR {
+        code "error" Code,
+        message "message" Text,
+    }
+}
+
+/// Reads `(name, nodes, edges)` rows: a `u64` count, then each row. The
+/// count is held against the bytes present before anything is sized by it.
+fn get_rows(r: &mut wire::Reader) -> Result<Vec<(String, u64, u64)>, ProtocolError> {
+    let n = r.u64()? as usize;
+    // Each row is at least 4 + 8 + 8 bytes.
+    if n > r.remaining() / 20 {
+        return Err(ProtocolError::Truncated { needed: n.saturating_mul(20), available: r.remaining() });
+    }
+    let mut rows = Vec::with_capacity(n);
+    for _ in 0..n {
+        rows.push((get_str(r, MAX_NAME)?, r.u64()?, r.u64()?));
+    }
+    Ok(rows)
+}
+
+impl Response {
+    /// Appends the response payload (tag + body, no frame header) to `w`.
+    fn encode_into(&self, w: &mut Vec<u8>) {
         let (tag, fields) = self.fields();
-        let mut w = Vec::new();
         w.push(tag);
         for (_, field) in fields {
             match field {
-                Field::Count(v) | Field::Fingerprint(v) => wire::put_u64(&mut w, v),
-                Field::Ratio(v) => wire::put_u64(&mut w, v.to_bits()),
+                Field::Count(&v) | Field::Fingerprint(&v) => wire::put_u64(w, v),
+                Field::Ratio(v) => wire::put_u64(w, v.to_bits()),
                 Field::Tier(t) => w.push(t.to_u8()),
-                Field::Flag(b) => w.push(u8::from(b)),
-                Field::Code(c) => w.push(c),
-                Field::Text(s) => put_str(&mut w, s),
+                Field::Flag(&b) => w.push(u8::from(b)),
+                Field::Code(&c) => w.push(c),
+                Field::Text(s) => put_str(w, s),
                 Field::Rows(rows) => {
-                    wire::put_u64(&mut w, rows.len() as u64);
+                    wire::put_u64(w, rows.len() as u64);
                     for (name, nodes, edges) in rows {
-                        put_str(&mut w, name);
-                        wire::put_u64(&mut w, *nodes);
-                        wire::put_u64(&mut w, *edges);
+                        put_str(w, name);
+                        wire::put_u64(w, *nodes);
+                        wire::put_u64(w, *edges);
                     }
                 }
             }
         }
+    }
+
+    /// The response payload (tag + body, no frame header).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Vec::new();
+        self.encode_into(&mut w);
         w
     }
 
-    /// Decodes a response payload.
-    pub fn decode(payload: &[u8]) -> Result<Response, ProtocolError> {
-        let mut r = wire::Reader::new(payload);
-        let tag = r.u8()?;
-        let resp = match tag {
-            TAG_R_UPLOADED => Response::GraphUploaded {
-                fingerprint: r.u64()?,
-                nodes: r.u64()?,
-                edges: r.u64()?,
-            },
-            TAG_R_PARTITIONED => Response::Partitioned {
-                fingerprint: r.u64()?,
-                tier: CacheTier::from_u8(r.u8()?)?,
-                wall_micros: r.u64()?,
-                replication_factor: r.f64()?,
-                edge_balance: r.f64()?,
-            },
-            TAG_R_GRAPH_STATS => Response::GraphStatsReport {
-                fingerprint: r.u64()?,
-                nodes: r.u64()?,
-                edges: r.u64()?,
-                max_degree: r.u64()?,
-                weighted: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(ProtocolError::BadValue("weighted flag")),
-                },
-            },
-            TAG_R_QUALITY => Response::QualityReport {
-                fingerprint: r.u64()?,
-                tier: CacheTier::from_u8(r.u8()?)?,
-                replication_factor: r.f64()?,
-                node_balance: r.f64()?,
-                edge_balance: r.f64()?,
-                total_mirrors: r.u64()?,
-            },
-            TAG_R_GRAPHS => {
-                let n = r.u64()? as usize;
-                // Each row is at least 4 + 8 + 8 bytes; bound the claimed
-                // count by what could possibly be present.
-                if n > r.remaining() / 20 {
-                    return Err(ProtocolError::Truncated {
-                        needed: n.saturating_mul(20),
-                        available: r.remaining(),
-                    });
-                }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_str(&mut r, MAX_NAME)?;
-                    let nodes = r.u64()?;
-                    let edges = r.u64()?;
-                    rows.push((name, nodes, edges));
-                }
-                Response::Graphs { rows }
-            }
-            TAG_R_SERVER_STATS => Response::ServerStatsReport {
-                requests: r.u64()?,
-                jobs_run: r.u64()?,
-                mem_hits: r.u64()?,
-                disk_hits: r.u64()?,
-                coalesced: r.u64()?,
-                tenants: r.u64()?,
-                graphs: r.u64()?,
-            },
-            TAG_R_APPLIED => Response::Applied {
-                old_fingerprint: r.u64()?,
-                new_fingerprint: r.u64()?,
-                dirty_vertices: r.u64()?,
-                nodes: r.u64()?,
-                edges: r.u64()?,
-            },
-            TAG_R_ERROR => Response::Error {
-                code: r.u8()?,
-                message: get_str(&mut r, MAX_MESSAGE)?,
-            },
-            other => return Err(ProtocolError::UnknownTag(other)),
-        };
-        if !r.is_empty() {
-            return Err(ProtocolError::TrailingBytes { remaining: r.remaining() });
-        }
-        Ok(resp)
+    /// The response as one frame, its payload encoded in place.
+    pub fn frame(&self) -> Vec<u8> {
+        frame_with(|w| self.encode_into(w))
     }
 }
 
-/// Wraps a payload in a frame header.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
+/// One frame whose payload `write` appends in place behind the header.
+pub(crate) fn frame_with(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
     wire::put_u32(&mut out, MAGIC);
-    wire::put_record(&mut out, payload);
+    wire::put_record_with(&mut out, write);
     out
+}
+
+/// Wraps a finished payload in a frame header. The message types write
+/// their frames in place ([`Request::frame`], [`Response::frame`]).
+pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    frame_with(|out| {
+        out.reserve(payload.len());
+        out.extend_from_slice(payload)
+    })
 }
 
 /// Checks the magic word that starts a frame; `bytes` is whatever of the
@@ -716,8 +711,8 @@ impl std::error::Error for RecvError {}
 /// nothing; a read timeout set on the socket bounds how long a silent or
 /// trickling peer can hold the loop.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Vec<u8>, RecvError> {
-    // The whole header in one read; the record parser then sees its part
-    // of it chained in front of the stream.
+    // The whole header in one read; the record parser takes its part of
+    // it and reads the payload straight off the stream.
     let mut header = Vec::with_capacity(HEADER_BYTES);
     r.by_ref().take(HEADER_BYTES as u64).read_to_end(&mut header).map_err(RecvError::Io)?;
     if header.is_empty() {
@@ -725,15 +720,9 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Vec<u8>, RecvErro
         return Err(RecvError::Eof);
     }
     check_magic(&header).map_err(RecvError::Protocol)?;
-    wire::read_record(&mut (&header[MAGIC_BYTES..]).chain(r), max_frame)
+    wire::read_record_after(&header[MAGIC_BYTES..], r, max_frame)
         .map_err(RecvError::Io)?
         .map_err(|e| RecvError::Protocol(frame_error(e)))
-}
-
-/// Writes one framed payload to a blocking stream.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&encode_frame(payload))?;
-    w.flush()
 }
 
 #[cfg(test)]
@@ -745,7 +734,7 @@ mod tests {
             Request::UploadGraph {
                 tenant: "acme".into(),
                 name: "web".into(),
-                offsets: vec![0, 2, 3],
+                offsets: vec![0, 2, 3, 3],
                 dests: vec![1, 2, 0],
                 weights: Some(vec![9, 8, 7]),
             },

@@ -2,8 +2,9 @@
 //! handle that shuts the whole thing down deterministically.
 //!
 //! Each connection is one thread running a strict request/response loop:
-//! read one frame, decode one request, route it through
-//! [`ServerState::handle`], write one response frame. Anything malformed
+//! read one frame, decode one request, route it through the router
+//! (`ServerState::handle_decoded`: [`ServerState::handle`] for a request
+//! the decoder has checked), write one response frame. Anything malformed
 //! on the wire gets a typed `Error` response (when the stream is still
 //! coherent enough to answer on) and the connection is closed — a bad
 //! frame never desynchronizes later requests because the length prefix
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::error::ServeError;
-use crate::protocol::{read_frame, write_frame, RecvError, Request, Response};
+use crate::protocol::{read_frame, RecvError, Request, Response};
 use crate::state::ServerState;
 
 /// A running listener (framed or HTTP); dropping it (or calling
@@ -106,7 +107,7 @@ pub(crate) fn spawn_listener(
 
 fn refuse_over_limit(mut stream: TcpStream, limit: usize) {
     let resp = Response::from(ServeError::Io(format!("connection limit {limit} reached")));
-    let _ = write_frame(&mut stream, &resp.encode());
+    let _ = stream.write_all(&resp.frame());
 }
 
 /// One connection's request/response loop. Exits on clean EOF, socket
@@ -122,18 +123,19 @@ fn connection_loop(state: &ServerState, mut stream: TcpStream) {
             Err(RecvError::Protocol(e)) => {
                 // The stream position is untrustworthy after a framing
                 // error; answer with the typed error and hang up.
-                let _ = write_frame(&mut stream, &Response::from(ServeError::from(e)).encode());
+                let _ = stream.write_all(&Response::from(ServeError::from(e)).frame());
                 return;
             }
         };
-        let resp = match Request::decode(&payload) {
-            Ok(req) => state.handle(req),
+        // The frame's bytes are not needed once decoded: an upload's
+        // arrays live in the request from here on, and only there.
+        let decoded = Request::decode(&payload);
+        drop(payload);
+        let resp = match decoded {
+            Ok(req) => state.handle_decoded(req),
             Err(e) => ServeError::from(e).into(),
         };
-        if write_frame(&mut stream, &resp.encode()).is_err() {
-            return;
-        }
-        if stream.flush().is_err() {
+        if stream.write_all(&resp.frame()).is_err() {
             return;
         }
     }

@@ -141,15 +141,26 @@ impl ServerState {
     /// Routes one request to one response. Total: every failure is a
     /// typed `Error` response, never a panic.
     pub fn handle(&self, req: Request) -> Response {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let _span = cusp_obs::span("serve_request");
-        self.dispatch(req).unwrap_or_else(Response::from)
+        self.route(req, false)
     }
 
-    fn dispatch(&self, req: Request) -> Result<Response, ServeError> {
+    /// [`handle`](Self::handle) for a request [`Request::decode`] returned:
+    /// it held an upload's destinations to the node count in its decode
+    /// pass, so they are not scanned again.
+    pub(crate) fn handle_decoded(&self, req: Request) -> Response {
+        self.route(req, true)
+    }
+
+    fn route(&self, req: Request, dests_checked: bool) -> Response {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let _span = cusp_obs::span("serve_request");
+        self.dispatch(req, dests_checked).unwrap_or_else(Response::from)
+    }
+
+    fn dispatch(&self, req: Request, dests_checked: bool) -> Result<Response, ServeError> {
         match req {
             Request::UploadGraph { tenant, name, offsets, dests, weights } => {
-                self.upload(&tenant, &name, offsets, dests, weights)
+                self.upload(&tenant, &name, offsets, dests, weights, dests_checked)
             }
             Request::Partition { tenant, graph, policy, hosts, chunk_edges } => {
                 let t0 = Instant::now();
@@ -216,12 +227,14 @@ impl ServerState {
         offsets: Vec<u64>,
         dests: Vec<u32>,
         weights: Option<Vec<u32>>,
+        dests_checked: bool,
     ) -> Result<Response, ServeError> {
         crate::tenant::validate_name(name)?;
         let t = self.registry.get_or_create(tenant)?;
 
         // CSR well-formedness before Csr::from_parts (which asserts):
-        // non-empty monotone offsets bracketing dests, in-range dests,
+        // non-empty monotone offsets bracketing dests, in-range dests
+        // (unless the decoder held them to the node count already),
         // aligned weights.
         if offsets.is_empty() {
             return Err(ServeError::BadRequest("offsets must have at least one entry".into()));
@@ -237,7 +250,7 @@ impl ServerState {
                 dests.len()
             )));
         }
-        if dests.iter().any(|&d| (d as usize) >= nodes.max(1)) {
+        if !dests_checked && dests.iter().any(|&d| (d as usize) >= nodes.max(1)) {
             return Err(ServeError::BadRequest("destination id out of range".into()));
         }
         if let Some(ws) = &weights {

@@ -66,6 +66,7 @@
 //! request that cannot be built prints HTTP's 400 body and exits 2.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -78,6 +79,29 @@ use cusp_graph::{edgelist, read_bgr, write_bgr, GraphProps};
 use cusp_net::Cluster;
 use cusp_repro::cli;
 use cusp_xtrapulp::{xtrapulp_partition, XpConfig};
+
+/// Prints to stdout through [`emit`], the binary's one writer.
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// [`out!`] and a newline.
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes `args` to stdout. A closed stdout (`cusp-part … | head -1`)
+/// ends the command quietly with status 0: the reader has what it wanted.
+/// Any other write failure ends it with one line on stderr and exit 1.
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            exit(0)
+        }
+        eprintln!("cusp-part: stdout: {e}");
+        exit(1)
+    }
+}
 
 /// Every command's synopsis but the client verbs': [`usage`] prints it and
 /// [`known_flags`] reads each command's flags out of it.
@@ -187,7 +211,7 @@ fn validate_or_exit(original: &cusp_graph::Csr, parts: &[cusp::DistGraph]) {
         eprintln!("INVALID: {e}");
         exit(1);
     }
-    println!("validation: ok");
+    outln!("validation: ok");
 }
 
 /// Writes a `.bgr`, with its per-edge weights when it has them.
@@ -197,7 +221,7 @@ fn write_graph_any(path: &Path, graph: &cusp_graph::Csr, weights: Option<&[u32]>
         None => write_bgr(path, graph),
     };
     or_exit(written, path);
-    println!("wrote graph to {}", path.display());
+    outln!("wrote graph to {}", path.display());
 }
 
 fn main() {
@@ -238,7 +262,7 @@ fn cmd_gen(flags: &HashMap<String, String>) {
         usage()
     });
     or_exit(write_bgr(&out, &graph), &out);
-    println!("{}", GraphProps::compute(&graph).row(out.display().to_string().as_str()));
+    outln!("{}", GraphProps::compute(&graph).row(out.display().to_string().as_str()));
 }
 
 fn cmd_convert(flags: &HashMap<String, String>) {
@@ -258,7 +282,7 @@ fn cmd_convert(flags: &HashMap<String, String>) {
         usage()
     };
     or_exit(write_bgr(&out, &graph), &out);
-    println!(
+    outln!(
         "converted {} -> {} ({} nodes, {} edges)",
         input.display(),
         out.display(),
@@ -277,7 +301,7 @@ fn cmd_inspect(positional: &[String]) {
         let p = or_exit(cusp::read_partition(Path::new(path)), path);
         let fingerprint = cusp::part_fingerprint(&p);
         fingerprints.push(fingerprint);
-        println!(
+        outln!(
             "{path}: partition {}/{} of a {}-node / {}-edge graph ({:?})",
             p.part_id,
             p.num_parts,
@@ -285,19 +309,19 @@ fn cmd_inspect(positional: &[String]) {
             p.global_edges,
             p.class
         );
-        println!(
+        outln!(
             "  {} masters, {} mirrors, {} local edges{}",
             p.num_masters,
             p.num_mirrors(),
             p.num_local_edges(),
             if p.edge_data.is_some() { ", weighted" } else { "" }
         );
-        println!("  fingerprint {fingerprint:016x}");
+        outln!("  fingerprint {fingerprint:016x}");
     }
     if fingerprints.len() > 1 {
         // `partition_fingerprint` of the files as one partitioning, which
         // they are when given in host order.
-        println!(
+        outln!(
             "merged fingerprint (in the order given): {:016x}",
             cusp::merge_part_fingerprints(&fingerprints)
         );
@@ -326,7 +350,7 @@ fn cmd_validate(flags: &HashMap<String, String>) {
     match metrics::validate_partitioning(&original, &parts) {
         Ok(()) => {
             let q = metrics::quality(&parts);
-            println!(
+            outln!(
                 "valid: {} partitions, replication factor {:.3}, edge balance {:.3}",
                 parts.len(),
                 q.replication_factor,
@@ -353,7 +377,7 @@ fn cmd_trace_check(positional: &[String]) {
         }
     };
     match cusp_obs::validate_trace_json(&text) {
-        Ok(check) => println!(
+        Ok(check) => outln!(
             "{path}: ok — {} events ({} span events, {} flow pairs, {} crash / {} restart marks) across {} host(s)",
             check.total_events,
             check.span_events,
@@ -372,7 +396,7 @@ fn cmd_trace_check(positional: &[String]) {
 fn cmd_props(positional: &[String]) {
     let Some(path) = positional.first() else { usage() };
     let graph = or_exit(read_bgr(Path::new(path)), path);
-    println!("{}", GraphProps::compute(&graph).row(path));
+    outln!("{}", GraphProps::compute(&graph).row(path));
 }
 
 /// Runs the cluster, turning a lost host into a clean one-line diagnostic
@@ -478,14 +502,14 @@ fn cmd_partition(flags: &HashMap<String, String>) {
         )
     };
 
-    println!("{times_text}");
-    println!(
+    outln!("{times_text}");
+    outln!(
         "communication: {:.2} MB in {} messages",
         stats.grand_total_bytes() as f64 / 1e6,
         stats.grand_total_messages()
     );
     if let Some(r) = &recovery_report {
-        println!(
+        outln!(
             "recovery: {} crash(es), {} restart(s), {} message(s) lost in teardown; replayed {} bytes in {} messages",
             r.crashes,
             r.restarts,
@@ -498,7 +522,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
     if let (Some(path), Some(trace)) = (&trace_path, &trace) {
         let json = cusp_obs::export_chrome_trace(trace);
         or_exit(std::fs::write(path, &json), path);
-        println!(
+        outln!(
             "trace: {} events on {} threads -> {} (open in https://ui.perfetto.dev){}",
             trace.events.len(),
             trace.threads.len(),
@@ -510,7 +534,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
             }
         );
         let model = cusp_net::NetworkModel::omni_path();
-        print!("{}", cusp::render_phase_summary(trace, &stats, &model));
+        out!("{}", cusp::render_phase_summary(trace, &stats, &model));
     }
 
     // Validate against the original (in-memory reload) and report quality.
@@ -519,12 +543,12 @@ fn cmd_partition(flags: &HashMap<String, String>) {
         validate_or_exit(&original, &parts);
     }
     let q = metrics::quality(&parts);
-    println!(
+    outln!(
         "quality: replication factor {:.3}, node balance {:.3}, edge balance {:.3}",
         q.replication_factor, q.node_balance, q.edge_balance
     );
     for p in &parts {
-        println!(
+        outln!(
             "  host {:>3}: {:>9} masters  {:>9} mirrors  {:>11} edges",
             p.part_id,
             p.num_masters,
@@ -540,7 +564,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
             let path = part_path(&dir, p.part_id as usize);
             or_exit(write_partition(&path, p), &path);
         }
-        println!("wrote {} partition files to {}", parts.len(), dir.display());
+        outln!("wrote {} partition files to {}", parts.len(), dir.display());
     }
 }
 
@@ -592,14 +616,14 @@ fn cmd_launch(flags: &HashMap<String, String>) {
         eprintln!("cusp-part launch: {e}");
         exit(1)
     });
-    println!(
+    outln!(
         "cross-process conservation: {} ({:.2} MB in {} messages over TCP)",
         if report.conserved { "ok" } else { "VIOLATED" },
         report.wire_bytes as f64 / 1e6,
         report.wire_messages
     );
     if let Some(d) = &report.kill {
-        println!(
+        outln!(
             "recovery: {} kill(s) ({} @ {}, host {}), {} respawn(s), {} peer rejoin(s)",
             report.kills,
             d.mode.as_str(),
@@ -627,11 +651,11 @@ fn cmd_launch(flags: &HashMap<String, String>) {
     // Per host first, so that a mismatch names the host that differs.
     for (h, (tcp, sim)) in report.part_fingerprints.iter().zip(&sim_parts).enumerate() {
         let verdict = if tcp == sim { "" } else { " DIFFERS" };
-        println!("  host {h}: tcp=0x{tcp:016x} sim=0x{sim:016x}{verdict}");
+        outln!("  host {h}: tcp=0x{tcp:016x} sim=0x{sim:016x}{verdict}");
     }
     let tcp_fp = cusp::merge_part_fingerprints(&report.part_fingerprints);
     let sim_fp = cusp::merge_part_fingerprints(&sim_parts);
-    println!(
+    outln!(
         "fingerprint tcp=0x{tcp_fp:016x} sim=0x{sim_fp:016x} {}",
         if tcp_fp == sim_fp { "MATCH" } else { "MISMATCH" }
     );
@@ -667,7 +691,7 @@ fn cmd_apply(flags: &HashMap<String, String>) {
     let (graph, weights) = or_exit(cusp_graph::read_bgr_any(&graph_path), &graph_path);
     let batch = batch_from_flags(flags, &graph, weights.is_some());
     if batch.is_empty() {
-        println!("empty batch: nothing to do");
+        outln!("empty batch: nothing to do");
         return;
     }
     let old_fp = cusp::graph_fingerprint(&graph, weights.as_deref());
@@ -676,27 +700,27 @@ fn cmd_apply(flags: &HashMap<String, String>) {
         exit(1)
     });
     let new_fp = cusp::graph_fingerprint(&applied.graph, applied.weights.as_deref());
-    println!(
+    outln!(
         "applied {} event(s): {} edge(s) added, {} removed, {} reweighted",
         batch.len(),
         applied.added,
         applied.removed,
         applied.reweighted
     );
-    println!("dirty vertices: {}", applied.dirty.len());
-    println!(
+    outln!("dirty vertices: {}", applied.dirty.len());
+    outln!(
         "graph: {} -> {} nodes, {} -> {} edges",
         graph.num_nodes(),
         applied.graph.num_nodes(),
         graph.num_edges(),
         applied.graph.num_edges()
     );
-    println!("graph fingerprint: {old_fp:016x} -> {new_fp:016x}");
+    outln!("graph fingerprint: {old_fp:016x} -> {new_fp:016x}");
     if let Some(wal_path) = flags.get("wal") {
         let wal = cusp_graph::Wal::new(PathBuf::from(wal_path));
         or_exit(wal.append(&batch), wal_path);
         let total = wal.load().map(|b| b.len()).unwrap_or(0);
-        println!("journaled to {wal_path} ({total} batch(es) total)");
+        outln!("journaled to {wal_path} ({total} batch(es) total)");
     }
     if let Some(out) = flags.get("out") {
         write_graph_any(Path::new(out), &applied.graph, applied.weights.as_deref());
@@ -718,7 +742,7 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
         eprintln!("cannot load WAL {wal_path}: {e}");
         exit(1)
     });
-    println!("{}: {} batch(es)", wal_path, batches.len());
+    outln!("{}: {} batch(es)", wal_path, batches.len());
 
     let cfg = &CuspConfig::default();
     let source_of = |g: &cusp_graph::Csr, w: &Option<Vec<u32>>| match w {
@@ -735,7 +759,7 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
             eprintln!("batch {i} rejected: {e}");
             exit(1)
         });
-        println!(
+        outln!(
             "batch {i}: {} event(s), {} dirty vertice(s), {} -> {} edges",
             batch.len(),
             applied.dirty.len(),
@@ -765,7 +789,7 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
                 exit(1);
             }
             let reused: u64 = delta.iter().map(|o| o.reused_edges).sum();
-            println!(
+            outln!(
                 "  delta == full (fingerprint {:016x}); {} dirty, {} edge(s) reused",
                 cusp::partition_fingerprint(&delta_parts),
                 delta[0].dirty_vertices,
@@ -777,7 +801,7 @@ fn cmd_wal_replay(flags: &HashMap<String, String>) {
         weights = applied.weights;
     }
 
-    println!(
+    outln!(
         "final graph: {} nodes, {} edges, fingerprint {:016x}",
         graph.num_nodes(),
         graph.num_edges(),
@@ -793,7 +817,7 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
 
     /// A request that cannot be built: the JSON HTTP answers with 400.
     fn refuse(message: String) -> ! {
-        println!("{}", Response::from(ServeError::BadRequest(message)).to_json());
+        outln!("{}", Response::from(ServeError::BadRequest(message)).to_json());
         exit(2)
     }
     let flag = |name: &str| {
@@ -844,7 +868,7 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
                 .map(|(k, v)| (k.as_str(), v.as_str()))
                 .collect();
             let req = verb.request(&args).unwrap_or_else(|e| {
-                println!("{}", Response::from(e).to_json());
+                outln!("{}", Response::from(e).to_json());
                 exit(2)
             });
             Client::connect(addr).and_then(|mut c| c.request(&req))
@@ -858,7 +882,7 @@ fn cmd_client(positional: &[String], flags: &HashMap<String, String>) {
             exit(1)
         }
     };
-    println!("{}", resp.to_json());
+    outln!("{}", resp.to_json());
     if resp.http_status() != 200 {
         exit(1)
     }

@@ -130,3 +130,34 @@ fn an_unreadable_file_is_one_line_and_exit_1() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `cusp-part … | head -1`: a reader that closes the pipe early ends the
+/// command quietly, with status 0 and nothing on stderr, never a panic.
+/// The read end is closed before the command prints anything, so every
+/// write meets the closed pipe.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("cusp-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let graph = dir.join("g.bgr");
+    let graph = graph.to_str().expect("utf-8 path");
+    let gen = cusp_part(&["gen", "--kind", "webcrawl", "--nodes", "500", "--degree", "4", "--out", graph]);
+    assert!(gen.status.success(), "gen: {}", String::from_utf8_lossy(&gen.stderr));
+    let runs: [&[&str]; 2] = [&["partition", "--graph", graph, "--policy", "CVC", "--hosts", "4"], &["props", graph]];
+    for args in runs {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cusp-part"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run cusp-part");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for cusp-part");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{}: {stderr}", args[0]);
+        assert_eq!(out.status.code(), Some(0), "{}: {stderr}", args[0]);
+        assert!(stderr.is_empty(), "{}: {stderr}", args[0]);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

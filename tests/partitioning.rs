@@ -319,3 +319,32 @@ fn replication_factor_is_sane() {
     // edge distribution should be tight.
     assert!(q.edge_balance < 1.6, "edge balance {}", q.edge_balance);
 }
+
+#[test]
+fn hdrf_runs_past_64_partitions() {
+    // Each vertex's replica set is sized by k, not one 64-bit mask. The
+    // graph is 130 mutual pairs per host's stream: a pair's first edge goes
+    // to the least-loaded partition, so all 128 are used, and its second
+    // edge follows the pair's replicas there.
+    let k = 128;
+    let pairs = 130 * k as u32;
+    let edges: Vec<(u32, u32)> = (0..pairs).flat_map(|i| [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i)]).collect();
+    let graph = Arc::new(Csr::from_edges(2 * pairs as usize, &edges));
+    let [one, two] = [1, 2].map(|threads_per_host| {
+        check(&graph, k, PolicyKind::Hdrf, CuspConfig { threads_per_host, ..CuspConfig::default() })
+    });
+    for (x, y) in one.iter().zip(&two) {
+        assert_eq!(x.local2global, y.local2global, "part {}", x.part_id);
+        assert_eq!(x.graph, y.graph, "part {}", x.part_id);
+        assert_eq!(x.master_of, y.master_of, "part {}", x.part_id);
+    }
+    // Only a pair that a read-range boundary cuts may be apart.
+    let mut apart = 0;
+    for p in &one {
+        assert!(p.graph.num_edges() > 0, "partition {} holds no edge", p.part_id);
+        let global = |(u, v): (u32, u32)| (p.local2global[u as usize], p.local2global[v as usize]);
+        let held: std::collections::HashSet<_> = p.graph.iter_edges().map(global).collect();
+        apart += held.iter().filter(|&&(u, v)| !held.contains(&(v, u))).count();
+    }
+    assert!(apart <= 2 * k, "{apart} edges apart from their pair");
+}
