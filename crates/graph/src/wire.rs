@@ -45,7 +45,7 @@ fn elems_per_pass(scratch: &[u8], width: usize) -> usize {
 }
 
 macro_rules! slice_codec {
-    ($t:ty, $encode:ident, $extend:ident, $decode:ident, $write:ident, $read_into:ident) => {
+    ($t:ty, $encode:ident, $decode:ident, $write:ident, $read_into:ident) => {
         #[doc = concat!("Encodes `vs` as little-endian `", stringify!($t), "`s into `dst` (exactly `size_of_val(vs)`")]
         /// bytes), byte-identical to encoding element by element.
         #[inline]
@@ -61,25 +61,6 @@ macro_rules! slice_codec {
             }
             for (v, out) in blocks.remainder().iter().zip(outs.into_remainder().chunks_exact_mut(W)) {
                 out.copy_from_slice(&v.to_le_bytes());
-            }
-        }
-
-        #[doc = concat!("Appends `vs` to `out` as little-endian `", stringify!($t), "`s: the bytes [`", stringify!($encode), "`] writes,")]
-        /// without zero-filling the destination first. Each block is
-        /// encoded in registers and appended whole, into capacity reserved
-        /// once.
-        #[inline]
-        pub fn $extend(out: &mut Vec<u8>, vs: &[$t]) {
-            const W: usize = size_of::<$t>();
-            out.reserve(size_of_val(vs));
-            let mut blocks = vs.chunks_exact(BLOCK_BYTES / W);
-            for blk in &mut blocks {
-                let mut bytes = [0u8; BLOCK_BYTES];
-                $encode(blk, &mut bytes);
-                out.extend_from_slice(&bytes);
-            }
-            for v in blocks.remainder() {
-                out.extend_from_slice(&v.to_le_bytes());
             }
         }
 
@@ -126,8 +107,8 @@ macro_rules! slice_codec {
     };
 }
 
-slice_codec!(u32, encode_u32s, extend_u32s, decode_u32s, write_u32s, read_u32s_into);
-slice_codec!(u64, encode_u64s, extend_u64s, decode_u64s, write_u64s, read_u64s_into);
+slice_codec!(u32, encode_u32s, decode_u32s, write_u32s, read_u32s_into);
+slice_codec!(u64, encode_u64s, decode_u64s, write_u64s, read_u64s_into);
 
 /// [`decode_u32s`] that also returns the largest value decoded (0 for an
 /// empty `dst`). The maximum is kept per lane of the 32-byte block, so a
@@ -181,14 +162,18 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// reads back.
 pub fn put_u32_vec(out: &mut Vec<u8>, vs: &[u32]) {
     put_u64(out, vs.len() as u64);
-    extend_u32s(out, vs);
+    let old = out.len();
+    out.resize(old + size_of_val(vs), 0);
+    encode_u32s(vs, &mut out[old..]);
 }
 
 /// Appends a `u64` count and that many `u64`s: what [`Reader::u64_vec`]
 /// reads back.
 pub fn put_u64_vec(out: &mut Vec<u8>, vs: &[u64]) {
     put_u64(out, vs.len() as u64);
-    extend_u64s(out, vs);
+    let old = out.len();
+    out.resize(old + size_of_val(vs), 0);
+    encode_u64s(vs, &mut out[old..]);
 }
 
 /// A read ran past the end of its buffer.
@@ -312,16 +297,6 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// [`Reader::u32_vec`] that also returns the largest value read (0
-    /// when there is none), taken in the decode pass
-    /// ([`decode_u32s_max`]).
-    pub fn u32_vec_max(&mut self) -> Result<(Vec<u32>, u32), Truncated> {
-        let run = self.counted_run(4)?;
-        let mut out = vec![0u32; run.len() / 4];
-        let max = decode_u32s_max(run, &mut out);
-        Ok((out, max))
-    }
-
     /// Reads a `u64` count and that many `u64`s, bounded as
     /// [`Reader::u32_vec`].
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, Truncated> {
@@ -433,12 +408,13 @@ pub fn read_record(r: &mut impl Read, max_len: u32) -> io::Result<Result<Vec<u8>
 /// `header` holds them (up to [`RECORD_HEADER_BYTES`]; fewer when the
 /// stream ended inside the header), and the payload is read from `r`.
 ///
-/// The payload goes into one buffer with room for the checked length,
-/// reserved before the first read, so it is never regrown and copied. A
-/// reservation only claims address space: pages are committed as the
-/// reads fill them, so a length prefix under `max_len` still cannot make
-/// this commit memory for bytes the peer does not send. Where the system
-/// refuses the reservation, the buffer grows with the bytes instead.
+/// The buffer starts at one scratch block ([`SCRATCH_BYTES`]) or the
+/// checked length if that is less. Once a full block of payload has
+/// arrived, the rest of the checked length is reserved at once, so a
+/// large record is regrown and copied at most once, while a length
+/// prefix followed by silence holds one block, not `max_len`. Where the
+/// system refuses that reservation, the buffer grows with the bytes
+/// instead.
 pub fn read_record_after(
     header: &[u8],
     r: &mut impl Read,
@@ -448,9 +424,13 @@ pub fn read_record_after(
         Ok(h) => h,
         Err(e) => return Ok(Err(e)),
     };
-    let mut payload = Vec::new();
-    let _ = payload.try_reserve_exact(len);
-    r.take(len as u64).read_to_end(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(SCRATCH_BYTES));
+    let mut body = r.take(len as u64);
+    body.by_ref().take(SCRATCH_BYTES as u64).read_to_end(&mut payload)?;
+    if payload.len() == SCRATCH_BYTES {
+        let _ = payload.try_reserve_exact(len - SCRATCH_BYTES);
+    }
+    body.read_to_end(&mut payload)?;
     Ok(match record_payload(&payload, len, stored) {
         Ok(_) => Ok(payload),
         Err(e) => Err(e),
@@ -882,24 +862,11 @@ mod tests {
         let mut in_place = vec![0xAA];
         put_record_with(&mut in_place, |out| {
             out.push(payload[0]);
-            extend_u32s(out, &[u32::from_le_bytes(payload[1..5].try_into().unwrap())]);
+            put_u32(out, u32::from_le_bytes(payload[1..5].try_into().unwrap()));
             out.extend_from_slice(&payload[5..]);
         });
         assert_eq!(in_place, copied);
         assert_eq!(take_record(&copied[1..], u32::MAX), Ok((&payload[..], RECORD_HEADER_BYTES + 300)));
-    }
-
-    #[test]
-    fn extend_appends_what_encode_writes() {
-        let small: Vec<u32> = (0..19).map(|v| v * 0x0101_0101).collect();
-        let large: Vec<u64> = (0..11).map(|v| v << 37 | 5).collect();
-        let mut out = vec![7];
-        extend_u32s(&mut out, &small);
-        extend_u64s(&mut out, &large);
-        let mut want = vec![7; 1 + 19 * 4 + 11 * 8];
-        encode_u32s(&small, &mut want[1..77]);
-        encode_u64s(&large, &mut want[77..]);
-        assert_eq!(out, want);
     }
 
     #[test]

@@ -115,8 +115,9 @@ fn a_hostile_length_prefix_allocates_nothing() {
     assert_eq!((verdict.map(|_| ()), handed_out), (oversize, RECORD_HEADER_BYTES));
 
     // Under the cap (there is none): bounded by the bytes present. The
-    // stream parser's buffer grows with what arrives — 3 bytes — so a
-    // 4 GiB claim costs a 3-byte read, not a 4 GiB allocation.
+    // stream parser reserves the claimed length only once a full scratch
+    // block of payload has arrived, so a 4 GiB claim followed by 3 bytes
+    // costs one block, not a 4 GiB allocation.
     let truncated = Err(RecordError::Truncated(Truncated {
         needed: RECORD_HEADER_BYTES + u32::MAX as usize,
         available: bytes.len(),
@@ -124,6 +125,21 @@ fn a_hostile_length_prefix_allocates_nothing() {
     assert_eq!(take_record(&bytes, u32::MAX).map(|_| ()), truncated);
     let (verdict, handed_out) = read_all(&bytes, u32::MAX);
     assert_eq!((verdict.map(|_| ()), handed_out), (truncated, bytes.len()));
+}
+
+#[test]
+fn a_record_longer_than_a_scratch_block_reads_into_one_buffer_of_its_length() {
+    let payload: Vec<u8> = (0..3 * wire::SCRATCH_BYTES + 5).map(|i| (i * 31 % 251) as u8).collect();
+    let bytes = framed(&payload);
+    let (verdict, handed_out) = read_all(&bytes, u32::MAX);
+    let got = verdict.expect("a whole record");
+    assert_eq!((&got[..], handed_out), (&payload[..], bytes.len()));
+    // The first block's buffer was grown once, to exactly the length.
+    assert_eq!(got.capacity(), payload.len());
+    for cut in [RECORD_HEADER_BYTES + wire::SCRATCH_BYTES, bytes.len() - 1] {
+        let truncated = Err(RecordError::Truncated(Truncated { needed: bytes.len(), available: cut }));
+        assert_eq!(read_all(&bytes[..cut], u32::MAX).0.map(|_| ()), truncated, "cut {cut}");
+    }
 }
 
 /// Bulk == per-element in both directions, in memory, through the cursor

@@ -2,9 +2,8 @@
 //! handle that shuts the whole thing down deterministically.
 //!
 //! Each connection is one thread running a strict request/response loop:
-//! read one frame, decode one request, route it through the router
-//! (`ServerState::handle_decoded`: [`ServerState::handle`] for a request
-//! the decoder has checked), write one response frame. Anything malformed
+//! read one frame, decode one request, route it through
+//! [`ServerState::handle`], write one response frame. Anything malformed
 //! on the wire gets a typed `Error` response (when the stream is still
 //! coherent enough to answer on) and the connection is closed — a bad
 //! frame never desynchronizes later requests because the length prefix
@@ -132,7 +131,7 @@ fn connection_loop(state: &ServerState, mut stream: TcpStream) {
         let decoded = Request::decode(&payload);
         drop(payload);
         let resp = match decoded {
-            Ok(req) => state.handle_decoded(req),
+            Ok(req) => state.handle(req),
             Err(e) => ServeError::from(e).into(),
         };
         if stream.write_all(&resp.frame()).is_err() {

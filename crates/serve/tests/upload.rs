@@ -117,12 +117,12 @@ fn an_out_of_range_destination_is_refused_on_the_wire_and_in_process() {
     let bad = Csr::from_parts(vec![0, 1, 2], vec![1, 2]);
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
     match client.upload_graph("acme", "bad", &bad, None) {
-        Err(ClientError::Server { code: 1, message }) => {
+        Err(ClientError::Server { code: 6, message }) => {
             assert!(message.contains("destination id out of range"), "{message}")
         }
         other => panic!("wire upload of an out-of-range destination: {other:?}"),
     }
-    // The connection survives a refused body, as for any decode error.
+    // The connection survives a refused upload.
     let good = Csr::from_parts(vec![0, 1, 2], vec![1, 0]);
     assert!(client.upload_graph("acme", "good", &good, None).is_ok());
     let in_process = state.handle(Request::UploadGraph {

@@ -69,6 +69,7 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use cusp::distributed::{self, part_path, LaunchSpec, RunSpec, WorkerError, WorkerSpec};
 use cusp::{
@@ -90,13 +91,22 @@ macro_rules! outln {
     ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
+/// Set once stdout is found closed: [`emit`] prints nothing after that.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
 /// Writes `args` to stdout. A closed stdout (`cusp-part … | head -1`)
-/// ends the command quietly with status 0: the reader has what it wanted.
-/// Any other write failure ends it with one line on stderr and exit 1.
+/// silences the rest of the output but not the command: its files are
+/// still written and checked, and it exits with the status it would have
+/// had. Any other write failure ends it with one line on stderr and
+/// exit 1.
 fn emit(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
     if let Err(e) = io::stdout().lock().write_fmt(args) {
         if e.kind() == io::ErrorKind::BrokenPipe {
-            exit(0)
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
         }
         eprintln!("cusp-part: stdout: {e}");
         exit(1)

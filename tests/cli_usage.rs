@@ -131,20 +131,26 @@ fn an_unreadable_file_is_one_line_and_exit_1() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `cusp-part … | head -1`: a reader that closes the pipe early ends the
-/// command quietly, with status 0 and nothing on stderr, never a panic.
+/// `cusp-part … | head -1`: a reader that closes the pipe early silences
+/// the output and nothing else. The command still writes and checks its
+/// files and exits with its own status (0 here), with nothing on stderr
+/// and never a panic.
 /// The read end is closed before the command prints anything, so every
 /// write meets the closed pipe.
 #[test]
-fn a_closed_stdout_ends_the_command_quietly() {
+fn a_closed_stdout_silences_the_command_but_not_its_work() {
     use std::process::Stdio;
     let dir = std::env::temp_dir().join(format!("cusp-cli-pipe-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let graph = dir.join("g.bgr");
-    let graph = graph.to_str().expect("utf-8 path");
-    let gen = cusp_part(&["gen", "--kind", "webcrawl", "--nodes", "500", "--degree", "4", "--out", graph]);
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_owned();
+    let (graph, parts, wal, applied) = (path("g.bgr"), path("parts"), path("w.wal"), path("g2.bgr"));
+    let gen = cusp_part(&["gen", "--kind", "webcrawl", "--nodes", "500", "--degree", "4", "--out", &graph]);
     assert!(gen.status.success(), "gen: {}", String::from_utf8_lossy(&gen.stderr));
-    let runs: [&[&str]; 2] = [&["partition", "--graph", graph, "--policy", "CVC", "--hosts", "4"], &["props", graph]];
+    let runs: [&[&str]; 3] = [
+        &["partition", "--graph", &graph, "--policy", "CVC", "--hosts", "4", "--out-dir", &parts],
+        &["apply", "--graph", &graph, "--events", "5", "--wal", &wal, "--out", &applied],
+        &["props", &graph],
+    ];
     for args in runs {
         let mut child = Command::new(env!("CARGO_BIN_EXE_cusp-part"))
             .args(args)
@@ -159,5 +165,13 @@ fn a_closed_stdout_ends_the_command_quietly() {
         assert_eq!(out.status.code(), Some(0), "{}: {stderr}", args[0]);
         assert!(stderr.is_empty(), "{}: {stderr}", args[0]);
     }
+    // The work after the first print still happened: the partitions were
+    // written, the batch journaled and the updated graph written.
+    let validated = cusp_part(&["validate", "--graph", &graph, "--parts", &parts]);
+    assert!(validated.status.success(), "validate: {}", String::from_utf8_lossy(&validated.stderr));
+    let replayed = cusp_part(&["wal-replay", "--graph", &graph, "--wal", &wal]);
+    let stdout = String::from_utf8_lossy(&replayed.stdout);
+    assert!(replayed.status.success() && stdout.contains(": 1 batch(es)"), "wal-replay: {stdout}");
+    assert!(std::path::Path::new(&applied).is_file(), "apply --out wrote no graph");
     std::fs::remove_dir_all(&dir).ok();
 }
