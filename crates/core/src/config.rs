@@ -78,10 +78,8 @@ pub struct CuspConfig {
     /// assignment phases and, on restart, resumes from the last completed
     /// phase (corrupt or missing checkpoints silently fall back to the
     /// full re-run). Meaningful only together with a
-    /// [`cusp_net::CrashPlan`]; recovery replays re-executed sends, which
-    /// construction's per-thread send buffers only reproduce at one thread,
-    /// so crash runs should also set `threads_per_host: 1`
-    /// ([`crate::deterministic_for_comparison`]).
+    /// [`cusp_net::CrashPlan`]. Recovery replays re-executed sends, which
+    /// every phase reproduces at any `threads_per_host`.
     pub checkpoint_dir: Option<PathBuf>,
     /// Print `CUSP-WORKER-PHASE <name>` on stdout as each pipeline phase
     /// begins. Used by the `cusp-part launch` supervisor to drive seeded

@@ -17,8 +17,10 @@
 //!
 //! Driver and worker talk in lines over the worker's stdio; `Said` and the
 //! `PEERS`/`TEAR` helpers are the only place those lines are written or
-//! parsed. Under the determinism contract a launched run is bit-identical
-//! to [`simulator_twin`], the oracle its callers (`cusp-part launch`,
+//! parsed. Workers run at the spec's `threads_per_host`, like
+//! [`simulator_twin`]: a partition and its message stream are functions of
+//! the input, so a launched run — recovered or not — is bit-identical to
+//! the twin, the oracle its callers (`cusp-part launch`,
 //! `tests/cross_process.rs`) compose with it.
 
 use std::ffi::OsString;
@@ -62,15 +64,14 @@ pub fn partition_with_policy_tcp(
     .map_err(PartitionError::from)
 }
 
-/// Pins `cfg` to one worker thread per host, the configuration recovery
-/// and cross-transport comparisons run under.
+/// Pins `cfg` to one worker thread per host.
 ///
-/// The pin is not what makes a partition reproducible — that is a
-/// function of the input, the policy, `k` and `sync_rounds` at any thread
-/// count. It is what makes the *sends* reproducible: construction's
-/// per-thread send buffers flush at schedule-dependent points, and a
-/// recovered host's replay is deduplicated against the messages it sent
-/// before it died, which must be the same messages.
+/// Nothing in the partitioner needs the pin: partitions and every phase's
+/// messages are functions of the input, the policy, `k` and the config at
+/// any thread count, so recovery, `launch` and [`simulator_twin`] run at
+/// `threads_per_host`. Outside tests only the benchmark package calls it;
+/// the roadmap's benchmark housekeeping (item 1(d)) drops those calls
+/// and this function with them.
 pub fn deterministic_for_comparison(mut cfg: CuspConfig) -> CuspConfig {
     cfg.threads_per_host = 1;
     cfg
@@ -110,10 +111,10 @@ pub fn part_path(out_dir: &Path, host: usize) -> PathBuf {
 }
 
 /// The crash-free in-process simulator over the configuration of `run`,
-/// under the determinism contract: one [`part_fingerprint`] per host, which
-/// a launched run — recovered or not — must equal host by host.
+/// at its `threads_per_host`: one [`part_fingerprint`] per host, which a
+/// launched run — recovered or not — must equal host by host.
 pub fn simulator_twin(run: &RunSpec) -> Result<Vec<u64>, PartitionError> {
-    let mut cfg = deterministic_for_comparison(run.cfg.clone());
+    let mut cfg = run.cfg.clone();
     (cfg.checkpoint_dir, cfg.announce_phases) = (None, false);
     let source = GraphSource::File(run.graph.clone());
     let out = Cluster::try_run_with(run.hosts, ClusterOptions::default(), |comm| {
@@ -401,8 +402,9 @@ pub struct LaunchSpec {
     /// The program started once per host as `<worker> worker` +
     /// [`WorkerSpec::args`]; `cusp-part launch` names itself.
     pub worker: PathBuf,
-    /// What the workers share; they run it under
-    /// [`deterministic_for_comparison`].
+    /// What the workers share, each at `run.cfg.threads_per_host`: a
+    /// respawned worker re-sends the messages its first incarnation sent
+    /// at any thread count.
     pub run: RunSpec,
     /// Chaos supervision: a [`KillPlan`] seed, and whether the kill re-fires
     /// on every incarnation (which exhausts the restart budget).
@@ -560,6 +562,10 @@ pub fn launch(spec: &LaunchSpec, narration: &mut dyn Write) -> Result<LaunchRepo
     if hosts == 0 {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "launch needs a host").into());
     }
+    // A missing or cut input is one error here, not a panic in every
+    // worker.
+    cusp_graph::RangeReader::open(&run.graph)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", run.graph.display())))?;
     std::fs::create_dir_all(&run.out_dir)?;
     let kill = spec.kill.map(|(seed, repeat)| {
         (seed, KillPlan { seed, hosts }.decide(&PhaseTimes::NAMES), repeat)
@@ -590,7 +596,6 @@ pub fn launch(spec: &LaunchSpec, narration: &mut dyn Write) -> Result<LaunchRepo
         ^ ((std::process::id() as u64) << 32);
     let mut base =
         WorkerSpec { run: run.clone(), host: 0, nonce, incarnation: 0, listen: None, rejoin: false };
-    base.run.cfg = deterministic_for_comparison(base.run.cfg);
     // Recovery needs survivors that admit respawns and the victim's phase
     // markers; both are inert otherwise.
     (base.rejoin, base.run.cfg.announce_phases) = (kill.is_some(), kill.is_some());

@@ -4,23 +4,37 @@
 //! replay must make the decisions edge assignment made, which for a
 //! stateful rule needs its state reset first — so `construct` takes the
 //! state only as a [`ReplayReady`] token, whose one constructor resets it.
-//! Locally owned edges are inserted directly; remote edges are serialized —
-//! per worker thread, into per-destination buffers — as
-//! `(src, count, dsts…)` records and flushed once a buffer crosses the
-//! configured threshold (§IV-D3). Because allocation reserved exact
-//! per-node slots, every record — local or arrived — takes a window of its
-//! row from allocation's one writer, [`Slots::reserve`], a lock-free
-//! fetch-add cursor; no two records ever contend for the same slots.
+//! Locally owned edges are inserted directly; remote edges are serialized
+//! as `(src, count, dsts…)` records into per-destination buffers and
+//! flushed once a buffer crosses the configured threshold (§IV-D3).
+//! Because allocation reserved exact per-node slots, every record — local
+//! or arrived — takes a window of its row from allocation's one writer,
+//! [`Slots::reserve`], a lock-free fetch-add cursor; no two records ever
+//! contend for the same slots.
 //!
-//! Records are inserted as they arrive, on every slice shape: the thread
-//! whose `SendBuffers::record` has just flushed takes every record message
-//! already arrived for this host and inserts it in place, and the host
-//! thread drains again before each chunk and, blocking, after the walk.
-//! All of it is one routine, `Drain::drain`, with one atomic `received` count.
-//! A host thus consumes records as fast as it produces them, and the
-//! receive queue is bounded by the flush threshold, not by the size of a
-//! peer's slice. A worker that meets an aborted run there unwinds with the
-//! cluster's own signal, which the pool re-raises on the host thread.
+//! The message stream is a function of the input, not of the thread
+//! count. Each chunk is cut into node-aligned *send blocks* of at most
+//! [`SEND_BLOCK_EDGES`] edges, by the chunk's offsets alone. The pool
+//! walks one *wave* of blocks at a time; a block's local records go
+//! straight into their slots and its remote records into the block's own
+//! bytes, each record's peer and extent kept. The host thread then hands
+//! the wave's records, in block order and one at a time, to the host's
+//! one [`SendBuffers`], which flushes at threshold crossings and, after
+//! the chunk's last wave, flushes what is left. So every channel carries
+//! the records in source order, cut where one sequential walk would cut
+//! them: the same messages at every thread count and block size, which is
+//! what recovery's replay needs — a restarted host re-sends exactly the
+//! messages its peers deduplicate. A stateful rule walks the same blocks,
+//! a wave of one, one after another in node order.
+//!
+//! Records are inserted as they arrive, on every slice shape: before each
+//! wave the host thread takes every record message already arrived, and
+//! the wave's fork inserts them beside its walk; after the walk it takes
+//! the rest, blocking, and inserts them over the pool. Both go through
+//! one routine, `Drain::take`. A host thus consumes records as fast as it
+//! produces them: what it has not sent is at most one wave of blocks, and
+//! what waits in its receive queue at most what its peers sent during one
+//! wave.
 //!
 //! Nothing is sorted, and the full pipeline needs no sort to be
 //! deterministic. A source is read by one host and walked by one task,
@@ -52,11 +66,12 @@
 //! element-by-element encoding, a property the slice codec's own tests
 //! (`cusp_graph::wire`) hold it to.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::Mutex;
 
-use cusp_galois::{do_all_items, do_all_with_tid, PerThread, ThreadPool, DEFAULT_GRAIN};
-use cusp_graph::{ChunkedSlice, Csr, Node};
-use cusp_net::{Bytes, Comm, SendBuffers, WireReader};
+use cusp_galois::{do_all, do_all_items, ThreadPool};
+use cusp_graph::{chunk_boundaries, ChunkedSlice, Csr, Node};
+use cusp_net::{Bytes, Comm, HostId, SendBuffers, WireReader, WireWriter};
 
 use crate::config::{CuspConfig, OutputFormat};
 use crate::phases::alloc::{AllocOutcome, Slots};
@@ -68,33 +83,58 @@ use crate::props::LocalProps;
 use crate::state::PartitionState;
 use crate::tags::TAG_EDGES;
 
-/// The receiving half of construction, shared by the host thread and its
-/// pool workers: the record messages still expected, counted in edges, and
-/// the payload bytes inserted so far.
+/// The edge budget of a send block (a node of higher degree is a block of
+/// its own). It sets how the walk is shared out, never where a message
+/// ends.
+const SEND_BLOCK_EDGES: u64 = 1 << 13;
+
+/// Blocks in a wave, per pool thread: enough for the pool to balance a
+/// wave, few enough that a wave's unsent records stay small.
+const BLOCKS_PER_THREAD: usize = 4;
+
+/// One send block's walk: the remote records it serialized, back to back,
+/// and every record's peer and byte range, in walk order; plus the
+/// per-destination bucket scratch. Kept across waves, so the buffers
+/// retain their capacity, and a cache line apart, since the pool walks
+/// neighbouring blocks at once.
+#[repr(align(128))]
+struct Block {
+    out: WireWriter,
+    records: Vec<(HostId, Range<usize>)>,
+    buckets: Vec<Vec<Node>>,
+    wbuckets: Vec<Vec<u32>>,
+}
+
+impl Block {
+    fn new(hosts: usize) -> Self {
+        Block {
+            out: WireWriter::new(),
+            records: Vec::new(),
+            buckets: vec![Vec::new(); hosts],
+            wbuckets: vec![Vec::new(); hosts],
+        }
+    }
+}
+
+/// The receiving half of construction: the record messages still
+/// expected, counted in edges, and the payload bytes inserted so far.
 struct Drain<'a> {
     comm: &'a Comm,
-    slots: &'a Slots<'a>,
     weighted: bool,
     to_receive: u64,
-    received: AtomicU64,
-    inserted: AtomicU64,
+    received: u64,
+    inserted: u64,
 }
 
 impl Drain<'_> {
     fn pending(&self) -> bool {
-        self.received.load(Ordering::Relaxed) < self.to_receive
+        self.received < self.to_receive
     }
 
     /// Takes every record message that has already arrived for this host —
-    /// with `wait`, blocking for the first — and inserts it (§IV-C3): as a
-    /// batch over `pool` between walks, or one message at a time, as it is
-    /// taken, from inside a walk (`None`: a pool worker cannot fork the
-    /// pool it runs on).
-    fn drain(&self, pool: Option<&ThreadPool>, mut wait: bool) {
-        let insert = |payload: &Bytes| {
-            insert_message(self.slots, payload.clone());
-            self.inserted.fetch_add(payload.len() as u64, Ordering::Relaxed);
-        };
+    /// with `wait`, blocking for the first — for the caller to insert
+    /// (§IV-C3).
+    fn take(&mut self, mut wait: bool) -> Vec<Bytes> {
         let mut batch = Vec::new();
         while self.pending() {
             let next = if wait {
@@ -104,16 +144,11 @@ impl Drain<'_> {
             };
             let Some((_src, payload)) = next else { break };
             wait = false;
-            self.received.fetch_add(count_edges_in(&payload, self.weighted), Ordering::Relaxed);
-            match pool {
-                Some(_) => batch.push(payload),
-                None => insert(&payload),
-            }
+            self.received += count_edges_in(&payload, self.weighted);
+            self.inserted += payload.len() as u64;
+            batch.push(payload);
         }
-        if let Some(pool) = pool {
-            // `do_all_items` runs one- or two-message batches inline.
-            do_all_items(pool, &batch, 1, insert);
-        }
+        batch
     }
 }
 
@@ -144,119 +179,103 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     assert_eq!(weighted, alloc.edge_data.is_some(), "weight buffer and input disagree");
 
     let slots = alloc.slots();
-    let drain = Drain {
-        comm,
-        slots: &slots,
-        weighted,
-        to_receive,
-        received: AtomicU64::new(0),
-        inserted: AtomicU64::new(0),
-    };
-
-    // Per-thread send buffers and per-destination bucket scratch,
-    // allocated once for the whole phase (buckets are cleared per node,
-    // buffers retain their capacity across flushes).
-    struct ThreadState {
-        buffers: SendBuffers,
-        buckets: Vec<Vec<Node>>,
-        wbuckets: Vec<Vec<u32>>,
-    }
-    let mut threads: PerThread<ThreadState> = PerThread::new(pool, |_| ThreadState {
-        buffers: SendBuffers::new(k, cfg.buffer_threshold, TAG_EDGES),
-        buckets: vec![Vec::new(); k],
-        wbuckets: vec![Vec::new(); k],
-    });
+    let mut drain = Drain { comm, weighted, to_receive, received: 0, inserted: 0 };
+    let mut sender = SendBuffers::new(k, cfg.buffer_threshold, TAG_EDGES);
+    // A stateful rule decides in node order, so its waves are one block:
+    // its blocks are walked one after another.
+    let wave = if ER::State::STATELESS { BLOCKS_PER_THREAD * pool.threads() } else { 1 };
+    let mut blocks: Vec<Mutex<Block>> = (0..wave).map(|_| Mutex::new(Block::new(k))).collect();
 
     // The source edges stream through one bounded chunk at a time (a whole
-    // slice is a single chunk): replay and flush per chunk, so resident
-    // edge state stays O(chunk) end to end. Whoever flushes a buffer also
-    // takes what has arrived, so the receive queue stays O(threshold) too.
+    // slice is a single chunk), flushed at its end, so resident edge state
+    // stays O(chunk) end to end.
     for_each_chunk(data, |chunk| {
-        // What arrived while the previous chunk was flushed.
-        drain.drain(Some(pool), false);
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
-        let process = |tid: usize, j: usize| {
-            let s = chunk.node_lo + j as Node;
-            let edges = chunk.edges(s);
-            if edges.is_empty() {
-                return;
-            }
-            let whole = filter.whole_source(s);
-            let sm = masters.of(s);
-            let edge_data = chunk.edge_data(s);
-            threads.with(tid, |ts| {
-                for b in ts.buckets.iter_mut() {
-                    b.clear();
+        let walk = |nodes: Range<Node>, block: &mut Block| {
+            let Block { out, records, buckets, wbuckets } = block;
+            out.clear();
+            records.clear();
+            for s in nodes {
+                let edges = chunk.edges(s);
+                if edges.is_empty() {
+                    continue;
                 }
-                for b in ts.wbuckets.iter_mut() {
-                    b.clear();
-                }
+                let whole = filter.whole_source(s);
+                let sm = masters.of(s);
+                let edge_data = chunk.edge_data(s);
+                buckets.iter_mut().for_each(Vec::clear);
+                wbuckets.iter_mut().for_each(Vec::clear);
                 for (i, &d) in edges.iter().enumerate() {
                     if !filter.edge(whole, d) {
                         continue;
                     }
                     let dm = masters.of(d);
-                    let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
-                    ts.buckets[h as usize].push(d);
+                    let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate) as usize;
+                    buckets[h].push(d);
                     if let Some(data) = edge_data {
-                        ts.wbuckets[h as usize].push(data[i]);
+                        wbuckets[h].push(data[i]);
                     }
                 }
-                for (h, bucket) in ts.buckets.iter().enumerate() {
+                for (h, bucket) in buckets.iter().enumerate() {
                     if bucket.is_empty() {
                         continue;
                     }
-                    let wbucket = weighted.then(|| ts.wbuckets[h].as_slice());
+                    let wbucket = weighted.then(|| wbuckets[h].as_slice());
                     if h == me {
                         insert_record(&slots, s, bucket, wbucket);
-                    } else {
-                        let flushed = ts.buffers.record(comm, h, |w| {
-                            w.put_u32(s);
-                            w.put_u32(bucket.len() as u32);
-                            // Raw runs: one codec pass per run, not a call
-                            // per edge.
-                            w.put_u32_raw_slice(bucket);
-                            if let Some(ws) = wbucket {
-                                w.put_u32_raw_slice(ws);
-                            }
-                        });
-                        if flushed {
-                            drain.drain(None, false);
-                        }
+                        continue;
                     }
+                    let start = out.len();
+                    out.put_u32(s);
+                    out.put_u32(bucket.len() as u32);
+                    // Raw runs: one codec pass per run, not a call per edge.
+                    out.put_u32_raw_slice(bucket);
+                    if let Some(ws) = wbucket {
+                        out.put_u32_raw_slice(ws);
+                    }
+                    records.push((h, start..out.len()));
                 }
-            });
+            }
         };
 
-        if ER::State::STATELESS {
-            do_all_with_tid(pool, chunk.num_nodes(), DEFAULT_GRAIN, process);
-        } else {
-            // Deterministic replay for stateful edge rules (same node order
-            // as edge assignment, within and across chunks).
-            for j in 0..chunk.num_nodes() {
-                process(0, j);
+        let bounds = chunk_boundaries(chunk.offsets(), chunk.node_lo, SEND_BLOCK_EDGES);
+        for first in (0..bounds.len() - 1).step_by(wave) {
+            let here = &mut blocks[..wave.min(bounds.len() - 1 - first)];
+            // What arrived while the previous wave was walked and sent,
+            // inserted beside this wave's walk.
+            let arrived = drain.take(false);
+            do_all(pool, arrived.len() + here.len(), 1, |i| match i.checked_sub(arrived.len()) {
+                None => insert_message(&slots, arrived[i].clone()),
+                Some(b) => {
+                    let mut block = here[b].lock().expect("a block is walked by one task");
+                    walk(bounds[first + b]..bounds[first + b + 1], &mut block);
+                }
+            });
+            for block in here.iter_mut() {
+                let block = block.get_mut().expect("the wave has joined");
+                for (h, range) in &block.records {
+                    let bytes = &block.out.as_slice()[range.clone()];
+                    sender.record(comm, *h, |w| w.put_raw(bytes));
+                }
             }
         }
-
-        // Flush residual buffers from every thread, so in-flight serialized
-        // edges never accumulate beyond the chunk just processed.
-        for ts in threads.iter_mut() {
-            ts.buffers.flush_all(comm);
-        }
+        sender.flush_all(comm);
     });
-    drop(threads);
-    let walked = drain.inserted.load(Ordering::Relaxed);
+    drop(blocks);
+    let walked = drain.inserted;
     cusp_obs::counter("construct.drained_walk", walked);
 
     // Block for the remaining edge records, one message at a time plus
     // whatever else arrived with it.
     let wait_span = cusp_obs::span("construct.wait");
     while drain.pending() {
-        drain.drain(Some(pool), true);
+        let arrived = drain.take(true);
+        // `do_all_items` runs one- or two-message batches inline.
+        do_all_items(pool, &arrived, 1, |payload| insert_message(&slots, payload.clone()));
     }
-    assert_eq!(drain.received.into_inner(), to_receive, "received more edges than expected");
+    assert_eq!(drain.received, to_receive, "received more edges than expected");
     drop(wait_span);
-    cusp_obs::counter("construct.drained_wait", drain.inserted.into_inner() - walked);
+    cusp_obs::counter("construct.drained_wait", drain.inserted - walked);
 
     // The freeze, up to the returned (possibly transposed) graph.
     let _freeze_span = cusp_obs::span("construct.freeze");

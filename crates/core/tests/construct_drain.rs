@@ -1,12 +1,12 @@
 //! Construction drains while it walks.
 //!
-//! A worker whose send buffer has just flushed takes every record message
-//! already arrived for its host and inserts it in place, so a host
-//! consumes records as fast as it produces them on every slice shape. At
-//! `buffer_threshold: 0` every record is its own message, so every one of
-//! them flushes and drains inline, on both workers of every host while
-//! the walk is still running. The partition must be the one the default
-//! threshold builds, bit for bit by fingerprint.
+//! After each wave of send blocks the host thread takes every record
+//! message already arrived for its host and inserts the batch over the
+//! pool, so a host consumes records as fast as it produces them on every
+//! slice shape. At `buffer_threshold: 0` every record is its own message,
+//! so each wave's drain takes many of them while the walk is still
+//! running. The partition must be the one the default threshold builds,
+//! bit for bit by fingerprint.
 
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ use cusp_graph::gen::uniform::erdos_renyi;
 const HOSTS: usize = 4;
 
 #[test]
-fn every_record_drained_inline_builds_the_default_partition() {
+fn every_record_its_own_message_builds_the_default_partition() {
     // 250 sources a host: enough that both pool workers walk, not the
     // inline shortcut for tiny ranges. Uniform destinations at a mean
     // degree above HVC's threshold of 100, so most records cross hosts

@@ -39,6 +39,10 @@ const EDGES: usize = 800;
 /// so a round that ran on the pool would show.
 const THREAD_NODES: usize = 4000;
 const THREAD_EDGES: usize = 24_000;
+/// The message-stream test's graph: tens of thousands of edges per host,
+/// many times construction's send block.
+const STREAM_NODES: usize = 20_000;
+const STREAM_EDGES: usize = 160_000;
 
 /// The chaos seed for oracle runs: `CUSP_FAULT_SEED` (set by the CI chaos
 /// job) or a fixed default.
@@ -49,17 +53,16 @@ fn env_seed() -> u64 {
         .unwrap_or(0xC0FFEE)
 }
 
-/// The base configuration of every oracle run. One thread per host keeps
-/// the message counts reproducible too — construction's per-thread send
-/// buffers flush at schedule-dependent points — so a faulty run's
-/// `CommStats` can be compared with a clean run's.
+/// The base configuration of every oracle run, at one thread per host
+/// (`one_message_stream_at_every_thread_count` shows the `CommStats` a
+/// faulty run is compared with are the same at any thread count).
 ///
 /// `CUSP_CHUNK_EDGES` (set by the CI chaos job) re-runs the entire oracle
 /// suite with chunk-streaming slices of that size — the partitions must be
 /// bit-identical to monolithic runs, so every oracle check carries over.
 /// `CUSP_BUFFER_THRESHOLD` does the same for the send-buffer threshold: at
-/// `0` every record is its own message and construction drains after
-/// every one of them, under whatever faults the run injects.
+/// `0` every record is its own message, under whatever faults the run
+/// injects.
 fn det_cfg() -> CuspConfig {
     let env = |name| std::env::var(name).ok().and_then(|s| s.parse().ok());
     let default = CuspConfig::default();
@@ -200,6 +203,46 @@ fn one_fingerprint_at_every_thread_count() {
                             fp, first,
                             "{kind:?} hosts {hosts} seed {seed} {output:?}: {threads} thread(s), chunk {chunk:?} changed the partition"
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every phase's messages are a function of the input: for every policy,
+/// host count, chunking and buffer threshold, the per-phase bytes and
+/// messages between every pair of hosts are the same at 1, 2 and 4 threads
+/// per host. Construction's records leave through one sender per host, in
+/// source order, so where a message ends depends on no thread. The graph
+/// gives each host several send blocks, so the pool walks several blocks
+/// a wave, and several waves at one thread.
+#[test]
+fn one_message_stream_at_every_thread_count() {
+    let source = GraphSource::Memory(Arc::new(erdos_renyi(STREAM_NODES, STREAM_EDGES, SEEDS[0])));
+    let default = CuspConfig::default().buffer_threshold;
+    for kind in PolicyKind::ALL {
+        for hosts in [2, 4] {
+            for chunk_edges in [None, Some(64)] {
+                for buffer_threshold in [default, 0] {
+                    let mut streams = THREADS.iter().map(|&threads_per_host| {
+                        let cfg = CuspConfig { threads_per_host, chunk_edges, buffer_threshold, ..det_cfg() };
+                        let stats = Cluster::run(hosts, |comm| {
+                            partition_with_policy(comm, source.clone(), kind, &cfg);
+                        })
+                        .stats;
+                        (threads_per_host, stats)
+                    });
+                    let (_, first) = streams.next().expect("one run at least");
+                    for (threads, stats) in streams {
+                        for ((phase, a), (_, b)) in first.iter().zip(stats.iter()) {
+                            assert_eq!(
+                                a, b,
+                                "{kind:?} hosts {hosts} chunk {chunk_edges:?} threshold {buffer_threshold}: \
+                                 the {phase} row differs at {threads} thread(s)"
+                            );
+                        }
+                        assert_eq!(first, stats, "{kind:?} hosts {hosts}: {threads} thread(s)");
                     }
                 }
             }

@@ -9,11 +9,12 @@
 //! conserved ([`cusp::check_comm_stats`]) — replayed traffic is tracked in
 //! its own counters, outside the conserved per-phase matrices.
 //!
-//! Recovery leans on the determinism contract (one worker
-//! thread): a restarted host re-executes phases and
-//! regenerates byte-identical per-channel send streams, which receivers
-//! dedupe by sequence number. Checkpoints only change *how much* is
-//! re-executed, never the result.
+//! Recovery leans on the determinism contract: a restarted host
+//! re-executes phases and regenerates byte-identical per-channel send
+//! streams, at any thread count, which receivers dedupe by sequence
+//! number. Checkpoints only change *how much* is re-executed, never the
+//! result. The matrix runs one worker thread a host; `two_thread_row`
+//! runs each policy family at two.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -314,6 +315,64 @@ fn neighbour_aware_rule_recovers_from_a_crash_in_master() {
     }
 }
 
+/// Recovery at two threads per host, one row per policy family: pure
+/// masters (CVC), Fennel masters with state sync (SVC) and a stateful edge
+/// rule (HDRF). A restarted host re-sends the messages its first
+/// incarnation sent whatever its pool does, so its peers' deduplication
+/// holds and every crash ends bit-identical to the clean run, with the
+/// same per-phase traffic between every pair of hosts. A small buffer
+/// threshold cuts construction into many messages per peer, so a crash
+/// lands among them; monolithic and streamed, with and without
+/// checkpoints.
+fn two_thread_row(kind: PolicyKind) {
+    let hosts = 4;
+    let graph = Arc::new(erdos_renyi(4000, 24_000, 71));
+    let src = GraphSource::Memory(graph.clone());
+    let cfg = |chunk, ckpt| CuspConfig {
+        threads_per_host: 2,
+        buffer_threshold: 4 << 10,
+        ..det_cfg(chunk, ckpt)
+    };
+    let mut fired = 0;
+    for chunk in [None, Some(2048)] {
+        let (clean, clean_stats, _, _) =
+            run(hosts, kind, src.clone(), None, cfg(chunk, None), None).expect("clean");
+        let fp = partition_fingerprint(&clean);
+        for (phase, max_ops) in [("master", 6), ("edge_assign", 6), ("construct", 12)] {
+            let dir = cell_dir(&format!("two-threads-{kind:?}-{chunk:?}-{phase}"));
+            for ckpt in [None, Some(dir.clone())] {
+                let label = format!("{kind:?} chunk {chunk:?} crash in {phase}, checkpoints {}", ckpt.is_some());
+                let plan = CrashPlan::once(env_seed(), 1, phase, max_ops);
+                let (parts, stats, rec, _) = run(hosts, kind, src.clone(), Some(plan), cfg(chunk, ckpt), None)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_clean(&parts, &stats, &graph, &label);
+                assert_eq!(partition_fingerprint(&parts), fp, "{label}: crash changed the partition");
+                for ((name, a), (_, b)) in clean_stats.iter().zip(stats.iter()) {
+                    assert_eq!(a, b, "{label}: the {name} row differs from the clean run");
+                }
+                fired += rec.expect("armed").crashes;
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    assert!(fired >= 6, "{kind:?}: crash plans fired only {fired} times");
+}
+
+#[test]
+fn two_threads_recover_pure_masters() {
+    two_thread_row(PolicyKind::Cvc);
+}
+
+#[test]
+fn two_threads_recover_fennel_masters() {
+    two_thread_row(PolicyKind::Svc);
+}
+
+#[test]
+fn two_threads_recover_a_stateful_edge_rule() {
+    two_thread_row(PolicyKind::Hdrf);
+}
+
 /// A host that keeps dying exhausts its restart budget and surfaces as a
 /// typed error — mapped into [`PartitionError::HostLost`] — instead of a
 /// hang or a panic.
@@ -334,13 +393,12 @@ fn exhausted_restarts_surface_as_partition_error() {
     assert!(msg.contains("host 0"), "{msg}");
 }
 
-/// A host lost while the survivors' pool workers are draining
-/// construction's records inline — every record its own message, two
-/// workers a host, a streamed slice so the victim dies after its first
-/// chunk while the others still walk — surfaces as `HostLost`, not as a
-/// poisoned cluster and not as a hang. A worker that sees the abort
-/// unwinds with the cluster's silent signal and the pool hands it to the
-/// host thread as it is, so no survivor unwinds with a panic message.
+/// A host lost while the survivors are draining construction's records —
+/// every record its own message, two workers a host, a streamed slice so
+/// the victim dies after its first chunk while the others still walk —
+/// surfaces as `HostLost`, not as a poisoned cluster and not as a hang. A
+/// host thread that sees the abort unwinds with the cluster's silent
+/// signal, so no survivor unwinds with a panic message.
 #[test]
 fn a_host_lost_while_workers_drain_is_host_lost() {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -258,6 +258,14 @@ impl GraphSlice {
         self.weights.as_ref().map(|w| &w[span])
     }
 
+    /// The row offsets of the slice's nodes, `num_nodes() + 1` entries.
+    /// They are positions in the backing CSR, not rebased to the slice:
+    /// only their differences, the row lengths, mean anything.
+    pub fn offsets(&self) -> &[EdgeIdx] {
+        let lo = (self.node_lo - self.csr_node0) as usize;
+        &self.csr.offsets()[lo..=lo + self.num_nodes()]
+    }
+
     /// Global index of the first outgoing edge of global node `v`, for
     /// `v` in `[node_lo, node_hi]`: `first_edge(node_hi)` is one past the
     /// slice's last edge.

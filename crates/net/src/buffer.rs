@@ -54,19 +54,16 @@ impl SendBuffers {
     }
 
     /// Appends one record for `dst`, built by `write`, flushing if the
-    /// buffer crosses the threshold. Returns whether it flushed, so a
-    /// caller that also receives can take its arrivals at the same pace.
-    pub fn record(&mut self, comm: &Comm, dst: HostId, write: impl FnOnce(&mut WireWriter)) -> bool {
+    /// buffer crosses the threshold.
+    pub fn record(&mut self, comm: &Comm, dst: HostId, write: impl FnOnce(&mut WireWriter)) {
         let buf = &mut self.buffers[dst];
         write(buf);
         self.records += 1;
-        let flush = buf.len() >= self.threshold;
-        if flush {
+        if buf.len() >= self.threshold {
             let payload = buf.take();
             buf.reserve(self.retain);
             self.send(comm, dst, payload);
         }
-        flush
     }
 
     fn send(&mut self, comm: &Comm, dst: HostId, payload: Bytes) {
@@ -219,14 +216,16 @@ mod tests {
     }
 
     #[test]
-    fn record_reports_each_flush() {
+    fn a_record_flushes_where_its_buffer_crosses_the_threshold() {
         let out = Cluster::run(2, |comm| {
             if comm.host() == 0 {
                 let mut bufs = SendBuffers::new(2, 100, Tag(6));
-                let flushed = (0..50u64).filter(|&i| bufs.record(comm, 1, |w| w.put_u64(i))).count();
-                assert_eq!(flushed as u64, bufs.flushes());
+                for i in 0..50u64 {
+                    bufs.record(comm, 1, |w| w.put_u64(i));
+                }
+                let flushed = bufs.flushes();
                 bufs.flush_all(comm);
-                flushed as u64
+                flushed
             } else {
                 let mut got = 0u64;
                 while got < 50 {

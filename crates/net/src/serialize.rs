@@ -116,6 +116,16 @@ impl WireWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Empties the writer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Finishes the message, leaving the writer empty (capacity 0) and
     /// reusable. The writer's buffer is not what the message ends up
     /// holding: [`Bytes::from`] copies a `Vec<u8>` into a new `Arc<[u8]>`,

@@ -23,8 +23,8 @@
 //! hosts mid-phase and the supervisor restarts them (heartbeat detection
 //! tunable via `--heartbeat-ms`); `--checkpoint-dir` lets restarted hosts
 //! resume from the last completed phase instead of re-running everything.
-//! Crash runs pin one worker thread per host, so a restarted host re-sends
-//! exactly what it sent before and the recovered partition is
+//! Crash runs keep `--threads`: a restarted host re-sends exactly what it
+//! sent before at any thread count, so the recovered partition is
 //! bit-identical to a crash-free run. A host that exhausts its restart
 //! budget terminates the run with a one-line diagnostic and a non-zero
 //! exit code.
@@ -76,7 +76,7 @@ use cusp::{
     metrics, partition_with_policy, write_partition, CuspConfig, GraphSource, OutputFormat,
     PolicyKind,
 };
-use cusp_graph::{edgelist, read_bgr, write_bgr, GraphProps};
+use cusp_graph::{edgelist, read_bgr, write_bgr, GraphProps, RangeReader};
 use cusp_net::Cluster;
 use cusp_repro::cli;
 use cusp_xtrapulp::{xtrapulp_partition, XpConfig};
@@ -124,7 +124,7 @@ const SYNOPSIS: &str = "  cusp-part gen --kind uniform|webcrawl|kron --nodes N [
                       [--chunk-edges E] [--trace OUT.json]
                       [--crash-seed S] [--heartbeat-ms MS] [--checkpoint-dir DIR]
   cusp-part launch --hosts K --graph G.bgr --policy NAME [--out-dir DIR]
-                   [--sync-rounds N] [--buffer BYTES] [--chunk-edges E] [--csc]
+                   [--sync-rounds N] [--buffer BYTES] [--threads T] [--chunk-edges E] [--csc]
                    [--kill-seed S [--kill-repeat]] [--max-restarts N]
                    [--checkpoint-dir DIR] [--heartbeat-ms MS]
   cusp-part worker --host-id H --hosts K --graph G.bgr --policy NAME --nonce N --out-dir DIR
@@ -451,12 +451,9 @@ fn cmd_partition(flags: &HashMap<String, String>) {
     let policy_name = required(flags, "policy").to_ascii_uppercase();
     let hosts = hosts_flag(flags);
     let crash_seed: Option<u64> = num_flag(flags, "crash-seed");
-    let mut cfg = cusp_cfg_from_flags(flags);
-    if crash_seed.is_some() {
-        // Recovery replays re-executed sends and dedupes them by sequence
-        // number, which requires the same sends on re-execution.
-        cfg = cusp::deterministic_for_comparison(cfg);
-    }
+    let cfg = cusp_cfg_from_flags(flags);
+    // A missing or cut input is one line here, not a panic in every host.
+    or_exit(RangeReader::open(&graph_path), &graph_path);
 
     let trace_path = flags.get("trace").map(PathBuf::from);
     let mut recovery = cusp_net::RecoveryOptions::default();

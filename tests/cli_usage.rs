@@ -131,6 +131,37 @@ fn an_unreadable_file_is_one_line_and_exit_1() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `.bgr` cut short, or not there at all, is refused before any host or
+/// worker starts: `partition` and `launch` each print the reader's one
+/// error and exit 1, with no backtrace from inside the pipeline.
+#[test]
+fn a_cut_or_missing_graph_is_refused_before_any_host_starts() {
+    let dir = std::env::temp_dir().join(format!("cusp-cli-input-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_owned();
+    let (graph, cut, missing, out_dir) = (path("g.bgr"), path("cut.bgr"), path("missing.bgr"), path("parts"));
+    let gen = cusp_part(&["gen", "--kind", "webcrawl", "--nodes", "2000", "--degree", "8", "--out", &graph]);
+    assert!(gen.status.success(), "gen: {}", String::from_utf8_lossy(&gen.stderr));
+    let bytes = std::fs::read(&graph).expect("the generated graph");
+    std::fs::write(&cut, &bytes[..bytes.len() - 4]).expect("write the cut graph");
+
+    for cmd in ["partition", "launch"] {
+        for (input, reason) in [(&cut, "but the file is"), (&missing, "No such file")] {
+            let args = [cmd, "--graph", input, "--policy", "CVC", "--hosts", "2", "--out-dir", &out_dir];
+            let out = cusp_part(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?} exits 1\n{stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?} must not panic\n{stderr}");
+            assert!(stderr.contains(reason) && stderr.contains(input.as_str()), "{args:?}: says why\n{stderr}");
+            if input == &cut {
+                assert!(stderr.contains("header claims"), "{args:?}: the reader's message\n{stderr}");
+            }
+            assert_eq!(stderr.lines().count(), 1, "{args:?}: one line\n{stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `cusp-part … | head -1`: a reader that closes the pipe early silences
 /// the output and nothing else. The command still writes and checks its
 /// files and exits with its own status (0 here), with nothing on stderr

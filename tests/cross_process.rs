@@ -3,7 +3,7 @@
 //! a typed report; each cell composes the oracle with it and asserts on
 //! fields — per-pair byte/message conservation joined *across* processes,
 //! and every host's `part_fingerprint` bit-identical to the crash-free
-//! in-process simulator's under the determinism contract. Only the two
+//! in-process simulator's at the same threads per host. Only the two
 //! cells that pin the CLI's contract (a one-line diagnostic on stderr, a
 //! non-zero exit, no MATCH) drive `cusp-part launch` and read its output.
 //!
@@ -226,6 +226,31 @@ fn eec_4_hosts_recovers_from_wedge_at_construct() {
     launch_kill("EEC", 4, 2, false, (3, KillMode::Wedge, "construct"));
 }
 
+// Two threads per worker, set here rather than left to the default: a
+// respawned victim re-sends the messages its first incarnation sent at any
+// thread count, and the simulator twin runs at the same two threads.
+
+#[test]
+fn svc_4_hosts_recovers_from_wedge_at_construct_at_two_threads() {
+    let mut spec = spec("SVC", 4, "kill2-2threads");
+    spec.run.cfg.threads_per_host = 2;
+    spec.kill = Some((2, false));
+    let report = launch_ok(&spec);
+    let decided = KillDecision { victim: 3, phase: "construct", mode: KillMode::Wedge };
+    assert_eq!((report.kill, report.kills), (Some(decided), 1), "{report:?}");
+}
+
+#[test]
+fn cvc_4_hosts_recovers_from_sigkill_at_construct_at_two_threads_with_checkpoints() {
+    let mut spec = spec("CVC", 4, "kill26-2threads");
+    spec.run.cfg.threads_per_host = 2;
+    spec.run.cfg.checkpoint_dir = Some(scratch("killck-2threads"));
+    spec.kill = Some((26, false));
+    let report = launch_ok(&spec);
+    let decided = KillDecision { victim: 2, phase: "construct", mode: KillMode::Kill };
+    assert_eq!((report.kill, report.kills), (Some(decided), 1), "{report:?}");
+}
+
 #[test]
 fn same_kill_seed_replays_the_same_decisions() {
     // The plan is a pure hash of (seed, hosts): two runs with the same
@@ -277,8 +302,8 @@ fn exhausted_restart_budget_is_a_diagnosed_failure_not_a_hang() {
 
 #[test]
 fn launch_surfaces_worker_failure_as_nonzero_exit() {
-    // Workers that cannot even read the input die before meshing; the
-    // launcher must report the failure and exit non-zero rather than
+    // An input no worker could read is refused before any worker starts;
+    // the launcher must report the failure and exit non-zero rather than
     // printing a bogus MATCH or hanging on half a mesh.
     let _budget = fleet_budget();
     let output = Command::new(env!("CARGO_BIN_EXE_cusp-part"))
@@ -316,13 +341,22 @@ fn exhausted_restart_budget_is_host_lost() {
 
 #[test]
 fn worker_that_cannot_start_is_worker_failed_with_its_stderr() {
+    // A worker program that says why on stderr and exits before it
+    // listens.
+    let dir = scratch("fail-worker");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let script = dir.join("worker.sh");
+    std::fs::write(&script, "#!/bin/sh\necho 'cannot start' >&2\nexit 3\n").expect("write worker");
+    use std::os::unix::fs::PermissionsExt;
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+
     let mut spec = spec("CVC", 2, "fail-typed");
-    spec.run.graph = PathBuf::from("/nonexistent/definitely-missing.bgr");
+    spec.worker = script;
     let _budget = fleet_budget();
     match launch_processes(&spec, &mut std::io::sink()) {
         Err(LaunchError::WorkerFailed { status, stderr_tail, .. }) => {
             assert!(!status.success());
-            assert!(!stderr_tail.is_empty(), "the worker's panic message is in its stderr");
+            assert!(stderr_tail.contains("cannot start"), "the worker's last words: {stderr_tail}");
         }
         other => panic!("wanted WorkerFailed, got {other:?}"),
     }
