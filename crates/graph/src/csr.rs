@@ -48,6 +48,11 @@ impl Csr {
         Csr { offsets, dests }
     }
 
+    /// The raw parts [`Csr::from_parts`] takes, moved out without a copy.
+    pub fn into_parts(self) -> (Vec<EdgeIdx>, Vec<Node>) {
+        (self.offsets, self.dests)
+    }
+
     /// Builds a CSR with `n` nodes from an unsorted edge list, using a
     /// counting sort over sources (stable: parallel edges preserved in
     /// input order).

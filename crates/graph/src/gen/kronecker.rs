@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::csr::Csr;
 use crate::Node;
@@ -57,28 +57,18 @@ pub fn kronecker(cfg: KroneckerConfig) -> Csr {
     let m = n as u64 * cfg.edge_factor as u64;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    // Noise the quadrant probabilities per level (the standard "smooth
-    // kronecker" trick Graph500 uses to avoid exact self-similarity).
+    // Per level: the source bit when a draw exceeds a + b, then the destination
+    // bit when the next exceeds a/(a + b), or c/(c + d) below a set source bit.
+    let src_at = least_above(cfg.a + cfg.b);
+    let dst_at = [cfg.a / (cfg.a + cfg.b), cfg.c / (cfg.c + d)].map(least_above);
     let mut edges: Vec<(Node, Node)> = Vec::with_capacity(m as usize);
-    let ab = cfg.a + cfg.b;
-    let c_norm = cfg.c / (cfg.c + d);
-    let a_norm = cfg.a / ab;
     for _ in 0..m {
-        let mut src = 0u64;
-        let mut dst = 0u64;
+        let (mut src, mut dst) = (0u64, 0u64);
         for level in 0..cfg.scale {
-            let bit = 1u64 << level;
-            let r: f64 = rng.random();
-            let src_bit = r > ab;
-            let r2: f64 = rng.random();
-            let dst_threshold = if src_bit { c_norm } else { a_norm };
-            let dst_bit = r2 > dst_threshold;
-            if src_bit {
-                src |= bit;
-            }
-            if dst_bit {
-                dst |= bit;
-            }
+            let src_bit = rng.next_u64() >> 11 >= src_at;
+            let dst_bit = rng.next_u64() >> 11 >= dst_at[src_bit as usize];
+            src |= (src_bit as u64) << level;
+            dst |= (dst_bit as u64) << level;
         }
         edges.push((src as Node, dst as Node));
     }
@@ -93,6 +83,19 @@ pub fn kronecker(cfg: KroneckerConfig) -> Csr {
     }
 
     Csr::from_edges(n, &edges)
+}
+
+/// The least `y` in `0..=2⁵³` with `y·2⁻⁵³ > p`, so `x >> 11 >= least_above(p)`
+/// is the vendored `rand`'s `random::<f64>() > p`, `(x >> 11) as f64 · 2⁻⁵³ > p`.
+/// That product and `q = p·2⁵³` are exact (power-of-two scalings), so for an
+/// integer `y`, `y > q ⇔ y ≥ ⌊q⌋ + 1`; for `p < 0` the cast saturates it to 0,
+/// and a `p ≥ 1` or NaN (`c = d = 0` makes one) is exceeded by no draw.
+fn least_above(p: f64) -> u64 {
+    if p < 1.0 {
+        ((p * (1u64 << 53) as f64).floor() + 1.0) as u64
+    } else {
+        1 << 53
+    }
 }
 
 #[cfg(test)]
@@ -147,11 +150,45 @@ mod tests {
             permute: true,
             ..base
         };
-        let g1 = kronecker(base);
-        let g2 = kronecker(permuted);
-        // Same edge count, same (sorted) degree sequence magnitude-wise is
-        // NOT guaranteed (permutation consumes RNG state after edges are
-        // drawn from the same stream), but edge counts must match.
-        assert_eq!(g1.num_edges(), g2.num_edges());
+        // The permutation draws from the stream only after every edge, so
+        // both runs draw the same edges and the permuted graph is the
+        // unpermuted one relabelled: equal sorted degree sequences.
+        let sorted_degrees = |g: &Csr| {
+            let mut d: Vec<u64> = (0..g.num_nodes() as Node)
+                .map(|v| g.out_degree(v))
+                .collect();
+            d.sort_unstable();
+            d
+        };
+        let (g1, g2) = (kronecker(base), kronecker(permuted));
+        assert_ne!(g1, g2);
+        assert_eq!(sorted_degrees(&g1), sorted_degrees(&g2));
+        assert_eq!(
+            sorted_degrees(&g1.transpose()),
+            sorted_degrees(&g2.transpose())
+        );
+    }
+
+    #[test]
+    fn integer_thresholds_decide_as_the_float_draw() {
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let ps = [0.0, 0.25, 0.76, 1.0 - unit, 1.0, 1.5, -0.1, f64::NAN];
+        let mut rng = StdRng::seed_from_u64(3);
+        for p in ps {
+            let t = least_above(p);
+            let mut ys = vec![0, 1, (1 << 53) - 1, (1 << 53) - 2];
+            if (0.0..1.0).contains(&p) {
+                let q = (p / unit) as u64;
+                ys.extend(
+                    [q.saturating_sub(1), q, q + 1]
+                        .into_iter()
+                        .filter(|&y| y < 1 << 53),
+                );
+            }
+            ys.extend((0..10_000).map(|_| rng.next_u64() >> 11));
+            for y in ys {
+                assert_eq!(y >= t, y as f64 * unit > p, "p = {p}, y = {y}");
+            }
+        }
     }
 }

@@ -9,15 +9,15 @@
 //! * out-degrees are drawn from a truncated Pareto with mean matched to the
 //!   requested density (plus a fraction of dangling, zero-out-degree
 //!   pages);
-//! * destinations are chosen preferentially (an existing edge endpoint with
-//!   probability `pref_prob`, else a uniform vertex), producing a heavy
-//!   in-degree power law.
+//! * an edge takes, with probability `pref_prob`, the destination of a
+//!   uniformly chosen earlier edge (the first edge has none), else a
+//!   uniform vertex, producing a heavy in-degree power law.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::csr::Csr;
-use crate::Node;
+use crate::{EdgeIdx, Node};
 
 /// Parameters for the power-law generator.
 #[derive(Clone, Copy, Debug)]
@@ -58,9 +58,6 @@ pub fn powerlaw(cfg: PowerLawConfig) -> Csr {
     assert!(cfg.alpha > 1.0, "alpha must exceed 1 for a finite mean");
     assert!(cfg.nodes < u32::MAX as usize, "too many nodes for u32 ids");
     let n = cfg.nodes;
-    if n == 0 {
-        return Csr::from_edges(0, &[]);
-    }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Pareto minimum x_m chosen so E[out] ≈ avg_out_degree after accounting
@@ -69,31 +66,31 @@ pub fn powerlaw(cfg: PowerLawConfig) -> Csr {
     let x_m = (cfg.avg_out_degree / live_frac) * (cfg.alpha - 1.0) / cfg.alpha;
     let x_m = x_m.max(1.0);
 
+    // Rows come in source order, and the destinations so far are the pool.
     let expected_edges = (n as f64 * cfg.avg_out_degree) as usize;
-    let mut edges: Vec<(Node, Node)> = Vec::with_capacity(expected_edges + n);
-    // Endpoint pool for preferential selection; pre-seed with every vertex
-    // once so early vertices don't monopolize and isolated targets exist.
-    let mut pool: Vec<Node> = Vec::with_capacity(expected_edges + n);
-
-    for v in 0..n as Node {
-        if rng.random::<f64>() < cfg.dangling_frac {
-            continue;
-        }
-        let u: f64 = rng.random::<f64>().max(1e-12);
-        let draw = x_m / u.powf(1.0 / cfg.alpha);
-        let d_out = (draw as u32).clamp(1, cfg.max_out);
+    let mut offsets: Vec<EdgeIdx> = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut dests: Vec<Node> = Vec::with_capacity(expected_edges + n);
+    for _ in 0..n {
+        let d_out = if rng.random::<f64>() < cfg.dangling_frac {
+            0
+        } else {
+            let u: f64 = rng.random::<f64>().max(1e-12);
+            ((x_m / u.powf(1.0 / cfg.alpha)) as u32).clamp(1, cfg.max_out)
+        };
         for _ in 0..d_out {
-            let dst = if !pool.is_empty() && rng.random::<f64>() < cfg.pref_prob {
-                pool[rng.random_range(0..pool.len())]
+            let e = dests.len();
+            let dst = if e > 0 && rng.random::<f64>() < cfg.pref_prob {
+                dests[rng.random_range(0..e)]
             } else {
                 rng.random_range(0..n as Node)
             };
-            edges.push((v, dst));
-            pool.push(dst);
+            dests.push(dst);
         }
+        offsets.push(dests.len() as EdgeIdx);
     }
-
-    Csr::from_edges(n, &edges)
+    dests.shrink_to_fit();
+    Csr { offsets, dests }
 }
 
 #[cfg(test)]

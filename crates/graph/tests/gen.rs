@@ -1,6 +1,8 @@
 //! Structural invariants of the synthetic graph generators: consistent
-//! degree sums, in-range vertex ids, and same-seed determinism.
+//! degree sums, in-range vertex ids, same-seed determinism, and each
+//! generator's pinned stream.
 
+use cusp_graph::gen::generate;
 use cusp_graph::gen::kronecker::{kronecker, KroneckerConfig};
 use cusp_graph::gen::powerlaw::{powerlaw, PowerLawConfig};
 use cusp_graph::gen::uniform::erdos_renyi;
@@ -75,4 +77,85 @@ fn seeds_are_deterministic_and_effective() {
             "{name}: different seeds produced identical graphs"
         );
     }
+}
+
+/// The CRC-32 of a graph's offsets (u64 LE) followed by its destinations
+/// (u32 LE).
+fn stream_crc(g: &Csr) -> u32 {
+    let offsets = g.offsets().iter().flat_map(|o| o.to_le_bytes());
+    let dests = g.dests().iter().flat_map(|d| d.to_le_bytes());
+    cusp_graph::wire::crc32(&offsets.chain(dests).collect::<Vec<u8>>())
+}
+
+/// Every generator's stream is pinned: each point's graph hashes to the
+/// value it had when the streams were fixed. A generator may get faster,
+/// never different — a different stream is a different input to every
+/// benchmark and exhibit.
+#[test]
+fn generator_streams_are_pinned() {
+    // (kind, nodes, degree, seed, CRC-32 of offsets ++ dests)
+    let points: [(&str, usize, f64, u64, u32); 20] = [
+        ("uniform", 20_000, 8.0, 1, 0x6161_873c),
+        ("uniform", 20_000, 8.0, 7, 0x75c7_6894),
+        ("uniform", 20_000, 8.0, 42, 0xe145_49b7),
+        ("uniform", 1, 3.0, 5, 0x2fd9_3a23),
+        ("uniform", 2, 3.0, 5, 0xffed_5a91),
+        ("webcrawl", 10_000, 12.0, 1, 0xe213_ed77),
+        ("webcrawl", 10_000, 12.0, 7, 0x270d_8a1f),
+        ("webcrawl", 10_000, 12.0, 42, 0x6513_71cd),
+        ("webcrawl", 1, 3.0, 5, 0x2461_ef43),
+        ("webcrawl", 2, 3.0, 5, 0x0093_c99e),
+        // Seed 160's first three vertices dangle: the first edge has no
+        // earlier edge to pick from.
+        ("webcrawl", 50, 4.0, 160, 0xc24b_617d),
+        ("kron", 8192, 16.0, 1, 0x02ba_b532),
+        ("kron", 8192, 16.0, 7, 0x9ef2_341b),
+        ("kron", 8192, 16.0, 42, 0x6652_02ef),
+        ("kron", 5000, 16.5, 3, 0xfff8_4cdd),
+        // Scale 0 (one node, every edge a self-loop) and scale 1.
+        ("kron", 1, 16.0, 5, 0x6e38_0628),
+        ("kron", 2, 3.0, 5, 0x1f50_808e),
+        ("kron", 3, 3.0, 6, 0x4951_0c3f),
+        // No nodes: one zero offset and nothing drawn.
+        ("uniform", 0, 3.0, 5, 0x6522_df69),
+        ("webcrawl", 0, 3.0, 5, 0x6522_df69),
+    ];
+    let mut wrong = Vec::new();
+    for (kind, nodes, degree, seed, crc) in points {
+        let g = generate(kind, nodes, degree, seed).unwrap();
+        if kind == "webcrawl" && seed == 160 {
+            assert!(
+                (0..3).all(|v| g.out_degree(v) == 0),
+                "the first vertices must dangle"
+            );
+        }
+        let got = stream_crc(&g);
+        if got != crc {
+            let point = format!("({kind:?}, {nodes}, {degree:?}, {seed}, {got:#010x})");
+            wrong.push(format!("{point} != {crc:#010x}"));
+        }
+    }
+    // c = d = 0 makes c / (c + d) NaN: a comparison that never holds.
+    let quadrants = |a, b, c, seed| KroneckerConfig {
+        a,
+        b,
+        c,
+        ..KroneckerConfig::graph500(12, 16, seed)
+    };
+    let unpermuted = KroneckerConfig {
+        permute: false,
+        ..KroneckerConfig::graph500(12, 16, 3)
+    };
+    let configs = [
+        (quadrants(0.5, 0.5, 0.0, 3), 0x155f_864c),
+        (unpermuted, 0xe59c_b500),
+        (quadrants(0.25, 0.25, 0.25, 4), 0xf2e5_b886),
+    ];
+    for (cfg, crc) in configs {
+        let got = stream_crc(&kronecker(cfg));
+        if got != crc {
+            wrong.push(format!("{cfg:?}: {got:#010x} != {crc:#010x}"));
+        }
+    }
+    assert!(wrong.is_empty(), "streams changed:\n{}", wrong.join("\n"));
 }

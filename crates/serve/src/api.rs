@@ -204,11 +204,12 @@ fn gen(a: &Args) -> Result<Request, String> {
     let seed = num(a, "seed", 42)?;
     let kind = arg(a, "kind").unwrap_or("uniform");
     let graph = cusp_graph::gen::generate(kind, nodes, degree as f64, seed)?;
+    let (offsets, dests) = graph.into_parts();
     Ok(Request::UploadGraph {
         tenant: text(a, "tenant")?,
         name: text(a, "name")?,
-        offsets: graph.offsets().to_vec(),
-        dests: graph.dests().to_vec(),
+        offsets,
+        dests,
         weights: None,
     })
 }
@@ -339,6 +340,24 @@ mod tests {
         assert!(gen_size(1 << 24, u64::MAX).is_err());
         // The cap itself is accepted.
         assert!(gen_size(1 << 20, MAX_GEN_EDGES >> 20).is_ok());
+    }
+
+    #[test]
+    fn gen_uploads_the_generated_graph() {
+        let gen = VERBS.iter().find(|v| v.name == "gen").unwrap();
+        for kind in cusp_graph::gen::KINDS {
+            let args = [("tenant", "t"), ("name", "g"), ("kind", kind)];
+            let graph = cusp_graph::gen::generate(kind, 1024, 8.0, 42).unwrap();
+            let (offsets, dests) = graph.into_parts();
+            let upload = Request::UploadGraph {
+                tenant: "t".into(),
+                name: "g".into(),
+                offsets,
+                dests,
+                weights: None,
+            };
+            assert_eq!(gen.request(&args), Ok(upload), "{kind}");
+        }
     }
 
     #[test]
