@@ -396,7 +396,7 @@ fn exhausted_restarts_surface_as_partition_error() {
 /// A host lost while the survivors are draining construction's records —
 /// every record its own message, two workers a host, a streamed slice so
 /// the victim dies after its first chunk while the others still walk —
-/// surfaces as `HostLost`, not as a poisoned cluster and not as a hang. A
+/// surfaces as `HostLost`, not as a survivor's panic and not as a hang. A
 /// host thread that sees the abort unwinds with the cluster's silent
 /// signal, so no survivor unwinds with a panic message.
 #[test]
@@ -434,9 +434,9 @@ fn a_host_lost_while_workers_drain_is_host_lost() {
     let took = started.elapsed();
     assert_eq!(lost, ClusterError::HostLost { host: victim, restarts: 0 });
     assert_eq!(panicked.load(Ordering::Relaxed), 0, "a survivor unwound with a panic");
-    // The crashed host's staleness and one 50 ms poll of the survivors'
-    // blocked receives, after an unoptimised build on a loaded machine
-    // has partitioned up to construction: well inside 20 s.
+    // The crashed host's detection wait and one 50 ms poll of the
+    // survivors' blocked receives, after an unoptimised build on a loaded
+    // machine has partitioned up to construction: well inside 20 s.
     assert!(took < Duration::from_secs(20), "lost after {took:?}");
 }
 

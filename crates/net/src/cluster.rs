@@ -8,9 +8,8 @@
 //! `recv` flavours pop from it through a **resequencer**: envelopes are
 //! reordered back into sequence order per `(src, tag)` and duplicates are
 //! discarded, so the application always observes per-(src, dst, tag) FIFO
-//! delivery — even when a seeded [`FaultPlan`] delays, reorders,
-//! duplicates, or drops-and-retries messages underneath (see
-//! [`crate::fault`]).
+//! delivery — even when a seeded [`FaultPlan`] delays, reorders or
+//! duplicates messages underneath (see [`crate::fault`]).
 //!
 //! Receive-side accounting mirrors send-side accounting: when the
 //! resequencer hands a message to the application it is recorded against
@@ -20,20 +19,24 @@
 //!
 //! ## Panic containment
 //!
-//! If any host panics, all blocked peers must not hang. The fabric keeps a
-//! poison flag; blocking operations (`recv*`, `barrier`) poll it with a
-//! timeout and panic with a descriptive message once poisoned, unwinding the
-//! whole cluster. [`Cluster::run`] then propagates the original panic.
+//! If any host panics, all blocked peers must not hang. The fabric keeps
+//! one abort cell, set once with the reason the run is going down: a host
+//! panicked, or host `h` is lost. Blocking operations (`recv*`, `barrier`)
+//! poll it with a timeout and, once it is set, unwind silently with
+//! `LostSignal`, so the failing host's own panic is the only one that
+//! reaches the launcher. [`Cluster::run`] then propagates it.
 //!
 //! ## Host-crash recovery
 //!
 //! A seeded [`CrashPlan`] in [`ClusterOptions::crash`] arms a recovery
-//! layer. Planned crashes unwind the victim's thread silently; the launcher
-//! drives the one [`crate::recovery::Supervisor`]: it reports a death found
-//! by heartbeat staleness, and on `Spawn` tears the host down (in-flight
-//! messages become *counted* losses), re-delivers everything peers ever
-//! sent it from the fabric's one send log (`replay.rs`, which TCP rejoin
-//! reads too) and respawns the thread. The respawn re-executes from scratch
+//! layer. Planned crashes unwind the victim's thread silently, and the
+//! unwound thread waits out [`RecoveryOptions::heartbeat_timeout`] before it
+//! reports its exit, so sends already in flight toward it land first. The
+//! launcher drives the one [`crate::recovery::Supervisor`]: it reports the
+//! death, and on `Spawn` tears the host down (in-flight messages become
+//! *counted* losses), re-delivers everything peers ever sent it from the
+//! fabric's one send log (`replay.rs`, which TCP rejoin reads too) and
+//! respawns the thread. The respawn re-executes from scratch
 //! or from a phase checkpoint ([`Comm::restore_net`]); sequence numbers
 //! dedupe what peers already consumed, and high-water marks account the
 //! re-execution in [`CommStats::replayed_bytes`], not the phase matrices.
@@ -41,11 +44,11 @@
 //! [`ClusterError::HostLost`]; blocked survivors are unwound, never hung.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::fault::{fnv1a, CrashPlan, FaultPlan, FaultReport, FaultStats};
+use crate::fault::{fnv1a, CrashPlan, FaultPlan, FaultReport, FaultStats, REORDER_WINDOW};
 use crate::recovery::{
     Action, ClusterError, CrashSignal, Event, Exit, LostSignal, NetCheckpoint, RecoveryOptions,
     RecoveryReport, Supervisor,
@@ -69,8 +72,8 @@ pub struct Tag(pub u8);
 /// Number of distinct tags supported by the fabric.
 pub const MAX_TAGS: usize = 32;
 
-/// How often blocked operations re-check the poison flag.
-const POISON_POLL: Duration = Duration::from_millis(50);
+/// How often blocked operations re-check the abort cell.
+const ABORT_POLL: Duration = Duration::from_millis(50);
 
 /// One in-flight message: transport metadata plus the payload.
 #[derive(Clone)]
@@ -125,7 +128,7 @@ impl Mailbox {
     }
 }
 
-/// A poison-aware reusable barrier that counts per-host arrivals
+/// An abort-aware reusable barrier that counts per-host arrivals
 /// **monotonically**: `wait(host, n)` announces the host's `n`-th arrival
 /// and blocks until every host has arrived at least `n` times. A restarted
 /// host re-executing completed phases therefore "re-arrives" at barriers
@@ -177,7 +180,7 @@ impl FabricBarrier {
         let mut guard = self.state.lock().unpoisoned();
         Self::announce_locked(&mut guard, host, n, &self.cv);
         while guard.done < n {
-            guard = self.cv.wait_timeout(guard, POISON_POLL).unpoisoned().0;
+            guard = self.cv.wait_timeout(guard, ABORT_POLL).unpoisoned().0;
             if aborted() {
                 return false;
             }
@@ -193,8 +196,8 @@ impl FabricBarrier {
         self.state.lock().unpoisoned().arrived[host]
     }
 
-    /// Wakes all current waiters (used when poisoning or declaring a host
-    /// lost, so they observe the abort condition).
+    /// Wakes all current waiters (used when the abort cell is set, so they
+    /// observe it).
     pub(crate) fn wake_all(&self) {
         let _guard = self.state.lock().unpoisoned();
         self.cv.notify_all();
@@ -211,13 +214,11 @@ struct FaultLayer {
 
 /// The crash/restart machinery attached to a fabric when a [`CrashPlan`]
 /// is armed, indexed so a host can die and come back without any peer's
-/// cooperation: heartbeats for detection, and per-channel receive-side
-/// high-water marks that recognize a restarted host's re-consumption.
+/// cooperation: per-channel receive-side high-water marks that recognize a
+/// restarted host's re-consumption.
 struct RecoveryLayer {
     plan: CrashPlan,
     opts: RecoveryOptions,
-    /// Milliseconds since `start` of each host's last sign of life.
-    beats: Vec<AtomicU64>,
     /// Crash sites `(host, fnv1a(phase))` that already fired, so a
     /// one-shot plan does not re-kill the respawned incarnation when it
     /// re-executes the same phase.
@@ -231,12 +232,9 @@ struct RecoveryLayer {
     /// between the send log and this floor at death is exactly the set of
     /// in-flight messages a teardown loses (and replay repairs).
     consumed_hw: Vec<AtomicU64>,
-    /// Set once a host exhausts its restart budget; aborts the run.
-    lost: AtomicBool,
     crashes: AtomicU64,
     restarts: AtomicU64,
     lost_in_teardown: AtomicU64,
-    start: Instant,
 }
 
 impl RecoveryLayer {
@@ -244,28 +242,13 @@ impl RecoveryLayer {
         RecoveryLayer {
             plan,
             opts,
-            beats: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
             fired: Mutex::new(HashSet::new()),
             recv_hw: (0..hosts * hosts * MAX_TAGS).map(|_| AtomicU64::new(0)).collect(),
             consumed_hw: (0..hosts * hosts * MAX_TAGS).map(|_| AtomicU64::new(0)).collect(),
-            lost: AtomicBool::new(false),
             crashes: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             lost_in_teardown: AtomicU64::new(0),
-            start: Instant::now(),
         }
-    }
-
-    /// Marks `host` alive now.
-    fn beat(&self, host: usize) {
-        self.beats[host].store(self.start.elapsed().as_millis() as u64, Ordering::Relaxed);
-    }
-
-    /// How long until `host`'s last heartbeat is older than the timeout;
-    /// zero once it is.
-    fn stale_in(&self, host: usize) -> Duration {
-        let beat = Duration::from_millis(self.beats[host].load(Ordering::Relaxed));
-        (beat + self.opts.heartbeat_timeout).saturating_sub(self.start.elapsed())
     }
 
     fn report(&self) -> RecoveryReport {
@@ -275,6 +258,17 @@ impl RecoveryLayer {
             lost_in_teardown: self.lost_in_teardown.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Why the run is going down: the one value of [`Fabric`]'s abort cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Abort {
+    /// A host panicked; its own payload is what the caller sees.
+    Panicked,
+    /// Host `h` is lost: past its restart budget in the simulator, or
+    /// declared dead by a real transport (EOF without FIN, torn frame,
+    /// heartbeat silence).
+    Lost(HostId),
 }
 
 /// Shared state between all host threads.
@@ -293,11 +287,8 @@ pub(crate) struct Fabric {
     /// number for that channel.
     seqs: Vec<AtomicU64>,
     pub(crate) barrier: FabricBarrier,
-    poisoned: AtomicBool,
-    /// First remote host declared dead by the transport. Only a real
-    /// transport ever sets this; the in-process simulator expresses host
-    /// loss through the recovery layer instead.
-    remote_lost: OnceLock<HostId>,
+    /// Set once, by the first host or transport to see the run end.
+    abort: OnceLock<Abort>,
     fault: Option<FaultLayer>,
     recovery: Option<RecoveryLayer>,
     pub(crate) stats: StatsCollector,
@@ -316,8 +307,7 @@ impl Fabric {
             log: SendLog::new(hosts, opts.crash.is_some() || rejoin),
             seqs: (0..hosts * hosts * MAX_TAGS).map(|_| AtomicU64::new(0)).collect(),
             barrier: FabricBarrier::new(hosts),
-            poisoned: AtomicBool::new(false),
-            remote_lost: OnceLock::new(),
+            abort: OnceLock::new(),
             fault: opts.fault.map(|plan| FaultLayer {
                 plan,
                 stats: FaultStats::default(),
@@ -339,46 +329,33 @@ impl Fabric {
         base..base + self.hosts * MAX_TAGS
     }
 
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
+    /// Ends the run for `why` and wakes every blocked operation, so each
+    /// host unwinds instead of hanging. The first caller wins; a later
+    /// reason (a survivor's view of the same collapse) is dropped.
+    pub(crate) fn abort(&self, why: Abort) {
+        let _ = self.abort.set(why);
         self.barrier.wake_all();
     }
 
-    /// Whether blocked operations should give up (peer panic or host lost).
+    /// Whether blocked operations should give up.
     pub(crate) fn should_abort(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-            || self.remote_lost.get().is_some()
-            || self.recovery.as_ref().is_some_and(|r| r.lost.load(Ordering::Acquire))
+        self.abort.get().is_some()
     }
 
-    /// Unwinds the calling host when the run is going down: a peer panic
-    /// propagates as a descriptive panic, a lost host as a silent
-    /// [`LostSignal`] (the diagnosis is [`ClusterError::HostLost`]).
+    /// The host the run was lost to, if that is why it ended.
+    fn lost_host(&self) -> Option<HostId> {
+        match self.abort.get()? {
+            Abort::Lost(host) => Some(*host),
+            Abort::Panicked => None,
+        }
+    }
+
+    /// Unwinds the calling host with the silent [`LostSignal`] once the run
+    /// is going down: the diagnosis is the failing host's own panic or
+    /// [`ClusterError::HostLost`], never a survivor's.
     fn check_abort(&self) {
-        if !self.should_abort() {
-            return;
-        }
-        if self.poisoned.load(Ordering::Acquire) {
-            panic!("cluster poisoned: a peer host panicked");
-        }
-        std::panic::resume_unwind(Box::new(LostSignal));
-    }
-
-    /// Declares remote host `peer` dead (transport-level detection: EOF
-    /// without FIN, torn frame, heartbeat silence) and wakes every blocked
-    /// operation so the host unwinds with a typed [`ClusterError::HostLost`]
-    /// instead of hanging. First caller wins; later detections of the same
-    /// collapse are redundant.
-    pub(crate) fn mark_remote_lost(&self, peer: HostId) {
-        let _ = self.remote_lost.set(peer);
-        self.barrier.wake_all();
-    }
-
-    /// Declares a host unrecoverable and wakes everyone to notice.
-    fn abort_lost(&self) {
-        if let Some(rec) = &self.recovery {
-            rec.lost.store(true, Ordering::Release);
-            self.barrier.wake_all();
+        if self.should_abort() {
+            std::panic::resume_unwind(Box::new(LostSignal));
         }
     }
 
@@ -409,18 +386,6 @@ impl Fabric {
             return;
         };
         let d = layer.plan.decide(env.src, dst, tag.0, env.seq);
-        if d.failed_attempts > 0 {
-            // Dropped attempts are repaired by bounded retransmission at the
-            // send site; delivery is guaranteed by the final attempt. (If the
-            // receiver dies before consuming it, the recovery teardown
-            // counts the loss and the send log re-delivers — see
-            // `prepare_restart` — so it can never surface as an
-            // `unconserved_pairs` false positive.)
-            layer
-                .stats
-                .dropped_attempts
-                .fetch_add(d.failed_attempts as u64, Ordering::Relaxed);
-        }
         if d.duplicate {
             layer.stats.duplicated.fetch_add(1, Ordering::Relaxed);
             self.deliver(dst, tag, env.clone());
@@ -429,7 +394,7 @@ impl Fabric {
             layer.stats.delayed.fetch_add(1, Ordering::Relaxed);
             let mut q = layer.holdback[dst].lock().unpoisoned();
             q.push((tag, env));
-            if q.len() > layer.plan.reorder_window {
+            if q.len() > REORDER_WINDOW {
                 drop(q);
                 self.flush_holdback(dst);
             }
@@ -613,20 +578,11 @@ impl Comm {
         self.note_op();
     }
 
-    /// Marks this host alive (piggybacked heartbeat).
-    #[inline]
-    fn heartbeat(&self) {
-        if let Some(rec) = &self.fabric.recovery {
-            rec.beat(self.host);
-        }
-    }
-
     /// Counts one communication op and fires the armed crash once the
-    /// threshold is crossed. Only the host's main thread counts (and dies);
-    /// pool workers merely heartbeat. Called with no locks held.
+    /// threshold is crossed. Only the host's main thread counts (and dies).
+    /// Called with no locks held.
     fn note_op(&self) {
         let Some(rec) = &self.fabric.recovery else { return };
-        rec.beat(self.host);
         if std::thread::current().id() != self.main_thread {
             return;
         }
@@ -637,8 +593,9 @@ impl Comm {
             rec.crashes.fetch_add(1, Ordering::Relaxed);
             cusp_obs::instant("host_crash", op);
             // A planned death is not a bug: unwind without the panic hook's
-            // stderr report. The launcher recognizes the payload.
-            std::panic::resume_unwind(Box::new(CrashSignal));
+            // stderr report. The launcher recognizes the payload and times
+            // the detection wait from the instant it carries.
+            std::panic::resume_unwind(Box::new(CrashSignal(Instant::now())));
         }
     }
 
@@ -647,8 +604,8 @@ impl Comm {
     /// Self-sends are allowed (delivered through the same mailbox) but are
     /// *not* counted as network traffic, matching how a real host would keep
     /// local data local. Sends are accounted exactly once, at the
-    /// application level — fault-layer duplicates and retransmissions do
-    /// not inflate [`CommStats`], and a restarted host's re-execution of
+    /// application level — fault-layer duplicates do not inflate
+    /// [`CommStats`], and a restarted host's re-execution of
     /// pre-crash sends is accounted as [`CommStats::replayed_bytes`].
     pub fn send_bytes(&self, dst: HostId, tag: Tag, payload: Bytes) {
         assert!((tag.0 as usize) < MAX_TAGS, "tag out of range");
@@ -772,7 +729,6 @@ impl Comm {
         P: Fn(&mut Ready) -> Option<(HostId, u64, Bytes)>,
     {
         loop {
-            self.heartbeat();
             let hit = pop(&mut self.recv.lock().unpoisoned().ready[tag.0 as usize]);
             if let Some((src, seq, payload)) = hit {
                 self.note_consumed(src, tag, seq);
@@ -780,7 +736,7 @@ impl Comm {
                 return (src, payload);
             }
             self.fabric.flush_holdback(self.host);
-            match self.mailbox(tag).pop_timeout(POISON_POLL) {
+            match self.mailbox(tag).pop_timeout(ABORT_POLL) {
                 Some(env) => {
                     let mut st = self.recv.lock().unpoisoned();
                     self.ingest(&mut st, tag, env);
@@ -794,7 +750,6 @@ impl Comm {
     /// Non-blocking receive of `tag` from any source.
     pub fn try_recv_any(&self, tag: Tag) -> Option<(HostId, Bytes)> {
         self.fabric.check_abort();
-        self.heartbeat();
         self.fabric.flush_holdback(self.host);
         let hit = {
             let mut st = self.recv.lock().unpoisoned();
@@ -827,7 +782,6 @@ impl Comm {
             fabric.check_abort();
             unreachable!("barrier aborted without an abort condition");
         }
-        self.heartbeat();
     }
 
     /// Captures this host's transport state for a durable phase
@@ -1045,25 +999,25 @@ impl Cluster {
                         let out =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
                         drop(comm);
-                        let (how, panic) = match out {
+                        let (how, panic) = match out.map_err(|p| p.downcast::<CrashSignal>()) {
                             Ok(r) => {
                                 *results[h].lock().unpoisoned() = Some(r);
                                 (Exit::Finished, None)
                             }
-                            Err(p) if p.is::<CrashSignal>() => {
-                                // A dead host is *detected* when its frozen
-                                // heartbeat goes stale, exactly as a silently
-                                // hung one would be; until then sends in flight
+                            Err(Ok(crash)) => {
+                                // A dead host is reported `heartbeat_timeout`
+                                // after it died; until then sends in flight
                                 // toward it land, so the teardown's loss count
                                 // is exact.
                                 let rec = fabric.recovery.as_ref().expect("only a plan crashes");
-                                std::thread::sleep(rec.stale_in(h));
+                                let detect = crash.0 + rec.opts.heartbeat_timeout;
+                                std::thread::sleep(detect.saturating_duration_since(Instant::now()));
                                 (Exit::Crashed, None)
                             }
-                            // Unwound by `abort_lost`: the run is over.
-                            Err(p) if p.is::<LostSignal>() => return,
-                            Err(p) => {
-                                fabric.poison();
+                            // Unwound by the abort cell: the run is over.
+                            Err(Err(p)) if p.is::<LostSignal>() => return,
+                            Err(Err(p)) => {
+                                fabric.abort(Abort::Panicked);
                                 (Exit::Failed, Some(p))
                             }
                         };
@@ -1104,15 +1058,15 @@ impl Cluster {
                             let rec = fabric.recovery.as_ref().expect("only a plan crashes");
                             fabric.prepare_restart(host);
                             rec.restarts.fetch_add(1, Ordering::Relaxed);
-                            // Fresh grace period for the new incarnation.
-                            rec.beat(host);
                             mark(host, "host_restart", incarnation as u64);
                             spawn_host(host, incarnation);
                         }
-                        // Threads die together: one flag unwinds every survivor.
-                        Action::Kill { .. } => fabric.abort_lost(),
+                        // Threads die together: the `Fail` that follows the
+                        // survivors' `Kill`s sets the one abort cell.
+                        Action::Kill { .. } => {}
                         Action::Fail(e) => {
                             let ClusterError::HostLost { host, restarts } = e;
+                            fabric.abort(Abort::Lost(host));
                             mark(host, "host_lost", restarts as u64);
                             lost = Some(e);
                             break 'run;
@@ -1210,7 +1164,7 @@ impl Cluster {
         drop(guard);
         match out {
             Ok(result) => {
-                if let Some(&peer) = fabric.remote_lost.get() {
+                if let Some(peer) = fabric.lost_host() {
                     return Err(ClusterError::HostLost { host: peer, restarts: 0 });
                 }
                 Ok(TcpRunOutput {
@@ -1222,7 +1176,7 @@ impl Cluster {
                 })
             }
             Err(p) if p.is::<LostSignal>() => {
-                let peer = fabric.remote_lost.get().copied().unwrap_or(me);
+                let peer = fabric.lost_host().unwrap_or(me);
                 Err(ClusterError::HostLost { host: peer, restarts: 0 })
             }
             Err(p) => std::panic::resume_unwind(p),
@@ -1487,18 +1441,28 @@ mod tests {
         assert_eq!(out.stats.phase("only").unwrap().total_bytes(), 0);
     }
 
+    /// The failing host's own panic is the one that comes back, even when
+    /// the abort wakes the survivors parked in a barrier at once: they
+    /// unwind silently, so their exits can never race it to the launcher.
     #[test]
     fn host_panic_propagates_without_hanging() {
-        let res = std::panic::catch_unwind(|| {
-            Cluster::run(3, |comm| {
-                if comm.host() == 1 {
-                    panic!("deliberate failure on host 1");
-                }
-                // These hosts would otherwise block forever.
-                comm.recv_any(Tag(0));
+        for run in 0..100 {
+            let res = std::panic::catch_unwind(|| {
+                Cluster::run(4, |comm| {
+                    if comm.host() == 1 {
+                        panic!("deliberate failure on host 1");
+                    }
+                    // These hosts would otherwise block forever.
+                    comm.barrier();
+                });
             });
-        });
-        assert!(res.is_err());
+            let payload = res.expect_err("host 1 panicked");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"deliberate failure on host 1"),
+                "run {run} propagated a survivor's panic"
+            );
+        }
     }
 
     #[test]
@@ -1781,6 +1745,15 @@ mod tests {
         assert!(instants.contains(&"host_crash"), "{instants:?}");
         assert!(instants.contains(&"host_detect"), "{instants:?}");
         assert!(instants.contains(&"host_restart"), "{instants:?}");
+        // The death is reported no sooner than one detection wait after it.
+        let at = |wanted: &str| {
+            let hit = |e: &&cusp_obs::Event| {
+                e.host == 1 && matches!(e.kind, EventKind::Instant { name, .. } if name == wanted)
+            };
+            trace.events.iter().find(hit).map(|e| e.ts_ns).expect("instant recorded")
+        };
+        let waited = Duration::from_nanos(at("host_detect").saturating_sub(at("host_crash")));
+        assert!(waited >= test_recovery().heartbeat_timeout, "detected after {waited:?}");
         // Both incarnations of host 1 plus the supervisor leave distinct
         // thread tracks on host 1's pid.
         let h1_threads: HashSet<u32> = trace

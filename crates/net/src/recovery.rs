@@ -2,14 +2,15 @@
 //! that decides what happens after a host dies, and the transport
 //! checkpoint a restarted host resumes from.
 //!
-//! * [`RecoveryOptions`] — heartbeat timeout, restart budget, backoff;
+//! * [`RecoveryOptions`] — detection wait, restart budget, backoff;
 //! * [`Supervisor`] — the pure state machine both clusters drive: the
 //!   thread fabric (`Cluster::try_run_with`) and `cusp::distributed::launch` only
-//!   *detect* (a stale heartbeat, a reaped child at stdout EOF) and *act*
-//!   (spawn, signal, write the peer list); every decision in between —
-//!   count, budget, backoff, respawn, give up, finish — is made by
-//!   [`Supervisor::step`], which touches no clock, thread or socket, so
-//!   `tests/supervisor_schedules.rs` can run it against a fake world;
+//!   *detect* (an unwound thread after its detection wait, a reaped child
+//!   at stdout EOF) and *act* (spawn, signal, write the peer list); every
+//!   decision in between — count, budget, backoff, respawn, give up,
+//!   finish — is made by [`Supervisor::step`], which touches no clock,
+//!   thread or socket, so `tests/supervisor_schedules.rs` can run it
+//!   against a fake world;
 //! * [`ClusterError`] — the clean terminal failure (`HostLost`) a cluster
 //!   returns instead of hanging when the budget is exhausted;
 //! * [`RecoveryReport`] — counters proving what the recovery machinery did
@@ -27,7 +28,7 @@
 //! inside the victim thread (`fault.rs`, `Comm::note_op`), and the one send
 //! log a respawn is replayed from lives in `replay.rs`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cusp_graph::wire;
 
@@ -41,24 +42,26 @@ use crate::MAX_TAGS;
 const MAX_STATS_PHASES: usize = 4096;
 const MAX_PHASE_NAME: usize = 256;
 
-/// Unwind payload of a planned [`crate::CrashPlan`] crash. Carried via
-/// `resume_unwind` (not `panic!`) so the panic hook stays silent — a
-/// simulated host death is expected, not a bug report.
-pub(crate) struct CrashSignal;
+/// Unwind payload of a planned [`crate::CrashPlan`] crash, carrying the
+/// instant it fired. Carried via `resume_unwind` (not `panic!`) so the
+/// panic hook stays silent — a simulated host death is expected, not a bug
+/// report.
+pub(crate) struct CrashSignal(pub(crate) Instant);
 
-/// Unwind payload used to abort surviving hosts once a peer is declared
-/// lost. Also silent: the real diagnosis is [`ClusterError::HostLost`].
+/// Unwind payload of every surviving host once the run is going down (a
+/// peer panicked or a host is lost). Silent: the diagnosis is the failing
+/// host's own panic or [`ClusterError::HostLost`].
 pub(crate) struct LostSignal;
 
-/// Knobs for heartbeat-driven crash detection and bounded restart.
+/// Knobs for crash detection and bounded restart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryOptions {
-    /// A crashed host is declared dead once its last heartbeat is older
-    /// than this. Heartbeats are piggybacked on every communication
-    /// operation and on blocked-receive poll wakeups, so a healthy host is
-    /// never silent for more than the poll interval. It is also how long
-    /// the [`Supervisor`] leaves a wedged (stopped, silent) victim before
-    /// the hard kill: long enough for its peers to notice the silence.
+    /// How long a death takes to be noticed. In the simulator it is the
+    /// detection wait: a crashed host thread reports its exit this long
+    /// after the crash fired, so sends already in flight toward it land
+    /// first. In `cusp::distributed::launch` it is the wedge hold: how long
+    /// the [`Supervisor`] leaves a stopped, silent victim before the hard
+    /// kill, long enough for its peers' TCP heartbeat monitors to notice.
     pub heartbeat_timeout: Duration,
     /// Restart attempts per host before the cluster gives up with
     /// [`ClusterError::HostLost`].
@@ -156,7 +159,8 @@ pub enum Event<'a> {
     /// The host announced that it entered pipeline phase `phase`.
     PhaseReached { host: usize, incarnation: u32, phase: &'a str },
     /// The host is gone *and* everything it said has been delivered (its
-    /// heartbeat went stale; its child was reaped at stdout EOF).
+    /// thread unwound and waited out the detection wait; its child was
+    /// reaped at stdout EOF).
     Exited { host: usize, incarnation: u32, how: Exit },
     /// Time passed; the only event that fires what was scheduled.
     Tick,

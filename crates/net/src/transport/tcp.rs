@@ -52,7 +52,7 @@ use cusp_graph::wire;
 
 use super::link::{self, Action, Event, LinkState, PeerLink, Resend};
 use super::{RejectReason, Transport, TransportError};
-use crate::cluster::{Envelope, Fabric, HostId, Tag, MAX_TAGS};
+use crate::cluster::{Abort, Envelope, Fabric, HostId, Tag, MAX_TAGS};
 use crate::serialize::{decode_envelope, WireWriter};
 use crate::{Bytes, Unpoison};
 
@@ -260,7 +260,7 @@ fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<
             Action::Release => "peer_fin",
             Action::MarkLost => {
                 if let Some(fabric) = shared.fabric() {
-                    fabric.mark_remote_lost(peer);
+                    fabric.abort(Abort::Lost(peer));
                 }
                 "peer_lost"
             }

@@ -48,7 +48,6 @@ fn fifo_restored_under_chaos() {
     assert!(report.total() > 0, "chaos plan should have injected faults: {report:?}");
     assert!(report.delayed > 0, "expected delays: {report:?}");
     assert!(report.duplicated > 0, "expected duplicates: {report:?}");
-    assert!(report.dropped_attempts > 0, "expected drops: {report:?}");
 }
 
 #[test]

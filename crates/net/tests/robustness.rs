@@ -11,7 +11,7 @@ fn panic_during_collective_does_not_hang() {
             if comm.host() == 2 {
                 panic!("dies before joining the collective");
             }
-            // Peers block inside the collective; the poison must free them.
+            // Peers block inside the collective; the abort must free them.
             all_reduce_u64(comm, ReduceOp::Sum, 1)
         });
     });

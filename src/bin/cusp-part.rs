@@ -20,8 +20,8 @@
 //! validation with an `INVALID: …` line and exit 1.
 //!
 //! With `--crash-seed`, a seeded [`cusp_net::CrashPlan`] kills simulated
-//! hosts mid-phase and the supervisor restarts them (heartbeat detection
-//! tunable via `--heartbeat-ms`); `--checkpoint-dir` lets restarted hosts
+//! hosts mid-phase and the supervisor restarts them (`--heartbeat-ms` sets
+//! how long a death takes to be reported); `--checkpoint-dir` lets restarted hosts
 //! resume from the last completed phase instead of re-running everything.
 //! Crash runs keep `--threads`: a restarted host re-sends exactly what it
 //! sent before at any thread count, so the recovered partition is
