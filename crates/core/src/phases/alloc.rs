@@ -14,10 +14,10 @@
 //! straight from `local2global` (ids without a proxy cost address space,
 //! not pages), and the edge buffers are reserved, not zero-filled.
 //!
-//! The reserved buffers have one writer, [`Slots`]: construction's local
+//! The reserved buffers have one writer, `Slots`: construction's local
 //! and received records and the delta path's kept-edge copy all take their
-//! windows from [`Slots::reserve`], which advances the row's cursor and
-//! asserts the row's end, and [`AllocOutcome::take_filled`] gives the
+//! windows from `Slots::reserve`, which advances the row's cursor and
+//! asserts the row's end, and `AllocOutcome::take_filled` gives the
 //! buffers their length only after checking that every cursor reached its
 //! row's end. This module and the bitset's zeroed allocation are the
 //! phases' only raw-pointer code.

@@ -20,12 +20,13 @@
 //! rows per host and one pass over their words.
 //!
 //! Rows come from `vec![0; _]`, and phase 2's
-//! [`MasterTable`](crate::phases::master::MasterTable), a `u16` per node,
-//! from [`zeroed`]: both are one block straight from the zeroing allocator,
-//! so the ids a host never touches cost address space, not pages.
+//! [`MasterTable`](crate::phases::master::MasterTable), a `u8` or `u16`
+//! per node, from `zeroed`: both are one block straight from the zeroing
+//! allocator, so the ids a host never touches cost address space, not
+//! pages.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
-use std::sync::atomic::AtomicU16;
+use std::sync::atomic::{AtomicU16, AtomicU8};
 
 use cusp_galois::{PerThread, ThreadPool};
 use cusp_graph::Node;
@@ -36,6 +37,7 @@ mod sealed {
     /// bytes are a valid value. Sealed in this module, so nothing else can
     /// implement it.
     pub trait ZeroIsValid {}
+    impl ZeroIsValid for super::AtomicU8 {}
     impl ZeroIsValid for super::AtomicU16 {}
 }
 

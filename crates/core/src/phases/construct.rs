@@ -9,12 +9,12 @@
 //! flushed once a buffer crosses the configured threshold (§IV-D3).
 //! Because allocation reserved exact per-node slots, every record — local
 //! or arrived — takes a window of its row from allocation's one writer,
-//! [`Slots::reserve`], a lock-free fetch-add cursor; no two records ever
+//! `Slots::reserve`, a lock-free fetch-add cursor; no two records ever
 //! contend for the same slots.
 //!
 //! The message stream is a function of the input, not of the thread
 //! count. Each chunk is cut into node-aligned *send blocks* of at most
-//! [`SEND_BLOCK_EDGES`] edges, by the chunk's offsets alone. The pool
+//! `SEND_BLOCK_EDGES` edges, by the chunk's offsets alone. The pool
 //! walks one *wave* of blocks at a time; a block's local records go
 //! straight into their slots and its remote records into the block's own
 //! bytes, each record's peer and extent kept. The host thread then hands
@@ -26,6 +26,10 @@
 //! what recovery's replay needs — a restarted host re-sends exactly the
 //! messages its peers deduplicate. A stateful rule walks the same blocks,
 //! a wave of one, one after another in node order.
+//!
+//! A source's masters are looked up as edge assignment looks them up: per
+//! edge, inline, for a pure rule, and in one `MasterTable::gather` over its
+//! destinations before the first decision when they are stored.
 //!
 //! Records are inserted as they arrive, on every slice shape: before each
 //! wave the host thread takes every record message already arrived, and
@@ -52,7 +56,7 @@
 //! Under the `construct` phase span the phase records, through
 //! `cusp-obs`, `construct.wait` (blocking for the records still in flight
 //! once the local walk is done) and `construct.freeze`
-//! ([`AllocOutcome::take_filled`]'s cursor check, giving the buffers their
+//! (`AllocOutcome::take_filled`'s cursor check, giving the buffers their
 //! length and building the CSR, and, for CSC output, the transpose), and
 //! two counters, `construct.drained_walk` and
 //! `construct.drained_wait`: the record bytes inserted during the walk
@@ -82,6 +86,7 @@ use crate::policy::{EdgeRule, Setup};
 use crate::props::LocalProps;
 use crate::state::PartitionState;
 use crate::tags::TAG_EDGES;
+use crate::PartId;
 
 /// The edge budget of a send block (a node of higher degree is a block of
 /// its own). It sets how the walk is shared out, never where a message
@@ -94,7 +99,8 @@ const BLOCKS_PER_THREAD: usize = 4;
 
 /// One send block's walk: the remote records it serialized, back to back,
 /// and every record's peer and byte range, in walk order; plus the
-/// per-destination bucket scratch. Kept across waves, so the buffers
+/// per-destination bucket scratch and, under stored masters, the masters
+/// of the walked source's destinations. Kept across waves, so the buffers
 /// retain their capacity, and a cache line apart, since the pool walks
 /// neighbouring blocks at once.
 #[repr(align(128))]
@@ -103,6 +109,7 @@ struct Block {
     records: Vec<(HostId, Range<usize>)>,
     buckets: Vec<Vec<Node>>,
     wbuckets: Vec<Vec<u32>>,
+    run: Vec<PartId>,
 }
 
 impl Block {
@@ -112,6 +119,7 @@ impl Block {
             records: Vec::new(),
             buckets: vec![Vec::new(); hosts],
             wbuckets: vec![Vec::new(); hosts],
+            run: Vec::new(),
         }
     }
 }
@@ -192,7 +200,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     for_each_chunk(data, |chunk| {
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
         let walk = |nodes: Range<Node>, block: &mut Block| {
-            let Block { out, records, buckets, wbuckets } = block;
+            let Block { out, records, buckets, wbuckets, run } = block;
             out.clear();
             records.clear();
             for s in nodes {
@@ -205,15 +213,35 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
                 let edge_data = chunk.edge_data(s);
                 buckets.iter_mut().for_each(Vec::clear);
                 wbuckets.iter_mut().for_each(Vec::clear);
-                for (i, &d) in edges.iter().enumerate() {
-                    if !filter.edge(whole, d) {
-                        continue;
+                match masters {
+                    // The replicated computation stays inside the edge loop.
+                    ResolvedMasters::Pure { .. } => {
+                        for (i, &d) in edges.iter().enumerate() {
+                            if !filter.edge(whole, d) {
+                                continue;
+                            }
+                            let dm = masters.of(d);
+                            let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate) as usize;
+                            buckets[h].push(d);
+                            if let Some(data) = edge_data {
+                                wbuckets[h].push(data[i]);
+                            }
+                        }
                     }
-                    let dm = masters.of(d);
-                    let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate) as usize;
-                    buckets[h].push(d);
-                    if let Some(data) = edge_data {
-                        wbuckets[h].push(data[i]);
+                    // Stored: the source's lookups first, so the random
+                    // loads overlap instead of each holding up its push.
+                    ResolvedMasters::Stored(table) => {
+                        table.gather(edges, run);
+                        for (i, (&d, &dm)) in edges.iter().zip(run.iter()).enumerate() {
+                            if !filter.edge(whole, d) {
+                                continue;
+                            }
+                            let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate) as usize;
+                            buckets[h].push(d);
+                            if let Some(data) = edge_data {
+                                wbuckets[h].push(data[i]);
+                            }
+                        }
                     }
                 }
                 for (h, bucket) in buckets.iter().enumerate() {
@@ -352,7 +380,7 @@ mod tests {
     use crate::config::GraphSource;
     use crate::phases::alloc::{allocate, MasterSpec};
     use crate::phases::edge_assign::{assign_edges, AllEdges};
-    use crate::phases::master::pure_masters;
+    use crate::phases::master::{pure_masters, MasterTable};
     use crate::phases::read::read_phase;
     use crate::policies::edges::SourceEdge;
     use crate::policies::masters::ContiguousEB;
@@ -402,6 +430,41 @@ mod tests {
             if let Err(panic) = built {
                 resume_unwind(panic);
             }
+        });
+    }
+
+    /// Construction's stored walk looks a source's destinations up before
+    /// it decides; a destination whose master is unknown stops it there,
+    /// named. Node 5 is a destination only, so no source lookup meets it.
+    #[test]
+    #[should_panic(expected = "master of 5 unknown on this host")]
+    fn a_stored_walk_of_an_unknown_master_panics_naming_it() {
+        let g = Arc::new(Csr::from_edges(6, &[(0, 1), (0, 5), (1, 2), (2, 5), (3, 4), (4, 0)]));
+        Cluster::run(1, move |comm| {
+            let cfg = CuspConfig::default();
+            let pool = ThreadPool::new(2);
+            let mut r = read_phase(comm, &GraphSource::Memory(g.clone()), &cfg).unwrap();
+            let stored = |known: &dyn Fn(Node) -> bool| {
+                let table = MasterTable::new(6, 1);
+                (0..6).filter(|&v| known(v)).for_each(|v| table.set(v, 0));
+                ResolvedMasters::Stored(table)
+            };
+            let all = stored(&|_| true);
+            let ea = assign_edges(comm, &pool, &r.setup, &mut r.data, &all, &SourceEdge, &());
+            let mut alloc = allocate(0, &pool, MasterSpec::Stored, ea.clone(), false);
+            construct(
+                comm,
+                &pool,
+                &r.setup,
+                &mut r.data,
+                &stored(&|v| v != 5),
+                &SourceEdge,
+                ReplayReady::arm(&()),
+                &mut alloc,
+                ea.to_receive,
+                &cfg,
+                &AllEdges,
+            );
         });
     }
 }

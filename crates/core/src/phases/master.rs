@@ -42,20 +42,22 @@
 //! assignments for nodes it asked for — the destinations of its locally
 //! read edges — so the map touches memory in proportion to its slice, not
 //! the graph. The request set is marked per edge, one plain `|=` into the
-//! worker's own dense bitset ([`ThreadRows`]), and the workers' bitsets are
+//! worker's own dense bitset (`ThreadRows`), and the workers' bitsets are
 //! ORed together and read back sorted and duplicate-free; the answers land
 //! in one table:
 //!
-//! * **one table** — a [`MasterTable`] per host, a `u16` per node id over
-//!   `0..n` holding `p + 1` for partition `p` (`0`: unknown), allocated
-//!   zeroed before the first request: the rounds store their own decisions
-//!   into it, answers are written into it in place, [`MasterView`] reads it
-//!   during the rounds, and [`ResolvedMasters::Stored`] is the same table,
-//!   frozen, when the phase ends — every lookup, a neighbour's or an
-//!   edge's, local or remote, is one two-byte load. Ids the host never
-//!   touches cost address space, not pages; a run over `parts ≥ u16::MAX`
-//!   partitions is refused before a message is sent
-//!   ([`MAX_STORED_PARTS`]);
+//! * **one table** — a [`MasterTable`] per host, a `u8` per node id over
+//!   `0..n` up to 255 partitions and a `u16` beyond, holding `p + 1` for
+//!   partition `p` (`0`: unknown), allocated zeroed before the first
+//!   request: the rounds store their own decisions into it, answers are
+//!   written into it in place, [`MasterView`] reads it during the rounds,
+//!   and [`ResolvedMasters::Stored`] is the same table, frozen, when the
+//!   phase ends — every lookup, a neighbour's or an edge's, local or
+//!   remote, is one one- or two-byte load. Ids the host never touches cost
+//!   address space, not pages; a run over `parts ≥ u16::MAX` partitions is
+//!   refused before a message is sent ([`MAX_STORED_PARTS`]). The phase
+//!   ends with one `mem.master_table` counter, the table's
+//!   [`MasterTable::heap_bytes`];
 //! * **one run per peer** — hosts read contiguous ascending node ranges, so
 //!   the sorted set splits into `k` consecutive runs, run `p` being what is
 //!   asked of host `p` (`Requests`);
@@ -79,7 +81,7 @@
 //! peers).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU8, Ordering};
 
 use cusp_galois::{do_all_with_tid, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{ChunkedSlice, Node, ReadSplit};
@@ -94,79 +96,152 @@ use crate::state::PartitionState;
 use crate::tags::{MSG_FINAL, MSG_SYNC, TAG_MASTER_REQ, TAG_MASTER_SYNC};
 use crate::PartId;
 
-/// The most partitions a [`MasterTable`] can name: a slot holds `p + 1`
-/// in a `u16`, so partitions `0..=65_533` are storable and a stored-master
-/// run over `u16::MAX` or more partitions is refused, never truncated.
+/// The most partitions a [`MasterTable`] can name: its widest slot holds
+/// `p + 1` in a `u16`, so partitions `0..=65_533` are storable and a
+/// stored-master run over `u16::MAX` or more partitions is refused, never
+/// truncated.
 pub const MAX_STORED_PARTS: PartId = u16::MAX as PartId - 1;
 
-/// One host's stored masters: a `u16` per node id over `0..n`, holding
-/// `p + 1` for partition `p` and `0` while the master is unknown.
+/// One host's stored masters: a slot per node id over `0..n`, holding
+/// `p + 1` for partition `p` and `0` while the master is unknown. A slot is
+/// one byte when `p + 1` always fits in one (at most 255 partitions) and
+/// two bytes otherwise; `MasterTable::new` picks the width from the
+/// partition count, and nothing else does.
 ///
 /// One table from the first request to the last lookup. It is allocated
-/// zeroed ([`zeroed`]) before the first request, so the ids a host never
-/// touches cost address space, not pages; the rounds store the host's own
-/// decisions into it, the protocol writes each peer's positional answers
-/// into it in place ([`Requests::apply_run`]), the rules' neighbour lookups
-/// read it while the rounds run ([`MasterView`]), and the edge-assignment
-/// and construction inner loops — which call [`ResolvedMasters::of`] up to
-/// twice *per edge* — read the same table afterwards. Every lookup is a
-/// bounds check and one two-byte load, and the table is `2n` bytes of
-/// address space per host, of which only the touched pages are memory.
+/// zeroed before the first request, so the ids a host never touches cost
+/// address space, not pages; the rounds store the host's own decisions
+/// into it, the protocol writes each peer's positional answers into it in
+/// place, the rules' neighbour lookups read it while the rounds run
+/// ([`MasterView`]), and the edge-assignment and construction walks read
+/// the same table afterwards, one source's destinations at a time
+/// (`MasterTable::gather`). Every lookup is a bounds check and one
+/// one- or two-byte load, and the table is `n` or `2n` bytes of address
+/// space per host ([`MasterTable::heap_bytes`]), of which only the touched
+/// pages are memory. The edge walks load it at random (a destination has
+/// no locality), so the narrower table is the one more of them find in
+/// cache.
 pub struct MasterTable {
     parts: PartId,
-    slots: Vec<AtomicU16>,
+    slots: Slots,
+}
+
+/// A [`MasterTable`]'s slots, in the width its partition count needs.
+enum Slots {
+    Narrow(Vec<AtomicU8>),
+    Wide(Vec<AtomicU16>),
+}
+
+/// Runs `$body` with `$s` bound to the slots as a slice of their width:
+/// the width is matched once, outside whatever `$body` loops over.
+macro_rules! with_slots {
+    ($slots:expr, $s:ident => $body:expr) => {
+        match $slots {
+            Slots::Narrow($s) => $body,
+            Slots::Wide($s) => $body,
+        }
+    };
+}
+
+/// One slot of a [`MasterTable`]: `p + 1` for partition `p`, `0` unknown.
+/// Relaxed: a slot publishes no other data.
+trait Slot {
+    fn read(&self) -> u32;
+    fn write(&self, m: u32);
+}
+
+impl Slot for AtomicU8 {
+    #[inline(always)]
+    fn read(&self) -> u32 {
+        self.load(Ordering::Relaxed) as u32
+    }
+    #[inline(always)]
+    fn write(&self, m: u32) {
+        self.store(m as u8, Ordering::Relaxed)
+    }
+}
+
+impl Slot for AtomicU16 {
+    #[inline(always)]
+    fn read(&self) -> u32 {
+        self.load(Ordering::Relaxed) as u32
+    }
+    #[inline(always)]
+    fn write(&self, m: u32) {
+        self.store(m as u16, Ordering::Relaxed)
+    }
 }
 
 impl MasterTable {
-    /// Every master of `0..n` unknown, for a run over `parts` partitions.
-    /// Panics — naming the limit — when `parts` exceeds
-    /// [`MAX_STORED_PARTS`].
+    /// Every master of `0..n` unknown, for a run over `parts` partitions:
+    /// one byte per node up to 255 partitions, two bytes beyond. Panics —
+    /// naming the limit — when `parts` exceeds [`MAX_STORED_PARTS`].
     pub(crate) fn new(n: usize, parts: PartId) -> Self {
         assert!(
             parts <= MAX_STORED_PARTS,
             "stored masters support at most {MAX_STORED_PARTS} partitions (a u16 per node); \
              this run has {parts}"
         );
-        MasterTable { parts, slots: zeroed(n) }
+        let slots = if parts <= u8::MAX as PartId {
+            Slots::Narrow(zeroed(n))
+        } else {
+            Slots::Wide(zeroed(n))
+        };
+        MasterTable { parts, slots }
     }
 
     /// Records `p` as the master of `v`. One thread per host writes (the
     /// master phase's rounds, or a checkpoint restore); the slots are
     /// atomics so that `set` takes `&self` while [`MasterView`] reads the
     /// same table, and so the pool's threads can read it by shared
-    /// reference in the edge walks afterwards (relaxed: a slot publishes no
-    /// other data). A master that names no partition panics rather than
-    /// being stored truncated.
+    /// reference in the edge walks afterwards. A master that names no
+    /// partition panics rather than being stored truncated.
     #[inline]
     pub(crate) fn set(&self, v: Node, p: PartId) {
         if p >= self.parts {
             no_such_partition(v, p, self.parts);
         }
-        self.slots[v as usize].store(p as u16 + 1, Ordering::Relaxed);
+        with_slots!(&self.slots, s => s[v as usize].write(p + 1))
     }
 
     /// The master of `v`, or `None` while it is unknown (never requested,
     /// not answered yet, or past the node count).
     #[inline]
     pub fn get(&self, v: Node) -> Option<PartId> {
-        match self.slots.get(v as usize)?.load(Ordering::Relaxed) {
-            0 => None,
-            m => Some(m as PartId - 1),
-        }
+        with_slots!(&self.slots, s => s.get(v as usize)?.read().checked_sub(1))
+    }
+
+    /// Replaces `run` with the masters of `ids`, in order — the edge walks'
+    /// lookups for one source's destinations, with the slot width matched
+    /// once for the run instead of once per id. Panics, naming it, at an id
+    /// whose master is unknown.
+    #[inline]
+    pub(crate) fn gather(&self, ids: &[Node], run: &mut Vec<PartId>) {
+        run.clear();
+        with_slots!(&self.slots, s => run.extend(ids.iter().map(|&v| {
+            match s.get(v as usize).map_or(0, Slot::read) {
+                0 => unknown_master(v),
+                m => m - 1,
+            }
+        })))
     }
 
     /// The node count `n` the table spans.
     pub fn num_nodes(&self) -> usize {
-        self.slots.len()
+        with_slots!(&self.slots, s => s.len())
+    }
+
+    /// Bytes of the table's one allocation: `n` with one-byte slots, `2n`
+    /// with two-byte ones. Address space, of which only the pages of
+    /// touched ids are resident.
+    pub fn heap_bytes(&self) -> u64 {
+        with_slots!(&self.slots, s => std::mem::size_of_val(s.as_slice()) as u64)
     }
 
     /// Iterates the known `(node, master)` pairs in ascending node order —
     /// a scan of the whole table, for checkpoints and tests.
     pub fn iter(&self) -> impl Iterator<Item = (Node, PartId)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(v, m)| match m.load(Ordering::Relaxed) {
-            0 => None,
-            m => Some((v as Node, m as PartId - 1)),
-        })
+        (0..self.num_nodes() as Node).filter_map(|v| Some((v, self.get(v)?)))
     }
 }
 
@@ -204,10 +279,11 @@ impl ResolvedMasters {
     /// The master partition of `v`. Panics if the protocol did not deliver
     /// it (which would be a driver bug, not a user error).
     ///
-    /// Called up to twice per edge by both edge walks, so it is forced
-    /// inline — as a call it costs more than the lookup — and the
-    /// unknown-master panic sits in a cold function of its own: a stored
-    /// master is one two-byte load.
+    /// Called up to twice per edge by both edge walks under pure masters,
+    /// so it is forced inline — as a call it costs more than the lookup —
+    /// and the unknown-master panic sits in a cold function of its own.
+    /// Under stored masters the walks look a source's destinations up in
+    /// one `MasterTable::gather` instead.
     #[inline(always)]
     pub fn of(&self, v: Node) -> PartId {
         match self {
@@ -436,8 +512,10 @@ pub fn assign_masters<MR: MasterRule>(
 
     // --- Step 3: final flush and blocking reconciliation. --------------
     // The rounds have covered the whole range: the FINAL answers the rest.
-    let _final_span = cusp_obs::span("master.final");
+    let final_span = cusp_obs::span("master.final");
     exchange(MSG_FINAL, rounds, lo + start as Node, &mut requests);
+    drop(final_span);
+    cusp_obs::counter("mem.master_table", table.heap_bytes());
 
     // Every peer's FINAL was checked against its run as it arrived, so the
     // table is complete: later phases read it as it stands.
@@ -662,6 +740,38 @@ mod tests {
         MasterTable::new(3, 4).set(2, 4);
     }
 
+    /// Up to 255 partitions a slot is one byte, from 256 on two; the
+    /// partitions at the top of a byte round-trip through both widths.
+    #[test]
+    fn the_width_is_one_byte_up_to_255_partitions_and_two_beyond() {
+        for (parts, width) in [(255, 1), (256, 2)] {
+            let table = MasterTable::new(10, parts);
+            assert_eq!(table.heap_bytes(), 10 * width, "{parts} partitions");
+            let want = [(1, 0), (4, 253), (9, 254)];
+            for (v, p) in want {
+                table.set(v, p);
+            }
+            assert_eq!(table.iter().collect::<Vec<_>>(), want, "{parts} partitions");
+            for v in 0..11 {
+                let p = want.iter().find(|&&(u, _)| u == v).map(|&(_, p)| p);
+                assert_eq!(table.get(v), p, "{parts} partitions: get({v})");
+            }
+            let mut run = vec![7];
+            table.gather(&[9, 1, 4, 9], &mut run);
+            assert_eq!(run, [254, 0, 253, 254], "{parts} partitions");
+        }
+        assert_eq!(MasterTable::new(10, 1).heap_bytes(), 10);
+        assert_eq!(MasterTable::new(10, MAX_STORED_PARTS).heap_bytes(), 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "master of 6 unknown on this host")]
+    fn gathering_an_unknown_master_panics_naming_it() {
+        let table = MasterTable::new(8, 4);
+        table.set(2, 1);
+        table.gather(&[2, 6], &mut Vec::new());
+    }
+
     /// A stored-master run over more partitions than a slot can name stops
     /// at the limit on every host, before a byte of the phase is sent.
     #[test]
@@ -854,6 +964,32 @@ mod tests {
             }
             prop_assert_eq!(table.iter().collect::<Vec<_>>(),
                 needed.iter().map(|&v| (v, master(v))).collect::<Vec<_>>());
+        }
+    }
+
+    proptest! {
+        /// A one-byte and a two-byte table given the same `(v, p)` sets
+        /// answer alike: per id, in a scan and in a gather.
+        #[test]
+        fn narrow_and_wide_tables_agree(
+            pairs in proptest::collection::vec((0u32..3000, 0u32..255), 0..200),
+            probes in proptest::collection::vec(0u32..3000, 0..50),
+        ) {
+            let (narrow, wide) = (MasterTable::new(3000, 255), MasterTable::new(3000, 1000));
+            prop_assert_eq!((narrow.heap_bytes(), wide.heap_bytes()), (3000, 6000));
+            for &(v, p) in &pairs {
+                narrow.set(v, p);
+                wide.set(v, p);
+            }
+            prop_assert!(narrow.iter().eq(wide.iter()));
+            for &v in probes.iter().chain(pairs.iter().map(|(v, _)| v)) {
+                prop_assert_eq!(narrow.get(v), wide.get(v));
+            }
+            let known: Vec<Node> = pairs.iter().map(|&(v, _)| v).collect();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            narrow.gather(&known, &mut a);
+            wide.gather(&known, &mut b);
+            prop_assert_eq!(a, b);
         }
     }
 

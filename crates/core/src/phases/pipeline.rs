@@ -12,7 +12,7 @@
 //!   and places the inter-phase barrier, all keyed by a [`PhaseId`]. Because
 //!   the tag is set by the harness itself, no phase traffic can ever land in
 //!   the stats collector's `(untagged)` bucket.
-//! * [`for_chunks_in`] and [`for_each_chunk`] are how the edge-walking
+//! * `for_chunks_in` and `for_each_chunk` are how the edge-walking
 //!   phases stream the [`ChunkedSlice`] the reading phase hands them: chunk
 //!   by chunk in node order, each chunk under a `chunk` span. A resident
 //!   range (`chunk_edges: None`) is the one-chunk case, loaded once, so

@@ -5,7 +5,7 @@
 //! so that the outgoing edges of a given node are not divided between
 //! hosts." Each host loads only its slice of a `.bgr` file; later phases
 //! read from memory. An in-memory source is read in place: each host's
-//! [`GraphSlice`] is a window over the caller's `Arc<Csr>` (and its edge
+//! [`GraphSlice`](cusp_graph::GraphSlice) is a window over the caller's `Arc<Csr>` (and its edge
 //! data), and the splits are computed over the graph's own offsets, so a
 //! memory-source run holds its input once.
 //!

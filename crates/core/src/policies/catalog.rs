@@ -208,7 +208,7 @@ pub fn partition_with_policy(
 /// `batch` the applied [`GraphEvent`]s. Policies whose edge rule is
 /// stateful (HDRF) or whose master rule is streaming (Fennel-family, LDG)
 /// fall back to a full re-partition inside
-/// [`partition_delta`][crate::phases::delta::partition_delta].
+/// [`partition_delta`].
 pub fn partition_delta_with_policy(
     comm: &Comm,
     source: GraphSource,

@@ -134,7 +134,7 @@ pub trait EdgeRule: Send + Sync {
 /// Read access to previously assigned masters — the `masters` argument of
 /// `getMaster`: phase 2's [`MasterTable`], as far as this host's own
 /// decisions and the sync rounds' answers have filled it. A lookup is one
-/// two-byte load, the same for a local node and a remote one.
+/// one- or two-byte load, the same for a local node and a remote one.
 pub struct MasterView<'a> {
     table: &'a MasterTable,
 }

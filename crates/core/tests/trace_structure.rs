@@ -279,9 +279,11 @@ fn construct_phase_records_its_wait_and_freeze_under_the_construct_span() {
 /// Memory is attributed from the structures themselves: each host's
 /// `edge_assign`, `alloc` and `construct` spans hold one `mem.*` counter —
 /// the edge-assignment outcome, the allocated partition and the output —
-/// and `mem.output` is the heap of the part the host returned. Pure and
-/// stored masters, resident and streamed, CSR and CSC, and a delta run,
-/// whose kept edges and exchange make one outcome.
+/// and `mem.output` is the heap of the part the host returned. A run with
+/// stored masters opens with one `mem.master_table` under `master`: at
+/// this partition count, one byte per node of the graph; a pure run
+/// records none. Pure and stored masters, resident and streamed, CSR and
+/// CSC, and a delta run, whose kept edges and exchange make one outcome.
 #[test]
 fn memory_counters_sit_under_their_phase_spans() {
     let cells = [
@@ -299,6 +301,7 @@ fn memory_counters_sit_under_their_phase_spans() {
         .collect();
     runs.push(("Cvc delta".to_owned(), traced_delta_run(&det_config(None))));
     for (label, (trace, parts)) in runs {
+        let stored = label.starts_with("Svc");
         for thread in trace.threads.iter().filter(|t| t.name == "main") {
             let host = thread.host;
             let mut stack: Vec<&'static str> = Vec::new();
@@ -312,6 +315,12 @@ fn memory_counters_sit_under_their_phase_spans() {
                     }
                     _ => {}
                 }
+            }
+            if stored {
+                let (name, span, bytes) = mem.remove(0);
+                let nodes = parts[host as usize].dist_graph.global_nodes;
+                let want = ("mem.master_table", Some("master"), nodes);
+                assert_eq!((name, span, bytes), want, "{label} host {host}");
             }
             let placed: Vec<_> = mem.iter().map(|&(name, span, _)| (name, span)).collect();
             assert_eq!(

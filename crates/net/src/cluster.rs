@@ -2,7 +2,7 @@
 //! shared "fabric" that routes messages between hosts.
 //!
 //! Hosts are OS threads. Each host `h` owns a [`Comm`] handle; `send` pushes
-//! an [`Envelope`] (source, per-channel sequence number, sender phase, and
+//! an `Envelope` (source, per-channel sequence number, sender phase, and
 //! the [`Bytes`] payload) into the destination's per-tag mailbox (an
 //! unbounded FIFO that several threads may pop at once), and the various
 //! `recv` flavours pop from it through a **resequencer**: envelopes are
@@ -21,10 +21,10 @@
 //!
 //! If any host panics, all blocked peers must not hang. The fabric keeps
 //! one abort cell, set once with the reason the run is going down: a host
-//! panicked, or host `h` is lost. Blocking operations (`recv*`, `barrier`)
-//! poll it with a timeout and, once it is set, unwind silently with
-//! `LostSignal`, so the failing host's own panic is the only one that
-//! reaches the launcher. [`Cluster::run`] then propagates it.
+//! panicked, or host `h` is lost. Setting it wakes every blocked operation
+//! (`recv*`, `barrier`), which then unwinds silently with `LostSignal`, so
+//! the failing host's own panic is the only one that reaches the launcher.
+//! [`Cluster::run`] then propagates it.
 //!
 //! ## Host-crash recovery
 //!
@@ -72,8 +72,9 @@ pub struct Tag(pub u8);
 /// Number of distinct tags supported by the fabric.
 pub const MAX_TAGS: usize = 32;
 
-/// How often blocked operations re-check the abort cell.
-const ABORT_POLL: Duration = Duration::from_millis(50);
+/// How often a receive blocked under a [`FaultPlan`] re-releases its
+/// held-back messages: nothing else wakes it for them.
+const HOLDBACK_POLL: Duration = Duration::from_millis(50);
 
 /// One in-flight message: transport metadata plus the payload.
 #[derive(Clone)]
@@ -102,7 +103,8 @@ impl From<WireEnvelope> for Envelope {
 /// One `(host, tag)` mailbox: an unbounded FIFO of envelopes that any
 /// thread may push to and several threads may pop from at once. The fabric
 /// owns every mailbox for the whole run, so none is ever closed; a blocked
-/// pop gives up after its timeout instead.
+/// pop gives up when the run aborts ([`Mailbox::wake`]) or its timeout
+/// runs out.
 #[derive(Default)]
 struct Mailbox {
     queue: Mutex<VecDeque<Envelope>>,
@@ -119,12 +121,23 @@ impl Mailbox {
         self.queue.lock().unpoisoned().pop_front()
     }
 
-    /// The oldest envelope, waiting up to `timeout` for one to arrive.
-    fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
+    /// The oldest envelope, waiting for one to arrive until `aborted`
+    /// holds or `timeout` (if any) runs out.
+    fn pop(&self, timeout: Option<Duration>, aborted: impl Fn() -> bool) -> Option<Envelope> {
         let queue = self.queue.lock().unpoisoned();
-        let empty = |q: &mut VecDeque<Envelope>| q.is_empty();
-        let (mut queue, _) = self.ready.wait_timeout_while(queue, timeout, empty).unpoisoned();
+        let wait = |q: &mut VecDeque<Envelope>| q.is_empty() && !aborted();
+        let mut queue = match timeout {
+            Some(timeout) => self.ready.wait_timeout_while(queue, timeout, wait).unpoisoned().0,
+            None => self.ready.wait_while(queue, wait).unpoisoned(),
+        };
         queue.pop_front()
+    }
+
+    /// Wakes every blocked pop to re-test its `aborted`. Taken under the
+    /// queue's lock, so a pop between its test and its wait cannot miss it.
+    fn wake(&self) {
+        let _queue = self.queue.lock().unpoisoned();
+        self.ready.notify_all();
     }
 }
 
@@ -175,15 +188,17 @@ impl FabricBarrier {
     }
 
     /// Returns `true` once every host has arrived `n` times, `false` if
-    /// `aborted` reported the cluster is going down first.
+    /// `aborted` reported the cluster is going down first. `aborted` is
+    /// tested under the lock [`FabricBarrier::wake_all`] takes, so an abort
+    /// between the test and the wait still wakes it.
     pub(crate) fn wait(&self, host: usize, n: u64, aborted: impl Fn() -> bool) -> bool {
         let mut guard = self.state.lock().unpoisoned();
         Self::announce_locked(&mut guard, host, n, &self.cv);
         while guard.done < n {
-            guard = self.cv.wait_timeout(guard, ABORT_POLL).unpoisoned().0;
             if aborted() {
                 return false;
             }
+            guard = self.cv.wait(guard).unpoisoned();
         }
         true
     }
@@ -335,6 +350,7 @@ impl Fabric {
     pub(crate) fn abort(&self, why: Abort) {
         let _ = self.abort.set(why);
         self.barrier.wake_all();
+        self.mailboxes.iter().flatten().for_each(Mailbox::wake);
     }
 
     /// Whether blocked operations should give up.
@@ -343,7 +359,7 @@ impl Fabric {
     }
 
     /// The host the run was lost to, if that is why it ended.
-    fn lost_host(&self) -> Option<HostId> {
+    pub(crate) fn lost_host(&self) -> Option<HostId> {
         match self.abort.get()? {
             Abort::Lost(host) => Some(*host),
             Abort::Panicked => None,
@@ -735,8 +751,11 @@ impl Comm {
                 self.note_op();
                 return (src, payload);
             }
+            // Only a held-back message has nothing to wake this host when it
+            // becomes deliverable: under a fault plan the wait polls.
             self.fabric.flush_holdback(self.host);
-            match self.mailbox(tag).pop_timeout(ABORT_POLL) {
+            let poll = self.fabric.fault.as_ref().map(|_| HOLDBACK_POLL);
+            match self.mailbox(tag).pop(poll, || self.fabric.should_abort()) {
                 Some(env) => {
                     let mut st = self.recv.lock().unpoisoned();
                     self.ingest(&mut st, tag, env);
@@ -769,7 +788,7 @@ impl Comm {
     ///
     /// Barrier arrivals are monotone per host: a restarted host re-calling
     /// barriers its previous incarnation already completed falls straight
-    /// through (see [`FabricBarrier`]).
+    /// through (see `FabricBarrier`).
     pub fn barrier(&self) {
         let _span = cusp_obs::span("barrier");
         self.note_op();
@@ -1231,15 +1250,35 @@ mod tests {
     fn a_pop_that_timed_out_leaves_the_mailbox_usable_for_a_late_delivery() {
         let mailbox = Mailbox::default();
         let start = Instant::now();
-        assert!(mailbox.pop_timeout(Duration::from_millis(20)).is_none());
+        assert!(mailbox.pop(Some(Duration::from_millis(20)), || false).is_none());
         assert!(start.elapsed() >= Duration::from_millis(20));
         std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(20));
                 mailbox.push(env(7));
             });
-            assert_eq!(mailbox.pop_timeout(Duration::from_secs(30)).map(|e| e.seq), Some(7));
+            let popped = mailbox.pop(Some(Duration::from_secs(30)), || false);
+            assert_eq!(popped.map(|e| e.seq), Some(7));
         });
+    }
+
+    /// An abort wakes a pop blocked on an empty mailbox at once, whatever
+    /// its timeout: a survivor parked in a receive unwinds as promptly as
+    /// one parked in a barrier.
+    #[test]
+    fn an_abort_wakes_a_blocked_pop_before_its_timeout() {
+        let fabric = Fabric::new(2, &ClusterOptions::default(), Box::new(LocalTransport), false);
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                fabric.abort(Abort::Lost(0));
+            });
+            let mailbox = &fabric.mailboxes[1][3];
+            let popped = mailbox.pop(Some(Duration::from_secs(60)), || fabric.should_abort());
+            assert!(popped.is_none());
+        });
+        assert!(start.elapsed() < Duration::from_secs(10), "the pop waited {:?}", start.elapsed());
     }
 
     #[test]
@@ -1251,7 +1290,8 @@ mod tests {
             let poppers: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
-                        let next = || mailbox.pop_timeout(Duration::from_secs(30)).expect("pushed").seq;
+                        let pop = || mailbox.pop(Some(Duration::from_secs(30)), || false);
+                        let next = || pop().expect("pushed").seq;
                         std::iter::repeat_with(next).take_while(|&seq| seq != STOP).collect()
                     })
                 })

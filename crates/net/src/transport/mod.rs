@@ -4,7 +4,7 @@
 //! sequence numbering, the one send log a respawned host is replayed from
 //! (`replay.rs`), the resequencer and its dedup floors, fault injection,
 //! and [`crate::CommStats`] accounting — is transport-agnostic. A
-//! [`Transport`] is only "ship + barrier":
+//! `Transport` is only "ship + barrier":
 //!
 //! 1. **ship** an [`Envelope`](crate::cluster) toward a remote host, and
 //! 2. **wait** at a monotone barrier until every host has arrived.
@@ -14,8 +14,8 @@
 //!
 //! Two implementations exist:
 //!
-//! - [`LocalTransport`] — the in-process simulator (the default): all hosts
-//!   share one [`Fabric`], shipping is a push into the destination's
+//! - `LocalTransport` — the in-process simulator (the default): all hosts
+//!   share one `Fabric`, shipping is a push into the destination's
 //!   mailbox through the fault layer, and the barrier is the shared
 //!   [`FabricBarrier`](crate::cluster).
 //! - [`tcp::TcpTransport`] — one OS process per host, length-delimited

@@ -10,10 +10,16 @@
 //! | 1    | HELLO     | `magic u32, version u8, host_id u32, hosts u32, run_nonce u64, incarnation u32` |
 //! | 2    | ACCEPT    | empty                                            |
 //! | 3    | REJECT    | `reason u8` (see [`RejectReason`])               |
-//! | 4    | ENVELOPE  | a versioned envelope ([`encode_envelope`])       |
+//! | 4    | ENVELOPE  | a versioned envelope (`encode_envelope`)         |
 //! | 5    | BARRIER   | `arrival u64` — the sender's barrier arrival count |
 //! | 6    | HEARTBEAT | empty                                            |
 //! | 7    | FIN       | empty — the sender has completed cleanly         |
+//! | 8    | LOST      | `host u64` — the sender is going down because it lost `host` |
+//!
+//! A host that unwinds because it lost a peer sends every other peer a
+//! LOST naming that peer before it drops its sockets, so a survivor that
+//! hears of the collapse from it first still reports the host that failed,
+//! not the one that went down after it.
 //!
 //! ## Topology and threading
 //!
@@ -70,6 +76,7 @@ const FRAME_ENVELOPE: u8 = 4;
 const FRAME_BARRIER: u8 = 5;
 const FRAME_HEARTBEAT: u8 = 6;
 const FRAME_FIN: u8 = 7;
+const FRAME_LOST: u8 = 8;
 
 /// Upper bound on a data frame; anything larger is a corrupt length
 /// prefix, not a message.
@@ -132,8 +139,9 @@ enum Out {
     Barrier(u64),
     /// Clean completion: write FIN, flush, close the write half.
     Fin,
-    /// Unclean teardown: close without FIN so the peer detects the loss.
-    Abort,
+    /// Unclean teardown: close without FIN so the peer detects the loss,
+    /// after a LOST naming the host this one lost, if that is why.
+    Abort(Option<HostId>),
 }
 
 /// One peer as the driver holds it: the link and the handles its actions
@@ -544,7 +552,7 @@ impl Transport for TcpTransport {
         }
         for link in &shared.links {
             if let Some(tx) = &link.peer.lock().unpoisoned().queue {
-                let _ = tx.send(if clean { Out::Fin } else { Out::Abort });
+                let _ = tx.send(if clean { Out::Fin } else { Out::Abort(fabric.lost_host()) });
             }
         }
         if clean {
@@ -823,7 +831,8 @@ fn acceptor(listener: TcpListener, shared: Arc<TcpShared>) {
 }
 
 /// Drains one peer's outbound queue onto its socket, heartbeating when
-/// idle. Exits on FIN (clean), Abort (unclean, no FIN), queue closure, or
+/// idle. Exits on FIN (clean), Abort (unclean, no FIN, a LOST first when
+/// the host goes down for a lost peer), queue closure, or
 /// write error (the peer is gone; its reader/monitor handles diagnosis).
 fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
     let mut w = BufWriter::with_capacity(64 << 10, stream);
@@ -859,7 +868,15 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
                 let _ = w.get_ref().shutdown(Shutdown::Write);
                 return;
             }
-            Ok(Out::Abort) => return,
+            Ok(Out::Abort(lost)) => {
+                if let Some(host) = lost {
+                    let mut body = [0u8; 8];
+                    wire::encode_u64s(&[host as u64], &mut body);
+                    let _ = write_frame(&mut w, FRAME_LOST, &body);
+                    let _ = w.flush();
+                }
+                return;
+            }
             Err(RecvTimeoutError::Timeout) => {
                 if write_frame(&mut w, FRAME_HEARTBEAT, &[]).is_err() || w.flush().is_err() {
                     return;
@@ -872,7 +889,8 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
 
 /// Decodes frames from one peer and feeds them to the fabric: envelopes
 /// go through the regular dispatch (fault layer included), barrier
-/// announcements into the shared arrival table. A FIN, and any protocol
+/// announcements into the shared arrival table, a LOST into the abort
+/// cell. A FIN, and any protocol
 /// violation — torn frame, corrupt envelope, absurd length, EOF — is
 /// reported to the link as an event of generation `gen`. The per-frame
 /// path takes no lock: one atomic load tells a superseded reader to stop.
@@ -921,6 +939,14 @@ fn reader_loop(
             },
             FRAME_HEARTBEAT => {}
             FRAME_FIN => drive(&shared, peer, Event::FrameFin { gen }, None),
+            // The abort cell keeps its first reason: the loss the peer names
+            // outranks the peer's own close, which follows it.
+            FRAME_LOST => match (frame.len(), wire::Reader::new(&frame[1..]).u64()) {
+                (9, Ok(host)) if host < shared.hosts as u64 => {
+                    fabric.abort(Abort::Lost(host as HostId))
+                }
+                _ => return failed(),
+            },
             _ => return failed(),
         }
     }
@@ -1213,6 +1239,54 @@ mod tests {
             assert_eq!(count(&instants, "peer_fin"), 1, "rejoin {rejoin}: {instants:?}");
             assert_eq!(count(&instants, "peer_lost") + count(&instants, "peer_down"), 0);
             let _ = peer.join();
+        }
+    }
+
+    /// A peer that goes down naming the host it lost is believed over its
+    /// own close: host 0 of three hears raw host 1 send LOST(2) and hang up
+    /// while raw host 2 is still connected, and reports host 2. A LOST that
+    /// names no host is a protocol violation, charged to its sender.
+    #[test]
+    fn a_lost_frame_names_the_host_the_survivor_reports() {
+        for (named, want) in [(2u64, 2), (3, 1)] {
+            let listeners: Vec<_> = (0..3).map(|_| bind()).collect();
+            let peers: Vec<String> = listeners.iter().map(|(_, a)| a.clone()).collect();
+            let mut listeners = listeners.into_iter().map(|(l, _)| l);
+            let l0 = listeners.next().expect("three listeners");
+            let raw: Vec<_> = listeners
+                .enumerate()
+                .map(|(i, l)| {
+                    let a0 = peers[0].clone();
+                    std::thread::spawn(move || {
+                        let from0 = answer_dial(&l);
+                        let mut to0 = TcpStream::connect(&a0).expect("dial host 0");
+                        to0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                        write_frame(&mut to0, FRAME_HELLO, &hello_body(i + 1, 3, 77, 0)).unwrap();
+                        assert_eq!(read_handshake_frame(&mut to0).unwrap().0, FRAME_ACCEPT);
+                        if i == 0 {
+                            let mut body = [0u8; 8];
+                            wire::encode_u64s(&[named], &mut body);
+                            write_frame(&mut to0, FRAME_LOST, &body).unwrap();
+                            to0.flush().unwrap();
+                            let _ = to0.shutdown(Shutdown::Both);
+                        }
+                        (from0, to0)
+                    })
+                })
+                .collect();
+            let transport =
+                TcpTransport::establish(0, l0, &peers, 77, TcpOptions::default()).expect("mesh up");
+            let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+                comm.recv_any(Tag(0))
+            });
+            match got {
+                Err(ClusterError::HostLost { host, restarts: 0 }) if host == want => {}
+                Err(e) => panic!("LOST({named}): wanted HostLost for host {want}, got: {e}"),
+                Ok(_) => panic!("LOST({named}): the run must not complete"),
+            }
+            for peer in raw {
+                let _ = peer.join();
+            }
         }
     }
 

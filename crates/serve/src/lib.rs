@@ -13,7 +13,7 @@
 //!   is one `magic | length | crc32 | payload` frame over TCP, with the
 //!   payload encoded by the same `cusp-net` LE primitives the cluster
 //!   codec uses. Decoding is *total*: any byte string yields `Ok` or a
-//!   typed [`ProtocolError`](error::ProtocolError), never a panic, and
+//!   typed [`ProtocolError`], never a panic, and
 //!   attacker-controlled length fields are validated against the bytes
 //!   actually present before anything is allocated.
 //! - [`tenant`] — named namespaces with quotas (resident graphs, bytes,
