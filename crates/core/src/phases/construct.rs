@@ -27,10 +27,6 @@
 //! messages its peers deduplicate. A stateful rule walks the same blocks,
 //! a wave of one, one after another in node order.
 //!
-//! A source's masters are looked up as edge assignment looks them up: per
-//! edge, inline, for a pure rule, and in one `MasterTable::gather` over its
-//! destinations before the first decision when they are stored.
-//!
 //! Records are inserted as they arrive, on every slice shape: before each
 //! wave the host thread takes every record message already arrived, and
 //! the wave's fork inserts them beside its walk; after the walk it takes
@@ -86,7 +82,6 @@ use crate::policy::{EdgeRule, Setup};
 use crate::props::LocalProps;
 use crate::state::PartitionState;
 use crate::tags::TAG_EDGES;
-use crate::PartId;
 
 /// The edge budget of a send block (a node of higher degree is a block of
 /// its own). It sets how the walk is shared out, never where a message
@@ -99,8 +94,7 @@ const BLOCKS_PER_THREAD: usize = 4;
 
 /// One send block's walk: the remote records it serialized, back to back,
 /// and every record's peer and byte range, in walk order; plus the
-/// per-destination bucket scratch and, under stored masters, the masters
-/// of the walked source's destinations. Kept across waves, so the buffers
+/// per-destination bucket scratch. Kept across waves, so the buffers
 /// retain their capacity, and a cache line apart, since the pool walks
 /// neighbouring blocks at once.
 #[repr(align(128))]
@@ -109,7 +103,6 @@ struct Block {
     records: Vec<(HostId, Range<usize>)>,
     buckets: Vec<Vec<Node>>,
     wbuckets: Vec<Vec<u32>>,
-    run: Vec<PartId>,
 }
 
 impl Block {
@@ -119,7 +112,6 @@ impl Block {
             records: Vec::new(),
             buckets: vec![Vec::new(); hosts],
             wbuckets: vec![Vec::new(); hosts],
-            run: Vec::new(),
         }
     }
 }
@@ -200,7 +192,7 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     for_each_chunk(data, |chunk| {
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
         let walk = |nodes: Range<Node>, block: &mut Block| {
-            let Block { out, records, buckets, wbuckets, run } = block;
+            let Block { out, records, buckets, wbuckets } = block;
             out.clear();
             records.clear();
             for s in nodes {
@@ -213,35 +205,15 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
                 let edge_data = chunk.edge_data(s);
                 buckets.iter_mut().for_each(Vec::clear);
                 wbuckets.iter_mut().for_each(Vec::clear);
-                match masters {
-                    // The replicated computation stays inside the edge loop.
-                    ResolvedMasters::Pure { .. } => {
-                        for (i, &d) in edges.iter().enumerate() {
-                            if !filter.edge(whole, d) {
-                                continue;
-                            }
-                            let dm = masters.of(d);
-                            let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate) as usize;
-                            buckets[h].push(d);
-                            if let Some(data) = edge_data {
-                                wbuckets[h].push(data[i]);
-                            }
-                        }
+                for (i, &d) in edges.iter().enumerate() {
+                    if !filter.edge(whole, d) {
+                        continue;
                     }
-                    // Stored: the source's lookups first, so the random
-                    // loads overlap instead of each holding up its push.
-                    ResolvedMasters::Stored(table) => {
-                        table.gather(edges, run);
-                        for (i, (&d, &dm)) in edges.iter().zip(run.iter()).enumerate() {
-                            if !filter.edge(whole, d) {
-                                continue;
-                            }
-                            let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate) as usize;
-                            buckets[h].push(d);
-                            if let Some(data) = edge_data {
-                                wbuckets[h].push(data[i]);
-                            }
-                        }
+                    let dm = masters.of(d);
+                    let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate) as usize;
+                    buckets[h].push(d);
+                    if let Some(data) = edge_data {
+                        wbuckets[h].push(data[i]);
                     }
                 }
                 for (h, bucket) in buckets.iter().enumerate() {
@@ -433,9 +405,9 @@ mod tests {
         });
     }
 
-    /// Construction's stored walk looks a source's destinations up before
-    /// it decides; a destination whose master is unknown stops it there,
-    /// named. Node 5 is a destination only, so no source lookup meets it.
+    /// Construction's walk looks each destination's stored master up as it
+    /// decides the edge; one that is unknown stops it there, named. Node 5
+    /// is a destination only, so no source lookup meets it.
     #[test]
     #[should_panic(expected = "master of 5 unknown on this host")]
     fn a_stored_walk_of_an_unknown_master_panics_naming_it() {

@@ -10,22 +10,20 @@
 //!
 //! The walk itself is `tally_edges`, generic over an `EdgeFilter`: this
 //! phase runs it over `AllEdges`, `partition_delta` over its dirty set —
-//! one walk for both. Its per-edge body is kept to a few instructions,
-//! because for pure master rules it *is* the replicated computation that
-//! stands in for master communication (§IV-D5): both master lookups are
-//! forced inline ([`ResolvedMasters::of`]), the grid rules read the owner
-//! from tables, the count goes into a per-thread `k`-entry row that is
-//! stored once per source (chunks are node-aligned, so one task finishes a
-//! source), and the destination is marked in its owner's row of the
-//! worker's own `NodeBitRows` for every edge, one plain `|=` — no
-//! division, no atomic read-modify-write and no data-dependent branch per
-//! edge, no push list to flatten and sort afterwards. The workers' rows are
-//! ORed together once the walk has joined, and whether a marked destination
-//! is a *mirror* (mastered elsewhere) is asked once per set bit when the
-//! union is scanned, not once per edge. Stored masters are looked up per
-//! source instead: all of its destinations in one `MasterTable::gather`
-//! before the first decision, so the random loads into the table overlap
-//! rather than each holding up its edge.
+//! one `getEdgeOwner` call site for both. Its per-edge body is kept to a
+//! few instructions, because for pure master rules it *is* the replicated
+//! computation that stands in for master communication (§IV-D5): both
+//! master lookups are forced inline ([`ResolvedMasters::of`]), the grid
+//! rules read the owner from tables, the count goes into a per-thread
+//! `k`-entry row that is stored once per source (chunks are node-aligned,
+//! so one task finishes a source), and the destination is marked in its
+//! owner's row of the worker's own `NodeBitRows` for every edge, one
+//! plain `|=` — no division, no atomic read-modify-write and no
+//! data-dependent branch per edge, no push list to flatten and sort
+//! afterwards. The workers' rows are ORed together once the walk has
+//! joined, and whether a marked destination is a *mirror* (mastered
+//! elsewhere) is asked once per set bit when the union is scanned, not once
+//! per edge.
 //!
 //! Both walks hand their tally to one exchange, `exchange`, which starts
 //! from what the host already holds — nothing on a full run, the kept
@@ -143,10 +141,8 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
     let counts: Vec<AtomicU32> = (0..k * local_n).map(|_| AtomicU32::new(0)).collect();
     // Row `h`: the destinations of the edges `h` owns, one copy per worker.
     let dest_bits = ThreadRows::new(pool, k, setup.num_nodes as usize);
-    // Per-thread tally of the source being walked, all zero between sources,
-    // and the masters of its destinations when they are stored.
-    let rows: PerThread<(Vec<u32>, Vec<PartId>)> =
-        PerThread::new(pool, |_| (vec![0u32; k], Vec::new()));
+    // Per-thread tally of the source being walked, all zero between sources.
+    let rows: PerThread<Vec<u32>> = PerThread::new(pool, |_| vec![0u32; k]);
 
     for_each_chunk(data, |chunk| {
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, chunk);
@@ -159,37 +155,20 @@ pub(crate) fn tally_edges<ER: EdgeRule, F: EdgeFilter>(
             }
             let whole = filter.whole_source(s);
             let sm = masters.of(s);
-            rows.with(tid, |(row, run)| {
-                dest_bits.with(tid, |bits| match masters {
-                    // The replicated computation stays inside the edge loop.
-                    ResolvedMasters::Pure { .. } => {
-                        for &d in edges {
-                            if !filter.edge(whole, d) {
-                                continue;
-                            }
-                            let dm = masters.of(d);
-                            let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
-                            debug_assert!(h < setup.parts);
-                            row[h as usize] += 1;
-                            // Marked whether or not `h` masters `d`: under a
-                            // 2D cut that test is a coin flip per edge, so it
-                            // is made once per set bit in the scan below.
-                            bits.mark(h as usize, d);
+            rows.with(tid, |row| {
+                dest_bits.with(tid, |bits| {
+                    for &d in edges {
+                        if !filter.edge(whole, d) {
+                            continue;
                         }
-                    }
-                    // Stored: the source's lookups first, so the random
-                    // loads overlap instead of each holding up its decision.
-                    ResolvedMasters::Stored(table) => {
-                        table.gather(edges, run);
-                        for (&d, &dm) in edges.iter().zip(run.iter()) {
-                            if !filter.edge(whole, d) {
-                                continue;
-                            }
-                            let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
-                            debug_assert!(h < setup.parts);
-                            row[h as usize] += 1;
-                            bits.mark(h as usize, d);
-                        }
+                        let dm = masters.of(d);
+                        let h = rule.get_edge_owner(&prop, s, d, sm, dm, estate);
+                        debug_assert!(h < setup.parts);
+                        row[h as usize] += 1;
+                        // Marked whether or not `h` masters `d`: under a 2D
+                        // cut that test is a coin flip per edge, so it is
+                        // made once per set bit in the scan below instead.
+                        bits.mark(h as usize, d);
                     }
                 });
                 for (h, c) in row.iter_mut().enumerate() {

@@ -114,8 +114,8 @@ pub const MAX_STORED_PARTS: PartId = u16::MAX as PartId - 1;
 /// into it, the protocol writes each peer's positional answers into it in
 /// place, the rules' neighbour lookups read it while the rounds run
 /// ([`MasterView`]), and the edge-assignment and construction walks read
-/// the same table afterwards, one source's destinations at a time
-/// (`MasterTable::gather`). Every lookup is a bounds check and one
+/// the same table afterwards, once per edge ([`ResolvedMasters::of`]).
+/// Every lookup is a bounds check and one
 /// one- or two-byte load, and the table is `n` or `2n` bytes of address
 /// space per host ([`MasterTable::heap_bytes`]), of which only the touched
 /// pages are memory. The edge walks load it at random (a destination has
@@ -132,8 +132,7 @@ enum Slots {
     Wide(Vec<AtomicU16>),
 }
 
-/// Runs `$body` with `$s` bound to the slots as a slice of their width:
-/// the width is matched once, outside whatever `$body` loops over.
+/// Runs `$body` with `$s` bound to the slots as a slice of their width.
 macro_rules! with_slots {
     ($slots:expr, $s:ident => $body:expr) => {
         match $slots {
@@ -211,21 +210,6 @@ impl MasterTable {
         with_slots!(&self.slots, s => s.get(v as usize)?.read().checked_sub(1))
     }
 
-    /// Replaces `run` with the masters of `ids`, in order — the edge walks'
-    /// lookups for one source's destinations, with the slot width matched
-    /// once for the run instead of once per id. Panics, naming it, at an id
-    /// whose master is unknown.
-    #[inline]
-    pub(crate) fn gather(&self, ids: &[Node], run: &mut Vec<PartId>) {
-        run.clear();
-        with_slots!(&self.slots, s => run.extend(ids.iter().map(|&v| {
-            match s.get(v as usize).map_or(0, Slot::read) {
-                0 => unknown_master(v),
-                m => m - 1,
-            }
-        })))
-    }
-
     /// The node count `n` the table spans.
     pub fn num_nodes(&self) -> usize {
         with_slots!(&self.slots, s => s.len())
@@ -279,11 +263,10 @@ impl ResolvedMasters {
     /// The master partition of `v`. Panics if the protocol did not deliver
     /// it (which would be a driver bug, not a user error).
     ///
-    /// Called up to twice per edge by both edge walks under pure masters,
-    /// so it is forced inline — as a call it costs more than the lookup —
-    /// and the unknown-master panic sits in a cold function of its own.
-    /// Under stored masters the walks look a source's destinations up in
-    /// one `MasterTable::gather` instead.
+    /// Called up to twice per edge by both edge walks, so it is forced
+    /// inline — as a call it costs more than the lookup — and the
+    /// unknown-master panic sits in a cold function of its own: a stored
+    /// master is one one- or two-byte load.
     #[inline(always)]
     pub fn of(&self, v: Node) -> PartId {
         match self {
@@ -756,20 +739,9 @@ mod tests {
                 let p = want.iter().find(|&&(u, _)| u == v).map(|&(_, p)| p);
                 assert_eq!(table.get(v), p, "{parts} partitions: get({v})");
             }
-            let mut run = vec![7];
-            table.gather(&[9, 1, 4, 9], &mut run);
-            assert_eq!(run, [254, 0, 253, 254], "{parts} partitions");
         }
         assert_eq!(MasterTable::new(10, 1).heap_bytes(), 10);
         assert_eq!(MasterTable::new(10, MAX_STORED_PARTS).heap_bytes(), 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "master of 6 unknown on this host")]
-    fn gathering_an_unknown_master_panics_naming_it() {
-        let table = MasterTable::new(8, 4);
-        table.set(2, 1);
-        table.gather(&[2, 6], &mut Vec::new());
     }
 
     /// A stored-master run over more partitions than a slot can name stops
@@ -969,7 +941,7 @@ mod tests {
 
     proptest! {
         /// A one-byte and a two-byte table given the same `(v, p)` sets
-        /// answer alike: per id, in a scan and in a gather.
+        /// answer alike: per id and in a scan.
         #[test]
         fn narrow_and_wide_tables_agree(
             pairs in proptest::collection::vec((0u32..3000, 0u32..255), 0..200),
@@ -985,11 +957,6 @@ mod tests {
             for &v in probes.iter().chain(pairs.iter().map(|(v, _)| v)) {
                 prop_assert_eq!(narrow.get(v), wide.get(v));
             }
-            let known: Vec<Node> = pairs.iter().map(|&(v, _)| v).collect();
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            narrow.gather(&known, &mut a);
-            wide.gather(&known, &mut b);
-            prop_assert_eq!(a, b);
         }
     }
 

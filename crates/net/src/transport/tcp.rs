@@ -66,8 +66,10 @@ use crate::{Bytes, Unpoison};
 const MAGIC: u32 = 0x4355_5350;
 
 /// Version of the TCP framing + handshake protocol. Version 2 added the
-/// `incarnation` field to HELLO (process rejoin after a crash).
-pub const TCP_PROTOCOL_VERSION: u8 = 2;
+/// `incarnation` field to HELLO (process rejoin after a crash); version 3
+/// added the LOST frame, so a mesh never mixes hosts that send it with
+/// hosts that would charge it to its sender as an unknown kind.
+pub const TCP_PROTOCOL_VERSION: u8 = 3;
 
 const FRAME_HELLO: u8 = 1;
 const FRAME_ACCEPT: u8 = 2;
@@ -940,9 +942,14 @@ fn reader_loop(
             FRAME_HEARTBEAT => {}
             FRAME_FIN => drive(&shared, peer, Event::FrameFin { gen }, None),
             // The abort cell keeps its first reason: the loss the peer names
-            // outranks the peer's own close, which follows it.
+            // outranks the peer's own close, which follows it. A peer can
+            // name neither this host nor itself as the one it lost.
             FRAME_LOST => match (frame.len(), wire::Reader::new(&frame[1..]).u64()) {
-                (9, Ok(host)) if host < shared.hosts as u64 => {
+                (9, Ok(host))
+                    if host < shared.hosts as u64
+                        && host != shared.me as u64
+                        && host != peer as u64 =>
+                {
                     fabric.abort(Abort::Lost(host as HostId))
                 }
                 _ => return failed(),
@@ -1245,10 +1252,12 @@ mod tests {
     /// A peer that goes down naming the host it lost is believed over its
     /// own close: host 0 of three hears raw host 1 send LOST(2) and hang up
     /// while raw host 2 is still connected, and reports host 2. A LOST that
-    /// names no host is a protocol violation, charged to its sender.
+    /// names no host, the receiver or its own sender is a protocol
+    /// violation: host 1 keeps its socket open, and host 0 still reports
+    /// host 1 lost, through its link.
     #[test]
     fn a_lost_frame_names_the_host_the_survivor_reports() {
-        for (named, want) in [(2u64, 2), (3, 1)] {
+        for (named, want) in [(2u64, 2), (3, 1), (0, 1), (1, 1)] {
             let listeners: Vec<_> = (0..3).map(|_| bind()).collect();
             let peers: Vec<String> = listeners.iter().map(|(_, a)| a.clone()).collect();
             let mut listeners = listeners.into_iter().map(|(l, _)| l);
@@ -1268,7 +1277,9 @@ mod tests {
                             wire::encode_u64s(&[named], &mut body);
                             write_frame(&mut to0, FRAME_LOST, &body).unwrap();
                             to0.flush().unwrap();
-                            let _ = to0.shutdown(Shutdown::Both);
+                            if named == 2 {
+                                let _ = to0.shutdown(Shutdown::Both);
+                            }
                         }
                         (from0, to0)
                     })
@@ -1276,13 +1287,18 @@ mod tests {
                 .collect();
             let transport =
                 TcpTransport::establish(0, l0, &peers, 77, TcpOptions::default()).expect("mesh up");
-            let got = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
-                comm.recv_any(Tag(0))
+            let (got, instants) = instants(|| {
+                Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
+                    comm.recv_any(Tag(0))
+                })
             });
             match got {
                 Err(ClusterError::HostLost { host, restarts: 0 }) if host == want => {}
                 Err(e) => panic!("LOST({named}): wanted HostLost for host {want}, got: {e}"),
                 Ok(_) => panic!("LOST({named}): the run must not complete"),
+            }
+            if named != 2 {
+                assert_eq!(count(&instants, "peer_lost"), 1, "LOST({named}): {instants:?}");
             }
             for peer in raw {
                 let _ = peer.join();
