@@ -1,18 +1,19 @@
 //! One peer's connection life, decided once: [`PeerLink`] says whether a
 //! broken connection is a loss, a down peer awaiting its respawn or the
-//! expected close after FIN, whether a HELLO is the peer's first, a respawn
-//! or a stale duplicate, and which reports are about a superseded
-//! connection. Its
+//! expected close after FIN, whether a HELLO comes from the incarnation this
+//! host's dial reached, a respawn or a stale duplicate, what a LOST the peer
+//! sends means, and which reports are about a superseded connection. Its
 //! [`PeerLink::step`] touches no clock, socket, thread or atomic, so
-//! `tests/link_schedules.rs` runs it against a fake world; `tcp.rs` only
+//! `tests/link_schedules.rs` explores it against a fake world; `tcp.rs` only
 //! detects and acts.
 
 use super::RejectReason;
+use crate::cluster::HostId;
 
 /// Where one peer stands: `gen` is the connection generation (0 for the
 /// mesh, one more per admission), `inc` the incarnation last admitted.
 #[allow(missing_docs)] // the fields are the two names above
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkState {
     /// Generation 0 before the peer's first HELLO (silent from `establish` on).
     Awaiting,
@@ -32,7 +33,7 @@ pub enum LinkState {
 
 /// A fact a driver reports to [`PeerLink::step`].
 #[allow(missing_docs)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {
     /// The reader of generation `gen` read a FIN frame.
     FrameFin { gen: u64 },
@@ -42,6 +43,12 @@ pub enum Event {
     Silent { gen: u64 },
     /// The peer's process dialed in with a valid HELLO claiming `inc`.
     HelloFrom { inc: u32 },
+    /// This host's dial of the peer's listener was accepted by incarnation
+    /// `inc` (the ACCEPT names it); reported once per dial `establish` makes.
+    Dialed { inc: u32 },
+    /// The reader of generation `gen` read a LOST naming `host`: the peer is
+    /// going down because it lost that host.
+    Lost { gen: u64, host: u64 },
     /// The peer's supervisor saw it finish: as good as a FIN that died.
     Finished,
     /// The outcome of the redial an [`Action::Admit`] asked for.
@@ -54,7 +61,7 @@ pub enum Event {
 #[allow(missing_docs)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Accept the first HELLO and read its connection as generation 0; the
+    /// Accept the HELLO and read its connection as generation 0; the
     /// outbound connection is this host's own dial.
     Hook,
     /// Drop the outbound queue and tear the reader out of its socket.
@@ -63,27 +70,35 @@ pub enum Action {
     /// [`resend`] lists and read it as generation `gen`; then report
     /// [`Event::Redialed`].
     Admit { gen: u64 },
-    /// Refuse the HELLO with this reason.
+    /// Refuse the HELLO, or the dial just reported, with this reason; a
+    /// refused dial is made again.
     Reject(RejectReason),
     /// The peer finished: wake whoever waits for every FIN.
     Release,
-    /// The peer is lost: abort the run.
-    MarkLost,
+    /// `host` is lost (the peer itself, or the host its LOST names): abort
+    /// the run.
+    MarkLost { host: HostId },
 }
 
 /// One peer's connection life: a [`LinkState`] moved by [`PeerLink::step`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PeerLink {
     rejoin: bool,
+    /// This host, the peer, and how many hosts the run has.
+    me: HostId,
+    peer: HostId,
+    hosts: usize,
     state: LinkState,
+    /// The incarnation this host's dial reached, once it has reported.
+    dialed: Option<u32>,
     /// [`Event::Shutdown`] arrived.
     closed: bool,
 }
 
 impl PeerLink {
-    /// A peer that has not dialed in yet.
-    pub fn new(rejoin: bool) -> Self {
-        PeerLink { rejoin, state: LinkState::Awaiting, closed: false }
+    /// Host `me`'s link to `peer` of `hosts`, before either has dialed.
+    pub fn new(rejoin: bool, me: HostId, peer: HostId, hosts: usize) -> Self {
+        Self { rejoin, me, peer, hosts, state: LinkState::Awaiting, dialed: None, closed: false }
     }
 
     /// Where the peer stands.
@@ -91,15 +106,46 @@ impl PeerLink {
         self.state
     }
 
+    /// Whether the peer has neither dialed in nor been given up on: what
+    /// `start` waits out.
+    pub fn awaiting(&self) -> bool {
+        self.state == LinkState::Awaiting
+    }
+
+    /// Whether the peer sent FIN (or its supervisor said it finished): what
+    /// `finish` waits for.
+    pub fn finned(&self) -> bool {
+        matches!(self.state, LinkState::Finned { .. })
+    }
+
+    /// The generation whose silence counts, if any: the awaited first HELLO
+    /// or the live connection.
+    pub fn watched(&self) -> Option<u64> {
+        match self.state {
+            LinkState::Awaiting => Some(0),
+            LinkState::Up { gen, .. } => Some(gen),
+            _ => None,
+        }
+    }
+
     /// Advances the link by one event. Each rule is written once:
     ///
     /// * after [`Event::Shutdown`], and once lost, nothing changes;
     /// * a report about any generation but the current one changes nothing;
-    /// * the first HELLO, of any incarnation, is hooked as generation 0;
-    /// * a later one is refused as a taken slot without rejoin; with it, it
-    ///   is admitted iff its incarnation is strictly newer than the last one
-    ///   admitted (equal is a duplicate of the live worker, older a zombie):
-    ///   only one process can ever hold a given (peer, incarnation);
+    /// * a HELLO from the incarnation this host's dial reached is hooked as
+    ///   generation 0, with no redial;
+    /// * until the dial reports, a HELLO is hooked provisionally (with
+    ///   rejoin a newer one replaces it), and the report checks it: a dial
+    ///   that reached an older incarnation is refused, so it is made again;
+    ///   one that reached a newer incarnation unhooks the dead one's
+    ///   connection and waits for its successor's HELLO;
+    /// * any other HELLO is refused as a taken slot without rejoin; with it,
+    ///   it is admitted iff its incarnation is strictly newer than the last
+    ///   one hooked, admitted or dialed (equal is a duplicate of the live
+    ///   worker, older a zombie): only one process can ever hold a given
+    ///   (peer, incarnation);
+    /// * a LOST naming a host that is neither this one, the peer nor out of
+    ///   range loses that host; any other LOST is a broken connection;
     /// * a failure after FIN is the expected close, in either mode;
     /// * otherwise a failure, or silence before the first HELLO, is `Lost`
     ///   without rejoin and `Down` (awaiting a respawn) with it.
@@ -108,17 +154,31 @@ impl PeerLink {
         let (gen, inc) = match self.state {
             _ if self.closed => return Vec::new(),
             Lost => return Vec::new(),
-            Awaiting => (0, 0),
+            Awaiting => (0, self.dialed.unwrap_or(0)),
             Up { gen, inc } | Finned { gen, inc } | Joining { gen, inc } | Down { gen, inc } => {
                 (gen, inc)
             }
         };
+        let provisional = self.dialed.is_none() && self.state == Up { gen: 0, inc };
         match event {
             Event::Shutdown => {
                 self.closed = true;
                 Vec::new()
             }
-            Event::HelloFrom { inc: claimed } if self.state == Awaiting => {
+            Event::Dialed { inc: reached } if provisional && reached < inc => {
+                vec![Action::Reject(StaleIncarnation)]
+            }
+            Event::Dialed { inc: reached } => {
+                self.dialed = Some(reached);
+                if provisional && reached > inc {
+                    self.state = Awaiting;
+                    return vec![Action::Unhook];
+                }
+                Vec::new()
+            }
+            Event::HelloFrom { inc: claimed }
+                if self.state == Awaiting && self.dialed.is_none_or(|d| d == claimed) =>
+            {
                 self.state = Up { gen: 0, inc: claimed };
                 vec![Action::Hook]
             }
@@ -126,8 +186,12 @@ impl PeerLink {
             Event::HelloFrom { inc: claimed } if claimed <= inc => {
                 vec![Action::Reject(StaleIncarnation)]
             }
+            Event::HelloFrom { inc: claimed } if provisional => {
+                self.state = Up { gen: 0, inc: claimed };
+                vec![Action::Hook]
+            }
             Event::HelloFrom { inc: claimed } => {
-                let hooked = matches!(self.state, Up { .. } | Finned { .. });
+                let hooked = self.state != Down { gen, inc };
                 self.state = Joining { gen: gen + 1, inc: claimed };
                 let admit = Action::Admit { gen: gen + 1 };
                 hooked.then_some(Action::Unhook).into_iter().chain([admit]).collect()
@@ -141,10 +205,18 @@ impl PeerLink {
             Event::FrameFin { gen: of }
             | Event::ReadFailed { gen: of }
             | Event::Silent { gen: of }
+            | Event::Lost { gen: of, .. }
                 if of != gen =>
             {
                 Vec::new()
             }
+            Event::Lost { host, .. }
+                if host < self.hosts as u64 && host != self.me as u64 && host != self.peer as u64 =>
+            {
+                self.state = Lost;
+                vec![Action::MarkLost { host: host as HostId }]
+            }
+            Event::Lost { .. } => self.step(Event::ReadFailed { gen }),
             Event::FrameFin { .. } | Event::Finished => match self.state {
                 Awaiting | Up { .. } | Down { .. } => {
                     self.state = Finned { gen, inc };
@@ -159,7 +231,7 @@ impl PeerLink {
                 }
                 Awaiting | Up { .. } => {
                     self.state = Lost;
-                    vec![Action::MarkLost]
+                    vec![Action::MarkLost { host: self.peer }]
                 }
                 _ => Vec::new(),
             },

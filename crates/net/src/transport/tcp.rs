@@ -7,8 +7,8 @@
 //!
 //! | kind | name      | body                                             |
 //! |------|-----------|--------------------------------------------------|
-//! | 1    | HELLO     | `magic u32, version u8, host_id u32, hosts u32, run_nonce u64, incarnation u32` |
-//! | 2    | ACCEPT    | empty                                            |
+//! | 1    | HELLO     | `magic u32, version u8 (4), host_id u32, hosts u32, run_nonce u64, incarnation u32` |
+//! | 2    | ACCEPT    | `incarnation u32` — the acceptor's, for the dialer's link |
 //! | 3    | REJECT    | `reason u8` (see [`RejectReason`])               |
 //! | 4    | ENVELOPE  | a versioned envelope (`encode_envelope`)         |
 //! | 5    | BARRIER   | `arrival u64` — the sender's barrier arrival count |
@@ -38,9 +38,10 @@
 //!
 //! ## One peer link
 //!
-//! What a FIN, a broken connection, silence, a HELLO (the first or a
-//! respawn's) or a supervisor's word that a peer finished means is decided
-//! by the peer's [`PeerLink`] (`super::link`; DESIGN.md §11 has its table):
+//! What a FIN, a LOST, a broken connection, silence, a HELLO (the first or a
+//! respawn's), the answer to this host's dial or a supervisor's word that a
+//! peer finished means is decided by the peer's [`PeerLink`] (`super::link`;
+//! DESIGN.md §11 has its table):
 //! the threads only report to it and act, under the one lock that holds the
 //! link with the peer's queue and reader socket; an admission re-sends the
 //! fabric's send log (`replay.rs`). A down peer (with
@@ -56,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use cusp_graph::wire;
 
-use super::link::{self, Action, Event, LinkState, PeerLink, Resend};
+use super::link::{self, Action, Event, PeerLink, Resend};
 use super::{RejectReason, Transport, TransportError};
 use crate::cluster::{Abort, Envelope, Fabric, HostId, Tag, MAX_TAGS};
 use crate::serialize::{decode_envelope, WireWriter};
@@ -68,8 +69,9 @@ const MAGIC: u32 = 0x4355_5350;
 /// Version of the TCP framing + handshake protocol. Version 2 added the
 /// `incarnation` field to HELLO (process rejoin after a crash); version 3
 /// added the LOST frame, so a mesh never mixes hosts that send it with
-/// hosts that would charge it to its sender as an unknown kind.
-pub const TCP_PROTOCOL_VERSION: u8 = 3;
+/// hosts that would charge it to its sender as an unknown kind; version 4
+/// put the acceptor's incarnation in ACCEPT.
+pub const TCP_PROTOCOL_VERSION: u8 = 4;
 
 const FRAME_HELLO: u8 = 1;
 const FRAME_ACCEPT: u8 = 2;
@@ -211,8 +213,8 @@ impl TcpShared {
         self.run.get().and_then(|(fabric, _)| fabric.upgrade())
     }
 
-    fn state(&self, peer: HostId) -> LinkState {
-        self.links[peer].peer.lock().unpoisoned().link.state()
+    fn link<R>(&self, peer: HostId, query: impl Fn(&PeerLink) -> R) -> R {
+        query(&self.links[peer].peer.lock().unpoisoned().link)
     }
 
     fn notify(&self) {
@@ -222,8 +224,8 @@ impl TcpShared {
 
     /// Blocks until every peer's link is `done`, or the run aborts; each link
     /// step wakes it.
-    fn wait_all(&self, fabric: &Fabric, done: impl Fn(LinkState) -> bool) {
-        let done = |p| p == self.me || done(self.state(p));
+    fn wait_all(&self, fabric: &Fabric, done: impl Fn(&PeerLink) -> bool) {
+        let done = |p| p == self.me || self.link(p, &done);
         let mut guard = self.waiting.lock().unpoisoned();
         while !fabric.should_abort() && !(0..self.hosts).all(done) {
             guard = self.links_changed.wait(guard).unpoisoned();
@@ -231,23 +233,36 @@ impl TcpShared {
     }
 }
 
-/// Steps `peer`'s link with `event` and performs what it says, all under
-/// the peer's lock, leaving one trace instant per action but `Hook`.
-/// `hello` is the connection an [`Event::HelloFrom`] arrived on, the only
-/// event before `start` (whose sockets are parked for `start` to read).
-fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<TcpStream>) {
+/// Steps `peer`'s link with `event` and performs what it says under the
+/// peer's lock (see [`perform`]), then wakes the waiters.
+fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, conn: Option<TcpStream>) {
     let mut p = shared.links[peer].peer.lock().unpoisoned();
+    perform(shared, &mut p, peer, event, conn);
+    drop(p);
+    shared.notify();
+}
+
+/// Steps `p`'s link with `event` and performs what it says, leaving one
+/// trace instant per action but `Hook`. `conn`, the connection a HELLO came
+/// on or a dial made, comes back unless an action took it.
+fn perform(
+    shared: &Arc<TcpShared>,
+    p: &mut Peer,
+    peer: HostId,
+    event: Event,
+    mut conn: Option<TcpStream>,
+) -> Option<TcpStream> {
     let mut actions = p.link.step(event);
     let mut next = 0;
     while let Some(&action) = actions.get(next) {
         next += 1;
         let name = match action {
             Action::Hook => {
-                let mut stream = hello.take().expect("only a HELLO is hooked");
+                let mut stream = conn.take().expect("only a HELLO is hooked");
                 shared.heard(peer);
                 // A failed ACCEPT leaves a dead socket, which its reader reports.
-                let _ = write_frame(&mut stream, FRAME_ACCEPT, &[]);
-                read_from(shared, &mut p, stream, peer, 0);
+                let _ = write_frame(&mut stream, FRAME_ACCEPT, &accept_body(shared.incarnation));
+                read_from(shared, p, stream, peer, 0);
                 continue;
             }
             Action::Unhook => {
@@ -258,27 +273,26 @@ fn drive(shared: &Arc<TcpShared>, peer: HostId, event: Event, mut hello: Option<
                 "peer_down"
             }
             Action::Admit { gen } => {
-                let stream = hello.take().expect("only a HELLO is admitted");
-                let ok = admit(shared, &mut p, peer, gen, stream);
+                let stream = conn.take().expect("only a HELLO is admitted");
+                let ok = admit(shared, p, peer, gen, stream);
                 actions.extend(p.link.step(Event::Redialed { ok }));
                 "peer_rejoin"
             }
             Action::Reject(reason) => {
-                reject(hello.as_mut().expect("only a HELLO is refused"), reason);
+                reject(&mut conn.take().expect("only a HELLO or a dial is refused"), reason);
                 "peer_reject"
             }
             Action::Release => "peer_fin",
-            Action::MarkLost => {
+            Action::MarkLost { host } => {
                 if let Some(fabric) = shared.fabric() {
-                    fabric.abort(Abort::Lost(peer));
+                    fabric.abort(Abort::Lost(host));
                 }
                 "peer_lost"
             }
         };
         cusp_obs::instant(name, peer as u64);
     }
-    drop(p);
-    shared.notify();
+    conn
 }
 
 /// Performs [`Action::Admit`]: accepts the HELLO on `stream`, re-dials the
@@ -292,16 +306,16 @@ fn admit(shared: &Arc<TcpShared>, p: &mut Peer, peer: HostId, gen: u64, mut s: T
     shared.links[peer].gen.store(gen, Ordering::Release);
     shared.heard(peer);
     let hello = hello_body(shared.me, shared.hosts, shared.run_nonce, shared.incarnation);
-    let redial = write_frame(&mut s, FRAME_ACCEPT, &[])
+    let redial = write_frame(&mut s, FRAME_ACCEPT, &accept_body(shared.incarnation))
         .ok()
         .and_then(|()| dial(peer, &shared.peers[peer], &hello).ok());
-    let Some(out) = redial else { return false };
-    let (tx, rx) = mpsc::channel();
+    let Some((out, _)) = redial else { return false };
     let fin = shared.fin_sent.load(Ordering::Acquire);
     let (fabric, mut frames) = (shared.fabric(), Vec::new());
     if let Some(fabric) = &fabric {
         fabric.log.replay(peer, &fabric.stats, |tag, env| frames.push(env.encode(tag)));
     }
+    let tx = write_to(shared, p, peer, gen, out);
     for item in link::resend(&frames, fabric.map_or(0, |f| f.barrier.arrived(shared.me)), fin) {
         let _ = tx.send(match item {
             Resend::Logged(frame) => Out::Env(frame.clone()),
@@ -309,8 +323,6 @@ fn admit(shared: &Arc<TcpShared>, p: &mut Peer, peer: HostId, gen: u64, mut s: T
             Resend::Fin => Out::Fin,
         });
     }
-    p.queue = Some(tx);
-    spawn_writer(shared, peer, gen, out, rx);
     read_from(shared, p, s, peer, gen);
     true
 }
@@ -344,17 +356,13 @@ impl Finished {
     }
 }
 
-/// `(peer, socket, queue)`: an outbound simplex connection, parked between
-/// [`TcpTransport::establish`] and [`Transport::start`].
-type Dialed = (HostId, TcpStream, Receiver<Out>);
-
 /// The TCP transport for one host process. Created by
 /// [`TcpTransport::establish`] once this host's dials are answered; handed
 /// to [`crate::Cluster::try_run_tcp`] to run the partition over it.
 pub struct TcpTransport {
     shared: Arc<TcpShared>,
-    /// The dialed connections until `start` spawns their writers.
-    pending: Mutex<Option<Vec<Dialed>>>,
+    /// A clone of one dialed connection, for [`TcpTransport::saboteur`].
+    outbound: Option<TcpStream>,
 }
 
 impl TcpTransport {
@@ -381,12 +389,9 @@ impl TcpTransport {
     }
 
     /// A handle on one outbound mesh socket, for fault-injection tooling
-    /// (torn-connection kill mode). `None` for a single-host mesh or once
-    /// `start` has consumed the pending sockets.
+    /// (torn-connection kill mode). `None` for a single-host mesh.
     pub fn saboteur(&self) -> Option<Saboteur> {
-        let pending = self.pending.lock().unpoisoned();
-        let (_, stream, _) = pending.as_ref()?.first()?;
-        stream.try_clone().ok().map(Saboteur)
+        self.outbound.as_ref()?.try_clone().ok().map(Saboteur)
     }
 
     /// A handle through which a supervisor that saw a peer finish says so
@@ -445,9 +450,10 @@ impl TcpTransport {
             }
         }
 
-        let links = (0..hosts).map(|_| Link {
+        let link = |peer| PeerLink::new(opts.rejoin, me, peer, hosts);
+        let links = (0..hosts).map(|peer| Link {
             gen: AtomicU64::new(0),
-            peer: Mutex::new(Peer { link: PeerLink::new(opts.rejoin), queue: None, reader: None }),
+            peer: Mutex::new(Peer { link: link(peer), queue: None, reader: None }),
         });
         // Silence is counted from here: heard at 0.
         let shared = Arc::new(TcpShared {
@@ -471,18 +477,25 @@ impl TcpTransport {
         // waits for the peer's acceptor to answer.
         let s = Arc::clone(&shared);
         spawn_io(&shared, "tcp-accept".into(), None, move || acceptor(listener, s));
-        let mut transport = TcpTransport { shared, pending: Mutex::new(None) };
+        let mut transport = TcpTransport { shared, outbound: None };
 
         let hello = hello_body(me, hosts, run_nonce, incarnation);
-        let mut dialed = Vec::with_capacity(hosts - 1);
+        let mut outbound = None;
         for peer in (0..hosts).filter(|&peer| peer != me) {
-            // A failed dial drops `transport`, which stops the acceptor.
-            let stream = dial(peer, &peers[peer], &hello)?;
-            let (tx, rx) = mpsc::channel();
-            transport.shared.links[peer].peer.lock().unpoisoned().queue = Some(tx);
-            dialed.push((peer, stream, rx));
+            let shared = &transport.shared;
+            loop {
+                // A failed dial drops `transport`, which stops the acceptor.
+                let (s, inc) = dial(peer, &peers[peer], &hello)?;
+                let mut p = shared.links[peer].peer.lock().unpoisoned();
+                // A dial the link refuses is made again.
+                if let Some(s) = perform(shared, &mut p, peer, Event::Dialed { inc }, Some(s)) {
+                    outbound = outbound.or_else(|| s.try_clone().ok());
+                    write_to(shared, &mut p, peer, 0, s);
+                    break;
+                }
+            }
         }
-        transport.pending = Mutex::new(Some(dialed));
+        transport.outbound = outbound;
         Ok(transport)
     }
 }
@@ -496,15 +509,13 @@ impl Drop for TcpTransport {
 
 impl Transport for TcpTransport {
     fn start(&self, fabric: &Arc<Fabric>) {
-        let Some(dialed) = self.pending.lock().unpoisoned().take() else { return };
         let shared = &self.shared;
-        for (peer, stream, rx) in dialed {
-            spawn_writer(shared, peer, 0, stream, rx);
-        }
         // Under every peer's lock: a HELLO driven meanwhile either parked its
         // socket before the run was set, or sees the run and reads it itself.
         let mut peers: Vec<_> = shared.links.iter().map(|l| l.peer.lock().unpoisoned()).collect();
-        let _ = shared.run.set((Arc::downgrade(fabric), cusp_obs::current()));
+        if shared.run.set((Arc::downgrade(fabric), cusp_obs::current())).is_err() {
+            return; // started already
+        }
         for (peer, p) in peers.iter_mut().enumerate() {
             if let Some(stream) = p.reader.take() {
                 let gen = shared.links[peer].gen.load(Ordering::Acquire);
@@ -519,7 +530,7 @@ impl Transport for TcpTransport {
         // Run once every peer has dialed in, or the monitor gave up on it: a
         // peer still dialing this host must not meet it dead (a kill at the
         // first phase). A count, bounded by the silence rule, not a deadline.
-        shared.wait_all(fabric, |link| link != LinkState::Awaiting);
+        shared.wait_all(fabric, |link| !link.awaiting());
     }
 
     fn ship(&self, _fabric: &Fabric, dst: HostId, tag: Tag, env: Envelope) {
@@ -563,7 +574,7 @@ impl Transport for TcpTransport {
             // barriers. The readers and the monitor are still up, so a
             // peer that dies or goes silent here raises the abort flag
             // exactly as it would have during the run; both wake this wait.
-            shared.wait_all(fabric, |link| matches!(link, LinkState::Finned { .. }));
+            shared.wait_all(fabric, PeerLink::finned);
         }
         stop(shared);
     }
@@ -623,11 +634,13 @@ fn spawn_io(
     shared.threads.lock().unpoisoned().push(handle);
 }
 
-/// Stands up the writer of connection generation `gen` toward `peer`.
-fn spawn_writer(shared: &TcpShared, peer: HostId, gen: u64, stream: TcpStream, rx: Receiver<Out>) {
+/// Makes `stream` the outbound connection of generation `gen` toward
+/// `peer`: a fresh queue, which a writer of its own drains.
+fn write_to(shared: &TcpShared, p: &mut Peer, peer: HostId, gen: u64, s: TcpStream) -> Sender<Out> {
+    let (tx, rx) = mpsc::channel();
     let interval = shared.opts.heartbeat_interval;
-    let body = move || writer_loop(stream, rx, interval);
-    spawn_io(shared, format!("tcp-send-{peer}-g{gen}"), None, body);
+    spawn_io(shared, format!("tcp-send-{peer}-g{gen}"), None, move || writer_loop(s, rx, interval));
+    p.queue.insert(tx).clone()
 }
 
 /// Reads `stream` as connection generation `gen` from `peer`: spawns its
@@ -647,10 +660,8 @@ fn read_from(shared: &Arc<TcpShared>, p: &mut Peer, stream: TcpStream, peer: Hos
 
 /// `len: u32 LE | kind` — the five bytes that start every frame.
 fn frame_head(len: u32, kind: u8) -> [u8; 5] {
-    let mut head = [0u8; 5];
-    wire::encode_u32s(&[len], &mut head[..4]);
-    head[4] = kind;
-    head
+    let [a, b, c, d] = len.to_le_bytes();
+    [a, b, c, d, kind]
 }
 
 fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<()> {
@@ -658,17 +669,12 @@ fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<()>
     w.write_all(body)
 }
 
-/// Decodes a frame's length prefix.
-fn frame_len(prefix: [u8; 4]) -> u32 {
-    wire::Reader::new(&prefix).u32().expect("four bytes hold a u32")
-}
-
 /// Blocking read of one small frame during the handshake (the socket has a
 /// read timeout set, so this is bounded).
 fn read_handshake_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
-    let len = frame_len(len_buf);
+    let len = u32::from_le_bytes(len_buf);
     if len == 0 || len > MAX_HANDSHAKE_FRAME {
         let detail = format!("handshake frame length {len}");
         return Err(std::io::Error::new(ErrorKind::InvalidData, detail));
@@ -678,36 +684,46 @@ fn read_handshake_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)
     Ok((frame[0], frame[1..].to_vec()))
 }
 
-/// Outcome of a flag-aware socket read.
-enum ReadOutcome {
-    /// Buffer filled.
-    Ok,
+/// Why a flag-aware socket read came back without its bytes.
+enum Unread {
     /// The stop flag fired while blocked.
     Stopped,
-    /// EOF or an I/O error; whether it was the expected close is the link's
-    /// to say.
+    /// EOF, an I/O error or an absurd length; whether it was the expected
+    /// close is the link's to say.
     Failed,
 }
 
 /// Fills `buf` from `r`, surfacing read timeouts as chances to observe
 /// `stop` instead of data loss (unlike `read_exact`, which corrupts its
 /// position on timeout).
-fn read_full(r: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -> ReadOutcome {
+fn read_full(r: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -> Result<(), Unread> {
     let mut off = 0;
     while off < buf.len() {
         match r.read(&mut buf[off..]) {
-            Ok(0) => return ReadOutcome::Failed,
+            Ok(0) => return Err(Unread::Failed),
             Ok(n) => off += n,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if stop() {
-                    return ReadOutcome::Stopped;
+                    return Err(Unread::Stopped);
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Failed,
+            Err(_) => return Err(Unread::Failed),
         }
     }
-    ReadOutcome::Ok
+    Ok(())
+}
+
+/// Reads one data frame, `kind | body`, from `r`.
+fn read_frame(r: &mut impl Read, stop: &impl Fn() -> bool) -> Result<Vec<u8>, Unread> {
+    let mut len = [0u8; 4];
+    read_full(r, &mut len, stop)?;
+    let len = u32::from_le_bytes(len);
+    if len == 0 || len > MAX_FRAME {
+        return Err(Unread::Failed);
+    }
+    let mut frame = vec![0u8; len as usize];
+    read_full(r, &mut frame, stop).map(|()| frame)
 }
 
 /// The HELLO frame body. `#[doc(hidden)] pub`, like [`parse_hello`], so
@@ -725,10 +741,24 @@ pub fn hello_body(me: HostId, hosts: usize, run_nonce: u64, incarnation: u32) ->
     w.finish()
 }
 
+/// The ACCEPT frame body: the acceptor's incarnation. `#[doc(hidden)] pub`
+/// like [`hello_body`].
+#[doc(hidden)]
+pub fn accept_body(incarnation: u32) -> [u8; 4] {
+    incarnation.to_le_bytes()
+}
+
+/// The incarnation an ACCEPT body names, if it is one.
+#[doc(hidden)]
+pub fn parse_accept(body: &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(body.try_into().ok()?))
+}
+
 /// Connects to `peer` at `addr` once, then sends `hello` and waits for
-/// the answer. The listener is bound before anyone dials it, so a refusal
-/// is an answer, not a race to retry.
-fn dial(peer: HostId, addr: &str, hello: &[u8]) -> Result<TcpStream, TransportError> {
+/// the answer: the stream and the incarnation that accepted it. The
+/// listener is bound before anyone dials it, so a refusal is an answer,
+/// not a race to retry.
+fn dial(peer: HostId, addr: &str, hello: &[u8]) -> Result<(TcpStream, u32), TransportError> {
     let unreachable = |_| TransportError::Unreachable { peer, addr: addr.to_string() };
     let mut stream = TcpStream::connect(addr).map_err(unreachable)?;
     let _ = stream.set_nodelay(true);
@@ -739,8 +769,9 @@ fn dial(peer: HostId, addr: &str, hello: &[u8]) -> Result<TcpStream, TransportEr
         read_handshake_frame(&mut stream).map_err(|e| hs(format!("no handshake reply: {e}")))?;
     match kind {
         FRAME_ACCEPT => {
+            let inc = parse_accept(&body).ok_or_else(|| hs(format!("ACCEPT body {body:?}")))?;
             let _ = stream.set_read_timeout(None);
-            Ok(stream)
+            Ok((stream, inc))
         }
         FRAME_REJECT => {
             let reason = body
@@ -858,9 +889,7 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
                 }
             }
             Ok(Out::Barrier(n)) => {
-                let mut body = [0u8; 8];
-                wire::encode_u64s(&[n], &mut body);
-                if write_frame(&mut w, FRAME_BARRIER, &body).is_err() || w.flush().is_err() {
+                if write_frame(&mut w, FRAME_BARRIER, &n.to_le_bytes()).is_err() || w.flush().is_err() {
                     return;
                 }
             }
@@ -872,9 +901,7 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
             }
             Ok(Out::Abort(lost)) => {
                 if let Some(host) = lost {
-                    let mut body = [0u8; 8];
-                    wire::encode_u64s(&[host as u64], &mut body);
-                    let _ = write_frame(&mut w, FRAME_LOST, &body);
+                    let _ = write_frame(&mut w, FRAME_LOST, &(host as u64).to_le_bytes());
                     let _ = w.flush();
                 }
                 return;
@@ -891,10 +918,9 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
 
 /// Decodes frames from one peer and feeds them to the fabric: envelopes
 /// go through the regular dispatch (fault layer included), barrier
-/// announcements into the shared arrival table, a LOST into the abort
-/// cell. A FIN, and any protocol
-/// violation — torn frame, corrupt envelope, absurd length, EOF — is
-/// reported to the link as an event of generation `gen`. The per-frame
+/// announcements into the shared arrival table. A FIN, a LOST, and any
+/// protocol violation — torn frame, corrupt envelope, absurd length, EOF —
+/// is reported to the link as an event of generation `gen`. The per-frame
 /// path takes no lock: one atomic load tells a superseded reader to stop.
 fn reader_loop(
     stream: TcpStream,
@@ -907,53 +933,29 @@ fn reader_loop(
     let mut r = BufReader::with_capacity(64 << 10, stream);
     let stop = || shared.stopped(&fabric);
     let failed = || drive(&shared, peer, Event::ReadFailed { gen }, None);
-    let mut len_buf = [0u8; 4];
     loop {
-        match read_full(&mut r, &mut len_buf, &stop) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Stopped => return,
-            ReadOutcome::Failed => return failed(),
-        }
-        let len = frame_len(len_buf);
-        if len == 0 || len > MAX_FRAME {
-            return failed();
-        }
-        let mut frame = vec![0u8; len as usize];
-        match read_full(&mut r, &mut frame, &stop) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Stopped => return,
-            ReadOutcome::Failed => return failed(),
-        }
+        let frame = match read_frame(&mut r, &stop) {
+            Ok(frame) => frame,
+            Err(Unread::Stopped) => return,
+            Err(Unread::Failed) => return failed(),
+        };
         if shared.links[peer].gen.load(Ordering::Acquire) != gen {
             return; // superseded by an admission; stop feeding stale data
         }
         shared.heard(peer);
-        match frame[0] {
-            FRAME_ENVELOPE => match decode_envelope(Bytes::from(frame).slice(1..)) {
+        // The body of a BARRIER or a LOST is one u64.
+        let word = <[u8; 8]>::try_from(&frame[1..]).ok().map(u64::from_le_bytes);
+        match (frame[0], word) {
+            (FRAME_ENVELOPE, _) => match decode_envelope(Bytes::from(frame).slice(1..)) {
                 Ok(we) if (we.tag as usize) < MAX_TAGS && we.src as usize == peer => {
                     fabric.dispatch(shared.me, Tag(we.tag), we.into());
                 }
                 _ => return failed(),
             },
-            FRAME_BARRIER => match (frame.len(), wire::Reader::new(&frame[1..]).u64()) {
-                (9, Ok(arrival)) => fabric.barrier.announce(peer, arrival),
-                _ => return failed(),
-            },
-            FRAME_HEARTBEAT => {}
-            FRAME_FIN => drive(&shared, peer, Event::FrameFin { gen }, None),
-            // The abort cell keeps its first reason: the loss the peer names
-            // outranks the peer's own close, which follows it. A peer can
-            // name neither this host nor itself as the one it lost.
-            FRAME_LOST => match (frame.len(), wire::Reader::new(&frame[1..]).u64()) {
-                (9, Ok(host))
-                    if host < shared.hosts as u64
-                        && host != shared.me as u64
-                        && host != peer as u64 =>
-                {
-                    fabric.abort(Abort::Lost(host as HostId))
-                }
-                _ => return failed(),
-            },
+            (FRAME_BARRIER, Some(arrival)) => fabric.barrier.announce(peer, arrival),
+            (FRAME_HEARTBEAT, _) => {}
+            (FRAME_FIN, _) => drive(&shared, peer, Event::FrameFin { gen }, None),
+            (FRAME_LOST, Some(host)) => drive(&shared, peer, Event::Lost { gen, host }, None),
             _ => return failed(),
         }
     }
@@ -973,11 +975,7 @@ fn monitor_loop(fabric: Arc<Fabric>, shared: Arc<TcpShared>) {
         let now = shared.now_ms();
         let mut wake = now + timeout;
         for peer in (0..shared.hosts).filter(|&p| p != shared.me) {
-            let gen = match shared.state(peer) {
-                LinkState::Awaiting => 0,
-                LinkState::Up { gen, .. } => gen,
-                _ => continue,
-            };
+            let Some(gen) = shared.link(peer, PeerLink::watched) else { continue };
             let due = shared.last_heard[peer].load(Ordering::Acquire) + timeout;
             if due <= now {
                 drive(&shared, peer, Event::Silent { gen }, None);
@@ -1000,6 +998,7 @@ mod tests {
     use crate::cluster::{Cluster, ClusterOptions};
     use crate::recovery::ClusterError;
     use crate::serialize::encode_envelope;
+    use crate::transport::link::LinkState;
 
     /// Runs `run` with this thread attached to a fresh trace recorder —
     /// which the transport's I/O threads inherit — and returns its result
@@ -1033,7 +1032,7 @@ mod tests {
         from0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let (kind, _) = read_handshake_frame(&mut from0).unwrap();
         assert_eq!(kind, FRAME_HELLO);
-        write_frame(&mut from0, FRAME_ACCEPT, &[]).unwrap();
+        write_frame(&mut from0, FRAME_ACCEPT, &accept_body(0)).unwrap();
         from0
     }
 
@@ -1066,14 +1065,17 @@ mod tests {
     #[test]
     fn handshake_rejects_wrong_version_then_accepts_a_valid_peer() {
         let (a0, transport, _from0) = establish_host0(77);
-        // Bad protocol version → REJECT(BadVersion), and the slot is not
-        // consumed: a follow-up valid HELLO is hooked...
-        let (kind, body) = dial_raw(&a0, |hello| hello[4] = TCP_PROTOCOL_VERSION + 1);
-        assert_eq!(kind, FRAME_REJECT);
-        assert_eq!(RejectReason::from_u8(body[0]), Some(RejectReason::BadVersion));
-        let (kind, _) = dial_raw(&a0, |_| {});
-        assert_eq!(kind, FRAME_ACCEPT);
-        assert_eq!(transport.shared.state(1), LinkState::Up { gen: 0, inc: 0 });
+        // Bad protocol version (a version-3 peer's too) → REJECT(BadVersion),
+        // and the slot is not consumed: a follow-up valid HELLO is hooked,
+        // and its ACCEPT names host 0's incarnation...
+        for version in [3, TCP_PROTOCOL_VERSION + 1] {
+            let (kind, body) = dial_raw(&a0, |hello| hello[4] = version);
+            assert_eq!(kind, FRAME_REJECT);
+            assert_eq!(RejectReason::from_u8(body[0]), Some(RejectReason::BadVersion));
+        }
+        let (kind, body) = dial_raw(&a0, |_| {});
+        assert_eq!((kind, parse_accept(&body)), (FRAME_ACCEPT, Some(0)));
+        assert_eq!(transport.shared.link(1, PeerLink::state), LinkState::Up { gen: 0, inc: 0 });
         // ...and without rejoin the slot is taken from then on, whatever
         // the incarnation.
         for inc in [0, 1] {
@@ -1383,7 +1385,7 @@ mod tests {
             assert!(Instant::now() < deadline, "only heartbeats for 5 s");
             let mut len_buf = [0u8; 4];
             s.read_exact(&mut len_buf).expect("frame length");
-            let len = frame_len(len_buf);
+            let len = u32::from_le_bytes(len_buf);
             assert!(len > 0 && len <= MAX_FRAME, "bogus frame length {len}");
             let mut frame = vec![0u8; len as usize];
             s.read_exact(&mut frame).expect("frame body");
@@ -1412,7 +1414,7 @@ mod tests {
             from0.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             let (kind, _) = read_handshake_frame(&mut from0).unwrap();
             assert_eq!(kind, FRAME_HELLO);
-            write_frame(&mut from0, FRAME_ACCEPT, &[]).unwrap();
+            write_frame(&mut from0, FRAME_ACCEPT, &accept_body(0)).unwrap();
             let mut to0 = TcpStream::connect(&a0).expect("dial host 0");
             to0.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             write_frame(&mut to0, FRAME_HELLO, &hello_body(1, 2, nonce, 0)).unwrap();
@@ -1453,7 +1455,7 @@ mod tests {
             assert_eq!(kind, FRAME_HELLO);
             let (host, inc) = parse_hello(&body, 1, 2, nonce).expect("valid re-dial HELLO");
             assert_eq!((host, inc), (0, 0));
-            write_frame(&mut from0, FRAME_ACCEPT, &[]).unwrap();
+            write_frame(&mut from0, FRAME_ACCEPT, &accept_body(1)).unwrap();
             // ...and replays its send log: the envelope again, same seq.
             let (kind, body) = read_data_frame(&mut from0);
             assert_eq!(kind, FRAME_ENVELOPE);
@@ -1491,6 +1493,41 @@ mod tests {
         script.join().expect("script peer");
     }
 
+    /// The window before the first HELLO: raw "P0" answers host 0's dial and
+    /// hangs up without dialing in, and its respawn "P1" dials in with
+    /// incarnation 1. Host 0's outbound connection reaches the dead P0, so
+    /// P1 is admitted with a redial, which P1's listener receives within the
+    /// peer timeout.
+    #[test]
+    fn a_respawn_whose_predecessor_answered_the_dial_is_redialed() {
+        let (l0, a0) = bind();
+        let (l1, a1) = bind();
+        let peers = vec![a0.clone(), a1];
+        let p0 = std::thread::spawn(move || {
+            drop(answer_dial(&l1));
+            l1
+        });
+        let transport = TcpTransport::establish(0, l0, &peers, 77, rejoin_opts()).expect("mesh up");
+        let l1 = p0.join().expect("P0 answered the dial");
+        let (redialed, redial) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (mut from0, _) = l1.accept().expect("host 0 redials P1");
+            from0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let (kind, body) = read_handshake_frame(&mut from0).unwrap();
+            write_frame(&mut from0, FRAME_ACCEPT, &accept_body(1)).unwrap();
+            let _ = redialed.send((kind, body, from0));
+        });
+        let mut to0 = TcpStream::connect(&a0).expect("P1 dials host 0");
+        to0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut to0, FRAME_HELLO, &hello_body(1, 2, 77, 1)).unwrap();
+        let accept = (FRAME_ACCEPT, accept_body(0).to_vec());
+        assert_eq!(read_handshake_frame(&mut to0).unwrap(), accept);
+        let (kind, body, _from0) =
+            redial.recv_timeout(rejoin_opts().peer_timeout()).expect("host 0 redials P1");
+        assert_eq!((kind, parse_hello(&body, 1, 2, 77)), (FRAME_HELLO, Ok((0, 0))));
+        assert_eq!(transport.shared.link(1, PeerLink::state), LinkState::Up { gen: 1, inc: 1 });
+    }
+
     /// A frame shipped while its peer is down goes nowhere but the send log,
     /// and the admission of the respawn re-sends it after the frames the
     /// dead incarnation already had, in order.
@@ -1507,7 +1544,7 @@ mod tests {
             let (mut from0, _) = l1.accept().expect("host 0 dials us");
             from0.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             assert_eq!(read_handshake_frame(&mut from0).unwrap().0, FRAME_HELLO);
-            write_frame(&mut from0, FRAME_ACCEPT, &[]).unwrap();
+            write_frame(&mut from0, FRAME_ACCEPT, &accept_body(0)).unwrap();
             let mut to0 = TcpStream::connect(&a0).expect("dial host 0");
             to0.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             write_frame(&mut to0, FRAME_HELLO, &hello_body(1, 2, nonce, 0)).unwrap();
@@ -1528,7 +1565,7 @@ mod tests {
             let (mut from0, _) = l1.accept().expect("host 0 re-dials us");
             from0.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
             assert_eq!(read_handshake_frame(&mut from0).unwrap().0, FRAME_HELLO);
-            write_frame(&mut from0, FRAME_ACCEPT, &[]).unwrap();
+            write_frame(&mut from0, FRAME_ACCEPT, &accept_body(1)).unwrap();
             // A missing frame times the read out; answer host 0 regardless,
             // well inside its silence timeout, so the test fails, not hangs.
             let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1554,7 +1591,7 @@ mod tests {
         let out = Cluster::try_run_tcp(transport, ClusterOptions::default(), |comm| {
             comm.send_bytes(1, Tag(0), Bytes::from_static(b"payload-A"));
             let mut waiting = shared.waiting.lock().unwrap();
-            while !matches!(shared.state(1), LinkState::Down { .. }) {
+            while !matches!(shared.link(1, PeerLink::state), LinkState::Down { .. }) {
                 waiting = shared.links_changed.wait(waiting).unwrap();
             }
             drop(waiting);

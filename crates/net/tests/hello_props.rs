@@ -5,14 +5,16 @@
 //! string — truncated, bit-flipped, or outright garbage — must come back
 //! as a typed [`RejectReason`], never a panic, and the field checks must
 //! fire in a fixed order so a corrupt frame is diagnosed by its first
-//! broken field. The admission rules (the first HELLO is hooked; later
-//! ones need rejoin and a strictly newer incarnation) ride on top and are
-//! pinned here too, through the peer link that applies them.
+//! broken field. The ACCEPT body (the acceptor's incarnation) decodes
+//! the same way. The admission rules (the HELLO of the incarnation this
+//! host's dial reached is hooked; any other needs rejoin and a strictly
+//! newer incarnation) ride on top and are pinned here too, through the peer
+//! link that applies them.
 
 use proptest::prelude::*;
 
 use cusp_net::transport::link::{Action, Event, LinkState, PeerLink};
-use cusp_net::transport::tcp::{hello_body, parse_hello};
+use cusp_net::transport::tcp::{accept_body, hello_body, parse_accept, parse_hello};
 use cusp_net::RejectReason;
 
 /// Byte offsets of the HELLO fields, for targeted corruption.
@@ -27,6 +29,13 @@ const HELLO_LEN: usize = 25;
 /// The HELLO exactly as the dialer frames it, as mutable bytes.
 fn encode_hello(me: usize, hosts: usize, run_nonce: u64, incarnation: u32) -> Vec<u8> {
     hello_body(me, hosts, run_nonce, incarnation).to_vec()
+}
+
+/// `far`, or half the time (`pick < 5`) a value within 2 of `base`, so that
+/// equal and adjacent incarnations are drawn at all.
+fn near(base: u32, far: u32, pick: i64) -> u32 {
+    let near = (i64::from(base) + pick - 2).clamp(0, u32::MAX.into());
+    if pick < 5 { near as u32 } else { far }
 }
 
 /// A cluster shape and a sender/receiver pair within it.
@@ -46,19 +55,29 @@ proptest! {
 
     /// A well-formed HELLO is exactly [`HELLO_LEN`] bytes and parses back
     /// to the claimed (sender, incarnation) at any receiver of the same
-    /// run.
+    /// run; the same HELLO from a version-3 peer (no incarnation in its
+    /// ACCEPT) is [`RejectReason::BadVersion`]. The ACCEPT body is the
+    /// acceptor's incarnation, 4 bytes, and only that parses as one.
     #[test]
     fn valid_hello_roundtrips(
         (hosts, sender, receiver) in cluster(),
         nonce in any::<u64>(),
         inc in any::<u32>(),
+        cut in 0usize..9,
     ) {
-        let body = encode_hello(sender, hosts, nonce, inc);
+        let mut body = encode_hello(sender, hosts, nonce, inc);
         prop_assert_eq!(body.len(), HELLO_LEN);
         prop_assert_eq!(
             parse_hello(&body, receiver, hosts, nonce),
             Ok((sender, inc))
         );
+        body[VERSION_RANGE.start] = 3;
+        prop_assert_eq!(parse_hello(&body, receiver, hosts, nonce), Err(RejectReason::BadVersion));
+        let accept = accept_body(inc);
+        prop_assert_eq!(parse_accept(&accept), Some(inc));
+        let mut garbled = accept.to_vec();
+        garbled.resize(cut, 0);
+        prop_assert_eq!(parse_accept(&garbled).is_some(), cut == 4);
     }
 
     /// Every strict prefix of a valid HELLO is rejected with a typed
@@ -190,8 +209,11 @@ proptest! {
     fn rejoin_admission_is_strictly_monotone(
         claimed in any::<u32>(),
         last in any::<u32>(),
+        pick in 0i64..10,
     ) {
-        let mut link = PeerLink::new(true);
+        let claimed = near(last, claimed, pick);
+        let mut link = PeerLink::new(true, 0, 1, 2);
+        link.step(Event::Dialed { inc: last });
         link.step(Event::HelloFrom { inc: last });
         let before = link.state();
         let got = link.step(Event::HelloFrom { inc: claimed });
@@ -203,20 +225,55 @@ proptest! {
         }
     }
 
-    /// The first HELLO, of any incarnation and in either mode, is hooked as
-    /// generation 0: no `Unhook`, no `Admit`.
+    /// The first HELLO of the incarnation this host's dial reached is hooked
+    /// as generation 0, in either mode: no `Unhook`, no `Admit`. With rejoin
+    /// a newer one is admitted with a redial (its predecessor answered the
+    /// dial and died), an older one is stale; without it either is a taken
+    /// slot. A HELLO stepped before the dial reports is hooked, and the
+    /// report checks it: a dial that reached an older incarnation is
+    /// refused (and made again), one that reached a newer one unhooks it.
     #[test]
-    fn first_hello_hooks_generation_0(rejoin in any::<bool>(), inc in any::<u32>()) {
-        let mut link = PeerLink::new(rejoin);
-        prop_assert_eq!(link.step(Event::HelloFrom { inc }), vec![Action::Hook]);
-        prop_assert_eq!(link.state(), LinkState::Up { gen: 0, inc });
+    fn first_hello_hooks_generation_0(
+        rejoin in any::<bool>(),
+        dialed in any::<u32>(),
+        claimed in any::<u32>(),
+        pick in 0i64..10,
+    ) {
+        use RejectReason::*;
+        let claimed = near(dialed, claimed, pick);
+        let mut link = PeerLink::new(rejoin, 0, 1, 2);
+        prop_assert_eq!(link.step(Event::Dialed { inc: dialed }), vec![]);
+        let want = if claimed == dialed {
+            vec![Action::Hook]
+        } else if !rejoin {
+            vec![Action::Reject(BadHostId)]
+        } else if claimed < dialed {
+            vec![Action::Reject(StaleIncarnation)]
+        } else {
+            vec![Action::Unhook, Action::Admit { gen: 1 }]
+        };
+        prop_assert_eq!(link.step(Event::HelloFrom { inc: claimed }), want);
+
+        let mut link = PeerLink::new(rejoin, 0, 1, 2);
+        prop_assert_eq!(link.step(Event::HelloFrom { inc: claimed }), vec![Action::Hook]);
+        prop_assert_eq!(link.state(), LinkState::Up { gen: 0, inc: claimed });
+        let want = match dialed.cmp(&claimed) {
+            std::cmp::Ordering::Less => vec![Action::Reject(StaleIncarnation)],
+            std::cmp::Ordering::Equal => vec![],
+            std::cmp::Ordering::Greater => vec![Action::Unhook],
+        };
+        prop_assert_eq!(link.step(Event::Dialed { inc: dialed }), want);
+        let hooked = LinkState::Up { gen: 0, inc: claimed };
+        let state = if dialed > claimed { LinkState::Awaiting } else { hooked };
+        prop_assert_eq!(link.state(), state);
     }
 
     /// Without rejoin, any HELLO after the first is a taken slot,
     /// [`RejectReason::BadHostId`], and leaves the link as it was.
     #[test]
     fn second_hello_without_rejoin_is_bad_host_id(first in any::<u32>(), claimed in any::<u32>()) {
-        let mut link = PeerLink::new(false);
+        let mut link = PeerLink::new(false, 0, 1, 2);
+        link.step(Event::Dialed { inc: first });
         link.step(Event::HelloFrom { inc: first });
         let before = link.state();
         let got = link.step(Event::HelloFrom { inc: claimed });

@@ -1,83 +1,97 @@
-//! Schedule explorer for [`cusp_net::transport::link::PeerLink`].
+//! Exhaustive schedule explorer for [`cusp_net::transport::link::PeerLink`].
 //!
 //! The link is pure, so this file stands in for everything its driver
-//! touches with a small fake world — this host's send log, outbound queue,
-//! barrier count and FIN; the peer process's successive incarnations with
-//! their resequencer floors; the reports of the readers and of the silence
-//! monitor — and delivers what that world says in a seeded order. A
-//! generation dies with frames still queued toward it; its reader's EOF and
-//! the monitor's silence arrive late, after the next generation was
-//! admitted; stale and duplicate HELLOs knock; redials fail; an
-//! incarnation that finished its work is killed before its FIN got out, and
-//! only its supervisor's word says so; this host may shut down at any point. As in `tcp.rs`, where both happen under the
+//! touches with a small fake world — this host's dial, send log, outbound
+//! queue, barrier count and FIN; the peer process's successive incarnations,
+//! each with its resequencer floor and the connections between it and this
+//! host; the reports of the readers, of the silence monitor and of the
+//! peer's supervisor — and delivers what that world says in every order it
+//! can, from before this host's dial is answered and before the peer's first
+//! HELLO. A dial is answered by the incarnation alive when it connects and
+//! reported later, after HELLOs, deaths and respawns; an incarnation may die
+//! before it dials in; a generation dies with frames still queued toward it;
+//! its reader's EOF and the monitor's silence arrive late, after the next
+//! generation was admitted; stale and duplicate HELLOs knock; a respawn dies
+//! before the redial reaches it; the peer sends a LOST naming a host, valid
+//! or not; an incarnation that finished its work is killed before its FIN
+//! got out, and only its supervisor's word says so; this host may shut down
+//! at any point after `start`. As in `tcp.rs`, where both happen under the
 //! peer's lock, an admission is performed and its redial reported before
-//! anything else reaches the link. The world keeps the contract
-//! `Comm::restore_net` relies on: every phase consumes all its inbound
-//! traffic before its barrier, so a respawn resumes from a floor one of its
-//! predecessors reached. A failure prints the seed that replays it.
+//! anything else reaches the link, and a dial's queue is installed after its
+//! report is stepped. A process takes at most one HELLO from this host, as
+//! its own link would. The world keeps the contract `Comm::restore_net`
+//! relies on: every phase consumes all its inbound traffic before its
+//! barrier, so a respawn resumes from a floor one of its predecessors
+//! reached.
 //!
-//! Every schedule starts once the first incarnation's HELLO is hooked; what
-//! the link does before that — the first HELLO, a second one, silence,
-//! shutdown — is pinned case by case at the end of this file.
+//! The search visits every distinct (link, world) state up to [`DEPTH`]
+//! moves, checks the invariants after each move and the end state of every
+//! schedule that ends, and prints a failure as the moves that replay it
+//! ([`replay`]).
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cusp_net::transport::link::{resend, Action, Event, LinkState, PeerLink, Resend};
-use cusp_net::RejectReason;
+use cusp_net::RejectReason::{self, BadHostId, StaleIncarnation};
 
-const MAX_STEPS: usize = 2_000;
-
-/// splitmix64, the generator the crate's fault plans hash with.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (x ^ (x >> 31)) % n
-    }
-}
+/// Moves per schedule the search explores.
+const DEPTH: usize = 14;
+/// The incarnations the peer may go through with rejoin.
+const INCARNATIONS: usize = 3;
+/// This host, the peer, and the cluster size: host 2 is the one host a LOST
+/// may name.
+const ME: usize = 0;
+const PEER: usize = 1;
+const HOSTS: usize = 3;
+/// What a LOST names: host 2, this host, the peer itself, no host.
+const NAMED: [u64; 4] = [2, 0, 1, 3];
 
 /// What this host's writer puts on a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Frame {
     Data(u64),
     Barrier(u64),
     Fin,
 }
 
-/// One incarnation of the peer's process.
-#[derive(Debug)]
+/// One incarnation of the peer's process; its index in `World::procs` is its
+/// incarnation number.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Proc {
-    inc: u32,
     alive: bool,
-    /// The connection generation it was admitted as.
-    conn: Option<u64>,
+    said_hello: bool,
+    /// The generation this host reads its connection as, while it does.
+    read_as: Option<u64>,
+    /// What this host's reader of that connection has yet to report.
+    reports: VecDeque<Event>,
+    /// A HELLO of this host reached it, by the dial or a redial.
+    reached: bool,
     /// Frames this host queued toward it that it has not read.
     inbox: VecDeque<Frame>,
     /// Its resequencer floor: the next data sequence its application takes.
     floor: u64,
     barrier: u64,
     saw_fin: bool,
-    said_hello: bool,
     finned: bool,
     /// Killed after it finished its work, before its FIN got out.
     retired: bool,
 }
 
 impl Proc {
-    fn new(inc: u32, floor: u64) -> Self {
+    fn new(floor: u64) -> Self {
         Proc {
-            inc,
             alive: true,
-            conn: None,
+            said_hello: false,
+            read_as: None,
+            reports: VecDeque::new(),
+            reached: false,
             inbox: VecDeque::new(),
             floor,
             barrier: 0,
             saw_fin: false,
-            said_hello: false,
             finned: false,
             retired: false,
         }
@@ -85,11 +99,10 @@ impl Proc {
 
     /// Reads one frame, as its resequencer would: a data frame below the
     /// floor is a duplicate, one above it a gap that nothing will fill.
-    fn read(&mut self, seed: u64) {
+    fn read(&mut self) {
         match self.inbox.pop_front().expect("a frame to read") {
             Frame::Data(seq) => {
-                let (inc, floor) = (self.inc, self.floor);
-                assert!(seq <= floor, "seed {seed}: incarnation {inc} got {seq} before {floor}");
+                assert!(seq <= self.floor, "data {seq} arrived before {}", self.floor);
                 self.floor = self.floor.max(seq + 1);
             }
             Frame::Barrier(n) => self.barrier = self.barrier.max(n),
@@ -98,84 +111,115 @@ impl Proc {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Config {
     rejoin: bool,
     /// Data frames and barrier arrivals this host sends before its FIN.
     frames: u64,
     barriers: u64,
-    /// Deaths the peer goes through (one is final without rejoin).
-    deaths: u32,
-    /// The step at which this host tears down uncleanly, if it does.
-    crash_at: Option<usize>,
+    /// This host may tear down uncleanly at any point after `start`.
+    crash: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where this host's dial stands (`establish`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Dial {
+    Idle,
+    /// Answered by this incarnation; not reported yet.
+    Answered(usize),
+    /// Reported and kept: the queue reaches this incarnation.
+    Kept(usize),
+}
+
+/// One thing the world does; a schedule is a list of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Move {
+    /// This host's dial connects to the live incarnation, which answers it.
+    Dial,
+    /// The dial's answer is reported to the link.
+    DialReport,
+    /// `start`: readers and the silence monitor stand up.
+    Start,
     Ship,
     Arrive,
     Finish,
+    /// The live incarnation reads a frame.
     Read,
     PeerFin,
+    /// It exits after its FIN and ours.
     PeerExit,
-    Die,
+    /// It dies; its reader reports EOF if `eof` (silence finds it anyway),
+    /// and with rejoin its respawn resumes from `floor`.
+    Die { eof: bool, floor: u64 },
+    /// It is killed after its work, before its FIN got out; its supervisor
+    /// says it finished.
     Retire,
-    Hello,
-    StaleHello,
-    Report,
+    /// It dials in; `dies` kills it before the redial an admission makes.
+    Hello { dies: bool },
+    /// A duplicate or a zombie dials in claiming `inc`.
+    StaleHello { inc: u32 },
+    /// It sends a LOST naming `host` and goes down.
+    SendLost { host: u64 },
+    /// The reader of incarnation `inc`'s connection reports its next event.
+    Report { inc: usize },
+    /// The monitor reports the watched generation silent.
+    Quiet,
+    /// The supervisor's word that the peer finished is reported.
+    Word,
     Shutdown,
 }
 
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct World {
-    rng: Rng,
-    seed: u64,
     cfg: Config,
     link: PeerLink,
+    dial: Dial,
+    started: bool,
+    /// `start`'s wait for the first HELLO is over: the application runs.
+    running: bool,
     /// Data frames this host shipped: sequences `0..log`.
     log: u64,
     /// This host's latest barrier arrival.
     barrier: u64,
     fin_sent: bool,
-    /// The generation whose queue is hooked.
-    queue: Option<u64>,
+    /// The incarnation the hooked outbound queue reaches.
+    queue: Option<usize>,
     shut: bool,
-    /// The peer's incarnations, by incarnation number.
     procs: Vec<Proc>,
-    deaths_left: u32,
-    /// The last incarnation the link admitted.
-    admitted: u32,
-    /// Each generation's reader reports, in the order it makes them.
-    readers: Vec<VecDeque<Event>>,
-    /// The monitor's and the supervisor's reports, in any order.
-    unordered: Vec<Event>,
+    /// The highest incarnation the link hooked or admitted.
+    taken: Option<u32>,
+    /// Admissions so far: the generation the last one made.
+    admissions: u64,
+    /// The supervisor's word is pending.
+    word: bool,
+    /// A LOST naming host 2 was delivered.
+    named: bool,
 }
 
 impl World {
-    fn new(cfg: Config, rng: Rng, seed: u64) -> Self {
-        let mut first = Proc::new(0, 0);
-        (first.conn, first.said_hello) = (Some(0), true);
-        let mut link = PeerLink::new(cfg.rejoin);
-        assert_eq!(link.step(Event::HelloFrom { inc: 0 }), [Action::Hook], "seed {seed}");
+    fn new(cfg: Config) -> Self {
         World {
-            rng,
-            seed,
             cfg,
-            link,
+            link: PeerLink::new(cfg.rejoin, ME, PEER, HOSTS),
+            dial: Dial::Idle,
+            started: false,
+            running: false,
             log: 0,
             barrier: 0,
             fin_sent: false,
-            queue: Some(0),
+            queue: None,
             shut: false,
-            procs: vec![first],
-            deaths_left: cfg.deaths,
-            admitted: 0,
-            readers: vec![VecDeque::new()],
-            unordered: Vec::new(),
+            procs: vec![Proc::new(0)],
+            taken: None,
+            admissions: 0,
+            word: false,
+            named: false,
         }
     }
 
-    fn peer(&mut self) -> &mut Proc {
-        self.procs.last_mut().expect("the peer has an incarnation")
+    /// The newest incarnation: the only one that can be alive.
+    fn live(&self) -> usize {
+        self.procs.len() - 1
     }
 
     /// The generation the link is about, if it is not lost.
@@ -190,136 +234,248 @@ impl World {
         }
     }
 
-    /// What this host's writer toward the hooked generation carries.
-    fn send(&mut self, frame: Frame) {
-        if let Some(gen) = self.queue {
-            let to = self.procs.iter_mut().find(|p| p.conn == Some(gen));
-            to.expect("a hooked generation was admitted").inbox.push_back(frame);
-        }
+    /// Whether the live incarnation may die: with rejoin, while a respawn is
+    /// left; without it, once, for good.
+    fn may_die(&self) -> bool {
+        !self.cfg.rejoin || self.procs.len() < INCARNATIONS
     }
 
-    fn pending(&self) -> bool {
-        !self.unordered.is_empty() || self.readers.iter().any(|r| !r.is_empty())
+    /// The generation the monitor watches, if nothing is heard on it: no
+    /// live incarnation is read as it, and before the first HELLO the
+    /// incarnation the dial reached is dead (a live one dials in first).
+    fn quiet(&self) -> Option<u64> {
+        let gen = self.link.watched()?;
+        let heard = self.procs.iter().any(|p| p.alive && p.read_as == Some(gen));
+        let dialing = match self.dial {
+            Dial::Kept(k) => self.link.awaiting() && self.procs[k].alive,
+            _ => false,
+        };
+        (!heard && !dialing).then_some(gen)
     }
 
-    fn enabled(&self, steps: usize) -> Vec<Move> {
+    fn moves(&self) -> Vec<Move> {
         let cfg = &self.cfg;
-        let p = self.procs.last().expect("the peer has an incarnation");
-        let live = !self.shut;
-        let sending = live && !self.fin_sent;
-        let connected = p.conn.is_some() && p.conn == self.gen();
-        let done = p.floor == cfg.frames && p.barrier == cfg.barriers;
+        let k = self.live();
+        let p = &self.procs[k];
         let state = self.link.state();
-        let can = [
+        let live = !self.shut;
+        let sending = live && self.running && !self.fin_sent && state != LinkState::Lost;
+        let read = p.read_as.is_some_and(|g| Some(g) == self.gen());
+        let connected = p.alive && self.queue == Some(k) && read;
+        let done = p.floor == cfg.frames && p.barrier == cfg.barriers;
+        let dies = p.alive && !p.finned && self.may_die();
+        let mut moves: Vec<Move> = [
+            (Move::Dial, live && self.dial == Dial::Idle),
+            (Move::DialReport, live && matches!(self.dial, Dial::Answered(_))),
+            (Move::Start, live && matches!(self.dial, Dial::Kept(_)) && !self.started),
             (Move::Ship, sending && self.log < cfg.frames),
             (Move::Arrive, sending && self.barrier < cfg.barriers),
             (Move::Finish, sending && self.log == cfg.frames && self.barrier == cfg.barriers),
             (Move::Read, p.alive && !p.inbox.is_empty()),
-            (Move::PeerFin, p.alive && connected && !p.finned && done),
+            (Move::PeerFin, connected && !p.finned && done),
             (Move::PeerExit, p.alive && p.finned && p.saw_fin),
-            (Move::Die, p.alive && !p.finned && self.deaths_left > 0),
-            (Move::Retire, p.alive && connected && !p.finned && done && self.deaths_left > 0),
-            (Move::Hello, p.alive && !p.said_hello),
-            (Move::StaleHello, cfg.rejoin),
-            (Move::Report, self.pending()),
+            (Move::Retire, connected && !p.finned && done && self.may_die()),
+            (Move::Hello { dies: false }, p.alive && !p.said_hello),
+            (Move::Hello { dies: true }, p.alive && !p.said_hello && dies && self.admits(k)),
+            (Move::Quiet, self.started && live && self.quiet().is_some()),
+            (Move::Word, self.word),
             (
                 Move::Shutdown,
-                live && (cfg.crash_at.is_some_and(|at| steps >= at)
-                    || matches!(state, LinkState::Lost)
-                    || (self.fin_sent && matches!(state, LinkState::Finned { .. }))),
+                live && self.started
+                    && (cfg.crash
+                        || state == LinkState::Lost
+                        || (self.fin_sent && matches!(state, LinkState::Finned { .. }))),
             ),
-        ];
-        can.into_iter().filter(|&(_, on)| on).map(|(m, _)| m).collect()
+        ]
+        .into_iter()
+        .filter_map(|(m, on)| on.then_some(m))
+        .collect();
+        if dies {
+            let floor = self.procs.iter().map(|p| p.floor).max().unwrap_or(0);
+            for eof in [true, false] {
+                moves.extend((0..=floor).map(|floor| Move::Die { eof, floor }));
+            }
+        }
+        if dies && p.read_as.is_some() {
+            moves.extend(NAMED.map(|host| Move::SendLost { host }));
+        }
+        if let Some(taken) = self.taken.filter(|_| cfg.rejoin && live) {
+            let claims = [0, taken].into_iter().skip(usize::from(taken == 0));
+            moves.extend(claims.map(|inc| Move::StaleHello { inc }));
+        }
+        if self.started {
+            let busy = (0..self.procs.len()).filter(|&i| !self.procs[i].reports.is_empty());
+            moves.extend(busy.map(|inc| Move::Report { inc }));
+        }
+        moves
     }
 
-    /// Steps the link and performs what it says, as the driver would.
-    fn step(&mut self, event: Event, hello: Option<usize>) -> Vec<Action> {
-        let seed = self.seed;
+    /// Whether incarnation `k`'s HELLO would be admitted (redialed).
+    fn admits(&self, k: usize) -> bool {
+        let admit = |a: &Action| matches!(a, Action::Admit { .. });
+        self.link.clone().step(Event::HelloFrom { inc: k as u32 }).iter().any(admit)
+    }
+
+    /// What this host's writer toward the hooked queue carries.
+    fn send(&mut self, frame: Frame) {
+        if let Some(k) = self.queue {
+            self.procs[k].inbox.push_back(frame);
+        }
+    }
+
+    /// The live incarnation dies; with rejoin the supervisor starts the next
+    /// one from `floor`, which a predecessor reached.
+    fn die(&mut self, eof: bool, floor: u64) {
+        let respawn = self.cfg.rejoin && self.procs.len() < INCARNATIONS;
+        let k = self.live();
+        let p = &mut self.procs[k];
+        p.alive = false;
+        if let Some(gen) = p.read_as.filter(|_| eof) {
+            p.reports.push_back(Event::ReadFailed { gen });
+        }
+        if respawn {
+            self.procs.push(Proc::new(floor));
+        }
+    }
+
+    /// Steps the link and performs what it says, as the driver would; `hello`
+    /// is the incarnation whose HELLO this is, `dies` whether it dies before
+    /// an admission's redial reaches it.
+    fn step(&mut self, event: Event, hello: Option<usize>, dies: bool) -> Vec<Action> {
+        let before = self.gen();
         let actions = self.link.step(event);
         for &action in &actions {
             match action {
-                Action::Hook => panic!("seed {seed}: a second first HELLO"),
+                Action::Hook => {
+                    let k = hello.expect("only a HELLO is hooked");
+                    // A HELLO hooked before the dial reports replaces the one
+                    // hooked before it, whose socket nothing read yet.
+                    for p in self.procs.iter_mut().filter(|p| p.read_as == Some(0)) {
+                        assert!(!self.started, "a hook replaced a connection a reader reads");
+                        (p.read_as, p.reports) = (None, VecDeque::new());
+                    }
+                    self.procs[k].read_as = Some(0);
+                    self.taken = self.taken.max(Some(k as u32));
+                }
                 Action::Unhook => {
-                    let gen = self.queue.take();
-                    let gen = gen.unwrap_or_else(|| panic!("seed {seed}: Unhook of no queue"));
-                    // The torn reader reports the EOF the tear caused.
-                    self.readers[gen as usize].push_back(Event::ReadFailed { gen });
+                    let gen = before.expect("a lost link unhooks nothing");
+                    let kept = matches!(self.dial, Dial::Kept(_));
+                    assert!(self.queue.take().is_some() || !kept, "Unhook of no queue");
+                    let started = self.started;
+                    if let Some(p) = self.procs.iter_mut().find(|p| p.read_as == Some(gen)) {
+                        p.read_as = None;
+                        // The torn reader reports the EOF the tear caused; a
+                        // socket parked before `start` is dropped unread.
+                        if started {
+                            p.reports.push_back(Event::ReadFailed { gen });
+                        } else {
+                            p.reports.clear();
+                        }
+                    }
                 }
                 Action::Admit { gen } => {
-                    assert_eq!(gen as usize, self.readers.len(), "seed {seed}: a gen skipped");
-                    let i = hello.unwrap_or_else(|| panic!("seed {seed}: Admit without a HELLO"));
-                    self.admitted = self.procs[i].inc;
-                    self.readers.push(VecDeque::new());
-                    // The respawn may die again before the redial reaches it.
-                    let ok = !(self.deaths_left > 0 && self.rng.below(4) == 0);
-                    if ok {
-                        let log: Vec<u64> = (0..self.log).collect();
-                        let sent: Vec<Frame> = resend(&log, self.barrier, self.fin_sent)
-                            .map(|item| match item {
-                                Resend::Logged(&seq) => Frame::Data(seq),
-                                Resend::Barrier(n) => Frame::Barrier(n),
-                                Resend::Fin => Frame::Fin,
-                            })
-                            .collect();
-                        let p = &mut self.procs[i];
-                        (p.conn, p.inbox) = (Some(gen), sent.into());
-                        self.queue = Some(gen);
+                    self.admissions += 1;
+                    assert_eq!(gen, self.admissions, "a generation skipped");
+                    let k = hello.expect("only a HELLO is admitted");
+                    self.taken = self.taken.max(Some(k as u32));
+                    let reached = self.procs[k].reached;
+                    assert!(!reached, "incarnation {k} redialed after a HELLO of ours reached it");
+                    if dies {
+                        self.die(true, 0);
                     } else {
-                        self.die();
+                        let log: Vec<u64> = (0..self.log).collect();
+                        let sent = resend(&log, self.barrier, self.fin_sent).map(|item| match item {
+                            Resend::Logged(&seq) => Frame::Data(seq),
+                            Resend::Barrier(n) => Frame::Barrier(n),
+                            Resend::Fin => Frame::Fin,
+                        });
+                        let p = &mut self.procs[k];
+                        (p.reached, p.read_as, p.inbox) = (true, Some(gen), sent.collect());
+                        self.queue = Some(k);
                     }
-                    let after = self.step(Event::Redialed { ok }, None);
-                    assert!(after.is_empty(), "seed {seed}: a redial caused {after:?}");
+                    let after = self.step(Event::Redialed { ok: !dies }, None, false);
+                    assert!(after.is_empty(), "a redial caused {after:?}");
                 }
                 Action::Reject(reason) => {
-                    assert_eq!(reason, RejectReason::StaleIncarnation, "seed {seed}");
+                    let want = match event {
+                        Event::HelloFrom { .. } if !self.cfg.rejoin => BadHostId,
+                        _ => StaleIncarnation,
+                    };
+                    assert_eq!(reason, want, "{event:?} refused");
                 }
                 Action::Release => {}
-                Action::MarkLost => {
-                    assert!(!self.cfg.rejoin, "seed {seed}: a peer was lost with rejoin on");
+                Action::MarkLost { host } if host == PEER => {
+                    assert!(!self.cfg.rejoin, "a peer was lost with rejoin on");
+                }
+                Action::MarkLost { host } => {
+                    let named = Event::Lost { gen: before.unwrap_or(0), host: 2 };
+                    assert_eq!((event, host), (named, 2));
                 }
             }
         }
         actions
     }
 
-    /// The peer's running incarnation dies; with rejoin the supervisor
-    /// starts the next one from a floor a predecessor reached.
-    fn die(&mut self) {
-        self.deaths_left -= 1;
-        let conn = {
-            let p = self.peer();
-            p.alive = false;
-            p.conn
+    /// Delivers a report: one about a superseded generation, or any once the
+    /// link is over, must change nothing; a LOST that names no other host
+    /// must do what a broken connection does.
+    fn deliver(&mut self, event: Event) {
+        let of = match event {
+            Event::FrameFin { gen } | Event::ReadFailed { gen } => Some(gen),
+            Event::Silent { gen } | Event::Lost { gen, .. } => Some(gen),
+            _ => None,
         };
-        if let Some(gen) = conn {
-            let (eof, silent) = (self.rng.below(4) != 0, self.rng.below(2) == 0);
-            if eof || !silent {
-                self.readers[gen as usize].push_back(Event::ReadFailed { gen });
+        if self.shut || self.gen().is_none_or(|gen| of.is_some_and(|of| of < gen)) {
+            let before = self.link.clone();
+            let actions = self.link.step(event);
+            assert!(actions.is_empty(), "stale {event:?} caused {actions:?}");
+            assert_eq!(self.link, before, "stale {event:?} moved the link");
+            return;
+        }
+        match event {
+            Event::Lost { host: 2, .. } => {
+                assert_eq!(self.step(event, None, false), [Action::MarkLost { host: 2 }]);
+                assert_eq!(self.link.state(), LinkState::Lost);
+                self.named = true;
             }
-            if silent {
-                self.unordered.push(Event::Silent { gen });
+            Event::Lost { gen, .. } => {
+                let mut twin = self.link.clone();
+                let want = twin.step(Event::ReadFailed { gen });
+                let why = "a bad LOST is not a broken connection";
+                assert_eq!(self.step(event, None, false), want, "{why}");
+                assert_eq!(self.link, twin, "{why}");
+            }
+            _ => {
+                self.step(event, None, false);
             }
         }
-        if self.cfg.rejoin {
-            let reached = self.procs.iter().map(|p| p.floor).max().unwrap_or(0);
-            let floor = self.rng.below(reached + 1);
-            let inc = self.peer().inc + 1;
-            self.procs.push(Proc::new(inc, floor));
-        }
-    }
-
-    /// One event of a superseded generation, or any event once the link is
-    /// over, must change nothing.
-    fn inert(&mut self, event: Event) {
-        let before = self.link.state();
-        let actions = self.link.step(event);
-        assert!(actions.is_empty(), "seed {}: stale {event:?} caused {actions:?}", self.seed);
-        assert_eq!(self.link.state(), before, "seed {}: stale {event:?} moved the link", self.seed);
     }
 
     fn perform(&mut self, m: Move) {
-        let seed = self.seed;
+        let k = self.live();
         match m {
+            Move::Dial if self.procs[k].alive => {
+                assert!(!self.procs[k].reached, "a second HELLO of ours reached incarnation {k}");
+                self.procs[k].reached = true;
+                self.dial = Dial::Answered(k);
+            }
+            Move::Dial => {
+                // Nothing listens: `establish` fails and tears the transport down.
+                self.step(Event::Shutdown, None, false);
+                self.shut = true;
+            }
+            Move::DialReport => {
+                let Dial::Answered(k) = self.dial else { unreachable!("no dial answered") };
+                let actions = self.step(Event::Dialed { inc: k as u32 }, None, false);
+                self.dial = if actions.contains(&Action::Reject(StaleIncarnation)) {
+                    Dial::Idle
+                } else {
+                    assert_eq!(self.queue, None, "the dial's queue was taken");
+                    self.queue = Some(k);
+                    Dial::Kept(k)
+                };
+            }
+            Move::Start => self.started = true,
             Move::Ship => {
                 self.log += 1;
                 self.send(Frame::Data(self.log - 1));
@@ -332,183 +488,301 @@ impl World {
                 self.fin_sent = true;
                 self.send(Frame::Fin);
             }
-            Move::Read => self.peer().read(seed),
+            Move::Read => self.procs[k].read(),
             Move::PeerFin => {
-                let gen = self.peer().conn.expect("connected");
-                self.peer().finned = true;
-                self.readers[gen as usize].push_back(Event::FrameFin { gen });
+                let p = &mut self.procs[k];
+                p.finned = true;
+                p.reports.push_back(Event::FrameFin { gen: p.read_as.expect("connected") });
             }
             Move::PeerExit => {
-                let gen = self.peer().conn.expect("connected");
-                self.peer().alive = false;
-                self.readers[gen as usize].push_back(Event::ReadFailed { gen });
+                let p = &mut self.procs[k];
+                p.alive = false;
+                p.reports.push_back(Event::ReadFailed { gen: p.read_as.expect("connected") });
             }
-            Move::Die => self.die(),
+            Move::Die { eof, floor } => self.die(eof, floor),
             Move::Retire => {
-                // Its supervisor heard DONE, so it is not respawned: it says so.
-                let gen = self.peer().conn.expect("connected");
-                (self.peer().alive, self.peer().retired) = (false, true);
-                self.deaths_left -= 1;
-                self.readers[gen as usize].push_back(Event::ReadFailed { gen });
-                self.unordered.push(Event::Finished);
+                let p = &mut self.procs[k];
+                (p.alive, p.retired) = (false, true);
+                p.reports.push_back(Event::ReadFailed { gen: p.read_as.expect("connected") });
+                self.word = true;
             }
-            Move::Hello => {
-                self.peer().said_hello = true;
-                let (i, inc) = (self.procs.len() - 1, self.peer().inc);
-                let actions = self.step(Event::HelloFrom { inc }, Some(i));
-                if !self.shut && self.cfg.rejoin {
-                    assert!(
-                        actions.iter().any(|a| matches!(a, Action::Admit { .. })),
-                        "seed {seed}: incarnation {inc} after {} not admitted: {actions:?}",
-                        self.admitted
-                    );
-                }
+            Move::Hello { dies } => {
+                self.procs[k].said_hello = true;
+                let over = self.shut || self.link.state() == LinkState::Lost;
+                let actions = self.step(Event::HelloFrom { inc: k as u32 }, Some(k), dies);
+                let taken = |a: &Action| matches!(a, Action::Hook | Action::Admit { .. });
+                let got = actions.iter().any(taken);
+                assert!(over || got, "the live incarnation {k}'s HELLO got {actions:?}");
             }
-            Move::StaleHello => {
-                let inc = self.rng.below(self.admitted as u64 + 1) as u32;
-                let before = self.link.state();
+            Move::StaleHello { inc } => {
+                let before = self.link.clone();
                 let actions = self.link.step(Event::HelloFrom { inc });
-                let reject = Action::Reject(RejectReason::StaleIncarnation);
-                let want = if self.shut { vec![] } else { vec![reject] };
-                assert_eq!(actions, want, "seed {seed}: HELLO {inc} after {}", self.admitted);
-                assert_eq!(self.link.state(), before, "seed {seed}: a stale HELLO moved the link");
+                let over = self.shut || before.state() == LinkState::Lost;
+                let want = if over { vec![] } else { vec![Action::Reject(StaleIncarnation)] };
+                assert_eq!(actions, want, "HELLO {inc} after {:?}", self.taken);
+                assert_eq!(self.link, before, "a stale HELLO moved the link");
             }
-            Move::Report => {
-                let busy: Vec<usize> =
-                    (0..self.readers.len()).filter(|&g| !self.readers[g].is_empty()).collect();
-                let pick = self.rng.below((busy.len() + self.unordered.len()) as u64) as usize;
-                let event = match busy.get(pick) {
-                    Some(&g) => self.readers[g].pop_front().expect("busy"),
-                    None => self.unordered.swap_remove(pick - busy.len()),
-                };
-                // The supervisor's word is about the host, not a generation.
-                let of = match event {
-                    Event::FrameFin { gen } | Event::ReadFailed { gen } => Some(gen),
-                    Event::Silent { gen } => Some(gen),
-                    _ => None,
-                };
-                if self.shut || self.gen().is_none_or(|gen| of.is_some_and(|of| of < gen)) {
-                    self.inert(event);
-                } else {
-                    self.step(event, None);
-                }
+            Move::SendLost { host } => {
+                let p = &mut self.procs[k];
+                p.reports.push_back(Event::Lost { gen: p.read_as.expect("read"), host });
+                self.die(true, 0);
+            }
+            Move::Report { inc } => {
+                let event = self.procs[inc].reports.pop_front().expect("a report");
+                self.deliver(event);
+            }
+            Move::Quiet => self.deliver(Event::Silent { gen: self.quiet().expect("quiet") }),
+            Move::Word => {
+                self.word = false;
+                self.deliver(Event::Finished);
             }
             Move::Shutdown => {
-                let actions = self.step(Event::Shutdown, None);
-                assert!(actions.is_empty(), "seed {seed}: shutdown caused {actions:?}");
+                let actions = self.step(Event::Shutdown, None, false);
+                assert!(actions.is_empty(), "shutdown caused {actions:?}");
                 self.shut = true;
             }
         }
-        // Up means hooked to that very generation, Down unhooked, and an
-        // admission never outlives its redial.
+        self.running |= self.started && !self.link.awaiting();
+        // An incarnation the queue reaches is caught up once it has read
+        // everything queued to it: every data frame, the latest barrier
+        // arrival and FIN, whatever it missed as a predecessor's connection.
+        let read_all = |k: &usize| self.procs[*k].alive && self.procs[*k].inbox.is_empty();
+        if let Some(k) = self.queue.filter(read_all) {
+            let p = &self.procs[k];
+            let behind = (p.floor, p.barrier, p.saw_fin) != (self.log, self.barrier, self.fin_sent);
+            assert!(!behind, "incarnation {k} read all it was sent and is behind: {p:?}");
+        }
+        // Up means hooked to that very incarnation, both ways (the queue is
+        // installed once the dial reports), Down unhooked, and an admission
+        // never outlives its redial.
         match self.link.state() {
-            LinkState::Up { gen, .. } => assert_eq!(self.queue, Some(gen), "seed {seed}"),
-            LinkState::Down { .. } => assert_eq!(self.queue, None, "seed {seed}"),
-            LinkState::Joining { .. } => panic!("seed {seed}: an admission outlived its redial"),
-            LinkState::Awaiting => panic!("seed {seed}: the link forgot its first HELLO"),
-            LinkState::Finned { .. } | LinkState::Lost => {}
+            LinkState::Up { gen, inc } => {
+                let inc = inc as usize;
+                let read_as = self.procs[inc].read_as;
+                assert_eq!(read_as, Some(gen), "Up{{{gen}, {inc}}} reads elsewhere");
+                let installed = matches!(self.dial, Dial::Kept(_)) || self.admissions > 0;
+                let want = installed.then_some(inc);
+                let queue = self.queue;
+                assert_eq!(queue, want, "Up{{{gen}, {inc}}} but the queue reaches {queue:?}");
+            }
+            LinkState::Down { .. } => assert_eq!(self.queue, None),
+            LinkState::Joining { .. } => panic!("an admission outlived its redial"),
+            LinkState::Awaiting | LinkState::Finned { .. } | LinkState::Lost => {}
+        }
+    }
+
+    /// Checks a schedule that ended: nothing is left to deliver, and the
+    /// link ended as the world says it must.
+    fn check_end(&mut self) {
+        let cfg = self.cfg;
+        assert!(self.shut && !self.word, "stuck: {self:#?}");
+        // Shut down: whatever still knocks is inert.
+        for inc in 0..=INCARNATIONS as u32 {
+            assert_eq!(self.link.step(Event::HelloFrom { inc }), []);
+        }
+        let state = self.link.state();
+        match state {
+            LinkState::Finned { inc, .. } => {
+                // The incarnation that finished holds everything this host
+                // sent, in order, the latest barrier count and FIN: its
+                // writer flushes the rest of its inbox before the socket
+                // closes.
+                let p = &mut self.procs[inc as usize];
+                while !p.inbox.is_empty() {
+                    p.read();
+                }
+                let got = (p.floor, p.barrier);
+                assert_eq!(got, (cfg.frames, cfg.barriers), "{inc} is missing frames");
+                assert!(p.saw_fin || !self.fin_sent || p.retired, "{inc} never got our FIN");
+            }
+            LinkState::Lost => {
+                let died = self.procs.iter().any(|p| !p.alive);
+                assert!(self.named || (!cfg.rejoin && died), "lost without a death");
+            }
+            // Torn down mid-run, or `establish` failed.
+            _ => assert!(cfg.crash || !self.started, "a clean teardown left the link {state:?}"),
         }
     }
 }
 
-/// Runs one schedule to its end and checks it; returns the step count.
-fn explore(rejoin: bool, seed: u64) -> usize {
-    let mut rng = Rng(seed);
-    let frames = rng.below(8);
-    let barriers = rng.below(4);
-    let deaths = rng.below(if rejoin { 4 } else { 2 }) as u32;
-    let crash_at = (rng.below(8) == 0).then(|| rng.below(60) as usize);
-    let cfg = Config { rejoin, frames, barriers, deaths, crash_at };
-    let mut w = World::new(cfg, rng, seed);
+/// A multiply-rotate hash (FxHash's): the search hashes every world it
+/// reaches, and a 64-bit fingerprint of a few hundred thousand worlds does
+/// not collide in practice.
+#[derive(Default)]
+struct Fx(u64);
 
-    let mut steps = 0;
-    while !w.shut || w.pending() {
-        steps += 1;
-        let moves = w.enabled(steps);
-        assert!(
-            steps < MAX_STEPS && !moves.is_empty(),
-            "seed {seed}: stuck after {steps} steps ({cfg:?}): link {:?}, sent {} frames, \
-             barrier {}, FIN {}; peer {:?}",
-            w.link.state(),
-            w.log,
-            w.barrier,
-            w.fin_sent,
-            w.procs.last()
-        );
-        let m = moves[w.rng.below(moves.len() as u64) as usize];
-        w.perform(m);
+impl Hasher for Fx {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
     }
 
-    // Shut down: whatever still knocks is inert.
-    for inc in 0..=w.admitted + 1 {
-        w.inert(Event::HelloFrom { inc });
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
-    let state = w.link.state();
-    if cfg.crash_at.is_none() {
-        assert!(
-            matches!(state, LinkState::Finned { .. } | LinkState::Lost),
-            "seed {seed}: a clean teardown left the link {state:?}"
-        );
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
-    if let LinkState::Finned { gen, inc } = state {
-        // The incarnation that finished holds everything this host sent,
-        // in order, the latest barrier count and FIN: its writer flushes
-        // the rest of its inbox before the socket closes.
-        let seed = w.seed;
-        let p = w.procs.iter_mut().find(|p| p.conn == Some(gen)).expect("a finned generation");
-        assert_eq!(p.inc, inc, "seed {seed}");
-        while !p.inbox.is_empty() {
-            p.read(seed);
-        }
-        let got = (p.floor, p.barrier);
-        assert_eq!(got, (frames, barriers), "seed {seed}: incarnation {inc} is missing frames");
-        let fin = p.saw_fin || !w.fin_sent || p.retired;
-        assert!(fin, "seed {seed}: incarnation {inc} never got our FIN");
+
+    fn finish(&self) -> u64 {
+        self.0
     }
-    if state == LinkState::Lost {
-        assert!(!rejoin && deaths > 0, "seed {seed}: lost without a death");
-    }
-    steps
 }
+
+fn fingerprint(w: &World) -> u64 {
+    let mut h = Fx::default();
+    w.hash(&mut h);
+    h.finish()
+}
+
+/// Runs `check` on `w`; a panic is re-raised with the moves that replay it.
+fn checked(w: &mut World, path: impl FnOnce() -> Vec<Move>, check: impl FnOnce(&mut World)) {
+    if let Err(e) = catch_unwind(AssertUnwindSafe(|| check(w))) {
+        let why = e
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| e.downcast_ref::<&str>().copied())
+            .unwrap_or("a panic");
+        panic!("{why}\nreplay({:?}, &{:?})", w.cfg, path());
+    }
+}
+
+/// The depth-bounded search, breadth first: every distinct world reachable
+/// in at most [`DEPTH`] moves is expanded once, at the depth it is first
+/// reached; `seen` keeps the move that reached each one, so a failure
+/// prints its whole path.
+#[derive(Default)]
+struct Search {
+    seen: HashMap<u64, Option<(u64, Move)>>,
+    ended: usize,
+}
+
+impl Search {
+    /// The moves that lead from a start to the world `at`, then `last`.
+    fn path(&self, mut at: u64, last: Move) -> Vec<Move> {
+        let mut path = vec![last];
+        while let Some(&Some((parent, m))) = self.seen.get(&at) {
+            path.push(m);
+            at = parent;
+        }
+        path.reverse();
+        path
+    }
+
+    fn run(&mut self, starts: impl Iterator<Item = World>) {
+        let mut level: Vec<(u64, World)> = starts.map(|w| (fingerprint(&w), w)).collect();
+        self.seen.extend(level.iter().map(|&(at, _)| (at, None)));
+        for depth in 0..=DEPTH {
+            let mut next = Vec::new();
+            for (at, w) in &level {
+                let moves = w.moves();
+                if moves.is_empty() {
+                    self.ended += 1;
+                    let path = || self.path(*at, Move::Shutdown).split_last().unwrap().1.to_vec();
+                    checked(&mut w.clone(), path, World::check_end);
+                }
+                for m in moves.into_iter().filter(|_| depth < DEPTH) {
+                    let mut w = w.clone();
+                    checked(&mut w, || self.path(*at, m), |w| w.perform(m));
+                    let to = fingerprint(&w);
+                    if let Entry::Vacant(seen) = self.seen.entry(to) {
+                        seen.insert(Some((*at, m)));
+                        next.push((to, w));
+                    }
+                }
+            }
+            level = next;
+        }
+    }
+}
+
+/// The worlds the search starts from: each mode, with or without a frame and
+/// a barrier, with or without a crash of this host; with rejoin, the crash
+/// only in the world without frames, where it costs the fewest states.
+fn configs() -> impl Iterator<Item = Config> {
+    let all = (0..16u64).map(|i| Config {
+        rejoin: i & 1 == 1,
+        frames: i >> 1 & 1,
+        barriers: i >> 2 & 1,
+        crash: i >> 3 == 1,
+    });
+    all.filter(|c| !c.rejoin || !c.crash || c.frames + c.barriers == 0)
+}
+
+/// Performs `moves` from the start, each of which must be enabled.
+fn replay(cfg: Config, moves: &[Move]) -> World {
+    let mut w = World::new(cfg);
+    for (i, &m) in moves.iter().enumerate() {
+        assert!(w.moves().contains(&m), "{m:?} is not enabled after {:?}", &moves[..i]);
+        checked(&mut w, || moves[..=i].to_vec(), |w| w.perform(m));
+    }
+    w
+}
+
+/// Distinct states the search must visit at least (it visits 145,439): a
+/// change that shrinks the world fails here instead of passing on less
+/// coverage.
+const STATE_FLOOR: usize = 145_000;
 
 #[test]
-fn every_schedule_ends_finned_lost_or_shut_down() {
-    // 2 modes × 10,000 seeds = 20,000 schedules.
-    for rejoin in [false, true] {
-        for seed in 0..10_000 {
-            explore(rejoin, seed);
-        }
-    }
+fn every_schedule_keeps_the_invariants_and_ends_finned_lost_or_shut_down() {
+    let mut search = Search::default();
+    search.run(configs().map(World::new));
+    let (states, ended) = (search.seen.len(), search.ended);
+    println!("link explorer: {states} distinct states, {ended} ended schedules, depth {DEPTH}");
+    assert!(states >= STATE_FLOOR, "visited {states} states, below the floor of {STATE_FLOOR}");
 }
 
+/// The pre-hook window: incarnation 0 answers this host's dial and dies
+/// before it dials in. Its respawn's HELLO is admitted with a redial when
+/// the dial reported first; stepped before the report, it is hooked, and
+/// the dial that reached incarnation 0 is refused and made again. Either
+/// way the run finishes on incarnation 1.
 #[test]
-fn same_seed_same_schedule() {
-    for seed in [7, 20261015] {
-        assert_eq!(explore(true, seed), explore(true, seed));
+fn a_respawn_whose_predecessor_answered_the_dial_is_redialed() {
+    use Move::*;
+    let cfg = Config { rejoin: true, frames: 1, barriers: 0, crash: false };
+    let (die, hello) = (Die { eof: true, floor: 0 }, Hello { dies: false });
+    let cases: [(&[Move], u64); 3] = [
+        (&[Dial, DialReport, die, hello], 1),
+        (&[Dial, die, DialReport, hello], 1),
+        (&[Dial, die, hello, DialReport, Dial, DialReport], 0),
+    ];
+    for (head, gen) in cases {
+        assert_eq!(replay(cfg, head).link.state(), LinkState::Up { gen, inc: 1 }, "{head:?}");
+        let tail = [Start, Ship, Finish, Read, Read, PeerFin, Report { inc: 1 }, Shutdown];
+        let mut w = replay(cfg, &[head, &tail].concat());
+        w.check_end();
+        assert_eq!(w.link.state(), LinkState::Finned { gen, inc: 1 });
     }
 }
 
 // -- before the first HELLO -------------------------------------------------
 
 #[test]
-fn a_first_hello_of_any_incarnation_hooks_generation_0() {
+fn the_dialed_incarnations_hello_is_hooked_and_a_newer_one_is_redialed() {
     for rejoin in [false, true] {
         for inc in [0, 1, 7, u32::MAX] {
-            let mut link = PeerLink::new(rejoin);
+            let mut link = PeerLink::new(rejoin, ME, PEER, HOSTS);
             assert_eq!(link.state(), LinkState::Awaiting);
+            assert_eq!(link.step(Event::Dialed { inc }), []);
             // No Unhook (nothing was hooked) and no Admit (no redial): this
             // host's own dial is the outbound connection.
             assert_eq!(link.step(Event::HelloFrom { inc }), [Action::Hook]);
             assert_eq!(link.state(), LinkState::Up { gen: 0, inc });
         }
     }
+    let mut link = PeerLink::new(true, ME, PEER, HOSTS);
+    link.step(Event::Dialed { inc: 0 });
+    assert_eq!(link.step(Event::HelloFrom { inc: 1 }), [Action::Unhook, Action::Admit { gen: 1 }]);
 }
 
 #[test]
 fn a_second_hello_without_rejoin_is_a_taken_slot() {
-    let reject = Action::Reject(RejectReason::BadHostId);
+    let reject = Action::Reject(BadHostId);
     for inc in [0, 1, u32::MAX] {
-        let mut link = PeerLink::new(false);
+        let mut link = PeerLink::new(false, ME, PEER, HOSTS);
+        link.step(Event::Dialed { inc: 0 });
         link.step(Event::HelloFrom { inc: 0 });
         assert_eq!(link.step(Event::HelloFrom { inc }), [reject]);
         assert_eq!(link.state(), LinkState::Up { gen: 0, inc: 0 });
@@ -520,12 +794,14 @@ fn a_second_hello_without_rejoin_is_a_taken_slot() {
 
 #[test]
 fn silence_before_the_first_hello_is_lost_without_rejoin_and_down_with_it() {
-    let mut link = PeerLink::new(false);
-    assert_eq!(link.step(Event::Silent { gen: 0 }), [Action::MarkLost]);
+    let mut link = PeerLink::new(false, ME, PEER, HOSTS);
+    link.step(Event::Dialed { inc: 0 });
+    assert_eq!(link.step(Event::Silent { gen: 0 }), [Action::MarkLost { host: PEER }]);
     assert_eq!(link.state(), LinkState::Lost);
     assert_eq!(link.step(Event::HelloFrom { inc: 0 }), []);
 
-    let mut link = PeerLink::new(true);
+    let mut link = PeerLink::new(true, ME, PEER, HOSTS);
+    link.step(Event::Dialed { inc: 0 });
     assert_eq!(link.step(Event::Silent { gen: 0 }), [Action::Unhook]);
     assert_eq!(link.state(), LinkState::Down { gen: 0, inc: 0 });
     // The incarnation it waited for is given up on; its respawn is admitted.
@@ -539,9 +815,11 @@ fn silence_before_the_first_hello_is_lost_without_rejoin_and_down_with_it() {
 #[test]
 fn shutdown_before_the_first_hello_is_closed() {
     for rejoin in [false, true] {
-        let mut link = PeerLink::new(rejoin);
+        let mut link = PeerLink::new(rejoin, ME, PEER, HOSTS);
         assert_eq!(link.step(Event::Shutdown), []);
-        for event in [Event::HelloFrom { inc: 0 }, Event::Silent { gen: 0 }, Event::Finished] {
+        let hellos = [Event::HelloFrom { inc: 0 }, Event::Dialed { inc: 0 }];
+        let events = hellos.into_iter().chain([Event::Silent { gen: 0 }, Event::Finished]);
+        for event in events {
             assert_eq!(link.step(event), [], "rejoin {rejoin}: {event:?} after shutdown");
             assert_eq!(link.state(), LinkState::Awaiting);
         }

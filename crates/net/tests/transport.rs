@@ -14,7 +14,7 @@ use cusp_net::{
 
 /// Establishes a full `n`-host mesh over loopback, all endpoints in this
 /// process. Mirrors what `cusp-part launch` does across processes.
-fn mesh(n: usize, nonce: u64) -> Vec<TcpTransport> {
+fn mesh(n: usize, nonce: u64, opts: TcpOptions) -> Vec<TcpTransport> {
     let listeners: Vec<TcpListener> = (0..n)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
         .collect();
@@ -28,21 +28,34 @@ fn mesh(n: usize, nonce: u64) -> Vec<TcpTransport> {
         .map(|(i, l)| {
             let peers = peers.clone();
             std::thread::spawn(move || {
-                TcpTransport::establish(i, l, &peers, nonce, TcpOptions::default()).expect("establish")
+                TcpTransport::establish(i, l, &peers, nonce, opts).expect("establish")
             })
         })
         .collect();
     handles.into_iter().map(|h| h.join().expect("no panic")).collect()
 }
 
-/// Runs `f` SPMD over a TCP mesh, one thread per host, and collects each
-/// host's output.
+/// Runs `f` SPMD over a TCP mesh with the default [`TcpOptions`], one
+/// thread per host, and collects each host's output.
 fn run_tcp<R, F>(n: usize, opts: ClusterOptions, f: F) -> Vec<Result<TcpRunOutput<R>, ClusterError>>
 where
     R: Send + 'static,
     F: Fn(&Comm) -> R + Clone + Send + 'static,
 {
-    let handles: Vec<_> = mesh(n, 0xC0FFEE)
+    run_tcp_with(n, opts, TcpOptions::default(), f)
+}
+
+fn run_tcp_with<R, F>(
+    n: usize,
+    opts: ClusterOptions,
+    tcp: TcpOptions,
+    f: F,
+) -> Vec<Result<TcpRunOutput<R>, ClusterError>>
+where
+    R: Send + 'static,
+    F: Fn(&Comm) -> R + Clone + Send + 'static,
+{
+    let handles: Vec<_> = mesh(n, 0xC0FFEE, tcp)
         .into_iter()
         .map(|t| {
             let f = f.clone();
@@ -66,21 +79,26 @@ fn ring_exchange_over_tcp_matches_simulator() {
         cusp_net::WireReader::new(data).get_u64().unwrap()
     };
     let sim = Cluster::run(4, app);
-    let tcp = run_tcp(4, ClusterOptions::default(), app);
-    let tcp: Vec<_> = tcp.into_iter().map(|r| r.expect("clean run")).collect();
-    let results: Vec<u64> = tcp.iter().map(|o| o.result).collect();
-    assert_eq!(results, sim.results);
+    // With rejoin on and no death, no dial is ever redialed.
+    for rejoin in [false, true] {
+        let opts = TcpOptions { rejoin, ..TcpOptions::default() };
+        let tcp = run_tcp_with(4, ClusterOptions::default(), opts, app);
+        let tcp: Vec<_> = tcp.into_iter().map(|r| r.expect("clean run")).collect();
+        let results: Vec<u64> = tcp.iter().map(|o| o.result).collect();
+        assert_eq!(results, sim.results);
+        assert_eq!(tcp.iter().map(|o| o.rejoins).sum::<u64>(), 0, "rejoin {rejoin}");
 
-    // Conservation across the merged matrices: each sender's send cells
-    // must equal the corresponding receiver's recv cells, exactly as the
-    // simulator's single shared collector guarantees.
-    let sim_phase = sim.stats.phase("ring").unwrap();
-    for src in 0..4 {
-        for dst in 0..4 {
-            let sent = tcp[src].stats.phase("ring").unwrap().bytes_between(src, dst);
-            let recvd = tcp[dst].stats.phase("ring").unwrap().recv_bytes_between(src, dst);
-            assert_eq!(sent, recvd, "conservation {src}->{dst}");
-            assert_eq!(sent, sim_phase.bytes_between(src, dst), "sim equality {src}->{dst}");
+        // Conservation across the merged matrices: each sender's send cells
+        // must equal the corresponding receiver's recv cells, exactly as the
+        // simulator's single shared collector guarantees.
+        let sim_phase = sim.stats.phase("ring").unwrap();
+        for src in 0..4 {
+            for dst in 0..4 {
+                let sent = tcp[src].stats.phase("ring").unwrap().bytes_between(src, dst);
+                let recvd = tcp[dst].stats.phase("ring").unwrap().recv_bytes_between(src, dst);
+                assert_eq!(sent, recvd, "conservation {src}->{dst}");
+                assert_eq!(sent, sim_phase.bytes_between(src, dst), "sim equality {src}->{dst}");
+            }
         }
     }
 }
@@ -185,7 +203,7 @@ fn seeded_faults_decide_identically_over_tcp() {
 
 #[test]
 fn peer_panic_over_tcp_is_host_lost_for_survivors() {
-    let transports = mesh(3, 0xDEAD);
+    let transports = mesh(3, 0xDEAD, TcpOptions::default());
     let handles: Vec<_> = transports
         .into_iter()
         .map(|t| {
