@@ -44,26 +44,7 @@ pub fn do_all<F>(pool: &ThreadPool, n: usize, grain: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    let grain = grain.max(1);
-    if n == 0 {
-        return;
-    }
-    // Tiny ranges: not worth waking the pool.
-    if n <= grain {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let threads = pool.threads();
-    pool.run(|_tid| {
-        while let Some((lo, hi)) = next_chunk(&cursor, n, threads, grain) {
-            for i in lo..hi {
-                f(i);
-            }
-        }
-    });
+    do_all_with_tid(pool, n, grain, |_, i| f(i));
 }
 
 /// Like [`do_all`] but also passes the worker's thread id, for use with

@@ -9,7 +9,6 @@
 
 use crate::cluster::{Comm, HostId, Tag};
 use crate::serialize::WireWriter;
-use crate::Bytes;
 
 /// Per-destination send buffers with a flush threshold in bytes.
 ///
@@ -20,7 +19,7 @@ pub struct SendBuffers {
     threshold: usize,
     /// Capacity re-reserved in a writer right after each flush. Taking a
     /// payload moves the writer's buffer out and leaves it empty — and the
-    /// [`Bytes::from`] a `Vec<u8>` does not adopt that buffer: it
+    /// [`Bytes::from`](crate::Bytes::from) a `Vec<u8>` does not adopt that buffer: it
     /// allocates an `Arc<[u8]>`, copies the payload into it and frees the
     /// original, so every flush costs one allocation and one memcpy of the
     /// payload on top of this one. Without the re-reserve the next record
@@ -31,8 +30,6 @@ pub struct SendBuffers {
     /// pin a giant buffer per destination.
     retain: usize,
     tag: Tag,
-    flushes: u64,
-    records: u64,
 }
 
 impl SendBuffers {
@@ -48,8 +45,6 @@ impl SendBuffers {
             threshold: threshold.max(1),
             retain,
             tag,
-            flushes: 0,
-            records: 0,
         }
     }
 
@@ -58,18 +53,8 @@ impl SendBuffers {
     pub fn record(&mut self, comm: &Comm, dst: HostId, write: impl FnOnce(&mut WireWriter)) {
         let buf = &mut self.buffers[dst];
         write(buf);
-        self.records += 1;
         if buf.len() >= self.threshold {
-            let payload = buf.take();
-            buf.reserve(self.retain);
-            self.send(comm, dst, payload);
-        }
-    }
-
-    fn send(&mut self, comm: &Comm, dst: HostId, payload: Bytes) {
-        if !payload.is_empty() {
-            comm.send_bytes(dst, self.tag, payload);
-            self.flushes += 1;
+            self.flush(comm, dst);
         }
     }
 
@@ -77,21 +62,17 @@ impl SendBuffers {
     pub fn flush_all(&mut self, comm: &Comm) {
         for dst in 0..self.buffers.len() {
             if !self.buffers[dst].is_empty() {
-                let payload = self.buffers[dst].take();
-                self.buffers[dst].reserve(self.retain);
-                self.send(comm, dst, payload);
+                self.flush(comm, dst);
             }
         }
     }
 
-    /// Number of messages actually sent so far.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Number of records appended so far.
-    pub fn records(&self) -> u64 {
-        self.records
+    /// Sends `dst`'s non-empty buffer as one message.
+    fn flush(&mut self, comm: &Comm, dst: HostId) {
+        let buf = &mut self.buffers[dst];
+        let payload = buf.take();
+        buf.reserve(self.retain);
+        comm.send_bytes(dst, self.tag, payload);
     }
 }
 
@@ -101,32 +82,35 @@ mod tests {
     use crate::cluster::Cluster;
     use crate::serialize::WireReader;
 
-    /// Send `n` records of one u64 each from host 0 to host 1 with the given
-    /// threshold; return (messages_seen_by_receiver, values).
-    fn run(n: u64, threshold: usize) -> (u64, Vec<u64>) {
+    /// Sends `n` records of one u64 each from host 0 to host 1 with the
+    /// given threshold; returns the messages the stats counted and each
+    /// payload host 1 received, as the values it carries.
+    fn run(n: u64, threshold: usize) -> (u64, Vec<Vec<u64>>) {
         let out = Cluster::run(2, move |comm| {
             comm.set_phase("buffered");
+            let mut payloads = Vec::new();
             if comm.host() == 0 {
                 let mut bufs = SendBuffers::new(2, threshold, Tag(5));
                 for i in 0..n {
                     bufs.record(comm, 1, |w| w.put_u64(i));
                 }
                 bufs.flush_all(comm);
-                comm.barrier();
-                Vec::new()
             } else {
-                let mut values = Vec::new();
                 // Receiver drains until it has all n records.
-                while (values.len() as u64) < n {
+                let mut got = 0;
+                while got < n {
                     let (_src, payload) = comm.recv_any(Tag(5));
                     let mut r = WireReader::new(payload);
+                    let mut values = Vec::new();
                     while !r.is_exhausted() {
                         values.push(r.get_u64().unwrap());
                     }
+                    got += values.len() as u64;
+                    payloads.push(values);
                 }
-                comm.barrier();
-                values
             }
+            comm.barrier();
+            payloads
         });
         let msgs = out.stats.phase("buffered").unwrap().total_messages();
         (msgs, out.results.into_iter().nth(1).unwrap())
@@ -134,25 +118,25 @@ mod tests {
 
     #[test]
     fn zero_threshold_sends_per_record() {
-        let (msgs, values) = run(50, 0);
+        let (msgs, payloads) = run(50, 0);
         assert_eq!(msgs, 50);
-        assert_eq!(values, (0..50).collect::<Vec<u64>>());
+        assert_eq!(payloads, (0..50).map(|i| vec![i]).collect::<Vec<_>>());
     }
 
     #[test]
     fn large_threshold_sends_one_message() {
-        let (msgs, values) = run(50, 1 << 20);
+        let (msgs, payloads) = run(50, 1 << 20);
         assert_eq!(msgs, 1);
-        assert_eq!(values, (0..50).collect::<Vec<u64>>());
+        assert_eq!(payloads, [(0..50).collect::<Vec<u64>>()]);
     }
 
     #[test]
     fn intermediate_threshold_batches() {
         // 50 records × 8 bytes = 400 bytes; threshold 100 → flush roughly
         // every 13 records (first append crossing 100 triggers), plus tail.
-        let (msgs, values) = run(50, 100);
+        let (msgs, payloads) = run(50, 100);
         assert!(msgs > 1 && msgs < 50, "got {msgs} messages");
-        assert_eq!(values.len(), 50);
+        assert_eq!(payloads.concat(), (0..50).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -162,9 +146,7 @@ mod tests {
             let mut bufs = SendBuffers::new(2, 64, Tag(1));
             bufs.flush_all(comm);
             comm.barrier();
-            bufs.flushes()
         });
-        assert_eq!(out.results, vec![0, 0]);
         assert_eq!(out.stats.phase("idle").unwrap().total_messages(), 0);
     }
 
@@ -180,18 +162,19 @@ mod tests {
                 // retained capacity without a record having regrown it.
                 let cap = bufs.buffers[1].capacity();
                 bufs.flush_all(comm);
-                (bufs.flushes(), cap)
+                cap
             } else {
-                let mut got = 0u64;
+                // Messages received.
+                let (mut got, mut msgs) = (0, 0);
                 while got < 200 {
-                    let (_s, p) = comm.recv_any(Tag(3));
-                    got += p.len() as u64 / 8;
+                    got += comm.recv_any(Tag(3)).1.len() / 8;
+                    msgs += 1;
                 }
-                (0, usize::MAX)
+                msgs
             }
         });
-        let (flushes, cap) = out.results[0];
-        assert!(flushes > 1);
+        let (cap, msgs) = (out.results[0], out.results[1]);
+        assert!(msgs > 1, "{msgs} message(s)");
         assert!(cap >= 128, "retained capacity {cap} < threshold 128");
     }
 
@@ -217,43 +200,15 @@ mod tests {
 
     #[test]
     fn a_record_flushes_where_its_buffer_crosses_the_threshold() {
-        let out = Cluster::run(2, |comm| {
-            if comm.host() == 0 {
-                let mut bufs = SendBuffers::new(2, 100, Tag(6));
-                for i in 0..50u64 {
-                    bufs.record(comm, 1, |w| w.put_u64(i));
-                }
-                let flushed = bufs.flushes();
-                bufs.flush_all(comm);
-                flushed
-            } else {
-                let mut got = 0u64;
-                while got < 50 {
-                    got += comm.recv_any(Tag(6)).1.len() as u64 / 8;
-                }
-                0
-            }
-        });
-        // 13 records of 8 bytes cross 100: three flushes, the tail is left.
-        assert_eq!(out.results[0], 3);
+        // 13 records of 8 bytes cross 100: three flushes, then the tail.
+        let (msgs, payloads) = run(50, 100);
+        let bytes: Vec<usize> = payloads.iter().map(|p| 8 * p.len()).collect();
+        assert_eq!((msgs, bytes), (4, vec![104, 104, 104, 88]));
     }
 
     #[test]
     fn record_counting() {
-        let out = Cluster::run(2, |comm| {
-            if comm.host() == 0 {
-                let mut bufs = SendBuffers::new(2, 1 << 16, Tag(2));
-                for i in 0..7u64 {
-                    bufs.record(comm, 1, |w| w.put_u64(i));
-                }
-                bufs.flush_all(comm);
-                (bufs.records(), bufs.flushes())
-            } else {
-                let (_s, payload) = comm.recv_any(Tag(2));
-                (payload.len() as u64 / 8, 0)
-            }
-        });
-        assert_eq!(out.results[0], (7, 1));
-        assert_eq!(out.results[1].0, 7);
+        let (msgs, payloads) = run(7, 1 << 16);
+        assert_eq!((msgs, payloads), (1, vec![(0..7).collect()]));
     }
 }

@@ -180,29 +180,6 @@ fn parse_gather_frame(payload: &Bytes) -> Result<Vec<Bytes>, crate::serialize::W
     Ok(out)
 }
 
-/// Broadcast `value` from `root` to all hosts.
-pub fn broadcast_u64(comm: &Comm, root: usize, value: u64) -> u64 {
-    let me = comm.host();
-    let k = comm.num_hosts();
-    if k == 1 {
-        return value;
-    }
-    if me == root {
-        let mut w = WireWriter::new();
-        w.put_u64(value);
-        let payload = w.finish();
-        for dst in 0..k {
-            if dst != root {
-                comm.send_bytes(dst, COLLECTIVE_TAG, payload.clone());
-            }
-        }
-        value
-    } else {
-        let payload = comm.recv_from(root, COLLECTIVE_TAG);
-        WireReader::new(payload).get_u64().expect("malformed broadcast")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,15 +231,6 @@ mod tests {
                 assert!(blob.iter().all(|&b| b == h as u8));
             }
         }
-    }
-
-    #[test]
-    fn broadcast_from_nonzero_root() {
-        let out = Cluster::run(5, |comm| {
-            let v = if comm.host() == 3 { 777 } else { 0 };
-            broadcast_u64(comm, 3, v)
-        });
-        assert!(out.results.iter().all(|&v| v == 777));
     }
 
     #[test]

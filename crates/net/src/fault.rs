@@ -142,7 +142,7 @@ const SALT_KILL_PHASE: u64 = 0x9e6c_63d0_876a_8b03;
 const SALT_KILL_MODE: u64 = 0xe703_7ed1_a0b4_28db;
 
 /// How a [`KillPlan`] takes its victim down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KillMode {
     /// SIGKILL — the process vanishes mid-write; peers see EOF without FIN.
     Kill,
@@ -168,7 +168,7 @@ impl KillMode {
 }
 
 /// One process-kill decision: who dies, when, and how.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KillDecision {
     /// The worker process to take down.
     pub victim: usize,

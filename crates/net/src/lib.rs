@@ -65,8 +65,7 @@ pub use stats::{CommStats, PhaseSnapshot, PhaseTraffic};
 pub use transport::{RejectReason, TcpOptions, TcpTransport, TransportError, TCP_PROTOCOL_VERSION};
 
 pub use collective::{
-    all_gather_bytes, all_reduce_sum_f64, all_reduce_u64, all_reduce_vec_u64, broadcast_u64,
-    ReduceOp,
+    all_gather_bytes, all_reduce_sum_f64, all_reduce_u64, all_reduce_vec_u64, ReduceOp,
 };
 
 /// Absorbs lock poisoning. A planned crash or a propagated host panic may

@@ -9,8 +9,8 @@
 //!   at stdout EOF) and *act* (spawn, signal, write the peer list); every
 //!   decision in between — count, budget, backoff, respawn, give up,
 //!   finish — is made by [`Supervisor::step`], which touches no clock,
-//!   thread or socket, so `tests/supervisor_schedules.rs` can run it
-//!   against a fake world;
+//!   thread or socket, so `tests/supervisor_schedules.rs` can search every
+//!   schedule of a fake process world and a fake thread world;
 //! * [`ClusterError`] — the clean terminal failure (`HostLost`) a cluster
 //!   returns instead of hanging when the budget is exhausted;
 //! * [`RecoveryReport`] — counters proving what the recovery machinery did
@@ -54,7 +54,7 @@ pub(crate) struct CrashSignal(pub(crate) Instant);
 pub(crate) struct LostSignal;
 
 /// Knobs for crash detection and bounded restart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RecoveryOptions {
     /// How long a death takes to be noticed. In the simulator it is the
     /// detection wait: a crashed host thread reports its exit this long
@@ -186,7 +186,7 @@ pub enum Action {
 /// Where one host stands. A host's incarnation is also its attempt count:
 /// incarnation `n` is the `n`-th restart.
 #[allow(missing_docs)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostState {
     /// Generation `incarnation` is alive, as far as anyone knows.
     Running { incarnation: u32 },
@@ -213,7 +213,7 @@ impl std::fmt::Display for HostState {
 /// reads no clock (the driver passes `now_ms`), blocks on nothing and
 /// performs nothing — it returns the [`Action`]s for its driver to perform,
 /// and [`Supervisor::next_deadline`] says how long the driver may block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Supervisor {
     opts: RecoveryOptions,
     /// The seeded kill and whether it re-fires on every incarnation.

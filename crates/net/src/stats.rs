@@ -378,14 +378,6 @@ impl CommStats {
     pub fn replayed_messages(&self) -> u64 {
         self.replayed_msgs
     }
-
-    /// Merges phase totals matching a prefix (e.g. all `"construct:*"`).
-    pub fn total_bytes_with_prefix(&self, prefix: &str) -> u64 {
-        self.iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, p)| p.total_bytes())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -461,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_totals() {
+    fn grand_total_sums_every_phase() {
         let c = StatsCollector::new(2);
         let p1 = c.phase_index("construct:edges");
         let p2 = c.phase_index("construct:meta");
@@ -469,8 +461,6 @@ mod tests {
         c.record(p1, 0, 1, 1);
         c.record(p2, 0, 1, 2);
         c.record(p3, 0, 1, 4);
-        let snap = c.snapshot();
-        assert_eq!(snap.total_bytes_with_prefix("construct:"), 3);
-        assert_eq!(snap.grand_total_bytes(), 7);
+        assert_eq!(c.snapshot().grand_total_bytes(), 7);
     }
 }

@@ -24,18 +24,18 @@
 //! barrier, so a respawn resumes from a floor one of its predecessors
 //! reached.
 //!
-//! The search visits every distinct (link, world) state up to [`DEPTH`]
-//! moves, checks the invariants after each move and the end state of every
-//! schedule that ends, and prints a failure as the moves that replay it
-//! ([`replay`]).
+//! The search (`explore`, shared with `supervisor_schedules.rs`) visits
+//! every distinct (link, world) state up to [`DEPTH`] moves, checks the
+//! invariants after each move and the end state of every schedule that
+//! ends, and prints a failure as the moves that replay it.
 
-use std::collections::hash_map::{Entry, HashMap};
+mod explore;
+
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cusp_net::transport::link::{resend, Action, Event, LinkState, PeerLink, Resend};
 use cusp_net::RejectReason::{self, BadHostId, StaleIncarnation};
+use explore::{replay, Search, World};
 
 /// Moves per schedule the search explores.
 const DEPTH: usize = 14;
@@ -57,7 +57,7 @@ enum Frame {
     Fin,
 }
 
-/// One incarnation of the peer's process; its index in `World::procs` is its
+/// One incarnation of the peer's process; its index in `LinkWorld::procs` is its
 /// incarnation number.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Proc {
@@ -170,7 +170,7 @@ enum Move {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct World {
+struct LinkWorld {
     cfg: Config,
     link: PeerLink,
     dial: Dial,
@@ -196,27 +196,7 @@ struct World {
     named: bool,
 }
 
-impl World {
-    fn new(cfg: Config) -> Self {
-        World {
-            cfg,
-            link: PeerLink::new(cfg.rejoin, ME, PEER, HOSTS),
-            dial: Dial::Idle,
-            started: false,
-            running: false,
-            log: 0,
-            barrier: 0,
-            fin_sent: false,
-            queue: None,
-            shut: false,
-            procs: vec![Proc::new(0)],
-            taken: None,
-            admissions: 0,
-            word: false,
-            named: false,
-        }
-    }
-
+impl LinkWorld {
     /// The newest incarnation: the only one that can be alive.
     fn live(&self) -> usize {
         self.procs.len() - 1
@@ -251,63 +231,6 @@ impl World {
             _ => false,
         };
         (!heard && !dialing).then_some(gen)
-    }
-
-    fn moves(&self) -> Vec<Move> {
-        let cfg = &self.cfg;
-        let k = self.live();
-        let p = &self.procs[k];
-        let state = self.link.state();
-        let live = !self.shut;
-        let sending = live && self.running && !self.fin_sent && state != LinkState::Lost;
-        let read = p.read_as.is_some_and(|g| Some(g) == self.gen());
-        let connected = p.alive && self.queue == Some(k) && read;
-        let done = p.floor == cfg.frames && p.barrier == cfg.barriers;
-        let dies = p.alive && !p.finned && self.may_die();
-        let mut moves: Vec<Move> = [
-            (Move::Dial, live && self.dial == Dial::Idle),
-            (Move::DialReport, live && matches!(self.dial, Dial::Answered(_))),
-            (Move::Start, live && matches!(self.dial, Dial::Kept(_)) && !self.started),
-            (Move::Ship, sending && self.log < cfg.frames),
-            (Move::Arrive, sending && self.barrier < cfg.barriers),
-            (Move::Finish, sending && self.log == cfg.frames && self.barrier == cfg.barriers),
-            (Move::Read, p.alive && !p.inbox.is_empty()),
-            (Move::PeerFin, connected && !p.finned && done),
-            (Move::PeerExit, p.alive && p.finned && p.saw_fin),
-            (Move::Retire, connected && !p.finned && done && self.may_die()),
-            (Move::Hello { dies: false }, p.alive && !p.said_hello),
-            (Move::Hello { dies: true }, p.alive && !p.said_hello && dies && self.admits(k)),
-            (Move::Quiet, self.started && live && self.quiet().is_some()),
-            (Move::Word, self.word),
-            (
-                Move::Shutdown,
-                live && self.started
-                    && (cfg.crash
-                        || state == LinkState::Lost
-                        || (self.fin_sent && matches!(state, LinkState::Finned { .. }))),
-            ),
-        ]
-        .into_iter()
-        .filter_map(|(m, on)| on.then_some(m))
-        .collect();
-        if dies {
-            let floor = self.procs.iter().map(|p| p.floor).max().unwrap_or(0);
-            for eof in [true, false] {
-                moves.extend((0..=floor).map(|floor| Move::Die { eof, floor }));
-            }
-        }
-        if dies && p.read_as.is_some() {
-            moves.extend(NAMED.map(|host| Move::SendLost { host }));
-        }
-        if let Some(taken) = self.taken.filter(|_| cfg.rejoin && live) {
-            let claims = [0, taken].into_iter().skip(usize::from(taken == 0));
-            moves.extend(claims.map(|inc| Move::StaleHello { inc }));
-        }
-        if self.started {
-            let busy = (0..self.procs.len()).filter(|&i| !self.procs[i].reports.is_empty());
-            moves.extend(busy.map(|inc| Move::Report { inc }));
-        }
-        moves
     }
 
     /// Whether incarnation `k`'s HELLO would be admitted (redialed).
@@ -449,6 +372,92 @@ impl World {
                 self.step(event, None, false);
             }
         }
+    }
+}
+
+impl World for LinkWorld {
+    type Config = Config;
+    type Move = Move;
+
+    fn new(cfg: Config) -> Self {
+        LinkWorld {
+            cfg,
+            link: PeerLink::new(cfg.rejoin, ME, PEER, HOSTS),
+            dial: Dial::Idle,
+            started: false,
+            running: false,
+            log: 0,
+            barrier: 0,
+            fin_sent: false,
+            queue: None,
+            shut: false,
+            procs: vec![Proc::new(0)],
+            taken: None,
+            admissions: 0,
+            word: false,
+            named: false,
+        }
+    }
+
+    fn config(&self) -> Config {
+        self.cfg
+    }
+
+    fn moves(&self) -> Vec<Move> {
+        let cfg = &self.cfg;
+        let k = self.live();
+        let p = &self.procs[k];
+        let state = self.link.state();
+        let live = !self.shut;
+        let sending = live && self.running && !self.fin_sent && state != LinkState::Lost;
+        let read = p.read_as.is_some_and(|g| Some(g) == self.gen());
+        let connected = p.alive && self.queue == Some(k) && read;
+        let done = p.floor == cfg.frames && p.barrier == cfg.barriers;
+        let dies = p.alive && !p.finned && self.may_die();
+        let mut moves: Vec<Move> = [
+            (Move::Dial, live && self.dial == Dial::Idle),
+            (Move::DialReport, live && matches!(self.dial, Dial::Answered(_))),
+            (Move::Start, live && matches!(self.dial, Dial::Kept(_)) && !self.started),
+            (Move::Ship, sending && self.log < cfg.frames),
+            (Move::Arrive, sending && self.barrier < cfg.barriers),
+            (Move::Finish, sending && self.log == cfg.frames && self.barrier == cfg.barriers),
+            (Move::Read, p.alive && !p.inbox.is_empty()),
+            (Move::PeerFin, connected && !p.finned && done),
+            (Move::PeerExit, p.alive && p.finned && p.saw_fin),
+            (Move::Retire, connected && !p.finned && done && self.may_die()),
+            (Move::Hello { dies: false }, p.alive && !p.said_hello),
+            (Move::Hello { dies: true }, p.alive && !p.said_hello && dies && self.admits(k)),
+            (Move::Quiet, self.started && live && self.quiet().is_some()),
+            (Move::Word, self.word),
+            (
+                Move::Shutdown,
+                live && self.started
+                    && (cfg.crash
+                        || state == LinkState::Lost
+                        || (self.fin_sent && matches!(state, LinkState::Finned { .. }))),
+            ),
+        ]
+        .into_iter()
+        .filter_map(|(m, on)| on.then_some(m))
+        .collect();
+        if dies {
+            let floor = self.procs.iter().map(|p| p.floor).max().unwrap_or(0);
+            for eof in [true, false] {
+                moves.extend((0..=floor).map(|floor| Move::Die { eof, floor }));
+            }
+        }
+        if dies && p.read_as.is_some() {
+            moves.extend(NAMED.map(|host| Move::SendLost { host }));
+        }
+        if let Some(taken) = self.taken.filter(|_| cfg.rejoin && live) {
+            let claims = [0, taken].into_iter().skip(usize::from(taken == 0));
+            moves.extend(claims.map(|inc| Move::StaleHello { inc }));
+        }
+        if self.started {
+            let busy = (0..self.procs.len()).filter(|&i| !self.procs[i].reports.is_empty());
+            moves.extend(busy.map(|inc| Move::Report { inc }));
+        }
+        moves
     }
 
     fn perform(&mut self, m: Move) {
@@ -605,97 +614,6 @@ impl World {
     }
 }
 
-/// A multiply-rotate hash (FxHash's): the search hashes every world it
-/// reaches, and a 64-bit fingerprint of a few hundred thousand worlds does
-/// not collide in practice.
-#[derive(Default)]
-struct Fx(u64);
-
-impl Hasher for Fx {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-fn fingerprint(w: &World) -> u64 {
-    let mut h = Fx::default();
-    w.hash(&mut h);
-    h.finish()
-}
-
-/// Runs `check` on `w`; a panic is re-raised with the moves that replay it.
-fn checked(w: &mut World, path: impl FnOnce() -> Vec<Move>, check: impl FnOnce(&mut World)) {
-    if let Err(e) = catch_unwind(AssertUnwindSafe(|| check(w))) {
-        let why = e
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| e.downcast_ref::<&str>().copied())
-            .unwrap_or("a panic");
-        panic!("{why}\nreplay({:?}, &{:?})", w.cfg, path());
-    }
-}
-
-/// The depth-bounded search, breadth first: every distinct world reachable
-/// in at most [`DEPTH`] moves is expanded once, at the depth it is first
-/// reached; `seen` keeps the move that reached each one, so a failure
-/// prints its whole path.
-#[derive(Default)]
-struct Search {
-    seen: HashMap<u64, Option<(u64, Move)>>,
-    ended: usize,
-}
-
-impl Search {
-    /// The moves that lead from a start to the world `at`, then `last`.
-    fn path(&self, mut at: u64, last: Move) -> Vec<Move> {
-        let mut path = vec![last];
-        while let Some(&Some((parent, m))) = self.seen.get(&at) {
-            path.push(m);
-            at = parent;
-        }
-        path.reverse();
-        path
-    }
-
-    fn run(&mut self, starts: impl Iterator<Item = World>) {
-        let mut level: Vec<(u64, World)> = starts.map(|w| (fingerprint(&w), w)).collect();
-        self.seen.extend(level.iter().map(|&(at, _)| (at, None)));
-        for depth in 0..=DEPTH {
-            let mut next = Vec::new();
-            for (at, w) in &level {
-                let moves = w.moves();
-                if moves.is_empty() {
-                    self.ended += 1;
-                    let path = || self.path(*at, Move::Shutdown).split_last().unwrap().1.to_vec();
-                    checked(&mut w.clone(), path, World::check_end);
-                }
-                for m in moves.into_iter().filter(|_| depth < DEPTH) {
-                    let mut w = w.clone();
-                    checked(&mut w, || self.path(*at, m), |w| w.perform(m));
-                    let to = fingerprint(&w);
-                    if let Entry::Vacant(seen) = self.seen.entry(to) {
-                        seen.insert(Some((*at, m)));
-                        next.push((to, w));
-                    }
-                }
-            }
-            level = next;
-        }
-    }
-}
-
 /// The worlds the search starts from: each mode, with or without a frame and
 /// a barrier, with or without a crash of this host; with rejoin, the crash
 /// only in the world without frames, where it costs the fewest states.
@@ -709,16 +627,6 @@ fn configs() -> impl Iterator<Item = Config> {
     all.filter(|c| !c.rejoin || !c.crash || c.frames + c.barriers == 0)
 }
 
-/// Performs `moves` from the start, each of which must be enabled.
-fn replay(cfg: Config, moves: &[Move]) -> World {
-    let mut w = World::new(cfg);
-    for (i, &m) in moves.iter().enumerate() {
-        assert!(w.moves().contains(&m), "{m:?} is not enabled after {:?}", &moves[..i]);
-        checked(&mut w, || moves[..=i].to_vec(), |w| w.perform(m));
-    }
-    w
-}
-
 /// Distinct states the search must visit at least (it visits 145,439): a
 /// change that shrinks the world fails here instead of passing on less
 /// coverage.
@@ -726,9 +634,9 @@ const STATE_FLOOR: usize = 145_000;
 
 #[test]
 fn every_schedule_keeps_the_invariants_and_ends_finned_lost_or_shut_down() {
-    let mut search = Search::default();
-    search.run(configs().map(World::new));
-    let (states, ended) = (search.seen.len(), search.ended);
+    let mut search = Search::<LinkWorld>::new(DEPTH);
+    search.run(configs());
+    let (states, ended) = (search.states(), search.ended);
     println!("link explorer: {states} distinct states, {ended} ended schedules, depth {DEPTH}");
     assert!(states >= STATE_FLOOR, "visited {states} states, below the floor of {STATE_FLOOR}");
 }
@@ -749,9 +657,10 @@ fn a_respawn_whose_predecessor_answered_the_dial_is_redialed() {
         (&[Dial, die, hello, DialReport, Dial, DialReport], 0),
     ];
     for (head, gen) in cases {
-        assert_eq!(replay(cfg, head).link.state(), LinkState::Up { gen, inc: 1 }, "{head:?}");
+        let w: LinkWorld = replay(cfg, head);
+        assert_eq!(w.link.state(), LinkState::Up { gen, inc: 1 }, "{head:?}");
         let tail = [Start, Ship, Finish, Read, Read, PeerFin, Report { inc: 1 }, Shutdown];
-        let mut w = replay(cfg, &[head, &tail].concat());
+        let mut w: LinkWorld = replay(cfg, &[head, &tail].concat());
         w.check_end();
         assert_eq!(w.link.state(), LinkState::Finned { gen, inc: 1 });
     }
