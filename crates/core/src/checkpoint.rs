@@ -345,7 +345,7 @@ mod tests {
             let masters = if stored {
                 assign_masters(comm, &pool, &r.setup, &mut r.data, &rule, &(), &cfg)
             } else {
-                pure_masters(&rule, r.setup.parts)
+                pure_masters(&rule, r.setup.parts).unwrap()
             };
             let edge_rule = CartesianEdge::new(&r.setup);
             let ea = assign_edges(comm, &pool, &r.setup, &mut r.data, &masters, &edge_rule, &());

@@ -67,7 +67,6 @@ pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use config::{CuspConfig, GraphSource, OutputFormat, PhaseId, PhaseTimes};
 pub use distributed::{deterministic_for_comparison, partition_with_policy_tcp};
 pub use dist_graph::{DistGraph, PartitionClass};
-pub use phases::alloc::MasterSpec;
 pub use phases::delta::{partition_delta, DirtySet};
 pub use phases::driver::{partition, PartitionOutput};
 pub use phases::pipeline::{PhaseCtx, ReplayReady};

@@ -37,6 +37,7 @@ use cusp_graph::{Csr, EdgeIdx, Node};
 
 use crate::dist_graph::vec_bytes;
 use crate::phases::edge_assign::{merge_runs, EdgeAssignOutcome};
+use crate::phases::master::{owned_range, ResolvedMasters};
 use crate::PartId;
 
 /// The allocated (but not yet filled) partition.
@@ -204,36 +205,26 @@ impl Slots<'_> {
     }
 }
 
-/// Where the master list of a host comes from: either the stored list the
-/// edge-assignment exchange carried, or — for pure master rules — the
-/// closed-form owned range, which never had to be materialized or shipped.
-///
-/// Both feed the same allocation path; the spec only decides how the sorted
-/// master-global list is produced.
-pub enum MasterSpec {
-    /// Masters were stored and exchanged: the outcome's sorted
-    /// `my_master_nodes`, which becomes the masters segment of
-    /// `local2global` without a copy.
-    Stored,
-    /// Pure master rule: this host's masters are exactly the range.
-    PureRange(std::ops::Range<Node>),
-}
-
 /// Runs the allocation phase for host `me`, consuming what edge assignment
-/// handed it.
+/// handed it. The host's masters come from `masters`: for a pure rule the
+/// range its starts give `me` in a graph of `num_nodes` nodes, which never
+/// had to be materialized or shipped; for stored masters the outcome's
+/// sorted `my_master_nodes`, which becomes the masters segment of
+/// `local2global` without a copy.
 pub fn allocate(
     me: usize,
     pool: &ThreadPool,
-    spec: MasterSpec,
+    masters: &ResolvedMasters,
+    num_nodes: u64,
     mut outcome: EdgeAssignOutcome,
     weighted: bool,
 ) -> AllocOutcome {
-    let master_globals: Vec<Node> = match spec {
-        MasterSpec::Stored => outcome
+    let master_globals: Vec<Node> = match masters {
+        ResolvedMasters::Pure { starts } => owned_range(starts, me as PartId, num_nodes).collect(),
+        ResolvedMasters::Stored(_) => outcome
             .my_master_nodes
             .take()
             .expect("stored master assignment produced no master list"),
-        MasterSpec::PureRange(range) => range.collect(),
     };
     let alloc = build(me, pool, master_globals, outcome, weighted);
     cusp_obs::counter("mem.alloc", alloc.heap_bytes());
@@ -328,10 +319,20 @@ fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::master::MasterTable;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Barrier;
+
+    /// Stored masters: allocation reads only the outcome's master list.
+    fn stored_masters() -> ResolvedMasters {
+        ResolvedMasters::Stored(MasterTable::new(0, 1))
+    }
+
+    fn pure(starts: &[Node]) -> ResolvedMasters {
+        ResolvedMasters::Pure { starts: starts.to_vec() }
+    }
 
     fn outcome() -> EdgeAssignOutcome {
         EdgeAssignOutcome {
@@ -348,7 +349,7 @@ mod tests {
     fn allocation_layout() {
         let pool = ThreadPool::new(2);
         let o = outcome();
-        let a = allocate(0, &pool, MasterSpec::Stored, o, false);
+        let a = allocate(0, &pool, &stored_masters(), 10, o, false);
         // masters {2, 4}, mirrors {7, 9}
         assert_eq!(a.local2global, vec![2, 4, 7, 9]);
         assert_eq!(a.num_masters, 2);
@@ -364,15 +365,15 @@ mod tests {
     fn pure_range_allocation() {
         let pool = ThreadPool::new(2);
         let o = EdgeAssignOutcome {
-            incoming_srcs: vec![(5, 1, 0)],
-            mirrors: vec![(20, 1)],
+            incoming_srcs: vec![(5, 1, 1)],
+            mirrors: vec![(20, 2)],
             my_master_nodes: None,
             to_receive: 0,
         };
-        let a = allocate(0, &pool, MasterSpec::PureRange(5..8), o, true);
+        let a = allocate(1, &pool, &pure(&[5, 8]), 30, o, true);
         assert_eq!(a.local2global, vec![5, 6, 7, 20]);
         assert_eq!(a.num_masters, 3);
-        assert_eq!(a.master_of, vec![0, 0, 0, 1]);
+        assert_eq!(a.master_of, vec![1, 1, 1, 2]);
         assert_eq!(a.offsets, vec![0, 1, 1, 1, 1]);
         assert!(a.edge_data.as_ref().is_some_and(|d| d.capacity() >= 1 && d.is_empty()));
     }
@@ -389,7 +390,7 @@ mod tests {
             my_master_nodes: Some(vec![0, 1]),
             to_receive: 2,
         };
-        let a = allocate(0, &pool, MasterSpec::Stored, o, false);
+        let a = allocate(0, &pool, &stored_masters(), 10, o, false);
         assert_eq!(a.local2global, vec![0, 1, 5_000_000, 16_000_000]);
         assert_eq!(a.local_of(0), 0);
         assert_eq!(a.local_of(1), 1);
@@ -411,7 +412,7 @@ mod tests {
     #[test]
     fn a_reservation_past_its_rows_end_panics_naming_the_row_before_any_write() {
         let pool = ThreadPool::new(1);
-        let mut a = allocate(0, &pool, MasterSpec::Stored, outcome(), false);
+        let mut a = allocate(0, &pool, &stored_masters(), 10, outcome(), false);
         assert_eq!(a.offsets, vec![0, 3, 3, 5, 5]);
         // An initialised stand-in for the reserved buffer, so the slots can
         // be read back without `take_filled` giving it a length.
@@ -436,7 +437,7 @@ mod tests {
             my_master_nodes: None,
             to_receive: 0,
         };
-        let mut a = allocate(0, &pool, MasterSpec::PureRange(0..4), o, true);
+        let mut a = allocate(0, &pool, &pure(&[4]), 8, o, true);
         let slots = a.slots();
         // Both threads reserve from the first window on, not one after the
         // other.
@@ -472,7 +473,8 @@ mod tests {
         let a = allocate(
             0,
             &pool,
-            MasterSpec::PureRange(0..2),
+            &pure(&[2]),
+            4,
             EdgeAssignOutcome {
                 incoming_srcs: vec![],
                 mirrors: vec![],
@@ -522,6 +524,10 @@ mod tests {
             nodes in proptest::collection::vec((0u32..160, 0usize..6, 1u32..5, any::<bool>()), 0..120),
         ) {
             let me = me_pick % k;
+            let stored = stored || stride > 1;
+            // A pure host masters the range between two starts, and host
+            // 0's range begins at node 0.
+            let m_lo = if !stored && me == 0 { 0 } else { m_lo };
             let in_masters = |v: u32| (m_lo..m_lo + m_len).contains(&v);
             let master = |v: u32| -> Option<usize> {
                 if in_masters(v) {
@@ -579,19 +585,20 @@ mod tests {
                 for &i in &order {
                     incoming_srcs.extend_from_slice(&blocks[peers[i]]);
                 }
-                let stored = stored || stride > 1;
                 let outcome = EdgeAssignOutcome {
                     incoming_srcs,
                     mirrors: mirrors.clone(),
                     my_master_nodes: stored.then(|| master_ids.clone()),
                     to_receive: 0,
                 };
-                let spec = if stored {
-                    MasterSpec::Stored
+                let masters = if stored {
+                    stored_masters()
                 } else {
-                    MasterSpec::PureRange(m_lo..m_lo + m_len)
+                    let starts: Vec<Node> =
+                        (1..k).map(|p| if p <= me { m_lo } else { m_lo + m_len }).collect();
+                    pure(&starts)
                 };
-                let a = allocate(me, &pool, spec, outcome, weighted);
+                let a = allocate(me, &pool, &masters, (m_lo + m_len) as u64, outcome, weighted);
                 prop_assert_eq!(&a.local2global, &want_l2g);
                 prop_assert_eq!(a.num_masters, master_ids.len());
                 prop_assert_eq!(&a.master_of, &want_master_of);

@@ -350,13 +350,12 @@ pub(crate) fn insert_message(slots: &Slots<'_>, payload: Bytes) {
 mod tests {
     use super::*;
     use crate::config::GraphSource;
-    use crate::phases::alloc::{allocate, MasterSpec};
+    use crate::phases::alloc::allocate;
     use crate::phases::edge_assign::{assign_edges, AllEdges};
     use crate::phases::master::{pure_masters, MasterTable};
     use crate::phases::read::read_phase;
     use crate::policies::edges::SourceEdge;
     use crate::policies::masters::ContiguousEB;
-    use crate::policy::MasterRule;
     use cusp_graph::gen::uniform::erdos_renyi;
     use cusp_net::Cluster;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -373,14 +372,13 @@ mod tests {
             let source = GraphSource::MemoryWeighted(g.clone(), weights.clone());
             let mut r = read_phase(comm, &source, &cfg).unwrap();
             let mrule = ContiguousEB::new(&r.setup);
-            let masters = pure_masters(&mrule, r.setup.parts);
+            let masters = pure_masters(&mrule, r.setup.parts).unwrap();
             let mut ea =
                 assign_edges(comm, &pool, &r.setup, &mut r.data, &masters, &SourceEdge, &());
             // Reserve one slot more than the replay will fill.
             ea.incoming_srcs[0].1 += 1;
-            let spec = MasterSpec::PureRange(mrule.pure_owned_range(0));
             let weighted = r.data.weighted();
-            let mut alloc = allocate(0, &pool, spec, ea.clone(), weighted);
+            let mut alloc = allocate(0, &pool, &masters, r.setup.num_nodes, ea.clone(), weighted);
             let built = catch_unwind(AssertUnwindSafe(|| {
                 construct(
                     comm,
@@ -423,7 +421,7 @@ mod tests {
             };
             let all = stored(&|_| true);
             let ea = assign_edges(comm, &pool, &r.setup, &mut r.data, &all, &SourceEdge, &());
-            let mut alloc = allocate(0, &pool, MasterSpec::Stored, ea.clone(), false);
+            let mut alloc = allocate(0, &pool, &all, r.setup.num_nodes, ea.clone(), false);
             construct(
                 comm,
                 &pool,

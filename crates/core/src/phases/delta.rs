@@ -110,13 +110,13 @@ use cusp_graph::{GraphEvent, Node};
 use cusp_net::Comm;
 
 use crate::config::{OutputFormat, PhaseId};
-use crate::dist_graph::{DistGraph, PartitionClass};
-use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
+use crate::dist_graph::DistGraph;
+use crate::phases::alloc::{allocate, AllocOutcome};
 use crate::phases::bitset::{NodeBitRows, ThreadRows};
 use crate::phases::construct::construct;
 use crate::phases::driver::{freeze_part, partition, PartitionOutput};
 use crate::phases::edge_assign::{exchange, tally_edges, EdgeAssignOutcome, EdgeFilter};
-use crate::phases::master::{pure_masters, ResolvedMasters};
+use crate::phases::master::{owned_range, pure_masters, ResolvedMasters};
 use crate::phases::pipeline::{PhaseCtx, ReplayReady};
 use crate::phases::read::read_phase;
 use crate::policy::{EdgeRule, MasterRule, Setup};
@@ -192,7 +192,8 @@ impl EdgeFilter for DirtySet {
 
 /// Computes the dirty set for `batch` against the old/new pure master
 /// rules (see the module docs for the rules and roles). Every host
-/// computes an identical set — the inputs are all replicated.
+/// computes an identical set — the inputs are all replicated. Panics if
+/// either rule is not pure.
 pub fn dirty_set<MR: MasterRule>(
     old_rule: &MR,
     new_rule: &MR,
@@ -206,13 +207,16 @@ pub fn dirty_set<MR: MasterRule>(
     dirty.insert(batch.iter().map(GraphEvent::src), false);
     dirty.insert(old_n as Node..new_n as Node, true);
     // Master shifts: a vertex whose new owner differs from its old owner.
-    // Both rules assign contiguous per-part ranges, so the shifted vertices
-    // are interval differences — `new_range(p) \ old_range(p)` per part
-    // covers every shifted vertex exactly once (each vertex has one new
-    // owner). Vertices beyond `old_n` are already dirty via the range rule.
+    // Both rules are range starts, so the shifted vertices are interval
+    // differences — `new_range(p) \ old_range(p)` per part covers every
+    // shifted vertex exactly once (each vertex has one new owner).
+    // Vertices beyond `old_n` are already dirty via the range rule.
+    let pure = "dirty_set needs pure master rules";
+    let old_starts = old_rule.pure_starts().expect(pure);
+    let new_starts = new_rule.pure_starts().expect(pure);
     for p in 0..parts {
-        let old_r = old_rule.pure_owned_range(p);
-        let new_r = new_rule.pure_owned_range(p);
+        let old_r = owned_range(old_starts, p, old_n);
+        let new_r = owned_range(new_starts, p, new_n);
         if old_r == new_r {
             continue;
         }
@@ -428,7 +432,6 @@ pub fn partition_delta<MR, ER>(
     comm: &Comm,
     source: GraphSource,
     cfg: &CuspConfig,
-    class: PartitionClass,
     build: impl Fn(&Setup) -> (MR, ER),
     prev: &PartitionOutput,
     batch: &[GraphEvent],
@@ -442,8 +445,9 @@ where
     // probe runs against the old setup — identical on every host, so all
     // hosts take the same branch.
     let (old_rule, _) = build(&prev.setup);
-    if !<ER as EdgeRule>::State::STATELESS || !old_rule.is_pure() || cfg.force_stored_masters {
-        return partition(comm, source, cfg, class, build);
+    let pure = old_rule.pure_starts().is_some();
+    if !<ER as EdgeRule>::State::STATELESS || !pure || cfg.force_stored_masters {
+        return partition(comm, source, cfg, build);
     }
 
     let mut ctx = PhaseCtx::new(comm, cfg);
@@ -460,8 +464,8 @@ where
     // Phase 2 (master re-resolution) is free: the rule is pure, so the new
     // assignment is replicated computation — no protocol, no barrier.
     let (master_rule, edge_rule) = build(&setup);
-    debug_assert!(master_rule.is_pure(), "policy purity changed between runs");
-    let masters = pure_masters(&master_rule, setup.parts);
+    let masters =
+        pure_masters(&master_rule, setup.parts).expect("policy purity changed between runs");
 
     let dirty = dirty_set(
         &old_rule,
@@ -491,10 +495,10 @@ where
     // deterministic local-id layout a full run would compute, and is
     // consumed by it.
     let to_receive = ea.to_receive;
-    let spec = MasterSpec::PureRange(master_rule.pure_owned_range(comm.host() as PartId));
     let weighted = data.weighted();
-    let mut alloc =
-        ctx.run_phase(PhaseId::Alloc, |ctx| allocate(comm.host(), &ctx.pool, spec, ea, weighted));
+    let mut alloc = ctx.run_phase(PhaseId::Alloc, |ctx| {
+        allocate(comm.host(), &ctx.pool, &masters, setup.num_nodes, ea, weighted)
+    });
 
     // Phase 5: the kept edges copied out of the previous partition (no
     // decision, no communication), then the full construction phase under
@@ -519,7 +523,7 @@ where
             cfg,
             &dirty,
         );
-        freeze_part(comm.host(), class, &setup, alloc, built)
+        freeze_part(comm.host(), ER::CLASS, &setup, alloc, built)
     });
 
     PartitionOutput {
@@ -558,6 +562,7 @@ mod tests {
             GraphEvent::RemoveEdge { src: 90, dst: 1 },
         ];
         let d = dirty_set(&old, &new, 100, 110, 4, &batch);
+        let (old, new) = (pure_masters(&old, 4).unwrap(), pure_masters(&new, 4).unwrap());
         // Event sources.
         assert!(d.contains(3) && d.contains(90));
         // Grown range.
@@ -566,18 +571,18 @@ mod tests {
         }
         // Shifted masters: old blocks 25, new blocks 28 → e.g. node 25
         // moved from part 1 to part 0; node 26 likewise.
-        assert_eq!(old.pure_master(25), 1);
-        assert_eq!(new.pure_master(25), 0);
+        assert_eq!(old.of(25), 1);
+        assert_eq!(new.of(25), 0);
         assert!(d.contains(25));
         // A node with unchanged inputs stays clean: node 5 is in part 0
         // both before and after and is not an event source.
-        assert_eq!(old.pure_master(5), new.pure_master(5));
+        assert_eq!(old.of(5), new.of(5));
         assert!(!d.contains(5));
         assert!(d.len() >= 12);
         assert!(!d.is_empty());
         // Roles: an event source drags only its own out-edges; a re-homed
         // or a new vertex also the edges into it.
-        assert_eq!(old.pure_master(90), new.pure_master(90));
+        assert_eq!(old.of(90), new.of(90));
         assert!(!d.moved(3) && !d.moved(90), "an event source did not move");
         assert!(d.moved(25) && (100..110).all(|v| d.moved(v)));
         assert!((0..120).all(|v| !d.moved(v) || d.contains(v)), "moved is a subset of sources");
@@ -603,7 +608,7 @@ mod tests {
 
         let g = Arc::new(erdos_renyi(150, 1100, 13));
         let setup = setup(150, 4);
-        let masters = pure_masters(&Contiguous::new(&setup), setup.parts);
+        let masters = pure_masters(&Contiguous::new(&setup), setup.parts).unwrap();
         let rule = CartesianEdge::new(&setup);
         let pool = cusp_galois::ThreadPool::new(2);
         for budget in [u64::MAX, 40] {
@@ -640,7 +645,7 @@ mod tests {
             master_of: vec![0, 0, 0, 0, 0, 1, 1, 1],
             graph,
             edge_data: Some(weights),
-            class: PartitionClass::GeneralVertexCut,
+            class: crate::PartitionClass::GeneralVertexCut,
         };
         let mut dirty = DirtySet::new(10);
         dirty.insert([4, 7], false);
@@ -656,13 +661,13 @@ mod tests {
         dirty: &DirtySet,
         bump: Option<usize>,
     ) -> (Kept<'a>, EdgeAssignOutcome, AllocOutcome) {
-        let masters = pure_masters(&Contiguous::new(&setup(10, 2)), 2);
+        let masters = pure_masters(&Contiguous::new(&setup(10, 2)), 2).unwrap();
         let kept = Kept::tally(pool, prev, csc, dirty);
         if let Some(l) = bump {
             kept.counts[l].fetch_add(1, Ordering::Relaxed);
         }
         let ea = kept.outcome(&masters, 0);
-        let alloc = allocate(0, pool, MasterSpec::PureRange(0..5), ea.clone(), true);
+        let alloc = allocate(0, pool, &masters, 10, ea.clone(), true);
         (kept, ea, alloc)
     }
 

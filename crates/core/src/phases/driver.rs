@@ -36,7 +36,7 @@ use cusp_net::Comm;
 use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::config::{CuspConfig, GraphSource, PhaseId, PhaseTimes};
 use crate::dist_graph::{DistGraph, PartitionClass};
-use crate::phases::alloc::{allocate, AllocOutcome, MasterSpec};
+use crate::phases::alloc::{allocate, AllocOutcome};
 use crate::phases::construct::construct;
 use crate::phases::edge_assign::{assign_edges, AllEdges, EdgeAssignOutcome};
 use crate::phases::master::{assign_masters, pure_masters, ResolvedMasters};
@@ -120,7 +120,8 @@ pub(crate) fn freeze_part(
 ///
 /// `build` constructs the two rules from the [`Setup`]; it runs with
 /// identical inputs on every host and must be deterministic, so all hosts
-/// agree on the policy parameters.
+/// agree on the policy parameters. The partition's class is the edge
+/// rule's [`EdgeRule::CLASS`].
 ///
 /// Phases are separated by barriers so the per-phase wall-clock times
 /// (paper Fig. 4) attribute cleanly; the barriers are negligible next to
@@ -129,7 +130,6 @@ pub fn partition<MR, ER>(
     comm: &Comm,
     source: GraphSource,
     cfg: &CuspConfig,
-    class: PartitionClass,
     build: impl FnOnce(&Setup) -> (MR, ER),
 ) -> PartitionOutput
 where
@@ -185,10 +185,9 @@ where
         None => {
             let mstate = <MR as MasterRule>::State::new(setup.parts);
             let masters = ctx.run_phase(PhaseId::Master, |ctx| {
-                if master_rule.is_pure() && !cfg.force_stored_masters {
-                    pure_masters(&master_rule, setup.parts)
-                } else {
-                    assign_masters(comm, &ctx.pool, &setup, &mut data, &master_rule, &mstate, cfg)
+                match pure_masters(&master_rule, setup.parts) {
+                    Some(pure) if !cfg.force_stored_masters => pure,
+                    _ => assign_masters(comm, &ctx.pool, &setup, &mut data, &master_rule, &mstate, cfg),
                 }
             });
             save(&masters, None);
@@ -211,14 +210,10 @@ where
     // outcome, freeing each part once read; construction needs only the
     // count of edges still to arrive.
     let to_receive = ea.to_receive;
-    let spec = if masters.is_pure() {
-        MasterSpec::PureRange(master_rule.pure_owned_range(me as PartId))
-    } else {
-        MasterSpec::Stored
-    };
     let weighted = data.weighted();
-    let mut alloc =
-        ctx.run_phase(PhaseId::Alloc, |ctx| allocate(me, &ctx.pool, spec, ea, weighted));
+    let mut alloc = ctx.run_phase(PhaseId::Alloc, |ctx| {
+        allocate(me, &ctx.pool, &masters, setup.num_nodes, ea, weighted)
+    });
 
     // Phase 5: graph construction (Algorithm 4). Arming the replay token
     // resets the edge-rule state so construction replays the assignment
@@ -238,7 +233,7 @@ where
             cfg,
             &AllEdges,
         );
-        freeze_part(me, class, &setup, alloc, built)
+        freeze_part(me, ER::CLASS, &setup, alloc, built)
     });
 
     PartitionOutput::assemble(ctx, setup, &data, dist_graph)

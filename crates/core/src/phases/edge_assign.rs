@@ -452,11 +452,11 @@ impl EdgeAssignOutcome {
 mod tests {
     use super::*;
     use crate::config::{CuspConfig, GraphSource};
-    use crate::phases::master::{pure_masters, MasterTable};
+    use crate::phases::master::{pure_masters, range_owner, MasterTable};
     use crate::phases::read::read_phase;
     use crate::policies::edges::{CartesianEdge, SourceEdge};
     use crate::policies::extensions::HdrfEdge;
-    use crate::policies::masters::ContiguousEB;
+    use crate::policies::masters::{Contiguous, ContiguousEB};
     use crate::policy::MasterRule;
     use cusp_graph::gen::powerlaw::{powerlaw, PowerLawConfig};
     use cusp_graph::gen::uniform::erdos_renyi;
@@ -473,7 +473,7 @@ mod tests {
             let pool = ThreadPool::new(2);
             let mut r = read_phase(comm, &GraphSource::Memory(g2.clone()), &cfg).unwrap();
             let rule = ContiguousEB::new(&r.setup);
-            let masters = pure_masters(&rule, r.setup.parts);
+            let masters = pure_masters(&rule, r.setup.parts).unwrap();
             assign_edges(comm, &pool, &r.setup, &mut r.data, &masters, &SourceEdge, &())
         });
         (g, out.results)
@@ -514,6 +514,7 @@ mod tests {
         struct NextHost;
         impl EdgeRule for NextHost {
             type State = ();
+            const CLASS: crate::PartitionClass = crate::PartitionClass::GeneralVertexCut;
             fn get_edge_owner(
                 &self,
                 prop: &LocalProps,
@@ -533,7 +534,7 @@ mod tests {
             let pool = ThreadPool::new(2);
             let mut r = read_phase(comm, &GraphSource::Memory(g2.clone()), &cfg).unwrap();
             let rule = ContiguousEB::new(&r.setup);
-            let masters = pure_masters(&rule, r.setup.parts);
+            let masters = pure_masters(&rule, r.setup.parts).unwrap();
             assign_edges(comm, &pool, &r.setup, &mut r.data, &masters, &NextHost, &())
         });
         let total_recv: u64 = out.results.iter().map(|o| o.to_receive).sum();
@@ -550,22 +551,24 @@ mod tests {
 
     /// The tally a naive walk produces for host range `lo..hi`: a map of
     /// `(owner, source) → edges` and the set of `(owner, mirror)` pairs,
-    /// with masters taken from the rule itself, not from `ResolvedMasters`.
+    /// with masters taken from the edge-balanced boundaries themselves, not
+    /// from `ResolvedMasters`.
     #[allow(clippy::type_complexity)]
     fn naive_tally<ER: EdgeRule>(
         g: &cusp_graph::Csr,
         setup: &Setup,
         (lo, hi): (Node, Node),
-        mrule: &ContiguousEB,
         rule: &ER,
     ) -> (BTreeMap<(PartId, Node), u32>, BTreeSet<(PartId, Node)>) {
         let slice = GraphSlice::window(Arc::new(g.clone()), None, lo, hi);
         let prop = LocalProps::new(setup.num_nodes, setup.num_edges, setup.parts, &slice);
         let estate = ER::State::new(setup.parts);
+        let inner = &setup.eb_boundaries[1..setup.parts as usize];
+        let master = |v: Node| inner.partition_point(|&b| b <= v as u64) as PartId;
         let (mut counts, mut mirrors) = (BTreeMap::new(), BTreeSet::new());
         for s in lo..hi {
             for &d in g.edges(s) {
-                let (sm, dm) = (mrule.pure_master(s), mrule.pure_master(d));
+                let (sm, dm) = (master(s), master(d));
                 let h = rule.get_edge_owner(&prop, s, d, sm, dm, &estate);
                 *counts.entry((h, s)).or_insert(0) += 1;
                 if h != dm {
@@ -577,7 +580,7 @@ mod tests {
     }
 
     fn check_tally_matches_naive<ER: EdgeRule>(make_rule: impl Fn(&Setup) -> ER) {
-        check_tally_with_masters(make_rule, |_, mrule, parts, _| pure_masters(mrule, parts));
+        check_tally_with_masters(make_rule, |_, mrule, parts, _| pure_masters(mrule, parts).unwrap());
     }
 
     /// `resolve(graph, master rule, parts, read range)` builds the masters
@@ -585,7 +588,7 @@ mod tests {
     /// whose workers mark rows of their own, give one output.
     fn check_tally_with_masters<ER: EdgeRule>(
         make_rule: impl Fn(&Setup) -> ER,
-        resolve: impl Fn(&cusp_graph::Csr, &ContiguousEB, PartId, (Node, Node)) -> ResolvedMasters,
+        resolve: impl Fn(&cusp_graph::Csr, &Contiguous, PartId, (Node, Node)) -> ResolvedMasters,
     ) {
         let n = 700usize;
         let g = Arc::new(powerlaw(PowerLawConfig::webcrawl(n, 9.0, 77)));
@@ -611,7 +614,7 @@ mod tests {
             for split in setup.read_splits.iter() {
                 let (lo, hi) = (split.lo as Node, split.hi as Node);
                 let masters = resolve(&g, &mrule, parts, (lo, hi));
-                let (want_counts, want_mirrors) = naive_tally(&g, &setup, (lo, hi), &mrule, &rule);
+                let (want_counts, want_mirrors) = naive_tally(&g, &setup, (lo, hi), &rule);
                 saw_mirrors |= !want_mirrors.is_empty();
                 for budget in [u64::MAX, 50] {
                     let tally = |pool: &ThreadPool| {
@@ -669,7 +672,7 @@ mod tests {
         check_tally_with_masters(CartesianEdge::new, |g, mrule, parts, (lo, hi)| {
             let table = MasterTable::new(g.num_nodes(), parts);
             for v in (lo..hi).chain((lo..hi).flat_map(|s| g.edges(s).iter().copied())) {
-                table.set(v, mrule.pure_master(v));
+                table.set(v, range_owner(mrule.pure_starts().unwrap(), v));
             }
             ResolvedMasters::Stored(table)
         });
@@ -748,7 +751,7 @@ mod tests {
             eb_boundaries: Arc::new(vec![0, 10, 20]),
             read_splits: Arc::new(vec![ReadSplit { lo: 0, hi: 10 }, ReadSplit { lo: 10, hi: 14 }]),
         };
-        let pure = pure_masters(&ContiguousEB::new(&setup), 2);
+        let pure = pure_masters(&ContiguousEB::new(&setup), 2).unwrap();
         let stored = ResolvedMasters::Stored(MasterTable::new(20, 2));
         let sender = setup.read_splits[1];
         let receive = |masters: &ResolvedMasters, payload: Vec<u8>| {

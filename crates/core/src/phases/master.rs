@@ -6,11 +6,11 @@
 //!
 //! * **pure** rules (no state, no neighbor queries): assignment is a pure
 //!   function — nothing is stored or communicated; later phases replicate
-//!   the computation on demand ([`ResolvedMasters::Pure`]). Every pure rule
-//!   owns contiguous node ranges ([`MasterRule::pure_owned_range`]), so the
-//!   replicated computation is a count over the `k − 1` interior range
-//!   starts. The elision only pays while that stays a few instructions
-//!   *inside* the per-edge loops, so [`ResolvedMasters::of`] is forced
+//!   the computation on demand ([`ResolvedMasters::Pure`]). A pure rule is
+//!   its `k − 1` interior range starts ([`MasterRule::pure_starts`]): the
+//!   replicated computation is a count over them, and a host's own masters
+//!   are the range between two of them. The elision only pays while the
+//!   count stays a few instructions *inside* the per-edge loops, so [`ResolvedMasters::of`] is forced
 //!   inline with its rare paths kept out of line (as a call it cost more
 //!   than the count; a block table in front of the count was measured and
 //!   lost to it at `k = 4` — DESIGN.md §8);
@@ -81,6 +81,7 @@
 //! peers).
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU16, AtomicU8, Ordering};
 
 use cusp_galois::{do_all_with_tid, ThreadPool, DEFAULT_GRAIN};
@@ -505,13 +506,31 @@ pub fn assign_masters<MR: MasterRule>(
     ResolvedMasters::Stored(table)
 }
 
-/// Builds the pure resolver for a pure rule over `parts` partitions (no
-/// communication at all).
-pub fn pure_masters<MR: MasterRule>(rule: &MR, parts: PartId) -> ResolvedMasters {
-    debug_assert!(rule.is_pure());
-    let starts: Vec<Node> = (1..parts).map(|p| rule.pure_owned_range(p).start).collect();
-    debug_assert!(starts.windows(2).all(|w| w[0] <= w[1]), "pure owned ranges out of order");
-    ResolvedMasters::Pure { starts }
+/// The pure resolver of `rule` over `parts` partitions: its range starts,
+/// replicated on every host with no communication at all. `None` for a
+/// rule that is not pure.
+pub fn pure_masters<MR: MasterRule>(rule: &MR, parts: PartId) -> Option<ResolvedMasters> {
+    let starts = rule.pure_starts()?.to_vec();
+    assert_eq!(starts.len() + 1, parts as usize, "a pure rule has one range start per partition but the first");
+    debug_assert!(starts.windows(2).all(|w| w[0] <= w[1]), "pure range starts out of order");
+    Some(ResolvedMasters::Pure { starts })
+}
+
+/// The partition that masters `v` under a pure rule's range `starts`
+/// ([`MasterRule::pure_starts`]): the number of starts at or below `v`,
+/// the count [`ResolvedMasters::of`] inlines into the edge walks.
+#[inline]
+pub(crate) fn range_owner(starts: &[Node], v: Node) -> PartId {
+    starts.iter().map(|&b| (b <= v) as PartId).sum()
+}
+
+/// The contiguous node range that partition `p` masters under a pure
+/// rule's range `starts`, in a graph of `num_nodes` nodes.
+pub(crate) fn owned_range(starts: &[Node], p: PartId, num_nodes: u64) -> Range<Node> {
+    let p = p as usize;
+    let lo = if p == 0 { 0 } else { starts[p - 1] };
+    let hi = starts.get(p).map_or(num_nodes as Node, |&s| s);
+    lo..hi
 }
 
 /// Sorted, deduplicated destinations of the local slice that fall outside
@@ -588,7 +607,6 @@ mod tests {
     use cusp_net::Cluster;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap};
-    use std::ops::Range;
     use std::sync::Arc;
 
     /// A trivially non-pure rule for protocol tests: master = node % k.
@@ -1017,40 +1035,79 @@ mod tests {
         }
     }
 
+    fn pure_setup(n: u64, parts: PartId, eb_boundaries: Vec<u64>) -> Setup {
+        Setup {
+            num_nodes: n,
+            num_edges: 0,
+            parts,
+            eb_boundaries: Arc::new(eb_boundaries),
+            read_splits: Arc::new(vec![cusp_graph::ReadSplit { lo: 0, hi: n }]),
+        }
+    }
+
+    /// `get_master`, [`ResolvedMasters::of`] and the closed form `want`
+    /// agree on every node of a pure rule over `n` nodes, each partition's
+    /// owned range holds exactly the nodes it masters, and past the node
+    /// count everything belongs to the last partition.
+    fn check_pure(rule: &Contiguous, n: u64, parts: PartId, want: impl Fn(Node) -> PartId) {
+        let resolved = pure_masters(rule, parts).unwrap();
+        let graph = Arc::new(cusp_graph::Csr::from_edges(n as usize, &[]));
+        let slice = cusp_graph::GraphSlice::window(graph, None, 0, n as Node);
+        let prop = LocalProps::new(n, 0, parts, &slice);
+        let table = MasterTable::new(n as usize, parts);
+        let view = MasterView::new(&table);
+        for v in 0..n as Node {
+            let got = [rule.get_master(&prop, v, &(), &view), resolved.of(v)];
+            assert_eq!(got, [want(v); 2], "n={n} k={parts} v={v}");
+        }
+        let ResolvedMasters::Pure { starts } = &resolved else { unreachable!() };
+        let mut next = 0;
+        for p in 0..parts {
+            let range = owned_range(starts, p, n);
+            assert_eq!(range.start, next, "n={n} k={parts} p={p}");
+            assert!(range.clone().all(|v| want(v) == p), "n={n} k={parts} p={p}: {range:?}");
+            next = range.end;
+        }
+        assert_eq!(next as u64, n, "n={n} k={parts}");
+        for v in [n as Node, n as Node + 1, (n as Node).saturating_mul(3), Node::MAX] {
+            assert_eq!(resolved.of(v), parts - 1, "n={n} k={parts} v={v}");
+        }
+    }
+
+    /// `Contiguous`'s closed form: `v / blockSize`, clamped to the last
+    /// partition.
+    fn block_master(n: u64, parts: PartId) -> impl Fn(Node) -> PartId {
+        let block = n.div_ceil(parts as u64).max(1);
+        move |v| ((v as u64 / block) as PartId).min(parts - 1)
+    }
+
+    /// `ContiguousEB`'s closed form: the number of interior boundaries at
+    /// or below `v`, by binary search.
+    fn boundary_master(b: &[u64]) -> impl Fn(Node) -> PartId + '_ {
+        let inner = &b[1..b.len() - 1];
+        move |v| inner.partition_point(|&x| x <= v as u64) as PartId
+    }
+
     #[test]
-    fn pure_resolver_agrees_with_the_rule_on_every_node() {
-        fn setup(n: u64, parts: PartId, eb_boundaries: Vec<u64>) -> Setup {
-            Setup {
-                num_nodes: n,
-                num_edges: 0,
-                parts,
-                eb_boundaries: Arc::new(eb_boundaries),
-                read_splits: Arc::new(vec![cusp_graph::ReadSplit { lo: 0, hi: n }]),
-            }
-        }
-        fn check<MR: MasterRule>(rule: &MR, n: u64, parts: PartId) {
-            let resolved = pure_masters(rule, parts);
-            assert!(resolved.is_pure());
-            for v in 0..n as Node {
-                assert_eq!(resolved.of(v), rule.pure_master(v), "n={n} k={parts} v={v}");
-            }
-            // Past the node count, beyond the last start, everything belongs
-            // to the last partition.
-            for v in [n as Node, n as Node + 1, (n as Node).saturating_mul(3), Node::MAX] {
-                assert_eq!(resolved.of(v), parts - 1, "n={n} k={parts} v={v}");
-            }
-        }
-        // n < k, n == k, k = 1, k = 64, and blocks that do not divide n.
-        for (n, k) in [(10u64, 3u32), (7, 7), (5, 8), (3, 64), (100, 16), (50, 1), (640, 64), (1000, 64)] {
+    fn pure_rules_agree_with_their_closed_forms_at_the_edges() {
+        // n < k, n == k, k = 1, k = 64, blocks that do not divide n, k > 255
+        // (the count must not be a byte) and k in the thousands.
+        for (n, k) in [
+            (10u64, 3u32),
+            (7, 7),
+            (5, 8),
+            (3, 64),
+            (100, 16),
+            (50, 1),
+            (640, 64),
+            (1000, 64),
+            (70_001, 300),
+            (9_000, 5000),
+        ] {
             let even: Vec<u64> = (0..=k as u64).map(|p| p * n / k as u64).collect();
-            check(&Contiguous::new(&setup(n, k, even.clone())), n, k);
-            check(&ContiguousEB::new(&setup(n, k, even)), n, k);
-        }
-        // k > 255 (the count must not be a byte) and k in the thousands.
-        for (n, k) in [(70_001u64, 300u32), (9_000, 5000)] {
-            let even: Vec<u64> = (0..=k as u64).map(|p| p * n / k as u64).collect();
-            check(&Contiguous::new(&setup(n, k, even.clone())), n, k);
-            check(&ContiguousEB::new(&setup(n, k, even)), n, k);
+            let setup = pure_setup(n, k, even.clone());
+            check_pure(&Contiguous::new(&setup), n, k, block_master(n, k));
+            check_pure(&ContiguousEB::new(&setup), n, k, boundary_master(&even));
         }
         // Edge-balanced boundaries with empty owned ranges: leading,
         // interior, trailing, and one partition owning everything.
@@ -1063,7 +1120,28 @@ mod tests {
             vec![0, 1, 2, 3, 3, 3, 3, 3, 3],
         ] {
             let (n, k) = (*b.last().unwrap(), b.len() as PartId - 1);
-            check(&ContiguousEB::new(&setup(n, k, b)), n, k);
+            check_pure(&ContiguousEB::new(&pure_setup(n, k, b.clone())), n, k, boundary_master(&b));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Random node and partition counts, and for `ContiguousEB` random
+        /// ascending boundaries (empty ranges included).
+        #[test]
+        fn pure_rules_agree_with_their_closed_forms(
+            n in 0u64..3000,
+            cuts in proptest::collection::vec(any::<u64>(), 0..80),
+        ) {
+            let k = cuts.len() as PartId + 1;
+            let mut b: Vec<u64> = cuts.iter().map(|c| c % (n + 1)).collect();
+            b.sort_unstable();
+            b.insert(0, 0);
+            b.push(n);
+            let setup = pure_setup(n, k, b.clone());
+            check_pure(&Contiguous::new(&setup), n, k, block_master(n, k));
+            check_pure(&ContiguousEB::new(&setup), n, k, boundary_master(&b));
         }
     }
 
@@ -1075,7 +1153,7 @@ mod tests {
             let cfg = CuspConfig::default();
             let r = read_phase(comm, &GraphSource::Memory(g.clone()), &cfg).unwrap();
             let rule = ContiguousEB::new(&r.setup);
-            let resolved = pure_masters(&rule, r.setup.parts);
+            let resolved = pure_masters(&rule, r.setup.parts).unwrap();
             // Every host can resolve every node.
             (0..200u32).map(|v| resolved.of(v)).collect::<Vec<_>>()
         });

@@ -20,7 +20,6 @@ use cusp_net::Comm;
 use cusp_graph::GraphEvent;
 
 use crate::config::{CuspConfig, GraphSource};
-use crate::dist_graph::PartitionClass;
 use crate::phases::delta::partition_delta;
 use crate::phases::driver::{partition, PartitionOutput};
 use crate::policies::edges::{CartesianEdge, CheckerboardEdge, HybridEdge, JaggedEdge, SourceEdge};
@@ -103,35 +102,6 @@ impl PolicyKind {
         }
     }
 
-    /// Structural invariant class (paper Table I).
-    pub fn class(self) -> PartitionClass {
-        match self {
-            PolicyKind::Eec
-            | PolicyKind::Fec
-            | PolicyKind::Cec
-            | PolicyKind::Fnc
-            | PolicyKind::Ldg => PartitionClass::OutEdgeCut,
-            PolicyKind::Cvc | PolicyKind::Svc | PolicyKind::Bvc | PolicyKind::Jvc => {
-                PartitionClass::TwoDimensional
-            }
-            PolicyKind::Hvc | PolicyKind::Gvc | PolicyKind::Hdrf => {
-                PartitionClass::GeneralVertexCut
-            }
-        }
-    }
-
-    /// Whether master assignment is non-trivial (FennelEB-based).
-    pub fn has_streaming_masters(self) -> bool {
-        matches!(
-            self,
-            PolicyKind::Fec
-                | PolicyKind::Gvc
-                | PolicyKind::Svc
-                | PolicyKind::Fnc
-                | PolicyKind::Ldg
-        )
-    }
-
     /// Parses the paper abbreviation (case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|kind| kind.name().eq_ignore_ascii_case(s))
@@ -180,11 +150,10 @@ impl Request<'_> {
         MR: MasterRule,
         ER: EdgeRule,
     {
-        let Request { comm, source, kind, cfg, delta } = self;
-        let class = kind.class();
+        let Request { comm, source, cfg, delta, .. } = self;
         match delta {
-            None => partition(comm, source, cfg, class, build),
-            Some((prev, batch)) => partition_delta(comm, source, cfg, class, build, prev, batch),
+            None => partition(comm, source, cfg, build),
+            Some((prev, batch)) => partition_delta(comm, source, cfg, build, prev, batch),
         }
     }
 }
@@ -234,16 +203,30 @@ mod tests {
     }
 
     #[test]
-    fn classes_match_table_one() {
-        assert_eq!(PolicyKind::Eec.class(), PartitionClass::OutEdgeCut);
-        assert_eq!(PolicyKind::Hvc.class(), PartitionClass::GeneralVertexCut);
-        assert_eq!(PolicyKind::Cvc.class(), PartitionClass::TwoDimensional);
-        assert_eq!(PolicyKind::Svc.class(), PartitionClass::TwoDimensional);
-    }
-
-    #[test]
-    fn streaming_masters_flag() {
-        assert!(!PolicyKind::Eec.has_streaming_masters());
-        assert!(PolicyKind::Svc.has_streaming_masters());
+    fn every_policy_builds_its_table_one_class() {
+        use crate::dist_graph::PartitionClass::{GeneralVertexCut, OutEdgeCut, TwoDimensional};
+        let table_one = [
+            (PolicyKind::Eec, OutEdgeCut),
+            (PolicyKind::Hvc, GeneralVertexCut),
+            (PolicyKind::Cvc, TwoDimensional),
+            (PolicyKind::Fec, OutEdgeCut),
+            (PolicyKind::Gvc, GeneralVertexCut),
+            (PolicyKind::Svc, TwoDimensional),
+            (PolicyKind::Cec, OutEdgeCut),
+            (PolicyKind::Fnc, OutEdgeCut),
+            (PolicyKind::Hdrf, GeneralVertexCut),
+            (PolicyKind::Ldg, OutEdgeCut),
+            (PolicyKind::Bvc, TwoDimensional),
+            (PolicyKind::Jvc, TwoDimensional),
+        ];
+        assert_eq!(table_one.map(|(kind, _)| kind), PolicyKind::ALL);
+        let graph = std::sync::Arc::new(cusp_graph::gen::uniform::erdos_renyi(60, 300, 5));
+        for (kind, class) in table_one {
+            let out = cusp_net::Cluster::run(4, |comm| {
+                let source = GraphSource::Memory(graph.clone());
+                partition_with_policy(comm, source, kind, &CuspConfig::default()).dist_graph.class
+            });
+            assert_eq!(out.results, [class; 4], "{kind}");
+        }
     }
 }

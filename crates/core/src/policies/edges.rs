@@ -9,6 +9,7 @@
 
 use cusp_graph::Node;
 
+use crate::dist_graph::PartitionClass;
 use crate::policy::{EdgeRule, Setup};
 use crate::props::LocalProps;
 use crate::PartId;
@@ -20,6 +21,7 @@ pub struct SourceEdge;
 
 impl EdgeRule for SourceEdge {
     type State = ();
+    const CLASS: PartitionClass = PartitionClass::OutEdgeCut;
 
     #[inline]
     fn get_edge_owner(
@@ -58,6 +60,7 @@ impl HybridEdge {
 
 impl EdgeRule for HybridEdge {
     type State = ();
+    const CLASS: PartitionClass = PartitionClass::GeneralVertexCut;
 
     #[inline]
     fn get_edge_owner(
@@ -149,6 +152,7 @@ impl CartesianEdge {
 
 impl EdgeRule for CartesianEdge {
     type State = ();
+    const CLASS: PartitionClass = PartitionClass::TwoDimensional;
 
     #[inline]
     fn get_edge_owner(
@@ -191,6 +195,7 @@ impl CheckerboardEdge {
 
 impl EdgeRule for CheckerboardEdge {
     type State = ();
+    const CLASS: PartitionClass = PartitionClass::TwoDimensional;
 
     #[inline]
     fn get_edge_owner(
@@ -237,6 +242,7 @@ impl JaggedEdge {
 
 impl EdgeRule for JaggedEdge {
     type State = ();
+    const CLASS: PartitionClass = PartitionClass::TwoDimensional;
 
     #[inline]
     fn get_edge_owner(

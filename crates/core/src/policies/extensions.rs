@@ -16,6 +16,7 @@ use std::sync::Mutex;
 
 use cusp_graph::Node;
 
+use crate::dist_graph::PartitionClass;
 use crate::policies::masters::{best_partition, neighbor_counts};
 use crate::policy::{EdgeRule, MasterRule, MasterView, Setup};
 use crate::props::LocalProps;
@@ -174,6 +175,7 @@ impl HdrfEdge {
 
 impl EdgeRule for HdrfEdge {
     type State = HdrfState;
+    const CLASS: PartitionClass = PartitionClass::GeneralVertexCut;
 
     fn get_edge_owner(
         &self,

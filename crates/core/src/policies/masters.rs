@@ -1,60 +1,67 @@
 //! `getMaster` rules from Algorithm 1 of the paper: `Contiguous`,
 //! `ContiguousEB`, `Fennel`, and `FennelEB`.
 
-use std::ops::Range;
-use std::sync::Arc;
-
 use cusp_graph::Node;
 
+use crate::phases::master::range_owner;
 use crate::policy::{MasterRule, MasterView, Setup};
 use crate::props::LocalProps;
 use crate::state::LoadState;
 use crate::PartId;
 
-/// `Contiguous` (Algorithm 1): equal-sized contiguous node chunks.
+/// `Contiguous` and `ContiguousEB` (Algorithm 1): contiguous node chunks,
+/// one per partition in node order. The rule is its `k − 1` range starts
+/// ([`MasterRule::pure_starts`]), and the two differ only in how those are
+/// computed: [`Contiguous::new`] cuts equal-sized chunks, and
+/// [`ContiguousEB::new`] chunks with roughly equal *out-edge* counts.
 ///
-/// ```text
-/// blockSize = ceil(numNodes / numPartitions)
-/// return floor(nodeId / blockSize)
-/// ```
+/// The starts are computed once from [`Setup`], identical on every host,
+/// so evaluation for any node — local or remote — is a count over them.
+/// This realizes the paper's "replicate computation instead of
+/// communication" elision (§IV-D5, §V-A).
 #[derive(Clone, Debug)]
 pub struct Contiguous {
-    block_size: u64,
-    num_nodes: u64,
-    parts: PartId,
+    starts: Vec<Node>,
 }
 
 impl Contiguous {
-    /// Creates a new instance.
+    /// `Contiguous`: equal-sized chunks.
+    ///
+    /// ```text
+    /// blockSize = ceil(numNodes / numPartitions)
+    /// return floor(nodeId / blockSize)
+    /// ```
+    ///
+    /// Partition `p ≥ 1` starts at `p · blockSize`, clamped to the node
+    /// count, so the last partition also takes any remainder.
     pub fn new(setup: &Setup) -> Self {
         let block_size = setup.num_nodes.div_ceil(setup.parts as u64).max(1);
-        Contiguous {
-            block_size,
-            num_nodes: setup.num_nodes,
-            parts: setup.parts,
-        }
+        let starts = (1..setup.parts as u64).map(|p| (p * block_size).min(setup.num_nodes) as Node);
+        Contiguous { starts: starts.collect() }
+    }
+}
+
+/// `ContiguousEB`'s constructor: a [`Contiguous`] rule over the
+/// edge-balanced blocking [`Setup::eb_boundaries`].
+pub enum ContiguousEB {}
+
+impl ContiguousEB {
+    /// `ContiguousEB`: partition `p` starts at the `p`-th interior node
+    /// boundary of the edge-balanced blocking.
+    #[allow(clippy::new_ret_no_self)] // Algorithm 1's name for one constructor of `Contiguous`
+    pub fn new(setup: &Setup) -> Contiguous {
+        let boundaries = &setup.eb_boundaries;
+        assert_eq!(boundaries.len(), setup.parts as usize + 1, "eb_boundaries must have parts + 1 entries");
+        let starts = &boundaries[1..boundaries.len() - 1];
+        Contiguous { starts: starts.iter().map(|&b| b as Node).collect() }
     }
 }
 
 impl MasterRule for Contiguous {
     type State = ();
 
-    fn is_pure(&self) -> bool {
-        true
-    }
-
-    fn pure_master(&self, node: Node) -> PartId {
-        ((node as u64 / self.block_size) as PartId).min(self.parts - 1)
-    }
-
-    fn pure_owned_range(&self, part: PartId) -> Range<Node> {
-        let lo = (part as u64 * self.block_size).min(self.num_nodes);
-        let hi = if part + 1 == self.parts {
-            self.num_nodes
-        } else {
-            ((part as u64 + 1) * self.block_size).min(self.num_nodes)
-        };
-        lo as Node..hi as Node
+    fn pure_starts(&self) -> Option<&[Node]> {
+        Some(&self.starts)
     }
 
     fn get_master(
@@ -64,61 +71,7 @@ impl MasterRule for Contiguous {
         _state: &Self::State,
         _masters: &MasterView,
     ) -> PartId {
-        self.pure_master(node)
-    }
-}
-
-/// `ContiguousEB` (Algorithm 1): contiguous node chunks with roughly equal
-/// *out-edge* counts per chunk.
-///
-/// The boundaries are precomputed once from the global offsets array (they
-/// are part of [`Setup`], identical on every host), so evaluation for any
-/// node — local or remote — is a pure boundary search. This realizes the
-/// paper's "replicate computation instead of communication" elision for
-/// EEC/HVC/CVC (§IV-D5, §V-A).
-#[derive(Clone, Debug)]
-pub struct ContiguousEB {
-    boundaries: Arc<Vec<u64>>,
-}
-
-impl ContiguousEB {
-    /// Creates a new instance.
-    pub fn new(setup: &Setup) -> Self {
-        assert_eq!(
-            setup.eb_boundaries.len(),
-            setup.parts as usize + 1,
-            "eb_boundaries must have parts + 1 entries"
-        );
-        ContiguousEB {
-            boundaries: Arc::clone(&setup.eb_boundaries),
-        }
-    }
-}
-
-impl MasterRule for ContiguousEB {
-    type State = ();
-
-    fn is_pure(&self) -> bool {
-        true
-    }
-
-    fn pure_master(&self, node: Node) -> PartId {
-        let inner = &self.boundaries[1..self.boundaries.len() - 1];
-        inner.partition_point(|&b| b <= node as u64) as PartId
-    }
-
-    fn pure_owned_range(&self, part: PartId) -> Range<Node> {
-        self.boundaries[part as usize] as Node..self.boundaries[part as usize + 1] as Node
-    }
-
-    fn get_master(
-        &self,
-        _prop: &LocalProps,
-        node: Node,
-        _state: &Self::State,
-        _masters: &MasterView,
-    ) -> PartId {
-        self.pure_master(node)
+        range_owner(&self.starts, node)
     }
 }
 
@@ -245,7 +198,7 @@ pub struct FennelEB {
     pub fennel: Fennel,
     /// Degree threshold above which placement degrades to ContiguousEB.
     pub degree_threshold: u64,
-    eb: ContiguousEB,
+    eb: Contiguous,
     mu: f64,
 }
 
@@ -283,7 +236,7 @@ impl MasterRule for FennelEB {
     ) -> PartId {
         let degree = prop.out_degree(node);
         if degree > self.degree_threshold {
-            return self.eb.pure_master(node);
+            return range_owner(&self.eb.starts, node);
         }
         let part = self.fennel.best(prop, node, masters, |p| {
             (state.nodes(p) as f64 + self.mu * state.edges(p) as f64) / 2.0
@@ -296,11 +249,12 @@ impl MasterRule for FennelEB {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phases::master::MasterTable;
+    use crate::phases::master::{owned_range, MasterTable};
     use crate::state::PartitionState;
     use cusp_graph::{Csr, GraphSlice, ReadSplit};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn setup(n: u64, m: u64, k: PartId, eb: Vec<u64>) -> Setup {
         Setup {
@@ -312,19 +266,28 @@ mod tests {
         }
     }
 
+    /// The master of `v` and the range of `p` under a contiguous rule's starts.
+    fn owner(rule: &Contiguous, v: Node) -> PartId {
+        range_owner(rule.pure_starts().unwrap(), v)
+    }
+    fn range(rule: &Contiguous, p: PartId, n: u64) -> std::ops::Range<Node> {
+        owned_range(rule.pure_starts().unwrap(), p, n)
+    }
+
     #[test]
     fn contiguous_blocks() {
         let s = setup(10, 0, 3, vec![0, 4, 8, 10]);
         let c = Contiguous::new(&s);
         // blockSize = ceil(10/3) = 4
-        assert_eq!(c.pure_master(0), 0);
-        assert_eq!(c.pure_master(3), 0);
-        assert_eq!(c.pure_master(4), 1);
-        assert_eq!(c.pure_master(7), 1);
-        assert_eq!(c.pure_master(8), 2);
-        assert_eq!(c.pure_master(9), 2);
-        assert_eq!(c.pure_owned_range(0), 0..4);
-        assert_eq!(c.pure_owned_range(2), 8..10);
+        assert_eq!(c.pure_starts(), Some(&[4, 8][..]));
+        assert_eq!(owner(&c, 0), 0);
+        assert_eq!(owner(&c, 3), 0);
+        assert_eq!(owner(&c, 4), 1);
+        assert_eq!(owner(&c, 7), 1);
+        assert_eq!(owner(&c, 8), 2);
+        assert_eq!(owner(&c, 9), 2);
+        assert_eq!(range(&c, 0, 10), 0..4);
+        assert_eq!(range(&c, 2, 10), 8..10);
     }
 
     #[test]
@@ -334,9 +297,9 @@ mod tests {
             let c = Contiguous::new(&s);
             let mut covered = 0u64;
             for p in 0..k {
-                let r = c.pure_owned_range(p);
+                let r = range(&c, p, n);
                 for v in r.clone() {
-                    assert_eq!(c.pure_master(v), p, "n={n} k={k} v={v}");
+                    assert_eq!(owner(&c, v), p, "n={n} k={k} v={v}");
                 }
                 covered += (r.end - r.start) as u64;
             }
@@ -348,12 +311,13 @@ mod tests {
     fn contiguous_eb_uses_boundaries() {
         let s = setup(10, 100, 3, vec![0, 2, 9, 10]);
         let c = ContiguousEB::new(&s);
-        assert_eq!(c.pure_master(0), 0);
-        assert_eq!(c.pure_master(1), 0);
-        assert_eq!(c.pure_master(2), 1);
-        assert_eq!(c.pure_master(8), 1);
-        assert_eq!(c.pure_master(9), 2);
-        assert_eq!(c.pure_owned_range(1), 2..9);
+        assert_eq!(c.pure_starts(), Some(&[2, 9][..]));
+        assert_eq!(owner(&c, 0), 0);
+        assert_eq!(owner(&c, 1), 0);
+        assert_eq!(owner(&c, 2), 1);
+        assert_eq!(owner(&c, 8), 1);
+        assert_eq!(owner(&c, 9), 2);
+        assert_eq!(range(&c, 1, 10), 2..9);
     }
 
     #[test]
@@ -361,9 +325,9 @@ mod tests {
         let s = setup(4, 100, 3, vec![0, 4, 4, 4]);
         let c = ContiguousEB::new(&s);
         for v in 0..4 {
-            assert_eq!(c.pure_master(v), 0);
+            assert_eq!(owner(&c, v), 0);
         }
-        assert_eq!(c.pure_owned_range(1), 4..4);
+        assert_eq!(range(&c, 1, 4), 4..4);
     }
 
     fn props_for(g: &Csr, _k: PartId) -> (GraphSlice, u64, u64) {

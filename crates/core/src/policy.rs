@@ -5,20 +5,23 @@
 //! srcId, dstId, srcMaster, dstMaster, estate)`." Here they are the two
 //! trait methods [`MasterRule::get_master`] and
 //! [`EdgeRule::get_edge_owner`]; each rule declares its own state type
-//! (`()` when stateless), and two capability probes — [`MasterRule::is_pure`]
-//! and [`MasterRule::uses_neighbor_masters`] — drive the synchronization
-//! elisions of §IV-D5:
+//! (`()` when stateless), and every other fact of a policy belongs to the
+//! one rule that decides it. The master rule states its own purity, as
+//! its range starts ([`MasterRule::pure_starts`]), and whether it reads
+//! neighbours' masters ([`MasterRule::uses_neighbor_masters`]); the edge
+//! rule states the partition's Table I class ([`EdgeRule::CLASS`]). The
+//! master rule's two facts drive the synchronization elisions of §IV-D5:
 //!
 //! * pure + stateless → master assignment is a pure function; CuSP
 //!   replicates computation instead of communicating masters at all;
 //! * stateful but neighbor-blind → state syncs only once, after the phase;
 //! * neighbor-aware → periodic lockstep rounds during the phase.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use cusp_graph::{Node, ReadSplit};
 
+use crate::dist_graph::PartitionClass;
 use crate::phases::master::MasterTable;
 use crate::props::LocalProps;
 use crate::state::PartitionState;
@@ -58,23 +61,18 @@ pub trait MasterRule: Send + Sync {
     /// The `mstate` type tracked by this rule (`()` if stateless).
     type State: PartitionState;
 
-    /// True if the assignment is a pure function of `(Setup, node)` —
-    /// enabling the paper's strongest elision: no master communication,
-    /// every host replicates the computation on demand.
-    fn is_pure(&self) -> bool {
-        false
-    }
-
-    /// Pure evaluation for an arbitrary (possibly non-local) node.
-    /// Must be implemented when [`MasterRule::is_pure`] returns true.
-    fn pure_master(&self, _node: Node) -> PartId {
-        unreachable!("pure_master called on a non-pure rule")
-    }
-
-    /// For pure rules: the contiguous global node range whose masters live
-    /// on `part`. (All pure rules in the catalog assign contiguous chunks.)
-    fn pure_owned_range(&self, _part: PartId) -> Range<Node> {
-        unreachable!("pure_owned_range called on a non-pure rule")
+    /// A pure rule's range starts: the first node of partitions `1..k`,
+    /// ascending (`k − 1` entries), so that partition `p` masters the
+    /// contiguous range from start `p − 1` (node 0 for `p = 0`) up to start
+    /// `p` (the node count for the last partition). `None`, the default,
+    /// for a rule that is not pure.
+    ///
+    /// A pure rule's master is a function of `(Setup, node)` alone, which
+    /// enables the paper's strongest elision: no master communication,
+    /// every host replicates the computation on demand as a count over
+    /// these starts. Its `get_master` must answer the same count.
+    fn pure_starts(&self) -> Option<&[Node]> {
+        None
     }
 
     /// True if `get_master` consults the `masters` map of neighbors
@@ -116,6 +114,10 @@ pub trait EdgeRule: Send + Sync {
     /// deterministic: the driver runs stateful edge rules sequentially in
     /// node order to guarantee the replay matches.
     type State: PartitionState;
+
+    /// The structural invariant class (paper Table I) of every partition
+    /// this rule produces; the partition records it.
+    const CLASS: PartitionClass;
 
     /// Returns the partition to which edge `(src, dst)` is assigned.
     /// `src` is always a locally read node; `src_master`/`dst_master` are

@@ -5,10 +5,6 @@
 //! (b) the results are bitwise deterministic (reduction order is fixed by
 //! host id, independent of arrival order).
 
-// The explicit `for i in 0..n` indexing in the SPMD/scan loops below is
-// deliberate (it mirrors per-host/per-block protocol structure).
-#![allow(clippy::needless_range_loop)]
-
 use crate::cluster::{Comm, Tag};
 use crate::serialize::{WireReader, WireWriter};
 use crate::Bytes;
@@ -55,104 +51,77 @@ pub fn all_reduce_u64(comm: &Comm, op: ReduceOp, value: u64) -> u64 {
 /// All-reduce a `u64` vector element-wise; every host returns the reduced
 /// vector. All hosts must pass the same length.
 pub fn all_reduce_vec_u64(comm: &Comm, op: ReduceOp, values: &[u64]) -> Vec<u64> {
-    let me = comm.host();
-    let k = comm.num_hosts();
-    if k == 1 {
-        return values.to_vec();
-    }
-    if me == ROOT {
-        let mut acc = values.to_vec();
-        for src in 1..k {
-            let payload = comm.recv_from(src, COLLECTIVE_TAG);
-            let mut r = WireReader::new(payload);
-            let theirs = r.get_u64_vec().expect("malformed collective payload");
-            assert_eq!(
-                theirs.len(),
-                acc.len(),
-                "all_reduce length mismatch between hosts"
-            );
+    let decode = |payload| WireReader::new(payload).get_u64_vec().expect("malformed collective payload");
+    let encode = |values: &[u64]| {
+        let mut w = WireWriter::new();
+        w.put_u64_slice(values);
+        w.finish()
+    };
+    decode(gather_broadcast(comm, encode(values), |payloads| {
+        let mut payloads = payloads.into_iter().map(decode);
+        let mut acc = payloads.next().expect("the root's own payload");
+        for theirs in payloads {
+            assert_eq!(theirs.len(), acc.len(), "all_reduce length mismatch between hosts");
             for (a, b) in acc.iter_mut().zip(theirs) {
                 *a = op.apply(*a, b);
             }
         }
-        let mut w = WireWriter::new();
-        w.put_u64_slice(&acc);
-        let payload = w.finish();
-        for dst in 1..k {
-            comm.send_bytes(dst, COLLECTIVE_TAG, payload.clone());
-        }
-        acc
-    } else {
-        let mut w = WireWriter::new();
-        w.put_u64_slice(values);
-        comm.send_bytes(ROOT, COLLECTIVE_TAG, w.finish());
-        let payload = comm.recv_from(ROOT, COLLECTIVE_TAG);
-        let mut r = WireReader::new(payload);
-        r.get_u64_vec().expect("malformed collective payload")
-    }
+        encode(&acc)
+    }))
 }
 
-/// All-reduce an `f64` by summation (used for residuals / scores).
+/// All-reduce an `f64` by summation (used for residuals / scores), in host
+/// order.
 pub fn all_reduce_sum_f64(comm: &Comm, value: f64) -> f64 {
-    let me = comm.host();
-    let k = comm.num_hosts();
-    if k == 1 {
-        return value;
-    }
-    if me == ROOT {
-        let mut acc = value;
-        for src in 1..k {
-            let payload = comm.recv_from(src, COLLECTIVE_TAG);
-            let mut r = WireReader::new(payload);
-            acc += r.get_f64().expect("malformed collective payload");
-        }
-        let mut w = WireWriter::new();
-        w.put_f64(acc);
-        let payload = w.finish();
-        for dst in 1..k {
-            comm.send_bytes(dst, COLLECTIVE_TAG, payload.clone());
-        }
-        acc
-    } else {
+    let decode = |payload| WireReader::new(payload).get_f64().expect("malformed collective payload");
+    let encode = |value| {
         let mut w = WireWriter::new();
         w.put_f64(value);
-        comm.send_bytes(ROOT, COLLECTIVE_TAG, w.finish());
-        let payload = comm.recv_from(ROOT, COLLECTIVE_TAG);
-        WireReader::new(payload).get_f64().expect("malformed payload")
-    }
+        w.finish()
+    };
+    decode(gather_broadcast(comm, encode(value), |payloads| {
+        let mut payloads = payloads.into_iter().map(decode);
+        let first = payloads.next().expect("the root's own payload");
+        encode(payloads.fold(first, |acc, theirs| acc + theirs))
+    }))
 }
 
 /// All-gather arbitrary byte blobs; returns one entry per host, indexed by
 /// host id.
 pub fn all_gather_bytes(comm: &Comm, mine: Bytes) -> Vec<Bytes> {
-    let me = comm.host();
-    let k = comm.num_hosts();
-    if k == 1 {
-        return vec![mine];
-    }
-    if me == ROOT {
-        let mut all: Vec<Bytes> = vec![Bytes::new(); k];
-        all[ROOT] = mine;
-        for src in 1..k {
-            all[src] = comm.recv_from(src, COLLECTIVE_TAG);
-        }
-        // Broadcast the concatenation with a simple length-prefixed frame.
+    let frame = gather_broadcast(comm, mine, |all| {
+        // The concatenation, as a simple length-prefixed frame.
         let mut w = WireWriter::new();
-        w.put_u64(k as u64);
+        w.put_u64(all.len() as u64);
         for blob in &all {
             w.put_u64(blob.len() as u64);
             w.put_raw(blob);
         }
-        let payload = w.finish();
-        for dst in 1..k {
-            comm.send_bytes(dst, COLLECTIVE_TAG, payload.clone());
-        }
-        all
-    } else {
+        w.finish()
+    });
+    parse_gather_frame(&frame).expect("malformed gather frame")
+}
+
+/// The one gather–broadcast under every collective. Each host but the
+/// root sends it `mine` and waits for its answer; the root receives the
+/// others' payloads in host order and sends each of them
+/// `answer(payloads)`, where `payloads[h]` is host `h`'s (its own first:
+/// the root is host 0). Every host returns the answer; a single host
+/// answers its own payload and sends no message.
+fn gather_broadcast(comm: &Comm, mine: Bytes, answer: impl FnOnce(Vec<Bytes>) -> Bytes) -> Bytes {
+    if comm.host() != ROOT {
         comm.send_bytes(ROOT, COLLECTIVE_TAG, mine);
-        let payload = comm.recv_from(ROOT, COLLECTIVE_TAG);
-        parse_gather_frame(&payload).expect("malformed gather frame")
+        return comm.recv_from(ROOT, COLLECTIVE_TAG);
     }
+    let k = comm.num_hosts();
+    let mut payloads = Vec::with_capacity(k);
+    payloads.push(mine);
+    payloads.extend((1..k).map(|src| comm.recv_from(src, COLLECTIVE_TAG)));
+    let payload = answer(payloads);
+    for dst in 1..k {
+        comm.send_bytes(dst, COLLECTIVE_TAG, payload.clone());
+    }
+    payload
 }
 
 /// Checked parse of the root's length-prefixed gather frame. Every offset

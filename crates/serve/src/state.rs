@@ -1,14 +1,13 @@
 //! Request routing and job execution, independent of any transport.
 //!
 //! [`ServerState::handle`] maps one decoded [`Request`] to one
-//! [`Response`] and never panics: partition jobs run behind
+//! [`Response`] and never panics: partition jobs run behind the cache's
 //! `catch_unwind`, so a policy bug surfaces as a typed `JobFailed`
 //! response instead of killing the connection thread. Both the TCP loop
 //! and the HTTP front end call into this router, and the test batteries
 //! drive it directly — the transports stay thin.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -252,25 +251,16 @@ impl ServerState {
             }
         }
 
-        let heap_bytes = (offsets.len() * 8
-            + dests.len() * 4
-            + weights.as_ref().map_or(0, |w| w.len() * 4)) as u64;
         let graph = Arc::new(Csr::from_parts(offsets, dests));
-        let weights = weights.map(Arc::new);
-        let fingerprint = cusp::graph_fingerprint(&graph, weights.as_ref().map(|w| &w[..]));
+        let entry = GraphEntry::new(name, graph, weights.map(Arc::new));
+        let fingerprint = entry.fingerprint;
         // The per-graph write lock serializes this upload against applies
         // (and other uploads) of the same name — without it a concurrent
         // apply could snapshot the graph being replaced and re-publish it
         // over this upload.
         let lock = t.graph_lock(name);
         let _write = lock.lock().unwrap();
-        let entry = t.insert_graph(GraphEntry {
-            name: name.to_string(),
-            graph,
-            weights,
-            fingerprint,
-            heap_bytes,
-        })?;
+        let entry = t.insert_graph(entry)?;
         // This upload is a new base graph: any WAL recorded against a
         // previous graph of the same name no longer replays over it, so
         // the journal must not survive the replacement.
@@ -325,24 +315,12 @@ impl ServerState {
         let wal = Wal::new(self.wal_path(&t.name, graph));
         let prior_len = wal.append(batch).map_err(|e| ServeError::Io(e.to_string()))?;
 
-        let new_graph = Arc::new(applied.graph);
-        let new_weights = applied.weights.map(Arc::new);
-        let new_fp =
-            cusp::graph_fingerprint(&new_graph, new_weights.as_ref().map(|w| &w[..]));
-        let heap_bytes = ((new_graph.num_nodes() + 1) * 8
-            + new_graph.num_edges() as usize * 4
-            + new_weights.as_ref().map_or(0, |w| w.len() * 4)) as u64;
-        let old_fp = entry.fingerprint;
-        let nodes = new_graph.num_nodes() as u64;
-        let edges = new_graph.num_edges();
+        let new_entry = GraphEntry::new(graph, Arc::new(applied.graph), applied.weights.map(Arc::new));
+        let (old_fp, new_fp) = (entry.fingerprint, new_entry.fingerprint);
+        let nodes = new_entry.graph.num_nodes() as u64;
+        let edges = new_entry.graph.num_edges();
 
-        let inserted = t.insert_graph(GraphEntry {
-            name: graph.to_string(),
-            graph: new_graph,
-            weights: new_weights,
-            fingerprint: new_fp,
-            heap_bytes,
-        });
+        let inserted = t.insert_graph(new_entry);
         if let Err(e) = inserted {
             // Quota rejection after the append: truncate the WAL back to
             // its pre-append length so the journal never claims an
@@ -396,17 +374,18 @@ impl ServerState {
         let key =
             CacheKey { graph: entry.fingerprint, policy: kind, hosts, chunk_edges };
         let cache = self.cache_for(&t.name);
-        cache.get_or_compute(key, || self.run_job(&entry.graph, entry.weights.clone(), key))
+        cache.get_or_compute(key, || Ok(self.run_job(&entry.graph, entry.weights.clone(), key)))
     }
 
     /// Runs the five-phase pipeline on a simulated `hosts`-host cluster.
-    /// Panics inside the cluster surface as `JobFailed`.
+    /// It runs under the cache's `catch_unwind`, so a panic inside the
+    /// cluster surfaces as `JobFailed` carrying the panic's message.
     fn run_job(
         &self,
         graph: &Arc<Csr>,
         weights: Option<Arc<Vec<u32>>>,
         key: CacheKey,
-    ) -> Result<Vec<DistGraph>, ServeError> {
+    ) -> Vec<DistGraph> {
         let source = match weights {
             Some(ws) => GraphSource::MemoryWeighted(Arc::clone(graph), ws),
             None => GraphSource::Memory(Arc::clone(graph)),
@@ -418,19 +397,9 @@ impl ServerState {
         };
         let hosts = key.hosts as usize;
         let kind = key.policy;
-        catch_unwind(AssertUnwindSafe(move || {
-            let out = Cluster::run(hosts, move |comm| {
-                partition_with_policy(comm, source.clone(), kind, &cfg).dist_graph
-            });
-            out.results
-        }))
-        .map_err(|p| {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "partition job panicked".into());
-            ServeError::JobFailed(msg)
-        })
+        let out = Cluster::run(hosts, move |comm| {
+            partition_with_policy(comm, source.clone(), kind, &cfg).dist_graph
+        });
+        out.results
     }
 }

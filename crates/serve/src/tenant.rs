@@ -46,6 +46,18 @@ pub struct GraphEntry {
     pub heap_bytes: u64,
 }
 
+impl GraphEntry {
+    /// The entry for `graph` under `name`, with its fingerprint and the
+    /// bytes its offsets, destinations and weights charge to the quota.
+    pub fn new(name: &str, graph: Arc<Csr>, weights: Option<Arc<Vec<u32>>>) -> Self {
+        let fingerprint = cusp::graph_fingerprint(&graph, weights.as_ref().map(|w| &w[..]));
+        let heap_bytes = ((graph.num_nodes() + 1) * 8
+            + graph.num_edges() as usize * 4
+            + weights.as_ref().map_or(0, |w| w.len() * 4)) as u64;
+        GraphEntry { name: name.to_string(), graph, weights, fingerprint, heap_bytes }
+    }
+}
+
 impl std::fmt::Debug for GraphEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GraphEntry")

@@ -4,7 +4,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cusp::config::{CuspConfig, GraphSource};
-use cusp::dist_graph::PartitionClass;
 use cusp::phases::driver::{partition, PartitionOutput};
 use cusp::phases::read::read_phase;
 use cusp::policies::edges::SourceEdge;
@@ -54,7 +53,6 @@ pub fn xtrapulp_partition(comm: &Comm, source: GraphSource, cfg: &XpConfig) -> X
         comm,
         source,
         &CuspConfig::default(),
-        PartitionClass::OutEdgeCut,
         move |_setup| {
             (
                 LabelRule {

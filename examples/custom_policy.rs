@@ -78,6 +78,10 @@ struct DestinationEdge;
 
 impl EdgeRule for DestinationEdge {
     type State = ();
+    // Destination-cut: all *in*-edges of a vertex are co-located, which is
+    // an edge-cut on the transposed graph — i.e. a general vertex-cut from
+    // the out-edge perspective.
+    const CLASS: PartitionClass = PartitionClass::GeneralVertexCut;
 
     fn get_edge_owner(
         &self,
@@ -112,10 +116,6 @@ fn main() {
                 sync_rounds: 32, // LDG benefits from fresher neighbor info
                 ..CuspConfig::default()
             },
-            // Destination-cut: all *in*-edges of a vertex are co-located,
-            // which is an edge-cut on the transposed graph — i.e. a
-            // general vertex-cut from the out-edge perspective.
-            PartitionClass::GeneralVertexCut,
             |setup| {
                 (
                     Ldg {

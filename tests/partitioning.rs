@@ -130,7 +130,6 @@ fn hvc_respects_degree_threshold() {
             comm,
             GraphSource::Memory(g.clone()),
             &cfg,
-            cusp::PartitionClass::GeneralVertexCut,
             |s| {
                 (
                     cusp::policies::ContiguousEB::new(s),
