@@ -55,7 +55,8 @@ impl Csr {
 
     /// Builds a CSR with `n` nodes from an unsorted edge list, using a
     /// counting sort over sources (stable: parallel edges preserved in
-    /// input order).
+    /// input order). Large lists are packed on every core into the same
+    /// bytes.
     ///
     /// ```
     /// use cusp_graph::Csr;
@@ -64,23 +65,16 @@ impl Csr {
     /// assert_eq!(g.out_degree(2), 1);
     /// ```
     pub fn from_edges(n: usize, edges: &[(Node, Node)]) -> Self {
-        let mut degree = vec![0 as EdgeIdx; n];
-        for &(u, _) in edges {
-            assert!((u as usize) < n, "source {u} out of range ({n} nodes)");
-            degree[u as usize] += 1;
-        }
-        let mut offsets = vec![0 as EdgeIdx; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + degree[v];
-        }
-        let mut cursor = offsets.clone();
-        let mut dests = vec![0 as Node; edges.len()];
-        for &(u, v) in edges {
-            assert!((v as usize) < n, "destination {v} out of range ({n} nodes)");
-            dests[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-        }
-        Csr { offsets, dests }
+        Csr::from_edges_on(n, edges, crate::workers())
+    }
+
+    /// [`Csr::from_edges`] on at most `workers` threads: one range of at
+    /// least a block of edges per thread, and no more ranges than edges per
+    /// node, so the per-range counts are never larger than the edge list.
+    pub(crate) fn from_edges_on(n: usize, edges: &[(Node, Node)], workers: usize) -> Self {
+        let m = edges.len();
+        let ranges = workers.min(m / crate::BLOCK).min(m / n.max(1)).max(1);
+        pack(n, edges, ranges)
     }
 
     /// Number of vertices.
@@ -218,9 +212,66 @@ impl Csr {
     }
 }
 
+/// The stable counting sort of `edges` by source, over `ranges` contiguous
+/// ranges of the list: each range counts its sources on a thread of its
+/// own; one prefix over (node, range), ranges in input order, turns the
+/// counts into each range's first slot per node; then each range scatters
+/// its destinations from those slots. Every node's row is its edges in input
+/// order, whatever `ranges` is.
+fn pack(n: usize, edges: &[(Node, Node)], ranges: usize) -> Csr {
+    let len = edges.len().div_ceil(ranges).max(1);
+    let mut counts: Vec<Vec<EdgeIdx>> = edges.chunks(len).map(|_| vec![0; n]).collect();
+    crate::on_threads(edges.chunks(len).zip(&mut counts).collect(), |(range, count)| {
+        for &(u, _) in range {
+            assert!((u as usize) < n, "source {u} out of range ({n} nodes)");
+            count[u as usize] += 1;
+        }
+    });
+    let mut offsets = vec![0 as EdgeIdx; n + 1];
+    let mut next = 0;
+    for (v, end) in offsets[1..].iter_mut().enumerate() {
+        for count in &mut counts {
+            (count[v], next) = (next, next + count[v]);
+        }
+        *end = next;
+    }
+    let mut dests = vec![0 as Node; edges.len()];
+    let slots = Slots(dests.as_mut_ptr());
+    crate::on_threads(edges.chunks(len).zip(&mut counts).collect(), |(range, cursor)| {
+        for &(u, v) in range {
+            assert!((v as usize) < n, "destination {v} out of range ({n} nodes)");
+            // SAFETY: the prefix gave this range the slots `[c, c + k)` of
+            // node `u`, where `c` counts the edges of the nodes below `u` and
+            // of `u` in the ranges before this one, and `k` the edges of `u`
+            // in this one: disjoint from every other (node, range) pair's,
+            // and below the edge count. The range puts exactly its `k` edges
+            // of `u`, the ones it counted.
+            unsafe { slots.put(cursor[u as usize], v) };
+            cursor[u as usize] += 1;
+        }
+    });
+    Csr { offsets, dests }
+}
+
+/// `dests` as the scatter's threads share it.
+struct Slots(*mut Node);
+
+// SAFETY: the threads write disjoint slots, and nothing reads `dests` until
+// every thread has been joined.
+unsafe impl Sync for Slots {}
+
+impl Slots {
+    /// # Safety
+    /// `slot` is below the length of `dests`, and no other thread writes it.
+    unsafe fn put(&self, slot: EdgeIdx, v: Node) {
+        unsafe { self.0.add(slot as usize).write(v) }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn diamond() -> Csr {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
@@ -306,5 +357,65 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn from_edges_validates_bounds() {
         let _ = Csr::from_edges(2, &[(0, 5)]);
+    }
+
+    /// The sequential definition: a stable sort of the edges by source.
+    fn sorted_by_source(n: usize, edges: &[(Node, Node)]) -> Csr {
+        let mut sorted = edges.to_vec();
+        sorted.sort_by_key(|&(u, _)| u);
+        let mut offsets = vec![0 as EdgeIdx; n + 1];
+        for &(u, _) in &sorted {
+            offsets[u as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        Csr::from_parts(offsets, sorted.into_iter().map(|(_, v)| v).collect())
+    }
+
+    const RANGES: [usize; 4] = [1, 2, 3, 8];
+
+    #[test]
+    fn no_nodes_and_no_edges_at_every_range_count() {
+        for ranges in RANGES {
+            assert_eq!(pack(0, &[], ranges), Csr::default());
+            assert_eq!(pack(3, &[], ranges), Csr::from_parts(vec![0; 4], vec![]));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "source 1 out of range (1 nodes)")]
+    fn a_range_thread_reraises_its_panic() {
+        let mut edges = vec![(0, 0); 10];
+        edges[9] = (1, 0);
+        let _ = pack(1, &edges, 3);
+    }
+
+    #[test]
+    fn from_edges_on_is_the_stable_sort_at_every_worker_count() {
+        let edges = vec![(0, 0); 3 * crate::BLOCK];
+        for workers in [1, 2, 3, 8] {
+            let g = Csr::from_edges_on(2, &edges, workers);
+            assert_eq!(g, sorted_by_source(2, &edges));
+        }
+        let edges = vec![(0, 0); 3 * crate::BLOCK + 1];
+        assert_eq!(Csr::from_edges_on(1 << 20, &edges, 8), sorted_by_source(1 << 20, &edges));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn pack_is_the_stable_sort_at_every_range_count(
+            (n, edges) in (1usize..40).prop_flat_map(|n| {
+                let id = 0..n as Node;
+                (Just(n), prop::collection::vec((id.clone(), id), 0..200))
+            })
+        ) {
+            let want = sorted_by_source(n, &edges);
+            for ranges in RANGES {
+                prop_assert_eq!(&pack(n, &edges, ranges), &want, "{} ranges", ranges);
+            }
+        }
     }
 }

@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 
+use super::draw_blocks;
 use crate::csr::Csr;
 use crate::Node;
 
@@ -50,39 +51,56 @@ impl KroneckerConfig {
 /// Generates a directed Kronecker graph as an edge list, then packs it into
 /// CSR. Self-loops and parallel edges are kept, as in Graph500.
 pub fn kronecker(cfg: KroneckerConfig) -> Csr {
+    kronecker_on(cfg, crate::workers())
+}
+
+/// [`kronecker`] on at most `workers` threads; the graph does not depend on
+/// how many.
+pub(crate) fn kronecker_on(cfg: KroneckerConfig, workers: usize) -> Csr {
     assert!(cfg.scale < 31, "scale too large for u32 node ids");
     let d = 1.0 - cfg.a - cfg.b - cfg.c;
     assert!(d >= -1e-9, "quadrant probabilities exceed 1");
     let n = 1usize << cfg.scale;
-    let m = n as u64 * cfg.edge_factor as u64;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let m = n * cfg.edge_factor as usize;
+    let draws_per_edge = 2 * cfg.scale as u64;
+    let rng = StdRng::seed_from_u64(cfg.seed);
+
+    // The permutation is drawn from the stream after every edge's draws, so
+    // it is drawn first, from there, and each block relabelled once drawn.
+    let perm = cfg.permute.then(|| {
+        let mut after = rng.clone();
+        after.advance(m as u64 * draws_per_edge);
+        let mut perm: Vec<Node> = (0..n as Node).collect();
+        perm.shuffle(&mut after);
+        perm
+    });
 
     // Per level: the source bit when a draw exceeds a + b, then the destination
     // bit when the next exceeds a/(a + b), or c/(c + d) below a set source bit.
     let src_at = least_above(cfg.a + cfg.b);
     let dst_at = [cfg.a / (cfg.a + cfg.b), cfg.c / (cfg.c + d)].map(least_above);
-    let mut edges: Vec<(Node, Node)> = Vec::with_capacity(m as usize);
-    for _ in 0..m {
-        let (mut src, mut dst) = (0u64, 0u64);
-        for level in 0..cfg.scale {
-            let src_bit = rng.next_u64() >> 11 >= src_at;
-            let dst_bit = rng.next_u64() >> 11 >= dst_at[src_bit as usize];
-            src |= (src_bit as u64) << level;
-            dst |= (dst_bit as u64) << level;
+    let mut edges = vec![(0, 0); m];
+    draw_blocks(&rng, draws_per_edge, &mut edges, workers, |rng, block| {
+        for edge in block.iter_mut() {
+            let (mut src, mut dst, mut level) = (0, 0, 1);
+            for _ in 0..cfg.scale {
+                let src_bit = rng.next_u64() >> 11 >= src_at;
+                let dst_bit = rng.next_u64() >> 11 >= dst_at[src_bit as usize];
+                src |= level & 0u32.wrapping_sub(src_bit as u32);
+                dst |= level & 0u32.wrapping_sub(dst_bit as u32);
+                level <<= 1;
+            }
+            *edge = (src, dst);
         }
-        edges.push((src as Node, dst as Node));
-    }
-
-    if cfg.permute {
-        let mut perm: Vec<Node> = (0..n as Node).collect();
-        perm.shuffle(&mut rng);
-        for e in &mut edges {
-            e.0 = perm[e.0 as usize];
-            e.1 = perm[e.1 as usize];
+        // A whole block at a time, while it is in cache: its lookups overlap,
+        // where an edge's own would wait at the end of its draws.
+        if let Some(perm) = &perm {
+            for (src, dst) in block {
+                (*src, *dst) = (perm[*src as usize], perm[*dst as usize]);
+            }
         }
-    }
-
-    Csr::from_edges(n, &edges)
+    });
+    Csr::from_edges_on(n, &edges, workers)
 }
 
 /// The least `y` in `0..=2⁵³` with `y·2⁻⁵³ > p`, so `x >> 11 >= least_above(p)`
@@ -167,6 +185,18 @@ mod tests {
             sorted_degrees(&g1.transpose()),
             sorted_degrees(&g2.transpose())
         );
+    }
+
+    #[test]
+    fn the_graph_does_not_depend_on_the_worker_count() {
+        // 2¹⁴ · 9 edges: two full blocks and part of a third.
+        let cfg = KroneckerConfig::graph500(14, 9, 11);
+        for cfg in [cfg, KroneckerConfig { permute: false, ..cfg }] {
+            let one = kronecker_on(cfg, 1);
+            for workers in [2, 3, 8] {
+                assert_eq!(kronecker_on(cfg, workers), one, "{workers} workers");
+            }
+        }
     }
 
     #[test]

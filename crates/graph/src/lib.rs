@@ -48,3 +48,34 @@ pub type Node = u32;
 /// An edge index (edges can exceed `u32::MAX` even when nodes do not).
 pub type EdgeIdx = u64;
 pub use file::GraphSlice;
+
+/// Edges per block of the work this crate spreads over threads: the draw
+/// blocks of the block-parallel generators, and the least range
+/// [`Csr::from_edges`] packs on a thread of its own. A constant of the
+/// scheme, not a knob: no output depends on it.
+pub(crate) const BLOCK: usize = 1 << 16;
+
+/// The threads this crate's parallel work runs on: every core the process
+/// may use.
+pub(crate) fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Runs `work` on every item: the first on the calling thread, each other
+/// on a scoped thread of its own. A thread's panic is re-raised as it was.
+pub(crate) fn on_threads<T: Send>(items: Vec<T>, work: impl Fn(T) + Sync) {
+    let work = &work;
+    std::thread::scope(|s| {
+        let mut items = items.into_iter();
+        let first = items.next();
+        let others: Vec<_> = items.map(|item| s.spawn(move || work(item))).collect();
+        if let Some(item) = first {
+            work(item);
+        }
+        for thread in others {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}

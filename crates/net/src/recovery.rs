@@ -219,8 +219,9 @@ pub struct Supervisor {
     /// The seeded kill and whether it re-fires on every incarnation.
     kill: Option<(KillDecision, bool)>,
     hosts: Vec<HostState>,
-    /// Hosts that have announced a listen address (it survives restarts).
-    listening: Vec<bool>,
+    /// Each host's latest incarnation to announce a listen address (the
+    /// address survives restarts).
+    listening: Vec<Option<u32>>,
     /// The peer list went out: a host that listens from now on is a
     /// respawn and is told at once.
     told: bool,
@@ -238,7 +239,7 @@ impl Supervisor {
             opts,
             kill,
             hosts: vec![HostState::Running { incarnation: 0 }; hosts],
-            listening: vec![false; hosts],
+            listening: vec![None; hosts],
             told: false,
             kills: 0,
             hard_kill: None,
@@ -297,13 +298,19 @@ impl Supervisor {
         }
         match event {
             Event::Listening { .. } => {
-                self.listening[host] = true;
+                self.listening[host] = Some(incarnation);
                 if self.told {
                     out.push(Action::TellPeers { host });
-                } else if self.listening.iter().all(|&l| l) {
-                    // A host in backoff is told when its respawn listens.
+                } else if self.listening.iter().all(Option::is_some) {
+                    // A host in backoff, or a respawn whose own listen line
+                    // is still to come, is told on that line.
                     self.told = true;
-                    out.extend(self.running().map(|host| Action::TellPeers { host }));
+                    let listened = |&h: &usize| {
+                        matches!(self.hosts[h], HostState::Running { incarnation }
+                            if self.listening[h] == Some(incarnation))
+                    };
+                    let tell = |host| Action::TellPeers { host };
+                    out.extend(self.running().filter(listened).map(tell));
                 }
             }
             Event::PhaseReached { phase, .. } => {

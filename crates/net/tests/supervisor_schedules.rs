@@ -96,8 +96,6 @@ struct Proc {
     read: usize,
     /// It holds the peer list.
     told: bool,
-    /// It was told after the driver read its listen line.
-    told_listening: bool,
     /// A signal on its way.
     signal: Option<KillMode>,
     /// SIGSTOPped: silent, pipe open, until a SIGKILL.
@@ -221,13 +219,8 @@ impl SupervisorWorld {
                     assert!(all, "host {host} told before every host listened");
                     assert!(self.running(host), "host {host} told while {}", self.sup.state(host));
                     let p = self.proc(host);
-                    // A respawn told with the first round, before its own
-                    // listen line was read, is told again then; a worker
-                    // reads one list and ignores the second.
-                    if p.read > 0 {
-                        assert!(!p.told_listening, "host {host} told twice");
-                        p.told_listening = true;
-                    }
+                    assert!(p.read > 0, "host {host} told before its listen line was read");
+                    assert!(!p.told, "host {host} told twice");
                     p.told = true;
                 }
                 Action::Finish => {
@@ -472,7 +465,10 @@ impl World for SupervisorWorld {
 
 /// The worlds the search starts from, each at restart budgets 0, 1 and 3:
 /// the fabric's threads at two and three hosts; two worker processes under
-/// no plan or under each plan, with and without a death of their own.
+/// no plan or under each plan, with and without a death of their own. Then
+/// one at budget 1: three worker processes under a one-shot SIGKILL and a
+/// death of their own, where two respawns can be waiting when the last
+/// listen line arrives.
 fn configs() -> Vec<Config> {
     let mut plans = vec![None];
     for mode in [KillMode::Kill, KillMode::Torn, KillMode::Wedge] {
@@ -490,10 +486,13 @@ fn configs() -> Vec<Config> {
             all.push(Config { hosts: 2, processes: true, kill, max_restarts, faults });
         }
     }
+    let kill = KillDecision { victim: 0, phase: PHASES[0], mode: KillMode::Kill };
+    let kill = Some((kill, false));
+    all.push(Config { hosts: 3, processes: true, kill, max_restarts: 1, faults: 1 });
     all
 }
 
-/// Distinct states the search must visit at least (it visits 202,391): a
+/// Distinct states the search must visit at least (it visits 212,258): a
 /// change that shrinks the world fails here instead of passing on less
 /// coverage.
 const STATE_FLOOR: usize = 200_000;
@@ -506,6 +505,25 @@ fn every_schedule_ends_in_finish_or_fail() {
     let deepest = format!("{ended} ended schedules, the longest {depth} moves");
     println!("supervisor explorer: {states} distinct states, {deepest}");
     assert!(states >= STATE_FLOOR, "visited {states} states, below the floor of {STATE_FLOOR}");
+}
+
+/// Host 0's first worker listens and dies before the peer list goes out;
+/// the last listen line, host 1's, arrives while its respawn runs but has
+/// not been heard from. The respawn is told once, on its own listen line,
+/// not also with the first round.
+#[test]
+fn a_respawn_is_told_its_peers_once_on_its_own_listen_line() {
+    use Move::*;
+    let kill = KillDecision { victim: 0, phase: PHASES[0], mode: KillMode::Kill };
+    let kill = Some((kill, false));
+    let cfg = Config { hosts: 2, processes: true, kill, max_restarts: 1, faults: 1 };
+    let first_round = [Say(0), Read(0), Die(0), Read(0), Tick, Say(0), Say(1), Read(1)];
+    let w: SupervisorWorld = replay(cfg, &first_round);
+    assert_eq!(w.sup.state(0), HostState::Running { incarnation: 1 });
+    let told = |w: &SupervisorWorld, host: usize| w.procs[host].1.as_ref().is_some_and(|p| p.told);
+    assert!(told(&w, 1) && !told(&w, 0), "only host 1 has listened in its incarnation");
+    let w: SupervisorWorld = replay(cfg, &[&first_round[..], &[Read(0)]].concat());
+    assert!(told(&w, 0), "the respawn is told on its own listen line");
 }
 
 /// A wedge's STOP lands after the victim printed DONE: its exit, not the

@@ -70,6 +70,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 use cusp::distributed::{self, part_path, LaunchSpec, RunSpec, WorkerError, WorkerSpec};
 use cusp::{
@@ -267,12 +268,17 @@ fn cmd_gen(flags: &HashMap<String, String>) {
     let degree: f64 = num_flag(flags, "degree").unwrap_or(16.0);
     let seed: u64 = num_flag(flags, "seed").unwrap_or(42);
     let out = PathBuf::from(required(flags, "out"));
+    let start = Instant::now();
     let graph = cusp_graph::gen::generate(kind, nodes, degree, seed).unwrap_or_else(|e| {
         eprintln!("{e}");
         usage()
     });
+    let built = start.elapsed().as_secs_f64();
     or_exit(write_bgr(&out, &graph), &out);
     outln!("{}", GraphProps::compute(&graph).row(out.display().to_string().as_str()));
+    let medges = graph.num_edges() as f64 / built.max(1e-9) / 1e6;
+    let workers = cusp_graph::gen::generate_workers(kind);
+    outln!("built in {built:.3} s, {medges:.2} Medges/s, workers {workers}");
 }
 
 fn cmd_convert(flags: &HashMap<String, String>) {
