@@ -23,7 +23,7 @@ pub enum PartitionClass {
 ///
 /// Local ids are assigned deterministically: masters first (ascending
 /// global id), then mirrors (ascending global id).
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct DistGraph {
     /// This partition's id (== the host id that built it).
     pub part_id: PartId,
@@ -114,6 +114,25 @@ impl DistGraph {
     pub fn num_local_edges(&self) -> u64 {
         self.graph.num_edges()
     }
+
+    /// The same partition with every edge reversed (CSR rows become CSC rows
+    /// and back), each row ascending by local id, the edge data carried along.
+    pub fn transposed(&self) -> DistGraph {
+        let (graph, edge_data) = match &self.edge_data {
+            Some(data) => {
+                let (graph, data) = self.graph.transpose_with_data(data);
+                (graph, Some(data))
+            }
+            None => (self.graph.transpose(), None),
+        };
+        DistGraph {
+            local2global: self.local2global.clone(),
+            master_of: self.master_of.clone(),
+            graph,
+            edge_data,
+            ..*self
+        }
+    }
 }
 
 #[cfg(test)]
@@ -149,6 +168,21 @@ mod tests {
         assert!(d.is_master(0));
         assert!(d.is_master(1));
         assert!(!d.is_master(2));
+    }
+
+    #[test]
+    fn transposed_reverses_edges_and_carries_data() {
+        let d = DistGraph {
+            graph: Csr::from_edges(4, &[(0, 2), (1, 3), (3, 2), (0, 3)]),
+            edge_data: Some(vec![10, 11, 12, 13]),
+            ..sample()
+        };
+        let t = d.transposed();
+        assert_eq!(t.graph, Csr::from_edges(4, &[(2, 0), (2, 3), (3, 0), (3, 1)]));
+        assert_eq!(t.edge_data, Some(vec![10, 13, 11, 12]));
+        assert_eq!((&t.local2global, &t.master_of, t.num_masters), (&d.local2global, &d.master_of, 2));
+        // `d`'s rows ascend, so transposing back restores it.
+        assert!(t.transposed() == d);
     }
 
     #[test]

@@ -49,6 +49,10 @@
 //! its kept edges into the allocation first — only the dirty ones, so a
 //! delta row is its kept run followed by its re-decided run.
 //!
+//! Rows are keyed by source up to the freeze, whose transpose of CSC output
+//! (Alg. 4, line 13) is the one change of orientation, full run or delta;
+//! `source_rows` is its inverse, for a previous CSC partition.
+//!
 //! Under the `construct` phase span the phase records, through
 //! `cusp-obs`, `construct.wait` (blocking for the records still in flight
 //! once the local walk is done) and `construct.freeze`
@@ -66,6 +70,7 @@
 //! element-by-element encoding, a property the slice codec's own tests
 //! (`cusp_graph::wire`) hold it to.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -74,6 +79,7 @@ use cusp_graph::{chunk_boundaries, ChunkedSlice, Csr, Node};
 use cusp_net::{Bytes, Comm, HostId, SendBuffers, WireReader, WireWriter};
 
 use crate::config::{CuspConfig, OutputFormat};
+use crate::dist_graph::DistGraph;
 use crate::phases::alloc::{AllocOutcome, Slots};
 use crate::phases::edge_assign::EdgeFilter;
 use crate::phases::master::ResolvedMasters;
@@ -289,6 +295,15 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
             let (t, td) = csr.transpose_with_data(&data);
             (t, Some(td))
         }
+    }
+}
+
+/// The rows keyed by source of `part`, built as `output`: the freeze's
+/// inverse, `part` itself for CSR and its transpose for CSC.
+pub(crate) fn source_rows(part: &DistGraph, output: OutputFormat) -> Cow<'_, DistGraph> {
+    match output {
+        OutputFormat::Csr => Cow::Borrowed(part),
+        OutputFormat::Csc => Cow::Owned(part.transposed()),
     }
 }
 

@@ -60,17 +60,15 @@
 //!   bitsets once (one pass over `prev.local2global`). The tally then costs
 //!   a bit test per row and, per edge, a sequential load of the stored id, a
 //!   bit test and a plain `|=` into the worker's own `num_local`-bit
-//!   destination row (per row for CSC, whose row is the destination). The
-//!   workers' rows are ORed together once the walk has joined; nothing is
-//!   indexed by global id, and what the tally learned is globalised once per
-//!   set bit.
+//!   destination row. The workers' rows are ORed together once the walk has
+//!   joined; nothing is indexed by global id, and what the tally learned is
+//!   globalised once per set bit.
 //! * **Translate-copy.** After allocation `old2new` maps the previous local
 //!   id of every proxy a kept edge touches to its new one (a hole anywhere
-//!   else). A kept CSR row reserves its tallied slots once and fills the
-//!   window with one gather and one store per edge, weights beside; a CSC
-//!   row is a destination, so each of its edges reserves one slot of its own
-//!   source. Tally and copy call one predicate, and the copy checks per row
-//!   that it wrote exactly what was tallied.
+//!   else). A kept row reserves its tallied slots once and fills the window
+//!   with one gather and one store per edge, weights beside. Tally and copy
+//!   call one predicate, and the copy checks per row that it wrote exactly
+//!   what was tallied.
 //!
 //! Under the phase spans the delta path records `delta.kept_tally` (the
 //! kept-edge tally and its globalisation, in `edge_assign`, beside the
@@ -79,12 +77,12 @@
 //!
 //! The translation is monotone on kept proxies: neither endpoint of a kept
 //! edge moved, so masters stay masters and mirrors stay mirrors, each
-//! segment ascending by global id, masters first. A kept CSR run thus
-//! arrives in the order it was stored in, and the row's re-decided edges
-//! follow it (construction reserves after the copy). A kept CSC edge takes
-//! one slot of its source's row, in whatever order the pool's tasks reach
-//! them, so with several threads a CSC delta can order multi-edges
-//! differently from run to run.
+//! segment ascending by global id, masters first. A kept run thus arrives
+//! in the order it was stored in, and the row's re-decided edges follow it
+//! (construction reserves after the copy), at every thread count. `Kept`
+//! reads rows keyed by source only: a previous CSC partition comes
+//! transposed back (`construct::source_rows`), and the freeze transposes
+//! the result once, so a CSC delta is the CSR delta's rows transposed.
 //!
 //! # Scope
 //!
@@ -103,17 +101,18 @@
 //! [`crate::partition_fingerprint`] sees each row as a multiset. It is not byte-identical: a full row is the input row in
 //! input order, a delta row the kept run followed by the re-decided run.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cusp_galois::{do_all, do_all_with_tid, ThreadPool, DEFAULT_GRAIN};
 use cusp_graph::{GraphEvent, Node};
 use cusp_net::Comm;
 
-use crate::config::{OutputFormat, PhaseId};
+use crate::config::PhaseId;
 use crate::dist_graph::DistGraph;
 use crate::phases::alloc::{allocate, AllocOutcome};
 use crate::phases::bitset::{NodeBitRows, ThreadRows};
-use crate::phases::construct::construct;
+use crate::phases::construct::{construct, source_rows};
 use crate::phases::driver::{freeze_part, partition, PartitionOutput};
 use crate::phases::edge_assign::{exchange, tally_edges, EdgeAssignOutcome, EdgeFilter};
 use crate::phases::master::{owned_range, pure_masters, ResolvedMasters};
@@ -229,90 +228,68 @@ pub fn dirty_set<MR: MasterRule>(
 /// `old2new` of a previous proxy no kept edge touches.
 const HOLE: u32 = u32::MAX;
 
-/// Rows of [`Kept::drops`], both indexed by previous local id: rows that
-/// keep no edge, stored ids whose edges drop.
-const DROP_ROW: usize = 0;
-const DROP_EDGE: usize = 1;
-
 /// The edges of the previous partition that keep their owner: tallied for
 /// allocation and copied into it by previous local id (module docs, "The
 /// kept edges").
 struct Kept<'a> {
-    prev: &'a DistGraph,
-    /// `prev` stores in-edges (`OutputFormat::Csc`): each row is the
-    /// *destination* of its edges and each stored id a source.
-    csc: bool,
-    /// [`DROP_ROW`] and [`DROP_EDGE`]: the dirty roles localised —
-    /// `sources` and `moved` for CSR rows, the reverse for CSC.
+    /// The previous partition as rows keyed by source.
+    prev: Cow<'a, DistGraph>,
+    /// [`DirtySet`]'s rows, by previous local id: [`SOURCES`], rows that
+    /// keep no edge; [`MOVED`], destinations whose edges drop.
     drops: NodeBitRows,
     /// One row, by previous local id: the destination proxies of kept
     /// edges, marked by the tally.
     dests: NodeBitRows,
-    /// Kept edges per source proxy.
+    /// Kept edges per source proxy, each cell written by its row's task.
     counts: Vec<AtomicU32>,
 }
 
 impl<'a> Kept<'a> {
     /// Localises `dirty` and tallies the kept edges of `prev`.
-    fn tally(pool: &ThreadPool, prev: &'a DistGraph, csc: bool, dirty: &DirtySet) -> Self {
+    fn tally(pool: &ThreadPool, prev: Cow<'a, DistGraph>, dirty: &DirtySet) -> Self {
         let n = prev.num_local();
         let mut drops = NodeBitRows::new(2, n);
-        let (sources, moved) = if csc { (DROP_EDGE, DROP_ROW) } else { (DROP_ROW, DROP_EDGE) };
         for (l, &g) in prev.local2global.iter().enumerate() {
             if dirty.contains(g) {
-                drops.mark(sources, l as Node);
+                drops.mark(SOURCES, l as Node);
                 if dirty.moved(g) {
-                    drops.mark(moved, l as Node);
+                    drops.mark(MOVED, l as Node);
                 }
             }
         }
         let mut kept = Kept {
             prev,
-            csc,
             drops,
             // The union of the workers' rows, once the walk below has joined.
             dests: NodeBitRows::new(0, 0),
             counts: (0..n).map(|_| AtomicU32::new(0)).collect(),
         };
         let dests = ThreadRows::new(pool, 1, n);
-        // A CSR row is its edges' source: its count cell has one writer.
-        // The sources of a CSC row vary, hence the read-modify-write there.
         do_all_with_tid(pool, n, DEFAULT_GRAIN, |tid, row| {
             dests.with(tid, |dest| {
                 let mut run = 0u32;
-                kept.for_each_in_row(row, |_, other| {
+                kept.for_each_in_row(row, |_, d| {
                     run += 1;
-                    if csc {
-                        kept.counts[other as usize].fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        dest.mark(0, other);
-                    }
+                    dest.mark(0, d);
                 });
-                if run == 0 {
-                    return;
-                }
-                if csc {
-                    dest.mark(0, row as Node);
-                } else {
-                    kept.counts[row].store(run, Ordering::Relaxed);
-                }
+                kept.counts[row].store(run, Ordering::Relaxed);
             });
         });
         kept.dests = dests.union();
         kept
     }
 
-    /// The kept predicate: calls `f(edge index, stored id)` for every edge
+    /// The kept predicate: calls `f(edge index, destination)` for every edge
     /// of previous row `row` none of whose `getEdgeOwner` inputs changed.
     #[inline]
     fn for_each_in_row(&self, row: usize, mut f: impl FnMut(usize, u32)) {
-        if self.drops.test(DROP_ROW, row as Node) {
+        if self.drops.test(SOURCES, row as Node) {
             return;
         }
         let e0 = self.prev.graph.first_edge(row as Node) as usize;
-        for (i, &other) in self.prev.graph.edges(row as Node).iter().enumerate() {
-            if !self.drops.test(DROP_EDGE, other) {
-                f(e0 + i, other);
+        for (i, &d) in self.prev.graph.edges(row as Node).iter().enumerate() {
+            if !self.drops.test(MOVED, d) {
+                f(e0 + i, d);
             }
         }
     }
@@ -368,32 +345,19 @@ impl<'a> Kept<'a> {
             new
         };
         let slots = alloc.slots();
-        // Slot `at` of a reserved window gets kept edge `e`, as `to`.
-        let put = |dests: &mut [Node], data: Option<&mut [u32]>, at: usize, to: u32, e: usize| {
-            let slot = dests.get_mut(at).expect("kept-edge copy wrote more edges than the tally counted");
-            *slot = to;
-            if let (Some(data), Some(w)) = (data, weights) {
-                data[at] = w[e];
-            }
-        };
         do_all(pool, self.prev.num_local(), DEFAULT_GRAIN, |row| {
-            if self.csc {
-                // Sources vary within the row: one slot per edge.
-                let dst = row as u32;
-                self.for_each_in_row(row, |e, src| {
-                    let (dests, data) = slots.reserve(new_id(src), 1);
-                    put(dests, data, 0, new_id(dst), e);
-                });
-                return;
-            }
             let cnt = self.counts[row].load(Ordering::Relaxed) as usize;
             let (dests, mut data) = match cnt {
                 0 => (&mut [][..], None),
                 _ => slots.reserve(new_id(row as u32), cnt),
             };
             let mut at = 0;
-            self.for_each_in_row(row, |e, dst| {
-                put(dests, data.as_deref_mut(), at, new_id(dst), e);
+            self.for_each_in_row(row, |e, d| {
+                let slot = dests.get_mut(at).expect("kept-edge copy wrote more edges than the tally counted");
+                *slot = new_id(d);
+                if let (Some(data), Some(w)) = (data.as_deref_mut(), weights) {
+                    data[at] = w[e];
+                }
                 at += 1;
             });
             let short = cnt - at;
@@ -483,8 +447,8 @@ where
     // its owner: it stays on this host, with the proxies it needs.
     let (ea, kept) = ctx.run_phase(PhaseId::EdgeAssign, |ctx| {
         let kept_span = cusp_obs::span("delta.kept_tally");
-        let csc = cfg.output == OutputFormat::Csc;
-        let kept = Kept::tally(&ctx.pool, &prev.dist_graph, csc, &dirty);
+        let rows = source_rows(&prev.dist_graph, cfg.output);
+        let kept = Kept::tally(&ctx.pool, rows, &dirty);
         let held = kept.outcome(&masters, comm.host());
         drop(kept_span);
         let tally = tally_edges(&ctx.pool, &setup, &mut data, &masters, &edge_rule, &estate, &dirty);
@@ -536,6 +500,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OutputFormat;
     use crate::policies::masters::Contiguous;
     use cusp_graph::{ChunkedSlice, Csr};
     use cusp_graph::ReadSplit;
@@ -631,11 +596,9 @@ mod tests {
     /// as CSR rows or transposed to CSC. 4 and 7 were batch sources and 6 was
     /// re-homed, so row 1 loses its edge into the moved 6 and keeps the one
     /// into 7, which is only an event source: 1→7, 3→1 and 3→9 stay.
-    fn hand_built(csc: bool) -> (DistGraph, DirtySet) {
-        let rows = Csr::from_edges(8, &[(1, 5), (1, 6), (3, 1), (3, 7), (4, 6), (6, 2)]);
-        let weights = vec![10, 11, 12, 13, 14, 15];
-        let (graph, weights) = if csc { rows.transpose_with_data(&weights) } else { (rows, weights) };
-        let prev = DistGraph {
+    fn hand_built(output: OutputFormat) -> (DistGraph, DirtySet) {
+        let graph = Csr::from_edges(8, &[(1, 5), (1, 6), (3, 1), (3, 7), (4, 6), (6, 2)]);
+        let csr = DistGraph {
             part_id: 0,
             num_parts: 2,
             global_nodes: 10,
@@ -644,8 +607,12 @@ mod tests {
             local2global: vec![0, 1, 2, 3, 4, 6, 7, 9],
             master_of: vec![0, 0, 0, 0, 0, 1, 1, 1],
             graph,
-            edge_data: Some(weights),
+            edge_data: Some(vec![10, 11, 12, 13, 14, 15]),
             class: crate::PartitionClass::GeneralVertexCut,
+        };
+        let prev = match output {
+            OutputFormat::Csr => csr,
+            OutputFormat::Csc => csr.transposed(),
         };
         let mut dirty = DirtySet::new(10);
         dirty.insert([4, 7], false);
@@ -653,16 +620,17 @@ mod tests {
         (prev, dirty)
     }
 
-    /// Tallies `prev` and allocates for its kept edges alone.
+    /// Tallies `prev`, built as `output`, and allocates for its kept edges
+    /// alone.
     fn tally_and_allocate<'a>(
         pool: &cusp_galois::ThreadPool,
         prev: &'a DistGraph,
-        csc: bool,
+        output: OutputFormat,
         dirty: &DirtySet,
         bump: Option<usize>,
     ) -> (Kept<'a>, EdgeAssignOutcome, AllocOutcome) {
         let masters = pure_masters(&Contiguous::new(&setup(10, 2)), 2).unwrap();
-        let kept = Kept::tally(pool, prev, csc, dirty);
+        let kept = Kept::tally(pool, source_rows(prev, output), dirty);
         if let Some(l) = bump {
             kept.counts[l].fetch_add(1, Ordering::Relaxed);
         }
@@ -674,27 +642,26 @@ mod tests {
     #[test]
     fn kept_edges_follow_roles_and_translate_in_both_orientations() {
         let pool = cusp_galois::ThreadPool::new(2);
-        for csc in [false, true] {
-            let (prev, dirty) = hand_built(csc);
-            let (kept, ea, mut alloc) = tally_and_allocate(&pool, &prev, csc, &dirty, None);
-            assert_eq!(kept.reused_edges(), 3, "csc={csc}");
-            assert_eq!(ea.incoming_srcs, vec![(1, 1, 0), (3, 2, 0)], "csc={csc}");
-            assert_eq!(ea.mirrors, vec![(7, 1), (9, 1)], "csc={csc}");
+        for output in [OutputFormat::Csr, OutputFormat::Csc] {
+            let (prev, dirty) = hand_built(output);
+            let (kept, ea, mut alloc) = tally_and_allocate(&pool, &prev, output, &dirty, None);
+            assert_eq!(kept.reused_edges(), 3, "{output:?}");
+            assert_eq!(ea.incoming_srcs, vec![(1, 1, 0), (3, 2, 0)], "{output:?}");
+            assert_eq!(ea.mirrors, vec![(7, 1), (9, 1)], "{output:?}");
             // Mirror 6 is gone, so 7 and 9 shift down by one: holes exactly
             // at the proxies no kept edge touches, increasing on the rest.
             assert_eq!(alloc.local2global, vec![0, 1, 2, 3, 4, 7, 9]);
             let old2new = kept.old2new(&alloc);
-            assert_eq!(old2new, vec![HOLE, 1, HOLE, 3, HOLE, HOLE, 5, 6], "csc={csc}");
+            assert_eq!(old2new, vec![HOLE, 1, HOLE, 3, HOLE, HOLE, 5, 6], "{output:?}");
             assert_eq!(alloc.offsets, vec![0, 0, 1, 1, 3, 3, 3, 3]);
             kept.copy(&pool, &mut alloc);
             // The kept edges are all this allocation holds, so the copy
-            // alone must bring every cursor to its row's end.
+            // alone must bring every cursor to its row's end, each kept run
+            // in its stored order.
             let (csr, weights) = alloc.take_filled();
             let (dests, weights) = (csr.dests(), weights.expect("weighted input"));
-            let mut row3 = vec![(dests[1], weights[1]), (dests[2], weights[2])];
-            row3.sort_unstable();
-            assert_eq!((dests[0], weights[0]), (5, 11), "csc={csc}: 1→7");
-            assert_eq!(row3, vec![(1, 12), (6, 13)], "csc={csc}: 3→1, 3→9");
+            let rows: Vec<_> = dests.iter().copied().zip(weights).collect();
+            assert_eq!(rows, vec![(5, 11), (1, 12), (6, 13)], "{output:?}: 1→7, 3→1, 3→9");
         }
     }
 
@@ -703,9 +670,9 @@ mod tests {
     fn a_tally_the_copy_does_not_fill_panics_before_the_buffers_get_a_length() {
         use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
         let pool = cusp_galois::ThreadPool::new(2);
-        let (prev, dirty) = hand_built(false);
+        let (prev, dirty) = hand_built(OutputFormat::Csr);
         // Row 1 is tallied, and allocated, one edge more than it keeps.
-        let (kept, _, mut alloc) = tally_and_allocate(&pool, &prev, false, &dirty, Some(1));
+        let (kept, _, mut alloc) = tally_and_allocate(&pool, &prev, OutputFormat::Csr, &dirty, Some(1));
         let copied = catch_unwind(AssertUnwindSafe(|| kept.copy(&pool, &mut alloc)));
         assert!(alloc.dests.is_empty(), "short-copied destination buffer got a length");
         assert!(alloc.edge_data.as_ref().is_some_and(Vec::is_empty), "short-copied weight buffer");

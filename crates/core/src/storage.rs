@@ -93,7 +93,8 @@ pub fn write_partition(path: &Path, dg: &DistGraph) -> io::Result<()> {
 /// Claimed element counts are bounded against the file's actual size
 /// *before* any allocation: a corrupt-but-plausible header must surface
 /// as `InvalidData` (so cache loads fall back to recompute), never as an
-/// allocation-failure abort.
+/// allocation-failure abort. So must a destination naming no local proxy
+/// or a `master_of` entry naming no partition: one max per array.
 pub fn read_partition(path: &Path) -> io::Result<DistGraph> {
     let mut r = File::open(path)?;
     let file_len = r.metadata()?.len();
@@ -139,6 +140,9 @@ pub fn read_partition(path: &Path) -> io::Result<DistGraph> {
     wire::read_u32s_into(&mut r, &mut local2global, scratch)?;
     let mut master_of = vec![0u32; num_local];
     wire::read_u32s_into(&mut r, &mut master_of, scratch)?;
+    if let Some(&p) = master_of.iter().max().filter(|&&p| p >= num_parts) {
+        return Err(bad(format!("corrupt partition: master in partition {p} of {num_parts}")));
+    }
     let mut offsets = vec![0u64; num_local + 1];
     wire::read_u64s_into(&mut r, &mut offsets, scratch)?;
     // Validate CSR shape here rather than letting Csr::from_parts assert:
@@ -161,6 +165,9 @@ pub fn read_partition(path: &Path) -> io::Result<DistGraph> {
     let num_edges = num_edges as usize;
     let mut dests = vec![0u32; num_edges];
     wire::read_u32s_into(&mut r, &mut dests, scratch)?;
+    if let Some(&d) = dests.iter().max().filter(|&&d| d as usize >= num_local) {
+        return Err(bad(format!("corrupt partition: destination {d} of {num_local} local nodes")));
+    }
     let edge_data = if weighted {
         let mut data = vec![0u32; num_edges];
         wire::read_u32s_into(&mut r, &mut data, scratch)?;
@@ -311,6 +318,34 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "huge num_edges");
 
         // The untouched copy still reads back fine.
+        std::fs::write(&path, &clean).unwrap();
+        assert!(read_partition(&path).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A body naming a local proxy or a partition that does not exist is
+    /// refused by name, not handed on to be indexed.
+    #[test]
+    fn rejects_ids_out_of_range() {
+        let dg = sample();
+        let path = temp("ids.part");
+        write_partition(&path, &dg).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+
+        // For the 4-node sample, master_of starts at byte 58 + 4*4 = 74
+        // and the destinations at 74 + 4*4 + 5*8 = 130.
+        let cases: [(usize, u32, &str); 2] = [
+            (74, 4, "master in partition 4 of 4"),
+            (130, 4, "destination 4 of 4 local nodes"),
+        ];
+        for (offset, value, reason) in cases {
+            let mut bytes = clean.clone();
+            bytes[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = read_partition(&path).err().unwrap_or_else(|| panic!("{reason} accepted"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{reason}");
+            assert!(err.to_string().contains(reason), "{err}");
+        }
         std::fs::write(&path, &clean).unwrap();
         assert!(read_partition(&path).is_ok());
         std::fs::remove_file(&path).ok();

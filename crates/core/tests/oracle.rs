@@ -458,8 +458,10 @@ fn delta_weighted_matches_full() {
 
 /// Delta-vs-full rows in the shapes `delta_matrix` does not reach: CSC
 /// output, where the rows of the previous partition are destinations, and
-/// two threads per host, where the kept-edge copy races for its slots. The
-/// graph is large enough that every host's rows split into several tasks.
+/// two threads per host, where the kept-edge copy runs on several tasks. A
+/// CSC delta is also held to the CSR delta's parts transposed, byte for
+/// byte. The graph is large enough that every host's rows split into
+/// several tasks.
 fn delta_shape_rows(kind: PolicyKind, weighted: bool, output: OutputFormat, threads: usize) {
     let cfg = CuspConfig { threads_per_host: threads, output, ..det_cfg() };
     let graph = Arc::new(erdos_renyi(1200, 9000, 71));
@@ -481,15 +483,18 @@ fn delta_shape_rows(kind: PolicyKind, weighted: bool, output: OutputFormat, thre
 
     for hosts in [1, 2, 4] {
         let label = format!("{kind:?} {output:?} weighted={weighted} threads={threads} hosts={hosts}");
-        let full_run = |source: &GraphSource| -> Vec<PartitionOutput> {
-            Cluster::run(hosts, |comm| partition_with_policy(comm, source.clone(), kind, &cfg)).results
+        let full_run = |source: &GraphSource, cfg: &CuspConfig| -> Vec<PartitionOutput> {
+            Cluster::run(hosts, |comm| partition_with_policy(comm, source.clone(), kind, cfg)).results
         };
-        let prevs = full_run(&src);
-        let full: Vec<DistGraph> = full_run(&mutated_src).into_iter().map(|r| r.dist_graph).collect();
-        let outs = Cluster::run(hosts, |comm| {
-            partition_delta_with_policy(comm, mutated_src.clone(), kind, &cfg, &prevs[comm.host()], &batch)
-        })
-        .results;
+        let delta_run = |cfg: &CuspConfig| -> Vec<PartitionOutput> {
+            let prevs = full_run(&src, cfg);
+            Cluster::run(hosts, |comm| {
+                partition_delta_with_policy(comm, mutated_src.clone(), kind, cfg, &prevs[comm.host()], &batch)
+            })
+            .results
+        };
+        let full: Vec<DistGraph> = full_run(&mutated_src, &cfg).into_iter().map(|r| r.dist_graph).collect();
+        let outs = delta_run(&cfg);
         assert!(outs.iter().any(|r| r.reused_edges > 0), "{label}: nothing kept, nothing copied");
         let delta: Vec<DistGraph> = outs.into_iter().map(|r| r.dist_graph).collect();
         if output == OutputFormat::Csr {
@@ -500,21 +505,15 @@ fn delta_shape_rows(kind: PolicyKind, weighted: bool, output: OutputFormat, thre
         // `check_partition` reads rows as sources: compare the CSC parts by
         // fingerprint and validate them transposed back to out-edges.
         assert_eq!(partition_fingerprint(&delta), partition_fingerprint(&full), "{label}");
-        let as_csr: Vec<DistGraph> = delta
-            .iter()
-            .map(|p| {
-                let (graph, edge_data) = match &p.edge_data {
-                    Some(w) => {
-                        let (g, w) = p.graph.transpose_with_data(w);
-                        (g, Some(w))
-                    }
-                    None => (p.graph.transpose(), None),
-                };
-                DistGraph { graph, edge_data, ..p.clone() }
-            })
-            .collect();
+        let as_csr: Vec<DistGraph> = delta.iter().map(DistGraph::transposed).collect();
         let v = check_partition(&mutated, mutated_data, &as_csr);
         assert!(v.is_empty(), "{label}: {v:#?}");
+        // The delta path fills source rows and the freeze transposes them,
+        // so the CSC delta is the CSR delta transposed.
+        let csr_delta = delta_run(&CuspConfig { output: OutputFormat::Csr, ..cfg.clone() });
+        for (h, (csc, csr)) in delta.iter().zip(&csr_delta).enumerate() {
+            assert!(*csc == csr.dist_graph.transposed(), "{label}: host {h} is not the CSR delta transposed");
+        }
     }
 }
 

@@ -4,6 +4,10 @@
 //! entries) plus a flat destination array. A CSC graph of the same edge set
 //! is just the [`Csr::transpose`] — CuSP constructs CSC partitions via an
 //! in-memory transpose of the CSR it built (paper Algorithm 4, line 13).
+//! One stable counting sort, `pack`, builds both: from an edge list keyed
+//! by source, or from a CSR's edges keyed by destination.
+
+use std::ops::Range;
 
 use crate::{EdgeIdx, Node};
 
@@ -74,7 +78,7 @@ impl Csr {
     pub(crate) fn from_edges_on(n: usize, edges: &[(Node, Node)], workers: usize) -> Self {
         let m = edges.len();
         let ranges = workers.min(m / crate::BLOCK).min(m / n.max(1)).max(1);
-        pack(n, edges, ranges)
+        pack(n, m, |r| edges[r].iter().copied(), None, ranges).0
     }
 
     /// Number of vertices.
@@ -134,27 +138,10 @@ impl Csr {
         })
     }
 
-    /// In-memory transpose: returns the CSC view of this graph as a CSR
-    /// over reversed edges. Counting-sort based, O(V + E).
+    /// In-memory transpose: the CSC view of this graph as a CSR over reversed
+    /// edges, each row's sources ascending. O(V + E), on the calling thread.
     pub fn transpose(&self) -> Csr {
-        let n = self.num_nodes();
-        let mut in_degree = vec![0 as EdgeIdx; n];
-        for &d in &self.dests {
-            in_degree[d as usize] += 1;
-        }
-        let mut offsets = vec![0 as EdgeIdx; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + in_degree[v];
-        }
-        let mut cursor = offsets.clone();
-        let mut dests = vec![0 as Node; self.dests.len()];
-        for u in 0..n {
-            for &v in self.edges(u as Node) {
-                dests[cursor[v as usize] as usize] = u as Node;
-                cursor[v as usize] += 1;
-            }
-        }
-        Csr { offsets, dests }
+        pack(self.num_nodes(), self.dests.len(), |r| self.by_destination(r), None, 1).0
     }
 
     /// Transpose carrying per-edge data: returns the transposed graph and
@@ -164,28 +151,20 @@ impl Csr {
     /// Panics if `data.len() != num_edges`.
     pub fn transpose_with_data(&self, data: &[u32]) -> (Csr, Vec<u32>) {
         assert_eq!(data.len() as u64, self.num_edges(), "edge data length mismatch");
-        let n = self.num_nodes();
-        let mut in_degree = vec![0 as EdgeIdx; n];
-        for &d in &self.dests {
-            in_degree[d as usize] += 1;
-        }
-        let mut offsets = vec![0 as EdgeIdx; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + in_degree[v];
-        }
-        let mut cursor = offsets.clone();
-        let mut dests = vec![0 as Node; self.dests.len()];
-        let mut out_data = vec![0u32; data.len()];
-        for u in 0..n {
-            let base = self.offsets[u] as usize;
-            for (i, &v) in self.edges(u as Node).iter().enumerate() {
-                let slot = cursor[v as usize] as usize;
-                dests[slot] = u as Node;
-                out_data[slot] = data[base + i];
-                cursor[v as usize] += 1;
+        pack(self.num_nodes(), self.dests.len(), |r| self.by_destination(r), Some(data), 1)
+    }
+
+    /// The edges `range` of the edge order as `(destination, source)`
+    /// pairs: the entries [`pack`] sorts into the transpose's rows.
+    fn by_destination(&self, range: Range<usize>) -> impl Iterator<Item = (Node, Node)> + '_ {
+        // The source of edge `range.start`: the last row starting at or before it.
+        let mut u = self.offsets.partition_point(|&o| o as usize <= range.start) - 1;
+        range.map(move |e| {
+            while self.offsets[u + 1] as usize <= e {
+                u += 1;
             }
-        }
-        (Csr { offsets, dests }, out_data)
+            (self.dests[e], u as Node)
+        })
     }
 
     /// Returns the symmetric closure (every edge plus its reverse, then
@@ -212,17 +191,25 @@ impl Csr {
     }
 }
 
-/// The stable counting sort of `edges` by source, over `ranges` contiguous
-/// ranges of the list: each range counts its sources on a thread of its
-/// own; one prefix over (node, range), ranges in input order, turns the
-/// counts into each range's first slot per node; then each range scatters
-/// its destinations from those slots. Every node's row is its edges in input
-/// order, whatever `ranges` is.
-fn pack(n: usize, edges: &[(Node, Node)], ranges: usize) -> Csr {
-    let len = edges.len().div_ceil(ranges).max(1);
-    let mut counts: Vec<Vec<EdgeIdx>> = edges.chunks(len).map(|_| vec![0; n]).collect();
-    crate::on_threads(edges.chunks(len).zip(&mut counts).collect(), |(range, count)| {
-        for &(u, _) in range {
+/// The stable counting sort of `m` entries, `(row, value)` pairs that
+/// `entries(range)` lists by index, over `ranges` contiguous index ranges:
+/// each range counts its rows on a thread of its own; one prefix over
+/// (row, range), ranges in order, turns the counts into each range's first
+/// slot per row; then each range scatters its values, and `data[index]`
+/// beside (empty without `data`), from those slots. Every row lists its
+/// values in index order, whatever `ranges` is.
+fn pack<I: Iterator<Item = (Node, Node)>>(
+    n: usize,
+    m: usize,
+    entries: impl Fn(Range<usize>) -> I + Sync,
+    data: Option<&[u32]>,
+    ranges: usize,
+) -> (Csr, Vec<u32>) {
+    let len = m.div_ceil(ranges).max(1);
+    let ranges: Vec<Range<usize>> = (0..m).step_by(len).map(|lo| lo..m.min(lo + len)).collect();
+    let mut counts: Vec<Vec<EdgeIdx>> = ranges.iter().map(|_| vec![0; n]).collect();
+    crate::on_threads(ranges.iter().cloned().zip(&mut counts).collect(), |(range, count)| {
+        for (u, _) in entries(range) {
             assert!((u as usize) < n, "source {u} out of range ({n} nodes)");
             count[u as usize] += 1;
         }
@@ -235,36 +222,44 @@ fn pack(n: usize, edges: &[(Node, Node)], ranges: usize) -> Csr {
         }
         *end = next;
     }
-    let mut dests = vec![0 as Node; edges.len()];
-    let slots = Slots(dests.as_mut_ptr());
-    crate::on_threads(edges.chunks(len).zip(&mut counts).collect(), |(range, cursor)| {
-        for &(u, v) in range {
+    let mut dests = vec![0 as Node; m];
+    let mut out_data = vec![0u32; if data.is_some() { m } else { 0 }];
+    let (slots, data_slots) = (Slots(dests.as_mut_ptr()), Slots(out_data.as_mut_ptr()));
+    crate::on_threads(ranges.into_iter().zip(&mut counts).collect(), |(range, cursor)| {
+        for ((u, v), e) in entries(range.clone()).zip(range) {
             assert!((v as usize) < n, "destination {v} out of range ({n} nodes)");
+            let slot = cursor[u as usize];
             // SAFETY: the prefix gave this range the slots `[c, c + k)` of
-            // node `u`, where `c` counts the edges of the nodes below `u` and
-            // of `u` in the ranges before this one, and `k` the edges of `u`
-            // in this one: disjoint from every other (node, range) pair's,
-            // and below the edge count. The range puts exactly its `k` edges
-            // of `u`, the ones it counted.
-            unsafe { slots.put(cursor[u as usize], v) };
+            // row `u`, where `c` counts the entries of the rows below `u` and
+            // of `u` in the ranges before this one, and `k` the entries of
+            // `u` in this one: disjoint from every other (row, range) pair's,
+            // and below `m`, the length of `dests` and, with `data`, of
+            // `out_data`. The range puts exactly its `k` entries of `u`, the
+            // ones it counted: `entries` lists a range alike on both passes.
+            unsafe {
+                slots.put(slot, v);
+                if let Some(data) = data {
+                    data_slots.put(slot, data[e]);
+                }
+            }
             cursor[u as usize] += 1;
         }
     });
-    Csr { offsets, dests }
+    (Csr { offsets, dests }, out_data)
 }
 
-/// `dests` as the scatter's threads share it.
-struct Slots(*mut Node);
+/// An output buffer as the scatter's threads share it.
+struct Slots<T>(*mut T);
 
-// SAFETY: the threads write disjoint slots, and nothing reads `dests` until
-// every thread has been joined.
-unsafe impl Sync for Slots {}
+// SAFETY: the threads write disjoint slots, and nothing reads the buffer
+// until every thread has been joined.
+unsafe impl<T: Send> Sync for Slots<T> {}
 
-impl Slots {
+impl<T> Slots<T> {
     /// # Safety
-    /// `slot` is below the length of `dests`, and no other thread writes it.
-    unsafe fn put(&self, slot: EdgeIdx, v: Node) {
-        unsafe { self.0.add(slot as usize).write(v) }
+    /// `slot` is below the buffer's length, and no other thread writes it.
+    unsafe fn put(&self, slot: EdgeIdx, x: T) {
+        unsafe { self.0.add(slot as usize).write(x) }
     }
 }
 
@@ -373,13 +368,69 @@ mod tests {
         Csr::from_parts(offsets, sorted.into_iter().map(|(_, v)| v).collect())
     }
 
+    /// The serial transpose `pack` replaced.
+    fn serial_transpose(g: &Csr) -> Csr {
+        let n = g.num_nodes();
+        let mut in_degree = vec![0 as EdgeIdx; n];
+        for &d in &g.dests {
+            in_degree[d as usize] += 1;
+        }
+        let mut offsets = vec![0 as EdgeIdx; n + 1];
+        for v in 0..n {
+            offsets[v + 1] = offsets[v] + in_degree[v];
+        }
+        let mut cursor = offsets.clone();
+        let mut dests = vec![0 as Node; g.dests.len()];
+        for u in 0..n {
+            for &v in g.edges(u as Node) {
+                dests[cursor[v as usize] as usize] = u as Node;
+                cursor[v as usize] += 1;
+            }
+        }
+        Csr { offsets, dests }
+    }
+
+    /// The serial transpose with data `pack` replaced.
+    fn serial_transpose_with_data(g: &Csr, data: &[u32]) -> (Csr, Vec<u32>) {
+        let n = g.num_nodes();
+        let mut in_degree = vec![0 as EdgeIdx; n];
+        for &d in &g.dests {
+            in_degree[d as usize] += 1;
+        }
+        let mut offsets = vec![0 as EdgeIdx; n + 1];
+        for v in 0..n {
+            offsets[v + 1] = offsets[v] + in_degree[v];
+        }
+        let mut cursor = offsets.clone();
+        let mut dests = vec![0 as Node; g.dests.len()];
+        let mut out_data = vec![0u32; data.len()];
+        for u in 0..n {
+            let base = g.offsets[u] as usize;
+            for (i, &v) in g.edges(u as Node).iter().enumerate() {
+                let slot = cursor[v as usize] as usize;
+                dests[slot] = u as Node;
+                out_data[slot] = data[base + i];
+                cursor[v as usize] += 1;
+            }
+        }
+        (Csr { offsets, dests }, out_data)
+    }
+
     const RANGES: [usize; 4] = [1, 2, 3, 8];
+
+    /// `pack` of an edge list over `ranges` ranges.
+    fn pack_edges(n: usize, edges: &[(Node, Node)], ranges: usize) -> Csr {
+        pack(n, edges.len(), |r| edges[r].iter().copied(), None, ranges).0
+    }
 
     #[test]
     fn no_nodes_and_no_edges_at_every_range_count() {
         for ranges in RANGES {
-            assert_eq!(pack(0, &[], ranges), Csr::default());
-            assert_eq!(pack(3, &[], ranges), Csr::from_parts(vec![0; 4], vec![]));
+            assert_eq!(pack_edges(0, &[], ranges), Csr::default());
+            let empty = Csr::from_parts(vec![0; 4], vec![]);
+            assert_eq!(pack_edges(3, &[], ranges), empty);
+            let transposed = pack(3, 0, |r| empty.by_destination(r), Some(&[]), ranges);
+            assert_eq!(transposed, (empty.clone(), vec![]));
         }
     }
 
@@ -388,7 +439,7 @@ mod tests {
     fn a_range_thread_reraises_its_panic() {
         let mut edges = vec![(0, 0); 10];
         edges[9] = (1, 0);
-        let _ = pack(1, &edges, 3);
+        let _ = pack_edges(1, &edges, 3);
     }
 
     #[test]
@@ -414,7 +465,25 @@ mod tests {
         ) {
             let want = sorted_by_source(n, &edges);
             for ranges in RANGES {
-                prop_assert_eq!(&pack(n, &edges, ranges), &want, "{} ranges", ranges);
+                prop_assert_eq!(&pack_edges(n, &edges, ranges), &want, "{} ranges", ranges);
+            }
+        }
+
+        #[test]
+        fn transposes_are_the_serial_transposes(
+            (n, edges) in (1usize..40).prop_flat_map(|n| {
+                let id = 0..n as Node;
+                (Just(n), prop::collection::vec((id.clone(), id), 0..200))
+            })
+        ) {
+            let g = Csr::from_edges(n, &edges);
+            let data: Vec<u32> = (0..edges.len() as u32).map(|e| e.wrapping_mul(2_654_435_761)).collect();
+            let want = serial_transpose_with_data(&g, &data);
+            prop_assert_eq!(&g.transpose(), &serial_transpose(&g));
+            prop_assert_eq!(&g.transpose_with_data(&data), &want);
+            for ranges in RANGES {
+                let got = pack(n, edges.len(), |r| g.by_destination(r), Some(&data), ranges);
+                prop_assert_eq!(&got, &want, "{} ranges", ranges);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Graph property reports (paper Table III).
 
 use crate::csr::Csr;
+use crate::degree::in_degree_histogram;
 use crate::Node;
 
 /// Structural properties of a directed graph, as reported in Table III.
@@ -21,7 +22,8 @@ pub struct GraphProps {
 }
 
 impl GraphProps {
-    /// Computes properties (requires a transpose pass for in-degrees).
+    /// Computes properties: one pass over the offsets and one count of the
+    /// in-degrees ([`in_degree_histogram`]'s).
     pub fn compute(graph: &Csr) -> Self {
         let n = graph.num_nodes() as u64;
         let m = graph.num_edges();
@@ -29,11 +31,8 @@ impl GraphProps {
             .map(|v| graph.out_degree(v))
             .max()
             .unwrap_or(0);
-        let mut in_degree = vec![0u64; graph.num_nodes()];
-        for &d in graph.dests() {
-            in_degree[d as usize] += 1;
-        }
-        let max_in = in_degree.iter().copied().max().unwrap_or(0);
+        // The histogram ends at the largest in-degree.
+        let max_in = in_degree_histogram(graph).len().saturating_sub(1) as u64;
         GraphProps {
             nodes: n,
             edges: m,

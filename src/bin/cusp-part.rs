@@ -215,9 +215,18 @@ fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, path: impl AsRef<Path>
     })
 }
 
-/// Checks the partitions against the graph they came from: an `INVALID`
-/// line and exit 1 when they do not partition it.
-fn validate_or_exit(original: &cusp_graph::Csr, parts: &[cusp::DistGraph]) {
+/// Checks the partitions, built as `output`, against the graph they came
+/// from: an `INVALID` line and exit 1 when they do not partition it. The
+/// check reads rows as sources, so CSC parts are checked transposed.
+fn validate_or_exit(original: &cusp_graph::Csr, parts: &[cusp::DistGraph], output: OutputFormat) {
+    let transposed: Vec<cusp::DistGraph>;
+    let parts = match output {
+        OutputFormat::Csr => parts,
+        OutputFormat::Csc => {
+            transposed = parts.iter().map(cusp::DistGraph::transposed).collect();
+            &transposed
+        }
+    };
     if let Err(e) = metrics::validate_partitioning(original, parts) {
         eprintln!("INVALID: {e}");
         exit(1);
@@ -552,9 +561,9 @@ fn cmd_partition(flags: &HashMap<String, String>) {
 
     // Validate against the original (in-memory reload) and report quality.
     let original = or_exit(read_bgr(&graph_path), &graph_path);
-    if cfg.output == OutputFormat::Csr {
-        validate_or_exit(&original, &parts);
-    }
+    // XtraPulp builds CSR rows whatever `--csc` asks.
+    let output = if policy_name == "XTRAPULP" { OutputFormat::Csr } else { cfg.output };
+    validate_or_exit(&original, &parts, output);
     let q = metrics::quality(&parts);
     outln!(
         "quality: replication factor {:.3}, node balance {:.3}, edge balance {:.3}",
@@ -651,16 +660,14 @@ fn cmd_launch(flags: &HashMap<String, String>) {
         eprintln!("cusp-part: {e}");
         exit(1)
     });
-    if run.cfg.output == OutputFormat::Csr {
-        let original = or_exit(read_bgr(&run.graph), &run.graph);
-        let parts: Vec<_> = (0..run.hosts)
-            .map(|h| {
-                let path = part_path(&run.out_dir, h);
-                or_exit(cusp::read_partition(&path), &path)
-            })
-            .collect();
-        validate_or_exit(&original, &parts);
-    }
+    let original = or_exit(read_bgr(&run.graph), &run.graph);
+    let parts: Vec<_> = (0..run.hosts)
+        .map(|h| {
+            let path = part_path(&run.out_dir, h);
+            or_exit(cusp::read_partition(&path), &path)
+        })
+        .collect();
+    validate_or_exit(&original, &parts, run.cfg.output);
     // Per host first, so that a mismatch names the host that differs.
     for (h, (tcp, sim)) in report.part_fingerprints.iter().zip(&sim_parts).enumerate() {
         let verdict = if tcp == sim { "" } else { " DIFFERS" };

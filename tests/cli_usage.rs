@@ -206,3 +206,24 @@ fn a_closed_stdout_silences_the_command_but_not_its_work() {
     assert!(std::path::Path::new(&applied).is_file(), "apply --out wrote no graph");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `partition --csc` validates its parts, checked transposed back to
+/// source rows, and a weighted input's parts carry their weights.
+#[test]
+fn a_weighted_csc_partition_is_validated() {
+    let dir = std::env::temp_dir().join(format!("cusp-cli-csc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let graph = dir.join("w.bgr");
+    let g = cusp_graph::gen::uniform::erdos_renyi(2000, 16000, 3);
+    let weights: Vec<u32> = (0..g.num_edges() as u32).collect();
+    cusp_graph::write_bgr_weighted(&graph, &g, &weights).expect("write the weighted graph");
+    let parts = dir.join("parts");
+    let (graph, parts) = (graph.to_str().expect("utf-8 path"), parts.to_str().expect("utf-8 path"));
+    let run = cusp_part(&["partition", "--graph", graph, "--policy", "HVC", "--hosts", "4", "--csc", "--out-dir", parts]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(run.status.success(), "partition: {}", String::from_utf8_lossy(&run.stderr));
+    assert!(stdout.contains("validation: ok"), "partition --csc checks its parts: {stdout}");
+    let part = cusp::read_partition(&dir.join("parts").join("part-0000.part")).expect("a written part");
+    assert!(part.edge_data.is_some(), "a weighted input's part has no weights");
+    std::fs::remove_dir_all(&dir).ok();
+}
