@@ -118,13 +118,7 @@ impl DistGraph {
     /// The same partition with every edge reversed (CSR rows become CSC rows
     /// and back), each row ascending by local id, the edge data carried along.
     pub fn transposed(&self) -> DistGraph {
-        let (graph, edge_data) = match &self.edge_data {
-            Some(data) => {
-                let (graph, data) = self.graph.transpose_with_data(data);
-                (graph, Some(data))
-            }
-            None => (self.graph.transpose(), None),
-        };
+        let (graph, edge_data) = self.graph.transpose_on(self.edge_data.as_deref(), 1);
         DistGraph {
             local2global: self.local2global.clone(),
             master_of: self.master_of.clone(),

@@ -47,11 +47,9 @@
 //! `construct` takes the same `EdgeFilter` as edge assignment's tally:
 //! the full pipeline replays every edge, `partition_delta` — having copied
 //! its kept edges into the allocation first — only the dirty ones, so a
-//! delta row is its kept run followed by its re-decided run.
-//!
-//! Rows are keyed by source up to the freeze, whose transpose of CSC output
-//! (Alg. 4, line 13) is the one change of orientation, full run or delta;
-//! `source_rows` is its inverse, for a previous CSC partition.
+//! delta row is its kept run followed by its re-decided run. Rows are
+//! keyed by source up to the freeze, whose CSC transpose (Alg. 4, line 13)
+//! is the one change of orientation; `source_rows` inverts it.
 //!
 //! Under the `construct` phase span the phase records, through
 //! `cusp-obs`, `construct.wait` (blocking for the records still in flight
@@ -286,24 +284,26 @@ pub(crate) fn construct<ER: EdgeRule, F: EdgeFilter>(
     // The freeze, up to the returned (possibly transposed) graph.
     let _freeze_span = cusp_obs::span("construct.freeze");
     let (csr, data) = alloc.take_filled();
-    match (cfg.output, data) {
-        (OutputFormat::Csr, data) => (csr, data),
+    match cfg.output {
+        OutputFormat::Csr => (csr, data),
         // "each host performs an in-memory transpose of their CSR graph to
         // construct (without communication) their CSC graph" (Alg. 4).
-        (OutputFormat::Csc, None) => (csr.transpose(), None),
-        (OutputFormat::Csc, Some(data)) => {
-            let (t, td) = csr.transpose_with_data(&data);
-            (t, Some(td))
-        }
+        OutputFormat::Csc => csr.transpose_on(data.as_deref(), 1),
     }
 }
 
-/// The rows keyed by source of `part`, built as `output`: the freeze's
-/// inverse, `part` itself for CSR and its transpose for CSC.
-pub(crate) fn source_rows(part: &DistGraph, output: OutputFormat) -> Cow<'_, DistGraph> {
+/// A partition's rows keyed by source, and their edge data.
+pub(crate) type SourceRows<'a> = (Cow<'a, Csr>, Option<Cow<'a, [u32]>>);
+
+/// The freeze's inverse: the rows of `part`, built as `output`, keyed by
+/// source; for CSC, transposed on at most `workers` threads.
+pub(crate) fn source_rows(part: &DistGraph, output: OutputFormat, workers: usize) -> SourceRows<'_> {
     match output {
-        OutputFormat::Csr => Cow::Borrowed(part),
-        OutputFormat::Csc => Cow::Owned(part.transposed()),
+        OutputFormat::Csr => (Cow::Borrowed(&part.graph), part.edge_data.as_deref().map(Cow::Borrowed)),
+        OutputFormat::Csc => {
+            let (graph, data) = part.graph.transpose_on(part.edge_data.as_deref(), workers);
+            (Cow::Owned(graph), data.map(Cow::Owned))
+        }
     }
 }
 

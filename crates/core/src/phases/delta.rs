@@ -81,8 +81,9 @@
 //! in the order it was stored in, and the row's re-decided edges follow it
 //! (construction reserves after the copy), at every thread count. `Kept`
 //! reads rows keyed by source only: a previous CSC partition comes
-//! transposed back (`construct::source_rows`), and the freeze transposes
-//! the result once, so a CSC delta is the CSR delta's rows transposed.
+//! transposed back on the pool's width (`construct::source_rows`; the ids
+//! are borrowed), and the freeze transposes the result once, so a CSC
+//! delta is the CSR delta's rows transposed.
 //!
 //! # Scope
 //!
@@ -105,14 +106,14 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cusp_galois::{do_all, do_all_with_tid, ThreadPool, DEFAULT_GRAIN};
-use cusp_graph::{GraphEvent, Node};
+use cusp_graph::{Csr, GraphEvent, Node};
 use cusp_net::Comm;
 
 use crate::config::PhaseId;
 use crate::dist_graph::DistGraph;
 use crate::phases::alloc::{allocate, AllocOutcome};
 use crate::phases::bitset::{NodeBitRows, ThreadRows};
-use crate::phases::construct::{construct, source_rows};
+use crate::phases::construct::{construct, source_rows, SourceRows};
 use crate::phases::driver::{freeze_part, partition, PartitionOutput};
 use crate::phases::edge_assign::{exchange, tally_edges, EdgeAssignOutcome, EdgeFilter};
 use crate::phases::master::{owned_range, pure_masters, ResolvedMasters};
@@ -232,8 +233,11 @@ const HOLE: u32 = u32::MAX;
 /// allocation and copied into it by previous local id (module docs, "The
 /// kept edges").
 struct Kept<'a> {
-    /// The previous partition as rows keyed by source.
-    prev: Cow<'a, DistGraph>,
+    /// The previous partition's proxies, by previous local id.
+    local2global: &'a [Node],
+    /// The previous partition as rows keyed by source, and their weights.
+    graph: Cow<'a, Csr>,
+    weights: Option<Cow<'a, [u32]>>,
     /// [`DirtySet`]'s rows, by previous local id: [`SOURCES`], rows that
     /// keep no edge; [`MOVED`], destinations whose edges drop.
     drops: NodeBitRows,
@@ -245,8 +249,9 @@ struct Kept<'a> {
 }
 
 impl<'a> Kept<'a> {
-    /// Localises `dirty` and tallies the kept edges of `prev`.
-    fn tally(pool: &ThreadPool, prev: Cow<'a, DistGraph>, dirty: &DirtySet) -> Self {
+    /// Localises `dirty` and tallies the kept edges of `prev`, whose rows
+    /// keyed by source (`construct::source_rows`) are `graph`.
+    fn tally(pool: &ThreadPool, prev: &'a DistGraph, (graph, weights): SourceRows<'a>, dirty: &DirtySet) -> Self {
         let n = prev.num_local();
         let mut drops = NodeBitRows::new(2, n);
         for (l, &g) in prev.local2global.iter().enumerate() {
@@ -258,7 +263,9 @@ impl<'a> Kept<'a> {
             }
         }
         let mut kept = Kept {
-            prev,
+            local2global: &prev.local2global,
+            graph,
+            weights,
             drops,
             // The union of the workers' rows, once the walk below has joined.
             dests: NodeBitRows::new(0, 0),
@@ -286,8 +293,8 @@ impl<'a> Kept<'a> {
         if self.drops.test(SOURCES, row as Node) {
             return;
         }
-        let e0 = self.prev.graph.first_edge(row as Node) as usize;
-        for (i, &d) in self.prev.graph.edges(row as Node).iter().enumerate() {
+        let e0 = self.graph.first_edge(row as Node) as usize;
+        for (i, &d) in self.graph.edges(row as Node).iter().enumerate() {
             if !self.drops.test(MOVED, d) {
                 f(e0 + i, d);
             }
@@ -304,7 +311,7 @@ impl<'a> Kept<'a> {
     /// elsewhere. Previous local ids ascend by global id within the master
     /// and within the mirror segment, so each list is two ascending runs.
     fn outcome(&self, masters: &ResolvedMasters, me: usize) -> EdgeAssignOutcome {
-        let global = |l: usize| self.prev.local2global[l];
+        let global = |l: usize| self.local2global[l];
         let counts = self.counts.iter().enumerate().map(|(l, c)| (l, c.load(Ordering::Relaxed)));
         let incoming_srcs = counts
             .filter(|&(_, c)| c > 0)
@@ -325,7 +332,7 @@ impl<'a> Kept<'a> {
         let touched = |l: usize| {
             self.counts[l].load(Ordering::Relaxed) > 0 || self.dests.test(0, l as Node)
         };
-        let global = self.prev.local2global.iter().enumerate();
+        let global = self.local2global.iter().enumerate();
         global.map(|(l, &g)| if touched(l) { alloc.local_of(g) } else { HOLE }).collect()
     }
 
@@ -333,7 +340,7 @@ impl<'a> Kept<'a> {
     /// through allocation's one writer: pure memory movement, no rule and
     /// no wire. The tally is spent after.
     fn copy(self, pool: &ThreadPool, alloc: &mut AllocOutcome) {
-        let weights = self.prev.edge_data.as_deref();
+        let weights = self.weights.as_deref();
         // Not a debug check: every weight window must be written.
         assert_eq!(weights.is_some(), alloc.edge_data.is_some(), "previous weights, new input");
         let old2new = self.old2new(alloc);
@@ -345,7 +352,7 @@ impl<'a> Kept<'a> {
             new
         };
         let slots = alloc.slots();
-        do_all(pool, self.prev.num_local(), DEFAULT_GRAIN, |row| {
+        do_all(pool, self.local2global.len(), DEFAULT_GRAIN, |row| {
             let cnt = self.counts[row].load(Ordering::Relaxed) as usize;
             let (dests, mut data) = match cnt {
                 0 => (&mut [][..], None),
@@ -447,8 +454,8 @@ where
     // its owner: it stays on this host, with the proxies it needs.
     let (ea, kept) = ctx.run_phase(PhaseId::EdgeAssign, |ctx| {
         let kept_span = cusp_obs::span("delta.kept_tally");
-        let rows = source_rows(&prev.dist_graph, cfg.output);
-        let kept = Kept::tally(&ctx.pool, rows, &dirty);
+        let rows = source_rows(&prev.dist_graph, cfg.output, ctx.pool.threads());
+        let kept = Kept::tally(&ctx.pool, &prev.dist_graph, rows, &dirty);
         let held = kept.outcome(&masters, comm.host());
         drop(kept_span);
         let tally = tally_edges(&ctx.pool, &setup, &mut data, &masters, &edge_rule, &estate, &dirty);
@@ -502,7 +509,7 @@ mod tests {
     use super::*;
     use crate::config::OutputFormat;
     use crate::policies::masters::Contiguous;
-    use cusp_graph::{ChunkedSlice, Csr};
+    use cusp_graph::ChunkedSlice;
     use cusp_graph::ReadSplit;
     use std::sync::Arc;
 
@@ -630,7 +637,7 @@ mod tests {
         bump: Option<usize>,
     ) -> (Kept<'a>, EdgeAssignOutcome, AllocOutcome) {
         let masters = pure_masters(&Contiguous::new(&setup(10, 2)), 2).unwrap();
-        let kept = Kept::tally(pool, source_rows(prev, output), dirty);
+        let kept = Kept::tally(pool, prev, source_rows(prev, output, pool.threads()), dirty);
         if let Some(l) = bump {
             kept.counts[l].fetch_add(1, Ordering::Relaxed);
         }

@@ -72,13 +72,10 @@ impl Csr {
         Csr::from_edges_on(n, edges, crate::workers())
     }
 
-    /// [`Csr::from_edges`] on at most `workers` threads: one range of at
-    /// least a block of edges per thread, and no more ranges than edges per
-    /// node, so the per-range counts are never larger than the edge list.
+    /// [`Csr::from_edges`] on at most `workers` threads.
     pub(crate) fn from_edges_on(n: usize, edges: &[(Node, Node)], workers: usize) -> Self {
         let m = edges.len();
-        let ranges = workers.min(m / crate::BLOCK).min(m / n.max(1)).max(1);
-        pack(n, m, |r| edges[r].iter().copied(), None, ranges).0
+        pack::<false, _>(n, m, |r| edges[r].iter().copied(), &[], ranges(n, m, workers)).0
     }
 
     /// Number of vertices.
@@ -141,7 +138,7 @@ impl Csr {
     /// In-memory transpose: the CSC view of this graph as a CSR over reversed
     /// edges, each row's sources ascending. O(V + E), on the calling thread.
     pub fn transpose(&self) -> Csr {
-        pack(self.num_nodes(), self.dests.len(), |r| self.by_destination(r), None, 1).0
+        self.transpose_on(None, 1).0
     }
 
     /// Transpose carrying per-edge data: returns the transposed graph and
@@ -150,20 +147,32 @@ impl Csr {
     /// # Panics
     /// Panics if `data.len() != num_edges`.
     pub fn transpose_with_data(&self, data: &[u32]) -> (Csr, Vec<u32>) {
-        assert_eq!(data.len() as u64, self.num_edges(), "edge data length mismatch");
-        pack(self.num_nodes(), self.dests.len(), |r| self.by_destination(r), Some(data), 1)
+        let (t, data) = self.transpose_on(Some(data), 1);
+        (t, data.expect("data was given"))
+    }
+
+    /// [`Csr::transpose`], or with `data` [`Csr::transpose_with_data`], on
+    /// at most `workers` threads: the same bytes at every count.
+    pub fn transpose_on(&self, data: Option<&[u32]>, workers: usize) -> (Csr, Option<Vec<u32>>) {
+        let (n, m) = (self.num_nodes(), self.dests.len());
+        let (entries, ranges) = (|r| self.by_destination(r), ranges(n, m, workers));
+        match data {
+            None => pack::<false, _>(n, m, entries, &[], ranges),
+            Some(data) => pack::<true, _>(n, m, entries, data, ranges),
+        }
     }
 
     /// The edges `range` of the edge order as `(destination, source)`
     /// pairs: the entries [`pack`] sorts into the transpose's rows.
     fn by_destination(&self, range: Range<usize>) -> impl Iterator<Item = (Node, Node)> + '_ {
-        // The source of edge `range.start`: the last row starting at or before it.
-        let mut u = self.offsets.partition_point(|&o| o as usize <= range.start) - 1;
-        range.map(move |e| {
-            while self.offsets[u + 1] as usize <= e {
-                u += 1;
-            }
-            (self.dests[e], u as Node)
+        let Range { start, end } = range;
+        // The source of edge `start`: the last row starting at or before it.
+        let first = self.offsets.partition_point(|&o| o as usize <= start) - 1;
+        let rows = (first..self.num_nodes()).take_while(move |&u| (self.offsets[u] as usize) < end);
+        rows.flat_map(move |u| {
+            let lo = (self.offsets[u] as usize).max(start);
+            let hi = (self.offsets[u + 1] as usize).min(end);
+            self.dests[lo..hi].iter().map(move |&v| (v, u as Node))
         })
     }
 
@@ -191,20 +200,27 @@ impl Csr {
     }
 }
 
+/// Ranges of a sort of `m` entries into `n` rows on `workers` threads: a
+/// block or more each, and no more than `m / n`, so counts stay below `m`.
+fn ranges(n: usize, m: usize, workers: usize) -> usize {
+    workers.min(m / crate::BLOCK).min(m / n.max(1)).max(1)
+}
+
 /// The stable counting sort of `m` entries, `(row, value)` pairs that
 /// `entries(range)` lists by index, over `ranges` contiguous index ranges:
 /// each range counts its rows on a thread of its own; one prefix over
 /// (row, range), ranges in order, turns the counts into each range's first
-/// slot per row; then each range scatters its values, and `data[index]`
-/// beside (empty without `data`), from those slots. Every row lists its
-/// values in index order, whatever `ranges` is.
-fn pack<I: Iterator<Item = (Node, Node)>>(
+/// slot per row; then each range scatters its values, and with `DATA`
+/// `data[index]` beside, from those slots. Every row lists its values in
+/// index order, whatever `ranges` is.
+fn pack<const DATA: bool, I: Iterator<Item = (Node, Node)>>(
     n: usize,
     m: usize,
     entries: impl Fn(Range<usize>) -> I + Sync,
-    data: Option<&[u32]>,
+    data: &[u32],
     ranges: usize,
-) -> (Csr, Vec<u32>) {
+) -> (Csr, Option<Vec<u32>>) {
+    assert!(!DATA || data.len() == m, "edge data length mismatch");
     let len = m.div_ceil(ranges).max(1);
     let ranges: Vec<Range<usize>> = (0..m).step_by(len).map(|lo| lo..m.min(lo + len)).collect();
     let mut counts: Vec<Vec<EdgeIdx>> = ranges.iter().map(|_| vec![0; n]).collect();
@@ -223,7 +239,7 @@ fn pack<I: Iterator<Item = (Node, Node)>>(
         *end = next;
     }
     let mut dests = vec![0 as Node; m];
-    let mut out_data = vec![0u32; if data.is_some() { m } else { 0 }];
+    let mut out_data = vec![0u32; if DATA { m } else { 0 }];
     let (slots, data_slots) = (Slots(dests.as_mut_ptr()), Slots(out_data.as_mut_ptr()));
     crate::on_threads(ranges.into_iter().zip(&mut counts).collect(), |(range, cursor)| {
         for ((u, v), e) in entries(range.clone()).zip(range) {
@@ -233,19 +249,19 @@ fn pack<I: Iterator<Item = (Node, Node)>>(
             // row `u`, where `c` counts the entries of the rows below `u` and
             // of `u` in the ranges before this one, and `k` the entries of
             // `u` in this one: disjoint from every other (row, range) pair's,
-            // and below `m`, the length of `dests` and, with `data`, of
+            // and below `m`, the length of `dests` and, with `DATA`, of
             // `out_data`. The range puts exactly its `k` entries of `u`, the
             // ones it counted: `entries` lists a range alike on both passes.
             unsafe {
                 slots.put(slot, v);
-                if let Some(data) = data {
+                if DATA {
                     data_slots.put(slot, data[e]);
                 }
             }
             cursor[u as usize] += 1;
         }
     });
-    (Csr { offsets, dests }, out_data)
+    (Csr { offsets, dests }, DATA.then_some(out_data))
 }
 
 /// An output buffer as the scatter's threads share it.
@@ -420,7 +436,7 @@ mod tests {
 
     /// `pack` of an edge list over `ranges` ranges.
     fn pack_edges(n: usize, edges: &[(Node, Node)], ranges: usize) -> Csr {
-        pack(n, edges.len(), |r| edges[r].iter().copied(), None, ranges).0
+        pack::<false, _>(n, edges.len(), |r| edges[r].iter().copied(), &[], ranges).0
     }
 
     #[test]
@@ -429,8 +445,8 @@ mod tests {
             assert_eq!(pack_edges(0, &[], ranges), Csr::default());
             let empty = Csr::from_parts(vec![0; 4], vec![]);
             assert_eq!(pack_edges(3, &[], ranges), empty);
-            let transposed = pack(3, 0, |r| empty.by_destination(r), Some(&[]), ranges);
-            assert_eq!(transposed, (empty.clone(), vec![]));
+            let transposed = pack::<true, _>(3, 0, |r| empty.by_destination(r), &[], ranges);
+            assert_eq!(transposed, (empty.clone(), Some(vec![])));
         }
     }
 
@@ -451,6 +467,18 @@ mod tests {
         }
         let edges = vec![(0, 0); 3 * crate::BLOCK + 1];
         assert_eq!(Csr::from_edges_on(1 << 20, &edges, 8), sorted_by_source(1 << 20, &edges));
+    }
+
+    #[test]
+    fn transpose_on_is_the_serial_transpose_at_every_worker_count() {
+        let edges: Vec<_> = (0..3 * crate::BLOCK as Node + 5).map(|i| (i % 3, i % 2)).collect();
+        let g = Csr::from_edges(3, &edges);
+        let data: Vec<u32> = (0..edges.len() as u32).rev().collect();
+        let (want, want_data) = serial_transpose_with_data(&g, &data);
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(g.transpose_on(Some(&data), workers), (want.clone(), Some(want_data.clone())));
+            assert_eq!(g.transpose_on(None, workers), (want.clone(), None));
+        }
     }
 
     proptest! {
@@ -482,8 +510,8 @@ mod tests {
             prop_assert_eq!(&g.transpose(), &serial_transpose(&g));
             prop_assert_eq!(&g.transpose_with_data(&data), &want);
             for ranges in RANGES {
-                let got = pack(n, edges.len(), |r| g.by_destination(r), Some(&data), ranges);
-                prop_assert_eq!(&got, &want, "{} ranges", ranges);
+                let got = pack::<true, _>(n, edges.len(), |r| g.by_destination(r), &data, ranges);
+                prop_assert_eq!(got, (want.0.clone(), Some(want.1.clone())), "{} ranges", ranges);
             }
         }
     }

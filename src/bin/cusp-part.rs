@@ -483,7 +483,8 @@ fn cmd_partition(flags: &HashMap<String, String>) {
     };
 
     let source = GraphSource::File(graph_path.clone());
-    let (parts, times_text, stats, trace, recovery_report) = if policy_name == "XTRAPULP" {
+    // XtraPulp builds CSR rows whatever `--csc` asks.
+    let (parts, output, times_text, stats, trace, recovery_report) = if policy_name == "XTRAPULP" {
         let out = run_cluster_or_exit(hosts, opts, move |comm| {
             let r = xtrapulp_partition(comm, source.clone(), &XpConfig::default());
             (r.partition.dist_graph, r.partition_time)
@@ -492,6 +493,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
         let parts: Vec<_> = out.results.into_iter().map(|r| r.0).collect();
         (
             parts,
+            OutputFormat::Csr,
             format!("partitioning (read + label propagation): {reported:.2?}"),
             out.stats,
             out.trace,
@@ -514,6 +516,7 @@ fn cmd_partition(flags: &HashMap<String, String>) {
         }
         (
             parts,
+            cfg.output,
             format!(
                 "read {:.2?} | master {:.2?} | edge-assign {:.2?} | alloc {:.2?} | construct {:.2?} | total {:.2?}\npeak resident source edges per host: {peak}",
                 t.read, t.master, t.edge_assign, t.alloc, t.construct, t.total()
@@ -561,8 +564,6 @@ fn cmd_partition(flags: &HashMap<String, String>) {
 
     // Validate against the original (in-memory reload) and report quality.
     let original = or_exit(read_bgr(&graph_path), &graph_path);
-    // XtraPulp builds CSR rows whatever `--csc` asks.
-    let output = if policy_name == "XTRAPULP" { OutputFormat::Csr } else { cfg.output };
     validate_or_exit(&original, &parts, output);
     let q = metrics::quality(&parts);
     outln!(
