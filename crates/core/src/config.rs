@@ -83,7 +83,9 @@ pub struct CuspConfig {
     pub checkpoint_dir: Option<PathBuf>,
     /// Print `CUSP-WORKER-PHASE <name>` on stdout as each pipeline phase
     /// begins. Used by the `cusp-part launch` supervisor to drive seeded
-    /// process-kill injection at deterministic phase points (`--kill-seed`).
+    /// process-kill injection at deterministic phase points (`--kill-seed`):
+    /// a `cusp-part worker` then starts each phase only on the driver's `GO`
+    /// line on stdin, so a kill lands before the phase does any work.
     /// Off by default — a library embedding should not chat on stdout.
     pub announce_phases: bool,
 }

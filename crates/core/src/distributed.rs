@@ -16,8 +16,8 @@
 //!   [`LaunchReport`] or, within a bounded time, a typed [`LaunchError`].
 //!
 //! Driver and worker talk in lines over the worker's stdio; `Said` and the
-//! `PEERS`/`TEAR` helpers are the only place those lines are written or
-//! parsed. Workers run at the spec's `threads_per_host`, like
+//! `PEERS`/`GO`/`TEAR` helpers are the only place those lines are written
+//! or parsed. Workers run at the spec's `threads_per_host`, like
 //! [`simulator_twin`]: a partition and its message stream are functions of
 //! the input, so a launched run — recovered or not — is bit-identical to
 //! the twin, the oracle its callers (`cusp-part launch`,
@@ -29,7 +29,8 @@ use std::io::{self, BufRead, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use cusp_net::recovery::{Action, Event, Exit, HostState, Supervisor};
@@ -70,8 +71,8 @@ pub fn partition_with_policy_tcp(
 /// messages are functions of the input, the policy, `k` and the config at
 /// any thread count, so recovery, `launch` and [`simulator_twin`] run at
 /// `threads_per_host`. Outside tests only the benchmark package calls it;
-/// the roadmap's benchmark housekeeping (item 1(d)) drops those calls
-/// and this function with them.
+/// the next revision of that frozen package drops those calls and this
+/// function with them.
 pub fn deterministic_for_comparison(mut cfg: CuspConfig) -> CuspConfig {
     cfg.threads_per_host = 1;
     cfg
@@ -186,10 +187,19 @@ impl<'a> Said<'a> {
 
 /// Prints the phase marker of [`CuspConfig::announce_phases`]. Stdout is
 /// line-buffered, so the driver sees it before any phase work begins — the
-/// anchor a kill is timed against.
+/// anchor a kill is timed against. In a [`worker`] the phase then waits for
+/// the driver's [`GO`], so a kill the marker fires lands before the phase
+/// does any work, however little there is.
 pub(crate) fn announce_phase(name: &str) {
     println!("{}", Said::Phase(name));
+    if let Some(go) = &*PHASE_GATE.lock().unwrap_or_else(PoisonError::into_inner) {
+        let _ = go.recv(); // an error: the driver's stdin is closed
+    }
 }
+
+/// The [`GO`]s of a [`worker`] that announces phases, handed on by its
+/// stdin reader; `None` elsewhere, where a marker is only printed.
+static PHASE_GATE: Mutex<Option<Receiver<()>>> = Mutex::new(None);
 
 /// The driver's one line to a fresh worker: every host's listen address.
 fn peers_line(addrs: &[String]) -> String {
@@ -202,6 +212,10 @@ fn parse_peers(line: &str) -> Option<Vec<String>> {
 
 /// The driver's line to the victim of [`KillMode::Torn`].
 const TEAR: &str = "TEAR";
+
+/// The driver's line to a worker once it has acted on the worker's phase
+/// marker, and not killed it: the phase may start.
+const GO: &str = "GO";
 
 /// The driver's line to every worker once host `host` finished: it is never
 /// respawned, so its peers take this in place of a FIN (and a last barrier
@@ -339,11 +353,17 @@ pub fn worker(spec: &WorkerSpec) -> Result<(), WorkerError> {
     // Kill mode `torn`: when the driver says TEAR, leave half a frame on
     // the wire and die mid-write. FINISHED is the driver's word that a peer
     // is done; the reader starts with the run, so none arrives too early.
+    // GO lets an announced phase start.
     let (mut saboteur, finished) = (transport.saboteur(), transport.finished());
+    let (go, gate) = mpsc::channel();
+    *PHASE_GATE.lock().unwrap_or_else(PoisonError::into_inner) =
+        run.cfg.announce_phases.then_some(gate);
     let read_driver = move || {
         for line in io::stdin().lock().lines().map_while(Result::ok) {
             if let Some(peer) = parse_finished(&line) {
                 finished.peer(peer);
+            } else if line.trim() == GO {
+                let _ = go.send(());
             } else if line.trim() == TEAR {
                 if let Some(s) = saboteur.take() {
                     s.tear();
@@ -648,6 +668,8 @@ pub fn launch(spec: &LaunchSpec, narration: &mut dyn Write) -> Result<LaunchRepo
         let msg = rx.recv_timeout(wake.saturating_sub(clock.elapsed())).ok();
         // The child reaped this turn and how it ended, for what follows.
         let mut reaped = None;
+        // The worker whose phase marker this turn is: it waits for GO.
+        let mut go = None;
         let event = match &msg {
             None if clock.elapsed() >= last_progress + WATCHDOG => {
                 let unfinished = (0..hosts).filter(|&h| supervisor.state(h) != HostState::Done);
@@ -674,6 +696,7 @@ pub fn launch(spec: &LaunchSpec, narration: &mut dyn Write) -> Result<LaunchRepo
                     }
                     Some(Said::Phase(phase)) => {
                         w.last_phase = Some(phase.to_string());
+                        go = Some(host);
                         Event::PhaseReached { host, incarnation, phase }
                     }
                     Some(Said::Row { sent: is_sent, peer, bytes, messages }) => {
@@ -748,6 +771,7 @@ pub fn launch(spec: &LaunchSpec, narration: &mut dyn Write) -> Result<LaunchRepo
                     let state = supervisor.state(host);
                     writeln!(narration, "killing host {host} ({}): {state}", mode.as_str())?;
                     let w = &mut fleet.0[host];
+                    go = go.filter(|&waiting| waiting != host);
                     // Each softer method falls back to SIGKILL.
                     let soft = match mode {
                         KillMode::Kill => false,
@@ -785,6 +809,10 @@ pub fn launch(spec: &LaunchSpec, narration: &mut dyn Write) -> Result<LaunchRepo
                     });
                 }
             }
+        }
+        // A failed write is a dead worker, as above.
+        if let Some(stdin) = go.and_then(|host| fleet.0[host].stdin.as_mut()) {
+            let _ = writeln!(stdin, "{GO}").and_then(|()| stdin.flush());
         }
     }
 

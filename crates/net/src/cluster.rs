@@ -9,7 +9,10 @@
 //! reordered back into sequence order per `(src, tag)` and duplicates are
 //! discarded, so the application always observes per-(src, dst, tag) FIFO
 //! delivery — even when a seeded [`FaultPlan`] delays, reorders or
-//! duplicates messages underneath (see [`crate::fault`]).
+//! duplicates messages underneath (see [`crate::fault`]). Holding a delayed
+//! envelope back wakes the receives blocked on its tag at its destination,
+//! which release it: no receive blocks while its host's holdback is
+//! non-empty.
 //!
 //! Receive-side accounting mirrors send-side accounting: when the
 //! resequencer hands a message to the application it is recorded against
@@ -72,10 +75,6 @@ pub struct Tag(pub u8);
 /// Number of distinct tags supported by the fabric.
 pub const MAX_TAGS: usize = 32;
 
-/// How often a receive blocked under a [`FaultPlan`] re-releases its
-/// held-back messages: nothing else wakes it for them.
-const HOLDBACK_POLL: Duration = Duration::from_millis(50);
-
 /// One in-flight message: transport metadata plus the payload.
 #[derive(Clone)]
 pub(crate) struct Envelope {
@@ -103,8 +102,8 @@ impl From<WireEnvelope> for Envelope {
 /// One `(host, tag)` mailbox: an unbounded FIFO of envelopes that any
 /// thread may push to and several threads may pop from at once. The fabric
 /// owns every mailbox for the whole run, so none is ever closed; a blocked
-/// pop gives up when the run aborts ([`Mailbox::wake`]) or its timeout
-/// runs out.
+/// pop gives up when its `stop` holds, re-tested at each
+/// [`Mailbox::wake`].
 #[derive(Default)]
 struct Mailbox {
     queue: Mutex<VecDeque<Envelope>>,
@@ -121,19 +120,15 @@ impl Mailbox {
         self.queue.lock().unpoisoned().pop_front()
     }
 
-    /// The oldest envelope, waiting for one to arrive until `aborted`
-    /// holds or `timeout` (if any) runs out.
-    fn pop(&self, timeout: Option<Duration>, aborted: impl Fn() -> bool) -> Option<Envelope> {
+    /// The oldest envelope, waiting for one to arrive until `stop` holds.
+    /// `stop` is tested under the queue's lock.
+    fn pop(&self, stop: impl Fn() -> bool) -> Option<Envelope> {
         let queue = self.queue.lock().unpoisoned();
-        let wait = |q: &mut VecDeque<Envelope>| q.is_empty() && !aborted();
-        let mut queue = match timeout {
-            Some(timeout) => self.ready.wait_timeout_while(queue, timeout, wait).unpoisoned().0,
-            None => self.ready.wait_while(queue, wait).unpoisoned(),
-        };
-        queue.pop_front()
+        let wait = |q: &mut VecDeque<Envelope>| q.is_empty() && !stop();
+        self.ready.wait_while(queue, wait).unpoisoned().pop_front()
     }
 
-    /// Wakes every blocked pop to re-test its `aborted`. Taken under the
+    /// Wakes every blocked pop to re-test its `stop`. Taken under the
     /// queue's lock, so a pop between its test and its wait cannot miss it.
     fn wake(&self) {
         let _queue = self.queue.lock().unpoisoned();
@@ -410,13 +405,22 @@ impl Fabric {
             layer.stats.delayed.fetch_add(1, Ordering::Relaxed);
             let mut q = layer.holdback[dst].lock().unpoisoned();
             q.push((tag, env));
-            if q.len() > REORDER_WINDOW {
-                drop(q);
+            let full = q.len() > REORDER_WINDOW;
+            drop(q);
+            if full {
                 self.flush_holdback(dst);
+            } else {
+                self.mailboxes[dst][tag.0 as usize].wake(); // see `holding`
             }
         } else {
             self.deliver(dst, tag, env);
         }
+    }
+
+    /// Whether a message for `dst` is held back, which ends a receive's wait
+    /// there. Tested under a mailbox's lock (order: queue → holdback).
+    fn holding(&self, dst: HostId) -> bool {
+        self.fault.as_ref().is_some_and(|f| !f.holdback[dst].lock().unpoisoned().is_empty())
     }
 
     /// Releases every held-back message destined for `dst`, in reverse:
@@ -751,11 +755,11 @@ impl Comm {
                 self.note_op();
                 return (src, payload);
             }
-            // Only a held-back message has nothing to wake this host when it
-            // becomes deliverable: under a fault plan the wait polls.
+            // A message held back meanwhile ends the wait, and the next turn
+            // releases it.
             self.fabric.flush_holdback(self.host);
-            let poll = self.fabric.fault.as_ref().map(|_| HOLDBACK_POLL);
-            match self.mailbox(tag).pop(poll, || self.fabric.should_abort()) {
+            let stop = || self.fabric.should_abort() || self.fabric.holding(self.host);
+            match self.mailbox(tag).pop(stop) {
                 Some(env) => {
                     let mut st = self.recv.lock().unpoisoned();
                     self.ingest(&mut st, tag, env);
@@ -1246,27 +1250,10 @@ mod tests {
         assert_eq!((drain(0), drain(1), drain(2)), (vec![0, 2, 4, 6], vec![1, 3, 5], vec![]));
     }
 
+    /// An abort wakes a pop blocked on an empty mailbox at once: a survivor
+    /// parked in a receive unwinds as promptly as one parked in a barrier.
     #[test]
-    fn a_pop_that_timed_out_leaves_the_mailbox_usable_for_a_late_delivery() {
-        let mailbox = Mailbox::default();
-        let start = Instant::now();
-        assert!(mailbox.pop(Some(Duration::from_millis(20)), || false).is_none());
-        assert!(start.elapsed() >= Duration::from_millis(20));
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(20));
-                mailbox.push(env(7));
-            });
-            let popped = mailbox.pop(Some(Duration::from_secs(30)), || false);
-            assert_eq!(popped.map(|e| e.seq), Some(7));
-        });
-    }
-
-    /// An abort wakes a pop blocked on an empty mailbox at once, whatever
-    /// its timeout: a survivor parked in a receive unwinds as promptly as
-    /// one parked in a barrier.
-    #[test]
-    fn an_abort_wakes_a_blocked_pop_before_its_timeout() {
+    fn an_abort_wakes_a_blocked_pop_at_once() {
         let fabric = Fabric::new(2, &ClusterOptions::default(), Box::new(LocalTransport), false);
         let start = Instant::now();
         std::thread::scope(|s| {
@@ -1275,10 +1262,36 @@ mod tests {
                 fabric.abort(Abort::Lost(0));
             });
             let mailbox = &fabric.mailboxes[1][3];
-            let popped = mailbox.pop(Some(Duration::from_secs(60)), || fabric.should_abort());
+            let popped = mailbox.pop(|| fabric.should_abort());
             assert!(popped.is_none());
         });
         assert!(start.elapsed() < Duration::from_secs(10), "the pop waited {:?}", start.elapsed());
+    }
+
+    /// A receive under a plan that delays every message ends when the
+    /// message is held back, not on a timer: 200 round trips take far less
+    /// than one 50 ms wait each.
+    #[test]
+    fn round_trips_under_a_plan_that_delays_everything_wait_on_no_timer() {
+        const TRIPS: u64 = 200;
+        let plan = FaultPlan { delay_prob: 1.0, ..FaultPlan::quiet(3) };
+        let opts = ClusterOptions { fault: Some(plan), ..ClusterOptions::default() };
+        let began = Instant::now();
+        let out = Cluster::run_with(2, opts, |comm| {
+            let peer = 1 - comm.host();
+            for trip in 0..TRIPS {
+                if comm.host() == 0 {
+                    comm.send_bytes(peer, Tag(1), Bytes::from(trip.to_le_bytes().to_vec()));
+                    assert_eq!(&comm.recv_from(peer, Tag(2))[..], &trip.to_le_bytes());
+                } else {
+                    let ping = comm.recv_from(peer, Tag(1));
+                    comm.send_bytes(peer, Tag(2), ping);
+                }
+            }
+        });
+        let took = began.elapsed();
+        assert_eq!(out.faults.map(|f| f.delayed), Some(2 * TRIPS));
+        assert!(took < Duration::from_secs(5), "{TRIPS} round trips took {took:?}");
     }
 
     #[test]
@@ -1290,7 +1303,7 @@ mod tests {
             let poppers: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
-                        let pop = || mailbox.pop(Some(Duration::from_secs(30)), || false);
+                        let pop = || mailbox.pop(|| false);
                         let next = || pop().expect("pushed").seq;
                         std::iter::repeat_with(next).take_while(|&seq| seq != STOP).collect()
                     })

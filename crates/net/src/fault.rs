@@ -4,7 +4,9 @@
 //! *application-visible* behaviour identical: messages can be delayed
 //! (held back and released later, out of order) or duplicated. The
 //! receive path restores per-`(src, dst, tag)` FIFO order and discards
-//! duplicates via sequence numbers (see `cluster.rs`). Nothing is ever
+//! duplicates via sequence numbers (see `cluster.rs`). A held-back message
+//! is released once its receiver would otherwise block (holding it wakes
+//! the receiver), at a barrier, or with a full window. Nothing is ever
 //! lost in transit: a message dies only with its host, which is
 //! [`CrashPlan`]'s business.
 //!
@@ -34,7 +36,7 @@ pub struct FaultPlan {
 
 /// How many held-back messages a destination accumulates before its whole
 /// holdback queue is flushed (in reverse order, to maximize observable
-/// reordering).
+/// reordering), unless a receive or a barrier released them first.
 pub(crate) const REORDER_WINDOW: usize = 8;
 
 impl FaultPlan {

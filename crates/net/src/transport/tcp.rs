@@ -35,6 +35,10 @@
 //! `decide` makes the simulator's decisions at the receiving end. A monitor
 //! thread sleeps until a peer could have been silent for
 //! [`TcpOptions::peer_timeout`], counted from `establish` before its HELLO.
+//! No thread polls. A data read has no timeout (a handshake has
+//! `HANDSHAKE_TIMEOUT`): a reader ends on EOF or a bad frame, or when this
+//! host shuts its socket down — the one a peer keeps, which an unhook and
+//! teardown each shut, so even a wedged peer's reader returns at once.
 //!
 //! ## One peer link
 //!
@@ -91,10 +95,6 @@ const MAX_HANDSHAKE_FRAME: u32 = 256;
 
 /// How long one handshake exchange may take on a connected socket.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(3);
-
-/// How often reader threads come up for air to check shutdown/abort flags
-/// while blocked on a socket.
-const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Knobs of the TCP transport. Defaults are deliberately generous: a
 /// loaded CI machine must never produce spurious `HostLost`s. No wait has a
@@ -159,6 +159,15 @@ struct Peer {
     /// reader, then a clone, so the reader can be torn out of a blocking
     /// read.
     reader: Option<TcpStream>,
+}
+
+impl Peer {
+    /// Shuts the inbound socket down: its reader's blocked read returns EOF.
+    fn shut_reader(&mut self) {
+        if let Some(s) = self.reader.take() {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 struct Link {
@@ -267,9 +276,7 @@ fn perform(
             }
             Action::Unhook => {
                 p.queue = None;
-                if let Some(s) = p.reader.take() {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
+                p.shut_reader();
                 "peer_down"
             }
             Action::Admit { gen } => {
@@ -586,8 +593,9 @@ impl Transport for TcpTransport {
 }
 
 /// Stands every transport thread down and joins it; the acceptor is woken
-/// out of `accept` by one connection to this host's own listener. Runs
-/// once, whichever of `finish` and `drop` comes first.
+/// out of `accept` by one connection to this host's own listener, and each
+/// reader out of its read by the shutdown of its socket. Runs once,
+/// whichever of `finish` and `drop` comes first.
 fn stop(shared: &TcpShared) {
     if shared.shutting_down.swap(true, Ordering::AcqRel) {
         return;
@@ -597,7 +605,8 @@ fn stop(shared: &TcpShared) {
         let mut p = link.peer.lock().unpoisoned();
         p.link.step(Event::Shutdown);
         // Ends a writer no FIN or abort reached (admitted before a run that never came).
-        (p.queue, p.reader) = (None, None);
+        p.queue = None;
+        p.shut_reader();
     }
     shared.notify();
     loop {
@@ -645,14 +654,19 @@ fn write_to(shared: &TcpShared, p: &mut Peer, peer: HostId, gen: u64, s: TcpStre
 
 /// Reads `stream` as connection generation `gen` from `peer`: spawns its
 /// reader, keeping a clone of the socket in `p` so that the link can tear
-/// it; before the run parks the socket in `p` for `start`. Called under the
-/// peer's lock, which `start` holds while it sets the run up.
+/// it; before the run parks the socket in `p` for `start`. Called under
+/// the peer's lock, which `start` holds while it sets the run up.
 fn read_from(shared: &Arc<TcpShared>, p: &mut Peer, stream: TcpStream, peer: HostId, gen: u64) {
     let Some(f) = shared.fabric() else {
         p.reader = Some(stream);
         return;
     };
     p.reader = stream.try_clone().ok();
+    if p.reader.is_none() {
+        // Nothing could tear this reader out of a read: it reads EOF at
+        // once and reports the connection dead instead.
+        let _ = stream.shutdown(Shutdown::Both);
+    }
     let s = Arc::clone(shared);
     let name = format!("tcp-recv-{peer}-g{gen}");
     spawn_io(shared, name, Some("tcp-recv"), move || reader_loop(stream, peer, gen, f, s));
@@ -660,8 +674,9 @@ fn read_from(shared: &Arc<TcpShared>, p: &mut Peer, stream: TcpStream, peer: Hos
 
 /// `len: u32 LE | kind` — the five bytes that start every frame.
 fn frame_head(len: u32, kind: u8) -> [u8; 5] {
-    let [a, b, c, d] = len.to_le_bytes();
-    [a, b, c, d, kind]
+    let mut head = [0, 0, 0, 0, kind];
+    wire::encode_u32s(&[len], &mut head[..4]);
+    head
 }
 
 fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<()> {
@@ -669,61 +684,18 @@ fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<()>
     w.write_all(body)
 }
 
-/// Blocking read of one small frame during the handshake (the socket has a
-/// read timeout set, so this is bounded).
-fn read_handshake_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len == 0 || len > MAX_HANDSHAKE_FRAME {
-        let detail = format!("handshake frame length {len}");
-        return Err(std::io::Error::new(ErrorKind::InvalidData, detail));
+/// Reads one frame, `kind | body`, of 1 to `max` bytes; whether a failed
+/// read was the expected close is the link's to say.
+fn read_frame(r: &mut impl Read, max: u32) -> std::io::Result<Vec<u8>> {
+    let mut head = [0u8; 4];
+    r.read_exact(&mut head)?;
+    let len = wire::Reader::new(&head).u32()?;
+    if len == 0 || len > max {
+        return Err(std::io::Error::new(ErrorKind::InvalidData, format!("frame length {len}")));
     }
     let mut frame = vec![0u8; len as usize];
-    stream.read_exact(&mut frame)?;
-    Ok((frame[0], frame[1..].to_vec()))
-}
-
-/// Why a flag-aware socket read came back without its bytes.
-enum Unread {
-    /// The stop flag fired while blocked.
-    Stopped,
-    /// EOF, an I/O error or an absurd length; whether it was the expected
-    /// close is the link's to say.
-    Failed,
-}
-
-/// Fills `buf` from `r`, surfacing read timeouts as chances to observe
-/// `stop` instead of data loss (unlike `read_exact`, which corrupts its
-/// position on timeout).
-fn read_full(r: &mut impl Read, buf: &mut [u8], stop: &impl Fn() -> bool) -> Result<(), Unread> {
-    let mut off = 0;
-    while off < buf.len() {
-        match r.read(&mut buf[off..]) {
-            Ok(0) => return Err(Unread::Failed),
-            Ok(n) => off += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop() {
-                    return Err(Unread::Stopped);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Err(Unread::Failed),
-        }
-    }
-    Ok(())
-}
-
-/// Reads one data frame, `kind | body`, from `r`.
-fn read_frame(r: &mut impl Read, stop: &impl Fn() -> bool) -> Result<Vec<u8>, Unread> {
-    let mut len = [0u8; 4];
-    read_full(r, &mut len, stop)?;
-    let len = u32::from_le_bytes(len);
-    if len == 0 || len > MAX_FRAME {
-        return Err(Unread::Failed);
-    }
-    let mut frame = vec![0u8; len as usize];
-    read_full(r, &mut frame, stop).map(|()| frame)
+    r.read_exact(&mut frame)?;
+    Ok(frame)
 }
 
 /// The HELLO frame body. `#[doc(hidden)] pub`, like [`parse_hello`], so
@@ -744,14 +716,24 @@ pub fn hello_body(me: HostId, hosts: usize, run_nonce: u64, incarnation: u32) ->
 /// The ACCEPT frame body: the acceptor's incarnation. `#[doc(hidden)] pub`
 /// like [`hello_body`].
 #[doc(hidden)]
-pub fn accept_body(incarnation: u32) -> [u8; 4] {
-    incarnation.to_le_bytes()
+pub fn accept_body(incarnation: u32) -> Vec<u8> {
+    let mut body = Vec::with_capacity(4);
+    wire::put_u32(&mut body, incarnation);
+    body
 }
 
 /// The incarnation an ACCEPT body names, if it is one.
 #[doc(hidden)]
 pub fn parse_accept(body: &[u8]) -> Option<u32> {
-    Some(u32::from_le_bytes(body.try_into().ok()?))
+    let mut r = wire::Reader::new(body);
+    r.u32().ok().filter(|_| r.is_empty())
+}
+
+/// The body of a BARRIER or a LOST frame: one `u64`.
+fn word_body(word: u64) -> Vec<u8> {
+    let mut body = Vec::with_capacity(8);
+    wire::put_u64(&mut body, word);
+    body
 }
 
 /// Connects to `peer` at `addr` once, then sends `hello` and waits for
@@ -765,11 +747,12 @@ fn dial(peer: HostId, addr: &str, hello: &[u8]) -> Result<(TcpStream, u32), Tran
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
     let hs = |detail: String| TransportError::Handshake { peer, detail };
     write_frame(&mut stream, FRAME_HELLO, hello).map_err(|e| hs(format!("no HELLO sent: {e}")))?;
-    let (kind, body) =
-        read_handshake_frame(&mut stream).map_err(|e| hs(format!("no handshake reply: {e}")))?;
+    let frame = read_frame(&mut stream, MAX_HANDSHAKE_FRAME)
+        .map_err(|e| hs(format!("no handshake reply: {e}")))?;
+    let (kind, body) = (frame[0], &frame[1..]);
     match kind {
         FRAME_ACCEPT => {
-            let inc = parse_accept(&body).ok_or_else(|| hs(format!("ACCEPT body {body:?}")))?;
+            let inc = parse_accept(body).ok_or_else(|| hs(format!("ACCEPT body {body:?}")))?;
             let _ = stream.set_read_timeout(None);
             Ok((stream, inc))
         }
@@ -827,11 +810,11 @@ pub fn parse_hello(
 fn read_hello(s: &mut TcpStream, me: HostId, hosts: usize, nonce: u64) -> Option<(HostId, u32)> {
     let _ = s.set_nodelay(true);
     let _ = s.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    let (kind, body) = read_handshake_frame(s).ok()?;
-    if kind != FRAME_HELLO {
+    let frame = read_frame(s, MAX_HANDSHAKE_FRAME).ok()?;
+    if frame[0] != FRAME_HELLO {
         return None;
     }
-    parse_hello(&body, me, hosts, nonce).map_err(|reason| reject(s, reason)).ok()
+    parse_hello(&frame[1..], me, hosts, nonce).map_err(|reason| reject(s, reason)).ok()
 }
 
 /// Answers a HELLO with REJECT carrying `reason`.
@@ -889,7 +872,7 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
                 }
             }
             Ok(Out::Barrier(n)) => {
-                if write_frame(&mut w, FRAME_BARRIER, &n.to_le_bytes()).is_err() || w.flush().is_err() {
+                if write_frame(&mut w, FRAME_BARRIER, &word_body(n)).is_err() || w.flush().is_err() {
                     return;
                 }
             }
@@ -901,7 +884,7 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
             }
             Ok(Out::Abort(lost)) => {
                 if let Some(host) = lost {
-                    let _ = write_frame(&mut w, FRAME_LOST, &(host as u64).to_le_bytes());
+                    let _ = write_frame(&mut w, FRAME_LOST, &word_body(host as u64));
                     let _ = w.flush();
                 }
                 return;
@@ -920,8 +903,9 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Out>, heartbeat: Duration) {
 /// go through the regular dispatch (fault layer included), barrier
 /// announcements into the shared arrival table. A FIN, a LOST, and any
 /// protocol violation — torn frame, corrupt envelope, absurd length, EOF —
-/// is reported to the link as an event of generation `gen`. The per-frame
-/// path takes no lock: one atomic load tells a superseded reader to stop.
+/// is reported to the link as an event of generation `gen`, unless the
+/// transport stopped or the run aborted. The per-frame path takes no lock:
+/// one atomic load tells a superseded reader to stop.
 fn reader_loop(
     stream: TcpStream,
     peer: HostId,
@@ -929,22 +913,23 @@ fn reader_loop(
     fabric: Arc<Fabric>,
     shared: Arc<TcpShared>,
 ) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_read_timeout(None); // the handshake's bound ends here
     let mut r = BufReader::with_capacity(64 << 10, stream);
-    let stop = || shared.stopped(&fabric);
     let failed = || drive(&shared, peer, Event::ReadFailed { gen }, None);
     loop {
-        let frame = match read_frame(&mut r, &stop) {
-            Ok(frame) => frame,
-            Err(Unread::Stopped) => return,
-            Err(Unread::Failed) => return failed(),
+        let Ok(frame) = read_frame(&mut r, MAX_FRAME) else {
+            if !shared.stopped(&fabric) {
+                failed();
+            }
+            return;
         };
         if shared.links[peer].gen.load(Ordering::Acquire) != gen {
             return; // superseded by an admission; stop feeding stale data
         }
         shared.heard(peer);
         // The body of a BARRIER or a LOST is one u64.
-        let word = <[u8; 8]>::try_from(&frame[1..]).ok().map(u64::from_le_bytes);
+        let mut body = wire::Reader::new(&frame[1..]);
+        let word = body.u64().ok().filter(|_| body.is_empty());
         match (frame[0], word) {
             (FRAME_ENVELOPE, _) => match decode_envelope(Bytes::from(frame).slice(1..)) {
                 Ok(we) if (we.tag as usize) < MAX_TAGS && we.src as usize == peer => {
@@ -1013,6 +998,12 @@ mod tests {
             _ => None,
         });
         (out, names.collect())
+    }
+
+    /// One handshake frame off a raw test socket: its kind and body.
+    fn read_handshake_frame(s: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
+        let frame = read_frame(s, MAX_HANDSHAKE_FRAME)?;
+        Ok((frame[0], frame[1..].to_vec()))
     }
 
     fn count(names: &[&str], name: &str) -> usize {
@@ -1526,6 +1517,45 @@ mod tests {
             redial.recv_timeout(rejoin_opts().peer_timeout()).expect("host 0 redials P1");
         assert_eq!((kind, parse_hello(&body, 1, 2, 77)), (FRAME_HELLO, Ok((0, 0))));
         assert_eq!(transport.shared.link(1, PeerLink::state), LinkState::Up { gen: 1, inc: 1 });
+    }
+
+    /// With rejoin, a HELLO that reaches host 0 before its dial of the peer
+    /// is answered is hooked provisionally, and a newer incarnation's HELLO
+    /// replaces it. Before the run the superseded socket is only parked, so
+    /// the replacement closes it: the peer holding it reads EOF while the
+    /// run is still up, and no reader of it outlives the handshake.
+    #[test]
+    fn a_provisional_hello_replaced_by_a_newer_one_is_closed() {
+        let (l0, a0) = bind();
+        let (l1, a1) = bind();
+        let peers = vec![a0.clone(), a1];
+        let (eof, superseded) = std::sync::mpsc::channel();
+        let script = std::thread::spawn(move || {
+            let hello = |inc| {
+                let mut to0 = TcpStream::connect(&a0).expect("dial host 0");
+                to0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                write_frame(&mut to0, FRAME_HELLO, &hello_body(1, 2, 77, inc)).unwrap();
+                assert_eq!(read_handshake_frame(&mut to0).unwrap().0, FRAME_ACCEPT);
+                to0
+            };
+            // Both HELLOs come before host 0's dial is answered.
+            let (mut old, new) = (hello(0), hello(1));
+            let (mut from0, _) = l1.accept().expect("host 0 dials us");
+            from0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(read_handshake_frame(&mut from0).unwrap().0, FRAME_HELLO);
+            write_frame(&mut from0, FRAME_ACCEPT, &accept_body(1)).unwrap();
+            // The run is up: wait for EOF on the superseded connection.
+            let _ = eof.send(old.read(&mut [0u8; 1]).map_err(|e| e.kind()));
+            write_frame(&mut &new, FRAME_FIN, &[]).unwrap();
+            (new, from0)
+        });
+        let transport = TcpTransport::establish(0, l0, &peers, 77, rejoin_opts()).expect("mesh up");
+        Cluster::try_run_tcp(transport, ClusterOptions::default(), |_| {
+            let read = superseded.recv_timeout(Duration::from_secs(10));
+            assert_eq!(read, Ok(Ok(0)), "EOF on the superseded connection during the run");
+        })
+        .expect("the run completes on the newer connection");
+        let _ = script.join();
     }
 
     /// A frame shipped while its peer is down goes nowhere but the send log,

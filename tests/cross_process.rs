@@ -15,9 +15,9 @@
 //! Every test takes [`fleet_budget`] before it forks: the harness still
 //! runs the `#[test]`s on parallel threads, but at most one launcher plus
 //! its workers exists at a time, so 4–5 processes with 50 ms heartbeats
-//! never compete with fourteen other fleets for the box (ROADMAP item 1b).
+//! never compete with fourteen other fleets for the box.
 //! That removes the oversubscription suspect. The late-phase listener hole
-//! (item 1a) is closed on the worker's side: a worker writes its partition
+//! is closed on the worker's side: a worker writes its partition
 //! and prints its rows and DONE *before* its transport FINs, so a victim
 //! stopped after its FIN is already DONE (no respawn into a mesh whose
 //! survivors have left), and one stopped before it finds every survivor
